@@ -1,8 +1,8 @@
 """Multi-reader vs single-reader streaming over the parallel chunk pipeline.
 
 The acceptance bar of the parallel I/O refactor: on a sharded out-of-core
-dataset, fanning the chunk reads across a reader pool must beat the PR 3
-single-reader prefetch pipeline by >= 1.3x throughput for *both* streaming
+dataset, fanning the chunk reads across a reader pool must beat the default
+stream (one reader of the same executor) by >= 1.3x throughput for *both* streaming
 fit and streaming predict — while predictions stay bit-identical to in-core
 and peak memory stays bounded by the preallocated buffer ring.
 
@@ -130,7 +130,7 @@ def test_parallel_pipeline_throughput(benchmark, workload):
 
     def sweep():
         results = {"fit": {}, "predict": {}}
-        # io_workers=None is the PR 3 single-reader prefetch baseline.
+        # io_workers=None is the default stream: one reader of the same executor.
         for label, io_workers in (("baseline", None), (1, 1), (2, 2), (4, 4)):
             results["fit"][label] = run_fit(io_workers)
             results["predict"][label] = run_predict(io_workers)

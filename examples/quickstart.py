@@ -76,20 +76,20 @@ Tuning the streaming pipeline
     amortise per-chunk overhead; smaller chunks bound memory tighter and give
     the pipeline more opportunities to overlap.  Keep it a divisor of the
     shard size when you want every chunk to stay a zero-copy memmap view.
-``prefetch_depth`` (``depth``)
-    How many chunks the pipeline may buffer ahead of the consumer.  2 (double
-    buffering) suffices when reads and compute are balanced; raise it when
-    read latency is spiky.  With a reader pool it defaults to
-    ``2 × io_workers`` so every reader can stay busy.
 ``io_workers``
-    Reader threads for the parallel pipeline.  ``None`` keeps the PR 3
-    single-reader prefetch; ``0`` = one reader per distinct storage device
+    Reader threads running ahead of the consumer; one executor serves every
+    setting.  ``None`` (default) = one reader with a window of two chunks —
+    classic double buffering; ``0`` = one reader per distinct storage device
     (shards grouped by ``st_dev``, so a single-disk dataset does not spawn
     threads that contend for one spindle); ``n`` = exactly ``n`` readers.
-    Chunks are re-emitted in plan order regardless, so results never depend
-    on the reader count.  Worth it when the storage is the bottleneck —
-    multiple NVMe queues, network-backed shards, cold page cache; useless
-    when the dataset is already cached in RAM.
+    The window of chunks read ahead is ``max(2, 2 × readers)``, capped by the
+    buffer ring, and is reported as ``details["prefetch_depth"]``.  Chunks
+    are re-emitted in plan order regardless, so results never depend on the
+    reader count.  More readers are worth it when the storage is the
+    bottleneck — multiple NVMe queues, network-backed shards, cold page
+    cache; useless when the dataset is already cached in RAM.
+    ``prefetch=False`` (with ``io_workers`` unset) starts no thread at all:
+    each chunk is read inline when the consumer asks for it.
 ``compute_workers``
     Data-parallel streaming *predict*: each worker runs ``predict_chunk`` and
     writes its disjoint slice of the preallocated output buffer —

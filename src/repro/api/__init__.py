@@ -32,7 +32,7 @@ Every engine implements both halves of the lifecycle: ``Session.fit`` trains,
                  it to predict out-of-core behaviour at sizes this machine
                  cannot hold.
 ``streaming``    Chunk-pipelined execution: shard-aligned row blocks are
-                 prefetched by a background thread while the previous block
+                 prefetched by a reader thread while the previous block
                  trains (``partial_fit``) or predicts (``predict_chunk`` into
                  a preallocated output buffer), so I/O overlaps compute;
                  per-chunk read / I/O-wait / compute times are reported in
@@ -65,12 +65,10 @@ from repro.api.chunks import (
     BufferLease,
     Chunk,
     ChunkBufferPool,
-    ChunkIterator,
     ChunkPlan,
+    ChunkStream,
     ChunkStreamError,
     ChunkStreamStats,
-    ParallelPrefetcher,
-    PrefetchingChunkIterator,
     ReadaheadHinter,
     open_chunk_stream,
     plan_chunks,
@@ -135,9 +133,7 @@ __all__ = [
     # chunk pipeline
     "Chunk",
     "ChunkPlan",
-    "ChunkIterator",
-    "PrefetchingChunkIterator",
-    "ParallelPrefetcher",
+    "ChunkStream",
     "ChunkBufferPool",
     "BufferLease",
     "ReadaheadHinter",

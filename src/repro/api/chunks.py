@@ -11,20 +11,18 @@ on the kernel alone:
   one shard's memmap) and optionally *ramped* — starting with a small window
   that doubles chunk over chunk, the same warm-up discipline as
   :class:`~repro.vmem.readahead.AdaptiveReadAhead`.
-* :class:`ChunkIterator` — the synchronous executor: yields :class:`Chunk`
-  blocks carrying ``(X, y)`` plus the time spent materialising them.
-* :class:`PrefetchingChunkIterator` — the pipelined executor: a background
-  thread reads chunk *k+1* (and up to ``depth-1`` more) while the consumer
-  trains on chunk *k*.  Per-chunk read, wait and compute times are recorded
-  in a :class:`ChunkStreamStats` so the I/O-compute overlap is measurable,
-  not assumed.
-* :class:`ParallelPrefetcher` — the multi-reader executor: a pool of reader
-  threads (one per shard by default) pulls upcoming chunks off the plan in
-  claim order, a bounded reorder buffer re-emits them in plan order, and a
-  :class:`ChunkBufferPool` of preallocated arrays absorbs the chunks that
-  need stitching so steady-state streaming performs zero per-chunk
-  allocations.  Shard-aligned chunks that resolve to contiguous memmap views
-  are emitted zero-copy, exactly as the single-reader pipeline emits them.
+* :class:`ChunkStream` — the one executor: a pool of reader threads pulls
+  upcoming chunks off the plan in claim order, a bounded reorder buffer
+  re-emits them in plan order as :class:`Chunk` blocks carrying ``(X, y)``,
+  and a :class:`ChunkBufferPool` of preallocated arrays absorbs the chunks
+  that need stitching so steady-state streaming performs zero per-chunk
+  allocations.  One reader with a window of 2 (the default) is classic
+  double buffering — chunk *k+1* is read while the consumer trains on chunk
+  *k*; with no reader at all (``prefetch=False``) the consumer runs the same
+  read step inline.  Shard-aligned chunks that resolve to contiguous memmap
+  views are emitted zero-copy under every reader count.  Per-chunk read,
+  wait and compute times are recorded in a :class:`ChunkStreamStats` so the
+  I/O-compute overlap is measurable, not assumed.
 * :class:`ReadaheadHinter` — OS readahead hints per upcoming chunk:
   ``mmap.madvise(SEQUENTIAL/WILLNEED/DONTNEED)`` on shard memmaps, falling
   back to ``os.posix_fadvise`` on the raw files, and to a graceful no-op on
@@ -44,10 +42,11 @@ import os
 import queue
 import threading
 import time
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,11 +76,11 @@ diagnosable :class:`ChunkStreamError` instead of an eternal hang."""
 
 
 class ChunkStreamError(RuntimeError):
-    """A prefetching chunk stream's producer thread failed.
+    """A chunk stream's read failed or stalled.
 
-    Raised on the consumer side of :class:`PrefetchingChunkIterator`, chained
-    (``raise ... from``) to the producer's original exception so both the
-    consumer call site and the producer's read stack appear in the traceback.
+    Raised on the consumer side of :class:`ChunkStream`, chained
+    (``raise ... from``) to the reader's original exception so both the
+    consumer call site and the failing read's stack appear in the traceback.
     """
 
 
@@ -117,7 +116,7 @@ def matrix_generation(matrix: Any) -> Optional[int]:
 def compressed_backing(matrix: Any) -> Optional[CompressedShardedMatrix]:
     """The :class:`CompressedShardedMatrix` behind ``matrix``, if any.
 
-    Non-``None`` switches the parallel pipeline into its fetch/decode split:
+    Non-``None`` switches a threaded stream into its fetch/decode split:
     readers pull coded payloads, a decode pool decompresses them into pooled
     buffers.
     """
@@ -325,11 +324,20 @@ def plan_chunks(
 class Chunk:
     """One row block of the stream: matrix rows plus the matching labels.
 
-    A chunk served out of a :class:`ChunkBufferPool` carries the buffer
-    ``lease`` backing its arrays; consumers call :meth:`release` when they are
-    done with the chunk so the buffer returns to the pool.  Chunks served as
-    zero-copy views carry no lease and :meth:`release` is a no-op, so every
-    consumer can release unconditionally.
+    Ownership: a chunk either *owns* its arrays or *leases* them.
+
+    * Chunks of an inline stream (``prefetch=False``) and zero-copy views of
+      any stream are owned: they carry no lease, stay valid for as long as
+      the consumer keeps them (``list(stream)`` is legal), and
+      :meth:`release` is a no-op.
+    * A threaded stream serves stitched and decoded chunks out of its
+      :class:`ChunkBufferPool`; such a chunk carries the buffer ``lease``
+      backing its arrays and the consumer must :meth:`release` it when done,
+      or the ring runs dry and the stream stalls (the stall error counts the
+      unreleased buffers).
+
+    Releasing unconditionally is always correct, so consumers need not know
+    which kind they hold.
     """
 
     index: int
@@ -505,345 +513,6 @@ class ChunkStreamStats:
         }
 
 
-class ChunkIterator:
-    """Synchronously yield :class:`Chunk` blocks of a matrix (and labels).
-
-    Reads go through whatever object is passed — an
-    :class:`~repro.core.mmap_matrix.MmapMatrix` keeps recording its access
-    trace, a :class:`~repro.api.sharded.ShardedMatrix` serves shard-aligned
-    bounds as zero-copy views, a plain ndarray just slices.  Labels may be an
-    ndarray, a memmap or a lazy :class:`~repro.api.sharded.ShardedLabels`
-    view; they are sliced per chunk, never materialised wholesale.
-    """
-
-    def __init__(
-        self,
-        matrix: Any,
-        labels: Optional[Any] = None,
-        plan: Optional[ChunkPlan] = None,
-        chunk_rows: Optional[int] = None,
-        align_shards: bool = True,
-    ) -> None:
-        self.matrix = matrix
-        self.labels = labels
-        self.plan = plan if plan is not None else plan_chunks(
-            matrix, chunk_rows=chunk_rows, align_shards=align_shards
-        )
-        # Snapshot binding: a plan computed against generation g must only
-        # ever run against a generation-g matrix.  Appends never mutate a
-        # committed generation, so matching generations guarantee every
-        # bound in the plan resolves to the same bytes it was derived from.
-        plan_gen = self.plan.generation
-        if plan_gen is not None:
-            live_gen = matrix_generation(matrix)
-            if live_gen is not None and live_gen != plan_gen:
-                raise ValueError(
-                    f"plan was computed against manifest generation {plan_gen} "
-                    f"but the matrix is a generation-{live_gen} snapshot; "
-                    f"re-plan against the refreshed handle (or open generation "
-                    f"{plan_gen} explicitly) before streaming"
-                )
-        if labels is not None and len(labels) != self.plan.n_rows:
-            raise ValueError(
-                f"labels have {len(labels)} entries but the plan covers "
-                f"{self.plan.n_rows} rows"
-            )
-        self.stats = ChunkStreamStats()
-        self._bounds = iter(enumerate(self.plan.bounds))
-        self._last_yield: Optional[float] = None
-
-    def __iter__(self) -> "ChunkIterator":
-        return self
-
-    def _on_retry(self, attempt: int, error: BaseException) -> None:
-        self.stats.retries += 1
-        if isinstance(error, InjectedFault):
-            self.stats.faults_injected += 1
-
-    def _read(self, index: int, start: int, stop: int) -> Chunk:
-        began = time.perf_counter()
-
-        def attempt() -> Tuple[Any, Optional[np.ndarray]]:
-            maybe_fire("read.gather")
-            X = self.matrix[start:stop]
-            y = None
-            if self.labels is not None:
-                y = np.asarray(self.labels[start:stop])
-            return X, y
-
-        X, y = policy_for("read.gather").call(
-            attempt, site="read.gather", on_retry=self._on_retry
-        )
-        read_s = time.perf_counter() - began
-        return Chunk(index=index, start=start, stop=stop, X=X, y=y, read_s=read_s)
-
-    def __next__(self) -> Chunk:
-        now = time.perf_counter()
-        compute_s = now - self._last_yield if self._last_yield is not None else 0.0
-        try:
-            index, (start, stop) = next(self._bounds)
-        except StopIteration:
-            self.stats.record_trailing_compute(compute_s)
-            self._last_yield = None
-            raise
-        chunk = self._read(index, start, stop)
-        # Synchronous stream: the consumer waits for the whole read.
-        self.stats.record(
-            chunk.read_s, chunk.read_s, compute_s, chunk.rows, chunk.rows * self.plan.row_bytes
-        )
-        self._last_yield = time.perf_counter()
-        return chunk
-
-    def blocks(self) -> Iterator[Tuple[int, int, Any]]:
-        """Iterate ``(start, stop, X)`` row blocks — the inference-side view.
-
-        This is the output-aware consumption shape: a predictor scatters each
-        block's result into ``out[start:stop]`` of a preallocated buffer (see
-        :meth:`repro.ml.base.StreamingPredictor.predict_streaming`), so the
-        stream's timing still lands in :attr:`stats` while the consumer never
-        holds more than one chunk's worth of input rows.
-        """
-        return _iter_blocks(self)
-
-    def close(self) -> None:
-        """Stop iterating (synchronous streams hold no resources)."""
-        self._bounds = iter(())
-
-    def __enter__(self) -> "ChunkIterator":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
-
-
-def _iter_blocks(stream: Iterator[Chunk]) -> Iterator[Tuple[int, int, Any]]:
-    """The one definition of the ``(start, stop, X)`` block shape."""
-    for chunk in stream:
-        yield chunk.start, chunk.stop, chunk.X
-
-
-class _EndOfStream:
-    """Sentinel the producer enqueues after the last chunk (or an error)."""
-
-    def __init__(self, error: Optional[BaseException] = None) -> None:
-        self.error = error
-
-
-class PrefetchingChunkIterator:
-    """Double-buffered wrapper: read chunk *k+1* while chunk *k* trains.
-
-    A daemon thread drains the inner iterator into a bounded queue of
-    ``depth`` chunks (``depth=2`` is classic double buffering: one chunk being
-    consumed, one ready, one in flight).  The consumer's ``__next__`` only
-    blocks when the producer has fallen behind — that blocked time is the
-    stream's true I/O wait, recorded per chunk in :attr:`stats` alongside the
-    producer's read time, so ``stats.io_overlap`` measures how much of the
-    I/O the pipeline actually hid.
-
-    Always close (or exhaust) the iterator; it is a context manager, and
-    ``close()`` is what stops the producer thread early.
-    """
-
-    def __init__(
-        self,
-        inner: ChunkIterator,
-        depth: int = 2,
-        stall_timeout_s: Optional[float] = DEFAULT_STALL_TIMEOUT_S,
-    ) -> None:
-        if depth < 1:
-            raise ValueError(f"prefetch depth must be >= 1, got {depth}")
-        if stall_timeout_s is not None and stall_timeout_s <= 0:
-            raise ValueError(
-                f"stall_timeout_s must be positive or None, got {stall_timeout_s}"
-            )
-        self.inner = inner
-        self.depth = depth
-        self.stall_timeout_s = stall_timeout_s
-        self.stats = ChunkStreamStats(prefetched=True)
-        self._counters_folded = False
-        self._queue: "queue.Queue" = queue.Queue(maxsize=depth)
-        self._stop = threading.Event()
-        self._last_yield: Optional[float] = None
-        self._finished = False
-        self._closed = False
-        # The thread target closes over (inner, queue, stop) but NOT self:
-        # an abandoned iterator stays collectable, and __del__ then stops the
-        # producer instead of leaking a spinning thread for the process
-        # lifetime.
-        self._thread = threading.Thread(
-            target=self._produce,
-            args=(inner, self._queue, self._stop),
-            name="m3-chunk-prefetch",
-            daemon=True,
-        )
-        self._thread.start()
-
-    # -- producer ----------------------------------------------------------
-
-    @staticmethod
-    def _produce(inner: ChunkIterator, out: "queue.Queue", stop: threading.Event) -> None:
-        try:
-            for index, (start, stop_row) in enumerate(inner.plan.bounds):
-                if stop.is_set():
-                    return
-                chunk = inner._read(index, start, stop_row)
-                if not PrefetchingChunkIterator._put(out, stop, chunk):
-                    return
-            PrefetchingChunkIterator._put(out, stop, _EndOfStream())
-        except BaseException as error:  # noqa: BLE001 — relayed to the consumer
-            PrefetchingChunkIterator._put(out, stop, _EndOfStream(error))
-
-    @staticmethod
-    def _put(out: "queue.Queue", stop: threading.Event, item: Any) -> bool:
-        """Enqueue ``item``, giving up promptly when the consumer closed us."""
-        while not stop.is_set():
-            try:
-                out.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    # -- consumer ----------------------------------------------------------
-
-    @property
-    def plan(self) -> ChunkPlan:
-        """The plan being streamed."""
-        return self.inner.plan
-
-    def __iter__(self) -> "PrefetchingChunkIterator":
-        return self
-
-    def __next__(self) -> Chunk:
-        if self._finished:
-            raise StopIteration
-        now = time.perf_counter()
-        compute_s = now - self._last_yield if self._last_yield is not None else 0.0
-        item = self._get_next(now)
-        wait_s = time.perf_counter() - now
-        if isinstance(item, _EndOfStream):
-            self.stats.record_trailing_compute(compute_s)
-            # Mark the stream exhausted *before* raising: a consumer that
-            # catches the producer's error and keeps iterating gets a clean
-            # StopIteration on every later call, never a re-raised error.
-            self._finished = True
-            self._last_yield = None
-            self._stop.set()  # producer already exited; unblocks close()
-            self._fold_counters()
-            if item.error is not None:
-                raise ChunkStreamError(
-                    f"chunk stream producer failed while reading "
-                    f"{self.plan.num_chunks} planned chunk(s): {item.error!r}"
-                ) from item.error
-            raise StopIteration
-        self.stats.record(
-            item.read_s, wait_s, compute_s, item.rows, item.rows * self.plan.row_bytes
-        )
-        self._last_yield = time.perf_counter()
-        return item
-
-    def _get_next(self, started: float) -> Any:
-        """Dequeue the next item, bounded by :attr:`stall_timeout_s`.
-
-        A producer that dies without posting its end-of-stream sentinel (or
-        wedges inside a read) surfaces here as a diagnosable
-        :class:`ChunkStreamError` instead of an eternal ``Queue.get``.
-        """
-        timeout = self.stall_timeout_s
-        while True:
-            try:
-                return self._queue.get(timeout=0.1)
-            except queue.Empty:
-                pass
-            alive = self._thread.is_alive()
-            waited = time.perf_counter() - started
-            if not alive or (timeout is not None and waited >= timeout):
-                self._finished = True
-                self._last_yield = None
-                self._stop.set()
-                self._fold_counters()
-                cause = (
-                    "producer thread exited without delivering a chunk or "
-                    "an end-of-stream sentinel"
-                    if not alive
-                    else f"no chunk arrived within stall_timeout_s={timeout}"
-                )
-                raise ChunkStreamError(
-                    f"chunk stream stalled after {waited:.1f}s: {cause} "
-                    f"(delivered {self.stats.chunks} of "
-                    f"{self.plan.num_chunks} planned chunk(s), producer "
-                    f"alive={alive})"
-                )
-
-    def _fold_counters(self) -> None:
-        """Fold the inner iterator's retry accounting into this stream's stats.
-
-        The producer thread records retries on ``inner.stats`` (it drives
-        ``inner._read`` directly); they belong to this stream's totals.
-        """
-        if self._counters_folded:
-            return
-        self._counters_folded = True
-        self.stats.retries += self.inner.stats.retries
-        self.stats.faults_injected += self.inner.stats.faults_injected
-
-    def blocks(self) -> Iterator[Tuple[int, int, Any]]:
-        """Iterate ``(start, stop, X)`` row blocks — the inference-side view.
-
-        Same contract as :meth:`ChunkIterator.blocks`, with the blocks read
-        ahead by the producer thread.
-        """
-        return _iter_blocks(self)
-
-    def close(self) -> None:
-        """Stop and join the producer thread, dropping any buffered chunks.
-
-        Idempotent: a second ``close()`` returns immediately.  The producer
-        polls the stop event even while blocked on a full queue, so the join
-        completes promptly; the timeout is a last-resort bound so ``close()``
-        can never hang a serving loop.  Every step is shielded so a close
-        racing interpreter shutdown (when the ``queue``/``threading`` module
-        globals may already be torn down) stays silent instead of raising a
-        spurious exception out of a finalizer or an exiting ``with`` block.
-        """
-        if getattr(self, "_closed", False):
-            self._finished = True
-            return
-        self._closed = True
-        self._finished = True
-        try:
-            self._stop.set()
-            while True:
-                try:
-                    self._queue.get_nowait()
-                except queue.Empty:
-                    break
-            self._thread.join(timeout=5.0)
-            self._fold_counters()
-        except Exception:  # noqa: BLE001 — shutdown teardown must stay silent
-            pass
-
-    def __del__(self) -> None:
-        # Last-resort cleanup for abandoned iterators: signal the producer
-        # (it polls the stop event while blocked on a full queue) without
-        # joining — never block in a finalizer.  ``_stop`` may not exist if
-        # __init__ raised during validation, and during interpreter shutdown
-        # even ``Event.set`` may fail once its module globals are gone, so
-        # the whole signal is shielded.
-        try:
-            stop = getattr(self, "_stop", None)
-            if stop is not None:
-                stop.set()
-        except Exception:  # noqa: BLE001
-            pass
-
-    def __enter__(self) -> "PrefetchingChunkIterator":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
-
-
 class BufferLease:
     """One leased ``(X, y)`` buffer pair of a :class:`ChunkBufferPool`.
 
@@ -983,21 +652,18 @@ _MADVISE_OPTIONS = {
 }
 
 
+@dataclass
 class _HintSegment:
     """One hintable storage segment: a row range backed by one mapped file."""
 
-    __slots__ = ("start_row", "stop_row", "row_bytes", "mm", "array_offset",
-                 "file_offset", "path", "fd")
-
-    def __init__(self, start_row, stop_row, row_bytes, mm, array_offset, file_offset, path):
-        self.start_row = start_row
-        self.stop_row = stop_row
-        self.row_bytes = row_bytes
-        self.mm = mm                      # the shard's mmap object (or None)
-        self.array_offset = array_offset  # byte offset of row start_row in mm
-        self.file_offset = file_offset    # byte offset of row start_row on disk
-        self.path = path                  # backing file for the fadvise fallback
-        self.fd: Optional[int] = None
+    start_row: int
+    stop_row: int
+    row_bytes: int
+    mm: Any  # the shard's mmap object (or None)
+    array_offset: int  # byte offset of row start_row in mm
+    file_offset: int  # byte offset of row start_row on disk
+    path: Optional[Path]  # backing file for the fadvise fallback
+    fd: Optional[int] = None
 
 
 class ReadaheadHinter:
@@ -1008,8 +674,9 @@ class ReadaheadHinter:
     about to do, which is the engine-level analogue of
     :class:`~repro.vmem.readahead.AdaptiveReadAhead` growing its window:
 
-    * :meth:`advise_sequential` — once per stream, marks every shard mapping
-      ``MADV_SEQUENTIAL`` so kernel readahead ramps aggressively;
+    * :meth:`advise_sequential` — once per stream, marks the mapping of every
+      shard the stream will touch ``MADV_SEQUENTIAL`` so kernel readahead
+      ramps aggressively;
     * :meth:`will_need` — per upcoming chunk, asks the kernel to start the
       read *now* (``MADV_WILLNEED`` is asynchronous, so the call returns
       immediately while the device works);
@@ -1023,59 +690,50 @@ class ReadaheadHinter:
     callers can surface honest counts in :class:`ChunkStreamStats`.
     """
 
-    def __init__(self, matrix: Any) -> None:
-        self._segments: List[_HintSegment] = []
+    def __init__(self, matrix: Any, rows: Optional[Tuple[int, int]] = None) -> None:
         self._lock = make_lock("repro.api.chunks.ReadaheadHinter._lock")
         self.applied = 0
         try:
-            self._segments = self._resolve_segments(_unwrap(matrix))
+            self._segments = self._resolve_segments(_unwrap(matrix), rows)
         except Exception:  # noqa: BLE001 — an unhintable matrix is a no-op, not an error
             self._segments = []
+        self._starts = [segment.start_row for segment in self._segments]
 
     @staticmethod
-    def _resolve_segments(backing: Any) -> List[_HintSegment]:
-        segments: List[_HintSegment] = []
-        if isinstance(backing, ShardedMatrix):
-            row_bytes = backing.shape[1] * backing.dtype.itemsize
-            for shard, data in zip(backing.manifest.shards, backing._maps):
-                segments.append(
-                    _HintSegment(
-                        start_row=shard.start_row,
-                        stop_row=shard.stop_row,
-                        row_bytes=row_bytes,
-                        mm=getattr(data, "_mmap", None),
-                        array_offset=ReadaheadHinter._array_offset(data),
-                        file_offset=int(getattr(data, "offset", 0)),
-                        path=ReadaheadHinter._filename(data, backing.directory / shard.filename),
-                    )
-                )
-        elif isinstance(backing, np.memmap):
-            row_bytes = int(backing.shape[1]) * backing.dtype.itemsize
-            segments.append(
-                _HintSegment(
-                    start_row=0,
-                    stop_row=int(backing.shape[0]),
-                    row_bytes=row_bytes,
-                    mm=getattr(backing, "_mmap", None),
-                    array_offset=ReadaheadHinter._array_offset(backing),
-                    file_offset=int(getattr(backing, "offset", 0)),
-                    path=ReadaheadHinter._filename(backing, None),
-                )
+    def _resolve_segments(
+        backing: Any, rows: Optional[Tuple[int, int]]
+    ) -> List[_HintSegment]:
+        """Hintable segments overlapping ``rows`` (every segment when ``None``).
+
+        A stream hints only the rows its plan covers: a delta scan over the
+        tail of a many-shard dataset must not ``madvise`` every other shard.
+        """
+        def segment(data: np.memmap, start_row: int, path: Optional[Path]) -> _HintSegment:
+            offset = int(getattr(data, "offset", 0))
+            name = getattr(data, "filename", None)
+            return _HintSegment(
+                start_row=start_row,
+                stop_row=start_row + int(data.shape[0]),
+                row_bytes=int(data.shape[1]) * data.dtype.itemsize,
+                mm=getattr(data, "_mmap", None),
+                # numpy maps from the nearest allocation-granularity boundary
+                # below ``offset``; the array's bytes start this far into the
+                # mmap buffer.
+                array_offset=offset % _mmap.ALLOCATIONGRANULARITY,
+                file_offset=offset,
+                path=Path(name) if name is not None else path,
             )
-        return segments
 
-    @staticmethod
-    def _array_offset(memmap_array: np.memmap) -> int:
-        # numpy maps from the nearest allocation-granularity boundary below
-        # ``offset``; the array's bytes start this far into the mmap buffer.
-        return int(getattr(memmap_array, "offset", 0)) % _mmap.ALLOCATIONGRANULARITY
-
-    @staticmethod
-    def _filename(memmap_array: np.memmap, fallback: Optional[Path]) -> Optional[Path]:
-        name = getattr(memmap_array, "filename", None)
-        if name is not None:
-            return Path(name)
-        return fallback
+        if isinstance(backing, ShardedMatrix):
+            return [
+                segment(data, shard.start_row, backing.directory / shard.filename)
+                for shard, data in zip(backing.manifest.shards, backing._maps)
+                if rows is None
+                or (shard.stop_row > rows[0] and shard.start_row < rows[1])
+            ]
+        if isinstance(backing, np.memmap):
+            return [segment(backing, 0, None)]
+        return []
 
     @property
     def supported(self) -> bool:
@@ -1101,7 +759,11 @@ class ReadaheadHinter:
 
     def _advise_range(self, start: int, stop: int, kind: str) -> int:
         applied = 0
-        for segment in self._segments:
+        # Segments are sorted by start row: begin at the one holding ``start``.
+        first = max(0, bisect_right(self._starts, start) - 1)
+        for segment in self._segments[first:]:
+            if segment.start_row >= stop:
+                break
             lo = max(start, segment.start_row)
             hi = min(stop, segment.stop_row)
             if hi <= lo:
@@ -1179,9 +841,9 @@ class _DecodeTask:
     Created by a reader thread after the I/O half of a compressed chunk
     (payloads fetched, labels gathered, buffer leased); run by a
     :class:`_DecodePool` worker, which decodes into the lease and posts the
-    finished :class:`Chunk` into the reorder buffer under the same
-    error-index drop rule readers follow.  The task owns the lease until it
-    either posts (ownership moves to the chunk) or drops (released here).
+    finished :class:`Chunk` into the reorder buffer under the same drop rule
+    readers follow.  The task owns the lease until it either posts
+    (ownership moves to the chunk) or drops (released here).
     """
 
     __slots__ = ("state", "index", "start", "stop", "fetched", "y", "lease",
@@ -1198,52 +860,43 @@ class _DecodeTask:
         self.read_s = read_s
         self.hinted = hinted
 
-    def _dropped(self) -> bool:
-        state = self.state
-        return state.draining or (
-            state.error is not None and self.index > state.error[0]
-        )
-
     def run(self) -> None:
         state = self.state
-        with state.cond:
-            dropped = self._dropped()
-        if dropped:
-            self.lease.release()
-            return
         try:
-            began = time.perf_counter()
-            X = state.compressed.decode_into(self.fetched, self.lease.X)
-            decode_s = time.perf_counter() - began
-        except BaseException as error:  # noqa: BLE001 — relayed to the consumer
-            self.lease.release()
+            with state.cond:
+                dropped = state.dropped(self.index)
+            if dropped:
+                self.lease.release()
+                return
+            try:
+                began = time.perf_counter()
+                X = state.compressed.decode_into(self.fetched, self.lease.X)
+                decode_s = time.perf_counter() - began
+            except BaseException as error:  # noqa: BLE001 — relayed to the consumer
+                self.lease.release()
+                state.fail(self.index, error)
+                return
+            state.post(
+                Chunk(
+                    index=self.index,
+                    start=self.start,
+                    stop=self.stop,
+                    X=X,
+                    y=self.y,
+                    read_s=self.read_s,
+                    decode_s=decode_s,
+                    compressed_bytes=self.fetched.compressed_bytes,
+                    lease=self.lease,
+                ),
+                self.hinted,
+            )
+        finally:
             try:
                 with state.cond:
-                    if state.error is None or self.index < state.error[0]:
-                        state.error = (self.index, error)
-                    state.stop.set()
+                    state.decoding -= 1
                     state.cond.notify_all()
             except Exception:  # noqa: BLE001 — interpreter-shutdown teardown
                 pass
-            return
-        chunk = Chunk(
-            index=self.index,
-            start=self.start,
-            stop=self.stop,
-            X=X,
-            y=self.y,
-            read_s=self.read_s,
-            decode_s=decode_s,
-            compressed_bytes=self.fetched.compressed_bytes,
-            lease=self.lease,
-        )
-        with state.cond:
-            if self._dropped():
-                chunk.release()
-                return
-            state.results[self.index] = chunk
-            state.pending_hints += self.hinted
-            state.cond.notify_all()
 
 
 class _DecodePool:
@@ -1284,14 +937,11 @@ class _DecodePool:
             with self.cond:
                 while not self._tasks and not self._stop and not self._idle_exit():
                     self.cond.wait(timeout=0.05)
-                if self._tasks:
-                    task = self._tasks.popleft()
-                elif self._stop:
+                if not self._tasks:
+                    # Closed, or idle-exit: the reader pool is stopped and
+                    # drained, so no further tasks can arrive.
                     return
-                else:
-                    # Idle-exit: the reader pool is stopped and drained, so
-                    # no further tasks can arrive.
-                    return
+                task = self._tasks.popleft()
             task.run()
 
     def close(self) -> None:
@@ -1312,32 +962,35 @@ class _DecodePool:
 
 
 class _ReaderPoolState:
-    """Shared state of a :class:`ParallelPrefetcher` reader pool.
+    """Shared state of a :class:`ChunkStream`: the plan, the reorder buffer
+    and the read step every reader (or, inline, the consumer) runs.
 
-    Reader threads reference *this* object, never the prefetcher itself, so
-    an abandoned prefetcher stays garbage-collectable; its finalizer then
-    sets :attr:`stop`, which every reader polls, instead of the pool pinning
-    the stream alive for the process lifetime (the same discipline as the
-    single-reader :class:`PrefetchingChunkIterator`'s producer).
+    Reader threads reference *this* object, never the stream itself, so an
+    abandoned stream stays garbage-collectable; its finalizer then calls
+    :meth:`abandon`, which every reader observes, instead of the pool pinning
+    the stream alive for the process lifetime.
     """
 
     def __init__(
         self,
-        inner: ChunkIterator,
+        matrix: Any,
+        labels: Optional[Any],
+        plan: ChunkPlan,
         cuts: np.ndarray,
         pool: Optional[ChunkBufferPool],
         hinter: Optional[ReadaheadHinter],
         depth: int,
         readers: int,
-        compressed: Optional[CompressedShardedMatrix] = None,
+        compressed: Optional[CompressedShardedMatrix],
     ) -> None:
-        self.inner = inner
-        self.plan = inner.plan
+        self.matrix = matrix
+        self.labels = labels
+        self.plan = plan
         self.cuts = cuts
         self.pool = pool
         self.hinter = hinter
         self.compressed = compressed
-        #: Set by the prefetcher once readers are started, when the stream is
+        #: Set by the stream once readers are started, when the stream is
         #: compressed.  Readers submit fetched chunks here instead of posting.
         self.decode_pool: Optional[_DecodePool] = None
         # Re-entrant: the consumer re-acquires while finishing inside the
@@ -1350,11 +1003,16 @@ class _ReaderPoolState:
         self.next_claim = 0
         self.pending_hints = 0
         self.live_workers = 0
-        #: Retry accounting (folded into the prefetcher's stats at the end).
+        #: Decode tasks submitted but not yet posted, dropped or failed: the
+        #: consumer may not conclude "nothing more will arrive" while one is
+        #: still running, even after every reader has exited.
+        self.decoding = 0
+        #: Retry accounting (folded into the stream's stats at the end).
         self.retries = 0
         self.faults_injected = 0
-        #: The consumer is gone (finished or closing): late posts must drop
-        #: their chunk and hand the lease back instead of parking it forever.
+        #: The consumer is gone (finished, closing or collected): late posts
+        #: must drop their chunk and hand the lease back instead of parking
+        #: it forever.
         self.draining = False
         self.reader_log: List[List[Tuple[int, int]]] = [[] for _ in range(readers)]
         self.reader_stats: List[Dict[str, Any]] = [
@@ -1397,37 +1055,18 @@ class _ReaderPoolState:
                     # pulled off storage, not the logical chunk size.
                     acct["bytes_read"] += task.fetched.compressed_bytes
                     acct["read_s"] += task.read_s
+                    with self.cond:
+                        self.decoding += 1
                     self.decode_pool.submit(task)
                     continue
-                chunk = policy_for("read.gather").call(
-                    lambda: self.read_chunk(index, start, stop_row),
-                    site="read.gather",
-                    on_retry=self._on_retry,
-                )
+                chunk = self.read(index, start, stop_row)
                 acct["chunks"] += 1
                 acct["rows"] += chunk.rows
                 acct["bytes_read"] += chunk.rows * plan.row_bytes
                 acct["read_s"] += chunk.read_s
-                with self.cond:
-                    # After another reader errored, chunks *behind* the failed
-                    # index still post — the consumer's contract is that
-                    # everything before the error is delivered in order.
-                    # Chunks past the error can never be consumed; drop them.
-                    if self.error is not None and index > self.error[0]:
-                        chunk.release()
-                        return
-                    self.results[index] = chunk
-                    self.pending_hints += hinted
-                    self.cond.notify_all()
+                self.post(chunk, hinted)
         except BaseException as error:  # noqa: BLE001 — relayed to the consumer
-            try:
-                with self.cond:
-                    if self.error is None or index < self.error[0]:
-                        self.error = (index, error)
-                    self.stop.set()
-                    self.cond.notify_all()
-            except Exception:  # noqa: BLE001 — interpreter-shutdown teardown
-                pass
+            self.fail(index, error)
         finally:
             try:
                 with self.cond:
@@ -1436,24 +1075,90 @@ class _ReaderPoolState:
             except Exception:  # noqa: BLE001 — interpreter-shutdown teardown
                 pass
 
+    def dropped(self, index: int) -> bool:
+        """Whether chunk ``index`` can never be consumed (``cond`` held).
+
+        After a read failed, chunks *behind* the failed index still post —
+        the consumer's contract is that everything before the error is
+        delivered in order — while chunks past it, and every chunk once the
+        consumer is gone, are dropped.
+        """
+        return self.draining or (self.error is not None and index > self.error[0])
+
+    def post(self, chunk: Chunk, hinted: int) -> None:
+        """Park a finished chunk in the reorder buffer, or drop it."""
+        with self.cond:
+            if self.dropped(chunk.index):
+                chunk.release()
+                return
+            self.results[chunk.index] = chunk
+            self.pending_hints += hinted
+            self.cond.notify_all()
+
+    def fail(self, index: int, error: BaseException) -> None:
+        """Record the lowest-index failure and wind the readers down."""
+        try:
+            with self.cond:
+                if self.error is None or index < self.error[0]:
+                    self.error = (index, error)
+                self.stop.set()
+                self.cond.notify_all()
+        except Exception:  # noqa: BLE001 — interpreter-shutdown teardown
+            pass
+
+    def abandon(self) -> None:
+        """The consumer is gone: stop the readers, hand parked buffers back.
+
+        ``draining`` is raised first, so a chunk posted after the sweep below
+        drops its own lease — between them every buffer returns to the ring
+        whether the stream was exhausted, closed or merely collected.  Later
+        calls (``close()`` after exhaustion, the finalizer after ``close()``)
+        find nothing left to do.
+        """
+        if self.draining:
+            return
+        self.draining = True
+        self.stop.set()
+        with self.cond:
+            leftovers = list(self.results.values())
+            self.results.clear()
+            for chunk in leftovers:
+                chunk.release()
+            self.cond.notify_all()
+
     def _on_retry(self, attempt: int, error: BaseException) -> None:
-        """Count one retried read attempt (runs on the failing reader thread)."""
+        """Count one retried read attempt (runs on the failing thread)."""
         with self.cond:
             self.retries += 1
             if isinstance(error, InjectedFault):
                 self.faults_injected += 1
 
+    def read(self, index: int, start: int, stop: int) -> Chunk:
+        """:meth:`read_chunk` under the ``read.gather`` retry envelope."""
+        return policy_for("read.gather").call(
+            lambda: self.read_chunk(index, start, stop),
+            site="read.gather",
+            on_retry=self._on_retry,
+        )
+
     def read_chunk(self, index: int, start: int, stop: int) -> Chunk:
-        """Materialise one chunk: zero-copy view when possible, pooled copy otherwise."""
+        """Materialise one chunk: zero-copy view when possible, pooled copy otherwise.
+
+        Reads go through whatever object was passed — an
+        :class:`~repro.core.mmap_matrix.MmapMatrix` keeps recording its
+        access trace, a :class:`~repro.api.sharded.ShardedMatrix` serves
+        shard-aligned bounds as zero-copy views, a plain ndarray just slices.
+        Labels may be an ndarray, a memmap or a lazy
+        :class:`~repro.api.sharded.ShardedLabels` view; they are sliced per
+        chunk, never materialised wholesale.
+        """
         maybe_fire("read.gather")
-        matrix = self.inner.matrix
-        labels = self.inner.labels
+        matrix = self.matrix
+        labels = self.labels
         began = time.perf_counter()
         lease: Optional[BufferLease] = None
-        if self.pool is not None and self.straddles(start, stop):
-            lease = self.pool.lease(stop=self.stop)
-            if lease is None:  # closed while waiting for a buffer
-                raise ChunkStreamError("chunk stream closed while leasing a buffer")
+        if self.pool is not None and _range_straddles(self.cuts, start, stop):
+            lease = self._lease()
             try:
                 X = self._gather_matrix(matrix, start, stop, lease.X)
                 y = None
@@ -1468,7 +1173,8 @@ class _ReaderPoolState:
         else:
             # Shard-aligned (or single-backing) ranges resolve to contiguous
             # zero-copy views — no defensive copy, the consumer reads the
-            # mapped pages directly.
+            # mapped pages directly.  With no pool (inline streams) the
+            # matrix stitches or decodes into a fresh array the chunk owns.
             X = matrix[start:stop]
             y = None
             if labels is not None:
@@ -1483,11 +1189,9 @@ class _ReaderPoolState:
         coded payloads to the decode pool, so reader threads stay busy
         fetching while decode workers burn CPU.
         """
-        labels = self.inner.labels
+        labels = self.labels
         began = time.perf_counter()
-        lease = self.pool.lease(stop=self.stop)
-        if lease is None:  # closed while waiting for a buffer
-            raise ChunkStreamError("chunk stream closed while leasing a buffer")
+        lease = self._lease()
         try:
             fetched = self.compressed.fetch_compressed(start, stop)
             y = None
@@ -1499,14 +1203,16 @@ class _ReaderPoolState:
             lease.release()
             raise
         read_s = time.perf_counter() - began
-        record = getattr(self.inner.matrix, "record_read", None)
+        record = getattr(self.matrix, "record_read", None)
         if callable(record):
             record(start, stop)
         return _DecodeTask(self, index, start, stop, fetched, y, lease, read_s, hinted)
 
-    def straddles(self, start: int, stop: int) -> bool:
-        """Whether ``[start, stop)`` crosses a shard boundary (needs stitching)."""
-        return _range_straddles(self.cuts, start, stop)
+    def _lease(self) -> BufferLease:
+        lease = self.pool.lease(stop=self.stop)
+        if lease is None:  # closed while waiting for a buffer
+            raise ChunkStreamError("chunk stream closed while leasing a buffer")
+        return lease
 
     @staticmethod
     def _gather_matrix(matrix: Any, start: int, stop: int, out: np.ndarray) -> np.ndarray:
@@ -1532,96 +1238,90 @@ class _ReaderPoolState:
         return view
 
 
-class ParallelPrefetcher:
-    """Multi-reader chunk prefetch: a reader pool feeding a plan-order stream.
+class ChunkStream:
+    """The chunk executor: a reader pool feeding a plan-order stream.
 
-    Where :class:`PrefetchingChunkIterator` hides I/O behind compute with one
-    producer thread, this executor restructures the producer side around the
-    storage layout: ``io_workers`` reader threads (one per shard by default)
-    claim upcoming chunks off the plan, issue an OS readahead hint for each
-    claim, materialise the chunk — zero-copy when the range resolves to one
-    contiguous memmap view, copied into a :class:`ChunkBufferPool` buffer
-    when it must be stitched across shards — and post it into a bounded
-    reorder buffer.  The consumer re-emits chunks in exact plan order, so
-    downstream training and inference see the identical chunk sequence the
-    synchronous iterator produces.
+    ``io_workers`` reader threads claim upcoming chunks off the plan, issue
+    an OS readahead hint for each claim, materialise the chunk — zero-copy
+    when the range resolves to one contiguous memmap view, copied into a
+    :class:`ChunkBufferPool` buffer when it must be stitched across shards,
+    fetched and handed to a decode pool when the matrix is compressed — and
+    post it into a bounded reorder buffer.  The consumer re-emits chunks in
+    exact plan order, so downstream training and inference see the identical
+    chunk sequence under every reader count.  With *zero* readers (an inline
+    stream) the consumer runs the same read step itself, one chunk per
+    ``next()``: no thread, no pool, no hinter, and ``io_wait == read``.
 
-    Parameters
-    ----------
-    inner:
-        The synchronous iterator carrying the matrix, labels and plan.
-    io_workers:
-        Reader threads.  ``None``/``0`` = sized from the storage topology:
-        one reader per distinct *device* behind the shards (via
-        :func:`shard_devices`), falling back to one per shard when device
-        identity is unknowable, and to ``depth`` readers for single-file and
-        in-memory matrices.
-    depth:
-        Reorder-buffer window: maximum chunks claimed but not yet consumed.
-        Defaults to ``max(2, 2 × io_workers)`` so every reader can stay busy
-        while the consumer computes.
-    buffer_pool:
-        ``None`` = preallocate a ring automatically when (and only when) the
-        plan contains stitched chunks; an ``int`` = ring size to preallocate;
-        a :class:`ChunkBufferPool` = share an existing ring (e.g. across the
-        passes of one training run).
-    hints:
-        Issue ``madvise``/``posix_fadvise`` readahead hints per claimed chunk.
-    release_behind:
-        ``dont_need`` the pages strictly behind the consumer's scan cursor so
-        a strictly-forward scan larger than RAM never evicts pages *ahead* of
-        itself.  ``None`` (default) enables it automatically when the plan's
-        bytes exceed physical RAM; ``True``/``False`` force it.  Applied
-        release hints are counted in ``stats.hints_released``.
-    decode_workers:
-        Decompression threads for compressed (v2) matrices; ignored for raw
-        matrices.  ``None`` defaults to ``io_workers`` — one decoder per
-        fetcher keeps a balanced pipeline when decode and fetch costs are
-        comparable.  Readers fetch coded payloads only; these workers inflate
-        them into pool leases, so every compressed chunk flows through the
-        buffer ring and the hot path stays allocation-free.
+    Build one with :func:`open_chunk_stream`, which documents the options.
+    Always close (or exhaust) the stream; it is a context manager, and
+    ``close()`` is what stops the reader threads early.
     """
 
     def __init__(
         self,
-        inner: ChunkIterator,
+        matrix: Any,
+        labels: Optional[Any],
+        plan: ChunkPlan,
+        prefetch: bool = True,
         io_workers: Optional[int] = None,
-        depth: Optional[int] = None,
         buffer_pool: Optional["int | ChunkBufferPool"] = None,
         hints: bool = True,
         release_behind: Optional[bool] = None,
         decode_workers: Optional[int] = None,
         stall_timeout_s: Optional[float] = DEFAULT_STALL_TIMEOUT_S,
     ) -> None:
-        self.inner = inner
-        plan = inner.plan
-        starts = shard_row_starts(inner.matrix)
-        self.compressed = compressed_backing(inner.matrix)
+        # Snapshot binding: a plan computed against generation g must only
+        # ever run against a generation-g matrix.  Appends never mutate a
+        # committed generation, so matching generations guarantee every
+        # bound in the plan resolves to the same bytes it was derived from.
+        if plan.generation is not None:
+            live_gen = matrix_generation(matrix)
+            if live_gen is not None and live_gen != plan.generation:
+                raise ValueError(
+                    f"plan was computed against manifest generation {plan.generation} "
+                    f"but the matrix is a generation-{live_gen} snapshot; "
+                    f"re-plan against the refreshed handle (or open generation "
+                    f"{plan.generation} explicitly) before streaming"
+                )
+        if labels is not None and len(labels) != plan.n_rows:
+            raise ValueError(
+                f"labels have {len(labels)} entries but the plan covers "
+                f"{plan.n_rows} rows"
+            )
         if io_workers is not None and io_workers < 0:
             raise ValueError(f"io_workers must be >= 0, got {io_workers}")
-        if depth is not None and depth < 1:
-            raise ValueError(f"prefetch depth must be >= 1, got {depth}")
+        if decode_workers is not None and decode_workers < 0:
+            raise ValueError(f"decode_workers must be >= 0, got {decode_workers}")
         if stall_timeout_s is not None and stall_timeout_s <= 0:
             raise ValueError(
                 f"stall_timeout_s must be positive or None, got {stall_timeout_s}"
             )
+        self.matrix = matrix
+        self.labels = labels
+        self.plan = plan
         self.stall_timeout_s = stall_timeout_s
-        if decode_workers is not None and decode_workers < 0:
-            raise ValueError(f"decode_workers must be >= 0, got {decode_workers}")
-        if not io_workers:  # None or 0: size the pool from storage topology
-            io_workers = self._default_io_workers(inner.matrix, starts, depth)
-        self.io_workers = max(1, min(int(io_workers), max(plan.num_chunks, 1)))
-        self.depth = depth if depth is not None else max(2, 2 * self.io_workers)
-        if self.depth < self.io_workers:
-            self.depth = self.io_workers
-        self.decode_workers = 0
-        if self.compressed is not None:
-            self.decode_workers = (
-                self.io_workers if not decode_workers else int(decode_workers)
-            )
+        threaded = prefetch or io_workers is not None
+        starts = shard_row_starts(matrix) if threaded else ()
+        if not threaded:
+            io_workers = 0
+        elif io_workers is None:
+            io_workers = 1
+        elif io_workers == 0:  # size the pool from storage topology
+            io_workers = self._default_io_workers(matrix, starts)
+        #: Reader threads; 0 = inline (the consumer reads).
+        self.io_workers = min(int(io_workers), max(plan.num_chunks, 1))
+        #: Reorder window: maximum chunks claimed but not yet consumed, so
+        #: every reader can stay busy while the consumer computes.
+        self.depth = max(2, 2 * self.io_workers) if threaded else 0
+        compressed = compressed_backing(matrix) if threaded else None
+        self.decode_workers = 0 if compressed is None else int(decode_workers or self.io_workers)
 
         cuts = np.asarray(starts, dtype=np.int64)
-        self.pool = self._resolve_pool(buffer_pool, plan, cuts)
+        self.pool = (
+            self._resolve_pool(buffer_pool, cuts, compressed is not None)
+            if threaded
+            else None
+        )
         if self.pool is not None:
             # The in-flight window must never exceed the buffer ring: with a
             # wider window, readers of *later* chunks can lease every buffer
@@ -1630,27 +1330,37 @@ class ParallelPrefetcher:
             # window <= buffers the expected chunk's reader always finds a
             # free buffer (at most window-1 other chunks hold leases).
             self.depth = max(1, min(self.depth, self.pool.buffers))
-        self.hinter = ReadaheadHinter(inner.matrix) if hints else None
-        self.release_behind = (
-            self.hinter is not None
-            and self._resolve_release_behind(release_behind, plan)
-        )
+        self.hinter: Optional[ReadaheadHinter] = None
+        if hints and threaded:
+            span = (plan.bounds[0][0], plan.bounds[-1][1]) if plan.bounds else (0, 0)
+            self.hinter = ReadaheadHinter(matrix, rows=span)
+        if release_behind is None and self.hinter is not None:
+            # Auto: only scans larger than RAM benefit.
+            release_behind = plan.total_bytes > _physical_ram_bytes()
+        self.release_behind = self.hinter is not None and bool(release_behind)
 
-        self.stats = ChunkStreamStats(prefetched=True)
+        self.stats = ChunkStreamStats(prefetched=threaded)
         self._state = _ReaderPoolState(
-            inner,
+            matrix,
+            labels,
+            plan,
             cuts,
             self.pool,
             self.hinter,
             self.depth,
             self.io_workers,
-            compressed=self.compressed,
+            compressed,
         )
+        #: Per-reader ordered ``(start, stop)`` claims — the multi-reader
+        #: schedule, replayable through the simulated engine — and per-reader
+        #: accounting (chunks, rows, bytes, read seconds); the readers' own
+        #: lists, updated live.
+        self.reader_log = self._state.reader_log
+        self.reader_stats = self._state.reader_stats
         self._expected = 0
         self._last_yield: Optional[float] = None
         self._finished = False
         self._closed = False
-        self._hints_folded = False
         # The dont_need cursor: rows in [0, _released_through) have had their
         # page cache handed back; _prev_start is the last emitted chunk, kept
         # cached because the consumer may still be computing on it.
@@ -1662,7 +1372,7 @@ class ParallelPrefetcher:
         self._threads: List[threading.Thread] = []
         state = self._state
         self._decode_pool: Optional[_DecodePool] = None
-        if self.compressed is not None and plan.num_chunks > 0:
+        if compressed is not None and plan.num_chunks > 0:
             # idle_exit reads two plain attributes without taking state.cond,
             # so a decode worker holding its own cond (rank 100) never touches
             # the reorder cond (rank 110) just to decide whether to exit.
@@ -1685,7 +1395,7 @@ class ParallelPrefetcher:
     # -- construction helpers ----------------------------------------------
 
     @staticmethod
-    def _default_io_workers(matrix: Any, starts: Tuple[int, ...], depth: Optional[int]) -> int:
+    def _default_io_workers(matrix: Any, starts: Tuple[int, ...]) -> int:
         """Reader count for ``io_workers=0``: one reader per distinct device.
 
         Readers exist to keep independent devices streaming concurrently;
@@ -1693,38 +1403,34 @@ class ParallelPrefetcher:
         ``st_dev`` topology (rather than one reader per shard) stops a
         single-disk dataset from spawning a pile of threads contending for
         one spindle.  Falls back to one reader per shard when device identity
-        cannot be established, and to ``depth`` readers for single-file and
+        cannot be established, and to two readers for single-file and
         in-memory matrices (where there is no topology to read).
         """
         if len(starts) <= 1:
-            return depth or 2
+            return 2
         devices = shard_devices(matrix)
         if devices:
             return len(set(devices))
         return len(starts)
 
-    @staticmethod
-    def _resolve_release_behind(release_behind: Optional[bool], plan: ChunkPlan) -> bool:
-        """Whether to ``dont_need`` pages behind the cursor (auto: scan > RAM)."""
-        if release_behind is not None:
-            return bool(release_behind)
-        return plan.total_bytes > _physical_ram_bytes()
-
-    def _resolve_pool(self, buffer_pool, plan: ChunkPlan, cuts: np.ndarray) -> Optional[ChunkBufferPool]:
+    def _resolve_pool(
+        self, buffer_pool, cuts: np.ndarray, compressed: bool
+    ) -> Optional[ChunkBufferPool]:
+        plan = self.plan
         if isinstance(buffer_pool, ChunkBufferPool):
-            self._validate_pool(buffer_pool, plan)
+            self._validate_pool(buffer_pool)
             return buffer_pool
         if plan.num_chunks == 0:
             return None
         # Compressed streams decode *every* chunk into a pooled buffer (there
         # is no zero-copy view of coded bytes), so they always need the ring.
-        needs_pool = self.compressed is not None or any(
+        needs_pool = compressed or any(
             _range_straddles(cuts, start, stop) for start, stop in plan.bounds
         )
         if buffer_pool is None and not needs_pool:
             return None
         size = buffer_pool if isinstance(buffer_pool, int) else self.depth
-        labels = self.inner.labels
+        labels = self.labels
         label_dtype = None
         if labels is not None:
             label_dtype = getattr(labels, "dtype", None)
@@ -1737,11 +1443,11 @@ class ParallelPrefetcher:
             buffers=max(1, size),
             chunk_rows=max(1, max(stop - start for start, stop in plan.bounds)),
             n_cols=plan.n_cols,
-            dtype=np.dtype(self.inner.matrix.dtype),
+            dtype=np.dtype(self.matrix.dtype),
             label_dtype=label_dtype,
         )
 
-    def _validate_pool(self, pool: ChunkBufferPool, plan: ChunkPlan) -> None:
+    def _validate_pool(self, pool: ChunkBufferPool) -> None:
         """Reject a shared pool whose buffers cannot faithfully hold the stream.
 
         ``gather_into``/``decode_into`` copy with ``casting="unsafe"``, so a
@@ -1751,7 +1457,8 @@ class ParallelPrefetcher:
         Shared rings are an optimisation for repeated passes over the *same*
         geometry; anything else is a caller bug worth a loud error.
         """
-        matrix_dtype = np.dtype(self.inner.matrix.dtype)
+        plan = self.plan
+        matrix_dtype = np.dtype(self.matrix.dtype)
         if pool.dtype != matrix_dtype:
             raise ValueError(
                 f"buffer pool dtype {pool.dtype} does not match matrix dtype "
@@ -1771,27 +1478,9 @@ class ParallelPrefetcher:
                     f"the plan's widest chunk is {widest} rows"
                 )
 
-    # -- pool accounting -----------------------------------------------------
-
-    @property
-    def reader_log(self) -> List[List[Tuple[int, int]]]:
-        """Per-reader ordered ``(start, stop)`` claims — the multi-reader
-        schedule, replayable through the simulated engine."""
-        return self._state.reader_log
-
-    @property
-    def reader_stats(self) -> List[Dict[str, Any]]:
-        """Per-reader accounting: chunks, rows, bytes and read seconds."""
-        return self._state.reader_stats
-
     # -- consumer ------------------------------------------------------------
 
-    @property
-    def plan(self) -> ChunkPlan:
-        """The plan being streamed."""
-        return self.inner.plan
-
-    def __iter__(self) -> "ParallelPrefetcher":
+    def __iter__(self) -> "ChunkStream":
         return self
 
     def __next__(self) -> Chunk:
@@ -1799,40 +1488,20 @@ class ParallelPrefetcher:
             raise StopIteration
         now = time.perf_counter()
         compute_s = now - self._last_yield if self._last_yield is not None else 0.0
-        plan = self.inner.plan
-        state = self._state
+        plan = self.plan
         if self._expected >= plan.num_chunks:
             self._finish(compute_s)
             raise StopIteration
-        deadline = (
-            None if self.stall_timeout_s is None else now + self.stall_timeout_s
-        )
-        with state.cond:
-            while self._expected not in state.results:
-                # Readers wind down on error, but their in-flight chunks still
-                # land; everything before the failed chunk is delivered in
-                # order before the error surfaces at the gap.
-                if state.live_workers == 0:
-                    if state.error is not None:
-                        _, error = state.error
-                        self._finish(compute_s)
-                        raise ChunkStreamError(
-                            f"chunk stream reader failed while reading "
-                            f"{plan.num_chunks} planned chunk(s): {error!r}"
-                        ) from error
-                    if state.stop.is_set():
-                        self._finish(compute_s)
-                        raise StopIteration
-                if deadline is not None and time.perf_counter() >= deadline:
-                    raise self._stalled(compute_s)
-                state.cond.wait(timeout=0.05)
-            chunk = state.results.pop(self._expected)
-            self._expected += 1
-            pending_hints = state.pending_hints
-            state.pending_hints = 0
-        wait_s = time.perf_counter() - now
-        state.window.release()
-        self.stats.record_hints(pending_hints)
+        if self._threads:
+            chunk, pending_hints = self._await_chunk(now, compute_s)
+            wait_s = time.perf_counter() - now
+            self._state.window.release()
+            self.stats.record_hints(pending_hints)
+        else:
+            chunk = self._read_inline(compute_s)
+            # The consumer waited for the whole read.
+            wait_s = chunk.read_s
+        self._expected += 1
         if self.release_behind:
             # The plan tiles rows strictly forward, so everything before the
             # *previous* chunk is permanently behind the cursor: hand those
@@ -1857,12 +1526,56 @@ class ParallelPrefetcher:
         self._last_yield = time.perf_counter()
         return chunk
 
+    def _read_inline(self, compute_s: float) -> Chunk:
+        """The reader's read step, run by the consumer (no readers started)."""
+        start, stop = self.plan.bounds[self._expected]
+        try:
+            return self._state.read(self._expected, start, stop)
+        except Exception as error:
+            self._finish(compute_s)
+            raise self._read_failed(error) from error
+
+    def _await_chunk(self, now: float, compute_s: float) -> Tuple[Chunk, int]:
+        """Block until the next plan-order chunk is posted, or nothing can post it."""
+        state = self._state
+        deadline = (
+            None if self.stall_timeout_s is None else now + self.stall_timeout_s
+        )
+        with state.cond:
+            while self._expected not in state.results:
+                # Readers wind down on error, but their in-flight chunks still
+                # land; everything before the failed chunk is delivered in
+                # order before the error surfaces at the gap.
+                if state.live_workers == 0 and state.decoding == 0:
+                    if state.error is not None:
+                        _, error = state.error
+                        self._finish(compute_s)
+                        raise self._read_failed(error) from error
+                    if state.stop.is_set():
+                        self._finish(compute_s)
+                        raise StopIteration
+                if deadline is not None and time.perf_counter() >= deadline:
+                    raise self._stalled(compute_s)
+                state.cond.wait(timeout=0.05)
+            chunk = state.results.pop(self._expected)
+            pending_hints = state.pending_hints
+            state.pending_hints = 0
+        return chunk, pending_hints
+
+    def _read_failed(self, error: BaseException) -> ChunkStreamError:
+        return ChunkStreamError(
+            f"chunk stream reader failed while reading "
+            f"{self.plan.num_chunks} planned chunk(s): {error!r}"
+        )
+
     def _stalled(self, compute_s: float) -> ChunkStreamError:
         """Build the stall diagnostic (called with ``state.cond`` held).
 
-        Snapshots each reader's last-known claim and the reorder buffer's
-        contents *before* tearing the stream down, so the error names the
-        stalled site instead of just saying "timed out".
+        Snapshots each reader's last-known claim, the reorder buffer's
+        contents and the buffer ring's outstanding leases *before* tearing
+        the stream down, so the error names the stalled site — a wedged
+        reader, or a consumer hoarding leased chunks — instead of just saying
+        "timed out".
         """
         state = self._state
         workers = state.live_workers
@@ -1872,53 +1585,56 @@ class ParallelPrefetcher:
             f"last claim {log[-1] if log else None}"
             for acct, log in zip(state.reader_stats, state.reader_log)
         )
+        leases = ""
+        if self.pool is not None:
+            leases = (
+                f"; {self.pool.buffers - self.pool.available} of "
+                f"{self.pool.buffers} buffers unreleased (leased chunks must "
+                f"be release()d before more can be read)"
+            )
         self._finish(compute_s)
         return ChunkStreamError(
             f"chunk stream stalled: chunk {self._expected} of "
             f"{self.plan.num_chunks} planned chunk(s) did not arrive within "
             f"stall_timeout_s={self.stall_timeout_s} (live readers: "
             f"{workers}, buffered out-of-order chunks: {buffered}; "
-            f"{per_reader})"
+            f"{per_reader}{leases})"
         )
 
     def _finish(self, trailing_compute_s: float) -> None:
+        """End the stream on the consumer side: exhausted, failed or stalled.
+
+        Marks the stream finished *before* the caller raises, so a consumer
+        that catches the error and keeps iterating gets a clean
+        ``StopIteration`` on every later call.  Chunks that arrived out of
+        order past an error are still parked holding pool leases, and the
+        consumer typically abandons the stream after the error, so the
+        buffers go back now rather than waiting for a ``close()``.
+        """
         self.stats.record_trailing_compute(trailing_compute_s)
         self._finished = True
         self._last_yield = None
-        self._state.stop.set()
+        self._state.abandon()
         self._fold_hints()
-        with self._state.cond:
-            # On the error path, chunks that arrived out of order past the
-            # gap are still parked here holding pool leases.  The consumer
-            # sees ChunkStreamError and typically abandons the iterator, so
-            # hand the buffers back now rather than hoping for a close().
-            # Decode tasks still in flight see `draining` and drop their
-            # leases instead of posting into a dict nobody will read.
-            self._state.draining = True
-            leftovers = list(self._state.results.values())
-            self._state.results.clear()
-            for chunk in leftovers:
-                chunk.release()
-            self._state.cond.notify_all()
 
     def _fold_hints(self) -> None:
-        """Fold trailing hint and retry accounting into the stream's stats."""
-        if self._hints_folded:
-            return
-        self._hints_folded = True
-        with self._state.cond:
-            pending = self._state.pending_hints
-            self._state.pending_hints = 0
-            retries = self._state.retries
-            faults = self._state.faults_injected
+        """Move trailing hint and retry counts from the readers into the stats."""
+        state = self._state
+        with state.cond:
+            pending, retries, faults = state.pending_hints, state.retries, state.faults_injected
+            state.pending_hints = state.retries = state.faults_injected = 0
         self.stats.record_hints(pending)
         self.stats.retries += retries
         self.stats.faults_injected += faults
 
     def blocks(self) -> Iterator[Tuple[int, int, Any]]:
-        """Iterate ``(start, stop, X)`` blocks, releasing each buffer afterwards.
+        """Iterate ``(start, stop, X)`` row blocks — the inference-side view.
 
-        Same contract as :meth:`ChunkIterator.blocks`; pooled buffers are
+        This is the output-aware consumption shape: a predictor scatters each
+        block's result into ``out[start:stop]`` of a preallocated buffer (see
+        :meth:`repro.ml.base.StreamingPredictor.predict_streaming`), so the
+        stream's timing still lands in :attr:`stats` while the consumer never
+        holds more than one chunk's worth of input rows.  Pooled buffers are
         handed back to the ring once the consumer advances past the block, so
         a sequential consumer can drive this without knowing about leases.
         """
@@ -1931,8 +1647,14 @@ class ParallelPrefetcher:
     def close(self) -> None:
         """Stop and join the reader pool, returning buffered chunks to the pool.
 
-        Idempotent and shutdown-safe, like
-        :meth:`PrefetchingChunkIterator.close`.
+        Idempotent: a second ``close()`` returns immediately.  Readers poll
+        the stop event even while blocked on the window or the ring, so the
+        joins complete promptly; the timeout is a last-resort bound so
+        ``close()`` can never hang a serving loop.  Every step is shielded so
+        a close racing interpreter shutdown (when the ``queue``/``threading``
+        module globals may already be torn down) stays silent instead of
+        raising a spurious exception out of a finalizer or an exiting
+        ``with`` block.
         """
         if getattr(self, "_closed", False):
             self._finished = True
@@ -1940,11 +1662,7 @@ class ParallelPrefetcher:
         self._closed = True
         self._finished = True
         try:
-            state = self._state
-            state.stop.set()
-            with state.cond:
-                state.draining = True
-                state.cond.notify_all()
+            self._state.abandon()
             for thread in self._threads:
                 thread.join(timeout=5.0)
             # Readers are joined, so no further decode submissions: closing
@@ -1952,11 +1670,6 @@ class ParallelPrefetcher:
             # release their leases) before the workers exit.
             if self._decode_pool is not None:
                 self._decode_pool.close()
-            with state.cond:
-                leftovers = list(state.results.values())
-                state.results.clear()
-            for chunk in leftovers:
-                chunk.release()
             self._fold_hints()
             if self.hinter is not None:
                 self.hinter.close()
@@ -1965,15 +1678,19 @@ class ParallelPrefetcher:
 
     def __del__(self) -> None:
         # The reader threads reference only _state, so an abandoned stream is
-        # collectable; this finalizer then tells the pool to wind down.
+        # collectable; this finalizer then tells the pool to wind down and
+        # hand its buffers back, without joining — never block in a
+        # finalizer.  ``_state`` may not exist if __init__ raised during
+        # validation, and during interpreter shutdown the primitives may fail
+        # once their module globals are gone, so the whole signal is shielded.
         try:
             state = getattr(self, "_state", None)
             if state is not None:
-                state.stop.set()
+                state.abandon()
         except Exception:  # noqa: BLE001
             pass
 
-    def __enter__(self) -> "ParallelPrefetcher":
+    def __enter__(self) -> "ChunkStream":
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
@@ -1986,44 +1703,79 @@ def open_chunk_stream(
     chunk_rows: Optional[int] = None,
     align_shards: bool = True,
     prefetch: bool = True,
-    prefetch_depth: int = 2,
     plan: Optional[ChunkPlan] = None,
     io_workers: Optional[int] = None,
     buffer_pool: Optional["int | ChunkBufferPool"] = None,
     hints: bool = True,
-    parallel_depth: Optional[int] = None,
     release_behind: Optional[bool] = None,
     decode_workers: Optional[int] = None,
     stall_timeout_s: Optional[float] = DEFAULT_STALL_TIMEOUT_S,
-) -> "ChunkIterator | PrefetchingChunkIterator | ParallelPrefetcher":
+) -> ChunkStream:
     """Build a chunk stream in one call.
 
-    ``io_workers=None`` keeps the classic executors: synchronous when
-    ``prefetch`` is off, the single-reader double-buffered pipeline otherwise.
-    Any other value selects the multi-reader :class:`ParallelPrefetcher`
-    (``0`` = one reader per distinct storage device, ``n >= 1`` = exactly
-    ``n`` readers), with ``buffer_pool``/``hints``/``parallel_depth``/
-    ``release_behind``/``decode_workers`` forwarded to it.  A *compressed*
-    matrix behind a non-parallel executor still streams correctly — chunks
-    decode synchronously through the block cache — but only the parallel
-    executor splits fetch from decode across thread pools.
+    Parameters
+    ----------
+    matrix, labels:
+        Anything :func:`plan_chunks` accepts, plus an optional label vector
+        of the same height (ndarray, memmap or lazy ``ShardedLabels``).
+    chunk_rows, align_shards:
+        Forwarded to :func:`plan_chunks` when no ``plan`` is given.
+    plan:
+        A prebuilt :class:`ChunkPlan` (e.g. a ``row_range`` delta plan); it
+        must have been computed against the same manifest generation.
+    prefetch, io_workers:
+        How many reader threads run ahead of the consumer.  ``io_workers=None``
+        (default) is one reader with a window of 2 — double buffering — or,
+        with ``prefetch=False``, an *inline* stream: no thread at all, the
+        consumer reads each chunk as it asks for it.  ``io_workers=0`` sizes
+        the pool from the storage topology: one reader per distinct *device*
+        behind the shards (via :func:`shard_devices`), falling back to one
+        per shard when device identity is unknowable, and to two readers for
+        single-file and in-memory matrices.  ``io_workers=n`` is exactly
+        ``n`` readers.  The reorder window is ``max(2, 2 × readers)`` chunks,
+        capped by the buffer ring.
+    buffer_pool:
+        ``None`` = preallocate a ring automatically when (and only when) the
+        plan contains stitched or compressed chunks; an ``int`` = ring size
+        to preallocate; a :class:`ChunkBufferPool` = share an existing ring
+        (e.g. across the passes of one training run).
+    hints:
+        Issue ``madvise``/``posix_fadvise`` readahead hints per claimed chunk.
+    release_behind:
+        ``dont_need`` the pages strictly behind the consumer's scan cursor so
+        a strictly-forward scan larger than RAM never evicts pages *ahead* of
+        itself.  ``None`` (default) enables it automatically when the plan's
+        bytes exceed physical RAM; ``True``/``False`` force it.  Applied
+        release hints are counted in ``stats.hints_released``.
+    decode_workers:
+        Decompression threads for compressed (v2) matrices; ignored for raw
+        matrices.  ``None`` defaults to the reader count — one decoder per
+        fetcher keeps a balanced pipeline when decode and fetch costs are
+        comparable.  Readers fetch coded payloads only; these workers inflate
+        them into pool leases, so every compressed chunk flows through the
+        buffer ring and the hot path stays allocation-free.
+    stall_timeout_s:
+        How long the consumer waits on a missing chunk before raising a
+        diagnostic :class:`ChunkStreamError`; ``None`` waits forever.
+
+    Ownership of the yielded chunks: an inline stream builds no pool, hints
+    nothing and yields chunks that *own* their arrays (a compressed matrix
+    decodes through its block cache), so ``list(open_chunk_stream(...,
+    prefetch=False))`` is legal.  A threaded stream may yield *leased* chunks
+    (stitched or decoded into the buffer ring) that the consumer must
+    ``release()``; see :class:`Chunk`.
     """
-    inner = ChunkIterator(
-        matrix, labels=labels, plan=plan, chunk_rows=chunk_rows, align_shards=align_shards
-    )
-    if io_workers is not None:
-        return ParallelPrefetcher(
-            inner,
-            io_workers=io_workers,
-            depth=parallel_depth,
-            buffer_pool=buffer_pool,
-            hints=hints,
-            release_behind=release_behind,
-            decode_workers=decode_workers,
-            stall_timeout_s=stall_timeout_s,
-        )
-    if not prefetch:
-        return inner
-    return PrefetchingChunkIterator(
-        inner, depth=prefetch_depth, stall_timeout_s=stall_timeout_s
+    if plan is None:
+        plan = plan_chunks(matrix, chunk_rows=chunk_rows, align_shards=align_shards)
+    return ChunkStream(
+        matrix,
+        labels,
+        plan,
+        prefetch=prefetch,
+        io_workers=io_workers,
+        buffer_pool=buffer_pool,
+        hints=hints,
+        release_behind=release_behind,
+        decode_workers=decode_workers,
+        stall_timeout_s=stall_timeout_s,
     )

@@ -46,7 +46,7 @@ from typing import Any, Dict, Optional, Type, Union
 import numpy as np
 
 from repro.api.chunks import (
-    ChunkBufferPool,
+    ChunkStream,
     ChunkStreamStats,
     open_chunk_stream,
     plan_chunks,
@@ -302,7 +302,7 @@ class SimulatedEngine(ExecutionEngine):
         """Replay a multi-reader chunk schedule through the paper-scale machine.
 
         ``reader_log`` is the per-reader ordered ``(start, stop)`` row bounds a
-        :class:`~repro.api.chunks.ParallelPrefetcher` recorded (its
+        :class:`~repro.api.chunks.ChunkStream` recorded (its
         ``reader_log`` attribute), or any hand-built schedule of the same
         shape.  The per-reader streams are interleaved round-robin — the
         storage-level arrival order of a reader pool draining its claims
@@ -493,11 +493,11 @@ class StreamingEngine(ExecutionEngine):
     ``fit_streaming``); for :meth:`predict` it must implement
     :class:`~repro.ml.base.StreamingPredictor` (``predict_chunk`` /
     ``predict_streaming``), which every estimator in :mod:`repro.ml` does.
-    Each pass streams the dataset as shard-aligned row chunks; with
-    ``prefetch`` enabled a background thread reads chunk *k+1* while chunk *k*
-    trains (or predicts), which is what lets an out-of-core ``shard://``
-    dataset keep the CPU busy.  Labels are sliced per chunk — a sharded
-    dataset's lazy label view is never materialised.
+    Each pass streams the dataset as shard-aligned row chunks through one
+    :class:`~repro.api.chunks.ChunkStream`; by default a reader thread reads
+    chunk *k+1* while chunk *k* trains (or predicts), which is what lets an
+    out-of-core ``shard://`` dataset keep the CPU busy.  Labels are sliced
+    per chunk — a sharded dataset's lazy label view is never materialised.
 
     Parameters
     ----------
@@ -507,32 +507,33 @@ class StreamingEngine(ExecutionEngine):
         makes the *same* parameter updates as in-core ``fit`` — and otherwise
         auto-sizes chunks from a byte target with an adaptive ramp.
     prefetch:
-        Overlap reads with compute via a background prefetch thread.
-    prefetch_depth:
-        Chunks the prefetcher may buffer ahead (2 = double buffering).
+        Overlap reads with compute.  ``False`` (with ``io_workers=None``)
+        starts no thread: each chunk is read inline when the consumer asks.
     align_shards:
         Split chunks at shard boundaries for zero-copy single-shard views.
     io_workers:
-        ``None`` (default) keeps the single-reader pipeline.  Any other value
-        switches to the multi-reader
-        :class:`~repro.api.chunks.ParallelPrefetcher`: ``0`` = one reader per
-        shard, ``n >= 1`` = exactly ``n`` readers.
+        Reader threads.  ``None`` (default) = one reader with a window of two
+        chunks (double buffering); ``0`` = one reader per storage device
+        behind the shards; ``n >= 1`` = exactly ``n`` readers.  The window is
+        ``max(2, 2 × readers)``, reported as ``prefetch_depth`` in the result
+        details (0 for an inline stream).
     compute_workers:
         Worker threads for data-parallel streaming ``predict``: chunk
         inference fans across the pool, each worker writing a disjoint slice
         of the preallocated output buffer (bit-identical to in-core).
         ``1`` (default) keeps inference sequential.  Training is unaffected
-        (``partial_fit`` is an ordered reduction).
+        (``partial_fit`` is an ordered reduction).  Also sizes the block
+        decode pool of compressed (v2) datasets.
     buffer_pool:
-        Buffer ring for stitched chunks: ``None`` = auto, an ``int`` = ring
-        size, a :class:`~repro.api.chunks.ChunkBufferPool` = shared ring.
-        Only used with ``io_workers``.
+        Buffer ring for stitched and decoded chunks: ``None`` = auto, an
+        ``int`` = ring size, a :class:`~repro.api.chunks.ChunkBufferPool` =
+        shared ring.  Inline streams use no ring.
     hints:
         Issue OS readahead hints (madvise/posix_fadvise) per upcoming chunk
-        when the multi-reader pipeline is active.
+        (threaded streams only).
     release_behind:
-        ``dont_need`` page cache strictly behind the scan cursor (multi-reader
-        pipeline only).  ``None`` = auto (on when the plan is larger than
+        ``dont_need`` page cache strictly behind the scan cursor (threaded
+        streams only).  ``None`` = auto (on when the plan is larger than
         physical RAM); ``True``/``False`` force it.  Applied release hints
         are reported as ``hints_released`` in the result details.
     """
@@ -543,7 +544,6 @@ class StreamingEngine(ExecutionEngine):
         self,
         chunk_rows: Optional[int] = None,
         prefetch: bool = True,
-        prefetch_depth: int = 2,
         align_shards: bool = True,
         io_workers: Optional[int] = None,
         compute_workers: int = 1,
@@ -553,7 +553,6 @@ class StreamingEngine(ExecutionEngine):
     ) -> None:
         self.chunk_rows = chunk_rows
         self.prefetch = prefetch
-        self.prefetch_depth = prefetch_depth
         self.align_shards = align_shards
         self.io_workers = io_workers
         self.compute_workers = compute_workers
@@ -565,8 +564,6 @@ class StreamingEngine(ExecutionEngine):
     def _validate(self) -> None:
         if self.chunk_rows is not None and self.chunk_rows <= 0:
             raise ValueError(f"chunk_rows must be positive, got {self.chunk_rows}")
-        if self.prefetch_depth < 1:
-            raise ValueError(f"prefetch_depth must be >= 1, got {self.prefetch_depth}")
         if self.io_workers is not None and self.io_workers < 0:
             raise ValueError(f"io_workers must be >= 0, got {self.io_workers}")
         if self.compute_workers < 1:
@@ -642,16 +639,18 @@ class StreamingEngine(ExecutionEngine):
 
         stats = ChunkStreamStats()
         passes = 0
-        # Shared across passes: the first pass's stream allocates (or adopts)
-        # the buffer ring, later passes reuse it — steady-state training makes
-        # zero per-chunk allocations even across epochs.
-        shared: Dict[str, Any] = {"pool": self.buffer_pool, "readers": [], "log": None}
+        readers: list = []
+        stream = None
 
         def make_stream():
-            nonlocal passes
+            nonlocal passes, stream
             passes += 1
+            # Shared across passes: the first pass's stream allocates (or
+            # adopts) the buffer ring, later passes reuse it — steady-state
+            # training makes zero per-chunk allocations even across epochs.
+            pool = stream.pool if stream is not None else None
             stream = self._open_stream(
-                dataset.matrix, labels=labels, plan=plan, pool=shared["pool"]
+                dataset.matrix, labels=labels, plan=plan, pool=pool
             )
             with stream:
                 for chunk in stream:
@@ -660,17 +659,13 @@ class StreamingEngine(ExecutionEngine):
                     finally:
                         chunk.release()
             stats.merge(stream.stats)
-            shared["pool"] = getattr(stream, "pool", None) or shared["pool"]
-            self._merge_reader_stats(shared["readers"], stream)
-            if getattr(stream, "reader_log", None):
-                shared["log"] = stream.reader_log
+            self._merge_reader_stats(readers, stream)
 
         start = time.perf_counter()
         fit_streaming(make_stream, classes=classes, finalize=dataset.matrix)
         elapsed = time.perf_counter() - start
 
-        details = self._pipeline_details(stats, plan, readers=shared["readers"],
-                                         pool=shared["pool"], reader_log=shared["log"])
+        details = self._pipeline_details(stats, stream, readers)
         details["passes"] = passes
         return FitResult(
             model=model,
@@ -681,14 +676,13 @@ class StreamingEngine(ExecutionEngine):
         )
 
     def _open_stream(self, matrix: Any, labels: Optional[Any] = None,
-                     plan: Optional[Any] = None, pool: Optional[Any] = None):
+                     plan: Optional[Any] = None, pool: Optional[Any] = None) -> ChunkStream:
         """One chunk stream over ``matrix`` with this engine's pipeline knobs."""
         return open_chunk_stream(
             matrix,
             labels=labels,
             plan=plan,
             prefetch=self.prefetch,
-            prefetch_depth=self.prefetch_depth,
             io_workers=self.io_workers,
             buffer_pool=pool if pool is not None else self.buffer_pool,
             hints=self.hints,
@@ -699,36 +693,33 @@ class StreamingEngine(ExecutionEngine):
         )
 
     @staticmethod
-    def _merge_reader_stats(accumulated: list, stream: Any) -> None:
+    def _merge_reader_stats(accumulated: list, stream: ChunkStream) -> None:
         """Fold a stream's per-reader accounting into the across-pass totals."""
-        reader_stats = getattr(stream, "reader_stats", None)
-        if not reader_stats:
-            return
-        while len(accumulated) < len(reader_stats):
-            accumulated.append(
-                {"reader": len(accumulated), "chunks": 0, "rows": 0,
-                 "bytes_read": 0, "read_s": 0.0}
-            )
-        for into, entry in zip(accumulated, reader_stats):
-            for key in ("chunks", "rows", "bytes_read", "read_s"):
-                into[key] += entry[key]
+        for reader, entry in enumerate(stream.reader_stats):
+            if reader == len(accumulated):
+                accumulated.append(dict(entry))
+            else:
+                for key in ("chunks", "rows", "bytes_read", "read_s"):
+                    accumulated[reader][key] += entry[key]
 
     def _pipeline_details(
-        self,
-        stats: ChunkStreamStats,
-        plan: Any,
-        readers: Optional[list] = None,
-        pool: Optional[Any] = None,
-        reader_log: Optional[list] = None,
+        self, stats: ChunkStreamStats, stream: ChunkStream, readers: list
     ) -> Dict[str, Any]:
-        """The chunk pipeline's accounting, shared by ``fit`` and ``predict``."""
+        """The chunk pipeline's accounting, shared by ``fit`` and ``predict``.
+
+        ``stream`` is the last stream the run opened: every pass uses the same
+        plan and knobs, so its geometry (readers, window, ring) describes
+        them all; ``stats`` and ``readers`` are the across-pass totals.
+        """
+        plan = stream.plan
         details: Dict[str, Any] = stats.as_dict()
         details.update(
             {
                 "chunk_rows": plan.chunk_rows,
                 "chunks_per_pass": plan.num_chunks,
                 "shard_aligned": plan.aligned,
-                "prefetch_depth": self.prefetch_depth if self.prefetch else 0,
+                "prefetch_depth": stream.depth,
+                "io_workers": stream.io_workers,
                 "compute_workers": self.compute_workers,
                 "per_chunk": [
                     {"read_s": r, "io_wait_s": w, "compute_s": c}
@@ -737,23 +728,19 @@ class StreamingEngine(ExecutionEngine):
             }
         )
         if readers:
-            details["io_workers"] = len(readers)
             details["readers"] = [dict(entry) for entry in readers]
-        else:
-            details["io_workers"] = 1 if self.prefetch else 0
-        if isinstance(pool, ChunkBufferPool):
-            details["buffer_pool_buffers"] = pool.buffers
-            details["buffer_pool_bytes"] = pool.nbytes
-            details["buffer_pool_leases"] = pool.leases_served
-        if reader_log is not None:
-            details["reader_log"] = reader_log
+            details["reader_log"] = stream.reader_log
+        if stream.pool is not None:
+            details["buffer_pool_buffers"] = stream.pool.buffers
+            details["buffer_pool_bytes"] = stream.pool.nbytes
+            details["buffer_pool_leases"] = stream.pool.leases_served
         return details
 
     def predict(self, model: Any, dataset: Dataset, method: str = "predict") -> PredictResult:
         """Serve predictions chunk by chunk through the prefetch pipeline.
 
         The model's :class:`~repro.ml.base.StreamingPredictor` hooks consume
-        shard-aligned row blocks (read ahead by the producer thread) and
+        shard-aligned row blocks (read ahead by the reader pool) and
         scatter each block's predictions into one preallocated output buffer,
         so serving never materialises more than a chunk of input rows — while
         the result is bit-identical to the in-core ``model.predict`` (the
@@ -771,41 +758,29 @@ class StreamingEngine(ExecutionEngine):
         plan = plan_chunks(
             dataset.matrix, chunk_rows=chunk_rows, align_shards=self.align_shards
         )
-        readers: list = []
-        pool = None
-        reader_log = None
         start = time.perf_counter()
-        if plan.num_chunks == 0:
-            # An empty dataset has no chunks to infer output geometry from;
-            # the in-core method returns the right empty array directly.
-            predictions = np.asarray(self._predict_fn(model, method)(dataset.matrix))
-            elapsed = time.perf_counter() - start
-            stats = ChunkStreamStats(prefetched=False)
-        else:
-            stream = self._open_stream(dataset.matrix, plan=plan)
-            fan_out = getattr(model, "predict_streaming_parallel", None)
-            with stream:
-                if self.compute_workers > 1 and callable(fan_out):
-                    # Data-parallel serving: chunks fan across a worker pool,
-                    # each worker writing its disjoint out[start:stop] slice —
-                    # bit-identical to the sequential path because the
-                    # prediction methods are row-wise.
-                    predictions = fan_out(
-                        stream, plan.n_rows, method=method,
-                        workers=self.compute_workers,
-                    )
-                else:
-                    predictions = model.predict_streaming(
-                        stream.blocks(), plan.n_rows, method=method
-                    )
-            elapsed = time.perf_counter() - start
-            stats = stream.stats
-            pool = getattr(stream, "pool", None)
-            self._merge_reader_stats(readers, stream)
-            reader_log = getattr(stream, "reader_log", None)
-        details = self._pipeline_details(
-            stats, plan, readers=readers, pool=pool, reader_log=reader_log
-        )
+        stream = self._open_stream(dataset.matrix, plan=plan)
+        fan_out = getattr(model, "predict_streaming_parallel", None)
+        with stream:
+            if plan.num_chunks == 0:
+                # An empty dataset has no chunks to infer output geometry
+                # from; the in-core method returns the right empty array.
+                predictions = np.asarray(self._predict_fn(model, method)(dataset.matrix))
+            elif self.compute_workers > 1 and callable(fan_out):
+                # Data-parallel serving: chunks fan across a worker pool,
+                # each worker writing its disjoint out[start:stop] slice —
+                # bit-identical to the sequential path because the
+                # prediction methods are row-wise.
+                predictions = fan_out(
+                    stream, plan.n_rows, method=method,
+                    workers=self.compute_workers,
+                )
+            else:
+                predictions = model.predict_streaming(
+                    stream.blocks(), plan.n_rows, method=method
+                )
+        elapsed = time.perf_counter() - start
+        details = self._pipeline_details(stream.stats, stream, stream.reader_stats)
         return PredictResult(
             predictions=predictions,
             model=model,

@@ -1102,13 +1102,16 @@ class ShardedMatrix:
 
 
 class _BlockCache:
-    """A byte-bounded LRU of decoded blocks, shared across random reads.
+    """A byte-bounded LRU of decoded blocks, shared across partial reads.
 
-    The streaming pipeline bypasses this cache entirely (it decodes into
-    pooled chunk buffers); the cache exists so *random* access — fancy
-    indexing, repeated small slices, interactive inspection — does not
-    re-decode the same block on every touch.  The lock is a leaf: nothing
-    else is ever acquired while it is held, and decoding happens outside it.
+    The cache exists so a block is not re-decoded by every read that wants
+    only part of it: *random* access (fancy indexing, repeated small slices,
+    interactive inspection), and the *edge* blocks of a streamed range — a
+    block two consecutive chunks share is decoded by the first and sliced
+    from here by the second.  Blocks a streamed range covers whole bypass the
+    cache and decode straight into the pooled chunk buffer.  The lock is a
+    leaf: nothing else is ever acquired while it is held, and decoding
+    happens outside it.
     """
 
     def __init__(self, capacity_bytes: int = DEFAULT_BLOCK_CACHE_BYTES) -> None:
@@ -1184,8 +1187,9 @@ class CompressedShardedMatrix(ShardedMatrix):
 
     * there are no zero-copy views; ``matrix[start:stop]`` always allocates
       (random reads go through a shared decoded-:class:`_BlockCache`);
-    * ``gather_into`` decodes straight into the caller's buffer, which keeps
-      the pooled streaming hot path allocation-free;
+    * ``gather_into`` decodes whole blocks straight into the caller's buffer,
+      which keeps the pooled streaming hot path allocation-free (only a
+      range's two edge blocks go through the cache);
     * :meth:`fetch_compressed` / :meth:`decode_into` split a read into its
       I/O and CPU halves for the parallel pipeline;
     * writes are rejected — re-encode with ``m3 convert`` instead.
@@ -1299,7 +1303,7 @@ class CompressedShardedMatrix(ShardedMatrix):
 
     @property
     def block_cache(self) -> _BlockCache:
-        """The shared decoded-block cache (random-access reads only)."""
+        """The shared decoded-block cache (random reads and streamed edge blocks)."""
         return self._cache
 
     def _shard_readers_overlapping(self, start: int, stop: int):
@@ -1338,9 +1342,12 @@ class CompressedShardedMatrix(ShardedMatrix):
     def decode_into(self, fetched: CompressedRange, out: np.ndarray) -> np.ndarray:
         """Decode (CPU only) a fetched range into preallocated ``out``.
 
-        Decoded values are cast to the logical dtype on the copy into ``out``;
-        no per-row allocation survives the call.  Returns the filled
-        ``out[:fetched.rows]`` view.
+        Decoded values are cast to the logical dtype on the copy into ``out``.
+        A block the range covers whole decodes straight into ``out``; an
+        *edge* block, which the neighbouring range also needs, is decoded
+        once into the block cache and sliced from there, so consecutive
+        chunks of a scan never decode their shared block twice.  Returns the
+        filled ``out[:fetched.rows]`` view.
         """
         rows = fetched.rows
         if out.ndim != 2 or out.shape[0] < rows or out.shape[1] != self.manifest.cols:
@@ -1351,14 +1358,29 @@ class CompressedShardedMatrix(ShardedMatrix):
         for reader_index, shard_start, payload in fetched.parts:
             reader = self._readers[reader_index]
             block = reader.header.blocks[payload.index]
-            global_lo = max(fetched.start, shard_start + block.start_row)
-            reader.decode_block_into(
-                payload,
-                fetched.start - shard_start,
-                fetched.stop - shard_start,
-                out,
-                out_offset=global_lo - fetched.start,
-            )
+            block_lo = shard_start + block.start_row
+            global_lo = max(fetched.start, block_lo)
+            global_hi = min(fetched.stop, block_lo + block.rows)
+            if global_hi - global_lo == block.rows:
+                reader.decode_block_into(
+                    payload,
+                    block.start_row,
+                    block.stop_row,
+                    out,
+                    out_offset=global_lo - fetched.start,
+                )
+                continue
+            key = (reader_index, payload.index)
+            decoded = self._cache.get(key)
+            if decoded is None:
+                decoded = np.empty((block.rows, self.manifest.cols), dtype=self.dtype)
+                reader.decode_block_into(
+                    payload, block.start_row, block.stop_row, decoded
+                )
+                self._cache.put(key, decoded)
+            out[global_lo - fetched.start : global_hi - fetched.start] = decoded[
+                global_lo - block_lo : global_hi - block_lo
+            ]
         return out[:rows]
 
     # -- gathering -----------------------------------------------------------
@@ -1395,7 +1417,7 @@ class CompressedShardedMatrix(ShardedMatrix):
         return out
 
     def gather_into(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Decode rows ``[start, stop)`` directly into ``out`` (no cache)."""
+        """Decode rows ``[start, stop)`` into ``out`` (edge blocks via the cache)."""
         self._check_open()
         return self.decode_into(self.fetch_compressed(start, stop), out)
 

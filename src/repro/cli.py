@@ -18,8 +18,8 @@ reproduction entry points:
   virtual-memory simulator; ``--engine streaming [--chunk-rows N]`` trains
   through the chunk pipeline (``partial_fit`` over prefetched shard-aligned
   row blocks) and reports per-chunk I/O-wait vs compute time;
-  ``--io-workers N`` switches to the multi-reader parallel pipeline
-  (``0`` = one reader per storage device) with OS readahead hints;
+  ``--io-workers N`` sets the pipeline's reader threads (omit = one
+  reader, ``0`` = one reader per storage device);
   ``--save-model PATH`` persists the fitted model as JSON for serving.
 * ``m3 predict`` — serve a saved model's predictions over a dataset;
   ``--engine streaming`` predicts chunk by chunk through the prefetching
@@ -1030,9 +1030,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "defaults to the model's batch size, or an "
                             "auto-sized adaptive window)")
     train.add_argument("--io-workers", type=_non_negative_int, default=None,
-                       help="reader threads for the parallel chunk pipeline "
-                            "(streaming engine only; 0 = one reader per device, "
-                            "omit = single-reader prefetch)")
+                       help="reader threads of the chunk pipeline "
+                            "(streaming engine only; omit = one reader, "
+                            "0 = one reader per device)")
     train.add_argument("--compute-workers", type=_positive_int, default=None,
                        help="inference worker threads (streaming engine only; "
                             "training itself stays an ordered reduction)")
@@ -1063,8 +1063,9 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--chunk-rows", type=_positive_int, default=None,
                          help="rows per streaming chunk (streaming engine only)")
     predict.add_argument("--io-workers", type=_non_negative_int, default=None,
-                         help="reader threads for the parallel chunk pipeline "
-                              "(streaming engine only; 0 = one reader per device)")
+                         help="reader threads of the chunk pipeline "
+                              "(streaming engine only; omit = one reader, "
+                              "0 = one reader per device)")
     predict.add_argument("--compute-workers", type=_positive_int, default=None,
                          help="worker threads for data-parallel chunk inference "
                               "(streaming engine only; each writes a disjoint "
@@ -1200,8 +1201,8 @@ def build_parser() -> argparse.ArgumentParser:
     traind.add_argument("--chunk-rows", type=_positive_int, default=None,
                         help="rows per training chunk (default: auto-sized)")
     traind.add_argument("--io-workers", type=int, default=None,
-                        help="parallel readers for the delta scans "
-                             "(default: single-reader prefetch)")
+                        help="reader threads for the delta scans "
+                             "(omit = one reader, 0 = one reader per device)")
     traind.set_defaults(func=_cmd_traind)
 
     figure1a = sub.add_parser("figure1a", help="regenerate Figure 1a (runtime vs size)")

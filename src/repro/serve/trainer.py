@@ -137,7 +137,7 @@ class Trainer:
         Seconds between manifest polls in :meth:`run`/:meth:`start`.
     chunk_rows, io_workers:
         Chunk-pipeline knobs for the delta scans (defaults: auto-sized
-        chunks, single-reader prefetch).
+        chunks, one reader thread running one chunk ahead).
     classes:
         Class labels forwarded to every ``partial_fit`` call.  ``None``
         derives them from the labels of the first snapshot trained on —

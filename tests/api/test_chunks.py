@@ -1,18 +1,15 @@
-"""Tests for the chunk pipeline: plans, iterators and background prefetch."""
+"""Tests for the chunk pipeline: plans, stream stats and read/compute overlap.
+
+The executor's behaviour matrix (reader counts × storage kinds) lives in
+``test_chunk_stream.py``.
+"""
 
 import time
 
 import numpy as np
 import pytest
 
-from repro.api.chunks import (
-    ChunkIterator,
-    ChunkStreamError,
-    ChunkStreamStats,
-    PrefetchingChunkIterator,
-    open_chunk_stream,
-    plan_chunks,
-)
+from repro.api.chunks import ChunkStreamStats, open_chunk_stream, plan_chunks
 from repro.api.sharded import ShardedMatrix, write_sharded_dataset
 
 
@@ -83,43 +80,11 @@ class TestPlanChunks:
         _covers(plan.bounds, 20000)
 
 
-class TestChunkIterator:
-    def test_reconstructs_matrix_and_labels(self, sharded_matrix):
-        matrix, X, y = sharded_matrix
-        chunks = list(ChunkIterator(matrix, labels=matrix.lazy_labels, chunk_rows=4))
-        np.testing.assert_array_equal(np.concatenate([np.asarray(c.X) for c in chunks]), X)
-        np.testing.assert_array_equal(np.concatenate([c.y for c in chunks]), y)
-        assert [c.index for c in chunks] == list(range(len(chunks)))
-
-    def test_shard_aligned_chunks_are_zero_copy_views(self, sharded_matrix):
-        matrix, _, _ = sharded_matrix
-        for chunk in ChunkIterator(matrix, chunk_rows=4):
-            assert any(np.shares_memory(chunk.X, shard_map) for shard_map in matrix._maps)
-
+class TestStreamValidation:
     def test_label_length_mismatch_rejected(self, sharded_matrix):
         matrix, _, _ = sharded_matrix
         with pytest.raises(ValueError, match="labels"):
-            ChunkIterator(matrix, labels=np.zeros(7), chunk_rows=4)
-
-    def test_stats_accounting(self):
-        X = np.zeros((10, 3))
-        iterator = ChunkIterator(X, chunk_rows=4)
-        list(iterator)
-        assert iterator.stats.chunks == 3
-        assert iterator.stats.rows == 10
-        assert iterator.stats.bytes_read == 10 * 3 * 8
-        assert not iterator.stats.prefetched
-
-    def test_blocks_view_matches_chunks(self, sharded_matrix):
-        matrix, X, _ = sharded_matrix
-        blocks = list(ChunkIterator(matrix, chunk_rows=4).blocks())
-        assert all(len(block) == 3 for block in blocks)
-        np.testing.assert_array_equal(
-            np.concatenate([np.asarray(b) for _, _, b in blocks]), X
-        )
-        assert [(s, e) for s, e, _ in blocks] == [
-            (c.start, c.stop) for c in ChunkIterator(matrix, chunk_rows=4)
-        ]
+            open_chunk_stream(matrix, labels=np.zeros(7), chunk_rows=4)
 
 
 class TestIoOverlap:
@@ -142,10 +107,10 @@ class TestIoOverlap:
         assert stats.io_overlap == 0.0
 
     def test_empty_stream_reports_undefined_overlap(self):
-        iterator = ChunkIterator(np.zeros((0, 3)), chunk_rows=4)
-        list(iterator)
-        assert iterator.stats.chunks == 0
-        assert iterator.stats.io_overlap is None
+        stream = open_chunk_stream(np.zeros((0, 3)), chunk_rows=4, prefetch=False)
+        list(stream)
+        assert stream.stats.chunks == 0
+        assert stream.stats.io_overlap is None
 
 
 class _SlowMatrix:
@@ -162,29 +127,13 @@ class _SlowMatrix:
         return self._X[key]
 
 
-class TestPrefetchingChunkIterator:
-    def test_yields_same_chunks_as_synchronous(self, sharded_matrix):
-        matrix, X, y = sharded_matrix
-        sync = [
-            (c.start, c.stop, np.asarray(c.X).copy(), c.y.copy())
-            for c in ChunkIterator(matrix, labels=matrix.lazy_labels, chunk_rows=4)
-        ]
-        with open_chunk_stream(
-            matrix, labels=matrix.lazy_labels, chunk_rows=4, prefetch=True
-        ) as stream:
-            fetched = [(c.start, c.stop, np.asarray(c.X).copy(), c.y.copy()) for c in stream]
-        assert len(sync) == len(fetched)
-        for (s1, e1, x1, y1), (s2, e2, x2, y2) in zip(sync, fetched):
-            assert (s1, e1) == (s2, e2)
-            np.testing.assert_array_equal(x1, x2)
-            np.testing.assert_array_equal(y1, y2)
-
+class TestReadComputeOverlap:
     def test_overlaps_reads_with_compute(self):
         # 8 chunks x 20ms read, consumer computes ~20ms per chunk: with
         # double buffering nearly every read hides behind compute, so the
-        # consumer-visible wait must be far below the producer's read time.
+        # consumer-visible wait must be far below the reader's read time.
         X = _SlowMatrix(np.random.default_rng(0).normal(size=(64, 4)), delay_s=0.02)
-        with PrefetchingChunkIterator(ChunkIterator(X, chunk_rows=8), depth=2) as stream:
+        with open_chunk_stream(X, chunk_rows=8) as stream:
             for _ in stream:
                 time.sleep(0.02)
         stats = stream.stats
@@ -207,111 +156,13 @@ class TestPrefetchingChunkIterator:
             assert stream.stats.compute_s >= 0.015
             assert stream.stats.samples[-1][2] >= 0.015
 
-    def test_serial_stream_records_full_wait(self):
+    def test_inline_stream_records_full_wait(self):
         X = _SlowMatrix(np.zeros((16, 2)), delay_s=0.005)
-        iterator = ChunkIterator(X, chunk_rows=4)
-        list(iterator)
-        # Synchronous iteration cannot hide reads: wait equals read time.
-        assert iterator.stats.io_wait_s == iterator.stats.read_s
-        assert iterator.stats.io_overlap == 0.0
-
-    def test_producer_exception_chained_to_consumer_raise(self):
-        class ExplodingMatrix:
-            shape = (10, 2)
-            dtype = np.dtype(np.float64)
-
-            def __getitem__(self, key):
-                raise OSError("disk on fire")
-
-        with pytest.raises(ChunkStreamError, match="producer failed") as excinfo:
-            with PrefetchingChunkIterator(
-                ChunkIterator(ExplodingMatrix(), chunk_rows=4)
-            ) as stream:
-                list(stream)
-        # The full causal chain survives: the stream error is chained to the
-        # exhausted retry budget, which is chained to the original OSError —
-        # the traceback shows the consumer call site, the retry policy that
-        # gave up, and the failing read.
-        from repro.faults import RetriesExhausted
-
-        exhausted = excinfo.value.__cause__
-        assert isinstance(exhausted, RetriesExhausted)
-        assert isinstance(exhausted.__cause__, OSError)
-        assert "disk on fire" in str(exhausted.__cause__)
-
-    def test_next_after_error_raises_stop_iteration(self):
-        class ExplodingMatrix:
-            shape = (10, 2)
-            dtype = np.dtype(np.float64)
-
-            def __getitem__(self, key):
-                raise OSError("disk on fire")
-
-        stream = PrefetchingChunkIterator(ChunkIterator(ExplodingMatrix(), chunk_rows=4))
-        with pytest.raises(ChunkStreamError):
-            next(stream)
-        # A consumer that swallows the error gets clean exhaustion afterwards,
-        # never a second raise of the producer's exception.
-        with pytest.raises(StopIteration):
-            next(stream)
-        with pytest.raises(StopIteration):
-            next(stream)
-        stream.close()
-
-    def test_close_after_error_joins_producer(self):
-        class ExplodingMatrix:
-            shape = (10, 2)
-            dtype = np.dtype(np.float64)
-
-            def __getitem__(self, key):
-                raise OSError("disk on fire")
-
-        stream = PrefetchingChunkIterator(ChunkIterator(ExplodingMatrix(), chunk_rows=4))
-        with pytest.raises(ChunkStreamError):
-            next(stream)
-        stream.close()
-        assert not stream._thread.is_alive()
-
-    def test_close_is_idempotent_and_joins(self):
-        stream = PrefetchingChunkIterator(
-            ChunkIterator(np.zeros((100, 4)), chunk_rows=10), depth=2
-        )
-        next(stream)
-        stream.close()
-        stream.close()
-        assert not stream._thread.is_alive()
-
-    def test_close_mid_stream_stops_producer(self):
-        X = _SlowMatrix(np.zeros((1000, 4)), delay_s=0.001)
-        stream = PrefetchingChunkIterator(ChunkIterator(X, chunk_rows=1), depth=2)
-        next(stream)
-        stream.close()
-        assert not stream._thread.is_alive()
-        with pytest.raises(StopIteration):
-            next(stream)
-
-    def test_invalid_depth_rejected(self):
-        with pytest.raises(ValueError, match="depth"):
-            PrefetchingChunkIterator(ChunkIterator(np.zeros((4, 2)), chunk_rows=2), depth=0)
-
-    def test_abandoned_iterator_is_collectable_and_stops_producer(self):
-        # The producer thread must not strongly reference the iterator:
-        # dropping an unexhausted stream lets GC finalize it, which signals
-        # the producer to exit instead of spinning for the process lifetime.
-        import gc
-        import weakref
-
-        stream = PrefetchingChunkIterator(
-            ChunkIterator(np.zeros((1000, 4)), chunk_rows=1), depth=2
-        )
-        next(stream)
-        thread = stream._thread
-        ref = weakref.ref(stream)
-        del stream
-        gc.collect()
-        assert ref() is None
-        thread.join(timeout=2.0)
-        assert not thread.is_alive()
+        stream = open_chunk_stream(X, chunk_rows=4, prefetch=False)
+        list(stream)
+        # Inline reads cannot hide behind compute: wait equals read time.
+        assert stream.stats.io_wait_s == stream.stats.read_s
+        assert stream.stats.io_overlap == 0.0
 
 
 class TestPlanUnwrapping:

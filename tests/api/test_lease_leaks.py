@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.runtime import LEASES
-from repro.api.chunks import ChunkStreamError, ParallelPrefetcher, ChunkIterator, open_chunk_stream
+from repro.api.chunks import ChunkStreamError, open_chunk_stream
 from repro.api.sharded import ShardedMatrix, write_sharded_dataset
 
 
@@ -54,10 +54,11 @@ class TestGatherFailureReleasesLease:
                 list(stream)
         assert LEASES.outstanding() == []
 
-    def test_midstream_failure_drains_parked_chunks(self, sharded, monkeypatch):
-        # Fail a middle range with a wide reader pool: readers past the
-        # failed index finish their chunks and park them in the reorder
-        # buffer, which must be drained (leases returned) at shutdown.
+    @pytest.mark.parametrize("io_workers", [1, 4])
+    def test_midstream_failure_drains_parked_chunks(self, sharded, monkeypatch, io_workers):
+        # Fail a middle range: with a wide pool, readers past the failed
+        # index finish their chunks and park them in the reorder buffer,
+        # which must be drained (leases returned) at shutdown.
         monkeypatch.setattr(ShardedMatrix, "gather_into", failing_gather(27))
         delivered = []
         with pytest.raises(ChunkStreamError):
@@ -66,7 +67,7 @@ class TestGatherFailureReleasesLease:
                 labels=sharded.lazy_labels,
                 chunk_rows=9,
                 align_shards=False,
-                io_workers=4,
+                io_workers=io_workers,
             ) as stream:
                 for chunk in stream:
                     delivered.append((chunk.start, chunk.stop))
@@ -88,22 +89,4 @@ class TestGatherFailureReleasesLease:
             io_workers=2,
         ) as stream:
             next(stream)
-        assert LEASES.outstanding() == []
-
-    def test_prefetching_iterator_error_path_returns_leases(self, sharded, monkeypatch):
-        # The single-producer pipeline shares read_chunk with the pool:
-        # the same gather-failure fix covers it.
-        monkeypatch.setattr(ShardedMatrix, "gather_into", failing_gather(27))
-        with pytest.raises(ChunkStreamError):
-            with ParallelPrefetcher(
-                ChunkIterator(
-                    sharded,
-                    labels=sharded.lazy_labels,
-                    chunk_rows=9,
-                    align_shards=False,
-                ),
-                io_workers=1,
-            ) as stream:
-                for chunk in stream:
-                    chunk.release()
         assert LEASES.outstanding() == []

@@ -1,28 +1,22 @@
-"""Tests for the parallel chunk pipeline: reader pools, buffer ring, hints.
+"""Tests for the reader pool's parts: pool sizing, buffer ring, readahead hints.
 
-The acceptance bar of the parallel I/O refactor: the multi-reader
-:class:`~repro.api.chunks.ParallelPrefetcher` is a *drop-in* upgrade behind
-the chunk-iterator seam — chunks re-emit in exact plan order under any reader
-count, shard-aligned chunks stay zero-copy memmap views, stitched chunks
-reuse a bounded buffer ring with no aliasing between in-flight chunks, and
-OS readahead hints degrade to honest no-ops on platforms without them.
+Stitched chunks reuse a bounded buffer ring with no aliasing between
+in-flight chunks, ``io_workers=0`` sizes the pool from the storage topology,
+and OS readahead hints degrade to honest no-ops on platforms without them.
+Chunk order, error relay, stall deadlines and teardown are checked for every
+reader count in ``test_chunk_stream.py``.
 """
-
-import gc
-import weakref
 
 import numpy as np
 import pytest
 
 from repro.api.chunks import (
     ChunkBufferPool,
-    ChunkIterator,
-    ChunkStreamError,
+    ChunkStream,
     ChunkStreamStats,
-    ParallelPrefetcher,
-    PrefetchingChunkIterator,
     ReadaheadHinter,
     open_chunk_stream,
+    plan_chunks,
 )
 import repro.api.chunks as chunks_module
 from repro.api.sharded import ShardedMatrix, write_sharded_dataset
@@ -37,44 +31,7 @@ def sharded_matrix(tmp_path):
     return ShardedMatrix(tmp_path / "ds"), X, y
 
 
-class TestPlanOrderDeterminism:
-    @pytest.mark.parametrize("io_workers", [1, 2, 8])
-    def test_reemits_chunks_in_plan_order(self, sharded_matrix, io_workers):
-        matrix, X, y = sharded_matrix
-        sync = [
-            (c.index, c.start, c.stop, np.asarray(c.X).copy(), c.y.copy())
-            for c in ChunkIterator(matrix, labels=matrix.lazy_labels, chunk_rows=7)
-        ]
-        with open_chunk_stream(
-            matrix, labels=matrix.lazy_labels, chunk_rows=7, io_workers=io_workers
-        ) as stream:
-            fetched = [
-                (c.index, c.start, c.stop, np.asarray(c.X).copy(), c.y.copy())
-                for c in stream
-            ]
-        assert [f[:3] for f in fetched] == [s[:3] for s in sync]
-        for (_, _, _, x1, y1), (_, _, _, x2, y2) in zip(sync, fetched):
-            np.testing.assert_array_equal(x1, x2)
-            np.testing.assert_array_equal(y1, y2)
-
-    @pytest.mark.parametrize("io_workers", [1, 2, 8])
-    def test_reconstructs_matrix_with_straddling_chunks(self, sharded_matrix, io_workers):
-        matrix, X, y = sharded_matrix
-        pieces, label_pieces = [], []
-        with open_chunk_stream(
-            matrix,
-            labels=matrix.lazy_labels,
-            chunk_rows=9,
-            align_shards=False,  # every chunk boundary ignores shards
-            io_workers=io_workers,
-        ) as stream:
-            for chunk in stream:
-                pieces.append(np.asarray(chunk.X).copy())
-                label_pieces.append(np.asarray(chunk.y).copy())
-                chunk.release()
-        np.testing.assert_array_equal(np.concatenate(pieces), X)
-        np.testing.assert_array_equal(np.concatenate(label_pieces), y)
-
+class TestReaderPoolSizing:
     def test_default_reader_count_is_one_per_device(self, sharded_matrix):
         # All test shards live in one tmp directory, hence on one device:
         # io_workers=0 must size the pool from st_dev topology, not from the
@@ -85,11 +42,16 @@ class TestPlanOrderDeterminism:
         assert stream.io_workers == 1
         np.testing.assert_array_equal(np.concatenate(pieces), X)
 
-    def test_single_file_matrix_falls_back_to_depth_readers(self):
-        X = np.zeros((40, 3))
-        with ParallelPrefetcher(ChunkIterator(X, chunk_rows=5), depth=3) as stream:
+    def test_single_file_matrix_falls_back_to_two_readers(self):
+        # No shards, no topology to read: enough readers to double-buffer.
+        with open_chunk_stream(np.zeros((40, 3)), chunk_rows=5, io_workers=0) as stream:
             list(stream)
-        assert stream.io_workers == 3
+        assert (stream.io_workers, stream.depth) == (2, 4)
+
+    def test_readers_never_outnumber_chunks(self):
+        with open_chunk_stream(np.zeros((10, 3)), chunk_rows=5, io_workers=8) as stream:
+            list(stream)
+        assert stream.io_workers == 2
 
     def test_reader_accounting_covers_every_chunk(self, sharded_matrix):
         matrix, _, _ = sharded_matrix
@@ -250,6 +212,23 @@ class TestReadaheadHints:
         assert stream.stats.hints_applied >= stream.plan.num_chunks
         assert stream.stats.as_dict()["hints_applied"] == stream.stats.hints_applied
 
+    def test_delta_plan_hints_only_the_shards_it_covers(self, tmp_path):
+        # The trainer's case: a row_range plan over the tail of a many-shard
+        # dataset.  One SEQUENTIAL for the one shard the plan touches plus
+        # one WILLNEED per chunk — not one madvise per shard per stream.
+        X = np.zeros((160, 4))
+        write_sharded_dataset(tmp_path / "wide", X, shard_rows=10)  # 16 shards
+        matrix = ShardedMatrix(tmp_path / "wide")
+        plan = plan_chunks(matrix, chunk_rows=4, row_range=(150, 160))
+        with open_chunk_stream(matrix, plan=plan) as stream:
+            assert len(stream.hinter._segments) == 1
+            list(stream)
+        assert 0 < stream.stats.hints_applied <= 1 + plan.num_chunks
+        # A bare hinter still resolves (and can hint) every shard.
+        with ReadaheadHinter(matrix) as hinter:
+            assert hinter.advise_sequential() == 16
+            assert hinter.will_need(95, 125) == 4  # shards 9, 10, 11, 12
+
     def test_plain_ndarray_is_unhintable_noop(self):
         hinter = ReadaheadHinter(np.zeros((10, 3)))
         assert not hinter.supported
@@ -304,134 +283,21 @@ class TestReadaheadHints:
         assert a.hints_applied == 7
 
 
-class TestErrorPropagation:
-    class ExplodingAfter:
-        """Reads succeed for rows below the fuse, then the disk catches fire."""
-
-        def __init__(self, fuse_row):
-            self.shape = (40, 2)
-            self.dtype = np.dtype(np.float64)
-            self.fuse_row = fuse_row
-            self._data = np.arange(80.0).reshape(40, 2)
-
-        def __getitem__(self, key):
-            if isinstance(key, slice) and key.start >= self.fuse_row:
-                raise OSError("disk on fire")
-            return self._data[key]
-
-    def test_reader_error_chained_to_consumer(self):
-        with pytest.raises(ChunkStreamError, match="reader failed") as excinfo:
-            with ParallelPrefetcher(
-                ChunkIterator(self.ExplodingAfter(0), chunk_rows=5), io_workers=3
-            ) as stream:
-                list(stream)
-        # The reader's retry budget is exhausted first; the original OSError
-        # stays reachable at the end of the causal chain.
-        from repro.faults import RetriesExhausted
-
-        exhausted = excinfo.value.__cause__
-        assert isinstance(exhausted, RetriesExhausted)
-        assert isinstance(exhausted.__cause__, OSError)
-
-    def test_chunks_before_error_still_delivered_in_order(self):
-        delivered = []
-        with pytest.raises(ChunkStreamError):
-            with ParallelPrefetcher(
-                ChunkIterator(self.ExplodingAfter(20), chunk_rows=5), io_workers=2
-            ) as stream:
-                for chunk in stream:
-                    delivered.append((chunk.start, chunk.stop))
-        assert delivered == [(0, 5), (5, 10), (10, 15), (15, 20)]
-
-    def test_next_after_error_raises_stop_iteration(self):
-        stream = ParallelPrefetcher(
-            ChunkIterator(self.ExplodingAfter(0), chunk_rows=5), io_workers=2
-        )
-        with pytest.raises(ChunkStreamError):
-            next(stream)
-        with pytest.raises(StopIteration):
-            next(stream)
-        stream.close()
-
-
-class TestLifecycle:
-    def test_close_is_idempotent_and_joins(self, sharded_matrix):
-        matrix, _, _ = sharded_matrix
-        stream = ParallelPrefetcher(ChunkIterator(matrix, chunk_rows=7), io_workers=3)
-        next(stream)
-        stream.close()
-        stream.close()
-        assert all(not thread.is_alive() for thread in stream._threads)
-        with pytest.raises(StopIteration):
-            next(stream)
-
+class TestShutdownHardening:
     def test_close_survives_torn_down_internals(self, sharded_matrix):
         # Interpreter-shutdown regression: close() must stay silent even when
-        # the condition/queue internals are already gone.
+        # the stream's internals are already gone.
         matrix, _, _ = sharded_matrix
-        stream = ParallelPrefetcher(ChunkIterator(matrix, chunk_rows=7), io_workers=2)
+        stream = open_chunk_stream(matrix, chunk_rows=7, io_workers=2)
         list(stream)
-        stream._cond = None  # simulate module teardown
-        stream.close()  # must not raise
-
-    def test_del_safe_on_partially_constructed_instance(self):
-        # __init__ may raise before _stop exists; the finalizer still runs.
-        stream = object.__new__(ParallelPrefetcher)
-        stream.__del__()  # must not raise
-        prefetcher = object.__new__(PrefetchingChunkIterator)
-        prefetcher.__del__()  # must not raise
-
-    def test_abandoned_stream_is_collectable_and_stops_readers(self, sharded_matrix):
-        matrix, _, _ = sharded_matrix
-        stream = ParallelPrefetcher(ChunkIterator(matrix, chunk_rows=2), io_workers=2)
-        next(stream)
-        threads = list(stream._threads)
-        ref = weakref.ref(stream)
-        del stream
-        gc.collect()
-        assert ref() is None
-        for thread in threads:
-            thread.join(timeout=2.0)
-            assert not thread.is_alive()
-
-    def test_empty_plan_exhausts_immediately(self):
-        with ParallelPrefetcher(
-            ChunkIterator(np.zeros((0, 3)), chunk_rows=4), io_workers=2
-        ) as stream:
-            assert list(stream) == []
-        assert stream.stats.chunks == 0
-
-
-class TestPrefetchingCloseHardening:
-    """Satellite regression: single-reader close()/__del__ shutdown safety."""
-
-    def test_close_is_idempotent(self):
-        stream = PrefetchingChunkIterator(
-            ChunkIterator(np.zeros((100, 4)), chunk_rows=10), depth=2
-        )
-        next(stream)
         stream.close()
-        stream.close()
-        stream.close()
-        assert not stream._thread.is_alive()
-
-    def test_close_survives_torn_down_queue_module(self):
-        # During interpreter shutdown the queue module's globals may already
-        # be None; close() must swallow the resulting failures silently.
-        stream = PrefetchingChunkIterator(
-            ChunkIterator(np.zeros((20, 4)), chunk_rows=10), depth=2
-        )
-        list(stream)
-        stream._queue = None  # any drain attempt now explodes
+        stream._state = None  # simulate module teardown
         stream._closed = False  # force the close body to run again
         stream.close()  # must not raise
 
-    def test_del_survives_missing_stop_event(self):
-        stream = PrefetchingChunkIterator(
-            ChunkIterator(np.zeros((20, 4)), chunk_rows=10), depth=2
-        )
-        stream.close()
-        del stream._stop
+    def test_del_safe_on_partially_constructed_instance(self):
+        # __init__ may raise before _state exists; the finalizer still runs.
+        stream = object.__new__(ChunkStream)
         stream.__del__()  # must not raise
 
 

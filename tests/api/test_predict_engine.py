@@ -132,6 +132,8 @@ class TestPredictDetails:
         assert details["bytes_read"] == X.shape[0] * X.shape[1] * 8
         assert details["shard_aligned"] is True
         assert details["prefetch_depth"] == 2
+        assert details["io_workers"] == 1
+        assert [r["chunks"] for r in details["readers"]] == [details["chunks"]]
         assert details["prefetched"] is True
         for key in ("read_s", "io_wait_s", "compute_s"):
             assert details[key] >= 0.0
@@ -145,6 +147,8 @@ class TestPredictDetails:
         engine = StreamingEngine(prefetch=False, chunk_rows=100)
         result = session.predict(session.specs["mmap"], models["logistic"], engine=engine)
         assert result.details["prefetch_depth"] == 0
+        assert result.details["io_workers"] == 0
+        assert "readers" not in result.details
         assert result.details["prefetched"] is False
         assert result.details["chunk_rows"] == 100
 
@@ -372,11 +376,11 @@ class TestDataParallelPredict:
         assert result.details["buffer_pool_leases"] > 2  # the ring recycled
 
     def test_predict_streaming_parallel_protocol_directly(self, models, problem):
-        from repro.api.chunks import ChunkIterator
+        from repro.api.chunks import open_chunk_stream
 
         X, _ = problem
         model = models["linear"]
-        chunks = ChunkIterator(X, chunk_rows=64)
+        chunks = open_chunk_stream(X, chunk_rows=64, prefetch=False)
         out = model.predict_streaming_parallel(chunks, X.shape[0], workers=4)
         np.testing.assert_array_equal(out, model.predict(X))
 

@@ -104,12 +104,23 @@ class TestWriteAndOpen:
         assert matrix.block_cache.hits > 0
         matrix.close()
 
-    def test_gather_into_bypasses_cache(self, v2_dir, data):
+    def test_gather_into_caches_only_shared_edge_blocks(self, v2_dir, data):
+        # 400-row shards of 128-row blocks: [0,128) [128,256) [256,384) [384,400).
         matrix = open_sharded_matrix(v2_dir)
-        out = np.empty((200, 10), dtype=np.float64)
-        matrix.gather_into(350, 550, out)  # straddles the 400-row shard edge
-        np.testing.assert_array_equal(out, data[350:550])
-        assert matrix.block_cache.nbytes == 0
+        cache = matrix.block_cache
+        out = np.empty((272, 10), dtype=np.float64)
+        # Whole-block ranges decode straight into the buffer.
+        np.testing.assert_array_equal(matrix.gather_into(128, 400, out), data[128:400])
+        assert (cache.nbytes, cache.misses, cache.hits) == (0, 0, 0)
+        # Two consecutive ranges share block [256,384): the first decodes it
+        # into the cache, the second slices it from there.
+        np.testing.assert_array_equal(matrix.gather_into(128, 300, out), data[128:300])
+        assert (cache.misses, cache.hits) == (1, 0)
+        np.testing.assert_array_equal(matrix.gather_into(300, 400, out), data[300:400])
+        assert (cache.misses, cache.hits) == (1, 1)
+        # A range straddling the shard edge: its two edge blocks, one per shard.
+        np.testing.assert_array_equal(matrix.gather_into(350, 550, out), data[350:550])
+        assert (cache.misses, cache.hits) == (2, 2)
         matrix.close()
 
     def test_fetch_then_decode_split(self, v2_dir, data):

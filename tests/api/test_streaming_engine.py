@@ -130,6 +130,7 @@ class TestStreamingDetails:
         assert details["bytes_read"] == 600 * 12 * 8 * 3
         assert details["shard_aligned"] is True
         assert details["prefetch_depth"] == 2
+        assert details["io_workers"] == 1
         for key in ("read_s", "io_wait_s", "compute_s", "io_overlap"):
             assert details[key] >= 0.0
         assert len(details["per_chunk"]) == details["chunks"]
@@ -141,6 +142,7 @@ class TestStreamingDetails:
             GaussianNaiveBayes(), session.open(session.specs["mmap"]), engine=engine
         )
         assert result.details["prefetch_depth"] == 0
+        assert result.details["io_workers"] == 0
         assert result.details["prefetched"] is False
         assert result.details["chunk_rows"] == 100
 
@@ -173,9 +175,12 @@ class TestStreamingProtocol:
                 engine="streaming",
             )
 
-    def test_invalid_prefetch_depth_rejected(self):
-        with pytest.raises(ValueError, match="prefetch_depth"):
-            StreamingEngine(prefetch_depth=0)
+    def test_window_is_not_an_option(self):
+        # The reorder window follows the reader count; it is reported, not set.
+        with pytest.raises(TypeError, match="prefetch_depth"):
+            StreamingEngine(prefetch_depth=3)
+        with pytest.raises(ValueError, match="no option"):
+            StreamingEngine().with_options(prefetch_depth=3)
 
 
 class TestLazyLabels:
@@ -274,9 +279,9 @@ class TestParallelPipeline:
             StreamingEngine().with_options(warp_drive=9)
 
     def test_with_options_preserves_other_settings(self):
-        engine = StreamingEngine(chunk_rows=64, prefetch_depth=3, hints=False)
+        engine = StreamingEngine(chunk_rows=64, prefetch=False, hints=False)
         clone = engine.with_options(io_workers=4, compute_workers=2)
-        assert (clone.chunk_rows, clone.prefetch_depth, clone.hints) == (64, 3, False)
+        assert (clone.chunk_rows, clone.prefetch, clone.hints) == (64, False, False)
         assert (clone.io_workers, clone.compute_workers) == (4, 2)
         assert engine.io_workers is None  # original untouched
 
