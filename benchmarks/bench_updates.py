@@ -1,6 +1,6 @@
 """Appendable datasets under load: mixed append/scan cost and delta training.
 
-Two acceptance bars for the appendable-dataset refactor:
+Three acceptance bars for the appendable-dataset stack:
 
 1. **Snapshot scans are (nearly) free under appends.**  A reader pinned to a
    manifest generation scans its snapshot while a writer commits batch after
@@ -13,6 +13,13 @@ Two acceptance bars for the appendable-dataset refactor:
    must be >= 3x faster than refitting from scratch over the grown dataset —
    the whole point of tailing generations instead of re-training per commit.
 
+3. **A v2 commit costs what its batch costs.**  The appender codes a tail
+   block once, when it fills, so a zlib commit into a nearly full tail may
+   take at most 2x a commit into a nearly empty one (real zlib, no device
+   model — the cost in question is CPU), and the codec is called at most
+   ``ceil(batch / block_rows) + 2`` times per commit wherever the tail
+   stands.  Re-coding the whole tail per commit reads ~16x at these sizes.
+
 As in ``bench_compression``, CI page caches make real reads free and real
 appends cheap, so the storage device is modelled explicitly: every gather
 charges ``SEEK_S + bytes / BANDWIDTH`` of ``time.sleep`` (GIL-releasing,
@@ -21,14 +28,16 @@ by the modelled device, not by CI jitter — and the delta/full ratio reflects
 the rows actually streamed.
 
 Writes ``BENCH_updates.json`` (consumed and validated by CI): scan walls and
-the mixed/static ratio, delta vs full-refit walls and the speedup, plus the
-bit-identity result for the snapshot scan under appends.
+the mixed/static ratio, delta vs full-refit walls and the speedup, the
+bit-identity result for the snapshot scan under appends, and the commit
+walls and codec-call counts at both ends of a v2 tail.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import statistics
 import threading
 import time
 from pathlib import Path
@@ -43,6 +52,7 @@ from repro.api.sharded import (
     ShardedMatrix,
     write_sharded_dataset,
 )
+from repro.data.codecs import CODEC_REGISTRY, ZlibCodec, register_codec
 from repro.ml import GaussianNaiveBayes
 
 ROWS = 6000
@@ -57,6 +67,16 @@ DELTA_ROWS = 1000
 # pinned reader well under the 10% bar.
 SEEK_S = 0.001
 BANDWIDTH = 15e6      # modelled device: ~15 MB/s (cold object store)
+# The v2 commit-cost section: block-aligned batches, so the commits at both
+# ends of the tail code the same four blocks and differ only in what the
+# tail already holds (1 batch vs 31 of a 32-batch shard).  Rows are wide
+# enough (2 KB) that the per-file label segment — one segment by format,
+# re-coded per commit — stays a sliver of the batch at either end.
+COMMIT_COLS = 256
+COMMIT_ROWS = 256
+COMMIT_BLOCK_ROWS = 64
+COMMIT_SHARD_ROWS = 32 * COMMIT_ROWS
+COMMIT_REPEATS = 5
 
 
 class ThrottledMatrix(ShardedMatrix):
@@ -94,6 +114,74 @@ def _scan(matrix, labels) -> tuple[float, np.ndarray]:
             chunk.release()
     wall = time.perf_counter() - began
     return wall, np.concatenate(parts)
+
+
+class CountingZlib(ZlibCodec):
+    """Real zlib that counts its ``encode`` calls."""
+
+    name = "zlib-counted"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.encodes = 0
+
+    def encode(self, data):
+        self.encodes += 1
+        return super().encode(data)
+
+
+def _commit_costs(root: Path) -> dict:
+    """zlib commit wall + codec calls with the v2 tail nearly empty / full."""
+    codec = register_codec(CountingZlib())
+    rng = np.random.default_rng(11)
+    # One decimal of precision: compressible the way real feature columns
+    # are, so the commit is codec-bound like the e2e ``append_tail`` loop.
+    X = np.round(rng.normal(size=(COMMIT_SHARD_ROWS + COMMIT_ROWS, COMMIT_COLS)), 1)
+    y = (X[:, 0] > 0).astype(np.int64)
+    walls = {"empty": [], "full": []}
+    calls = {"empty": set(), "full": set()}
+
+    def commit(appender, key, lo):
+        before = codec.encodes
+        began = time.perf_counter()
+        appender.append(X[lo : lo + COMMIT_ROWS], y[lo : lo + COMMIT_ROWS])
+        walls[key].append(time.perf_counter() - began)
+        calls[key].add(codec.encodes - before)
+
+    try:
+        for repeat in range(COMMIT_REPEATS):
+            directory = root / f"commit-{repeat}"
+            write_sharded_dataset(
+                directory, X[:COMMIT_ROWS], y[:COMMIT_ROWS], shard_rows=COMMIT_ROWS,
+                codec=codec.name, block_rows=COMMIT_BLOCK_ROWS,
+            )
+            appender = ShardAppender(directory, shard_rows=COMMIT_SHARD_ROWS)
+            lo = COMMIT_ROWS
+            appender.append(X[lo : lo + COMMIT_ROWS], y[lo : lo + COMMIT_ROWS])
+            commit(appender, "empty", lo + COMMIT_ROWS)          # tail: 1 batch
+            lo, hi = lo + 2 * COMMIT_ROWS, COMMIT_SHARD_ROWS
+            appender.append(X[lo:hi], y[lo:hi])
+            commit(appender, "full", hi)               # tail: shard - 1 batch
+            assert appender.manifest.tail_shard is None  # … which sealed it
+    finally:
+        del CODEC_REGISTRY[codec.name]
+    # The counts are exact, not sampled: every repeat must agree.
+    assert len(calls["empty"]) == 1 and len(calls["full"]) == 1, calls
+    empty_s = statistics.median(walls["empty"])
+    full_s = statistics.median(walls["full"])
+    return {
+        "cols": COMMIT_COLS,
+        "commit_rows": COMMIT_ROWS,
+        "block_rows": COMMIT_BLOCK_ROWS,
+        "shard_rows": COMMIT_SHARD_ROWS,
+        "repeats": COMMIT_REPEATS,
+        "empty_tail_commit_s": empty_s,
+        "full_tail_commit_s": full_s,
+        "full_over_empty": full_s / empty_s if empty_s > 0 else float("inf"),
+        "encodes_per_commit_empty_tail": calls["empty"].pop(),
+        "encodes_per_commit_full_tail": calls["full"].pop(),
+        "encodes_per_commit_bound": math.ceil(COMMIT_ROWS / COMMIT_BLOCK_ROWS) + 2,
+    }
 
 
 def _assert_metrics_clean(payload: dict, prefix: str = "") -> None:
@@ -228,6 +316,15 @@ def test_mixed_append_scan_and_delta_training(benchmark, workload):
     # Acceptance bar: catching up on the delta beats refitting >= 3x.
     assert speedup >= 3.0, train
 
+    # -- 4. v2 commit cost at both ends of the tail --------------------------
+    append = _commit_costs(static_dir.parent)
+    # Acceptance bars: the commit follows the batch, not the tail.
+    assert append["full_over_empty"] <= 2.0, append
+    assert max(
+        append["encodes_per_commit_empty_tail"],
+        append["encodes_per_commit_full_tail"],
+    ) <= append["encodes_per_commit_bound"], append
+
     payload = {
         "workload": (
             f"{ROWS} x {COLS} shard:// dataset, {APPEND_BATCHES} x "
@@ -239,6 +336,7 @@ def test_mixed_append_scan_and_delta_training(benchmark, workload):
         "chunk_rows": CHUNK_ROWS,
         "scan": scan,
         "train": train,
+        "append": append,
     }
     _assert_metrics_clean(payload)
     Path("BENCH_updates.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -247,5 +345,10 @@ def test_mixed_append_scan_and_delta_training(benchmark, workload):
         f"scan: static {static_s * 1e3:.0f}ms, mixed {mixed_s * 1e3:.0f}ms "
         f"({ratio:.3f}x, <= 1.10 required)\n"
         f"train: delta {delta_s * 1e3:.0f}ms vs full {full_s * 1e3:.0f}ms "
-        f"({speedup:.1f}x, >= 3.0 required)",
+        f"({speedup:.1f}x, >= 3.0 required)\n"
+        f"append: zlib commit {append['empty_tail_commit_s'] * 1e3:.1f}ms into a "
+        f"1-batch tail, {append['full_tail_commit_s'] * 1e3:.1f}ms into a full one "
+        f"({append['full_over_empty']:.2f}x, <= 2.0 required; "
+        f"{append['encodes_per_commit_full_tail']} codec calls, "
+        f"<= {append['encodes_per_commit_bound']} required)",
     )

@@ -33,16 +33,20 @@ every committed batch of rows produces a new immutable **generation**
 manifest (``manifest.<gen>.json``) plus an atomically renamed ``CURRENT``
 pointer naming the latest generation; ``manifest.json`` mirrors the latest
 generation so legacy readers keep working.  Rows stream into an open,
-*unsealed* tail shard — appended in place for v1 (labels in a raw int64
-``.labels`` sidecar so the data region stays append-only), rewritten whole
-via ``os.replace`` for v2 — and the tail seals once it reaches
-``shard_rows``.  Readers open a single generation and never observe a
-manifest flip mid-scan: prefix rows of a grown v1 tail are byte-stable, v2
-rewrites preserve prefix row values, and already-open memmaps / file
-descriptors survive ``os.replace`` on their old inode.  Shard bytes always
-land before the manifest that references them commits, so a crash leaves
-orphan tail rows that no generation references — the appender truncates
-them back to the committed row count on reopen.
+*unsealed* tail shard, which seals once it reaches ``shard_rows``.  A v1
+tail is appended in place (labels in a raw int64 ``.labels`` sidecar so the
+data region stays append-only).  A v2 tail is re-assembled per commit from
+coded blocks: a block is coded once, when it fills, and kept; each commit
+codes only what its batch changed and writes the kept payloads around it.
+The whole-file tmp + fsync + ``os.replace`` is kept for snapshot readers,
+whose open file descriptors stay on the inode they first saw.  Readers open
+a single generation and never observe a manifest flip mid-scan: prefix rows
+of a grown v1 tail are byte-stable, a full v2 block is byte-stable across
+every file its tail is written to, and already-open memmaps / file
+descriptors survive ``os.replace`` on their old inode.  Shard bytes are
+durable before the manifest that references them commits, so a crash leaves
+orphan tail rows that no generation references — the appender drops them
+(truncating v1, re-reading only committed rows of v2) on reopen.
 """
 
 from __future__ import annotations
@@ -68,8 +72,11 @@ from repro.data.formats import (
 )
 from repro.data.formats_v2 import (
     BlockedMatrixReader,
+    BlockedMatrixWriter,
     BlockPayload,
+    CodedBlock,
     default_block_rows,
+    encode_block,
     verify_blocked_file,
     write_blocked_matrix,
 )
@@ -1231,12 +1238,13 @@ class CompressedShardedMatrix(ShardedMatrix):
             for shard in self.manifest.shards:
                 reader = BlockedMatrixReader(self.directory / shard.filename)
                 header = reader.header
-                # The appender rewrites the v2 tail shard whole on every
-                # commit, so a file read through an older generation's
-                # manifest may hold more rows than that manifest committed;
-                # prefix row values are preserved, and every read below is
-                # bounded by the manifest geometry.  Sealed shards must
-                # match exactly.
+                # The appender replaces the v2 tail file on every commit
+                # (kept coded blocks + the blocks the batch changed), so a
+                # file read through an older generation's manifest may hold
+                # more rows than that manifest committed; blocks sit at
+                # fixed offsets so prefix rows are preserved, and every
+                # read below is bounded by the manifest geometry.  Sealed
+                # shards must match exactly.
                 if (
                     header.cols != self.manifest.cols
                     or (shard.sealed and header.rows != shard.rows)
@@ -1568,6 +1576,20 @@ def _patch_v1_header_rows(path: Path, rows: int) -> None:
         os.fsync(handle.fileno())
 
 
+@dataclass(frozen=True)
+class _CodedTail:
+    """The open v2 tail shard as :class:`ShardAppender` holds it between commits.
+
+    ``blocks`` are the tail's full blocks, each coded once, when it filled;
+    ``short`` owns the rows (fewer than ``block_rows``) of the last, still
+    growing block; ``labels`` owns the label of every tail row.
+    """
+
+    blocks: Tuple[CodedBlock, ...]
+    short: np.ndarray
+    labels: np.ndarray
+
+
 class ShardAppender:
     """Streams rows into a sharded dataset, one committed generation per batch.
 
@@ -1581,16 +1603,30 @@ class ShardAppender:
       Both files are append-only, so every byte a committed generation
       references is final the moment it is written.  The header's row count
       is patched *after* the data lands and *before* the manifest commits.
-    * **v2 (blocked)** — the tail's rows (bounded by ``shard_rows``) are
-      buffered in memory and the tail ``.m3b`` file is rewritten whole via
-      a same-directory tmp file + ``os.replace`` on every commit, because a
-      blocked file is unreadable until finalized.  Open readers keep their
-      file descriptor on the old inode; prefix row values are preserved.
+    * **v2 (blocked)** — blocks sit at fixed multiples of ``block_rows``, so
+      a full block's coded bytes never change once it has filled.  The
+      appender keeps the tail as its coded full blocks, the raw rows of the
+      one short last block, and the labels; a commit codes only the blocks
+      the batch filled plus the short block and the label segment — at most
+      ``ceil(batch / block_rows) + 2`` codec calls per shard touched, however
+      full the tail is — and assembles the tail ``.m3b`` file from those
+      payloads.  The file is still replaced whole (same-directory tmp file,
+      fsync, ``os.replace``) because a blocked file is unreadable until
+      finalized and readers pinned to an older generation keep their file
+      descriptor on the old inode; every file is byte-for-byte what
+      :func:`~repro.data.formats_v2.write_blocked_matrix` writes for the
+      same rows.
 
-    Crash safety: shard bytes always precede the manifest that references
-    them, so an interrupted append leaves orphan tail rows no generation
-    points at; the constructor truncates v1 orphans back to the committed
-    row count (v2 orphans vanish with the next tail rewrite).
+    Crash safety: shard bytes are fsynced before the manifest that
+    references them is written, so an interrupted append leaves at worst
+    orphan tail rows no generation points at.  Opening an appender recovers
+    the committed state: v1 orphans are truncated back to the committed row
+    count; a v2 tail's committed full blocks are taken from the file as
+    stored (CRC-checked, not decoded), its short last block is decoded, and
+    orphan rows are dropped.  An exception out of :meth:`append` leaves this
+    object's view of the dataset untrusted, so the next call first re-reads
+    the committed manifest and recovers again — exactly what a fresh
+    ``ShardAppender(directory)`` would do.
 
     ``trace`` (an :class:`~repro.vmem.trace.AccessTrace`) records one WRITE
     record per landed row band at logical matrix offsets, so the simulator
@@ -1611,7 +1647,7 @@ class ShardAppender:
         self.directory = Path(directory)
         self._lock = make_lock("repro.api.sharded.ShardAppender._lock")
         self.trace = trace
-        self._manifest = read_manifest(self.directory)
+        self._load()
         if shard_rows is None:
             shard_rows = max(
                 (s.rows for s in self._manifest.shards), default=DEFAULT_SHARD_ROWS
@@ -1619,10 +1655,6 @@ class ShardAppender:
         if shard_rows <= 0:
             raise ValueError(f"shard_rows must be positive, got {shard_rows}")
         self.shard_rows = int(shard_rows)
-        self._row_bytes = self._manifest.cols * self._manifest.dtype.itemsize
-        self._tail_data: List[np.ndarray] = []
-        self._tail_labels: List[np.ndarray] = []
-        self._recover()
 
     # -- introspection -------------------------------------------------------
 
@@ -1648,28 +1680,88 @@ class ShardAppender:
 
     # -- recovery ------------------------------------------------------------
 
-    def _recover(self) -> None:
-        """Truncate uncommitted tail bytes; load the v2 tail buffer."""
+    def _load(self) -> None:
+        """Adopt the committed state on disk: manifest, geometry, tail."""
+        # Until this completes (and again from an append's first disk write
+        # to its commit) memory and disk may disagree: append() reloads.
+        self._stale = True
+        manifest = self._manifest = read_manifest(self.directory)
+        self._row_bytes = manifest.cols * manifest.dtype.itemsize
+        if self.is_compressed:
+            self._codec = get_codec(manifest.codec)
+            self._storage_dtype = np.dtype(
+                manifest.dtype if manifest.storage_dtype is None
+                else manifest.storage_dtype
+            )
+            self._block_rows = manifest.block_rows or default_block_rows(
+                manifest.cols, self._storage_dtype.itemsize
+            )
+            self._tail: Optional[_CodedTail] = self._recover_v2_tail()
+        else:
+            self._tail = None
+            self._recover_v1_tail()
+        self._stale = False
+
+    def _empty_tail(self) -> _CodedTail:
+        manifest = self._manifest
+        return _CodedTail(
+            blocks=(),
+            short=np.empty((0, manifest.cols), dtype=manifest.dtype),
+            labels=np.empty(0, dtype=np.int64),
+        )
+
+    def _recover_v2_tail(self) -> _CodedTail:
+        """The committed rows of the v2 tail file, full blocks still coded."""
+        manifest = self._manifest
+        tail = manifest.tail_shard
+        if tail is None:
+            return self._empty_tail()
+        path = self.directory / tail.filename
+        with BlockedMatrixReader(path) as reader:
+            header = reader.header
+            if header.rows < tail.rows:
+                raise ValueError(
+                    f"tail shard {tail.filename} holds {header.rows} rows, "
+                    f"the manifest commits {tail.rows}"
+                )
+            # Blocks the committed rows fill are identical in every file
+            # this tail was ever written to, so they are kept as stored.
+            # Rows past ``tail.rows`` are a crashed append's orphans (they
+            # may have completed the committed short block) and are dropped.
+            kept = tail.rows // self._block_rows
+            same_geometry = (
+                header.codec, header.block_rows, header.layout,
+                header.storage_dtype, header.cols,
+            ) == (
+                manifest.codec, self._block_rows, manifest.layout,
+                self._storage_dtype, manifest.cols,
+            )
+            checksummed = all(
+                segment[3] is not None
+                for block in header.blocks[:kept]
+                for segment in block.segments
+            )
+            if not (same_geometry and checksummed):
+                # Written under another geometry, or before block checksums
+                # existed: nothing can be copied, every row is coded afresh.
+                kept = 0
+            blocks = tuple(reader.fetch_coded_block(i) for i in range(kept))
+            rest = reader.read_rows(kept * self._block_rows, tail.rows)
+            labels = None
+            if manifest.has_labels:
+                labels = reader.read_labels()
+                if labels is None or labels.shape[0] < tail.rows:
+                    raise ValueError(f"tail shard {tail.filename} is missing labels")
+                labels = labels[: tail.rows]
+        kept_tail = replace(self._empty_tail(), blocks=blocks)
+        return self._extend_tail(kept_tail, rest, labels)
+
+    def _recover_v1_tail(self) -> None:
+        """Truncate uncommitted bytes off the v1 tail file and its sidecar."""
         tail = self._manifest.tail_shard
         if tail is None:
             return
         path = self.directory / tail.filename
-        if self.is_compressed:
-            # Re-read only the committed rows into the rewrite buffer; any
-            # orphan rows a crashed append left in the file are dropped here.
-            reader = BlockedMatrixReader(path)
-            try:
-                self._tail_data = [reader.read_rows(0, tail.rows)]
-                if self._manifest.has_labels:
-                    labels = reader.read_labels()
-                    if labels is None or labels.shape[0] < tail.rows:
-                        raise ValueError(
-                            f"tail shard {tail.filename} is missing labels"
-                        )
-                    self._tail_labels = [np.asarray(labels[: tail.rows])]
-            finally:
-                reader.close()
-            return
         committed_bytes = HEADER_SIZE + tail.rows * self._row_bytes
         try:
             maybe_fire("append.recover", str(path))
@@ -1730,39 +1822,68 @@ class ShardAppender:
                 handle.flush()
                 os.fsync(handle.fileno())
 
-    def _write_v2_shard(self, shard: ShardInfo) -> ShardInfo:
-        """Rewrite a v2 shard whole from the buffer; return its final info."""
-        manifest = self._manifest
-        data = (
-            self._tail_data[0]
-            if len(self._tail_data) == 1
-            else np.concatenate(self._tail_data, axis=0)
+    def _extend_tail(
+        self, tail: _CodedTail, chunk: np.ndarray, labels: Optional[np.ndarray]
+    ) -> _CodedTail:
+        """``tail`` grown by ``chunk``; blocks the chunk fills are coded here."""
+        block_rows = self._block_rows
+        short = tail.short
+        # Rows that top up the short block (none when the tail ends on a
+        # block boundary).  Every block after it is coded straight from
+        # ``chunk``; only the remainder is copied, to outlive the call.
+        top_up = min(chunk.shape[0], -short.shape[0] % block_rows)
+        if top_up:
+            short = np.concatenate([short, chunk[:top_up]])
+        stop = top_up + (chunk.shape[0] - top_up) // block_rows * block_rows
+        filled = [
+            chunk[lo : lo + block_rows] for lo in range(top_up, stop, block_rows)
+        ]
+        if short.shape[0] == block_rows:
+            filled.insert(0, short)
+        if short.shape[0] % block_rows == 0:
+            # The short block is used up (or there was none): what is left
+            # of the chunk starts the next one.
+            short = np.array(chunk[stop:], copy=True)
+        coded = tuple(
+            encode_block(rows, self._codec, self._storage_dtype, self._manifest.layout)
+            for rows in filled
         )
-        labels = None
-        if manifest.has_labels:
-            labels = (
-                self._tail_labels[0]
-                if len(self._tail_labels) == 1
-                else np.concatenate(self._tail_labels)
-            )
+        return _CodedTail(
+            blocks=tail.blocks + coded,
+            short=short,
+            labels=tail.labels if labels is None
+            else np.concatenate([tail.labels, labels]),
+        )
+
+    def _write_v2_shard(self, shard: ShardInfo, tail: _CodedTail) -> ShardInfo:
+        """Assemble a v2 shard file from ``tail``; return its final info."""
+        manifest = self._manifest
         path = self.directory / shard.filename
         tmp = path.with_name(path.name + ".tmp")
-        header = write_blocked_matrix(
+        with BlockedMatrixWriter(
             tmp,
-            data,
-            labels,
-            block_rows=manifest.block_rows,
-            codec=manifest.codec,
-            storage_dtype=manifest.storage_dtype,
+            cols=manifest.cols,
+            block_rows=self._block_rows,
+            codec=self._codec,
+            dtype=manifest.dtype,
+            storage_dtype=self._storage_dtype,
             layout=manifest.layout,
-        )
+        ) as writer:
+            for block in tail.blocks:
+                writer.write_coded_block(block)
+            writer.append(tail.short)
+            if manifest.has_labels:
+                writer.append_labels(tail.labels)
+        with tmp.open("r+b") as handle:
+            maybe_fire("append.pre_fsync", str(path))
+            os.fsync(handle.fileno())
         maybe_fire("append.pre_rename", str(path))
         os.replace(tmp, path)
         maybe_fire("append.post_rename", str(path))
         return replace(
             shard,
-            compressed_bytes=header.compressed_bytes,
-            raw_bytes=header.raw_bytes,
+            compressed_bytes=writer.compressed_bytes,
+            raw_bytes=writer.raw_bytes,
         )
 
     def append(self, X: np.ndarray, y: Optional[np.ndarray] = None) -> ShardManifest:
@@ -1770,9 +1891,13 @@ class ShardAppender:
 
         One call = one committed generation, however many shards the batch
         fills.  Appending zero rows commits nothing and returns the current
-        manifest.
+        manifest.  If the call raises, nothing was committed or the commit
+        is on disk in full — never a part of it — and the next call finds
+        out which by recovering from disk first.
         """
         with self._lock:
+            if self._stale:
+                self._load()
             manifest = self._manifest
             X = np.ascontiguousarray(np.asarray(X), dtype=manifest.dtype)
             if X.ndim != 2 or X.shape[1] != manifest.cols:
@@ -1795,6 +1920,11 @@ class ShardAppender:
             if X.shape[0] == 0:
                 return manifest
 
+            # From the first byte written to the manifest commit, what this
+            # object believes and what is on disk differ; should anything
+            # below raise, the next call recovers from disk before writing.
+            self._stale = True
+            coded_tail = self._tail
             shards = list(manifest.shards)
             offset = 0
             total_rows = manifest.rows
@@ -1805,10 +1935,9 @@ class ShardAppender:
                     # sessions): seal it as-is and start fresh.
                     if self.is_compressed:
                         shards[-1] = self._write_v2_shard(
-                            replace(tail, sealed=True)
+                            replace(tail, sealed=True), coded_tail
                         )
-                        self._tail_data = []
-                        self._tail_labels = []
+                        coded_tail = self._empty_tail()
                     else:
                         shards[-1] = replace(tail, sealed=True)
                     tail = None
@@ -1825,9 +1954,7 @@ class ShardAppender:
                 chunk = X[offset : offset + take]
                 chunk_labels = y[offset : offset + take] if y is not None else None
                 if self.is_compressed:
-                    self._tail_data.append(np.array(chunk, copy=True))
-                    if chunk_labels is not None:
-                        self._tail_labels.append(np.array(chunk_labels, copy=True))
+                    coded_tail = self._extend_tail(coded_tail, chunk, chunk_labels)
                 else:
                     self._write_v1_rows(tail, chunk, chunk_labels)
                 if self.trace is not None:
@@ -1843,13 +1970,12 @@ class ShardAppender:
                 )
                 shards[-1] = tail
                 if tail.sealed and self.is_compressed:
-                    shards[-1] = self._write_v2_shard(tail)
-                    self._tail_data = []
-                    self._tail_labels = []
+                    shards[-1] = self._write_v2_shard(tail, coded_tail)
+                    coded_tail = self._empty_tail()
                 offset += take
                 total_rows += take
             if self.is_compressed and shards and not shards[-1].sealed:
-                shards[-1] = self._write_v2_shard(shards[-1])
+                shards[-1] = self._write_v2_shard(shards[-1], coded_tail)
             if not self.is_compressed:
                 # Patch the row counts of every still-open or just-sealed
                 # v1 file the batch touched, after the data landed and
@@ -1875,6 +2001,8 @@ class ShardAppender:
                     _atomic_write_text(gen0, _manifest_text(manifest))
             commit_manifest(self.directory, committed)
             self._manifest = committed
+            self._tail = coded_tail
+            self._stale = False
             return committed
 
 

@@ -451,9 +451,11 @@ class ShardedBackend(StorageBackend):
 
         Returns the committed generation number.  Open handles keep serving
         the generation they were opened at; re-open (``Session.refresh``)
-        to see the new rows.  For sustained streams, hold a
-        :class:`~repro.api.sharded.ShardAppender` directly instead of
-        paying the manifest read per call.
+        to see the new rows.  Each call opens a fresh appender: one
+        manifest read, plus — on a v2 dataset — a read of the tail file
+        that copies its full blocks still coded and decodes only the short
+        last block.  For sustained streams, hold a
+        :class:`~repro.api.sharded.ShardAppender` directly and skip both.
         """
         appender = ShardAppender(
             Path(location),

@@ -151,14 +151,55 @@ def _normalize_layout(layout: str) -> str:
     return layout
 
 
+@dataclass(frozen=True)
+class CodedBlock:
+    """One block in its on-disk form: coded payloads plus their table entries.
+
+    Each segment is ``(payload, raw_bytes, payload_crc32)`` — one segment for
+    the ``row`` layout, one per column for the ``column`` layout.  Blocks sit
+    at fixed multiples of ``block_rows``, so a *full* block's coded form
+    depends only on its rows and the file's geometry: whoever holds a
+    ``CodedBlock`` can write it again without running the codec
+    (:meth:`BlockedMatrixWriter.write_coded_block`).
+    """
+
+    rows: int
+    segments: Tuple[Tuple[bytes, int, int], ...]
+
+
+def _code_segment(codec: Codec, raw: bytes) -> Tuple[bytes, int, int]:
+    payload = codec.encode(raw)
+    return (payload, len(raw), zlib.crc32(payload))
+
+
+def encode_block(
+    rows: np.ndarray, codec: Codec, storage_dtype: np.dtype, layout: str
+) -> CodedBlock:
+    """Cast ``rows`` to ``storage_dtype`` and code them as one block.
+
+    This is the only place block rows meet the codec on the write side:
+    :class:`BlockedMatrixWriter` calls it as blocks fill, and the shard
+    appender calls it once per filled tail block and keeps the result.
+    """
+    stored = np.ascontiguousarray(rows, dtype=storage_dtype)
+    parts = [stored] if layout == "row" else stored.T
+    return CodedBlock(
+        rows=int(stored.shape[0]),
+        segments=tuple(_code_segment(codec, part.tobytes()) for part in parts),
+    )
+
+
 class BlockedMatrixWriter:
     """Stream rows into a blocked v2 file with bounded memory.
 
     ``append`` buffers at most one block of rows; every full block is coded
-    and written immediately, so converting a dataset far larger than RAM
-    holds one block plus its coded payload at a time.  ``finalize`` flushes
-    the tail block, writes the label segment and the JSON header trailer,
-    and patches the prefix to point at it.
+    (:func:`encode_block`), written and dropped immediately — the writer
+    keeps only the segment table — so converting a dataset far larger than
+    RAM holds one block plus its coded payload at a time.
+    :meth:`write_coded_block` places a block somebody already coded (the
+    shard appender re-assembling its tail) without touching the codec.
+    ``finalize`` flushes the tail block, writes the label segment and the
+    JSON header trailer, and patches the prefix to point at it.
     """
 
     def __init__(
@@ -247,30 +288,43 @@ class BlockedMatrixWriter:
             return taken[0]
         return np.concatenate(taken, axis=0)
 
-    def _write_segment(self, raw: bytes) -> Segment:
-        payload = self.codec.encode(raw)
+    def _write_payload(self, payload: bytes, raw_bytes: int, crc: int) -> Segment:
         offset = self._offset
         self._handle.write(payload)
         self._offset += len(payload)
-        self.raw_bytes += len(raw)
+        self.raw_bytes += raw_bytes
         self.compressed_bytes += len(payload)
-        return (offset, len(payload), len(raw), zlib.crc32(payload))
+        return (offset, len(payload), raw_bytes, crc)
+
+    def _put_block(self, coded: CodedBlock) -> None:
+        segments = tuple(self._write_payload(*segment) for segment in coded.segments)
+        self._blocks.append(
+            BlockInfo(start_row=self.rows_written, rows=coded.rows, segments=segments)
+        )
+        self.rows_written += coded.rows
 
     def _flush_block(self, rows: int) -> None:
-        block = self._take_pending(rows)
-        stored = np.ascontiguousarray(block, dtype=self.storage_dtype)
-        segments: List[Segment] = []
-        if self.layout == "row":
-            segments.append(self._write_segment(stored.tobytes()))
-        else:
-            for col in range(self.cols):
-                segments.append(
-                    self._write_segment(np.ascontiguousarray(stored[:, col]).tobytes())
-                )
-        self._blocks.append(
-            BlockInfo(start_row=self.rows_written, rows=rows, segments=tuple(segments))
+        self._put_block(
+            encode_block(
+                self._take_pending(rows), self.codec, self.storage_dtype, self.layout
+            )
         )
-        self.rows_written += rows
+
+    def write_coded_block(self, coded: CodedBlock) -> None:
+        """Write an already-coded *full* block as the file's next block.
+
+        The block must have been coded for this writer's geometry (codec,
+        storage dtype, layout, columns); the bytes land exactly where
+        :meth:`append` of the same rows would have put them.
+        """
+        self._check_writable()
+        if coded.rows != self.block_rows or self._pending_rows:
+            raise ValueError(
+                f"{self.path}: a coded block must be full ({self.block_rows} "
+                f"rows, got {coded.rows}) and precede any buffered rows "
+                f"({self._pending_rows} pending)"
+            )
+        self._put_block(coded)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -293,7 +347,9 @@ class BlockedMatrixWriter:
                     f"{self.path}: {labels.shape[0]} labels appended for "
                     f"{self.rows_written} rows"
                 )
-            self._label_segment = self._write_segment(labels.tobytes())
+            self._label_segment = self._write_payload(
+                *_code_segment(self.codec, labels.tobytes())
+            )
         header = {
             "codec": self.codec.name,
             "dtype": self.dtype.str,
@@ -570,6 +626,31 @@ class BlockedMatrixReader:
         return BlockPayload(
             index=index, payloads=payloads, columns=wanted, compressed_bytes=fetched
         )
+
+    def fetch_coded_block(self, index: int) -> CodedBlock:
+        """Block ``index`` as stored, CRC-checked but never decoded.
+
+        For a writer that places the block verbatim in another file
+        (:meth:`BlockedMatrixWriter.write_coded_block`).  Every payload is
+        verified the way a decode would verify it, so corrupt bytes raise
+        :class:`ChecksumError` here instead of travelling on under a fresh
+        trailer; a block written before checksums existed cannot be vouched
+        for and is refused.
+        """
+        block = self.header.blocks[index]
+        fetched = self.fetch_block(index)
+        segments = []
+        for position, (payload, segment) in enumerate(
+            zip(fetched.payloads, block.segments)
+        ):
+            if segment[3] is None:
+                raise ValueError(
+                    f"{self.path}: block {index} carries no checksum and "
+                    f"cannot be copied verbatim; decode and re-encode it"
+                )
+            self._verify_segment(payload, segment, index, position)
+            segments.append((payload, segment[2], segment[3]))
+        return CodedBlock(rows=block.rows, segments=tuple(segments))
 
     # -- decode (CPU) --------------------------------------------------------
 

@@ -5,13 +5,18 @@ Covers the storage-layer contract the live train→publish loop rests on:
 * the generation protocol — ``manifest.<gen>.json`` + ``CURRENT`` committed
   atomically, the bare ``manifest.json`` kept as a legacy mirror;
 * :class:`~repro.api.sharded.ShardAppender` — tail-shard growth, sealing at
-  ``shard_rows``, label sidecars (v1) and tail rewrites (v2);
+  ``shard_rows``, label sidecars (v1) and tails re-assembled from coded
+  blocks, each coded once (v2);
 * snapshot isolation — open handles and pinned generation opens serve
   exactly their generation's rows, bit-identical, no matter how many
   appends commit after them;
 * crash recovery — orphan tail bytes no generation references are trimmed
-  on the next append, and committed readers never see them.
+  on the next append, and committed readers never see them; a corrupt v2
+  tail block is refused, never copied forward.
 """
+
+import math
+import re
 
 from pathlib import Path
 
@@ -28,10 +33,18 @@ from repro.api.sharded import (
     manifest_generation,
     open_sharded_matrix,
     read_manifest,
+    verify_dataset,
     write_sharded_dataset,
 )
 from repro.api.storage import ShardedBackend
+from repro.data.codecs import CODEC_REGISTRY, ZlibCodec, register_codec
 from repro.data.formats import HEADER_SIZE
+from repro.data.formats_v2 import (
+    ChecksumError,
+    read_blocked_header,
+    write_blocked_matrix,
+)
+from repro.faults import set_fault_plan
 
 CODECS = [None, "zlib"]
 
@@ -264,19 +277,133 @@ class TestCrashRecovery:
         with open_sharded_matrix(d) as matrix:
             np.testing.assert_array_equal(_read_all(matrix)[16:], X3)
 
-    def test_recovery_reloads_v2_tail_buffer(self, tmp_path):
+    def test_recovery_reloads_v2_tail_blocks(self, tmp_path):
         d = tmp_path / "ds"
-        _write(d, *_make(12), "zlib", shard_rows=10)
+        write_sharded_dataset(d, *_make(12), shard_rows=10, codec="zlib", block_rows=3)
         X2, y2 = _make(4, seed=1)
         ShardAppender(d).append(X2, y2)
-        # a fresh appender (e.g. after a restart) must reload the committed
-        # tail rows so the next commit preserves them
+        # a fresh appender (e.g. after a restart) must take the committed
+        # tail back from the file — its full block as stored, the rows of
+        # its short block decoded — so the next commit preserves them
         X3, y3 = _make(3, seed=2)
         ShardAppender(d).append(X3, y3)
         with open_sharded_matrix(d) as matrix:
             got = _read_all(matrix)
         np.testing.assert_array_equal(got[12:16], X2)
         np.testing.assert_array_equal(got[16:], X3)
+
+    def test_v2_tail_file_ahead_of_manifest_drops_orphan_rows(self, tmp_path):
+        d = tmp_path / "ds"
+        geometry = dict(codec="zlib", block_rows=4)
+        write_sharded_dataset(d, *_make(10), shard_rows=10, **geometry)
+        X2, y2 = _make(6, seed=1)      # one full block + a 2-row short block
+        tail = ShardAppender(d, shard_rows=20).append(X2, y2).tail_shard
+        # crash right after the tail file was renamed into place: its 5 new
+        # rows completed the committed short block and started another,
+        # but no manifest ever counted them
+        set_fault_plan("append.post_rename")
+        try:
+            with pytest.raises(OSError):
+                ShardAppender(d, shard_rows=20).append(*_make(5, seed=2))
+        finally:
+            set_fault_plan(None)
+        assert read_blocked_header(d / tail.filename).rows == 11
+        assert read_manifest(d).rows == 16
+        X3, y3 = _make(3, seed=3)
+        manifest = ShardAppender(d, shard_rows=20).append(X3, y3)
+        assert manifest.rows == 19 and manifest.tail_shard.rows == 9
+        write_blocked_matrix(
+            tmp_path / "reference.m3b",
+            np.concatenate([X2, X3]), np.concatenate([y2, y3]), **geometry,
+        )
+        assert (d / tail.filename).read_bytes() == (
+            tmp_path / "reference.m3b"
+        ).read_bytes()
+        assert verify_dataset(d) == []
+
+    @pytest.mark.parametrize("block", [0, 1], ids=["kept-as-stored", "decoded-short"])
+    def test_corrupt_v2_tail_block_refuses_the_appender(self, tmp_path, block):
+        d = tmp_path / "ds"
+        write_sharded_dataset(d, *_make(10), shard_rows=10, codec="zlib", block_rows=4)
+        tail = ShardAppender(d).append(*_make(6, seed=1)).tail_shard
+        path = d / tail.filename
+        offset = read_blocked_header(path).blocks[block].segments[0][0]
+        raw = bytearray(path.read_bytes())
+        raw[offset + 2] ^= 0x40
+        path.write_bytes(bytes(raw))
+        # the full block would be copied, not decoded: its CRC is checked
+        # all the same, and the error names the file and the block
+        with pytest.raises(
+            ChecksumError, match=re.escape(tail.filename) + rf": block {block} "
+        ):
+            ShardAppender(d)
+        assert path.read_bytes() == bytes(raw)
+
+
+class _CountingZlib(ZlibCodec):
+    name = "counting-zlib"
+
+    def __init__(self):
+        super().__init__()
+        self.encodes = 0
+
+    def encode(self, data):
+        self.encodes += 1
+        return super().encode(data)
+
+
+@pytest.fixture()
+def counting_codec():
+    codec = register_codec(_CountingZlib())
+    try:
+        yield codec
+    finally:
+        del CODEC_REGISTRY[codec.name]
+
+
+class TestEncodeOncePerBlock:
+    """Codec calls per commit follow the batch, never the rows already in
+    the tail: blocks the batch filled + the short block + the labels."""
+
+    BLOCK, BATCH, SHARD = 4, 10, 200
+
+    def _commit(self, appender, codec, tail_rows, seed):
+        before = codec.encodes
+        appender.append(*_make(self.BATCH, seed=seed))
+        grown = tail_rows + self.BATCH
+        filled = grown // self.BLOCK - tail_rows // self.BLOCK
+        assert codec.encodes - before == filled + (grown % self.BLOCK > 0) + 1
+        assert codec.encodes - before <= math.ceil(self.BATCH / self.BLOCK) + 2
+
+    def test_commit_encodes_the_batch_not_the_tail(self, tmp_path, counting_codec):
+        d = tmp_path / "ds"
+        write_sharded_dataset(
+            d, *_make(self.SHARD), shard_rows=self.SHARD,
+            codec=counting_codec.name, block_rows=self.BLOCK,
+        )
+        appender = ShardAppender(d, shard_rows=self.SHARD)
+        # every commit from an empty tail to the one that seals it
+        for index, tail_rows in enumerate(range(0, self.SHARD, self.BATCH)):
+            self._commit(appender, counting_codec, tail_rows, seed=index)
+        assert appender.manifest.tail_shard is None
+
+    def test_first_append_of_a_fresh_appender_over_a_nearly_full_tail(
+        self, tmp_path, counting_codec
+    ):
+        d = tmp_path / "ds"
+        write_sharded_dataset(
+            d, *_make(self.SHARD), shard_rows=self.SHARD,
+            codec=counting_codec.name, block_rows=self.BLOCK,
+        )
+        nearly_full = self.SHARD - self.BATCH - 2
+        ShardAppender(d, shard_rows=self.SHARD).append(*_make(nearly_full, seed=1))
+        # construction recovers the tail without coding anything …
+        before = counting_codec.encodes
+        appender = ShardAppender(d, shard_rows=self.SHARD)
+        assert counting_codec.encodes == before
+        # … and its first commit costs what any other commit costs
+        self._commit(appender, counting_codec, nearly_full, seed=2)
+        assert verify_dataset(d) == []
 
 
 class TestSessionIntegration:

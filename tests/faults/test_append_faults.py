@@ -1,6 +1,7 @@
 """Appender commit-step faults: a crash at any commit point leaves the
-previous generation intact, and an unrecoverable tail refuses to open with
-the exact shard and committed row count named."""
+previous generation intact, an appender that saw the failure carries on as
+a fresh one would, and an unrecoverable tail refuses to open with the exact
+shard and committed row count named."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from repro.api.sharded import (
     verify_dataset,
     write_sharded_dataset,
 )
-from repro.faults import InjectedFault, set_fault_plan
+from repro.faults import FaultPlan, InjectedFault, set_fault_plan
 
 
 def _make(rows, cols=4, seed=0):
@@ -25,10 +26,12 @@ def _make(rows, cols=4, seed=0):
     )
 
 
-def _dataset_with_tail(directory, codec=None):
+def _dataset_with_tail(directory, codec=None, block_rows=None):
     """A dataset whose last shard is an unsealed, growing tail."""
     X, y = _make(12)
-    write_sharded_dataset(directory, X, y, shard_rows=10, codec=codec)
+    write_sharded_dataset(
+        directory, X, y, shard_rows=10, codec=codec, block_rows=block_rows
+    )
     X2, y2 = _make(5, seed=1)
     ShardAppender(directory).append(X2, y2)
     return directory
@@ -59,7 +62,8 @@ class TestRecoveryRefusal:
 class TestCommitStepCrashes:
     def test_crash_preserves_previous_generation(self, tmp_path, site, codec):
         # Every site fires for both codecs: the manifest's atomic commit
-        # carries all three steps; v1 data writes add an in-place fsync.
+        # carries all three steps; v1 data writes add an in-place fsync, the
+        # v2 tail file an fsync and a rename of its own.
         d = _dataset_with_tail(tmp_path / "ds", codec=codec)
         generation = manifest_generation(d)
         with open_sharded_matrix(d) as matrix:
@@ -81,3 +85,95 @@ class TestCommitStepCrashes:
         manifest = ShardAppender(d).append(*_make(4, seed=4))
         assert manifest.rows == before.shape[0] + 4
         assert verify_dataset(d) == []
+
+
+class _OneStepFault(FaultPlan):
+    """Fires ``site`` once, at the commit step writing the file ``name``."""
+
+    def __init__(self, site, name):
+        super().__init__([])
+        self.site, self.name, self.fired = site, name, False
+
+    def fire(self, site, detail=""):
+        if not self.fired and site == self.site and detail.endswith(self.name):
+            self.fired = True
+            raise InjectedFault(site, 1, detail)
+
+
+def _generations(directory):
+    """Rows and labels of every committed generation, read from disk."""
+    snapshots = {}
+    for generation in range(manifest_generation(directory) + 1):
+        with open_sharded_matrix(directory, generation=generation) as matrix:
+            snapshots[generation] = (
+                np.array(matrix[:], copy=True),
+                np.array(matrix.read_labels(), copy=True),
+            )
+    return snapshots
+
+
+SITES = ["append.pre_fsync", "append.pre_rename", "append.post_rename"]
+STEPS = ["tail", "manifest.<g>.json", "CURRENT", "manifest.json"]
+# Every site of every commit step; the v1 tail is written in place, so its
+# step has an fsync but no rename.
+FAILURES = [
+    (codec, step, site)
+    for codec in (None, "zlib")
+    for step in STEPS
+    for site in SITES
+    if codec is not None or step != "tail" or site == "append.pre_fsync"
+]
+
+
+@pytest.mark.parametrize("codec,step,site", FAILURES)
+class TestFailedAppendDoesNotPoisonTheAppender:
+    def test_same_instance_carries_on_like_a_fresh_appender(
+        self, tmp_path, codec, step, site
+    ):
+        d = _dataset_with_tail(tmp_path / "ds", codec=codec, block_rows=2 if codec else None)
+        appender = ShardAppender(d)
+        generation = appender.generation
+        name = {
+            "tail": appender.manifest.tail_shard.filename,
+            "manifest.<g>.json": f"manifest.{generation + 1}.json",
+        }.get(step, step)
+        before = _generations(d)
+        rows_before, labels_before = before[generation]
+        XA, yA = _make(4, seed=3)
+        XB, yB = _make(3, seed=4)
+
+        plan = _OneStepFault(site, name)
+        set_fault_plan(plan)
+        with pytest.raises(InjectedFault):
+            appender.append(XA, yA)
+        set_fault_plan(None)
+        assert plan.fired
+
+        # The CURRENT rename is the commit point: a failure after it left
+        # batch A committed, a failure before it left A nowhere.
+        a_committed = step == "manifest.json" or (
+            step == "CURRENT" and site == "append.post_rename"
+        )
+        assert manifest_generation(d) == generation + a_committed
+        after_failure = _generations(d)
+
+        # The same instance, a different batch.
+        manifest = appender.append(XB, yB)
+        assert manifest.generation == generation + a_committed + 1
+        assert verify_dataset(d) == []
+        kept = ([XA], [yA]) if a_committed else ([], [])
+        final = _generations(d)
+        np.testing.assert_array_equal(
+            final[manifest.generation][0], np.concatenate([rows_before, *kept[0], XB])
+        )
+        np.testing.assert_array_equal(
+            final[manifest.generation][1], np.concatenate([labels_before, *kept[1], yB])
+        )
+        # No committed generation changed under the failure or the retry.
+        for snapshots in (before, after_failure):
+            for g, (rows, labels) in snapshots.items():
+                np.testing.assert_array_equal(final[g][0], rows)
+                np.testing.assert_array_equal(final[g][1], labels)
+        # And a fresh appender agrees with this one about where things stand.
+        fresh = ShardAppender(d)
+        assert fresh.manifest == appender.manifest

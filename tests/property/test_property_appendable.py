@@ -14,7 +14,14 @@ from hypothesis import given, settings
 
 from repro.api import Session
 from repro.api.chunks import open_chunk_stream, plan_chunks
-from repro.api.sharded import manifest_generation, open_sharded_matrix
+from repro.api.sharded import (
+    ShardAppender,
+    manifest_generation,
+    open_sharded_matrix,
+    verify_dataset,
+    write_sharded_dataset,
+)
+from repro.data.formats_v2 import write_blocked_matrix
 
 
 def _rows(n, cols, offset):
@@ -203,3 +210,74 @@ class TestSnapshotIsolationProperties:
                     # The plan records which snapshot it was computed against.
                     plan = plan_chunks(matrix, chunk_rows=chunk_rows)
                     assert plan.generation == gen
+
+
+@st.composite
+def coded_tail_scenario(draw):
+    geometry = {
+        "codec": draw(st.sampled_from(["zlib", "none"])),
+        "layout": draw(st.sampled_from(["row", "column"])),
+        "storage_dtype": draw(st.sampled_from([None, "float32"])),
+        "block_rows": draw(st.integers(1, 5)),
+    }
+    seed_rows = draw(st.integers(1, 20))
+    cols = draw(st.integers(1, 3))
+    shard_rows = draw(st.integers(2, 12))
+    # (rows, open a fresh appender first?) — batches up to 30 rows fill a
+    # tail and spill into several new shards of at most 12.
+    batches = draw(
+        st.lists(st.tuples(st.integers(1, 30), st.booleans()), min_size=1, max_size=5)
+    )
+    return geometry, seed_rows, cols, shard_rows, batches
+
+
+class TestCodedTailProperties:
+    @given(params=coded_tail_scenario())
+    @settings(max_examples=40, deadline=None)
+    def test_every_shard_file_is_what_a_whole_write_produces(
+        self, tmp_path_factory, params
+    ):
+        """The appender codes a block once and re-assembles files from kept
+        payloads; a reader must not be able to tell.  After every commit —
+        on a long-lived appender and on one that recovered the tail from
+        disk — each shard file is byte-for-byte ``write_blocked_matrix`` of
+        the rows it holds."""
+        geometry, seed_rows, cols, shard_rows, batches = params
+        tmp_path = tmp_path_factory.mktemp("coded_tail_prop")
+        directory = tmp_path / "ds"
+        rng = np.random.default_rng(seed_rows * 131 + cols)
+        total = seed_rows + sum(rows for rows, _ in batches)
+        X = rng.standard_normal((total, cols))
+        y = rng.integers(0, 5, total).astype(np.int64)
+        write_sharded_dataset(
+            directory, X[:seed_rows], y[:seed_rows], shard_rows=shard_rows, **geometry
+        )
+        stored = X if geometry["storage_dtype"] is None else (
+            X.astype(np.float32).astype(np.float64)
+        )
+
+        appender = ShardAppender(directory, shard_rows=shard_rows)
+        committed = seed_rows
+        for rows, fresh in batches:
+            if fresh:
+                appender = ShardAppender(directory, shard_rows=shard_rows)
+            manifest = appender.append(
+                X[committed : committed + rows], y[committed : committed + rows]
+            )
+            committed += rows
+            assert manifest.rows == committed
+            for shard in manifest.shards:
+                reference = tmp_path / "reference.m3b"
+                write_blocked_matrix(
+                    reference,
+                    X[shard.start_row : shard.stop_row],
+                    y[shard.start_row : shard.stop_row],
+                    **geometry,
+                )
+                assert (directory / shard.filename).read_bytes() == (
+                    reference.read_bytes()
+                ), f"{shard.filename} after {committed} rows"
+            with open_sharded_matrix(directory) as matrix:
+                assert np.array_equal(np.array(matrix[:]), stored[:committed])
+                assert np.array_equal(matrix.read_labels(), y[:committed])
+            assert verify_dataset(directory) == []
