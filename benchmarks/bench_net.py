@@ -9,7 +9,7 @@ its learned window collapses to zero so the p50 latency stays within 10%
 (plus a scheduling-jitter epsilon) of a ``max_delay_ms=0`` server.
 
 Three traffic shapes drive every configuration through a real socket —
-``NetClient`` pipelining JSONL frames into a ``NetServer`` — because the
+``NetClient`` pipelining request frames into a ``NetServer`` — because the
 controller's whole premise is learning from *wire* arrival times:
 
 * ``poisson_high`` — exponential inter-arrival gaps far above the
@@ -19,10 +19,15 @@ controller's whole premise is learning from *wire* arrival times:
 * ``poisson_low`` — arrivals slower than the adaptive cutoff, where the
   controller must get out of the way (window exactly 0).
 
+A fourth, closed-loop section (``wire``) guards the request framing
+itself: 4 outstanding 64-row x 784 requests, sent as raw-row frames and
+as JSON lines over one connection to one server — the frame must carry
+rows **>= 3x** as fast as their decimal spelling, bit-identically.
+
 Writes ``BENCH_net.json`` (consumed and validated by CI): per-load,
 per-configuration throughput, p50/p99 client-observed latency, mean
-batch rows, the adaptive controller's learned state, and the bit-identity
-check against in-core ``model.predict``.
+batch rows, the adaptive controller's learned state, the ``wire``
+section, and the bit-identity check against in-core ``model.predict``.
 """
 
 from __future__ import annotations
@@ -30,13 +35,14 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
-from repro.ml import GaussianNaiveBayes
+from repro.ml import GaussianNaiveBayes, SoftmaxRegression
 from repro.net import AdaptiveDelayController, NetClient, NetServer
 from repro.serve import ModelServer
 
@@ -53,6 +59,11 @@ BURST_SIZE = 30
 BURST_PAUSE_S = 0.010
 LOW_REQUESTS = 150
 LOW_MEAN_GAP_S = 0.010        # ~100 req/s: below the adaptive cutoff
+
+WIRE_FEATURES = 784
+WIRE_ROWS_PER_REQUEST = 64
+WIRE_REQUESTS = 60
+WIRE_OUTSTANDING = 4
 
 #: Configuration name -> ModelServer coalescing knobs.
 CONFIGS = ("per_request", "fixed_zero", "adaptive")
@@ -113,6 +124,17 @@ def _build_server(config: str):
     return server, controller
 
 
+def _stats_after(net: NetServer, responses: int):
+    """``net.stats()`` once ``responses`` are counted: the loop thread counts
+    after flushing each write, a beat after the client's future resolves."""
+    for _ in range(100):
+        net_stats = net.stats()
+        if net_stats.responses >= responses:
+            break
+        time.sleep(0.01)
+    return net_stats
+
+
 def _run_open_loop(config: str, X, model, expected, gaps) -> dict:
     """Drive one arrival schedule at one configuration over a real socket."""
     server, controller = _build_server(config)
@@ -143,13 +165,7 @@ def _run_open_loop(config: str, X, model, expected, gaps) -> dict:
                     mismatches.append((i, result.model_key))
         wall = float(done_at.max() - began)
         serve_stats = server.stats()
-        # The loop thread increments `responses` after flushing each write;
-        # the client's future can resolve a beat earlier, so poll briefly.
-        for _ in range(100):
-            net_stats = net.stats()
-            if net_stats.responses >= len(gaps):
-                break
-            time.sleep(0.01)
+        net_stats = _stats_after(net, len(gaps))
     server.close()
     assert not mismatches, f"served predictions diverged: {mismatches[:5]}"
     assert net_stats.errors == 0, net_stats
@@ -170,6 +186,67 @@ def _run_open_loop(config: str, X, model, expected, gaps) -> dict:
     return metrics
 
 
+def _closed_loop_rows_per_s(client, X, expected, spell) -> float:
+    """WIRE_REQUESTS requests of ``spell(rows)``, WIRE_OUTSTANDING in flight,
+    each checked against in-core ``predict``; rows served per second."""
+    starts = [(i * WIRE_ROWS_PER_REQUEST) % (len(X) - WIRE_ROWS_PER_REQUEST + 1)
+              for i in range(WIRE_REQUESTS)]
+    pending: deque = deque()
+    mismatches = []
+
+    def collect() -> None:
+        start, future = pending.popleft()
+        got = future.result(timeout=120.0).predictions
+        if not np.array_equal(got, expected[start:start + WIRE_ROWS_PER_REQUEST]):
+            mismatches.append(start)
+
+    began = time.perf_counter()
+    for start in starts:
+        if len(pending) >= WIRE_OUTSTANDING:
+            collect()
+        rows = X[start:start + WIRE_ROWS_PER_REQUEST]
+        pending.append((start, client.submit(spell(rows))))
+    while pending:
+        collect()
+    wall = time.perf_counter() - began
+    assert not mismatches, f"served predictions diverged at rows {mismatches[:5]}"
+    return WIRE_REQUESTS * WIRE_ROWS_PER_REQUEST / wall
+
+
+def _run_wire() -> dict:
+    """Raw-row frames vs JSON lines, closed loop, one connection, one server."""
+    rng = np.random.default_rng(784)
+    # Digit-like rows (values k/255): what the decimal spelling costs
+    # depends on how many digits a value needs.
+    X = rng.integers(0, 256, size=(2048, WIRE_FEATURES)) / 255.0
+    model = SoftmaxRegression(solver="sgd", max_iterations=1, chunk_size=256, seed=0)
+    model.fit(X, (np.arange(len(X)) % 10).astype(np.int64))
+    expected = model.predict(X)
+    server = ModelServer(max_batch=MAX_BATCH, max_delay_ms=0.0, workers=1)
+    server.publish("default", model)
+    with NetServer(server) as net:
+        with NetClient(net.host, net.port, timeout_s=120.0) as client:
+            # An ndarray goes out raw; the same rows as a list are the JSON
+            # line an ndarray caller paid for before the frame existed
+            # (tolist() is part of that price, so it is inside the clock).
+            raw_row = _closed_loop_rows_per_s(client, X, expected, np.asarray)
+            jsonl = _closed_loop_rows_per_s(client, X, expected, np.ndarray.tolist)
+        net_stats = _stats_after(net, 2 * WIRE_REQUESTS)
+    server.close()
+    assert net_stats.errors == 0, net_stats
+    assert net_stats.requests == net_stats.responses == 2 * WIRE_REQUESTS, net_stats
+    return {
+        "workload": (
+            f"closed loop, {WIRE_OUTSTANDING} outstanding, {WIRE_REQUESTS} requests "
+            f"of {WIRE_ROWS_PER_REQUEST} x {WIRE_FEATURES} float64 per framing"
+        ),
+        "raw_row_rows_per_s": raw_row,
+        "jsonl_rows_per_s": jsonl,
+        "raw_row_over_jsonl": raw_row / jsonl,
+        "bit_identical_to_in_core_predict": True,  # asserted per request
+    }
+
+
 @pytest.mark.benchmark(group="net")
 def test_adaptive_delay_vs_fixed_dispatch(benchmark, workload):
     """Open-loop Poisson + bursty arrivals over the socket, three configs."""
@@ -187,9 +264,9 @@ def test_adaptive_delay_vs_fixed_dispatch(benchmark, workload):
                 for config in CONFIGS
             }
             for load, gaps in loads.items()
-        }
+        }, _run_wire()
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results, wire = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     high = results["poisson_high"]
     low = results["poisson_low"]
@@ -203,7 +280,7 @@ def test_adaptive_delay_vs_fixed_dispatch(benchmark, workload):
     payload = {
         "workload": (
             f"GaussianNaiveBayes ({N_CLASSES} classes x {N_FEATURES} features), "
-            f"open-loop JSONL over TCP, max_batch={MAX_BATCH}, "
+            f"open-loop pipelined NetClient over TCP, max_batch={MAX_BATCH}, "
             f"adaptive ceiling {CEILING_MS}ms"
         ),
         "loads": {
@@ -218,6 +295,7 @@ def test_adaptive_delay_vs_fixed_dispatch(benchmark, workload):
         "low_load_adaptive_p50_ms": low["adaptive"]["latency_p50_ms"],
         "low_load_zero_delay_p50_ms": low["fixed_zero"]["latency_p50_ms"],
         "low_load_p50_bound_ms": p50_bound_ms,
+        "wire": wire,
         "bit_identical_to_in_core_predict": True,  # asserted per response
     }
 
@@ -228,6 +306,8 @@ def test_adaptive_delay_vs_fixed_dispatch(benchmark, workload):
     assert high["adaptive"]["mean_batch_rows"] > 2.0, high["adaptive"]
     assert low["adaptive"]["latency_p50_ms"] <= p50_bound_ms, payload
     assert low["adaptive"].get("learned_delay_ms", 0.0) == 0.0, low["adaptive"]
+    # The raw-row frame must keep paying for itself where it was built to.
+    assert wire["raw_row_over_jsonl"] >= 3.0, wire
 
     _assert_metrics_clean(payload)
     Path("BENCH_net.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -251,6 +331,11 @@ def test_adaptive_delay_vs_fixed_dispatch(benchmark, workload):
         f"high-load adaptive vs per-request: {speedup:.2f}x; "
         f"low-load p50 {low['adaptive']['latency_p50_ms']:.2f}ms vs "
         f"bound {p50_bound_ms:.2f}ms"
+    )
+    lines.append(
+        f"wire ({wire['workload']}): raw-row {wire['raw_row_rows_per_s']:.0f} rows/s "
+        f"vs JSONL {wire['jsonl_rows_per_s']:.0f} rows/s = "
+        f"{wire['raw_row_over_jsonl']:.1f}x"
     )
     emit("Network serving (adaptive delay vs fixed dispatch, open loop)",
          "\n".join(lines))

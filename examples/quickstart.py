@@ -205,7 +205,7 @@ JSON (the *exact* codec the stdin loop uses, factored into
     server.publish("default", model)
     with NetServer(server, host="127.0.0.1", port=8443) as net:
         with NetClient(net.host, net.port) as client:
-            future = client.submit(x)        # pipelined JSONL frames
+            future = client.submit(x)        # pipelined raw-row frames
             result = future.result()         # one model version + latency split
 
 Backpressure maps straight onto the server's queue: when ``max_pending`` is

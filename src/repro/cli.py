@@ -37,8 +37,11 @@ reproduction entry points:
   travel through the same ``repro.net.protocol`` codec as the TCP front
   end, so the stdin and socket paths cannot drift.
 * ``m3 served`` — the network serving daemon: the same registry and
-  micro-batcher behind a TCP listener speaking JSONL and HTTP/1.1
-  ``POST /predict`` (``--mode auto`` sniffs both on one port); ``--port 0``
+  micro-batcher behind a TCP listener speaking JSONL, raw-row frames (the
+  rows as the array's own bytes behind a one-line head — what
+  ``NetClient`` sends float arrays as, once the server's hello reply
+  offers it) and HTTP/1.1 ``POST /predict`` (``--mode auto`` sniffs all
+  three per frame, on one port); ``--port 0``
   binds an ephemeral port (printed to stderr), ``--adaptive-delay`` learns
   the coalesce window from the observed arrival rate instead of a fixed
   ``--max-delay-ms``, and SIGTERM/SIGINT trigger a graceful drain: stop
@@ -437,9 +440,11 @@ def _predict_via_connect(dataset, method: str, args) -> "Any":
     """Route every dataset row through a remote ``m3 served`` daemon.
 
     The network counterpart of ``--server``: each row becomes one
-    pipelined request over a keep-alive JSONL connection, so the remote
-    micro-batcher coalesces them exactly as it would any other client's
-    traffic — and the gathered predictions are identical to the scan's.
+    pipelined request over a keep-alive ``NetClient`` connection — a
+    raw-row frame when the daemon offers it (float rows travel as their
+    own bytes), a JSON line otherwise — so the remote micro-batcher
+    coalesces them exactly as it would any other client's traffic, and the
+    gathered predictions are identical to the scan's.
     """
     import time
 
@@ -689,9 +694,10 @@ def _cmd_served(args: argparse.Namespace) -> int:
     """The network serving daemon: the TCP front end over a ModelServer.
 
     Binds a listener (``--port 0`` picks an ephemeral port; the bound
-    address is printed to stderr), speaks newline-delimited JSON and
-    HTTP/1.1 ``POST /predict`` through the shared :mod:`repro.net.protocol`
-    codec, and drains gracefully on SIGTERM/SIGINT: stop accepting, answer
+    address is printed to stderr), speaks newline-delimited JSON, raw-row
+    frames and HTTP/1.1 ``POST /predict`` through the shared
+    :mod:`repro.net.protocol` codec, and drains gracefully on
+    SIGTERM/SIGINT: stop accepting, answer
     every in-flight request, then shut the dispatchers down.
     """
     import signal
@@ -737,7 +743,7 @@ def _cmd_served(args: argparse.Namespace) -> int:
         f"serving {type(version.model).__name__} as {version.key} on "
         f"{net.host}:{net.port} (mode={args.mode}, max_batch={args.max_batch}, "
         f"max_delay={delay_text}, workers={args.workers}); "
-        f"JSONL or HTTP POST /predict; SIGTERM drains",
+        f"JSONL, raw-row frames or HTTP POST /predict; SIGTERM drains",
         file=sys.stderr,
         flush=True,
     )
@@ -1050,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "daemon that already holds the model")
     predict.add_argument("--connect", type=_hostport, default=None,
                          metavar="HOST:PORT",
-                         help="route every row as a pipelined JSONL request "
+                         help="route every row as a pipelined request "
                               "through a running 'm3 served' daemon instead "
                               "of predicting in-process")
     predict.add_argument("--engine", choices=["local", "simulated", "streaming"],
@@ -1121,8 +1127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     served = sub.add_parser(
         "served",
-        help="run the network serving daemon: JSONL/HTTP predict requests "
-             "over TCP, graceful drain on SIGTERM",
+        help="run the network serving daemon: JSONL, raw-row and HTTP "
+             "predict requests over TCP, graceful drain on SIGTERM",
     )
     served.add_argument("--model", type=Path, required=True,
                         help="saved model JSON (from 'm3 train --save-model') "
@@ -1134,8 +1140,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "address is printed to stderr)")
     served.add_argument("--mode", choices=["auto", "jsonl", "http"],
                         default="auto",
-                        help="wire framing; 'auto' sniffs JSONL vs HTTP per "
-                             "connection, so one port serves both")
+                        help="wire framing; 'auto' sniffs JSONL vs raw-row "
+                             "vs HTTP per frame, so one port serves all three "
+                             "(and NetClient sends float arrays as raw bytes); "
+                             "'jsonl' and 'http' read only their own")
     served.add_argument("--http", action="store_const", const="http",
                         dest="mode", help="shorthand for --mode http")
     served.add_argument("--engine", choices=["local", "streaming"],

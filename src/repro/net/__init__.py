@@ -3,12 +3,13 @@
 Puts a wire on :class:`~repro.serve.server.ModelServer`:
 
 * :class:`NetServer` — an asyncio TCP listener speaking newline-delimited
-  JSON and minimal HTTP/1.1 POST (``mode="auto"`` sniffs per connection),
-  with keep-alive connections, per-connection backpressure, typed wire
-  errors (HTTP 429 for saturation), and graceful drain on
-  ``close()``/SIGTERM.
-* :class:`NetClient` — the pipelining keep-alive client (JSONL futures,
-  or synchronous HTTP round trips) used by tests, benchmarks and
+  JSON, raw-row frames (rows as the array's own bytes) and minimal
+  HTTP/1.1 POST (``mode="auto"`` sniffs per frame), with keep-alive
+  connections, per-connection backpressure, typed wire errors (HTTP 429
+  for saturation), and graceful drain on ``close()``/SIGTERM.
+* :class:`NetClient` — the pipelining keep-alive client (futures over
+  raw-row frames where the server offers them, JSON lines otherwise; or
+  synchronous HTTP round trips) used by tests, benchmarks and
   ``m3 predict --connect``.
 * :class:`AdaptiveDelayController` — learns ``max_delay_ms`` from the
   observed arrival rate (EWMA inter-arrival estimate, clamped to a

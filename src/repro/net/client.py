@@ -1,4 +1,5 @@
-"""The serving client: keep-alive JSONL (or HTTP POST) against a NetServer.
+"""The serving client: a keep-alive pipelined connection (or HTTP POST)
+against a NetServer.
 
 :class:`NetClient` is the caller-side half of :mod:`repro.net`: it holds
 one keep-alive connection, pipelines requests (``submit`` returns a
@@ -8,11 +9,19 @@ micro-batcher coalesces), and decodes responses through the same
 typed wire errors, so a remote ``ServerSaturated`` raises
 ``ServerSaturated`` here, not a stringly-typed lookalike.
 
-JSONL mode (default) runs a daemon reader thread that resolves futures
-in request order (the server answers in order per connection).  HTTP
-mode trades pipelining for framing interoperability: each ``submit`` is
-one synchronous ``POST /predict`` round trip returning an
-already-completed future, so the two modes are drop-in swappable.
+Pipelined mode (default) asks the server once, at connect, whether it
+reads raw-row frames (the hello of :mod:`repro.net.protocol`).  If it
+does, float64/float32 ``ndarray`` rows travel as their own bytes — no
+decimal text on either side — and everything else (lists, integer or
+ragged input) as the JSON line it always was, on the same connection; if
+it does not (``mode="jsonl"``, an older server), every request is a JSON
+line.  Responses are JSON record lines either way: a daemon reader thread
+resolves futures in request order (the server answers in order per
+connection) and never waits on a sender, so any number of requests can be
+in flight before the first ``result()``.  HTTP mode trades pipelining for
+framing interoperability: each ``submit`` is one synchronous
+``POST /predict`` round trip returning an already-completed future, so the
+two modes are drop-in swappable.
 """
 
 from __future__ import annotations
@@ -74,12 +83,13 @@ class NetClient:
     host, port:
         The server's bound address.
     http:
-        ``False`` (default): pipelined JSONL over one connection.
-        ``True``: one synchronous HTTP/1.1 ``POST /predict`` per request.
+        ``False`` (default): pipelined raw-row frames / JSON lines over
+        one connection.  ``True``: one synchronous HTTP/1.1
+        ``POST /predict`` per request.
     timeout_s:
-        Connect timeout, the default ``predict``/``predict_one`` result
-        timeout, and (HTTP mode) the per-round-trip socket timeout.
-        JSONL mode reads with no socket timeout — an idle keep-alive
+        Connect (and hello) timeout, the default ``predict``/``predict_one``
+        result timeout, and (HTTP mode) the per-round-trip socket timeout.
+        Pipelined mode reads with no socket timeout — an idle keep-alive
         connection is a normal state — and bounds callers through
         ``Future.result(timeout)`` instead.
     default_method:
@@ -102,17 +112,38 @@ class NetClient:
         self.default_method = default_method
         self._lock = make_lock("repro.net.client.NetClient._lock")
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
-        if not http:
-            self._sock.settimeout(None)
         self._rfile = self._sock.makefile("rb")
         self._pending: Deque["Future[NetResult]"] = deque()
         self._closed = False
         self._reader: Optional[threading.Thread] = None
+        #: Whether float ndarray rows go out as raw-row frames (else JSON lines).
+        self._raw_rows = False
         if not http:
+            self._raw_rows = self._hello()
+            self._sock.settimeout(None)
             self._reader = threading.Thread(
                 target=self._read_loop, name="m3-net-client", daemon=True
             )
             self._reader.start()
+
+    def _hello(self) -> bool:
+        """Ask the server, once, whether it reads raw-row frames.
+
+        A connection that is already dead (reset at accept, say) answers
+        nothing: that is "no" here and an error on the first ``submit``,
+        where callers already handle one.  A live server that stays silent
+        past ``timeout_s`` would desynchronise the in-order reader with a
+        late answer, so that one raises.
+        """
+        try:
+            self._sock.sendall(protocol.HELLO_LINE)
+            return protocol.hello_offers_raw_rows(self._rfile.readline())
+        except TimeoutError:
+            self._rfile.close()
+            self._sock.close()
+            raise
+        except OSError:
+            return False
 
     # -- request side --------------------------------------------------------
 
@@ -125,7 +156,7 @@ class NetClient:
     ) -> "Future[NetResult]":
         """Send one request; returns a future of its :class:`NetResult`.
 
-        In JSONL mode the future resolves when the server's in-order
+        In pipelined mode the future resolves when the server's in-order
         response arrives (keep several in flight to feed the server's
         micro-batcher).  In HTTP mode the round trip happens inline and
         the returned future is already completed — same call shape, no
@@ -141,11 +172,18 @@ class NetClient:
             else:
                 future.set_result(result)
             return future
-        body = protocol.encode_request(
-            rows, request_id=request_id, method=method, model=model
-        )
-        data = (body + "\n").encode("utf-8")
+        if self._raw_rows and protocol.raw_rows_dtype(rows) is not None:
+            data = protocol.encode_raw_rows_request(
+                rows, request_id=request_id, method=method, model=model
+            )
+        else:
+            body = protocol.encode_request(
+                rows, request_id=request_id, method=method, model=model
+            )
+            data = (body + "\n").encode("utf-8")
         future = Future()
+        # Held across the send so wire order equals _pending order.  The
+        # reader takes it only on its way out, after unblocking the send.
         with self._lock:
             if self._closed:
                 raise ServerClosed("client connection is closed")
@@ -178,7 +216,7 @@ class NetClient:
         """Serve one row synchronously."""
         return self.predict(x, method=method, model=model, timeout_s=timeout_s)
 
-    # -- response side (JSONL reader thread) ---------------------------------
+    # -- response side (reader thread) ---------------------------------------
 
     def _read_loop(self) -> None:
         failure: Optional[BaseException] = None
@@ -188,13 +226,23 @@ class NetClient:
                 if not line:
                     break
                 record = json.loads(line.decode("utf-8"))
-                with self._lock:
-                    future = self._pending.popleft() if self._pending else None
-                if future is not None:
-                    self._resolve(future, record)
+                # No lock: a sender may hold it while blocked in sendall on
+                # a socket the server fills only as fast as this loop drains
+                # responses.  deque.popleft is atomic, and a response can
+                # only follow its own request's append.
+                try:
+                    future = self._pending.popleft()  # lint: disable=R003 — atomic; see above
+                except IndexError:
+                    continue
+                self._resolve(future, record)
         except (OSError, ValueError) as error:
             failure = error
         finally:
+            # Fail a sender blocked in sendall (it holds the lock) first.
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already disconnected
             with self._lock:
                 leftovers = list(self._pending)
                 self._pending.clear()
@@ -293,7 +341,7 @@ class NetClient:
         self.close()
 
     def __repr__(self) -> str:
-        mode = "http" if self.http else "jsonl"
+        mode = "http" if self.http else "raw-row" if self._raw_rows else "jsonl"
         state = "closed" if self._closed else "connected"
         return f"NetClient({self.host}:{self.port}, {mode}, {state})"
 

@@ -1,9 +1,9 @@
 """The serving wire protocol: one codec for every ModelServer transport.
 
 ``m3 serve`` (stdin/stdout JSONL), :class:`repro.net.NetServer` (TCP
-JSONL and HTTP/1.1 POST) and :class:`repro.net.NetClient` all frame
-requests and responses through this module, so the stdin and socket
-paths cannot drift: a request line means the same thing, and a response
+JSONL, raw-row frames and HTTP/1.1 POST) and :class:`repro.net.NetClient`
+all frame requests and responses through this module, so the stdin and
+socket paths cannot drift: a request means the same thing, and a response
 record carries the same fields, wherever it travels.
 
 Requests — one JSON document per line (JSONL) or per POST body (HTTP)::
@@ -12,7 +12,37 @@ Requests — one JSON document per line (JSONL) or per POST body (HTTP)::
     [[...], [...]]                         # a small batch of rows
     {"id": 7, "x": [...], "method": "predict_proba", "model": "default"}
 
-Responses mirror :class:`~repro.serve.server.ServeResult`::
+or one **raw-row frame** (TCP only): the rows travel as the array's own
+bytes instead of decimal text, so neither side translates them::
+
+    frame   = head LF payload
+    head    = "M3ROWS " json-object        # one ASCII line
+    payload = rows * cols * itemsize bytes, C order, little-endian
+
+    M3ROWS {"id": 7, "method": "predict_proba", "model": "default",
+            "dtype": "<f8", "shape": [64, 784]}\n<401408 raw bytes>
+
+``dtype`` is ``"<f8"`` or ``"<f4"`` (float32 rows are upcast on arrival to
+the float64 values their JSON spelling would parse to); ``shape`` is
+``[cols]`` for one row or ``[rows, cols]``, every extent a positive
+integer; ``id``/``method``/``model`` are optional and mean what they mean
+in the JSON object form.  A frame is sniffed by its magic, per frame, so
+JSON lines and raw-row frames interleave freely on one connection.  A head
+that does not parse is answered with a ``bad_request`` record and the
+connection closes: with the payload length unknown the stream cannot be
+re-framed.
+
+Hello — how a client learns that the server reads raw-row frames.  It
+sends the line :data:`HELLO_LINE` once, at connect; a ``mode="auto"``
+server answers :func:`hello_record` (and counts neither line as a
+request), any other server answers the line as the malformed request it
+is — a ``bad_request`` record — and the client stays on JSON lines::
+
+    > {"hello": "m3"}
+    < {"hello": "m3", "frames": ["M3ROWS"]}
+
+Responses are always one JSON record, whatever framed the request.  They
+mirror :class:`~repro.serve.server.ServeResult`::
 
     {"id": 7, "predictions": [...], "model": "default@3",
      "queue_wait_ms": 0.41, "compute_ms": 0.85, "batch_rows": 96}
@@ -35,6 +65,7 @@ handles a local one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -56,6 +87,16 @@ __all__ = [
     "parse_request",
     "parse_request_line",
     "encode_request",
+    "RAW_ROWS_MAGIC",
+    "RawRowsHead",
+    "raw_rows_dtype",
+    "encode_raw_rows_request",
+    "parse_raw_rows_head",
+    "looks_like_raw_rows",
+    "HELLO_LINE",
+    "hello_record",
+    "looks_like_hello",
+    "hello_offers_raw_rows",
     "response_record",
     "error_record",
     "error_kind",
@@ -67,6 +108,7 @@ __all__ = [
     "http_request_bytes",
     "parse_http_request_head",
     "parse_http_headers",
+    "looks_like_http",
 ]
 
 #: Wire error ``kind`` -> HTTP status code for the POST transport.
@@ -124,6 +166,19 @@ class Request:
     model: str = DEFAULT_MODEL_NAME
 
 
+def _routing_fields(
+    payload: Dict[str, Any], default_method: str, default_model: str
+) -> Tuple[Optional[Any], str, str]:
+    """``(id, method, model)`` of a request object or a raw-row head."""
+    method = payload.get("method", default_method)
+    model = payload.get("model", default_model)
+    if not isinstance(method, str):
+        raise ProtocolError(f"request 'method' must be a string, got {method!r}")
+    if not isinstance(model, str):
+        raise ProtocolError(f"request 'model' must be a string, got {model!r}")
+    return payload.get("id"), method, model
+
+
 def parse_request(
     payload: Any,
     default_method: str = "predict",
@@ -137,19 +192,21 @@ def parse_request(
     if isinstance(payload, list):
         return Request(rows=payload, method=default_method, model=default_model)
     if isinstance(payload, dict) and "x" in payload:
-        method = payload.get("method", default_method)
-        model = payload.get("model", default_model)
-        if not isinstance(method, str):
-            raise ProtocolError(f"request 'method' must be a string, got {method!r}")
-        if not isinstance(model, str):
-            raise ProtocolError(f"request 'model' must be a string, got {model!r}")
-        return Request(
-            rows=payload["x"], id=payload.get("id"), method=method, model=model
+        request_id, method, model = _routing_fields(
+            payload, default_method, default_model
         )
+        return Request(rows=payload["x"], id=request_id, method=method, model=model)
     raise ProtocolError(
         "a request must be a JSON array of features or an object with an "
         "'x' field"
     )
+
+
+def _parse_json(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ProtocolError(f"request is not valid JSON: {error}") from None
 
 
 def parse_request_line(
@@ -158,11 +215,25 @@ def parse_request_line(
     default_model: str = DEFAULT_MODEL_NAME,
 ) -> Request:
     """Decode one JSONL request line (or HTTP POST body) into a :class:`Request`."""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as error:
-        raise ProtocolError(f"request is not valid JSON: {error}") from None
-    return parse_request(payload, default_method=default_method, default_model=default_model)
+    return parse_request(
+        _parse_json(line), default_method=default_method, default_model=default_model
+    )
+
+
+def _request_object(
+    fields: Dict[str, Any],
+    request_id: Optional[Any],
+    method: Optional[str],
+    model: Optional[str],
+) -> Dict[str, Any]:
+    """``fields`` plus the routing fields that were given (the rest stay off the wire)."""
+    if request_id is not None:
+        fields["id"] = request_id
+    if method is not None:
+        fields["method"] = method
+    if model is not None:
+        fields["model"] = model
+    return fields
 
 
 def encode_request(
@@ -180,14 +251,158 @@ def encode_request(
         rows = rows.tolist()
     if request_id is None and method is None and model is None:
         return json.dumps(rows)
-    payload: Dict[str, Any] = {"x": rows}
-    if request_id is not None:
-        payload["id"] = request_id
-    if method is not None:
-        payload["method"] = method
-    if model is not None:
-        payload["model"] = model
-    return json.dumps(payload)
+    return json.dumps(_request_object({"x": rows}, request_id, method, model))
+
+
+# -- raw-row frames -----------------------------------------------------------
+
+#: The name :func:`hello_record` advertises the frame under.
+_RAW_ROWS_FRAME = "M3ROWS"
+
+#: First bytes of a raw-row frame's head line.  No JSON document and no
+#: HTTP method starts with them, so one ``startswith`` tells the framings apart.
+RAW_ROWS_MAGIC = _RAW_ROWS_FRAME.encode("ascii") + b" "
+
+#: Wire ``dtype`` -> numpy dtype of the payload.
+_RAW_DTYPES: Dict[str, np.dtype] = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
+
+
+@dataclass(frozen=True)
+class RawRowsHead:
+    """The decoded head line of one raw-row frame: routing fields + payload layout."""
+
+    dtype: np.dtype
+    shape: Tuple[int, ...]
+    id: Optional[Any] = None
+    method: str = "predict"
+    model: str = DEFAULT_MODEL_NAME
+
+    @property
+    def nbytes(self) -> int:
+        """How many payload bytes follow the head line."""
+        return math.prod(self.shape) * self.dtype.itemsize
+
+    def request(self, payload: bytes) -> Request:
+        """The :class:`Request` whose rows are a view of ``payload`` (no copy
+        for float64; float32 is upcast, as its JSON spelling would be)."""
+        rows = np.frombuffer(payload, dtype=self.dtype).reshape(self.shape)
+        return Request(
+            rows=rows.astype(np.float64, copy=False),
+            id=self.id,
+            method=self.method,
+            model=self.model,
+        )
+
+
+def raw_rows_dtype(rows: Any) -> Optional[str]:
+    """The wire ``dtype`` a raw-row frame would carry ``rows`` as, or ``None``.
+
+    ``None`` — lists, integer or ragged input, empty or >2-D arrays — means
+    the rows travel as a JSON document, where the server's own validation
+    names what is wrong with them.
+    """
+    if not isinstance(rows, np.ndarray) or rows.ndim not in (1, 2) or rows.size == 0:
+        return None
+    name = f"<f{rows.dtype.itemsize}"
+    return name if rows.dtype.kind == "f" and name in _RAW_DTYPES else None
+
+
+def encode_raw_rows_request(
+    rows: np.ndarray,
+    request_id: Optional[Any] = None,
+    method: Optional[str] = None,
+    model: Optional[str] = None,
+) -> bytes:
+    """Encode ``rows`` (see :func:`raw_rows_dtype`) as one complete raw-row frame."""
+    name = raw_rows_dtype(rows)
+    if name is None:
+        raise ProtocolError(
+            "a raw-row frame carries a non-empty 1-D or 2-D float64/float32 array"
+        )
+    head = _request_object(
+        {"dtype": name, "shape": list(rows.shape)}, request_id, method, model
+    )
+    payload = rows.astype(_RAW_DTYPES[name], copy=False).tobytes()
+    return b"".join((RAW_ROWS_MAGIC, json.dumps(head).encode("ascii"), b"\n", payload))
+
+
+def parse_raw_rows_head(
+    line: bytes,
+    default_method: str = "predict",
+    default_model: str = DEFAULT_MODEL_NAME,
+) -> RawRowsHead:
+    """Decode a raw-row frame's head line (magic included).
+
+    Raises :class:`ProtocolError` for anything but a JSON object naming a
+    known ``dtype`` and a 1-D or 2-D ``shape`` of positive integers, with
+    string ``method``/``model`` where present.
+    """
+    try:
+        text = line[len(RAW_ROWS_MAGIC):].decode("utf-8")
+    except UnicodeDecodeError:
+        raise ProtocolError("raw-row head is not UTF-8") from None
+    payload = _parse_json(text)
+    if not isinstance(payload, dict):
+        raise ProtocolError("a raw-row head must be a JSON object")
+    request_id, method, model = _routing_fields(payload, default_method, default_model)
+    wire_dtype = payload.get("dtype")
+    dtype = _RAW_DTYPES.get(wire_dtype) if isinstance(wire_dtype, str) else None
+    if dtype is None:
+        raise ProtocolError(
+            f"raw-row 'dtype' must be one of {sorted(_RAW_DTYPES)}, got {wire_dtype!r}"
+        )
+    shape = payload.get("shape")
+    if (
+        not isinstance(shape, list)
+        or len(shape) not in (1, 2)
+        or not all(type(extent) is int and extent > 0 for extent in shape)
+    ):
+        raise ProtocolError(
+            f"raw-row 'shape' must be [cols] or [rows, cols] in positive "
+            f"integers, got {shape!r}"
+        )
+    return RawRowsHead(
+        dtype=dtype, shape=tuple(shape), id=request_id, method=method, model=model
+    )
+
+
+def looks_like_raw_rows(first_line: bytes) -> bool:
+    """Whether a frame's first line is a raw-row head (vs a JSON line)."""
+    return first_line.startswith(RAW_ROWS_MAGIC)
+
+
+# -- hello --------------------------------------------------------------------
+
+#: What a client sends once, at connect, to ask which frames the server reads.
+HELLO_LINE = b'{"hello": "m3"}\n'
+_HELLO_BODY = HELLO_LINE.rstrip()
+
+
+def hello_record() -> Dict[str, Any]:
+    """The answer to :data:`HELLO_LINE` from a server that reads raw-row frames."""
+    return {"hello": "m3", "frames": [_RAW_ROWS_FRAME]}
+
+
+def looks_like_hello(first_line: bytes) -> bool:
+    """Whether a frame's first line is the client hello (vs a request)."""
+    return (
+        first_line.startswith(_HELLO_BODY)
+        and not first_line[len(_HELLO_BODY):].strip()
+    )
+
+
+def hello_offers_raw_rows(reply_line: bytes) -> bool:
+    """Whether the reply to :data:`HELLO_LINE` advertises raw-row frames.
+
+    Anything else — a ``bad_request`` record from a JSONL-only server, an
+    HTTP status line, an empty read — means "stay on JSON lines".
+    """
+    try:
+        reply = json.loads(reply_line)
+    except ValueError:
+        return False
+    frames = reply.get("frames") if isinstance(reply, dict) else None
+    return isinstance(frames, list) and _RAW_ROWS_FRAME in frames
 
 
 def response_record(result: ServeResult, request_id: Optional[Any] = None) -> Dict[str, Any]:
@@ -354,5 +569,5 @@ _HTTP_METHODS = (b"POST ", b"GET ", b"PUT ", b"DELETE ", b"HEAD ", b"OPTIONS ", 
 
 
 def looks_like_http(first_line: bytes) -> bool:
-    """Whether a connection's first line opens an HTTP exchange (vs JSONL)."""
+    """Whether a frame's first line opens an HTTP exchange (vs a JSON line)."""
     return first_line.startswith(_HTTP_METHODS)

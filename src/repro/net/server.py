@@ -6,12 +6,19 @@ TCP listener (run on one dedicated event-loop thread) speaking
 
 * **JSONL** — one request per line, one response per line, in request
   order, over a keep-alive connection (the same framing ``m3 serve``
-  speaks on stdin, via :mod:`repro.net.protocol`), and
+  speaks on stdin, via :mod:`repro.net.protocol`),
+* **raw-row frames** — a one-line head, then the rows as the array's own
+  bytes (``np.frombuffer`` on arrival, no decimal text either way);
+  answered, in order, with the same JSON record lines, and free to
+  interleave with JSON lines on one connection, and
 * **HTTP/1.1 POST** — one request per ``POST /predict`` body, the same
   JSON documents, with wire errors mapped to statuses (429 for
   backpressure, 400/404/405 for client bugs, 500/503 for server-side
-  trouble).  ``mode="auto"`` (default) sniffs the first line per
-  connection, so one port serves both framings.
+  trouble).  ``mode="auto"`` (default) sniffs the first line of every
+  frame, so one port — one connection, even — serves all three; it also
+  answers the client hello that advertises the raw-row frame
+  (:func:`repro.net.protocol.hello_record`).  ``mode="jsonl"`` and
+  ``mode="http"`` read nothing but their own framing.
 
 Flow control is layered: per connection, at most ``max_inflight``
 requests are in flight before the reader stops pulling frames (TCP
@@ -40,7 +47,7 @@ import socket
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.runtime import make_lock
 from repro.faults import InjectedFault, maybe_fire
@@ -65,7 +72,8 @@ class NetStats:
     Counts frames and connections, not batches: ``requests`` is every
     accepted frame (including ones refused with a typed error),
     ``responses`` every record actually written back, ``saturated`` the
-    backpressure refusals among ``errors``.
+    backpressure refusals among ``errors``.  The hello exchange is
+    neither a request nor a response.
     """
 
     connections: int = 0
@@ -98,7 +106,9 @@ class NetStats:
 class _Entry:
     """One accepted frame awaiting its in-order response."""
 
-    __slots__ = ("future", "error", "request_id", "http", "keep_alive", "status")
+    __slots__ = (
+        "future", "error", "request_id", "http", "keep_alive", "status", "hello",
+    )
 
     def __init__(
         self,
@@ -108,18 +118,24 @@ class _Entry:
         http: bool = False,
         keep_alive: bool = True,
         status: Optional[int] = None,
+        hello: bool = False,
     ) -> None:
         self.future = future
         self.error = error
         self.request_id = request_id
         self.http = http
+        #: False = answer this frame, then hang up (``Connection: close``,
+        #: or a frame after which the stream cannot be re-framed).
         self.keep_alive = keep_alive
         #: Explicit HTTP status override (404/405); None = derive from kind.
         self.status = status
+        #: The client hello: answered in order like a request, counted as none.
+        self.hello = hello
 
 
 class NetServer:
-    """A TCP front end (JSONL + HTTP/1.1 POST) over one :class:`ModelServer`.
+    """A TCP front end (JSONL, raw-row frames, HTTP/1.1 POST) over one
+    :class:`ModelServer`.
 
     Parameters
     ----------
@@ -132,8 +148,8 @@ class NetServer:
         the bound address is in :attr:`host`/:attr:`port` once the
         constructor returns.
     mode:
-        ``"auto"`` (sniff JSONL vs HTTP per connection), ``"jsonl"``, or
-        ``"http"``.
+        ``"auto"`` (sniff JSONL vs raw-row vs HTTP per frame, and answer
+        the client hello), ``"jsonl"``, or ``"http"``.
     default_method:
         Prediction method for requests that name none.
     max_inflight:
@@ -141,8 +157,9 @@ class NetServer:
         it the reader stops pulling frames and TCP backpressure reaches
         the client.
     max_request_bytes:
-        Upper bound on one HTTP body (oversized requests get a typed
-        ``bad_request`` error).
+        Upper bound on one JSON line, HTTP body or raw-row payload
+        (oversized requests get a typed ``bad_request`` error, then the
+        connection closes).
     drain_timeout_s:
         How long a graceful drain waits for in-flight connections to
         flush before cancelling them.
@@ -343,22 +360,28 @@ class NetServer:
         )
         try:
             while True:
-                if self._drain_event.is_set():
-                    # Draining: keep consuming frames the client already
-                    # pipelined into the socket, stop once it goes quiet.
-                    first = await self._grace_readline(reader)
+                try:
+                    if self._drain_event.is_set():
+                        # Draining: keep consuming frames the client already
+                        # pipelined into the socket, stop once it goes quiet.
+                        first = await self._grace_readline(reader)
+                    else:
+                        first = await self._read_frame_head(reader)
+                except protocol.ProtocolError as error:
+                    entry: Optional[_Entry] = self._refused(
+                        error, http=self.mode == "http"
+                    )
                 else:
-                    first = await self._read_frame_head(reader)
-                if first is None:
-                    break  # EOF, drain quiescence, or the drain began while idle
-                maybe_fire("net.read")
-                entry = await self._read_request(first, reader)
+                    if first is None:
+                        break  # EOF, drain quiescence, or the drain began while idle
+                    maybe_fire("net.read")
+                    entry = await self._read_request(first, reader)
                 if entry is None:
                     continue  # blank JSONL line
                 await inflight.acquire()
                 pending.put_nowait(entry)
-                if entry.http and not entry.keep_alive:
-                    break  # Connection: close — answer, then hang up
+                if not entry.keep_alive:
+                    break  # answer, then hang up
         finally:
             # Always flush: every accepted entry gets its response written
             # (drain included) before the connection handler returns.
@@ -375,7 +398,7 @@ class NetServer:
         its own deadline — close() always wins the race.
         """
         assert self._drain_event is not None
-        read_task = asyncio.ensure_future(reader.readline())
+        read_task = asyncio.ensure_future(self._readline(reader))
         drain_task = asyncio.ensure_future(
             self._drain_event.wait()  # lint: disable=R005 — raced against the read; set by close()
         )
@@ -401,8 +424,21 @@ class NetServer:
             return None
         return line or None
 
-    @staticmethod
-    async def _grace_readline(reader: asyncio.StreamReader) -> Optional[bytes]:
+    async def _readline(self, reader: asyncio.StreamReader) -> bytes:
+        """``reader.readline()`` with its over-limit ``ValueError`` made typed.
+
+        StreamReader drops what it buffered of a line longer than
+        ``max_request_bytes``, so the frame is lost and whatever follows
+        cannot be told from its tail: callers answer, then hang up.
+        """
+        try:
+            return await reader.readline()
+        except ValueError:
+            raise protocol.ProtocolError(
+                f"a frame line exceeds the {self.max_request_bytes}-byte limit"
+            ) from None
+
+    async def _grace_readline(self, reader: asyncio.StreamReader) -> Optional[bytes]:
         """One more frame line during a drain, or ``None`` once quiescent.
 
         Requests the client pipelined before the drain began are sitting
@@ -411,7 +447,7 @@ class NetServer:
         buffered frames" from "the client is done".
         """
         try:
-            line = await asyncio.wait_for(reader.readline(), timeout=0.05)
+            line = await asyncio.wait_for(self._readline(reader), timeout=0.05)
         except asyncio.TimeoutError:
             return None
         return line or None
@@ -419,14 +455,39 @@ class NetServer:
     async def _read_request(
         self, first: bytes, reader: asyncio.StreamReader
     ) -> Optional[_Entry]:
-        if self.mode == "http" or (
-            self.mode == "auto" and protocol.looks_like_http(first)
-        ):
+        if self.mode == "http":
             return await self._read_http_request(first, reader)
+        if self.mode == "auto":
+            if protocol.looks_like_http(first):
+                return await self._read_http_request(first, reader)
+            if protocol.looks_like_raw_rows(first):
+                return await self._read_raw_rows_request(first, reader)
+            if protocol.looks_like_hello(first):
+                return _Entry(hello=True)
         text = first.decode("utf-8", errors="replace").strip()
         if not text:
             return None
-        return self._entry_for_body(text, http=False, keep_alive=True)
+        return self._submitted(self._json_request, text)
+
+    async def _read_raw_rows_request(
+        self, first: bytes, reader: asyncio.StreamReader
+    ) -> _Entry:
+        try:
+            head = protocol.parse_raw_rows_head(
+                first, default_method=self.default_method
+            )
+            if head.nbytes > self.max_request_bytes:
+                raise protocol.ProtocolError(
+                    f"raw-row payload of {head.nbytes} bytes exceeds the "
+                    f"{self.max_request_bytes}-byte limit"
+                )
+        except protocol.ProtocolError as error:
+            # Without a trusted payload length the next head cannot be found.
+            return self._refused(error)
+        payload = await asyncio.wait_for(
+            reader.readexactly(head.nbytes), timeout=FRAME_READ_TIMEOUT_S
+        )
+        return self._submitted(head.request, payload)
 
     async def _read_http_request(
         self, first: bytes, reader: asyncio.StreamReader
@@ -434,33 +495,40 @@ class NetServer:
         try:
             method, path = protocol.parse_http_request_head(first)
         except protocol.ProtocolError as error:
-            return self._counted(_Entry(error=error, http=True, keep_alive=False))
+            return self._refused(error, http=True)
         header_lines: List[bytes] = []
         while True:
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=FRAME_READ_TIMEOUT_S
-            )
+            try:
+                line = await asyncio.wait_for(
+                    self._readline(reader), timeout=FRAME_READ_TIMEOUT_S
+                )
+            except protocol.ProtocolError as error:
+                return self._refused(error, http=True)
             if line in (b"\r\n", b"\n"):
                 break
             if not line:
                 raise asyncio.IncompleteReadError(partial=b"", expected=None)
             if len(header_lines) >= 100:
-                error = protocol.ProtocolError("too many HTTP headers")
-                return self._counted(_Entry(error=error, http=True, keep_alive=False))
+                return self._refused(
+                    protocol.ProtocolError("too many HTTP headers"), http=True
+                )
             header_lines.append(line)
         try:
             headers = protocol.parse_http_headers(header_lines)
             length = int(headers.get("content-length", "0"))
         except (protocol.ProtocolError, ValueError) as error:
-            bad = protocol.ProtocolError(f"malformed HTTP headers: {error}")
-            return self._counted(_Entry(error=bad, http=True, keep_alive=False))
+            return self._refused(
+                protocol.ProtocolError(f"malformed HTTP headers: {error}"), http=True
+            )
         keep_alive = headers.get("connection", "keep-alive").strip().lower() != "close"
         if length < 0 or length > self.max_request_bytes:
-            error = protocol.ProtocolError(
-                f"request body of {length} bytes exceeds the "
-                f"{self.max_request_bytes}-byte limit"
+            return self._refused(
+                protocol.ProtocolError(
+                    f"request body of {length} bytes exceeds the "
+                    f"{self.max_request_bytes}-byte limit"
+                ),
+                http=True,
             )
-            return self._counted(_Entry(error=error, http=True, keep_alive=False))
         body = b""
         if length:
             body = await asyncio.wait_for(
@@ -478,8 +546,11 @@ class NetServer:
             return self._counted(
                 _Entry(error=error, http=True, keep_alive=keep_alive, status=404)
             )
-        return self._entry_for_body(
-            body.decode("utf-8", errors="replace"), http=True, keep_alive=keep_alive
+        return self._submitted(
+            self._json_request,
+            body.decode("utf-8", errors="replace"),
+            http=True,
+            keep_alive=keep_alive,
         )
 
     def _counted(self, entry: _Entry) -> _Entry:
@@ -488,12 +559,25 @@ class NetServer:
             self._stats.requests += 1
         return entry
 
-    def _entry_for_body(self, text: str, http: bool, keep_alive: bool) -> _Entry:
+    def _refused(self, error: protocol.ProtocolError, http: bool = False) -> _Entry:
+        """A frame answered ``bad_request`` and followed by a hang-up, because
+        the bytes after it cannot be framed."""
+        return self._counted(_Entry(error=error, http=http, keep_alive=False))
+
+    def _json_request(self, text: str) -> protocol.Request:
+        return protocol.parse_request_line(text, default_method=self.default_method)
+
+    def _submitted(
+        self,
+        decode: Callable[[Any], protocol.Request],
+        body: Any,
+        http: bool = False,
+        keep_alive: bool = True,
+    ) -> _Entry:
+        """Decode one fully-read frame body and hand it to the ``ModelServer``."""
         entry = _Entry(http=http, keep_alive=keep_alive)
         try:
-            request = protocol.parse_request_line(
-                text, default_method=self.default_method
-            )
+            request = decode(body)
             entry.request_id = request.id
             # Never blocks: a full ModelServer queue surfaces as a typed
             # `saturated` record (HTTP 429) on this one request, while the
@@ -530,7 +614,10 @@ class NetServer:
                     result = await asyncio.wrap_future(entry.future)
                 except Exception as request_error:  # noqa: BLE001 — relayed as a typed wire error
                     error = request_error
-            if error is not None:
+            if entry.hello:
+                record = protocol.hello_record()
+                status = 200
+            elif error is not None:
                 record = protocol.error_record(error, entry.request_id)
                 status = entry.status or protocol.status_for_kind(
                     record["error"]["kind"]
@@ -554,7 +641,8 @@ class NetServer:
                         )
                     await writer.drain()
                     with self._lock:
-                        self._stats.responses += 1
+                        if not entry.hello:
+                            self._stats.responses += 1
                         if error is not None:
                             self._stats.errors += 1
                             if isinstance(error, ServerSaturated):

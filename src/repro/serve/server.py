@@ -345,8 +345,11 @@ class ModelServer:
                 f"a request must be one row or a 2-D batch of rows, got "
                 f"shape {X.shape}"
             )
-        if X.shape[0] == 0:
-            raise ValueError("a request must carry at least one row")
+        if X.shape[0] == 0 or X.shape[1] == 0:
+            raise ValueError(
+                f"a request must carry at least one row of at least one "
+                f"feature, got shape {X.shape}"
+            )
         return X
 
     def submit(

@@ -1,5 +1,7 @@
 """Shared fixtures for the network serving front end tests."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,37 @@ def scoped_fault_plan():
         yield
     finally:
         faults.set_fault_plan(previous)
+
+
+@pytest.fixture(params=["jsonl", "raw-row"])
+def framed(request):
+    """Spell rows so that ``NetClient`` frames them one way or the other.
+
+    Against a server that reads raw-row frames the client sends float
+    ``ndarray`` rows raw and lists as JSON lines — so the one test body,
+    handed ``framed(rows)``, covers both request framings.
+    """
+    return np.ndarray.tolist if request.param == "jsonl" else np.asarray
+
+
+@pytest.fixture()
+def wait_stats():
+    """``wait_stats(net, predicate)``: poll ``net.stats()`` until it satisfies
+    ``predicate`` (a few seconds at most); returns the last snapshot.
+
+    The server counts on its loop thread, a beat after the client sees a
+    response — and a frame pipelined behind an unanswered one may sit in
+    the client's TCP stack for a delayed ACK before the server sees it.
+    """
+    def wait(net, predicate, tries=500):
+        for _ in range(tries):
+            stats = net.stats()
+            if predicate(stats):
+                return stats
+            time.sleep(0.01)
+        return net.stats()
+
+    return wait
 
 
 @pytest.fixture(scope="module")

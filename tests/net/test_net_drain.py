@@ -22,7 +22,8 @@ class _BlockingModel:
 
 
 class TestGracefulDrain:
-    def test_inflight_requests_are_answered_before_close_returns(self, live, problem):
+    def test_inflight_requests_are_answered_before_close_returns(self, live, problem,
+                                                                 framed, wait_stats):
         X, _ = problem
         model = _BlockingModel()
         net = live(model=model, server_kwargs={
@@ -30,8 +31,10 @@ class TestGracefulDrain:
         })
         try:
             with NetClient(net.host, net.port) as client:
-                futures = [client.submit(X[i], request_id=i) for i in range(4)]
+                futures = [client.submit(framed(X[i]), request_id=i) for i in range(4)]
                 assert model.started.wait(timeout=10.0)
+                # In flight = read by the server, not still in the client's stack.
+                assert wait_stats(net, lambda s: s.requests == 4).requests == 4
                 closer = threading.Thread(target=net.close)
                 closer.start()
                 # The drain must wait for the dispatcher, not abandon it.
@@ -92,7 +95,8 @@ class TestGracefulDrain:
 
 
 class TestKeepAliveAcrossSwap:
-    def test_every_response_names_exactly_one_version(self, live, problem, fitted):
+    def test_every_response_names_exactly_one_version(self, live, problem, fitted,
+                                                      framed):
         X, _ = problem
         net = live()
         expected = fitted.predict(X)
@@ -107,7 +111,7 @@ class TestKeepAliveAcrossSwap:
         swapper.start()
         try:
             with NetClient(net.host, net.port) as client:
-                futures = [client.submit(X[i], request_id=i) for i in range(60)]
+                futures = [client.submit(framed(X[i]), request_id=i) for i in range(60)]
                 results = [future.result(timeout=30.0) for future in futures]
         finally:
             swapper.join(timeout=10.0)
@@ -119,20 +123,20 @@ class TestKeepAliveAcrossSwap:
             assert result.predictions[0] == expected[i]
 
     def test_swap_then_predict_serves_the_new_version(self, live, problem,
-                                                      fitted, softmax_fitted):
+                                                      fitted, softmax_fitted, framed):
         X, _ = problem
         net = live()
         with NetClient(net.host, net.port) as client:
-            before = client.predict_one(X[0])
+            before = client.predict_one(framed(X[0]))
             net.server.publish("default", softmax_fitted)
-            after = client.predict_one(X[0])
+            after = client.predict_one(framed(X[0]))
         assert before.model_key == "default@1"
         assert after.model_key == "default@2"
         assert after.prediction == softmax_fitted.predict(X[:1])[0]
 
 
 class TestConcurrentClientsThroughDrain:
-    def test_requests_complete_or_fail_typed(self, live, problem, fitted):
+    def test_requests_complete_or_fail_typed(self, live, problem, fitted, framed):
         X, _ = problem
         net = live()
         expected = fitted.predict(X)
@@ -143,7 +147,7 @@ class TestConcurrentClientsThroughDrain:
             try:
                 with NetClient(net.host, net.port, timeout_s=10.0) as client:
                     for i in range(offset, offset + 8):
-                        result = client.predict_one(X[i])
+                        result = client.predict_one(framed(X[i]))
                         with outcomes_lock:
                             outcomes.append(("ok", i, result.predictions[0]))
             except (OSError, ServerClosed) as error:

@@ -26,24 +26,26 @@ class _BlockingModel:
         return np.zeros(np.asarray(X).shape[0])
 
 
-class TestJsonlRoundTrips:
-    def test_predictions_bit_identical_to_in_core(self, live, problem, fitted):
+class TestRoundTrips:
+    """Through ``NetClient``, once per request framing (``framed``)."""
+
+    def test_predictions_bit_identical_to_in_core(self, live, problem, fitted, framed):
         X, _ = problem
         net = live()
         expected = fitted.predict(X[:20])
         with NetClient(net.host, net.port) as client:
-            futures = [client.submit(X[i], request_id=i) for i in range(20)]
+            futures = [client.submit(framed(X[i]), request_id=i) for i in range(20)]
             results = [future.result(timeout=30.0) for future in futures]
         served = np.concatenate([r.predictions for r in results])
         np.testing.assert_array_equal(served, expected)
         assert [r.id for r in results] == list(range(20))
         assert all(r.model_key == "default@1" for r in results)
 
-    def test_net_result_accessors(self, live, problem):
+    def test_net_result_accessors(self, live, problem, framed):
         X, _ = problem
         net = live()
         with NetClient(net.host, net.port) as client:
-            result = client.predict_one(X[0])
+            result = client.predict_one(framed(X[0]))
         assert isinstance(result, NetResult)
         assert result.model_name == "default"
         assert result.model_version == 1
@@ -52,47 +54,47 @@ class TestJsonlRoundTrips:
         assert result.compute_ms >= 0.0
         assert result.batch_rows >= 1
 
-    def test_batch_request(self, live, problem, fitted):
+    def test_batch_request(self, live, problem, fitted, framed):
         X, _ = problem
         net = live()
         with NetClient(net.host, net.port) as client:
-            result = client.predict(X[:12])
+            result = client.predict(framed(X[:12]))
         np.testing.assert_array_equal(result.predictions, fitted.predict(X[:12]))
 
-    def test_method_override(self, live, problem, softmax_fitted):
+    def test_method_override(self, live, problem, softmax_fitted, framed):
         X, _ = problem
         net = live(model=softmax_fitted)
         with NetClient(net.host, net.port) as client:
-            result = client.predict(X[:5], method="predict_proba")
+            result = client.predict(framed(X[:5]), method="predict_proba")
         np.testing.assert_array_equal(
             result.predictions, softmax_fitted.predict_proba(X[:5])
         )
         assert result.predictions.shape == (5, 3)
 
-    def test_default_method_from_the_server(self, live, problem, softmax_fitted):
+    def test_default_method_from_the_server(self, live, problem, softmax_fitted, framed):
         X, _ = problem
         net = live(model=softmax_fitted, default_method="predict_proba")
         with NetClient(net.host, net.port) as client:
-            result = client.predict(X[:3])
+            result = client.predict(framed(X[:3]))
         assert result.predictions.shape == (3, 3)
 
-    def test_model_routing(self, live, problem, fitted, softmax_fitted):
+    def test_model_routing(self, live, problem, fitted, softmax_fitted, framed):
         X, _ = problem
         net = live()
         net.server.publish("soft", softmax_fitted)
         with NetClient(net.host, net.port) as client:
-            result = client.predict(X[:4], model="soft")
+            result = client.predict(framed(X[:4]), model="soft")
         assert result.model_key == "soft@1"
         np.testing.assert_array_equal(
             result.predictions, softmax_fitted.predict(X[:4])
         )
 
-    def test_unknown_model_raises_typed_remote_error(self, live, problem):
+    def test_unknown_model_raises_typed_remote_error(self, live, problem, framed):
         X, _ = problem
         net = live()
         with NetClient(net.host, net.port) as client:
             with pytest.raises(RemoteError) as excinfo:
-                client.predict(X[0], model="missing")
+                client.predict(framed(X[0]), model="missing")
         assert excinfo.value.kind == "model"
         assert "missing" in excinfo.value.remote_message
 
@@ -238,7 +240,7 @@ class TestForcedModes:
 
 
 class TestSaturation:
-    def test_jsonl_saturated_raises_the_native_type(self, live, problem):
+    def test_saturated_raises_the_native_type(self, live, problem, framed):
         X, _ = problem
         model = _BlockingModel()
         net = live(model=model, server_kwargs={
@@ -246,10 +248,10 @@ class TestSaturation:
         })
         try:
             with NetClient(net.host, net.port) as client:
-                first = client.submit(X[0])
+                first = client.submit(framed(X[0]))
                 assert model.started.wait(timeout=10.0)
-                queued = client.submit(X[1])     # fills the one queue slot
-                refused = client.submit(X[2])    # typed backpressure
+                queued = client.submit(framed(X[1]))     # fills the one queue slot
+                refused = client.submit(framed(X[2]))    # typed backpressure
                 # Wait until the server has parsed (and fated) all three
                 # frames before unblocking the dispatcher — otherwise the
                 # freed queue slot would let the third request in.
@@ -280,7 +282,7 @@ class TestSaturation:
         finally:
             model.release.set()
 
-    def test_http_saturation_is_a_429(self, live, problem):
+    def test_http_saturation_is_a_429(self, live, problem, wait_stats):
         X, _ = problem
         model = _BlockingModel()
         net = live(model=model, server_kwargs={
@@ -290,7 +292,9 @@ class TestSaturation:
             with NetClient(net.host, net.port) as jsonl_client:
                 jsonl_client.submit(X[0])
                 assert model.started.wait(timeout=10.0)
-                jsonl_client.submit(X[1])  # queue now full
+                jsonl_client.submit(X[1])  # fills the one queue slot...
+                # ...once the server has read it (see wait_stats).
+                assert wait_stats(net, lambda s: s.requests == 2).requests == 2
                 conn = http.client.HTTPConnection(net.host, net.port, timeout=10)
                 try:
                     conn.request("POST", "/predict",
@@ -313,11 +317,11 @@ class TestLifecycleAndStats:
         assert net.address == (net.host, net.port)
         assert "listening" in repr(net)
 
-    def test_stats_accounting_balances(self, live, problem):
+    def test_stats_accounting_balances(self, live, problem, framed):
         X, _ = problem
         net = live()
         with NetClient(net.host, net.port) as client:
-            futures = [client.submit(X[i]) for i in range(10)]
+            futures = [client.submit(framed(X[i])) for i in range(10)]
             for future in futures:
                 future.result(timeout=30.0)
         # Response counters land on the loop thread after each flush and

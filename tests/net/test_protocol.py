@@ -103,6 +103,109 @@ class TestEncodeRequest:
         assert request.method == "predict_proba"
 
 
+class TestRawRowsFrame:
+    @pytest.mark.parametrize("rows", [
+        np.arange(6.0),
+        np.arange(12.0).reshape(3, 4),
+        np.arange(12.0, dtype=np.float32).reshape(3, 4),
+        np.arange(12.0).reshape(3, 4).T,          # not C-contiguous
+        np.arange(12.0).reshape(3, 4).astype(">f8"),
+    ])
+    def test_round_trips_bit_for_bit(self, rows):
+        frame = protocol.encode_raw_rows_request(
+            rows, request_id=[1, "a"], method="predict_proba", model="other"
+        )
+        line, _, payload = frame.partition(b"\n")
+        assert protocol.looks_like_raw_rows(line)
+        head = protocol.parse_raw_rows_head(line + b"\n")
+        assert head.nbytes == len(payload)
+        request = head.request(payload)
+        assert request.rows.dtype == np.float64
+        np.testing.assert_array_equal(request.rows, rows)
+        assert request.rows.shape == rows.shape
+        assert (request.id, request.method, request.model) == (
+            [1, "a"], "predict_proba", "other")
+
+    def test_omitted_routing_fields_stay_off_the_wire_and_take_defaults(self):
+        line = protocol.encode_raw_rows_request(np.zeros(3)).split(b"\n", 1)[0]
+        assert json.loads(line[len(protocol.RAW_ROWS_MAGIC):]) == {
+            "dtype": "<f8", "shape": [3]}
+        head = protocol.parse_raw_rows_head(line, default_method="predict_proba",
+                                            default_model="canary")
+        assert (head.id, head.method, head.model) == (None, "predict_proba", "canary")
+
+    def test_float32_upcasts_to_what_its_json_spelling_parses_to(self):
+        rows = np.array([0.1, 1 / 3, 2.5e-7], dtype=np.float32)
+        frame = protocol.encode_raw_rows_request(rows)
+        line, _, payload = frame.partition(b"\n")
+        raw = protocol.parse_raw_rows_head(line).request(payload).rows
+        via_json = np.asarray(protocol.parse_request_line(
+            protocol.encode_request(rows)).rows)
+        assert raw.dtype == via_json.dtype == np.float64
+        np.testing.assert_array_equal(raw, via_json)
+
+    @pytest.mark.parametrize("rows", [
+        [1.0, 2.0], np.arange(4), np.zeros((0, 3)), np.zeros((2, 0)),
+        np.zeros((1, 2, 3)), np.float64(1.0), np.zeros(3, dtype=np.float16),
+        np.zeros(3, dtype=np.complex64), np.array(["a"]),
+    ])
+    def test_what_the_frame_does_not_carry(self, rows):
+        assert protocol.raw_rows_dtype(rows) is None
+        with pytest.raises(ProtocolError, match="raw-row frame"):
+            protocol.encode_raw_rows_request(rows)
+
+    @pytest.mark.parametrize("body, match", [
+        (b"nope", "not valid JSON"),
+        (b"[1]", "JSON object"),
+        (b'{"shape": [2]}', "dtype"),
+        (b'{"dtype": "<f2", "shape": [2]}', "dtype"),
+        (b'{"dtype": {}, "shape": [2]}', "dtype"),
+        (b'{"dtype": "<f8"}', "shape"),
+        (b'{"dtype": "<f8", "shape": [1, 2, 3]}', "shape"),
+        (b'{"dtype": "<f8", "shape": [2.0]}', "shape"),
+        (b'{"dtype": "<f8", "shape": [false]}', "shape"),
+        (b'{"dtype": "<f8", "shape": [0]}', "shape"),
+        (b'{"dtype": "<f8", "shape": [-3, 2]}', "shape"),
+        (b'{"dtype": "<f8", "shape": [2], "method": 1}', "method"),
+        (b'{"dtype": "<f8", "shape": [2], "model": null}', "model"),
+        (b"\xff", "UTF-8"),
+    ])
+    def test_malformed_heads_rejected(self, body, match):
+        with pytest.raises(ProtocolError, match=match):
+            protocol.parse_raw_rows_head(protocol.RAW_ROWS_MAGIC + body + b"\n")
+
+    def test_a_huge_declared_shape_is_just_a_number(self):
+        head = protocol.parse_raw_rows_head(
+            b'M3ROWS {"dtype": "<f4", "shape": [%d, %d]}\n' % (10**30, 10**30))
+        assert head.nbytes == 4 * 10**60
+
+
+class TestHello:
+    def test_sniff(self):
+        assert protocol.looks_like_hello(protocol.HELLO_LINE)
+        assert protocol.looks_like_hello(b'{"hello": "m3"}\r\n')
+        assert not protocol.looks_like_hello(b'{"hello": "m3", "x": [1.0]}\n')
+        assert not protocol.looks_like_hello(b"[1.0]\n")
+
+    def test_the_hello_is_a_malformed_request_to_the_json_codec(self):
+        with pytest.raises(ProtocolError, match="'x' field"):
+            protocol.parse_request_line(protocol.HELLO_LINE.decode())
+
+    @pytest.mark.parametrize("reply, offered", [
+        (json.dumps(protocol.hello_record()).encode() + b"\n", True),
+        (b'{"hello": "m3", "frames": ["M3ROWS", "FUTURE"]}\n', True),
+        (b'{"hello": "m3", "frames": []}\n', False),
+        (b'{"hello": "m3", "frames": "M3ROWS"}\n', False),
+        (b'{"id": null, "error": {"kind": "bad_request"}}\n', False),
+        (b"HTTP/1.1 400 Bad Request\r\n", False),
+        (b"[1]\n", False),
+        (b"\xff\n", False),
+        (b"", False),
+    ])
+    def test_reply(self, reply, offered):
+        assert protocol.hello_offers_raw_rows(reply) is offered
+
+
 class TestResponseRecord:
     def test_mirrors_serve_result(self):
         record = protocol.response_record(_result([1, 0, 1], version=3), 11)

@@ -94,6 +94,10 @@ class TestSingleRequests:
             server.submit(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError, match="at least one row"):
             server.submit(np.zeros((0, 4)))
+        # `[]` reshapes to (1, 0): refused here, not by a gemm deep in the model.
+        for zero_width in ([], np.zeros((3, 0))):
+            with pytest.raises(ValueError, match="at least one feature"):
+                server.submit(zero_width)
         with pytest.raises(ValueError, match="invalid prediction method"):
             server.submit(np.zeros(4), method="_private")
 
