@@ -21,6 +21,7 @@ from repro.ml.base import (
     as_matrix,
     iter_row_chunks,
 )
+from repro.ml.cluster._kernel import cluster_sums, min_distance_sum, nearest_centroid
 from repro.ml.cluster.init import kmeans_plus_plus_init, random_init
 
 
@@ -123,22 +124,13 @@ class KMeans(BaseEstimator, ClustererMixin, StreamingPredictor):
         sums = np.zeros((k, n_features), dtype=np.float64)
         counts = np.zeros(k, dtype=np.int64)
         inertia = 0.0
-        centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
         for start, stop in iter_row_chunks(X, self.chunk_size):
             chunk = np.asarray(X[start:stop], dtype=np.float64)
-            # ||x - c||^2 = ||x||^2 - 2 x·c + ||c||^2 ; ||x||^2 is constant per row
-            cross = chunk @ centroids.T
-            sq_dist = centroid_sq_norms[None, :] - 2.0 * cross
-            assignments = np.argmin(sq_dist, axis=1)
-            row_sq_norms = np.einsum("ij,ij->i", chunk, chunk)
-            inertia += float(
-                np.sum(row_sq_norms + sq_dist[np.arange(chunk.shape[0]), assignments])
-            )
-            for cluster in range(k):
-                mask = assignments == cluster
-                if np.any(mask):
-                    sums[cluster] += chunk[mask].sum(axis=0)
-                    counts[cluster] += int(mask.sum())
+            nearest, offsets = nearest_centroid(chunk, centroids)
+            chunk_sums, chunk_counts = cluster_sums(chunk, nearest, k)
+            sums += chunk_sums
+            counts += chunk_counts
+            inertia += min_distance_sum(chunk, offsets)
         return sums, counts, inertia
 
     def _recompute(
@@ -162,13 +154,10 @@ class KMeans(BaseEstimator, ClustererMixin, StreamingPredictor):
         """Index of the nearest centroid for every row of ``X``."""
         self._check_fitted("cluster_centers_")
         X = as_matrix(X)
-        centroids = self.cluster_centers_
-        centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
         assignments = np.empty(X.shape[0], dtype=np.int64)
         for start, stop in iter_row_chunks(X, self.chunk_size):
             chunk = np.asarray(X[start:stop], dtype=np.float64)
-            sq_dist = centroid_sq_norms[None, :] - 2.0 * (chunk @ centroids.T)
-            assignments[start:stop] = np.argmin(sq_dist, axis=1)
+            assignments[start:stop], _ = nearest_centroid(chunk, self.cluster_centers_)
         return assignments
 
     def transform(self, X: Any) -> np.ndarray:
@@ -187,15 +176,9 @@ class KMeans(BaseEstimator, ClustererMixin, StreamingPredictor):
         """Sum of squared distances of rows of ``X`` to their nearest centroid."""
         self._check_fitted("cluster_centers_")
         X = as_matrix(X)
-        centroids = self.cluster_centers_
-        centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
         total = 0.0
         for start, stop in iter_row_chunks(X, self.chunk_size):
             chunk = np.asarray(X[start:stop], dtype=np.float64)
-            sq_dist = (
-                np.einsum("ij,ij->i", chunk, chunk)[:, None]
-                - 2.0 * (chunk @ centroids.T)
-                + centroid_sq_norms[None, :]
-            )
-            total += float(np.sum(np.min(sq_dist, axis=1)))
+            _, offsets = nearest_centroid(chunk, self.cluster_centers_)
+            total += min_distance_sum(chunk, offsets)
         return total

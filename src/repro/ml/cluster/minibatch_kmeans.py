@@ -6,6 +6,19 @@ Included for the paper's ongoing-work direction ("online learning") and as an
 ablation point — its access pattern is still sequential, but it converges in
 far fewer passes, changing the compute/I-O balance that determines whether M3
 is I/O bound.
+
+Sculley visits a batch's rows one at a time, ``c ← (1 − 1/n)·c + x/n``.  For
+a centroid with ``n₀`` rows behind it and ``m`` members in the batch those
+``m`` steps have a closed form, the running mean ``c += (Σ members − m·c) /
+(n₀ + m)``, which :meth:`MiniBatchKMeans._update_batch` computes for every
+cluster at once from one grouped aggregate (:mod:`repro.ml.cluster._kernel`).
+It equals the sequential update up to rounding — counts exactly, centres
+within ``1e-10`` over 100+ chunks; ``tests/ml/test_minibatch_kmeans.py`` keeps
+the loop as the specification — so centres are *not* bit-identical to releases
+that ran the per-row loop, while every engine, storage format and reader count
+still agrees bit for bit with ``partial_fit`` driven by hand over the same
+chunks.  The whole update state is the fitted pair ``(cluster_centers_,
+counts_)``, so a saved model resumes training where it stopped.
 """
 
 from __future__ import annotations
@@ -22,16 +35,8 @@ from repro.ml.base import (
     as_matrix,
     iter_row_chunks,
 )
+from repro.ml.cluster._kernel import cluster_sums, min_distance_sum, nearest_centroid
 from repro.ml.cluster.init import kmeans_plus_plus_init, random_init
-
-
-class _MiniBatchState:
-    """Mutable centroid state shared by ``fit`` and ``partial_fit``."""
-
-    def __init__(self, rng: np.random.Generator, centroids: np.ndarray) -> None:
-        self.rng = rng
-        self.centroids = centroids
-        self.counts = np.zeros(centroids.shape[0], dtype=np.int64)
 
 
 class MiniBatchKMeans(BaseEstimator, ClustererMixin, StreamingEstimator, StreamingPredictor):
@@ -57,6 +62,9 @@ class MiniBatchKMeans(BaseEstimator, ClustererMixin, StreamingEstimator, Streami
     ----------
     cluster_centers_:
         Final centroids.
+    counts_:
+        Rows each centroid has absorbed so far (``int64``); with
+        ``cluster_centers_`` this is all ``partial_fit`` needs to continue.
     inertia_:
         Inertia over the full dataset measured after the final epoch.
     n_iter_:
@@ -97,7 +105,7 @@ class MiniBatchKMeans(BaseEstimator, ClustererMixin, StreamingEstimator, Streami
         # Full-dataset initialisation (chunk-streamed internally), then the
         # same per-batch update partial_fit uses.
         rng = np.random.default_rng(self.seed)
-        self._streaming_state = _MiniBatchState(rng, self._init_centroids(X, rng))
+        self._seed_centroids(X, rng)
 
         bounds = list(iter_row_chunks(X, self.batch_size))
         epoch = 0
@@ -107,7 +115,6 @@ class MiniBatchKMeans(BaseEstimator, ClustererMixin, StreamingEstimator, Streami
                 start, stop = bounds[int(index)]
                 self._update_batch(np.asarray(X[start:stop], dtype=np.float64))
 
-        self.cluster_centers_ = self._streaming_state.centroids
         self.n_iter_ = epoch
         self.inertia_ = self.inertia(X)
         return self
@@ -122,54 +129,58 @@ class MiniBatchKMeans(BaseEstimator, ClustererMixin, StreamingEstimator, Streami
     def partial_fit(self, X: Any, y: Any = None, classes: Any = None) -> "MiniBatchKMeans":
         """Consume one mini-batch of rows (``y``/``classes`` are ignored).
 
-        The first chunk seeds the centroids (k-means++ or random, per
-        ``init``), so it must contain at least ``n_clusters`` rows; every
-        subsequent chunk is one Sculley-style centroid update.
+        On an unfitted estimator the first chunk seeds the centroids
+        (k-means++ or random, per ``init``), so it must contain at least
+        ``n_clusters`` rows; every chunk, that one included, is then one
+        update of ``cluster_centers_`` / ``counts_`` — also on a model that
+        ``load_model`` restored.
         """
         X = as_matrix(X)
-        state = self._streaming_state
-        if state is None:
+        if not hasattr(self, "cluster_centers_"):
             if X.shape[0] < self.n_clusters:
                 raise ValueError(
                     f"the first chunk must hold at least n_clusters="
                     f"{self.n_clusters} rows to seed centroids, got {X.shape[0]}"
                 )
-            rng = np.random.default_rng(self.seed)
-            state = self._streaming_state = _MiniBatchState(
-                rng, self._init_centroids(X, rng)
+            self._seed_centroids(X, np.random.default_rng(self.seed))
+        elif not hasattr(self, "counts_"):
+            raise ValueError(
+                "this model has cluster_centers_ but no counts_ (a file saved "
+                "before counts_ was persisted): partial_fit cannot weigh new "
+                "rows against the rows already seen; refit instead"
             )
         self._update_batch(np.asarray(X[0 : X.shape[0]], dtype=np.float64))
-        self.cluster_centers_ = state.centroids
         return self
 
-    def _init_centroids(self, X: Any, rng: np.random.Generator) -> np.ndarray:
-        if self.init == "k-means++":
-            return kmeans_plus_plus_init(X, self.n_clusters, rng, self.batch_size)
-        return random_init(X, self.n_clusters, rng, self.batch_size)
+    def _seed_centroids(self, X: Any, rng: np.random.Generator) -> None:
+        init = kmeans_plus_plus_init if self.init == "k-means++" else random_init
+        self.cluster_centers_ = init(X, self.n_clusters, rng, self.batch_size)
+        self.counts_ = np.zeros(self.n_clusters, dtype=np.int64)
+
+    def _reset_streaming(self) -> None:
+        """Forget the centres and counts ``partial_fit`` would continue from."""
+        for name in ("cluster_centers_", "counts_"):
+            self.__dict__.pop(name, None)
 
     def _update_batch(self, chunk: np.ndarray) -> None:
-        """One mini-batch centroid update (Sculley 2010) on ``chunk``."""
-        state = self._streaming_state
-        centroids, counts = state.centroids, state.counts
-        sq_dist = (
-            np.einsum("ij,ij->i", chunk, chunk)[:, None]
-            - 2.0 * (chunk @ centroids.T)
-            + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-        )
-        assignments = np.argmin(sq_dist, axis=1)
-        for cluster in np.unique(assignments):
-            members = chunk[assignments == cluster]
-            for row in members:
-                counts[cluster] += 1
-                eta = 1.0 / counts[cluster]
-                centroids[cluster] = (1.0 - eta) * centroids[cluster] + eta * row
+        """One mini-batch centroid update on ``chunk``, in place.
+
+        Each cluster with ``m > 0`` members moves to the running mean of the
+        rows it has seen, ``c += (Σ members − m·c) / (n₀ + m)``: Sculley's
+        ``m`` sequential ``1/n`` steps in closed form, equal up to rounding.
+        A cluster without members keeps its centre and count bit for bit.
+        """
+        centroids, counts = self.cluster_centers_, self.counts_
+        nearest, _ = nearest_centroid(chunk, centroids)
+        sums, members = cluster_sums(chunk, nearest, centroids.shape[0])
+        hit = members > 0
+        counts[hit] += members[hit]
+        centroids[hit] += (sums[hit] - members[hit, None] * centroids[hit]) / counts[hit, None]
 
     def finalize_streaming(self, X: Any) -> None:
         """Set the summary attributes that need one look at the full matrix."""
-        state = self._streaming_state
-        if state is None:
+        if not hasattr(self, "cluster_centers_"):
             return
-        self.cluster_centers_ = state.centroids
         self.n_iter_ = getattr(self, "_streaming_epochs_", self.max_epochs)
         self.inertia_ = self.inertia(X)
 
@@ -177,28 +188,19 @@ class MiniBatchKMeans(BaseEstimator, ClustererMixin, StreamingEstimator, Streami
         """Index of the nearest centroid for every row of ``X``."""
         self._check_fitted("cluster_centers_")
         X = as_matrix(X)
-        centroids = self.cluster_centers_
-        centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
         assignments = np.empty(X.shape[0], dtype=np.int64)
         for start, stop in iter_row_chunks(X, self.batch_size):
             chunk = np.asarray(X[start:stop], dtype=np.float64)
-            sq_dist = centroid_sq_norms[None, :] - 2.0 * (chunk @ centroids.T)
-            assignments[start:stop] = np.argmin(sq_dist, axis=1)
+            assignments[start:stop], _ = nearest_centroid(chunk, self.cluster_centers_)
         return assignments
 
     def inertia(self, X: Any) -> float:
         """Sum of squared distances of rows of ``X`` to their nearest centroid."""
         self._check_fitted("cluster_centers_")
         X = as_matrix(X)
-        centroids = self.cluster_centers_
-        centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
         total = 0.0
         for start, stop in iter_row_chunks(X, self.batch_size):
             chunk = np.asarray(X[start:stop], dtype=np.float64)
-            sq_dist = (
-                np.einsum("ij,ij->i", chunk, chunk)[:, None]
-                - 2.0 * (chunk @ centroids.T)
-                + centroid_sq_norms[None, :]
-            )
-            total += float(np.sum(np.min(sq_dist, axis=1)))
+            _, offsets = nearest_centroid(chunk, self.cluster_centers_)
+            total += min_distance_sum(chunk, offsets)
         return total

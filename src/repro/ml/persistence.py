@@ -13,7 +13,11 @@ files are diffable and portable across machines.
 Derived attributes that are not plain data (``result_``, cached objective
 templates, streaming state) are recomputable from training and are *not*
 persisted; a loaded model predicts identically but does not carry its
-optimiser telemetry.
+optimiser telemetry.  The exception is ``MiniBatchKMeans``, whose whole
+streaming state is two fitted attributes (``cluster_centers_``, ``counts_``):
+a loaded model's next ``partial_fit`` continues exactly where the saved one
+stopped.  The other streaming estimators start over on ``partial_fit`` after
+a load.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ naive Bayes on every storage backend, produces models equivalent to
 import numpy as np
 import pytest
 
-from repro.api import Session, StreamingEngine, resolve_engine
+from repro.api import Session, StreamingEngine, plan_chunks, resolve_engine
 from repro.api.sharded import ShardedLabels
 from repro.ml import (
     GaussianNaiveBayes,
@@ -98,6 +98,41 @@ class TestEquivalenceWithLocal:
         # Initialisation differs (full-matrix vs first-chunk k-means++), so
         # demand equivalent clustering quality rather than equal centroids.
         assert streamed.inertia_ <= 1.5 * local.inertia_
+
+    @pytest.mark.parametrize("compute_workers", [1, 2])
+    @pytest.mark.parametrize("io_workers", [1, 2])
+    @pytest.mark.parametrize(
+        "scheme, options",
+        [
+            ("mmap", {}),
+            ("shard", {"shard_rows": SHARD_ROWS}),
+            ("shard", {"shard_rows": SHARD_ROWS, "codec": "zlib"}),
+        ],
+        ids=["mmap", "shard-raw", "shard-zlib"],
+    )
+    def test_minibatch_kmeans_equals_hand_driven_partial_fit(
+        self, problem, tmp_path, scheme, options, io_workers, compute_workers
+    ):
+        # What benchmarks/e2e checks at full size: whatever the format, the
+        # reader count or the decode pool, the streamed fit makes exactly the
+        # updates partial_fit makes when driven by hand over the same chunks.
+        X, y = problem
+        args = dict(n_clusters=4, max_epochs=2, batch_size=CHUNK, seed=0)
+        spec = f"{scheme}://{tmp_path}/train"
+        with Session() as session:
+            session.create(spec, X, y, **options)
+            dataset = session.open(spec)
+            streamed = session.fit(
+                MiniBatchKMeans(**args), dataset, engine="streaming",
+                io_workers=io_workers, compute_workers=compute_workers,
+            ).model
+            bounds = plan_chunks(dataset.matrix, chunk_rows=CHUNK).bounds
+        by_hand = MiniBatchKMeans(**args)
+        for _ in range(args["max_epochs"]):
+            for start, stop in bounds:
+                by_hand.partial_fit(X[start:stop])
+        assert np.array_equal(streamed.cluster_centers_, by_hand.cluster_centers_)
+        assert np.array_equal(streamed.counts_, by_hand.counts_)
 
     def test_softmax_sgd_matches_local(self, session, problem):
         X, _ = problem
