@@ -66,6 +66,26 @@ the streaming pipeline* below; the same knobs ride on ``session.fit`` /
 ``session.predict`` and on ``m3 train`` / ``m3 predict``
 (``--chunk-rows``, ``--io-workers``, ``--compute-workers``).
 
+**Compute threads.**  The ``local`` (and ``simulated``) engine has no knob,
+and does not need one: every full-matrix pass an estimator makes — one L-BFGS
+objective evaluation, one Lloyd iteration, k-means++ seeding, ``predict`` —
+fans its row chunks over one ordered map (``repro.ml.base.map_row_chunks``)
+whose worker count is *CPUs available to the process ÷ BLAS threads*
+(``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else the CPU count),
+at least 1.  Dividing by the BLAS threads is a measurement, not a courtesy:
+on a 2-CPU box one softmax objective pass over a 411 MB map takes 175 ms
+serial and 100 ms on two workers with BLAS pinned to one thread, but with
+OpenBLAS left at two threads the same two-worker pass takes 197 ms against
+170 ms serial (its threaded gemm serialises concurrent callers and gains
+nothing on these 10-column products).  So a process that leaves BLAS
+unpinned runs the plain serial loop, and ``OPENBLAS_NUM_THREADS=1`` — the
+recommended setting for ``m3 train`` / ``m3 predict`` — gives every core to
+the chunk map.  Either way the result is the same bits: chunks are sliced in
+order on the calling thread (the recorded access trace does not change) and
+reduced in chunk order, so fitted attributes and predictions are
+bit-identical at any worker count.  ``FitResult.details["compute_threads"]``
+and ``m3 info`` (``compute threads: N (BLAS threads: M)``) say what ran.
+
 Tuning the streaming pipeline
 -----------------------------
 

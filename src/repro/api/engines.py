@@ -53,6 +53,7 @@ from repro.api.chunks import (
 )
 from repro.api.dataset import Dataset
 from repro.api.sharded import ShardedLabels
+from repro.ml.base import compute_threads
 from repro.vmem.trace import AccessTrace
 from repro.vmem.vm_simulator import (
     SimulationResult,
@@ -225,7 +226,22 @@ class ExecutionEngine(abc.ABC):
 
 
 class LocalEngine(ExecutionEngine):
-    """In-process training on the dataset's matrix (the M3 model)."""
+    """In-process training on the dataset's matrix (the M3 model).
+
+    **Compute threads.**  The estimator runs unmodified; its full-matrix
+    passes (an L-BFGS objective evaluation, a Lloyd iteration, ``predict``)
+    fan their row chunks over :func:`repro.ml.base.map_row_chunks`.  There is
+    no knob: the worker count is CPUs available to the process ÷ BLAS threads
+    (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else the CPU count),
+    at least 1 — with OpenBLAS left at two threads a two-worker objective
+    pass measured 197 ms against 170 ms serial, so an unpinned process keeps
+    the serial loop and ``OPENBLAS_NUM_THREADS=1`` (recommended for
+    ``m3 train`` / ``m3 predict``) gives every core to the chunk map.  Chunks
+    are sliced in order on the calling thread and reduced in chunk order, so
+    fitted attributes, predictions and the recorded access trace are
+    bit-identical at any count; the count that ran is reported as
+    ``details["compute_threads"]``.
+    """
 
     name = "local"
 
@@ -237,6 +253,7 @@ class LocalEngine(ExecutionEngine):
             engine=self.name,
             wall_time_s=elapsed,
             trace=dataset.trace,
+            details={"compute_threads": compute_threads()},
         )
 
     def predict(self, model: Any, dataset: Dataset, method: str = "predict") -> PredictResult:
@@ -251,6 +268,7 @@ class LocalEngine(ExecutionEngine):
             method=method,
             wall_time_s=elapsed,
             trace=dataset.trace,
+            details={"compute_threads": compute_threads()},
         )
 
 
@@ -519,11 +537,17 @@ class StreamingEngine(ExecutionEngine):
         details (0 for an inline stream).
     compute_workers:
         Worker threads for data-parallel streaming ``predict``: chunk
-        inference fans across the pool, each worker writing a disjoint slice
-        of the preallocated output buffer (bit-identical to in-core).
-        ``1`` (default) keeps inference sequential.  Training is unaffected
-        (``partial_fit`` is an ordered reduction).  Also sizes the block
-        decode pool of compressed (v2) datasets.
+        inference fans across :func:`repro.ml.base.map_ordered` — the same
+        fan-out the local engine's full-matrix passes use — each worker
+        writing a disjoint slice of the preallocated output buffer
+        (bit-identical to in-core).  ``1`` (default) keeps inference
+        sequential.  The two counts are one budget, not two: a chunk served
+        on one of these workers runs its own ``predict`` inline (a nested
+        fan-out never starts a second pool), and with ``1`` a chunk taller
+        than the model's ``chunk_size`` fans out by the local engine's rule
+        (CPUs ÷ BLAS threads, see :class:`LocalEngine`).  Training is
+        unaffected (``partial_fit`` is an ordered reduction).  Also sizes the
+        block decode pool of compressed (v2) datasets.
     buffer_pool:
         Buffer ring for stitched and decoded chunks: ``None`` = auto, an
         ``int`` = ring size, a :class:`~repro.api.chunks.ChunkBufferPool` =

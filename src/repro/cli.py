@@ -180,6 +180,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     from repro.api import Session
+    from repro.ml.base import blas_threads, compute_threads
 
     with Session() as session:
         info = session.info(args.dataset)
@@ -203,6 +204,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
         elif key == "compression_ratio" and value is not None:
             value = f"{value:.2f}"
         print(f"{key:<{width}}  {value}")
+    # What a full-matrix pass over this dataset would fan out over, here and now.
+    print(f"compute threads: {compute_threads()} (BLAS threads: {blas_threads()})")
     if args.verify:
         problems = _verify_dataset_files(info.get("path", args.dataset))
         if problems:

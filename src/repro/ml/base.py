@@ -9,9 +9,17 @@ transparency property).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Tuple
+import os
+import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
+
+#: Name prefix of the threads :func:`map_ordered` starts — how a nested call
+#: recognises that it is already running on one of them.
+COMPUTE_THREAD_PREFIX = "m3-compute"
 
 
 def as_matrix(X: Any) -> Any:
@@ -50,6 +58,147 @@ def iter_row_chunks(X: Any, chunk_size: int) -> Iterator[Tuple[int, int]]:
     n_rows = X.shape[0]
     for start in range(0, n_rows, chunk_size):
         yield start, min(start + chunk_size, n_rows)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """Threads one BLAS call uses, read the way the library reads it at load.
+
+    ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else every CPU the
+    process may run on.
+    """
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(variable, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _available_cpus()
+
+
+def _compute_threads() -> int:
+    """Worker threads a full-matrix pass fans its chunks over (never below 1).
+
+    CPUs available to the process ÷ :func:`blas_threads`: the cores a BLAS
+    call leaves idle.  There is deliberately no parameter, flag or variable of
+    ours behind it — see :func:`map_row_chunks` for the measurement.
+    """
+    return max(1, _available_cpus() // blas_threads())
+
+
+def compute_threads() -> int:
+    """The count :func:`map_row_chunks` uses, for engines and ``m3 info`` to report."""
+    return _compute_threads()
+
+
+def map_ordered(
+    fn: Callable[[Any], Any],
+    items: Iterable[Any],
+    workers: int,
+    in_flight: int,
+    abandon: Optional[Callable[[Any], None]] = None,
+) -> Iterator[Any]:
+    """Yield ``fn(item)`` for every item, strictly in ``items``' order.
+
+    The one fan-out under :mod:`repro.ml`.  ``items`` is drawn on the calling
+    thread, one item at a time and in order; only ``fn`` runs, on up to
+    ``workers`` pool threads; results come back in submission order however
+    the workers interleave, with at most ``in_flight`` items submitted and not
+    yet consumed.  An exception from ``fn`` is raised at its item's position —
+    after every earlier result; items submitted but not yet started are then
+    cancelled (each handed to ``abandon``, for items that own a resource
+    ``fn`` would have given back), later items are never drawn, and no thread
+    outlives the generator, whether it is exhausted, closed or failed.
+
+    With ``workers <= 1``, or when called from one of its own pool threads (a
+    ``fn`` that fans out again), it is the plain serial loop: no pool, no
+    thread.
+    """
+    if workers <= 1 or threading.current_thread().name.startswith(COMPUTE_THREAD_PREFIX):
+        for item in items:
+            yield fn(item)
+        return
+    pending: Deque[Tuple[Future, Any]] = deque()
+    with ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix=COMPUTE_THREAD_PREFIX
+    ) as pool:
+        try:
+            for item in items:
+                pending.append((pool.submit(fn, item), item))
+                if len(pending) >= in_flight:
+                    yield pending.popleft()[0].result()
+            while pending:
+                yield pending.popleft()[0].result()
+        finally:
+            for future, item in pending:
+                if future.cancel() and abandon is not None:
+                    abandon(item)
+
+
+def map_row_chunks(
+    X: Any, chunk_size: int, fn: Callable[[int, int, Any], Any]
+) -> Iterator[Tuple[int, int, Any]]:
+    """Yield ``(start, stop, fn(start, stop, X[start:stop]))`` in row order.
+
+    The ordered, chunk-parallel map under every full-matrix pass (objective
+    gradients, Lloyd's assignment pass, seeding, every prediction method).
+    What makes it invisible to callers:
+
+    * chunks are **sliced on the calling thread, in order** — an
+      ``MmapMatrix``'s access trace and a compressed matrix's block decode
+      stay exactly as sequential as the serial loop's; only ``fn`` runs on
+      workers, where the page faults of a cold mapping overlap with compute;
+    * results are **consumed in chunk order**, so a caller that accumulates
+      ``total += result`` adds in the serial loop's order and every fitted
+      attribute is bit-identical at any worker count;
+    * at most ``workers + 1`` chunks exist at a time;
+    * an input of one chunk (every ``partial_fit``, every served micro-batch)
+      and a call made from inside a worker run inline — no pool, no thread.
+
+    **Compute threads.**  There is no knob: workers = CPUs available to the
+    process (``os.sched_getaffinity``) ÷ the BLAS thread count
+    (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else the CPU count),
+    floored at 1.  Dividing is what the measurement says: on a 2-CPU box one
+    softmax objective pass over a 411 MB map is 175 ms serial and 100 ms on two
+    workers with BLAS pinned to one thread, but with OpenBLAS left at two
+    threads the same two-worker pass is 197 ms against 170 ms serial — its
+    threaded gemm serialises concurrent callers and gains nothing on these
+    10-column products.  So a process that leaves BLAS unpinned keeps the
+    serial loop exactly, and ``OPENBLAS_NUM_THREADS=1`` (the recommended
+    setting for ``m3 train`` / ``m3 predict``) hands every core to this map.
+    """
+    workers = _compute_threads() if X.shape[0] > chunk_size else 1
+    items = ((start, stop, X[start:stop]) for start, stop in iter_row_chunks(X, chunk_size))
+    return map_ordered(
+        lambda item: (item[0], item[1], fn(*item)), items, workers, workers + 1
+    )
+
+
+def stack_row_chunks(
+    X: Any,
+    chunk_size: int,
+    fn: Callable[[np.ndarray], np.ndarray],
+    trailing: Tuple[int, ...] = (),
+    dtype: Any = np.float64,
+) -> np.ndarray:
+    """Row-wise ``fn`` over ``X`` through :func:`map_row_chunks`, as one array.
+
+    ``fn`` gets each chunk as a float64 array and returns one result row per
+    chunk row; each block is written where it was computed, into its disjoint
+    ``out[start:stop]`` slice of a preallocated ``(n_rows, *trailing)`` array
+    of ``dtype``, so nothing the size of ``X`` is held beyond that output.
+    """
+    out = np.empty((X.shape[0], *trailing), dtype=dtype)
+
+    def fill(start: int, stop: int, chunk: Any) -> None:
+        out[start:stop] = fn(np.asarray(chunk, dtype=np.float64))
+
+    for _ in map_row_chunks(X, chunk_size, fill):
+        pass
+    return out
 
 
 class BaseEstimator:
@@ -255,7 +404,7 @@ class StreamingPredictor:
         workers: int = 2,
         out: Any = None,
     ) -> np.ndarray:
-        """Data-parallel :meth:`predict_streaming`: fan chunks over a thread pool.
+        """Data-parallel :meth:`predict_streaming`: fan chunks over :func:`map_ordered`.
 
         Each chunk's ``predict_chunk`` runs on a pool worker that writes the
         result into its **disjoint** ``out[start:stop]`` slice of one
@@ -281,15 +430,17 @@ class StreamingPredictor:
         out:
             Optional preallocated output of leading dimension ``n_rows``.
         """
-        from collections import deque
-        from concurrent.futures import ThreadPoolExecutor
-
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         n_rows = int(n_rows)
-        filled = 0
+
+        def release(chunk: Any) -> None:
+            hand_back = getattr(chunk, "release", None)
+            if callable(hand_back):
+                hand_back()
 
         def serve(chunk: Any) -> int:
+            nonlocal out
             try:
                 block = np.asarray(self.predict_chunk(chunk.X, method=method))
                 rows = chunk.stop - chunk.start
@@ -298,44 +449,19 @@ class StreamingPredictor:
                         f"{method} returned {block.shape[0]} rows for a "
                         f"{rows}-row chunk [{chunk.start}, {chunk.stop})"
                     )
+                if out is None:  # only ever the inline first chunk
+                    out = np.empty((n_rows, *block.shape[1:]), dtype=block.dtype)
                 out[chunk.start : chunk.stop] = block
                 return rows
             finally:
-                release = getattr(chunk, "release", None)
-                if callable(release):
-                    release()
+                release(chunk)
 
         iterator = iter(chunks)
         first = next(iterator, None)
-        if first is not None:
-            # Inline: the first block's geometry sizes the shared buffer
-            # before any worker writes into it.
-            try:
-                block = np.asarray(self.predict_chunk(first.X, method=method))
-                if block.shape[0] != first.stop - first.start:
-                    raise ValueError(
-                        f"{method} returned {block.shape[0]} rows for a "
-                        f"{first.stop - first.start}-row chunk "
-                        f"[{first.start}, {first.stop})"
-                    )
-                if out is None:
-                    out = np.empty((n_rows, *block.shape[1:]), dtype=block.dtype)
-                out[first.start : first.stop] = block
-                filled += first.stop - first.start
-            finally:
-                release = getattr(first, "release", None)
-                if callable(release):
-                    release()
-            pending: "deque" = deque()
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="m3-predict"
-            ) as pool:
-                for chunk in iterator:
-                    pending.append(pool.submit(serve, chunk))
-                    while len(pending) >= 2 * workers:
-                        filled += pending.popleft().result()
-                while pending:
-                    filled += pending.popleft().result()
+        # Inline: the first block's geometry sizes the shared buffer before
+        # any worker writes into it.
+        filled = serve(first) if first is not None else 0
+        filled += sum(map_ordered(serve, iterator, workers, 2 * workers, abandon=release))
         if filled != n_rows:
             raise ValueError(
                 f"prediction stream covered {filled} of {n_rows} rows"

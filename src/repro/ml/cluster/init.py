@@ -10,7 +10,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.ml.base import as_matrix, iter_row_chunks
+from repro.ml.base import as_matrix, stack_row_chunks
 
 
 def random_init(
@@ -31,6 +31,16 @@ def random_init(
     for i, row_index in enumerate(indices):
         centroids[i] = np.asarray(X[int(row_index) : int(row_index) + 1], dtype=np.float64)[0]
     return centroids
+
+
+def _squared_distances(chunk: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of ``chunk`` to one ``centroid``.
+
+    The difference form on purpose: rows that coincide with the centroid
+    read exactly 0.0, which the all-points-coincide fallback below relies on.
+    """
+    diff = chunk - centroid
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def kmeans_plus_plus_init(
@@ -58,11 +68,9 @@ def kmeans_plus_plus_init(
     centroids[0] = np.asarray(X[first : first + 1], dtype=np.float64)[0]
 
     # Squared distance of every row to its nearest chosen centroid.
-    min_sq_dist = np.empty(n_rows, dtype=np.float64)
-    for start, stop in iter_row_chunks(X, chunk_size):
-        chunk = np.asarray(X[start:stop], dtype=np.float64)
-        diff = chunk - centroids[0]
-        min_sq_dist[start:stop] = np.einsum("ij,ij->i", diff, diff)
+    min_sq_dist = stack_row_chunks(
+        X, chunk_size, lambda chunk: _squared_distances(chunk, centroids[0])
+    )
 
     for k in range(1, n_clusters):
         total = float(min_sq_dist.sum())
@@ -79,10 +87,9 @@ def kmeans_plus_plus_init(
         chosen = int(rng.choice(n_rows, p=probabilities))
         centroids[k] = np.asarray(X[chosen : chosen + 1], dtype=np.float64)[0]
 
-        for start, stop in iter_row_chunks(X, chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            diff = chunk - centroids[k]
-            sq_dist = np.einsum("ij,ij->i", diff, diff)
-            np.minimum(min_sq_dist[start:stop], sq_dist, out=min_sq_dist[start:stop])
+        sq_dist = stack_row_chunks(
+            X, chunk_size, lambda chunk: _squared_distances(chunk, centroids[k])
+        )
+        np.minimum(min_sq_dist, sq_dist, out=min_sq_dist)
 
     return centroids

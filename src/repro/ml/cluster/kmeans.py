@@ -19,9 +19,17 @@ from repro.ml.base import (
     ClustererMixin,
     StreamingPredictor,
     as_matrix,
-    iter_row_chunks,
+    map_row_chunks,
+    stack_row_chunks,
 )
-from repro.ml.cluster._kernel import cluster_sums, min_distance_sum, nearest_centroid
+from repro.ml.cluster._kernel import (
+    centroid_distances,
+    cluster_sums,
+    min_distance_sum,
+    nearest_centroid,
+    predict_nearest,
+    total_inertia,
+)
 from repro.ml.cluster.init import kmeans_plus_plus_init, random_init
 
 
@@ -124,13 +132,18 @@ class KMeans(BaseEstimator, ClustererMixin, StreamingPredictor):
         sums = np.zeros((k, n_features), dtype=np.float64)
         counts = np.zeros(k, dtype=np.int64)
         inertia = 0.0
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
+
+        def assign(_start: int, _stop: int, chunk: Any):
+            chunk = np.asarray(chunk, dtype=np.float64)
             nearest, offsets = nearest_centroid(chunk, centroids)
-            chunk_sums, chunk_counts = cluster_sums(chunk, nearest, k)
+            return (*cluster_sums(chunk, nearest, k), min_distance_sum(chunk, offsets))
+
+        for _, _, (chunk_sums, chunk_counts, chunk_inertia) in map_row_chunks(
+            X, self.chunk_size, assign
+        ):
             sums += chunk_sums
             counts += chunk_counts
-            inertia += min_distance_sum(chunk, offsets)
+            inertia += chunk_inertia
         return sums, counts, inertia
 
     def _recompute(
@@ -153,32 +166,19 @@ class KMeans(BaseEstimator, ClustererMixin, StreamingPredictor):
     def predict(self, X: Any) -> np.ndarray:
         """Index of the nearest centroid for every row of ``X``."""
         self._check_fitted("cluster_centers_")
-        X = as_matrix(X)
-        assignments = np.empty(X.shape[0], dtype=np.int64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            assignments[start:stop], _ = nearest_centroid(chunk, self.cluster_centers_)
-        return assignments
+        return predict_nearest(as_matrix(X), self.cluster_centers_, self.chunk_size)
 
     def transform(self, X: Any) -> np.ndarray:
         """Distances from every row to every centroid, shape ``(n_rows, k)``."""
         self._check_fitted("cluster_centers_")
-        X = as_matrix(X)
-        centroids = self.cluster_centers_
-        distances = np.empty((X.shape[0], self.n_clusters), dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            diff = chunk[:, None, :] - centroids[None, :, :]
-            distances[start:stop] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        return distances
+        return stack_row_chunks(
+            as_matrix(X),
+            self.chunk_size,
+            lambda chunk: centroid_distances(chunk, self.cluster_centers_),
+            (self.n_clusters,),
+        )
 
     def inertia(self, X: Any) -> float:
         """Sum of squared distances of rows of ``X`` to their nearest centroid."""
         self._check_fitted("cluster_centers_")
-        X = as_matrix(X)
-        total = 0.0
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            _, offsets = nearest_centroid(chunk, self.cluster_centers_)
-            total += min_distance_sum(chunk, offsets)
-        return total
+        return total_inertia(as_matrix(X), self.cluster_centers_, self.chunk_size)

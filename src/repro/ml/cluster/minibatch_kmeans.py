@@ -35,7 +35,12 @@ from repro.ml.base import (
     as_matrix,
     iter_row_chunks,
 )
-from repro.ml.cluster._kernel import cluster_sums, min_distance_sum, nearest_centroid
+from repro.ml.cluster._kernel import (
+    cluster_sums,
+    nearest_centroid,
+    predict_nearest,
+    total_inertia,
+)
 from repro.ml.cluster.init import kmeans_plus_plus_init, random_init
 
 
@@ -187,20 +192,9 @@ class MiniBatchKMeans(BaseEstimator, ClustererMixin, StreamingEstimator, Streami
     def predict(self, X: Any) -> np.ndarray:
         """Index of the nearest centroid for every row of ``X``."""
         self._check_fitted("cluster_centers_")
-        X = as_matrix(X)
-        assignments = np.empty(X.shape[0], dtype=np.int64)
-        for start, stop in iter_row_chunks(X, self.batch_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            assignments[start:stop], _ = nearest_centroid(chunk, self.cluster_centers_)
-        return assignments
+        return predict_nearest(as_matrix(X), self.cluster_centers_, self.batch_size)
 
     def inertia(self, X: Any) -> float:
         """Sum of squared distances of rows of ``X`` to their nearest centroid."""
         self._check_fitted("cluster_centers_")
-        X = as_matrix(X)
-        total = 0.0
-        for start, stop in iter_row_chunks(X, self.batch_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            _, offsets = nearest_centroid(chunk, self.cluster_centers_)
-            total += min_distance_sum(chunk, offsets)
-        return total
+        return total_inertia(as_matrix(X), self.cluster_centers_, self.batch_size)

@@ -8,11 +8,17 @@ chunk-streaming gradient path can be validated against a closed form.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Tuple
 
 import numpy as np
 
-from repro.ml.base import BaseEstimator, StreamingPredictor, as_matrix, iter_row_chunks
+from repro.ml.base import (
+    BaseEstimator,
+    StreamingPredictor,
+    as_matrix,
+    map_row_chunks,
+    stack_row_chunks,
+)
 from repro.ml.linear_model.objectives import DEFAULT_CHUNK_ROWS, LinearRegressionObjective
 from repro.ml.optim.lbfgs import LBFGS
 
@@ -74,12 +80,16 @@ class LinearRegression(BaseEstimator, StreamingPredictor):
         dim = n_features + (1 if self.fit_intercept else 0)
         gram = np.zeros((dim, dim), dtype=np.float64)
         moment = np.zeros(dim, dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
+
+        def chunk_moments(start: int, stop: int, chunk: Any) -> Tuple[np.ndarray, np.ndarray]:
+            chunk = np.asarray(chunk, dtype=np.float64)
             if self.fit_intercept:
                 chunk = np.hstack([chunk, np.ones((chunk.shape[0], 1))])
-            gram += chunk.T @ chunk
-            moment += chunk.T @ y[start:stop]
+            return chunk.T @ chunk, chunk.T @ y[start:stop]
+
+        for _, _, (chunk_gram, chunk_moment) in map_row_chunks(X, self.chunk_size, chunk_moments):
+            gram += chunk_gram
+            moment += chunk_moment
         n_samples = X.shape[0]
         if self.l2_penalty > 0:
             ridge = self.l2_penalty * n_samples * np.eye(dim)
@@ -107,12 +117,9 @@ class LinearRegression(BaseEstimator, StreamingPredictor):
     def predict(self, X: Any) -> np.ndarray:
         """Predicted targets for every row of ``X``."""
         self._check_fitted("coef_")
-        X = as_matrix(X)
-        predictions = np.empty(X.shape[0], dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            predictions[start:stop] = chunk @ self.coef_ + self.intercept_
-        return predictions
+        return stack_row_chunks(
+            as_matrix(X), self.chunk_size, lambda chunk: chunk @ self.coef_ + self.intercept_
+        )
 
     def score(self, X: Any, y: Any) -> float:
         """Coefficient of determination R² of the predictions."""

@@ -13,8 +13,13 @@ from repro.ml.base import (
     as_labels,
     as_matrix,
     iter_row_chunks,
+    stack_row_chunks,
 )
-from repro.ml.linear_model.objectives import DEFAULT_CHUNK_ROWS, LogisticRegressionObjective
+from repro.ml.linear_model.objectives import (
+    DEFAULT_CHUNK_ROWS,
+    LogisticRegressionObjective,
+    sigmoid,
+)
 from repro.ml.linear_model.sgd_streaming import LinearSGDStreamingMixin
 from repro.ml.optim.lbfgs import LBFGS
 
@@ -160,20 +165,12 @@ class LogisticRegression(
         """Raw logits ``X @ coef_ + intercept_`` for every row."""
         X = as_matrix(X)
         params = self._params()
-        scores = np.empty(X.shape[0], dtype=np.float64)
-        from repro.ml.base import iter_row_chunks
-
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            scores[start:stop] = chunk @ params[: X.shape[1]] + (
-                params[X.shape[1]] if self.fit_intercept else 0.0
-            )
-        return scores
+        weights = params[: X.shape[1]]
+        bias = params[X.shape[1]] if self.fit_intercept else 0.0
+        return stack_row_chunks(X, self.chunk_size, lambda chunk: chunk @ weights + bias)
 
     def predict_proba(self, X: Any) -> np.ndarray:
         """Probability of each class, shape ``(n_rows, 2)``."""
-        from repro.ml.linear_model.objectives import sigmoid
-
         positive = sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - positive, positive])
 

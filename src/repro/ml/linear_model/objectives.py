@@ -17,7 +17,7 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from repro.ml.base import as_labels, as_matrix, iter_row_chunks
+from repro.ml.base import as_labels, as_matrix, map_row_chunks, stack_row_chunks
 from repro.ml.optim.objective import DifferentiableObjective
 
 DEFAULT_CHUNK_ROWS = 4096
@@ -70,8 +70,33 @@ class _ChunkedObjective(DifferentiableObjective):
     def num_examples(self) -> int:
         return self.n_samples
 
-    def _chunks(self):
-        return iter_row_chunks(self.X, self.chunk_size)
+    def _chunk_value_and_gradient(
+        self, params: np.ndarray, chunk: Any, targets: np.ndarray
+    ) -> Tuple[float, np.ndarray]:
+        """Summed (not averaged, unpenalised) loss and gradient of one row chunk."""
+        raise NotImplementedError
+
+    def batch_value_and_gradient(
+        self, params: np.ndarray, start: int, stop: int
+    ) -> Tuple[float, np.ndarray]:
+        return self._chunk_value_and_gradient(params, self.X[start:stop], self.y[start:stop])
+
+    def value_and_gradient(self, params: np.ndarray) -> Tuple[float, np.ndarray]:
+        """One sequential pass over ``X``: chunks computed in parallel, summed in order."""
+        params = np.asarray(params, dtype=np.float64)
+        total_loss = 0.0
+        total_grad = np.zeros(self.num_parameters)
+        for _, _, (loss, grad) in map_row_chunks(
+            self.X,
+            self.chunk_size,
+            lambda start, stop, chunk: self._chunk_value_and_gradient(
+                params, chunk, self.y[start:stop]
+            ),
+        ):
+            total_loss += loss
+            total_grad += grad
+        penalty, penalty_grad = self._penalty_and_grad(params)
+        return total_loss / self.n_samples + penalty, total_grad / self.n_samples + penalty_grad
 
     def _augment(self, chunk: np.ndarray) -> np.ndarray:
         """Append a column of ones when fitting an intercept."""
@@ -123,11 +148,11 @@ class LogisticRegressionObjective(_ChunkedObjective):
     def num_parameters(self) -> int:
         return self._weight_dim
 
-    def batch_value_and_gradient(
-        self, params: np.ndarray, start: int, stop: int
+    def _chunk_value_and_gradient(
+        self, params: np.ndarray, chunk: Any, targets: np.ndarray
     ) -> Tuple[float, np.ndarray]:
-        chunk = self._augment(self.X[start:stop])
-        targets = np.asarray(self.y[start:stop], dtype=np.float64)
+        chunk = self._augment(chunk)
+        targets = np.asarray(targets, dtype=np.float64)
         logits = chunk @ params
         probabilities = sigmoid(logits)
         # loss = -[y log p + (1-y) log(1-p)], summed over the batch
@@ -135,27 +160,11 @@ class LogisticRegressionObjective(_ChunkedObjective):
         grad = chunk.T @ (probabilities - targets)
         return loss, grad
 
-    def value_and_gradient(self, params: np.ndarray) -> Tuple[float, np.ndarray]:
-        params = np.asarray(params, dtype=np.float64)
-        total_loss = 0.0
-        total_grad = np.zeros_like(params)
-        for start, stop in self._chunks():
-            loss, grad = self.batch_value_and_gradient(params, start, stop)
-            total_loss += loss
-            total_grad += grad
-        penalty, penalty_grad = self._penalty_and_grad(params)
-        value = total_loss / self.n_samples + penalty
-        gradient = total_grad / self.n_samples + penalty_grad
-        return value, gradient
-
     def predict_proba(self, params: np.ndarray, X: Any) -> np.ndarray:
         """Probability of class 1 for every row of ``X``."""
-        X = as_matrix(X)
-        probabilities = np.empty(X.shape[0], dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = self._augment(X[start:stop])
-            probabilities[start:stop] = sigmoid(chunk @ params)
-        return probabilities
+        return stack_row_chunks(
+            as_matrix(X), self.chunk_size, lambda chunk: sigmoid(self._augment(chunk) @ params)
+        )
 
 
 class SoftmaxRegressionObjective(_ChunkedObjective):
@@ -189,12 +198,16 @@ class SoftmaxRegressionObjective(_ChunkedObjective):
     def _as_matrix_params(self, params: np.ndarray) -> np.ndarray:
         return np.asarray(params, dtype=np.float64).reshape(self._weight_dim, self.n_classes)
 
-    def batch_value_and_gradient(
-        self, params: np.ndarray, start: int, stop: int
+    def _penalty_and_grad(self, params: np.ndarray) -> Tuple[float, np.ndarray]:
+        penalty, grad = super()._penalty_and_grad(self._as_matrix_params(params))
+        return penalty, grad.reshape(-1)
+
+    def _chunk_value_and_gradient(
+        self, params: np.ndarray, chunk: Any, targets: np.ndarray
     ) -> Tuple[float, np.ndarray]:
         W = self._as_matrix_params(params)
-        chunk = self._augment(self.X[start:stop])
-        targets = np.asarray(self.y[start:stop])
+        chunk = self._augment(chunk)
+        targets = np.asarray(targets)
         logits = chunk @ W
         log_probs = logits - logits.max(axis=1, keepdims=True)
         log_probs = log_probs - np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
@@ -204,29 +217,15 @@ class SoftmaxRegressionObjective(_ChunkedObjective):
         grad = chunk.T @ probabilities
         return loss, grad.reshape(-1)
 
-    def value_and_gradient(self, params: np.ndarray) -> Tuple[float, np.ndarray]:
-        params = np.asarray(params, dtype=np.float64)
-        total_loss = 0.0
-        total_grad = np.zeros(self.num_parameters)
-        for start, stop in self._chunks():
-            loss, grad = self.batch_value_and_gradient(params, start, stop)
-            total_loss += loss
-            total_grad += grad
-        W = self._as_matrix_params(params)
-        penalty, penalty_grad = self._penalty_and_grad(W)
-        value = total_loss / self.n_samples + penalty
-        gradient = total_grad / self.n_samples + penalty_grad.reshape(-1)
-        return value, gradient
-
     def predict_proba(self, params: np.ndarray, X: Any) -> np.ndarray:
         """Class probabilities (n_rows × n_classes) for every row of ``X``."""
         W = self._as_matrix_params(params)
-        X = as_matrix(X)
-        probabilities = np.empty((X.shape[0], self.n_classes), dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = self._augment(X[start:stop])
-            probabilities[start:stop] = softmax(chunk @ W)
-        return probabilities
+        return stack_row_chunks(
+            as_matrix(X),
+            self.chunk_size,
+            lambda chunk: softmax(self._augment(chunk) @ W),
+            (self.n_classes,),
+        )
 
 
 class LinearRegressionObjective(_ChunkedObjective):
@@ -257,34 +256,17 @@ class LinearRegressionObjective(_ChunkedObjective):
     def num_parameters(self) -> int:
         return self._weight_dim
 
-    def batch_value_and_gradient(
-        self, params: np.ndarray, start: int, stop: int
+    def _chunk_value_and_gradient(
+        self, params: np.ndarray, chunk: Any, targets: np.ndarray
     ) -> Tuple[float, np.ndarray]:
-        chunk = self._augment(self.X[start:stop])
-        targets = self.y[start:stop]
+        chunk = self._augment(chunk)
         residuals = chunk @ params - targets
         loss = 0.5 * float(residuals @ residuals)
         grad = chunk.T @ residuals
         return loss, grad
 
-    def value_and_gradient(self, params: np.ndarray) -> Tuple[float, np.ndarray]:
-        params = np.asarray(params, dtype=np.float64)
-        total_loss = 0.0
-        total_grad = np.zeros_like(params)
-        for start, stop in self._chunks():
-            loss, grad = self.batch_value_and_gradient(params, start, stop)
-            total_loss += loss
-            total_grad += grad
-        penalty, penalty_grad = self._penalty_and_grad(params)
-        value = total_loss / self.n_samples + penalty
-        gradient = total_grad / self.n_samples + penalty_grad
-        return value, gradient
-
     def predict(self, params: np.ndarray, X: Any) -> np.ndarray:
         """Predicted targets for every row of ``X``."""
-        X = as_matrix(X)
-        predictions = np.empty(X.shape[0], dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = self._augment(X[start:stop])
-            predictions[start:stop] = chunk @ params
-        return predictions
+        return stack_row_chunks(
+            as_matrix(X), self.chunk_size, lambda chunk: self._augment(chunk) @ params
+        )

@@ -20,8 +20,13 @@ from repro.ml.base import (
     as_labels,
     as_matrix,
     iter_row_chunks,
+    stack_row_chunks,
 )
-from repro.ml.linear_model.objectives import DEFAULT_CHUNK_ROWS, SoftmaxRegressionObjective
+from repro.ml.linear_model.objectives import (
+    DEFAULT_CHUNK_ROWS,
+    SoftmaxRegressionObjective,
+    softmax,
+)
 from repro.ml.linear_model.sgd_streaming import LinearSGDStreamingMixin
 from repro.ml.optim.lbfgs import LBFGS
 
@@ -138,19 +143,15 @@ class SoftmaxRegression(
     def decision_function(self, X: Any) -> np.ndarray:
         """Per-class logits, shape ``(n_rows, n_classes)``."""
         self._check_fitted("coef_")
-        X = as_matrix(X)
-        from repro.ml.base import iter_row_chunks
-
-        scores = np.empty((X.shape[0], self.classes_.shape[0]), dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            scores[start:stop] = chunk @ self.coef_ + self.intercept_
-        return scores
+        return stack_row_chunks(
+            as_matrix(X),
+            self.chunk_size,
+            lambda chunk: chunk @ self.coef_ + self.intercept_,
+            (self.classes_.shape[0],),
+        )
 
     def predict_proba(self, X: Any) -> np.ndarray:
         """Class probabilities, shape ``(n_rows, n_classes)``."""
-        from repro.ml.linear_model.objectives import softmax
-
         return softmax(self.decision_function(X))
 
     def predict(self, X: Any) -> np.ndarray:

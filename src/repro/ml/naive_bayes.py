@@ -21,6 +21,7 @@ from repro.ml.base import (
     as_labels,
     as_matrix,
     iter_row_chunks,
+    stack_row_chunks,
 )
 
 
@@ -138,16 +139,18 @@ class GaussianNaiveBayes(BaseEstimator, ClassifierMixin, StreamingEstimator, Str
         self._check_fitted("theta_")
         X = as_matrix(X)
         n_classes = self.classes_.shape[0]
-        scores = np.empty((X.shape[0], n_classes), dtype=np.float64)
         log_prior = np.log(self.class_prior_)
         log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * self.var_), axis=1)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
+
+        def chunk_scores(chunk: np.ndarray) -> np.ndarray:
+            scores = np.empty((chunk.shape[0], n_classes), dtype=np.float64)
             for index in range(n_classes):
                 diff = chunk - self.theta_[index]
                 quad = -0.5 * np.sum(diff ** 2 / self.var_[index], axis=1)
-                scores[start:stop, index] = log_prior[index] + log_norm[index] + quad
-        return scores
+                scores[:, index] = log_prior[index] + log_norm[index] + quad
+            return scores
+
+        return stack_row_chunks(X, self.chunk_size, chunk_scores, (n_classes,))
 
     def predict_log_proba(self, X: Any) -> np.ndarray:
         """Log posterior class probabilities."""

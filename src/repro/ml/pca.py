@@ -12,7 +12,13 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.ml.base import BaseEstimator, TransformerMixin, as_matrix, iter_row_chunks
+from repro.ml.base import (
+    BaseEstimator,
+    TransformerMixin,
+    as_matrix,
+    map_row_chunks,
+    stack_row_chunks,
+)
 
 
 class PCA(BaseEstimator, TransformerMixin):
@@ -53,15 +59,22 @@ class PCA(BaseEstimator, TransformerMixin):
 
         # Pass 1: feature means.
         total = np.zeros(n_features, dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            total += np.asarray(X[start:stop], dtype=np.float64).sum(axis=0)
+        for _, _, chunk_total in map_row_chunks(
+            X,
+            self.chunk_size,
+            lambda _start, _stop, chunk: np.asarray(chunk, dtype=np.float64).sum(axis=0),
+        ):
+            total += chunk_total
         mean = total / n_rows
 
         # Pass 2: covariance of the centred data.
+        def scatter(_start: int, _stop: int, chunk: Any) -> np.ndarray:
+            centred = np.asarray(chunk, dtype=np.float64) - mean
+            return centred.T @ centred
+
         cov = np.zeros((n_features, n_features), dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            centred = np.asarray(X[start:stop], dtype=np.float64) - mean
-            cov += centred.T @ centred
+        for _, _, chunk_scatter in map_row_chunks(X, self.chunk_size, scatter):
+            cov += chunk_scatter
         cov /= n_rows - 1
 
         eigenvalues, eigenvectors = np.linalg.eigh(cov)
@@ -86,12 +99,12 @@ class PCA(BaseEstimator, TransformerMixin):
     def transform(self, X: Any) -> np.ndarray:
         """Project rows of ``X`` onto the principal axes."""
         self._check_fitted("components_")
-        X = as_matrix(X)
-        projected = np.empty((X.shape[0], self.components_.shape[0]), dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            centred = np.asarray(X[start:stop], dtype=np.float64) - self.mean_
-            projected[start:stop] = centred @ self.components_.T
-        return projected
+        return stack_row_chunks(
+            as_matrix(X),
+            self.chunk_size,
+            lambda chunk: (chunk - self.mean_) @ self.components_.T,
+            (self.components_.shape[0],),
+        )
 
     def inverse_transform(self, Z: np.ndarray) -> np.ndarray:
         """Map projected points back to the original feature space."""

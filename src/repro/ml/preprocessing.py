@@ -9,11 +9,18 @@ standardise a 190 GB file without materialising a second copy.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from repro.ml.base import BaseEstimator, TransformerMixin, as_matrix, iter_row_chunks
+from repro.ml.base import (
+    BaseEstimator,
+    TransformerMixin,
+    as_matrix,
+    iter_row_chunks,
+    map_row_chunks,
+    stack_row_chunks,
+)
 
 
 class StandardScaler(BaseEstimator, TransformerMixin):
@@ -44,10 +51,14 @@ class StandardScaler(BaseEstimator, TransformerMixin):
             raise ValueError("cannot fit a scaler on an empty matrix")
         total = np.zeros(n_features, dtype=np.float64)
         sq_total = np.zeros(n_features, dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            total += chunk.sum(axis=0)
-            sq_total += (chunk ** 2).sum(axis=0)
+
+        def moments(_start: int, _stop: int, chunk: Any) -> Tuple[np.ndarray, np.ndarray]:
+            chunk = np.asarray(chunk, dtype=np.float64)
+            return chunk.sum(axis=0), (chunk ** 2).sum(axis=0)
+
+        for _, _, (chunk_total, chunk_sq_total) in map_row_chunks(X, self.chunk_size, moments):
+            total += chunk_total
+            sq_total += chunk_sq_total
         mean = total / n_rows
         variance = np.clip(sq_total / n_rows - mean ** 2, 0.0, None)
         scale = np.sqrt(variance)
@@ -60,27 +71,25 @@ class StandardScaler(BaseEstimator, TransformerMixin):
         """Return a standardised copy of ``X``."""
         self._check_fitted("mean_")
         X = as_matrix(X)
-        out = np.empty(X.shape, dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            if self.with_mean:
-                chunk = chunk - self.mean_
-            if self.with_std:
-                chunk = chunk / self.scale_
-            out[start:stop] = chunk
-        return out
+        return stack_row_chunks(X, self.chunk_size, self._standardise, X.shape[1:])
+
+    def _standardise(self, chunk: np.ndarray) -> np.ndarray:
+        if self.with_mean:
+            chunk = chunk - self.mean_
+        if self.with_std:
+            chunk = chunk / self.scale_
+        return chunk
 
     def transform_inplace(self, X: Any) -> Any:
-        """Standardise a *writable* matrix (e.g. a read-write memory map) in place."""
+        """Standardise a *writable* matrix (e.g. a read-write memory map) in place.
+
+        A plain serial loop: each chunk is written back before the next is
+        read, which a fan-out would reorder.
+        """
         self._check_fitted("mean_")
         X = as_matrix(X)
         for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            if self.with_mean:
-                chunk = chunk - self.mean_
-            if self.with_std:
-                chunk = chunk / self.scale_
-            X[start:stop] = chunk
+            X[start:stop] = self._standardise(np.asarray(X[start:stop], dtype=np.float64))
         return X
 
     def inverse_transform(self, X: np.ndarray) -> np.ndarray:
@@ -124,10 +133,12 @@ class MinMaxScaler(BaseEstimator, TransformerMixin):
             raise ValueError("cannot fit a scaler on an empty matrix")
         data_min: Optional[np.ndarray] = None
         data_max: Optional[np.ndarray] = None
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            chunk_min = chunk.min(axis=0)
-            chunk_max = chunk.max(axis=0)
+
+        def extrema(_start: int, _stop: int, chunk: Any) -> Tuple[np.ndarray, np.ndarray]:
+            chunk = np.asarray(chunk, dtype=np.float64)
+            return chunk.min(axis=0), chunk.max(axis=0)
+
+        for _, _, (chunk_min, chunk_max) in map_row_chunks(X, self.chunk_size, extrema):
             data_min = chunk_min if data_min is None else np.minimum(data_min, chunk_min)
             data_max = chunk_max if data_max is None else np.maximum(data_max, chunk_max)
         assert data_min is not None and data_max is not None
@@ -150,11 +161,9 @@ class MinMaxScaler(BaseEstimator, TransformerMixin):
         """Return a scaled copy of ``X``."""
         self._check_fitted("scale_")
         X = as_matrix(X)
-        out = np.empty(X.shape, dtype=np.float64)
-        for start, stop in iter_row_chunks(X, self.chunk_size):
-            chunk = np.asarray(X[start:stop], dtype=np.float64)
-            out[start:stop] = chunk * self.scale_ + self.min_
-        return out
+        return stack_row_chunks(
+            X, self.chunk_size, lambda chunk: chunk * self.scale_ + self.min_, X.shape[1:]
+        )
 
     def inverse_transform(self, X: np.ndarray) -> np.ndarray:
         """Undo the scaling."""
