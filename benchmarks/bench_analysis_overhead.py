@@ -14,7 +14,7 @@ workload (chunk boundaries deliberately straddle shards, so the leased buffer
 path — the instrumented hot path — is exercised).  A small absolute epsilon
 keeps sub-100ms timings from flaking the ratio on noisy CI machines.
 
-Writes ``BENCH_analysis.json`` (consumed and validated by CI): wall times per
+Writes ``BENCH_analysis.json`` (uploaded by CI as an artifact): wall times per
 configuration, the fit/predict overhead ratios, and proof the instrumented
 run really was instrumented (leases tracked, ordered locks constructed).
 """
@@ -29,12 +29,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import assert_metrics_clean, emit, stream_pairs
 from repro.analysis.runtime import GRAPH, LEASES, set_analysis_enabled
-from repro.api.dataset import Dataset
-from repro.api.engines import StreamingEngine
+from repro.api.chunks import open_chunk_stream
 from repro.api.sharded import ShardedMatrix, write_sharded_dataset
-from repro.api.storage import StorageHandle
 from repro.ml import LogisticRegression
 
 ROWS = 16000
@@ -62,50 +60,35 @@ def workload(tmp_path_factory):
     return directory, fitted
 
 
-def _open(directory) -> Dataset:
-    matrix = ShardedMatrix(directory)
-    return Dataset(
-        StorageHandle(matrix=matrix, labels=matrix.lazy_labels),
-        spec=f"shard://{directory}",
+def _stream(matrix, labels=None):
+    # align_shards=False forces straddling chunks through the leased buffer
+    # ring — the path the runtime instrumentation actually hooks.
+    return open_chunk_stream(
+        matrix, labels=labels, chunk_rows=CHUNK_ROWS, align_shards=False, io_workers=2
     )
 
 
 def _time_streaming(directory, fitted) -> dict:
     """Best-of-ROUNDS wall times for one streaming fit and one predict."""
-    # align_shards=False forces straddling chunks through the leased buffer
-    # ring — the path the runtime instrumentation actually hooks.
-    engine = StreamingEngine(chunk_rows=CHUNK_ROWS, io_workers=2, align_shards=False)
     fit_s = predict_s = math.inf
     for _ in range(ROUNDS):
-        dataset = _open(directory)
-        model = LogisticRegression(
-            max_iterations=EPOCHS, solver="sgd", chunk_size=CHUNK_ROWS, seed=0
-        )
-        began = time.perf_counter()
-        engine.fit(model, dataset)
-        fit_s = min(fit_s, time.perf_counter() - began)
-        dataset.close()
+        with ShardedMatrix(directory) as matrix:
+            model = LogisticRegression(
+                max_iterations=EPOCHS, solver="sgd", chunk_size=CHUNK_ROWS, seed=0
+            )
+            began = time.perf_counter()
+            model.fit_streaming(
+                lambda: stream_pairs(_stream(matrix, matrix.lazy_labels)),
+                classes=fitted.classes_,
+            )
+            fit_s = min(fit_s, time.perf_counter() - began)
 
-        dataset = _open(directory)
-        began = time.perf_counter()
-        for _ in range(PREDICT_PASSES):
-            engine.predict(fitted, dataset)
-        predict_s = min(predict_s, time.perf_counter() - began)
-        dataset.close()
+            began = time.perf_counter()
+            for _ in range(PREDICT_PASSES):
+                with _stream(matrix) as stream:
+                    fitted.predict_streaming(stream, ROWS)
+            predict_s = min(predict_s, time.perf_counter() - began)
     return {"fit_s": fit_s, "predict_s": predict_s}
-
-
-def _assert_metrics_clean(payload: dict, prefix: str = "") -> None:
-    """No emitted metric may be NaN or negative, at any nesting level."""
-    for key, value in payload.items():
-        label = f"{prefix}{key}"
-        if isinstance(value, dict):
-            _assert_metrics_clean(value, prefix=f"{label}.")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        else:
-            assert not math.isnan(value), f"{label} is NaN"
-            assert value >= 0, f"{label} is negative: {value}"
 
 
 @pytest.mark.benchmark(group="analysis-overhead")
@@ -155,7 +138,7 @@ def test_analysis_overhead_within_budget(benchmark, workload):
             for phase in ("fit", "predict")
         },
     }
-    _assert_metrics_clean(payload)
+    assert_metrics_clean(payload)
     Path("BENCH_analysis.json").write_text(json.dumps(payload, indent=2) + "\n")
 
     emit(

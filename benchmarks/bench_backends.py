@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import assert_metrics_clean, emit
 from repro.api import Session
 from repro.ml import LogisticRegression
 
@@ -131,6 +131,7 @@ def test_streaming_vs_local(benchmark, backend_specs):
         "compute_s": details["compute_s"],
         "io_overlap": details["io_overlap"],
     }
+    assert_metrics_clean(payload)
     Path("BENCH_streaming.json").write_text(json.dumps(payload, indent=2) + "\n")
     emit(
         "Streaming vs local engine (sharded backend)",

@@ -8,38 +8,39 @@ rides the compute pool — and predictions must stay bit-identical (zlib is
 lossless and float64 storage is exact).
 
 As in ``bench_parallel_pipeline``, CI page caches make real reads free, so
-the device is modelled explicitly: the throttled matrices charge every fetch
-``SEEK_S + bytes / BANDWIDTH`` of ``time.sleep`` — raw shards pay for the
-logical bytes, compressed shards pay only for the *coded* bytes they
-actually fetch.  ``time.sleep`` releases the GIL like a blocking ``read(2)``
-so reader threads overlap the stalls realistically; decode cost is not
-modelled — it is the real zlib CPU burn on the decode pool.
+the device is modelled explicitly: ``benchmarks.conftest``'s throttled
+matrices charge every fetch ``read_latency_s + bytes / sequential_read_bw``
+of :data:`DEVICE` as ``time.sleep`` — raw shards pay for the logical bytes,
+compressed shards pay only for the *coded* bytes they actually fetch.
+``time.sleep`` releases the GIL like a blocking ``read(2)`` so reader threads
+overlap the stalls realistically; decode cost is not modelled — it is the
+real zlib CPU burn on the decode pool.
 
-Writes ``BENCH_compression.json`` (consumed and validated by CI): wall times
-and rows/s for raw vs zlib across block sizes x fit/predict, the compression
-ratio, the speedups, and the bit-identity / allocation-discipline results.
+Writes ``BENCH_compression.json``: wall times and rows/s for raw vs zlib
+across block sizes x fit/predict, the compression ratio, the speedups, and
+the bit-identity / allocation-discipline results.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
-from repro.api.chunks import ChunkBufferPool
+from benchmarks.conftest import (
+    ThrottledCompressedMatrix,
+    ThrottledMatrix,
+    assert_metrics_clean,
+    emit,
+    slow_device,
+)
+from repro.api.chunks import ChunkBufferPool, open_chunk_stream
 from repro.api.dataset import Dataset
 from repro.api.engines import StreamingEngine
-from repro.api.sharded import (
-    CompressedShardedMatrix,
-    ShardedMatrix,
-    write_sharded_dataset,
-)
+from repro.api.sharded import write_sharded_dataset
 from repro.api.storage import StorageHandle
 from repro.ml import LogisticRegression
 
@@ -49,39 +50,8 @@ SHARDS = 8            # 1000-row shards
 CHUNK_ROWS = 250      # 32 chunks per pass
 BLOCK_SIZES = (250, 1000)
 EPOCHS = 3
-SEEK_S = 0.0002       # per-fetch latency floor
-BANDWIDTH = 30e6      # modelled device: ~30 MB/s (cold object store / NFS)
-
-
-class ThrottledRawMatrix(ShardedMatrix):
-    """v1 shards: every gather pays for the full logical bytes."""
-
-    def _charge(self, rows: int) -> None:
-        time.sleep(SEEK_S + rows * self.manifest.cols * self.dtype.itemsize / BANDWIDTH)
-
-    def _gather_range(self, start, stop):
-        self._charge(max(0, min(stop, self.manifest.rows) - max(0, start)))
-        return super()._gather_range(start, stop)
-
-    def gather_into(self, start, stop, out):
-        self._charge(max(0, min(stop, self.manifest.rows) - max(0, start)))
-        return super().gather_into(start, stop, out)
-
-
-class ThrottledCompressedMatrix(CompressedShardedMatrix):
-    """v2 shards: fetches pay only for the coded bytes pulled off storage."""
-
-    def _charge_bytes(self, nbytes: int) -> None:
-        time.sleep(SEEK_S + nbytes / BANDWIDTH)
-
-    def fetch_compressed(self, start, stop):
-        fetched = super().fetch_compressed(start, stop)
-        self._charge_bytes(fetched.compressed_bytes)
-        return fetched
-
-    def _gather_range(self, start, stop):
-        self._charge_bytes(self.compressed_bytes_for(start, stop))
-        return super()._gather_range(start, stop)
+# Per-fetch latency floor 0.2 ms, ~30 MB/s (cold object store / NFS).
+DEVICE = slow_device(latency_s=0.0002, bandwidth=30e6)
 
 
 @pytest.fixture(scope="module")
@@ -109,30 +79,15 @@ def workload(tmp_path_factory):
 
 
 def _open(directory, compressed: bool) -> Dataset:
-    matrix = (ThrottledCompressedMatrix if compressed else ThrottledRawMatrix)(directory)
+    matrix = (ThrottledCompressedMatrix if compressed else ThrottledMatrix)(directory, DEVICE)
     return Dataset(
         StorageHandle(matrix=matrix, labels=matrix.lazy_labels),
         spec=f"shard://{directory}",
     )
 
 
-def _engine(**overrides) -> StreamingEngine:
-    options = dict(chunk_rows=CHUNK_ROWS, io_workers=2, compute_workers=2)
-    options.update(overrides)
-    return StreamingEngine(**options)
-
-
-def _assert_metrics_clean(payload: dict, prefix: str = "") -> None:
-    """No emitted metric may be NaN or negative, at any nesting level."""
-    for key, value in payload.items():
-        label = f"{prefix}{key}"
-        if isinstance(value, dict):
-            _assert_metrics_clean(value, prefix=f"{label}.")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        elif isinstance(value, (int, float)):
-            assert not math.isnan(value), f"{label} is NaN"
-            assert value >= 0, f"{label} is negative: {value}"
+def _engine() -> StreamingEngine:
+    return StreamingEngine(chunk_rows=CHUNK_ROWS, io_workers=2, compute_workers=2)
 
 
 @pytest.mark.benchmark(group="compression")
@@ -181,7 +136,7 @@ def test_compressed_streaming_throughput(benchmark, workload):
         "workload": (
             f"LogisticRegression sgd on {SHARDS}-shard shard:// "
             f"({ROWS} x {COLS} small-int features, {EPOCHS} epochs, "
-            f"modelled ~{BANDWIDTH / 1e6:.0f} MB/s device)"
+            f"{DEVICE.name})"
         ),
         "rows": ROWS,
         "shards": SHARDS,
@@ -211,10 +166,14 @@ def test_compressed_streaming_throughput(benchmark, workload):
         payload["fit"][f"zlib_block_{b}_speedup"] for b in BLOCK_SIZES
     )
     assert best_fit >= 1.3, payload["fit"]
+    # And no compressed configuration may fall below raw v1, fit or predict.
+    for phase in ("fit", "predict"):
+        for block_rows in BLOCK_SIZES:
+            assert payload[phase][f"zlib_block_{block_rows}_speedup"] >= 1.0, payload[phase]
     # The modelled device only saw the coded bytes: the ratio must be real.
     assert payload["fit"][f"zlib_block_{BLOCK_SIZES[0]}_ratio"] > 2.0
 
-    _assert_metrics_clean(payload)
+    assert_metrics_clean(payload)
     Path("BENCH_compression.json").write_text(json.dumps(payload, indent=2) + "\n")
     emit(
         "Compressed shard streaming (zlib v2 vs raw v1)",
@@ -238,22 +197,22 @@ def test_compressed_predict_allocation_free(benchmark, workload):
         buffers=4, chunk_rows=CHUNK_ROWS, n_cols=COLS,
         dtype=np.float64, label_dtype=np.int64,
     )
-    engine = _engine(buffer_pool=pool)
 
     def serve():
-        dataset = _open(zlib_dirs[block_rows], compressed=True)
-        tracemalloc.start()
-        result = engine.predict(fitted, dataset)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        dataset.close()
-        return result, peak
+        with ThrottledCompressedMatrix(zlib_dirs[block_rows], DEVICE) as matrix:
+            tracemalloc.start()
+            with open_chunk_stream(matrix, chunk_rows=CHUNK_ROWS, io_workers=2,
+                                   decode_workers=2, buffer_pool=pool) as stream:
+                predictions = fitted.predict_streaming(stream, ROWS, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        return predictions, peak
 
-    result, peak = benchmark.pedantic(serve, rounds=1, iterations=1)
-    assert np.array_equal(result.predictions, fitted.predict(X))
+    predictions, peak = benchmark.pedantic(serve, rounds=1, iterations=1)
+    assert np.array_equal(predictions, fitted.predict(X))
     assert pool.leases_served > pool.buffers  # the ring actually recycled
     assert pool.available == pool.buffers     # every lease came home
-    output_bytes = result.predictions.nbytes
+    output_bytes = predictions.nbytes
     chunk_bytes = CHUNK_ROWS * COLS * 8
     # The bound: the ring, the output buffer, coded payloads in flight and a
     # few chunks of scratch — never the decoded matrix (~4 MB).

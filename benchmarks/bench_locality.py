@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core as m3
 from benchmarks.conftest import emit
+from repro.api import Session
 from repro.data.writers import write_infimnist_dataset
 from repro.ml import LogisticRegression
 from repro.vmem.locality import analyze_trace
@@ -24,14 +24,14 @@ PAGE_64K = 64 * 1024
 def _record_trace(tmp_path, solver: str, shuffle_seed=None):
     path = tmp_path / f"locality_{solver}.m3"
     write_infimnist_dataset(path, num_examples=1500, seed=0)
-    runtime = m3.M3(m3.M3Config(record_traces=True, chunk_rows=128))
-    X, y = runtime.open_dataset(path)
-    labels = (np.asarray(y) >= 5).astype(np.int64)
-    model = LogisticRegression(
-        max_iterations=3, solver=solver, chunk_size=128, seed=shuffle_seed
-    )
-    model.fit(X, labels)
-    return X.trace
+    with Session() as session:
+        dataset = session.open(path, record_trace=True)
+        labels = (np.asarray(dataset.labels) >= 5).astype(np.int64)
+        model = LogisticRegression(
+            max_iterations=3, solver=solver, chunk_size=128, seed=shuffle_seed
+        )
+        model.fit(dataset.matrix, labels)
+        return dataset.trace
 
 
 @pytest.mark.benchmark(group="locality")

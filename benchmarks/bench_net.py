@@ -24,7 +24,7 @@ itself: 4 outstanding 64-row x 784 requests, sent as raw-row frames and
 as JSON lines over one connection to one server — the frame must carry
 rows **>= 3x** as fast as their decimal spelling, bit-identically.
 
-Writes ``BENCH_net.json`` (consumed and validated by CI): per-load,
+Writes ``BENCH_net.json`` (uploaded by CI as an artifact): per-load,
 per-configuration throughput, p50/p99 client-observed latency, mean
 batch rows, the adaptive controller's learned state, the ``wire``
 section, and the bit-identity check against in-core ``model.predict``.
@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import assert_metrics_clean, emit
 from repro.ml import GaussianNaiveBayes, SoftmaxRegression
 from repro.net import AdaptiveDelayController, NetClient, NetServer
 from repro.serve import ModelServer
@@ -77,19 +77,6 @@ def workload():
     y = (np.arange(N_ROWS) % N_CLASSES).astype(np.int64)
     model = GaussianNaiveBayes().fit(X, y)
     return X, model, model.predict(X)
-
-
-def _assert_metrics_clean(payload: dict, prefix: str = "") -> None:
-    """No emitted metric may be NaN or negative, at any nesting level."""
-    for key, value in payload.items():
-        label = f"{prefix}{key}"
-        if isinstance(value, dict):
-            _assert_metrics_clean(value, prefix=f"{label}.")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        else:
-            assert not math.isnan(value), f"{label} is NaN"
-            assert value >= 0, f"{label} is negative: {value}"
 
 
 def _gaps_poisson(n: int, mean_gap_s: float, seed: int) -> np.ndarray:
@@ -309,7 +296,7 @@ def test_adaptive_delay_vs_fixed_dispatch(benchmark, workload):
     # The raw-row frame must keep paying for itself where it was built to.
     assert wire["raw_row_over_jsonl"] >= 3.0, wire
 
-    _assert_metrics_clean(payload)
+    assert_metrics_clean(payload)
     Path("BENCH_net.json").write_text(json.dumps(payload, indent=2) + "\n")
     lines = []
     for load in results:

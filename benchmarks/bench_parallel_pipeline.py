@@ -8,36 +8,34 @@ and peak memory stays bounded by the preallocated buffer ring.
 
 CI machines keep small test datasets entirely in page cache, where mmap reads
 cost microseconds and no reader pool can show its worth.  The benchmark
-therefore models the *device* explicitly: :class:`ThrottledShardedMatrix`
-charges every gather a seek latency plus bytes/bandwidth (a ~200 MB/s NVMe-ish
-profile), implemented as a real ``time.sleep`` — which releases the GIL
-exactly like a blocking ``read(2)``, so reader threads genuinely overlap the
-stalls the way they overlap real device waits.  Everything else (chunk
-planning, buffer pool, reorder buffer, partial_fit, predict) runs for real.
+therefore models the *device* explicitly: ``benchmarks.conftest``'s
+:class:`ThrottledMatrix` charges every gather a seek latency plus
+bytes/bandwidth of a ~200 MB/s NVMe-ish :class:`~repro.vmem.disk.DiskProfile`,
+as a real ``time.sleep`` — which releases the GIL exactly like a blocking
+``read(2)``, so reader threads genuinely overlap the stalls the way they
+overlap real device waits.  Everything else (chunk planning, buffer pool,
+reorder buffer, partial_fit, predict) runs for real.
 
-Writes ``BENCH_parallel.json`` (consumed and validated by CI): wall times and
+Writes ``BENCH_parallel.json`` (uploaded by CI as an artifact): wall times and
 rows/s for 1/2/4 readers x fit/predict, the speedups over the single-reader
 baseline, and the bit-identity / memory-bound check results.  Every metric is
-asserted finite and non-negative here as well, so a NaN regression fails the
-benchmark itself, not just the CI validator.
+asserted finite and non-negative before the file is written.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
-from repro.api.chunks import ChunkBufferPool
+from benchmarks.conftest import ThrottledMatrix, assert_metrics_clean, emit, slow_device
+from repro.api.chunks import ChunkBufferPool, open_chunk_stream
 from repro.api.dataset import Dataset
 from repro.api.engines import StreamingEngine
-from repro.api.sharded import ShardedMatrix, write_sharded_dataset
+from repro.api.sharded import write_sharded_dataset
 from repro.api.storage import StorageHandle
 from repro.ml import LogisticRegression
 
@@ -46,27 +44,8 @@ COLS = 64
 SHARDS = 8          # >= 4-shard out-of-core layout
 CHUNK_ROWS = 250    # 24 chunks per pass
 EPOCHS = 3
-SEEK_S = 0.0002     # per-gather latency floor
-BANDWIDTH = 200e6   # modelled device: ~200 MB/s sequential
-
-
-class ThrottledShardedMatrix(ShardedMatrix):
-    """A ShardedMatrix whose gathers pay a modelled device latency.
-
-    ``time.sleep`` releases the GIL like a blocking device read, so parallel
-    readers overlap these stalls exactly as they overlap real I/O waits.
-    """
-
-    def _charge(self, rows: int) -> None:
-        time.sleep(SEEK_S + rows * self.manifest.cols * self.dtype.itemsize / BANDWIDTH)
-
-    def _gather_range(self, start, stop):
-        self._charge(max(0, min(stop, self.manifest.rows) - max(0, start)))
-        return super()._gather_range(start, stop)
-
-    def gather_into(self, start, stop, out):
-        self._charge(max(0, min(stop, self.manifest.rows) - max(0, start)))
-        return super().gather_into(start, stop, out)
+# Per-gather latency floor 0.2 ms, ~200 MB/s sequential.
+DEVICE = slow_device(latency_s=0.0002, bandwidth=200e6)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +63,7 @@ def workload(tmp_path_factory):
 
 
 def _open_throttled(directory) -> Dataset:
-    matrix = ThrottledShardedMatrix(directory)
+    matrix = ThrottledMatrix(directory, DEVICE)
     return Dataset(
         StorageHandle(matrix=matrix, labels=matrix.lazy_labels),
         spec=f"shard://{directory}",
@@ -93,19 +72,6 @@ def _open_throttled(directory) -> Dataset:
 
 def _engine(io_workers) -> StreamingEngine:
     return StreamingEngine(chunk_rows=CHUNK_ROWS, io_workers=io_workers)
-
-
-def _assert_metrics_clean(payload: dict, prefix: str = "") -> None:
-    """No emitted metric may be NaN or negative, at any nesting level."""
-    for key, value in payload.items():
-        label = f"{prefix}{key}"
-        if isinstance(value, dict):
-            _assert_metrics_clean(value, prefix=f"{label}.")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        elif isinstance(value, (int, float)):
-            assert not math.isnan(value), f"{label} is NaN"
-            assert value >= 0, f"{label} is negative: {value}"
 
 
 @pytest.mark.benchmark(group="parallel-pipeline")
@@ -184,7 +150,7 @@ def test_parallel_pipeline_throughput(benchmark, workload):
     assert payload["fit"]["readers_4_speedup"] >= 1.3, payload["fit"]
     assert payload["predict"]["readers_4_speedup"] >= 1.3, payload["predict"]
 
-    _assert_metrics_clean(payload)
+    assert_metrics_clean(payload)
     Path("BENCH_parallel.json").write_text(json.dumps(payload, indent=2) + "\n")
     emit(
         "Parallel chunk pipeline (multi-reader vs single-reader)",
@@ -210,24 +176,21 @@ def test_parallel_predict_memory_bounded_by_buffer_pool(benchmark, workload):
         buffers=4, chunk_rows=straddling_rows, n_cols=COLS,
         dtype=np.float64, label_dtype=np.int64,
     )
-    engine = StreamingEngine(
-        chunk_rows=straddling_rows, align_shards=False,
-        io_workers=4, compute_workers=2, buffer_pool=pool,
-    )
 
     def serve():
-        dataset = _open_throttled(directory)
-        tracemalloc.start()
-        result = engine.predict(fitted, dataset)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        dataset.close()
-        return result, peak
+        with ThrottledMatrix(directory, DEVICE) as matrix:
+            tracemalloc.start()
+            with open_chunk_stream(matrix, chunk_rows=straddling_rows, align_shards=False,
+                                   io_workers=4, buffer_pool=pool) as stream:
+                predictions = fitted.predict_streaming(stream, ROWS, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        return predictions, peak
 
-    result, peak = benchmark.pedantic(serve, rounds=1, iterations=1)
-    assert np.array_equal(result.predictions, fitted.predict(X))
+    predictions, peak = benchmark.pedantic(serve, rounds=1, iterations=1)
+    assert np.array_equal(predictions, fitted.predict(X))
     assert pool.leases_served > pool.buffers  # the ring actually recycled
-    output_bytes = result.predictions.nbytes
+    output_bytes = predictions.nbytes
     chunk_bytes = straddling_rows * COLS * 8
     # The bound: the preallocated ring, the output buffer, and a few chunks
     # of transient per-worker scratch — never the stitched matrix (~3 MB).

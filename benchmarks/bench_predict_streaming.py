@@ -9,23 +9,21 @@ than RAM viable at all.
 This benchmark times the same fitted model through ``engine="local"`` and
 ``engine="streaming"`` on the sharded backend, verifies the outputs are
 bit-identical for both ``predict`` and ``predict_proba``, and writes
-``BENCH_predict_streaming.json`` (consumed and validated by the CI benchmark
-smoke job): wall times, serving throughput, and the chunk pipeline's read /
-I/O-wait / compute accounting.  Every emitted metric is asserted finite and
-non-negative here as well, so a NaN regression fails the benchmark itself,
-not just the CI validator.
+``BENCH_predict_streaming.json`` (uploaded by the CI benchmark smoke job):
+wall times, serving throughput, and the chunk pipeline's read / I/O-wait /
+compute accounting.  Every emitted metric is asserted finite and non-negative
+before the file is written.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import assert_metrics_clean, emit
 from repro.api import Session
 from repro.ml import LogisticRegression
 
@@ -46,15 +44,6 @@ def serving_setup(tmp_path_factory):
     ).model
     yield session, spec, model, X
     session.close()
-
-
-def _assert_metrics_clean(payload: dict) -> None:
-    """No emitted metric may be NaN or negative (None = honest 'undefined')."""
-    for key, value in payload.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        assert not math.isnan(value), f"{key} is NaN"
-        assert value >= 0, f"{key} is negative: {value}"
 
 
 @pytest.mark.benchmark(group="streaming")
@@ -101,7 +90,7 @@ def test_streaming_vs_local_predict(benchmark, serving_setup):
         "compute_s": details["compute_s"],
         "io_overlap": details["io_overlap"],
     }
-    _assert_metrics_clean(payload)
+    assert_metrics_clean(payload)
     assert details["chunks"] > 0 and details["bytes_read"] == rows * 64 * 8
     if payload["io_overlap"] is not None:
         assert 0.0 <= payload["io_overlap"] <= 1.0

@@ -16,7 +16,7 @@ clients are *closed-loop* (each waits for its response before sending the
 next request), the hardest case for a batcher because the queue refills only
 as fast as responses drain.
 
-Writes ``BENCH_serving.json`` (consumed and validated by CI): naive-loop
+Writes ``BENCH_serving.json`` (uploaded by CI as an artifact): naive-loop
 throughput, server throughput / speedup / mean batch size / p50+p99
 queue-wait at 1, 4 and 16 concurrent clients, and the bit-identity check
 result.  Every metric is asserted finite and non-negative here as well.
@@ -25,7 +25,6 @@ result.  Every metric is asserted finite and non-negative here as well.
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
 from pathlib import Path
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import assert_metrics_clean, emit
 from repro.ml import GaussianNaiveBayes
 from repro.serve import ModelServer
 
@@ -53,19 +52,6 @@ def workload():
     y = (np.arange(N_ROWS) % N_CLASSES).astype(np.int64)
     model = GaussianNaiveBayes().fit(X, y)
     return X, model, model.predict(X)
-
-
-def _assert_metrics_clean(payload: dict, prefix: str = "") -> None:
-    """No emitted metric may be NaN or negative, at any nesting level."""
-    for key, value in payload.items():
-        label = f"{prefix}{key}"
-        if isinstance(value, dict):
-            _assert_metrics_clean(value, prefix=f"{label}.")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        else:
-            assert not math.isnan(value), f"{label} is NaN"
-            assert value >= 0, f"{label} is negative: {value}"
 
 
 def _run_naive_loop(X, model, expected) -> float:
@@ -155,7 +141,7 @@ def test_micro_batched_serving_throughput(benchmark, workload):
     assert payload["clients_16"]["speedup_vs_naive"] >= 3.0, payload["clients_16"]
     assert payload["clients_16"]["mean_batch_rows"] > 2.0, payload["clients_16"]
 
-    _assert_metrics_clean(payload)
+    assert_metrics_clean(payload)
     Path("BENCH_serving.json").write_text(json.dumps(payload, indent=2) + "\n")
     emit(
         "Request-level serving (micro-batched server vs naive loop)",

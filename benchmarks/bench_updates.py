@@ -22,12 +22,12 @@ Three acceptance bars for the appendable-dataset stack:
 
 As in ``bench_compression``, CI page caches make real reads free and real
 appends cheap, so the storage device is modelled explicitly: every gather
-charges ``SEEK_S + bytes / BANDWIDTH`` of ``time.sleep`` (GIL-releasing,
-like a blocking ``read(2)``).  Scan cost is then deterministic — dominated
-by the modelled device, not by CI jitter — and the delta/full ratio reflects
-the rows actually streamed.
+charges ``read_latency_s + bytes / sequential_read_bw`` of :data:`DEVICE` as
+``time.sleep`` (GIL-releasing, like a blocking ``read(2)``).  Scan cost is
+then deterministic — dominated by the modelled device, not by CI jitter — and
+the delta/full ratio reflects the rows actually streamed.
 
-Writes ``BENCH_updates.json`` (consumed and validated by CI): scan walls and
+Writes ``BENCH_updates.json`` (uploaded by CI as an artifact): scan walls and
 the mixed/static ratio, delta vs full-refit walls and the speedup, the
 bit-identity result for the snapshot scan under appends, and the commit
 walls and codec-call counts at both ends of a v2 tail.
@@ -45,13 +45,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import ThrottledMatrix, assert_metrics_clean, emit, slow_device
 from repro.api.chunks import open_chunk_stream, plan_chunks
-from repro.api.sharded import (
-    ShardAppender,
-    ShardedMatrix,
-    write_sharded_dataset,
-)
+from repro.api.sharded import ShardAppender, write_sharded_dataset
 from repro.data.codecs import CODEC_REGISTRY, ZlibCodec, register_codec
 from repro.ml import GaussianNaiveBayes
 
@@ -64,9 +60,9 @@ APPEND_ROWS = 250     # per batch
 DELTA_ROWS = 1000
 # Slow enough that the modelled stalls dominate the scan wall (~5 ms per
 # chunk): appender CPU/fsync jitter on the other thread then costs the
-# pinned reader well under the 10% bar.
-SEEK_S = 0.001
-BANDWIDTH = 15e6      # modelled device: ~15 MB/s (cold object store)
+# pinned reader well under the 10% bar: 1 ms per gather, ~15 MB/s (cold
+# object store).
+DEVICE = slow_device(latency_s=0.001, bandwidth=15e6)
 # The v2 commit-cost section: block-aligned batches, so the commits at both
 # ends of the tail code the same four blocks and differ only in what the
 # tail already holds (1 batch vs 31 of a 32-batch shard).  Rows are wide
@@ -77,21 +73,6 @@ COMMIT_ROWS = 256
 COMMIT_BLOCK_ROWS = 64
 COMMIT_SHARD_ROWS = 32 * COMMIT_ROWS
 COMMIT_REPEATS = 5
-
-
-class ThrottledMatrix(ShardedMatrix):
-    """Every gather pays the modelled device for the logical bytes."""
-
-    def _charge(self, rows: int) -> None:
-        time.sleep(SEEK_S + rows * self.manifest.cols * self.dtype.itemsize / BANDWIDTH)
-
-    def _gather_range(self, start, stop):
-        self._charge(max(0, min(stop, self.manifest.rows) - max(0, start)))
-        return super()._gather_range(start, stop)
-
-    def gather_into(self, start, stop, out):
-        self._charge(max(0, min(stop, self.manifest.rows) - max(0, start)))
-        return super().gather_into(start, stop, out)
 
 
 def _make(rows, seed):
@@ -184,19 +165,6 @@ def _commit_costs(root: Path) -> dict:
     }
 
 
-def _assert_metrics_clean(payload: dict, prefix: str = "") -> None:
-    """No emitted metric may be NaN or negative, at any nesting level."""
-    for key, value in payload.items():
-        label = f"{prefix}{key}"
-        if isinstance(value, dict):
-            _assert_metrics_clean(value, prefix=f"{label}.")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        elif isinstance(value, (int, float)):
-            assert not math.isnan(value), f"{label} is NaN"
-            assert value >= 0, f"{label} is negative: {value}"
-
-
 @pytest.fixture(scope="module")
 def workload(tmp_path_factory):
     """The same dataset in a static and an appendable-under-load copy."""
@@ -215,12 +183,12 @@ def test_mixed_append_scan_and_delta_training(benchmark, workload):
 
     # -- 1. static baseline: the scan on a quiescent dataset -----------------
     def static_scan():
-        with ThrottledMatrix(static_dir) as matrix:
+        with ThrottledMatrix(static_dir, DEVICE) as matrix:
             return _scan(matrix, matrix.lazy_labels)
 
     # -- 2. mixed: the same scan while a writer commits batches --------------
     def mixed_scan():
-        with ThrottledMatrix(mixed_dir) as matrix:  # pins its generation
+        with ThrottledMatrix(mixed_dir, DEVICE) as matrix:  # pins its generation
             appender = ShardAppender(mixed_dir, shard_rows=SHARD_ROWS)
             stop = threading.Event()
             offset = [ROWS]
@@ -286,7 +254,7 @@ def test_mixed_append_scan_and_delta_training(benchmark, workload):
     total = ROWS + DELTA_ROWS
 
     def stream_fit(model, row_range):
-        with ThrottledMatrix(delta_dir) as matrix:
+        with ThrottledMatrix(delta_dir, DEVICE) as matrix:
             plan = plan_chunks(matrix, chunk_rows=CHUNK_ROWS, row_range=row_range)
             stream = open_chunk_stream(
                 matrix, labels=matrix.lazy_labels, plan=plan, io_workers=2
@@ -330,7 +298,7 @@ def test_mixed_append_scan_and_delta_training(benchmark, workload):
             f"{ROWS} x {COLS} shard:// dataset, {APPEND_BATCHES} x "
             f"{APPEND_ROWS}-row appends under a 2-reader scan, then a "
             f"{DELTA_ROWS}-row delta catch-up vs full refit "
-            f"(modelled ~{BANDWIDTH / 1e6:.0f} MB/s device)"
+            f"({DEVICE.name})"
         ),
         "rows": ROWS,
         "chunk_rows": CHUNK_ROWS,
@@ -338,7 +306,7 @@ def test_mixed_append_scan_and_delta_training(benchmark, workload):
         "train": train,
         "append": append,
     }
-    _assert_metrics_clean(payload)
+    assert_metrics_clean(payload)
     Path("BENCH_updates.json").write_text(json.dumps(payload, indent=2) + "\n")
     emit(
         "Appendable datasets (mixed append/scan + delta training)",

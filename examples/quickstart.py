@@ -59,12 +59,14 @@ engine         fit                         predict
                                            *Serving over the network*
 =============  ==========================  ===============================
 
-The streaming engine additionally takes ``io_workers`` (the parallel reader
-pool), ``compute_workers`` (data-parallel inference), ``buffer_pool`` (the
-preallocated chunk ring) and ``hints`` (OS readahead hints) — see *Tuning
-the streaming pipeline* below; the same knobs ride on ``session.fit`` /
-``session.predict`` and on ``m3 train`` / ``m3 predict``
-(``--chunk-rows``, ``--io-workers``, ``--compute-workers``).
+A scan is configured in one place, the ``StreamingEngine`` constructor:
+``chunk_rows``, ``io_workers`` (the parallel reader pool), ``compute_workers``
+(data-parallel inference), ``hints`` (OS readahead hints) and
+``release_behind`` — see *Tuning the streaming pipeline* below.
+``session.fit`` / ``session.predict`` take the engine
+(``engine=StreamingEngine(io_workers=0, compute_workers=2)``), not the
+options; ``m3 train`` / ``m3 predict`` build theirs from ``--chunk-rows``,
+``--io-workers`` and ``--compute-workers``.
 
 **Compute threads.**  The ``local`` (and ``simulated``) engine has no knob,
 and does not need one: every full-matrix pass an estimator makes — one L-BFGS
@@ -108,19 +110,21 @@ Tuning the streaming pipeline
     reader count.  More readers are worth it when the storage is the
     bottleneck — multiple NVMe queues, network-backed shards, cold page
     cache; useless when the dataset is already cached in RAM.
-    ``prefetch=False`` (with ``io_workers`` unset) starts no thread at all:
-    each chunk is read inline when the consumer asks for it.
+    The engine always reads ahead.  A stream with no thread at all — each
+    chunk read inline when the consumer asks for it — is one level down:
+    ``repro.api.open_chunk_stream(matrix, prefetch=False)``, which feeds
+    ``model.predict_streaming(stream, n_rows)`` directly.
 ``compute_workers``
     Data-parallel streaming *predict*: each worker runs ``predict_chunk`` and
     writes its disjoint slice of the preallocated output buffer —
     bit-identical to sequential serving.  Training ignores it
     (``partial_fit`` is an ordered reduction).
-``buffer_pool``
-    The ring of preallocated chunk buffers that absorbs stitched (shard-
-    straddling) chunks: steady-state streaming does zero per-chunk
-    allocations and peak memory is bounded by ``buffers × chunk bytes``.
-    Auto-sized when needed; pass an int (ring size) or a shared
-    ``ChunkBufferPool`` to pin it.
+*(buffer ring)*
+    Not an engine option: the ring of preallocated chunk buffers that
+    absorbs stitched and decoded chunks is sized from the window, so
+    steady-state streaming does zero per-chunk allocations and peak memory
+    is bounded by ``buffers × chunk bytes`` (``details["buffer_pool_*"]``
+    report it).  ``open_chunk_stream(buffer_pool=)`` pins or shares one.
 ``hints``
     OS readahead hints issued per upcoming chunk: ``MADV_SEQUENTIAL`` per
     shard mapping at open, ``MADV_WILLNEED`` (asynchronous — the kernel
@@ -328,14 +332,14 @@ under any single-site fault plan a fit completes **bit-identical** to the
 fault-free baseline or raises a documented typed error — never a hang,
 never a leak, never a silently different model.
 
-Migration from the legacy facade::
+From Table 1's helpers (plain functions over a session) to the session::
 
-    # old                                   # new
+    # helper                                # session
     X, y = m3.open_dataset("d.m3")          ds = session.open("mmap://d.m3")
                                             X, y = ds.arrays()
     m3.create_dataset("d.m3", X, y)         session.create("mmap://d.m3", X, y)
-    M3(M3Config(record_traces=True))        session.open(spec, record_trace=True)
-    runtime.last_trace                      ds.trace          (per handle)
+    m3.open_dataset("d.m3",                 session.open(spec, record_trace=True)
+                    record_trace=True)      ds.trace          (per handle)
     model.fit(X, y)                         session.fit(model, ds)   # pick an
                                             # engine: local/simulated/distributed
 
@@ -351,7 +355,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.api import Session
+from repro.api import Session, StreamingEngine
 from repro.data.writers import write_infimnist_dataset
 from repro.ml import KMeans, SoftmaxRegression
 from repro.ml.metrics import accuracy, clustering_purity
@@ -469,8 +473,8 @@ def main() -> None:
         #    so the result is still bit-identical — only the wall clock and
         #    the reader accounting change.
         parallel = session.predict(
-            sharded, streaming_clf, engine="streaming",
-            io_workers=0, compute_workers=2,
+            sharded, streaming_clf,
+            engine=StreamingEngine(io_workers=0, compute_workers=2),
         )
         assert np.array_equal(parallel.predictions, served.predictions), (
             "parallel serving must stay bit-identical to sequential serving"

@@ -11,8 +11,8 @@ its evaluation:
   :class:`~repro.api.Dataset` handles, and dispatching ``session.fit`` to
   pluggable execution engines (``local``, ``simulated``, ``distributed``).
 * :mod:`repro.core` — the original M3 primitives (memory-mapped matrices,
-  ``mmap_alloc``, access advice) plus the legacy facade, now a shim over the
-  unified API.
+  ``mmap_alloc``, access advice) plus Table 1's ``open_dataset`` helpers,
+  plain functions over the unified API.
 * :mod:`repro.ml` — the machine learning library being scaled (L-BFGS logistic
   regression, k-means, and friends), written against the plain row-slicing
   protocol so in-memory, memory-mapped and sharded data are interchangeable.
@@ -26,21 +26,21 @@ its evaluation:
   performance prediction and the harness that regenerates every figure and
   table of the paper.
 
-Migrating from the legacy facade to the unified API
----------------------------------------------------
+From Table 1's helpers to the unified API
+-----------------------------------------
 
 ==============================================  ==============================================
-Old (still works, thin shim)                    New
+Helper (a plain function over a Session)        Session
 ==============================================  ==============================================
 ``X, y = m3.open_dataset("d.m3")``              ``ds = session.open("mmap://d.m3")`` then
                                                 ``X, y = ds.arrays()``
 ``m3.create_dataset("d.m3", X, y)``             ``session.create("mmap://d.m3", X, y)``
-``M3(M3Config(record_traces=True))`` +          ``session.open(spec, record_trace=True)`` +
-``runtime.last_trace``                          ``ds.trace`` (per handle, thread safe)
+``m3.open_dataset("d.m3", record_trace=True)``  ``session.open(spec, record_trace=True)`` +
+then ``X.trace``                                ``ds.trace`` (per handle, thread safe)
 ``model.fit(X, y)`` by hand                     ``session.fit(model, ds)`` — pick the engine
                                                 with ``engine="local" | "simulated" |
                                                 "distributed"``
-``M3().dataset_info(path)``                     ``session.info(spec)`` / CLI ``m3 info``
+(no equivalent)                                 ``session.info(spec)`` / CLI ``m3 info``
 (no equivalent)                                 ``session.create("shard://dir/", X, y)`` —
                                                 matrix sharded across multiple files
 ==============================================  ==============================================
@@ -49,7 +49,6 @@ Old (still works, thin shim)                    New
 from repro import api, bench, core, data, distributed, ml, profiling, vmem
 from repro.api import Dataset, FitResult, Session
 from repro.core import (
-    M3,
     M3Config,
     MmapMatrix,
     create_dataset,
@@ -74,7 +73,6 @@ __all__ = [
     "Session",
     "Dataset",
     "FitResult",
-    "M3",
     "M3Config",
     "MmapMatrix",
     "mmap_alloc",

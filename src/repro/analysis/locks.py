@@ -22,7 +22,6 @@ slot in between existing ones without renumbering.
 Current order (outermost first; renumbered in one commit when the
 network-serving locks landed, per the ROADMAP's standing instruction)::
 
-    rank  10   repro.core.m3._DEFAULT_LOCK        default-engine singleton
     rank  20   NetServer._lock                    socket front-end accounting
     rank  30   NetClient._lock                    client write path + pending queue
     rank  40   ModelServer._cond                  serving queue + dispatcher wakeup
@@ -62,9 +61,7 @@ __all__ = ["LOCK_ORDER", "rank_of", "register_lock"]
 
 #: Dotted lock name -> rank.  Acquisitions must strictly increase in rank.
 LOCK_ORDER: Dict[str, int] = {
-    # Outermost: the module-level default-engine singleton guard.
-    "repro.core.m3._DEFAULT_LOCK": 10,
-    # Network front end.  The transport accounting lock is held only for
+    # Outermost: the network front end.  The transport accounting lock is held only for
     # counter updates on the event-loop thread and by stats() readers; it
     # is never held across a ModelServer.submit, but ranking it outside the
     # serving core keeps that the checked invariant rather than a comment.

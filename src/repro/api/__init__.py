@@ -57,8 +57,8 @@ Every engine implements both halves of the lifecycle: ``Session.fit`` trains,
                  ``predict``, with hot-swap and backpressure.
 ===============  ============================================================
 
-The legacy ``repro.core.open_dataset`` / ``load_matrix`` helpers remain as
-thin shims over this API.
+Table 1's ``repro.core.open_dataset`` / ``load_matrix`` helpers are plain
+functions over this API.
 """
 
 from repro.api.chunks import (

@@ -244,8 +244,6 @@ def plan_chunks(
     matrix: Any,
     chunk_rows: Optional[int] = None,
     align_shards: bool = True,
-    adaptive: Optional[bool] = None,
-    target_chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     row_range: Optional[Tuple[int, int]] = None,
 ) -> ChunkPlan:
     """Build a :class:`ChunkPlan` for any 2-D matrix-like object.
@@ -256,15 +254,13 @@ def plan_chunks(
         Anything with ``shape`` and ``dtype`` — ndarray, memmap,
         ``MmapMatrix``, ``ShardedMatrix`` or a ``Dataset``.
     chunk_rows:
-        Steady-state rows per chunk.  ``None`` sizes the window from
-        ``target_chunk_bytes`` and enables the adaptive ramp (unless
-        ``adaptive`` overrides it).
+        Steady-state rows per chunk.  ``None`` sizes the window to
+        :data:`DEFAULT_CHUNK_BYTES` and ramps up to it: the first chunk
+        targets :data:`INITIAL_CHUNK_BYTES` and each next one doubles.  An
+        explicit value tiles the rows uniformly, no ramp.
     align_shards:
         Split chunks at shard boundaries so each chunk is served as a
         zero-copy single-shard view.
-    adaptive:
-        Force the doubling ramp on/off; defaults to on only when
-        ``chunk_rows`` was auto-sized.
     row_range:
         Plan only rows ``[lo, hi)`` instead of the whole matrix.  Bounds
         stay *absolute* row indices, so chunks slice the matrix (and the
@@ -282,10 +278,9 @@ def plan_chunks(
             f"row_range {row_range} out of bounds for a matrix of {n_rows} rows"
         )
     span = hi - lo
-    if chunk_rows is None:
-        chunk_rows = max(1, target_chunk_bytes // max(row_bytes, 1))
-        if adaptive is None:
-            adaptive = True
+    adaptive = chunk_rows is None
+    if adaptive:
+        chunk_rows = max(1, DEFAULT_CHUNK_BYTES // max(row_bytes, 1))
     elif chunk_rows <= 0:
         raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
     chunk_rows = max(1, min(chunk_rows, max(span, 1)))
@@ -402,8 +397,11 @@ class ChunkStreamStats:
     #: Retried errors that were injected by an active fault plan — lets a
     #: chaos run tell deliberate faults apart from real device trouble.
     faults_injected: int = 0
-    #: Per-chunk ``(read_s, wait_s, compute_s)`` samples (capped).
-    samples: List[Tuple[float, float, float]] = field(default_factory=list)
+    #: Per-chunk ``(read_s, wait_s, compute_s)`` samples — the most recent
+    #: :data:`MAX_TIMING_SAMPLES`, so a long scan reports how it runs now.
+    samples: "deque[Tuple[float, float, float]]" = field(
+        default_factory=lambda: deque(maxlen=MAX_TIMING_SAMPLES)
+    )
 
     def record(
         self,
@@ -424,8 +422,7 @@ class ChunkStreamStats:
         self.compute_s += compute_s
         self.decode_s += decode_s
         self.compressed_bytes += compressed_bytes
-        if len(self.samples) < MAX_TIMING_SAMPLES:
-            self.samples.append((read_s, wait_s, compute_s))
+        self.samples.append((read_s, wait_s, compute_s))
 
     def record_trailing_compute(self, compute_s: float) -> None:
         """Attribute the time after the last delivery to the last chunk.
@@ -467,9 +464,7 @@ class ChunkStreamStats:
         self.retries += other.retries
         self.faults_injected += other.faults_injected
         self.prefetched = self.prefetched or other.prefetched
-        free = MAX_TIMING_SAMPLES - len(self.samples)
-        if free > 0:
-            self.samples.extend(other.samples[:free])
+        self.samples.extend(other.samples)
 
     @property
     def io_overlap(self) -> Optional[float]:
@@ -1626,23 +1621,6 @@ class ChunkStream:
         self.stats.record_hints(pending)
         self.stats.retries += retries
         self.stats.faults_injected += faults
-
-    def blocks(self) -> Iterator[Tuple[int, int, Any]]:
-        """Iterate ``(start, stop, X)`` row blocks — the inference-side view.
-
-        This is the output-aware consumption shape: a predictor scatters each
-        block's result into ``out[start:stop]`` of a preallocated buffer (see
-        :meth:`repro.ml.base.StreamingPredictor.predict_streaming`), so the
-        stream's timing still lands in :attr:`stats` while the consumer never
-        holds more than one chunk's worth of input rows.  Pooled buffers are
-        handed back to the ring once the consumer advances past the block, so
-        a sequential consumer can drive this without knowing about leases.
-        """
-        for chunk in self:
-            try:
-                yield chunk.start, chunk.stop, chunk.X
-            finally:
-                chunk.release()
 
     def close(self) -> None:
         """Stop and join the reader pool, returning buffered chunks to the pool.

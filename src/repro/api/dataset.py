@@ -4,9 +4,8 @@ A ``Dataset`` bundles what ``core.open_dataset`` used to return as a bare
 ``(matrix, labels)`` tuple, and fixes the parts of that design that could not
 scale:
 
-* the access trace is **per handle** (``dataset.trace``) instead of a shared
-  mutable ``M3.last_trace`` attribute on a module-level singleton, so
-  concurrent opens cannot clobber each other's traces;
+* the access trace is **per handle** (``dataset.trace``), never shared
+  mutable state, so concurrent opens cannot clobber each other's traces;
 * the handle has a lifecycle — ``close()``/``flush()`` and context-manager
   support — so backends holding file descriptors (mmap, sharded) release them
   deterministically;

@@ -38,7 +38,6 @@ results.
 from __future__ import annotations
 
 import abc
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Type, Union
@@ -512,10 +511,18 @@ class StreamingEngine(ExecutionEngine):
     :class:`~repro.ml.base.StreamingPredictor` (``predict_chunk`` /
     ``predict_streaming``), which every estimator in :mod:`repro.ml` does.
     Each pass streams the dataset as shard-aligned row chunks through one
-    :class:`~repro.api.chunks.ChunkStream`; by default a reader thread reads
-    chunk *k+1* while chunk *k* trains (or predicts), which is what lets an
+    :class:`~repro.api.chunks.ChunkStream`; a reader thread reads chunk
+    *k+1* while chunk *k* trains (or predicts), which is what lets an
     out-of-core ``shard://`` dataset keep the CPU busy.  Labels are sliced
     per chunk — a sharded dataset's lazy label view is never materialised.
+
+    The constructor is the one place a scan is configured: ``Session.fit`` /
+    ``Session.predict`` take an engine, not pipeline options, and ``m3 train``
+    / ``m3 predict`` build theirs from ``--chunk-rows`` / ``--io-workers`` /
+    ``--compute-workers``.  An engine always plans shard-aligned chunks and
+    reads ahead; inline reads, unaligned plans and a shared buffer ring are
+    :func:`~repro.api.chunks.open_chunk_stream` settings, and its streams feed
+    :meth:`~repro.ml.base.StreamingPredictor.predict_streaming` directly.
 
     Parameters
     ----------
@@ -524,17 +531,12 @@ class StreamingEngine(ExecutionEngine):
         ``chunk_size``/``batch_size`` when it has one — so streaming training
         makes the *same* parameter updates as in-core ``fit`` — and otherwise
         auto-sizes chunks from a byte target with an adaptive ramp.
-    prefetch:
-        Overlap reads with compute.  ``False`` (with ``io_workers=None``)
-        starts no thread: each chunk is read inline when the consumer asks.
-    align_shards:
-        Split chunks at shard boundaries for zero-copy single-shard views.
     io_workers:
         Reader threads.  ``None`` (default) = one reader with a window of two
         chunks (double buffering); ``0`` = one reader per storage device
         behind the shards; ``n >= 1`` = exactly ``n`` readers.  The window is
         ``max(2, 2 × readers)``, reported as ``prefetch_depth`` in the result
-        details (0 for an inline stream).
+        details.
     compute_workers:
         Worker threads for data-parallel streaming ``predict``: chunk
         inference fans across :func:`repro.ml.base.map_ordered` — the same
@@ -548,18 +550,13 @@ class StreamingEngine(ExecutionEngine):
         (CPUs ÷ BLAS threads, see :class:`LocalEngine`).  Training is
         unaffected (``partial_fit`` is an ordered reduction).  Also sizes the
         block decode pool of compressed (v2) datasets.
-    buffer_pool:
-        Buffer ring for stitched and decoded chunks: ``None`` = auto, an
-        ``int`` = ring size, a :class:`~repro.api.chunks.ChunkBufferPool` =
-        shared ring.  Inline streams use no ring.
     hints:
-        Issue OS readahead hints (madvise/posix_fadvise) per upcoming chunk
-        (threaded streams only).
+        Issue OS readahead hints (madvise/posix_fadvise) per upcoming chunk.
     release_behind:
-        ``dont_need`` page cache strictly behind the scan cursor (threaded
-        streams only).  ``None`` = auto (on when the plan is larger than
-        physical RAM); ``True``/``False`` force it.  Applied release hints
-        are reported as ``hints_released`` in the result details.
+        ``dont_need`` page cache strictly behind the scan cursor.  ``None`` =
+        auto (on when the plan is larger than physical RAM); ``True``/``False``
+        force it.  Applied release hints are reported as ``hints_released``
+        in the result details.
     """
 
     name = "streaming"
@@ -567,62 +564,22 @@ class StreamingEngine(ExecutionEngine):
     def __init__(
         self,
         chunk_rows: Optional[int] = None,
-        prefetch: bool = True,
-        align_shards: bool = True,
         io_workers: Optional[int] = None,
         compute_workers: int = 1,
-        buffer_pool: Optional[Any] = None,
         hints: bool = True,
         release_behind: Optional[bool] = None,
     ) -> None:
-        self.chunk_rows = chunk_rows
-        self.prefetch = prefetch
-        self.align_shards = align_shards
-        self.io_workers = io_workers
-        self.compute_workers = compute_workers
-        self.buffer_pool = buffer_pool
-        self.hints = hints
-        self.release_behind = release_behind
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.chunk_rows is not None and self.chunk_rows <= 0:
-            raise ValueError(f"chunk_rows must be positive, got {self.chunk_rows}")
-        if self.io_workers is not None and self.io_workers < 0:
-            raise ValueError(f"io_workers must be >= 0, got {self.io_workers}")
-        if self.compute_workers < 1:
-            raise ValueError(
-                f"compute_workers must be >= 1, got {self.compute_workers}"
-            )
-
-    def with_options(self, **overrides: Any) -> "StreamingEngine":
-        """A copy of this engine (subclass and all settings) with overrides applied.
-
-        ``None`` values are ignored, so callers can forward optional knobs
-        (``chunk_rows``, ``io_workers``, ``compute_workers``, …) untouched.
-        """
-        clone = copy.copy(self)
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if not hasattr(clone, key):
-                raise ValueError(f"StreamingEngine has no option {key!r}")
-            setattr(clone, key, value)
-        clone._validate()
-        return clone
-
-    def with_chunk_rows(self, chunk_rows: Optional[int]) -> "StreamingEngine":
-        """A copy of this engine with ``chunk_rows`` overridden.
-
-        Unlike :meth:`with_options` (which ignores ``None`` so optional knobs
-        forward untouched), ``None`` here is an explicit value: it resets the
-        clone to auto-sized chunks.
-        """
         if chunk_rows is not None and chunk_rows <= 0:
             raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-        clone = copy.copy(self)
-        clone.chunk_rows = chunk_rows
-        return clone
+        if io_workers is not None and io_workers < 0:
+            raise ValueError(f"io_workers must be >= 0, got {io_workers}")
+        if compute_workers < 1:
+            raise ValueError(f"compute_workers must be >= 1, got {compute_workers}")
+        self.chunk_rows = chunk_rows
+        self.io_workers = io_workers
+        self.compute_workers = compute_workers
+        self.hints = hints
+        self.release_behind = release_behind
 
     @staticmethod
     def _model_chunk_hint(model: Any) -> Optional[int]:
@@ -657,9 +614,7 @@ class StreamingEngine(ExecutionEngine):
         labels = self._label_source(dataset, y)
         classes = self._classes_of(labels) if labels is not None else None
         chunk_rows = self.chunk_rows if self.chunk_rows is not None else self._model_chunk_hint(model)
-        plan = plan_chunks(
-            dataset.matrix, chunk_rows=chunk_rows, align_shards=self.align_shards
-        )
+        plan = plan_chunks(dataset.matrix, chunk_rows=chunk_rows)
 
         stats = ChunkStreamStats()
         passes = 0
@@ -669,9 +624,9 @@ class StreamingEngine(ExecutionEngine):
         def make_stream():
             nonlocal passes, stream
             passes += 1
-            # Shared across passes: the first pass's stream allocates (or
-            # adopts) the buffer ring, later passes reuse it — steady-state
-            # training makes zero per-chunk allocations even across epochs.
+            # Shared across passes: the first pass's stream allocates the
+            # buffer ring, later passes reuse it — steady-state training makes
+            # zero per-chunk allocations even across epochs.
             pool = stream.pool if stream is not None else None
             stream = self._open_stream(
                 dataset.matrix, labels=labels, plan=plan, pool=pool
@@ -706,9 +661,8 @@ class StreamingEngine(ExecutionEngine):
             matrix,
             labels=labels,
             plan=plan,
-            prefetch=self.prefetch,
             io_workers=self.io_workers,
-            buffer_pool=pool if pool is not None else self.buffer_pool,
+            buffer_pool=pool,
             hints=self.hints,
             release_behind=self.release_behind,
             # Compressed (v2) datasets decompress on the compute pool: the
@@ -749,11 +703,10 @@ class StreamingEngine(ExecutionEngine):
                     {"read_s": r, "io_wait_s": w, "compute_s": c}
                     for r, w, c in stats.samples
                 ],
+                "readers": [dict(entry) for entry in readers],
+                "reader_log": stream.reader_log,
             }
         )
-        if readers:
-            details["readers"] = [dict(entry) for entry in readers]
-            details["reader_log"] = stream.reader_log
         if stream.pool is not None:
             details["buffer_pool_buffers"] = stream.pool.buffers
             details["buffer_pool_bytes"] = stream.pool.nbytes
@@ -779,29 +732,17 @@ class StreamingEngine(ExecutionEngine):
                 f"repro.ml.base.StreamingPredictor, or use engine='local'"
             )
         chunk_rows = self.chunk_rows if self.chunk_rows is not None else self._model_chunk_hint(model)
-        plan = plan_chunks(
-            dataset.matrix, chunk_rows=chunk_rows, align_shards=self.align_shards
-        )
+        plan = plan_chunks(dataset.matrix, chunk_rows=chunk_rows)
         start = time.perf_counter()
         stream = self._open_stream(dataset.matrix, plan=plan)
-        fan_out = getattr(model, "predict_streaming_parallel", None)
         with stream:
             if plan.num_chunks == 0:
                 # An empty dataset has no chunks to infer output geometry
                 # from; the in-core method returns the right empty array.
                 predictions = np.asarray(self._predict_fn(model, method)(dataset.matrix))
-            elif self.compute_workers > 1 and callable(fan_out):
-                # Data-parallel serving: chunks fan across a worker pool,
-                # each worker writing its disjoint out[start:stop] slice —
-                # bit-identical to the sequential path because the
-                # prediction methods are row-wise.
-                predictions = fan_out(
-                    stream, plan.n_rows, method=method,
-                    workers=self.compute_workers,
-                )
             else:
                 predictions = model.predict_streaming(
-                    stream.blocks(), plan.n_rows, method=method
+                    stream, plan.n_rows, method=method, workers=self.compute_workers
                 )
         elapsed = time.perf_counter() - start
         details = self._pipeline_details(stream.stats, stream, stream.reader_stats)

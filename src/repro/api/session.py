@@ -39,7 +39,6 @@ from repro.api.engines import (
     ExecutionEngine,
     FitResult,
     PredictResult,
-    StreamingEngine,
     resolve_engine,
 )
 from repro.api.storage import (
@@ -386,8 +385,9 @@ class Session:
         """Stop tracking ``dataset``; its lifecycle becomes the caller's.
 
         Released datasets are not closed when the session closes — used by
-        the legacy facade, whose callers expect garbage-collection semantics
-        for the handles behind their bare ``(matrix, labels)`` tuples.
+        :func:`repro.core.open_dataset`, whose callers expect
+        garbage-collection semantics for the handles behind their bare
+        ``(matrix, labels)`` tuples.
         """
         with self._lock:
             try:
@@ -398,37 +398,12 @@ class Session:
 
     # -- training ----------------------------------------------------------
 
-    @staticmethod
-    def _streaming_overrides(
-        resolved: ExecutionEngine,
-        **overrides: Any,
-    ) -> ExecutionEngine:
-        """Apply streaming-only pipeline knobs to the resolved engine.
-
-        ``chunk_rows``, ``io_workers``, ``compute_workers`` and
-        ``buffer_pool`` only make sense for the streaming engine; passing any
-        of them with another engine is a caller error worth failing loudly on.
-        """
-        given = {key: value for key, value in overrides.items() if value is not None}
-        if not given:
-            return resolved
-        if not isinstance(resolved, StreamingEngine):
-            names = ", ".join(sorted(given))
-            raise ValueError(
-                f"{names} only applies to the streaming engine, not "
-                f"{resolved.name!r}"
-            )
-        return resolved.with_options(**given)
-
     def fit(
         self,
         model: Any,
         dataset: Union[Dataset, SpecLike],
         y: Optional[Any] = None,
         engine: Union[str, ExecutionEngine, None] = None,
-        chunk_rows: Optional[int] = None,
-        io_workers: Optional[int] = None,
-        compute_workers: Optional[int] = None,
     ) -> FitResult:
         """Train ``model`` on ``dataset`` with an execution engine.
 
@@ -442,15 +417,10 @@ class Session:
         y:
             Label override; defaults to the dataset's own labels.
         engine:
-            Engine override; defaults to the session's ``engine``.
-        chunk_rows:
-            Steady-state rows per streaming chunk (streaming engine only).
-        io_workers:
-            Reader threads for the parallel chunk pipeline (streaming engine
-            only): ``0`` = one reader per storage device, ``n >= 1`` = exactly ``n``.
-        compute_workers:
-            Inference worker threads — accepted here for symmetry with
-            :meth:`predict`; training itself stays an ordered reduction.
+            Engine override — a name, or a configured instance such as
+            ``StreamingEngine(chunk_rows=4096, io_workers=2)`` (the engine's
+            constructor is where a scan is configured); defaults to the
+            session's ``engine``.
 
         Returns
         -------
@@ -459,12 +429,6 @@ class Session:
         """
         self._check_open()
         resolved = self.default_engine if engine is None else resolve_engine(engine)
-        resolved = self._streaming_overrides(
-            resolved,
-            chunk_rows=chunk_rows,
-            io_workers=io_workers,
-            compute_workers=compute_workers,
-        )
         if isinstance(dataset, Dataset):
             return resolved.fit(model, dataset, y=y)
         with self.open(dataset) as handle:
@@ -478,9 +442,6 @@ class Session:
         model: Any,
         method: str = "predict",
         engine: Union[str, ExecutionEngine, None] = None,
-        chunk_rows: Optional[int] = None,
-        io_workers: Optional[int] = None,
-        compute_workers: Optional[int] = None,
     ) -> PredictResult:
         """Serve ``model``'s predictions over ``dataset`` with an engine.
 
@@ -502,16 +463,9 @@ class Session:
             The prediction method to drive — ``"predict"`` (default),
             ``"predict_proba"``, ``"decision_function"``, …
         engine:
-            Engine override; defaults to the session's ``engine``.
-        chunk_rows:
-            Steady-state rows per streaming chunk.  Only meaningful when the
-            resolved engine is the streaming engine; forwarded to it.
-        io_workers:
-            Reader threads for the parallel chunk pipeline (streaming engine
-            only): ``0`` = one reader per storage device, ``n >= 1`` = exactly ``n``.
-        compute_workers:
-            Worker threads for data-parallel chunk inference (streaming
-            engine only); each writes a disjoint slice of the output buffer.
+            Engine override — a name, or a configured instance such as
+            ``StreamingEngine(io_workers=0, compute_workers=2)``; defaults to
+            the session's ``engine``.
 
         Returns
         -------
@@ -528,12 +482,6 @@ class Session:
                 "appear to be swapped"
             )
         resolved = self.default_engine if engine is None else resolve_engine(engine)
-        resolved = self._streaming_overrides(
-            resolved,
-            chunk_rows=chunk_rows,
-            io_workers=io_workers,
-            compute_workers=compute_workers,
-        )
         if isinstance(dataset, Dataset):
             return resolved.predict(model, dataset, method=method)
         with self.open(dataset) as handle:

@@ -57,7 +57,7 @@ import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -477,8 +477,8 @@ def write_sharded_dataset(
         precision cost.
     layout:
         v2 block layout: ``"row"`` (one segment per block) or ``"column"``
-        (one segment per column, so column-subset scans fetch only the
-        columns they touch).
+        (one segment per column).  A compression-ratio choice, not a read
+        path: every read fetches and decodes whole blocks under either.
     """
     directory = Path(directory)
     data = np.asarray(data)
@@ -1020,38 +1020,6 @@ class ShardedMatrix:
                 piece_lo - lo : piece_hi - lo
             ]
 
-    # -- chunk iteration ----------------------------------------------------
-
-    def iter_shard_chunks(
-        self, chunk_rows: Optional[int] = None
-    ) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """Yield ``(start_row, stop_row, view)`` blocks that never cross shards.
-
-        Every block is a **zero-copy view** of one shard's memmap (no
-        ``_gather_range`` stitching copy): with ``chunk_rows=None`` each
-        shard is one block; otherwise shards are subdivided into at most
-        ``chunk_rows``-row blocks, still shard-local.
-
-        This is the direct shard-walking API for consumers that want the
-        per-shard structure itself (per-shard workers, a future multi-node
-        transport).  The streaming chunk pipeline gets the same zero-copy
-        property a different way — :func:`repro.api.chunks.plan_chunks`
-        splits its bounds at shard starts, so ``matrix[start:stop]`` resolves
-        to single-shard views through ``_gather_range``.
-        """
-        self._check_open()
-        if chunk_rows is not None and chunk_rows <= 0:
-            raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-        for shard, data in zip(self.manifest.shards, self._maps):
-            step = shard.rows if chunk_rows is None else chunk_rows
-            for local_start in range(0, shard.rows, max(step, 1)):
-                local_stop = min(local_start + step, shard.rows)
-                yield (
-                    shard.start_row + local_start,
-                    shard.start_row + local_stop,
-                    data[local_start:local_stop],
-                )
-
     # -- labels and lifecycle ----------------------------------------------
 
     @property
@@ -1445,28 +1413,6 @@ class CompressedShardedMatrix(ShardedMatrix):
             out[position] = decoded[local % block_rows]
         return out
 
-    def read_columns(
-        self, start: int, stop: int, columns: Sequence[int]
-    ) -> np.ndarray:
-        """Rows ``[start, stop)`` restricted to ``columns``, across shards.
-
-        On column-major shards only the named columns' segments are fetched —
-        the byte savings the layout exists for; row-major shards decode full
-        blocks and slice.
-        """
-        self._check_open()
-        start = max(0, start)
-        stop = min(self.manifest.rows, stop)
-        columns = [int(c) for c in columns]
-        out = np.empty((max(0, stop - start), len(columns)), dtype=self.dtype)
-        for _, shard, reader in self._shard_readers_overlapping(start, stop):
-            lo = max(start, shard.start_row)
-            hi = min(stop, shard.stop_row)
-            out[lo - start : hi - start] = reader.read_columns(
-                lo - shard.start_row, hi - shard.start_row, columns
-            )
-        return out
-
     def compressed_bytes_for(self, start: int, stop: int) -> int:
         """Coded bytes a full-width read of rows ``[start, stop)`` fetches."""
         self._check_open()
@@ -1487,27 +1433,6 @@ class CompressedShardedMatrix(ShardedMatrix):
             "compressed sharded datasets are read-only; re-encode with "
             "convert_dataset / m3 convert to modify"
         )
-
-    def iter_shard_chunks(
-        self, chunk_rows: Optional[int] = None
-    ) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """Yield ``(start_row, stop_row, block)`` chunks that never cross shards.
-
-        Unlike the v1 override-free path these blocks are decoded **copies**,
-        not memmap views — there is nothing zero-copy to hand out.
-        """
-        self._check_open()
-        if chunk_rows is not None and chunk_rows <= 0:
-            raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-        for shard, reader in zip(self.manifest.shards, self._readers):
-            step = shard.rows if chunk_rows is None else chunk_rows
-            for local_start in range(0, shard.rows, max(step, 1)):
-                local_stop = min(local_start + step, shard.rows)
-                yield (
-                    shard.start_row + local_start,
-                    shard.start_row + local_stop,
-                    reader.read_rows(local_start, local_stop),
-                )
 
     @property
     def lazy_labels(self) -> Optional["ShardedLabels"]:

@@ -132,6 +132,20 @@ def _streaming_flags_misused(args: argparse.Namespace) -> bool:
     return False
 
 
+def _resolve_engine_arg(args: argparse.Namespace) -> "Any":
+    """``--engine`` as ``Session`` takes it: the streaming engine configured
+    from ``--chunk-rows/--io-workers/--compute-workers``, else the name."""
+    if args.engine != "streaming":
+        return args.engine
+    from repro.api import StreamingEngine
+
+    return StreamingEngine(
+        chunk_rows=args.chunk_rows,
+        io_workers=args.io_workers,
+        compute_workers=args.compute_workers or 1,
+    )
+
+
 def _print_pipeline_details(details: dict) -> None:
     """The chunk pipeline's accounting line(s), shared by train and predict."""
     print(
@@ -315,21 +329,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.api import Session, StreamingEngine
+    from repro.api import Session
     from repro.ml import KMeans, LogisticRegression, MiniBatchKMeans, SoftmaxRegression
 
     streaming = args.engine == "streaming"
     if _streaming_flags_misused(args):
         return 2
-    engine = (
-        StreamingEngine(
-            chunk_rows=args.chunk_rows,
-            io_workers=args.io_workers,
-            compute_workers=args.compute_workers or 1,
-        )
-        if streaming
-        else args.engine
-    )
+    engine = _resolve_engine_arg(args)
     with Session() as session:
         dataset = session.open(args.dataset)
         if args.algorithm == "logistic":
@@ -561,13 +567,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     with Session() as session:
         dataset = session.open(args.dataset)
         result = session.predict(
-            dataset,
-            model,
-            method=method,
-            engine=args.engine,
-            chunk_rows=args.chunk_rows,
-            io_workers=args.io_workers,
-            compute_workers=args.compute_workers,
+            dataset, model, method=method, engine=_resolve_engine_arg(args)
         )
         rows = result.n_rows
         rate = rows / result.wall_time_s if result.wall_time_s > 0 else float("inf")
@@ -1000,8 +1000,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "the logical dtype trades precision for size)")
     convert.add_argument("--layout", choices=["row", "column"], default=None,
                          help="v2 block layout: 'row' = one segment per "
-                              "block, 'column' = one segment per column so "
-                              "column-subset scans fetch less (default row)")
+                              "block, 'column' = one segment per column — a "
+                              "compression-ratio choice, every read fetches "
+                              "whole blocks either way (default row)")
     convert.add_argument("--shard-rows", type=_positive_int, default=None,
                          help="rows per output shard (default: keep the "
                               "source's shard height)")

@@ -19,10 +19,10 @@ Key pieces:
   ``numpy.memmap`` that supports the row-slicing protocol estimators use,
   optionally records its access pattern into an
   :class:`~repro.vmem.trace.AccessTrace`, and accepts access *advice*.
-* :class:`~repro.core.m3.M3` — the legacy facade tying together dataset
-  creation, opening, advice and trace capture; now a thin shim over
-  :class:`repro.api.Session`, which adds pluggable storage backends
-  (``mmap``, ``shard``, ``memory``) and execution engines.
+* :func:`~repro.core.m3.open_dataset` / :func:`~repro.core.m3.create_dataset`
+  / :func:`~repro.core.m3.load_matrix` — Table 1's helpers: plain functions
+  over :class:`repro.api.Session`, which adds pluggable storage backends
+  (``mmap``, ``shard``, ``memory``), execution engines and per-handle traces.
 * :mod:`~repro.core.chunking` — chunk iterators and planners.
 """
 
@@ -31,10 +31,9 @@ from repro.core.advice import AccessAdvice
 from repro.core.allocator import mmap_alloc, mmap_free
 from repro.core.mmap_matrix import MmapMatrix
 from repro.core.chunking import ChunkPlan, iter_chunks, plan_chunks
-from repro.core.m3 import M3, create_dataset, load_matrix, open_dataset
+from repro.core.m3 import create_dataset, load_matrix, open_dataset
 
 __all__ = [
-    "M3",
     "M3Config",
     "AccessAdvice",
     "mmap_alloc",

@@ -28,8 +28,8 @@ class M3Config:
         read-only training data.
     record_traces:
         When true, every :class:`~repro.core.mmap_matrix.MmapMatrix` opened
-        through the :class:`~repro.core.m3.M3` facade records its access
-        pattern for later replay in the virtual-memory simulator.
+        through a :class:`~repro.api.Session` with this config records its
+        access pattern for later replay in the virtual-memory simulator.
     workspace:
         Directory used for datasets created without an explicit path.
     """

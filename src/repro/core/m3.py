@@ -1,8 +1,7 @@
-"""The legacy M3 facade — now a thin shim over :class:`repro.api.Session`.
+"""Table 1's helpers.
 
-The facade exists so that user code reads like Table 1 of the paper — one
-helper call replaces the in-memory constructor, and everything downstream is
-unchanged:
+User code reads like Table 1 of the paper: one helper call replaces the
+in-memory constructor, and everything downstream is unchanged:
 
 .. code-block:: python
 
@@ -12,8 +11,12 @@ unchanged:
     X, y = m3.open_dataset("infimnist_10gb.m3")     # memory mapped, any size
     model = LogisticRegression(max_iterations=10).fit(X, y)   # unchanged code
 
-New code should use the unified API instead, which adds pluggable storage
-backends, execution engines and per-handle lifecycle/tracing:
+The three helpers are plain functions over a pool-less
+:class:`~repro.api.Session` (so ``shard://`` specs work here too) that return
+bare ``(matrix, labels)`` shapes and keep no state.  Code that wants engines,
+per-handle traces (``session.open(spec, record_trace=True).trace``), dataset
+metadata (``session.info(spec)``) or a managed lifecycle uses the session
+directly:
 
 .. code-block:: python
 
@@ -22,236 +25,96 @@ backends, execution engines and per-handle lifecycle/tracing:
     with Session() as session:
         dataset = session.open("mmap://infimnist_10gb.m3")
         result = session.fit(LogisticRegression(max_iterations=10), dataset)
-
-Every method here delegates to a private :class:`~repro.api.Session`; the
-old ``(matrix, labels)`` return shapes are preserved exactly.
 """
 
 from __future__ import annotations
 
-import threading
-import warnings
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.runtime import make_lock
 from repro.core.advice import AccessAdvice
 from repro.core.allocator import mmap_alloc
 from repro.core.config import M3Config
 from repro.core.mmap_matrix import MmapMatrix
-from repro.data.formats import create_binary_matrix
 from repro.vmem.trace import AccessTrace
 
 
-class M3:
-    """High-level entry point for memory-mapped machine learning (legacy).
+def _session() -> Any:
+    """A pool-less session for one helper call.
 
-    A compatibility shim over :class:`repro.api.Session`: the return shapes
-    of the original facade are preserved, while datasets are actually opened
-    through the pluggable-backend machinery (so ``shard://`` and
-    ``memory://`` specs work here too).
-
-    Parameters
-    ----------
-    config:
-        Runtime configuration; see :class:`~repro.core.config.M3Config`.
+    Callers hold bare ``(matrix, labels)`` tuples and rely on garbage
+    collection to release mappings, so handles must not be shared or tracked
+    beyond their ``Dataset``.  Imported here, not at module level:
+    :mod:`repro.api` itself imports :mod:`repro.core`.
     """
+    from repro.api.session import Session
 
-    def __init__(self, config: Optional[M3Config] = None) -> None:
-        from repro.api.session import Session
-
-        self.config = config or M3Config()
-        # Pooling is disabled: legacy callers hold bare (matrix, labels)
-        # tuples and rely on garbage collection to release mappings, so
-        # handles must not be shared or tracked beyond their Dataset.
-        self.session = Session(self.config, handle_pool_size=0)
-        self._thread_state = threading.local()
-
-    # -- deprecated shared-trace attribute ------------------------------------
-
-    @property
-    def last_trace(self) -> Optional[AccessTrace]:
-        """The trace of the most recent open on *this thread* (deprecated).
-
-        Traces are now a property of each :class:`~repro.api.Dataset` handle
-        (``dataset.trace``); this accessor remains readable for old callers
-        and is thread-local rather than shared mutable state.
-        """
-        warnings.warn(
-            "M3.last_trace is deprecated; use the per-handle Dataset.trace "
-            "(or MmapMatrix.trace) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self._thread_state, "trace", None)
-
-    @last_trace.setter
-    def last_trace(self, trace: Optional[AccessTrace]) -> None:
-        warnings.warn(
-            "M3.last_trace is deprecated; use the per-handle Dataset.trace "
-            "(or MmapMatrix.trace) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._thread_state.trace = trace
-
-    def _remember_trace(self, trace: Optional[AccessTrace]) -> None:
-        self._thread_state.trace = trace
-
-    # -- dataset creation ------------------------------------------------------
-
-    def create_dataset(
-        self,
-        path: Union[str, Path],
-        data: np.ndarray,
-        labels: Optional[np.ndarray] = None,
-    ) -> Path:
-        """Write an in-memory matrix (and optional labels) to an M3 dataset file."""
-        self.session.create(Path(path), data, labels)
-        return Path(path)
-
-    def create_empty_dataset(
-        self,
-        path: Union[str, Path],
-        rows: int,
-        cols: int,
-        dtype: Union[str, np.dtype] = np.float64,
-        with_labels: bool = False,
-    ) -> Path:
-        """Create a (sparse) dataset file to be filled by an out-of-core writer."""
-        path = Path(path)
-        create_binary_matrix(path, rows, cols, dtype, with_labels)
-        return path
-
-    # -- dataset opening -------------------------------------------------------
-
-    def open_dataset(
-        self,
-        path: Union[str, Path],
-        mode: Optional[str] = None,
-        advice: Optional[AccessAdvice] = None,
-        record_trace: Optional[bool] = None,
-    ) -> Tuple[MmapMatrix, Optional[np.ndarray]]:
-        """Open a dataset as ``(matrix, labels)`` (legacy shape).
-
-        ``path`` may be a filesystem path or any URI-style spec the unified
-        API understands (``mmap://…``, ``shard://…``, ``memory://…``).
-        Prefer :meth:`repro.api.Session.open`, which returns a managed
-        :class:`~repro.api.Dataset` handle instead of a bare tuple.
-        """
-        dataset = self.session.open(
-            path if isinstance(path, (str, Path)) else Path(path),
-            mode=mode,
-            advice=advice,
-            record_trace=record_trace,
-        )
-        # Legacy callers receive a bare tuple and rely on garbage collection
-        # to release the mapping, so the session must not keep the handle
-        # alive; and last_trace only ever reflected *recorded* opens.
-        self.session.release(dataset)
-        if dataset.trace is not None:
-            self._remember_trace(dataset.trace)
-        labels = dataset.labels
-        if labels is not None:
-            # The legacy shape promises a plain int64 ndarray; materialise
-            # lazy label views (the sharded backend's) here so old callers
-            # can keep using ndarray operators on the result.
-            labels = np.asarray(labels)
-        return dataset.matrix, labels
-
-    def load_matrix(
-        self,
-        path: Union[str, Path],
-        shape: Optional[Tuple[int, int]] = None,
-        dtype: Union[str, np.dtype] = np.float64,
-        mode: Optional[str] = None,
-        advice: Optional[AccessAdvice] = None,
-        record_trace: Optional[bool] = None,
-    ) -> MmapMatrix:
-        """Memory-map a matrix file (legacy).
-
-        If ``shape`` is omitted the file must be in M3 binary format (the
-        header supplies the geometry); with an explicit ``shape`` any raw
-        binary file of the right size can be mapped — the direct analogue of
-        the paper's ``mmapAlloc(file, rows * cols)``.
-        """
-        path = Path(path)
-        mode = mode or self.config.mode
-        advice = advice or self.config.default_advice
-        record = self.config.record_traces if record_trace is None else record_trace
-
-        if shape is None:
-            matrix, _ = self.open_dataset(
-                path, mode=mode, advice=advice, record_trace=record
-            )
-            return matrix
-
-        trace: Optional[AccessTrace] = None
-        if record:
-            trace = AccessTrace(description=f"load_matrix({path.name})")
-            self._remember_trace(trace)
-        backing = mmap_alloc(path, shape, dtype=dtype, mode=mode)
-        return MmapMatrix(backing, source_path=path, advice=advice, trace=trace)
-
-    # -- introspection ---------------------------------------------------------
-
-    def dataset_info(self, path: Union[str, Path]) -> dict:
-        """Return the parsed header of a dataset as a dictionary.
-
-        Works for single-file and sharded datasets; the ``backend`` key names
-        the storage backend that would serve the dataset.
-        """
-        info = self.session.info(path if isinstance(path, (str, Path)) else Path(path))
-        result = {
-            "rows": info["rows"],
-            "cols": info["cols"],
-            "dtype": info["dtype"],
-            "has_labels": info["has_labels"],
-            "data_bytes": info["nbytes"],
-            "backend": info["backend"],
-        }
-        if "file_bytes" in info:
-            result["file_bytes"] = info["file_bytes"]
-        if "num_shards" in info:
-            result["num_shards"] = info["num_shards"]
-        return result
-
-
-_DEFAULT: Optional[M3] = None
-_DEFAULT_LOCK = make_lock("repro.core.m3._DEFAULT_LOCK")
-
-
-def _default() -> M3:
-    """The lazily created facade behind the module-level helpers.
-
-    Created on first use rather than at import time, so importing
-    :mod:`repro.core` does not instantiate a session mid-way through the
-    package import cycle.
-    """
-    global _DEFAULT
-    if _DEFAULT is None:
-        with _DEFAULT_LOCK:
-            if _DEFAULT is None:
-                _DEFAULT = M3()
-    return _DEFAULT
+    return Session(handle_pool_size=0)
 
 
 def create_dataset(
     path: Union[str, Path], data: np.ndarray, labels: Optional[np.ndarray] = None
 ) -> Path:
-    """Module-level convenience wrapper around :meth:`M3.create_dataset`."""
-    return _default().create_dataset(path, data, labels)
+    """Write an in-memory matrix (and optional labels) to an M3 dataset file."""
+    _session().create(Path(path), data, labels)
+    return Path(path)
 
 
 def open_dataset(
-    path: Union[str, Path], mode: Optional[str] = None, **kwargs
+    path: Union[str, Path],
+    mode: Optional[str] = None,
+    advice: Optional[AccessAdvice] = None,
+    record_trace: Optional[bool] = None,
 ) -> Tuple[MmapMatrix, Optional[np.ndarray]]:
-    """Module-level convenience wrapper around :meth:`M3.open_dataset`."""
-    return _default().open_dataset(path, mode=mode, **kwargs)
+    """Open a dataset as ``(matrix, labels)``.
+
+    ``path`` may be a filesystem path or any URI-style spec the unified
+    API understands (``mmap://…``, ``shard://…``).  Prefer
+    :meth:`repro.api.Session.open`, which returns a managed
+    :class:`~repro.api.Dataset` handle instead of a bare tuple.
+    """
+    session = _session()
+    dataset = session.release(
+        session.open(
+            path if isinstance(path, (str, Path)) else Path(path),
+            mode=mode,
+            advice=advice,
+            record_trace=record_trace,
+        )
+    )
+    labels = dataset.labels
+    if labels is not None:
+        # The bare shape promises a plain int64 ndarray; materialise lazy
+        # label views (the sharded backend's) here so callers can keep using
+        # ndarray operators on the result.
+        labels = np.asarray(labels)
+    return dataset.matrix, labels
 
 
-def load_matrix(path: Union[str, Path], **kwargs) -> MmapMatrix:
-    """Module-level convenience wrapper around :meth:`M3.load_matrix`."""
-    return _default().load_matrix(path, **kwargs)
+def load_matrix(
+    path: Union[str, Path],
+    shape: Optional[Tuple[int, int]] = None,
+    dtype: Union[str, np.dtype] = np.float64,
+    mode: Optional[str] = None,
+    advice: Optional[AccessAdvice] = None,
+    record_trace: Optional[bool] = None,
+) -> MmapMatrix:
+    """Memory-map a matrix file.
+
+    If ``shape`` is omitted the file must be in M3 binary format (the
+    header supplies the geometry); with an explicit ``shape`` any raw
+    binary file of the right size can be mapped — the direct analogue of
+    the paper's ``mmapAlloc(file, rows * cols)``.
+    """
+    path = Path(path)
+    if shape is None:
+        matrix, _ = open_dataset(path, mode=mode, advice=advice, record_trace=record_trace)
+        return matrix
+    config = M3Config()
+    trace = AccessTrace(description=f"load_matrix({path.name})") if record_trace else None
+    backing = mmap_alloc(path, shape, dtype=dtype, mode=mode or config.mode)
+    return MmapMatrix(
+        backing, source_path=path, advice=advice or config.default_advice, trace=trace
+    )

@@ -5,7 +5,8 @@ array, v2 trades the mmap property for bandwidth: the matrix is split into
 fixed-size row **blocks**, each independently compressed through a pluggable
 :mod:`~repro.data.codecs` codec, optionally stored in a narrower dtype
 (float32/float16 downcasting), and optionally laid out **column-major** inside
-each block so a column-subset scan fetches only the columns it needs.
+each block — like values sit together, which can code smaller; reads fetch
+and decode whole blocks under either layout.
 
 Layout::
 
@@ -35,7 +36,7 @@ codec and layout names, the *logical* dtype (what consumers see) and the
 *storage* dtype (what is on disk), and the full block/segment table: for the
 ``row`` layout each block is one segment of ``block_rows x cols`` values in C
 order; for the ``column`` layout each block holds ``cols`` segments, one per
-column, so segment ``j`` of a block can be fetched and decoded on its own.
+column.
 Labels, when present, are one coded int64 segment.
 
 Reads go through :class:`BlockedMatrixReader`, which serves rows with
@@ -529,16 +530,10 @@ def read_blocked_header(path: Union[str, Path]) -> BlockedMatrixHeader:
 
 @dataclass(frozen=True)
 class BlockPayload:
-    """Fetched (still-coded) payloads of one block — the I/O half of a read.
-
-    ``columns`` is ``None`` when every segment of the block was fetched, or
-    the fetched column indices for a column-subset read of a column-major
-    block.
-    """
+    """Fetched (still-coded) payloads of one block — the I/O half of a read."""
 
     index: int
     payloads: Tuple[bytes, ...]
-    columns: Optional[Tuple[int, ...]]
     compressed_bytes: int
 
 
@@ -602,30 +597,15 @@ class BlockedMatrixReader:
             )
         return payload
 
-    def fetch_block(
-        self, index: int, columns: Optional[Sequence[int]] = None
-    ) -> BlockPayload:
-        """Fetch the coded payload(s) of block ``index`` (I/O only, no decode).
-
-        ``columns`` restricts a **column-major** block to the named columns'
-        segments, so a column-subset scan reads only the bytes it needs;
-        row-major blocks always fetch their single full segment.
-        """
+    def fetch_block(self, index: int) -> BlockPayload:
+        """Fetch the coded payload(s) of block ``index`` (I/O only, no decode)."""
         block = self.header.blocks[index]
-        if columns is not None and self.header.layout == "column":
-            wanted = tuple(int(c) for c in columns)
-            segments = [block.segments[c] for c in wanted]
-        else:
-            wanted = None
-            segments = list(block.segments)
         payloads = tuple(
-            self._pread(segment[0], segment[1]) for segment in segments
+            self._pread(segment[0], segment[1]) for segment in block.segments
         )
-        fetched = sum(segment[1] for segment in segments)
+        fetched = block.coded_bytes
         self.payload_bytes_read += fetched
-        return BlockPayload(
-            index=index, payloads=payloads, columns=wanted, compressed_bytes=fetched
-        )
+        return BlockPayload(index=index, payloads=payloads, compressed_bytes=fetched)
 
     def fetch_coded_block(self, index: int) -> CodedBlock:
         """Block ``index`` as stored, CRC-checked but never decoded.
@@ -714,18 +694,11 @@ class BlockedMatrixReader:
             ).reshape(block.rows, self.header.cols)
             np.copyto(dest, values[local], casting="unsafe")
         else:
-            columns = (
-                fetched.columns
-                if fetched.columns is not None
-                else range(self.header.cols)
-            )
-            for position, col in enumerate(columns):
-                segment = block.segments[col]
+            for col in range(self.header.cols):
                 values = self._decode_segment(
-                    fetched.payloads[position], segment, fetched.index, col
+                    fetched.payloads[col], block.segments[col], fetched.index, col
                 )
-                target = position if fetched.columns is not None else col
-                np.copyto(dest[:, target], values[local], casting="unsafe")
+                np.copyto(dest[:, col], values[local], casting="unsafe")
 
     # -- composed reads ------------------------------------------------------
 
@@ -756,41 +729,6 @@ class BlockedMatrixReader:
         """Decode one whole block into a fresh logical array."""
         block = self.header.blocks[index]
         return self.read_rows(block.start_row, block.stop_row)
-
-    def read_columns(self, start: int, stop: int, columns: Sequence[int]) -> np.ndarray:
-        """Rows ``[start, stop)`` restricted to ``columns``.
-
-        On a column-major file only the named columns' segments are fetched
-        and decoded; on a row-major file the whole blocks are decoded and
-        sliced (correct, but reads every byte — the layout exists precisely
-        to avoid that).
-        """
-        start = max(0, start)
-        stop = min(self.header.rows, stop)
-        columns = [int(c) for c in columns]
-        for col in columns:
-            if not 0 <= col < self.header.cols:
-                raise IndexError(
-                    f"column {col} out of range for {self.header.cols} columns"
-                )
-        rows = max(0, stop - start)
-        out = np.empty((rows, len(columns)), dtype=self.header.dtype)
-        if rows == 0:
-            return out
-        if self.header.layout == "column":
-            for index in self.blocks_for(start, stop):
-                fetched = self.fetch_block(index, columns=columns)
-                block = self.header.blocks[index]
-                lo = max(start, block.start_row)
-                self.decode_block_into(fetched, start, stop, out, out_offset=lo - start)
-            return out
-        for index in self.blocks_for(start, stop):
-            block = self.header.blocks[index]
-            lo = max(start, block.start_row)
-            hi = min(stop, block.stop_row)
-            decoded = self.read_rows(lo, hi)
-            out[lo - start : hi - start] = decoded[:, columns]
-        return out
 
     def compressed_bytes_for(self, start: int, stop: int) -> int:
         """Coded bytes a full-width read of rows ``[start, stop)`` fetches."""

@@ -329,12 +329,13 @@ class StreamingPredictor:
         in-core method (``predict``, ``predict_proba``, …).  Because the
         methods are row-wise, per-chunk results are bit-identical to the
         corresponding rows of an in-core full-matrix call.
-    ``predict_streaming(blocks, n_rows, method=..., out=...)``
-        The default chunked implementation: loop ``predict_chunk`` over
-        ``(start, stop, X)`` row blocks, scattering each result into a single
-        output buffer preallocated from the first block's geometry — so
-        serving a billion-row stream holds one chunk of input and one output
-        vector, never the stitched matrix.
+    ``predict_streaming(chunks, n_rows, method=..., workers=..., out=...)``
+        The one body a stream is predicted through: ``predict_chunk`` over
+        every chunk, fanned over :func:`map_ordered` (the plain serial loop
+        at ``workers=1``), each result scattered into its disjoint slice of a
+        single output buffer preallocated from the first chunk's geometry —
+        so serving a billion-row stream holds a few chunks of input and one
+        output vector, never the stitched matrix.
 
     Estimators with cheaper chunk-local paths (or non-row-wise methods) can
     override either hook; the streaming engine only relies on this protocol.
@@ -353,82 +354,42 @@ class StreamingPredictor:
 
     def predict_streaming(
         self,
-        blocks: Iterator[Tuple[int, int, Any]],
-        n_rows: int,
-        method: str = "predict",
-        out: Any = None,
-    ) -> np.ndarray:
-        """Predict over ``(start, stop, X)`` blocks into one preallocated buffer.
-
-        Parameters
-        ----------
-        blocks:
-            Iterable of ``(start, stop, X)`` row blocks tiling ``[0, n_rows)``
-            in any order (e.g. ``stream.blocks()`` of a chunk iterator).
-        n_rows:
-            Total rows the blocks cover; fixes the output buffer's length.
-        method:
-            Prediction method to drive per chunk (``predict``,
-            ``predict_proba``, ``decision_function``, …).
-        out:
-            Optional preallocated output buffer of leading dimension
-            ``n_rows``; allocated from the first block's result geometry when
-            omitted.
-        """
-        n_rows = int(n_rows)
-        filled = 0
-        for start, stop, X in blocks:
-            block = np.asarray(self.predict_chunk(X, method=method))
-            if block.shape[0] != stop - start:
-                raise ValueError(
-                    f"{method} returned {block.shape[0]} rows for a "
-                    f"{stop - start}-row chunk [{start}, {stop})"
-                )
-            if out is None:
-                out = np.empty((n_rows, *block.shape[1:]), dtype=block.dtype)
-            out[start:stop] = block
-            filled += stop - start
-        if filled != n_rows:
-            raise ValueError(
-                f"prediction stream covered {filled} of {n_rows} rows"
-            )
-        if out is None:  # n_rows == 0 and an empty stream
-            return np.empty((0,), dtype=np.float64)
-        return out
-
-    def predict_streaming_parallel(
-        self,
         chunks: Any,
         n_rows: int,
         method: str = "predict",
-        workers: int = 2,
+        workers: int = 1,
         out: Any = None,
     ) -> np.ndarray:
-        """Data-parallel :meth:`predict_streaming`: fan chunks over :func:`map_ordered`.
+        """Predict over a stream of chunks into one preallocated buffer.
 
-        Each chunk's ``predict_chunk`` runs on a pool worker that writes the
-        result into its **disjoint** ``out[start:stop]`` slice of one
-        preallocated buffer, so the output is bit-identical to the sequential
-        path (the prediction methods are row-wise) no matter how chunks
-        interleave.  The first chunk is served inline to fix the output
-        geometry; in-flight work is bounded to ``2 × workers`` chunks so an
-        upstream buffer pool is never drained faster than it refills.
+        Each chunk's ``predict_chunk`` runs through :func:`map_ordered` and
+        writes its **disjoint** ``out[start:stop]`` slice, so the output is
+        bit-identical to the in-core call (the prediction methods are
+        row-wise) at any worker count, however chunks interleave.  The first
+        chunk is served inline to fix the output geometry; in-flight work is
+        bounded to ``2 × workers`` chunks so an upstream buffer pool is never
+        drained faster than it refills.
 
         Parameters
         ----------
         chunks:
             Iterable of chunk-like objects with ``start``, ``stop`` and ``X``
-            attributes — :class:`~repro.api.chunks.Chunk` instances from any
-            chunk stream.  Chunks exposing ``release()`` (pooled buffers) are
-            released as soon as their worker is done with them.
+            attributes tiling ``[0, n_rows)`` —
+            :class:`~repro.api.chunks.Chunk` instances from any chunk stream.
+            Chunks exposing ``release()`` (pooled buffers) are released as
+            soon as they are served; a chunk queued behind a failed one is
+            released without being run.
         n_rows:
             Total rows the chunks cover; fixes the output buffer's length.
         method:
-            Prediction method to drive per chunk.
+            Prediction method to drive per chunk (``predict``,
+            ``predict_proba``, ``decision_function``, …).
         workers:
-            Worker threads; ``1`` degrades to the sequential loop's behaviour.
+            Worker threads; ``1`` (default) is the sequential loop on the
+            calling thread.
         out:
-            Optional preallocated output of leading dimension ``n_rows``.
+            Optional preallocated output of leading dimension ``n_rows``;
+            allocated from the first chunk's result geometry when omitted.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")

@@ -46,7 +46,7 @@ import asyncio
 import socket
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.runtime import make_lock
@@ -100,7 +100,7 @@ class NetStats:
 
     def snapshot(self) -> "NetStats":
         """An independent copy (the live object keeps accumulating)."""
-        return NetStats(**self.as_dict())
+        return replace(self)
 
 
 class _Entry:

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -45,7 +46,8 @@ from repro.data.formats_v2 import ChecksumError
 from repro.faults import InjectedFault, RetriesExhausted, maybe_fire, policy_for
 from repro.serve.registry import ModelLike, ModelRegistry, ModelVersion
 
-#: Maximum per-request queue-wait samples kept for percentile reporting.
+#: Per-request queue-wait samples kept for percentile reporting: the most
+#: recent this many, so a long-lived server's tail describes its last hour.
 MAX_WAIT_SAMPLES = 65536
 
 DEFAULT_MODEL_NAME = "default"
@@ -132,9 +134,9 @@ class ServeStats:
     """Aggregate accounting of one server's lifetime of requests.
 
     ``queue_wait_s`` sums per-request waits; ``batch_s`` and ``compute_s``
-    sum per-batch coalesce and compute time.  ``wait_samples`` keeps (up to a
-    cap) every request's queue wait so tail latency is reportable, not just
-    the mean.
+    sum per-batch coalesce and compute time.  ``wait_samples`` keeps the most
+    recent :data:`MAX_WAIT_SAMPLES` requests' queue waits so tail latency is
+    reportable, not just the mean.
     """
 
     requests: int = 0
@@ -152,7 +154,9 @@ class ServeStats:
     retries: int = 0
     #: Dispatch errors injected by an active fault plan.
     faults_injected: int = 0
-    wait_samples: List[float] = field(default_factory=list)
+    wait_samples: "deque[float]" = field(
+        default_factory=lambda: deque(maxlen=MAX_WAIT_SAMPLES)
+    )
 
     def record_batch(
         self, waits: List[float], rows: int, batch_s: float, compute_s: float
@@ -164,9 +168,7 @@ class ServeStats:
         self.queue_wait_s += sum(waits)
         self.batch_s += batch_s
         self.compute_s += compute_s
-        free = MAX_WAIT_SAMPLES - len(self.wait_samples)
-        if free > 0:
-            self.wait_samples.extend(waits[:free])
+        self.wait_samples.extend(waits)
 
     @property
     def mean_batch_rows(self) -> float:
@@ -200,20 +202,7 @@ class ServeStats:
 
     def snapshot(self) -> "ServeStats":
         """An independent copy (the live object keeps accumulating)."""
-        return ServeStats(
-            requests=self.requests,
-            rows=self.rows,
-            batches=self.batches,
-            queue_wait_s=self.queue_wait_s,
-            batch_s=self.batch_s,
-            compute_s=self.compute_s,
-            errors=self.errors,
-            rejected=self.rejected,
-            failed_requests=self.failed_requests,
-            retries=self.retries,
-            faults_injected=self.faults_injected,
-            wait_samples=list(self.wait_samples),
-        )
+        return replace(self, wait_samples=self.wait_samples.copy())
 
 
 class _Request:

@@ -160,13 +160,6 @@ class TestChunkSequence:
         assert stats.prefetched == (mode != "inline")
         _assert_wound_down(stream.pool)
 
-    def test_blocks_view_matches_chunks_and_releases_buffers(self, backing, mode):
-        with _open(backing, mode) as stream:
-            blocks = [(start, stop, np.array(X)) for start, stop, X in stream.blocks()]
-        assert [(start, stop) for start, stop, _ in blocks] == list(stream.plan.bounds)
-        np.testing.assert_array_equal(np.concatenate([X for _, _, X in blocks]), backing.X)
-        _assert_wound_down(stream.pool)
-
     def test_who_owns_the_arrays(self, backing, mode):
         # Inline chunks always own their arrays, so hoarding them is legal;
         # shard-aligned raw chunks are zero-copy views under every reader

@@ -106,6 +106,20 @@ class TestIoOverlap:
         stats.record(read_s=0.5, wait_s=0.5, compute_s=0.0, rows=10, nbytes=80)
         assert stats.io_overlap == 0.0
 
+    def test_samples_keep_the_most_recent_chunks(self):
+        from repro.api.chunks import MAX_TIMING_SAMPLES
+
+        early, late = ChunkStreamStats(), ChunkStreamStats()
+        for _ in range(MAX_TIMING_SAMPLES):
+            early.record(read_s=0.001, wait_s=0.0, compute_s=0.0, rows=1, nbytes=8)
+        for _ in range(1000):
+            late.record(read_s=0.050, wait_s=0.0, compute_s=0.0, rows=1, nbytes=8)
+        early.merge(late)
+        assert early.chunks == MAX_TIMING_SAMPLES + 1000
+        assert len(early.samples) == MAX_TIMING_SAMPLES
+        assert [sample[0] for sample in early.samples][-1000:] == [0.050] * 1000
+        assert early.samples[0][0] == 0.001
+
     def test_empty_stream_reports_undefined_overlap(self):
         stream = open_chunk_stream(np.zeros((0, 3)), chunk_rows=4, prefetch=False)
         list(stream)

@@ -9,7 +9,7 @@ the logical read volume.
 
 Compressed chunks are *always* pooled (there is no zero-copy view of coded
 bytes), so consumers here follow the same lease contract the engines do:
-release each chunk after use, or iterate via ``stream.blocks()``.
+release each chunk after use.
 """
 
 import tracemalloc
@@ -95,8 +95,7 @@ class TestAccounting:
         tmp_path, X, y = datasets
         matrix = open_sharded_matrix(tmp_path / "zip")
         with open_chunk_stream(matrix, chunk_rows=90, io_workers=2) as stream:
-            for _start, _stop, _x in stream.blocks():
-                pass
+            _drain(stream)
             stats = stream.stats
         assert stats.compressed_bytes > 0
         assert stats.compressed_bytes < stats.bytes_read  # coded < logical
@@ -111,8 +110,7 @@ class TestAccounting:
         tmp_path, X, y = datasets
         matrix = open_sharded_matrix(tmp_path / "raw")
         with open_chunk_stream(matrix, chunk_rows=90, io_workers=2) as stream:
-            for _block in stream.blocks():
-                pass
+            _drain(stream)
             stats = stream.stats
         assert stats.compressed_bytes == 0
         assert stats.ratio is None
@@ -122,8 +120,7 @@ class TestAccounting:
         tmp_path, X, y = datasets
         matrix = open_sharded_matrix(tmp_path / "zip")
         with open_chunk_stream(matrix, chunk_rows=90, io_workers=2) as stream:
-            for _block in stream.blocks():
-                pass
+            _drain(stream)
             reader_bytes = sum(r["bytes_read"] for r in stream.reader_stats)
             stats = stream.stats
         # Readers count what they pulled off storage: the coded volume.
@@ -171,13 +168,13 @@ class TestAllocationDiscipline:
         # Warm up one full pass so planners and caches exist.
         with open_chunk_stream(matrix, chunk_rows=90, io_workers=2,
                                buffer_pool=pool) as stream:
-            for _block in stream.blocks():
-                pass
+            for chunk in stream:
+                chunk.release()
         tracemalloc.start()
         with open_chunk_stream(matrix, chunk_rows=90, io_workers=2,
                                buffer_pool=pool) as stream:
-            for _block in stream.blocks():
-                pass
+            for chunk in stream:
+                chunk.release()
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         # The ring is preallocated outside the traced window; the hot path

@@ -4,15 +4,18 @@ The acceptance bar: ``session.predict(..., engine="streaming")`` produces
 bit-identical predictions to ``model.predict(np.asarray(X))`` for every
 estimator/backend pair, peak materialisation on the sharded backend stays
 bounded by the chunk size, and ``PredictResult.details`` carries non-trivial
-I/O-overlap accounting.
+I/O-overlap accounting.  A stream is predicted through one body,
+``StreamingPredictor.predict_streaming``; its matrix (workers × format ×
+method, and the failing chunk) is at the end.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.api import PredictResult, Session, StreamingEngine
+from repro.api import PredictResult, Session, StreamingEngine, open_chunk_stream
 from repro.api.dataset import Dataset
 from repro.api.storage import StorageHandle
 from repro.ml import (
@@ -50,6 +53,10 @@ def session(tmp_path_factory, problem):
         }
         for spec in specs.values():
             session.create(spec, X, y, **({"shard_rows": SHARD_ROWS} if spec.startswith("shard") else {}))
+        specs["shard_zlib"] = session.create(
+            f"shard://{tmp_path}/serve_zlib", X, y,
+            shard_rows=SHARD_ROWS, codec="zlib", block_rows=48,
+        )
         session.specs = specs
         yield session
 
@@ -82,7 +89,7 @@ class TestStreamingEquivalence:
         X, _ = problem
         model = models[name]
         result = session.predict(
-            session.specs[backend], model, engine="streaming", chunk_rows=CHUNK
+            session.specs[backend], model, engine=StreamingEngine(chunk_rows=CHUNK)
         )
         expected = model.predict(np.asarray(X))
         assert isinstance(result, PredictResult)
@@ -103,7 +110,7 @@ class TestStreamingEquivalence:
         X, _ = problem
         model = models[name]
         result = session.predict(
-            session.specs[backend], model, method=method, engine="streaming", chunk_rows=CHUNK
+            session.specs[backend], model, method=method, engine=StreamingEngine(chunk_rows=CHUNK)
         )
         expected = np.asarray(getattr(model, method)(np.asarray(X)))
         assert result.method == method
@@ -122,7 +129,7 @@ class TestPredictDetails:
     def test_streaming_details_report_pipeline_accounting(self, session, models, problem):
         X, _ = problem
         result = session.predict(
-            session.specs["shard"], models["logistic"], engine="streaming", chunk_rows=CHUNK
+            session.specs["shard"], models["logistic"], engine=StreamingEngine(chunk_rows=CHUNK)
         )
         details = result.details
         assert result.engine == "streaming"
@@ -142,21 +149,6 @@ class TestPredictDetails:
         assert details["io_overlap"] is not None
         assert 0.0 <= details["io_overlap"] <= 1.0
         assert len(details["per_chunk"]) == details["chunks"]
-
-    def test_prefetch_can_be_disabled(self, session, models):
-        engine = StreamingEngine(prefetch=False, chunk_rows=100)
-        result = session.predict(session.specs["mmap"], models["logistic"], engine=engine)
-        assert result.details["prefetch_depth"] == 0
-        assert result.details["io_workers"] == 0
-        assert "readers" not in result.details
-        assert result.details["prefetched"] is False
-        assert result.details["chunk_rows"] == 100
-
-    def test_chunk_rows_kwarg_requires_streaming_engine(self, session, models):
-        with pytest.raises(ValueError, match="streaming"):
-            session.predict(
-                session.specs["mmap"], models["logistic"], engine="local", chunk_rows=10
-            )
 
     def test_invalid_chunk_rows_rejected_at_engine_layer(self):
         with pytest.raises(ValueError, match="chunk_rows"):
@@ -304,7 +296,7 @@ class TestBoundedMemory:
             expected = model.predict(np.asarray(dataset.matrix))
             tracemalloc.start()
             try:
-                result = serve.predict(dataset, model, engine="streaming", chunk_rows=250)
+                result = serve.predict(dataset, model, engine=StreamingEngine(chunk_rows=250))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -327,8 +319,7 @@ class TestDataParallelPredict:
         result = session.predict(
             session.open(session.specs[backend]),
             model,
-            engine="streaming",
-            compute_workers=4,
+            engine=StreamingEngine(compute_workers=4),
         )
         assert np.array_equal(result.predictions, expected)
         assert result.details["compute_workers"] == 4
@@ -341,9 +332,8 @@ class TestDataParallelPredict:
             session.open(session.specs["shard"]),
             model,
             method="predict_proba",
-            engine="streaming",
-            io_workers=0,       # one reader per shard
-            compute_workers=3,  # data-parallel inference
+            # One reader per shard, data-parallel inference.
+            engine=StreamingEngine(io_workers=0, compute_workers=3),
         )
         assert np.array_equal(result.predictions, expected)
 
@@ -353,38 +343,112 @@ class TestDataParallelPredict:
         result = session.predict(
             session.open(session.specs["shard"]),
             model,
-            engine="streaming",
-            io_workers=4,
+            engine=StreamingEngine(io_workers=4),
         )
         assert np.array_equal(result.predictions, model.predict(np.asarray(X)))
         details = result.details
         assert details["io_workers"] == 4
         assert sum(r["chunks"] for r in details["readers"]) == details["chunks"]
 
-    def test_parallel_predict_on_straddling_chunks_releases_buffers(self, session, models, problem):
-        # Unaligned chunks force the buffer-pool path; the worker pool must
-        # release every lease or the stream deadlocks on an exhausted ring.
+
+FORMATS = {"raw": "shard", "zlib": "shard_zlib"}
+
+
+class TestPredictStreaming:
+    """The one body a stream is predicted through, driven on the streams
+    ``open_chunk_stream`` builds — where inline reads, unaligned plans and
+    the buffer ring are chosen."""
+
+    @pytest.mark.parametrize("method", ["predict", "predict_proba"])
+    @pytest.mark.parametrize("fmt", ["raw", "zlib"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bit_identical_to_in_core(self, session, models, problem, workers, fmt, method):
+        X, _ = problem
+        model = models["softmax"]
+        expected = getattr(model, method)(np.asarray(X))
+        spec = session.specs[FORMATS[fmt]]
+        served = session.predict(
+            spec, model, method=method,
+            engine=StreamingEngine(chunk_rows=CHUNK, io_workers=2, compute_workers=workers),
+        )
+        assert np.array_equal(served.predictions, expected)
+        assert served.details["compute_workers"] == workers
+        # Unaligned 100-row chunks straddle the 128-row shards: stitched (raw)
+        # or decoded (zlib) into pooled leases that each worker hands back.
+        matrix = session.open(spec).matrix
+        with open_chunk_stream(matrix, chunk_rows=100, align_shards=False, io_workers=2) as stream:
+            out = model.predict_streaming(stream, X.shape[0], method=method, workers=workers)
+            assert stream.pool.leases_served >= (6 if fmt == "zlib" else 4)
+            assert stream.pool.available == stream.pool.buffers
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("fmt", ["raw", "zlib"])
+    def test_failing_chunk_returns_every_lease(self, session, models, problem, fmt):
+        """A failing chunk cancels the queued ones; their pooled buffers still go back.
+
+        Chunk 1 fails at once while both workers are busy with slower chunks,
+        so at least chunk 4 is cancelled before it starts.  (The suite-wide
+        lease and thread leak guards in ``conftest.py`` are what fail this test
+        if its lease is dropped.)
+        """
+        X, _ = problem
+        model = models["linear"]
+        served = []
+
+        class FailsOnChunkOne(LinearRegression):
+            def predict_chunk(self, chunk, method="predict"):
+                if chunk[0, 0] == X[100, 0]:
+                    raise KeyError("chunk 1")
+                time.sleep(0.05)
+                served.append(chunk[0, 0])
+                return model.predict_chunk(chunk, method=method)
+
+        matrix = session.open(session.specs[FORMATS[fmt]]).matrix
+        with open_chunk_stream(matrix, chunk_rows=100, io_workers=2,
+                               buffer_pool=8, align_shards=False) as stream:
+            with pytest.raises(KeyError, match="chunk 1"):
+                FailsOnChunkOne().predict_streaming(stream, X.shape[0], workers=2)
+            assert stream.pool.leases_served >= 2
+        assert X[400, 0] not in served
+
+    def test_two_buffer_ring_under_three_workers(self, session, models, problem):
+        # A deliberately tiny ring forces reuse while chunks are in flight:
+        # the workers must release every lease or the stream deadlocks.
         X, _ = problem
         model = models["logistic"]
-        engine = StreamingEngine(
-            chunk_rows=100, align_shards=False, io_workers=2, compute_workers=3,
-            buffer_pool=2,  # deliberately tiny: forces reuse while in flight
-        )
-        result = session.predict(session.open(session.specs["shard"]), model, engine=engine)
-        assert np.array_equal(result.predictions, model.predict(np.asarray(X)))
-        assert result.details["buffer_pool_buffers"] == 2
-        assert result.details["buffer_pool_leases"] > 2  # the ring recycled
+        matrix = session.open(session.specs["shard"]).matrix
+        with open_chunk_stream(matrix, chunk_rows=100, align_shards=False,
+                               io_workers=2, buffer_pool=2) as stream:
+            out = model.predict_streaming(stream, X.shape[0], workers=3)
+            assert stream.pool.buffers == 2
+            assert stream.pool.leases_served > 2  # the ring recycled
+        assert np.array_equal(out, model.predict(np.asarray(X)))
 
-    def test_predict_streaming_parallel_protocol_directly(self, models, problem):
-        from repro.api.chunks import open_chunk_stream
+    def test_inline_stream(self, session, models, problem):
+        # prefetch=False: no thread, no ring, no hinter — the consumer reads.
+        X, _ = problem
+        model = models["logistic"]
+        matrix = session.open(session.specs["mmap"]).matrix
+        stream = open_chunk_stream(matrix, chunk_rows=100, prefetch=False)
+        out = model.predict_streaming(stream, X.shape[0])
+        assert (stream.depth, stream.io_workers, stream.pool) == (0, 0, None)
+        assert stream.stats.prefetched is False
+        assert stream.stats.chunks == 6 and stream.stats.io_wait_s == stream.stats.read_s
+        assert np.array_equal(out, model.predict(np.asarray(X)))
 
+    def test_inline_stream_fans_out_too(self, models, problem):
         X, _ = problem
         model = models["linear"]
         chunks = open_chunk_stream(X, chunk_rows=64, prefetch=False)
-        out = model.predict_streaming_parallel(chunks, X.shape[0], workers=4)
+        out = model.predict_streaming(chunks, X.shape[0], workers=4)
         np.testing.assert_array_equal(out, model.predict(X))
 
-    def test_invalid_worker_count_rejected(self, models, problem):
-        X, _ = problem
+    def test_invalid_worker_count_rejected(self, models):
         with pytest.raises(ValueError, match="workers"):
-            models["linear"].predict_streaming_parallel(iter([]), 0, workers=0)
+            models["linear"].predict_streaming(iter([]), 0, workers=0)
+
+    def test_short_stream_rejected(self, models, problem):
+        X, _ = problem
+        chunks = open_chunk_stream(X[:100], chunk_rows=64, prefetch=False)
+        with pytest.raises(ValueError, match="covered 100 of 600 rows"):
+            models["linear"].predict_streaming(chunks, X.shape[0])

@@ -60,19 +60,19 @@ class TestHandleReuse:
             assert sequential.matrix.advice is AccessAdvice.SEQUENTIAL
             assert random.matrix.advice is AccessAdvice.RANDOM
 
-    def test_legacy_facade_opens_are_unpooled(self, tmp_path, xy):
-        # core.M3 callers hold bare (matrix, labels) tuples and rely on GC;
-        # their handles must be neither shared nor tracked by the pool.
-        from repro.core.m3 import M3
-
+    def test_released_opens_of_a_pool_less_session_are_unpooled(self, tmp_path, xy):
+        # What core.open_dataset does: its callers hold bare (matrix, labels)
+        # tuples and rely on GC, so their handles must be neither shared nor
+        # tracked by the pool.
         X, y = xy
         from repro.data.formats import write_binary_matrix as write
         write(tmp_path / "legacy.m3", X, y)
-        runtime = M3()
-        first, _ = runtime.open_dataset(tmp_path / "legacy.m3")
-        second, _ = runtime.open_dataset(tmp_path / "legacy.m3")
-        assert first.backing is not second.backing
-        assert len(runtime.session._pool) == 0
+        session = Session(handle_pool_size=0)
+        first = session.release(session.open(tmp_path / "legacy.m3"))
+        second = session.release(session.open(tmp_path / "legacy.m3"))
+        assert first.matrix.backing is not second.matrix.backing
+        assert len(session._pool) == 0
+        assert len(session._datasets) == 0
 
     def test_different_modes_do_not_share(self, tmp_path, xy):
         X, y = xy

@@ -324,37 +324,3 @@ class TestLazyLabelsEdgeCases:
         # Ranges that avoid the damaged shard still work.
         assert labels.range(0, 7).shape == (7,)
         assert labels.range(14, 25).shape == (11,)
-
-
-class TestIterShardChunks:
-    def test_whole_shards_by_default(self, sharded_dir):
-        directory, X, _ = sharded_dir
-        matrix = ShardedMatrix(directory)
-        blocks = list(matrix.iter_shard_chunks())
-        assert [(start, stop) for start, stop, _ in blocks] == [
-            (0, 7), (7, 14), (14, 21), (21, 25)
-        ]
-        np.testing.assert_array_equal(
-            np.concatenate([np.asarray(view) for _, _, view in blocks]), X
-        )
-
-    def test_subdivided_blocks_never_cross_shards(self, sharded_dir):
-        directory, X, _ = sharded_dir
-        matrix = ShardedMatrix(directory)
-        blocks = list(matrix.iter_shard_chunks(chunk_rows=3))
-        for start, stop, view in blocks:
-            assert stop - start <= 3
-            for boundary in (7, 14, 21):
-                assert not (start < boundary < stop)
-            np.testing.assert_array_equal(np.asarray(view), X[start:stop])
-
-    def test_blocks_are_zero_copy_views(self, sharded_dir):
-        directory, _, _ = sharded_dir
-        matrix = ShardedMatrix(directory)
-        for _, _, view in matrix.iter_shard_chunks(chunk_rows=4):
-            assert any(np.shares_memory(view, shard_map) for shard_map in matrix._maps)
-
-    def test_invalid_chunk_rows_rejected(self, sharded_dir):
-        directory, _, _ = sharded_dir
-        with pytest.raises(ValueError, match="chunk_rows"):
-            list(ShardedMatrix(directory).iter_shard_chunks(chunk_rows=0))

@@ -10,7 +10,7 @@ naive Bayes on every storage backend, produces models equivalent to
 import numpy as np
 import pytest
 
-from repro.api import Session, StreamingEngine, plan_chunks, resolve_engine
+from repro.api import Session, StreamingEngine, open_chunk_stream, plan_chunks, resolve_engine
 from repro.api.sharded import ShardedLabels
 from repro.ml import (
     GaussianNaiveBayes,
@@ -123,8 +123,8 @@ class TestEquivalenceWithLocal:
             session.create(spec, X, y, **options)
             dataset = session.open(spec)
             streamed = session.fit(
-                MiniBatchKMeans(**args), dataset, engine="streaming",
-                io_workers=io_workers, compute_workers=compute_workers,
+                MiniBatchKMeans(**args), dataset,
+                engine=StreamingEngine(io_workers=io_workers, compute_workers=compute_workers),
             ).model
             bounds = plan_chunks(dataset.matrix, chunk_rows=CHUNK).bounds
         by_hand = MiniBatchKMeans(**args)
@@ -171,15 +171,31 @@ class TestStreamingDetails:
         assert len(details["per_chunk"]) == details["chunks"]
         assert set(details["per_chunk"][0]) == {"read_s", "io_wait_s", "compute_s"}
 
-    def test_prefetch_can_be_disabled(self, session):
-        engine = StreamingEngine(prefetch=False, chunk_rows=100)
-        result = session.fit(
-            GaussianNaiveBayes(), session.open(session.specs["mmap"]), engine=engine
+    def test_inline_stream_trains_the_same_model(self, session, problem):
+        # No engine option turns the reader thread off; an inline stream is
+        # open_chunk_stream(prefetch=False), and it feeds the same loop.
+        _, y = problem
+        dataset = session.open(session.specs["mmap"])
+        streams = []
+
+        def make_stream():
+            stream = open_chunk_stream(
+                dataset.matrix, labels=dataset.labels, chunk_rows=100, prefetch=False
+            )
+            streams.append(stream)
+            return ((chunk.X, chunk.y) for chunk in stream)
+
+        inline = GaussianNaiveBayes().fit_streaming(make_stream, classes=np.unique(y))
+        engine = session.fit(
+            GaussianNaiveBayes(), dataset, engine=StreamingEngine(chunk_rows=100)
         )
-        assert result.details["prefetch_depth"] == 0
-        assert result.details["io_workers"] == 0
-        assert result.details["prefetched"] is False
-        assert result.details["chunk_rows"] == 100
+        (stream,) = streams
+        assert (stream.depth, stream.io_workers, stream.pool) == (0, 0, None)
+        assert stream.stats.prefetched is False
+        assert stream.plan.chunk_rows == engine.details["chunk_rows"] == 100
+        assert engine.details["prefetched"] is True
+        assert np.array_equal(inline.theta_, engine.model.theta_)
+        assert np.array_equal(inline.var_, engine.model.var_)
 
     def test_trace_recorded_when_requested(self, session):
         dataset = session.open(session.specs["mmap"], record_trace=True)
@@ -214,8 +230,6 @@ class TestStreamingProtocol:
         # The reorder window follows the reader count; it is reported, not set.
         with pytest.raises(TypeError, match="prefetch_depth"):
             StreamingEngine(prefetch_depth=3)
-        with pytest.raises(ValueError, match="no option"):
-            StreamingEngine().with_options(prefetch_depth=3)
 
 
 class TestLazyLabels:
@@ -263,8 +277,7 @@ class TestParallelPipeline:
         parallel = session.fit(
             LogisticRegression(**args),
             session.open(session.specs["shard"]),
-            engine="streaming",
-            io_workers=io_workers,
+            engine=StreamingEngine(io_workers=io_workers),
         ).model
         # Plan-order re-emission means the update sequence is identical.
         np.testing.assert_array_equal(parallel.coef_, single.coef_)
@@ -274,8 +287,7 @@ class TestParallelPipeline:
         result = session.fit(
             GaussianNaiveBayes(chunk_size=CHUNK),
             session.open(session.specs["shard"]),
-            engine="streaming",
-            io_workers=3,
+            engine=StreamingEngine(io_workers=3),
         )
         details = result.details
         assert details["io_workers"] == 3
@@ -287,38 +299,11 @@ class TestParallelPipeline:
         # The multi-reader schedule is recorded for simulator replay.
         assert sum(len(log) for log in details["reader_log"]) == details["chunks"]
 
-    def test_session_rejects_parallel_knobs_on_non_streaming_engine(self, session):
-        with pytest.raises(ValueError, match="io_workers"):
-            session.fit(
-                GaussianNaiveBayes(),
-                session.open(session.specs["memory"]),
-                engine="local",
-                io_workers=2,
-            )
-        with pytest.raises(ValueError, match="compute_workers"):
-            session.predict(
-                session.open(session.specs["memory"]),
-                session.fit(
-                    GaussianNaiveBayes(), session.open(session.specs["memory"])
-                ).model,
-                engine="local",
-                compute_workers=2,
-            )
-
     def test_engine_validates_parallel_knobs(self):
         with pytest.raises(ValueError, match="io_workers"):
             StreamingEngine(io_workers=-1)
         with pytest.raises(ValueError, match="compute_workers"):
             StreamingEngine(compute_workers=0)
-        with pytest.raises(ValueError, match="no option"):
-            StreamingEngine().with_options(warp_drive=9)
-
-    def test_with_options_preserves_other_settings(self):
-        engine = StreamingEngine(chunk_rows=64, prefetch=False, hints=False)
-        clone = engine.with_options(io_workers=4, compute_workers=2)
-        assert (clone.chunk_rows, clone.prefetch, clone.hints) == (64, False, False)
-        assert (clone.io_workers, clone.compute_workers) == (4, 2)
-        assert engine.io_workers is None  # original untouched
 
 
 class TestMultiReaderReplay:
@@ -331,8 +316,7 @@ class TestMultiReaderReplay:
         result = session.fit(
             GaussianNaiveBayes(chunk_size=CHUNK),
             session.open(session.specs["shard"]),
-            engine="streaming",
-            io_workers=2,
+            engine=StreamingEngine(io_workers=2),
         )
         dataset = session.open(session.specs["shard"])
         plan = plan_chunks(dataset.matrix, chunk_rows=CHUNK)

@@ -1,12 +1,14 @@
-"""Tests for the M3 facade and configuration."""
+"""Tests for Table 1's helpers (``open_dataset`` & co.) and configuration."""
 
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.core.advice import AccessAdvice
 from repro.core.config import M3Config
-from repro.core.m3 import M3, create_dataset, load_matrix, open_dataset
+from repro.core.m3 import create_dataset, load_matrix, open_dataset
 from repro.core.mmap_matrix import MmapMatrix
+from repro.data.formats import create_binary_matrix
 
 
 class TestM3Config:
@@ -31,60 +33,78 @@ class TestM3Config:
 class TestCreateAndOpen:
     def test_create_then_open_roundtrip(self, tmp_path, small_classification):
         X, y = small_classification
-        runtime = M3()
-        path = runtime.create_dataset(tmp_path / "round.m3", X, y)
-        matrix, labels = runtime.open_dataset(path)
+        path = create_dataset(tmp_path / "round.m3", X, y)
+        assert path == tmp_path / "round.m3"
+        matrix, labels = open_dataset(path)
         assert isinstance(matrix, MmapMatrix)
         np.testing.assert_allclose(np.asarray(matrix), X)
         np.testing.assert_array_equal(np.asarray(labels), y)
 
+    def test_helpers_are_exported_from_the_package(self, tmp_path, small_classification):
+        import repro
+        import repro.core as m3
+
+        X, y = small_classification
+        path = m3.create_dataset(tmp_path / "module.m3", X, y)
+        matrix, labels = repro.open_dataset(path)
+        np.testing.assert_allclose(np.asarray(matrix), X)
+        np.testing.assert_array_equal(np.asarray(labels), y)
+        assert m3.load_matrix is load_matrix
+
     def test_open_without_labels(self, tmp_path):
-        runtime = M3()
         data = np.random.default_rng(0).normal(size=(12, 3))
-        path = runtime.create_dataset(tmp_path / "nolabels.m3", data)
-        matrix, labels = runtime.open_dataset(path)
+        path = create_dataset(tmp_path / "nolabels.m3", data)
+        matrix, labels = open_dataset(path)
         assert labels is None
         assert matrix.shape == (12, 3)
 
-    def test_create_empty_dataset(self, tmp_path):
-        runtime = M3()
-        path = runtime.create_empty_dataset(tmp_path / "empty.m3", rows=8, cols=4)
-        info = runtime.dataset_info(path)
+    def test_info_of_an_empty_dataset(self, tmp_path):
+        create_binary_matrix(tmp_path / "empty.m3", 8, 4)
+        with Session() as session:
+            info = session.info(tmp_path / "empty.m3")
         assert info["rows"] == 8 and info["cols"] == 4
         assert info["has_labels"] is False
 
-    def test_dataset_info(self, tmp_path, small_classification):
+    def test_info(self, tmp_path, small_classification):
         X, y = small_classification
-        runtime = M3()
-        path = runtime.create_dataset(tmp_path / "info.m3", X, y)
-        info = runtime.dataset_info(path)
+        path = create_dataset(tmp_path / "info.m3", X, y)
+        with Session() as session:
+            info = session.info(path)
         assert info["rows"] == X.shape[0]
         assert info["has_labels"] is True
         assert info["dtype"] == "float64"
 
     def test_trace_recording_enabled_by_config(self, tmp_path, small_classification):
         X, y = small_classification
-        runtime = M3(M3Config(record_traces=True))
-        path = runtime.create_dataset(tmp_path / "traced.m3", X, y)
-        matrix, _ = runtime.open_dataset(path)
-        _ = matrix[0:10]
-        assert runtime.last_trace is not None
-        assert len(runtime.last_trace) == 1
+        path = create_dataset(tmp_path / "traced.m3", X, y)
+        with Session(M3Config(record_traces=True)) as session:
+            dataset = session.open(path)
+            _ = dataset.matrix[0:10]
+            assert dataset.trace is not None
+            assert len(dataset.trace) == 1
 
     def test_trace_recording_off_by_default(self, tmp_path, small_classification):
         X, y = small_classification
-        runtime = M3()
-        path = runtime.create_dataset(tmp_path / "untraced.m3", X, y)
-        matrix, _ = runtime.open_dataset(path)
+        path = create_dataset(tmp_path / "untraced.m3", X, y)
+        matrix, _ = open_dataset(path)
         assert matrix.trace is None
+
+    def test_record_trace_lands_on_the_returned_matrix(self, tmp_path, small_classification):
+        X, y = small_classification
+        path = create_dataset(tmp_path / "pertrace.m3", X, y)
+        first, _ = open_dataset(path, record_trace=True)
+        second, _ = open_dataset(path, record_trace=True)
+        _ = first[0:4]
+        # Per handle: one open's reads never show up in another's trace.
+        assert len(first.trace) == 1
+        assert len(second.trace) == 0
 
 
 class TestLoadMatrix:
     def test_load_m3_format_without_shape(self, tmp_path, small_classification):
         X, y = small_classification
-        runtime = M3()
-        path = runtime.create_dataset(tmp_path / "fmt.m3", X, y)
-        matrix = runtime.load_matrix(path)
+        path = create_dataset(tmp_path / "fmt.m3", X, y)
+        matrix = load_matrix(path)
         assert matrix.shape == X.shape
 
     def test_load_raw_file_with_shape(self, tmp_path):
@@ -94,59 +114,24 @@ class TestLoadMatrix:
         matrix = load_matrix(path, shape=(6, 4))
         np.testing.assert_array_equal(np.asarray(matrix), data)
 
+    def test_load_raw_file_records_a_trace_on_request(self, tmp_path):
+        data = np.arange(24, dtype=np.float64).reshape(6, 4)
+        path = tmp_path / "raw_traced.bin"
+        path.write_bytes(data.tobytes())
+        assert load_matrix(path, shape=(6, 4)).trace is None
+        matrix = load_matrix(path, shape=(6, 4), record_trace=True)
+        _ = matrix[0:2]
+        assert len(matrix.trace) == 1
 
-class TestModuleLevelHelpers:
-    def test_module_level_create_and_open(self, tmp_path, small_classification):
+
+class TestOverSession:
+    def test_created_dataset_is_visible_to_a_session(self, tmp_path, small_classification):
         X, y = small_classification
-        path = create_dataset(tmp_path / "module.m3", X, y)
-        matrix, labels = open_dataset(path)
-        np.testing.assert_allclose(np.asarray(matrix), X)
-        np.testing.assert_array_equal(np.asarray(labels), y)
-
-
-class TestSessionShim:
-    def test_facade_delegates_to_session(self, tmp_path, small_classification):
-        X, y = small_classification
-        runtime = M3()
-        path = runtime.create_dataset(tmp_path / "shim.m3", X, y)
-        assert runtime.session.exists(path)
-
-    def test_last_trace_is_deprecated_but_readable(self, tmp_path, small_classification):
-        X, y = small_classification
-        runtime = M3(M3Config(record_traces=True))
-        path = runtime.create_dataset(tmp_path / "dep.m3", X, y)
-        matrix, _ = runtime.open_dataset(path)
-        _ = matrix[0:4]
-        with pytest.warns(DeprecationWarning, match="last_trace"):
-            trace = runtime.last_trace
-        assert trace is matrix.trace
-
-    def test_last_trace_is_thread_local(self, tmp_path, small_classification):
-        import threading
-
-        X, y = small_classification
-        runtime = M3(M3Config(record_traces=True))
-        path = runtime.create_dataset(tmp_path / "threads.m3", X, y)
-        runtime.open_dataset(path)
-        seen_in_thread = []
-
-        def worker():
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                seen_in_thread.append(runtime.last_trace)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        # A fresh thread never opened anything, so it sees no trace — the
-        # old singleton would have leaked the main thread's trace here.
-        assert seen_in_thread == [None]
+        path = create_dataset(tmp_path / "shim.m3", X, y)
+        with Session() as session:
+            assert session.exists(path)
 
     def test_open_dataset_accepts_shard_spec(self, tmp_path, small_classification):
-        from repro.api import Session
-
         X, y = small_classification
         with Session() as session:
             session.create(f"shard://{tmp_path}/shards", X, y, shard_rows=64)
@@ -154,50 +139,37 @@ class TestSessionShim:
         np.testing.assert_allclose(np.asarray(matrix), X)
         np.testing.assert_array_equal(np.asarray(labels), y)
 
-    def test_dataset_info_reports_backend(self, tmp_path, small_classification):
+    def test_info_reports_backend(self, tmp_path, small_classification):
         X, y = small_classification
-        runtime = M3()
-        path = runtime.create_dataset(tmp_path / "info2.m3", X, y)
-        info = runtime.dataset_info(path)
+        path = create_dataset(tmp_path / "info2.m3", X, y)
+        with Session() as session:
+            info = session.info(path)
         assert info["backend"] == "mmap"
-        assert info["file_bytes"] == (tmp_path / "info2.m3").stat().st_size
+        assert info["file_bytes"] == path.stat().st_size
 
-    def test_facade_does_not_accumulate_handles(self, tmp_path, small_classification):
-        # Legacy callers rely on GC, so the shim must not pin every opened
-        # dataset on its session for the life of the process.
+    def test_opens_share_no_handle(self, tmp_path, small_classification):
+        # Callers hold bare (matrix, labels) tuples and rely on GC, so two
+        # opens of one file must never share a mapping.
         X, y = small_classification
-        runtime = M3()
-        path = runtime.create_dataset(tmp_path / "leak.m3", X, y)
-        for _ in range(5):
-            runtime.open_dataset(path)
-        assert len(runtime.session._datasets) == 0
+        path = create_dataset(tmp_path / "leak.m3", X, y)
+        first, _ = open_dataset(path)
+        second, _ = open_dataset(path)
+        assert first.backing is not second.backing
 
-    def test_unrecorded_open_preserves_last_trace(self, tmp_path, small_classification):
-        import warnings
+    def test_no_module_state(self):
+        import repro.core.m3 as module
 
-        X, y = small_classification
-        runtime = M3(M3Config(record_traces=True))
-        path = runtime.create_dataset(tmp_path / "keep.m3", X, y)
-        runtime.open_dataset(path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            recorded = runtime.last_trace
-            assert recorded is not None
-            runtime.open_dataset(path, record_trace=False)
-            assert runtime.last_trace is recorded
-            runtime.load_matrix(path, record_trace=False)
-            assert runtime.last_trace is recorded
+        assert not hasattr(module, "M3")
+        assert not [name for name in vars(module) if name.startswith("_DEFAULT")]
 
 
 def test_open_dataset_sharded_labels_are_plain_ndarray(tmp_path):
-    """Legacy bare-tuple consumers use ndarray operators on labels."""
-    import numpy as np
+    """Bare-tuple consumers use ndarray operators on labels."""
     from repro.api.sharded import write_sharded_dataset
-    from repro.core.m3 import M3
 
     X = np.arange(40.0).reshape(10, 4)
     y = np.arange(10) % 3
     write_sharded_dataset(tmp_path / "legacy_shards", X, y, shard_rows=4)
-    _, labels = M3().open_dataset(f"shard://{tmp_path / 'legacy_shards'}")
+    _, labels = open_dataset(f"shard://{tmp_path / 'legacy_shards'}")
     assert isinstance(labels, np.ndarray)
     assert int((labels > 1).sum()) == int((y > 1).sum())

@@ -1,5 +1,7 @@
 """Tests for the blocked (v2) matrix format."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -86,19 +88,37 @@ class TestReader:
             np.testing.assert_array_equal(reader.read_rows(60, 70), matrix[60:70])
             np.testing.assert_array_equal(reader.read_rows(250, 257), matrix[250:257])
 
-    def test_column_subset_fetches_fewer_bytes(self, tmp_path, matrix):
-        path = tmp_path / "cols.m3b"
-        write_blocked_matrix(path, matrix, None, block_rows=64, codec="zlib",
-                             layout="column")
-        with BlockedMatrixReader(path) as reader:
-            np.testing.assert_array_equal(
-                reader.read_columns(0, 257, [2, 7]), matrix[:, [2, 7]]
-            )
-            subset_bytes = reader.payload_bytes_read
-        with BlockedMatrixReader(path) as reader:
-            reader.read_rows(0, 257)
-            full_bytes = reader.payload_bytes_read
-        assert subset_bytes < full_bytes / 2
+    def test_column_layout_written_before_the_projection_was_removed(self, tmp_path):
+        # fixtures/column_layout_shards was written at fe24373, when readers
+        # could still fetch single column segments.  Column-major stays a
+        # stored form: whole blocks read back bit-identically — by row range
+        # and through the zlib chunk stream — and today's writer produces the
+        # same bytes.
+        from repro.api.chunks import open_chunk_stream
+        from repro.api.sharded import open_sharded_matrix, write_sharded_dataset
+
+        fixture = Path(__file__).parent / "fixtures" / "column_layout_shards"
+        X = (np.arange(40 * 5, dtype=np.float64).reshape(40, 5) % 7) / 4.0
+        y = (np.arange(40) % 3).astype(np.int64)
+        with BlockedMatrixReader(fixture / "shard-00000.m3b") as reader:
+            assert reader.header.layout == "column"
+            assert len(reader.header.blocks[0].segments) == 5
+            np.testing.assert_array_equal(reader.read_rows(0, 24), X[:24])
+            np.testing.assert_array_equal(reader.read_rows(13, 19), X[13:19])
+            np.testing.assert_array_equal(reader.read_labels(), y[:24])
+        with open_sharded_matrix(fixture) as stored:
+            np.testing.assert_array_equal(stored[:], X)
+            with open_chunk_stream(stored, labels=stored.lazy_labels, chunk_rows=7,
+                                   align_shards=False, io_workers=2) as stream:
+                for chunk in stream:
+                    np.testing.assert_array_equal(chunk.X, X[chunk.start:chunk.stop])
+                    np.testing.assert_array_equal(chunk.y, y[chunk.start:chunk.stop])
+                    chunk.release()
+                assert stream.stats.rows == 40 and stream.stats.compressed_bytes > 0
+        write_sharded_dataset(tmp_path / "again", X, y, shard_rows=24, codec="zlib",
+                              block_rows=16, layout="column")
+        for name in ("shard-00000.m3b", "shard-00001.m3b"):
+            assert (tmp_path / "again" / name).read_bytes() == (fixture / name).read_bytes()
 
     def test_decode_block_into_offset(self, tmp_path, matrix):
         path = tmp_path / "into.m3b"

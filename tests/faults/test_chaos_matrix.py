@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import Session
+from repro.api import Session, StreamingEngine
 from repro.api.chunks import ChunkStreamError
 from repro.data.codecs import CodecError
 from repro.data.formats import write_binary_matrix
@@ -51,13 +51,12 @@ def datasets(tmp_path_factory):
 
 
 def _fit(spec, io_workers, faults=None):
-    with Session(engine="streaming", faults=faults) as session:
+    engine = StreamingEngine(chunk_rows=32, io_workers=io_workers)
+    with Session(engine=engine, faults=faults) as session:
         dataset = session.open(spec)
         result = session.fit(
             LogisticRegression(max_iterations=3, solver="sgd", chunk_size=32),
             dataset,
-            chunk_rows=32,
-            io_workers=io_workers,
         )
         return result
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import repro.core as m3
+from repro.api import Session
 from repro.bench.m3_model import M3RuntimeModel, M3Workload
 from repro.core.chunking import plan_chunks
 from repro.data.writers import write_infimnist_dataset
@@ -26,8 +27,7 @@ def pipeline(tmp_path_factory):
     """Generate a dataset, train through the memory map, keep the trace."""
     path = tmp_path_factory.mktemp("e2e") / "digits.m3"
     write_infimnist_dataset(path, num_examples=700, seed=5)
-    runtime = m3.M3(m3.M3Config(record_traces=True))
-    X, y = runtime.open_dataset(path)
+    X, y = m3.open_dataset(path, record_trace=True)
     labels = np.asarray(y)
     model = SoftmaxRegression(max_iterations=8, l2_penalty=1e-4).fit(X, labels)
     return path, X, labels, model
@@ -89,5 +89,5 @@ class TestOutOfCorePipelineOnDisk:
         path, X, _, _ = pipeline
         plan = plan_chunks(X, chunk_rows=256)
         assert plan.total_bytes == X.nbytes
-        info = m3.M3().dataset_info(path)
-        assert info["data_bytes"] == plan.total_bytes
+        with Session() as session:
+            assert session.info(path)["nbytes"] == plan.total_bytes

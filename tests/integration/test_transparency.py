@@ -3,7 +3,7 @@
 The central claim of the paper (Table 1) is that the *same* algorithm code
 produces the *same* results whether its input lives in RAM or in a memory-
 mapped file.  These tests exercise that end to end — dataset generation on
-disk, the M3 facade, and every estimator family — comparing against in-memory
+disk, Table 1's helpers, and every estimator family — comparing against in-memory
 training bit for bit.
 """
 
@@ -92,8 +92,7 @@ class TestEstimatorTransparency:
 
 class TestTraceCapture:
     def test_training_produces_sequential_trace(self, infimnist_on_disk):
-        runtime = m3.M3(m3.M3Config(record_traces=True, chunk_rows=128))
-        X, y = runtime.open_dataset(infimnist_on_disk)
+        X, y = m3.open_dataset(infimnist_on_disk, record_trace=True)
         binary = (np.asarray(y) >= 5).astype(np.int64)
         LogisticRegression(max_iterations=3, chunk_size=128).fit(X, binary)
         trace = X.trace

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import Session
-from repro.api.chunks import open_chunk_stream
 from repro.ml import KMeans, LinearRegression, LogisticRegression, SoftmaxRegression
 from repro.ml import base
 from repro.ml.base import iter_row_chunks, map_ordered, map_row_chunks
@@ -417,34 +415,6 @@ class TestFanOutContract:
         SoftmaxRegression(max_iterations=2, chunk_size=ROWS).fit(X, y)
         with pytest.raises(AssertionError, match="single-chunk"):
             model.predict(X[: CHUNK + 1])   # the guard itself works
-
-    def test_parallel_predict_error_returns_every_lease(self, problem, stored):
-        """A failing chunk cancels the queued ones; their pooled buffers still go back.
-
-        Chunk 1 fails at once while both workers are busy with slower chunks,
-        so at least chunk 4 is cancelled before it starts.  (The suite-wide
-        lease and thread leak guards in ``conftest.py`` are what fail this test
-        if its lease is dropped.)
-        """
-        X, _, _, _ = problem
-        model = LinearRegression(chunk_size=CHUNK).fit(X, X[:, 0])
-        served = []
-
-        class FailsOnChunkOne(LinearRegression):
-            def predict_chunk(self, chunk, method="predict"):
-                if chunk[0, 0] == X[100, 0]:
-                    raise KeyError("chunk 1")
-                time.sleep(0.05)
-                served.append(chunk[0, 0])
-                return model.predict_chunk(chunk, method=method)
-
-        # Every chunk of a compressed matrix is decoded into a pooled lease.
-        with open_chunk_stream(stored[0]["shard_zlib"], chunk_rows=100, io_workers=2,
-                               buffer_pool=8, align_shards=False) as stream:
-            assert stream.pool is not None
-            with pytest.raises(KeyError, match="chunk 1"):
-                FailsOnChunkOne().predict_streaming_parallel(stream, ROWS, workers=2)
-        assert X[400, 0] not in served
 
 
 class TestWorkerRule:

@@ -339,7 +339,7 @@ class TestLifecycleAndStats:
         # The snapshot is independent of the live counters.
         snapshot = stats.snapshot()
         assert snapshot is not stats
-        assert snapshot.as_dict() == stats.as_dict()
+        assert snapshot == stats  # every dataclass field, not a hand-kept list
 
     def test_active_drops_to_zero_after_clients_leave(self, live, problem):
         X, _ = problem

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Session
+from repro.api import Session, StreamingEngine
 from repro.api.chunks import ChunkStreamError
 from repro.data.codecs import CodecError
 from repro.data.formats import write_binary_matrix
@@ -52,13 +52,12 @@ def _datasets(tmp_path_factory):
 
 
 def _fit(spec, io_workers, faults=None):
-    with Session(engine="streaming", faults=faults) as session:
+    engine = StreamingEngine(chunk_rows=24, io_workers=io_workers)
+    with Session(engine=engine, faults=faults) as session:
         dataset = session.open(spec)
         return session.fit(
             LogisticRegression(max_iterations=2, solver="sgd", chunk_size=24),
             dataset,
-            chunk_rows=24,
-            io_workers=io_workers,
         )
 
 

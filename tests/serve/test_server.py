@@ -14,8 +14,10 @@ from repro.serve import (
     ServeResult,
     ServerClosed,
     ServerSaturated,
+    ServeStats,
     Serving,
 )
+from repro.serve.server import MAX_WAIT_SAMPLES
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +208,33 @@ class TestMicroBatching:
         summary = stats.as_dict()
         assert summary["requests"] == 30
         assert summary["queue_wait_p99_s"] >= summary["queue_wait_p50_s"] >= 0
+
+    def test_tail_latency_describes_the_recent_past(self):
+        # A long-lived server: the cap fills with 1 ms waits, then traffic
+        # slows to 50 ms.  Keeping the *first* cap samples would report 1 ms
+        # for ever; the percentile must move with what happened last.
+        stats = ServeStats()
+        stats.record_batch([0.001] * MAX_WAIT_SAMPLES, MAX_WAIT_SAMPLES, 0.0, 0.0)
+        assert stats.queue_wait_percentile(99) == pytest.approx(0.001)
+        for _ in range(10):
+            stats.record_batch([0.050] * 100, 100, 0.0, 0.0)
+        assert len(stats.wait_samples) == MAX_WAIT_SAMPLES
+        assert stats.queue_wait_percentile(99) == pytest.approx(0.050)
+        assert stats.requests == MAX_WAIT_SAMPLES + 1000
+
+    def test_snapshot_copies_every_field(self):
+        stats = ServeStats()
+        for value, name in enumerate(sorted(ServeStats.__dataclass_fields__), start=1):
+            if name != "wait_samples":
+                setattr(stats, name, type(getattr(stats, name))(value))
+        stats.wait_samples.append(0.25)
+        snapshot = stats.snapshot()
+        assert snapshot == stats
+        stats.wait_samples.append(0.5)
+        stats.requests += 1
+        assert list(snapshot.wait_samples) == [0.25]
+        assert snapshot.wait_samples.maxlen == MAX_WAIT_SAMPLES
+        assert snapshot.requests == stats.requests - 1
 
 
 class TestBackpressure:
