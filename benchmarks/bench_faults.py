@@ -15,6 +15,12 @@ The acceptance bar from the robustness spec: the armed-but-silent fit stays
 within **1.03x** of the disabled fit.  Sites sit at block/lease/commit
 granularity — never per row — which is what makes this budget holdable.
 
+The ratio is read as the median over many back-to-back disabled/armed pairs
+(which side runs first alternates): a shared 2-vCPU guest slows in spells of
+seconds, so two sequential best-of-3 blocks of a ~25 ms fit spread 0.97–1.14
+and failed the bar four runs in ten, and one pair — even of 200 ms fits —
+spreads 0.83–1.40; the median of many short pairs reads 0.98–1.03.
+
 Writes ``BENCH_faults.json`` (uploaded by CI as an artifact): wall times per
 configuration, the overhead ratio, and proof the armed run really consulted
 the plan (per-site check counts).
@@ -23,7 +29,6 @@ the plan (per-site check counts).
 from __future__ import annotations
 
 import json
-import math
 import time
 from pathlib import Path
 
@@ -40,8 +45,8 @@ ROWS = 16000
 COLS = 64
 SHARDS = 8
 CHUNK_ROWS = 900    # straddles the 2000-row shards: leases + gathers both hot
-EPOCHS = 2
-ROUNDS = 3          # best-of-N per configuration
+EPOCHS = 5          # ~45 ms per fit: a pair fits inside one spell of the box
+ROUNDS = 51         # disabled/armed pairs; the median pair by ratio is read
 MAX_RATIO = 1.03    # acceptance bar: <= 1.03x the disabled wall time
 EPSILON_S = 0.050   # absolute slack so millisecond noise cannot flake the bar
 
@@ -57,23 +62,20 @@ def workload(tmp_path_factory):
 
 
 def _time_fit(directory) -> float:
-    best = math.inf
-    for _ in range(ROUNDS):
-        with ShardedMatrix(directory) as matrix:
-            model = LogisticRegression(
-                max_iterations=EPOCHS, solver="sgd", chunk_size=CHUNK_ROWS, seed=0
-            )
-            began = time.perf_counter()
-            # Unaligned, so straddling chunks take the lease + gather sites.
-            model.fit_streaming(
-                lambda: stream_pairs(open_chunk_stream(
-                    matrix, labels=matrix.lazy_labels, chunk_rows=CHUNK_ROWS,
-                    align_shards=False, io_workers=2,
-                )),
-                classes=np.array([0, 1]),
-            )
-            best = min(best, time.perf_counter() - began)
-    return best
+    with ShardedMatrix(directory) as matrix:
+        model = LogisticRegression(
+            max_iterations=EPOCHS, solver="sgd", chunk_size=CHUNK_ROWS, seed=0
+        )
+        began = time.perf_counter()
+        # Unaligned, so straddling chunks take the lease + gather sites.
+        model.fit_streaming(
+            lambda: stream_pairs(open_chunk_stream(
+                matrix, labels=matrix.lazy_labels, chunk_rows=CHUNK_ROWS,
+                align_shards=False, io_workers=2,
+            )),
+            classes=np.array([0, 1]),
+        )
+        return time.perf_counter() - began
 
 
 def _silent_plan() -> FaultPlan:
@@ -90,16 +92,22 @@ def test_fault_sites_overhead_within_budget(benchmark, workload):
 
     def sweep():
         _time_fit(directory)  # warm the page cache untimed
-        disabled_s = _time_fit(directory)
         plan = _silent_plan()
-        previous = set_fault_plan(plan)
-        try:
-            armed_s = _time_fit(directory)
-        finally:
-            set_fault_plan(previous)
-        return disabled_s, armed_s, plan.stats()
+        pairs = []
+        for round_index in range(ROUNDS):
+            timed = {}
+            for armed in (False, True) if round_index % 2 else (True, False):
+                previous = set_fault_plan(plan if armed else None)
+                try:
+                    timed[armed] = _time_fit(directory)
+                finally:
+                    set_fault_plan(previous)
+            pairs.append((timed[False], timed[True]))
+        return pairs, plan.stats()
 
-    disabled_s, armed_s, site_stats = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    pairs, site_stats = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    # The median pair by ratio: its two fits ran back to back.
+    disabled_s, armed_s = sorted(pairs, key=lambda pair: pair[1] / pair[0])[ROUNDS // 2]
 
     checks = sum(entry["checked"] for entry in site_stats.values())
     fired = sum(entry["fired"] for entry in site_stats.values())
@@ -117,6 +125,7 @@ def test_fault_sites_overhead_within_budget(benchmark, workload):
         "disabled_fit_s": disabled_s,
         "armed_fit_s": armed_s,
         "overhead_ratio": ratio,
+        "round_ratios": [armed / disabled for disabled, armed in pairs],
         "site_checks": checks,
         "sites_armed": len(site_stats),
     }

@@ -19,6 +19,11 @@ controller's whole premise is learning from *wire* arrival times:
 * ``poisson_low`` — arrivals slower than the adaptive cutoff, where the
   controller must get out of the way (window exactly 0).
 
+The two gated loads run ``ROUNDS`` rounds of all three configurations, the
+order of the configurations alternating, and each gate is read on the
+median round of its own ratio: one round of the 1.3x gate measured 1.25 to
+2.26 on a shared 2-vCPU guest.
+
 A fourth, closed-loop section (``wire``) guards the request framing
 itself: 4 outstanding 64-row x 784 requests, sent as raw-row frames and
 as JSON lines over one connection to one server — the frame must carry
@@ -67,6 +72,7 @@ WIRE_OUTSTANDING = 4
 
 #: Configuration name -> ModelServer coalescing knobs.
 CONFIGS = ("per_request", "fixed_zero", "adaptive")
+ROUNDS = 3              # per gated load; a gate reads its median round
 
 
 @pytest.fixture(scope="module")
@@ -246,21 +252,32 @@ def test_adaptive_delay_vs_fixed_dispatch(benchmark, workload):
 
     def sweep():
         return {
-            load: {
-                config: _run_open_loop(config, X, model, expected, gaps)
-                for config in CONFIGS
-            }
+            load: [
+                {
+                    config: _run_open_loop(config, X, model, expected, gaps)
+                    for config in (reversed(CONFIGS) if index % 2 else CONFIGS)
+                }
+                for index in range(1 if load == "bursty" else ROUNDS)  # bursty gates nothing
+            ]
             for load, gaps in loads.items()
         }, _run_wire()
 
-    results, wire = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rounds, wire = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    high = results["poisson_high"]
-    low = results["poisson_low"]
-    speedup = (
-        high["adaptive"]["requests_per_s"] / high["per_request"]["requests_per_s"]
-        if high["per_request"]["requests_per_s"] > 0 else 0.0
+    def speedup_of(high_round) -> float:
+        per_request = high_round["per_request"]["requests_per_s"]
+        return high_round["adaptive"]["requests_per_s"] / per_request if per_request > 0 else 0.0
+
+    def median_round(load, key):
+        return sorted(rounds[load], key=key)[len(rounds[load]) // 2]
+
+    high = median_round("poisson_high", speedup_of)
+    low = median_round(
+        "poisson_low",
+        lambda r: r["adaptive"]["latency_p50_ms"] / r["fixed_zero"]["latency_p50_ms"],
     )
+    results = {"poisson_high": high, "bursty": rounds["bursty"][0], "poisson_low": low}
+    speedup = speedup_of(high)
     # Scheduling-jitter epsilon: at ~1ms service times, half a millisecond
     # of sleep()/wakeup noise would otherwise dominate a 10% band.
     p50_bound_ms = low["fixed_zero"]["latency_p50_ms"] * 1.10 + 0.5
@@ -279,6 +296,7 @@ def test_adaptive_delay_vs_fixed_dispatch(benchmark, workload):
             for load, gaps in loads.items()
         },
         "high_load_adaptive_speedup_vs_per_request": speedup,
+        "high_load_round_speedups": [speedup_of(r) for r in rounds["poisson_high"]],
         "low_load_adaptive_p50_ms": low["adaptive"]["latency_p50_ms"],
         "low_load_zero_delay_p50_ms": low["fixed_zero"]["latency_p50_ms"],
         "low_load_p50_bound_ms": p50_bound_ms,

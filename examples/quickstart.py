@@ -51,8 +51,8 @@ engine         fit                         predict
 *(serving)*    —                           request-level traffic goes to
                                            ``session.serve`` instead: a
                                            micro-batching model server
-                                           dispatching through the engine's
-                                           ``serve_batch`` seam — see
+                                           on the per-chunk predict
+                                           path — see
                                            *Serving requests* below; the
                                            socket/HTTP transport on the
                                            same server (``m3 served``) is
@@ -179,14 +179,14 @@ the serving daemon instead::
     with session.serve(model, max_batch=256, workers=2) as serving:
         result = serving.predict_one(x)            # one row, synchronously
         future = serving.submit(x)                 # future-style async
-        batch  = serving.predict_many(X[:32])      # or a dataset spec
+        batch  = serving.predict_many(X[:32])      # a small batch, synchronously
         serving.swap("retrained.json")             # atomic hot-swap under load
         print(serving.stats().as_dict())           # p50/p99 queue-wait, batches
 
 ``session.serve`` publishes the model into a hot-model registry and stands up
 a :class:`~repro.serve.ModelServer`: concurrent requests are coalesced into
-micro-batches and dispatched through the engine's ``serve_batch`` seam (the
-per-chunk ``StreamingPredictor`` path), so every served prediction is
+micro-batches and computed on the per-chunk ``StreamingPredictor`` path
+(``repro.serve.server.serve_batch``), so every served prediction is
 bit-identical to in-core ``predict`` — and the per-call overhead that
 dominates single-row inference is amortised across the batch, which is where
 the >= 3x throughput of ``BENCH_serving.json`` comes from.  The knobs:
@@ -206,21 +206,17 @@ the >= 3x throughput of ``BENCH_serving.json`` comes from.  The knobs:
 
 Each response is a ``ServeResult`` carrying exactly one model version
 (``name@version``) plus its queue-wait / batch / compute latency split; a
-hot-swap mid-flight never tears a batch.  The daemon form is ``m3 serve
---model model.json`` (JSONL requests on stdin, responses on stdout), and
-``m3 predict --server`` routes a whole dataset row-by-row through the same
-server to demonstrate the equivalence.
+hot-swap mid-flight never tears a batch.
 
 Serving over the network
 ------------------------
 
 ``repro.net`` puts a real socket transport on the same server.
 :class:`~repro.net.NetServer` wraps a ``ModelServer`` in an asyncio accept
-loop speaking two framings over keep-alive TCP connections — newline-delimited
-JSON (the *exact* codec the stdin loop uses, factored into
-``repro.net.protocol`` so the two paths cannot drift) and a minimal HTTP/1.1
-``POST /predict`` — auto-sniffed per connection, or forced with
-``mode="jsonl"`` / ``mode="http"``::
+loop — the one request loop there is — speaking three framings over
+keep-alive TCP connections: newline-delimited JSON, raw-row frames (the rows
+as the array's own bytes, what ``NetClient`` sends float arrays as) and a
+minimal HTTP/1.1 ``POST /predict``, sniffed per frame on one port::
 
     from repro.net import AdaptiveDelayController, NetClient, NetServer
 
@@ -253,12 +249,14 @@ and bursty arrivals over the socket: adaptive sustains >= 1.3x the
 throughput of per-request dispatch at high load, with low-load p50 within
 10% of a zero-delay server.
 
-The daemon form is ``m3 served --model model.json --port 8443`` (``--http``
-forces HTTP-only framing, ``--adaptive-delay`` / ``--adaptive-ceiling-ms``
-arm the controller, ``--max-inflight`` bounds per-connection pipelining;
-SIGTERM drains), and ``m3 predict --connect HOST:PORT`` routes a whole
-dataset through a remote server row by row — bit-identical to the scan
-path.
+The daemon form is ``m3 served --model model.json --port 8443``
+(``--adaptive-delay`` / ``--adaptive-ceiling-ms`` arm the controller,
+``--max-inflight`` bounds per-connection pipelining; SIGTERM drains), and
+``m3 predict --connect HOST:PORT`` routes a whole dataset through a running
+daemon row by row — bit-identical to the scan path.  ``m3 serve --model
+model.json`` is the stdio transport of ``served``: the same stack on a
+loopback port, stdin pumped into one connection of it and the responses to
+stdout, so a pipe speaks every framing the socket does.
 
 Appending and live retraining
 -----------------------------
@@ -291,9 +289,13 @@ request is still answered by exactly one version::
             ...                           # appends land, versions roll
             trainer.stop()
 
-The CLI form is ``m3 traind data/clicks --model model.json`` — the same
+The CLI form is ``m3 traind data/clicks --algorithm softmax`` — the same
 poll/train/publish loop in the foreground, with ``--once`` for a single
-catch-up pass.  ``benchmarks/bench_updates.py`` measures both halves: mixed
+catch-up pass.  ``--model saved.json --trained-rows N`` resumes a saved
+``MiniBatchKMeans`` (its fitted centres and counts are its streaming state);
+a saved SGD or naive-Bayes model holds no such state, so its ``partial_fit``
+raises ``NotResumableError`` and ``m3 traind`` refuses it (exit 2) rather
+than restart it from zeros.  ``benchmarks/bench_updates.py`` measures both halves: mixed
 append/scan throughput against the static baseline, and delta-``partial_fit``
 against a full refit.
 

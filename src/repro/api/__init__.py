@@ -52,8 +52,8 @@ Every engine implements both halves of the lifecycle: ``Session.fit`` trains,
                  concurrent clients) does not scan at all: ``session.serve``
                  publishes the model into the hot-model registry of
                  :mod:`repro.serve` and answers requests through a
-                 micro-batching server, dispatching each coalesced batch via
-                 the engine's ``serve_batch`` seam — bit-identical to in-core
+                 micro-batching server, computing each coalesced batch on
+                 the per-chunk predict path — bit-identical to in-core
                  ``predict``, with hot-swap and backpressure.
 ===============  ============================================================
 

@@ -191,38 +191,6 @@ class ExecutionEngine(abc.ABC):
             )
         return fn
 
-    def serve_batch(self, model: Any, X: Any, method: str = "predict") -> np.ndarray:
-        """Predictions for one coalesced micro-batch of request rows.
-
-        The request-level dispatch seam used by
-        :class:`repro.serve.ModelServer`: where :meth:`predict` scans a whole
-        dataset, this answers one micro-batch of rows gathered from
-        concurrent requests.  The default drives the model's
-        :class:`~repro.ml.base.StreamingPredictor` per-chunk hook
-        (``predict_chunk``), which delegates to the in-core ``method`` — so a
-        served row is bit-identical to the corresponding row of an in-core
-        full-matrix call.  Engines with their own batch-serving strategy
-        (partitioning, replay, remote dispatch) override this.
-
-        A lone row is computed as a duplicated 2-row batch (result sliced
-        back): BLAS routes 1-row inputs through matrix-*vector* kernels whose
-        last ULP can differ from the matrix-matrix path every larger batch
-        (and the scan engines) takes, and pinning the kernel keeps a served
-        row's bits independent of how much traffic it happened to share a
-        batch with.
-        """
-        if not method or method.startswith("_"):
-            raise ValueError(f"invalid prediction method {method!r}")
-        single = int(X.shape[0]) == 1
-        if single:
-            X = np.concatenate([np.asarray(X)] * 2, axis=0)
-        chunk_fn = getattr(model, "predict_chunk", None)
-        if callable(chunk_fn):
-            predictions = np.asarray(chunk_fn(X, method=method))
-        else:
-            predictions = np.asarray(self._predict_fn(model, method)(X))
-        return predictions[:1] if single else predictions
-
 
 class LocalEngine(ExecutionEngine):
     """In-process training on the dataset's matrix (the M3 model).

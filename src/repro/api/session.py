@@ -493,7 +493,6 @@ class Session:
         self,
         model_or_path: Any,
         name: str = "default",
-        engine: Union[str, ExecutionEngine, None] = None,
         max_batch: int = 256,
         max_delay_ms: float = 0.0,
         workers: int = 1,
@@ -507,9 +506,9 @@ class Session:
         **requests**: single rows or small batches submitted concurrently by
         many clients.  Concurrent requests are coalesced into micro-batches
         of up to ``max_batch`` rows (waiting at most ``max_delay_ms`` for
-        company) and dispatched through the engine's ``serve_batch`` seam —
-        the :class:`~repro.ml.base.StreamingPredictor` per-chunk path, so
-        every served prediction is bit-identical to in-core ``predict``.
+        company) and computed through the
+        :class:`~repro.ml.base.StreamingPredictor` per-chunk path, so every
+        served prediction is bit-identical to in-core ``predict``.
 
         Parameters
         ----------
@@ -519,9 +518,6 @@ class Session:
         name:
             Registry name the model is published under; ``Serving.swap``
             republishes it (atomic hot-swap under load).
-        engine:
-            Engine whose ``serve_batch`` computes each micro-batch; defaults
-            to the session's engine.
         max_batch, max_delay_ms, workers, max_pending:
             Micro-batching and backpressure knobs — see
             :class:`~repro.serve.ModelServer`.
@@ -535,14 +531,11 @@ class Session:
         -------
         Serving
             ``predict_one`` / ``predict_many`` / ``submit`` (future-style) /
-            ``swap`` / ``stats``, usable as a context manager.  Dataset specs
-            passed to ``predict_many`` resolve through this session's handle
-            pool.
+            ``swap`` / ``stats``, usable as a context manager.
         """
         from repro.serve import ModelRegistry, ModelServer, Serving
 
         self._check_open()
-        resolved = self.default_engine if engine is None else resolve_engine(engine)
         # Publish (load + validate) before the server exists: a bad model
         # file must raise here, not after dispatcher threads were spawned.
         if registry is None:
@@ -550,12 +543,10 @@ class Session:
         registry.publish(name, model_or_path)
         server = ModelServer(
             registry=registry,
-            engine=resolved,
             max_batch=max_batch,
             max_delay_ms=max_delay_ms,
             workers=workers,
             max_pending=max_pending,
-            session=self,
         )
         return Serving(server, name=name)
 

@@ -11,7 +11,7 @@ reproduction entry points:
   compressed blocked v2 shard format (``--codec``, ``--block-rows``,
   ``--dtype``, ``--layout``); ``--auto-block`` asks the virtual-memory
   locality advisor to pick the block size and layout for a declared scan
-  workload (``--scan-columns``, ``--cache-mb``).
+  workload (``--scan-chunk-rows``, ``--cache-mb``).
 * ``m3 train`` — train logistic regression or k-means on a dataset through
   the unified :class:`~repro.api.Session` API; ``--engine simulated``
   additionally replays the recorded access trace through the paper-scale
@@ -26,27 +26,21 @@ reproduction entry points:
   pipeline (bounded memory on sharded datasets), ``--io-workers`` /
   ``--compute-workers`` parallelise the read and inference sides of the
   pipeline, ``--proba`` emits class probabilities, ``--output`` writes the
-  predictions as ``.npy``; ``--server`` routes every row as an individual
-  request through the micro-batching model server instead of the scan path
-  (same predictions, request-level accounting).
-* ``m3 serve`` — the long-lived serving daemon: load a saved model into the
-  hot-model registry and answer JSONL predict requests from stdin (or
-  ``--input``), coalescing concurrent requests into micro-batches
-  (``--max-batch``, ``--max-delay-ms``, ``--workers``); responses carry the
-  serving model version and per-request queue-wait/compute latency.  Frames
-  travel through the same ``repro.net.protocol`` codec as the TCP front
-  end, so the stdin and socket paths cannot drift.
-* ``m3 served`` — the network serving daemon: the same registry and
-  micro-batcher behind a TCP listener speaking JSONL, raw-row frames (the
-  rows as the array's own bytes behind a one-line head — what
-  ``NetClient`` sends float arrays as, once the server's hello reply
-  offers it) and HTTP/1.1 ``POST /predict`` (``--mode auto`` sniffs all
-  three per frame, on one port); ``--port 0``
-  binds an ephemeral port (printed to stderr), ``--adaptive-delay`` learns
-  the coalesce window from the observed arrival rate instead of a fixed
-  ``--max-delay-ms``, and SIGTERM/SIGINT trigger a graceful drain: stop
-  accepting, answer every in-flight request, then shut down.
-  ``m3 predict --connect HOST:PORT`` is the matching client path.
+  predictions as ``.npy``; ``--connect HOST:PORT`` sends every row as a
+  request to a running ``m3 served`` instead (same predictions).
+* ``m3 served`` — the network serving daemon: a saved model in the
+  hot-model registry, the micro-batcher (``--max-batch``, ``--workers``,
+  ``--max-delay-ms`` or ``--adaptive-delay``) and, in front, the one
+  request loop there is (``repro.net.NetServer``): a TCP listener taking
+  JSONL, raw-row frames (rows as the array's own bytes — what ``NetClient``
+  sends float arrays as) and HTTP/1.1 ``POST /predict``, sniffed per frame
+  on one port (``--port 0`` = ephemeral, printed to stderr); SIGTERM drains.
+* ``m3 serve`` — the stdio transport of ``served``: the same stack on a
+  loopback port, stdin (``--input``) pumped into one connection of it and
+  the responses, in request order, to stdout (``--output``); every frame,
+  limit and typed refusal is the socket's.
+* ``m3 traind`` — the trainer daemon: tail an appendable ``shard://``
+  dataset's generations, ``partial_fit`` each delta, publish versions.
 * ``m3 figure1a`` / ``m3 figure1b`` / ``m3 table1`` / ``m3 utilization`` —
   regenerate the paper's figures and table as plain-text tables.
 * ``m3 lint`` — the static half of ``repro.analysis``: project-specific
@@ -287,7 +281,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             cols=cols,
             itemsize=storage_itemsize,
             chunk_rows=args.scan_chunk_rows,
-            column_fraction=args.scan_columns,
             cache_bytes=args.cache_mb * 1024 * 1024,
         )
         block_rows, layout = advice.block_rows, advice.layout
@@ -387,8 +380,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _print_serve_stats(stats: "Any") -> None:
-    """One accounting line for the micro-batching server, shared by
-    ``m3 serve`` and ``m3 predict --server``."""
+    """The micro-batching server's accounting line (``m3 serve`` / ``m3 served``)."""
     summary = stats.as_dict()
     print(
         f"server: {summary['requests']} requests ({summary['rows']} rows) in "
@@ -404,56 +396,14 @@ def _print_serve_stats(stats: "Any") -> None:
     )
 
 
-def _predict_via_server(session, dataset, model, method: str, args) -> "Any":
-    """Route every dataset row through the micro-batching model server.
-
-    The request-level counterpart of the scan path below: each row becomes
-    one asynchronous request, the server coalesces whatever is in flight
-    into micro-batches, and the gathered predictions are identical to the
-    scan's.  Demonstrates (and exercises) the serving daemon without a
-    client process.
-    """
-    import time
-
-    X = dataset.matrix
-    n_rows = int(X.shape[0])
-    began = time.perf_counter()
-    with session.serve(
-        model,
-        engine=args.engine,
-        max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
-        workers=args.workers,
-    ) as serving:
-        futures = [
-            serving.submit(np.asarray(X[i : i + 1]), method=method)
-            for i in range(n_rows)
-        ]
-        pieces = [future.result().predictions for future in futures]
-        stats = serving.stats()
-    elapsed = time.perf_counter() - began
-    predictions = (
-        np.concatenate(pieces, axis=0) if pieces else np.empty((0,), dtype=np.float64)
-    )
-    rate = n_rows / elapsed if elapsed > 0 else float("inf")
-    print(
-        f"served {n_rows} predictions ({method}) with {type(model).__name__} "
-        f"in {elapsed:.2f}s (model server, {dataset.backend_name} backend, "
-        f"{rate:.0f} rows/s)"
-    )
-    _print_serve_stats(stats)
-    return predictions
-
-
 def _predict_via_connect(dataset, method: str, args) -> "Any":
     """Route every dataset row through a remote ``m3 served`` daemon.
 
-    The network counterpart of ``--server``: each row becomes one
-    pipelined request over a keep-alive ``NetClient`` connection — a
-    raw-row frame when the daemon offers it (float rows travel as their
-    own bytes), a JSON line otherwise — so the remote micro-batcher
-    coalesces them exactly as it would any other client's traffic, and the
-    gathered predictions are identical to the scan's.
+    Each row becomes one pipelined request over a keep-alive ``NetClient``
+    connection — a raw-row frame when the daemon offers it (float rows
+    travel as their own bytes), a JSON line otherwise — so the remote
+    micro-batcher coalesces them exactly as it would any other client's
+    traffic, and the gathered predictions are identical to the scan's.
     """
     import time
 
@@ -492,14 +442,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if _streaming_flags_misused(args):
         return 2
     if args.connect is not None:
-        if args.server:
-            print(
-                "error: --connect and --server are mutually exclusive (one "
-                "routes requests to a remote daemon, the other runs an "
-                "in-process server)",
-                file=sys.stderr,
-            )
-            return 2
         if args.model is not None:
             print(
                 "error: --model does not apply to --connect (the serving "
@@ -519,197 +461,64 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-        method = "predict_proba" if args.proba else "predict"
-        with Session() as session:
-            dataset = session.open(args.dataset)
-            predictions = _predict_via_connect(dataset, method, args)
-        if args.output is not None:
-            np.save(args.output, predictions)
-            print(f"wrote predictions to {args.output}")
-        return 0
-    if args.model is None:
+    elif args.model is None:
         print(
             "error: --model is required (or --connect HOST:PORT to use a "
             "remote serving daemon)",
             file=sys.stderr,
         )
         return 2
-    if args.server:
-        # The server path dispatches micro-batches, not a chunked scan: the
-        # scan-pipeline knobs would silently do nothing, so reject them.
-        for flag, value in (
-            ("--chunk-rows", args.chunk_rows),
-            ("--io-workers", args.io_workers),
-            ("--compute-workers", args.compute_workers),
-        ):
-            if value is not None:
-                print(
-                    f"error: {flag} does not apply to --server (use "
-                    f"--max-batch/--max-delay-ms/--workers)",
-                    file=sys.stderr,
-                )
-                return 2
-    model = load_model(args.model)
     method = "predict_proba" if args.proba else "predict"
-    if args.server:
-        with Session() as session:
-            dataset = session.open(args.dataset)
-            predictions = _predict_via_server(session, dataset, model, method, args)
+    with Session() as session:
+        dataset = session.open(args.dataset)
+        if args.connect is not None:
+            predictions = _predict_via_connect(dataset, method, args)
+        else:
+            model = load_model(args.model)
+            result = session.predict(
+                dataset, model, method=method, engine=_resolve_engine_arg(args)
+            )
+            predictions = result.predictions
+            rows = result.n_rows
+            rate = rows / result.wall_time_s if result.wall_time_s > 0 else float("inf")
+            print(
+                f"served {rows} predictions ({method}) with {type(model).__name__} "
+                f"in {result.wall_time_s:.2f}s ({result.engine} engine, "
+                f"{dataset.backend_name} backend, {rate:.0f} rows/s)"
+            )
+            if args.engine == "streaming":
+                _print_pipeline_details(result.details)
+            if result.simulation is not None:
+                sim = result.simulation
+                print(
+                    f"simulated paper-scale machine: wall time {sim.wall_time_s:.2f}s, "
+                    f"disk utilisation {sim.io_utilization * 100:.1f}%, "
+                    f"cpu utilisation {sim.cpu_utilization * 100:.1f}%"
+                )
+            # Only classifiers predict in label space; a clusterer's arbitrary
+            # cluster indices must not be scored against class labels.
             if method == "predict" and dataset.has_labels and hasattr(model, "classes_"):
                 labels = np.asarray(dataset.labels)
                 if predictions.shape == labels.shape:
                     accuracy = float(np.mean(predictions == labels))
                     print(f"accuracy against the dataset's labels: {accuracy:.3f}")
-        if args.output is not None:
-            np.save(args.output, predictions)
-            print(f"wrote predictions to {args.output}")
-        return 0
-    with Session() as session:
-        dataset = session.open(args.dataset)
-        result = session.predict(
-            dataset, model, method=method, engine=_resolve_engine_arg(args)
-        )
-        rows = result.n_rows
-        rate = rows / result.wall_time_s if result.wall_time_s > 0 else float("inf")
-        print(
-            f"served {rows} predictions ({method}) with {type(model).__name__} "
-            f"in {result.wall_time_s:.2f}s ({result.engine} engine, "
-            f"{dataset.backend_name} backend, {rate:.0f} rows/s)"
-        )
-        if args.engine == "streaming":
-            _print_pipeline_details(result.details)
-        if result.simulation is not None:
-            sim = result.simulation
-            print(
-                f"simulated paper-scale machine: wall time {sim.wall_time_s:.2f}s, "
-                f"disk utilisation {sim.io_utilization * 100:.1f}%, "
-                f"cpu utilisation {sim.cpu_utilization * 100:.1f}%"
-            )
-        # Only classifiers predict in label space; a clusterer's arbitrary
-        # cluster indices must not be scored against class labels.
-        if method == "predict" and dataset.has_labels and hasattr(model, "classes_"):
-            labels = np.asarray(dataset.labels)
-            if result.predictions.shape == labels.shape:
-                accuracy = float(np.mean(result.predictions == labels))
-                print(f"accuracy against the dataset's labels: {accuracy:.3f}")
     if args.output is not None:
-        np.save(args.output, result.predictions)
+        np.save(args.output, predictions)
         print(f"wrote predictions to {args.output}")
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """The serving daemon: a JSONL request/response loop over a ModelServer.
+def _serving_stack(args: argparse.Namespace) -> "Tuple[Any, Any]":
+    """The one request front end, as both ``m3 serve`` and ``m3 served`` run
+    it: the model published as ``default``, a ``ModelServer`` over that
+    registry, a ``NetServer`` listening in front of it.
 
-    Reads one request per line from stdin (or ``--input``), answers one JSON
-    response per line on stdout (or ``--output``), in request order.
-    Requests are submitted asynchronously, so concurrent lines coalesce into
-    micro-batches exactly as concurrent network clients would; completed
-    responses are flushed as soon as every earlier request has completed.
-    The frames travel through :mod:`repro.net.protocol` — the same codec
-    the TCP front end (``m3 served``) speaks — so the stdin and socket
-    paths cannot drift.
+    Returns the published version and the ``NetServer``, which owns the rest
+    (``net.server``; ``net.close()`` drains the whole stack).
     """
-    from collections import deque
-
-    from repro.net import protocol
-    from repro.serve import ModelRegistry, ModelServer
-
-    default_method = "predict_proba" if args.proba else "predict"
-    registry = ModelRegistry()
-    version = registry.publish("default", args.model)
-    source = sys.stdin if args.input is None else open(args.input, "r", encoding="utf-8")
-    sink = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-
-    def respond(request_id, future) -> None:
-        error = future.exception()
-        if error is not None:
-            payload = protocol.error_record(error, request_id)
-        else:
-            payload = protocol.response_record(future.result(), request_id)
-        print(protocol.encode_record(payload), file=sink, flush=True)
-
-    served = 0
-    try:
-        with ModelServer(
-            registry=registry,
-            engine=args.engine,
-            max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
-            workers=args.workers,
-            max_pending=args.max_pending,
-        ) as server:
-            print(
-                f"serving {type(version.model).__name__} as {version.key} "
-                f"(max_batch={args.max_batch}, max_delay={args.max_delay_ms}ms, "
-                f"workers={args.workers}); one JSONL request per line",
-                file=sys.stderr,
-            )
-            pending: "deque" = deque()
-            for line in source:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    request = protocol.parse_request_line(
-                        line, default_method=default_method
-                    )
-                    pending.append(
-                        (
-                            request.id,
-                            server.submit(
-                                request.rows,
-                                method=request.method,
-                                model=request.model,
-                            ),
-                        )
-                    )
-                except Exception as error:  # noqa: BLE001 — reported per line
-                    # Flush responses in order before reporting the bad line.
-                    while pending:
-                        respond(*pending.popleft())
-                        served += 1
-                    print(
-                        protocol.encode_record(protocol.error_record(error, None)),
-                        file=sink,
-                        flush=True,
-                    )
-                    continue
-                # Emit every response that is ready behind the head, keeping
-                # request order without stalling the submit loop.
-                while pending and pending[0][1].done():
-                    respond(*pending.popleft())
-                    served += 1
-            while pending:
-                respond(*pending.popleft())
-                served += 1
-            _print_serve_stats(server.stats())
-    finally:
-        if source is not sys.stdin:
-            source.close()
-        if sink is not sys.stdout:
-            sink.close()
-    print(f"served {served} request(s)", file=sys.stderr)
-    return 0
-
-
-def _cmd_served(args: argparse.Namespace) -> int:
-    """The network serving daemon: the TCP front end over a ModelServer.
-
-    Binds a listener (``--port 0`` picks an ephemeral port; the bound
-    address is printed to stderr), speaks newline-delimited JSON, raw-row
-    frames and HTTP/1.1 ``POST /predict`` through the shared
-    :mod:`repro.net.protocol` codec, and drains gracefully on
-    SIGTERM/SIGINT: stop accepting, answer
-    every in-flight request, then shut the dispatchers down.
-    """
-    import signal
-    import threading
-
     from repro.net import AdaptiveDelayController, NetServer
     from repro.serve import ModelRegistry, ModelServer
 
-    default_method = "predict_proba" if args.proba else "predict"
     registry = ModelRegistry()
     version = registry.publish("default", args.model)
     controller = None
@@ -719,7 +528,6 @@ def _cmd_served(args: argparse.Namespace) -> int:
         )
     server = ModelServer(
         registry=registry,
-        engine=args.engine,
         max_batch=args.max_batch,
         max_delay_ms=args.max_delay_ms,
         workers=args.workers,
@@ -730,10 +538,88 @@ def _cmd_served(args: argparse.Namespace) -> int:
         server,
         host=args.host,
         port=args.port,
-        mode=args.mode,
-        default_method=default_method,
+        default_method="predict_proba" if args.proba else "predict",
         max_inflight=args.max_inflight,
     )
+    return version, net
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """The stdio transport of the serving front end.
+
+    Stands up the same stack ``m3 served`` runs, on an ephemeral loopback
+    port, and pumps bytes: stdin (or ``--input``) into one connection of
+    it, that connection's responses to stdout (or ``--output``).  Framing,
+    ordering, backpressure and the typed refusals are the ``NetServer``'s,
+    so every frame the socket takes — JSON lines, raw-row frames, HTTP
+    ``POST /predict`` — stdin takes too.  End of input half-closes the
+    connection; the server flushes every response in order and hangs up.
+    """
+    import socket
+    import threading
+    from contextlib import nullcontext, suppress
+
+    # One connection never has more in flight than the queue holds, so a
+    # long stdin script meets backpressure, not `saturated` refusals.
+    args.max_inflight = min(args.max_inflight, args.max_pending)
+    version, net = _serving_stack(args)
+
+    def copy_responses(conn: socket.socket, sink: "Any") -> None:
+        try:
+            for data in iter(lambda: conn.recv(1 << 16), b""):
+                sink.write(data)
+                sink.flush()
+        except OSError:
+            pass  # a reset that raced our sends, or a sink that went away
+        finally:
+            with suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)  # fails a pump blocked in sendall
+
+    with net, (
+        nullcontext(sys.stdin.buffer) if args.input is None else open(args.input, "rb")
+    ) as source, (
+        nullcontext(sys.stdout.buffer) if args.output is None else open(args.output, "wb")
+    ) as sink, socket.create_connection(net.address) as conn:
+        print(
+            f"serving {type(version.model).__name__} as {version.key} "
+            f"(max_batch={args.max_batch}, max_delay={args.max_delay_ms}ms, "
+            f"workers={args.workers}); JSONL, raw-row frames or HTTP POST /predict",
+            file=sys.stderr,
+        )
+        responses = threading.Thread(
+            target=copy_responses, args=(conn, sink), name="m3-serve-stdout", daemon=True
+        )
+        responses.start()
+        try:
+            # read1: hand over whatever has arrived, so a client that waits
+            # for an answer before its next request gets one.
+            for data in iter(lambda: source.read1(1 << 16), b""):
+                conn.sendall(data)
+        except OSError:
+            pass  # the server answered a frame it cannot re-frame after, and hung up
+        finally:
+            # Half-close; the hang-up that follows it is what ends the copier.
+            with suppress(OSError):
+                conn.shutdown(socket.SHUT_WR)
+            responses.join(timeout=net.drain_timeout_s + 10.0)
+    _print_serve_stats(net.server.stats())
+    print(f"served {net.stats().responses} request(s)", file=sys.stderr)
+    return 0
+
+
+def _cmd_served(args: argparse.Namespace) -> int:
+    """The network serving daemon: the serving stack's listener, exposed.
+
+    Binds ``--host``/``--port`` (``0`` picks an ephemeral port; the bound
+    address is printed to stderr) and drains gracefully on SIGTERM/SIGINT:
+    stop accepting, answer every in-flight request, then shut the
+    dispatchers down.
+    """
+    import signal
+    import threading
+
+    version, net = _serving_stack(args)
+    controller = net.server.delay_controller
     if threading.current_thread() is threading.main_thread():
         for signum in (signal.SIGTERM, signal.SIGINT):
             signal.signal(signum, lambda _signum, _frame: net.request_shutdown())
@@ -744,7 +630,7 @@ def _cmd_served(args: argparse.Namespace) -> int:
     )
     print(
         f"serving {type(version.model).__name__} as {version.key} on "
-        f"{net.host}:{net.port} (mode={args.mode}, max_batch={args.max_batch}, "
+        f"{net.host}:{net.port} (max_batch={args.max_batch}, "
         f"max_delay={delay_text}, workers={args.workers}); "
         f"JSONL, raw-row frames or HTTP POST /predict; SIGTERM drains",
         file=sys.stderr,
@@ -772,7 +658,7 @@ def _cmd_served(args: argparse.Namespace) -> int:
                 f"ceiling {snap['ceiling_ms']:.1f}ms)",
                 file=sys.stderr,
             )
-        _print_serve_stats(server.stats())
+        _print_serve_stats(net.server.stats())
     print("drained and closed", file=sys.stderr)
     return 0
 
@@ -788,6 +674,7 @@ def _cmd_traind(args: argparse.Namespace) -> int:
     daemon polls until interrupted.
     """
     from repro.ml import GaussianNaiveBayes, LogisticRegression, MiniBatchKMeans, SoftmaxRegression
+    from repro.ml.base import NotResumableError
     from repro.ml.persistence import load_model, save_model
     from repro.serve import Trainer
 
@@ -799,6 +686,11 @@ def _cmd_traind(args: argparse.Namespace) -> int:
                 f"the trainer daemon needs a streaming estimator",
                 file=sys.stderr,
             )
+            return 2
+        try:
+            model.check_resumable()
+        except NotResumableError as error:
+            print(f"error: {error}", file=sys.stderr)
             return 2
     elif args.algorithm == "logistic":
         model = LogisticRegression(solver="sgd")
@@ -821,14 +713,7 @@ def _cmd_traind(args: argparse.Namespace) -> int:
             save_model(args.save_model, update.version.model)
             print(f"saved {update.version.key} to {args.save_model}", flush=True)
 
-    with Trainer(
-        args.dataset,
-        model,
-        name=args.name,
-        poll_s=args.poll,
-        chunk_rows=args.chunk_rows,
-        io_workers=args.io_workers,
-    ) as trainer:
+    with Trainer(args.dataset, model, name=args.name, poll_s=args.poll) as trainer:
         if args.trained_rows:
             # The model was fitted offline on the dataset's first N rows;
             # start the cursor there instead of retraining from row 0.
@@ -1011,10 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--auto-block", action="store_true",
                          help="let the vmem locality advisor pick "
                               "--block-rows/--layout for the scan workload "
-                              "described by --scan-columns/--cache-mb")
-    convert.add_argument("--scan-columns", type=float, default=1.0,
-                         help="fraction of columns the expected workload "
-                              "scans (with --auto-block; 1.0 = full rows)")
+                              "described by --scan-chunk-rows/--cache-mb")
     convert.add_argument("--scan-chunk-rows", type=_positive_int, default=None,
                          help="streaming chunk height the workload will scan "
                               "with (with --auto-block)")
@@ -1085,80 +967,50 @@ def build_parser() -> argparse.ArgumentParser:
                               "of labels")
     predict.add_argument("--output", type=Path, default=None,
                          help="write the predictions to this path as .npy")
-    predict.add_argument("--server", action="store_true",
-                         help="route every row as an individual request through "
-                              "the micro-batching model server instead of the "
-                              "scan path (same predictions, request-level "
-                              "accounting)")
-    predict.add_argument("--max-batch", type=_positive_int, default=256,
-                         help="rows per coalesced micro-batch (with --server)")
-    predict.add_argument("--max-delay-ms", type=float, default=0.0,
-                         help="how long an underfull micro-batch waits for "
-                              "company; 0 = dispatch immediately (with "
-                              "--server)")
-    predict.add_argument("--workers", type=_positive_int, default=1,
-                         help="dispatcher threads (with --server)")
     predict.set_defaults(func=_cmd_predict)
 
     serve = sub.add_parser(
         "serve",
-        help="run the serving daemon: JSONL predict requests over a hot model",
+        help="run the serving front end over stdin/stdout: the requests "
+             "'served' takes from sockets, one connection's worth",
     )
-    serve.add_argument("--model", type=Path, required=True,
-                       help="saved model JSON (from 'm3 train --save-model') "
-                            "published into the hot-model registry")
-    serve.add_argument("--engine", choices=["local", "streaming"], default="local",
-                       help="engine whose serve_batch computes each micro-batch "
-                            "(both drive the same per-chunk predict path)")
-    serve.add_argument("--max-batch", type=_positive_int, default=256,
-                       help="rows per coalesced micro-batch")
-    serve.add_argument("--max-delay-ms", type=float, default=0.0,
-                       help="how long an underfull micro-batch waits for more "
-                            "requests before dispatching; 0 = dispatch "
-                            "immediately (batches still form under load)")
-    serve.add_argument("--workers", type=_positive_int, default=1,
-                       help="dispatcher threads")
-    serve.add_argument("--max-pending", type=_positive_int, default=1024,
-                       help="bounded request-queue depth (backpressure beyond it)")
-    serve.add_argument("--proba", action="store_true",
-                       help="default to predict_proba for requests that name "
-                            "no method")
-    serve.add_argument("--input", type=Path, default=None,
-                       help="read JSONL requests from this file instead of stdin")
-    serve.add_argument("--output", type=Path, default=None,
-                       help="write JSONL responses to this file instead of stdout")
-    serve.set_defaults(func=_cmd_serve)
-
     served = sub.add_parser(
         "served",
         help="run the network serving daemon: JSONL, raw-row and HTTP "
              "predict requests over TCP, graceful drain on SIGTERM",
     )
-    served.add_argument("--model", type=Path, required=True,
-                        help="saved model JSON (from 'm3 train --save-model') "
-                             "published into the hot-model registry")
+    for daemon in (serve, served):  # one stack (_serving_stack), one set of flags
+        daemon.add_argument("--model", type=Path, required=True,
+                            help="saved model JSON (from 'm3 train --save-model') "
+                                 "published into the hot-model registry")
+        daemon.add_argument("--max-batch", type=_positive_int, default=256,
+                            help="rows per coalesced micro-batch")
+        daemon.add_argument("--max-delay-ms", type=float, default=0.0,
+                            help="how long an underfull micro-batch waits for "
+                                 "more requests; 0 = dispatch immediately "
+                                 "(batches still form under load)")
+        daemon.add_argument("--workers", type=_positive_int, default=1,
+                            help="dispatcher threads")
+        daemon.add_argument("--max-pending", type=_positive_int, default=1024,
+                            help="bounded request-queue depth: beyond it, a "
+                                 "typed 'saturated' error / HTTP 429 ('serve' "
+                                 "reads stdin no further ahead instead)")
+        daemon.add_argument("--proba", action="store_true",
+                            help="default to predict_proba for requests that "
+                                 "name no method")
+    serve.add_argument("--input", type=Path, default=None,
+                       help="read requests from this file instead of stdin")
+    serve.add_argument("--output", type=Path, default=None,
+                       help="write responses to this file instead of stdout")
+    # What else _serving_stack reads: an unannounced loopback listener, the
+    # fixed coalesce window, served's in-flight default.
+    serve.set_defaults(func=_cmd_serve, host="127.0.0.1", port=0, max_inflight=256,
+                       adaptive_delay=False, adaptive_ceiling_ms=5.0)
     served.add_argument("--host", type=str, default="127.0.0.1",
                         help="bind address")
     served.add_argument("--port", type=_non_negative_int, default=0,
                         help="TCP port (0 = pick an ephemeral port; the bound "
                              "address is printed to stderr)")
-    served.add_argument("--mode", choices=["auto", "jsonl", "http"],
-                        default="auto",
-                        help="wire framing; 'auto' sniffs JSONL vs raw-row "
-                             "vs HTTP per frame, so one port serves all three "
-                             "(and NetClient sends float arrays as raw bytes); "
-                             "'jsonl' and 'http' read only their own")
-    served.add_argument("--http", action="store_const", const="http",
-                        dest="mode", help="shorthand for --mode http")
-    served.add_argument("--engine", choices=["local", "streaming"],
-                        default="local",
-                        help="engine whose serve_batch computes each "
-                             "micro-batch")
-    served.add_argument("--max-batch", type=_positive_int, default=256,
-                        help="rows per coalesced micro-batch")
-    served.add_argument("--max-delay-ms", type=float, default=0.0,
-                        help="fixed coalesce window for underfull "
-                             "micro-batches; 0 = dispatch immediately")
     served.add_argument("--adaptive-delay", action="store_true",
                         help="learn the coalesce window from the observed "
                              "arrival rate (EWMA inter-arrival estimate, "
@@ -1167,17 +1019,9 @@ def build_parser() -> argparse.ArgumentParser:
     served.add_argument("--adaptive-ceiling-ms", type=float, default=5.0,
                         help="upper clamp on the learned delay — the "
                              "worst-case latency tax under --adaptive-delay")
-    served.add_argument("--workers", type=_positive_int, default=1,
-                        help="dispatcher threads")
-    served.add_argument("--max-pending", type=_positive_int, default=1024,
-                        help="bounded request-queue depth (requests beyond it "
-                             "get a typed 'saturated' error / HTTP 429)")
     served.add_argument("--max-inflight", type=_positive_int, default=256,
                         help="per-connection cap on unanswered requests "
                              "before TCP backpressure pushes back")
-    served.add_argument("--proba", action="store_true",
-                        help="default to predict_proba for requests that "
-                             "name no method")
     served.set_defaults(func=_cmd_served)
 
     traind = sub.add_parser(
@@ -1188,9 +1032,9 @@ def build_parser() -> argparse.ArgumentParser:
     traind.add_argument("dataset", type=str,
                         help="an appendable sharded dataset: path or shard:// spec")
     traind.add_argument("--model", type=Path, default=None,
-                        help="saved model JSON to warm-start from (must "
-                             "support partial_fit); omitted, a fresh "
-                             "--algorithm model trains from row 0")
+                        help="saved MiniBatchKMeans JSON to resume (any other "
+                             "estimator's file lacks its streaming state and "
+                             "is refused); omitted, a fresh --algorithm model")
     traind.add_argument("--algorithm",
                         choices=["logistic", "softmax", "nb", "kmeans"],
                         default="logistic",
@@ -1210,11 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
     traind.add_argument("--save-model", type=Path, default=None,
                         help="write each published version to this path as "
                              "servable JSON ('m3 serve --model' picks it up)")
-    traind.add_argument("--chunk-rows", type=_positive_int, default=None,
-                        help="rows per training chunk (default: auto-sized)")
-    traind.add_argument("--io-workers", type=int, default=None,
-                        help="reader threads for the delta scans "
-                             "(omit = one reader, 0 = one reader per device)")
     traind.set_defaults(func=_cmd_traind)
 
     figure1a = sub.add_parser("figure1a", help="regenerate Figure 1a (runtime vs size)")

@@ -25,6 +25,7 @@ from repro.ml.base import (
     BaseEstimator,
     ClassifierMixin,
     ClustererMixin,
+    NotResumableError,
     StreamingEstimator,
     StreamingPredictor,
     TransformerMixin,
@@ -47,6 +48,7 @@ __all__ = [
     "BaseEstimator",
     "ClassifierMixin",
     "ClustererMixin",
+    "NotResumableError",
     "StreamingEstimator",
     "StreamingPredictor",
     "TransformerMixin",

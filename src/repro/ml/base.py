@@ -232,6 +232,15 @@ class BaseEstimator:
             )
 
 
+class NotResumableError(RuntimeError):
+    """``partial_fit`` on a fitted estimator whose streaming state is gone.
+
+    ``save_model`` writes fitted attributes, not the accumulators the SGD and
+    naive-Bayes estimators train from; ``MiniBatchKMeans`` resumes after a
+    load because its ``cluster_centers_`` / ``counts_`` *are* that state.
+    """
+
+
 class StreamingEstimator:
     """Mixin for estimators that train as chunk-streaming consumers.
 
@@ -301,9 +310,23 @@ class StreamingEstimator:
             self.finalize_streaming(finalize)
         return self
 
+    def check_resumable(self) -> None:
+        """Raise :class:`NotResumableError` if the next ``partial_fit`` would
+        re-seed a fitted model from zeros instead of continuing it."""
+        if self._streaming_state is None and hasattr(self, "classes_"):
+            raise NotResumableError(
+                f"this {type(self).__name__} is fitted but holds no streaming "
+                f"state (load_model restores what predicts, not what partial_fit "
+                f"continues from): training it further would restart from zeros; "
+                f"only MiniBatchKMeans resumes after a load — refit, or keep the "
+                f"live object"
+            )
+
     def _reset_streaming(self) -> None:
         """Forget accumulated streaming state so training starts fresh."""
         self._streaming_state = None
+        # What check_resumable reads: a refit is a fresh start, not a resume.
+        self.__dict__.pop("classes_", None)
 
     def _end_streaming_pass(self, epoch: int) -> bool:
         """Pass-boundary hook; return ``True`` to stop early."""

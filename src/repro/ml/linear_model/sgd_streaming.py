@@ -81,6 +81,7 @@ class LinearSGDStreamingMixin(StreamingEstimator):
             )
         X = as_matrix(X)
         y = as_labels(y, X.shape[0])
+        self.check_resumable()
         state: Optional[SGDStreamState] = self._streaming_state
         if state is None:
             known = np.unique(np.asarray(classes)) if classes is not None else np.unique(y)

@@ -94,6 +94,7 @@ class GaussianNaiveBayes(BaseEstimator, ClassifierMixin, StreamingEstimator, Str
         """
         X = as_matrix(X)
         y = as_labels(y, X.shape[0])
+        self.check_resumable()
         state = self._streaming_state
         if state is None:
             known = np.unique(np.asarray(classes)) if classes is not None else np.unique(y)

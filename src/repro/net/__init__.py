@@ -4,7 +4,7 @@ Puts a wire on :class:`~repro.serve.server.ModelServer`:
 
 * :class:`NetServer` — an asyncio TCP listener speaking newline-delimited
   JSON, raw-row frames (rows as the array's own bytes) and minimal
-  HTTP/1.1 POST (``mode="auto"`` sniffs per frame), with keep-alive
+  HTTP/1.1 POST (sniffed per frame, on one port), with keep-alive
   connections, per-connection backpressure, typed wire errors (HTTP 429
   for saturation), and graceful drain on ``close()``/SIGTERM.
 * :class:`NetClient` — the pipelining keep-alive client (futures over
@@ -15,9 +15,11 @@ Puts a wire on :class:`~repro.serve.server.ModelServer`:
   observed arrival rate (EWMA inter-arrival estimate, clamped to a
   ceiling, exactly zero at low load) so open-loop bursts coalesce into
   full micro-batches without taxing idle traffic.
-* :mod:`repro.net.protocol` — the shared request/response codec, also
-  driving ``m3 serve``'s stdin loop so the stdin and socket paths cannot
-  drift.
+* :mod:`repro.net.protocol` — the shared request/response codec.
+
+:class:`NetServer` holds the only request loop there is: ``m3 served``
+exposes its listener, and ``m3 serve`` is its stdio transport — stdin and
+stdout pumped through one loopback connection of the same stack.
 """
 
 from repro.net.client import NetClient, NetResult

@@ -14,7 +14,7 @@ reads raw-row frames (the hello of :mod:`repro.net.protocol`).  If it
 does, float64/float32 ``ndarray`` rows travel as their own bytes — no
 decimal text on either side — and everything else (lists, integer or
 ragged input) as the JSON line it always was, on the same connection; if
-it does not (``mode="jsonl"``, an older server), every request is a JSON
+it does not (a peer that predates the frame), every request is a JSON
 line.  Responses are JSON record lines either way: a daemon reader thread
 resolves futures in request order (the server answers in order per
 connection) and never waits on a sender, so any number of requests can be

@@ -33,10 +33,10 @@ connection closes: with the payload length unknown the stream cannot be
 re-framed.
 
 Hello — how a client learns that the server reads raw-row frames.  It
-sends the line :data:`HELLO_LINE` once, at connect; a ``mode="auto"``
-server answers :func:`hello_record` (and counts neither line as a
-request), any other server answers the line as the malformed request it
-is — a ``bad_request`` record — and the client stays on JSON lines::
+sends the line :data:`HELLO_LINE` once, at connect; :class:`NetServer`
+answers :func:`hello_record` (and counts neither line as a request), a peer
+that predates the frame answers the line as the malformed request it is — a
+``bad_request`` record — and the client stays on JSON lines::
 
     > {"hello": "m3"}
     < {"hello": "m3", "frames": ["M3ROWS"]}

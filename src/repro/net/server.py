@@ -5,8 +5,7 @@ threads, and futures.  :class:`NetServer` puts a wire on it: an asyncio
 TCP listener (run on one dedicated event-loop thread) speaking
 
 * **JSONL** — one request per line, one response per line, in request
-  order, over a keep-alive connection (the same framing ``m3 serve``
-  speaks on stdin, via :mod:`repro.net.protocol`),
+  order, over a keep-alive connection,
 * **raw-row frames** — a one-line head, then the rows as the array's own
   bytes (``np.frombuffer`` on arrival, no decimal text either way);
   answered, in order, with the same JSON record lines, and free to
@@ -14,11 +13,13 @@ TCP listener (run on one dedicated event-loop thread) speaking
 * **HTTP/1.1 POST** — one request per ``POST /predict`` body, the same
   JSON documents, with wire errors mapped to statuses (429 for
   backpressure, 400/404/405 for client bugs, 500/503 for server-side
-  trouble).  ``mode="auto"`` (default) sniffs the first line of every
-  frame, so one port — one connection, even — serves all three; it also
-  answers the client hello that advertises the raw-row frame
-  (:func:`repro.net.protocol.hello_record`).  ``mode="jsonl"`` and
-  ``mode="http"`` read nothing but their own framing.
+  trouble).
+
+The first line of every frame is sniffed, so one port — one connection,
+even — serves all three and answers the client hello that advertises the
+raw-row frame (:func:`repro.net.protocol.hello_record`).  This is the only
+request loop there is: ``m3 served`` exposes the listener, ``m3 serve``
+pumps stdin/stdout through one loopback connection of it.
 
 Flow control is layered: per connection, at most ``max_inflight``
 requests are in flight before the reader stops pulling frames (TCP
@@ -46,7 +47,7 @@ import asyncio
 import socket
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.runtime import make_lock
@@ -87,50 +88,28 @@ class NetStats:
 
     def as_dict(self) -> Dict[str, int]:
         """JSON-friendly summary."""
-        return {
-            "connections": self.connections,
-            "active": self.active,
-            "requests": self.requests,
-            "responses": self.responses,
-            "errors": self.errors,
-            "saturated": self.saturated,
-            "dropped_connections": self.dropped_connections,
-            "faults_injected": self.faults_injected,
-        }
+        return asdict(self)
 
     def snapshot(self) -> "NetStats":
         """An independent copy (the live object keeps accumulating)."""
         return replace(self)
 
 
+@dataclass(slots=True)
 class _Entry:
     """One accepted frame awaiting its in-order response."""
 
-    __slots__ = (
-        "future", "error", "request_id", "http", "keep_alive", "status", "hello",
-    )
-
-    def __init__(
-        self,
-        future: Optional["Future[ServeResult]"] = None,
-        error: Optional[BaseException] = None,
-        request_id: Optional[Any] = None,
-        http: bool = False,
-        keep_alive: bool = True,
-        status: Optional[int] = None,
-        hello: bool = False,
-    ) -> None:
-        self.future = future
-        self.error = error
-        self.request_id = request_id
-        self.http = http
-        #: False = answer this frame, then hang up (``Connection: close``,
-        #: or a frame after which the stream cannot be re-framed).
-        self.keep_alive = keep_alive
-        #: Explicit HTTP status override (404/405); None = derive from kind.
-        self.status = status
-        #: The client hello: answered in order like a request, counted as none.
-        self.hello = hello
+    future: Optional["Future[ServeResult]"] = None
+    error: Optional[BaseException] = None
+    request_id: Optional[Any] = None
+    http: bool = False
+    #: False = answer this frame, then hang up (``Connection: close``,
+    #: or a frame after which the stream cannot be re-framed).
+    keep_alive: bool = True
+    #: Explicit HTTP status override (404/405); None = derive from kind.
+    status: Optional[int] = None
+    #: The client hello: answered in order like a request, counted as none.
+    hello: bool = False
 
 
 class NetServer:
@@ -147,9 +126,6 @@ class NetServer:
         Bind address.  ``port=0`` (the default) picks an ephemeral port;
         the bound address is in :attr:`host`/:attr:`port` once the
         constructor returns.
-    mode:
-        ``"auto"`` (sniff JSONL vs raw-row vs HTTP per frame, and answer
-        the client hello), ``"jsonl"``, or ``"http"``.
     default_method:
         Prediction method for requests that name none.
     max_inflight:
@@ -170,20 +146,16 @@ class NetServer:
         server: ModelServer,
         host: str = "127.0.0.1",
         port: int = 0,
-        mode: str = "auto",
         default_method: str = "predict",
         max_inflight: int = 256,
         max_request_bytes: int = 8 << 20,
         drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
     ) -> None:
-        if mode not in ("auto", "jsonl", "http"):
-            raise ValueError(f"mode must be 'auto', 'jsonl' or 'http', got {mode!r}")
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.server = server
         self.host = host
         self.port = port
-        self.mode = mode
         self.default_method = default_method
         self.max_inflight = max_inflight
         self.max_request_bytes = max_request_bytes
@@ -368,9 +340,7 @@ class NetServer:
                     else:
                         first = await self._read_frame_head(reader)
                 except protocol.ProtocolError as error:
-                    entry: Optional[_Entry] = self._refused(
-                        error, http=self.mode == "http"
-                    )
+                    entry: Optional[_Entry] = self._refused(error)
                 else:
                     if first is None:
                         break  # EOF, drain quiescence, or the drain began while idle
@@ -455,15 +425,12 @@ class NetServer:
     async def _read_request(
         self, first: bytes, reader: asyncio.StreamReader
     ) -> Optional[_Entry]:
-        if self.mode == "http":
+        if protocol.looks_like_http(first):
             return await self._read_http_request(first, reader)
-        if self.mode == "auto":
-            if protocol.looks_like_http(first):
-                return await self._read_http_request(first, reader)
-            if protocol.looks_like_raw_rows(first):
-                return await self._read_raw_rows_request(first, reader)
-            if protocol.looks_like_hello(first):
-                return _Entry(hello=True)
+        if protocol.looks_like_raw_rows(first):
+            return await self._read_raw_rows_request(first, reader)
+        if protocol.looks_like_hello(first):
+            return _Entry(hello=True)
         text = first.decode("utf-8", errors="replace").strip()
         if not text:
             return None
@@ -661,7 +628,7 @@ class NetServer:
 
     def close(self) -> None:
         """Graceful drain, idempotent: stop accepting, flush in-flight
-        requests, then drain the ``ModelServer`` (serve its queue, join its
+        requests, then close the ``ModelServer`` (serve its queue, join its
         dispatchers)."""
         with self._lock:
             if self._closed:
@@ -675,7 +642,7 @@ class NetServer:
             except RuntimeError:
                 pass  # the loop already exited on its own
         self._thread.join(timeout=self.drain_timeout_s + 10.0)
-        self.server.drain()
+        self.server.close()
 
     def request_shutdown(self) -> None:
         """Ask :meth:`serve_forever` to begin the graceful drain.
@@ -722,6 +689,5 @@ class NetServer:
     def __repr__(self) -> str:
         state = "closed" if self._closed else "listening"
         return (
-            f"NetServer({self.host}:{self.port}, mode={self.mode!r}, "
-            f"{state}, on {self.server!r})"
+            f"NetServer({self.host}:{self.port}, {state}, on {self.server!r})"
         )

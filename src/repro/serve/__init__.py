@@ -20,10 +20,9 @@ regime.  The pieces:
 * :class:`ServeResult` / :class:`ServeStats` — the request-level siblings of
   :class:`~repro.api.engines.PredictResult` and its pipeline accounting.
 
-Batches dispatch through the engine's
-:meth:`~repro.api.engines.ExecutionEngine.serve_batch` seam — by default the
-:class:`~repro.ml.base.StreamingPredictor` per-chunk path — so every served
-prediction is bit-identical to the in-core ``model.predict`` row.
+Each coalesced batch is computed by :func:`repro.serve.server.serve_batch` —
+the :class:`~repro.ml.base.StreamingPredictor` per-chunk path — so every
+served prediction is bit-identical to the in-core ``model.predict`` row.
 
 .. code-block:: python
 
@@ -38,8 +37,9 @@ prediction is bit-identical to the in-core ``model.predict`` row.
             serving.swap("retrained.json")   # atomic hot-swap under load
             print(serving.stats().as_dict())
 
-The CLI equivalent is ``m3 serve --model model.json`` — a stdin/JSONL
-request loop over the same server.
+The wire is :mod:`repro.net`: ``m3 served --model model.json`` puts a
+:class:`~repro.net.NetServer` listener on this server, and ``m3 serve`` is
+that front end's stdio transport (requests on stdin, responses on stdout).
 """
 
 from repro.serve.registry import ModelRegistry, ModelVersion

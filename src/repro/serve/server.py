@@ -4,10 +4,10 @@ Everything else in the repository serves *scan-level* traffic — one
 :meth:`~repro.api.Session.predict` call walks a whole dataset.  This module
 adds the online half: a long-lived :class:`ModelServer` that accepts
 single-row / small-batch predict **requests**, coalesces concurrent requests
-into chunk-sized micro-batches, and dispatches each batch through the
-execution engine's :meth:`~repro.api.engines.ExecutionEngine.serve_batch`
-seam (the :class:`~repro.ml.base.StreamingPredictor` per-chunk path, so a
-served prediction is bit-identical to the in-core ``model.predict`` row).
+into chunk-sized micro-batches, and computes each batch with
+:func:`serve_batch` (the :class:`~repro.ml.base.StreamingPredictor`
+per-chunk path, so a served prediction is bit-identical to the in-core
+``model.predict`` row).
 
 The moving parts:
 
@@ -33,14 +33,13 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.runtime import make_condition
 from repro.api.chunks import ChunkStreamError
-from repro.api.engines import ExecutionEngine, resolve_engine
+from repro.api.engines import ExecutionEngine
 from repro.data.codecs import CodecError
 from repro.data.formats_v2 import ChecksumError
 from repro.faults import InjectedFault, RetriesExhausted, maybe_fire, policy_for
@@ -232,6 +231,34 @@ class _Request:
         return int(self.rows.shape[0])
 
 
+def serve_batch(model: Any, X: Any, method: str = "predict") -> np.ndarray:
+    """Predictions for one coalesced micro-batch of request rows.
+
+    Drives the model's :class:`~repro.ml.base.StreamingPredictor` per-chunk
+    hook (``predict_chunk``), which delegates to the in-core ``method`` — so
+    a served row is bit-identical to the corresponding row of an in-core
+    full-matrix call.
+
+    A lone row is computed as a duplicated 2-row batch (result sliced
+    back): BLAS routes 1-row inputs through matrix-*vector* kernels whose
+    last ULP can differ from the matrix-matrix path every larger batch
+    (and the scan engines) takes, and pinning the kernel keeps a served
+    row's bits independent of how much traffic it happened to share a
+    batch with.
+    """
+    if not method or method.startswith("_"):
+        raise ValueError(f"invalid prediction method {method!r}")
+    single = int(X.shape[0]) == 1
+    if single:
+        X = np.concatenate([np.asarray(X)] * 2, axis=0)
+    chunk_fn = getattr(model, "predict_chunk", None)
+    if callable(chunk_fn):
+        predictions = np.asarray(chunk_fn(X, method=method))
+    else:
+        predictions = np.asarray(ExecutionEngine._predict_fn(model, method)(X))
+    return predictions[:1] if single else predictions
+
+
 class ModelServer:
     """A long-lived serving daemon: hot models + micro-batched dispatch.
 
@@ -240,11 +267,6 @@ class ModelServer:
     registry:
         The :class:`~repro.serve.registry.ModelRegistry` to resolve models
         from; a private one is created when omitted.
-    engine:
-        Engine whose :meth:`~repro.api.engines.ExecutionEngine.serve_batch`
-        computes each micro-batch — a name, instance, or ``None`` for local.
-        Every engine's default drives the ``StreamingPredictor`` per-chunk
-        path, so served rows are bit-identical to in-core ``predict``.
     max_batch:
         Maximum rows coalesced into one dispatch.
     max_delay_ms:
@@ -269,22 +291,15 @@ class ModelServer:
         ``submit`` records an arrival, and each dispatcher reads the
         learned window when it opens a batch, so the coalesce delay
         tracks the observed arrival rate instead of a constant.
-    session:
-        Optional :class:`~repro.api.Session` used to resolve dataset specs
-        passed to :meth:`predict_many`; its handle pool keeps repeated opens
-        of a hot dataset cheap.  A private session is created on first use
-        when omitted, and closed with the server.
     """
 
     def __init__(
         self,
         registry: Optional[ModelRegistry] = None,
-        engine: Union[str, ExecutionEngine, None] = None,
         max_batch: int = 256,
         max_delay_ms: float = 0.0,
         workers: int = 1,
         max_pending: int = 1024,
-        session: Optional[Any] = None,
         delay_controller: Optional[Any] = None,
     ) -> None:
         if max_batch < 1:
@@ -296,13 +311,10 @@ class ModelServer:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.registry = registry if registry is not None else ModelRegistry()
-        self.engine = resolve_engine(engine)
         self.max_batch = max_batch
         self.max_delay_s = max_delay_ms / 1000.0
         self.max_pending = max_pending
         self.delay_controller = delay_controller
-        self._session = session
-        self._owns_session = session is None
         self._cond = make_condition("repro.serve.server.ModelServer._cond")
         self._queue: List[_Request] = []
         self._stats = ServeStats()
@@ -407,24 +419,8 @@ class ModelServer:
         model: str = DEFAULT_MODEL_NAME,
         timeout: Optional[float] = None,
     ) -> ServeResult:
-        """Serve a small batch synchronously.
-
-        ``rows`` may be a 2-D array, or a dataset spec/path — specs resolve
-        through the server's session (and its pooled handles), so a hot
-        dataset's rows are served without re-opening files per call.
-        """
-        if isinstance(rows, (str, Path)):
-            with self.session().open(str(rows)) as dataset:
-                rows = np.asarray(dataset.matrix)
+        """Serve a small batch (a 2-D array of rows) synchronously."""
         return self.submit(rows, method=method, model=model).result(timeout=timeout)
-
-    def session(self) -> Any:
-        """The server's session (created on first use when none was given)."""
-        if self._session is None:
-            from repro.api.session import Session
-
-            self._session = Session()
-        return self._session
 
     # -- dispatcher ----------------------------------------------------------
 
@@ -525,7 +521,7 @@ class ModelServer:
             resolved = self.registry.resolve(batch[0].model)
             began = time.perf_counter()
             predictions = np.asarray(
-                self.engine.serve_batch(resolved.model, X, method=method)
+                serve_batch(resolved.model, X, method=method)
             )
             compute_s = time.perf_counter() - began
             if predictions.shape[0] != X.shape[0]:
@@ -608,13 +604,12 @@ class ModelServer:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def drain(self) -> None:
+    def close(self) -> None:
         """Stop intake, serve every queued request, join the dispatchers.
 
-        The graceful half of :meth:`close` (idempotent, like it): after it
-        returns, every request accepted before the drain began has a
-        completed future, no dispatcher thread is running, and new
-        ``submit`` calls raise :class:`ServerClosed`.  The network front
+        Idempotent.  After it returns, every request accepted before it
+        began has a completed future, no dispatcher thread is running, and
+        new ``submit`` calls raise :class:`ServerClosed`.  The network front
         end calls this after it stops accepting connections and before it
         drops its transports, so in-flight clients get their answers.
         """
@@ -634,14 +629,6 @@ class ModelServer:
             if request.future.set_running_or_notify_cancel():
                 request.future.set_exception(ServerClosed("server is closed"))
 
-    def close(self) -> None:
-        """Drain (stop intake, flush queued requests, join dispatchers) and
-        release the server's owned session.  Idempotent."""
-        self.drain()
-        if self._owns_session and self._session is not None:
-            self._session.close()
-            self._session = None
-
     def __enter__(self) -> "ModelServer":
         return self
 
@@ -652,7 +639,7 @@ class ModelServer:
         status = "closed" if self._closed else f"{self.pending} pending"
         return (
             f"ModelServer(models={self.registry.names() or '[]'}, "
-            f"engine={self.engine.name!r}, max_batch={self.max_batch}, "
+            f"max_batch={self.max_batch}, "
             f"workers={len(self._workers)}, {status})"
         )
 
@@ -704,7 +691,7 @@ class Serving:
     def predict_many(
         self, rows: Any, method: str = "predict", timeout: Optional[float] = None
     ) -> ServeResult:
-        """Serve a small batch (2-D array, or a dataset spec) synchronously."""
+        """Serve a small batch (a 2-D array of rows) synchronously."""
         return self.server.predict_many(
             rows, method=method, model=self.name, timeout=timeout
         )

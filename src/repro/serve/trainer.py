@@ -39,7 +39,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -97,18 +97,8 @@ class TrainerStats:
     history: List[TrainUpdate] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
-        """The stats as one flat dict (history summarised to its length)."""
-        return {
-            "polls": self.polls,
-            "updates": self.updates,
-            "rows_trained": self.rows_trained,
-            "chunks": self.chunks,
-            "train_s": self.train_s,
-            "last_generation": self.last_generation,
-            "last_version": self.last_version,
-            "retries": self.retries,
-            "faults_injected": self.faults_injected,
-        }
+        """The counters as one flat dict (everything but ``history``)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "history"}
 
 
 class Trainer:
@@ -135,9 +125,6 @@ class Trainer:
         is created (and closed by :meth:`close`) when omitted.
     poll_s:
         Seconds between manifest polls in :meth:`run`/:meth:`start`.
-    chunk_rows, io_workers:
-        Chunk-pipeline knobs for the delta scans (defaults: auto-sized
-        chunks, one reader thread running one chunk ahead).
     classes:
         Class labels forwarded to every ``partial_fit`` call.  ``None``
         derives them from the labels of the first snapshot trained on —
@@ -153,8 +140,6 @@ class Trainer:
         name: str = DEFAULT_MODEL_NAME,
         session: Optional[Any] = None,
         poll_s: float = 0.5,
-        chunk_rows: Optional[int] = None,
-        io_workers: Optional[int] = None,
         classes: Optional[Any] = None,
     ) -> None:
         if not hasattr(model, "partial_fit"):
@@ -175,8 +160,6 @@ class Trainer:
         self.registry = registry if registry is not None else ModelRegistry()
         self.name = name
         self.poll_s = float(poll_s)
-        self.chunk_rows = chunk_rows
-        self.io_workers = io_workers
         self.classes = classes
         self.stats = TrainerStats()
         self._session = session
@@ -310,19 +293,11 @@ class Trainer:
         """Stream ``[trained_rows, total_rows)`` through partial_fit, publish."""
         labels = dataset.labels
         classes = self._derive_classes(labels)
-        plan = plan_chunks(
-            dataset.matrix,
-            chunk_rows=self.chunk_rows,
-            row_range=(self._trained_rows, total_rows),
-        )
+        # Auto-sized chunks, one reader one chunk ahead: a delta is a few chunks.
+        plan = plan_chunks(dataset.matrix, row_range=(self._trained_rows, total_rows))
         began = time.perf_counter()
         chunks = 0
-        stream = open_chunk_stream(
-            dataset.matrix,
-            labels=labels,
-            plan=plan,
-            io_workers=self.io_workers,
-        )
+        stream = open_chunk_stream(dataset.matrix, labels=labels, plan=plan)
         with stream:
             for chunk in stream:
                 try:

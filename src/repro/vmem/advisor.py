@@ -3,8 +3,8 @@
 Choosing a v2 shard encoding means choosing two knobs — ``block_rows`` and
 the row/column ``layout`` — whose goodness depends on how the dataset will be
 *scanned*.  Rather than hard-coding rules of thumb, the advisor simulates the
-fetch pattern each candidate encoding produces for the declared workload
-(chunked streaming over some fraction of the columns), scores the resulting
+fetch pattern each candidate encoding produces for a chunked streaming scan
+(whole rows — every reader fetches whole blocks), scores the resulting
 page-access sequence with the cache-friendliness metrics of
 :mod:`repro.vmem.locality` (SLD / TLD / miss ratio / roundtrip intervals),
 and divides by the **read amplification** — coded bytes fetched per byte the
@@ -13,10 +13,9 @@ exactly the real ones:
 
 * blocks wider than the streaming chunk are re-fetched by every chunk that
   overlaps them, so oversized blocks amplify reads;
-* a row-major block fetches every column, so column-subset scans over
-  row-major data pay ``1 / column_fraction`` amplification — which is the
-  case the column layout exists for, and tiny column segments in turn waste
-  page-granularity on *full* scans.
+* a column-major block is one segment per column, and tiny column segments
+  waste page granularity — the layout is a compression-ratio choice, and the
+  advisor recommends it only where it costs the scan nothing.
 
 Ties break toward the row layout and larger blocks: fewer segments means
 fewer seeks and less header metadata at equal simulated cost.
@@ -24,7 +23,6 @@ fewer seeks and less header metadata at equal simulated cost.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -98,7 +96,6 @@ def _simulate_fetch_trace(
     cols: int,
     itemsize: int,
     chunk_rows: int,
-    wanted_cols: int,
     block_rows: int,
     layout: str,
 ) -> AccessTrace:
@@ -120,7 +117,7 @@ def _simulate_fetch_trace(
             if layout == "row":
                 trace.record(base, block_height * cols * itemsize)
             else:
-                for col in range(wanted_cols):
+                for col in range(cols):
                     trace.record(base + col * column_stride, block_height * itemsize)
     return trace
 
@@ -130,7 +127,6 @@ def advise_block_layout(
     cols: int,
     itemsize: int = 8,
     chunk_rows: Optional[int] = None,
-    column_fraction: float = 1.0,
     cache_bytes: int = DEFAULT_CACHE_BYTES,
     block_rows_candidates: Optional[Sequence[int]] = None,
     page_size: int = PAGE_SIZE_DEFAULT,
@@ -145,9 +141,6 @@ def advise_block_layout(
     chunk_rows:
         The streaming chunk height the consumer will scan with; defaults to
         ~1 MiB worth of rows (the pipeline's warm-up chunk).
-    column_fraction:
-        Fraction of columns the workload touches per scan: ``1.0`` for
-        whole-row training, smaller for feature-subset analytics.
     cache_bytes:
         Page-cache budget the miss ratio / roundtrip metrics are scored at.
     block_rows_candidates:
@@ -160,13 +153,10 @@ def advise_block_layout(
             f"geometry must be positive, got rows={rows} cols={cols} "
             f"itemsize={itemsize}"
         )
-    if not 0.0 < column_fraction <= 1.0:
-        raise ValueError(f"column_fraction must be in (0, 1], got {column_fraction}")
     row_bytes = cols * itemsize
     if chunk_rows is None:
         chunk_rows = max(1, (1024 * 1024) // row_bytes)
     chunk_rows = min(chunk_rows, rows)
-    wanted_cols = max(1, math.ceil(cols * column_fraction))
 
     if block_rows_candidates is None:
         block_rows_candidates = sorted(
@@ -179,7 +169,7 @@ def advise_block_layout(
     # The fetch pattern repeats chunk over chunk; simulating a bounded prefix
     # keeps the advisor cheap without changing the ranking.
     sample_rows = min(rows, chunk_rows * _MAX_SIMULATED_CHUNKS)
-    bytes_needed = sample_rows * wanted_cols * itemsize
+    bytes_needed = sample_rows * row_bytes
 
     scored: List[CandidateScore] = []
     for block_rows in block_rows_candidates:
@@ -187,8 +177,7 @@ def advise_block_layout(
             raise ValueError(f"block_rows candidates must be positive, got {block_rows}")
         for layout in ("row", "column"):
             trace = _simulate_fetch_trace(
-                sample_rows, cols, itemsize, chunk_rows, wanted_cols,
-                int(block_rows), layout,
+                sample_rows, cols, itemsize, chunk_rows, int(block_rows), layout,
             )
             pages = trace_to_page_sequence(trace, page_size)
             report = cache_friendliness(pages, cache_pages)

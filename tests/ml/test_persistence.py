@@ -12,6 +12,7 @@ from repro.ml import (
     LinearRegression,
     LogisticRegression,
     MiniBatchKMeans,
+    NotResumableError,
     SoftmaxRegression,
     load_model,
     save_model,
@@ -174,3 +175,50 @@ class TestErrors:
         }))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+
+STREAMING = {
+    "logistic_sgd": lambda: LogisticRegression(solver="sgd", max_iterations=2),
+    "softmax_sgd": lambda: SoftmaxRegression(solver="sgd", max_iterations=2),
+    "naive_bayes": lambda: GaussianNaiveBayes(),
+}
+
+
+class TestPartialFitAfterLoad:
+    """A file holds what predicts, not what ``partial_fit`` continues from:
+    the SGD and naive-Bayes estimators say so instead of re-seeding."""
+
+    @pytest.mark.parametrize("name", sorted(STREAMING))
+    def test_loaded_model_refuses_instead_of_restarting_from_zeros(
+        self, tmp_path, problem, name
+    ):
+        X, y = problem
+        live = STREAMING[name]().fit(X[:200], y[:200])
+        loaded = load_model(save_model(tmp_path / f"{name}.json", live))
+        np.testing.assert_array_equal(loaded.predict(X), live.predict(X))
+        with pytest.raises(NotResumableError, match="only MiniBatchKMeans resumes"):
+            loaded.partial_fit(X[200:], y[200:])
+        with pytest.raises(NotResumableError):
+            loaded.check_resumable()
+        live.check_resumable()
+        live.partial_fit(X[200:], y[200:])  # the live object carries on
+
+    @pytest.mark.parametrize("name", sorted(STREAMING))
+    def test_refit_of_a_fitted_model_is_a_fresh_start(self, tmp_path, problem, name):
+        X, y = problem
+        once = STREAMING[name]().fit(X, y)
+        twice = STREAMING[name]().fit(X[:50], y[:50]).fit(X, y)
+        np.testing.assert_array_equal(twice.predict_proba(X), once.predict_proba(X))
+        # ... and so is a refit of a loaded one: fit() never resumes.
+        loaded = load_model(save_model(tmp_path / f"{name}.json", once)).fit(X, y)
+        np.testing.assert_array_equal(loaded.predict_proba(X), once.predict_proba(X))
+
+    def test_minibatch_kmeans_is_the_one_that_resumes(self, tmp_path, problem):
+        X, _ = problem
+        live = MiniBatchKMeans(n_clusters=3, seed=0).fit(X[:200])
+        loaded = load_model(save_model(tmp_path / "kmeans.json", live))
+        loaded.check_resumable()
+        np.testing.assert_array_equal(
+            loaded.partial_fit(X[200:]).cluster_centers_,
+            live.partial_fit(X[200:]).cluster_centers_,
+        )

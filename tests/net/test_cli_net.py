@@ -1,5 +1,7 @@
-"""CLI wiring for the network front end: m3 served and m3 predict --connect."""
+"""CLI wiring for the network front end: m3 served, its stdio transport
+m3 serve, and m3 predict --connect."""
 
+import inspect
 import json
 import os
 import re
@@ -15,7 +17,7 @@ from repro.cli import build_parser, main
 from repro.data.formats import open_binary_matrix
 from repro.data.writers import write_infimnist_dataset
 from repro.ml import load_model
-from repro.net import NetClient, NetServer
+from repro.net import NetClient, NetServer, protocol
 from repro.serve import ModelRegistry, ModelServer
 
 
@@ -35,7 +37,6 @@ class TestParserWiring:
         args = build_parser().parse_args(["served", "--model", "m.json"])
         assert args.host == "127.0.0.1"
         assert args.port == 0
-        assert args.mode == "auto"
         assert args.max_batch == 256
         assert args.max_delay_ms == 0.0
         assert args.adaptive_delay is False
@@ -43,10 +44,6 @@ class TestParserWiring:
         assert args.workers == 1
         assert args.max_pending == 1024
         assert args.max_inflight == 256
-
-    def test_http_flag_forces_http_mode(self):
-        args = build_parser().parse_args(["served", "--model", "m.json", "--http"])
-        assert args.mode == "http"
 
     def test_connect_parses_host_and_port(self):
         args = build_parser().parse_args(
@@ -63,13 +60,6 @@ class TestParserWiring:
 
 
 class TestPredictConnectValidation:
-    def test_connect_conflicts_with_server(self, trained, capsys):
-        dataset, model_path = trained
-        code = main(["predict", str(dataset), "--connect", "127.0.0.1:9",
-                     "--server", "--model", str(model_path)])
-        assert code == 2
-        assert "--connect" in capsys.readouterr().err
-
     def test_model_does_not_apply_to_connect(self, trained, capsys):
         dataset, model_path = trained
         code = main(["predict", str(dataset), "--connect", "127.0.0.1:9",
@@ -120,44 +110,55 @@ class TestPredictConnect:
         np.testing.assert_array_equal(np.load(served_out), np.load(scan_out))
 
 
-class TestStdinSocketNoDrift:
-    def test_same_lines_same_records(self, trained, tmp_path):
-        """The stdin loop and the socket path speak one codec: identical
-        request lines produce identical response records."""
-        import socket
+class TestServeIsTheSocketOnStdio:
+    """``m3 serve`` pumps stdin through one connection of the ``served``
+    stack, so what the socket takes, stdin takes."""
 
+    def _serve(self, model_path, tmp_path, request_bytes):
+        requests = tmp_path / "requests.bin"
+        requests.write_bytes(request_bytes)
+        responses = tmp_path / "responses.bin"
+        assert main(["serve", "--model", str(model_path), "--input", str(requests),
+                     "--output", str(responses)]) == 0
+        return responses.read_bytes()
+
+    def test_raw_row_and_http_frames_answered_in_order_beside_json_lines(
+        self, trained, tmp_path, capsys
+    ):
         dataset, model_path = trained
         matrix, _, _ = open_binary_matrix(dataset)
-        lines = [json.dumps(list(map(float, np.asarray(matrix[i]))))
-                 for i in range(2)]
-        lines += [json.dumps({"id": i, "x": list(map(float, np.asarray(matrix[i])))})
-                  for i in (2, 3)]
+        rows = np.asarray(matrix[:4], dtype=np.float64)
+        expected = load_model(model_path).predict(rows)
+        body = protocol.encode_request(rows[2], request_id="http")
+        out = self._serve(model_path, tmp_path, b"".join([
+            (protocol.encode_request(rows[0], request_id="json") + "\n").encode(),
+            protocol.encode_raw_rows_request(rows[1:2], request_id="raw"),
+            protocol.http_request_bytes(body, host="stdin", keep_alive=True),
+            (protocol.encode_request(rows[3], request_id="last") + "\n").encode(),
+        ]))
+        first, second, rest = out.split(b"\n", 2)
+        head, _, rest = rest.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK")
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        records = [json.loads(first), json.loads(second),
+                   json.loads(rest[:length]), json.loads(rest[length:])]
+        assert [record["id"] for record in records] == ["json", "raw", "http", "last"]
+        assert [record["predictions"] for record in records] == [[int(p)] for p in expected]
+        assert all(record["model"] == "default@1" for record in records)
+        assert "served 4 request(s)" in capsys.readouterr().err
 
-        requests = tmp_path / "requests.jsonl"
-        requests.write_text("\n".join(lines) + "\n")
-        responses_path = tmp_path / "responses.jsonl"
-        assert main(["serve", "--model", str(model_path),
-                     "--input", str(requests),
-                     "--output", str(responses_path)]) == 0
-        stdin_records = [json.loads(line) for line in
-                         responses_path.read_text().splitlines()]
-
-        net, server = _serving_net(model_path)
-        try:
-            with socket.create_connection((net.host, net.port), timeout=10) as sock:
-                reader = sock.makefile("rb")
-                sock.sendall(("\n".join(lines) + "\n").encode())
-                socket_records = [json.loads(reader.readline()) for _ in lines]
-        finally:
-            net.close()
-            server.close()
-
-        assert len(stdin_records) == len(socket_records) == 4
-        for stdin_record, socket_record in zip(stdin_records, socket_records):
-            assert stdin_record["predictions"] == socket_record["predictions"]
-            assert stdin_record["model"] == socket_record["model"]
-            assert stdin_record["id"] == socket_record["id"]
-            assert set(stdin_record) == set(socket_record)
+    def test_over_limit_line_answered_bad_request(self, trained, tmp_path):
+        dataset, model_path = trained
+        matrix, _, _ = open_binary_matrix(dataset)
+        good = (json.dumps(list(map(float, np.asarray(matrix[0])))) + "\n").encode()
+        limit = inspect.signature(NetServer).parameters["max_request_bytes"].default
+        out = self._serve(model_path, tmp_path, good + b"[" + b"1" * limit + b"]\n" + good)
+        records = [json.loads(line) for line in out.splitlines()]
+        # Answered, then hung up on: what follows an unframeable line is not read.
+        assert len(records) == 2
+        assert "predictions" in records[0]
+        assert records[1]["error"]["kind"] == "bad_request"
+        assert "limit" in records[1]["error"]["message"]
 
 
 class TestServedEndToEnd:

@@ -215,25 +215,7 @@ class TestHttpRoundTrips:
         assert net.stats().connections == 2
 
 
-class TestForcedModes:
-    def test_jsonl_mode_treats_http_as_a_bad_frame(self, live):
-        net = live(mode="jsonl")
-        with socket.create_connection((net.host, net.port), timeout=10) as sock:
-            sock.sendall(b"POST /predict HTTP/1.1\r\n")
-            record = json.loads(sock.makefile("rb").readline())
-        assert record["error"]["kind"] == "bad_request"
-
-    def test_http_mode_rejects_a_jsonl_frame(self, live):
-        net = live(mode="http")
-        with socket.create_connection((net.host, net.port), timeout=10) as sock:
-            sock.sendall(b"[1.0, 2.0]\n")
-            data = sock.makefile("rb").read()
-        assert data.startswith(b"HTTP/1.1 400 ")
-
-    def test_invalid_mode_rejected(self, live):
-        with pytest.raises(ValueError, match="mode"):
-            NetServer(ModelServer(), mode="smtp")
-
+class TestConstructorValidation:
     def test_invalid_max_inflight_rejected(self):
         with pytest.raises(ValueError, match="max_inflight"):
             NetServer(ModelServer(), max_inflight=0)

@@ -101,24 +101,39 @@ class TestHello:
         stats = net.stats()
         assert (stats.requests, stats.responses, stats.errors) == (0, 0, 0)
 
-    def test_jsonl_server_keeps_the_client_on_json_lines(self, live, problem, fitted,
-                                                         wait_stats):
+    def test_peer_without_the_frame_keeps_the_client_on_json_lines(self, problem, fitted):
+        """Version skew: a peer that predates the frame answers the hello as
+        the malformed request it is; every ndarray then goes as a JSON line."""
         X, _ = problem
-        net = live(mode="jsonl")
-        with NetClient(net.host, net.port) as client:
-            assert "jsonl" in repr(client)
-            result = client.predict(X[:5])
-        np.testing.assert_array_equal(result.predictions, fitted.predict(X[:5]))
-        # To a JSONL-only server the hello is one more malformed request.
-        stats = wait_stats(net, lambda s: s.responses == 2)
-        assert (stats.requests, stats.responses, stats.errors) == (2, 2, 1)
+        received = []
 
-    def test_jsonl_server_refuses_a_raw_row_head(self, live, problem):
-        X, _ = problem
-        net = live(mode="jsonl")
-        head = protocol.encode_raw_rows_request(X[0]).split(b"\n", 1)[0]
-        records, _closed = _exchange(net, head + b"\n", 1)
-        assert records[0]["error"]["kind"] == "bad_request"
+        def jsonl_only_peer(listener):
+            conn, _addr = listener.accept()
+            with conn, conn.makefile("rwb") as stream:
+                for line in stream:
+                    received.append(line)
+                    try:
+                        request = protocol.parse_request_line(line.decode())
+                        record = {
+                            "id": request.id,
+                            "model": "default@1",
+                            "predictions": fitted.predict(np.asarray(request.rows)).tolist(),
+                        }
+                    except protocol.ProtocolError as error:
+                        record = protocol.error_record(error)
+                    stream.write((protocol.encode_record(record) + "\n").encode())
+                    stream.flush()
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            peer = threading.Thread(target=jsonl_only_peer, args=(listener,), daemon=True)
+            peer.start()
+            with NetClient(*listener.getsockname()) as client:
+                assert "jsonl" in repr(client)
+                result = client.predict(X[:5])
+            peer.join(timeout=10)
+        np.testing.assert_array_equal(result.predictions, fitted.predict(X[:5]))
+        assert received[0] == protocol.HELLO_LINE
+        assert [json.loads(line) for line in received[1:]] == [X[:5].tolist()]
 
     def test_http_client_sends_no_hello(self, live, problem):
         X, _ = problem

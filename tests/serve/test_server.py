@@ -351,15 +351,6 @@ class TestSessionServe:
             result = serving.predict_one(X[0])
         assert result.predictions[0] == fitted.predict(X[:1])[0]
 
-    def test_predict_many_resolves_dataset_specs(self, problem, fitted):
-        # The server's session handle pool: a spec is opened, served, closed.
-        X, y = problem
-        with Session() as session:
-            session.create("memory://serve-me", X, y)
-            with session.serve(fitted) as serving:
-                result = serving.predict_many("memory://serve-me")
-        np.testing.assert_array_equal(result.predictions, fitted.predict(X))
-
     def test_swap_is_visible_to_later_requests(self, problem, fitted):
         X, y = problem
         retrained = LogisticRegression(max_iterations=1).fit(X, 1 - y)

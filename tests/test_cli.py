@@ -392,28 +392,79 @@ class TestServe:
         payload = json.loads(responses_path.read_text().splitlines()[0])
         assert len(payload["predictions"][0]) == 10  # 10-class probabilities
 
-    def test_predict_server_matches_scan_path(self, trained, tmp_path, capsys):
-        dataset, model_path = trained
-        scan_out = tmp_path / "scan.npy"
-        served_out = tmp_path / "served.npy"
-        assert main(["predict", str(dataset), "--model", str(model_path),
-                     "--output", str(scan_out)]) == 0
-        exit_code = main(["predict", str(dataset), "--model", str(model_path),
-                          "--server", "--max-batch", "32", "--max-delay-ms", "1",
-                          "--workers", "2", "--output", str(served_out)])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "model server" in out
-        assert "accuracy against the dataset's labels" in out
-        np.testing.assert_array_equal(np.load(served_out), np.load(scan_out))
 
-    def test_server_rejects_scan_pipeline_flags(self, trained, capsys):
-        dataset, model_path = trained
-        exit_code = main(["predict", str(dataset), "--model", str(model_path),
-                          "--server", "--engine", "streaming",
-                          "--io-workers", "4"])
-        assert exit_code == 2
-        assert "--io-workers does not apply to --server" in capsys.readouterr().err
+class TestTraind:
+    """``m3 traind --once``: one catch-up poll over an appendable dataset."""
+
+    @pytest.fixture()
+    def appendable(self, tmp_path):
+        from repro.api import Session
+
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(360, 6))
+        y = (np.arange(360) % 3).astype(np.int64)
+        spec = f"shard://{tmp_path / 'tail'}"
+        with Session() as session:
+            session.create(spec, X[:240], y[:240], shard_rows=120)
+        return spec, X, y
+
+    @staticmethod
+    def _append(spec, X, y):
+        from repro.api import Session
+
+        with Session() as session:
+            with session.open(spec) as dataset:
+                dataset.append(X, y)
+
+    def test_once_trains_every_row_and_saves_a_loadable_model(
+        self, appendable, tmp_path, capsys
+    ):
+        from repro.ml import load_model
+
+        spec, X, _y = appendable
+        saved = tmp_path / "live.json"
+        assert main(["traind", spec, "--once", "--algorithm", "softmax",
+                     "--save-model", str(saved)]) == 0
+        captured = capsys.readouterr()
+        assert "generation 0: trained 240 delta row(s)" in captured.out
+        assert "published default@1" in captured.out
+        assert f"saved default@1 to {saved}" in captured.out
+        assert "1 version(s) published, 240 row(s) trained" in captured.err
+        assert load_model(saved).predict(X[:5]).shape == (5,)
+
+    def test_once_resumes_a_saved_kmeans_bit_identically(self, appendable, tmp_path, capsys):
+        from repro.ml import MiniBatchKMeans, load_model
+
+        spec, X, y = appendable
+        first, resumed = tmp_path / "first.json", tmp_path / "resumed.json"
+        assert main(["traind", spec, "--once", "--algorithm", "kmeans",
+                     "--clusters", "3", "--save-model", str(first)]) == 0
+        self._append(spec, X[240:], y[240:])
+        assert main(["traind", spec, "--once", "--model", str(first),
+                     "--trained-rows", "240", "--save-model", str(resumed)]) == 0
+        assert "trained 120 delta row(s) in 1 chunk(s)" in capsys.readouterr().out
+        # The live twin never leaves memory; chunks are the 120-row shards.
+        live = MiniBatchKMeans(n_clusters=3, seed=0)
+        for start in (0, 120, 240):
+            live.partial_fit(X[start : start + 120])
+        loaded = load_model(resumed)
+        np.testing.assert_array_equal(loaded.cluster_centers_, live.cluster_centers_)
+        np.testing.assert_array_equal(loaded.counts_, live.counts_)
+
+    @pytest.mark.parametrize("algorithm", ["softmax", "nb"])
+    def test_model_that_cannot_resume_is_refused_before_tailing(
+        self, appendable, tmp_path, algorithm, capsys
+    ):
+        spec, _X, _y = appendable
+        saved = tmp_path / "model.json"
+        assert main(["traind", spec, "--once", "--algorithm", algorithm,
+                     "--save-model", str(saved)]) == 0
+        capsys.readouterr()
+        assert main(["traind", spec, "--once", "--model", str(saved),
+                     "--trained-rows", "240"]) == 2
+        captured = capsys.readouterr()
+        assert "only MiniBatchKMeans resumes" in captured.err
+        assert "tailing" not in captured.err and captured.out == ""
 
 
 class TestConvertCommand:
@@ -458,11 +509,10 @@ class TestConvertCommand:
     def test_auto_block_reports_advice(self, v1_dataset, capsys):
         tmp_path, _X, _y = v1_dataset
         exit_code = main(["convert", str(tmp_path / "v1"), str(tmp_path / "auto"),
-                          "--auto-block", "--scan-columns", "0.1",
-                          "--cache-mb", "16"])
+                          "--auto-block", "--cache-mb", "16"])
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "advisor:" in out and "layout=column" in out
+        assert "advisor: block_rows=" in out and " layout=" in out
 
     def test_auto_block_conflicts_rejected(self, v1_dataset, capsys):
         tmp_path, _X, _y = v1_dataset

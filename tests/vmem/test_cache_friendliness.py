@@ -89,19 +89,20 @@ class TestCacheFriendliness:
 class TestAdvisor:
     def test_full_scan_prefers_row_layout(self):
         advice = advise_block_layout(rows=100_000, cols=64, itemsize=8,
-                                     chunk_rows=2000, column_fraction=1.0)
+                                     chunk_rows=2000)
         assert isinstance(advice, BlockAdvice)
         assert advice.layout == "row"
 
-    def test_column_subset_scan_prefers_column_layout(self):
+    def test_tiny_column_segments_penalised(self):
+        # 128-row blocks: a column segment is 1 KiB, a quarter of a page.
         advice = advise_block_layout(rows=100_000, cols=64, itemsize=8,
-                                     chunk_rows=2000, column_fraction=0.1)
-        assert advice.layout == "column"
+                                     chunk_rows=2000, block_rows_candidates=[128])
+        by_layout = {c.layout: c for c in advice.candidates}
+        assert by_layout["column"].amplification > 2 * by_layout["row"].amplification
 
     def test_oversized_blocks_penalised(self):
         advice = advise_block_layout(
             rows=100_000, cols=64, itemsize=8, chunk_rows=1000,
-            column_fraction=1.0,
             block_rows_candidates=[500, 16_000],
         )
         # 16k-row blocks overlap ~16 chunks each and get re-fetched per
@@ -131,7 +132,5 @@ class TestAdvisor:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             advise_block_layout(rows=0, cols=4)
-        with pytest.raises(ValueError):
-            advise_block_layout(rows=10, cols=4, column_fraction=0.0)
         with pytest.raises(ValueError):
             advise_block_layout(rows=10, cols=4, block_rows_candidates=[0])
