@@ -1,9 +1,9 @@
-"""Shared fixtures and reporting helpers for the benchmark suite.
+"""Shared device models and reporting helpers for the benchmark suite.
 
-Every benchmark regenerates one of the paper's result artifacts and prints the
-corresponding rows/series (run ``pytest benchmarks/ --benchmark-only -s`` to
-see them).  The heavy simulations are executed exactly once per benchmark via
-``benchmark.pedantic`` so the suite stays fast while still recording timings.
+The benches here gate the stack's own layers (pass file paths explicitly:
+``pytest --benchmark-disable benchmarks/bench_backends.py``).  The paper's
+figures and table are not benches any more: ``m3 reproduce`` regenerates and
+checks them (``REPRODUCTION.md``).
 """
 
 from __future__ import annotations
@@ -11,10 +11,7 @@ from __future__ import annotations
 import math
 import time
 
-import pytest
-
 from repro.api.sharded import CompressedShardedMatrix, ShardedMatrix
-from repro.bench.m3_model import M3RuntimeModel
 from repro.vmem.disk import DiskProfile
 
 
@@ -115,21 +112,3 @@ def stream_pairs(stream):
                 yield chunk.X, chunk.y
             finally:
                 chunk.release()
-
-
-@pytest.fixture(scope="session")
-def m3_runtime_model() -> M3RuntimeModel:
-    """The paper-scale M3 machine model (32 GB RAM, PCIe SSD), shared."""
-    return M3RuntimeModel()
-
-
-@pytest.fixture(scope="session")
-def lr_workload(m3_runtime_model):
-    """The calibrated L-BFGS logistic-regression workload (calibrated once)."""
-    return m3_runtime_model.logistic_regression_workload()
-
-
-@pytest.fixture(scope="session")
-def kmeans_workload(m3_runtime_model):
-    """The calibrated k-means workload."""
-    return m3_runtime_model.kmeans_workload()

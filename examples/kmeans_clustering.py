@@ -19,6 +19,7 @@ Run with::
 from __future__ import annotations
 
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,9 @@ from repro.api import Session
 from repro.data.writers import write_infimnist_dataset
 from repro.ml import KMeans, MiniBatchKMeans
 from repro.ml.metrics import clustering_purity, silhouette_score
-from repro.profiling.timer import Stopwatch
 
 
 def main() -> None:
-    watch = Stopwatch()
     with tempfile.TemporaryDirectory() as tmp, Session() as session:
         dataset_path = Path(tmp) / "infimnist_kmeans.m3"
         write_infimnist_dataset(dataset_path, num_examples=3000, seed=3)
@@ -41,14 +40,15 @@ def main() -> None:
         # The paper's configuration: 5 clusters, 10 iterations.
         print("full-batch k-means (paper settings: k=5, 10 iterations)")
         for init in ("k-means++", "random"):
-            with watch.measure(init):
-                model = KMeans(n_clusters=5, max_iterations=10, init=init, seed=0)
-                model.fit(X)
+            started = time.perf_counter()
+            model = KMeans(n_clusters=5, max_iterations=10, init=init, seed=0)
+            model.fit(X)
+            elapsed = time.perf_counter() - started
             assignments = model.predict(X)
             print(
                 f"  init={init:<10} inertia={model.inertia_:12.4g} "
                 f"purity={clustering_purity(labels, assignments):.3f} "
-                f"iterations={model.n_iter_} time={watch.total(init):.1f}s"
+                f"iterations={model.n_iter_} time={elapsed:.1f}s"
             )
 
         # Ten clusters recovers the digit classes much more cleanly.
@@ -61,15 +61,16 @@ def main() -> None:
         )
 
         # Mini-batch k-means: the online-learning variant.
-        with watch.measure("minibatch"):
-            minibatch = MiniBatchKMeans(n_clusters=5, max_epochs=3, batch_size=256, seed=0)
-            minibatch.fit(X)
+        started = time.perf_counter()
+        minibatch = MiniBatchKMeans(n_clusters=5, max_epochs=3, batch_size=256, seed=0)
+        minibatch.fit(X)
+        elapsed = time.perf_counter() - started
         full = KMeans(n_clusters=5, max_iterations=10, seed=0).fit(X)
         print(
             f"\nmini-batch k-means (3 epochs): inertia {minibatch.inertia_:.4g} vs "
             f"full-batch {full.inertia_:.4g} "
             f"(ratio {minibatch.inertia_ / full.inertia_:.3f}), "
-            f"time {watch.total('minibatch'):.1f}s"
+            f"time {elapsed:.1f}s"
         )
         print(
             "\nmini-batch reaches a comparable inertia with a fraction of the data"

@@ -353,6 +353,7 @@ Run with::
 from __future__ import annotations
 
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -361,20 +362,18 @@ from repro.api import Session, StreamingEngine
 from repro.data.writers import write_infimnist_dataset
 from repro.ml import KMeans, SoftmaxRegression
 from repro.ml.metrics import accuracy, clustering_purity
-from repro.profiling.timer import Stopwatch
 
 
 def main() -> None:
-    watch = Stopwatch()
     with tempfile.TemporaryDirectory() as tmp, Session() as session:
         dataset_path = Path(tmp) / "infimnist_quickstart.m3"
 
         # 1. Generate 4,000 deformed digit images (784 features each) on disk.
-        with watch.measure("generate"):
-            header = write_infimnist_dataset(dataset_path, num_examples=4000, seed=7)
+        started = time.perf_counter()
+        header = write_infimnist_dataset(dataset_path, num_examples=4000, seed=7)
         print(
             f"generated {header.rows} x {header.cols} dataset "
-            f"({header.file_bytes / 1e6:.1f} MB) in {watch.total('generate'):.1f}s"
+            f"({header.file_bytes / 1e6:.1f} MB) in {time.perf_counter() - started:.1f}s"
         )
 
         # 2. Open it through the session.  This is the only M3-specific line.

@@ -10,10 +10,12 @@ Two parts:
    executors, and are checked against the single-machine M3 estimators — the
    models agree, and the scheduler shows the work really was spread evenly.
 
-2. *Performance comparison.*  The Figure 1b harness predicts runtimes of the
+2. *Performance comparison.*  The Figure 1b builder predicts runtimes of the
    190 GB workloads for M3 (virtual-memory simulator) and for 4- and
    8-instance EC2 Spark clusters (cost model), printing them next to the
-   paper's reported numbers.
+   paper's reported numbers — the Figure 1b section of ``python -m repro
+   reproduce`` (``REPRODUCTION.md``), which also checks the paper's claims on
+   them; modelled and uncalibrated, like everything at that scale.
 
 Run with::
 

@@ -22,9 +22,11 @@ its evaluation:
   cluster cost model) substituting for the paper's EMR clusters.
 * :mod:`repro.data` — an Infimnist-style infinite digit-image generator and
   the on-disk formats.
-* :mod:`repro.profiling` / :mod:`repro.bench` — utilisation reporting,
-  performance prediction and the harness that regenerates every figure and
-  table of the paper.
+* :mod:`repro.bench` — the harness behind ``m3 reproduce``: Figure 1a, the
+  utilisation finding, Figure 1b and Table 1 regenerated once and checked
+  against the paper as the named claims of ``REPRODUCTION.md``.
+* :mod:`repro.profiling` — the ``/proc/self/io`` + CPU-time sampler for real
+  runs.
 
 From Table 1's helpers to the unified API
 -----------------------------------------

@@ -10,10 +10,15 @@ the resulting ratios against the paper's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.bench.m3_model import M3RuntimeModel, M3Workload
-from repro.bench.workloads import FULL_DATASET_GB, PAPER_FIGURE_1B, dataset_bytes_for_gb
+from repro.bench.workloads import (
+    FULL_DATASET_GB,
+    PAPER_FIGURE_1B,
+    PAPER_ITERATIONS,
+    dataset_bytes_for_gb,
+)
 from repro.distributed.cluster import make_emr_cluster
 from repro.distributed.cost_model import SparkCostModel, SparkWorkload
 
@@ -53,20 +58,12 @@ class Figure1bResult:
         """How many times slower ``system`` is than M3 on ``workload``."""
         return self.runtime(workload, system) / self.runtime(workload, "M3")
 
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Nested ``{workload: {system: runtime}}`` representation."""
-        result: Dict[str, Dict[str, float]] = {}
-        for row in self.rows:
-            result.setdefault(row.workload, {})[row.system] = row.runtime_s
-        return result
-
 
 def run_figure1b(
     dataset_gb: float = FULL_DATASET_GB,
     m3_model: Optional[M3RuntimeModel] = None,
     lr_workload: Optional[M3Workload] = None,
     kmeans_workload: Optional[M3Workload] = None,
-    iterations: int = 10,
 ) -> Figure1bResult:
     """Regenerate Figure 1b for a dataset of ``dataset_gb`` decimal gigabytes."""
     dataset_bytes = dataset_bytes_for_gb(dataset_gb)
@@ -90,8 +87,8 @@ def run_figure1b(
 
     # Spark clusters.
     spark_workloads = {
-        "logistic_regression": SparkWorkload.logistic_regression(dataset_bytes, iterations),
-        "kmeans": SparkWorkload.kmeans(dataset_bytes, iterations),
+        "logistic_regression": SparkWorkload.logistic_regression(dataset_bytes, PAPER_ITERATIONS),
+        "kmeans": SparkWorkload.kmeans(dataset_bytes, PAPER_ITERATIONS),
     }
     for instances in (4, 8):
         cluster = make_emr_cluster(instances)

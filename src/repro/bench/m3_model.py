@@ -78,6 +78,7 @@ class M3RunEstimate:
 
     workload: str
     dataset_bytes: int
+    ram_bytes: int
     wall_time_s: float
     io_time_s: float
     cpu_time_s: float
@@ -89,7 +90,13 @@ class M3RunEstimate:
     @property
     def fits_in_ram(self) -> bool:
         """Whether the dataset was smaller than the simulated RAM."""
-        return self.dataset_bytes <= PAPER_RAM_BYTES
+        return self.dataset_bytes <= self.ram_bytes
+
+    @property
+    def io_bound(self) -> bool:
+        """I/O bound in the paper's sense: the disk busy at least half the
+        run and at least twice as busy as the CPU."""
+        return self.disk_utilization >= 0.5 and self.disk_utilization >= 2.0 * self.cpu_utilization
 
 
 def calibrate_logistic_regression_passes(
@@ -158,13 +165,11 @@ class M3RuntimeModel:
         disk_profile: DiskProfile = NVME_SSD,
         page_size: int = 4 * 1024 * 1024,
         chunk_rows: int = 4096,
-        raid_factor: int = 1,
     ) -> None:
         self.ram_bytes = ram_bytes
         self.disk_profile = disk_profile
         self.page_size = page_size
         self.chunk_rows = chunk_rows
-        self.raid_factor = raid_factor
 
     # -- workload definitions ----------------------------------------------
 
@@ -222,10 +227,8 @@ class M3RuntimeModel:
         config = VirtualMemoryConfig(
             ram_bytes=self.ram_bytes,
             page_size=self.page_size,
-            replacement="lru",
             readahead=FixedReadAhead(window=8),
             disk_profile=self.disk_profile,
-            raid_factor=self.raid_factor,
         )
         simulator = VirtualMemorySimulator(config)
         result = simulator.run_trace(trace, file_bytes=plan.total_bytes)
@@ -233,6 +236,7 @@ class M3RuntimeModel:
         return M3RunEstimate(
             workload=workload.name,
             dataset_bytes=dataset_bytes,
+            ram_bytes=self.ram_bytes,
             wall_time_s=result.wall_time_s,
             io_time_s=stats.io_time_s,
             cpu_time_s=stats.cpu_time_s,

@@ -1,7 +1,7 @@
-"""Plain-text table formatting for benchmark output.
+"""Markdown table formatting for the reproduction's output.
 
-The benchmark targets print the same rows/series the paper reports; these
-helpers keep that formatting in one place (and dependency-free).
+``m3 reproduce`` prints the same rows/series the paper reports; this helper
+keeps that formatting in one place (and dependency-free).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import asdict, is_dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 
-def rows_to_dicts(rows: Iterable[Any]) -> List[Dict[str, Any]]:
+def _rows_to_dicts(rows: Iterable[Any]) -> List[Dict[str, Any]]:
     """Convert dataclass rows (or dicts) to a list of flat dictionaries."""
     result = []
     for row in rows:
@@ -40,7 +40,7 @@ def format_table(
     columns: Optional[Sequence[str]] = None,
     title: Optional[str] = None,
 ) -> str:
-    """Render rows as an aligned plain-text table.
+    """Render rows as an aligned Markdown (pipe) table.
 
     Parameters
     ----------
@@ -51,9 +51,9 @@ def format_table(
     title:
         Optional heading printed above the table.
     """
-    dict_rows = rows_to_dicts(rows)
+    dict_rows = _rows_to_dicts(rows)
     if not dict_rows:
-        return (title + "\n" if title else "") + "(no rows)"
+        return (title + "\n\n" if title else "") + "(no rows)"
     if columns is None:
         columns = list(dict_rows[0].keys())
 
@@ -62,12 +62,9 @@ def format_table(
         rendered.append([_format_value(row.get(col, "")) for col in columns])
 
     widths = [max(len(line[i]) for line in rendered) for i in range(len(columns))]
-    lines = []
-    if title:
-        lines.append(title)
-    header, *body = rendered
-    lines.append("  ".join(cell.ljust(width) for cell, width in zip(header, widths)))
-    lines.append("  ".join("-" * width for width in widths))
-    for line in body:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(line, widths)))
+    rendered.insert(1, ["-" * width for width in widths])
+    lines = [title, ""] if title else []
+    for line in rendered:
+        cells = " | ".join(cell.ljust(width) for cell, width in zip(line, widths))
+        lines.append(f"| {cells} |")
     return "\n".join(lines)

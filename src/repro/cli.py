@@ -41,8 +41,10 @@ reproduction entry points:
   limit and typed refusal is the socket's.
 * ``m3 traind`` — the trainer daemon: tail an appendable ``shard://``
   dataset's generations, ``partial_fit`` each delta, publish versions.
-* ``m3 figure1a`` / ``m3 figure1b`` / ``m3 table1`` / ``m3 utilization`` —
-  regenerate the paper's figures and table as plain-text tables.
+* ``m3 reproduce`` — regenerate Figure 1a, the utilisation finding, Figure 1b
+  and Table 1 once and print them, with every claim the paper makes about
+  them checked, as the Markdown committed as ``REPRODUCTION.md``; no flags;
+  exit code 1 if a claim fails.
 * ``m3 lint`` — the static half of ``repro.analysis``: project-specific
   concurrency and resource-safety rules (lock ranks, leak-free cleanup,
   thread hygiene, API surface) over any path, defaulting to the installed
@@ -56,7 +58,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from pathlib import Path
 from typing import Any, List, Optional, Tuple
 
@@ -740,75 +741,12 @@ def _cmd_traind(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure1a(args: argparse.Namespace) -> int:
-    from repro.bench.figure1a import run_figure1a
-    from repro.bench.reporting import format_table
+def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from repro.bench.reproduce import render, reproduce
 
-    result = run_figure1a(sizes_gb=args.sizes)
-    print(
-        format_table(
-            result.rows,
-            columns=["size_gb", "runtime_s", "fits_in_ram", "disk_utilization", "cpu_utilization"],
-            title="Figure 1a — M3 runtime vs dataset size (LR, 10 L-BFGS iterations)",
-        )
-    )
-    print(
-        f"\nin-RAM slope: {result.model.in_ram_slope * 1e9:.2f} s/GB, "
-        f"out-of-core slope: {result.model.out_of_core_slope * 1e9:.2f} s/GB, "
-        f"slowdown factor {result.model.slowdown_factor:.2f}, "
-        f"piecewise-linear R^2 {result.linearity_r2():.4f}"
-    )
-    return 0
-
-
-def _cmd_figure1b(args: argparse.Namespace) -> int:
-    from repro.bench.figure1b import run_figure1b
-    from repro.bench.reporting import format_table
-
-    result = run_figure1b(dataset_gb=args.size)
-    print(
-        format_table(
-            result.rows,
-            columns=["workload", "system", "runtime_s", "paper_runtime_s"],
-            title=f"Figure 1b — M3 vs Spark ({args.size:.0f} GB dataset)",
-        )
-    )
-    for workload in ("logistic_regression", "kmeans"):
-        print(
-            f"\n{workload}: 4x Spark / M3 = {result.speedup_over(workload, '4x Spark'):.2f}, "
-            f"8x Spark / M3 = {result.speedup_over(workload, '8x Spark'):.2f}"
-        )
-    return 0
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.bench.table1 import run_table1
-
-    with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(args.workdir) if args.workdir else Path(tmp)
-        result = run_table1(workdir)
-    print("Table 1 — transparency of M3")
-    print(f"  lines changed:            {result.lines_changed} of {result.total_lines}")
-    print(f"  max coefficient delta:    {result.max_coef_difference:.2e}")
-    print(f"  predictions identical:    {result.predictions_identical}")
-    print(f"  in-memory accuracy:       {result.in_memory_accuracy:.4f}")
-    print(f"  memory-mapped accuracy:   {result.mmap_accuracy:.4f}")
-    return 0
-
-
-def _cmd_utilization(args: argparse.Namespace) -> int:
-    from repro.bench.reporting import format_table
-    from repro.bench.utilization import run_utilization_experiment
-
-    rows = run_utilization_experiment(sizes_gb=args.sizes)
-    print(
-        format_table(
-            rows,
-            columns=["size_gb", "disk_utilization", "cpu_utilization", "io_bound", "wall_time_s"],
-            title="Resource utilisation (simulated M3 machine)",
-        )
-    )
-    return 0
+    result = reproduce()
+    print(render(result))
+    return 0 if result.holds else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -1056,21 +994,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "servable JSON ('m3 serve --model' picks it up)")
     traind.set_defaults(func=_cmd_traind)
 
-    figure1a = sub.add_parser("figure1a", help="regenerate Figure 1a (runtime vs size)")
-    figure1a.add_argument("--sizes", type=float, nargs="+", default=[10, 40, 70, 100, 130, 160, 190])
-    figure1a.set_defaults(func=_cmd_figure1a)
-
-    figure1b = sub.add_parser("figure1b", help="regenerate Figure 1b (M3 vs Spark)")
-    figure1b.add_argument("--size", type=float, default=190.0, help="dataset size in GB")
-    figure1b.set_defaults(func=_cmd_figure1b)
-
-    table1 = sub.add_parser("table1", help="run the Table 1 transparency experiment")
-    table1.add_argument("--workdir", type=Path, default=None)
-    table1.set_defaults(func=_cmd_table1)
-
-    utilization = sub.add_parser("utilization", help="report simulated disk/CPU utilisation")
-    utilization.add_argument("--sizes", type=float, nargs="+", default=[10, 190])
-    utilization.set_defaults(func=_cmd_utilization)
+    reproduce = sub.add_parser(
+        "reproduce",
+        help="regenerate every figure and table of the paper as one Markdown "
+             "document (REPRODUCTION.md); exit 1 if a claim of the paper fails",
+    )
+    reproduce.set_defaults(func=_cmd_reproduce)
 
     lint = sub.add_parser(
         "lint",

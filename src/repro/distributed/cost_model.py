@@ -10,7 +10,8 @@ the paper (and the "Scalability! But at what cost?" work it cites) identify:
    ``per_core_bytes_per_s`` workload parameter captures this; defaults are
    calibrated against the absolute runtimes printed in Figure 1b
    (≈13 MB/s/core for L-BFGS logistic regression, ≈20 MB/s/core for k-means —
-   see EXPERIMENTS.md for the calibration).
+   fitted to the paper's answer, which is why REPRODUCTION.md labels these
+   bars *modelled, uncalibrated*).
 2. **The RAM cliff.**  A 4-instance cluster has 120 GB of aggregate RAM, so a
    190 GB dataset cannot stay cached: every pass re-reads the overflow from
    disk/HDFS.  An 8-instance cluster (240 GB) keeps essentially everything in

@@ -1,34 +1,11 @@
-"""Profiling, resource accounting, and performance/energy prediction.
+"""Resource accounting for real runs.
 
-Covers two needs of the reproduction:
-
-* the paper's *observation* that M3 is I/O bound ("disk I/O was 100 % utilized
-  while CPU was only utilized at around 13 %") — :class:`ResourceMonitor` and
-  :class:`UtilizationReport` measure/derive those numbers for real runs and
-  simulated runs alike;
-* the paper's *ongoing work* of building "mathematical models and systematic
-  approaches to profile and predict algorithm performance and energy usage" —
-  :class:`PerformancePredictor` fits a linear runtime model (per-byte I/O cost
-  in and out of RAM) and :class:`EnergyModel` converts time and utilisation
-  into energy estimates.
+:class:`ResourceMonitor` samples process CPU time and the ``/proc/self/io``
+byte counters around a workload — the instrument a *measured* version of the
+paper's "disk 100 % / CPU 13 %" observation needs.  (The modelled version is
+:attr:`repro.bench.m3_model.M3RunEstimate.io_bound`.)
 """
 
-from repro.profiling.timer import Stopwatch, time_block
-from repro.profiling.resources import ResourceMonitor, ResourceSnapshot
-from repro.profiling.report import UtilizationReport, build_report_from_simulation
-from repro.profiling.energy import EnergyEstimate, EnergyModel, MachinePowerProfile
-from repro.profiling.predictor import PerformancePredictor, PredictionModel
+from repro.profiling.resources import ResourceMonitor, ResourceSnapshot, ResourceUsage
 
-__all__ = [
-    "Stopwatch",
-    "time_block",
-    "ResourceMonitor",
-    "ResourceSnapshot",
-    "UtilizationReport",
-    "build_report_from_simulation",
-    "EnergyModel",
-    "EnergyEstimate",
-    "MachinePowerProfile",
-    "PerformancePredictor",
-    "PredictionModel",
-]
+__all__ = ["ResourceMonitor", "ResourceSnapshot", "ResourceUsage"]

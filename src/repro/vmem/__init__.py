@@ -1,4 +1,4 @@
-"""Virtual-memory substrate: page cache, replacement policies, disk model.
+"""Virtual-memory substrate: page cache, LRU replacement, disk model.
 
 The M3 paper relies on the operating system's virtual memory subsystem: a
 memory-mapped file is paged in and out of RAM on demand, with read-ahead and
@@ -11,21 +11,15 @@ I/O-bound execution) can be reproduced at any scale.
 
 The main entry point is :class:`~repro.vmem.vm_simulator.VirtualMemorySimulator`,
 which combines a :class:`~repro.vmem.page_table.PageTable`, a
-:class:`~repro.vmem.page_cache.PageCache` (with a pluggable replacement policy
-and read-ahead window) and a :class:`~repro.vmem.disk.DiskModel`.  Access
+:class:`~repro.vmem.page_cache.PageCache` (LRU replacement, a pluggable
+read-ahead window) and a :class:`~repro.vmem.disk.DiskModel`.  Access
 traces can be recorded with :class:`~repro.vmem.trace.AccessTrace` and replayed
 under different configurations.
 """
 
 from repro.vmem.page import PAGE_SIZE_DEFAULT, Page, PageId
 from repro.vmem.page_table import PageTable, PageTableEntry
-from repro.vmem.replacement import (
-    ClockPolicy,
-    FifoPolicy,
-    LruPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
+from repro.vmem.replacement import LruPolicy, ReplacementPolicy
 from repro.vmem.readahead import (
     AdaptiveReadAhead,
     FixedReadAhead,
@@ -55,9 +49,6 @@ __all__ = [
     "PageTableEntry",
     "ReplacementPolicy",
     "LruPolicy",
-    "FifoPolicy",
-    "ClockPolicy",
-    "make_policy",
     "ReadAheadPolicy",
     "NoReadAhead",
     "FixedReadAhead",

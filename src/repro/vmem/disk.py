@@ -126,14 +126,9 @@ class DiskModel:
     ----------
     profile:
         The static device characteristics.
-    raid_factor:
-        Number of devices striped together (RAID 0).  Bandwidth scales by this
-        factor; latency does not.  The paper suggests RAID 0 as a way to push
-        M3 further, so the ablation benchmarks sweep this knob.
     """
 
     profile: DiskProfile = NVME_SSD
-    raid_factor: int = 1
 
     bytes_read: int = field(default=0, init=False)
     bytes_written: int = field(default=0, init=False)
@@ -145,8 +140,6 @@ class DiskModel:
 
     def __post_init__(self) -> None:
         self.profile.validate()
-        if self.raid_factor < 1:
-            raise ValueError(f"raid_factor must be >= 1, got {self.raid_factor}")
 
     # -- time accounting ---------------------------------------------------
 
@@ -160,7 +153,7 @@ class DiskModel:
         sequential = self._last_read_end is not None and offset == self._last_read_end
         bandwidth = (
             self.profile.sequential_read_bw if sequential else self.profile.random_read_bw
-        ) * self.raid_factor
+        )
         elapsed = self.profile.read_latency_s + nbytes / bandwidth
         self._last_read_end = offset + nbytes
         self.bytes_read += nbytes
@@ -178,7 +171,7 @@ class DiskModel:
         sequential = self._last_write_end is not None and offset == self._last_write_end
         bandwidth = (
             self.profile.sequential_write_bw if sequential else self.profile.random_write_bw
-        ) * self.raid_factor
+        )
         elapsed = self.profile.write_latency_s + nbytes / bandwidth
         self._last_write_end = offset + nbytes
         self.bytes_written += nbytes
@@ -199,7 +192,7 @@ class DiskModel:
         return min(1.0, self.busy_time_s / wall_time_s)
 
     def reset(self) -> None:
-        """Zero all counters (keeps the profile and RAID factor)."""
+        """Zero all counters (keeps the profile)."""
         self.bytes_read = 0
         self.bytes_written = 0
         self.read_requests = 0

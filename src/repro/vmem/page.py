@@ -68,8 +68,6 @@ class Page:
     dirty:
         Whether the page has been written to since it was brought into RAM
         (a dirty page must be written back to disk before eviction).
-    referenced:
-        Reference bit used by the CLOCK replacement policy.
     load_tick:
         Logical time at which the page was faulted in.
     last_access_tick:
@@ -80,14 +78,12 @@ class Page:
 
     page_id: PageId
     dirty: bool = False
-    referenced: bool = True
     load_tick: int = 0
     last_access_tick: int = 0
     access_count: int = field(default=1)
 
     def touch(self, tick: int, write: bool = False) -> None:
         """Record an access to this page at logical time ``tick``."""
-        self.referenced = True
         self.last_access_tick = tick
         self.access_count += 1
         if write:

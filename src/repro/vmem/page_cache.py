@@ -1,8 +1,8 @@
 """The simulated page cache.
 
 This is the heart of the virtual-memory substrate: it models a fixed-size pool
-of RAM pages backed by a :class:`~repro.vmem.disk.DiskModel`, with a pluggable
-replacement policy and read-ahead.  Algorithms (or recorded traces) issue byte
+of RAM pages backed by a :class:`~repro.vmem.disk.DiskModel`, with LRU
+replacement and pluggable read-ahead.  Algorithms (or recorded traces) issue byte
 range accesses; the cache translates them to page accesses, charges simulated
 disk time for major faults, and keeps the counters needed to report hit rates
 and utilisation.
@@ -11,13 +11,13 @@ and utilisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.vmem.disk import DiskModel, DiskProfile, NVME_SSD
 from repro.vmem.page import PAGE_SIZE_DEFAULT, Page, PageId, num_pages, pages_for_range
 from repro.vmem.page_table import PageTable
 from repro.vmem.readahead import AdaptiveReadAhead, ReadAheadPolicy
-from repro.vmem.replacement import LruPolicy, ReplacementPolicy, make_policy
+from repro.vmem.replacement import LruPolicy, ReplacementPolicy
 from repro.vmem.stats import PageCacheStats
 
 
@@ -33,23 +33,16 @@ class PageCacheConfig:
         eviction without large traces.
     page_size:
         Page size in bytes (default 4 KiB, the Linux base page size).
-    replacement:
-        Replacement policy name (``"lru"``, ``"clock"``, ``"fifo"``) or an
-        instance.
     readahead:
         Read-ahead policy instance; defaults to Linux-like adaptive read-ahead.
     disk_profile:
         Performance profile of the backing device.
-    raid_factor:
-        RAID 0 striping factor for the backing device.
     """
 
     ram_bytes: int = 64 * 1024 * 1024
     page_size: int = PAGE_SIZE_DEFAULT
-    replacement: Union[str, ReplacementPolicy] = "lru"
     readahead: Optional[ReadAheadPolicy] = None
     disk_profile: DiskProfile = NVME_SSD
-    raid_factor: int = 1
 
     def __post_init__(self) -> None:
         if self.ram_bytes <= 0:
@@ -78,12 +71,9 @@ class PageCache:
 
     def __init__(self, config: Optional[PageCacheConfig] = None) -> None:
         self.config = config or PageCacheConfig()
-        if isinstance(self.config.replacement, ReplacementPolicy):
-            self.policy: ReplacementPolicy = self.config.replacement
-        else:
-            self.policy = make_policy(self.config.replacement)
+        self.policy: ReplacementPolicy = LruPolicy()
         self.readahead: ReadAheadPolicy = self.config.readahead or AdaptiveReadAhead()
-        self.disk = DiskModel(profile=self.config.disk_profile, raid_factor=self.config.raid_factor)
+        self.disk = DiskModel(profile=self.config.disk_profile)
         self.page_table = PageTable()
         self.stats = PageCacheStats()
         self._pages: Dict[PageId, Page] = {}
@@ -187,7 +177,6 @@ class PageCache:
                 self.stats.major_faults += 1
             else:
                 # Prefetched pages have not been demanded yet.
-                page.referenced = False
                 page.access_count = 0
                 self._prefetched[pid] = True
                 self.stats.prefetched_pages += 1

@@ -2,16 +2,14 @@
 
 When the simulated page cache is full, a victim page must be chosen for
 eviction.  Linux uses an approximation of least-recently-used (a two-list
-CLOCK-like scheme); we provide exact LRU, FIFO and CLOCK so that the ablation
-benchmarks can compare them.  All policies expose the same small interface so
-the cache can treat them interchangeably.
+CLOCK-like scheme); the simulator uses exact LRU, the behaviour the paper
+ascribes to the OS page cache.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Dict, List, Optional
 
 from repro.vmem.page import Page, PageId
 
@@ -86,111 +84,3 @@ class LruPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._order)
-
-
-class FifoPolicy(ReplacementPolicy):
-    """First-in-first-out replacement: evict the oldest loaded page."""
-
-    def __init__(self) -> None:
-        self._order: "OrderedDict[PageId, Page]" = OrderedDict()
-
-    def insert(self, page: Page) -> None:
-        # Re-inserting an existing page keeps its original position: FIFO
-        # ordering is by load time, not access time.
-        if page.page_id not in self._order:
-            self._order[page.page_id] = page
-
-    def access(self, page: Page) -> None:
-        # FIFO ignores accesses.
-        return None
-
-    def victim(self) -> PageId:
-        if not self._order:
-            raise LookupError("FIFO policy has no pages to evict")
-        page_id, _ = next(iter(self._order.items()))
-        return page_id
-
-    def remove(self, page_id: PageId) -> None:
-        self._order.pop(page_id, None)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-
-class ClockPolicy(ReplacementPolicy):
-    """CLOCK (second-chance) replacement.
-
-    Pages are arranged in a circular list with a hand.  On eviction the hand
-    sweeps forward: pages with their reference bit set get a second chance
-    (the bit is cleared), the first page found with a clear bit is the victim.
-    This approximates LRU with O(1) access cost, which is why real kernels use
-    variants of it.
-    """
-
-    def __init__(self) -> None:
-        self._pages: Dict[PageId, Page] = {}
-        self._ring: List[PageId] = []
-        self._hand: int = 0
-
-    def insert(self, page: Page) -> None:
-        if page.page_id not in self._pages:
-            self._ring.append(page.page_id)
-        self._pages[page.page_id] = page
-        page.referenced = True
-
-    def access(self, page: Page) -> None:
-        tracked = self._pages.get(page.page_id)
-        if tracked is not None:
-            tracked.referenced = True
-
-    def victim(self) -> PageId:
-        if not self._ring:
-            raise LookupError("CLOCK policy has no pages to evict")
-        # Sweep at most two full revolutions: the first clears reference bits,
-        # the second is then guaranteed to find a victim.
-        for _ in range(2 * len(self._ring)):
-            if self._hand >= len(self._ring):
-                self._hand = 0
-            page_id = self._ring[self._hand]
-            page = self._pages[page_id]
-            if page.referenced:
-                page.referenced = False
-                self._hand += 1
-            else:
-                return page_id
-        # All pages were referenced twice in a row; fall back to the hand.
-        if self._hand >= len(self._ring):
-            self._hand = 0
-        return self._ring[self._hand]
-
-    def remove(self, page_id: PageId) -> None:
-        if page_id not in self._pages:
-            return
-        index = self._ring.index(page_id)
-        self._ring.pop(index)
-        del self._pages[page_id]
-        if index < self._hand:
-            self._hand -= 1
-        if self._hand >= len(self._ring):
-            self._hand = 0
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-
-_POLICIES = {
-    "lru": LruPolicy,
-    "fifo": FifoPolicy,
-    "clock": ClockPolicy,
-}
-
-
-def make_policy(name: str) -> ReplacementPolicy:
-    """Create a replacement policy by name (``"lru"``, ``"fifo"`` or ``"clock"``)."""
-    try:
-        cls = _POLICIES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown replacement policy {name!r}; choose from {sorted(_POLICIES)}"
-        ) from None
-    return cls()

@@ -41,12 +41,8 @@ class VirtualMemoryConfig:
 
     ram_bytes: int = 32 * GIB
     page_size: int = PAGE_SIZE_DEFAULT
-    replacement: str = "lru"
     readahead: Optional[ReadAheadPolicy] = None
     disk_profile: Union[str, DiskProfile] = NVME_SSD
-    raid_factor: int = 1
-    cpu_cores: int = 8
-    cpu_flops: float = 50e9
     sample_interval_s: float = 1.0
 
     def resolve_disk_profile(self) -> DiskProfile:
@@ -60,10 +56,8 @@ class VirtualMemoryConfig:
         return PageCacheConfig(
             ram_bytes=self.ram_bytes,
             page_size=self.page_size,
-            replacement=self.replacement,
             readahead=self.readahead,
             disk_profile=self.resolve_disk_profile(),
-            raid_factor=self.raid_factor,
         )
 
 

@@ -4,10 +4,11 @@ A scan is configured in one place — the ``StreamingEngine`` constructor — an
 predicted through one body — ``StreamingPredictor.predict_streaming``.  A
 request is framed, ordered and backpressured in one place — ``NetServer`` over
 ``ModelServer``, configured by their constructors — and ``m3 serve`` /
-``m3 served`` are two transports of that one stack.  The parameter and flag
-sets below are what traffic sets or takes today (the CLI, the e2e workloads
-and their probes); a new option is a reviewed diff of this file, with the
-measurement that justifies it.
+``m3 served`` are two transports of that one stack.  The paper's results are
+regenerated by one command — ``m3 reproduce``, no flags — over one
+``M3RuntimeModel``.  The parameter and flag sets below are what traffic sets
+or takes today (the CLI, the e2e workloads and their probes); a new option is
+a reviewed diff of this file, with the measurement that justifies it.
 """
 
 import argparse
@@ -20,11 +21,18 @@ import repro.core
 from repro.api import ChunkStream, Session, StreamingEngine, open_chunk_stream, plan_chunks
 from repro.api.engines import ExecutionEngine
 from repro.api.sharded import CompressedShardedMatrix, ShardedMatrix
+from repro.bench.figure1a import run_figure1a
+from repro.bench.figure1b import run_figure1b
+from repro.bench.m3_model import M3RuntimeModel
+from repro.bench.reproduce import reproduce
 from repro.data.formats_v2 import BlockedMatrixReader, BlockPayload
 from repro.ml.base import StreamingPredictor
 from repro.net import NetServer
 from repro.serve import ModelServer, Trainer
 from repro.vmem.advisor import advise_block_layout
+from repro.vmem.disk import DiskModel
+from repro.vmem.page_cache import PageCacheConfig
+from repro.vmem.vm_simulator import VirtualMemoryConfig
 
 
 def parameters(function) -> tuple:
@@ -78,6 +86,17 @@ def parameters(function) -> tuple:
             ("rows", "cols", "itemsize", "chunk_rows", "cache_bytes",
              "block_rows_candidates", "page_size"),
         ),
+        # reproduce() takes a subset of what its two model-driven builders take.
+        (reproduce, ("sizes_gb", "model", "lr_workload", "kmeans_workload")),
+        (run_figure1a, ("sizes_gb", "model", "workload")),
+        (run_figure1b, ("dataset_gb", "m3_model", "lr_workload", "kmeans_workload")),
+        (M3RuntimeModel.__init__, ("ram_bytes", "disk_profile", "page_size", "chunk_rows")),
+        (
+            VirtualMemoryConfig.__init__,
+            ("ram_bytes", "page_size", "readahead", "disk_profile", "sample_interval_s"),
+        ),
+        (PageCacheConfig.__init__, ("ram_bytes", "page_size", "readahead", "disk_profile")),
+        (DiskModel.__init__, ("profile",)),
     ],
     ids=lambda value: getattr(value, "__qualname__", None),
 )
@@ -102,6 +121,21 @@ def test_parameter_set(function, expected):
         (ExecutionEngine, "serve_batch"),
         (ModelServer, "session"),
         (repro.cli, "_predict_via_server"),
+        (repro.cli, "_cmd_figure1a"),
+        (repro.cli, "_cmd_figure1b"),
+        (repro.cli, "_cmd_table1"),
+        (repro.cli, "_cmd_utilization"),
+        (repro.vmem, "make_policy"),
+        (repro.vmem, "ClockPolicy"),
+        (repro.vmem, "FifoPolicy"),
+        (repro.bench, "run_utilization_experiment"),
+        (repro.bench, "run_cluster_scaling"),
+        (repro.bench, "run_raid_ablation"),
+        (repro.bench, "rows_to_dicts"),
+        (repro.profiling, "PerformancePredictor"),
+        (repro.profiling, "EnergyModel"),
+        (repro.profiling, "Stopwatch"),
+        (repro.profiling, "UtilizationReport"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
@@ -121,6 +155,13 @@ def test_session_takes_no_pipeline_option():
             for option in ("chunk_rows", "io_workers", "compute_workers"):
                 with pytest.raises(TypeError, match=option):
                     call(None, None, engine="streaming", **{option: 2})
+
+
+def _subparsers():
+    return next(
+        action for action in repro.cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
 
 
 _DAEMON_FLAGS = {"--model", "--max-batch", "--max-delay-ms", "--workers", "--max-pending",
@@ -151,19 +192,21 @@ _DAEMON_FLAGS = {"--model", "--max-batch", "--max-delay-ms", "--workers", "--max
             {"--codec", "--block-rows", "--dtype", "--layout", "--shard-rows", "--chunk-rows",
              "--auto-block", "--scan-chunk-rows", "--cache-mb"},
         ),
+        ("reproduce", set()),
     ],
 )
 def test_flag_set(command, expected):
-    subparsers = next(
-        action for action in repro.cli.build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
+    subparsers = _subparsers()
     flags = {
         option
         for action in subparsers.choices[command]._actions
         for option in action.option_strings
     }
     assert flags - {"-h", "--help"} == expected
+
+
+def test_one_command_regenerates_the_paper():
+    assert not {"figure1a", "figure1b", "table1", "utilization"} & set(_subparsers().choices)
 
 
 def test_serve_and_served_build_one_stack():

@@ -1,14 +1,30 @@
-"""Tests for the Figure 1b reproduction (M3 vs Spark clusters)."""
+"""Tests for the Figure 1b builder (M3 vs Spark clusters).
+
+The paper-scale bars and the claims read on them are checked once, in
+``test_reproduce.py``, on the run that also checks ``REPRODUCTION.md``.
+"""
 
 import pytest
 
 from repro.bench.figure1b import run_figure1b
+from repro.bench.m3_model import M3RuntimeModel, M3Workload
 from repro.bench.workloads import PAPER_FIGURE_1B
+
+GIB = 1024 ** 3
+
+
+def small_figure1b(dataset_gb):
+    return run_figure1b(
+        dataset_gb=dataset_gb,
+        m3_model=M3RuntimeModel(ram_bytes=GIB),
+        lr_workload=M3Workload(name="logistic_regression", passes=2),
+        kmeans_workload=M3Workload(name="kmeans", passes=1),
+    )
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_figure1b(dataset_gb=190)
+    return small_figure1b(4)
 
 
 class TestFigure1bStructure:
@@ -24,58 +40,26 @@ class TestFigure1bStructure:
     def test_paper_references_attached(self, result):
         for row in result.rows:
             assert row.paper_runtime_s == PAPER_FIGURE_1B[row.workload][row.system]
+            assert row.relative_error is not None
 
-    def test_as_dict_round_trip(self, result):
-        nested = result.as_dict()
-        assert nested["kmeans"]["M3"] == result.runtime("kmeans", "M3")
+    def test_speedup_is_the_ratio_to_the_m3_bar(self, result):
+        assert result.speedup_over("kmeans", "4x Spark") == pytest.approx(
+            result.runtime("kmeans", "4x Spark") / result.runtime("kmeans", "M3")
+        )
 
     def test_unknown_row_lookup_rejected(self, result):
         with pytest.raises(KeyError):
             result.runtime("kmeans", "16x Spark")
 
 
-class TestFigure1bClaims:
-    """The paper's qualitative claims, which the reproduction must preserve."""
-
-    def test_m3_significantly_faster_than_4_instance_spark(self, result):
-        # Paper: 4-instance Spark's LR runtime was 4.2x M3's; k-means >2x.
-        assert result.speedup_over("logistic_regression", "4x Spark") > 2.5
-        assert result.speedup_over("kmeans", "4x Spark") > 2.0
-
-    def test_m3_comparable_to_8_instance_spark(self, result):
-        # Paper: M3 ~30% faster than 8x Spark for LR; 1.37x for k-means.
-        assert 1.0 < result.speedup_over("logistic_regression", "8x Spark") < 2.2
-        assert 1.0 < result.speedup_over("kmeans", "8x Spark") < 2.0
-
-    def test_ordering_m3_then_8x_then_4x(self, result):
-        for workload in ("logistic_regression", "kmeans"):
-            m3 = result.runtime(workload, "M3")
-            spark8 = result.runtime(workload, "8x Spark")
-            spark4 = result.runtime(workload, "4x Spark")
-            assert m3 < spark8 < spark4
-
-    def test_absolute_runtimes_within_2x_of_paper(self, result):
-        for row in result.rows:
-            assert row.relative_error is not None
-            assert row.relative_error < 1.0, (
-                f"{row.workload}/{row.system}: {row.runtime_s:.0f}s vs paper "
-                f"{row.paper_runtime_s:.0f}s"
-            )
-
-    def test_lbfgs_slower_than_kmeans_on_m3(self, result):
-        # Paper: 1950 s vs 1164 s — the line search adds passes.
-        assert result.runtime("logistic_regression", "M3") > result.runtime("kmeans", "M3")
-
-
 class TestFigure1bSmallDataset:
     def test_cluster_advantage_shrinks_when_data_fits_in_cluster_ram(self):
         """At small sizes the 4x/8x gap collapses towards the core-count ratio."""
-        small = run_figure1b(dataset_gb=20)
-        gap_small = small.runtime("logistic_regression", "4x Spark") / small.runtime(
-            "logistic_regression", "8x Spark"
-        )
-        large = run_figure1b(dataset_gb=190)
-        gap_large = large.runtime("logistic_regression", "4x Spark") / large.runtime(
-            "logistic_regression", "8x Spark"
-        )
-        assert gap_small < gap_large
+
+        def gap(figure1b):
+            return figure1b.runtime("logistic_regression", "4x Spark") / figure1b.runtime(
+                "logistic_regression", "8x Spark"
+            )
+
+        # Only the Spark bars are read: two passes keep the 190 GB M3 replay short.
+        assert gap(small_figure1b(20)) < gap(small_figure1b(190))

@@ -1,10 +1,10 @@
-"""Tests for the benchmark reporting helpers."""
+"""Tests for the Markdown table helper."""
 
 from dataclasses import dataclass
 
 import pytest
 
-from repro.bench.reporting import format_table, rows_to_dicts
+from repro.bench.reporting import format_table
 
 
 @dataclass
@@ -13,28 +13,23 @@ class Row:
     value: float
 
 
-class TestRowsToDicts:
-    def test_dataclass_rows(self):
-        assert rows_to_dicts([Row("a", 1.0)]) == [{"name": "a", "value": 1.0}]
-
-    def test_dict_rows_copied(self):
-        source = {"x": 1}
-        result = rows_to_dicts([source])
-        result[0]["x"] = 2
-        assert source["x"] == 1
-
-    def test_unsupported_type_rejected(self):
-        with pytest.raises(TypeError):
-            rows_to_dicts([42])
-
-
 class TestFormatTable:
-    def test_contains_headers_and_values(self):
-        text = format_table([Row("alpha", 12.5), Row("beta", 3000.0)], title="demo")
-        assert "demo" in text
-        assert "alpha" in text
-        assert "12.50" in text
-        assert "3,000" in text
+    def test_is_a_markdown_pipe_table(self):
+        assert format_table([Row("alpha", 12.5), Row("b", 3000.0)]).splitlines() == [
+            "| name  | value |",
+            "| ----- | ----- |",
+            "| alpha | 12.50 |",
+            "| b     | 3,000 |",
+        ]
+
+    def test_title_sits_above_a_blank_line(self):
+        text = format_table([Row("alpha", 0.25)], title="demo")
+        assert text.splitlines()[:2] == ["demo", ""]
+        assert "0.2500" in text
+
+    def test_unsupported_row_type_rejected(self):
+        with pytest.raises(TypeError):
+            format_table([42])
 
     def test_column_selection_and_order(self):
         text = format_table([{"a": 1, "b": 2}], columns=["b", "a"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from repro.vmem.page import num_pages, page_id_for_offset, pages_for_range
 from repro.vmem.page_cache import PageCache, PageCacheConfig
 from repro.vmem.readahead import NoReadAhead
-from repro.vmem.replacement import make_policy
+from repro.vmem.replacement import LruPolicy
 from repro.vmem.page import Page
 
 PAGE = 4096
@@ -43,12 +43,11 @@ class TestPageArithmeticProperties:
 
 class TestReplacementPolicyProperties:
     @given(
-        policy_name=st.sampled_from(["lru", "fifo", "clock"]),
         operations=st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=60),
     )
     @settings(max_examples=50)
-    def test_policy_tracks_inserted_pages_exactly(self, policy_name, operations):
-        policy = make_policy(policy_name)
+    def test_policy_tracks_inserted_pages_exactly(self, operations):
+        policy = LruPolicy()
         resident = {}
         for page_id in operations:
             if page_id in resident:
@@ -63,14 +62,13 @@ class TestReplacementPolicyProperties:
         assert victim in resident
 
     @given(
-        policy_name=st.sampled_from(["lru", "fifo", "clock"]),
         page_ids=st.lists(
             st.integers(min_value=0, max_value=30), min_size=1, max_size=40, unique=True
         ),
     )
     @settings(max_examples=50)
-    def test_removing_everything_empties_policy(self, policy_name, page_ids):
-        policy = make_policy(policy_name)
+    def test_removing_everything_empties_policy(self, page_ids):
+        policy = LruPolicy()
         for page_id in page_ids:
             policy.insert(Page(page_id=page_id))
         for page_id in page_ids:
@@ -84,15 +82,13 @@ class TestPageCacheInvariants:
     @given(
         capacity=st.integers(min_value=1, max_value=16),
         accesses=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200),
-        policy=st.sampled_from(["lru", "fifo", "clock"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_cache_never_exceeds_capacity_and_counters_balance(self, capacity, accesses, policy):
+    def test_cache_never_exceeds_capacity_and_counters_balance(self, capacity, accesses):
         cache = PageCache(
             PageCacheConfig(
                 ram_bytes=capacity * PAGE,
                 page_size=PAGE,
-                replacement=policy,
                 readahead=NoReadAhead(),
             )
         )

@@ -10,9 +10,9 @@ from repro.data.writers import write_infimnist_dataset
 class TestParser:
     def test_all_subcommands_registered(self):
         parser = build_parser()
-        args = parser.parse_args(["figure1b", "--size", "50"])
-        assert args.command == "figure1b"
-        assert args.size == 50.0
+        args = parser.parse_args(["train", "d.m3", "--iterations", "3"])
+        assert args.command == "train"
+        assert args.iterations == 3
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -214,32 +214,19 @@ class TestInfo:
 
 
 class TestReproductionCommands:
-    def test_table1_command(self, tmp_path, capsys):
-        exit_code = main(["table1", "--workdir", str(tmp_path)])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "lines changed" in out
-        assert "True" in out
+    """``m3 reproduce`` itself is driven in tests/bench/test_reproduce.py."""
 
-    def test_utilization_command(self, capsys):
-        exit_code = main(["utilization", "--sizes", "1", "2"])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "disk_utilization" in out
+    @pytest.mark.parametrize("command", ["figure1a", "figure1b", "table1", "utilization"])
+    def test_the_four_figure_commands_are_gone_not_aliased(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-    def test_figure1a_command_small_sizes(self, capsys):
-        exit_code = main(["figure1a", "--sizes", "1", "2", "4"])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "Figure 1a" in out
-        assert "slope" in out
-
-    def test_figure1b_command(self, capsys):
-        exit_code = main(["figure1b", "--size", "40"])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "Figure 1b" in out
-        assert "4x Spark" in out
+    def test_reproduce_takes_no_flags(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reproduce", "--sizes", "10"])
+        assert exit_info.value.code == 2
 
 
 class TestParallelPipelineFlags:

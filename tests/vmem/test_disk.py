@@ -56,17 +56,6 @@ class TestDiskModel:
         assert model.write_requests == 1
         assert model.busy_time_s > 0
 
-    def test_raid_scales_bandwidth(self):
-        single = DiskModel(profile=SATA_SSD, raid_factor=1)
-        striped = DiskModel(profile=SATA_SSD, raid_factor=4)
-        t_single = single.read(0, 100 << 20)
-        t_striped = striped.read(0, 100 << 20)
-        assert t_striped < t_single
-
-    def test_invalid_raid_factor(self):
-        with pytest.raises(ValueError):
-            DiskModel(raid_factor=0)
-
     def test_utilization_bounded(self):
         model = DiskModel()
         model.read(0, 10 << 20)

@@ -71,9 +71,7 @@ class TestNumPages:
 class TestPage:
     def test_touch_updates_access_metadata(self):
         page = Page(page_id=3, load_tick=1, last_access_tick=1)
-        page.referenced = False
         page.touch(tick=7)
-        assert page.referenced is True
         assert page.last_access_tick == 7
         assert page.access_count == 2
 

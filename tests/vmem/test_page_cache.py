@@ -6,11 +6,10 @@ from repro.vmem.page_cache import PageCache, PageCacheConfig
 from repro.vmem.readahead import FixedReadAhead, NoReadAhead
 
 
-def make_cache(pages: int = 8, page_size: int = 4096, readahead=None, replacement="lru"):
+def make_cache(pages: int = 8, page_size: int = 4096, readahead=None):
     config = PageCacheConfig(
         ram_bytes=pages * page_size,
         page_size=page_size,
-        replacement=replacement,
         readahead=readahead or NoReadAhead(),
     )
     return PageCache(config)

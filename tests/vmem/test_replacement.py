@@ -1,9 +1,9 @@
-"""Tests for the page replacement policies."""
+"""Tests for the page replacement policy."""
 
 import pytest
 
 from repro.vmem.page import Page
-from repro.vmem.replacement import ClockPolicy, FifoPolicy, LruPolicy, make_policy
+from repro.vmem.replacement import LruPolicy
 
 
 def _insert(policy, *page_ids):
@@ -40,67 +40,5 @@ class TestLruPolicy:
         with pytest.raises(LookupError):
             LruPolicy().victim()
 
-
-class TestFifoPolicy:
-    def test_victim_is_oldest_insert(self):
-        policy = FifoPolicy()
-        pages = _insert(policy, 5, 6, 7)
-        policy.access(pages[5])  # access must not matter for FIFO
-        assert policy.victim() == 5
-
-    def test_reinsert_keeps_original_position(self):
-        policy = FifoPolicy()
-        pages = _insert(policy, 1, 2)
-        policy.insert(pages[1])
-        assert policy.victim() == 1
-
-    def test_victim_on_empty_raises(self):
-        with pytest.raises(LookupError):
-            FifoPolicy().victim()
-
-
-class TestClockPolicy:
-    def test_second_chance(self):
-        policy = ClockPolicy()
-        pages = _insert(policy, 1, 2, 3)
-        # All referenced: the first sweep clears bits, the victim is the first page.
-        assert policy.victim() == 1
-
-    def test_referenced_page_survives_one_sweep(self):
-        policy = ClockPolicy()
-        pages = _insert(policy, 1, 2)
-        victim = policy.victim()  # clears bits, evicts 1
-        policy.remove(victim)
-        policy.access(pages[2])
-        new_page = Page(page_id=3)
-        policy.insert(new_page)
-        # 2 was re-referenced, 3 is fresh: after clearing, victim should not be
-        # chosen arbitrarily — both referenced, so hand order decides (page 2 first).
-        assert policy.victim() in (2, 3)
-
-    def test_remove_adjusts_ring(self):
-        policy = ClockPolicy()
-        _insert(policy, 1, 2, 3)
-        policy.remove(2)
-        assert len(policy) == 2
-        assert policy.victim() in (1, 3)
-
-    def test_victim_on_empty_raises(self):
-        with pytest.raises(LookupError):
-            ClockPolicy().victim()
-
-
-class TestMakePolicy:
-    @pytest.mark.parametrize("name,cls", [("lru", LruPolicy), ("fifo", FifoPolicy), ("clock", ClockPolicy)])
-    def test_known_policies(self, name, cls):
-        assert isinstance(make_policy(name), cls)
-
-    def test_case_insensitive(self):
-        assert isinstance(make_policy("LRU"), LruPolicy)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown replacement policy"):
-            make_policy("optimal")
-
-    def test_policy_name_property(self):
-        assert make_policy("lru").name == "lru"
+    def test_policy_name(self):
+        assert LruPolicy().name == "lru"

@@ -105,8 +105,7 @@ class TestConfig:
         assert config.resolve_disk_profile().name.startswith("hdd")
 
     def test_make_cache_config_propagates_settings(self):
-        config = VirtualMemoryConfig(ram_bytes=1 << 20, page_size=8192, replacement="clock")
+        config = VirtualMemoryConfig(ram_bytes=1 << 20, page_size=8192)
         cache_config = config.make_cache_config()
         assert cache_config.ram_bytes == 1 << 20
         assert cache_config.page_size == 8192
-        assert cache_config.replacement == "clock"
