@@ -5,9 +5,10 @@ Three acceptance bars for the appendable-dataset stack:
 1. **Snapshot scans are (nearly) free under appends.**  A reader pinned to a
    manifest generation scans its snapshot while a writer commits batch after
    batch into the same directory; the scan may regress at most 10% against
-   the identical scan on a quiescent (static) dataset.  Generation isolation
-   means the reader never re-reads a manifest, never sees tail rewrites, and
-   never blocks on the appender's lock.
+   the identical scan on a quiescent (static) dataset, read as the median of
+   alternating back-to-back pairs.  Generation isolation means the reader
+   never re-reads a manifest, never sees tail rewrites, and never blocks on
+   the appender's lock.
 2. **Delta training beats full refits.**  Catching a model up on an appended
    delta (``partial_fit`` over only the new rows, the ``m3 traind`` loop)
    must be >= 3x faster than refitting from scratch over the grown dataset —
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import statistics
 import threading
 import time
@@ -58,6 +60,7 @@ CHUNK_ROWS = 250
 APPEND_BATCHES = 6
 APPEND_ROWS = 250     # per batch
 DELTA_ROWS = 1000
+SCAN_ROUNDS = 21      # static/mixed pairs; the median pair by ratio is read
 # Slow enough that the modelled stalls dominate the scan wall (~5 ms per
 # chunk): appender CPU/fsync jitter on the other thread then costs the
 # pinned reader well under the 10% bar: 1 ms per gather, ~15 MB/s (cold
@@ -104,10 +107,13 @@ class CountingZlib(ZlibCodec):
 
     def __init__(self) -> None:
         super().__init__()
+        # Encodes run on encode workers; the lock keeps the count exact.
+        self._lock = threading.Lock()
         self.encodes = 0
 
     def encode(self, data):
-        self.encodes += 1
+        with self._lock:
+            self.encodes += 1
         return super().encode(data)
 
 
@@ -188,6 +194,9 @@ def test_mixed_append_scan_and_delta_training(benchmark, workload):
 
     # -- 2. mixed: the same scan while a writer commits batches --------------
     def mixed_scan():
+        # A fresh copy per round, so every mixed scan covers the same rows.
+        shutil.rmtree(mixed_dir)
+        write_sharded_dataset(mixed_dir, X, y, shard_rows=SHARD_ROWS)
         with ThrottledMatrix(mixed_dir, DEVICE) as matrix:  # pins its generation
             appender = ShardAppender(mixed_dir, shard_rows=SHARD_ROWS)
             stop = threading.Event()
@@ -209,36 +218,36 @@ def test_mixed_append_scan_and_delta_training(benchmark, workload):
                 thread.join(timeout=60.0)
 
     def sweep():
-        results = {}
-        # Interleave the repeats so drift hits both variants equally;
-        # best-of-N on a modelled device is stable to well under 10%.
-        statics, mixeds = [], []
-        for _ in range(3):
-            statics.append(static_scan())
-            mixeds.append(mixed_scan())
-        results["static"] = min(statics, key=lambda r: r[0])
-        results["mixed"] = min(mixeds, key=lambda r: r[0])
-        return results
+        # Back-to-back static/mixed pairs, which side runs first alternating,
+        # as in bench_faults: a shared 2-vCPU guest slows in spells, so one
+        # read of best-of-3 blocks could land a spell on one side only.
+        pairs = []
+        for round_index in range(SCAN_ROUNDS):
+            walls = {}
+            for mixed in (False, True) if round_index % 2 else (True, False):
+                walls[mixed], rows = mixed_scan() if mixed else static_scan()
+                # The pinned reader saw exactly its generation's rows,
+                # bit-identically, despite the appends landing mid-scan.
+                assert np.array_equal(rows, X)
+            pairs.append((walls[False], walls[True]))
+        return pairs
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    static_s, static_rows = results["static"]
-    mixed_s, mixed_rows = results["mixed"]
-
-    # The pinned reader saw exactly its generation's rows, bit-identically,
-    # despite the appends landing mid-scan.
-    assert np.array_equal(static_rows, X)
-    assert np.array_equal(mixed_rows, X)
+    pairs = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    # The median pair by ratio: its two scans ran back to back.
+    static_s, mixed_s = sorted(pairs, key=lambda pair: pair[1] / pair[0])[SCAN_ROUNDS // 2]
 
     ratio = mixed_s / static_s if static_s > 0 else float("inf")
     scan = {
         "static_s": static_s,
         "mixed_s": mixed_s,
         "mixed_over_static": ratio,
+        "rounds": SCAN_ROUNDS,
+        "round_ratios": [mixed / static for static, mixed in pairs],
         "static_rows_per_s": ROWS / static_s if static_s > 0 else 0.0,
         "mixed_rows_per_s": ROWS / mixed_s if mixed_s > 0 else 0.0,
         "append_batches": APPEND_BATCHES,
         "append_rows": APPEND_BATCHES * APPEND_ROWS,
-        "snapshot_bit_identical": bool(np.array_equal(mixed_rows, X)),
+        "snapshot_bit_identical": True,  # asserted for every round above
     }
     # Acceptance bar: appends may cost the pinned scan at most 10%.
     assert ratio <= 1.10, scan

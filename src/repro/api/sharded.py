@@ -76,7 +76,7 @@ from repro.data.formats_v2 import (
     BlockPayload,
     CodedBlock,
     default_block_rows,
-    encode_block,
+    encode_blocks,
     verify_blocked_file,
     write_blocked_matrix,
 )
@@ -1507,11 +1507,13 @@ class _CodedTail:
 
     ``blocks`` are the tail's full blocks, each coded once, when it filled;
     ``short`` owns the rows (fewer than ``block_rows``) of the last, still
-    growing block; ``labels`` owns the label of every tail row.
+    growing block and ``coded_short`` holds them coded (``None`` when there
+    are none); ``labels`` owns the label of every tail row.
     """
 
     blocks: Tuple[CodedBlock, ...]
     short: np.ndarray
+    coded_short: Optional[CodedBlock]
     labels: np.ndarray
 
 
@@ -1534,11 +1536,13 @@ class ShardAppender:
       one short last block, and the labels; a commit codes only the blocks
       the batch filled plus the short block and the label segment — at most
       ``ceil(batch / block_rows) + 2`` codec calls per shard touched, however
-      full the tail is — and assembles the tail ``.m3b`` file from those
-      payloads.  The file is still replaced whole (same-directory tmp file,
-      fsync, ``os.replace``) because a blocked file is unreadable until
-      finalized and readers pinned to an older generation keep their file
-      descriptor on the old inode; every file is byte-for-byte what
+      full the tail is, the blocks spread over every core by
+      :func:`~repro.data.formats_v2.encode_blocks` — and assembles the tail
+      ``.m3b`` file from those payloads.  The file is still replaced whole
+      (same-directory tmp file, fsync, ``os.replace``) because a blocked
+      file is unreadable until finalized and readers pinned to an older
+      generation keep their file descriptor on the old inode; every file
+      is byte-for-byte what
       :func:`~repro.data.formats_v2.write_blocked_matrix` writes for the
       same rows.
 
@@ -1546,12 +1550,12 @@ class ShardAppender:
     references them is written, so an interrupted append leaves at worst
     orphan tail rows no generation points at.  Opening an appender recovers
     the committed state: v1 orphans are truncated back to the committed row
-    count; a v2 tail's committed full blocks are taken from the file as
-    stored (CRC-checked, not decoded), its short last block is decoded, and
-    orphan rows are dropped.  An exception out of :meth:`append` leaves this
-    object's view of the dataset untrusted, so the next call first re-reads
-    the committed manifest and recovers again — exactly what a fresh
-    ``ShardAppender(directory)`` would do.
+    count; a v2 tail's committed blocks are taken from the file as stored
+    (CRC-checked, not re-coded), the rows of its short last block are
+    decoded as well, and orphan rows are dropped.  An exception out of
+    :meth:`append` leaves this object's view of the dataset untrusted, so
+    the next call first re-reads the committed manifest and recovers again
+    — exactly what a fresh ``ShardAppender(directory)`` would do.
 
     ``trace`` (an :class:`~repro.vmem.trace.AccessTrace`) records one WRITE
     record per landed row band at logical matrix offsets, so the simulator
@@ -1632,11 +1636,12 @@ class ShardAppender:
         return _CodedTail(
             blocks=(),
             short=np.empty((0, manifest.cols), dtype=manifest.dtype),
+            coded_short=None,
             labels=np.empty(0, dtype=np.int64),
         )
 
     def _recover_v2_tail(self) -> _CodedTail:
-        """The committed rows of the v2 tail file, full blocks still coded."""
+        """The committed rows of the v2 tail file, blocks still coded."""
         manifest = self._manifest
         tail = manifest.tail_shard
         if tail is None:
@@ -1650,10 +1655,14 @@ class ShardAppender:
                     f"the manifest commits {tail.rows}"
                 )
             # Blocks the committed rows fill are identical in every file
-            # this tail was ever written to, so they are kept as stored.
-            # Rows past ``tail.rows`` are a crashed append's orphans (they
-            # may have completed the committed short block) and are dropped.
+            # this tail was ever written to, so they are kept as stored, and
+            # so is the committed short block unless a crashed append's
+            # orphan rows (past ``tail.rows``, dropped here) landed in it.
             kept = tail.rows // self._block_rows
+            stored = kept + (
+                len(header.blocks) > kept
+                and header.blocks[kept].rows == tail.rows - kept * self._block_rows
+            )
             same_geometry = (
                 header.codec, header.block_rows, header.layout,
                 header.storage_dtype, header.cols,
@@ -1663,14 +1672,14 @@ class ShardAppender:
             )
             checksummed = all(
                 segment[3] is not None
-                for block in header.blocks[:kept]
+                for block in header.blocks[:stored]
                 for segment in block.segments
             )
             if not (same_geometry and checksummed):
                 # Written under another geometry, or before block checksums
                 # existed: nothing can be copied, every row is coded afresh.
-                kept = 0
-            blocks = tuple(reader.fetch_coded_block(i) for i in range(kept))
+                kept = stored = 0
+            blocks = tuple(reader.fetch_coded_block(i) for i in range(stored))
             rest = reader.read_rows(kept * self._block_rows, tail.rows)
             labels = None
             if manifest.has_labels:
@@ -1678,7 +1687,13 @@ class ShardAppender:
                 if labels is None or labels.shape[0] < tail.rows:
                     raise ValueError(f"tail shard {tail.filename} is missing labels")
                 labels = labels[: tail.rows]
-        kept_tail = replace(self._empty_tail(), blocks=blocks)
+        kept_tail = replace(self._empty_tail(), blocks=blocks[:kept])
+        if stored > kept:
+            # The short block came back as stored: recovery codes nothing.
+            return replace(
+                kept_tail, short=rest, coded_short=blocks[kept],
+                labels=kept_tail.labels if labels is None else labels,
+            )
         return self._extend_tail(kept_tail, rest, labels)
 
     def _recover_v1_tail(self) -> None:
@@ -1750,7 +1765,9 @@ class ShardAppender:
     def _extend_tail(
         self, tail: _CodedTail, chunk: np.ndarray, labels: Optional[np.ndarray]
     ) -> _CodedTail:
-        """``tail`` grown by ``chunk``; blocks the chunk fills are coded here."""
+        """``tail`` grown by ``chunk``, coded: the blocks the chunk fills and
+        the new short block go through one :func:`encode_blocks` map, so a
+        commit's codec work spreads over every core."""
         block_rows = self._block_rows
         short = tail.short
         # Rows that top up the short block (none when the tail ends on a
@@ -1769,19 +1786,24 @@ class ShardAppender:
             # The short block is used up (or there was none): what is left
             # of the chunk starts the next one.
             short = np.array(chunk[stop:], copy=True)
-        coded = tuple(
-            encode_block(rows, self._codec, self._storage_dtype, self._manifest.layout)
-            for rows in filled
-        )
+        coded = tuple(encode_blocks(
+            filled + [short] if short.shape[0] else filled,
+            self._codec, self._storage_dtype, self._manifest.layout,
+        ))
         return _CodedTail(
-            blocks=tail.blocks + coded,
+            blocks=tail.blocks + coded[: len(filled)],
             short=short,
+            coded_short=coded[len(filled)] if short.shape[0] else None,
             labels=tail.labels if labels is None
             else np.concatenate([tail.labels, labels]),
         )
 
     def _write_v2_shard(self, shard: ShardInfo, tail: _CodedTail) -> ShardInfo:
-        """Assemble a v2 shard file from ``tail``; return its final info."""
+        """Assemble a v2 shard file from ``tail``; return its final info.
+
+        Every block, the short last one included, is written as ``tail``
+        holds it coded; only the label segment meets the codec here.
+        """
         manifest = self._manifest
         path = self.directory / shard.filename
         tmp = path.with_name(path.name + ".tmp")
@@ -1796,7 +1818,8 @@ class ShardAppender:
         ) as writer:
             for block in tail.blocks:
                 writer.write_coded_block(block)
-            writer.append(tail.short)
+            if tail.coded_short is not None:
+                writer.write_coded_block(tail.coded_short)
             if manifest.has_labels:
                 writer.append_labels(tail.labels)
         with tmp.open("r+b") as handle:

@@ -94,6 +94,7 @@ class NoneCodec(Codec):
     name = "none"
 
     def encode(self, data: BytesLike) -> bytes:
+        maybe_fire("encode.block", self.name)
         return bytes(data)
 
     def decode(self, payload: BytesLike, raw_bytes: int) -> bytes:
@@ -123,6 +124,7 @@ class ZlibCodec(Codec):
         self.level = level
 
     def encode(self, data: BytesLike) -> bytes:
+        maybe_fire("encode.block", self.name)
         return zlib.compress(bytes(data), self.level)
 
     def decode(self, payload: BytesLike, raw_bytes: int) -> bytes:

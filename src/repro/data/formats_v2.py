@@ -55,11 +55,12 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.data.codecs import Codec, get_codec
+from repro.fanout import available_cpus, map_ordered
 from repro.faults import InjectedFault, maybe_fire, should_fire
 
 BLOCKED_MAGIC = b"M3BLOCKS"
@@ -158,8 +159,8 @@ class CodedBlock:
 
     Each segment is ``(payload, raw_bytes, payload_crc32)`` — one segment for
     the ``row`` layout, one per column for the ``column`` layout.  Blocks sit
-    at fixed multiples of ``block_rows``, so a *full* block's coded form
-    depends only on its rows and the file's geometry: whoever holds a
+    at fixed multiples of ``block_rows``, so a block's coded form depends
+    only on its rows and the file's geometry: whoever holds a
     ``CodedBlock`` can write it again without running the codec
     (:meth:`BlockedMatrixWriter.write_coded_block`).
     """
@@ -179,8 +180,8 @@ def encode_block(
     """Cast ``rows`` to ``storage_dtype`` and code them as one block.
 
     This is the only place block rows meet the codec on the write side:
-    :class:`BlockedMatrixWriter` calls it as blocks fill, and the shard
-    appender calls it once per filled tail block and keeps the result.
+    every writer reaches it through :func:`encode_blocks`, except the short
+    last block :meth:`BlockedMatrixWriter.finalize` flushes.
     """
     stored = np.ascontiguousarray(rows, dtype=storage_dtype)
     parts = [stored] if layout == "row" else stored.T
@@ -190,16 +191,41 @@ def encode_block(
     )
 
 
+def encode_blocks(
+    blocks: Sequence[np.ndarray], codec: Codec, storage_dtype: np.dtype, layout: str
+) -> Iterator[CodedBlock]:
+    """:func:`encode_block` over ``blocks``, yielded strictly in input order.
+
+    The blocks fan out over :func:`repro.fanout.map_ordered` on one worker
+    per CPU available to the process, with at most ``workers + 1`` blocks
+    submitted and not yet consumed; a lone block is coded inline, with no
+    thread.  Every block codes independently and lands in input order, so
+    the bytes are the serial loop's at any worker count.  Unlike a
+    full-matrix pass (``repro.ml.base.compute_threads``) the count is not
+    divided by BLAS threads: a codec call is single-threaded native code
+    that releases the GIL, so one worker per CPU keeps every core busy.
+    Nothing sets the count; tests pin it by patching ``available_cpus``.
+    """
+    workers = available_cpus() if len(blocks) > 1 else 1
+    return map_ordered(
+        lambda rows: encode_block(rows, codec, storage_dtype, layout),
+        blocks,
+        workers,
+        workers + 1,
+    )
+
+
 class BlockedMatrixWriter:
     """Stream rows into a blocked v2 file with bounded memory.
 
-    ``append`` buffers at most one block of rows; every full block is coded
-    (:func:`encode_block`), written and dropped immediately — the writer
-    keeps only the segment table — so converting a dataset far larger than
-    RAM holds one block plus its coded payload at a time.
+    ``append`` codes every block its rows fill (:func:`encode_blocks`),
+    writes them in order and drops them — the writer keeps only the
+    segment table and the rows of one unfilled block — so converting a
+    dataset far larger than RAM holds at most ``workers + 1`` blocks and
+    their coded payloads in flight.
     :meth:`write_coded_block` places a block somebody already coded (the
     shard appender re-assembling its tail) without touching the codec.
-    ``finalize`` flushes the tail block, writes the label segment and the
+    ``finalize`` flushes the unfilled block, writes the label segment and the
     JSON header trailer, and patches the prefix to point at it.
     """
 
@@ -255,10 +281,15 @@ class BlockedMatrixWriter:
             )
         if rows.shape[0] == 0:
             return
+        self._check_no_short_block()
         self._pending.append(rows)
         self._pending_rows += int(rows.shape[0])
-        while self._pending_rows >= self.block_rows:
-            self._flush_block(self.block_rows)
+        filled = [
+            self._take_pending(self.block_rows)
+            for _ in range(self._pending_rows // self.block_rows)
+        ]
+        for coded in encode_blocks(filled, self.codec, self.storage_dtype, self.layout):
+            self._put_block(coded)
 
     def append_labels(self, labels: np.ndarray) -> None:
         """Append the label slice matching previously appended rows."""
@@ -304,27 +335,23 @@ class BlockedMatrixWriter:
         )
         self.rows_written += coded.rows
 
-    def _flush_block(self, rows: int) -> None:
-        self._put_block(
-            encode_block(
-                self._take_pending(rows), self.codec, self.storage_dtype, self.layout
-            )
-        )
-
     def write_coded_block(self, coded: CodedBlock) -> None:
-        """Write an already-coded *full* block as the file's next block.
+        """Write an already-coded block as the file's next block.
 
         The block must have been coded for this writer's geometry (codec,
         storage dtype, layout, columns); the bytes land exactly where
-        :meth:`append` of the same rows would have put them.
+        :meth:`append` of the same rows would have put them.  A full block
+        may follow any full block; a *short* one (fewer than ``block_rows``
+        rows) is the file's last block, so only :meth:`finalize` may follow.
         """
         self._check_writable()
-        if coded.rows != self.block_rows or self._pending_rows:
+        if not 0 < coded.rows <= self.block_rows or self._pending_rows:
             raise ValueError(
-                f"{self.path}: a coded block must be full ({self.block_rows} "
-                f"rows, got {coded.rows}) and precede any buffered rows "
+                f"{self.path}: a coded block must hold 1..{self.block_rows} "
+                f"rows (got {coded.rows}) and precede any buffered rows "
                 f"({self._pending_rows} pending)"
             )
+        self._check_no_short_block()
         self._put_block(coded)
 
     # -- lifecycle -----------------------------------------------------------
@@ -333,12 +360,25 @@ class BlockedMatrixWriter:
         if self._finalized:
             raise RuntimeError(f"writer for {self.path} is already finalized")
 
+    def _check_no_short_block(self) -> None:
+        if self.rows_written % self.block_rows:
+            raise ValueError(
+                f"{self.path}: the last block written is short "
+                f"({self.rows_written % self.block_rows} of {self.block_rows} "
+                f"rows); only finalize() may follow it"
+            )
+
     def finalize(self) -> BlockedMatrixHeader:
-        """Flush the tail block, write labels + header trailer, close the file."""
+        """Flush the unfilled block, write labels + header trailer, close the file."""
         self._check_writable()
         self._finalized = True
         if self._pending_rows > 0:
-            self._flush_block(self._pending_rows)
+            self._put_block(
+                encode_block(
+                    self._take_pending(self._pending_rows),
+                    self.codec, self.storage_dtype, self.layout,
+                )
+            )
         has_labels = bool(self._labels)
         if has_labels:
             labels = np.concatenate(self._labels) if len(self._labels) > 1 else self._labels[0]

@@ -85,6 +85,10 @@ SITES: Dict[str, str] = {
         "chunk-pipeline reader gathering raw v1 rows out of shard memmaps"
     ),
     "decode.block": "codec decode of one coded block payload",
+    "encode.block": (
+        "codec encode of one block payload (or label segment) on the write "
+        "side, possibly on an encode worker"
+    ),
     "pool.lease": "ChunkBufferPool lease acquisition in a reader thread",
     "append.pre_fsync": (
         "ShardAppender durability point — before fsync of freshly landed "

@@ -10,16 +10,13 @@ transparency property).
 from __future__ import annotations
 
 import os
-import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Deque, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
-#: Name prefix of the threads :func:`map_ordered` starts — how a nested call
-#: recognises that it is already running on one of them.
-COMPUTE_THREAD_PREFIX = "m3-compute"
+# The fan-out lives below every package that uses it (storage codes blocks
+# with it too); estimators and engines import it from here.
+from repro.fanout import COMPUTE_THREAD_PREFIX, available_cpus, map_ordered
 
 
 def as_matrix(X: Any) -> Any:
@@ -60,12 +57,6 @@ def iter_row_chunks(X: Any, chunk_size: int) -> Iterator[Tuple[int, int]]:
         yield start, min(start + chunk_size, n_rows)
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-
-
 def blas_threads() -> int:
     """Threads one BLAS call uses, read the way the library reads it at load.
 
@@ -76,7 +67,7 @@ def blas_threads() -> int:
         value = os.environ.get(variable, "").strip()
         if value.isdigit() and int(value) > 0:
             return int(value)
-    return _available_cpus()
+    return available_cpus()
 
 
 def _compute_threads() -> int:
@@ -86,56 +77,12 @@ def _compute_threads() -> int:
     call leaves idle.  There is deliberately no parameter, flag or variable of
     ours behind it — see :func:`map_row_chunks` for the measurement.
     """
-    return max(1, _available_cpus() // blas_threads())
+    return max(1, available_cpus() // blas_threads())
 
 
 def compute_threads() -> int:
     """The count :func:`map_row_chunks` uses, for engines and ``m3 info`` to report."""
     return _compute_threads()
-
-
-def map_ordered(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    workers: int,
-    in_flight: int,
-    abandon: Optional[Callable[[Any], None]] = None,
-) -> Iterator[Any]:
-    """Yield ``fn(item)`` for every item, strictly in ``items``' order.
-
-    The one fan-out under :mod:`repro.ml`.  ``items`` is drawn on the calling
-    thread, one item at a time and in order; only ``fn`` runs, on up to
-    ``workers`` pool threads; results come back in submission order however
-    the workers interleave, with at most ``in_flight`` items submitted and not
-    yet consumed.  An exception from ``fn`` is raised at its item's position —
-    after every earlier result; items submitted but not yet started are then
-    cancelled (each handed to ``abandon``, for items that own a resource
-    ``fn`` would have given back), later items are never drawn, and no thread
-    outlives the generator, whether it is exhausted, closed or failed.
-
-    With ``workers <= 1``, or when called from one of its own pool threads (a
-    ``fn`` that fans out again), it is the plain serial loop: no pool, no
-    thread.
-    """
-    if workers <= 1 or threading.current_thread().name.startswith(COMPUTE_THREAD_PREFIX):
-        for item in items:
-            yield fn(item)
-        return
-    pending: Deque[Tuple[Future, Any]] = deque()
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix=COMPUTE_THREAD_PREFIX
-    ) as pool:
-        try:
-            for item in items:
-                pending.append((pool.submit(fn, item), item))
-                if len(pending) >= in_flight:
-                    yield pending.popleft()[0].result()
-            while pending:
-                yield pending.popleft()[0].result()
-        finally:
-            for future, item in pending:
-                if future.cancel() and abandon is not None:
-                    abandon(item)
 
 
 def map_row_chunks(

@@ -17,6 +17,7 @@ Covers the storage-layer contract the live train→publish loop rests on:
 
 import math
 import re
+import threading
 
 from pathlib import Path
 
@@ -331,7 +332,7 @@ class TestCrashRecovery:
         raw = bytearray(path.read_bytes())
         raw[offset + 2] ^= 0x40
         path.write_bytes(bytes(raw))
-        # the full block would be copied, not decoded: its CRC is checked
+        # either block would be copied, not re-coded: its CRC is checked
         # all the same, and the error names the file and the block
         with pytest.raises(
             ChecksumError, match=re.escape(tail.filename) + rf": block {block} "
@@ -341,14 +342,19 @@ class TestCrashRecovery:
 
 
 class _CountingZlib(ZlibCodec):
+    """Real zlib counting its ``encode`` calls, which run on encode workers:
+    the increment takes a lock so the exact-count asserts stay exact."""
+
     name = "counting-zlib"
 
     def __init__(self):
         super().__init__()
+        self._lock = threading.Lock()
         self.encodes = 0
 
     def encode(self, data):
-        self.encodes += 1
+        with self._lock:
+            self.encodes += 1
         return super().encode(data)
 
 
@@ -403,6 +409,27 @@ class TestEncodeOncePerBlock:
         assert counting_codec.encodes == before
         # … and its first commit costs what any other commit costs
         self._commit(appender, counting_codec, nearly_full, seed=2)
+        assert verify_dataset(d) == []
+
+    def test_sealing_a_recovered_tail_as_is_codes_only_its_labels(
+        self, tmp_path, counting_codec
+    ):
+        d = tmp_path / "ds"
+        geometry = dict(codec=counting_codec.name, block_rows=self.BLOCK)
+        write_sharded_dataset(d, *_make(self.SHARD), shard_rows=self.SHARD, **geometry)
+        X2, y2 = _make(3 * self.BLOCK + 2, seed=1)   # tail: 3 blocks + a short one
+        tail = ShardAppender(d, shard_rows=self.SHARD).append(X2, y2).tail_shard
+        # shard_rows shrank to the tail's height: the next commit seals the
+        # tail as it stands, every block — the short one too — as stored
+        appender = ShardAppender(d, shard_rows=tail.rows)
+        before = counting_codec.encodes
+        appender.append(*_make(1, seed=2))
+        # the sealed tail's labels, then the new tail's short block + labels
+        assert counting_codec.encodes - before == 1 + 2
+        write_blocked_matrix(tmp_path / "reference.m3b", X2, y2, **geometry)
+        assert (d / tail.filename).read_bytes() == (
+            tmp_path / "reference.m3b"
+        ).read_bytes()
         assert verify_dataset(d) == []
 
 

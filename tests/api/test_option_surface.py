@@ -4,7 +4,9 @@ A scan is configured in one place — the ``StreamingEngine`` constructor — an
 predicted through one body — ``StreamingPredictor.predict_streaming``.  A
 request is framed, ordered and backpressured in one place — ``NetServer`` over
 ``ModelServer``, configured by their constructors — and ``m3 serve`` /
-``m3 served`` are two transports of that one stack.  The paper's results are
+``m3 served`` are two transports of that one stack.  Every v2 write — create,
+convert, append — codes its blocks through one ``encode_blocks`` fan-out whose
+worker count nothing sets.  The paper's results are
 regenerated by one command — ``m3 reproduce``, no flags — over one
 ``M3RuntimeModel``.  The parameter and flag sets below are what traffic sets
 or takes today (the CLI, the e2e workloads and their probes); a new option is
@@ -20,12 +22,26 @@ import repro.cli
 import repro.core
 from repro.api import ChunkStream, Session, StreamingEngine, open_chunk_stream, plan_chunks
 from repro.api.engines import ExecutionEngine
-from repro.api.sharded import CompressedShardedMatrix, ShardedMatrix
+from repro.api.convert import convert_dataset
+from repro.api.sharded import (
+    CompressedShardedMatrix,
+    ShardAppender,
+    ShardedMatrix,
+    write_sharded_dataset,
+)
 from repro.bench.figure1a import run_figure1a
 from repro.bench.figure1b import run_figure1b
 from repro.bench.m3_model import M3RuntimeModel
 from repro.bench.reproduce import reproduce
-from repro.data.formats_v2 import BlockedMatrixReader, BlockPayload
+from repro.data.codecs import Codec
+from repro.data.formats_v2 import (
+    BlockedMatrixReader,
+    BlockedMatrixWriter,
+    BlockPayload,
+    encode_block,
+    encode_blocks,
+    write_blocked_matrix,
+)
 from repro.ml.base import StreamingPredictor
 from repro.net import NetServer
 from repro.serve import ModelServer, Trainer
@@ -58,6 +74,29 @@ def parameters(function) -> tuple:
              "stall_timeout_s"),
         ),
         (BlockedMatrixReader.fetch_block, ("index",)),
+        # The write path: encode parallelism is no parameter of any of these.
+        (
+            BlockedMatrixWriter.__init__,
+            ("path", "cols", "block_rows", "codec", "dtype", "storage_dtype", "layout"),
+        ),
+        (
+            write_blocked_matrix,
+            ("path", "data", "labels", "block_rows", "codec", "storage_dtype", "layout"),
+        ),
+        (
+            write_sharded_dataset,
+            ("directory", "data", "labels", "shard_rows", "codec", "block_rows",
+             "storage_dtype", "layout"),
+        ),
+        (
+            convert_dataset,
+            ("source", "destination", "codec", "block_rows", "storage_dtype", "layout",
+             "shard_rows", "chunk_rows"),
+        ),
+        (ShardAppender.__init__, ("directory", "shard_rows", "trace")),
+        (encode_block, ("rows", "codec", "storage_dtype", "layout")),
+        (encode_blocks, ("blocks", "codec", "storage_dtype", "layout")),
+        (Codec.encode, ("data",)),
         (
             StreamingPredictor.predict_streaming,
             ("chunks", "n_rows", "method", "workers", "out"),

@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import Session
+from repro import Session, fanout
 from repro.ml import KMeans, LinearRegression, LogisticRegression, SoftmaxRegression
 from repro.ml import base
 from repro.ml.base import iter_row_chunks, map_ordered, map_row_chunks
@@ -407,7 +407,7 @@ class TestFanOutContract:
 
         model = SoftmaxRegression(max_iterations=2, chunk_size=CHUNK).fit(X, y)
         clusterer = KMeans(n_clusters=3, max_iterations=2, chunk_size=CHUNK, seed=0).fit(X)
-        monkeypatch.setattr(base, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(fanout, "ThreadPoolExecutor", no_pool)
         model.predict(X[:CHUNK])
         model.predict_proba(X[:1])
         clusterer.predict(X[:CHUNK])
