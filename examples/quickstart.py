@@ -46,8 +46,6 @@ engine         fit                         predict
                                            ``compute_workers=N`` fans
                                            chunk inference across a
                                            worker pool (bit-identical)
-``distributed``  the Spark-MLlib-style     map the fitted model over the
-               RDD baseline                RDD's partitions
 *(serving)*    —                           request-level traffic goes to
                                            ``session.serve`` instead: a
                                            micro-batching model server
@@ -343,7 +341,7 @@ From Table 1's helpers (plain functions over a session) to the session::
     m3.open_dataset("d.m3",                 session.open(spec, record_trace=True)
                     record_trace=True)      ds.trace          (per handle)
     model.fit(X, y)                         session.fit(model, ds)   # pick an
-                                            # engine: local/simulated/distributed
+                                            # engine: local/simulated/streaming
 
 Run with::
 

@@ -9,7 +9,7 @@ its evaluation:
   URI-style dataset specs (``mmap://file.m3``, ``shard://dir/``,
   ``memory://name``) to pluggable storage backends, handing out
   :class:`~repro.api.Dataset` handles, and dispatching ``session.fit`` to
-  pluggable execution engines (``local``, ``simulated``, ``distributed``).
+  execution engines (``local``, ``simulated``, ``streaming``).
 * :mod:`repro.core` — the original M3 primitives (memory-mapped matrices,
   ``mmap_alloc``, access advice) plus Table 1's ``open_dataset`` helpers,
   plain functions over the unified API.
@@ -18,8 +18,8 @@ its evaluation:
   protocol so in-memory, memory-mapped and sharded data are interchangeable.
 * :mod:`repro.vmem` — a virtual-memory / page-cache simulator substituting for
   the paper's 32 GB desktop and PCIe SSD.
-* :mod:`repro.distributed` — a Spark-style baseline (mini RDD engine + EC2
-  cluster cost model) substituting for the paper's EMR clusters.
+* :mod:`repro.distributed` — the paper's Spark baseline as a paper-scale EC2
+  cluster cost model, substituting for the paper's EMR clusters.
 * :mod:`repro.data` — an Infimnist-style infinite digit-image generator and
   the on-disk formats.
 * :mod:`repro.bench` — the harness behind ``m3 reproduce``: Figure 1a, the
@@ -41,7 +41,7 @@ Helper (a plain function over a Session)        Session
 then ``X.trace``                                ``ds.trace`` (per handle, thread safe)
 ``model.fit(X, y)`` by hand                     ``session.fit(model, ds)`` — pick the engine
                                                 with ``engine="local" | "simulated" |
-                                                "distributed"``
+                                                "streaming"``
 (no equivalent)                                 ``session.info(spec)`` / CLI ``m3 info``
 (no equivalent)                                 ``session.create("shard://dir/", X, y)`` —
                                                 matrix sharded across multiple files

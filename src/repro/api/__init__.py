@@ -44,10 +44,6 @@ Every engine implements both halves of the lifecycle: ``Session.fit`` trains,
                  estimator (``StreamingPredictor``).  The engine for datasets
                  that do not fit in RAM — and the only one that never
                  materialises a sharded dataset's labels.
-``distributed``  The Spark-MLlib-style baseline: training swaps the estimator
-                 for its distributed counterpart, inference maps the fitted
-                 model over the mini RDD's partitions — use it to reproduce
-                 the paper's M3-vs-Spark comparisons.
 *(serving)*      Request-level traffic (single rows / small batches from
                  concurrent clients) does not scan at all: ``session.serve``
                  publishes the model into the hot-model registry of
@@ -77,14 +73,12 @@ from repro.api.chunks import (
 from repro.api.dataset import Dataset
 from repro.api.engines import (
     ENGINE_REGISTRY,
-    DistributedEngine,
     ExecutionEngine,
     FitResult,
     LocalEngine,
     PredictResult,
     SimulatedEngine,
     StreamingEngine,
-    register_engine,
     resolve_engine,
 )
 from repro.api.session import Session
@@ -146,9 +140,7 @@ __all__ = [
     "ExecutionEngine",
     "LocalEngine",
     "SimulatedEngine",
-    "DistributedEngine",
     "StreamingEngine",
     "ENGINE_REGISTRY",
     "resolve_engine",
-    "register_engine",
 ]

@@ -12,9 +12,6 @@ An :class:`ExecutionEngine` takes an unmodified estimator and a
     the paper's machine, attaching the simulated paper-scale accounting to
     the result.  This wires the vmem simulator in automatically — no manual
     trace plumbing.
-``distributed``
-    Swap the estimator for its Spark-MLlib-style counterpart from
-    :mod:`repro.distributed.mllib` and train on the mini RDD engine.
 ``streaming``
     Train through the chunk pipeline of :mod:`repro.api.chunks`: the model's
     ``partial_fit`` consumes shard-aligned row blocks while a background
@@ -24,8 +21,7 @@ An :class:`ExecutionEngine` takes an unmodified estimator and a
 Every engine also serves the *inference* half of the lifecycle through
 :meth:`ExecutionEngine.predict`: ``local`` predicts in-core, ``simulated``
 replays the recorded inference trace through the virtual-memory simulator,
-``distributed`` maps the model over the mini RDD's partitions, and
-``streaming`` drives the model's per-chunk prediction hooks
+and ``streaming`` drives the model's per-chunk prediction hooks
 (:class:`~repro.ml.base.StreamingPredictor`) through the prefetching chunk
 pipeline into a preallocated output buffer.
 
@@ -81,7 +77,8 @@ class FitResult:
         Paper-scale :class:`~repro.vmem.vm_simulator.SimulationResult` from
         replaying ``trace``, when the engine simulates one.
     details:
-        Engine-specific extras (e.g. ``aggregations`` for ``distributed``).
+        Engine-specific extras (e.g. ``simulated_wall_time_s`` for
+        ``simulated``, the chunk pipeline's accounting for ``streaming``).
     """
 
     model: Any
@@ -142,7 +139,7 @@ class PredictResult:
 class ExecutionEngine(abc.ABC):
     """Protocol implemented by every execution engine."""
 
-    #: Name the engine registers under.
+    #: Name the engine resolves by and reports in its results.
     name: str = ""
 
     @abc.abstractmethod
@@ -353,120 +350,6 @@ class SimulatedEngine(ExecutionEngine):
             trace=trace,
             simulation=simulation,
             details={"simulated_wall_time_s": simulation.wall_time_s},
-        )
-
-
-class DistributedEngine(ExecutionEngine):
-    """Training on the mini RDD engine via the MLlib-style estimators.
-
-    Single-machine estimators are transparently swapped for their distributed
-    counterparts (``LogisticRegression`` →
-    :class:`~repro.distributed.mllib.DistributedLogisticRegression`,
-    ``KMeans`` → :class:`~repro.distributed.mllib.DistributedKMeans`); already
-    distributed estimators are used as-is.
-
-    Parameters
-    ----------
-    num_partitions:
-        Partitions the dataset is split into (Spark: number of HDFS blocks).
-    scheduler:
-        Optional :class:`~repro.distributed.scheduler.JobScheduler`.
-    """
-
-    name = "distributed"
-
-    def __init__(self, num_partitions: int = 8, scheduler: Optional[Any] = None) -> None:
-        if num_partitions <= 0:
-            raise ValueError(f"num_partitions must be positive, got {num_partitions}")
-        self.num_partitions = num_partitions
-        self.scheduler = scheduler
-
-    def _translate(self, model: Any) -> Any:
-        from repro.distributed.mllib import DistributedKMeans, DistributedLogisticRegression
-        from repro.ml.cluster.kmeans import KMeans
-        from repro.ml.linear_model.logistic_regression import LogisticRegression
-
-        if isinstance(model, (DistributedLogisticRegression, DistributedKMeans)):
-            if model.scheduler is None:
-                model.scheduler = self.scheduler
-            return model
-        if isinstance(model, LogisticRegression):
-            return DistributedLogisticRegression(
-                max_iterations=model.max_iterations,
-                l2_penalty=model.l2_penalty,
-                fit_intercept=model.fit_intercept,
-                tolerance=model.tolerance,
-                num_partitions=self.num_partitions,
-                scheduler=self.scheduler,
-            )
-        if isinstance(model, KMeans):
-            return DistributedKMeans(
-                n_clusters=model.n_clusters,
-                max_iterations=model.max_iterations,
-                tolerance=model.tolerance,
-                seed=model.seed,
-                num_partitions=self.num_partitions,
-                scheduler=self.scheduler,
-            )
-        raise TypeError(
-            f"the distributed engine has no counterpart for "
-            f"{type(model).__name__}; pass a LogisticRegression, KMeans, or a "
-            f"Distributed* estimator directly"
-        )
-
-    def fit(self, model: Any, dataset: Dataset, y: Optional[Any] = None) -> FitResult:
-        labels = self._resolve_labels(dataset, y)
-        distributed_model = self._translate(model)
-        elapsed = self._run_fit(distributed_model, dataset.matrix, labels)
-        details: Dict[str, Any] = {"num_partitions": getattr(
-            distributed_model, "num_partitions", self.num_partitions
-        )}
-        if hasattr(distributed_model, "aggregations_"):
-            details["aggregations"] = distributed_model.aggregations_
-        return FitResult(
-            model=distributed_model,
-            engine=self.name,
-            wall_time_s=elapsed,
-            trace=dataset.trace,
-            details=details,
-        )
-
-    def predict(self, model: Any, dataset: Dataset, method: str = "predict") -> PredictResult:
-        """Map the fitted model's ``method`` over the dataset's RDD partitions.
-
-        The dataset is split into ``num_partitions`` row-range partitions and
-        the prediction runs partition by partition (through the scheduler when
-        one is attached); results concatenate back in row order.  Any fitted
-        estimator works — the ``Distributed*`` models a distributed ``fit``
-        returns, or a locally trained one being served at Spark-comparison
-        scale.
-        """
-        from repro.distributed.rdd import RDD
-
-        fn = self._predict_fn(model, method)
-        start = time.perf_counter()
-        rdd = RDD.from_matrix(
-            dataset.matrix,
-            num_partitions=self.num_partitions,
-            scheduler=self.scheduler,
-        )
-        pieces = rdd.map_partitions(
-            lambda part: np.asarray(fn(part[0]))
-        ).collect()
-        predictions = (
-            np.concatenate(pieces, axis=0)
-            if pieces
-            else np.empty((0,), dtype=np.float64)
-        )
-        elapsed = time.perf_counter() - start
-        return PredictResult(
-            predictions=predictions,
-            model=model,
-            engine=self.name,
-            method=method,
-            wall_time_s=elapsed,
-            trace=dataset.trace,
-            details={"num_partitions": self.num_partitions},
         )
 
 
@@ -725,21 +608,12 @@ class StreamingEngine(ExecutionEngine):
         )
 
 
-#: Default engine classes, keyed by name.
+#: The engine classes an engine name resolves to.
 ENGINE_REGISTRY: Dict[str, Type[ExecutionEngine]] = {
     LocalEngine.name: LocalEngine,
     SimulatedEngine.name: SimulatedEngine,
-    DistributedEngine.name: DistributedEngine,
     StreamingEngine.name: StreamingEngine,
 }
-
-
-def register_engine(engine_class: Type[ExecutionEngine]) -> Type[ExecutionEngine]:
-    """Register an engine class under its ``name`` (usable as a decorator)."""
-    if not engine_class.name:
-        raise ValueError(f"{engine_class.__name__} must define a non-empty name")
-    ENGINE_REGISTRY[engine_class.name] = engine_class
-    return engine_class
 
 
 def resolve_engine(engine: Union[str, ExecutionEngine, Type[ExecutionEngine], None]) -> ExecutionEngine:

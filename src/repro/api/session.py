@@ -18,7 +18,7 @@ training (:meth:`Session.fit`) and serving (:meth:`Session.predict`) to an
 
 Swapping storage is one spec change (``"shard://dir/"`` instead of
 ``"mmap://file.m3"``); swapping execution is one keyword
-(``engine="simulated"`` or ``engine="distributed"``) — the estimator code is
+(``engine="simulated"`` or ``engine="streaming"``) — the estimator code is
 untouched, which is the paper's transparency claim carried through every
 backend and engine.
 """
@@ -185,7 +185,7 @@ class Session:
         Runtime configuration; see :class:`~repro.core.config.M3Config`.
     engine:
         Default execution engine for :meth:`fit` — a name (``"local"``,
-        ``"simulated"``, ``"streaming"``, ``"distributed"``), an
+        ``"simulated"``, ``"streaming"``), an
         :class:`~repro.api.engines.ExecutionEngine` instance, or ``None`` for
         local execution.
     handle_pool_size:

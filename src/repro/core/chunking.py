@@ -10,7 +10,7 @@ the simulator at a different scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Iterator, Tuple
 
 import numpy as np
 
@@ -114,24 +114,3 @@ def iter_chunks(matrix: Any, chunk_rows: int) -> Iterator[np.ndarray]:
     plan = plan_chunks(matrix, chunk_rows)
     for start, stop in plan.bounds():
         yield np.asarray(matrix[start:stop], dtype=np.float64)
-
-
-def split_evenly(n_rows: int, parts: int) -> List[Tuple[int, int]]:
-    """Split ``n_rows`` into ``parts`` contiguous, nearly equal row ranges.
-
-    Used by the distributed baseline to partition a dataset across instances.
-    Empty ranges are produced when ``parts > n_rows``.
-    """
-    if parts <= 0:
-        raise ValueError(f"parts must be positive, got {parts}")
-    if n_rows < 0:
-        raise ValueError(f"n_rows must be non-negative, got {n_rows}")
-    base = n_rows // parts
-    remainder = n_rows % parts
-    bounds = []
-    start = 0
-    for index in range(parts):
-        size = base + (1 if index < remainder else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds

@@ -1,11 +1,10 @@
 """Text-format loaders and savers (CSV and libsvm).
 
 Spark reads its training data from text files on HDFS (the paper stored the
-datasets "on the cluster's HDFS"); mlpack reads CSV.  These helpers provide
-both formats so the distributed baseline and the examples can exchange data
-with the binary M3 format.  They are intentionally simple, dependency-free
-implementations — large data should use the binary format in
-:mod:`repro.data.formats`.
+datasets "on the cluster's HDFS"); mlpack reads CSV.  These helpers read and
+write both formats, so data can move between those tools and the binary M3
+format.  They are intentionally simple, dependency-free implementations —
+large data should use the binary format in :mod:`repro.data.formats`.
 """
 
 from __future__ import annotations

@@ -1,35 +1,24 @@
-"""A Spark-style distributed baseline, simulated.
+"""The paper's Spark baseline, as a paper-scale cost model.
 
 The paper compares M3 against Spark MLlib running on 4- and 8-instance Amazon
 EC2 clusters (m3.2xlarge: 8 vCPUs, 30 GB RAM, 2×80 GB SSD) with the data on
-HDFS.  We cannot provision EC2 offline, so this package provides two layers
-that together substitute for it:
+HDFS.  We cannot provision EC2 offline, so this package models those clusters
+instead of running them: :class:`~repro.distributed.cost_model.SparkCostModel`,
+with the cluster, HDFS and shuffle models beneath it, predicts the wall-clock
+time a job would take on the paper's clusters.  It captures the mechanisms the
+paper cites for Spark's slowdown: per-task scheduling overhead, reading from
+HDFS when the working set exceeds aggregate executor memory, and network
+aggregation of model updates.
 
-* a *functional* mini execution engine — :class:`~repro.distributed.rdd.RDD`
-  partitioned collections with map/reduce/aggregate, driven by a
-  :class:`~repro.distributed.scheduler.JobScheduler` over simulated
-  :class:`~repro.distributed.executor.Executor` instances — on which
-  :mod:`repro.distributed.mllib` implements distributed logistic regression
-  (L-BFGS) and k-means that produce *correct* results on real data; and
-* a *performance* layer — :class:`~repro.distributed.cost_model.SparkCostModel`
-  plus the HDFS and shuffle models — that predicts the wall-clock time such a
-  job would take on the paper's clusters, capturing the mechanisms the paper
-  cites for Spark's slowdown: per-task scheduling overhead, reading from HDFS
-  when the working set exceeds aggregate executor memory, and network
-  aggregation of model updates.
-
-Figure 1b is regenerated by running the same workload through the M3 virtual
-memory simulator and through the Spark cost model with 4 and 8 instances.
+Figure 1b (``m3 reproduce``) runs the same workload through the M3 virtual
+memory simulator and through this cost model with 4 and 8 instances.  The
+estimates are modelled, not measured: nothing here executes a Spark job.
 """
 
 from repro.distributed.cluster import ClusterSpec, InstanceSpec, EC2_M3_2XLARGE, make_emr_cluster
 from repro.distributed.hdfs import HdfsConfig, HdfsModel
 from repro.distributed.shuffle import NetworkModel, ShuffleCost
-from repro.distributed.rdd import RDD, Partition
-from repro.distributed.executor import Executor, TaskMetrics
-from repro.distributed.scheduler import JobScheduler, StageMetrics
 from repro.distributed.cost_model import SparkCostModel, SparkJobEstimate, SparkWorkload
-from repro.distributed.mllib import DistributedKMeans, DistributedLogisticRegression
 
 __all__ = [
     "ClusterSpec",
@@ -40,15 +29,7 @@ __all__ = [
     "HdfsModel",
     "NetworkModel",
     "ShuffleCost",
-    "RDD",
-    "Partition",
-    "Executor",
-    "TaskMetrics",
-    "JobScheduler",
-    "StageMetrics",
     "SparkCostModel",
     "SparkJobEstimate",
     "SparkWorkload",
-    "DistributedLogisticRegression",
-    "DistributedKMeans",
 ]

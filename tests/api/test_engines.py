@@ -5,17 +5,14 @@ import pytest
 
 from repro.api import (
     ENGINE_REGISTRY,
-    DistributedEngine,
     ExecutionEngine,
     LocalEngine,
     Session,
     SimulatedEngine,
-    register_engine,
+    StreamingEngine,
     resolve_engine,
 )
-from repro.distributed.mllib import DistributedLogisticRegression
-from repro.ml import KMeans, LogisticRegression
-from repro.ml.naive_bayes import GaussianNaiveBayes
+from repro.ml import LogisticRegression
 from repro.vmem.vm_simulator import VirtualMemoryConfig
 
 
@@ -35,7 +32,7 @@ class TestResolveEngine:
     def test_by_name(self):
         assert isinstance(resolve_engine("local"), LocalEngine)
         assert isinstance(resolve_engine("simulated"), SimulatedEngine)
-        assert isinstance(resolve_engine("distributed"), DistributedEngine)
+        assert isinstance(resolve_engine("streaming"), StreamingEngine)
 
     def test_none_is_local(self):
         assert isinstance(resolve_engine(None), LocalEngine)
@@ -50,23 +47,22 @@ class TestResolveEngine:
             resolve_engine("gpu")
         with pytest.raises(TypeError):
             resolve_engine(42)
+        with pytest.raises(
+            ValueError,
+            match=r"unknown execution engine 'distributed' \(known: local, simulated, streaming\)",
+        ):
+            resolve_engine("distributed")
 
-    def test_register_custom(self):
+    def test_custom_engine_instance_through_fit(self, session_dataset):
+        # A substitute engine is passed as an instance; Session.fit dispatches
+        # to it like to a named engine, and the registry stays fixed.
         class EchoEngine(LocalEngine):
             name = "echo"
 
-        try:
-            register_engine(EchoEngine)
-            assert isinstance(resolve_engine("echo"), EchoEngine)
-        finally:
-            ENGINE_REGISTRY.pop("echo", None)
-
-    def test_register_requires_name(self):
-        class Anonymous(LocalEngine):
-            name = ""
-
-        with pytest.raises(ValueError, match="name"):
-            register_engine(Anonymous)
+        session, dataset, _, _ = session_dataset
+        result = session.fit(LogisticRegression(max_iterations=3), dataset, engine=EchoEngine())
+        assert result.engine == "echo"
+        assert "echo" not in ENGINE_REGISTRY
 
 
 class TestLocalEngine:
@@ -125,45 +121,8 @@ class TestSimulatedEngine:
         assert slow.simulation.wall_time_s > fast.simulation.wall_time_s
 
 
-class TestDistributedEngine:
-    def test_translates_logistic_regression(self, session_dataset):
-        session, dataset, X, y = session_dataset
-        local = session.fit(LogisticRegression(max_iterations=10), dataset)
-        distributed = session.fit(
-            LogisticRegression(max_iterations=10), dataset, engine="distributed"
-        )
-        assert isinstance(distributed.model, DistributedLogisticRegression)
-        assert distributed.details["aggregations"] > 0
-        agreement = np.mean(local.model.predict(X) == distributed.model.predict(X))
-        assert agreement > 0.95
-
-    def test_translates_kmeans(self, session_dataset):
-        session, dataset, _, _ = session_dataset
-        result = session.fit(
-            KMeans(n_clusters=3, max_iterations=5, seed=0), dataset, engine="distributed"
-        )
-        assert result.model.cluster_centers_.shape == (3, 6)
-        assert result.details["num_partitions"] == 8
-
-    def test_distributed_model_used_as_is(self, session_dataset):
-        session, dataset, _, _ = session_dataset
-        model = DistributedLogisticRegression(max_iterations=5, num_partitions=4)
-        result = session.fit(model, dataset, engine="distributed")
-        assert result.model is model
-        assert result.details["num_partitions"] == 4
-
-    def test_unsupported_model_rejected(self, session_dataset):
-        session, dataset, _, _ = session_dataset
-        with pytest.raises(TypeError, match="no counterpart"):
-            session.fit(GaussianNaiveBayes(), dataset, engine="distributed")
-
-    def test_invalid_partitions_rejected(self):
-        with pytest.raises(ValueError, match="num_partitions"):
-            DistributedEngine(num_partitions=0)
-
-
 class TestEngineProtocol:
     def test_engines_are_registered(self):
-        assert set(ENGINE_REGISTRY) >= {"local", "simulated", "distributed"}
+        assert set(ENGINE_REGISTRY) == {"local", "simulated", "streaming"}
         for engine_class in ENGINE_REGISTRY.values():
             assert issubclass(engine_class, ExecutionEngine)

@@ -8,20 +8,26 @@ request is framed, ordered and backpressured in one place — ``NetServer`` over
 convert, append — codes its blocks through one ``encode_blocks`` fan-out whose
 worker count nothing sets.  The paper's results are
 regenerated by one command — ``m3 reproduce``, no flags — over one
-``M3RuntimeModel``.  The parameter and flag sets below are what traffic sets
-or takes today (the CLI, the e2e workloads and their probes); a new option is
-a reviewed diff of this file, with the measurement that justifies it.
+``M3RuntimeModel``.  Training and inference run on one ML stack, behind three
+fixed engines (``local``, ``simulated``, ``streaming``).  The parameter and
+flag sets below are what traffic sets or takes today (the CLI, the e2e
+workloads and their probes); a new option is a reviewed diff of this file,
+with the measurement that justifies it.
 """
 
 import argparse
+import importlib
 import inspect
 
 import pytest
 
+import repro.api.engines
 import repro.cli
 import repro.core
+import repro.core.chunking
+import repro.distributed
 from repro.api import ChunkStream, Session, StreamingEngine, open_chunk_stream, plan_chunks
-from repro.api.engines import ExecutionEngine
+from repro.api.engines import ENGINE_REGISTRY, ExecutionEngine
 from repro.api.convert import convert_dataset
 from repro.api.sharded import (
     CompressedShardedMatrix,
@@ -175,11 +181,33 @@ def test_parameter_set(function, expected):
         (repro.profiling, "EnergyModel"),
         (repro.profiling, "Stopwatch"),
         (repro.profiling, "UtilizationReport"),
+        # One ML stack: the in-process mini-Spark and its engine are gone;
+        # repro.distributed holds only the paper-scale Spark cost model.
+        (repro.api, "DistributedEngine"),
+        (repro.api.engines, "DistributedEngine"),
+        (repro.api, "register_engine"),
+        (repro.api.engines, "register_engine"),
+        (repro.core.chunking, "split_evenly"),
+        (repro.distributed, "RDD"),
+        (repro.distributed, "JobScheduler"),
+        (repro.distributed, "Executor"),
+        (repro.distributed, "DistributedLogisticRegression"),
+        (repro.distributed, "DistributedKMeans"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
 def test_duplicate_path_is_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_three_fixed_engines():
+    assert set(ENGINE_REGISTRY) == {"local", "simulated", "streaming"}
+
+
+@pytest.mark.parametrize("module", ["rdd", "executor", "scheduler", "mllib"])
+def test_mini_spark_module_is_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(f"repro.distributed.{module}")
 
 
 def test_block_payload_carries_no_projection():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.chunking import ChunkPlan, iter_chunks, plan_chunks, split_evenly
+from repro.core.chunking import ChunkPlan, iter_chunks, plan_chunks
 from repro.vmem.trace import AccessKind
 
 
@@ -81,25 +81,3 @@ class TestPlanAndIterChunks:
     def test_plan_rejects_non_matrix(self):
         with pytest.raises(ValueError):
             plan_chunks(np.zeros(5), chunk_rows=2)
-
-
-class TestSplitEvenly:
-    def test_even_split(self):
-        assert split_evenly(10, 2) == [(0, 5), (5, 10)]
-
-    def test_uneven_split_distributes_remainder(self):
-        bounds = split_evenly(10, 3)
-        sizes = [stop - start for start, stop in bounds]
-        assert sum(sizes) == 10
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_parts_than_rows(self):
-        bounds = split_evenly(2, 4)
-        assert len(bounds) == 4
-        assert sum(stop - start for start, stop in bounds) == 2
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            split_evenly(5, 0)
-        with pytest.raises(ValueError):
-            split_evenly(-1, 2)

@@ -2,8 +2,7 @@
 
 These cover the full pipeline a user of the reproduction would run, including
 the projection of a recorded access pattern to paper scale through the
-virtual-memory simulator, and the distributed baseline trained on the same
-memory-mapped file.
+virtual-memory simulator.
 """
 
 import numpy as np
@@ -14,8 +13,7 @@ from repro.api import Session
 from repro.bench.m3_model import M3RuntimeModel, M3Workload
 from repro.core.chunking import plan_chunks
 from repro.data.writers import write_infimnist_dataset
-from repro.distributed import DistributedLogisticRegression
-from repro.ml import LogisticRegression, SoftmaxRegression
+from repro.ml import SoftmaxRegression
 from repro.ml.metrics import accuracy
 from repro.vmem.vm_simulator import VirtualMemoryConfig, VirtualMemorySimulator
 
@@ -70,18 +68,6 @@ class TestScaleProjection:
         )
         assert estimate.disk_utilization > 0.8
         assert 500 < estimate.wall_time_s < 10_000
-
-
-class TestDistributedBaselineOnSameData:
-    def test_distributed_lr_matches_single_machine(self, pipeline):
-        path, X, labels, _ = pipeline
-        binary = (labels >= 5).astype(np.int64)
-        local = LogisticRegression(max_iterations=8).fit(X, binary)
-        distributed = DistributedLogisticRegression(max_iterations=8, num_partitions=8).fit(
-            np.asarray(X), binary
-        )
-        agreement = np.mean(local.predict(X) == distributed.predict(np.asarray(X)))
-        assert agreement > 0.95
 
 
 class TestOutOfCorePipelineOnDisk:

@@ -78,18 +78,6 @@ class TestSameWorkloadEverywhere:
         np.testing.assert_array_equal(centers["memory"], centers["mmap"])
         np.testing.assert_array_equal(centers["memory"], centers["shard"])
 
-    def test_distributed_engine_agrees(self, session, problem):
-        X, y = problem
-        dataset = session.open(session.specs["mmap"])
-        local = session.fit(LogisticRegression(max_iterations=10), dataset)
-        distributed = session.fit(
-            LogisticRegression(max_iterations=10), dataset, engine="distributed"
-        )
-        agreement = float(
-            np.mean(local.model.predict(X) == distributed.model.predict(X))
-        )
-        assert agreement > 0.95
-
 
 class TestLegacyShimEquivalence:
     def test_open_dataset_shim_matches_session(self, session, problem, tmp_path):

@@ -1,50 +1,17 @@
-"""Property-based tests for the distributed substrate and the locality analysis."""
+"""Property-based tests for the Spark cost model and the locality analysis."""
 
 import hypothesis.strategies as st
-import numpy as np
 from hypothesis import given, settings
 
 from repro.bench.workloads import dataset_bytes_for_gb
 from repro.distributed.cluster import make_emr_cluster
 from repro.distributed.cost_model import SparkCostModel, SparkWorkload
-from repro.distributed.rdd import RDD
 from repro.vmem.locality import build_miss_ratio_curve, reuse_distances
 from repro.vmem.page_cache import PageCache, PageCacheConfig
 from repro.vmem.readahead import NoReadAhead
 from repro.vmem.trace import AccessTrace
 
 PAGE = 4096
-
-
-class TestRddProperties:
-    @given(
-        rows=st.integers(1, 80),
-        cols=st.integers(1, 6),
-        partitions=st.integers(1, 12),
-        seed=st.integers(0, 50),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_partitioned_sum_matches_direct_sum(self, rows, cols, partitions, seed):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(rows, cols))
-        rdd = RDD.from_matrix(X, None, num_partitions=partitions)
-        total = rdd.tree_aggregate(
-            np.zeros(cols),
-            lambda acc, part: acc + part[0].sum(axis=0),
-            lambda a, b: a + b,
-        )
-        np.testing.assert_allclose(total, X.sum(axis=0), atol=1e-9)
-        assert rdd.count() == rows
-
-    @given(
-        items=st.lists(st.integers(-1000, 1000), min_size=1, max_size=100),
-        partitions=st.integers(1, 10),
-    )
-    @settings(max_examples=40)
-    def test_collect_preserves_order_and_content(self, items, partitions):
-        rdd = RDD.from_iterable(items, num_partitions=partitions)
-        flattened = [item for part in rdd.collect() for item in part]
-        assert flattened == items
 
 
 class TestCostModelProperties:

@@ -5,7 +5,6 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis.extra.numpy import arrays
 
-from repro.core.chunking import split_evenly
 from repro.ml.cluster.kmeans import KMeans
 from repro.ml.linear_model.objectives import (
     LogisticRegressionObjective,
@@ -111,20 +110,3 @@ class TestKMeansProperties:
         # More clusters can only reduce (or keep) the optimal inertia; allow a
         # small tolerance because Lloyd's algorithm is a local method.
         assert larger.inertia_ <= small.inertia_ * 1.05 + 1e-9
-
-
-class TestSplitEvenlyProperties:
-    @given(n=st.integers(0, 5000), parts=st.integers(1, 64))
-    def test_split_partitions_exactly(self, n, parts):
-        bounds = split_evenly(n, parts)
-        assert len(bounds) == parts
-        total = 0
-        previous_end = 0
-        for start, stop in bounds:
-            assert start == previous_end
-            assert stop >= start
-            total += stop - start
-            previous_end = stop
-        assert total == n
-        sizes = [stop - start for start, stop in bounds]
-        assert max(sizes) - min(sizes) <= 1
