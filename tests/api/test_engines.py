@@ -34,6 +34,13 @@ class TestResolveEngine:
         assert isinstance(resolve_engine("simulated"), SimulatedEngine)
         assert isinstance(resolve_engine("streaming"), StreamingEngine)
 
+    @pytest.mark.parametrize("name", ["local", "simulated", "streaming"])
+    def test_each_name_builds_a_fresh_engine(self, name):
+        first, second = resolve_engine(name), resolve_engine(name)
+        assert type(first) is ENGINE_REGISTRY[name]
+        assert first.name == name
+        assert first is not second
+
     def test_none_is_local(self):
         assert isinstance(resolve_engine(None), LocalEngine)
 

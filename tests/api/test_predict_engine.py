@@ -167,6 +167,21 @@ class TestOtherEngines:
         assert result.simulation is not None
         assert result.details["simulated_wall_time_s"] > 0.0
 
+    def test_simulated_predict_over_shards(self, session, models, problem):
+        X, _ = problem
+        model = models["logistic"]
+        result = session.predict(session.specs["shard"], model, engine="simulated")
+        assert result.engine == "simulated"
+        assert np.array_equal(result.predictions, model.predict(np.asarray(X)))
+
+    def test_simulated_predict_proba(self, session, models, problem):
+        X, _ = problem
+        model = models["softmax"]
+        result = session.predict(
+            session.specs["mmap"], model, method="predict_proba", engine="simulated"
+        )
+        assert np.array_equal(result.predictions, model.predict_proba(np.asarray(X)))
+
 
 class TestProtocolErrors:
     def test_missing_method_rejected(self, session, models):

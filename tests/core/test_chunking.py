@@ -25,6 +25,19 @@ class TestChunkPlan:
         assert plan.row_bytes == 6272
         assert plan.total_bytes == 627200
 
+    def test_empty_plan_has_no_chunks(self):
+        plan = ChunkPlan(n_rows=0, n_cols=3, itemsize=8, chunk_rows=4)
+        assert plan.num_chunks == 0
+        assert list(plan.bounds()) == []
+        assert plan.total_bytes == 0
+        assert len(plan.to_trace()) == 0
+
+    def test_chunk_taller_than_matrix_is_one_chunk(self):
+        plan = ChunkPlan(n_rows=5, n_cols=2, itemsize=4, chunk_rows=100, data_offset=16)
+        assert plan.num_chunks == 1
+        assert list(plan.bounds()) == [(0, 5)]
+        assert list(plan.byte_ranges()) == [(16, 40)]
+
     def test_to_trace_single_pass(self):
         plan = ChunkPlan(n_rows=8, n_cols=2, itemsize=8, chunk_rows=4)
         trace = plan.to_trace(passes=1, cpu_seconds_per_byte=1e-9)
@@ -71,6 +84,14 @@ class TestPlanAndIterChunks:
 
         assert plan_chunks(FakeMatrix(), chunk_rows=2).data_offset == 128
 
+    def test_explicit_data_offset_wins(self):
+        class FakeMatrix:
+            shape = (4, 2)
+            dtype = np.dtype(np.float64)
+            data_offset = 128
+
+        assert plan_chunks(FakeMatrix(), chunk_rows=2, data_offset=256).data_offset == 256
+
     def test_iter_chunks_yields_float64_chunks(self):
         X = np.arange(12, dtype=np.float32).reshape(6, 2)
         chunks = list(iter_chunks(X, chunk_rows=4))
@@ -81,3 +102,14 @@ class TestPlanAndIterChunks:
     def test_plan_rejects_non_matrix(self):
         with pytest.raises(ValueError):
             plan_chunks(np.zeros(5), chunk_rows=2)
+
+    def test_iter_chunks_over_memmap(self, tmp_path):
+        X = np.arange(30, dtype=np.float64).reshape(10, 3)
+        mapped = np.memmap(tmp_path / "x.bin", dtype=np.float64, mode="w+", shape=X.shape)
+        mapped[:] = X
+        mapped.flush()
+        reopened = np.memmap(tmp_path / "x.bin", dtype=np.float64, mode="r", shape=X.shape)
+        chunks = list(iter_chunks(reopened, chunk_rows=4))
+        assert [chunk.shape[0] for chunk in chunks] == [4, 4, 2]
+        assert all(type(chunk) is np.ndarray for chunk in chunks)
+        np.testing.assert_array_equal(np.vstack(chunks), X)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import repro.core as m3
-from repro.api import Session
+from repro.api import Session, StreamingEngine
 from repro.bench.m3_model import M3RuntimeModel, M3Workload
 from repro.core.chunking import plan_chunks
 from repro.data.writers import write_infimnist_dataset
@@ -68,6 +68,17 @@ class TestScaleProjection:
         )
         assert estimate.disk_utilization > 0.8
         assert 500 < estimate.wall_time_s < 10_000
+
+
+class TestStreamingOnSameData:
+    def test_streaming_predict_matches_in_core(self, pipeline):
+        path, X, _, model = pipeline
+        with Session() as session:
+            result = session.predict(
+                f"mmap://{path}", model, engine=StreamingEngine(chunk_rows=128)
+            )
+        assert result.n_rows == X.shape[0]
+        assert np.array_equal(result.predictions, model.predict(np.asarray(X)))
 
 
 class TestOutOfCorePipelineOnDisk:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.ml import KMeans, LogisticRegression
+from repro.ml import GaussianNaiveBayes, KMeans, LogisticRegression
 
 BACKENDS = ["memory", "mmap", "shard"]
 LOCAL_ENGINES = ["local", "simulated"]
@@ -77,6 +77,18 @@ class TestSameWorkloadEverywhere:
             centers[backend] = result.model.cluster_centers_
         np.testing.assert_array_equal(centers["memory"], centers["mmap"])
         np.testing.assert_array_equal(centers["memory"], centers["shard"])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_streaming_fit_matches_local(self, session, problem, backend):
+        X, y = problem
+        dataset = session.open(session.specs[backend])
+        local = session.fit(GaussianNaiveBayes(chunk_size=64), dataset)
+        streamed = session.fit(GaussianNaiveBayes(chunk_size=64), dataset, engine="streaming")
+        assert streamed.engine == "streaming"
+        np.testing.assert_allclose(streamed.model.theta_, local.model.theta_, rtol=1e-12)
+        np.testing.assert_allclose(streamed.model.var_, local.model.var_, rtol=1e-9)
+        np.testing.assert_array_equal(streamed.model.class_prior_, local.model.class_prior_)
+        assert streamed.model.score(X, y) > 0.7
 
 
 class TestLegacyShimEquivalence:

@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis.extra.numpy import arrays
 
+from repro.core.chunking import ChunkPlan
 from repro.ml.cluster.kmeans import KMeans
 from repro.ml.linear_model.objectives import (
     LogisticRegressionObjective,
@@ -110,3 +111,35 @@ class TestKMeansProperties:
         # More clusters can only reduce (or keep) the optimal inertia; allow a
         # small tolerance because Lloyd's algorithm is a local method.
         assert larger.inertia_ <= small.inertia_ * 1.05 + 1e-9
+
+
+class TestChunkPlanProperties:
+    @given(n=st.integers(0, 5000), chunk_rows=st.integers(1, 700))
+    def test_bounds_partition_rows_exactly(self, n, chunk_rows):
+        plan = ChunkPlan(n_rows=n, n_cols=3, itemsize=8, chunk_rows=chunk_rows)
+        bounds = list(plan.bounds())
+        assert len(bounds) == plan.num_chunks
+        previous_end = 0
+        for start, stop in bounds:
+            assert start == previous_end
+            assert 0 < stop - start <= chunk_rows
+            previous_end = stop
+        assert previous_end == n
+        # Every chunk but the last is full.
+        assert all(stop - start == chunk_rows for start, stop in bounds[:-1])
+
+    @given(
+        n=st.integers(0, 2000),
+        cols=st.integers(1, 16),
+        itemsize=st.sampled_from([4, 8]),
+        chunk_rows=st.integers(1, 300),
+        offset=st.integers(0, 4096),
+    )
+    def test_byte_ranges_tile_the_matrix(self, n, cols, itemsize, chunk_rows, offset):
+        plan = ChunkPlan(n, cols, itemsize, chunk_rows, data_offset=offset)
+        cursor = offset
+        for byte_offset, length in plan.byte_ranges():
+            assert byte_offset == cursor
+            assert length % plan.row_bytes == 0
+            cursor += length
+        assert cursor - offset == plan.total_bytes
