@@ -332,16 +332,13 @@ under any single-site fault plan a fit completes **bit-identical** to the
 fault-free baseline or raises a documented typed error — never a hang,
 never a leak, never a silently different model.
 
-From Table 1's helpers (plain functions over a session) to the session::
+Table 1's one changed line, and what the session adds around it::
 
-    # helper                                # session
-    X, y = m3.open_dataset("d.m3")          ds = session.open("mmap://d.m3")
-                                            X, y = ds.arrays()
-    m3.create_dataset("d.m3", X, y)         session.create("mmap://d.m3", X, y)
-    m3.open_dataset("d.m3",                 session.open(spec, record_trace=True)
-                    record_trace=True)      ds.trace          (per handle)
-    model.fit(X, y)                         session.fit(model, ds)   # pick an
-                                            # engine: local/simulated/streaming
+    X, y = session.open("mmap://d.m3").arrays()   # the changed line
+    model.fit(X, y)                               # unchanged
+    session.create("mmap://d.m3", X, y)           # write a dataset file
+    session.open(spec, record_trace=True).trace   # access pattern, per handle
+    session.fit(model, ds, engine="streaming")    # or local / simulated
 
 Run with::
 

@@ -11,8 +11,7 @@ its evaluation:
   :class:`~repro.api.Dataset` handles, and dispatching ``session.fit`` to
   execution engines (``local``, ``simulated``, ``streaming``).
 * :mod:`repro.core` — the original M3 primitives (memory-mapped matrices,
-  ``mmap_alloc``, access advice) plus Table 1's ``open_dataset`` helpers,
-  plain functions over the unified API.
+  ``mmap_alloc``, access advice).
 * :mod:`repro.ml` — the machine learning library being scaled (L-BFGS logistic
   regression, k-means, and friends), written against the plain row-slicing
   protocol so in-memory, memory-mapped and sharded data are interchangeable.
@@ -28,36 +27,28 @@ its evaluation:
 * :mod:`repro.profiling` — the ``/proc/self/io`` + CPU-time sampler for real
   runs.
 
-From Table 1's helpers to the unified API
------------------------------------------
+Table 1's one-line change
+-------------------------
 
-==============================================  ==============================================
-Helper (a plain function over a Session)        Session
-==============================================  ==============================================
-``X, y = m3.open_dataset("d.m3")``              ``ds = session.open("mmap://d.m3")`` then
-                                                ``X, y = ds.arrays()``
-``m3.create_dataset("d.m3", X, y)``             ``session.create("mmap://d.m3", X, y)``
-``m3.open_dataset("d.m3", record_trace=True)``  ``session.open(spec, record_trace=True)`` +
-then ``X.trace``                                ``ds.trace`` (per handle, thread safe)
-``model.fit(X, y)`` by hand                     ``session.fit(model, ds)`` — pick the engine
-                                                with ``engine="local" | "simulated" |
-                                                "streaming"``
-(no equivalent)                                 ``session.info(spec)`` / CLI ``m3 info``
-(no equivalent)                                 ``session.create("shard://dir/", X, y)`` —
-                                                matrix sharded across multiple files
-==============================================  ==============================================
+.. code-block:: python
+
+    from repro import LogisticRegression, Session
+
+    with Session() as session:
+        X, y = session.open("mmap://d.m3").arrays()              # the changed line
+        model = LogisticRegression(max_iterations=10).fit(X, y)  # unchanged
+
+``session.create("mmap://d.m3", X, y)`` writes such a file
+(``"shard://dir/"`` shards the matrix across files);
+``session.open(spec, record_trace=True).trace`` records one handle's access
+pattern; ``session.fit(model, ds, engine="local" | "simulated" |
+"streaming")`` picks an execution engine; ``session.info(spec)`` (CLI
+``m3 info``) describes a dataset without loading it.
 """
 
 from repro import api, bench, core, data, distributed, ml, profiling, vmem
 from repro.api import Dataset, FitResult, Session
-from repro.core import (
-    M3Config,
-    MmapMatrix,
-    create_dataset,
-    load_matrix,
-    mmap_alloc,
-    open_dataset,
-)
+from repro.core import MmapMatrix, mmap_alloc
 from repro.ml import KMeans, LogisticRegression, SoftmaxRegression
 
 __version__ = "1.1.0"
@@ -75,12 +66,8 @@ __all__ = [
     "Session",
     "Dataset",
     "FitResult",
-    "M3Config",
     "MmapMatrix",
     "mmap_alloc",
-    "create_dataset",
-    "open_dataset",
-    "load_matrix",
     "LogisticRegression",
     "SoftmaxRegression",
     "KMeans",

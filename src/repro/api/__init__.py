@@ -53,8 +53,8 @@ Every engine implements both halves of the lifecycle: ``Session.fit`` trains,
                  ``predict``, with hot-swap and backpressure.
 ===============  ============================================================
 
-Table 1's ``repro.core.open_dataset`` / ``load_matrix`` helpers are plain
-functions over this API.
+Table 1's one-line change is ``X, y = session.open("mmap://d.m3").arrays()``:
+the estimator code after it is untouched.
 """
 
 from repro.api.chunks import (
@@ -99,7 +99,6 @@ from repro.api.storage import (
     StorageHandle,
     make_backend,
     parse_spec,
-    register_backend,
 )
 
 __all__ = [
@@ -117,7 +116,6 @@ __all__ = [
     "DatasetSpec",
     "parse_spec",
     "make_backend",
-    "register_backend",
     # sharded format
     "ShardedMatrix",
     "ShardedLabels",

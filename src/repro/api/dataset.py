@@ -1,8 +1,7 @@
 """The :class:`Dataset` handle — one open dataset, one object.
 
-A ``Dataset`` bundles what ``core.open_dataset`` used to return as a bare
-``(matrix, labels)`` tuple, and fixes the parts of that design that could not
-scale:
+A ``Dataset`` bundles the ``(matrix, labels)`` pair an estimator trains on
+(``dataset.arrays()``) with what a bare tuple cannot carry:
 
 * the access trace is **per handle** (``dataset.trace``), never shared
   mutable state, so concurrent opens cannot clobber each other's traces;
@@ -110,7 +109,7 @@ class Dataset:
         return self._handle.labels is not None
 
     def arrays(self) -> Tuple[MmapMatrix, Optional[np.ndarray]]:
-        """The ``(matrix, labels)`` pair — the old ``open_dataset`` shape."""
+        """The ``(matrix, labels)`` pair — Table 1's one changed line."""
         return self.matrix, self.labels
 
     # -- geometry ----------------------------------------------------------

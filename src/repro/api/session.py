@@ -1,9 +1,9 @@
 """The :class:`Session` — the single entry point of the unified M3 API.
 
-A ``Session`` owns an :class:`~repro.core.config.M3Config`, resolves
-URI-style dataset specs to :class:`~repro.api.storage.StorageBackend`
-instances, hands out :class:`~repro.api.Dataset` handles, and dispatches
-training (:meth:`Session.fit`) and serving (:meth:`Session.predict`) to an
+A ``Session`` resolves URI-style dataset specs to
+:class:`~repro.api.storage.StorageBackend` instances, hands out
+:class:`~repro.api.Dataset` handles, and dispatches training
+(:meth:`Session.fit`) and serving (:meth:`Session.predict`) to an
 :class:`~repro.api.engines.ExecutionEngine`:
 
 .. code-block:: python
@@ -51,7 +51,6 @@ from repro.api.storage import (
     parse_spec,
 )
 from repro.core.advice import AccessAdvice
-from repro.core.config import M3Config
 
 PoolKey = Tuple[str, str, str, Any]  # (scheme, location, mode, advice)
 
@@ -177,12 +176,10 @@ class HandlePool:
 
 
 class Session:
-    """Owns configuration, storage backends and execution engines.
+    """Owns storage backends, open datasets and the default execution engine.
 
     Parameters
     ----------
-    config:
-        Runtime configuration; see :class:`~repro.core.config.M3Config`.
     engine:
         Default execution engine for :meth:`fit` — a name (``"local"``,
         ``"simulated"``, ``"streaming"``), an
@@ -216,12 +213,10 @@ class Session:
 
     def __init__(
         self,
-        config: Optional[M3Config] = None,
         engine: Union[str, ExecutionEngine, None] = None,
         handle_pool_size: int = 8,
         faults: Union[str, "FaultPlan", None] = None,
     ) -> None:
-        self.config = config or M3Config()
         self.default_engine = resolve_engine(engine)
         # Re-entrant: open() resolves backends (which re-locks) and close()
         # re-enters through each dataset's _forget hook.
@@ -255,14 +250,16 @@ class Session:
     def open(
         self,
         spec: SpecLike,
-        mode: Optional[str] = None,
-        advice: Optional[AccessAdvice] = None,
-        record_trace: Optional[bool] = None,
+        mode: str = "r",
+        advice: AccessAdvice = AccessAdvice.SEQUENTIAL,
+        record_trace: bool = False,
     ) -> Dataset:
         """Open the dataset at ``spec`` and return a :class:`Dataset` handle.
 
-        ``mode``, ``advice`` and ``record_trace`` default to the session
-        config's ``mode``, ``default_advice`` and ``record_traces``.
+        ``mode`` is the ``numpy.memmap`` mode (read-only by default),
+        ``advice`` the access advice applied to the mapping (sequential, the
+        order every algorithm in the paper scans its rows), and
+        ``record_trace=True`` attaches a fresh access trace to the handle.
 
         Handles are served through the session's :class:`HandlePool`: while a
         spec is hot, repeated opens share one set of backend resources.  The
@@ -273,24 +270,20 @@ class Session:
         """
         self._check_open()
         parsed, backend = self._resolve(spec)
-        resolved_mode = mode or self.config.mode
-        resolved_advice = advice or self.config.default_advice
         # Advice is part of the key: madvise applies to the whole mapping, so
         # handles are only shared between opens that want the same advice.
         with self._lock:
             entry = self._pool.acquire(
-                (parsed.scheme, parsed.location, resolved_mode, resolved_advice),
-                opener=lambda: backend.open(parsed.location, mode=resolved_mode),
+                (parsed.scheme, parsed.location, mode, advice),
+                opener=lambda: backend.open(parsed.location, mode=mode),
                 fingerprint=lambda: backend.fingerprint(parsed.location),
             )
             dataset = Dataset(
                 entry.handle,
                 spec=str(parsed),
                 backend=backend,
-                advice=resolved_advice,
-                record_trace=(
-                    self.config.record_traces if record_trace is None else record_trace
-                ),
+                advice=advice,
+                record_trace=record_trace,
                 on_close=lambda closed: self._forget(closed, entry),
                 on_flush=lambda _dataset: self._invalidate(entry),
             )
@@ -361,7 +354,7 @@ class Session:
         data: np.ndarray,
         labels: Optional[np.ndarray] = None,
         name: str = "anonymous",
-        record_trace: Optional[bool] = None,
+        record_trace: bool = False,
     ) -> Dataset:
         """Wrap in-memory arrays as a :class:`Dataset` on the memory backend."""
         self._check_open()
@@ -380,21 +373,6 @@ class Session:
         self._check_open()
         parsed, backend = self._resolve(spec)
         return backend.exists(parsed.location)
-
-    def release(self, dataset: Dataset) -> Dataset:
-        """Stop tracking ``dataset``; its lifecycle becomes the caller's.
-
-        Released datasets are not closed when the session closes — used by
-        :func:`repro.core.open_dataset`, whose callers expect
-        garbage-collection semantics for the handles behind their bare
-        ``(matrix, labels)`` tuples.
-        """
-        with self._lock:
-            try:
-                self._datasets.remove(dataset)
-            except ValueError:
-                pass
-        return dataset
 
     # -- training ----------------------------------------------------------
 
@@ -564,8 +542,7 @@ class Session:
     def close(self) -> None:
         """Close every dataset the session opened.  Idempotent.
 
-        Released datasets (see :meth:`release`) keep their handles; any other
-        idle pooled handles are closed with the session.
+        Idle pooled handles are closed with the session.
         """
         with self._lock:
             if self._closed:

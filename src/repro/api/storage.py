@@ -312,17 +312,11 @@ class ShardedBackend(StorageBackend):
 
     scheme = "shard"
 
-    def __init__(self, default_shard_rows: Optional[int] = None) -> None:
-        self.default_shard_rows = default_shard_rows
-
-    def open(
-        self, location: str, mode: str = "r", generation: Optional[int] = None
-    ) -> StorageHandle:
+    def open(self, location: str, mode: str = "r") -> StorageHandle:
         # Dispatches on the manifest: raw v1 directories open memmap-backed,
-        # compressed v2 directories open as a CompressedShardedMatrix.
-        # ``generation`` pins the open to one committed manifest generation
-        # (None = latest); the matrix is a snapshot of that generation.
-        matrix = open_sharded_matrix(Path(location), mode=mode, generation=generation)
+        # compressed v2 directories open as a CompressedShardedMatrix.  The
+        # matrix is a snapshot of the latest committed generation.
+        matrix = open_sharded_matrix(Path(location), mode=mode)
         metadata = {
             "backend": self.scheme,
             "path": str(Path(location)),
@@ -369,26 +363,16 @@ class ShardedBackend(StorageBackend):
         labels: Optional[np.ndarray] = None,
         **options: Any,
     ) -> str:
-        shard_rows = options.pop("shard_rows", None) or self.default_shard_rows
+        # Block geometry, storage dtype and layout are set through
+        # write_sharded_dataset or m3 convert.
+        shard_rows = options.pop("shard_rows", None)
         codec = options.pop("codec", None)
-        block_rows = options.pop("block_rows", None)
-        storage_dtype = options.pop("storage_dtype", None)
-        layout = options.pop("layout", None)
         _reject_options(self.scheme, options)
         data = np.asarray(data)
-        if shard_rows is None:
+        if not shard_rows:
             # Default to ~4 shards so small datasets still exercise stitching.
             shard_rows = max(1, -(-int(data.shape[0]) // 4))
-        write_sharded_dataset(
-            Path(location),
-            data,
-            labels,
-            shard_rows=shard_rows,
-            codec=codec,
-            block_rows=block_rows,
-            storage_dtype=storage_dtype,
-            layout=layout or "row",
-        )
+        write_sharded_dataset(Path(location), data, labels, shard_rows=shard_rows, codec=codec)
         return location
 
     def info(self, location: str) -> Dict[str, Any]:
@@ -444,7 +428,6 @@ class ShardedBackend(StorageBackend):
         location: str,
         data: np.ndarray,
         labels: Optional[np.ndarray] = None,
-        shard_rows: Optional[int] = None,
         trace: Any = None,
     ) -> int:
         """Append rows to the dataset, committing one new generation.
@@ -457,11 +440,7 @@ class ShardedBackend(StorageBackend):
         last block.  For sustained streams, hold a
         :class:`~repro.api.sharded.ShardAppender` directly and skip both.
         """
-        appender = ShardAppender(
-            Path(location),
-            shard_rows=shard_rows or self.default_shard_rows,
-            trace=trace,
-        )
+        appender = ShardAppender(Path(location), trace=trace)
         return appender.append(data, labels).generation
 
     def fingerprint(self, location: str) -> Any:
@@ -487,7 +466,7 @@ class ShardedBackend(StorageBackend):
         return tuple(tokens)
 
 
-#: Default backend classes, keyed by URI scheme.
+#: The backend classes, keyed by URI scheme.
 BACKEND_REGISTRY: Dict[str, Type[StorageBackend]] = {
     MemoryBackend.scheme: MemoryBackend,
     MmapBackend.scheme: MmapBackend,
@@ -495,16 +474,8 @@ BACKEND_REGISTRY: Dict[str, Type[StorageBackend]] = {
 }
 
 
-def register_backend(backend_class: Type[StorageBackend]) -> Type[StorageBackend]:
-    """Register a backend class under its ``scheme`` (usable as a decorator)."""
-    if not backend_class.scheme:
-        raise ValueError(f"{backend_class.__name__} must define a non-empty scheme")
-    BACKEND_REGISTRY[backend_class.scheme] = backend_class
-    return backend_class
-
-
 def make_backend(scheme: str) -> StorageBackend:
-    """Instantiate the registered backend for ``scheme``."""
+    """Instantiate the backend for ``scheme``."""
     try:
         backend_class = BACKEND_REGISTRY[scheme]
     except KeyError:

@@ -7,10 +7,10 @@ machine — hardware this reproduction does not have.  The estimation pipeline:
    logistic regression or k-means from :mod:`repro.ml`) on a small, genuinely
    memory-mapped dataset and counting how many full sequential passes over the
    data it makes (function evaluations for L-BFGS, iterations for k-means).
-2. *Scale the pattern* to the target dataset size as a
-   :class:`~repro.core.chunking.ChunkPlan` trace: the same number of
-   sequential passes over a file of the paper's size, with a per-byte CPU
-   cost representing the paper's CPU (so CPU utilisation lands near the
+2. *Scale the pattern* to the target dataset size as an
+   :class:`~repro.vmem.trace.AccessTrace`: the same number of sequential
+   chunk-by-chunk passes over a file of the paper's size, with a per-byte
+   CPU cost representing the paper's CPU (so CPU utilisation lands near the
    reported ~13 %).
 3. *Replay* the trace in :class:`~repro.vmem.VirtualMemorySimulator`
    configured with the paper's 32 GB RAM and PCIe-SSD profile, yielding wall
@@ -35,12 +35,12 @@ from repro.bench.workloads import (
     PAPER_NUM_FEATURES,
     PAPER_RAM_BYTES,
 )
-from repro.core.chunking import ChunkPlan
 from repro.data.synthetic import make_classification
 from repro.ml.cluster.kmeans import KMeans
 from repro.ml.linear_model.logistic_regression import LogisticRegression
 from repro.vmem.disk import DiskProfile, NVME_SSD
 from repro.vmem.readahead import FixedReadAhead
+from repro.vmem.trace import AccessTrace
 from repro.vmem.vm_simulator import VirtualMemoryConfig, VirtualMemorySimulator
 
 
@@ -203,25 +203,23 @@ class M3RuntimeModel:
         """Simulate ``workload`` over a dataset of ``dataset_bytes`` bytes."""
         if dataset_bytes <= 0:
             raise ValueError("dataset_bytes must be positive")
-        n_rows = max(1, dataset_bytes // BYTES_PER_IMAGE)
-        plan = ChunkPlan(
-            n_rows=int(n_rows),
-            n_cols=PAPER_NUM_FEATURES,
-            itemsize=8,
-            chunk_rows=self.chunk_rows,
-        )
+        n_rows = int(max(1, dataset_bytes // BYTES_PER_IMAGE))
+        row_bytes = PAPER_NUM_FEATURES * 8  # float64 rows
+        # One pass: consecutive ``chunk_rows``-row reads, front to back.
+        chunks = [
+            (start * row_bytes, (min(start + self.chunk_rows, n_rows) - start) * row_bytes)
+            for start in range(0, n_rows, self.chunk_rows)
+        ]
+        trace = AccessTrace(description=f"{workload.name} x{workload.passes} passes")
         whole_passes = int(workload.passes)
-        trace = plan.to_trace(
-            passes=max(1, whole_passes),
-            cpu_seconds_per_byte=1.0 / workload.cpu_bytes_per_s,
-            description=f"{workload.name} x{workload.passes} passes",
-        )
+        cpu_seconds_per_byte = 1.0 / workload.cpu_bytes_per_s
+        for _ in range(max(1, whole_passes)):
+            for offset, length in chunks:
+                trace.record(offset, length, cpu_cost_s=length * cpu_seconds_per_byte)
         # Fractional passes (e.g. 12.5) are appended as a prefix of one more pass.
         fraction = workload.passes - whole_passes
         if fraction > 1e-9:
-            extra_ranges = list(plan.byte_ranges())
-            keep = int(len(extra_ranges) * fraction)
-            for offset, length in extra_ranges[:keep]:
+            for offset, length in chunks[: int(len(chunks) * fraction)]:
                 trace.record(offset, length, cpu_cost_s=length / workload.cpu_bytes_per_s)
 
         config = VirtualMemoryConfig(
@@ -231,7 +229,7 @@ class M3RuntimeModel:
             disk_profile=self.disk_profile,
         )
         simulator = VirtualMemorySimulator(config)
-        result = simulator.run_trace(trace, file_bytes=plan.total_bytes)
+        result = simulator.run_trace(trace, file_bytes=n_rows * row_bytes)
         stats = result.io_stats
         return M3RunEstimate(
             workload=workload.name,

@@ -94,21 +94,3 @@ def mmap_alloc(
                 handle.truncate(required)
 
     return np.memmap(path, dtype=dtype, mode=mode, offset=offset, shape=shape, order="C")
-
-
-def mmap_free(array: np.memmap, flush: bool = True) -> None:
-    """Release a mapping created by :func:`mmap_alloc`.
-
-    NumPy unmaps automatically when the last reference dies; this helper just
-    makes the intent explicit (and optionally flushes dirty pages first), which
-    matters in long-running processes that map many large files.
-    """
-    if not isinstance(array, np.memmap):
-        raise TypeError(f"expected numpy.memmap, got {type(array).__name__}")
-    if flush and getattr(array, "mode", "r") != "r":
-        array.flush()
-    base = array._mmap  # noqa: SLF001 - numpy does not expose a public handle
-    if base is not None:
-        # Dropping our reference is sufficient; closing eagerly would
-        # invalidate other views. We only flush + drop.
-        del base

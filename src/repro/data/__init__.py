@@ -10,14 +10,13 @@ deformations and noise — preserving what the experiments need: an arbitrarily
 large, dense, learnable matrix of 28×28 grayscale digit images.
 
 The package also provides the on-disk formats (a raw dense binary matrix
-format suitable for memory mapping, plus CSV/libsvm text loaders), synthetic
-Gaussian-blob generators used by unit tests, chunked out-of-core writers and a
-small dataset catalog.
+format suitable for memory mapping), synthetic Gaussian-blob generators used
+by unit tests, and chunked out-of-core writers.
 """
 
 from repro.data.digits import DIGIT_TEMPLATES, render_digit
 from repro.data.deformations import DeformationParams, deform_image
-from repro.data.infimnist import InfimnistGenerator, IMAGE_SHAPE, NUM_FEATURES
+from repro.data.infimnist import InfimnistGenerator, NUM_FEATURES
 from repro.data.formats import (
     BinaryMatrixHeader,
     create_binary_matrix,
@@ -25,10 +24,8 @@ from repro.data.formats import (
     read_binary_matrix_header,
     write_binary_matrix,
 )
-from repro.data.loaders import load_csv_matrix, load_libsvm, save_csv_matrix, save_libsvm
 from repro.data.synthetic import make_blobs, make_classification, make_low_rank_matrix
 from repro.data.writers import OutOfCoreWriter, write_infimnist_dataset
-from repro.data.catalog import DatasetCatalog, DatasetEntry
 
 __all__ = [
     "DIGIT_TEMPLATES",
@@ -36,22 +33,15 @@ __all__ = [
     "DeformationParams",
     "deform_image",
     "InfimnistGenerator",
-    "IMAGE_SHAPE",
     "NUM_FEATURES",
     "BinaryMatrixHeader",
     "create_binary_matrix",
     "open_binary_matrix",
     "read_binary_matrix_header",
     "write_binary_matrix",
-    "load_csv_matrix",
-    "save_csv_matrix",
-    "load_libsvm",
-    "save_libsvm",
     "make_blobs",
     "make_classification",
     "make_low_rank_matrix",
     "OutOfCoreWriter",
     "write_infimnist_dataset",
-    "DatasetCatalog",
-    "DatasetEntry",
 ]

@@ -24,9 +24,6 @@ import numpy as np
 from repro.data.deformations import DeformationParams, deform_image
 from repro.data.digits import IMAGE_SIZE, render_digit
 
-IMAGE_SHAPE = (IMAGE_SIZE, IMAGE_SIZE)
-"""Shape of a single generated image."""
-
 NUM_FEATURES = IMAGE_SIZE * IMAGE_SIZE
 """Number of features per image (784, as in MNIST/Infimnist)."""
 

@@ -10,8 +10,8 @@ fitted models are bit-for-bit identical across all three.
 
 Contents:
 
-* :mod:`repro.ml.optim` — L-BFGS (the optimiser used in the paper), plain
-  gradient descent, SGD, and backtracking/Wolfe line searches.
+* :mod:`repro.ml.optim` — L-BFGS (the optimiser used in the paper) and its
+  strong-Wolfe line search.
 * :mod:`repro.ml.linear_model` — binary logistic regression, multinomial
   (softmax) regression, and linear regression.
 * :mod:`repro.ml.cluster` — Lloyd's k-means, mini-batch k-means, k-means++.
@@ -31,13 +31,7 @@ from repro.ml.base import (
     TransformerMixin,
 )
 from repro.ml.persistence import load_model, save_model
-from repro.ml.optim import (
-    GradientDescent,
-    LBFGS,
-    OptimizationResult,
-    SGD,
-    DifferentiableObjective,
-)
+from repro.ml.optim import LBFGS, OptimizationResult, DifferentiableObjective
 from repro.ml.linear_model import LinearRegression, LogisticRegression, SoftmaxRegression
 from repro.ml.cluster import KMeans, MiniBatchKMeans, kmeans_plus_plus_init
 from repro.ml.naive_bayes import GaussianNaiveBayes
@@ -55,8 +49,6 @@ __all__ = [
     "save_model",
     "load_model",
     "LBFGS",
-    "GradientDescent",
-    "SGD",
     "OptimizationResult",
     "DifferentiableObjective",
     "LogisticRegression",

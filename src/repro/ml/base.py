@@ -34,7 +34,11 @@ def as_matrix(X: Any) -> Any:
 
 
 def as_labels(y: Any, n_rows: int) -> np.ndarray:
-    """Validate a label vector and return it as a 1-D int64 array."""
+    """Check ``y`` is 1-D with one entry per row; return ``np.asarray(y)``.
+
+    The dtype is left as given: estimators that need integer classes
+    encode them themselves.
+    """
     y = np.asarray(y)
     if y.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {y.shape}")

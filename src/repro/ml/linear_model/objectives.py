@@ -7,8 +7,8 @@ piece of code whose access pattern the virtual-memory simulator replays to
 obtain paper-scale runtimes: one ``value_and_gradient`` call is one sequential
 pass over the file.
 
-All objectives also implement the mini-batch protocol required by
-:class:`repro.ml.optim.sgd.SGD`.
+``batch_value_and_gradient`` evaluates one row range, the mini-batch the
+``solver="sgd"`` path (:mod:`repro.ml.linear_model.sgd_streaming`) updates on.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ class _ChunkedObjective(DifferentiableObjective):
         self.chunk_size = chunk_size
         self.n_samples = int(self.X.shape[0])
         self.n_features = int(self.X.shape[1])
-
-    def num_examples(self) -> int:
-        return self.n_samples
 
     def _chunk_value_and_gradient(
         self, params: np.ndarray, chunk: Any, targets: np.ndarray

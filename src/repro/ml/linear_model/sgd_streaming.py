@@ -2,7 +2,7 @@
 
 :class:`LogisticRegression` and :class:`SoftmaxRegression` train their
 ``solver="sgd"`` path through the exact same loop: per-chunk mini-batch
-updates with the :class:`~repro.ml.optim.sgd.SGD` learning-rate schedule,
+updates with an inverse-scaling learning rate ``η₀ / (1 + decay · t)``,
 epoch-loss convergence checks at pass boundaries, and an
 :class:`~repro.ml.optim.result.OptimizationResult` assembled from the
 accumulated state.  This module holds that machinery once; the concrete
@@ -18,7 +18,11 @@ import numpy as np
 
 from repro.ml.base import StreamingEstimator, as_labels, as_matrix, iter_row_chunks
 from repro.ml.optim.result import OptimizationResult
-from repro.ml.optim.sgd import SGD
+
+#: Initial learning rate ``η₀`` of every SGD update.
+SGD_LEARNING_RATE = 0.1
+#: The learning rate at update ``t`` is ``η₀ / (1 + SGD_DECAY · t)``.
+SGD_DECAY = 1e-3
 
 
 class SGDStreamState:
@@ -96,11 +100,10 @@ class LinearSGDStreamingMixin(StreamingEstimator):
 
         encoded = encode_labels(state.classes, y)
         objective = self._stream_objective(X, encoded, state.classes)
-        schedule = SGD()  # default η₀ / decay — the schedule SGD.minimize uses
         params = state.params
         for start, stop in iter_row_chunks(X, self.chunk_size):
             loss, grad = objective.batch_value_and_gradient(params, start, stop)
-            lr = schedule.learning_rate / (1.0 + schedule.decay * state.step)
+            lr = SGD_LEARNING_RATE / (1.0 + SGD_DECAY * state.step)
             params = params - lr * grad
             state.step += 1
             state.evaluations += 1

@@ -16,69 +16,6 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def log_loss(y_true: np.ndarray, probabilities: np.ndarray, eps: float = 1e-15) -> float:
-    """Mean negative log-likelihood of binary predictions.
-
-    ``probabilities`` is the predicted probability of class 1.
-    """
-    y_true = np.asarray(y_true, dtype=np.float64)
-    probabilities = np.clip(np.asarray(probabilities, dtype=np.float64), eps, 1.0 - eps)
-    if y_true.shape != probabilities.shape:
-        raise ValueError(f"shape mismatch: {y_true.shape} vs {probabilities.shape}")
-    return float(
-        -np.mean(y_true * np.log(probabilities) + (1.0 - y_true) * np.log(1.0 - probabilities))
-    )
-
-
-def mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean of squared residuals."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
-    return float(np.mean((y_true - y_pred) ** 2))
-
-
-def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Coefficient of determination."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    residual = float(np.sum((y_true - y_pred) ** 2))
-    total = float(np.sum((y_true - y_true.mean()) ** 2))
-    if total == 0.0:
-        # A constant target: perfect score if the residuals are (numerically) zero.
-        return 1.0 if residual <= 1e-10 * max(1, y_true.size) else 0.0
-    return 1.0 - residual / total
-
-
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
-    """Confusion matrix with rows = true classes, columns = predicted classes.
-
-    Classes are the sorted union of labels appearing in either vector.
-    """
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
-    classes = np.unique(np.concatenate([y_true, y_pred]))
-    index_of = {label: i for i, label in enumerate(classes)}
-    matrix = np.zeros((classes.shape[0], classes.shape[0]), dtype=np.int64)
-    for true_label, pred_label in zip(y_true, y_pred):
-        matrix[index_of[true_label], index_of[pred_label]] += 1
-    return matrix
-
-
-def inertia(X: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> float:
-    """Sum of squared distances of each row to its assigned centroid."""
-    X = np.asarray(X, dtype=np.float64)
-    centroids = np.asarray(centroids, dtype=np.float64)
-    assignments = np.asarray(assignments)
-    if assignments.shape[0] != X.shape[0]:
-        raise ValueError("assignments must have one entry per row of X")
-    diff = X - centroids[assignments]
-    return float(np.einsum("ij,ij->", diff, diff))
-
-
 def clustering_purity(y_true: np.ndarray, assignments: np.ndarray) -> float:
     """Purity of a clustering against ground-truth labels.
 

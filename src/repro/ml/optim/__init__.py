@@ -2,9 +2,9 @@
 
 The paper runs logistic regression with "10 iterations of L-BFGS" — the same
 optimiser mlpack uses.  This subpackage implements L-BFGS from scratch
-(two-loop recursion with a strong-Wolfe line search), plus full-batch gradient
-descent and stochastic gradient descent used as baselines and by the online
-learning extension.
+(two-loop recursion with a strong-Wolfe line search).  The linear models'
+``solver="sgd"`` path streams chunks through its own update loop in
+:mod:`repro.ml.linear_model.sgd_streaming`.
 """
 
 from repro.ml.optim.objective import (
@@ -14,10 +14,8 @@ from repro.ml.optim.objective import (
     RosenbrockObjective,
 )
 from repro.ml.optim.result import OptimizationResult
-from repro.ml.optim.line_search import backtracking_line_search, wolfe_line_search
+from repro.ml.optim.line_search import wolfe_line_search
 from repro.ml.optim.lbfgs import LBFGS
-from repro.ml.optim.gradient_descent import GradientDescent
-from repro.ml.optim.sgd import SGD
 
 __all__ = [
     "DifferentiableObjective",
@@ -25,9 +23,6 @@ __all__ = [
     "QuadraticObjective",
     "RosenbrockObjective",
     "OptimizationResult",
-    "backtracking_line_search",
     "wolfe_line_search",
     "LBFGS",
-    "GradientDescent",
-    "SGD",
 ]

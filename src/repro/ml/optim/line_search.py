@@ -1,70 +1,18 @@
-"""Line searches used by the first- and quasi-second-order optimisers.
+"""The line search L-BFGS uses.
 
-Two variants are provided:
-
-* :func:`backtracking_line_search` — Armijo backtracking, cheap and robust,
-  used by plain gradient descent.
-* :func:`wolfe_line_search` — a bracketing/zoom search satisfying the strong
-  Wolfe conditions, which L-BFGS requires for its curvature pairs to keep the
-  inverse-Hessian approximation positive definite.
-
-Both operate purely through a ``value_and_gradient`` callable so they are
-oblivious to where the underlying data lives.
+:func:`wolfe_line_search` is a bracketing/zoom search satisfying the strong
+Wolfe conditions, which L-BFGS requires for its curvature pairs to keep the
+inverse-Hessian approximation positive definite.  It operates purely through
+a directional oracle, so it is oblivious to where the underlying data lives.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Tuple
 
-import numpy as np
-
-#: Signature of the oracle handed to the line searches: maps a step length
+#: Signature of the oracle handed to the line search: maps a step length
 #: ``alpha`` to ``(f(x + alpha * d), ∇f(x + alpha * d) · d)``.
 DirectionalOracle = Callable[[float], Tuple[float, float]]
-
-
-def backtracking_line_search(
-    oracle: DirectionalOracle,
-    f0: float,
-    g0: float,
-    initial_step: float = 1.0,
-    shrink: float = 0.5,
-    c1: float = 1e-4,
-    max_steps: int = 40,
-) -> Tuple[float, float, int]:
-    """Armijo backtracking.
-
-    Parameters
-    ----------
-    oracle:
-        Directional oracle (see :data:`DirectionalOracle`).
-    f0, g0:
-        Objective value and directional derivative at step 0.  ``g0`` must be
-        negative (a descent direction).
-    initial_step, shrink, c1, max_steps:
-        Standard Armijo parameters.
-
-    Returns
-    -------
-    (step, value, evaluations):
-        The accepted step length, the objective value there, and how many
-        oracle evaluations were used.  If no step satisfies the condition the
-        smallest tried step is returned.
-    """
-    if g0 >= 0:
-        raise ValueError(f"not a descent direction: directional derivative {g0} >= 0")
-    step = initial_step
-    evaluations = 0
-    best_step, best_value = 0.0, f0
-    for _ in range(max_steps):
-        value, _ = oracle(step)
-        evaluations += 1
-        if value <= f0 + c1 * step * g0:
-            return step, value, evaluations
-        if value < best_value:
-            best_step, best_value = step, value
-        step *= shrink
-    return best_step, best_value, evaluations
 
 
 def wolfe_line_search(

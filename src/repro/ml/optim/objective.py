@@ -10,7 +10,7 @@ pattern that memory mapping rewards.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -38,10 +38,6 @@ class DifferentiableObjective(ABC):
     def initial_point(self) -> np.ndarray:
         """Default starting point (zeros)."""
         return np.zeros(self.num_parameters)
-
-    def num_examples(self) -> Optional[int]:
-        """Number of training examples, if the objective is data-dependent."""
-        return None
 
 
 class FunctionObjective(DifferentiableObjective):

@@ -9,7 +9,9 @@ convert, append — codes its blocks through one ``encode_blocks`` fan-out whose
 worker count nothing sets.  The paper's results are
 regenerated by one command — ``m3 reproduce``, no flags — over one
 ``M3RuntimeModel``.  Training and inference run on one ML stack, behind three
-fixed engines (``local``, ``simulated``, ``streaming``).  The parameter and
+fixed engines (``local``, ``simulated``, ``streaming``).  Datasets open one
+way — ``Session.open`` — with no config object behind its defaults, and the
+estimator surface holds what non-test code calls.  The parameter and
 flag sets below are what traffic sets or takes today (the CLI, the e2e
 workloads and their probes); a new option is a reviewed diff of this file,
 with the measurement that justifies it.
@@ -19,14 +21,29 @@ import argparse
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import repro.api.engines
+import repro.api.storage
 import repro.cli
 import repro.core
-import repro.core.chunking
+import repro.core.allocator
+import repro.data
 import repro.distributed
-from repro.api import ChunkStream, Session, StreamingEngine, open_chunk_stream, plan_chunks
+import repro.ml
+import repro.ml.metrics
+import repro.ml.optim
+import repro.ml.optim.line_search
+from repro.api import (
+    ChunkStream,
+    Session,
+    ShardedBackend,
+    StreamingEngine,
+    open_chunk_stream,
+    plan_chunks,
+)
+from repro.core import AccessAdvice
 from repro.api.engines import ENGINE_REGISTRY, ExecutionEngine
 from repro.api.convert import convert_dataset
 from repro.api.sharded import (
@@ -49,6 +66,7 @@ from repro.data.formats_v2 import (
     write_blocked_matrix,
 )
 from repro.ml.base import StreamingPredictor
+from repro.ml.optim import DifferentiableObjective
 from repro.net import NetServer
 from repro.serve import ModelServer, Trainer
 from repro.vmem.advisor import advise_block_layout
@@ -64,6 +82,13 @@ def parameters(function) -> tuple:
 @pytest.mark.parametrize(
     "function, expected",
     [
+        # engine= is what the CLI sets, handle_pool_size= what
+        # benchmarks/e2e/probes.py sets; there is no config object.
+        (Session.__init__, ("engine", "handle_pool_size", "faults")),
+        (Session.open, ("spec", "mode", "advice", "record_trace")),
+        # Dataset.append passes trace= only; Session.open passes mode= only.
+        (ShardedBackend.open, ("location", "mode")),
+        (ShardedBackend.append, ("location", "data", "labels", "trace")),
         (Session.fit, ("model", "dataset", "y", "engine")),
         (Session.predict, ("dataset", "model", "method", "engine")),
         (
@@ -187,12 +212,48 @@ def test_parameter_set(function, expected):
         (repro.api.engines, "DistributedEngine"),
         (repro.api, "register_engine"),
         (repro.api.engines, "register_engine"),
-        (repro.core.chunking, "split_evenly"),
         (repro.distributed, "RDD"),
         (repro.distributed, "JobScheduler"),
         (repro.distributed, "Executor"),
         (repro.distributed, "DistributedLogisticRegression"),
         (repro.distributed, "DistributedKMeans"),
+        # One way to open a dataset (Session.open), one chunk-plan type
+        # (repro.api.ChunkPlan), and no name only tests reached.
+        (repro, "M3Config"),
+        (repro, "create_dataset"),
+        (repro, "open_dataset"),
+        (repro, "load_matrix"),
+        (repro.core, "M3Config"),
+        (repro.core, "create_dataset"),
+        (repro.core, "open_dataset"),
+        (repro.core, "load_matrix"),
+        (repro.core, "ChunkPlan"),
+        (repro.core, "plan_chunks"),
+        (repro.core, "iter_chunks"),
+        (repro.core, "mmap_free"),
+        (repro.core.allocator, "mmap_free"),
+        (Session, "release"),
+        (repro.data, "load_csv_matrix"),
+        (repro.data, "save_csv_matrix"),
+        (repro.data, "load_libsvm"),
+        (repro.data, "save_libsvm"),
+        (repro.data, "DatasetCatalog"),
+        (repro.data, "DatasetEntry"),
+        (repro.data, "IMAGE_SHAPE"),
+        (repro.ml, "GradientDescent"),
+        (repro.ml, "SGD"),
+        (repro.ml.optim, "GradientDescent"),
+        (repro.ml.optim, "SGD"),
+        (repro.ml.optim, "backtracking_line_search"),
+        (repro.ml.optim.line_search, "backtracking_line_search"),
+        (DifferentiableObjective, "num_examples"),
+        (repro.ml.metrics, "log_loss"),
+        (repro.ml.metrics, "mean_squared_error"),
+        (repro.ml.metrics, "r2_score"),
+        (repro.ml.metrics, "confusion_matrix"),
+        (repro.ml.metrics, "inertia"),
+        (repro.api, "register_backend"),
+        (repro.api.storage, "register_backend"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
@@ -208,6 +269,51 @@ def test_three_fixed_engines():
 def test_mini_spark_module_is_gone(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(f"repro.distributed.{module}")
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.core.m3",
+        "repro.core.config",
+        "repro.core.chunking",
+        "repro.data.loaders",
+        "repro.data.catalog",
+        "repro.ml.optim.gradient_descent",
+        "repro.ml.optim.sgd",
+    ],
+)
+def test_tests_only_module_is_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+def test_session_open_defaults():
+    # Read-only, sequential advice, no trace: Session.open's own defaults,
+    # with no config object behind them.
+    defaults = {
+        name: parameter.default
+        for name, parameter in inspect.signature(Session.open).parameters.items()
+        if name not in ("self", "spec")
+    }
+    assert defaults == {"mode": "r", "advice": AccessAdvice.SEQUENTIAL, "record_trace": False}
+    with Session() as session:
+        assert not hasattr(session, "config")
+
+
+@pytest.mark.parametrize("option", ["block_rows", "storage_dtype", "layout"])
+def test_sharded_create_takes_what_its_callers_set(tmp_path, option):
+    # Session.create on shard:// takes shard_rows= and codec= (what the e2e
+    # workloads set); block geometry, storage dtype and layout belong to
+    # write_sharded_dataset / m3 convert.
+    with Session() as session, pytest.raises(TypeError, match=option):
+        session.create(f"shard://{tmp_path}/x", np.zeros((4, 2)), **{option: 2})
+
+
+def test_sharded_backend_takes_no_constructor_option():
+    # make_backend builds every backend with no arguments.
+    assert "__init__" not in vars(ShardedBackend)
+    assert parameters(ShardedBackend) == ()
 
 
 def test_block_payload_carries_no_projection():

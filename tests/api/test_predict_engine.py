@@ -15,7 +15,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.api import PredictResult, Session, StreamingEngine, open_chunk_stream
+from repro.api import (
+    PredictResult,
+    Session,
+    StreamingEngine,
+    open_chunk_stream,
+    write_sharded_dataset,
+)
 from repro.api.dataset import Dataset
 from repro.api.storage import StorageHandle
 from repro.ml import (
@@ -53,10 +59,10 @@ def session(tmp_path_factory, problem):
         }
         for spec in specs.values():
             session.create(spec, X, y, **({"shard_rows": SHARD_ROWS} if spec.startswith("shard") else {}))
-        specs["shard_zlib"] = session.create(
-            f"shard://{tmp_path}/serve_zlib", X, y,
-            shard_rows=SHARD_ROWS, codec="zlib", block_rows=48,
+        write_sharded_dataset(
+            tmp_path / "serve_zlib", X, y, shard_rows=SHARD_ROWS, codec="zlib", block_rows=48
         )
+        specs["shard_zlib"] = f"shard://{tmp_path}/serve_zlib"
         session.specs = specs
         yield session
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.api import Dataset, LocalEngine, Session, SimulatedEngine
-from repro.core.config import M3Config
 from repro.ml import LogisticRegression
 
 
@@ -66,12 +65,12 @@ class TestOpenCreate:
             assert info["rows"] == 60 and info["has_labels"] is True
 
 
-class TestConfigDefaults:
-    def test_record_traces_from_config(self, tmp_path, xy):
+class TestOpenDefaults:
+    def test_record_trace_per_open(self, tmp_path, xy):
         X, y = xy
-        with Session(M3Config(record_traces=True)) as session:
+        with Session() as session:
             session.create(f"mmap://{tmp_path}/t.m3", X, y)
-            dataset = session.open(f"mmap://{tmp_path}/t.m3")
+            dataset = session.open(f"mmap://{tmp_path}/t.m3", record_trace=True)
             assert dataset.trace is not None
             _ = dataset[0:5]
             assert len(dataset.trace) == 1
@@ -143,16 +142,6 @@ class TestLifecycle:
             session.info("memory://x")
         with pytest.raises(RuntimeError, match="closed"):
             session.exists("memory://x")
-
-    def test_released_dataset_survives_session_close(self, tmp_path, xy):
-        X, y = xy
-        session = Session()
-        session.create(f"mmap://{tmp_path}/r.m3", X, y)
-        dataset = session.release(session.open(f"mmap://{tmp_path}/r.m3"))
-        session.close()
-        assert not dataset.closed
-        np.testing.assert_array_equal(dataset[0:3], X[0:3])
-        session.release(dataset)  # releasing an untracked handle is a no-op
 
     def test_repr(self):
         session = Session()

@@ -60,19 +60,19 @@ class TestHandleReuse:
             assert sequential.matrix.advice is AccessAdvice.SEQUENTIAL
             assert random.matrix.advice is AccessAdvice.RANDOM
 
-    def test_released_opens_of_a_pool_less_session_are_unpooled(self, tmp_path, xy):
-        # What core.open_dataset does: its callers hold bare (matrix, labels)
-        # tuples and rely on GC, so their handles must be neither shared nor
-        # tracked by the pool.
+    def test_pool_less_opens_are_untracked_and_close_independently(self, tmp_path, xy):
+        # handle_pool_size=0: every open maps its own files, nothing is
+        # tracked for reuse, and each handle closes with its own dataset.
         X, y = xy
         from repro.data.formats import write_binary_matrix as write
-        write(tmp_path / "legacy.m3", X, y)
-        session = Session(handle_pool_size=0)
-        first = session.release(session.open(tmp_path / "legacy.m3"))
-        second = session.release(session.open(tmp_path / "legacy.m3"))
-        assert first.matrix.backing is not second.matrix.backing
-        assert len(session._pool) == 0
-        assert len(session._datasets) == 0
+        write(tmp_path / "unpooled.m3", X, y)
+        with Session(handle_pool_size=0) as session:
+            first = session.open(tmp_path / "unpooled.m3")
+            second = session.open(tmp_path / "unpooled.m3")
+            assert first.matrix.backing is not second.matrix.backing
+            assert len(session._pool) == 0
+            first.close()
+            np.testing.assert_array_equal(second[0:3], X[0:3])
 
     def test_different_modes_do_not_share(self, tmp_path, xy):
         X, y = xy

@@ -8,11 +8,8 @@ from repro.api import (
     MemoryBackend,
     MmapBackend,
     ShardedBackend,
-    StorageBackend,
-    StorageHandle,
     make_backend,
     parse_spec,
-    register_backend,
 )
 
 
@@ -63,34 +60,19 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown storage backend"):
             make_backend("s3")
 
-    def test_register_custom_backend(self):
-        class NullBackend(StorageBackend):
-            scheme = "null"
+    def test_unknown_scheme_names_the_known_ones(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^unknown storage backend scheme 'nope' \(known: memory, mmap, shard\)$",
+        ):
+            make_backend("nope")
 
-            def open(self, location, mode="r"):
-                return StorageHandle(matrix=np.zeros((1, 1)))
-
-            def create(self, location, data, labels=None, **options):
-                return location
-
-            def info(self, location):
-                return {"backend": self.scheme}
-
-            def exists(self, location):
-                return False
-
-        try:
-            register_backend(NullBackend)
-            assert isinstance(make_backend("null"), NullBackend)
-        finally:
-            BACKEND_REGISTRY.pop("null", None)
-
-    def test_register_requires_scheme(self):
-        class NoScheme(MemoryBackend):
-            scheme = ""
-
-        with pytest.raises(ValueError, match="scheme"):
-            register_backend(NoScheme)
+    @pytest.mark.parametrize("scheme", ["memory", "mmap", "shard"])
+    def test_each_scheme_builds_a_fresh_backend(self, scheme):
+        backend = make_backend(scheme)
+        assert type(backend) is BACKEND_REGISTRY[scheme]
+        assert backend.scheme == scheme
+        assert make_backend(scheme) is not backend
 
 
 class TestMemoryBackend:

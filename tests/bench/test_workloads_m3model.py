@@ -1,6 +1,10 @@
 """Tests for the benchmark constants and the paper-scale M3 runtime model."""
 
+from unittest import mock
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.bench.m3_model import (
     M3RunEstimate,
@@ -17,6 +21,8 @@ from repro.bench.workloads import (
     SWEEP_SIZES_GB,
     dataset_bytes_for_gb,
 )
+from repro.vmem.trace import AccessKind
+from repro.vmem.vm_simulator import VirtualMemorySimulator
 
 GIB = 1024 ** 3
 
@@ -134,3 +140,75 @@ class TestM3RuntimeModel:
     def test_invalid_dataset_size_rejected(self, model):
         with pytest.raises(ValueError):
             model.estimate(M3Workload(name="x", passes=1), 0)
+
+
+class _Replayed(Exception):
+    """Carries the trace ``estimate`` hands the simulator, unreplayed."""
+
+
+def scan_trace(model, workload, dataset_bytes):
+    """The ``(trace, file_bytes)`` that ``model.estimate`` would replay."""
+
+    def capture(self, trace, file_bytes):
+        raise _Replayed(trace, file_bytes)
+
+    with mock.patch.object(VirtualMemorySimulator, "run_trace", capture):
+        with pytest.raises(_Replayed) as replayed:
+            model.estimate(workload, dataset_bytes)
+    return replayed.value.args
+
+
+class TestScanTrace:
+    """``estimate``'s synthetic trace, record for record."""
+
+    ROW = BYTES_PER_IMAGE
+
+    def test_whole_passes_are_consecutive_chunk_reads(self):
+        workload = M3Workload(name="lr", passes=2, cpu_bytes_per_s=1e9)
+        trace, file_bytes = scan_trace(M3RuntimeModel(chunk_rows=4), workload, 10 * self.ROW)
+        assert file_bytes == 10 * self.ROW
+        one_pass = [(0, 4 * self.ROW), (4 * self.ROW, 4 * self.ROW), (8 * self.ROW, 2 * self.ROW)]
+        assert [(r.offset, r.length) for r in trace] == one_pass * 2
+        assert all(r.kind is AccessKind.READ for r in trace)
+        assert [r.cpu_cost_s for r in trace] == [length * (1.0 / 1e9) for _, length in one_pass * 2]
+        assert trace.description == "lr x2 passes"
+
+    def test_fractional_pass_is_a_prefix_of_one_more(self):
+        workload = M3Workload(name="lr", passes=2.5, cpu_bytes_per_s=3e9)
+        trace, _ = scan_trace(M3RuntimeModel(chunk_rows=2), workload, 10 * self.ROW)
+        # Five chunks per pass: two whole passes, then int(5 * 0.5) = 2 chunks.
+        assert len(trace) == 12
+        prefix = list(trace)[10:]
+        assert [(r.offset, r.length) for r in prefix] == [(0, 2 * self.ROW), (2 * self.ROW, 2 * self.ROW)]
+        assert [r.cpu_cost_s for r in prefix] == [2 * self.ROW / 3e9] * 2
+
+    def test_under_one_pass_still_scans_once(self):
+        workload = M3Workload(name="km", passes=0.5)
+        trace, _ = scan_trace(M3RuntimeModel(chunk_rows=1), workload, 4 * self.ROW)
+        assert len(trace) == 4 + 2
+
+    def test_dataset_smaller_than_a_row_maps_one_row(self):
+        trace, file_bytes = scan_trace(M3RuntimeModel(), M3Workload(name="lr", passes=1), 10)
+        assert file_bytes == self.ROW
+        assert [(r.offset, r.length) for r in trace] == [(0, self.ROW)]
+
+    @given(
+        rows=st.integers(1, 3000),
+        chunk_rows=st.integers(1, 512),
+        passes=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_trace_covers_matrix_exactly_per_pass(self, rows, chunk_rows, passes):
+        trace, file_bytes = scan_trace(
+            M3RuntimeModel(chunk_rows=chunk_rows),
+            M3Workload(name="scan", passes=passes),
+            rows * self.ROW,
+        )
+        num_chunks = -(-rows // chunk_rows)
+        assert file_bytes == rows * self.ROW
+        assert trace.total_bytes == passes * file_bytes
+        assert trace.max_offset == file_bytes
+        assert len(trace) == passes * num_chunks
+        # Chunks within a pass are perfectly sequential.
+        if num_chunks > 1:
+            assert trace.sequential_fraction() > 0.0

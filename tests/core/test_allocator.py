@@ -1,9 +1,9 @@
-"""Tests for mmap_alloc / mmap_free."""
+"""Tests for mmap_alloc."""
 
 import numpy as np
 import pytest
 
-from repro.core.allocator import mmap_alloc, mmap_free
+from repro.core.allocator import mmap_alloc
 
 
 class TestMmapAlloc:
@@ -62,17 +62,3 @@ class TestMmapAlloc:
     def test_returns_memmap_instance(self, tmp_path):
         array = mmap_alloc(tmp_path / "type.bin", (3, 3), mode="w+")
         assert isinstance(array, np.memmap)
-
-
-class TestMmapFree:
-    def test_flushes_writable_mapping(self, tmp_path):
-        path = tmp_path / "free.bin"
-        array = mmap_alloc(path, (4, 2), mode="w+")
-        array[:] = 3.0
-        mmap_free(array)
-        reopened = mmap_alloc(path, (4, 2), mode="r")
-        assert np.all(np.asarray(reopened) == 3.0)
-
-    def test_rejects_plain_ndarray(self):
-        with pytest.raises(TypeError):
-            mmap_free(np.zeros((2, 2)))

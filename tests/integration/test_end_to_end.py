@@ -8,10 +8,8 @@ virtual-memory simulator.
 import numpy as np
 import pytest
 
-import repro.core as m3
-from repro.api import Session, StreamingEngine
+from repro.api import Session, StreamingEngine, plan_chunks
 from repro.bench.m3_model import M3RuntimeModel, M3Workload
-from repro.core.chunking import plan_chunks
 from repro.data.writers import write_infimnist_dataset
 from repro.ml import SoftmaxRegression
 from repro.ml.metrics import accuracy
@@ -25,10 +23,11 @@ def pipeline(tmp_path_factory):
     """Generate a dataset, train through the memory map, keep the trace."""
     path = tmp_path_factory.mktemp("e2e") / "digits.m3"
     write_infimnist_dataset(path, num_examples=700, seed=5)
-    X, y = m3.open_dataset(path, record_trace=True)
-    labels = np.asarray(y)
-    model = SoftmaxRegression(max_iterations=8, l2_penalty=1e-4).fit(X, labels)
-    return path, X, labels, model
+    with Session() as session:
+        X, y = session.open(f"mmap://{path}", record_trace=True).arrays()
+        labels = np.asarray(y)
+        model = SoftmaxRegression(max_iterations=8, l2_penalty=1e-4).fit(X, labels)
+        yield path, X, labels, model
 
 
 class TestLearningQuality:
@@ -85,6 +84,7 @@ class TestOutOfCorePipelineOnDisk:
     def test_chunk_plan_matches_file_geometry(self, pipeline):
         path, X, _, _ = pipeline
         plan = plan_chunks(X, chunk_rows=256)
+        assert plan.num_chunks == -(-X.shape[0] // 256)
         assert plan.total_bytes == X.nbytes
         with Session() as session:
             assert session.info(path)["nbytes"] == plan.total_bytes

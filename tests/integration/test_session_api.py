@@ -91,19 +91,14 @@ class TestSameWorkloadEverywhere:
         assert streamed.model.score(X, y) > 0.7
 
 
-class TestLegacyShimEquivalence:
-    def test_open_dataset_shim_matches_session(self, session, problem, tmp_path):
-        """The legacy facade and the new API train identical models."""
-        import repro.core as m3
-
-        X, y = problem
+class TestArraysEquivalence:
+    def test_arrays_fit_matches_session_fit(self, session, problem):
+        """Table 1's line — ``fit(*ds.arrays())`` by hand — and ``session.fit``
+        train identical models."""
         spec = session.specs["mmap"]
-        path = spec[len("mmap://"):]
-        X_legacy, y_legacy = m3.open_dataset(path)
-        legacy = LogisticRegression(max_iterations=10).fit(
-            X_legacy, np.asarray(y_legacy)
-        )
+        X_mapped, y_mapped = session.open(spec).arrays()
+        by_hand = LogisticRegression(max_iterations=10).fit(X_mapped, np.asarray(y_mapped))
         result = session.fit(
             LogisticRegression(max_iterations=10), session.open(spec)
         )
-        np.testing.assert_array_equal(legacy.coef_, result.model.coef_)
+        np.testing.assert_array_equal(by_hand.coef_, result.model.coef_)

@@ -3,14 +3,14 @@
 The central claim of the paper (Table 1) is that the *same* algorithm code
 produces the *same* results whether its input lives in RAM or in a memory-
 mapped file.  These tests exercise that end to end — dataset generation on
-disk, Table 1's helpers, and every estimator family — comparing against in-memory
-training bit for bit.
+disk, Table 1's one changed line (``session.open(spec).arrays()``) and every
+estimator family — comparing against in-memory training bit for bit.
 """
 
 import numpy as np
 import pytest
 
-import repro.core as m3
+from repro.api import Session
 from repro.data.writers import write_infimnist_dataset
 from repro.ml import (
     GaussianNaiveBayes,
@@ -31,8 +31,9 @@ def infimnist_on_disk(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def mapped(infimnist_on_disk):
-    X, y = m3.open_dataset(infimnist_on_disk)
-    return X, np.asarray(y)
+    with Session() as session:
+        X, y = session.open(f"mmap://{infimnist_on_disk}").arrays()
+        yield X, np.asarray(y)
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +93,10 @@ class TestEstimatorTransparency:
 
 class TestTraceCapture:
     def test_training_produces_sequential_trace(self, infimnist_on_disk):
-        X, y = m3.open_dataset(infimnist_on_disk, record_trace=True)
-        binary = (np.asarray(y) >= 5).astype(np.int64)
-        LogisticRegression(max_iterations=3, chunk_size=128).fit(X, binary)
+        with Session() as session:
+            X, y = session.open(f"mmap://{infimnist_on_disk}", record_trace=True).arrays()
+            binary = (np.asarray(y) >= 5).astype(np.int64)
+            LogisticRegression(max_iterations=3, chunk_size=128).fit(X, binary)
         trace = X.trace
         assert trace is not None
         assert len(trace) > 0

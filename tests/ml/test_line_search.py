@@ -1,9 +1,9 @@
-"""Tests for the line searches."""
+"""Tests for the strong-Wolfe line search L-BFGS uses."""
 
 import numpy as np
 import pytest
 
-from repro.ml.optim.line_search import backtracking_line_search, wolfe_line_search
+from repro.ml.optim.line_search import wolfe_line_search
 
 
 def quadratic_oracle(x0, direction):
@@ -16,33 +16,6 @@ def quadratic_oracle(x0, direction):
         return value, slope
 
     return oracle
-
-
-class TestBacktracking:
-    def test_accepts_unit_step_on_well_scaled_problem(self):
-        x0 = np.array([1.0, 1.0])
-        direction = -x0
-        f0 = 0.5 * float(x0 @ x0)
-        g0 = float(x0 @ direction)
-        step, value, evals = backtracking_line_search(quadratic_oracle(x0, direction), f0, g0)
-        assert step == pytest.approx(1.0)
-        assert value < f0
-        assert evals >= 1
-
-    def test_shrinks_overly_large_step(self):
-        x0 = np.array([1.0])
-        direction = np.array([-100.0])
-        f0 = 0.5
-        g0 = float(x0 @ direction)
-        step, value, _ = backtracking_line_search(
-            quadratic_oracle(x0, direction), f0, g0, initial_step=1.0
-        )
-        assert step < 1.0
-        assert value <= f0
-
-    def test_non_descent_direction_rejected(self):
-        with pytest.raises(ValueError):
-            backtracking_line_search(lambda a: (0.0, 0.0), 1.0, 0.5)
 
 
 class TestWolfe:
@@ -79,3 +52,23 @@ class TestWolfe:
     def test_non_descent_direction_rejected(self):
         with pytest.raises(ValueError):
             wolfe_line_search(lambda a: (0.0, 0.0), 1.0, 1.0)
+
+    def test_accepts_unit_step_on_well_scaled_problem(self):
+        # The exact minimiser along d sits at alpha = 1: one evaluation.
+        x0 = np.array([1.0, 1.0])
+        direction = -x0
+        f0 = 0.5 * float(x0 @ x0)
+        g0 = float(x0 @ direction)
+        step, value, evals = wolfe_line_search(quadratic_oracle(x0, direction), f0, g0)
+        assert step == 1.0
+        assert value == 0.0
+        assert evals == 1
+
+    def test_zooms_into_overly_large_step(self):
+        x0 = np.array([1.0])
+        direction = np.array([-100.0])
+        f0 = 0.5
+        g0 = float(x0 @ direction)
+        step, value, _ = wolfe_line_search(quadratic_oracle(x0, direction), f0, g0)
+        assert 0.0 < step < 1.0
+        assert value <= f0 + 1e-4 * step * g0

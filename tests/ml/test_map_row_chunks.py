@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import Session, fanout
+from repro.api import write_sharded_dataset
 from repro.ml import KMeans, LinearRegression, LogisticRegression, SoftmaxRegression
 from repro.ml import base
 from repro.ml.base import iter_row_chunks, map_ordered, map_row_chunks
@@ -53,10 +54,9 @@ def stored(problem, tmp_path_factory):
         specs = {
             "mmap": session.create(f"mmap://{root / 'data.m3'}", X, y),
             "shard_raw": session.create(f"shard://{root / 'raw'}", X, y, shard_rows=250),
-            "shard_zlib": session.create(
-                f"shard://{root / 'zlib'}", X, y, shard_rows=250, codec="zlib", block_rows=64
-            ),
+            "shard_zlib": f"shard://{root / 'zlib'}",
         }
+        write_sharded_dataset(root / "zlib", X, y, shard_rows=250, codec="zlib", block_rows=64)
         matrices = {"ndarray": X}
         matrices.update({name: session.open(spec).matrix for name, spec in specs.items()})
         yield matrices, specs

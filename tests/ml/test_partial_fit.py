@@ -66,6 +66,26 @@ class TestLogisticRegressionPartialFit:
         # must still land on essentially the same classifier.
         assert streamed.score(X, y) >= reference.score(X, y) - 0.05
 
+    def test_updates_follow_the_inverse_scaling_schedule(self, binary_problem):
+        # Step t moves by 0.1 / (1 + 1e-3 t) times the batch gradient, with t
+        # counting updates across partial_fit calls.
+        from repro.ml.linear_model.objectives import LogisticRegressionObjective
+
+        X, y = binary_problem
+        model = LogisticRegression(solver="sgd", chunk_size=32)
+        model.partial_fit(X[:64], y[:64], classes=np.unique(y))
+        model.partial_fit(X[64:128], y[64:128])
+        params = np.zeros(X.shape[1] + 1)
+        step = 0
+        for lo in (0, 64):
+            objective = LogisticRegressionObjective(X[lo : lo + 64], y[lo : lo + 64], chunk_size=32)
+            for start in (0, 32):
+                _, grad = objective.batch_value_and_gradient(params, start, start + 32)
+                params = params - 0.1 / (1.0 + 1e-3 * step) * grad
+                step += 1
+        np.testing.assert_array_equal(model.coef_, params[:-1])
+        assert model.intercept_ == params[-1]
+
     def test_model_usable_mid_stream(self, binary_problem):
         X, y = binary_problem
         model = LogisticRegression(solver="sgd", chunk_size=64)

@@ -5,7 +5,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis.extra.numpy import arrays
 
-from repro.core.chunking import ChunkPlan
 from repro.core.mmap_matrix import MmapMatrix
 from repro.data.formats import open_binary_matrix, write_binary_matrix
 from repro.data.infimnist import InfimnistGenerator
@@ -36,25 +35,6 @@ class TestBinaryFormatProperties:
             np.testing.assert_array_equal(np.asarray(mapped_labels), labels)
         else:
             assert mapped_labels is None
-
-
-class TestChunkPlanProperties:
-    @given(
-        rows=st.integers(1, 3000),
-        cols=st.integers(1, 800),
-        chunk_rows=st.integers(1, 512),
-        passes=st.integers(1, 4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_trace_covers_matrix_exactly_per_pass(self, rows, cols, chunk_rows, passes):
-        plan = ChunkPlan(n_rows=rows, n_cols=cols, itemsize=8, chunk_rows=chunk_rows)
-        trace = plan.to_trace(passes=passes)
-        assert trace.total_bytes == passes * plan.total_bytes
-        assert trace.max_offset == plan.total_bytes
-        assert len(trace) == passes * plan.num_chunks
-        # Chunks within a pass are perfectly sequential.
-        if plan.num_chunks > 1:
-            assert trace.sequential_fraction() > 0.0
 
 
 class TestMmapMatrixProperties:

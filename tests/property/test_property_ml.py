@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis.extra.numpy import arrays
 
-from repro.core.chunking import ChunkPlan
+from repro.api.chunks import plan_chunks
 from repro.ml.cluster.kmeans import KMeans
 from repro.ml.linear_model.objectives import (
     LogisticRegressionObjective,
@@ -116,8 +116,8 @@ class TestKMeansProperties:
 class TestChunkPlanProperties:
     @given(n=st.integers(0, 5000), chunk_rows=st.integers(1, 700))
     def test_bounds_partition_rows_exactly(self, n, chunk_rows):
-        plan = ChunkPlan(n_rows=n, n_cols=3, itemsize=8, chunk_rows=chunk_rows)
-        bounds = list(plan.bounds())
+        plan = plan_chunks(np.empty((n, 3)), chunk_rows=chunk_rows)
+        bounds = list(plan)
         assert len(bounds) == plan.num_chunks
         previous_end = 0
         for start, stop in bounds:
@@ -126,20 +126,15 @@ class TestChunkPlanProperties:
             previous_end = stop
         assert previous_end == n
         # Every chunk but the last is full.
-        assert all(stop - start == chunk_rows for start, stop in bounds[:-1])
+        assert all(stop - start == plan.chunk_rows for start, stop in bounds[:-1])
 
     @given(
         n=st.integers(0, 2000),
         cols=st.integers(1, 16),
-        itemsize=st.sampled_from([4, 8]),
+        dtype=st.sampled_from([np.float32, np.float64]),
         chunk_rows=st.integers(1, 300),
-        offset=st.integers(0, 4096),
     )
-    def test_byte_ranges_tile_the_matrix(self, n, cols, itemsize, chunk_rows, offset):
-        plan = ChunkPlan(n, cols, itemsize, chunk_rows, data_offset=offset)
-        cursor = offset
-        for byte_offset, length in plan.byte_ranges():
-            assert byte_offset == cursor
-            assert length % plan.row_bytes == 0
-            cursor += length
-        assert cursor - offset == plan.total_bytes
+    def test_chunk_bytes_tile_the_matrix(self, n, cols, dtype, chunk_rows):
+        plan = plan_chunks(np.empty((n, cols), dtype=dtype), chunk_rows=chunk_rows)
+        assert plan.row_bytes == cols * np.dtype(dtype).itemsize
+        assert sum((stop - start) * plan.row_bytes for start, stop in plan) == plan.total_bytes
