@@ -33,14 +33,30 @@ def random_init(
     return centroids
 
 
+_DISTANCE_BLOCK_ROWS = 64
+"""Rows per ``chunk − centroid`` temporary in :func:`_squared_distances`.
+
+A 64 × 784 float64 block (392 KiB) stays in cache between the subtraction and
+the row sums; the whole-chunk temporary was 25.7 MB per 4096-row chunk.  One
+4096 × 784 chunk, one core: 10–16 ms unblocked, 6.8–7.0 ms at 64 rows (32: 6.7–7.1,
+128: 8.0–8.3, 512: 8.3–8.7).
+"""
+
+
 def _squared_distances(chunk: np.ndarray, centroid: np.ndarray) -> np.ndarray:
     """Squared distance of every row of ``chunk`` to one ``centroid``.
 
     The difference form on purpose: rows that coincide with the centroid
     read exactly 0.0, which the all-points-coincide fallback below relies on.
+    Each row's sum is the same ``einsum`` whatever block it falls in, so the
+    blocking changes no bit of the result.
     """
-    diff = chunk - centroid
-    return np.einsum("ij,ij->i", diff, diff)
+    out = np.empty(chunk.shape[0], dtype=np.float64)
+    for start in range(0, chunk.shape[0], _DISTANCE_BLOCK_ROWS):
+        stop = start + _DISTANCE_BLOCK_ROWS
+        diff = chunk[start:stop] - centroid
+        out[start:stop] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 def kmeans_plus_plus_init(

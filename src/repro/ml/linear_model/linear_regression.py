@@ -81,16 +81,25 @@ class LinearRegression(BaseEstimator, StreamingPredictor):
         gram = np.zeros((dim, dim), dtype=np.float64)
         moment = np.zeros(dim, dtype=np.float64)
 
-        def chunk_moments(start: int, stop: int, chunk: Any) -> Tuple[np.ndarray, np.ndarray]:
+        def chunk_moments(
+            start: int, stop: int, chunk: Any
+        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+            # The intercept's blocks of [X, 1]ᵀ[X, 1] are Xᵀ1 = X.sum(0) and 1ᵀ1 = rows,
+            # so the chunk is read in place rather than copied next to a column of ones.
             chunk = np.asarray(chunk, dtype=np.float64)
-            if self.fit_intercept:
-                chunk = np.hstack([chunk, np.ones((chunk.shape[0], 1))])
-            return chunk.T @ chunk, chunk.T @ y[start:stop]
+            targets = y[start:stop]
+            return chunk.T @ chunk, chunk.sum(axis=0), targets @ chunk, float(targets.sum())
 
-        for _, _, (chunk_gram, chunk_moment) in map_row_chunks(X, self.chunk_size, chunk_moments):
-            gram += chunk_gram
-            moment += chunk_moment
+        for _, _, (xtx, x_sum, xty, y_sum) in map_row_chunks(X, self.chunk_size, chunk_moments):
+            gram[:n_features, :n_features] += xtx
+            moment[:n_features] += xty
+            if self.fit_intercept:
+                gram[n_features, :n_features] += x_sum
+                moment[n_features] += y_sum
         n_samples = X.shape[0]
+        if self.fit_intercept:
+            gram[:n_features, n_features] = gram[n_features, :n_features]
+            gram[n_features, n_features] = n_samples
         if self.l2_penalty > 0:
             ridge = self.l2_penalty * n_samples * np.eye(dim)
             if self.fit_intercept:

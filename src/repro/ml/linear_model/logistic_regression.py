@@ -120,7 +120,6 @@ class LogisticRegression(
         self.coef_ = params[: X.shape[1]].copy()
         self.intercept_ = float(params[X.shape[1]]) if self.fit_intercept else 0.0
         self.result_ = result
-        self._objective_template = objective
         return self
 
     # -- streaming (partial_fit) -------------------------------------------

@@ -9,6 +9,19 @@ pass over the file.
 
 ``batch_value_and_gradient`` evaluates one row range, the mini-batch the
 ``solver="sgd"`` path (:mod:`repro.ml.linear_model.sgd_streaming`) updates on.
+
+The chunk kernel reads the chunk in place: no column of ones is appended.
+Parameters are stored feature rows first, intercept last, so the logits are
+the feature rows' product plus the intercept broadcast, and the gradient's
+intercept entry is the residuals' column sum.  Softmax works class-major: its
+logits are ``W[:d]ᵀ · chunkᵀ`` (``n_classes × rows``), so the residual matrix
+is already ``Pᵀ`` and the feature rows of the gradient are ``(Pᵀ · chunk)ᵀ``.
+Measured on one 4096 × 784 float64 chunk, 10 classes, one BLAS thread: a
+softmax chunk took 25–27 ms as a copy into a 785-column ``[chunk, 1]``
+followed by ``aug · W`` and ``augᵀ · P``; in place it takes 10–12 ms
+(1024 rows: 4.2–5.4 → 2.3–2.5 ms).  ``chunkᵀ · P`` alone costs 12–14 ms
+where ``Pᵀ · chunk`` costs 4.4–5.3 ms, and the row-major logits
+``chunk · W[:d]`` cost 8–10 ms where the class-major ones cost 5.5–5.8 ms.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from repro.ml.base import as_labels, as_matrix, map_row_chunks, stack_row_chunks
+from repro.ml.base import as_labels, as_matrix, map_row_chunks
 from repro.ml.optim.objective import DifferentiableObjective
 
 DEFAULT_CHUNK_ROWS = 4096
@@ -95,13 +108,20 @@ class _ChunkedObjective(DifferentiableObjective):
         penalty, penalty_grad = self._penalty_and_grad(params)
         return total_loss / self.n_samples + penalty, total_grad / self.n_samples + penalty_grad
 
-    def _augment(self, chunk: np.ndarray) -> np.ndarray:
-        """Append a column of ones when fitting an intercept."""
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if not self.fit_intercept:
-            return chunk
-        ones = np.ones((chunk.shape[0], 1), dtype=np.float64)
-        return np.hstack([chunk, ones])
+    def _linear(self, params: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+        """``chunk · w`` plus the intercept, for a parameter vector."""
+        out = chunk @ params[: self.n_features]
+        if self.fit_intercept:
+            out += params[self.n_features]
+        return out
+
+    def _vector_gradient(self, residuals: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+        """Gradient of a vector model: ``r · chunk``, then ``Σ r`` for the intercept."""
+        grad = np.empty(self._weight_dim)
+        grad[: self.n_features] = residuals @ chunk
+        if self.fit_intercept:
+            grad[self.n_features] = residuals.sum()
+        return grad
 
     @property
     def _weight_dim(self) -> int:
@@ -148,20 +168,12 @@ class LogisticRegressionObjective(_ChunkedObjective):
     def _chunk_value_and_gradient(
         self, params: np.ndarray, chunk: Any, targets: np.ndarray
     ) -> Tuple[float, np.ndarray]:
-        chunk = self._augment(chunk)
+        chunk = np.asarray(chunk, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
-        logits = chunk @ params
-        probabilities = sigmoid(logits)
+        logits = self._linear(params, chunk)
         # loss = -[y log p + (1-y) log(1-p)], summed over the batch
         loss = -float(np.sum(targets * log_sigmoid(logits) + (1 - targets) * log_sigmoid(-logits)))
-        grad = chunk.T @ (probabilities - targets)
-        return loss, grad
-
-    def predict_proba(self, params: np.ndarray, X: Any) -> np.ndarray:
-        """Probability of class 1 for every row of ``X``."""
-        return stack_row_chunks(
-            as_matrix(X), self.chunk_size, lambda chunk: sigmoid(self._augment(chunk) @ params)
-        )
+        return loss, self._vector_gradient(sigmoid(logits) - targets, chunk)
 
 
 class SoftmaxRegressionObjective(_ChunkedObjective):
@@ -203,26 +215,24 @@ class SoftmaxRegressionObjective(_ChunkedObjective):
         self, params: np.ndarray, chunk: Any, targets: np.ndarray
     ) -> Tuple[float, np.ndarray]:
         W = self._as_matrix_params(params)
-        chunk = self._augment(chunk)
+        d = self.n_features
+        chunk = np.asarray(chunk, dtype=np.float64)
         targets = np.asarray(targets)
-        logits = chunk @ W
-        log_probs = logits - logits.max(axis=1, keepdims=True)
-        log_probs = log_probs - np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
-        loss = -float(np.sum(log_probs[np.arange(len(targets)), targets]))
-        probabilities = np.exp(log_probs)
-        probabilities[np.arange(len(targets)), targets] -= 1.0
-        grad = chunk.T @ probabilities
+        rows = np.arange(len(targets))
+        # Class-major (n_classes × rows): the residuals come out as Pᵀ.
+        logits = np.ascontiguousarray(W[:d].T) @ chunk.T
+        if self.fit_intercept:
+            logits += W[d][:, None]
+        log_probs = logits - logits.max(axis=0)
+        log_probs -= np.log(np.exp(log_probs).sum(axis=0))
+        loss = -float(np.sum(log_probs[targets, rows]))
+        residuals = np.exp(log_probs)
+        residuals[targets, rows] -= 1.0
+        grad = np.empty_like(W)
+        grad[:d] = (residuals @ chunk).T
+        if self.fit_intercept:
+            grad[d] = residuals.sum(axis=1)
         return loss, grad.reshape(-1)
-
-    def predict_proba(self, params: np.ndarray, X: Any) -> np.ndarray:
-        """Class probabilities (n_rows × n_classes) for every row of ``X``."""
-        W = self._as_matrix_params(params)
-        return stack_row_chunks(
-            as_matrix(X),
-            self.chunk_size,
-            lambda chunk: softmax(self._augment(chunk) @ W),
-            (self.n_classes,),
-        )
 
 
 class LinearRegressionObjective(_ChunkedObjective):
@@ -256,14 +266,7 @@ class LinearRegressionObjective(_ChunkedObjective):
     def _chunk_value_and_gradient(
         self, params: np.ndarray, chunk: Any, targets: np.ndarray
     ) -> Tuple[float, np.ndarray]:
-        chunk = self._augment(chunk)
-        residuals = chunk @ params - targets
+        chunk = np.asarray(chunk, dtype=np.float64)
+        residuals = self._linear(params, chunk) - targets
         loss = 0.5 * float(residuals @ residuals)
-        grad = chunk.T @ residuals
-        return loss, grad
-
-    def predict(self, params: np.ndarray, X: Any) -> np.ndarray:
-        """Predicted targets for every row of ``X``."""
-        return stack_row_chunks(
-            as_matrix(X), self.chunk_size, lambda chunk: self._augment(chunk) @ params
-        )
+        return loss, self._vector_gradient(residuals, chunk)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.mmap_matrix import MmapMatrix
 from repro.data.formats import write_binary_matrix, open_binary_matrix
+from repro.ml.cluster import init
 from repro.ml.cluster.init import kmeans_plus_plus_init, random_init
 from repro.ml.cluster.kmeans import KMeans
 
@@ -36,6 +37,33 @@ class TestInitialisation:
         X = np.ones((20, 3))
         centroids = kmeans_plus_plus_init(X, 3, np.random.default_rng(0))
         assert centroids.shape == (3, 3)
+
+
+def unblocked_squared_distances(chunk, centroid):
+    diff = chunk - centroid
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+class TestBlockedSquaredDistances:
+    """``_squared_distances`` walks the chunk in blocks without changing a bit."""
+
+    @pytest.mark.parametrize("rows", [init._DISTANCE_BLOCK_ROWS * 3 + 17, 1])
+    def test_equal_to_the_unblocked_form(self, rows):
+        rng = np.random.default_rng(rows)
+        chunk = rng.normal(size=(rows, 784))
+        centroid = rng.normal(size=784)
+        assert np.array_equal(
+            init._squared_distances(chunk, centroid), unblocked_squared_distances(chunk, centroid)
+        )
+
+    def test_coincident_points_read_exactly_zero(self):
+        chunk = np.full((init._DISTANCE_BLOCK_ROWS * 2 + 5, 7), 0.1)
+        distances = init._squared_distances(chunk, chunk[0])
+        assert np.array_equal(distances, unblocked_squared_distances(chunk, chunk[0]))
+        assert np.all(distances == 0.0)
+        # ... which is what sends k-means++ to its uniform fallback.
+        centroids = kmeans_plus_plus_init(chunk, 3, np.random.default_rng(0), chunk_size=50)
+        assert np.array_equal(centroids, np.full((3, 7), 0.1))
 
 
 class TestKMeans:

@@ -39,6 +39,20 @@ class TestNormalEquationSolver:
         ridge = LinearRegression(l2_penalty=5.0).fit(X, y)
         assert np.linalg.norm(ridge.coef_) < np.linalg.norm(plain.coef_)
 
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_blocked_gram_matches_the_augmented_normal_equations(self, fit_intercept):
+        X, y, _, _ = make_regression(n=500, d=9, noise=0.3, seed=4)
+        model = LinearRegression(l2_penalty=0.1, fit_intercept=fit_intercept, chunk_size=64)
+        model.fit(X, y)
+        aug = np.hstack([X, np.ones((X.shape[0], 1))]) if fit_intercept else X
+        ridge = 0.1 * X.shape[0] * np.eye(aug.shape[1])
+        if fit_intercept:
+            ridge[-1, -1] = 0.0
+        params = np.linalg.solve(aug.T @ aug + ridge, aug.T @ y)
+        np.testing.assert_allclose(model.coef_, params[: X.shape[1]], rtol=1e-12)
+        expected_intercept = params[-1] if fit_intercept else 0.0
+        assert model.intercept_ == pytest.approx(expected_intercept, rel=1e-12)
+
     def test_no_intercept_mode(self):
         X = np.array([[1.0], [2.0], [3.0]])
         y = np.array([2.0, 4.0, 6.0])

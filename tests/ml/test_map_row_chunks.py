@@ -95,9 +95,13 @@ def serial_normal_equations(X, y):
     gram = np.zeros((COLS + 1, COLS + 1))
     moment = np.zeros(COLS + 1)
     for start, stop in iter_row_chunks(X, CHUNK):
-        chunk = np.hstack([np.asarray(X[start:stop], dtype=np.float64), np.ones((stop - start, 1))])
-        gram += chunk.T @ chunk
-        moment += chunk.T @ y[start:stop]
+        chunk = np.asarray(X[start:stop], dtype=np.float64)
+        gram[:COLS, :COLS] += chunk.T @ chunk
+        gram[COLS, :COLS] += chunk.sum(axis=0)
+        moment[:COLS] += y[start:stop] @ chunk
+        moment[COLS] += y[start:stop].sum()
+    gram[:COLS, COLS] = gram[COLS, :COLS]
+    gram[COLS, COLS] = X.shape[0]
     return np.linalg.solve(gram, moment)
 
 

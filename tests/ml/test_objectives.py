@@ -1,5 +1,7 @@
 """Tests for the optimiser objectives (generic and streaming)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,84 @@ class TestLinearObjective:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             LinearRegressionObjective(np.zeros((3, 2)), np.zeros(4))
+
+
+# -- the chunk kernel, pinned against the augmented form it replaced -----------
+
+
+def augmented(chunk, fit_intercept):
+    """``[chunk, 1]``: the design matrix the intercept is one more column of."""
+    if not fit_intercept:
+        return chunk
+    return np.hstack([chunk, np.ones((chunk.shape[0], 1))])
+
+
+def reference_logistic(chunk, targets, params, fit_intercept):
+    aug = augmented(chunk, fit_intercept)
+    logits = aug @ params
+    loss = -np.sum(targets * log_sigmoid(logits) + (1 - targets) * log_sigmoid(-logits))
+    return loss, aug.T @ (sigmoid(logits) - targets)
+
+
+def reference_softmax(chunk, targets, params, fit_intercept):
+    aug = augmented(chunk, fit_intercept)
+    W = params.reshape(aug.shape[1], -1)
+    probabilities = softmax(aug @ W)
+    rows = np.arange(len(targets))
+    loss = -np.sum(np.log(probabilities[rows, targets]))
+    probabilities[rows, targets] -= 1.0
+    return loss, (aug.T @ probabilities).reshape(-1)
+
+
+def reference_linear(chunk, targets, params, fit_intercept):
+    aug = augmented(chunk, fit_intercept)
+    residuals = aug @ params - targets
+    return 0.5 * residuals @ residuals, aug.T @ residuals
+
+
+def kernel_case(kind, fit_intercept, rows=300, cols=20, seed=4):
+    """An objective over a fresh chunk, the parameters to evaluate it at, and its reference."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(rows, cols))
+    if kind == "logistic":
+        objective = LogisticRegressionObjective(
+            X, rng.integers(0, 2, rows), fit_intercept=fit_intercept)
+        reference = reference_logistic
+    elif kind == "softmax":
+        objective = SoftmaxRegressionObjective(
+            X, rng.integers(0, 5, rows), n_classes=5, fit_intercept=fit_intercept)
+        reference = reference_softmax
+    else:
+        objective = LinearRegressionObjective(
+            X, rng.normal(size=rows), fit_intercept=fit_intercept)
+        reference = reference_linear
+    params = rng.normal(scale=0.3, size=objective.num_parameters)
+    return objective, params, reference
+
+
+@pytest.mark.parametrize("fit_intercept", [True, False])
+@pytest.mark.parametrize("kind", ["logistic", "softmax", "linear"])
+class TestChunkKernel:
+    def test_matches_the_augmented_reference(self, kind, fit_intercept):
+        objective, params, reference = kernel_case(kind, fit_intercept)
+        targets = np.asarray(objective.y)
+        loss, grad = objective._chunk_value_and_gradient(params, objective.X, targets)
+        expected_loss, expected_grad = reference(objective.X, targets, params, fit_intercept)
+        assert grad.shape == expected_grad.shape == (objective.num_parameters,)
+        np.testing.assert_allclose(loss, expected_loss, rtol=1e-12)
+        # Every entry, the intercept row (the last one, or the last n_classes) included.
+        np.testing.assert_allclose(grad, expected_grad, rtol=1e-12)
+
+    def test_reads_the_chunk_in_place(self, kind, fit_intercept):
+        # A paper-shaped chunk (4096 × 784 float64, 25.7 MB): any copy of it, such as
+        # one next to a column of ones, would show in the peak.
+        objective, params, _ = kernel_case(kind, fit_intercept, rows=4096, cols=784)
+        targets = np.asarray(objective.y)
+        objective._chunk_value_and_gradient(params, objective.X, targets)  # warm BLAS up
+        tracemalloc.start()
+        try:
+            objective._chunk_value_and_gradient(params, objective.X, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < objective.X.nbytes / 10
