@@ -39,7 +39,10 @@ _DISTANCE_BLOCK_ROWS = 64
 A 64 × 784 float64 block (392 KiB) stays in cache between the subtraction and
 the row sums; the whole-chunk temporary was 25.7 MB per 4096-row chunk.  One
 4096 × 784 chunk, one core: 10–16 ms unblocked, 6.8–7.0 ms at 64 rows (32: 6.7–7.1,
-128: 8.0–8.3, 512: 8.3–8.7).
+128: 8.0–8.3, 512: 8.3–8.7).  Whole seeding (k = 5) on the e2e benchmark's
+65,536 × 784 matrix, two workers, eight alternating processes: 0.25–0.30 s
+at 64 rows, 0.27–0.33 s at 128, so this does not share the Lloyd kernel's
+128-row ``_kernel.BLOCK_ROWS``.
 """
 
 
@@ -69,8 +72,11 @@ def kmeans_plus_plus_init(
 
     The first centroid is uniform; each subsequent centroid is sampled with
     probability proportional to the squared distance to the nearest centroid
-    chosen so far.  Distances are maintained incrementally so each new
-    centroid costs one additional pass over the data.
+    chosen so far.  Distances are maintained incrementally: before drawing
+    centroid ``k`` one pass folds in the distances to centroid ``k − 1``, so
+    seeding makes ``n_clusters − 1`` passes over the data (none for the last
+    centroid, whose distances nothing would read) plus one single-row fetch
+    per centroid.
     """
     X = as_matrix(X)
     n_rows, n_features = X.shape
@@ -84,11 +90,12 @@ def kmeans_plus_plus_init(
     centroids[0] = np.asarray(X[first : first + 1], dtype=np.float64)[0]
 
     # Squared distance of every row to its nearest chosen centroid.
-    min_sq_dist = stack_row_chunks(
-        X, chunk_size, lambda chunk: _squared_distances(chunk, centroids[0])
-    )
-
+    min_sq_dist = np.full(n_rows, np.inf)
     for k in range(1, n_clusters):
+        sq_dist = stack_row_chunks(
+            X, chunk_size, lambda chunk: _squared_distances(chunk, centroids[k - 1])
+        )
+        np.minimum(min_sq_dist, sq_dist, out=min_sq_dist)
         total = float(min_sq_dist.sum())
         if total <= 0.0:
             # All remaining points coincide with existing centroids; fall back
@@ -102,10 +109,5 @@ def kmeans_plus_plus_init(
         probabilities = min_sq_dist / total
         chosen = int(rng.choice(n_rows, p=probabilities))
         centroids[k] = np.asarray(X[chosen : chosen + 1], dtype=np.float64)[0]
-
-        sq_dist = stack_row_chunks(
-            X, chunk_size, lambda chunk: _squared_distances(chunk, centroids[k])
-        )
-        np.minimum(min_sq_dist, sq_dist, out=min_sq_dist)
 
     return centroids

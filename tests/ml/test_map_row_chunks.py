@@ -23,7 +23,7 @@ from repro.api import write_sharded_dataset
 from repro.ml import KMeans, LinearRegression, LogisticRegression, SoftmaxRegression
 from repro.ml import base
 from repro.ml.base import iter_row_chunks, map_ordered, map_row_chunks
-from repro.ml.cluster._kernel import cluster_sums, min_distance_sum, nearest_centroid
+from repro.ml.cluster._kernel import BLOCK_ROWS
 from repro.ml.linear_model.objectives import (
     LinearRegressionObjective,
     LogisticRegressionObjective,
@@ -32,6 +32,7 @@ from repro.ml.linear_model.objectives import (
 from repro.ml.optim.lbfgs import LBFGS
 
 ROWS, COLS, CLASSES, CHUNK = 1000, 12, 4, 96   # 11 chunks, the last one short
+KMEANS_CHUNK = 3 * BLOCK_ROWS + 17   # Lloyd chunks of several blocks, the last one short
 WORKERS = (1, 2, 4)
 INPUTS = ("ndarray", "mmap", "shard_raw", "shard_zlib")
 
@@ -121,17 +122,28 @@ def serial_kmeans_plus_plus(X, n_clusters, rng):
     return centroids
 
 
-def serial_lloyd(X, centroids, iterations):
+def serial_lloyd(X, centroids, iterations, chunk=CHUNK):
+    """Lloyd's iterations written out per chunk and per ``BLOCK_ROWS``-row block.
+
+    Each chunk's sums and ``‖x‖²`` / min-offset totals start from zero and
+    gather its blocks in order, then join the running totals in chunk order.
+    """
     k = centroids.shape[0]
     for _ in range(iterations):
         sums, counts, inertia = np.zeros_like(centroids), np.zeros(k, dtype=np.int64), 0.0
-        for start, stop in iter_row_chunks(X, CHUNK):
-            chunk = X[start:stop]
-            nearest, offsets = nearest_centroid(chunk, centroids)
-            chunk_sums, chunk_counts = cluster_sums(chunk, nearest, k)
+        for start, stop in iter_row_chunks(X, chunk):
+            chunk_sums, squared_norms, min_offsets = np.zeros_like(centroids), 0.0, 0.0
+            for block_start in range(start, stop, BLOCK_ROWS):
+                block = X[block_start:min(block_start + BLOCK_ROWS, stop)]
+                offsets = block @ (-2.0 * centroids.T) + np.einsum("ij,ij->i", centroids, centroids)
+                nearest = offsets.argmin(axis=1)
+                members = (np.arange(k)[:, None] == nearest).astype(np.float64)
+                chunk_sums += members @ block
+                counts += members.sum(axis=1).astype(np.int64)
+                min_offsets += float(offsets.min(axis=1).sum())
+                squared_norms += float(np.vdot(block, block))
             sums += chunk_sums
-            counts += chunk_counts
-            inertia += min_distance_sum(chunk, offsets)
+            inertia += squared_norms + min_offsets
         assert np.all(counts > 0)
         centroids = sums / counts[:, None]
     return centroids, inertia
@@ -154,6 +166,8 @@ def fitted_models(X, y, y_binary, y_real):
                             chunk_size=CHUNK, seed=3).fit(X),
         "kmeans_random": KMeans(n_clusters=CLASSES, max_iterations=5, tolerance=-1.0,
                                 init="random", chunk_size=CHUNK, seed=3).fit(X),
+        "kmeans_blocks": KMeans(n_clusters=CLASSES, max_iterations=5, tolerance=-1.0,
+                                chunk_size=KMEANS_CHUNK, seed=3).fit(X),
     }
 
 
@@ -164,6 +178,9 @@ PREDICTION_METHODS = {
     "linear_lbfgs": ("predict",),
     "kmeans_pp": ("predict", "transform"),
     "kmeans_random": ("predict", "transform"),
+    # Not transform: its whole-chunk gemm rounds by chunk height, and
+    # serial_predict stitches CHUNK-row pieces.
+    "kmeans_blocks": ("predict",),
 }
 
 
@@ -187,6 +204,8 @@ def reference(problem):
         X, serial_kmeans_plus_plus(X, CLASSES, np.random.default_rng(3)), 5)
     rows = np.sort(np.random.default_rng(3).choice(ROWS, size=CLASSES, replace=False))
     expected["kmeans_random"] = serial_lloyd(X, X[rows].copy(), 5)
+    expected["kmeans_blocks"] = serial_lloyd(
+        X, serial_kmeans_plus_plus(X, CLASSES, np.random.default_rng(3)), 5, KMEANS_CHUNK)
     return expected
 
 
