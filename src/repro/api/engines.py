@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import abc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Type, Union
 
@@ -364,8 +365,11 @@ class StreamingEngine(ExecutionEngine):
     Each pass streams the dataset as shard-aligned row chunks through one
     :class:`~repro.api.chunks.ChunkStream`; a reader thread reads chunk
     *k+1* while chunk *k* trains (or predicts), which is what lets an
-    out-of-core ``shard://`` dataset keep the CPU busy.  Labels are sliced
-    per chunk — a sharded dataset's lazy label view is never materialised.
+    out-of-core ``shard://`` dataset keep the CPU busy.  A model's final
+    read pass (``finalize_streaming``, e.g. MiniBatchKMeans' ``inertia_``) is
+    one more pass of the same stream, opened only if the model reads it.
+    Labels are sliced per chunk — a sharded dataset's lazy label view is
+    never materialised.
 
     The constructor is the one place a scan is configured: ``Session.fit`` /
     ``Session.predict`` take an engine, not pipeline options, and ``m3 train``
@@ -470,32 +474,40 @@ class StreamingEngine(ExecutionEngine):
         stats = ChunkStreamStats()
         passes = 0
         readers: list = []
+        reader_log: list = []
         stream = None
 
-        def make_stream():
+        @contextmanager
+        def open_pass(pass_labels: Optional[Any] = None):
+            # One pass over the plan, counted and folded into the totals once
+            # it is exhausted.  The first pass's stream allocates the buffer
+            # ring and every later pass reuses it — steady-state training
+            # makes zero per-chunk allocations even across epochs.
             nonlocal passes, stream
             passes += 1
-            # Shared across passes: the first pass's stream allocates the
-            # buffer ring, later passes reuse it — steady-state training makes
-            # zero per-chunk allocations even across epochs.
             pool = stream.pool if stream is not None else None
             stream = self._open_stream(
-                dataset.matrix, labels=labels, plan=plan, pool=pool
+                dataset.matrix, labels=pass_labels, plan=plan, pool=pool
             )
             with stream:
-                for chunk in stream:
+                yield stream
+            stats.merge(stream.stats)
+            self._merge_reader_stats(readers, reader_log, stream)
+
+        def make_stream():
+            with open_pass(labels) as chunks:
+                for chunk in chunks:
                     try:
                         yield chunk.X, chunk.y
                     finally:
                         chunk.release()
-            stats.merge(stream.stats)
-            self._merge_reader_stats(readers, stream)
 
         start = time.perf_counter()
-        fit_streaming(make_stream, classes=classes, finalize=dataset.matrix)
+        # ``open_pass`` is a chunk source (see repro.ml.base.map_row_chunks).
+        fit_streaming(make_stream, classes=classes, finalize=open_pass)
         elapsed = time.perf_counter() - start
 
-        details = self._pipeline_details(stats, stream, readers)
+        details = self._pipeline_details(stats, stream, readers, reader_log)
         details["passes"] = passes
         return FitResult(
             model=model,
@@ -522,23 +534,26 @@ class StreamingEngine(ExecutionEngine):
         )
 
     @staticmethod
-    def _merge_reader_stats(accumulated: list, stream: ChunkStream) -> None:
-        """Fold a stream's per-reader accounting into the across-pass totals."""
-        for reader, entry in enumerate(stream.reader_stats):
+    def _merge_reader_stats(accumulated: list, log: list, stream: ChunkStream) -> None:
+        """Fold a stream's per-reader accounting and claims into the across-pass totals."""
+        for reader, (entry, claims) in enumerate(zip(stream.reader_stats, stream.reader_log)):
             if reader == len(accumulated):
                 accumulated.append(dict(entry))
+                log.append(list(claims))
             else:
                 for key in ("chunks", "rows", "bytes_read", "read_s"):
                     accumulated[reader][key] += entry[key]
+                log[reader].extend(claims)
 
     def _pipeline_details(
-        self, stats: ChunkStreamStats, stream: ChunkStream, readers: list
+        self, stats: ChunkStreamStats, stream: ChunkStream, readers: list, reader_log: list
     ) -> Dict[str, Any]:
         """The chunk pipeline's accounting, shared by ``fit`` and ``predict``.
 
         ``stream`` is the last stream the run opened: every pass uses the same
         plan and knobs, so its geometry (readers, window, ring) describes
-        them all; ``stats`` and ``readers`` are the across-pass totals.
+        them all; ``stats``, ``readers`` and ``reader_log`` are the
+        across-pass totals.
         """
         plan = stream.plan
         details: Dict[str, Any] = stats.as_dict()
@@ -555,7 +570,7 @@ class StreamingEngine(ExecutionEngine):
                     for r, w, c in stats.samples
                 ],
                 "readers": [dict(entry) for entry in readers],
-                "reader_log": stream.reader_log,
+                "reader_log": reader_log,
             }
         )
         if stream.pool is not None:
@@ -596,7 +611,9 @@ class StreamingEngine(ExecutionEngine):
                     stream, plan.n_rows, method=method, workers=self.compute_workers
                 )
         elapsed = time.perf_counter() - start
-        details = self._pipeline_details(stream.stats, stream, stream.reader_stats)
+        details = self._pipeline_details(
+            stream.stats, stream, stream.reader_stats, stream.reader_log
+        )
         return PredictResult(
             predictions=predictions,
             model=model,

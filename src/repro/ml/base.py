@@ -92,21 +92,31 @@ def compute_threads() -> int:
 def map_row_chunks(
     X: Any, chunk_size: int, fn: Callable[[int, int, Any], Any]
 ) -> Iterator[Tuple[int, int, Any]]:
-    """Yield ``(start, stop, fn(start, stop, X[start:stop]))`` in row order.
+    """Yield ``(start, stop, fn(start, stop, chunk))`` in row order.
 
     The ordered, chunk-parallel map under every full-matrix pass (objective
-    gradients, Lloyd's assignment pass, seeding, every prediction method).
-    What makes it invisible to callers:
+    gradients, Lloyd's assignment pass, seeding, inertia, every prediction
+    method).  ``X`` is a matrix or a **chunk source**: a zero-argument
+    callable returning a context-managed iterable of chunks with ``start``,
+    ``stop``, ``X`` and ``release()`` — a
+    :class:`~repro.api.chunks.ChunkStream` opener, which is how a streamed
+    fit hands a model its final read pass.  What makes the map invisible to
+    callers:
 
-    * chunks are **sliced on the calling thread, in order** — an
-      ``MmapMatrix``'s access trace and a compressed matrix's block decode
-      stay exactly as sequential as the serial loop's; only ``fn`` runs on
-      workers, where the page faults of a cold mapping overlap with compute;
+    * a matrix is **sliced on the calling thread, in order**, into chunks of
+      ``chunk_size`` rows — an ``MmapMatrix``'s access trace and a compressed
+      matrix's block decode stay exactly as sequential as the serial loop's;
+      only ``fn`` runs on workers, where the page faults of a cold mapping
+      overlap with compute;
+    * a source is opened once and drawn in its own order: its readers (and
+      decode pool) own the reads and the chunk bounds, ``chunk_size`` is not
+      used, and each chunk is released once ``fn`` has run on it — or, if a
+      failure cancels it first, without running;
     * results are **consumed in chunk order**, so a caller that accumulates
       ``total += result`` adds in the serial loop's order and every fitted
       attribute is bit-identical at any worker count;
-    * at most ``workers + 1`` chunks exist at a time;
-    * an input of one chunk (every ``partial_fit``, every served micro-batch)
+    * at most ``workers + 1`` chunks are submitted and not yet consumed;
+    * a matrix of one chunk (every ``partial_fit``, every served micro-batch)
       and a call made from inside a worker run inline — no pool, no thread.
 
     **Compute threads.**  There is no knob: workers = CPUs available to the
@@ -121,11 +131,31 @@ def map_row_chunks(
     serial loop exactly, and ``OPENBLAS_NUM_THREADS=1`` (the recommended
     setting for ``m3 train`` / ``m3 predict``) hands every core to this map.
     """
+    if callable(X):
+        return _map_source_chunks(X, fn)
     workers = _compute_threads() if X.shape[0] > chunk_size else 1
     items = ((start, stop, X[start:stop]) for start, stop in iter_row_chunks(X, chunk_size))
     return map_ordered(
         lambda item: (item[0], item[1], fn(*item)), items, workers, workers + 1
     )
+
+
+def _map_source_chunks(
+    source: Callable[[], Any], fn: Callable[[int, int, Any], Any]
+) -> Iterator[Tuple[int, int, Any]]:
+    """:func:`map_row_chunks` over a chunk source."""
+    workers = _compute_threads()
+
+    def run(chunk: Any) -> Tuple[int, int, Any]:
+        try:
+            return chunk.start, chunk.stop, fn(chunk.start, chunk.stop, chunk.X)
+        finally:
+            chunk.release()
+
+    with source() as chunks:
+        yield from map_ordered(
+            run, chunks, workers, workers + 1, abandon=lambda chunk: chunk.release()
+        )
 
 
 def stack_row_chunks(
@@ -208,9 +238,12 @@ class StreamingEstimator:
     ``_end_streaming_pass(epoch)``
         Called after each pass; return ``True`` to stop early (convergence).
     ``finalize_streaming(X)``
-        Called once after the last pass with a matrix-like handle to the full
-        dataset, for summary attributes that need a final read pass
-        (``inertia_``, ``result_``); must be cheap or a sequential scan.
+        Called once after the last pass with the full dataset as a matrix or
+        a chunk source (see :func:`map_row_chunks`), for summary attributes
+        that need a final read pass (``inertia_``, ``result_``); must be
+        cheap or a sequential scan.  The streaming engine hands a source
+        that opens one more pass of its own stream when called, so a model
+        that never reads it costs no pass.
 
     :meth:`fit_streaming` ties these together, and is the *single* training
     loop shared by in-core ``fit`` (which feeds it in-memory chunks) and the
@@ -247,7 +280,8 @@ class StreamingEstimator:
         classes:
             Class labels forwarded to every ``partial_fit`` call.
         finalize:
-            Optional matrix-like handle passed to :meth:`finalize_streaming`.
+            Optional matrix or chunk source passed to
+            :meth:`finalize_streaming`.
         """
         self._reset_streaming()
         epoch = 0

@@ -152,7 +152,9 @@ def total_inertia(X: Any, centroids: np.ndarray, chunk_size: int) -> float:
     """Sum of squared distances of the rows of ``X`` to their nearest centroid.
 
     :func:`lloyd_statistics`'s inertia, summed in the same order, without the
-    assignments and sums nothing here reads.
+    assignments and sums nothing here reads.  ``X`` is a matrix, cut into
+    ``chunk_size``-row chunks, or a chunk source, summed over its own chunks
+    (see :func:`~repro.ml.base.map_row_chunks`).
     """
 
     def chunk_inertia(_start: int, _stop: int, chunk: Any) -> float:

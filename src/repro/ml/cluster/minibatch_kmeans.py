@@ -71,7 +71,12 @@ class MiniBatchKMeans(BaseEstimator, ClustererMixin, StreamingEstimator, Streami
         Rows each centroid has absorbed so far (``int64``); with
         ``cluster_centers_`` this is all ``partial_fit`` needs to continue.
     inertia_:
-        Inertia over the full dataset measured after the final epoch.
+        Inertia over the full dataset measured after the final epoch, summed
+        chunk by chunk in row order.  In-core ``fit`` sums ``batch_size``-row
+        chunks; a streamed fit sums its own stream's chunks, read and decoded
+        by the stream's readers — bit-identical to ``Σ inertia(X[a:b])`` over
+        the plan's bounds, and to the in-core value when the plan tiles
+        ``batch_size`` rows (e.g. shard heights a multiple of it).
     n_iter_:
         Number of epochs performed.
     """
@@ -183,11 +188,17 @@ class MiniBatchKMeans(BaseEstimator, ClustererMixin, StreamingEstimator, Streami
         centroids[hit] += (sums[hit] - members[hit, None] * centroids[hit]) / counts[hit, None]
 
     def finalize_streaming(self, X: Any) -> None:
-        """Set the summary attributes that need one look at the full matrix."""
+        """Set the summary attributes that need one look at the full data.
+
+        ``X`` is a matrix or a chunk source (see
+        :func:`~repro.ml.base.map_row_chunks`); ``inertia_`` is one pass over it.
+        """
         if not hasattr(self, "cluster_centers_"):
             return
         self.n_iter_ = getattr(self, "_streaming_epochs_", self.max_epochs)
-        self.inertia_ = self.inertia(X)
+        self.inertia_ = total_inertia(
+            X if callable(X) else as_matrix(X), self.cluster_centers_, self.batch_size
+        )
 
     def predict(self, X: Any) -> np.ndarray:
         """Index of the nearest centroid for every row of ``X``."""

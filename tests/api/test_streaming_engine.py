@@ -7,11 +7,15 @@ naive Bayes on every storage backend, produces models equivalent to
 ``FitResult.details``.
 """
 
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
+from repro.analysis.runtime import LEASES
 from repro.api import Session, StreamingEngine, open_chunk_stream, plan_chunks, resolve_engine
-from repro.api.sharded import ShardedLabels
+from repro.api.sharded import CompressedShardedMatrix, ShardedLabels
 from repro.ml import (
     GaussianNaiveBayes,
     KMeans,
@@ -19,6 +23,8 @@ from repro.ml import (
     MiniBatchKMeans,
     SoftmaxRegression,
 )
+from repro.ml import base
+from repro.ml.cluster import _kernel
 
 BACKENDS = ["memory", "mmap", "shard"]
 SHARD_ROWS = 128
@@ -133,6 +139,9 @@ class TestEquivalenceWithLocal:
                 by_hand.partial_fit(X[start:stop])
         assert np.array_equal(streamed.cluster_centers_, by_hand.cluster_centers_)
         assert np.array_equal(streamed.counts_, by_hand.counts_)
+        # inertia_ is a last pass over the fit's own stream; with shard heights
+        # a multiple of batch_size it sums the in-core chunks, bit for bit.
+        assert streamed.inertia_ == by_hand.inertia(X)
 
     def test_softmax_sgd_matches_local(self, session, problem):
         X, _ = problem
@@ -148,6 +157,103 @@ class TestEquivalenceWithLocal:
             engine="streaming",
         ).model
         np.testing.assert_allclose(streamed.coef_, local.coef_, rtol=0, atol=1e-12)
+
+
+class TestFinalizePass:
+    """MiniBatchKMeans' inertia_ pass reads through the fit's own chunk stream."""
+
+    @pytest.fixture(autouse=True)
+    def two_compute_threads(self, monkeypatch):
+        # The source fan-out runs on a pool whatever the runner's BLAS setting.
+        monkeypatch.setattr(base, "_compute_threads", lambda: 2)
+
+    @staticmethod
+    def fit(tmp_path, X, y, codec, batch_size, **engine):
+        spec = f"shard://{tmp_path}/train"
+        with Session() as session:
+            session.create(spec, X, y, shard_rows=SHARD_ROWS, codec=codec)
+            dataset = session.open(spec)
+            result = session.fit(
+                MiniBatchKMeans(n_clusters=4, max_epochs=2, batch_size=batch_size, seed=0),
+                dataset,
+                engine=StreamingEngine(**engine),
+            )
+            bounds = plan_chunks(dataset.matrix, chunk_rows=batch_size).bounds
+        return result, bounds
+
+    @pytest.mark.parametrize("compute_workers", [1, 2])
+    @pytest.mark.parametrize("io_workers", [1, 2])
+    @pytest.mark.parametrize("codec", [None, "zlib"], ids=["raw", "zlib"])
+    def test_inertia_sums_the_plan_chunks(
+        self, problem, tmp_path, codec, io_workers, compute_workers
+    ):
+        X, y = problem
+        batch_size = 48  # does not divide SHARD_ROWS: shard cuts make short chunks
+        result, bounds = self.fit(
+            tmp_path, X, y, codec, batch_size,
+            io_workers=io_workers, compute_workers=compute_workers,
+        )
+        assert any(stop - start < batch_size for start, stop in bounds[:-1])
+        model = result.model
+        by_chunk = 0.0
+        for start, stop in bounds:
+            by_chunk += model.inertia(X[start:stop])
+        assert model.inertia_ == by_chunk
+
+    @pytest.mark.parametrize("compute_workers", [1, 2])
+    @pytest.mark.parametrize("io_workers", [1, 2])
+    def test_zlib_pass_decodes_off_the_calling_thread(
+        self, problem, tmp_path, monkeypatch, io_workers, compute_workers
+    ):
+        X, y = problem
+        caller = threading.get_ident()
+        calls = []
+
+        def spy(name):
+            real = getattr(CompressedShardedMatrix, name)
+
+            def call(self, *args):
+                calls.append((name, threading.get_ident()))
+                return real(self, *args)
+
+            return call
+
+        for name in ("__getitem__", "gather_into"):
+            monkeypatch.setattr(CompressedShardedMatrix, name, spy(name))
+        result, _ = self.fit(
+            tmp_path, X, y, "zlib", CHUNK,
+            io_workers=io_workers, compute_workers=compute_workers,
+        )
+        # No pass of the fit, the inertia pass included, reads on this thread.
+        assert [name for name, thread in calls if thread == caller] == []
+        assert result.details["passes"] == 3
+        assert result.model.inertia_ == result.model.inertia(X)
+
+    @pytest.mark.parametrize("compute_threads", [1, 2])
+    @pytest.mark.parametrize("codec", [None, "zlib"], ids=["raw", "zlib"])
+    def test_kernel_failure_propagates_and_returns_every_lease(
+        self, problem, tmp_path, monkeypatch, codec, compute_threads
+    ):
+        monkeypatch.setattr(base, "_compute_threads", lambda: compute_threads)
+        X, y = problem
+        failure = ArithmeticError("chunk kernel failed")
+        real_map = _kernel.map_row_chunks
+
+        def failing_map(source, chunk_size, fn):
+            calls = itertools.count()
+
+            def kernel(start, stop, chunk):
+                if next(calls) == 2:  # the third chunk, on whichever worker
+                    raise failure
+                return fn(start, stop, chunk)
+
+            return real_map(source, chunk_size, kernel)
+
+        monkeypatch.setattr(_kernel, "map_row_chunks", failing_map)
+        with pytest.raises(ArithmeticError) as raised:
+            self.fit(tmp_path, X, y, codec, CHUNK, io_workers=2, compute_workers=2)
+        assert raised.value is failure
+        assert LEASES.outstanding() == []
 
 
 class TestStreamingDetails:
@@ -170,6 +276,23 @@ class TestStreamingDetails:
             assert details[key] >= 0.0
         assert len(details["per_chunk"]) == details["chunks"]
         assert set(details["per_chunk"][0]) == {"read_s", "io_wait_s", "compute_s"}
+
+    def test_details_count_the_minibatch_inertia_pass(self, session):
+        result = session.fit(
+            MiniBatchKMeans(n_clusters=4, max_epochs=3, batch_size=CHUNK, seed=0),
+            session.open(session.specs["shard"]),
+            engine="streaming",
+        )
+        details = result.details
+        # Three epochs, then the inertia_ pass through the same stream.
+        assert details["passes"] == 4
+        assert details["chunks"] == details["chunks_per_pass"] * details["passes"]
+        assert details["rows"] == 600 * 4
+        assert details["bytes_read"] == 600 * 12 * 8 * 4
+        assert sum(r["chunks"] for r in details["readers"]) == details["chunks"]
+        assert sum(r["bytes_read"] for r in details["readers"]) == details["bytes_read"]
+        assert sum(len(log) for log in details["reader_log"]) == details["chunks"]
+        assert len(details["per_chunk"]) == details["chunks"]
 
     def test_inline_stream_trains_the_same_model(self, session, problem):
         # No engine option turns the reader thread off; an inline stream is

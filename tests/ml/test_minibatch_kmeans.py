@@ -1,5 +1,6 @@
 """Tests for mini-batch k-means."""
 
+import gc
 import json
 import sys
 
@@ -132,6 +133,9 @@ class TestGroupedUpdate:
                 work["line"] += event == "line"
                 return trace
 
+            # Other tests' garbage must not run its finalisers in here.
+            gc.collect()
+            gc.disable()
             hooks = sys.getprofile(), sys.gettrace()
             sys.setprofile(profile)
             sys.settrace(trace)
@@ -140,6 +144,7 @@ class TestGroupedUpdate:
             finally:
                 sys.settrace(hooks[1])
                 sys.setprofile(hooks[0])
+                gc.enable()
             return work
 
         X = rng.normal(size=(4096, 20))
