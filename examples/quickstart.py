@@ -155,17 +155,11 @@ roughly the compression ratio, and ``fit``/``predict`` stay bit-identical
 because zlib is lossless.  ``details`` grows ``decode_s`` /
 ``compressed_bytes`` / ``ratio`` so you can see the trade.
 
-When to reach for the other knobs:
+When to reach for the other knob:
 
 * ``--dtype float32`` halves storage when features tolerate ~7 significant
   digits (sensor data, pixel intensities, one-hot/count features) — not for
   ids or money.  Predictions then differ from float64 at the 1e-6 level.
-* ``--layout column`` stores one segment per column, so scans that touch a
-  small fraction of the columns fetch only those segments; full-row scans
-  prefer the default ``row`` layout.
-* ``--auto-block`` asks the virtual-memory locality advisor (SLD/TLD, miss
-  ratio, roundtrip intervals — see :mod:`repro.vmem.advisor`) to pick
-  ``block_rows`` and the layout for a declared scan workload.
 
 Serving requests
 ----------------

@@ -19,7 +19,7 @@ Both are anchored by the lock-rank registry in
 
 from repro.analysis.findings import RULES, Finding
 from repro.analysis.linter import LintError, LintReport, lint_paths
-from repro.analysis.locks import LOCK_ORDER, rank_of, register_lock
+from repro.analysis.locks import LOCK_ORDER
 from repro.analysis.runtime import (
     GRAPH,
     LEASES,
@@ -42,8 +42,6 @@ __all__ = [
     "LintReport",
     "lint_paths",
     "LOCK_ORDER",
-    "rank_of",
-    "register_lock",
     "GRAPH",
     "LEASES",
     "LeaseTracker",

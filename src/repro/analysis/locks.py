@@ -55,9 +55,9 @@ server condition.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-__all__ = ["LOCK_ORDER", "rank_of", "register_lock"]
+__all__ = ["LOCK_ORDER"]
 
 #: Dotted lock name -> rank.  Acquisitions must strictly increase in rank.
 LOCK_ORDER: Dict[str, int] = {
@@ -108,23 +108,3 @@ LOCK_ORDER: Dict[str, int] = {
     # a pure leaf ranked after everything in the library proper.
     "repro.faults.FaultPlan._lock": 920,
 }
-
-
-def rank_of(name: str) -> Optional[int]:
-    """The declared rank of ``name``, or ``None`` for unregistered locks."""
-    return LOCK_ORDER.get(name)
-
-
-def register_lock(name: str, rank: int) -> None:
-    """Declare a rank for ``name`` (used by tests and downstream extensions).
-
-    Re-registering an existing name with a different rank is an error: the
-    registry is a single global order, not a per-caller preference.
-    """
-    existing = LOCK_ORDER.get(name)
-    if existing is not None and existing != rank:
-        raise ValueError(
-            f"lock {name!r} already registered with rank {existing}, "
-            f"refusing to re-register with rank {rank}"
-        )
-    LOCK_ORDER[name] = rank

@@ -4,9 +4,11 @@
 file or a sharded directory, v1 or v2 — into a new sharded directory, without
 ever materialising more than one chunk of rows at a time.  It backs the
 ``m3 convert`` CLI command: the usual direction is v1 → compressed v2
-(pick a codec, optionally downcast the storage dtype or switch to the column
-layout), but passing ``codec=None`` re-expands a v2 dataset back into plain
-memory-mappable v1 shards, which keeps round-trips testable.
+(pick a codec, optionally downcast the storage dtype), but passing
+``codec=None`` re-expands a v2 dataset back into plain memory-mappable v1
+shards, which keeps round-trips testable.  Output blocks are always
+row-major; a column-layout source (a read-only legacy form) converts like any
+other, which is how such a dataset becomes appendable again.
 """
 
 from __future__ import annotations
@@ -66,26 +68,12 @@ class _Source:
         self.labels = None
 
 
-def dataset_geometry(source: Union[str, Path]):
-    """``(rows, cols, dtype)`` of a convertible dataset, without copying it.
-
-    Used by ``m3 convert --auto-block`` to feed the advisor before deciding
-    the target encoding.
-    """
-    src = _Source(Path(source))
-    try:
-        return src.rows, src.cols, np.dtype(src.dtype)
-    finally:
-        src.close()
-
-
 def convert_dataset(
     source: Union[str, Path],
     destination: Union[str, Path],
     codec: Optional[Union[str, Codec]] = "zlib",
     block_rows: Optional[int] = None,
     storage_dtype: Optional[Any] = None,
-    layout: str = "row",
     shard_rows: Optional[int] = None,
     chunk_rows: int = DEFAULT_CONVERT_CHUNK_ROWS,
 ) -> ShardManifest:
@@ -101,12 +89,13 @@ def convert_dataset(
     codec:
         Target codec name (``"zlib"``, ``"none"``) for blocked v2 output, or
         ``None`` to write raw v1 shards.
-    block_rows, storage_dtype, layout:
+    block_rows, storage_dtype:
         v2 encoding knobs, as in
         :func:`repro.api.sharded.write_sharded_dataset`.
     shard_rows:
-        Rows per output shard; defaults to the source's shard height when
-        converting a sharded dataset, else ``DEFAULT_SHARD_ROWS``.
+        Rows per output shard; defaults to the source's (largest) shard
+        height when converting a sharded dataset that holds rows, else
+        ``DEFAULT_SHARD_ROWS``.
     chunk_rows:
         Copy granularity; bounds converter memory.
     """
@@ -130,10 +119,8 @@ def convert_dataset(
     src = _Source(source)
     try:
         if shard_rows is None:
-            if src._sharded is not None and src._sharded.manifest.shards:
-                shard_rows = max(s.rows for s in src._sharded.manifest.shards)
-            else:
-                shard_rows = DEFAULT_SHARD_ROWS
+            shards = src._sharded.manifest.shards if src._sharded is not None else ()
+            shard_rows = max((s.rows for s in shards), default=0) or DEFAULT_SHARD_ROWS
         if shard_rows <= 0:
             raise ValueError(f"shard_rows must be positive, got {shard_rows}")
 
@@ -177,7 +164,6 @@ def convert_dataset(
                     codec=resolved_codec,
                     dtype=src.dtype,
                     storage_dtype=resolved_storage,
-                    layout=layout,
                 ) as writer:
                     for lo in range(start, stop, chunk_rows):
                         hi = min(lo + chunk_rows, stop)
@@ -206,7 +192,6 @@ def convert_dataset(
             codec=resolved_codec.name if resolved_codec is not None else None,
             block_rows=block_rows if resolved_codec is not None else None,
             storage_dtype=resolved_storage if resolved_codec is not None else None,
-            layout=layout if resolved_codec is not None else "row",
         )
         write_manifest(destination, manifest)
         return manifest

@@ -17,8 +17,10 @@ views; chunks that straddle a shard boundary are assembled with one copy.
 
 Manifest **version 2** describes a *compressed* sharded dataset: shards are
 blocked ``.m3b`` files (:mod:`repro.data.formats_v2`) whose blocks are
-independently coded, optionally downcast to a narrower storage dtype, and
-optionally laid out column-major.  v2 datasets are served read-only by
+independently coded and optionally downcast to a narrower storage dtype.
+Blocks are written row-major; a column-major manifest (``"layout":
+"column"``, written by older versions) stays readable but is never written
+or appended to.  v2 datasets are served read-only by
 :class:`CompressedShardedMatrix`, which exposes the same protocol plus a
 two-phase ``fetch_compressed`` / ``decode_into`` API so the parallel chunk
 pipeline can fetch payloads on its reader pool and decompress on its compute
@@ -135,9 +137,10 @@ class ShardManifest:
     """Parsed ``manifest.json`` of a sharded dataset directory.
 
     ``codec`` is ``None`` for v1 (raw memory-mappable shards); a v2 manifest
-    names the codec plus the blocked geometry (``block_rows``, ``layout``)
-    and the on-disk ``storage_dtype`` (``dtype`` stays the *logical* dtype
-    consumers see).
+    names the codec plus the blocked geometry (``block_rows``, ``layout`` —
+    ``"row"`` for everything written today, ``"column"`` in read-only legacy
+    datasets) and the on-disk ``storage_dtype`` (``dtype`` stays the
+    *logical* dtype consumers see).
     """
 
     rows: int
@@ -449,7 +452,6 @@ def write_sharded_dataset(
     codec: Optional[Union[str, Codec]] = None,
     block_rows: Optional[int] = None,
     storage_dtype: Optional[Any] = None,
-    layout: str = "row",
 ) -> ShardManifest:
     """Write ``data`` (and optional ``labels``) as a sharded dataset.
 
@@ -475,10 +477,6 @@ def write_sharded_dataset(
         v2 on-disk dtype; ``None`` stores the data's own dtype losslessly,
         ``float32``/``float16`` downcast for extra compression at bounded
         precision cost.
-    layout:
-        v2 block layout: ``"row"`` (one segment per block) or ``"column"``
-        (one segment per column).  A compression-ratio choice, not a read
-        path: every read fetches and decodes whole blocks under either.
     """
     directory = Path(directory)
     data = np.asarray(data)
@@ -536,7 +534,6 @@ def write_sharded_dataset(
                 block_rows=block_rows,
                 codec=resolved_codec,
                 storage_dtype=resolved_storage,
-                layout=layout,
             )
             shards.append(
                 ShardInfo(
@@ -558,7 +555,6 @@ def write_sharded_dataset(
         codec=None if resolved_codec is None else resolved_codec.name,
         block_rows=None if resolved_codec is None else block_rows,
         storage_dtype=resolved_storage,
-        layout=layout,
     )
     write_manifest(directory, manifest)
     return manifest
@@ -1517,6 +1513,14 @@ class _CodedTail:
     labels: np.ndarray
 
 
+class ReadOnlyLayoutError(ValueError):
+    """An append to a dataset stored in the legacy column layout.
+
+    Column-major blocks are still read, but no writer produces them any more;
+    ``m3 convert`` rewrites such a dataset row-major, and the copy appends.
+    """
+
+
 class ShardAppender:
     """Streams rows into a sharded dataset, one committed generation per batch.
 
@@ -1615,6 +1619,12 @@ class ShardAppender:
         # to its commit) memory and disk may disagree: append() reloads.
         self._stale = True
         manifest = self._manifest = read_manifest(self.directory)
+        if manifest.layout != "row":
+            raise ReadOnlyLayoutError(
+                f"{self.directory} stores {manifest.layout}-layout blocks, which "
+                f"are read-only: append to a row-layout copy made with "
+                f"`m3 convert SRC DST --codec zlib` (SRC = {self.directory})"
+            )
         self._row_bytes = manifest.cols * manifest.dtype.itemsize
         if self.is_compressed:
             self._codec = get_codec(manifest.codec)
@@ -1788,7 +1798,7 @@ class ShardAppender:
             short = np.array(chunk[stop:], copy=True)
         coded = tuple(encode_blocks(
             filled + [short] if short.shape[0] else filled,
-            self._codec, self._storage_dtype, self._manifest.layout,
+            self._codec, self._storage_dtype,
         ))
         return _CodedTail(
             blocks=tail.blocks + coded[: len(filled)],
@@ -1814,7 +1824,6 @@ class ShardAppender:
             codec=self._codec,
             dtype=manifest.dtype,
             storage_dtype=self._storage_dtype,
-            layout=manifest.layout,
         ) as writer:
             for block in tail.blocks:
                 writer.write_coded_block(block)

@@ -17,20 +17,22 @@ datasets at such a location.  Three backends ship with the library:
 ``shard`` (compressed v2)
     The same scheme also serves blocked v2 directories — shards are
     ``.m3b`` files of independently compressed fixed-size blocks (codec,
-    ``block_rows``, row/column layout and on-disk ``storage_dtype`` recorded
-    in the manifest).  Opening is transparent: the manifest version picks the
-    matrix class, and the streaming pipeline decodes blocks on its compute
-    pool.  Write one with ``session.create(spec, X, y, codec="zlib")`` or
-    ``m3 convert``.
+    ``block_rows``, block layout and on-disk ``storage_dtype`` recorded in
+    the manifest; blocks are written row-major, and the column layout older
+    versions wrote is a read-only legacy form).  Opening is transparent: the
+    manifest version picks the matrix class, and the streaming pipeline
+    decodes blocks on its compute pool.  Write one with
+    ``session.create(spec, X, y, codec="zlib")`` or ``m3 convert``.
 ``shard`` (appendable)
-    Sharded directories (v1 and v2) are also *appendable*: ``Dataset.append``
-    streams rows into an open tail shard and commits a new manifest
-    generation (``manifest.<gen>.json`` + ``CURRENT``, atomic renames), while
-    open handles keep serving the generation they were opened at — the handle
-    pool's freshness fingerprint is the manifest generation, so readers
-    mid-scan never see the manifest flip.  ``Session.refresh`` opts a handle
-    into the latest generation; ``m3 traind`` tails committed generations and
-    republishes freshly trained models.
+    Sharded directories (v1 and row-layout v2) are also *appendable*:
+    ``Dataset.append`` streams rows into an open tail shard and commits a new
+    manifest generation (``manifest.<gen>.json`` + ``CURRENT``, atomic
+    renames), while open handles keep serving the generation they were
+    opened at — the handle pool's freshness fingerprint is the manifest
+    generation, so readers mid-scan never see the manifest flip.
+    ``Session.refresh`` opts a handle into the latest generation; ``m3
+    traind`` tails committed generations and republishes freshly trained
+    models.
 
 Locations are written as URI-style *specs* — ``"mmap:///data/train.m3"``,
 ``"shard:///data/train/"``, ``"memory://train"`` — or as bare filesystem
@@ -363,8 +365,8 @@ class ShardedBackend(StorageBackend):
         labels: Optional[np.ndarray] = None,
         **options: Any,
     ) -> str:
-        # Block geometry, storage dtype and layout are set through
-        # write_sharded_dataset or m3 convert.
+        # Block geometry and storage dtype are set through
+        # write_sharded_dataset or m3 convert; no writer takes a layout.
         shard_rows = options.pop("shard_rows", None)
         codec = options.pop("codec", None)
         _reject_options(self.scheme, options)

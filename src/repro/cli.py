@@ -9,9 +9,8 @@ reproduction entry points:
   compression ratios).
 * ``m3 convert`` — re-encode a dataset between the raw v1 format and the
   compressed blocked v2 shard format (``--codec``, ``--block-rows``,
-  ``--dtype``, ``--layout``); ``--auto-block`` asks the virtual-memory
-  locality advisor to pick the block size and layout for a declared scan
-  workload (``--scan-chunk-rows``, ``--cache-mb``).
+  ``--dtype``); new v2 shards are row-major, and column-layout datasets
+  written by older versions convert like any other source.
 * ``m3 train`` — train logistic regression or k-means on a dataset through
   the unified :class:`~repro.api.Session` API; ``--engine simulated``
   additionally replays the recorded access trace through the paper-scale
@@ -257,49 +256,14 @@ def _verify_dataset_files(path_str: str) -> List[str]:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    from repro.api.convert import convert_dataset, dataset_geometry
+    from repro.api.convert import convert_dataset
 
-    codec = None if args.codec == "raw" else args.codec
-    block_rows = args.block_rows
-    layout = args.layout
-    if args.auto_block:
-        if codec is None:
-            print("error: --auto-block needs a compressed target (--codec raw "
-                  "has no blocks to size)", file=sys.stderr)
-            return 2
-        if block_rows is not None or layout is not None:
-            print("error: --auto-block picks --block-rows/--layout; do not "
-                  "pass them explicitly", file=sys.stderr)
-            return 2
-        from repro.vmem.advisor import advise_block_layout
-
-        rows, cols, dtype = dataset_geometry(args.source)
-        storage_itemsize = (
-            np.dtype(args.dtype).itemsize if args.dtype else dtype.itemsize
-        )
-        advice = advise_block_layout(
-            rows=rows,
-            cols=cols,
-            itemsize=storage_itemsize,
-            chunk_rows=args.scan_chunk_rows,
-            cache_bytes=args.cache_mb * 1024 * 1024,
-        )
-        block_rows, layout = advice.block_rows, advice.layout
-        best = advice.candidates[0]
-        print(
-            f"advisor: block_rows={block_rows} layout={layout} "
-            f"(score {best.score:.3f}, {best.amplification:.2f}x read "
-            f"amplification, miss ratio "
-            f"{best.friendliness.miss_ratio * 100:.1f}% at "
-            f"{args.cache_mb} MB cache)"
-        )
     manifest = convert_dataset(
         args.source,
         args.destination,
-        codec=codec,
-        block_rows=block_rows,
+        codec=None if args.codec == "raw" else args.codec,
+        block_rows=args.block_rows,
         storage_dtype=args.dtype,
-        layout=layout or "row",
         shard_rows=args.shard_rows,
         chunk_rows=args.chunk_rows,
     )
@@ -315,7 +279,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             f"wrote {manifest.rows} x {manifest.cols} as "
             f"{len(manifest.shards)} {manifest.codec}-compressed v2 shard(s) "
             f"to {args.destination} (block_rows={manifest.block_rows}, "
-            f"layout={manifest.layout}, "
             f"storage dtype {np.dtype(manifest.storage_dtype).name}, "
             f"compression {ratio_text})"
         )
@@ -821,26 +784,11 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None,
                          help="on-disk storage dtype (v2 only; narrower than "
                               "the logical dtype trades precision for size)")
-    convert.add_argument("--layout", choices=["row", "column"], default=None,
-                         help="v2 block layout: 'row' = one segment per "
-                              "block, 'column' = one segment per column — a "
-                              "compression-ratio choice, every read fetches "
-                              "whole blocks either way (default row)")
     convert.add_argument("--shard-rows", type=_positive_int, default=None,
                          help="rows per output shard (default: keep the "
                               "source's shard height)")
     convert.add_argument("--chunk-rows", type=_positive_int, default=8192,
                          help="copy granularity; bounds converter memory")
-    convert.add_argument("--auto-block", action="store_true",
-                         help="let the vmem locality advisor pick "
-                              "--block-rows/--layout for the scan workload "
-                              "described by --scan-chunk-rows/--cache-mb")
-    convert.add_argument("--scan-chunk-rows", type=_positive_int, default=None,
-                         help="streaming chunk height the workload will scan "
-                              "with (with --auto-block)")
-    convert.add_argument("--cache-mb", type=_positive_int, default=64,
-                         help="page-cache budget the advisor scores misses "
-                              "at, in MiB (with --auto-block)")
     convert.set_defaults(func=_cmd_convert)
 
     train = sub.add_parser("train", help="train a model on a dataset")

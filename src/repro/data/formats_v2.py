@@ -3,10 +3,11 @@
 Where the v1 format (:mod:`repro.data.formats`) is a raw memory-mappable
 array, v2 trades the mmap property for bandwidth: the matrix is split into
 fixed-size row **blocks**, each independently compressed through a pluggable
-:mod:`~repro.data.codecs` codec, optionally stored in a narrower dtype
-(float32/float16 downcasting), and optionally laid out **column-major** inside
-each block — like values sit together, which can code smaller; reads fetch
-and decode whole blocks under either layout.
+:mod:`~repro.data.codecs` codec and optionally stored in a narrower dtype
+(float32/float16 downcasting).  Writers store every block row-major.  Files
+written by older versions may hold **column-major** blocks, a read-only
+legacy form that nothing writes any more; reads fetch and decode whole
+blocks under either layout.
 
 Layout::
 
@@ -35,8 +36,8 @@ The JSON header carries the geometry (``rows``/``cols``/``block_rows``), the
 codec and layout names, the *logical* dtype (what consumers see) and the
 *storage* dtype (what is on disk), and the full block/segment table: for the
 ``row`` layout each block is one segment of ``block_rows x cols`` values in C
-order; for the ``column`` layout each block holds ``cols`` segments, one per
-column.
+order; for the legacy ``column`` layout each block holds ``cols`` segments,
+one per column.
 Labels, when present, are one coded int64 segment.
 
 Reads go through :class:`BlockedMatrixReader`, which serves rows with
@@ -70,6 +71,7 @@ BLOCKED_PREFIX_SIZE = 32
 DEFAULT_BLOCK_BYTES = 1024 * 1024
 """Target raw bytes per block when no explicit ``block_rows`` is given."""
 
+#: Block layouts a reader decodes; writers produce ``row`` only.
 LAYOUTS = ("row", "column")
 
 
@@ -106,8 +108,8 @@ class BlockInfo:
     start_row: int
     rows: int
     #: ``(file_offset, coded_bytes, raw_bytes, payload_crc32)`` per segment —
-    #: one segment for the ``row`` layout, one per column for the ``column``
-    #: layout.  The CRC is ``None`` in files written before checksums.
+    #: one segment for the ``row`` layout, one per column for the legacy
+    #: ``column`` layout.  The CRC is ``None`` in files written before checksums.
     segments: Tuple[Segment, ...]
 
     @property
@@ -147,26 +149,19 @@ class BlockedMatrixHeader:
         return self.raw_bytes / self.compressed_bytes
 
 
-def _normalize_layout(layout: str) -> str:
-    if layout not in LAYOUTS:
-        raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
-    return layout
-
-
 @dataclass(frozen=True)
 class CodedBlock:
-    """One block in its on-disk form: coded payloads plus their table entries.
+    """One row-major block in its on-disk form: the coded payload and its entry.
 
-    Each segment is ``(payload, raw_bytes, payload_crc32)`` — one segment for
-    the ``row`` layout, one per column for the ``column`` layout.  Blocks sit
-    at fixed multiples of ``block_rows``, so a block's coded form depends
-    only on its rows and the file's geometry: whoever holds a
-    ``CodedBlock`` can write it again without running the codec
-    (:meth:`BlockedMatrixWriter.write_coded_block`).
+    ``segment`` is ``(payload, raw_bytes, payload_crc32)``: the block's rows
+    in C order, coded.  Blocks sit at fixed multiples of ``block_rows``, so a
+    block's coded form depends only on its rows and the file's geometry:
+    whoever holds a ``CodedBlock`` can write it again without running the
+    codec (:meth:`BlockedMatrixWriter.write_coded_block`).
     """
 
     rows: int
-    segments: Tuple[Tuple[bytes, int, int], ...]
+    segment: Tuple[bytes, int, int]
 
 
 def _code_segment(codec: Codec, raw: bytes) -> Tuple[bytes, int, int]:
@@ -174,9 +169,7 @@ def _code_segment(codec: Codec, raw: bytes) -> Tuple[bytes, int, int]:
     return (payload, len(raw), zlib.crc32(payload))
 
 
-def encode_block(
-    rows: np.ndarray, codec: Codec, storage_dtype: np.dtype, layout: str
-) -> CodedBlock:
+def encode_block(rows: np.ndarray, codec: Codec, storage_dtype: np.dtype) -> CodedBlock:
     """Cast ``rows`` to ``storage_dtype`` and code them as one block.
 
     This is the only place block rows meet the codec on the write side:
@@ -184,15 +177,13 @@ def encode_block(
     last block :meth:`BlockedMatrixWriter.finalize` flushes.
     """
     stored = np.ascontiguousarray(rows, dtype=storage_dtype)
-    parts = [stored] if layout == "row" else stored.T
     return CodedBlock(
-        rows=int(stored.shape[0]),
-        segments=tuple(_code_segment(codec, part.tobytes()) for part in parts),
+        rows=int(stored.shape[0]), segment=_code_segment(codec, stored.tobytes())
     )
 
 
 def encode_blocks(
-    blocks: Sequence[np.ndarray], codec: Codec, storage_dtype: np.dtype, layout: str
+    blocks: Sequence[np.ndarray], codec: Codec, storage_dtype: np.dtype
 ) -> Iterator[CodedBlock]:
     """:func:`encode_block` over ``blocks``, yielded strictly in input order.
 
@@ -208,7 +199,7 @@ def encode_blocks(
     """
     workers = available_cpus() if len(blocks) > 1 else 1
     return map_ordered(
-        lambda rows: encode_block(rows, codec, storage_dtype, layout),
+        lambda rows: encode_block(rows, codec, storage_dtype),
         blocks,
         workers,
         workers + 1,
@@ -237,7 +228,6 @@ class BlockedMatrixWriter:
         codec: Union[str, Codec] = "zlib",
         dtype: Any = np.float64,
         storage_dtype: Optional[Any] = None,
-        layout: str = "row",
     ) -> None:
         if cols <= 0:
             raise ValueError(f"cols must be positive, got {cols}")
@@ -246,7 +236,6 @@ class BlockedMatrixWriter:
         self.dtype = np.dtype(dtype)
         self.storage_dtype = self.dtype if storage_dtype is None else np.dtype(storage_dtype)
         self.codec = get_codec(codec) if isinstance(codec, str) else codec
-        self.layout = _normalize_layout(layout)
         if block_rows is None:
             block_rows = default_block_rows(self.cols, self.storage_dtype.itemsize)
         if block_rows <= 0:
@@ -288,7 +277,7 @@ class BlockedMatrixWriter:
             self._take_pending(self.block_rows)
             for _ in range(self._pending_rows // self.block_rows)
         ]
-        for coded in encode_blocks(filled, self.codec, self.storage_dtype, self.layout):
+        for coded in encode_blocks(filled, self.codec, self.storage_dtype):
             self._put_block(coded)
 
     def append_labels(self, labels: np.ndarray) -> None:
@@ -329,9 +318,9 @@ class BlockedMatrixWriter:
         return (offset, len(payload), raw_bytes, crc)
 
     def _put_block(self, coded: CodedBlock) -> None:
-        segments = tuple(self._write_payload(*segment) for segment in coded.segments)
+        segment = self._write_payload(*coded.segment)
         self._blocks.append(
-            BlockInfo(start_row=self.rows_written, rows=coded.rows, segments=segments)
+            BlockInfo(start_row=self.rows_written, rows=coded.rows, segments=(segment,))
         )
         self.rows_written += coded.rows
 
@@ -339,7 +328,7 @@ class BlockedMatrixWriter:
         """Write an already-coded block as the file's next block.
 
         The block must have been coded for this writer's geometry (codec,
-        storage dtype, layout, columns); the bytes land exactly where
+        storage dtype, columns); the bytes land exactly where
         :meth:`append` of the same rows would have put them.  A full block
         may follow any full block; a *short* one (fewer than ``block_rows``
         rows) is the file's last block, so only :meth:`finalize` may follow.
@@ -375,8 +364,7 @@ class BlockedMatrixWriter:
         if self._pending_rows > 0:
             self._put_block(
                 encode_block(
-                    self._take_pending(self._pending_rows),
-                    self.codec, self.storage_dtype, self.layout,
+                    self._take_pending(self._pending_rows), self.codec, self.storage_dtype
                 )
             )
         has_labels = bool(self._labels)
@@ -398,7 +386,7 @@ class BlockedMatrixWriter:
             "rows": self.rows_written,
             "cols": self.cols,
             "block_rows": self.block_rows,
-            "layout": self.layout,
+            "layout": "row",
             "has_labels": has_labels,
             "blocks": [
                 {"start_row": b.start_row, "rows": b.rows,
@@ -463,7 +451,6 @@ def write_blocked_matrix(
     block_rows: Optional[int] = None,
     codec: Union[str, Codec] = "zlib",
     storage_dtype: Optional[Any] = None,
-    layout: str = "row",
 ) -> BlockedMatrixHeader:
     """Write an in-memory matrix (and optional labels) as one v2 blocked file."""
     data = np.asarray(data)
@@ -476,7 +463,6 @@ def write_blocked_matrix(
         codec=codec,
         dtype=data.dtype,
         storage_dtype=storage_dtype,
-        layout=layout,
     )
     writer.append(data)
     if labels is not None:
@@ -542,6 +528,9 @@ def read_blocked_header(path: Union[str, Path]) -> BlockedMatrixHeader:
         for entry in parsed["blocks"]
     )
     label_segment = parsed.get("labels")
+    layout = str(parsed["layout"])
+    if layout not in LAYOUTS:
+        raise ValueError(f"{path}: layout must be one of {LAYOUTS}, got {layout!r}")
     header = BlockedMatrixHeader(
         version=version,
         codec=str(parsed["codec"]),
@@ -550,7 +539,7 @@ def read_blocked_header(path: Union[str, Path]) -> BlockedMatrixHeader:
         rows=int(parsed["rows"]),
         cols=int(parsed["cols"]),
         block_rows=int(parsed["block_rows"]),
-        layout=_normalize_layout(str(parsed["layout"])),
+        layout=layout,
         has_labels=bool(parsed["has_labels"]),
         blocks=blocks,
         label_segment=_parse_segment(label_segment) if label_segment else None,
@@ -648,29 +637,26 @@ class BlockedMatrixReader:
         return BlockPayload(index=index, payloads=payloads, compressed_bytes=fetched)
 
     def fetch_coded_block(self, index: int) -> CodedBlock:
-        """Block ``index`` as stored, CRC-checked but never decoded.
+        """Row-layout block ``index`` as stored, CRC-checked but never decoded.
 
         For a writer that places the block verbatim in another file
-        (:meth:`BlockedMatrixWriter.write_coded_block`).  Every payload is
+        (:meth:`BlockedMatrixWriter.write_coded_block`).  The payload is
         verified the way a decode would verify it, so corrupt bytes raise
         :class:`ChecksumError` here instead of travelling on under a fresh
         trailer; a block written before checksums existed cannot be vouched
-        for and is refused.
+        for and is refused, and so is a legacy column-layout block, which no
+        writer places.
         """
         block = self.header.blocks[index]
-        fetched = self.fetch_block(index)
-        segments = []
-        for position, (payload, segment) in enumerate(
-            zip(fetched.payloads, block.segments)
-        ):
-            if segment[3] is None:
-                raise ValueError(
-                    f"{self.path}: block {index} carries no checksum and "
-                    f"cannot be copied verbatim; decode and re-encode it"
-                )
-            self._verify_segment(payload, segment, index, position)
-            segments.append((payload, segment[2], segment[3]))
-        return CodedBlock(rows=block.rows, segments=tuple(segments))
+        segment = block.segments[0]
+        if self.header.layout != "row" or segment[3] is None:
+            raise ValueError(
+                f"{self.path}: block {index} is not a checksummed row-layout "
+                f"block and cannot be copied verbatim; decode and re-encode it"
+            )
+        (payload,) = self.fetch_block(index).payloads
+        self._verify_segment(payload, segment, index, 0)
+        return CodedBlock(rows=block.rows, segment=(payload, segment[2], segment[3]))
 
     # -- decode (CPU) --------------------------------------------------------
 

@@ -41,9 +41,10 @@ same call ordinals every time.  (Across reader *threads* the interleaving
 of draws is scheduling-dependent — chaos tests pin ``p=1.0`` with a fire
 budget when they need exact behaviour.)
 
-The site catalogue lives in :data:`SITES` (and, prose-form, in
-``src/repro/faults/README.md``); :meth:`FaultPlan.parse` rejects unknown
-sites so a typo cannot silently disarm a chaos run.
+The site catalogue lives in the module's ``SITES`` table, listed by
+:func:`fault_sites` (and, prose-form, in ``src/repro/faults/README.md``);
+:meth:`FaultPlan.parse` rejects unknown sites so a typo cannot silently
+disarm a chaos run.  :func:`set_fault_plan` is the one public switch.
 """
 
 from __future__ import annotations
@@ -61,11 +62,8 @@ __all__ = [
     "InjectedFault",
     "FaultRule",
     "FaultPlan",
-    "SITES",
     "fault_sites",
-    "active_plan",
     "set_fault_plan",
-    "faults_enabled",
     "maybe_fire",
     "should_fire",
     "RetryPolicy",
@@ -333,11 +331,6 @@ def set_fault_plan(
     _ENV_CHECKED = True
     _ACTIVE = FaultPlan.parse(plan) if isinstance(plan, str) else plan
     return previous
-
-
-def faults_enabled() -> bool:
-    """Whether any fault plan is currently active."""
-    return active_plan() is not None
 
 
 def maybe_fire(site: str, detail: str = "") -> None:

@@ -14,7 +14,10 @@ which combines a :class:`~repro.vmem.page_table.PageTable`, a
 :class:`~repro.vmem.page_cache.PageCache` (LRU replacement, a pluggable
 read-ahead window) and a :class:`~repro.vmem.disk.DiskModel`.  Access
 traces can be recorded with :class:`~repro.vmem.trace.AccessTrace` and replayed
-under different configurations.
+under different configurations.  The package models the machinery and
+nothing else: it does not analyse traces for locality or advise on storage
+geometry, because the paper's algorithms scan stored rows in sequence and
+leave the tuning to the kernel.
 """
 
 from repro.vmem.page import PAGE_SIZE_DEFAULT, Page, PageId
@@ -31,14 +34,6 @@ from repro.vmem.disk import DiskModel, DiskProfile, HDD_7200RPM, NVME_SSD, SATA_
 from repro.vmem.page_cache import PageCache, PageCacheConfig
 from repro.vmem.stats import IoStats, PageCacheStats, UtilizationSample, UtilizationTimeline
 from repro.vmem.trace import AccessKind, AccessRecord, AccessTrace
-from repro.vmem.locality import (
-    LocalityReport,
-    MissRatioCurve,
-    analyze_trace,
-    build_miss_ratio_curve,
-    reuse_distances,
-    working_set_sizes,
-)
 from repro.vmem.vm_simulator import VirtualMemoryConfig, VirtualMemorySimulator
 
 __all__ = [
@@ -68,12 +63,6 @@ __all__ = [
     "AccessKind",
     "AccessRecord",
     "AccessTrace",
-    "LocalityReport",
-    "MissRatioCurve",
-    "analyze_trace",
-    "build_miss_ratio_curve",
-    "reuse_distances",
-    "working_set_sizes",
     "VirtualMemoryConfig",
     "VirtualMemorySimulator",
 ]

@@ -1,11 +1,28 @@
 """Tests for streaming dataset conversion between v1 and v2."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.api.convert import convert_dataset, dataset_geometry
-from repro.api.sharded import open_sharded_matrix, read_manifest, write_sharded_dataset
+from repro.api import Session
+from repro.api.convert import convert_dataset
+from repro.api.sharded import (
+    ReadOnlyLayoutError,
+    ShardAppender,
+    manifest_generation,
+    open_sharded_matrix,
+    read_manifest,
+    write_sharded_dataset,
+)
 from repro.data.formats import write_binary_matrix
+
+#: Written when writers still took layout="column" (see
+#: tests/data/test_formats_v2.py): a 40 x 5 zlib dataset, 16-row blocks.
+COLUMN_FIXTURE = Path(__file__).parents[1] / "data" / "fixtures" / "column_layout_shards"
+FIXTURE_X = (np.arange(40 * 5, dtype=np.float64).reshape(40, 5) % 7) / 4.0
+FIXTURE_Y = (np.arange(40) % 3).astype(np.int64)
 
 
 @pytest.fixture()
@@ -64,12 +81,11 @@ class TestConvert:
         manifest = convert_dataset(tmp_path / "v1", tmp_path / "v2", codec="zlib")
         assert max(s.rows for s in manifest.shards) == 400
 
-    def test_storage_dtype_and_layout_forwarded(self, source):
+    def test_storage_dtype_forwarded(self, source):
         tmp_path, X, _y = source
         manifest = convert_dataset(tmp_path / "v1", tmp_path / "v2",
-                                   codec="zlib", storage_dtype=np.float32,
-                                   layout="column")
-        assert manifest.layout == "column"
+                                   codec="zlib", storage_dtype=np.float32)
+        assert manifest.layout == "row"
         assert manifest.storage_dtype == np.dtype(np.float32)
         matrix = open_sharded_matrix(tmp_path / "v2")
         np.testing.assert_allclose(matrix[:], X, atol=1e-6)
@@ -93,10 +109,47 @@ class TestConvert:
             convert_dataset(tmp_path / "v1", tmp_path / "out",
                             codec=None, block_rows=64)
 
-    def test_dataset_geometry(self, source, tmp_path):
-        _tmp, X, y = source
-        rows, cols, dtype = dataset_geometry(_tmp / "v1")
-        assert (rows, cols) == (1000, 8)
-        assert dtype == np.dtype(np.float64)
-        write_binary_matrix(tmp_path / "g.m3", X[:10], y[:10])
-        assert dataset_geometry(tmp_path / "g.m3")[0] == 10
+    @pytest.mark.parametrize("target", ["zlib", None], ids=["zlib", "raw"])
+    @pytest.mark.parametrize("source_codec", ["raw", "zlib", "none"])
+    def test_empty_sharded_dataset_converts(self, tmp_path, source_codec, target):
+        # Every source shard holds 0 rows, so there is no shard height to keep.
+        write_sharded_dataset(tmp_path / "empty", np.empty((0, 3)),
+                              np.empty(0, dtype=np.int64),
+                              codec=None if source_codec == "raw" else source_codec)
+        convert_dataset(tmp_path / "empty", tmp_path / "out", codec=target)
+        with Session() as session:
+            assert session.open(f"shard://{tmp_path / 'out'}").shape == (0, 3)
+
+
+class TestColumnLayoutFixture:
+    """The legacy column layout: read and converted, never appended to."""
+
+    @pytest.fixture()
+    def column_copy(self, tmp_path):
+        return Path(shutil.copytree(COLUMN_FIXTURE, tmp_path / "column"))
+
+    def test_append_is_refused_and_commits_nothing(self, column_copy):
+        before = {path.name: path.read_bytes() for path in column_copy.iterdir()}
+        generation = manifest_generation(column_copy)
+        with pytest.raises(ReadOnlyLayoutError, match="m3 convert SRC DST --codec zlib"):
+            ShardAppender(column_copy)
+        with Session() as session:
+            dataset = session.open(f"shard://{column_copy}")
+            with pytest.raises(ReadOnlyLayoutError):
+                dataset.append(FIXTURE_X[:3], FIXTURE_Y[:3])
+        assert manifest_generation(column_copy) == generation
+        assert {path.name: path.read_bytes() for path in column_copy.iterdir()} == before
+
+    def test_converts_to_row_and_then_appends(self, tmp_path):
+        manifest = convert_dataset(COLUMN_FIXTURE, tmp_path / "out", codec="zlib")
+        assert manifest.layout == "row"
+        with open_sharded_matrix(tmp_path / "out") as matrix:
+            np.testing.assert_array_equal(matrix[:], FIXTURE_X)
+            np.testing.assert_array_equal(matrix.lazy_labels[:], FIXTURE_Y)
+        appended = ShardAppender(tmp_path / "out").append(FIXTURE_X[:7], FIXTURE_Y[:7])
+        assert appended.rows == 47
+        with open_sharded_matrix(tmp_path / "out") as matrix:
+            np.testing.assert_array_equal(matrix[:], np.vstack([FIXTURE_X, FIXTURE_X[:7]]))
+            np.testing.assert_array_equal(
+                matrix.lazy_labels[:], np.concatenate([FIXTURE_Y, FIXTURE_Y[:7]])
+            )

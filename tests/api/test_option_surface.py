@@ -69,7 +69,6 @@ from repro.ml.base import StreamingPredictor
 from repro.ml.optim import DifferentiableObjective
 from repro.net import NetServer
 from repro.serve import ModelServer, Trainer
-from repro.vmem.advisor import advise_block_layout
 from repro.vmem.disk import DiskModel
 from repro.vmem.page_cache import PageCacheConfig
 from repro.vmem.vm_simulator import VirtualMemoryConfig
@@ -108,25 +107,25 @@ def parameters(function) -> tuple:
         # The write path: encode parallelism is no parameter of any of these.
         (
             BlockedMatrixWriter.__init__,
-            ("path", "cols", "block_rows", "codec", "dtype", "storage_dtype", "layout"),
+            ("path", "cols", "block_rows", "codec", "dtype", "storage_dtype"),
         ),
         (
             write_blocked_matrix,
-            ("path", "data", "labels", "block_rows", "codec", "storage_dtype", "layout"),
+            ("path", "data", "labels", "block_rows", "codec", "storage_dtype"),
         ),
         (
             write_sharded_dataset,
             ("directory", "data", "labels", "shard_rows", "codec", "block_rows",
-             "storage_dtype", "layout"),
+             "storage_dtype"),
         ),
         (
             convert_dataset,
-            ("source", "destination", "codec", "block_rows", "storage_dtype", "layout",
+            ("source", "destination", "codec", "block_rows", "storage_dtype",
              "shard_rows", "chunk_rows"),
         ),
         (ShardAppender.__init__, ("directory", "shard_rows", "trace")),
-        (encode_block, ("rows", "codec", "storage_dtype", "layout")),
-        (encode_blocks, ("blocks", "codec", "storage_dtype", "layout")),
+        (encode_block, ("rows", "codec", "storage_dtype")),
+        (encode_blocks, ("blocks", "codec", "storage_dtype")),
         (Codec.encode, ("data",)),
         (
             StreamingPredictor.predict_streaming,
@@ -150,11 +149,6 @@ def parameters(function) -> tuple:
         (
             Trainer.__init__,
             ("dataset", "model", "registry", "name", "session", "poll_s", "classes"),
-        ),
-        (
-            advise_block_layout,
-            ("rows", "cols", "itemsize", "chunk_rows", "cache_bytes",
-             "block_rows_candidates", "page_size"),
         ),
         # reproduce() takes a subset of what its two model-driven builders take.
         (reproduce, ("sizes_gb", "model", "lr_workload", "kmeans_workload")),
@@ -281,6 +275,8 @@ def test_mini_spark_module_is_gone(module):
         "repro.data.catalog",
         "repro.ml.optim.gradient_descent",
         "repro.ml.optim.sgd",
+        "repro.vmem.advisor",
+        "repro.vmem.locality",
     ],
 )
 def test_tests_only_module_is_gone(module):
@@ -304,8 +300,8 @@ def test_session_open_defaults():
 @pytest.mark.parametrize("option", ["block_rows", "storage_dtype", "layout"])
 def test_sharded_create_takes_what_its_callers_set(tmp_path, option):
     # Session.create on shard:// takes shard_rows= and codec= (what the e2e
-    # workloads set); block geometry, storage dtype and layout belong to
-    # write_sharded_dataset / m3 convert.
+    # workloads set); block geometry and storage dtype belong to
+    # write_sharded_dataset / m3 convert, and no writer takes a layout.
     with Session() as session, pytest.raises(TypeError, match=option):
         session.create(f"shard://{tmp_path}/x", np.zeros((4, 2)), **{option: 2})
 
@@ -362,8 +358,7 @@ _DAEMON_FLAGS = {"--model", "--max-batch", "--max-delay-ms", "--workers", "--max
         ),
         (
             "convert",
-            {"--codec", "--block-rows", "--dtype", "--layout", "--shard-rows", "--chunk-rows",
-             "--auto-block", "--scan-chunk-rows", "--cache-mb"},
+            {"--codec", "--block-rows", "--dtype", "--shard-rows", "--chunk-rows"},
         ),
         ("reproduce", set()),
     ],

@@ -29,9 +29,8 @@ ROWS = 300                          # create / convert: 3 shards, short blocks
 APPENDS, APPEND_ROWS = 64, 37       # 2-3 blocks per commit
 APPEND_SHARD = 512                  # the appended tail seals four times
 GEOMETRIES = [
-    (codec, layout, np.dtype(storage))
+    (codec, np.dtype(storage))
     for codec in ("zlib", "none")
-    for layout in ("row", "column")
     for storage in (np.float64, np.float32)
 ]
 
@@ -51,8 +50,8 @@ def _digests(directory):
 
 def _write_everything(root, geometry):
     """Create, convert and a 64-append run through the seal, under ``root``."""
-    codec, layout, storage = geometry
-    v2 = dict(codec=codec, block_rows=BLOCK, storage_dtype=storage, layout=layout)
+    codec, storage = geometry
+    v2 = dict(codec=codec, block_rows=BLOCK, storage_dtype=storage)
     X, y = _data(SHARD + APPENDS * APPEND_ROWS)
     write_sharded_dataset(root / "create", X[:ROWS], y[:ROWS], shard_rows=SHARD, **v2)
     write_sharded_dataset(root / "raw", X[:ROWS], y[:ROWS], shard_rows=SHARD)
@@ -68,7 +67,7 @@ def _write_everything(root, geometry):
 
 
 @pytest.mark.parametrize(
-    "geometry", GEOMETRIES, ids=lambda g: f"{g[0]}-{g[1]}-{g[2].name}"
+    "geometry", GEOMETRIES, ids=lambda g: f"{g[0]}-{g[1].name}"
 )
 def test_every_writer_is_byte_identical_at_any_worker_count(tmp_path, monkeypatch, geometry):
     digests = {}

@@ -29,14 +29,11 @@ def labels(rng):
 
 class TestWriter:
     @pytest.mark.parametrize("codec", ["none", "zlib"])
-    @pytest.mark.parametrize("layout", ["row", "column"])
-    def test_round_trip(self, tmp_path, matrix, labels, codec, layout):
+    def test_round_trip(self, tmp_path, matrix, labels, codec):
         path = tmp_path / "blocked.m3b"
-        header = write_blocked_matrix(
-            path, matrix, labels, block_rows=64, codec=codec, layout=layout
-        )
+        header = write_blocked_matrix(path, matrix, labels, block_rows=64, codec=codec)
         assert header.rows == 257 and header.cols == 12
-        assert header.codec == codec and header.layout == layout
+        assert header.codec == codec and header.layout == "row"
         # 257 rows over 64-row blocks -> 4 full blocks + a 1-row tail.
         assert len(header.blocks) == 5
         assert header.blocks[-1].rows == 1
@@ -91,11 +88,10 @@ class TestReader:
     def test_column_layout_written_before_the_projection_was_removed(self, tmp_path):
         # fixtures/column_layout_shards was written at fe24373, when readers
         # could still fetch single column segments.  Column-major stays a
-        # stored form: whole blocks read back bit-identically — by row range
-        # and through the zlib chunk stream — and today's writer produces the
-        # same bytes.
+        # stored form that nothing writes any more: whole blocks read back
+        # bit-identically — by row range and through the zlib chunk stream.
         from repro.api.chunks import open_chunk_stream
-        from repro.api.sharded import open_sharded_matrix, write_sharded_dataset
+        from repro.api.sharded import open_sharded_matrix
 
         fixture = Path(__file__).parent / "fixtures" / "column_layout_shards"
         X = (np.arange(40 * 5, dtype=np.float64).reshape(40, 5) % 7) / 4.0
@@ -115,9 +111,31 @@ class TestReader:
                     np.testing.assert_array_equal(chunk.y, y[chunk.start:chunk.stop])
                     chunk.release()
                 assert stream.stats.rows == 40 and stream.stats.compressed_bytes > 0
+
+    def test_column_blocks_are_not_copied_verbatim(self):
+        # Only row-layout blocks are ever re-placed by a writer (the appender
+        # refuses column-layout datasets before it gets here).
+        fixture = Path(__file__).parent / "fixtures" / "column_layout_shards"
+        with BlockedMatrixReader(fixture / "shard-00000.m3b") as reader:
+            with pytest.raises(ValueError, match="row-layout"):
+                reader.fetch_coded_block(0)
+
+    def test_row_writer_reproduces_its_fixture_byte_for_byte(self, tmp_path):
+        # fixtures/row_layout_shards was written at 9b4edb4, before the writers
+        # lost their layout= option: the same 40 x 5 matrix as the column
+        # fixture, zlib, 16-row blocks, 24-row shards.  Today's writer must
+        # still produce exactly those files, manifest included.
+        from repro.api.sharded import write_sharded_dataset
+
+        fixture = Path(__file__).parent / "fixtures" / "row_layout_shards"
+        X = (np.arange(40 * 5, dtype=np.float64).reshape(40, 5) % 7) / 4.0
+        y = (np.arange(40) % 3).astype(np.int64)
         write_sharded_dataset(tmp_path / "again", X, y, shard_rows=24, codec="zlib",
-                              block_rows=16, layout="column")
-        for name in ("shard-00000.m3b", "shard-00001.m3b"):
+                              block_rows=16)
+        names = sorted(path.name for path in fixture.iterdir())
+        assert names == ["manifest.json", "shard-00000.m3b", "shard-00001.m3b"]
+        assert sorted(path.name for path in (tmp_path / "again").iterdir()) == names
+        for name in names:
             assert (tmp_path / "again" / name).read_bytes() == (fixture / name).read_bytes()
 
     def test_decode_block_into_offset(self, tmp_path, matrix):

@@ -1,8 +1,11 @@
-"""Block CRCs catch corruption in every codec × layout; trailer CRC catches
-torn converts.  The scrub (`verify_blocked_file` / `m3 info --verify`) names
-the exact block, and a clean file scrubs clean."""
+"""Block CRCs catch corruption in every codec and in the legacy column
+layout; trailer CRC catches torn converts.  The scrub (`verify_blocked_file`
+/ `m3 info --verify`) names the exact block, and a clean file scrubs clean."""
 
 from __future__ import annotations
+
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,18 +20,30 @@ from repro.data.formats_v2 import (
 )
 from repro.faults import InjectedFault, set_fault_plan
 
-CODECS = ("zlib", "none")
-LAYOUTS = ("row", "column")
+#: A zlib column-layout shard (two blocks, five segments each, labels):
+#: nothing writes that layout any more, so its cases run on a copy of it.
+COLUMN_FIXTURE = (
+    Path(__file__).parents[1] / "data" / "fixtures" / "column_layout_shards"
+    / "shard-00000.m3b"
+)
+SOURCES = ("row-zlib", "row-none", "column-zlib")
 
 
-def _write(path, codec, layout, rows=96, cols=6, block_rows=32):
+def _write(path, codec, rows=96, cols=6, block_rows=32):
     rng = np.random.default_rng(7)
     X = rng.normal(size=(rows, cols)).astype(np.float32)
     y = rng.integers(0, 2, size=rows).astype(np.float64)
-    write_blocked_matrix(
-        path, X, labels=y, block_rows=block_rows, codec=codec, layout=layout
-    )
+    write_blocked_matrix(path, X, labels=y, block_rows=block_rows, codec=codec)
     return X, y
+
+
+def _sample(path, source):
+    """A file of ``source``'s layout and codec at ``path``."""
+    layout, codec = source.split("-")
+    if layout == "column":
+        shutil.copyfile(COLUMN_FIXTURE, path)
+    else:
+        _write(path, codec)
 
 
 def _flip_byte(path, offset):
@@ -37,17 +52,16 @@ def _flip_byte(path, offset):
     path.write_bytes(bytes(data))
 
 
-@pytest.mark.parametrize("codec", CODECS)
-@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("source", SOURCES)
 class TestCorruptionMatrix:
-    def test_clean_file_scrubs_clean(self, tmp_path, codec, layout):
+    def test_clean_file_scrubs_clean(self, tmp_path, source):
         path = tmp_path / "clean.m3b"
-        _write(path, codec, layout)
+        _sample(path, source)
         assert verify_blocked_file(path) == []
 
-    def test_flipped_payload_byte_is_detected(self, tmp_path, codec, layout):
+    def test_flipped_payload_byte_is_detected(self, tmp_path, source):
         path = tmp_path / "corrupt.m3b"
-        _write(path, codec, layout)
+        _sample(path, source)
         header = read_blocked_header(path)
         offset, coded, _raw, crc = header.blocks[1].segments[0]
         assert crc is not None  # freshly written files always carry CRCs
@@ -68,9 +82,9 @@ class TestCorruptionMatrix:
             # …while unaffected blocks still decode.
             reader.fetch_block(0)
 
-    def test_corrupt_label_segment_is_detected(self, tmp_path, codec, layout):
+    def test_corrupt_label_segment_is_detected(self, tmp_path, source):
         path = tmp_path / "labels.m3b"
-        _write(path, codec, layout)
+        _sample(path, source)
         header = read_blocked_header(path)
         assert header.label_segment is not None
         offset, coded, _raw, _crc = header.label_segment
@@ -83,7 +97,7 @@ class TestCorruptionMatrix:
 class TestTrailerCRC:
     def test_flipped_trailer_byte_refuses_open(self, tmp_path):
         path = tmp_path / "trailer.m3b"
-        _write(path, "zlib", "row")
+        _write(path, "zlib")
         # The JSON trailer occupies the file's tail; hit it near the end.
         _flip_byte(path, path.stat().st_size - 8)
         with pytest.raises(ChecksumError, match="trailer CRC mismatch"):
@@ -113,7 +127,7 @@ class TestTrailerCRC:
         """Files whose prefix carries trailer_crc=0 (pre-checksum writers)
         skip trailer verification rather than failing it."""
         path = tmp_path / "legacy.m3b"
-        _write(path, "none", "row")
+        _write(path, "none")
         data = bytearray(path.read_bytes())
         data[12:16] = b"\x00\x00\x00\x00"  # zero the stored trailer CRC
         path.write_bytes(bytes(data))

@@ -122,12 +122,12 @@ class TestActivation:
     def test_set_and_restore_scoping(self):
         previous = set_fault_plan("decode.block")
         assert previous is None
-        assert faults.faults_enabled()
+        assert active_plan() is not None
         with pytest.raises(InjectedFault):
             maybe_fire("decode.block")
         restored = set_fault_plan(previous)
         assert restored is not None and restored.sites == ("decode.block",)
-        assert not faults.faults_enabled()
+        assert active_plan() is None
 
     def test_env_spec_parsed_lazily_once(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "trainer.poll:n=3")

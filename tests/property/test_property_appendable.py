@@ -216,7 +216,6 @@ class TestSnapshotIsolationProperties:
 def coded_tail_scenario(draw):
     geometry = {
         "codec": draw(st.sampled_from(["zlib", "none"])),
-        "layout": draw(st.sampled_from(["row", "column"])),
         "storage_dtype": draw(st.sampled_from([None, "float32"])),
         "block_rows": draw(st.integers(1, 5)),
     }

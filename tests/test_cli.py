@@ -493,22 +493,6 @@ class TestConvertCommand:
                      "--codec", "raw"]) == 0
         assert "raw v1 shard(s)" in capsys.readouterr().out
 
-    def test_auto_block_reports_advice(self, v1_dataset, capsys):
-        tmp_path, _X, _y = v1_dataset
-        exit_code = main(["convert", str(tmp_path / "v1"), str(tmp_path / "auto"),
-                          "--auto-block", "--cache-mb", "16"])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "advisor: block_rows=" in out and " layout=" in out
-
-    def test_auto_block_conflicts_rejected(self, v1_dataset, capsys):
-        tmp_path, _X, _y = v1_dataset
-        assert main(["convert", str(tmp_path / "v1"), str(tmp_path / "x"),
-                     "--auto-block", "--block-rows", "64"]) == 2
-        assert "--auto-block" in capsys.readouterr().err
-        assert main(["convert", str(tmp_path / "v1"), str(tmp_path / "x"),
-                     "--auto-block", "--codec", "raw"]) == 2
-
     def test_streaming_predict_reports_decode_line(self, v1_dataset, tmp_path, capsys):
         tmp_dir, _X, _y = v1_dataset
         assert main(["convert", str(tmp_dir / "v1"), str(tmp_dir / "v2")]) == 0
