@@ -1,8 +1,8 @@
-"""Compressed (v2) vs raw (v1) sharded streaming on a throttled device.
+"""Compressed (zlib) vs raw (mapped) sharded streaming on a throttled device.
 
 The acceptance bar of the compressed shard format: on an out-of-core sharded
 dataset behind a modelled ~150 MB/s device, streaming *fit* over zlib v2
-shards must beat the same fit over raw v1 shards by >= 1.3x throughput —
+shards must beat the same fit over raw mapped shards by >= 1.3x throughput —
 because the readers pull ~10x fewer bytes off the device while decompression
 rides the compute pool — and predictions must stay bit-identical (zlib is
 lossless and float64 storage is exact).
@@ -166,7 +166,7 @@ def test_compressed_streaming_throughput(benchmark, workload):
         payload["fit"][f"zlib_block_{b}_speedup"] for b in BLOCK_SIZES
     )
     assert best_fit >= 1.3, payload["fit"]
-    # And no compressed configuration may fall below raw v1, fit or predict.
+    # And no compressed configuration may fall below raw, fit or predict.
     for phase in ("fit", "predict"):
         for block_rows in BLOCK_SIZES:
             assert payload[phase][f"zlib_block_{block_rows}_speedup"] >= 1.0, payload[phase]
@@ -176,7 +176,7 @@ def test_compressed_streaming_throughput(benchmark, workload):
     assert_metrics_clean(payload)
     Path("BENCH_compression.json").write_text(json.dumps(payload, indent=2) + "\n")
     emit(
-        "Compressed shard streaming (zlib v2 vs raw v1)",
+        "Compressed shard streaming (zlib vs raw mapped)",
         "\n".join(
             f"{phase}: raw {payload[phase]['raw_rows_per_s']:.0f} rows/s, "
             + ", ".join(

@@ -64,7 +64,7 @@ def stall(device: DiskProfile, nbytes: int) -> None:
 
 
 class ThrottledMatrix(ShardedMatrix):
-    """Raw v1 shards behind ``device``: every gather pays for its logical bytes."""
+    """Raw (mapped) shards behind ``device``: a gather pays for its logical bytes."""
 
     def __init__(self, directory, device: DiskProfile) -> None:
         super().__init__(directory)

@@ -137,17 +137,18 @@ Compressed datasets
 -------------------
 
 Sharded datasets can also be stored *compressed*: the blocked v2 format
-splits each shard into fixed-size row blocks (``block_rows``), compresses
-every block independently with a pluggable codec, and records the geometry
-in the shard manifest.  Existing datasets convert with bounded memory::
+splits each shard into fixed-size row blocks (``block_rows``), codes every
+block independently with a pluggable codec, and records the geometry in the
+shard manifest.  Raw shards (codec ``none``, the default) open memory-mapped;
+existing datasets convert with bounded memory::
 
-    m3 convert data/train data/train.z --codec zlib          # v1 -> v2
-    m3 convert data/train.z data/train.raw --codec raw       # and back
+    m3 convert data/train data/train.z --codec zlib          # raw -> zlib
+    m3 convert data/train.z data/train.raw --codec raw       # zlib -> raw
     m3 info shard://data/train.z                             # per-shard ratios
 
 or programmatically with ``session.create(spec, X, y, codec="zlib")`` /
 ``repro.api.convert.convert_dataset``.  Everything downstream is untouched:
-``session.open`` dispatches on the manifest version, and the streaming
+``session.open`` dispatches on the manifest, and the streaming
 pipeline's readers fetch *coded* blocks (often several times fewer bytes
 off storage) while decompression runs on the compute-worker pool directly
 into the preallocated chunk buffers — so a disk-bound scan speeds up by

@@ -1,14 +1,13 @@
-"""Streaming conversion between the v1 and v2 (blocked) dataset formats.
+"""Streaming conversion of a dataset into blocked (v2) shards.
 
 ``convert_dataset`` re-encodes an existing dataset — a single ``.m3`` matrix
-file or a sharded directory, v1 or v2 — into a new sharded directory, without
-ever materialising more than one chunk of rows at a time.  It backs the
-``m3 convert`` CLI command: the usual direction is v1 → compressed v2
-(pick a codec, optionally downcast the storage dtype), but passing
-``codec=None`` re-expands a v2 dataset back into plain memory-mappable v1
-shards, which keeps round-trips testable.  Output blocks are always
-row-major; a column-layout source (a read-only legacy form) converts like any
-other, which is how such a dataset becomes appendable again.
+file or a sharded directory of any form — into a new sharded directory,
+without ever materialising more than one chunk of rows at a time.  It backs
+the ``m3 convert`` CLI command: pick a codec (``zlib`` compresses; ``None``
+or ``"none"`` stores raw rows that open memory-mapped) and optionally
+downcast the storage dtype.  Output blocks are always row-major; a legacy
+source (v1 ``.m3`` shards, column-layout blocks — both read-only) converts
+like any other, which is how such a dataset becomes appendable again.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.api.sharded import (
     write_manifest,
 )
 from repro.data.codecs import Codec, get_codec
-from repro.data.formats import open_binary_matrix, write_binary_matrix
+from repro.data.formats import open_binary_matrix
 from repro.data.formats_v2 import BlockedMatrixWriter, default_block_rows
 
 #: Rows moved per copy step; bounds converter memory to roughly
@@ -82,15 +81,15 @@ def convert_dataset(
     Parameters
     ----------
     source:
-        A ``.m3`` matrix file or a sharded dataset directory (v1 or v2).
+        A ``.m3`` matrix file or a sharded dataset directory (any form).
     destination:
         Directory to create; must not already contain a ``manifest.json``
         and must not be the source itself.
     codec:
-        Target codec name (``"zlib"``, ``"none"``) for blocked v2 output, or
-        ``None`` to write raw v1 shards.
+        Target codec name: ``"zlib"``, or ``"none"`` (also ``None``) for raw
+        rows that open memory-mapped.
     block_rows, storage_dtype:
-        v2 encoding knobs, as in
+        Encoding knobs, as in
         :func:`repro.api.sharded.write_sharded_dataset`.
     shard_rows:
         Rows per output shard; defaults to the source's (largest) shard
@@ -103,11 +102,6 @@ def convert_dataset(
     destination = Path(destination)
     if chunk_rows <= 0:
         raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-    if codec is None and (block_rows is not None or storage_dtype is not None):
-        raise ValueError(
-            "block_rows/storage_dtype only apply to v2 output; pass a codec "
-            "to write blocked shards"
-        )
     if destination.resolve() == source.resolve():
         raise ValueError(f"cannot convert {source} onto itself")
     if (destination / "manifest.json").exists():
@@ -124,15 +118,14 @@ def convert_dataset(
         if shard_rows <= 0:
             raise ValueError(f"shard_rows must be positive, got {shard_rows}")
 
-        resolved_codec: Optional[Codec] = None
-        resolved_storage: Optional[np.dtype] = None
-        if codec is not None:
-            resolved_codec = get_codec(codec) if isinstance(codec, str) else codec
-            resolved_storage = np.dtype(
-                src.dtype if storage_dtype is None else storage_dtype
-            )
-            if block_rows is None:
-                block_rows = default_block_rows(src.cols, resolved_storage.itemsize)
+        resolved_codec = (
+            codec if isinstance(codec, Codec) else get_codec(codec or "none")
+        )
+        resolved_storage = np.dtype(
+            src.dtype if storage_dtype is None else storage_dtype
+        )
+        if block_rows is None:
+            block_rows = default_block_rows(src.cols, resolved_storage.itemsize)
 
         destination.mkdir(parents=True, exist_ok=True)
         shards: List[ShardInfo] = []
@@ -140,48 +133,32 @@ def convert_dataset(
             stop = min(start + shard_rows, src.rows)
             if stop <= start and src.rows > 0:
                 break
-            if resolved_codec is None:
-                filename = f"shard-{index:05d}.m3"
-                shard_labels = (
-                    np.asarray(src.labels[start:stop], dtype=np.int64)
-                    if src.labels is not None
-                    else None
+            filename = f"shard-{index:05d}.m3b"
+            with BlockedMatrixWriter(
+                destination / filename,
+                cols=src.cols,
+                block_rows=block_rows,
+                codec=resolved_codec,
+                dtype=src.dtype,
+                storage_dtype=resolved_storage,
+            ) as writer:
+                for lo in range(start, stop, chunk_rows):
+                    hi = min(lo + chunk_rows, stop)
+                    writer.append(np.asarray(src.data[lo:hi]))
+                    if src.labels is not None:
+                        writer.append_labels(
+                            np.asarray(src.labels[lo:hi], dtype=np.int64)
+                        )
+                header = writer.finalize()
+            shards.append(
+                ShardInfo(
+                    filename=filename,
+                    start_row=start,
+                    rows=stop - start,
+                    compressed_bytes=header.compressed_bytes,
+                    raw_bytes=header.raw_bytes,
                 )
-                write_binary_matrix(
-                    destination / filename,
-                    np.asarray(src.data[start:stop]),
-                    shard_labels,
-                )
-                shards.append(
-                    ShardInfo(filename=filename, start_row=start, rows=stop - start)
-                )
-            else:
-                filename = f"shard-{index:05d}.m3b"
-                with BlockedMatrixWriter(
-                    destination / filename,
-                    cols=src.cols,
-                    block_rows=block_rows,
-                    codec=resolved_codec,
-                    dtype=src.dtype,
-                    storage_dtype=resolved_storage,
-                ) as writer:
-                    for lo in range(start, stop, chunk_rows):
-                        hi = min(lo + chunk_rows, stop)
-                        writer.append(np.asarray(src.data[lo:hi]))
-                        if src.labels is not None:
-                            writer.append_labels(
-                                np.asarray(src.labels[lo:hi], dtype=np.int64)
-                            )
-                    header = writer.finalize()
-                shards.append(
-                    ShardInfo(
-                        filename=filename,
-                        start_row=start,
-                        rows=stop - start,
-                        compressed_bytes=header.compressed_bytes,
-                        raw_bytes=header.raw_bytes,
-                    )
-                )
+            )
 
         manifest = ShardManifest(
             rows=src.rows,
@@ -189,9 +166,9 @@ def convert_dataset(
             dtype=np.dtype(src.dtype),
             has_labels=src.labels is not None,
             shards=shards,
-            codec=resolved_codec.name if resolved_codec is not None else None,
-            block_rows=block_rows if resolved_codec is not None else None,
-            storage_dtype=resolved_storage if resolved_codec is not None else None,
+            codec=resolved_codec.name,
+            block_rows=block_rows,
+            storage_dtype=resolved_storage,
         )
         write_manifest(destination, manifest)
         return manifest

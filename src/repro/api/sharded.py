@@ -1,31 +1,36 @@
-"""The sharded dataset format: one matrix split across multiple ``.m3`` files.
+"""The sharded dataset format: one matrix split across multiple shard files.
 
 A sharded dataset is a directory containing ``manifest.json`` plus a series of
-ordinary M3 binary matrix files (``shard-00000.m3``, ``shard-00001.m3``, …),
-each holding a contiguous band of rows (and the matching slice of the label
-vector, when labels are present).  Sharding is the storage-level seam for
-scaling past a single file / single device: shards can live on different
-disks, be generated by independent writers, and — in later PRs — be served by
-different nodes.
+blocked ``.m3b`` files (``shard-00000.m3b``, ``shard-00001.m3b``, …,
+:mod:`repro.data.formats_v2`), each holding a contiguous band of rows (and the
+matching slice of the label vector, when labels are present).  Shards can
+live on different disks and be generated by independent writers.  Every
+writer emits manifest version 2 and row-major blocks, coded by the
+manifest's codec: ``none`` (the default, raw rows) or ``zlib``, optionally
+downcast to a narrower storage dtype.
 
-:class:`ShardedMatrix` stitches the shards back into one logical 2-D matrix
-implementing the same row-slicing protocol estimators use (``shape``,
-``dtype``, ``__getitem__``, ``__setitem__``), so a sharded dataset is as
-transparent to unmodified ML code as a single memory-mapped file.  Contiguous
-row chunks that fall inside one shard are served as zero-copy ``memmap``
-views; chunks that straddle a shard boundary are assembled with one copy.
+How a dataset is read is decided once, from its manifest, by
+:func:`open_sharded_matrix`:
 
-Manifest **version 2** describes a *compressed* sharded dataset: shards are
-blocked ``.m3b`` files (:mod:`repro.data.formats_v2`) whose blocks are
-independently coded and optionally downcast to a narrower storage dtype.
-Blocks are written row-major; a column-major manifest (``"layout":
-"column"``, written by older versions) stays readable but is never written
-or appended to.  v2 datasets are served read-only by
-:class:`CompressedShardedMatrix`, which exposes the same protocol plus a
-two-phase ``fetch_compressed`` / ``decode_into`` API so the parallel chunk
-pipeline can fetch payloads on its reader pool and decompress on its compute
-pool.  :func:`open_sharded_matrix` dispatches on the manifest version, and v1
-manifests keep working untouched.
+* **mapped** — codec ``none``, row layout, storage dtype equal to the logical
+  dtype: each shard's blocks sit tightly packed in block order, i.e. its data
+  region *is* a row-major matrix, so :class:`ShardedMatrix` maps it (and the
+  raw int64 label segment) with ``np.memmap``.  Contiguous row chunks inside
+  one shard are zero-copy views; chunks that straddle a shard boundary are
+  assembled with one copy.  Mapped reads skip segment CRCs (as raw reads of a
+  single ``.m3`` file do); :func:`verify_dataset` still checks them.
+* **decoded** — every other manifest: :class:`CompressedShardedMatrix` decodes
+  blocks (CRC-checked) and exposes a two-phase ``fetch_compressed`` /
+  ``decode_into`` API so the parallel chunk pipeline can fetch payloads on its
+  reader pool and decompress on its compute pool.
+
+Both implement the estimator row-slicing protocol (``shape``, ``dtype``,
+``__getitem__``), so a sharded dataset is as transparent to unmodified ML code
+as a single memory-mapped file; both are read-only.  Directories of version 1
+(``.m3`` shards, written by older builds, labels trailing each shard or in a
+``.labels`` sidecar once appended to) and column-layout v2 directories stay
+readable and convertible (``m3 convert``), but are never written or appended
+to.
 
 Appendable datasets
 -------------------
@@ -35,27 +40,23 @@ every committed batch of rows produces a new immutable **generation**
 manifest (``manifest.<gen>.json``) plus an atomically renamed ``CURRENT``
 pointer naming the latest generation; ``manifest.json`` mirrors the latest
 generation so legacy readers keep working.  Rows stream into an open,
-*unsealed* tail shard, which seals once it reaches ``shard_rows``.  A v1
-tail is appended in place (labels in a raw int64 ``.labels`` sidecar so the
-data region stays append-only).  A v2 tail is re-assembled per commit from
-coded blocks: a block is coded once, when it fills, and kept; each commit
-codes only what its batch changed and writes the kept payloads around it.
-The whole-file tmp + fsync + ``os.replace`` is kept for snapshot readers,
-whose open file descriptors stay on the inode they first saw.  Readers open
-a single generation and never observe a manifest flip mid-scan: prefix rows
-of a grown v1 tail are byte-stable, a full v2 block is byte-stable across
-every file its tail is written to, and already-open memmaps / file
-descriptors survive ``os.replace`` on their old inode.  Shard bytes are
-durable before the manifest that references them commits, so a crash leaves
-orphan tail rows that no generation references — the appender drops them
-(truncating v1, re-reading only committed rows of v2) on reopen.
+*unsealed* tail shard, which seals once it reaches ``shard_rows``.  The tail
+is re-assembled per commit from coded blocks: a block is coded once, when it
+fills, and kept; each commit codes only what its batch changed and writes the
+kept payloads around it.  The whole-file tmp + fsync + ``os.replace`` is kept
+for snapshot readers, whose open memmaps and file descriptors stay on the
+inode they first saw.  Readers open a single generation and never observe a
+manifest flip mid-scan: a full block is byte-stable across every file its
+tail is written to, and every read is bounded by the generation's row count.
+Shard bytes are durable before the manifest that references them commits, so
+a crash leaves orphan tail rows that no generation references — the appender
+drops them (re-reading only committed rows) on reopen.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -65,23 +66,20 @@ import numpy as np
 
 from repro.analysis.runtime import make_lock
 from repro.data.codecs import Codec, get_codec
-from repro.data.formats import (
-    HEADER_SIZE,
-    create_binary_matrix,
-    open_binary_matrix,
-    read_binary_matrix_header,
-    write_binary_matrix,
-)
+from repro.data.formats import HEADER_SIZE, read_binary_matrix_header
 from repro.data.formats_v2 import (
+    BLOCKED_PREFIX_SIZE,
     BlockedMatrixReader,
     BlockedMatrixWriter,
     BlockPayload,
     CodedBlock,
     default_block_rows,
     encode_blocks,
+    read_blocked_header,
     verify_blocked_file,
     write_blocked_matrix,
 )
+from repro.fanout import available_cpus, map_ordered
 from repro.faults import maybe_fire, policy_for
 
 MANIFEST_NAME = "manifest.json"
@@ -105,10 +103,10 @@ class ShardInfo:
     ``sealed`` is ``False`` only for the open tail shard of an appendable
     dataset — the one shard the :class:`ShardAppender` may still extend,
     whose on-disk file may therefore hold *more* rows than the manifest
-    commits.  ``label_sidecar`` marks v1 shards whose labels live in a raw
-    int64 ``<filename>.labels`` sidecar instead of trailing the data
-    section (the append path writes these, so growing the data region
-    never has to shift a label vector out of the way).
+    commits.  ``label_sidecar`` marks legacy v1 shards whose labels live in
+    a raw int64 ``<filename>.labels`` sidecar instead of trailing the data
+    section (older builds appended to v1 datasets that way); nothing
+    writes it any more.
     """
 
     filename: str
@@ -136,11 +134,11 @@ class ShardInfo:
 class ShardManifest:
     """Parsed ``manifest.json`` of a sharded dataset directory.
 
-    ``codec`` is ``None`` for v1 (raw memory-mappable shards); a v2 manifest
-    names the codec plus the blocked geometry (``block_rows``, ``layout`` —
-    ``"row"`` for everything written today, ``"column"`` in read-only legacy
-    datasets) and the on-disk ``storage_dtype`` (``dtype`` stays the
-    *logical* dtype consumers see).
+    ``codec`` is ``None`` for a legacy v1 manifest (``.m3`` shards, read but
+    never written); a v2 manifest names the codec plus the blocked geometry
+    (``block_rows``, ``layout`` — ``"row"`` for everything written today,
+    ``"column"`` in read-only legacy datasets) and the on-disk
+    ``storage_dtype`` (``dtype`` stays the *logical* dtype consumers see).
     """
 
     rows: int
@@ -148,7 +146,7 @@ class ShardManifest:
     dtype: np.dtype
     has_labels: bool
     shards: List[ShardInfo] = field(default_factory=list)
-    version: int = MANIFEST_VERSION
+    version: int = MANIFEST_VERSION_V2
     codec: Optional[str] = None
     block_rows: Optional[int] = None
     storage_dtype: Optional[np.dtype] = None
@@ -157,59 +155,59 @@ class ShardManifest:
     #: monotonically increasing with every committed append.
     generation: int = 0
 
-    def _shard_entry(self, shard: ShardInfo, v2: bool) -> dict:
+    @staticmethod
+    def _shard_entry(shard: ShardInfo) -> dict:
         entry: Dict[str, Any] = {
             "filename": shard.filename,
             "start_row": shard.start_row,
             "rows": shard.rows,
+            "compressed_bytes": shard.compressed_bytes,
+            "raw_bytes": shard.raw_bytes,
         }
-        if v2:
-            entry["compressed_bytes"] = shard.compressed_bytes
-            entry["raw_bytes"] = shard.raw_bytes
-        # Appendable-dataset markers serialise only when non-default, so a
-        # static manifest stays byte-identical to what older builds wrote.
+        # The appendable-dataset marker serialises only when non-default, so
+        # a static manifest stays byte-identical to what older builds wrote.
         if not shard.sealed:
             entry["sealed"] = False
-        if shard.label_sidecar:
-            entry["label_sidecar"] = True
         return entry
 
     def to_json(self) -> dict:
-        """The JSON-serialisable manifest payload.
+        """The JSON-serialisable (version 2) manifest payload.
 
-        Manifests without a codec serialise byte-identically to the original
-        v1 payload — older readers keep working on every dataset this build
-        writes uncompressed.  Appendable-dataset fields (``generation``,
-        ``sealed``, ``label_sidecar``) appear only once an append has
-        actually happened.
+        Every writer emits version 2; version 1 manifests are parsed, never
+        written.  ``generation`` and ``sealed`` appear only once an append
+        has actually happened.
         """
-        if self.codec is None:
-            payload: Dict[str, Any] = {
-                "version": MANIFEST_VERSION,
-                "rows": self.rows,
-                "cols": self.cols,
-                "dtype": np.dtype(self.dtype).str,
-                "has_labels": self.has_labels,
-                "shards": [self._shard_entry(s, v2=False) for s in self.shards],
-            }
-        else:
-            payload = {
-                "version": MANIFEST_VERSION_V2,
-                "rows": self.rows,
-                "cols": self.cols,
-                "dtype": np.dtype(self.dtype).str,
-                "has_labels": self.has_labels,
-                "codec": self.codec,
-                "block_rows": self.block_rows,
-                "storage_dtype": np.dtype(
-                    self.dtype if self.storage_dtype is None else self.storage_dtype
-                ).str,
-                "layout": self.layout,
-                "shards": [self._shard_entry(s, v2=True) for s in self.shards],
-            }
+        payload: Dict[str, Any] = {
+            "version": MANIFEST_VERSION_V2,
+            "rows": self.rows,
+            "cols": self.cols,
+            "dtype": np.dtype(self.dtype).str,
+            "has_labels": self.has_labels,
+            "codec": self.codec,
+            "block_rows": self.block_rows,
+            "storage_dtype": np.dtype(
+                self.dtype if self.storage_dtype is None else self.storage_dtype
+            ).str,
+            "layout": self.layout,
+            "shards": [self._shard_entry(s) for s in self.shards],
+        }
         if self.generation > 0:
             payload["generation"] = self.generation
         return payload
+
+    @property
+    def mapped(self) -> bool:
+        """Whether the shards hold plain row-major rows a memmap can serve.
+
+        True for legacy v1 shards and for v2 ``none`` row-layout shards
+        stored in the logical dtype: such a file's blocks sit tightly packed
+        from its first segment on, so its data region is the matrix itself.
+        """
+        return self.codec is None or (
+            self.codec == "none"
+            and self.layout == "row"
+            and np.dtype(self.storage_dtype or self.dtype) == self.dtype
+        )
 
     @property
     def compressed_bytes(self) -> Optional[int]:
@@ -466,17 +464,16 @@ def write_sharded_dataset(
     shard_rows:
         Maximum rows per shard file.
     codec:
-        ``None`` (the default) writes raw v1 shards, byte-identical to what
-        this function always wrote.  Naming a codec (``"zlib"``, ``"none"``)
-        switches to the blocked v2 ``.m3b`` format, enabling the remaining
-        parameters.
+        Block codec of the ``.m3b`` shards: ``None`` (the default) or
+        ``"none"`` stores raw rows, which :func:`open_sharded_matrix` maps
+        with zero-copy views; ``"zlib"`` compresses every block.
     block_rows:
-        Rows per coded block in v2 shards (default targets ~1 MiB of raw
-        storage per block).
+        Rows per coded block (default targets ~1 MiB of raw storage per
+        block).
     storage_dtype:
-        v2 on-disk dtype; ``None`` stores the data's own dtype losslessly,
+        On-disk dtype; ``None`` stores the data's own dtype losslessly,
         ``float32``/``float16`` downcast for extra compression at bounded
-        precision cost.
+        precision cost (such a dataset is decoded, not mapped).
     """
     directory = Path(directory)
     data = np.asarray(data)
@@ -490,60 +487,45 @@ def write_sharded_dataset(
             raise ValueError(
                 f"labels must have shape ({data.shape[0]},), got {labels.shape}"
             )
-    if codec is None and (block_rows is not None or storage_dtype is not None):
-        raise ValueError(
-            "block_rows/storage_dtype only apply to the v2 format; pass a codec "
-            "(e.g. codec='zlib' or codec='none') to write blocked shards"
-        )
     directory.mkdir(parents=True, exist_ok=True)
     # Re-creating a dataset resets its append history: the fresh manifest is
     # generation 0 again and stale numbered manifests must not resurrect it.
     _clear_generation_state(directory)
 
-    resolved_codec: Optional[Codec] = None
-    resolved_storage: Optional[np.dtype] = None
-    if codec is not None:
-        resolved_codec = get_codec(codec) if isinstance(codec, str) else codec
-        resolved_storage = np.dtype(
-            data.dtype if storage_dtype is None else storage_dtype
-        )
-        if block_rows is None:
-            block_rows = default_block_rows(
-                int(data.shape[1]), resolved_storage.itemsize
-            )
+    resolved_codec = codec if isinstance(codec, Codec) else get_codec(codec or "none")
+    resolved_storage = np.dtype(data.dtype if storage_dtype is None else storage_dtype)
+    if block_rows is None:
+        block_rows = default_block_rows(int(data.shape[1]), resolved_storage.itemsize)
 
     rows = int(data.shape[0])
-    shards: List[ShardInfo] = []
-    for index, start in enumerate(range(0, max(rows, 1), shard_rows)):
+
+    def write_shard(index: int) -> ShardInfo:
+        start = index * shard_rows
         stop = min(start + shard_rows, rows)
-        if stop <= start and rows > 0:
-            break
-        shard_labels = labels[start:stop] if labels is not None else None
-        if resolved_codec is None:
-            filename = f"shard-{index:05d}.m3"
-            write_binary_matrix(directory / filename, data[start:stop], shard_labels)
-            shards.append(
-                ShardInfo(filename=filename, start_row=start, rows=stop - start)
-            )
-        else:
-            filename = f"shard-{index:05d}.m3b"
-            header = write_blocked_matrix(
-                directory / filename,
-                data[start:stop],
-                shard_labels,
-                block_rows=block_rows,
-                codec=resolved_codec,
-                storage_dtype=resolved_storage,
-            )
-            shards.append(
-                ShardInfo(
-                    filename=filename,
-                    start_row=start,
-                    rows=stop - start,
-                    compressed_bytes=header.compressed_bytes,
-                    raw_bytes=header.raw_bytes,
-                )
-            )
+        filename = f"shard-{index:05d}.m3b"
+        header = write_blocked_matrix(
+            directory / filename,
+            data[start:stop],
+            labels[start:stop] if labels is not None else None,
+            block_rows=block_rows,
+            codec=resolved_codec,
+            storage_dtype=resolved_storage,
+        )
+        return ShardInfo(
+            filename=filename,
+            start_row=start,
+            rows=stop - start,
+            compressed_bytes=header.compressed_bytes,
+            raw_bytes=header.raw_bytes,
+        )
+
+    # Shards are independent files, written one per worker; each codes its
+    # own blocks inline (a nested fan-out is serial), so the CRC and codec
+    # work and the page-cache copies of different shards share the cores.
+    # A lone shard (an empty dataset has one) fans its blocks out instead.
+    count = max(1, -(-rows // shard_rows))
+    workers = available_cpus() if count > 1 else 1
+    shards = list(map_ordered(write_shard, range(count), workers, workers + 1))
 
     manifest = ShardManifest(
         rows=rows,
@@ -551,9 +533,8 @@ def write_sharded_dataset(
         dtype=np.dtype(data.dtype),
         has_labels=labels is not None,
         shards=shards,
-        version=MANIFEST_VERSION if resolved_codec is None else MANIFEST_VERSION_V2,
-        codec=None if resolved_codec is None else resolved_codec.name,
-        block_rows=None if resolved_codec is None else block_rows,
+        codec=resolved_codec.name,
+        block_rows=block_rows,
         storage_dtype=resolved_storage,
     )
     write_manifest(directory, manifest)
@@ -717,18 +698,16 @@ class ShardedLabels:
 
 
 class ShardedMatrix:
-    """A logical 2-D matrix stitched from per-shard memory maps.
+    """A read-only logical 2-D matrix stitched from per-shard memory maps.
 
-    Supports the estimator row-slicing protocol.  Row keys may be integers,
-    slices, integer arrays or boolean masks (optionally combined with a column
-    key in a tuple); contiguous step-1 slices inside a single shard return
-    zero-copy views of that shard's memmap, everything else is gathered with a
-    copy.  ``None``/``Ellipsis`` keys are not supported.
+    Opens every manifest whose shards are :attr:`ShardManifest.mapped`: v2
+    ``none`` row-layout files and legacy v1 ``.m3`` shards.  Supports the
+    estimator row-slicing protocol.  Row keys may be integers, slices,
+    integer arrays or boolean masks (optionally combined with a column key
+    in a tuple); contiguous step-1 slices inside a single shard return
+    zero-copy views of that shard's memmap, everything else is gathered
+    with a copy.  ``None``/``Ellipsis`` keys are not supported.
     """
-
-    #: Whether reads go through a codec (v2); drives the chunk pipeline's
-    #: fetch/decode split.  :class:`CompressedShardedMatrix` flips it.
-    is_compressed = False
 
     def __init__(
         self,
@@ -736,15 +715,18 @@ class ShardedMatrix:
         mode: str = "r",
         generation: Optional[int] = None,
     ) -> None:
-        self.directory = Path(directory)
-        self.mode = mode
-        self.manifest = read_manifest(self.directory, generation=generation)
-        if self.manifest.codec is not None:
+        if mode != "r":
             raise ValueError(
-                f"{self.directory} holds a v2 compressed sharded dataset "
-                f"(codec {self.manifest.codec!r}); open it with "
-                f"open_sharded_matrix(), which dispatches to "
-                f"CompressedShardedMatrix"
+                f"sharded datasets are read-only (mode {mode!r}); add rows "
+                f"with ShardAppender or re-encode with m3 convert"
+            )
+        self.directory = Path(directory)
+        self.manifest = read_manifest(self.directory, generation=generation)
+        if not self.manifest.mapped:
+            raise ValueError(
+                f"{self.directory} stores {self.manifest.codec!r}-coded blocks "
+                f"that must be decoded; open it with open_sharded_matrix(), "
+                f"which dispatches to CompressedShardedMatrix"
             )
         self._maps: List[np.memmap] = []
         self._label_maps: List[Optional[np.memmap]] = []
@@ -752,51 +734,55 @@ class ShardedMatrix:
         self._lazy_labels: Optional["ShardedLabels"] = None
         self._closed = False
         for shard in self.manifest.shards:
-            path = self.directory / shard.filename
-            if shard.label_sidecar or not shard.sealed:
-                # Append-path shard: the data region is append-only (labels
-                # live in a sidecar) and the file may have grown past what
-                # this manifest generation committed.  Map exactly the
-                # committed rows — the prefix bytes of a grown tail are
-                # stable, which is the snapshot-isolation guarantee.
-                header = read_binary_matrix_header(path)
-                if header.rows < shard.rows or header.cols != self.manifest.cols:
-                    raise ValueError(
-                        f"shard {shard.filename} has shape "
-                        f"({header.rows}, {header.cols}), manifest expects at "
-                        f"least ({shard.rows}, {self.manifest.cols})"
-                    )
-                data = np.memmap(
-                    path,
-                    dtype=header.dtype,
-                    mode=mode,
-                    offset=HEADER_SIZE,
-                    shape=(shard.rows, self.manifest.cols),
-                    order="C",
-                )
-                shard_labels: Optional[np.memmap] = None
-                if self.manifest.has_labels:
-                    shard_labels = np.memmap(
-                        Path(str(path) + LABEL_SIDECAR_SUFFIX),
-                        dtype=np.int64,
-                        mode=mode,
-                        shape=(shard.rows,),
-                    )
-            else:
-                data, shard_labels, header = open_binary_matrix(path, mode=mode)
-                if header.rows != shard.rows or header.cols != self.manifest.cols:
-                    raise ValueError(
-                        f"shard {shard.filename} has shape ({header.rows}, {header.cols}), "
-                        f"manifest expects ({shard.rows}, {self.manifest.cols})"
-                    )
-            if np.dtype(header.dtype) != self.manifest.dtype:
-                raise ValueError(
-                    f"shard {shard.filename} dtype {header.dtype} does not match "
-                    f"manifest dtype {self.manifest.dtype}"
-                )
+            data, labels = self._map_shard(shard)
             self._maps.append(data)
-            self._label_maps.append(shard_labels)
+            self._label_maps.append(labels)
             self._starts.append(shard.start_row)
+
+    def _map_shard(self, shard: ShardInfo) -> Tuple[np.memmap, Optional[np.memmap]]:
+        """Map exactly the committed rows (and labels) of one shard.
+
+        A v2 ``none`` file holds its rows packed from its first segment on
+        and its labels as one raw int64 segment; a v1 ``.m3`` file holds its
+        rows after the header and its labels after the rows, or in a
+        ``.labels`` sidecar.  An unsealed tail may hold more rows than this
+        generation committed; its prefix rows are byte-stable, which is the
+        snapshot-isolation guarantee.
+        """
+        manifest = self.manifest
+        path = label_path = self.directory / shard.filename
+        if manifest.codec is None:
+            header: Any = read_binary_matrix_header(path)
+            data_offset, label_offset = HEADER_SIZE, header.label_offset
+            if shard.label_sidecar:
+                label_path, label_offset = Path(f"{path}{LABEL_SIDECAR_SUFFIX}"), 0
+        else:
+            header = read_blocked_header(path)
+            if (header.codec, header.layout, header.storage_dtype) != (
+                "none", "row", manifest.dtype
+            ):
+                raise ValueError(
+                    f"shard {shard.filename} stores {header.codec!r} "
+                    f"{header.layout}-layout {header.storage_dtype} blocks, "
+                    f"the manifest declares raw {manifest.dtype} rows"
+                )
+            blocks = header.blocks
+            data_offset = blocks[0].segments[0][0] if blocks else BLOCKED_PREFIX_SIZE
+            label_offset = header.label_segment[0] if header.label_segment else 0
+        mismatch = _shard_mismatch(shard, header, manifest)
+        if mismatch is not None:
+            raise ValueError(mismatch)
+        data = np.memmap(
+            path, dtype=manifest.dtype, mode="r", offset=data_offset,
+            shape=(shard.rows, manifest.cols), order="C",
+        )
+        labels = None
+        if manifest.has_labels:
+            labels = np.memmap(
+                label_path, dtype=np.int64, mode="r", offset=label_offset,
+                shape=(shard.rows,),
+            )
+        return data, labels
 
     # -- array protocol ----------------------------------------------------
 
@@ -971,51 +957,6 @@ class ShardedMatrix:
                 return block[np.arange(block.shape[0]), col_arr]
         return block[:, col_key]
 
-    def __setitem__(self, key: Any, value: Any) -> None:
-        self._check_open()
-        if self.mode == "r":
-            raise ValueError("cannot write to a ShardedMatrix opened read-only")
-        col_key = None
-        row_key = key
-        if isinstance(key, tuple):
-            if len(key) > 2:
-                raise TypeError("ShardedMatrix only supports 2-D indexing")
-            row_key = key[0]
-            if len(key) == 2:
-                col_key = key[1]
-        kind, *rest = self._normalize_row_key(row_key)
-        if kind == "int":
-            lo, hi = rest[0], rest[0] + 1
-            adjusted: Any = 0
-        elif kind == "range":
-            lo, hi = rest
-            adjusted = slice(0, hi - lo)
-        else:
-            indices = np.asarray(rest[0], dtype=np.intp)
-            if indices.size == 0:
-                return
-            lo, hi = int(indices.min()), int(indices.max()) + 1
-            adjusted = indices - lo
-        if hi <= lo:
-            return
-        target_key = adjusted if col_key is None else (adjusted, col_key)
-        pieces = list(self._shards_overlapping(lo, hi))
-        if len(pieces) == 1:
-            shard, data = pieces[0]
-            view = data[lo - shard.start_row : hi - shard.start_row]
-            view[target_key] = value
-            return
-        # The range straddles shards: assign on a stitched copy with NumPy's
-        # own semantics, then write the touched rows back shard by shard.
-        scratch = self._gather_range(lo, hi)
-        scratch[target_key] = value
-        for shard, data in pieces:
-            piece_lo = max(lo, shard.start_row)
-            piece_hi = min(hi, shard.stop_row)
-            data[piece_lo - shard.start_row : piece_hi - shard.start_row] = scratch[
-                piece_lo - lo : piece_hi - lo
-            ]
-
     # -- labels and lifecycle ----------------------------------------------
 
     @property
@@ -1039,21 +980,10 @@ class ShardedMatrix:
         labels = self.lazy_labels
         return None if labels is None else labels.materialize()
 
-    def flush(self) -> None:
-        """Flush dirty pages of every writable shard."""
-        if self._closed or self.mode == "r":
-            return
-        for data in self._maps:
-            data.flush()
-        for labels in self._label_maps:
-            if labels is not None:
-                labels.flush()
-
     def close(self) -> None:
         """Release the per-shard memory maps."""
         if self._closed:
             return
-        self.flush()
         self._maps = []
         self._label_maps = []
         self._lazy_labels = None
@@ -1162,11 +1092,11 @@ class CompressedShardedMatrix(ShardedMatrix):
       which keeps the pooled streaming hot path allocation-free (only a
       range's two edge blocks go through the cache);
     * :meth:`fetch_compressed` / :meth:`decode_into` split a read into its
-      I/O and CPU halves for the parallel pipeline;
-    * writes are rejected — re-encode with ``m3 convert`` instead.
-    """
+      I/O and CPU halves for the parallel pipeline.
 
-    is_compressed = True
+    Any v2 manifest opens here, a ``none`` one too (decoded, CRC-checked);
+    :func:`open_sharded_matrix` sends mappable ones to :class:`ShardedMatrix`.
+    """
 
     def __init__(
         self,
@@ -1181,16 +1111,15 @@ class CompressedShardedMatrix(ShardedMatrix):
                 f"re-encode with convert_dataset / m3 convert to modify"
             )
         self.directory = Path(directory)
-        self.mode = mode
         self.manifest = read_manifest(self.directory, generation=generation)
         if self.manifest.codec is None:
             raise ValueError(
                 f"{self.directory} is a raw v1 sharded dataset; open it with "
                 f"ShardedMatrix or open_sharded_matrix()"
             )
-        # The memmap lists stay empty: nothing here is mappable, and an empty
-        # list makes inherited memmap-walking helpers (readahead hint
-        # resolution, flush) degrade to no-ops instead of misbehaving.
+        # The memmap list stays empty: nothing here is mapped, and an empty
+        # list makes the inherited memmap-walking readahead hint resolution
+        # degrade to a no-op instead of misbehaving.
         self._maps: List[np.memmap] = []
         self._label_maps: List[Optional[np.ndarray]] = []
         self._starts: List[int] = []
@@ -1209,21 +1138,9 @@ class CompressedShardedMatrix(ShardedMatrix):
                 # fixed offsets so prefix rows are preserved, and every
                 # read below is bounded by the manifest geometry.  Sealed
                 # shards must match exactly.
-                if (
-                    header.cols != self.manifest.cols
-                    or (shard.sealed and header.rows != shard.rows)
-                    or (not shard.sealed and header.rows < shard.rows)
-                ):
-                    raise ValueError(
-                        f"shard {shard.filename} has shape "
-                        f"({header.rows}, {header.cols}), manifest expects "
-                        f"({shard.rows}, {self.manifest.cols})"
-                    )
-                if header.dtype != self.manifest.dtype:
-                    raise ValueError(
-                        f"shard {shard.filename} dtype {header.dtype} does not "
-                        f"match manifest dtype {self.manifest.dtype}"
-                    )
+                mismatch = _shard_mismatch(shard, header, self.manifest)
+                if mismatch is not None:
+                    raise ValueError(mismatch)
                 if header.codec != self.manifest.codec:
                     raise ValueError(
                         f"shard {shard.filename} uses codec {header.codec!r}, "
@@ -1424,12 +1341,6 @@ class CompressedShardedMatrix(ShardedMatrix):
 
     # -- protocol odds and ends ----------------------------------------------
 
-    def __setitem__(self, key: Any, value: Any) -> None:
-        raise ValueError(
-            "compressed sharded datasets are read-only; re-encode with "
-            "convert_dataset / m3 convert to modify"
-        )
-
     @property
     def lazy_labels(self) -> Optional["ShardedLabels"]:
         """Lazy label view; per-shard vectors decode once, on first touch."""
@@ -1459,9 +1370,6 @@ class CompressedShardedMatrix(ShardedMatrix):
             )
         return self._lazy_labels
 
-    def flush(self) -> None:
-        """No-op: compressed datasets are read-only."""
-
     def close(self) -> None:
         """Release the shard file descriptors and the block cache."""
         if self._closed:
@@ -1488,18 +1396,9 @@ class CompressedShardedMatrix(ShardedMatrix):
         )
 
 
-def _patch_v1_header_rows(path: Path, rows: int) -> None:
-    """Rewrite the row count (bytes 32..39) of a v1 shard header in place."""
-    with path.open("r+b") as handle:
-        handle.seek(32)
-        handle.write(struct.pack("<Q", rows))
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
 @dataclass(frozen=True)
 class _CodedTail:
-    """The open v2 tail shard as :class:`ShardAppender` holds it between commits.
+    """The open tail shard as :class:`ShardAppender` holds it between commits.
 
     ``blocks`` are the tail's full blocks, each coded once, when it filled;
     ``short`` owns the rows (fewer than ``block_rows``) of the last, still
@@ -1514,10 +1413,10 @@ class _CodedTail:
 
 
 class ReadOnlyLayoutError(ValueError):
-    """An append to a dataset stored in the legacy column layout.
+    """An append to a dataset in a legacy stored form: v1 shards or column layout.
 
-    Column-major blocks are still read, but no writer produces them any more;
-    ``m3 convert`` rewrites such a dataset row-major, and the copy appends.
+    Both are still read, but no writer produces them any more; ``m3 convert``
+    rewrites such a dataset as row-major v2 shards, and the copy appends.
     """
 
 
@@ -1527,36 +1426,30 @@ class ShardAppender:
     Each :meth:`append` call lands its rows in the open *tail* shard (and as
     many freshly started shards as the batch needs — shards seal at
     ``shard_rows``), then commits exactly one new manifest generation via
-    :func:`commit_manifest`.  The write protocols per format:
-
-    * **v1 (raw)** — the tail ``.m3`` file holds a growing data region only
-      (``has_labels=0``); labels go to a raw int64 ``.labels`` sidecar.
-      Both files are append-only, so every byte a committed generation
-      references is final the moment it is written.  The header's row count
-      is patched *after* the data lands and *before* the manifest commits.
-    * **v2 (blocked)** — blocks sit at fixed multiples of ``block_rows``, so
-      a full block's coded bytes never change once it has filled.  The
-      appender keeps the tail as its coded full blocks, the raw rows of the
-      one short last block, and the labels; a commit codes only the blocks
-      the batch filled plus the short block and the label segment — at most
-      ``ceil(batch / block_rows) + 2`` codec calls per shard touched, however
-      full the tail is, the blocks spread over every core by
-      :func:`~repro.data.formats_v2.encode_blocks` — and assembles the tail
-      ``.m3b`` file from those payloads.  The file is still replaced whole
-      (same-directory tmp file, fsync, ``os.replace``) because a blocked
-      file is unreadable until finalized and readers pinned to an older
-      generation keep their file descriptor on the old inode; every file
-      is byte-for-byte what
-      :func:`~repro.data.formats_v2.write_blocked_matrix` writes for the
-      same rows.
+    :func:`commit_manifest`.  Blocks sit at fixed multiples of
+    ``block_rows``, so a full block's coded bytes never change once it has
+    filled.  The appender keeps the tail as its coded full blocks, the raw
+    rows of the one short last block, and the labels; a commit codes only
+    the blocks the batch filled plus the short block and the label segment
+    — at most ``ceil(batch / block_rows) + 2`` codec calls per shard
+    touched, however full the tail is, the blocks spread over every core by
+    :func:`~repro.data.formats_v2.encode_blocks` — and assembles the tail
+    ``.m3b`` file from those payloads.  The file is replaced whole
+    (same-directory tmp file, fsync, ``os.replace``) because a blocked file
+    is unreadable until finalized and readers pinned to an older generation
+    keep their memmap or file descriptor on the old inode; every file is
+    byte-for-byte what :func:`~repro.data.formats_v2.write_blocked_matrix`
+    writes for the same rows.  A dataset in a legacy stored form (v1
+    shards, column layout) raises :class:`ReadOnlyLayoutError`.
 
     Crash safety: shard bytes are fsynced before the manifest that
     references them is written, so an interrupted append leaves at worst
     orphan tail rows no generation points at.  Opening an appender recovers
-    the committed state: v1 orphans are truncated back to the committed row
-    count; a v2 tail's committed blocks are taken from the file as stored
-    (CRC-checked, not re-coded), the rows of its short last block are
-    decoded as well, and orphan rows are dropped.  An exception out of
+    the committed state: the tail's committed blocks are taken from the
+    file as stored (CRC-checked, not re-coded), the rows of its short last
+    block are decoded as well, and orphan rows are dropped; a tail that
+    cannot be read refuses the open with the shard and the committed row
+    count named.  An exception out of
     :meth:`append` leaves this object's view of the dataset untrusted, so
     the next call first re-reads the committed manifest and recovers again
     — exactly what a fresh ``ShardAppender(directory)`` would do.
@@ -1582,9 +1475,10 @@ class ShardAppender:
         self.trace = trace
         self._load()
         if shard_rows is None:
+            # An empty dataset's only shard holds no rows to size shards by.
             shard_rows = max(
-                (s.rows for s in self._manifest.shards), default=DEFAULT_SHARD_ROWS
-            )
+                (s.rows for s in self._manifest.shards), default=0
+            ) or DEFAULT_SHARD_ROWS
         if shard_rows <= 0:
             raise ValueError(f"shard_rows must be positive, got {shard_rows}")
         self.shard_rows = int(shard_rows)
@@ -1606,11 +1500,6 @@ class ShardAppender:
         """Total committed rows."""
         return self._manifest.rows
 
-    @property
-    def is_compressed(self) -> bool:
-        """Whether the dataset is blocked v2."""
-        return self._manifest.codec is not None
-
     # -- recovery ------------------------------------------------------------
 
     def _load(self) -> None:
@@ -1619,26 +1508,23 @@ class ShardAppender:
         # to its commit) memory and disk may disagree: append() reloads.
         self._stale = True
         manifest = self._manifest = read_manifest(self.directory)
-        if manifest.layout != "row":
+        if manifest.codec is None or manifest.layout != "row":
+            form, codec = (
+                ("v1 shards", "raw") if manifest.codec is None
+                else (f"{manifest.layout}-layout blocks", "zlib")
+            )
             raise ReadOnlyLayoutError(
-                f"{self.directory} stores {manifest.layout}-layout blocks, which "
-                f"are read-only: append to a row-layout copy made with "
-                f"`m3 convert SRC DST --codec zlib` (SRC = {self.directory})"
+                f"{self.directory} stores {form}, which are read-only: append "
+                f"to a copy made with `m3 convert SRC DST --codec {codec}` "
+                f"(SRC = {self.directory})"
             )
         self._row_bytes = manifest.cols * manifest.dtype.itemsize
-        if self.is_compressed:
-            self._codec = get_codec(manifest.codec)
-            self._storage_dtype = np.dtype(
-                manifest.dtype if manifest.storage_dtype is None
-                else manifest.storage_dtype
-            )
-            self._block_rows = manifest.block_rows or default_block_rows(
-                manifest.cols, self._storage_dtype.itemsize
-            )
-            self._tail: Optional[_CodedTail] = self._recover_v2_tail()
-        else:
-            self._tail = None
-            self._recover_v1_tail()
+        self._codec = get_codec(manifest.codec)
+        self._storage_dtype = np.dtype(manifest.storage_dtype or manifest.dtype)
+        self._block_rows = manifest.block_rows or default_block_rows(
+            manifest.cols, self._storage_dtype.itemsize
+        )
+        self._tail = self._recover_tail()
         self._stale = False
 
     def _empty_tail(self) -> _CodedTail:
@@ -1650,53 +1536,65 @@ class ShardAppender:
             labels=np.empty(0, dtype=np.int64),
         )
 
-    def _recover_v2_tail(self) -> _CodedTail:
-        """The committed rows of the v2 tail file, blocks still coded."""
+    def _recover_tail(self) -> _CodedTail:
+        """The committed rows of the tail file, blocks still coded."""
         manifest = self._manifest
         tail = manifest.tail_shard
         if tail is None:
             return self._empty_tail()
         path = self.directory / tail.filename
-        with BlockedMatrixReader(path) as reader:
-            header = reader.header
-            if header.rows < tail.rows:
-                raise ValueError(
-                    f"tail shard {tail.filename} holds {header.rows} rows, "
-                    f"the manifest commits {tail.rows}"
+        try:
+            maybe_fire("append.recover", str(path))
+            with BlockedMatrixReader(path) as reader:
+                header = reader.header
+                if header.rows < tail.rows:
+                    raise ValueError(
+                        f"tail shard {tail.filename} holds {header.rows} rows, "
+                        f"the manifest commits {tail.rows}"
+                    )
+                # Blocks the committed rows fill are identical in every file
+                # this tail was ever written to, so they are kept as stored, and
+                # so is the committed short block unless a crashed append's
+                # orphan rows (past ``tail.rows``, dropped here) landed in it.
+                kept = tail.rows // self._block_rows
+                stored = kept + (
+                    len(header.blocks) > kept
+                    and header.blocks[kept].rows == tail.rows - kept * self._block_rows
                 )
-            # Blocks the committed rows fill are identical in every file
-            # this tail was ever written to, so they are kept as stored, and
-            # so is the committed short block unless a crashed append's
-            # orphan rows (past ``tail.rows``, dropped here) landed in it.
-            kept = tail.rows // self._block_rows
-            stored = kept + (
-                len(header.blocks) > kept
-                and header.blocks[kept].rows == tail.rows - kept * self._block_rows
-            )
-            same_geometry = (
-                header.codec, header.block_rows, header.layout,
-                header.storage_dtype, header.cols,
-            ) == (
-                manifest.codec, self._block_rows, manifest.layout,
-                self._storage_dtype, manifest.cols,
-            )
-            checksummed = all(
-                segment[3] is not None
-                for block in header.blocks[:stored]
-                for segment in block.segments
-            )
-            if not (same_geometry and checksummed):
-                # Written under another geometry, or before block checksums
-                # existed: nothing can be copied, every row is coded afresh.
-                kept = stored = 0
-            blocks = tuple(reader.fetch_coded_block(i) for i in range(stored))
-            rest = reader.read_rows(kept * self._block_rows, tail.rows)
-            labels = None
-            if manifest.has_labels:
-                labels = reader.read_labels()
-                if labels is None or labels.shape[0] < tail.rows:
-                    raise ValueError(f"tail shard {tail.filename} is missing labels")
-                labels = labels[: tail.rows]
+                same_geometry = (
+                    header.codec, header.block_rows, header.layout,
+                    header.storage_dtype, header.cols,
+                ) == (
+                    manifest.codec, self._block_rows, manifest.layout,
+                    self._storage_dtype, manifest.cols,
+                )
+                checksummed = all(
+                    segment[3] is not None
+                    for block in header.blocks[:stored]
+                    for segment in block.segments
+                )
+                if not (same_geometry and checksummed):
+                    # Written under another geometry, or before block checksums
+                    # existed: nothing can be copied, every row is coded afresh.
+                    kept = stored = 0
+                blocks = tuple(reader.fetch_coded_block(i) for i in range(stored))
+                rest = reader.read_rows(kept * self._block_rows, tail.rows)
+                labels = None
+                if manifest.has_labels:
+                    labels = reader.read_labels()
+                    if labels is None or labels.shape[0] < tail.rows:
+                        raise ValueError(
+                            f"tail shard {tail.filename} is missing labels"
+                        )
+                    labels = labels[: tail.rows]
+        except OSError as error:
+            # Recovery that cannot read the tail must not leave an appender
+            # working from a tail it does not know: refuse the open and point
+            # the operator at the exact shard and row count that *is* durable.
+            raise RuntimeError(
+                f"dataset needs manual repair: {path}, committed={tail.rows} "
+                f"(tail recovery failed: {error})"
+            ) from error
         kept_tail = replace(self._empty_tail(), blocks=blocks[:kept])
         if stored > kept:
             # The short block came back as stored: recovery codes nothing.
@@ -1706,71 +1604,15 @@ class ShardAppender:
             )
         return self._extend_tail(kept_tail, rest, labels)
 
-    def _recover_v1_tail(self) -> None:
-        """Truncate uncommitted bytes off the v1 tail file and its sidecar."""
-        tail = self._manifest.tail_shard
-        if tail is None:
-            return
-        path = self.directory / tail.filename
-        committed_bytes = HEADER_SIZE + tail.rows * self._row_bytes
-        try:
-            maybe_fire("append.recover", str(path))
-            if path.stat().st_size > committed_bytes:
-                with path.open("r+b") as handle:
-                    handle.truncate(committed_bytes)
-            _patch_v1_header_rows(path, tail.rows)
-            if self._manifest.has_labels:
-                sidecar = Path(str(path) + LABEL_SIDECAR_SUFFIX)
-                if sidecar.stat().st_size > tail.rows * 8:
-                    with sidecar.open("r+b") as handle:
-                        handle.truncate(tail.rows * 8)
-        except OSError as error:
-            # Recovery that cannot complete must not leave a half-truncated
-            # tail behind an open appender: refuse the open and point the
-            # operator at the exact shard and row count that *is* durable.
-            raise RuntimeError(
-                f"dataset needs manual repair: {path}, committed={tail.rows} "
-                f"(tail recovery failed: {error})"
-            ) from error
-
     # -- the write path ------------------------------------------------------
 
     def _next_shard_filename(self, shards: List[ShardInfo]) -> str:
-        suffix = ".m3b" if self.is_compressed else ".m3"
         index = len(shards)
         while True:
-            filename = f"shard-{index:05d}{suffix}"
+            filename = f"shard-{index:05d}.m3b"
             if not (self.directory / filename).exists():
                 return filename
             index += 1
-
-    def _write_v1_rows(
-        self,
-        shard: ShardInfo,
-        chunk: np.ndarray,
-        labels: Optional[np.ndarray],
-    ) -> None:
-        """Land ``chunk`` at local row ``shard.rows`` of a v1 tail shard."""
-        path = self.directory / shard.filename
-        if not path.exists():
-            # A fresh tail: header only (rows=0, labels in the sidecar).
-            create_binary_matrix(
-                path, 0, self._manifest.cols, self._manifest.dtype, with_labels=False
-            )
-        with path.open("r+b") as handle:
-            handle.seek(HEADER_SIZE + shard.rows * self._row_bytes)
-            handle.write(np.ascontiguousarray(chunk).tobytes())
-            handle.flush()
-            maybe_fire("append.pre_fsync", str(path))
-            os.fsync(handle.fileno())
-        if labels is not None:
-            sidecar = Path(str(path) + LABEL_SIDECAR_SUFFIX)
-            mode = "r+b" if sidecar.exists() else "w+b"
-            with sidecar.open(mode) as handle:
-                handle.seek(shard.rows * 8)
-                handle.write(labels.tobytes())
-                handle.flush()
-                os.fsync(handle.fileno())
 
     def _extend_tail(
         self, tail: _CodedTail, chunk: np.ndarray, labels: Optional[np.ndarray]
@@ -1808,8 +1650,8 @@ class ShardAppender:
             else np.concatenate([tail.labels, labels]),
         )
 
-    def _write_v2_shard(self, shard: ShardInfo, tail: _CodedTail) -> ShardInfo:
-        """Assemble a v2 shard file from ``tail``; return its final info.
+    def _write_shard(self, shard: ShardInfo, tail: _CodedTail) -> ShardInfo:
+        """Assemble a shard file from ``tail``; return its final info.
 
         Every block, the short last one included, is written as ``tail``
         holds it coded; only the label segment meets the codec here.
@@ -1856,7 +1698,9 @@ class ShardAppender:
             if self._stale:
                 self._load()
             manifest = self._manifest
-            X = np.ascontiguousarray(np.asarray(X), dtype=manifest.dtype)
+            # Owned rows: a none-coded block is a view of them, kept in the
+            # tail between commits, so the caller's array must not back it.
+            X = np.array(X, dtype=manifest.dtype, order="C")
             if X.ndim != 2 or X.shape[1] != manifest.cols:
                 raise ValueError(
                     f"appended rows must have shape (n, {manifest.cols}), "
@@ -1890,13 +1734,10 @@ class ShardAppender:
                 if tail is not None and tail.rows >= self.shard_rows:
                     # An over-capacity tail (shard_rows shrank between
                     # sessions): seal it as-is and start fresh.
-                    if self.is_compressed:
-                        shards[-1] = self._write_v2_shard(
-                            replace(tail, sealed=True), coded_tail
-                        )
-                        coded_tail = self._empty_tail()
-                    else:
-                        shards[-1] = replace(tail, sealed=True)
+                    shards[-1] = self._write_shard(
+                        replace(tail, sealed=True), coded_tail
+                    )
+                    coded_tail = self._empty_tail()
                     tail = None
                 if tail is None:
                     tail = ShardInfo(
@@ -1904,16 +1745,14 @@ class ShardAppender:
                         start_row=total_rows,
                         rows=0,
                         sealed=False,
-                        label_sidecar=not self.is_compressed,
                     )
                     shards.append(tail)
                 take = min(X.shape[0] - offset, self.shard_rows - tail.rows)
-                chunk = X[offset : offset + take]
-                chunk_labels = y[offset : offset + take] if y is not None else None
-                if self.is_compressed:
-                    coded_tail = self._extend_tail(coded_tail, chunk, chunk_labels)
-                else:
-                    self._write_v1_rows(tail, chunk, chunk_labels)
+                coded_tail = self._extend_tail(
+                    coded_tail,
+                    X[offset : offset + take],
+                    y[offset : offset + take] if y is not None else None,
+                )
                 if self.trace is not None:
                     self.trace.record(
                         offset=total_rows * self._row_bytes,
@@ -1926,22 +1765,13 @@ class ShardAppender:
                     sealed=tail.rows + take >= self.shard_rows,
                 )
                 shards[-1] = tail
-                if tail.sealed and self.is_compressed:
-                    shards[-1] = self._write_v2_shard(tail, coded_tail)
+                if tail.sealed:
+                    shards[-1] = self._write_shard(tail, coded_tail)
                     coded_tail = self._empty_tail()
                 offset += take
                 total_rows += take
-            if self.is_compressed and shards and not shards[-1].sealed:
-                shards[-1] = self._write_v2_shard(shards[-1], coded_tail)
-            if not self.is_compressed:
-                # Patch the row counts of every still-open or just-sealed
-                # v1 file the batch touched, after the data landed and
-                # before the manifest commits.
-                for shard in shards[len(manifest.shards) - (1 if manifest.tail_shard else 0):]:
-                    if shard.label_sidecar:
-                        _patch_v1_header_rows(
-                            self.directory / shard.filename, shard.rows
-                        )
+            if not shards[-1].sealed:
+                shards[-1] = self._write_shard(shards[-1], coded_tail)
             committed = replace(
                 manifest,
                 rows=total_rows,
@@ -1949,7 +1779,7 @@ class ShardAppender:
                 generation=manifest.generation + 1,
             )
             if manifest.generation == 0:
-                # First append of a legacy dataset: snapshot its bare
+                # First append of a static dataset: snapshot its bare
                 # manifest as generation 0 so readers pinned there can
                 # still re-resolve it after manifest.json starts mirroring
                 # newer generations.
@@ -1968,19 +1798,39 @@ def open_sharded_matrix(
     mode: str = "r",
     generation: Optional[int] = None,
 ) -> ShardedMatrix:
-    """Open a sharded dataset, dispatching on its manifest version.
+    """Open a sharded dataset, deciding once from its manifest how to read it.
 
-    v1 (raw) manifests open as the memmap-backed :class:`ShardedMatrix` in
-    any mode; v2 (compressed) manifests open as the read-only
-    :class:`CompressedShardedMatrix`.  ``generation`` pins the open to one
-    committed manifest generation (``None`` = latest).
+    Manifests whose shards are :attr:`ShardManifest.mapped` (v2 ``none`` in
+    row layout and the logical dtype, and legacy v1) open as the
+    memmap-backed :class:`ShardedMatrix`; every other v2 manifest opens as
+    :class:`CompressedShardedMatrix`.  Both are read-only.  ``generation``
+    pins the open to one committed manifest generation (``None`` = latest).
     """
     manifest = read_manifest(directory, generation=generation)
-    if manifest.codec is not None:
-        return CompressedShardedMatrix(
-            directory, mode=mode, generation=manifest.generation
+    kind = ShardedMatrix if manifest.mapped else CompressedShardedMatrix
+    return kind(directory, mode=mode, generation=manifest.generation)
+
+
+def _shard_mismatch(
+    shard: ShardInfo, header: Any, manifest: ShardManifest
+) -> Optional[str]:
+    """Why a shard file with ``header`` cannot serve ``shard`` (``None``: it can).
+
+    A sealed shard holds exactly its committed rows; an unsealed tail may
+    hold more, written by a later generation or a crashed append.
+    """
+    if (
+        header.cols != manifest.cols
+        or np.dtype(header.dtype) != manifest.dtype
+        or header.rows < shard.rows
+        or (shard.sealed and header.rows != shard.rows)
+    ):
+        return (
+            f"shard {shard.filename} holds a {header.rows} x {header.cols} "
+            f"{header.dtype} matrix, manifest expects {shard.rows} x "
+            f"{manifest.cols} {manifest.dtype}"
         )
-    return ShardedMatrix(directory, mode=mode, generation=manifest.generation)
+    return None
 
 
 def verify_dataset(
@@ -1988,13 +1838,15 @@ def verify_dataset(
 ) -> List[str]:
     """Scrub every shard of the dataset at ``directory``; list the problems.
 
-    v2 (blocked) shards get the full treatment — every segment fetched,
-    CRC-checked and decoded via
-    :func:`~repro.data.formats_v2.verify_blocked_file`; v1 (raw) shards are
-    checked for structural consistency: the file holds at least the rows the
-    manifest commits, and the label sidecar (when present) covers them.  An
-    empty list means the dataset is clean; each entry names the exact file
-    (and block) that needs attention.  ``m3 info --verify`` prints these.
+    v2 (blocked) shards, mapped ones included, get the full treatment —
+    every segment fetched, CRC-checked and decoded via
+    :func:`~repro.data.formats_v2.verify_blocked_file`; legacy v1 shards are
+    checked structurally: the header must parse and match the file size
+    (:func:`~repro.data.formats.read_binary_matrix_header`) and the
+    manifest's rows, columns and dtype, and a label sidecar must cover the
+    committed rows.  An empty list means the dataset is clean; each entry
+    names the exact file (and block) that needs attention.  ``m3 info
+    --verify`` prints these.
     """
     directory = Path(directory)
     try:
@@ -2002,23 +1854,18 @@ def verify_dataset(
     except (ValueError, OSError) as error:
         return [f"{directory}: unreadable manifest: {error}"]
     problems: List[str] = []
-    row_bytes = manifest.cols * np.dtype(manifest.dtype).itemsize
     for shard in manifest.shards:
         path = directory / shard.filename
         if manifest.codec is not None:
             problems.extend(verify_blocked_file(path))
             continue
         try:
-            size = path.stat().st_size
-        except OSError as error:
-            problems.append(f"{path}: missing shard: {error}")
+            mismatch = _shard_mismatch(shard, read_binary_matrix_header(path), manifest)
+        except (ValueError, OSError) as error:
+            problems.append(f"{path}: unreadable shard: {error}")
             continue
-        needed = HEADER_SIZE + shard.rows * row_bytes
-        if size < needed:
-            problems.append(
-                f"{path}: truncated: {size} bytes on disk but the manifest "
-                f"commits {shard.rows} row(s) needing {needed}"
-            )
+        if mismatch is not None:
+            problems.append(f"{path}: {mismatch}")
         if manifest.has_labels and shard.label_sidecar:
             sidecar = Path(str(path) + LABEL_SIDECAR_SUFFIX)
             try:

@@ -12,19 +12,17 @@ datasets at such a location.  Three backends ship with the library:
     A single M3 binary matrix file served through ``numpy.memmap`` — the
     paper's storage model.
 ``shard``
-    A directory of M3 files tiling the matrix row-wise (see
+    A directory of blocked ``.m3b`` files tiling the matrix row-wise (see
     :mod:`repro.api.sharded`); row chunks are served across shard boundaries.
-``shard`` (compressed v2)
-    The same scheme also serves blocked v2 directories — shards are
-    ``.m3b`` files of independently compressed fixed-size blocks (codec,
-    ``block_rows``, block layout and on-disk ``storage_dtype`` recorded in
-    the manifest; blocks are written row-major, and the column layout older
-    versions wrote is a read-only legacy form).  Opening is transparent: the
-    manifest version picks the matrix class, and the streaming pipeline
-    decodes blocks on its compute pool.  Write one with
-    ``session.create(spec, X, y, codec="zlib")`` or ``m3 convert``.
+    The manifest records the codec, ``block_rows`` and on-disk
+    ``storage_dtype``.  Opening is transparent: raw (codec ``none``) shards
+    are memory-mapped and served as zero-copy views, coded ones
+    (``session.create(spec, X, y, codec="zlib")`` or ``m3 convert``) are
+    decoded on the streaming pipeline's compute pool.  v1 ``.m3`` shard
+    directories and column-layout blocks, written by older versions, are
+    read-only legacy forms.
 ``shard`` (appendable)
-    Sharded directories (v1 and row-layout v2) are also *appendable*:
+    Sharded directories in the current form are also *appendable*:
     ``Dataset.append`` streams rows into an open tail shard and commits a new
     manifest generation (``manifest.<gen>.json`` + ``CURRENT``, atomic
     renames), while open handles keep serving the generation they were
@@ -53,7 +51,6 @@ from repro.api.sharded import (
     CURRENT_NAME,
     MANIFEST_NAME,
     ShardAppender,
-    ShardedMatrix,
     generation_manifest_name,
     manifest_generation,
     open_sharded_matrix,
@@ -315,17 +312,18 @@ class ShardedBackend(StorageBackend):
     scheme = "shard"
 
     def open(self, location: str, mode: str = "r") -> StorageHandle:
-        # Dispatches on the manifest: raw v1 directories open memmap-backed,
-        # compressed v2 directories open as a CompressedShardedMatrix.  The
-        # matrix is a snapshot of the latest committed generation.
+        # Dispatches on the manifest: raw shards open memmap-backed, coded
+        # ones as a CompressedShardedMatrix.  The matrix is a snapshot of the
+        # latest committed generation.
         matrix = open_sharded_matrix(Path(location), mode=mode)
+        manifest = matrix.manifest
         metadata = {
             "backend": self.scheme,
             "path": str(Path(location)),
             "rows": matrix.shape[0],
             "cols": matrix.shape[1],
             "dtype": str(matrix.dtype),
-            "has_labels": matrix.manifest.has_labels,
+            "has_labels": manifest.has_labels,
             "nbytes": matrix.nbytes,
             "num_shards": matrix.num_shards,
             "generation": matrix.generation,
@@ -334,18 +332,18 @@ class ShardedBackend(StorageBackend):
             # posix_fadvise fallback targets these files directly.
             "shard_paths": [
                 str(Path(location) / shard.filename)
-                for shard in matrix.manifest.shards
+                for shard in manifest.shards
             ],
         }
-        if matrix.is_compressed:
+        if manifest.codec is not None:
             metadata.update(
                 {
-                    "codec": matrix.codec,
-                    "block_rows": matrix.block_rows,
-                    "layout": matrix.layout,
-                    "storage_dtype": str(matrix.storage_dtype),
-                    "compressed_bytes": matrix.compressed_nbytes,
-                    "compression_ratio": matrix.manifest.ratio,
+                    "codec": manifest.codec,
+                    "block_rows": manifest.block_rows,
+                    "layout": manifest.layout,
+                    "storage_dtype": str(manifest.storage_dtype or manifest.dtype),
+                    "compressed_bytes": manifest.compressed_bytes,
+                    "compression_ratio": manifest.ratio,
                 }
             )
         return StorageHandle(
@@ -437,7 +435,7 @@ class ShardedBackend(StorageBackend):
         Returns the committed generation number.  Open handles keep serving
         the generation they were opened at; re-open (``Session.refresh``)
         to see the new rows.  Each call opens a fresh appender: one
-        manifest read, plus — on a v2 dataset — a read of the tail file
+        manifest read, plus a read of the tail file
         that copies its full blocks still coded and decodes only the short
         last block.  For sustained streams, hold a
         :class:`~repro.api.sharded.ShardAppender` directly and skip both.

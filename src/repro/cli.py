@@ -7,10 +7,11 @@ reproduction entry points:
 * ``m3 info`` — describe a dataset (rows, columns, dtype, backend, shards;
   v2 datasets additionally report codec, block geometry and per-shard
   compression ratios).
-* ``m3 convert`` — re-encode a dataset between the raw v1 format and the
-  compressed blocked v2 shard format (``--codec``, ``--block-rows``,
-  ``--dtype``); new v2 shards are row-major, and column-layout datasets
-  written by older versions convert like any other source.
+* ``m3 convert`` — re-encode a dataset as raw (memory-mapped) or
+  compressed blocked v2 shards (``--codec``, ``--block-rows``,
+  ``--dtype``); new shards are row-major, and v1 shard directories and
+  column-layout datasets written by older versions convert like any other
+  source.
 * ``m3 train`` — train logistic regression or k-means on a dataset through
   the unified :class:`~repro.api.Session` API; ``--engine simulated``
   additionally replays the recorded access trace through the paper-scale
@@ -267,21 +268,17 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         shard_rows=args.shard_rows,
         chunk_rows=args.chunk_rows,
     )
-    if manifest.codec is None:
-        print(
-            f"wrote {manifest.rows} x {manifest.cols} as "
-            f"{len(manifest.shards)} raw v1 shard(s) to {args.destination}"
-        )
+    ratio = manifest.ratio
+    if manifest.codec != "none":
+        kind = f"{manifest.codec}-compressed"
     else:
-        ratio = manifest.ratio
-        ratio_text = f"{ratio:.2f}x" if ratio else "n/a"
-        print(
-            f"wrote {manifest.rows} x {manifest.cols} as "
-            f"{len(manifest.shards)} {manifest.codec}-compressed v2 shard(s) "
-            f"to {args.destination} (block_rows={manifest.block_rows}, "
-            f"storage dtype {np.dtype(manifest.storage_dtype).name}, "
-            f"compression {ratio_text})"
-        )
+        kind = "uncompressed, memory-mapped" if manifest.mapped else "uncompressed"
+    print(
+        f"wrote {manifest.rows} x {manifest.cols} as {len(manifest.shards)} {kind} "
+        f"v2 shard(s) to {args.destination} (block_rows={manifest.block_rows}, "
+        f"storage dtype {np.dtype(manifest.storage_dtype).name}, "
+        f"compression {f'{ratio:.2f}x' if ratio else 'n/a'})"
+    )
     return 0
 
 
@@ -765,25 +762,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     convert = sub.add_parser(
         "convert",
-        help="re-encode a dataset (v1 <-> compressed blocked v2 shards)",
+        help="re-encode a dataset as raw or compressed blocked v2 shards",
     )
     convert.add_argument("source", type=str,
                          help="a .m3 matrix file or a sharded dataset directory")
     convert.add_argument("destination", type=Path,
                          help="output shard directory (created; must not "
                               "already hold a dataset)")
-    convert.add_argument("--codec", choices=["zlib", "none", "raw"],
-                         default="zlib",
-                         help="target encoding: 'zlib' / 'none' write blocked "
-                              "v2 shards (compressed / merely blocked), 'raw' "
-                              "writes plain memory-mappable v1 shards")
+    convert.add_argument("--codec", choices=["zlib", "raw"], default="zlib",
+                         help="target encoding: 'zlib' compresses every block, "
+                              "'raw' stores uncompressed blocks that open "
+                              "memory-mapped (zero-copy reads)")
     convert.add_argument("--block-rows", type=_positive_int, default=None,
-                         help="rows per coded block (v2 only; default targets "
+                         help="rows per coded block (default targets "
                               "~1 MiB of raw storage per block)")
     convert.add_argument("--dtype", choices=["float64", "float32", "float16"],
                          default=None,
-                         help="on-disk storage dtype (v2 only; narrower than "
-                              "the logical dtype trades precision for size)")
+                         help="on-disk storage dtype (narrower than the "
+                              "logical dtype trades precision for size and "
+                              "is decoded, not mapped)")
     convert.add_argument("--shard-rows", type=_positive_int, default=None,
                          help="rows per output shard (default: keep the "
                               "source's shard height)")

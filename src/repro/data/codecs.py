@@ -4,11 +4,11 @@ A :class:`Codec` turns a block of raw array bytes into a (hopefully smaller)
 payload and back.  Two codecs ship with the library:
 
 ``none``
-    The identity codec: the payload *is* the raw bytes.  A v2 dataset written
-    with ``codec="none"`` keeps the blocked layout (block-granular reads,
-    column-major option, dtype downcasting) without spending CPU on
-    compression — the baseline every compressed configuration is measured
-    against.
+    The identity codec: the payload *is* the raw bytes, so a row-layout file's
+    blocks sit packed in block order as one row-major matrix.  It is the
+    default of every sharded writer: a ``none`` dataset stored in its logical
+    dtype opens memory-mapped, with zero-copy views and no decode; with a
+    narrower storage dtype it is decoded like any other codec.
 ``zlib``
     DEFLATE via the stdlib :mod:`zlib`.  Dense numeric blocks — especially
     downcast float32 or small-integer data — routinely compress several-fold,
@@ -62,8 +62,8 @@ class Codec(abc.ABC):
     name: str = ""
 
     @abc.abstractmethod
-    def encode(self, data: BytesLike) -> bytes:
-        """Compress ``data`` into a payload."""
+    def encode(self, data: BytesLike) -> BytesLike:
+        """Compress ``data`` into a payload (which may be ``data`` itself)."""
 
     @abc.abstractmethod
     def decode(self, payload: BytesLike, raw_bytes: int) -> bytes:
@@ -93,9 +93,10 @@ class NoneCodec(Codec):
 
     name = "none"
 
-    def encode(self, data: BytesLike) -> bytes:
+    def encode(self, data: BytesLike) -> BytesLike:
+        """The payload is ``data`` itself: no copy is made."""
         maybe_fire("encode.block", self.name)
-        return bytes(data)
+        return data
 
     def decode(self, payload: BytesLike, raw_bytes: int) -> bytes:
         maybe_fire("decode.block", self.name)
@@ -125,7 +126,7 @@ class ZlibCodec(Codec):
 
     def encode(self, data: BytesLike) -> bytes:
         maybe_fire("encode.block", self.name)
-        return zlib.compress(bytes(data), self.level)
+        return zlib.compress(data, self.level)
 
     def decode(self, payload: BytesLike, raw_bytes: int) -> bytes:
         maybe_fire("decode.block", self.name)

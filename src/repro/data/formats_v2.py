@@ -1,10 +1,13 @@
 """The M3 v2 *blocked* matrix format: fixed-size blocks, independently coded.
 
 Where the v1 format (:mod:`repro.data.formats`) is a raw memory-mappable
-array, v2 trades the mmap property for bandwidth: the matrix is split into
-fixed-size row **blocks**, each independently compressed through a pluggable
-:mod:`~repro.data.codecs` codec and optionally stored in a narrower dtype
-(float32/float16 downcasting).  Writers store every block row-major.  Files
+array, v2 splits the matrix into fixed-size row **blocks**, each
+independently coded through a pluggable :mod:`~repro.data.codecs` codec and
+optionally stored in a narrower dtype (float32/float16 downcasting).  Writers
+store every block row-major.  Under the identity codec ``none`` with no
+downcast the data region is therefore still one row-major matrix, which
+:class:`~repro.api.sharded.ShardedMatrix` maps; any other codec trades the
+mmap property for bandwidth.  Files
 written by older versions may hold **column-major** blocks, a read-only
 legacy form that nothing writes any more; reads fetch and decode whole
 blocks under either layout.
@@ -60,7 +63,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.data.codecs import Codec, get_codec
+from repro.data.codecs import BytesLike, Codec, get_codec
 from repro.fanout import available_cpus, map_ordered
 from repro.faults import InjectedFault, maybe_fire, should_fire
 
@@ -157,14 +160,16 @@ class CodedBlock:
     in C order, coded.  Blocks sit at fixed multiples of ``block_rows``, so a
     block's coded form depends only on its rows and the file's geometry:
     whoever holds a ``CodedBlock`` can write it again without running the
-    codec (:meth:`BlockedMatrixWriter.write_coded_block`).
+    codec (:meth:`BlockedMatrixWriter.write_coded_block`).  A ``none``
+    payload is a view of the rows it was coded from, not a copy: whoever
+    keeps a ``CodedBlock`` past the call keeps those rows unchanged.
     """
 
     rows: int
-    segment: Tuple[bytes, int, int]
+    segment: Tuple[BytesLike, int, int]
 
 
-def _code_segment(codec: Codec, raw: bytes) -> Tuple[bytes, int, int]:
+def _code_segment(codec: Codec, raw: BytesLike) -> Tuple[BytesLike, int, int]:
     payload = codec.encode(raw)
     return (payload, len(raw), zlib.crc32(payload))
 
@@ -178,7 +183,8 @@ def encode_block(rows: np.ndarray, codec: Codec, storage_dtype: np.dtype) -> Cod
     """
     stored = np.ascontiguousarray(rows, dtype=storage_dtype)
     return CodedBlock(
-        rows=int(stored.shape[0]), segment=_code_segment(codec, stored.tobytes())
+        rows=int(stored.shape[0]),
+        segment=_code_segment(codec, memoryview(stored).cast("B")),
     )
 
 

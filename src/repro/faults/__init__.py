@@ -80,7 +80,7 @@ SITES: Dict[str, str] = {
         "v2 block/label fetch goes through"
     ),
     "read.gather": (
-        "chunk-pipeline reader gathering raw v1 rows out of shard memmaps"
+        "chunk-pipeline reader gathering raw rows out of mapped shards"
     ),
     "decode.block": "codec decode of one coded block payload",
     "encode.block": (
@@ -100,7 +100,7 @@ SITES: Dict[str, str] = {
         "sequence completes"
     ),
     "append.recover": (
-        "ShardAppender tail recovery — truncating orphan rows on reopen"
+        "ShardAppender tail recovery — reading the committed tail on reopen"
     ),
     "trainer.poll": "Trainer manifest-generation poll of an appendable dataset",
     "serve.dispatch": "ModelServer micro-batch dispatch",

@@ -5,14 +5,14 @@ Covers the storage-layer contract the live train→publish loop rests on:
 * the generation protocol — ``manifest.<gen>.json`` + ``CURRENT`` committed
   atomically, the bare ``manifest.json`` kept as a legacy mirror;
 * :class:`~repro.api.sharded.ShardAppender` — tail-shard growth, sealing at
-  ``shard_rows``, label sidecars (v1) and tails re-assembled from coded
-  blocks, each coded once (v2);
+  ``shard_rows``, tails re-assembled from coded blocks, each coded once, for
+  raw (``none``) and zlib datasets alike;
 * snapshot isolation — open handles and pinned generation opens serve
   exactly their generation's rows, bit-identical, no matter how many
   appends commit after them;
-* crash recovery — orphan tail bytes no generation references are trimmed
-  on the next append, and committed readers never see them; a corrupt v2
-  tail block is refused, never copied forward.
+* crash recovery — orphan tail rows no generation references are dropped
+  on the next append, and committed readers never see them; a corrupt tail
+  block is refused, never copied forward.
 """
 
 import math
@@ -39,7 +39,6 @@ from repro.api.sharded import (
 )
 from repro.api.storage import ShardedBackend
 from repro.data.codecs import CODEC_REGISTRY, ZlibCodec, register_codec
-from repro.data.formats import HEADER_SIZE
 from repro.data.formats_v2 import (
     ChecksumError,
     read_blocked_header,
@@ -175,6 +174,42 @@ class TestShardAppender:
         with pytest.raises(ValueError, match="label"):
             appender.append(np.ones((3, 4)), np.zeros(2, dtype=np.int64))
 
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_append_to_an_empty_dataset(self, tmp_path, codec):
+        # An empty dataset's one shard holds no rows to size new shards by.
+        X, y = _make(2)
+
+        def through_session(d):
+            with Session() as session:
+                session.open(f"shard://{d}").append(X, y)
+
+        for name, append in (
+            ("appender", lambda d: ShardAppender(d).append(X, y)),
+            ("session", through_session),
+        ):
+            d = tmp_path / name
+            _write(d, np.empty((0, 4)), np.empty(0, np.int64), codec)
+            append(d)
+            with open_sharded_matrix(d) as matrix:
+                np.testing.assert_array_equal(_read_all(matrix), X)
+                np.testing.assert_array_equal(matrix.lazy_labels[:], y)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_tail_does_not_alias_the_callers_rows(self, tmp_path, codec):
+        # A raw tail keeps its full blocks uncopied between commits; they
+        # must be the appender's rows, not views of the caller's array.
+        d = tmp_path / "ds"
+        write_sharded_dataset(d, *_make(4), shard_rows=20, codec=codec, block_rows=2)
+        appender = ShardAppender(d, shard_rows=20)
+        X2, y2 = _make(5, seed=1)
+        expected = X2.copy()
+        appender.append(X2, y2)
+        X2[:] = -1.0
+        X3, y3 = _make(3, seed=2)
+        appender.append(X3, y3)
+        with open_sharded_matrix(d) as matrix:
+            np.testing.assert_array_equal(_read_all(matrix)[4:], np.vstack([expected, X3]))
+
     def test_unlabelled_dataset_appends_without_labels(self, tmp_path):
         d = tmp_path / "ds"
         X, _ = _make(10)
@@ -250,34 +285,6 @@ class TestSnapshotIsolation:
 
 
 class TestCrashRecovery:
-    def test_orphan_v1_tail_bytes_are_trimmed(self, tmp_path):
-        d = tmp_path / "ds"
-        _write(d, *_make(12), None, shard_rows=10)
-        X2, y2 = _make(4, seed=1)
-        manifest = ShardAppender(d).append(X2, y2)
-        tail = manifest.tail_shard
-        # the legacy 10+2 shards are sealed, so the append opened a new tail
-        assert tail is not None and tail.rows == 4
-        # simulate a crashed append: data + sidecar bytes landed, header rows
-        # were patched, but no manifest generation was committed
-        path = d / tail.filename
-        with open(path, "r+b") as handle:
-            handle.seek(0, 2)
-            handle.write(b"\x7f" * (3 * 4 * 8))
-        with open(d / (tail.filename + ".labels"), "r+b") as handle:
-            handle.seek(0, 2)
-            handle.write(b"\x01" * (3 * 8))
-        # a committed-generation reader is unaffected by the orphan bytes
-        with open_sharded_matrix(d) as matrix:
-            assert matrix.shape == (16, 4)
-            np.testing.assert_array_equal(_read_all(matrix)[12:], X2)
-        # the next appender trims the orphans before appending
-        X3, y3 = _make(2, seed=2)
-        ShardAppender(d).append(X3, y3)
-        assert path.stat().st_size == HEADER_SIZE + 6 * 4 * 8
-        with open_sharded_matrix(d) as matrix:
-            np.testing.assert_array_equal(_read_all(matrix)[16:], X3)
-
     def test_recovery_reloads_v2_tail_blocks(self, tmp_path):
         d = tmp_path / "ds"
         write_sharded_dataset(d, *_make(12), shard_rows=10, codec="zlib", block_rows=3)
@@ -293,9 +300,10 @@ class TestCrashRecovery:
         np.testing.assert_array_equal(got[12:16], X2)
         np.testing.assert_array_equal(got[16:], X3)
 
-    def test_v2_tail_file_ahead_of_manifest_drops_orphan_rows(self, tmp_path):
+    @pytest.mark.parametrize("codec", ["zlib", "none"])
+    def test_v2_tail_file_ahead_of_manifest_drops_orphan_rows(self, tmp_path, codec):
         d = tmp_path / "ds"
-        geometry = dict(codec="zlib", block_rows=4)
+        geometry = dict(codec=codec, block_rows=4)
         write_sharded_dataset(d, *_make(10), shard_rows=10, **geometry)
         X2, y2 = _make(6, seed=1)      # one full block + a 2-row short block
         tail = ShardAppender(d, shard_rows=20).append(X2, y2).tail_shard
@@ -310,6 +318,10 @@ class TestCrashRecovery:
             set_fault_plan(None)
         assert read_blocked_header(d / tail.filename).rows == 11
         assert read_manifest(d).rows == 16
+        # a committed-generation reader (mapped, for ``none``) never sees them
+        with open_sharded_matrix(d) as matrix:
+            np.testing.assert_array_equal(_read_all(matrix)[10:], X2)
+            np.testing.assert_array_equal(matrix.lazy_labels[10:], y2)
         X3, y3 = _make(3, seed=3)
         manifest = ShardAppender(d, shard_rows=20).append(X3, y3)
         assert manifest.rows == 19 and manifest.tail_shard.rows == 9
@@ -487,6 +499,6 @@ class TestSessionIntegration:
         info = backend.info(str(d))
         assert info["generation"] == 1
         assert info["committed_rows"] == 16
-        assert info["tail_shard"] == "shard-00002.m3"
+        assert info["tail_shard"] == "shard-00002.m3b"
         assert info["tail_rows"] == 4
         assert info["tail_sealed"] is False

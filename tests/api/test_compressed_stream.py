@@ -2,7 +2,7 @@
 
 The acceptance bar of the v2 format integration: streaming a compressed
 dataset through the parallel pipeline is bit-identical to streaming the raw
-v1 dataset at every ``io_workers`` x ``decode_workers`` setting, the hot
+(mapped) dataset at every ``io_workers`` x ``decode_workers`` setting, the hot
 path stays allocation-free (every decode lands in a pooled buffer lease),
 and the stream's accounting separates decode CPU time and coded bytes from
 the logical read volume.
@@ -27,7 +27,7 @@ from repro.api.sharded import open_sharded_matrix, write_sharded_dataset
 
 @pytest.fixture()
 def datasets(tmp_path, rng):
-    """The same 900x6 labelled matrix written raw (v1) and compressed (v2)."""
+    """The same 900x6 labelled matrix written raw (mapped) and compressed (zlib)."""
     X = rng.integers(0, 5, size=(900, 6)).astype(np.float64)
     y = rng.integers(0, 3, size=900).astype(np.int64)
     write_sharded_dataset(tmp_path / "raw", X, y, shard_rows=300)

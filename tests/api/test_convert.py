@@ -1,4 +1,4 @@
-"""Tests for streaming dataset conversion between v1 and v2."""
+"""Tests for streaming dataset conversion into blocked shards."""
 
 import shutil
 from pathlib import Path
@@ -11,6 +11,7 @@ from repro.api.convert import convert_dataset
 from repro.api.sharded import (
     ReadOnlyLayoutError,
     ShardAppender,
+    ShardedMatrix,
     manifest_generation,
     open_sharded_matrix,
     read_manifest,
@@ -45,13 +46,14 @@ class TestConvert:
         np.testing.assert_array_equal(matrix.lazy_labels[:], y)
         matrix.close()
 
-    def test_v2_back_to_v1_round_trip(self, source):
+    def test_zlib_back_to_raw_round_trip(self, source):
         tmp_path, X, y = source
         convert_dataset(tmp_path / "v1", tmp_path / "v2", codec="zlib")
         convert_dataset(tmp_path / "v2", tmp_path / "back", codec=None)
         back = read_manifest(tmp_path / "back")
-        assert back.codec is None and back.version == 1
+        assert (back.codec, back.version, back.mapped) == ("none", 2, True)
         matrix = open_sharded_matrix(tmp_path / "back")
+        assert type(matrix) is ShardedMatrix
         np.testing.assert_array_equal(matrix[:], X)
         np.testing.assert_array_equal(matrix.lazy_labels[:], y)
         matrix.close()
@@ -103,11 +105,14 @@ class TestConvert:
         with pytest.raises(FileNotFoundError):
             convert_dataset(tmp_path / "nope", tmp_path / "out")
 
-    def test_v1_knobs_without_codec_rejected(self, source):
-        tmp_path, _X, _y = source
-        with pytest.raises(ValueError, match="codec"):
-            convert_dataset(tmp_path / "v1", tmp_path / "out",
-                            codec=None, block_rows=64)
+    def test_raw_output_takes_block_rows(self, source):
+        tmp_path, X, _y = source
+        manifest = convert_dataset(tmp_path / "v1", tmp_path / "out",
+                                   codec=None, block_rows=64)
+        assert (manifest.codec, manifest.block_rows) == ("none", 64)
+        with open_sharded_matrix(tmp_path / "out") as matrix:
+            assert type(matrix) is ShardedMatrix
+            np.testing.assert_array_equal(matrix[:], X)
 
     @pytest.mark.parametrize("target", ["zlib", None], ids=["zlib", "raw"])
     @pytest.mark.parametrize("source_codec", ["raw", "zlib", "none"])

@@ -373,6 +373,13 @@ def test_flag_set(command, expected):
     assert flags - {"-h", "--help"} == expected
 
 
+def test_convert_names_each_output_once():
+    # 'none' wrote the same mapped raw shards as 'raw'; only 'raw' is left.
+    convert = _subparsers().choices["convert"]
+    codec = next(a for a in convert._actions if "--codec" in a.option_strings)
+    assert codec.choices == ["zlib", "raw"]
+
+
 def test_one_command_regenerates_the_paper():
     assert not {"figure1a", "figure1b", "table1", "utilization"} & set(_subparsers().choices)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api.sharded import (
+    ShardAppender,
     ShardedMatrix,
     read_manifest,
     write_sharded_dataset,
@@ -114,6 +115,21 @@ class TestShardedMatrixReads:
         chunk = matrix[1:6]  # rows 1..5 live in shard 0
         assert isinstance(chunk, np.memmap)
 
+    def test_unsealed_tail_slice_is_view(self, sharded_dir):
+        # Two appends grow an unsealed tail; its rows are still served as
+        # views of the tail file's mapping.
+        directory, X, y = sharded_dir
+        appender = ShardAppender(directory)
+        appender.append(X[:3], y[:3])
+        appender.append(X[3:5], y[3:5])
+        matrix = ShardedMatrix(directory)
+        assert not matrix.manifest.shards[-1].sealed
+        chunk = matrix[25:30]
+        assert np.shares_memory(chunk, matrix._maps[-1])
+        np.testing.assert_array_equal(chunk, X[:5])
+        labels = matrix.lazy_labels.range(25, 30)
+        assert np.shares_memory(labels, matrix._label_maps[-1])
+
     def test_materialise(self, sharded_dir):
         directory, X, _ = sharded_dir
         matrix = ShardedMatrix(directory)
@@ -149,39 +165,13 @@ class TestShardedMatrixReads:
 
 
 class TestShardedMatrixWrites:
-    def test_write_within_one_shard(self, sharded_dir):
-        directory, X, _ = sharded_dir
-        matrix = ShardedMatrix(directory, mode="r+")
-        matrix[2:5] = 7.0
-        matrix.flush()
-        expected = X.copy()
-        expected[2:5] = 7.0
-        np.testing.assert_array_equal(np.asarray(ShardedMatrix(directory)), expected)
-
-    def test_write_across_shard_boundary(self, sharded_dir):
-        directory, X, _ = sharded_dir
-        matrix = ShardedMatrix(directory, mode="r+")
-        block = np.full((6, 4), -1.0)
-        matrix[5:11] = block
-        matrix.close()
-        expected = X.copy()
-        expected[5:11] = block
-        np.testing.assert_array_equal(np.asarray(ShardedMatrix(directory)), expected)
-
-    def test_write_fancy_and_columns(self, sharded_dir):
-        directory, X, _ = sharded_dir
-        matrix = ShardedMatrix(directory, mode="r+")
-        matrix[[3, 20], 1] = 99.0
-        matrix[8] = np.arange(4.0)
-        matrix.flush()
-        expected = X.copy()
-        expected[[3, 20], 1] = 99.0
-        expected[8] = np.arange(4.0)
-        np.testing.assert_array_equal(np.asarray(ShardedMatrix(directory)), expected)
-
     def test_readonly_rejects_writes(self, sharded_dir):
+        # Sharded datasets change only through ShardAppender: no writable
+        # mode, no item assignment.
         directory, _, _ = sharded_dir
         with pytest.raises(ValueError, match="read-only"):
+            ShardedMatrix(directory, mode="r+")
+        with pytest.raises(TypeError):
             ShardedMatrix(directory)[0] = 0.0
 
 

@@ -34,19 +34,40 @@ def v2_dir(tmp_path, data, labels):
 
 
 class TestWriteAndOpen:
-    def test_v1_manifest_unchanged_without_codec(self, tmp_path, data, labels):
-        directory = tmp_path / "v1"
-        write_sharded_dataset(directory, data, labels, shard_rows=400)
-        payload = json.loads((directory / "manifest.json").read_text())
-        assert payload["version"] == 1
-        assert "codec" not in payload
-        assert set(payload["shards"][0]) == {"filename", "start_row", "rows"}
-        assert isinstance(open_sharded_matrix(directory), ShardedMatrix)
+    def test_no_codec_writes_mapped_none_shards(self, tmp_path, data, labels):
+        # codec=None writes exactly what codec="none" writes, and the
+        # manifest alone sends it to the mapping ShardedMatrix.
+        for codec in (None, "none"):
+            write_sharded_dataset(tmp_path / str(codec), data, labels,
+                                  shard_rows=400, codec=codec)
+        files = sorted(path.name for path in (tmp_path / "None").iterdir())
+        assert files == ["manifest.json"] + [f"shard-0000{i}.m3b" for i in range(3)]
+        for name in files:
+            assert (tmp_path / "None" / name).read_bytes() == (
+                tmp_path / "none" / name
+            ).read_bytes()
+        payload = json.loads((tmp_path / "None" / "manifest.json").read_text())
+        assert (payload["version"], payload["codec"]) == (2, "none")
+        with open_sharded_matrix(tmp_path / "None") as matrix:
+            assert type(matrix) is ShardedMatrix
+            assert isinstance(matrix[10:20], np.memmap)
+            np.testing.assert_array_equal(matrix[:], data)
+            np.testing.assert_array_equal(matrix.lazy_labels[:], labels)
+
+    def test_downcast_none_dataset_is_decoded(self, tmp_path, data):
+        # Stored narrower than its logical dtype, a none file's bytes are
+        # not the matrix any more: it is decoded, not mapped.
+        write_sharded_dataset(tmp_path / "f32", data, shard_rows=400,
+                              codec="none", storage_dtype=np.float32)
+        with open_sharded_matrix(tmp_path / "f32") as matrix:
+            assert isinstance(matrix, CompressedShardedMatrix)
+            np.testing.assert_array_equal(matrix[:], data)
+        with pytest.raises(ValueError, match="decoded"):
+            ShardedMatrix(tmp_path / "f32")
 
     def test_v2_round_trip_bit_identical(self, v2_dir, data, labels):
         matrix = open_sharded_matrix(v2_dir)
         assert isinstance(matrix, CompressedShardedMatrix)
-        assert matrix.is_compressed
         np.testing.assert_array_equal(matrix[:], data)
         np.testing.assert_array_equal(matrix.lazy_labels[:], labels)
         matrix.close()
@@ -150,6 +171,7 @@ class TestManifestVersioning:
             ShardManifest.from_json(payload)
 
     def test_v1_class_refuses_v2_manifest(self, v2_dir):
+        # The mapping class serves raw shards only; zlib ones are decoded.
         with pytest.raises(ValueError, match="open_sharded_matrix"):
             ShardedMatrix(v2_dir)
 

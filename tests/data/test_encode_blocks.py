@@ -1,11 +1,13 @@
 """One ordered, block-parallel encode under every v2 writer.
 
 :func:`repro.data.formats_v2.encode_blocks` codes the blocks of a create, a
-convert or an append commit on one worker per CPU.  What it promises is that
-the parallelism is invisible: at any worker count every file is the serial
-loop's bytes, at most ``workers + 1`` blocks are in flight, and a lone block
-is coded inline.  The count is forced by patching
-``formats_v2.available_cpus`` — a test seam, not a setting.
+convert or an append commit on one worker per CPU (a create of several
+shards writes one shard per worker instead, each coding its blocks inline).
+What it promises is that the parallelism is invisible: at any worker count
+every file is the serial loop's bytes, at most ``workers + 1`` blocks are in
+flight, and a lone block is coded inline.  The count is forced by patching
+``formats_v2.available_cpus`` and ``sharded.available_cpus`` — test seams,
+not settings.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 
 from repro import fanout
 from repro.api.convert import convert_dataset
+from repro.api import sharded
 from repro.api.sharded import ShardAppender, write_sharded_dataset
 from repro.data import formats_v2
 from repro.data.formats_v2 import BlockedMatrixWriter, write_blocked_matrix
@@ -73,6 +76,7 @@ def test_every_writer_is_byte_identical_at_any_worker_count(tmp_path, monkeypatc
     digests = {}
     for workers in WORKERS:
         monkeypatch.setattr(formats_v2, "available_cpus", lambda: workers)
+        monkeypatch.setattr(sharded, "available_cpus", lambda: workers)
         digests[workers] = _write_everything(tmp_path / f"workers-{workers}", geometry)
     serial = digests[1]
     assert all(serial[name] for name in serial)

@@ -62,8 +62,8 @@ class TestRecoveryRefusal:
 class TestCommitStepCrashes:
     def test_crash_preserves_previous_generation(self, tmp_path, site, codec):
         # Every site fires for both codecs: the manifest's atomic commit
-        # carries all three steps; v1 data writes add an in-place fsync, the
-        # v2 tail file an fsync and a rename of its own.
+        # carries all three steps, and the tail file an fsync and a rename
+        # of its own.
         d = _dataset_with_tail(tmp_path / "ds", codec=codec)
         generation = manifest_generation(d)
         with open_sharded_matrix(d) as matrix:
@@ -114,14 +114,12 @@ def _generations(directory):
 
 SITES = ["append.pre_fsync", "append.pre_rename", "append.post_rename"]
 STEPS = ["tail", "manifest.<g>.json", "CURRENT", "manifest.json"]
-# Every site of every commit step; the v1 tail is written in place, so its
-# step has an fsync but no rename.
+# Every site of every commit step, raw and zlib alike.
 FAILURES = [
     (codec, step, site)
     for codec in (None, "zlib")
     for step in STEPS
     for site in SITES
-    if codec is not None or step != "tail" or site == "append.pre_fsync"
 ]
 
 
@@ -130,7 +128,7 @@ class TestFailedAppendDoesNotPoisonTheAppender:
     def test_same_instance_carries_on_like_a_fresh_appender(
         self, tmp_path, codec, step, site
     ):
-        d = _dataset_with_tail(tmp_path / "ds", codec=codec, block_rows=2 if codec else None)
+        d = _dataset_with_tail(tmp_path / "ds", codec=codec, block_rows=2)
         appender = ShardAppender(d)
         generation = appender.generation
         name = {

@@ -3,8 +3,8 @@
 The invariant under test is the one the live train→publish loop depends on:
 a reader that opened a manifest generation sees **exactly** that generation's
 rows, bit-identically, no matter how many append batches a concurrent writer
-commits while the scan is in flight — on the raw v1 format and the blocked
-v2 format, through the synchronous, double-buffered, and multi-reader
+commits while the scan is in flight — on raw (mapped) and zlib (decoded)
+shards, through the synchronous, double-buffered, and multi-reader
 parallel executors alike.
 """
 

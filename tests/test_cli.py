@@ -491,7 +491,12 @@ class TestConvertCommand:
         assert main(["convert", str(tmp_path / "v1"), str(tmp_path / "v2")]) == 0
         assert main(["convert", str(tmp_path / "v2"), str(tmp_path / "raw"),
                      "--codec", "raw"]) == 0
-        assert "raw v1 shard(s)" in capsys.readouterr().out
+        assert "uncompressed, memory-mapped v2 shard(s)" in capsys.readouterr().out
+        from repro.api.sharded import ShardedMatrix, open_sharded_matrix
+
+        with open_sharded_matrix(tmp_path / "raw") as matrix:
+            assert type(matrix) is ShardedMatrix
+            np.testing.assert_array_equal(matrix[:], X)
 
     def test_streaming_predict_reports_decode_line(self, v1_dataset, tmp_path, capsys):
         tmp_dir, _X, _y = v1_dataset
