@@ -33,9 +33,6 @@ engine         fit                         predict
 ``local``      in-process ``fit`` on the   in-core ``predict`` on the
                (memory-mapped) matrix —    same matrix
                the paper's M3 model
-``simulated``  local training + replay     local inference + replay of
-               of the access trace at      the inference trace at paper
-               paper scale                 scale
 ``streaming``  ``partial_fit`` over        per-chunk ``predict`` /
                prefetched shard-aligned    ``predict_proba`` into a
                chunks (needs a streaming   preallocated buffer (works
@@ -66,8 +63,8 @@ A scan is configured in one place, the ``StreamingEngine`` constructor:
 options; ``m3 train`` / ``m3 predict`` build theirs from ``--chunk-rows``,
 ``--io-workers`` and ``--compute-workers``.
 
-**Compute threads.**  The ``local`` (and ``simulated``) engine has no knob,
-and does not need one: every full-matrix pass an estimator makes — one L-BFGS
+**Compute threads.**  The ``local`` engine has no knob, and does not need
+one: every full-matrix pass an estimator makes — one L-BFGS
 objective evaluation, one Lloyd iteration, k-means++ seeding, ``predict`` —
 fans its row chunks over one ordered map (``repro.ml.base.map_row_chunks``)
 whose worker count is *CPUs available to the process ÷ BLAS threads*
@@ -85,6 +82,26 @@ order on the calling thread (the recorded access trace does not change) and
 reduced in chunk order, so fitted attributes and predictions are
 bit-identical at any worker count.  ``FitResult.details["compute_threads"]``
 and ``m3 info`` (``compute threads: N (BLAS threads: M)``) say what ran.
+
+Replaying a run at paper scale
+------------------------------
+
+No engine simulates.  Either engine hands over the access trace of a handle
+opened with ``record_trace=True``, and :mod:`repro.vmem` replays it on the
+paper's desktop (32 GB RAM, PCIe SSD) or any machine you configure::
+
+    from repro.vmem import VirtualMemoryConfig, VirtualMemorySimulator
+
+    ds = session.open("mmap://d.m3", record_trace=True)
+    result = session.fit(model, ds)                  # engine="local" or "streaming"
+    sim = VirtualMemorySimulator(VirtualMemoryConfig()).run_trace(result.trace)
+    print(sim.wall_time_s, sim.io_utilization, sim.cpu_utilization)
+
+A streaming run's multi-reader schedule replays the same way:
+``repro.vmem.trace.reader_log_trace(result.details["reader_log"],
+plan.row_bytes)`` interleaves the readers' claims into one trace, to compare
+engine-level prefetching against the kernel read-ahead policies of
+``repro.vmem.readahead``.
 
 Tuning the streaming pipeline
 -----------------------------
@@ -333,7 +350,7 @@ Table 1's one changed line, and what the session adds around it::
     model.fit(X, y)                               # unchanged
     session.create("mmap://d.m3", X, y)           # write a dataset file
     session.open(spec, record_trace=True).trace   # access pattern, per handle
-    session.fit(model, ds, engine="streaming")    # or local / simulated
+    session.fit(model, ds, engine="streaming")    # or local
 
 Run with::
 

@@ -9,14 +9,15 @@ its evaluation:
   URI-style dataset specs (``mmap://file.m3``, ``shard://dir/``,
   ``memory://name``) to pluggable storage backends, handing out
   :class:`~repro.api.Dataset` handles, and dispatching ``session.fit`` to
-  execution engines (``local``, ``simulated``, ``streaming``).
+  execution engines (``local``, ``streaming``).
 * :mod:`repro.core` — the original M3 primitives (memory-mapped matrices,
   ``mmap_alloc``, access advice).
 * :mod:`repro.ml` — the machine learning library being scaled (L-BFGS logistic
   regression, k-means, and friends), written against the plain row-slicing
   protocol so in-memory, memory-mapped and sharded data are interchangeable.
 * :mod:`repro.vmem` — a virtual-memory / page-cache simulator substituting for
-  the paper's 32 GB desktop and PCIe SSD.
+  the paper's 32 GB desktop and PCIe SSD; it replays the access trace any
+  engine records.
 * :mod:`repro.distributed` — the paper's Spark baseline as a paper-scale EC2
   cluster cost model, substituting for the paper's EMR clusters.
 * :mod:`repro.data` — an Infimnist-style infinite digit-image generator and
@@ -41,7 +42,8 @@ Table 1's one-line change
 ``session.create("mmap://d.m3", X, y)`` writes such a file
 (``"shard://dir/"`` shards the matrix across files);
 ``session.open(spec, record_trace=True).trace`` records one handle's access
-pattern; ``session.fit(model, ds, engine="local" | "simulated" |
+pattern, which ``repro.vmem.VirtualMemorySimulator(config).run_trace(trace)``
+replays at paper scale; ``session.fit(model, ds, engine="local" |
 "streaming")`` picks an execution engine; ``session.info(spec)`` (CLI
 ``m3 info``) describes a dataset without loading it.
 """

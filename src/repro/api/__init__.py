@@ -26,11 +26,6 @@ Every engine implements both halves of the lifecycle: ``Session.fit`` trains,
 ``local``        In-process ``model.fit`` / ``model.predict`` on the
                  (possibly memory-mapped) matrix — the paper's M3 execution
                  model.  Default.
-``simulated``    Local execution plus an automatic replay of the recorded
-                 access trace (training or inference) through the paper-scale
-                 virtual-memory simulator (32 GB RAM desktop, PCIe SSD) — use
-                 it to predict out-of-core behaviour at sizes this machine
-                 cannot hold.
 ``streaming``    Chunk-pipelined execution: shard-aligned row blocks are
                  prefetched by a reader thread while the previous block
                  trains (``partial_fit``) or predicts (``predict_chunk`` into
@@ -52,6 +47,12 @@ Every engine implements both halves of the lifecycle: ``Session.fit`` trains,
                  the per-chunk predict path — bit-identical to in-core
                  ``predict``, with hot-swap and backpressure.
 ===============  ============================================================
+
+Paper-scale replay is not an engine: open the dataset with
+``record_trace=True``, fit or predict on either engine, and replay
+``result.trace`` with ``repro.vmem.VirtualMemorySimulator(config).run_trace``
+(32 GB RAM desktop, PCIe SSD by default) to predict out-of-core behaviour at
+sizes this machine cannot hold.
 
 Table 1's one-line change is ``X, y = session.open("mmap://d.m3").arrays()``:
 the estimator code after it is untouched.
@@ -77,7 +78,6 @@ from repro.api.engines import (
     FitResult,
     LocalEngine,
     PredictResult,
-    SimulatedEngine,
     StreamingEngine,
     resolve_engine,
 )
@@ -137,7 +137,6 @@ __all__ = [
     # engines
     "ExecutionEngine",
     "LocalEngine",
-    "SimulatedEngine",
     "StreamingEngine",
     "ENGINE_REGISTRY",
     "resolve_engine",

@@ -1347,9 +1347,9 @@ class ChunkStream:
             compressed,
         )
         #: Per-reader ordered ``(start, stop)`` claims — the multi-reader
-        #: schedule, replayable through the simulated engine — and per-reader
-        #: accounting (chunks, rows, bytes, read seconds); the readers' own
-        #: lists, updated live.
+        #: schedule, which ``repro.vmem.trace.reader_log_trace`` turns into a
+        #: replayable trace — and per-reader accounting (chunks, rows, bytes,
+        #: read seconds); the readers' own lists, updated live.
         self.reader_log = self._state.reader_log
         self.reader_stats = self._state.reader_stats
         self._expected = 0

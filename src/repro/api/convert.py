@@ -29,8 +29,9 @@ from repro.data.formats import open_binary_matrix
 from repro.data.formats_v2 import BlockedMatrixWriter, default_block_rows
 
 #: Rows moved per copy step; bounds converter memory to roughly
-#: ``chunk_rows * cols * itemsize`` regardless of dataset size.
-DEFAULT_CONVERT_CHUNK_ROWS = 8192
+#: ``CONVERT_CHUNK_ROWS * cols * itemsize`` regardless of dataset size, and
+#: does not change the bytes written.
+CONVERT_CHUNK_ROWS = 8192
 
 
 class _Source:
@@ -74,7 +75,6 @@ def convert_dataset(
     block_rows: Optional[int] = None,
     storage_dtype: Optional[Any] = None,
     shard_rows: Optional[int] = None,
-    chunk_rows: int = DEFAULT_CONVERT_CHUNK_ROWS,
 ) -> ShardManifest:
     """Re-encode ``source`` into a sharded dataset at ``destination``.
 
@@ -95,13 +95,9 @@ def convert_dataset(
         Rows per output shard; defaults to the source's (largest) shard
         height when converting a sharded dataset that holds rows, else
         ``DEFAULT_SHARD_ROWS``.
-    chunk_rows:
-        Copy granularity; bounds converter memory.
     """
     source = Path(source)
     destination = Path(destination)
-    if chunk_rows <= 0:
-        raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
     if destination.resolve() == source.resolve():
         raise ValueError(f"cannot convert {source} onto itself")
     if (destination / "manifest.json").exists():
@@ -142,8 +138,8 @@ def convert_dataset(
                 dtype=src.dtype,
                 storage_dtype=resolved_storage,
             ) as writer:
-                for lo in range(start, stop, chunk_rows):
-                    hi = min(lo + chunk_rows, stop)
+                for lo in range(start, stop, CONVERT_CHUNK_ROWS):
+                    hi = min(lo + CONVERT_CHUNK_ROWS, stop)
                     writer.append(np.asarray(src.data[lo:hi]))
                     if src.labels is not None:
                         writer.append_labels(

@@ -198,19 +198,6 @@ class Dataset:
         """The handle's access trace (``None`` unless recording)."""
         return self._matrix.trace
 
-    def start_trace(self, description: Optional[str] = None) -> AccessTrace:
-        """Attach (and return) a fresh trace recording subsequent accesses."""
-        self._check_open()
-        trace = AccessTrace(description=description or f"dataset({self.spec})")
-        self._matrix.attach_trace(trace)
-        return trace
-
-    def stop_trace(self) -> Optional[AccessTrace]:
-        """Stop recording and return the trace captured so far."""
-        trace = self._matrix.trace
-        self._matrix.attach_trace(None)
-        return trace
-
     # -- lifecycle ---------------------------------------------------------
 
     @property

@@ -6,12 +6,6 @@ An :class:`ExecutionEngine` takes an unmodified estimator and a
 ``local``
     Train in-process on the dataset's (possibly memory-mapped) matrix — the
     paper's M3 execution model.
-``simulated``
-    Train locally while recording the access trace, then replay the trace
-    through the :class:`~repro.vmem.VirtualMemorySimulator` configured like
-    the paper's machine, attaching the simulated paper-scale accounting to
-    the result.  This wires the vmem simulator in automatically — no manual
-    trace plumbing.
 ``streaming``
     Train through the chunk pipeline of :mod:`repro.api.chunks`: the model's
     ``partial_fit`` consumes shard-aligned row blocks while a background
@@ -19,16 +13,18 @@ An :class:`ExecutionEngine` takes an unmodified estimator and a
     compute times land in ``FitResult.details`` so the overlap is measurable.
 
 Every engine also serves the *inference* half of the lifecycle through
-:meth:`ExecutionEngine.predict`: ``local`` predicts in-core, ``simulated``
-replays the recorded inference trace through the virtual-memory simulator,
-and ``streaming`` drives the model's per-chunk prediction hooks
+:meth:`ExecutionEngine.predict`: ``local`` predicts in-core, and
+``streaming`` drives the model's per-chunk prediction hooks
 (:class:`~repro.ml.base.StreamingPredictor`) through the prefetching chunk
 pipeline into a preallocated output buffer.
 
 Every engine returns a :class:`FitResult` from training and a
 :class:`PredictResult` from inference, each carrying the engine-specific
 accounting, so callers can switch engines without changing how they consume
-results.
+results.  Either engine carries the access trace of a dataset opened with
+``record_trace=True``; replaying it at paper scale is
+``VirtualMemorySimulator(config).run_trace(result.trace)``
+(:mod:`repro.vmem`), whatever engine recorded it.
 """
 
 from __future__ import annotations
@@ -51,11 +47,6 @@ from repro.api.dataset import Dataset
 from repro.api.sharded import ShardedLabels
 from repro.ml.base import compute_threads
 from repro.vmem.trace import AccessTrace
-from repro.vmem.vm_simulator import (
-    SimulationResult,
-    VirtualMemoryConfig,
-    VirtualMemorySimulator,
-)
 
 
 @dataclass
@@ -72,21 +63,17 @@ class FitResult:
     wall_time_s:
         Measured wall-clock training time on this machine.
     trace:
-        The access trace recorded during training, when the engine records
-        one (``simulated``, or any engine on a trace-recording dataset).
-    simulation:
-        Paper-scale :class:`~repro.vmem.vm_simulator.SimulationResult` from
-        replaying ``trace``, when the engine simulates one.
+        The access trace recorded during training, when the dataset was
+        opened with ``record_trace=True``.
     details:
-        Engine-specific extras (e.g. ``simulated_wall_time_s`` for
-        ``simulated``, the chunk pipeline's accounting for ``streaming``).
+        Engine-specific extras (the compute-thread count for ``local``, the
+        chunk pipeline's accounting for ``streaming``).
     """
 
     model: Any
     engine: str
     wall_time_s: float
     trace: Optional[AccessTrace] = None
-    simulation: Optional[SimulationResult] = None
     details: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -112,10 +99,8 @@ class PredictResult:
     wall_time_s:
         Measured wall-clock inference time on this machine.
     trace:
-        The access trace recorded during inference, when the engine records
-        one.
-    simulation:
-        Paper-scale replay of ``trace``, when the engine simulates one.
+        The access trace recorded during inference, when the dataset was
+        opened with ``record_trace=True``.
     details:
         Engine-specific extras — the streaming engine reports the chunk
         pipeline's per-chunk read / I/O-wait / compute accounting here,
@@ -128,7 +113,6 @@ class PredictResult:
     method: str
     wall_time_s: float
     trace: Optional[AccessTrace] = None
-    simulation: Optional[SimulationResult] = None
     details: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -234,123 +218,6 @@ class LocalEngine(ExecutionEngine):
             wall_time_s=elapsed,
             trace=dataset.trace,
             details={"compute_threads": compute_threads()},
-        )
-
-
-class SimulatedEngine(ExecutionEngine):
-    """Local training plus automatic paper-scale virtual-memory replay.
-
-    Parameters
-    ----------
-    vm_config:
-        Configuration of the simulated machine; defaults to the paper's
-        desktop (32 GB RAM, PCIe SSD).
-    """
-
-    name = "simulated"
-
-    def __init__(self, vm_config: Optional[VirtualMemoryConfig] = None) -> None:
-        self.vm_config = vm_config or VirtualMemoryConfig()
-
-    def _traced_replay(self, dataset: Dataset, description: str, action: Any):
-        """Run ``action()`` recording a fresh access trace, then replay it.
-
-        The record-and-replay choreography shared by training and inference:
-        bracket the work with a fresh trace (restoring any pre-attached one),
-        then replay the recorded accesses through the paper-scale simulator.
-        Returns ``(output, elapsed_s, trace, simulation)``.
-        """
-        previous = dataset.trace
-        trace = dataset.start_trace(description=description)
-        start = time.perf_counter()
-        try:
-            output = action()
-        finally:
-            elapsed = time.perf_counter() - start
-            dataset.stop_trace()
-            if previous is not None:
-                dataset.matrix.attach_trace(previous)
-        simulator = VirtualMemorySimulator(self.vm_config)
-        file_bytes = max(trace.max_offset, dataset.nbytes + dataset.matrix.data_offset)
-        simulation = simulator.run_trace(trace, file_bytes=file_bytes)
-        return output, elapsed, trace, simulation
-
-    def replay_reader_log(
-        self,
-        plan: Any,
-        reader_log: Any,
-        data_offset: int = 0,
-        cpu_cost_per_chunk_s: float = 0.0,
-    ) -> SimulationResult:
-        """Replay a multi-reader chunk schedule through the paper-scale machine.
-
-        ``reader_log`` is the per-reader ordered ``(start, stop)`` row bounds a
-        :class:`~repro.api.chunks.ChunkStream` recorded (its
-        ``reader_log`` attribute), or any hand-built schedule of the same
-        shape.  The per-reader streams are interleaved round-robin — the
-        storage-level arrival order of a reader pool draining its claims
-        concurrently — into one :class:`~repro.vmem.trace.AccessTrace` and
-        replayed through the simulator, so engine-level multi-reader
-        prefetching can be compared head-to-head against the kernel
-        read-ahead policies in :mod:`repro.vmem.readahead` (configure
-        ``vm_config.readahead`` with e.g.
-        :class:`~repro.vmem.readahead.PipelinedReadAhead`).
-        """
-        trace = AccessTrace(
-            description=f"multi-reader replay ({len(reader_log)} readers)"
-        )
-        pending = [iter(log) for log in reader_log]
-        while pending:
-            still_running = []
-            for stream in pending:
-                try:
-                    start, stop = next(stream)
-                except StopIteration:
-                    continue
-                trace.record(
-                    offset=data_offset + start * plan.row_bytes,
-                    length=(stop - start) * plan.row_bytes,
-                    cpu_cost_s=cpu_cost_per_chunk_s,
-                )
-                still_running.append(stream)
-            pending = still_running
-        simulator = VirtualMemorySimulator(self.vm_config)
-        file_bytes = max(trace.max_offset, data_offset + plan.total_bytes)
-        return simulator.run_trace(trace, file_bytes=file_bytes)
-
-    def fit(self, model: Any, dataset: Dataset, y: Optional[Any] = None) -> FitResult:
-        labels = self._resolve_labels(dataset, y)
-        _, elapsed, trace, simulation = self._traced_replay(
-            dataset,
-            f"simulated fit on {dataset.spec}",
-            lambda: self._run_fit(model, dataset.matrix, labels),
-        )
-        return FitResult(
-            model=model,
-            engine=self.name,
-            wall_time_s=elapsed,
-            trace=trace,
-            simulation=simulation,
-            details={"simulated_wall_time_s": simulation.wall_time_s},
-        )
-
-    def predict(self, model: Any, dataset: Dataset, method: str = "predict") -> PredictResult:
-        """Predict in-core while recording the inference trace, then replay it."""
-        fn = self._predict_fn(model, method)
-        predictions, elapsed, trace, simulation = self._traced_replay(
-            dataset,
-            f"simulated {method} on {dataset.spec}",
-            lambda: np.asarray(fn(dataset.matrix)),
-        )
-        return PredictResult(
-            predictions=predictions,
-            model=model,
-            engine=self.name,
-            method=method,
-            wall_time_s=elapsed,
-            trace=trace,
-            simulation=simulation,
-            details={"simulated_wall_time_s": simulation.wall_time_s},
         )
 
 
@@ -628,7 +495,6 @@ class StreamingEngine(ExecutionEngine):
 #: The engine classes an engine name resolves to.
 ENGINE_REGISTRY: Dict[str, Type[ExecutionEngine]] = {
     LocalEngine.name: LocalEngine,
-    SimulatedEngine.name: SimulatedEngine,
     StreamingEngine.name: StreamingEngine,
 }
 

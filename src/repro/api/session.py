@@ -18,9 +18,11 @@ A ``Session`` resolves URI-style dataset specs to
 
 Swapping storage is one spec change (``"shard://dir/"`` instead of
 ``"mmap://file.m3"``); swapping execution is one keyword
-(``engine="simulated"`` or ``engine="streaming"``) — the estimator code is
-untouched, which is the paper's transparency claim carried through every
-backend and engine.
+(``engine="streaming"``) — the estimator code is untouched, which is the
+paper's transparency claim carried through every backend and engine.  A
+dataset opened with ``record_trace=True`` hands its access trace to
+``FitResult.trace`` on either engine, for
+:class:`~repro.vmem.VirtualMemorySimulator` to replay at paper scale.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ class Session:
     ----------
     engine:
         Default execution engine for :meth:`fit` — a name (``"local"``,
-        ``"simulated"``, ``"streaming"``), an
+        ``"streaming"``), an
         :class:`~repro.api.engines.ExecutionEngine` instance, or ``None`` for
         local execution.
     handle_pool_size:

@@ -8,14 +8,13 @@ reproduction entry points:
   v2 datasets additionally report codec, block geometry and per-shard
   compression ratios).
 * ``m3 convert`` — re-encode a dataset as raw (memory-mapped) or
-  compressed blocked v2 shards (``--codec``, ``--block-rows``,
-  ``--dtype``); new shards are row-major, and v1 shard directories and
-  column-layout datasets written by older versions convert like any other
-  source.
+  compressed blocked v2 shards (``--codec``, ``--dtype``); the block and
+  shard geometry are the library's defaults, new shards are row-major, and
+  v1 shard directories and column-layout datasets written by older versions
+  convert like any other source.
 * ``m3 train`` — train logistic regression or k-means on a dataset through
-  the unified :class:`~repro.api.Session` API; ``--engine simulated``
-  additionally replays the recorded access trace through the paper-scale
-  virtual-memory simulator; ``--engine streaming [--chunk-rows N]`` trains
+  the unified :class:`~repro.api.Session` API (``--engine local``, the
+  default); ``--engine streaming [--chunk-rows N]`` trains
   through the chunk pipeline (``partial_fit`` over prefetched shard-aligned
   row blocks) and reports per-chunk I/O-wait vs compute time;
   ``--io-workers N`` sets the pipeline's reader threads (omit = one
@@ -27,7 +26,9 @@ reproduction entry points:
   ``--compute-workers`` parallelise the read and inference sides of the
   pipeline, ``--proba`` emits class probabilities, ``--output`` writes the
   predictions as ``.npy``; ``--connect HOST:PORT`` sends every row as a
-  request to a running ``m3 served`` instead (same predictions).
+  request to a running ``m3 served`` instead (same predictions).  Replaying
+  a run's access trace at paper scale is library code, not a flag: see
+  :mod:`repro.vmem`.
 * ``m3 served`` — the network serving daemon: a saved model in the
   hot-model registry, the micro-batcher (``--max-batch``, ``--workers``,
   ``--max-delay-ms`` or ``--adaptive-delay``) and, in front, the one
@@ -64,35 +65,45 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for flags that must be strictly positive integers.
+def _checked_number(text: str, convert: Any, in_range: Any, requirement: str) -> Any:
+    """``convert(text)`` if ``in_range`` holds for it, else a usage error.
 
-    Rejecting 0/negative here gives a one-line usage error instead of a
-    traceback from deep inside the chunk planner.
+    Rejecting an out-of-range number here gives a one-line exit-2 usage
+    error instead of a traceback from deep inside the library.
     """
     try:
-        value = int(text)
+        value = convert(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        noun = "an integer" if convert is int else "a number"
+        raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+    if not in_range(value):
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for flags that must be strictly positive integers."""
+    return _checked_number(text, int, lambda value: value > 0, "a positive integer")
 
 
 def _non_negative_int(text: str) -> int:
     """argparse type for flags where 0 is meaningful (``--io-workers 0`` = auto)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+    return _checked_number(text, int, lambda value: value >= 0, "a non-negative integer")
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type for finite, non-negative durations (``--max-delay-ms``)."""
+    return _checked_number(
+        text, float, lambda value: 0 <= value < float("inf"), "a finite non-negative number"
+    )
 
 
 def _hostport(text: str) -> "Tuple[str, int]":
-    """Parse ``HOST:PORT`` for ``--connect`` (argparse type)."""
+    """Parse ``HOST:PORT`` for ``--connect`` (argparse type); an IPv6 host
+    is written in brackets, ``[::1]:PORT``, and returned without them."""
     host, separator, port_text = text.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     try:
         port = int(port_text)
     except ValueError:
@@ -174,12 +185,7 @@ def _print_pipeline_details(details: dict) -> None:
 def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.data.writers import write_infimnist_dataset
 
-    header = write_infimnist_dataset(
-        args.output,
-        num_examples=args.examples,
-        seed=args.seed,
-        chunk_rows=args.chunk_rows,
-    )
+    header = write_infimnist_dataset(args.output, num_examples=args.examples, seed=args.seed)
     print(
         f"wrote {header.rows} x {header.cols} ({header.file_bytes / 1e6:.1f} MB) "
         f"to {args.output}"
@@ -263,10 +269,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         args.source,
         args.destination,
         codec=None if args.codec == "raw" else args.codec,
-        block_rows=args.block_rows,
         storage_dtype=args.dtype,
-        shard_rows=args.shard_rows,
-        chunk_rows=args.chunk_rows,
     )
     ratio = manifest.ratio
     if manifest.codec != "none":
@@ -325,13 +328,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             )
         if streaming:
             _print_pipeline_details(result.details)
-        if result.simulation is not None:
-            sim = result.simulation
-            print(
-                f"simulated paper-scale machine: wall time {sim.wall_time_s:.2f}s, "
-                f"disk utilisation {sim.io_utilization * 100:.1f}%, "
-                f"cpu utilisation {sim.cpu_utilization * 100:.1f}%"
-            )
         if args.save_model is not None:
             from repro.ml import save_model
 
@@ -449,13 +445,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             )
             if args.engine == "streaming":
                 _print_pipeline_details(result.details)
-            if result.simulation is not None:
-                sim = result.simulation
-                print(
-                    f"simulated paper-scale machine: wall time {sim.wall_time_s:.2f}s, "
-                    f"disk utilisation {sim.io_utilization * 100:.1f}%, "
-                    f"cpu utilisation {sim.cpu_utilization * 100:.1f}%"
-                )
             # Only classifiers predict in label space; a clusterer's arbitrary
             # cluster indices must not be scored against class labels.
             if method == "predict" and dataset.has_labels and hasattr(model, "classes_"):
@@ -499,7 +488,6 @@ def _serving_stack(args: argparse.Namespace) -> "Tuple[Any, Any]":
         server,
         host=args.host,
         port=args.port,
-        default_method="predict_proba" if args.proba else "predict",
         max_inflight=args.max_inflight,
     )
     return version, net
@@ -638,6 +626,7 @@ def _cmd_traind(args: argparse.Namespace) -> int:
     from repro.ml.base import NotResumableError
     from repro.ml.persistence import load_model, save_model
     from repro.serve import Trainer
+    from repro.serve.trainer import POLL_S, CursorPastDataError
 
     if args.model is not None:
         model = load_model(args.model)
@@ -674,15 +663,19 @@ def _cmd_traind(args: argparse.Namespace) -> int:
             save_model(args.save_model, update.version.model)
             print(f"saved {update.version.key} to {args.save_model}", flush=True)
 
-    with Trainer(args.dataset, model, name=args.name, poll_s=args.poll) as trainer:
+    with Trainer(args.dataset, model, name=args.name) as trainer:
         if args.trained_rows:
             # The model was fitted offline on the dataset's first N rows;
             # start the cursor there instead of retraining from row 0.
-            trainer.mark_trained(args.trained_rows)
+            try:
+                trainer.mark_trained(args.trained_rows)
+            except CursorPastDataError as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 2
         print(
             f"tailing {trainer.spec.scheme}://{trainer.spec.location} with "
             f"{type(model).__name__} as {args.name!r} "
-            f"(poll every {args.poll}s); Ctrl-C to stop",
+            f"(poll every {POLL_S}s); Ctrl-C to stop",
             file=sys.stderr,
         )
         try:
@@ -748,9 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     generate = sub.add_parser("generate", help="generate an Infimnist-style dataset file")
     generate.add_argument("output", type=Path, help="output .m3 file")
-    generate.add_argument("--examples", type=int, default=10000, help="number of images")
+    generate.add_argument("--examples", type=_positive_int, default=10000,
+                          help="number of images")
     generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--chunk-rows", type=int, default=1024)
     generate.set_defaults(func=_cmd_generate)
 
     info = sub.add_parser("info", help="describe a dataset (header / shard manifest)")
@@ -773,33 +766,23 @@ def build_parser() -> argparse.ArgumentParser:
                          help="target encoding: 'zlib' compresses every block, "
                               "'raw' stores uncompressed blocks that open "
                               "memory-mapped (zero-copy reads)")
-    convert.add_argument("--block-rows", type=_positive_int, default=None,
-                         help="rows per coded block (default targets "
-                              "~1 MiB of raw storage per block)")
     convert.add_argument("--dtype", choices=["float64", "float32", "float16"],
                          default=None,
                          help="on-disk storage dtype (narrower than the "
                               "logical dtype trades precision for size and "
                               "is decoded, not mapped)")
-    convert.add_argument("--shard-rows", type=_positive_int, default=None,
-                         help="rows per output shard (default: keep the "
-                              "source's shard height)")
-    convert.add_argument("--chunk-rows", type=_positive_int, default=8192,
-                         help="copy granularity; bounds converter memory")
     convert.set_defaults(func=_cmd_convert)
 
     train = sub.add_parser("train", help="train a model on a dataset")
     train.add_argument("dataset", type=str,
                        help="a labelled dataset: path or URI spec (mmap://, shard://)")
     train.add_argument("--algorithm", choices=["logistic", "kmeans"], default="logistic")
-    train.add_argument("--engine", choices=["local", "simulated", "streaming"],
-                       default="local",
-                       help="execution engine; 'simulated' also replays the access "
-                            "trace through the paper-scale virtual-memory simulator; "
-                            "'streaming' trains via partial_fit over prefetched "
-                            "shard-aligned chunks and reports I/O-wait vs compute")
-    train.add_argument("--iterations", type=int, default=10)
-    train.add_argument("--clusters", type=int, default=5)
+    train.add_argument("--engine", choices=["local", "streaming"], default="local",
+                       help="execution engine; 'streaming' trains via partial_fit "
+                            "over prefetched shard-aligned chunks and reports "
+                            "I/O-wait vs compute")
+    train.add_argument("--iterations", type=_positive_int, default=10)
+    train.add_argument("--clusters", type=_positive_int, default=5)
     train.add_argument("--chunk-rows", type=_positive_int, default=None,
                        help="rows per streaming chunk (streaming engine only; "
                             "defaults to the model's batch size, or an "
@@ -828,13 +811,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="route every row as a pipelined request "
                               "through a running 'm3 served' daemon instead "
                               "of predicting in-process")
-    predict.add_argument("--engine", choices=["local", "simulated", "streaming"],
-                         default="local",
+    predict.add_argument("--engine", choices=["local", "streaming"], default="local",
                          help="execution engine; 'streaming' predicts chunk by "
                               "chunk through the prefetching pipeline (bounded "
-                              "memory on sharded datasets), 'simulated' replays "
-                              "the inference trace through the paper-scale "
-                              "virtual-memory simulator")
+                              "memory on sharded datasets)")
     predict.add_argument("--chunk-rows", type=_positive_int, default=None,
                          help="rows per streaming chunk (streaming engine only)")
     predict.add_argument("--io-workers", type=_non_negative_int, default=None,
@@ -868,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "published into the hot-model registry")
         daemon.add_argument("--max-batch", type=_positive_int, default=256,
                             help="rows per coalesced micro-batch")
-        daemon.add_argument("--max-delay-ms", type=float, default=0.0,
+        daemon.add_argument("--max-delay-ms", type=_non_negative_float, default=0.0,
                             help="how long an underfull micro-batch waits for "
                                  "more requests; 0 = dispatch immediately "
                                  "(batches still form under load)")
@@ -878,9 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="bounded request-queue depth: beyond it, a "
                                  "typed 'saturated' error / HTTP 429 ('serve' "
                                  "reads stdin no further ahead instead)")
-        daemon.add_argument("--proba", action="store_true",
-                            help="default to predict_proba for requests that "
-                                 "name no method")
     serve.add_argument("--input", type=Path, default=None,
                        help="read requests from this file instead of stdin")
     serve.add_argument("--output", type=Path, default=None,
@@ -899,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "arrival rate (EWMA inter-arrival estimate, "
                              "clamped to --adaptive-ceiling-ms, exactly 0 at "
                              "low load) instead of the fixed --max-delay-ms")
-    served.add_argument("--adaptive-ceiling-ms", type=float, default=5.0,
+    served.add_argument("--adaptive-ceiling-ms", type=_non_negative_float, default=5.0,
                         help="upper clamp on the learned delay — the "
                              "worst-case latency tax under --adaptive-delay")
     served.add_argument("--max-inflight", type=_positive_int, default=256,
@@ -927,11 +904,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cluster count (with --algorithm kmeans)")
     traind.add_argument("--name", type=str, default="default",
                         help="registry name versions are published under")
-    traind.add_argument("--poll", type=float, default=0.5,
-                        help="seconds between manifest-generation polls")
     traind.add_argument("--once", action="store_true",
                         help="poll exactly once and exit (batch catch-up)")
-    traind.add_argument("--trained-rows", type=int, default=0,
+    traind.add_argument("--trained-rows", type=_non_negative_int, default=0,
                         help="rows the warm-start model was already fitted "
                              "on; the delta cursor starts there")
     traind.add_argument("--save-model", type=Path, default=None,

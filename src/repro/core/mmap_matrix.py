@@ -182,10 +182,6 @@ class MmapMatrix:
         self.advice = advice
         return self._apply_advice()
 
-    def attach_trace(self, trace: Optional[AccessTrace]) -> None:
-        """Start (or stop, with ``None``) recording accesses."""
-        self.trace = trace
-
     def flush(self) -> None:
         """Flush dirty pages to disk (no-op for plain ndarrays)."""
         flush = getattr(self._backing, "flush", None)

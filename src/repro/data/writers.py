@@ -23,6 +23,10 @@ from repro.data.formats import (
 )
 from repro.data.infimnist import BYTES_PER_IMAGE, InfimnistGenerator, NUM_FEATURES
 
+#: Rows :func:`write_infimnist_dataset` generates and writes per step; it
+#: bounds the writer's memory and does not change the bytes written.
+WRITE_CHUNK_ROWS = 1024
+
 
 class OutOfCoreWriter:
     """Fills a pre-created M3 binary matrix file one row-chunk at a time.
@@ -92,8 +96,6 @@ def write_infimnist_dataset(
     num_examples: Optional[int] = None,
     target_bytes: Optional[int] = None,
     seed: int = 0,
-    chunk_rows: int = 1024,
-    generator: Optional[InfimnistGenerator] = None,
 ) -> BinaryMatrixHeader:
     """Materialise an Infimnist-style dataset file in M3 binary format.
 
@@ -111,12 +113,10 @@ def write_infimnist_dataset(
     assert num_examples is not None
     if num_examples <= 0:
         raise ValueError(f"num_examples must be positive, got {num_examples}")
-    if chunk_rows <= 0:
-        raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
 
-    gen = generator or InfimnistGenerator(seed=seed)
+    gen = InfimnistGenerator(seed=seed)
     create_binary_matrix(path, num_examples, NUM_FEATURES, np.float64, with_labels=True)
     writer = OutOfCoreWriter(path)
-    for features, labels in gen.iter_batches(num_examples, chunk_rows):
+    for features, labels in gen.iter_batches(num_examples, WRITE_CHUNK_ROWS):
         writer.append(features, labels)
     return writer.finalize()

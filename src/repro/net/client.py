@@ -92,9 +92,6 @@ class NetClient:
         Pipelined mode reads with no socket timeout — an idle keep-alive
         connection is a normal state — and bounds callers through
         ``Future.result(timeout)`` instead.
-    default_method:
-        Prediction method sent when a request names none (``None`` keeps
-        the server's default).
     """
 
     def __init__(
@@ -103,13 +100,11 @@ class NetClient:
         port: int,
         http: bool = False,
         timeout_s: float = 30.0,
-        default_method: Optional[str] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.http = http
         self.timeout_s = timeout_s
-        self.default_method = default_method
         self._lock = make_lock("repro.net.client.NetClient._lock")
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
         self._rfile = self._sock.makefile("rb")
@@ -162,7 +157,6 @@ class NetClient:
         the returned future is already completed — same call shape, no
         pipelining.
         """
-        method = method if method is not None else self.default_method
         if self.http:
             future: "Future[NetResult]" = Future()
             try:

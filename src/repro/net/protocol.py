@@ -166,12 +166,11 @@ class Request:
     model: str = DEFAULT_MODEL_NAME
 
 
-def _routing_fields(
-    payload: Dict[str, Any], default_method: str, default_model: str
-) -> Tuple[Optional[Any], str, str]:
-    """``(id, method, model)`` of a request object or a raw-row head."""
-    method = payload.get("method", default_method)
-    model = payload.get("model", default_model)
+def _routing_fields(payload: Dict[str, Any]) -> Tuple[Optional[Any], str, str]:
+    """``(id, method, model)`` of a request object or a raw-row head; a
+    request that names none gets ``predict`` on the default model."""
+    method = payload.get("method", "predict")
+    model = payload.get("model", DEFAULT_MODEL_NAME)
     if not isinstance(method, str):
         raise ProtocolError(f"request 'method' must be a string, got {method!r}")
     if not isinstance(model, str):
@@ -179,22 +178,16 @@ def _routing_fields(
     return payload.get("id"), method, model
 
 
-def parse_request(
-    payload: Any,
-    default_method: str = "predict",
-    default_model: str = DEFAULT_MODEL_NAME,
-) -> Request:
+def parse_request(payload: Any) -> Request:
     """Decode one already-JSON-parsed request document into a :class:`Request`.
 
     Raises :class:`ProtocolError` for documents that are neither a bare
     array of features nor an object with an ``x`` field.
     """
     if isinstance(payload, list):
-        return Request(rows=payload, method=default_method, model=default_model)
+        return Request(rows=payload)
     if isinstance(payload, dict) and "x" in payload:
-        request_id, method, model = _routing_fields(
-            payload, default_method, default_model
-        )
+        request_id, method, model = _routing_fields(payload)
         return Request(rows=payload["x"], id=request_id, method=method, model=model)
     raise ProtocolError(
         "a request must be a JSON array of features or an object with an "
@@ -209,15 +202,9 @@ def _parse_json(text: str) -> Any:
         raise ProtocolError(f"request is not valid JSON: {error}") from None
 
 
-def parse_request_line(
-    line: str,
-    default_method: str = "predict",
-    default_model: str = DEFAULT_MODEL_NAME,
-) -> Request:
+def parse_request_line(line: str) -> Request:
     """Decode one JSONL request line (or HTTP POST body) into a :class:`Request`."""
-    return parse_request(
-        _parse_json(line), default_method=default_method, default_model=default_model
-    )
+    return parse_request(_parse_json(line))
 
 
 def _request_object(
@@ -326,11 +313,7 @@ def encode_raw_rows_request(
     return b"".join((RAW_ROWS_MAGIC, json.dumps(head).encode("ascii"), b"\n", payload))
 
 
-def parse_raw_rows_head(
-    line: bytes,
-    default_method: str = "predict",
-    default_model: str = DEFAULT_MODEL_NAME,
-) -> RawRowsHead:
+def parse_raw_rows_head(line: bytes) -> RawRowsHead:
     """Decode a raw-row frame's head line (magic included).
 
     Raises :class:`ProtocolError` for anything but a JSON object naming a
@@ -344,7 +327,7 @@ def parse_raw_rows_head(
     payload = _parse_json(text)
     if not isinstance(payload, dict):
         raise ProtocolError("a raw-row head must be a JSON object")
-    request_id, method, model = _routing_fields(payload, default_method, default_model)
+    request_id, method, model = _routing_fields(payload)
     wire_dtype = payload.get("dtype")
     dtype = _RAW_DTYPES.get(wire_dtype) if isinstance(wire_dtype, str) else None
     if dtype is None:

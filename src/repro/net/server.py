@@ -126,8 +126,6 @@ class NetServer:
         Bind address.  ``port=0`` (the default) picks an ephemeral port;
         the bound address is in :attr:`host`/:attr:`port` once the
         constructor returns.
-    default_method:
-        Prediction method for requests that name none.
     max_inflight:
         Per-connection cap on submitted-but-unanswered requests; beyond
         it the reader stops pulling frames and TCP backpressure reaches
@@ -146,7 +144,6 @@ class NetServer:
         server: ModelServer,
         host: str = "127.0.0.1",
         port: int = 0,
-        default_method: str = "predict",
         max_inflight: int = 256,
         max_request_bytes: int = 8 << 20,
         drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
@@ -156,7 +153,6 @@ class NetServer:
         self.server = server
         self.host = host
         self.port = port
-        self.default_method = default_method
         self.max_inflight = max_inflight
         self.max_request_bytes = max_request_bytes
         self.drain_timeout_s = drain_timeout_s
@@ -434,15 +430,13 @@ class NetServer:
         text = first.decode("utf-8", errors="replace").strip()
         if not text:
             return None
-        return self._submitted(self._json_request, text)
+        return self._submitted(protocol.parse_request_line, text)
 
     async def _read_raw_rows_request(
         self, first: bytes, reader: asyncio.StreamReader
     ) -> _Entry:
         try:
-            head = protocol.parse_raw_rows_head(
-                first, default_method=self.default_method
-            )
+            head = protocol.parse_raw_rows_head(first)
             if head.nbytes > self.max_request_bytes:
                 raise protocol.ProtocolError(
                     f"raw-row payload of {head.nbytes} bytes exceeds the "
@@ -514,7 +508,7 @@ class NetServer:
                 _Entry(error=error, http=True, keep_alive=keep_alive, status=404)
             )
         return self._submitted(
-            self._json_request,
+            protocol.parse_request_line,
             body.decode("utf-8", errors="replace"),
             http=True,
             keep_alive=keep_alive,
@@ -530,9 +524,6 @@ class NetServer:
         """A frame answered ``bad_request`` and followed by a hang-up, because
         the bytes after it cannot be framed."""
         return self._counted(_Entry(error=error, http=http, keep_alive=False))
-
-    def _json_request(self, text: str) -> protocol.Request:
-        return protocol.parse_request_line(text, default_method=self.default_method)
 
     def _submitted(
         self,

@@ -46,11 +46,20 @@ import numpy as np
 
 from repro.analysis.runtime import make_lock
 from repro.api.chunks import open_chunk_stream, plan_chunks
-from repro.api.sharded import ShardedLabels, manifest_generation
+from repro.api.sharded import ShardedLabels, manifest_generation, read_manifest
 from repro.faults import InjectedFault, maybe_fire, policy_for
 from repro.api.storage import parse_spec
 from repro.serve.registry import ModelRegistry, ModelVersion
 from repro.serve.server import DEFAULT_MODEL_NAME
+
+#: Seconds between manifest polls in :meth:`Trainer.run` / :meth:`Trainer.start`.
+POLL_S = 0.5
+
+
+class CursorPastDataError(ValueError):
+    """:meth:`Trainer.mark_trained` was given more rows than the dataset has
+    committed: a cursor there would skip the rows between the two counts for
+    good once appends reach it."""
 
 
 @dataclass(frozen=True)
@@ -123,8 +132,6 @@ class Trainer:
     session:
         Session whose handle pool opens generation snapshots; a private one
         is created (and closed by :meth:`close`) when omitted.
-    poll_s:
-        Seconds between manifest polls in :meth:`run`/:meth:`start`.
     classes:
         Class labels forwarded to every ``partial_fit`` call.  ``None``
         derives them from the labels of the first snapshot trained on —
@@ -139,7 +146,6 @@ class Trainer:
         registry: Optional[ModelRegistry] = None,
         name: str = DEFAULT_MODEL_NAME,
         session: Optional[Any] = None,
-        poll_s: float = 0.5,
         classes: Optional[Any] = None,
     ) -> None:
         if not hasattr(model, "partial_fit"):
@@ -147,8 +153,6 @@ class Trainer:
                 f"{type(model).__name__} does not implement partial_fit; the "
                 f"trainer daemon needs a streaming estimator"
             )
-        if poll_s <= 0:
-            raise ValueError(f"poll_s must be positive, got {poll_s}")
         spec = getattr(dataset, "spec", dataset)
         self.spec = parse_spec(spec)
         if self.spec.scheme != "shard":
@@ -159,7 +163,6 @@ class Trainer:
         self.model = model
         self.registry = registry if registry is not None else ModelRegistry()
         self.name = name
-        self.poll_s = float(poll_s)
         self.classes = classes
         self.stats = TrainerStats()
         self._session = session
@@ -193,7 +196,22 @@ class Trainer:
     def mark_trained(self, rows: int, generation: Optional[int] = None) -> None:
         """Advance the cursor without training — for a model that was already
         fitted on the dataset's first ``rows`` rows before the trainer took
-        over (e.g. the offline ``m3 train`` artifact now being served)."""
+        over (e.g. the offline ``m3 train`` artifact now being served).
+
+        ``rows`` may not exceed the rows committed at ``generation`` (default:
+        the latest generation); :class:`CursorPastDataError` names both counts.
+        """
+        if rows < 0:
+            raise ValueError(f"trained rows must be >= 0, got {rows}")
+        location = self.spec.location
+        committed = 0 if manifest_generation(location) is None else read_manifest(
+            location, generation
+        ).rows
+        if rows > committed:
+            raise CursorPastDataError(
+                f"{location} has committed {committed} row(s), fewer than the "
+                f"{rows} marked as trained"
+            )
         with self._lock:
             self._trained_rows = int(rows)
             if generation is not None:
@@ -350,7 +368,7 @@ class Trainer:
                 break
             # Event.wait is the poll pacing *and* the stop latch: a stop()
             # during the sleep wakes the loop immediately.
-            self._stop.wait(self.poll_s)
+            self._stop.wait(POLL_S)
         return published
 
     def start(self, on_update: Optional[Any] = None) -> "Trainer":

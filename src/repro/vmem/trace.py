@@ -15,7 +15,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 
 class AccessKind(str, enum.Enum):
@@ -176,3 +176,35 @@ class AccessTrace:
                 payload.get("cpu_cost_s", 0.0),
             )
         return trace
+
+
+def reader_log_trace(
+    reader_log: Sequence[Sequence[Tuple[int, int]]], row_bytes: int
+) -> AccessTrace:
+    """Interleave a multi-reader chunk schedule into one :class:`AccessTrace`.
+
+    ``reader_log`` is the per-reader ordered ``(start, stop)`` row bounds a
+    :class:`~repro.api.chunks.ChunkStream` recorded (its ``reader_log``, or
+    ``details["reader_log"]`` of a streaming fit or predict), or any
+    hand-built schedule of the same shape.  The per-reader streams are taken
+    round-robin — the storage-level arrival order of a reader pool draining
+    its claims concurrently — as reads of ``row_bytes`` per row.  Replay the
+    result like any trace, e.g. under one of the kernel read-ahead policies
+    of :mod:`repro.vmem.readahead`::
+
+        trace = reader_log_trace(result.details["reader_log"], plan.row_bytes)
+        VirtualMemorySimulator(config).run_trace(trace)
+    """
+    trace = AccessTrace(description=f"multi-reader replay ({len(reader_log)} readers)")
+    pending = [iter(log) for log in reader_log]
+    while pending:
+        still_running = []
+        for stream in pending:
+            bounds = next(stream, None)
+            if bounds is None:
+                continue
+            start, stop = bounds
+            trace.record(offset=start * row_bytes, length=(stop - start) * row_bytes)
+            still_running.append(stream)
+        pending = still_running
+    return trace

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import Session
+from repro.api import Session, convert
 from repro.api.convert import convert_dataset
 from repro.api.sharded import (
     ReadOnlyLayoutError,
@@ -46,6 +46,18 @@ class TestConvert:
         np.testing.assert_array_equal(matrix.lazy_labels[:], y)
         matrix.close()
 
+    @pytest.mark.parametrize("codec", ["zlib", None])
+    def test_bytes_do_not_depend_on_the_copy_height(self, source, monkeypatch, codec):
+        # CONVERT_CHUNK_ROWS bounds memory only, so it is a constant, not an option.
+        tmp_path, _X, _y = source
+        written = []
+        for chunk_rows in (7, 1024):
+            monkeypatch.setattr(convert, "CONVERT_CHUNK_ROWS", chunk_rows)
+            destination = tmp_path / f"copy-{chunk_rows}"
+            convert_dataset(tmp_path / "v1", destination, codec=codec, block_rows=96)
+            written.append({path.name: path.read_bytes() for path in destination.iterdir()})
+        assert written[0] == written[1]
+
     def test_zlib_back_to_raw_round_trip(self, source):
         tmp_path, X, y = source
         convert_dataset(tmp_path / "v1", tmp_path / "v2", codec="zlib")
@@ -68,11 +80,11 @@ class TestConvert:
         np.testing.assert_array_equal(matrix[:], X)
         matrix.close()
 
-    def test_bounded_chunk_copy_is_exact(self, source):
+    def test_bounded_chunk_copy_is_exact(self, source, monkeypatch):
         tmp_path, X, y = source
-        # chunk_rows deliberately misaligned with shards and blocks.
-        convert_dataset(tmp_path / "v1", tmp_path / "v2", codec="zlib",
-                        block_rows=128, chunk_rows=77)
+        # Copy bands deliberately misaligned with shards and blocks.
+        monkeypatch.setattr(convert, "CONVERT_CHUNK_ROWS", 77)
+        convert_dataset(tmp_path / "v1", tmp_path / "v2", codec="zlib", block_rows=128)
         matrix = open_sharded_matrix(tmp_path / "v2")
         np.testing.assert_array_equal(matrix[:], X)
         np.testing.assert_array_equal(matrix.lazy_labels[:], y)

@@ -57,15 +57,12 @@ class TestTracing:
         _, dataset, _, _ = session_and_dataset
         assert dataset.trace is None
 
-    def test_start_stop_trace(self, session_and_dataset):
-        _, dataset, _, _ = session_and_dataset
-        trace = dataset.start_trace("manual")
+    def test_record_trace_is_per_handle(self, session_and_dataset):
+        session, dataset, _, _ = session_and_dataset
+        traced = session.open(dataset.spec, record_trace=True)
+        _ = traced[0:10]
         _ = dataset[0:10]
-        assert len(trace) == 1
-        stopped = dataset.stop_trace()
-        assert stopped is trace
-        _ = dataset[0:10]
-        assert len(trace) == 1  # recording really stopped
+        assert len(traced.trace) == 1  # the untraced handle's read is not in it
         assert dataset.trace is None
 
 

@@ -8,12 +8,11 @@ from repro.api import (
     ExecutionEngine,
     LocalEngine,
     Session,
-    SimulatedEngine,
     StreamingEngine,
     resolve_engine,
 )
 from repro.ml import LogisticRegression
-from repro.vmem.vm_simulator import VirtualMemoryConfig
+from repro.vmem.vm_simulator import VirtualMemoryConfig, VirtualMemorySimulator
 
 
 @pytest.fixture()
@@ -31,10 +30,9 @@ def session_dataset(tmp_path):
 class TestResolveEngine:
     def test_by_name(self):
         assert isinstance(resolve_engine("local"), LocalEngine)
-        assert isinstance(resolve_engine("simulated"), SimulatedEngine)
         assert isinstance(resolve_engine("streaming"), StreamingEngine)
 
-    @pytest.mark.parametrize("name", ["local", "simulated", "streaming"])
+    @pytest.mark.parametrize("name", ["local", "streaming"])
     def test_each_name_builds_a_fresh_engine(self, name):
         first, second = resolve_engine(name), resolve_engine(name)
         assert type(first) is ENGINE_REGISTRY[name]
@@ -45,7 +43,7 @@ class TestResolveEngine:
         assert isinstance(resolve_engine(None), LocalEngine)
 
     def test_instance_and_class(self):
-        engine = SimulatedEngine()
+        engine = StreamingEngine()
         assert resolve_engine(engine) is engine
         assert isinstance(resolve_engine(LocalEngine), LocalEngine)
 
@@ -56,9 +54,11 @@ class TestResolveEngine:
             resolve_engine(42)
         with pytest.raises(
             ValueError,
-            match=r"unknown execution engine 'distributed' \(known: local, simulated, streaming\)",
+            match=r"unknown execution engine 'distributed' \(known: local, streaming\)",
         ):
             resolve_engine("distributed")
+        with pytest.raises(ValueError, match="unknown execution engine 'simulated'"):
+            resolve_engine("simulated")
 
     def test_custom_engine_instance_through_fit(self, session_dataset):
         # A substitute engine is passed as an instance; Session.fit dispatches
@@ -77,40 +77,30 @@ class TestLocalEngine:
         session, dataset, X, y = session_dataset
         result = session.fit(LogisticRegression(max_iterations=5), dataset)
         assert result.engine == "local"
-        assert result.simulation is None
+        assert result.trace is None  # the dataset records no trace by default
         assert result.model.score(X, y) > 0.9
 
 
-class TestSimulatedEngine:
-    def test_fit_attaches_simulation(self, session_dataset):
-        session, dataset, _, _ = session_dataset
-        result = session.fit(
-            LogisticRegression(max_iterations=3), dataset, engine="simulated"
-        )
-        assert result.engine == "simulated"
-        assert result.trace is not None and len(result.trace) > 0
-        assert result.simulation is not None
-        assert result.simulation.wall_time_s > 0
-        assert result.details["simulated_wall_time_s"] == result.simulation.wall_time_s
+class TestRecordThenReplay:
+    """Paper-scale replay is no engine: record a trace on one, replay it."""
 
-    def test_trace_covers_every_pass(self, session_dataset):
+    @pytest.fixture()
+    def traced(self, session_dataset):
         session, dataset, _, _ = session_dataset
-        result = session.fit(
-            LogisticRegression(max_iterations=3), dataset, engine="simulated"
-        )
+        return session, session.open(dataset.spec, record_trace=True)
+
+    def test_fit_hands_over_the_trace_to_replay(self, traced):
+        session, dataset = traced
+        result = session.fit(LogisticRegression(max_iterations=3), dataset)
+        assert result.trace is dataset.trace and len(result.trace) > 0
+        simulation = VirtualMemorySimulator(VirtualMemoryConfig()).run_trace(result.trace)
+        assert simulation.wall_time_s > 0
+
+    def test_trace_covers_every_pass(self, traced):
+        session, dataset = traced
+        result = session.fit(LogisticRegression(max_iterations=3), dataset)
         assert result.trace.total_bytes % dataset.nbytes == 0
         assert result.trace.total_bytes // dataset.nbytes >= 2
-
-    def test_does_not_leave_trace_attached(self, session_dataset):
-        session, dataset, _, _ = session_dataset
-        session.fit(LogisticRegression(max_iterations=3), dataset, engine="simulated")
-        assert dataset.trace is None
-
-    def test_restores_previous_trace(self, session_dataset):
-        session, dataset, _, _ = session_dataset
-        mine = dataset.start_trace("mine")
-        session.fit(LogisticRegression(max_iterations=3), dataset, engine="simulated")
-        assert dataset.trace is mine
 
     def test_custom_machine(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -118,18 +108,17 @@ class TestSimulatedEngine:
         y = (X[:, 0] > 0).astype(np.int64)
         with Session() as session:
             session.create(f"mmap://{tmp_path}/big.m3", X, y)
-            dataset = session.open(f"mmap://{tmp_path}/big.m3")
-            tiny = SimulatedEngine(VirtualMemoryConfig(ram_bytes=1 << 16))
-            big = SimulatedEngine(VirtualMemoryConfig(ram_bytes=1 << 34))
-            slow = session.fit(LogisticRegression(max_iterations=3), dataset, engine=tiny)
-            fast = session.fit(LogisticRegression(max_iterations=3), dataset, engine=big)
+            dataset = session.open(f"mmap://{tmp_path}/big.m3", record_trace=True)
+            trace = session.fit(LogisticRegression(max_iterations=3), dataset).trace
+        slow = VirtualMemorySimulator(VirtualMemoryConfig(ram_bytes=1 << 16)).run_trace(trace)
+        fast = VirtualMemorySimulator(VirtualMemoryConfig(ram_bytes=1 << 34)).run_trace(trace)
         # A machine whose RAM cannot hold the dataset re-reads it every pass.
-        assert slow.simulation.io_stats.bytes_read > fast.simulation.io_stats.bytes_read
-        assert slow.simulation.wall_time_s > fast.simulation.wall_time_s
+        assert slow.io_stats.bytes_read > fast.io_stats.bytes_read
+        assert slow.wall_time_s > fast.wall_time_s
 
 
 class TestEngineProtocol:
     def test_engines_are_registered(self):
-        assert set(ENGINE_REGISTRY) == {"local", "simulated", "streaming"}
+        assert set(ENGINE_REGISTRY) == {"local", "streaming"}
         for engine_class in ENGINE_REGISTRY.values():
             assert issubclass(engine_class, ExecutionEngine)

@@ -8,18 +8,20 @@ request is framed, ordered and backpressured in one place — ``NetServer`` over
 convert, append — codes its blocks through one ``encode_blocks`` fan-out whose
 worker count nothing sets.  The paper's results are
 regenerated by one command — ``m3 reproduce``, no flags — over one
-``M3RuntimeModel``.  Training and inference run on one ML stack, behind three
-fixed engines (``local``, ``simulated``, ``streaming``).  Datasets open one
+``M3RuntimeModel``.  Training and inference run on one ML stack, behind two
+fixed engines (``local``, ``streaming``); replaying a recorded trace is
+``repro.vmem``'s, not an engine's.  Datasets open one
 way — ``Session.open`` — with no config object behind its defaults, and the
 estimator surface holds what non-test code calls.  The parameter and
 flag sets below are what traffic sets or takes today (the CLI, the e2e
-workloads and their probes); a new option is a reviewed diff of this file,
-with the measurement that justifies it.
+workloads and their probes, the CI drive of every subcommand); a new option
+is a reviewed diff of this file, with the measurement that justifies it.
 """
 
 import argparse
 import importlib
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,8 +45,9 @@ from repro.api import (
     open_chunk_stream,
     plan_chunks,
 )
-from repro.core import AccessAdvice
-from repro.api.engines import ENGINE_REGISTRY, ExecutionEngine
+from repro.core import AccessAdvice, MmapMatrix
+from repro.api.dataset import Dataset
+from repro.api.engines import ENGINE_REGISTRY, ExecutionEngine, FitResult, PredictResult
 from repro.api.convert import convert_dataset
 from repro.api.sharded import (
     CompressedShardedMatrix,
@@ -57,6 +60,7 @@ from repro.bench.figure1b import run_figure1b
 from repro.bench.m3_model import M3RuntimeModel
 from repro.bench.reproduce import reproduce
 from repro.data.codecs import Codec
+from repro.data.writers import write_infimnist_dataset
 from repro.data.formats_v2 import (
     BlockedMatrixReader,
     BlockedMatrixWriter,
@@ -67,7 +71,7 @@ from repro.data.formats_v2 import (
 )
 from repro.ml.base import StreamingPredictor
 from repro.ml.optim import DifferentiableObjective
-from repro.net import NetServer
+from repro.net import NetClient, NetServer, protocol
 from repro.serve import ModelServer, Trainer
 from repro.vmem.disk import DiskModel
 from repro.vmem.page_cache import PageCacheConfig
@@ -121,8 +125,9 @@ def parameters(function) -> tuple:
         (
             convert_dataset,
             ("source", "destination", "codec", "block_rows", "storage_dtype",
-             "shard_rows", "chunk_rows"),
+             "shard_rows"),
         ),
+        (write_infimnist_dataset, ("path", "num_examples", "target_bytes", "seed")),
         (ShardAppender.__init__, ("directory", "shard_rows", "trace")),
         (encode_block, ("rows", "codec", "storage_dtype")),
         (encode_blocks, ("blocks", "codec", "storage_dtype")),
@@ -138,9 +143,13 @@ def parameters(function) -> tuple:
         ),
         (
             NetServer.__init__,
-            ("server", "host", "port", "default_method", "max_inflight",
-             "max_request_bytes", "drain_timeout_s"),
+            ("server", "host", "port", "max_inflight", "max_request_bytes",
+             "drain_timeout_s"),
         ),
+        (protocol.parse_request, ("payload",)),
+        (protocol.parse_request_line, ("line",)),
+        (protocol.parse_raw_rows_head, ("line",)),
+        (NetClient.__init__, ("host", "port", "http", "timeout_s")),
         (
             Session.serve,
             ("model_or_path", "name", "max_batch", "max_delay_ms", "workers",
@@ -148,7 +157,7 @@ def parameters(function) -> tuple:
         ),
         (
             Trainer.__init__,
-            ("dataset", "model", "registry", "name", "session", "poll_s", "classes"),
+            ("dataset", "model", "registry", "name", "session", "classes"),
         ),
         # reproduce() takes a subset of what its two model-driven builders take.
         (reproduce, ("sizes_gb", "model", "lr_workload", "kmeans_workload")),
@@ -248,6 +257,15 @@ def test_parameter_set(function, expected):
         (repro.ml.metrics, "inertia"),
         (repro.api, "register_backend"),
         (repro.api.storage, "register_backend"),
+        # Two engines: paper-scale replay is VirtualMemorySimulator.run_trace
+        # over any engine's recorded trace.
+        (repro.api, "SimulatedEngine"),
+        (repro.api.engines, "SimulatedEngine"),
+        (FitResult, "simulation"),
+        (PredictResult, "simulation"),
+        (Dataset, "start_trace"),
+        (Dataset, "stop_trace"),
+        (MmapMatrix, "attach_trace"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
@@ -255,8 +273,8 @@ def test_duplicate_path_is_gone(owner, name):
     assert not hasattr(owner, name)
 
 
-def test_three_fixed_engines():
-    assert set(ENGINE_REGISTRY) == {"local", "simulated", "streaming"}
+def test_two_fixed_engines():
+    assert set(ENGINE_REGISTRY) == {"local", "streaming"}
 
 
 @pytest.mark.parametrize("module", ["rdd", "executor", "scheduler", "mllib"])
@@ -333,36 +351,30 @@ def _subparsers():
     )
 
 
-_DAEMON_FLAGS = {"--model", "--max-batch", "--max-delay-ms", "--workers", "--max-pending",
-                 "--proba"}
+_DAEMON_FLAGS = {"--model", "--max-batch", "--max-delay-ms", "--workers", "--max-pending"}
+
+#: Every subcommand's flags, 47 in all.  Each one has a passer outside tests/:
+#: the "CLI surface" step of .github/workflows/ci.yml sets it
+#: (test_ci_passes_every_flag).
+FLAGS = {
+    "generate": {"--examples", "--seed"},
+    "info": {"--verify"},
+    "convert": {"--codec", "--dtype"},
+    "train": {"--algorithm", "--engine", "--iterations", "--clusters", "--chunk-rows",
+              "--io-workers", "--compute-workers", "--save-model"},
+    "predict": {"--model", "--connect", "--engine", "--chunk-rows", "--io-workers",
+                "--compute-workers", "--proba", "--output"},
+    "serve": _DAEMON_FLAGS | {"--input", "--output"},
+    "served": _DAEMON_FLAGS | {"--host", "--port", "--adaptive-delay", "--adaptive-ceiling-ms",
+                               "--max-inflight"},
+    "traind": {"--model", "--algorithm", "--clusters", "--name", "--once", "--trained-rows",
+               "--save-model"},
+    "reproduce": set(),
+    "lint": {"--select", "--format"},
+}
 
 
-@pytest.mark.parametrize(
-    "command, expected",
-    [
-        ("serve", _DAEMON_FLAGS | {"--input", "--output"}),
-        (
-            "served",
-            _DAEMON_FLAGS | {"--host", "--port", "--adaptive-delay", "--adaptive-ceiling-ms",
-                             "--max-inflight"},
-        ),
-        (
-            "predict",
-            {"--model", "--connect", "--engine", "--chunk-rows", "--io-workers",
-             "--compute-workers", "--proba", "--output"},
-        ),
-        (
-            "traind",
-            {"--model", "--algorithm", "--clusters", "--name", "--poll", "--once",
-             "--trained-rows", "--save-model"},
-        ),
-        (
-            "convert",
-            {"--codec", "--block-rows", "--dtype", "--shard-rows", "--chunk-rows"},
-        ),
-        ("reproduce", set()),
-    ],
-)
+@pytest.mark.parametrize("command, expected", sorted(FLAGS.items()))
 def test_flag_set(command, expected):
     subparsers = _subparsers()
     flags = {
@@ -371,6 +383,38 @@ def test_flag_set(command, expected):
         for option in action.option_strings
     }
     assert flags - {"-h", "--help"} == expected
+
+
+def test_every_subcommand_is_censused():
+    assert set(FLAGS) == set(_subparsers().choices)
+    assert sum(len(flags) for flags in FLAGS.values()) == 47
+
+
+def _ci_passed_flags():
+    """``{subcommand: every word its invocations pass}`` in CI's CLI surface step."""
+    workflow = Path(repro.__file__).parents[2] / ".github" / "workflows" / "ci.yml"
+    step = workflow.read_text().split("- name: CLI surface\n", 1)[1].split("- name:", 1)[0]
+    passed = {}
+    for line in step.replace("\\\n", " ").splitlines():
+        words = line.split()
+        for index in range(len(words) - 1):
+            if words[index] in ("m3", "repro") and words[index + 1] in FLAGS:
+                passed.setdefault(words[index + 1], set()).update(words[index + 2:])
+    return passed
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_ci_passes_every_flag(command):
+    # No flag without a passer: the CLI surface step sets each one.
+    missing = FLAGS[command] - _ci_passed_flags().get(command, set())
+    assert not missing, f"no CI step passes m3 {command} {sorted(missing)}"
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_engine_choices(command):
+    parser = _subparsers().choices[command]
+    engine = next(a for a in parser._actions if "--engine" in a.option_strings)
+    assert engine.choices == ["local", "streaming"]
 
 
 def test_convert_names_each_output_once():

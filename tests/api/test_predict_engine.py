@@ -32,6 +32,7 @@ from repro.ml import (
     MiniBatchKMeans,
     SoftmaxRegression,
 )
+from repro.vmem.vm_simulator import VirtualMemoryConfig, VirtualMemorySimulator
 
 BACKENDS = ["memory", "mmap", "shard"]
 SHARD_ROWS = 128
@@ -163,29 +164,33 @@ class TestPredictDetails:
             StreamingEngine(chunk_rows=-5)
 
 
-class TestOtherEngines:
-    def test_simulated_predict_records_and_replays_trace(self, session, models, problem):
+class TestTracedPredict:
+    """Inference on a trace-recording handle: same predictions, replayable trace."""
+
+    def test_local_predict_records_a_replayable_trace(self, session, models, problem):
         X, _ = problem
         model = models["logistic"]
-        result = session.predict(session.specs["mmap"], model, engine="simulated")
+        dataset = session.open(session.specs["mmap"], record_trace=True)
+        result = session.predict(dataset, model)
         assert np.array_equal(result.predictions, model.predict(np.asarray(X)))
-        assert result.trace is not None and len(result.trace) > 0
-        assert result.simulation is not None
-        assert result.details["simulated_wall_time_s"] > 0.0
+        assert result.trace is dataset.trace and len(result.trace) > 0
+        simulation = VirtualMemorySimulator(VirtualMemoryConfig()).run_trace(result.trace)
+        assert simulation.wall_time_s > 0.0
 
-    def test_simulated_predict_over_shards(self, session, models, problem):
+    def test_traced_predict_over_shards(self, session, models, problem):
         X, _ = problem
         model = models["logistic"]
-        result = session.predict(session.specs["shard"], model, engine="simulated")
-        assert result.engine == "simulated"
+        dataset = session.open(session.specs["shard"], record_trace=True)
+        result = session.predict(dataset, model)
+        assert result.engine == "local"
+        assert len(result.trace) > 0
         assert np.array_equal(result.predictions, model.predict(np.asarray(X)))
 
-    def test_simulated_predict_proba(self, session, models, problem):
+    def test_traced_predict_proba(self, session, models, problem):
         X, _ = problem
         model = models["softmax"]
-        result = session.predict(
-            session.specs["mmap"], model, method="predict_proba", engine="simulated"
-        )
+        dataset = session.open(session.specs["mmap"], record_trace=True)
+        result = session.predict(dataset, model, method="predict_proba")
         assert np.array_equal(result.predictions, model.predict_proba(np.asarray(X)))
 
 

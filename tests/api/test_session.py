@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import Dataset, LocalEngine, Session, SimulatedEngine
+from repro.api import Dataset, LocalEngine, Session, StreamingEngine
 from repro.ml import LogisticRegression
 
 
@@ -87,8 +87,8 @@ class TestOpenDefaults:
 
     def test_default_engine(self):
         assert isinstance(Session().default_engine, LocalEngine)
-        assert isinstance(Session(engine="simulated").default_engine, SimulatedEngine)
-        engine = SimulatedEngine()
+        assert isinstance(Session(engine="streaming").default_engine, StreamingEngine)
+        engine = StreamingEngine(chunk_rows=8)
         assert Session(engine=engine).default_engine is engine
 
 

@@ -25,6 +25,8 @@ from repro.ml import (
 )
 from repro.ml import base
 from repro.ml.cluster import _kernel
+from repro.vmem.trace import reader_log_trace
+from repro.vmem.vm_simulator import VirtualMemoryConfig, VirtualMemorySimulator
 
 BACKENDS = ["memory", "mmap", "shard"]
 SHARD_ROWS = 128
@@ -430,12 +432,9 @@ class TestParallelPipeline:
 
 
 class TestMultiReaderReplay:
-    """The simulated engine replays a reader pool's schedule at paper scale."""
+    """A reader pool's schedule, as a trace, replays at paper scale."""
 
     def test_replay_reader_log_runs_the_simulator(self, session):
-        from repro.api import SimulatedEngine
-        from repro.api.chunks import plan_chunks
-
         result = session.fit(
             GaussianNaiveBayes(chunk_size=CHUNK),
             session.open(session.specs["shard"]),
@@ -443,8 +442,8 @@ class TestMultiReaderReplay:
         )
         dataset = session.open(session.specs["shard"])
         plan = plan_chunks(dataset.matrix, chunk_rows=CHUNK)
-        simulation = SimulatedEngine().replay_reader_log(
-            plan, result.details["reader_log"]
+        simulation = VirtualMemorySimulator(VirtualMemoryConfig()).run_trace(
+            reader_log_trace(result.details["reader_log"], plan.row_bytes)
         )
         assert simulation.wall_time_s > 0
         assert simulation.io_stats.bytes_read > 0
@@ -452,18 +451,16 @@ class TestMultiReaderReplay:
     def test_replay_compares_readahead_policies(self, session):
         # The point of the replay: compare the engine-level multi-reader
         # schedule under different kernel readahead policies.
-        from repro.api import SimulatedEngine
-        from repro.api.chunks import plan_chunks
         from repro.vmem import PipelinedReadAhead, NoReadAhead
-        from repro.vmem.vm_simulator import VirtualMemoryConfig
 
         dataset = session.open(session.specs["shard"])
         plan = plan_chunks(dataset.matrix, chunk_rows=CHUNK)
         log = [[bound for i, bound in enumerate(plan.bounds) if i % 2 == r] for r in range(2)]
-        blind = SimulatedEngine(
+        trace = reader_log_trace(log, plan.row_bytes)
+        blind = VirtualMemorySimulator(
             VirtualMemoryConfig(readahead=NoReadAhead())
-        ).replay_reader_log(plan, log)
-        pipelined = SimulatedEngine(
+        ).run_trace(trace)
+        pipelined = VirtualMemorySimulator(
             VirtualMemoryConfig(readahead=PipelinedReadAhead(readers=2, window=8))
-        ).replay_reader_log(plan, log)
+        ).run_trace(trace)
         assert pipelined.io_stats.read_requests <= blind.io_stats.read_requests

@@ -102,9 +102,9 @@ class TestTraceRecording:
     def test_attach_and_detach_trace(self):
         matrix = MmapMatrix(np.zeros((10, 2)))
         trace = AccessTrace()
-        matrix.attach_trace(trace)
+        matrix.trace = trace
         _ = matrix[0:5]
-        matrix.attach_trace(None)
+        matrix.trace = None
         _ = matrix[5:10]
         assert len(trace) == 1
 

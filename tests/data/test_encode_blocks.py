@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from repro import fanout
+from repro.api import convert, sharded
 from repro.api.convert import convert_dataset
-from repro.api import sharded
 from repro.api.sharded import ShardAppender, write_sharded_dataset
 from repro.data import formats_v2
 from repro.data.formats_v2 import BlockedMatrixWriter, write_blocked_matrix
@@ -58,8 +58,9 @@ def _write_everything(root, geometry):
     X, y = _data(SHARD + APPENDS * APPEND_ROWS)
     write_sharded_dataset(root / "create", X[:ROWS], y[:ROWS], shard_rows=SHARD, **v2)
     write_sharded_dataset(root / "raw", X[:ROWS], y[:ROWS], shard_rows=SHARD)
-    # Misaligned copy bands: appends straddle block boundaries.
-    convert_dataset(root / "raw", root / "convert", shard_rows=SHARD, chunk_rows=50, **v2)
+    # Misaligned copy bands (CONVERT_CHUNK_ROWS is 50 here): appends straddle
+    # block boundaries.
+    convert_dataset(root / "raw", root / "convert", shard_rows=SHARD, **v2)
     write_sharded_dataset(root / "append", X[:SHARD], y[:SHARD], shard_rows=SHARD, **v2)
     appender = ShardAppender(root / "append", shard_rows=APPEND_SHARD)
     for index in range(APPENDS):
@@ -73,6 +74,7 @@ def _write_everything(root, geometry):
     "geometry", GEOMETRIES, ids=lambda g: f"{g[0]}-{g[1].name}"
 )
 def test_every_writer_is_byte_identical_at_any_worker_count(tmp_path, monkeypatch, geometry):
+    monkeypatch.setattr(convert, "CONVERT_CHUNK_ROWS", 50)
     digests = {}
     for workers in WORKERS:
         monkeypatch.setattr(formats_v2, "available_cpus", lambda: workers)

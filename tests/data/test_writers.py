@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.formats import create_binary_matrix, open_binary_matrix
 from repro.data.infimnist import BYTES_PER_IMAGE, InfimnistGenerator, NUM_FEATURES
+from repro.data import writers
 from repro.data.writers import OutOfCoreWriter, write_infimnist_dataset
 
 
@@ -62,7 +63,7 @@ class TestOutOfCoreWriter:
 class TestWriteInfimnistDataset:
     def test_by_example_count(self, tmp_path):
         path = tmp_path / "infimnist.m3"
-        header = write_infimnist_dataset(path, num_examples=50, seed=0, chunk_rows=16)
+        header = write_infimnist_dataset(path, num_examples=50, seed=0)
         assert header.rows == 50
         assert header.cols == NUM_FEATURES
         data, labels, _ = open_binary_matrix(path)
@@ -70,7 +71,7 @@ class TestWriteInfimnistDataset:
 
     def test_content_matches_generator(self, tmp_path):
         path = tmp_path / "match.m3"
-        write_infimnist_dataset(path, num_examples=10, seed=3, chunk_rows=4)
+        write_infimnist_dataset(path, num_examples=10, seed=3)
         data, _, _ = open_binary_matrix(path)
         expected, _ = InfimnistGenerator(seed=3).batch(0, 10)
         np.testing.assert_allclose(np.asarray(data), expected)
@@ -78,7 +79,7 @@ class TestWriteInfimnistDataset:
     def test_by_target_bytes(self, tmp_path):
         path = tmp_path / "sized.m3"
         target = 20 * BYTES_PER_IMAGE + 100
-        header = write_infimnist_dataset(path, target_bytes=target, chunk_rows=8)
+        header = write_infimnist_dataset(path, target_bytes=target)
         assert header.rows == 20
 
     def test_exactly_one_size_argument_required(self, tmp_path):
@@ -87,6 +88,12 @@ class TestWriteInfimnistDataset:
         with pytest.raises(ValueError):
             write_infimnist_dataset(tmp_path / "x.m3", num_examples=5, target_bytes=100)
 
-    def test_invalid_chunk_rows(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_infimnist_dataset(tmp_path / "x.m3", num_examples=5, chunk_rows=0)
+    def test_bytes_do_not_depend_on_the_chunk_height(self, tmp_path, monkeypatch):
+        # WRITE_CHUNK_ROWS bounds memory only, so it is a constant, not an option.
+        written = []
+        for chunk_rows in (7, 1024):
+            monkeypatch.setattr(writers, "WRITE_CHUNK_ROWS", chunk_rows)
+            path = tmp_path / f"chunks-{chunk_rows}.m3"
+            write_infimnist_dataset(path, num_examples=50, seed=2)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]

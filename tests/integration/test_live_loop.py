@@ -18,6 +18,7 @@ from repro.api import Session
 from repro.api.chunks import open_chunk_stream
 from repro.ml import GaussianNaiveBayes
 from repro.serve import ModelRegistry, Trainer
+from repro.serve import trainer as trainer_module
 
 SHARD_ROWS = 16
 SEED_ROWS = 48
@@ -44,7 +45,8 @@ def _scan_all(dataset):
 
 
 @pytest.mark.parametrize("codec", [None, "zlib"])
-def test_live_train_publish_loop(tmp_path, codec):
+def test_live_train_publish_loop(tmp_path, codec, monkeypatch):
+    monkeypatch.setattr(trainer_module, "POLL_S", 0.02)
     spec = f"shard://{tmp_path / 'live'}"
     X0, y0 = _make(SEED_ROWS, seed=7)
 
@@ -67,7 +69,6 @@ def test_live_train_publish_loop(tmp_path, codec):
                 registry=registry,
                 name="live",
                 session=session,
-                poll_s=0.02,
             ) as trainer:
                 trainer.mark_trained(SEED_ROWS, generation=0)
 

@@ -2,10 +2,9 @@
 
 The acceptance criterion of the API redesign: ``Session.fit`` runs the same
 ``LogisticRegression`` workload *unchanged* on all three storage backends
-(``memory``, ``mmap``, ``sharded``) and both local engines (``local``,
-``simulated``), and the Table 1 transparency property — identical
-coefficients regardless of where the bytes live — carries through the new
-API.
+(``memory``, ``mmap``, ``sharded``), with and without an access trace
+recording, and the Table 1 transparency property — identical coefficients
+regardless of where the bytes live — carries through the new API.
 """
 
 import numpy as np
@@ -15,7 +14,8 @@ from repro.api import Session
 from repro.ml import GaussianNaiveBayes, KMeans, LogisticRegression
 
 BACKENDS = ["memory", "mmap", "shard"]
-LOCAL_ENGINES = ["local", "simulated"]
+#: Local fits on an untraced handle and on one recording its access trace.
+RECORD_TRACE = [False, True]
 
 
 @pytest.fixture(scope="module")
@@ -45,28 +45,29 @@ def session(tmp_path_factory, problem):
 
 class TestSameWorkloadEverywhere:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("engine", LOCAL_ENGINES)
-    def test_logistic_regression_runs_unchanged(self, session, problem, backend, engine):
+    @pytest.mark.parametrize("record_trace", RECORD_TRACE)
+    def test_logistic_regression_runs_unchanged(self, session, problem, backend, record_trace):
         X, y = problem
-        dataset = session.open(session.specs[backend])
-        result = session.fit(LogisticRegression(max_iterations=10), dataset, engine=engine)
+        dataset = session.open(session.specs[backend], record_trace=record_trace)
+        result = session.fit(LogisticRegression(max_iterations=10), dataset, engine="local")
         assert result.model.score(dataset.matrix, y) > 0.9
+        assert (result.trace is not None) == record_trace
 
-    def test_coefficients_identical_across_backends_and_engines(self, session):
+    def test_coefficients_identical_across_backends_and_traces(self, session):
         coefs = {}
         for backend in BACKENDS:
-            for engine in LOCAL_ENGINES:
-                dataset = session.open(session.specs[backend])
+            for record_trace in RECORD_TRACE:
+                dataset = session.open(session.specs[backend], record_trace=record_trace)
                 result = session.fit(
-                    LogisticRegression(max_iterations=10), dataset, engine=engine
+                    LogisticRegression(max_iterations=10), dataset, engine="local"
                 )
-                coefs[(backend, engine)] = np.concatenate(
+                coefs[(backend, record_trace)] = np.concatenate(
                     [result.model.coef_, [result.model.intercept_]]
                 )
-        reference = coefs[("memory", "local")]
+        reference = coefs[("memory", False)]
         for key, coef in coefs.items():
             np.testing.assert_array_equal(
-                coef, reference, err_msg=f"{key} diverged from memory/local"
+                coef, reference, err_msg=f"{key} diverged from memory, untraced"
             )
 
     def test_kmeans_identical_across_backends(self, session):

@@ -30,6 +30,7 @@ from repro.ml.linear_model.objectives import (
     SoftmaxRegressionObjective,
 )
 from repro.ml.optim.lbfgs import LBFGS
+from repro.vmem.vm_simulator import VirtualMemoryConfig, VirtualMemorySimulator
 
 ROWS, COLS, CLASSES, CHUNK = 1000, 12, 4, 96   # 11 chunks, the last one short
 KMEANS_CHUNK = 3 * BLOCK_ROWS + 17   # Lloyd chunks of several blocks, the last one short
@@ -275,40 +276,38 @@ class TestBitIdentity:
 class TestAccessTrace:
     """Chunks are sliced in order on the calling thread, whatever the workers do."""
 
-    def _records(self, spec, force_workers, workers, engine):
+    def _records(self, spec, force_workers, workers):
         force_workers(workers)
         with Session() as session:
-            dataset = session.open(spec)
-            if engine == "local":
-                dataset.start_trace()
+            dataset = session.open(spec, record_trace=True)
             fit = session.fit(
-                KMeans(n_clusters=3, max_iterations=3, chunk_size=CHUNK, seed=0),
-                dataset, engine=engine)
-            served = session.predict(dataset, fit.model, engine=engine)
-        if engine == "local":
-            assert fit.details["compute_threads"] == workers
-            assert served.details["compute_threads"] == workers
+                KMeans(n_clusters=3, max_iterations=3, chunk_size=CHUNK, seed=0), dataset)
+            served = session.predict(dataset, fit.model)
+        assert fit.details["compute_threads"] == workers
+        assert served.details["compute_threads"] == workers
         return fit, served
 
     @pytest.mark.parametrize("workers", (2, 4))
     def test_local_engine_trace_is_record_for_record_the_serial_one(
         self, stored, force_workers, workers
     ):
-        serial_fit, _ = self._records(stored[1]["mmap"], force_workers, 1, "local")
-        fit, _ = self._records(stored[1]["mmap"], force_workers, workers, "local")
+        serial_fit, _ = self._records(stored[1]["mmap"], force_workers, 1)
+        fit, _ = self._records(stored[1]["mmap"], force_workers, workers)
         assert len(serial_fit.trace.records) > 3 * (ROWS // CHUNK)
         # fit and predict share the handle's trace: both passes are in it.
         assert fit.trace.records == serial_fit.trace.records
 
     @pytest.mark.parametrize("workers", (2, 4))
-    def test_simulated_engine_returns_the_same_replay(self, stored, force_workers, workers):
-        serial = self._records(stored[1]["mmap"], force_workers, 1, "simulated")
-        parallel = self._records(stored[1]["mmap"], force_workers, workers, "simulated")
-        for got, expected in zip(parallel, serial):
-            assert got.trace.records == expected.trace.records
-            assert got.simulation.wall_time_s == expected.simulation.wall_time_s
-            assert got.simulation.io_stats == expected.simulation.io_stats
-            assert got.simulation.cache_stats_dict == expected.simulation.cache_stats_dict
+    def test_replay_of_the_trace_is_the_serial_one(self, stored, force_workers, workers):
+        serial, _ = self._records(stored[1]["mmap"], force_workers, 1)
+        parallel, _ = self._records(stored[1]["mmap"], force_workers, workers)
+        got, expected = (
+            VirtualMemorySimulator(VirtualMemoryConfig()).run_trace(result.trace)
+            for result in (parallel, serial)
+        )
+        assert got.wall_time_s == expected.wall_time_s
+        assert got.io_stats == expected.io_stats
+        assert got.cache_stats_dict == expected.cache_stats_dict
 
 
 class TestFanOutContract:

@@ -45,14 +45,17 @@ class TestParserWiring:
         assert args.max_pending == 1024
         assert args.max_inflight == 256
 
-    def test_connect_parses_host_and_port(self):
-        args = build_parser().parse_args(
-            ["predict", "data.m3", "--connect", "10.0.0.7:9000"]
-        )
-        assert args.connect == ("10.0.0.7", 9000)
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("10.0.0.7:9000", ("10.0.0.7", 9000)), ("[::1]:9000", ("::1", 9000)),
+         ("[fe80::1%eth0]:80", ("fe80::1%eth0", 80))],
+    )
+    def test_connect_parses_host_and_port(self, text, expected):
+        args = build_parser().parse_args(["predict", "data.m3", "--connect", text])
+        assert args.connect == expected
 
     @pytest.mark.parametrize("bad", ["localhost", "host:0", "host:70000",
-                                     "host:http", ":8000"])
+                                     "host:http", ":8000", "[]:8000"])
     def test_malformed_hostport_rejected(self, bad, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["predict", "data.m3", "--connect", bad])

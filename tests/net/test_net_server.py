@@ -71,12 +71,12 @@ class TestRoundTrips:
         )
         assert result.predictions.shape == (5, 3)
 
-    def test_default_method_from_the_server(self, live, problem, softmax_fitted, framed):
+    def test_request_naming_no_method_gets_predict(self, live, problem, softmax_fitted, framed):
         X, _ = problem
-        net = live(model=softmax_fitted, default_method="predict_proba")
+        net = live(model=softmax_fitted)
         with NetClient(net.host, net.port) as client:
             result = client.predict(framed(X[:3]))
-        assert result.predictions.shape == (3, 3)
+        np.testing.assert_array_equal(result.predictions, softmax_fitted.predict(X[:3]))
 
     def test_model_routing(self, live, problem, fitted, softmax_fitted, framed):
         X, _ = problem

@@ -51,11 +51,10 @@ class TestParseRequest:
         assert request.method == "predict_proba"
         assert request.model == "other"
 
-    def test_defaults_are_injectable(self):
-        request = protocol.parse_request([1.0], default_method="predict_proba",
-                                         default_model="canary")
-        assert request.method == "predict_proba"
-        assert request.model == "canary"
+    def test_bare_array_gets_predict_on_the_default_model(self):
+        request = protocol.parse_request([1.0])
+        assert request.method == "predict"
+        assert request.model == protocol.DEFAULT_MODEL_NAME
 
     def test_object_without_x_rejected(self):
         with pytest.raises(ProtocolError, match="'x' field"):
@@ -130,9 +129,8 @@ class TestRawRowsFrame:
         line = protocol.encode_raw_rows_request(np.zeros(3)).split(b"\n", 1)[0]
         assert json.loads(line[len(protocol.RAW_ROWS_MAGIC):]) == {
             "dtype": "<f8", "shape": [3]}
-        head = protocol.parse_raw_rows_head(line, default_method="predict_proba",
-                                            default_model="canary")
-        assert (head.id, head.method, head.model) == (None, "predict_proba", "canary")
+        head = protocol.parse_raw_rows_head(line)
+        assert (head.id, head.method, head.model) == (None, "predict", protocol.DEFAULT_MODEL_NAME)
 
     def test_float32_upcasts_to_what_its_json_spelling_parses_to(self):
         rows = np.array([0.1, 1 / 3, 2.5e-7], dtype=np.float32)

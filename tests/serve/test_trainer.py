@@ -8,6 +8,8 @@ import pytest
 from repro.api import Session
 from repro.ml import GaussianNaiveBayes, LinearRegression, MiniBatchKMeans
 from repro.serve import ModelRegistry, Trainer, TrainUpdate
+from repro.serve import trainer as trainer_module
+from repro.serve.trainer import CursorPastDataError
 
 
 def _make(rows, cols=4, seed=0):
@@ -41,10 +43,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="shard"):
             Trainer(f"mmap://{tmp_path / 'x.m3'}", GaussianNaiveBayes())
 
-    def test_rejects_nonpositive_poll(self, appendable):
+    def test_mark_trained_rejects_negative_rows(self, appendable):
         spec, _, _ = appendable
-        with pytest.raises(ValueError, match="poll_s"):
-            Trainer(spec, GaussianNaiveBayes(), poll_s=0)
+        with Trainer(spec, GaussianNaiveBayes()) as trainer:
+            with pytest.raises(ValueError, match="-1"):
+                trainer.mark_trained(-1)
+            assert trainer.trained_rows == 0
 
     def test_accepts_dataset_handle_as_spec(self, appendable, session):
         spec, _, _ = appendable
@@ -111,6 +115,28 @@ class TestPollOnce:
             handle.close()
             update = trainer.poll_once()
             assert update is not None and update.rows == 8
+
+    @pytest.mark.parametrize("generation", [None, 0])
+    def test_mark_trained_past_the_committed_rows_raises(self, appendable, session, generation):
+        # Regression: a cursor of 64 on a 40-row dataset used to sit until
+        # appends passed it, then train from row 64 on: rows 40-63 never trained.
+        spec, X, _ = appendable
+        handle = session.open(spec)
+        handle.append(*_make(40, seed=6))  # generation 1: 80 rows
+        handle.close()
+        with Trainer(spec, GaussianNaiveBayes(), session=session) as trainer:
+            committed = X.shape[0] if generation == 0 else 2 * X.shape[0]
+            with pytest.raises(CursorPastDataError, match=rf"{committed} row\(s\).* {committed + 24}"):
+                trainer.mark_trained(committed + 24, generation=generation)
+            assert trainer.trained_rows == 0
+            trainer.mark_trained(committed, generation=generation)
+            assert trainer.trained_rows == committed
+
+    def test_mark_trained_on_an_absent_dataset(self, tmp_path):
+        with Trainer(f"shard://{tmp_path / 'missing'}", GaussianNaiveBayes()) as trainer:
+            with pytest.raises(CursorPastDataError, match="0 row"):
+                trainer.mark_trained(1)
+            trainer.mark_trained(0)
 
     def test_unsupervised_model_trains_without_labels(self, tmp_path, session):
         spec = f"shard://{tmp_path / 'blobs'}"
@@ -181,7 +207,7 @@ class TestRunLoop:
             trainer.run(max_polls=1, on_update=seen.append)
         assert len(seen) == 1 and isinstance(seen[0], TrainUpdate)
 
-    def test_background_thread_picks_up_appends(self, appendable, session):
+    def test_background_thread_picks_up_appends(self, appendable, session, monkeypatch):
         spec, X, _ = appendable
         published = threading.Event()
         second = threading.Event()
@@ -191,9 +217,8 @@ class TestRunLoop:
             if update.generation >= 1:
                 second.set()
 
-        with Trainer(
-            spec, GaussianNaiveBayes(), session=session, poll_s=0.05
-        ) as trainer:
+        monkeypatch.setattr(trainer_module, "POLL_S", 0.05)
+        with Trainer(spec, GaussianNaiveBayes(), session=session) as trainer:
             trainer.run(max_polls=1, on_update=note)  # catch up in-thread first
             assert published.wait(timeout=1.0)
             trainer.start(on_update=note)

@@ -63,15 +63,14 @@ class TestGenerateAndTrain:
         out = capsys.readouterr().out
         assert "inertia" in out and "chunk pipeline" in out
 
-    def test_train_simulated_engine(self, tmp_path, capsys):
-        dataset = tmp_path / "sim.m3"
-        write_infimnist_dataset(dataset, num_examples=150, seed=0)
-        exit_code = main(["train", str(dataset), "--algorithm", "logistic",
-                          "--iterations", "2", "--engine", "simulated"])
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "simulated engine" in out
-        assert "simulated paper-scale machine" in out
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_simulated_engine_is_gone(self, command, capsys):
+        # Paper-scale replay is VirtualMemorySimulator.run_trace over a
+        # recorded trace, not an engine.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "whatever.m3", "--engine", "simulated"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'simulated'" in capsys.readouterr().err
 
     def test_train_sharded_backend(self, tmp_path, capsys):
         import numpy as np
@@ -88,20 +87,40 @@ class TestGenerateAndTrain:
         assert "shard backend" in capsys.readouterr().out
 
 
-class TestChunkRowsValidation:
-    """--chunk-rows must be rejected at the CLI layer, not deep in the planner."""
+_CHUNK_ROWS_CASES = [
+    ([command, "whatever.m3", *extra, "--engine", "streaming", "--chunk-rows", bad],
+     "--chunk-rows", "integer")
+    for command, extra in (("train", []), ("predict", ["--model", "m.json"]))
+    for bad in ("0", "-4", "x")
+]
 
-    @pytest.mark.parametrize("command", ["train", "predict"])
-    @pytest.mark.parametrize("bad", ["0", "-4", "x"])
-    def test_non_positive_chunk_rows_rejected(self, command, bad, capsys):
-        extra = ["--model", "m.json"] if command == "predict" else []
+
+class TestChunkRowsValidation:
+    """Out-of-range numbers are rejected at the CLI layer, not deep in the library."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        _CHUNK_ROWS_CASES + [
+            (["generate", "out.m3", "--examples", "0"], "--examples", "positive integer"),
+            (["train", "whatever.m3", "--iterations", "0"], "--iterations", "positive integer"),
+            (["traind", "shard://tail", "--trained-rows", "-5"], "--trained-rows",
+             "non-negative integer"),
+            (["serve", "--model", "m.json", "--max-delay-ms", "-1"], "--max-delay-ms",
+             "non-negative number"),
+            (["served", "--model", "m.json", "--max-delay-ms", "-1"], "--max-delay-ms",
+             "non-negative number"),
+            (["served", "--model", "m.json", "--adaptive-ceiling-ms", "-1"],
+             "--adaptive-ceiling-ms", "non-negative number"),
+            (["served", "--model", "m.json", "--max-delay-ms", "nan"], "--max-delay-ms",
+             "non-negative number"),
+        ],
+    )
+    def test_out_of_range_number_rejected(self, argv, flag, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([command, "whatever.m3", *extra, "--engine", "streaming",
-                  "--chunk-rows", bad])
+            main(argv)
         assert excinfo.value.code == 2  # argparse usage error, no traceback
         err = capsys.readouterr().err
-        assert "chunk-rows" in err
-        assert "positive integer" in err or "integer" in err
+        assert flag in err and message in err
 
     def test_chunk_rows_without_streaming_engine_rejected(self, tmp_path, capsys):
         model_path = tmp_path / "m.json"
@@ -453,6 +472,14 @@ class TestTraind:
         assert "only MiniBatchKMeans resumes" in captured.err
         assert "tailing" not in captured.err and captured.out == ""
 
+    def test_trained_rows_past_the_data_is_refused(self, appendable, capsys):
+        spec, _X, _y = appendable
+        assert main(["traind", spec, "--once", "--algorithm", "kmeans",
+                     "--trained-rows", "300"]) == 2
+        captured = capsys.readouterr()
+        assert "committed 240 row(s), fewer than the 300 marked as trained" in captured.err
+        assert "tailing" not in captured.err and captured.out == ""
+
 
 class TestConvertCommand:
     @pytest.fixture()
@@ -468,10 +495,10 @@ class TestConvertCommand:
     def test_convert_to_v2_and_info(self, v1_dataset, capsys):
         tmp_path, X, y = v1_dataset
         exit_code = main(["convert", str(tmp_path / "v1"), str(tmp_path / "v2"),
-                          "--codec", "zlib", "--block-rows", "64"])
+                          "--codec", "zlib"])
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "zlib-compressed v2" in out and "block_rows=64" in out
+        assert "zlib-compressed v2" in out and "block_rows=" in out
         assert main(["info", f"shard://{tmp_path / 'v2'}"]) == 0
         info = capsys.readouterr().out
         assert "codec" in info and "zlib" in info
