@@ -40,9 +40,10 @@ engine         fit                         predict
                MiniBatchKMeans, naive      per-chunk I/O-wait/compute
                Bayes); accounting in       accounting in
                ``FitResult.details``       ``PredictResult.details``;
-                                           ``compute_workers=N`` fans
-                                           chunk inference across a
-                                           worker pool (bit-identical)
+                                           chunk inference fans across
+                                           ``compute_threads()`` workers
+                                           (``compute_workers=N``
+                                           overrides; bit-identical)
 *(serving)*    —                           request-level traffic goes to
                                            ``session.serve`` instead: a
                                            micro-batching model server
@@ -132,8 +133,15 @@ Tuning the streaming pipeline
 ``compute_workers``
     Data-parallel streaming *predict*: each worker runs ``predict_chunk`` and
     writes its disjoint slice of the preallocated output buffer —
-    bit-identical to sequential serving.  Training ignores it
-    (``partial_fit`` is an ordered reduction).
+    bit-identical to sequential serving.  ``None`` (default) is
+    ``repro.ml.base.compute_threads()``, the local engine's rule (CPUs ÷
+    BLAS threads, see *Compute threads* above): one worker with BLAS
+    unpinned, every core with ``OPENBLAS_NUM_THREADS=1``.  An explicit
+    ``n`` overrides it; ``details["compute_workers"]`` reports the count
+    that ran.  It also sizes the block decode pool of compressed shards.
+    Training ignores it otherwise (``partial_fit`` is an ordered
+    reduction), and a model's final read pass (MiniBatchKMeans'
+    ``inertia_``) follows ``compute_threads()`` whatever it is.
 *(buffer ring)*
     Not an engine option: the ring of preallocated chunk buffers that
     absorbs stitched and decoded chunks is sized from the window, so

@@ -264,14 +264,21 @@ class StreamingEngine(ExecutionEngine):
         inference fans across :func:`repro.ml.base.map_ordered` — the same
         fan-out the local engine's full-matrix passes use — each worker
         writing a disjoint slice of the preallocated output buffer
-        (bit-identical to in-core).  ``1`` (default) keeps inference
-        sequential.  The two counts are one budget, not two: a chunk served
-        on one of these workers runs its own ``predict`` inline (a nested
-        fan-out never starts a second pool), and with ``1`` a chunk taller
-        than the model's ``chunk_size`` fans out by the local engine's rule
-        (CPUs ÷ BLAS threads, see :class:`LocalEngine`).  Training is
-        unaffected (``partial_fit`` is an ordered reduction).  Also sizes the
-        block decode pool of compressed (v2) datasets.
+        (bit-identical to in-core at any count).  ``None`` (default)
+        resolves once, here, to :func:`repro.ml.base.compute_threads` — the
+        local engine's rule, CPUs ÷ BLAS threads (see :class:`LocalEngine`),
+        so an unpinned BLAS keeps the sequential loop and
+        ``OPENBLAS_NUM_THREADS=1`` serves chunks on every core; an explicit
+        ``n >= 1`` overrides it, and ``1`` keeps inference sequential.  The
+        two counts are one budget, not two: a chunk served on one of these
+        workers runs its own ``predict`` inline (a nested fan-out never
+        starts a second pool), and with ``1`` a chunk taller than the
+        model's ``chunk_size`` fans out by the local engine's rule.
+        Training is unaffected (``partial_fit`` is an ordered reduction),
+        and a model's ``finalize_streaming`` pass follows
+        :func:`~repro.ml.base.compute_threads` whatever the value.  Also
+        sizes the block decode pool of compressed (v2) datasets.  The
+        resolved count is the attribute and ``details["compute_workers"]``.
     hints:
         Issue OS readahead hints (madvise/posix_fadvise) per upcoming chunk.
     release_behind:
@@ -287,7 +294,7 @@ class StreamingEngine(ExecutionEngine):
         self,
         chunk_rows: Optional[int] = None,
         io_workers: Optional[int] = None,
-        compute_workers: int = 1,
+        compute_workers: Optional[int] = None,
         hints: bool = True,
         release_behind: Optional[bool] = None,
     ) -> None:
@@ -295,7 +302,9 @@ class StreamingEngine(ExecutionEngine):
             raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
         if io_workers is not None and io_workers < 0:
             raise ValueError(f"io_workers must be >= 0, got {io_workers}")
-        if compute_workers < 1:
+        if compute_workers is None:
+            compute_workers = compute_threads()
+        elif compute_workers < 1:
             raise ValueError(f"compute_workers must be >= 1, got {compute_workers}")
         self.chunk_rows = chunk_rows
         self.io_workers = io_workers

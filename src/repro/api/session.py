@@ -445,7 +445,11 @@ class Session:
         engine:
             Engine override — a name, or a configured instance such as
             ``StreamingEngine(io_workers=0, compute_workers=2)``; defaults to
-            the session's ``engine``.
+            the session's ``engine``.  A streaming engine built without
+            ``compute_workers`` serves chunks on
+            :func:`repro.ml.base.compute_threads` workers (CPUs ÷ BLAS
+            threads); an explicit count overrides it.  The predictions are
+            the same bits either way.
 
         Returns
         -------

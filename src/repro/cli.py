@@ -24,7 +24,9 @@ reproduction entry points:
   ``--engine streaming`` predicts chunk by chunk through the prefetching
   pipeline (bounded memory on sharded datasets), ``--io-workers`` /
   ``--compute-workers`` parallelise the read and inference sides of the
-  pipeline, ``--proba`` emits class probabilities, ``--output`` writes the
+  pipeline (omit ``--compute-workers`` = the engine's default, CPUs ÷ BLAS
+  threads as ``m3 info`` prints it; a value overrides it), ``--proba``
+  emits class probabilities, ``--output`` writes the
   predictions as ``.npy``; ``--connect HOST:PORT`` sends every row as a
   request to a running ``m3 served`` instead (same predictions).  Replaying
   a run's access trace at paper scale is library code, not a flag: see
@@ -148,7 +150,7 @@ def _resolve_engine_arg(args: argparse.Namespace) -> "Any":
     return StreamingEngine(
         chunk_rows=args.chunk_rows,
         io_workers=args.io_workers,
-        compute_workers=args.compute_workers or 1,
+        compute_workers=args.compute_workers,
     )
 
 
@@ -178,7 +180,8 @@ def _print_pipeline_details(details: dict) -> None:
         )
         print(
             f"parallel readers: {details['io_workers']} "
-            f"({per_reader}), {details['hints_applied']} readahead hints applied"
+            f"({per_reader}), {details['hints_applied']} readahead hints applied, "
+            f"{details['compute_workers']} compute worker(s)"
         )
 
 
@@ -792,8 +795,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(streaming engine only; omit = one reader, "
                             "0 = one reader per device)")
     train.add_argument("--compute-workers", type=_positive_int, default=None,
-                       help="inference worker threads (streaming engine only; "
-                            "training itself stays an ordered reduction)")
+                       help="inference and decode worker threads (streaming "
+                            "engine only; omit = CPUs / BLAS threads, as "
+                            "'m3 info' prints; training itself stays an "
+                            "ordered reduction)")
     train.add_argument("--save-model", type=Path, default=None,
                        help="write the fitted model to this path as JSON "
                             "(servable with 'm3 predict --model')")
@@ -823,8 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "0 = one reader per device)")
     predict.add_argument("--compute-workers", type=_positive_int, default=None,
                          help="worker threads for data-parallel chunk inference "
-                              "(streaming engine only; each writes a disjoint "
-                              "slice of the output buffer)")
+                              "(streaming engine only; omit = CPUs / BLAS "
+                              "threads, as 'm3 info' prints; each writes a "
+                              "disjoint slice of the output buffer)")
     predict.add_argument("--proba", action="store_true",
                          help="emit class probabilities (predict_proba) instead "
                               "of labels")

@@ -32,6 +32,7 @@ from repro.ml import (
     MiniBatchKMeans,
     SoftmaxRegression,
 )
+from repro.ml import base
 from repro.vmem.vm_simulator import VirtualMemoryConfig, VirtualMemorySimulator
 
 BACKENDS = ["memory", "mmap", "shard"]
@@ -354,12 +355,44 @@ class TestDataParallelPredict:
         result = session.predict(
             session.open(session.specs["shard"]),
             model,
-            engine=StreamingEngine(io_workers=4),
+            engine=StreamingEngine(io_workers=4, compute_workers=1),
         )
         assert np.array_equal(result.predictions, model.predict(np.asarray(X)))
         details = result.details
         assert details["io_workers"] == 4
         assert sum(r["chunks"] for r in details["readers"]) == details["chunks"]
+
+
+class TestDefaultComputeWorkers:
+    """``StreamingEngine()`` serves on ``compute_threads()`` workers —
+    bit-identical to one worker and to in-core."""
+
+    @pytest.fixture(autouse=True)
+    def blas_pinned_on_two_cpus(self, monkeypatch):
+        # Two workers whatever the runner: two CPUs, BLAS pinned to one thread.
+        monkeypatch.setattr(base, "available_cpus", lambda: 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    @pytest.mark.parametrize("backend", ["mmap", "shard", "shard_zlib"])
+    @pytest.mark.parametrize(
+        "name, method", [("logistic", "predict"), ("softmax", "predict_proba")]
+    )
+    def test_default_matches_one_worker_and_in_core(
+        self, session, models, problem, backend, name, method
+    ):
+        X, _ = problem
+        model = models[name]
+        engine = StreamingEngine()
+        assert engine.compute_workers == 2
+        fanned = session.predict(session.specs[backend], model, method=method, engine=engine)
+        serial = session.predict(
+            session.specs[backend], model, method=method,
+            engine=StreamingEngine(compute_workers=1),
+        )
+        assert fanned.details["compute_workers"] == 2
+        assert serial.details["compute_workers"] == 1
+        assert np.array_equal(fanned.predictions, serial.predictions)
+        assert np.array_equal(fanned.predictions, getattr(model, method)(np.asarray(X)))
 
 
 FORMATS = {"raw": "shard", "zlib": "shard_zlib"}

@@ -420,13 +420,27 @@ class TestParallelPipeline:
         assert sum(r["chunks"] for r in details["readers"]) == details["chunks"]
         assert sum(r["rows"] for r in details["readers"]) == details["rows"]
         assert details["hints_applied"] >= 0
-        assert details["compute_workers"] == 1
+        # The default engine reports the count it resolved, never None.
+        assert details["compute_workers"] == base.compute_threads()
         # The multi-reader schedule is recorded for simulator replay.
         assert sum(len(log) for log in details["reader_log"]) == details["chunks"]
 
     def test_engine_validates_parallel_knobs(self):
         with pytest.raises(ValueError, match="io_workers"):
             StreamingEngine(io_workers=-1)
+        with pytest.raises(ValueError, match="compute_workers"):
+            StreamingEngine(compute_workers=0)
+
+    def test_default_compute_workers_follow_the_compute_thread_rule(self, monkeypatch):
+        monkeypatch.setattr(base, "available_cpus", lambda: 2)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert StreamingEngine().compute_workers == 2
+        # An explicit count overrides the rule.
+        assert StreamingEngine(compute_workers=1).compute_workers == 1
+        # BLAS unpinned takes both CPUs, so the serial loop is kept.
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert StreamingEngine().compute_workers == 1
         with pytest.raises(ValueError, match="compute_workers"):
             StreamingEngine(compute_workers=0)
 

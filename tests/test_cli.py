@@ -5,6 +5,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.data.writers import write_infimnist_dataset
+from repro.ml import base
 
 
 class TestParser:
@@ -287,6 +288,29 @@ class TestParallelPipelineFlags:
         out = capsys.readouterr().out
         assert "served 400 predictions" in out
         assert "parallel readers: 2" in out
+
+    @pytest.mark.parametrize("proba", [[], ["--proba"]], ids=["predict", "proba"])
+    def test_default_compute_workers_match_one_worker(
+        self, sharded, tmp_path, monkeypatch, capsys, proba
+    ):
+        # Omitting --compute-workers means the engine default, CPUs / BLAS
+        # threads: two workers here, whatever the runner.
+        monkeypatch.setattr(base, "available_cpus", lambda: 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        model_path = tmp_path / "m.json"
+        assert main(["train", sharded, "--algorithm", "logistic",
+                     "--iterations", "2", "--save-model", str(model_path)]) == 0
+        outputs = []
+        for extra in ([], ["--compute-workers", "1"]):
+            output = tmp_path / f"p{len(outputs)}.npy"
+            assert main(["predict", sharded, "--model", str(model_path),
+                         "--engine", "streaming", "--chunk-rows", "50",
+                         "--output", str(output), *proba, *extra]) == 0
+            outputs.append(np.load(output))
+        out = capsys.readouterr().out
+        assert out.count("2 compute worker(s)") == 1
+        assert out.count("1 compute worker(s)") == 1
+        np.testing.assert_array_equal(outputs[0], outputs[1])
 
     @pytest.mark.parametrize("flag", ["--io-workers", "--compute-workers"])
     def test_flags_require_streaming_engine(self, tmp_path, flag, capsys):
