@@ -8,10 +8,11 @@ rides the compute pool — and predictions must stay bit-identical (zlib is
 lossless and float64 storage is exact).
 
 As in ``bench_parallel_pipeline``, CI page caches make real reads free, so
-the device is modelled explicitly: ``benchmarks.conftest``'s throttled
-matrices charge every fetch ``read_latency_s + bytes / sequential_read_bw``
-of :data:`DEVICE` as ``time.sleep`` — raw shards pay for the logical bytes,
-compressed shards pay only for the *coded* bytes they actually fetch.
+the device is modelled explicitly: ``benchmarks.conftest``'s
+``ThrottledMatrix`` charges every fetch ``read_latency_s + bytes /
+sequential_read_bw`` of :data:`DEVICE` as ``time.sleep`` — raw shards pay
+for the logical bytes, compressed shards pay only for the *coded* bytes they
+actually fetch.
 ``time.sleep`` releases the GIL like a blocking ``read(2)`` so reader threads
 overlap the stalls realistically; decode cost is not modelled — it is the
 real zlib CPU burn on the decode pool.
@@ -31,7 +32,6 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import (
-    ThrottledCompressedMatrix,
     ThrottledMatrix,
     assert_metrics_clean,
     emit,
@@ -78,8 +78,8 @@ def workload(tmp_path_factory):
     return raw_dir, zlib_dirs, X, y, model
 
 
-def _open(directory, compressed: bool) -> Dataset:
-    matrix = (ThrottledCompressedMatrix if compressed else ThrottledMatrix)(directory, DEVICE)
+def _open(directory) -> Dataset:
+    matrix = ThrottledMatrix(directory, DEVICE)
     return Dataset(
         StorageHandle(matrix=matrix, labels=matrix.lazy_labels),
         spec=f"shard://{directory}",
@@ -95,8 +95,8 @@ def test_compressed_streaming_throughput(benchmark, workload):
     """raw vs zlib x block sizes x fit/predict on the modelled device."""
     raw_dir, zlib_dirs, X, y, fitted = workload
 
-    def run_fit(directory, compressed):
-        dataset = _open(directory, compressed)
+    def run_fit(directory):
+        dataset = _open(directory)
         model = LogisticRegression(
             max_iterations=EPOCHS, solver="sgd", chunk_size=CHUNK_ROWS, seed=0
         )
@@ -104,19 +104,19 @@ def test_compressed_streaming_throughput(benchmark, workload):
         dataset.close()
         return result
 
-    def run_predict(directory, compressed):
-        dataset = _open(directory, compressed)
+    def run_predict(directory):
+        dataset = _open(directory)
         result = _engine().predict(fitted, dataset)
         dataset.close()
         return result
 
     def sweep():
         results = {"fit": {}, "predict": {}}
-        results["fit"]["raw"] = run_fit(raw_dir, compressed=False)
-        results["predict"]["raw"] = run_predict(raw_dir, compressed=False)
+        results["fit"]["raw"] = run_fit(raw_dir)
+        results["predict"]["raw"] = run_predict(raw_dir)
         for block_rows, directory in zlib_dirs.items():
-            results["fit"][block_rows] = run_fit(directory, compressed=True)
-            results["predict"][block_rows] = run_predict(directory, compressed=True)
+            results["fit"][block_rows] = run_fit(directory)
+            results["predict"][block_rows] = run_predict(directory)
         return results
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -199,7 +199,7 @@ def test_compressed_predict_allocation_free(benchmark, workload):
     )
 
     def serve():
-        with ThrottledCompressedMatrix(zlib_dirs[block_rows], DEVICE) as matrix:
+        with ThrottledMatrix(zlib_dirs[block_rows], DEVICE) as matrix:
             tracemalloc.start()
             with open_chunk_stream(matrix, chunk_rows=CHUNK_ROWS, io_workers=2,
                                    decode_workers=2, buffer_pool=pool) as stream:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 
-from repro.api.sharded import CompressedShardedMatrix, ShardedMatrix
+from repro.api.sharded import ShardedMatrix
 from repro.vmem.disk import DiskProfile
 
 
@@ -64,40 +64,36 @@ def stall(device: DiskProfile, nbytes: int) -> None:
 
 
 class ThrottledMatrix(ShardedMatrix):
-    """Raw (mapped) shards behind ``device``: a gather pays for its logical bytes."""
+    """Shards behind ``device``: a read pays for the bytes it takes off storage.
+
+    Mapped shards charge a gather its logical bytes; decoded shards charge
+    only the coded bytes fetched, once, in :meth:`fetch_compressed`, which a
+    decoded ``gather_into`` runs through.
+    """
 
     def __init__(self, directory, device: DiskProfile) -> None:
         super().__init__(directory)
         self.device = device
 
-    def _charge(self, start: int, stop: int) -> None:
+    def _stored_bytes(self, start: int, stop: int) -> int:
+        if not self.mapped:
+            return self.compressed_bytes_for(start, stop)
         rows = max(0, min(stop, self.manifest.rows) - max(0, start))
-        stall(self.device, rows * self.manifest.cols * self.dtype.itemsize)
+        return rows * self.manifest.cols * self.dtype.itemsize
 
     def _gather_range(self, start, stop):
-        self._charge(start, stop)
+        stall(self.device, self._stored_bytes(start, stop))
         return super()._gather_range(start, stop)
 
     def gather_into(self, start, stop, out):
-        self._charge(start, stop)
+        if self.mapped:
+            stall(self.device, self._stored_bytes(start, stop))
         return super().gather_into(start, stop, out)
-
-
-class ThrottledCompressedMatrix(CompressedShardedMatrix):
-    """v2 shards behind ``device``: fetches pay only for the coded bytes read."""
-
-    def __init__(self, directory, device: DiskProfile) -> None:
-        super().__init__(directory)
-        self.device = device
 
     def fetch_compressed(self, start, stop):
         fetched = super().fetch_compressed(start, stop)
         stall(self.device, fetched.compressed_bytes)
         return fetched
-
-    def _gather_range(self, start, stop):
-        stall(self.device, self.compressed_bytes_for(start, stop))
-        return super()._gather_range(start, stop)
 
 
 def stream_pairs(stream):

@@ -7,9 +7,9 @@ on the kernel alone:
 
 * :class:`ChunkPlan` — the schedule: a sequence of ``(start, stop)`` row
   bounds covering the matrix, optionally split at shard boundaries (so every
-  chunk of a :class:`~repro.api.sharded.ShardedMatrix` is a zero-copy view of
-  one shard's memmap) and optionally *ramped* — starting with a small window
-  that doubles chunk over chunk, the same warm-up discipline as
+  chunk of a mapped :class:`~repro.api.sharded.ShardedMatrix` is a zero-copy
+  view of one shard's memmap) and optionally *ramped* — starting with a small
+  window that doubles chunk over chunk, the same warm-up discipline as
   :class:`~repro.vmem.readahead.AdaptiveReadAhead`.
 * :class:`ChunkStream` — the one executor: a pool of reader threads pulls
   upcoming chunks off the plan in claim order, a bounded reorder buffer
@@ -26,8 +26,8 @@ on the kernel alone:
 * :class:`ReadaheadHinter` — OS readahead hints per upcoming chunk:
   ``mmap.madvise(SEQUENTIAL/WILLNEED/DONTNEED)`` on shard memmaps, falling
   back to ``os.posix_fadvise`` on the raw files, and to a graceful no-op on
-  platforms offering neither.  Applied hint counts land in
-  :class:`ChunkStreamStats`.
+  platforms offering neither and on decoded shards, which have no mapping.
+  Applied hint counts land in :class:`ChunkStreamStats`.
 
 Estimators never see any of this: the :class:`~repro.api.engines.StreamingEngine`
 drives their ``partial_fit`` with the chunks this module produces for training,
@@ -52,12 +52,7 @@ import numpy as np
 
 from repro.analysis.runtime import LEASES, make_condition, make_lock
 from repro.faults import InjectedFault, maybe_fire, policy_for
-from repro.api.sharded import (
-    CompressedRange,
-    CompressedShardedMatrix,
-    ShardedLabels,
-    ShardedMatrix,
-)
+from repro.api.sharded import CompressedRange, ShardedLabels, ShardedMatrix
 
 DEFAULT_CHUNK_BYTES = 8 * 1024 * 1024
 """Target bytes per chunk when no explicit ``chunk_rows`` is given."""
@@ -108,20 +103,22 @@ def matrix_generation(matrix: Any) -> Optional[int]:
     everything else (ndarray, plain memmap) has no generation to pin.
     """
     backing = _unwrap(matrix)
-    if isinstance(backing, (ShardedMatrix, CompressedShardedMatrix)):
+    if isinstance(backing, ShardedMatrix):
         return int(backing.generation)
     return None
 
 
-def compressed_backing(matrix: Any) -> Optional[CompressedShardedMatrix]:
-    """The :class:`CompressedShardedMatrix` behind ``matrix``, if any.
+def compressed_backing(matrix: Any) -> Optional[ShardedMatrix]:
+    """The decoded (not mapped) :class:`ShardedMatrix` behind ``matrix``.
 
-    Non-``None`` switches a threaded stream into its fetch/decode split:
-    readers pull coded payloads, a decode pool decompresses them into pooled
-    buffers.
+    ``None`` for anything else.  Non-``None`` switches a threaded stream
+    into its fetch/decode split: readers pull coded payloads, a decode pool
+    decompresses them into pooled buffers.
     """
     backing = _unwrap(matrix)
-    return backing if isinstance(backing, CompressedShardedMatrix) else None
+    if isinstance(backing, ShardedMatrix) and not backing.mapped:
+        return backing
+    return None
 
 
 def shard_devices(matrix: Any) -> Tuple[int, ...]:
@@ -702,6 +699,7 @@ class ReadaheadHinter:
 
         A stream hints only the rows its plan covers: a delta scan over the
         tail of a many-shard dataset must not ``madvise`` every other shard.
+        Decoded shards are read with ``pread``, not mapped: they have none.
         """
         def segment(data: np.memmap, start_row: int, path: Optional[Path]) -> _HintSegment:
             offset = int(getattr(data, "offset", 0))
@@ -719,7 +717,7 @@ class ReadaheadHinter:
                 path=Path(name) if name is not None else path,
             )
 
-        if isinstance(backing, ShardedMatrix):
+        if isinstance(backing, ShardedMatrix) and backing.mapped:
             return [
                 segment(data, shard.start_row, backing.directory / shard.filename)
                 for shard, data in zip(backing.manifest.shards, backing._maps)
@@ -976,7 +974,7 @@ class _ReaderPoolState:
         hinter: Optional[ReadaheadHinter],
         depth: int,
         readers: int,
-        compressed: Optional[CompressedShardedMatrix],
+        compressed: Optional[ShardedMatrix],
     ) -> None:
         self.matrix = matrix
         self.labels = labels
@@ -1141,8 +1139,9 @@ class _ReaderPoolState:
 
         Reads go through whatever object was passed — an
         :class:`~repro.core.mmap_matrix.MmapMatrix` keeps recording its
-        access trace, a :class:`~repro.api.sharded.ShardedMatrix` serves
-        shard-aligned bounds as zero-copy views, a plain ndarray just slices.
+        access trace, a mapped :class:`~repro.api.sharded.ShardedMatrix`
+        serves shard-aligned bounds as zero-copy views (a decoded one decodes
+        them), a plain ndarray just slices.
         Labels may be an ndarray, a memmap or a lazy
         :class:`~repro.api.sharded.ShardedLabels` view; they are sliced per
         chunk, never materialised wholesale.
@@ -1240,7 +1239,7 @@ class ChunkStream:
     an OS readahead hint for each claim, materialise the chunk — zero-copy
     when the range resolves to one contiguous memmap view, copied into a
     :class:`ChunkBufferPool` buffer when it must be stitched across shards,
-    fetched and handed to a decode pool when the matrix is compressed — and
+    fetched and handed to a decode pool when the shards are decoded — and
     post it into a bounded reorder buffer.  The consumer re-emits chunks in
     exact plan order, so downstream training and inference see the identical
     chunk sequence under every reader count.  With *zero* readers (an inline
@@ -1726,18 +1725,18 @@ def open_chunk_stream(
         bytes exceed physical RAM; ``True``/``False`` force it.  Applied
         release hints are counted in ``stats.hints_released``.
     decode_workers:
-        Decompression threads for compressed (v2) matrices; ignored for raw
-        matrices.  ``None`` defaults to the reader count — one decoder per
-        fetcher keeps a balanced pipeline when decode and fetch costs are
-        comparable.  Readers fetch coded payloads only; these workers inflate
-        them into pool leases, so every compressed chunk flows through the
-        buffer ring and the hot path stays allocation-free.
+        Decompression threads for matrices whose shards are decoded;
+        ignored for mapped ones.  ``None`` defaults to the reader count — one
+        decoder per fetcher keeps a balanced pipeline when decode and fetch
+        costs are comparable.  Readers fetch coded payloads only; these
+        workers inflate them into pool leases, so every compressed chunk
+        flows through the buffer ring and the hot path stays allocation-free.
     stall_timeout_s:
         How long the consumer waits on a missing chunk before raising a
         diagnostic :class:`ChunkStreamError`; ``None`` waits forever.
 
     Ownership of the yielded chunks: an inline stream builds no pool, hints
-    nothing and yields chunks that *own* their arrays (a compressed matrix
+    nothing and yields chunks that *own* their arrays (a decoded matrix
     decodes through its block cache), so ``list(open_chunk_stream(...,
     prefetch=False))`` is legal.  A threaded stream may yield *leased* chunks
     (stitched or decoded into the buffer ring) that the consumer must

@@ -42,7 +42,7 @@ class _Source:
         self._sharded = None
         self._mmap_data = None
         if path.is_dir():
-            matrix = open_sharded_matrix(path, mode="r")
+            matrix = open_sharded_matrix(path)
             self._sharded = matrix
             self.data: Any = matrix
             self.labels: Optional[Any] = matrix.lazy_labels

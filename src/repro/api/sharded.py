@@ -9,24 +9,27 @@ writer emits manifest version 2 and row-major blocks, coded by the
 manifest's codec: ``none`` (the default, raw rows) or ``zlib``, optionally
 downcast to a narrower storage dtype.
 
-How a dataset is read is decided once, from its manifest, by
-:func:`open_sharded_matrix`:
+Every dataset is read through one class, :class:`ShardedMatrix`, whose
+constructor decides once, from :attr:`ShardManifest.mapped`, how each shard
+is read:
 
 * **mapped** — codec ``none``, row layout, storage dtype equal to the logical
   dtype: each shard's blocks sit tightly packed in block order, i.e. its data
-  region *is* a row-major matrix, so :class:`ShardedMatrix` maps it (and the
-  raw int64 label segment) with ``np.memmap``.  Contiguous row chunks inside
-  one shard are zero-copy views; chunks that straddle a shard boundary are
-  assembled with one copy.  Mapped reads skip segment CRCs (as raw reads of a
-  single ``.m3`` file do); :func:`verify_dataset` still checks them.
-* **decoded** — every other manifest: :class:`CompressedShardedMatrix` decodes
-  blocks (CRC-checked) and exposes a two-phase ``fetch_compressed`` /
-  ``decode_into`` API so the parallel chunk pipeline can fetch payloads on its
-  reader pool and decompress on its compute pool.
+  region *is* a row-major matrix, so it is mapped (and so is the raw int64
+  label segment) with ``np.memmap``.  Contiguous row chunks inside one shard
+  are zero-copy views; chunks that straddle a shard boundary are assembled
+  with one copy.  Mapped reads skip segment CRCs (as raw reads of a single
+  ``.m3`` file do); :func:`verify_dataset` still checks them.
+* **decoded** — every other manifest: each shard gets a
+  :class:`~repro.data.formats_v2.BlockedMatrixReader` that decodes blocks
+  (CRC-checked), and the two-phase ``fetch_compressed`` / ``decode_into``
+  API lets the parallel chunk pipeline fetch payloads on its reader pool and
+  decompress on its compute pool.
 
-Both implement the estimator row-slicing protocol (``shape``, ``dtype``,
-``__getitem__``), so a sharded dataset is as transparent to unmodified ML code
-as a single memory-mapped file; both are read-only.  Directories of version 1
+Either way the matrix implements the estimator row-slicing protocol
+(``shape``, ``dtype``, ``__getitem__``), so a sharded dataset is as
+transparent to unmodified ML code as a single memory-mapped file, and it is
+read-only.  Directories of version 1
 (``.m3`` shards, written by older builds, labels trailing each shard or in a
 ``.labels`` sidecar once appended to) and column-layout v2 directories stay
 readable and convertible (``m3 convert``), but are never written or appended
@@ -698,48 +701,63 @@ class ShardedLabels:
 
 
 class ShardedMatrix:
-    """A read-only logical 2-D matrix stitched from per-shard memory maps.
+    """A read-only logical 2-D matrix stitched from the shards of one generation.
 
-    Opens every manifest whose shards are :attr:`ShardManifest.mapped`: v2
-    ``none`` row-layout files and legacy v1 ``.m3`` shards.  Supports the
-    estimator row-slicing protocol.  Row keys may be integers, slices,
+    The one reader of every sharded dataset.  The constructor decides once,
+    from :attr:`ShardManifest.mapped`, how the shards are read:
+
+    * **mapped** shards (v2 ``none`` row-layout files in the logical dtype,
+      legacy v1 ``.m3``) are served by ``np.memmap``: contiguous step-1
+      slices inside one shard are zero-copy views of that shard's map,
+      everything else is gathered with one copy;
+    * every other manifest is served by one
+      :class:`~repro.data.formats_v2.BlockedMatrixReader` per shard, and
+      every read decodes blocks.  ``matrix[start:stop]`` allocates (random
+      reads go through a shared decoded-:class:`_BlockCache`),
+      :meth:`gather_into` decodes whole blocks straight into the caller's
+      buffer (only a range's two edge blocks go through the cache), and
+      :meth:`fetch_compressed` / :meth:`decode_into` split a read into its
+      I/O and CPU halves for the parallel pipeline.
+
+    Estimators and the chunk planner cannot tell the two apart: both support
+    the estimator row-slicing protocol.  Row keys may be integers, slices,
     integer arrays or boolean masks (optionally combined with a column key
-    in a tuple); contiguous step-1 slices inside a single shard return
-    zero-copy views of that shard's memmap, everything else is gathered
-    with a copy.  ``None``/``Ellipsis`` keys are not supported.
+    in a tuple); ``None``/``Ellipsis`` keys are not supported.
     """
 
     def __init__(
-        self,
-        directory: Union[str, Path],
-        mode: str = "r",
-        generation: Optional[int] = None,
+        self, directory: Union[str, Path], generation: Optional[int] = None
     ) -> None:
-        if mode != "r":
-            raise ValueError(
-                f"sharded datasets are read-only (mode {mode!r}); add rows "
-                f"with ShardAppender or re-encode with m3 convert"
-            )
         self.directory = Path(directory)
         self.manifest = read_manifest(self.directory, generation=generation)
-        if not self.manifest.mapped:
-            raise ValueError(
-                f"{self.directory} stores {self.manifest.codec!r}-coded blocks "
-                f"that must be decoded; open it with open_sharded_matrix(), "
-                f"which dispatches to CompressedShardedMatrix"
-            )
+        #: Whether the shards are memory-mapped (``False``: decoded).
+        self.mapped = self.manifest.mapped
         self._maps: List[np.memmap] = []
-        self._label_maps: List[Optional[np.memmap]] = []
-        self._starts: List[int] = []
-        self._lazy_labels: Optional["ShardedLabels"] = None
+        self._label_maps: List[Optional[np.ndarray]] = []
+        self._readers: List[BlockedMatrixReader] = []
+        self._starts = [shard.start_row for shard in self.manifest.shards]
+        self._cache = _BlockCache()
+        self._lazy_labels: Optional[ShardedLabels] = None
         self._closed = False
-        for shard in self.manifest.shards:
-            data, labels = self._map_shard(shard)
-            self._maps.append(data)
-            self._label_maps.append(labels)
-            self._starts.append(shard.start_row)
+        try:
+            for shard in self.manifest.shards:
+                if self.mapped:
+                    self._map_shard(shard)
+                    continue
+                # A tail file read through an older generation's manifest may
+                # hold more rows than that manifest committed; blocks sit at
+                # fixed offsets, so its prefix rows are the committed ones, and
+                # every read below is bounded by the manifest geometry.
+                reader = BlockedMatrixReader(self.directory / shard.filename)
+                self._readers.append(reader)
+                mismatch = _shard_mismatch(shard, reader.header, self.manifest)
+                if mismatch is not None:
+                    raise ValueError(mismatch)
+        except Exception:
+            self.close()
+            raise
 
-    def _map_shard(self, shard: ShardInfo) -> Tuple[np.memmap, Optional[np.memmap]]:
+    def _map_shard(self, shard: ShardInfo) -> None:
         """Map exactly the committed rows (and labels) of one shard.
 
         A v2 ``none`` file holds its rows packed from its first segment on
@@ -758,31 +776,20 @@ class ShardedMatrix:
                 label_path, label_offset = Path(f"{path}{LABEL_SIDECAR_SUFFIX}"), 0
         else:
             header = read_blocked_header(path)
-            if (header.codec, header.layout, header.storage_dtype) != (
-                "none", "row", manifest.dtype
-            ):
-                raise ValueError(
-                    f"shard {shard.filename} stores {header.codec!r} "
-                    f"{header.layout}-layout {header.storage_dtype} blocks, "
-                    f"the manifest declares raw {manifest.dtype} rows"
-                )
             blocks = header.blocks
             data_offset = blocks[0].segments[0][0] if blocks else BLOCKED_PREFIX_SIZE
             label_offset = header.label_segment[0] if header.label_segment else 0
         mismatch = _shard_mismatch(shard, header, manifest)
         if mismatch is not None:
             raise ValueError(mismatch)
-        data = np.memmap(
+        self._maps.append(np.memmap(
             path, dtype=manifest.dtype, mode="r", offset=data_offset,
             shape=(shard.rows, manifest.cols), order="C",
-        )
-        labels = None
-        if manifest.has_labels:
-            labels = np.memmap(
-                label_path, dtype=np.int64, mode="r", offset=label_offset,
-                shape=(shard.rows,),
-            )
-        return data, labels
+        ))
+        self._label_maps.append(None if not manifest.has_labels else np.memmap(
+            label_path, dtype=np.int64, mode="r", offset=label_offset,
+            shape=(shard.rows,),
+        ))
 
     # -- array protocol ----------------------------------------------------
 
@@ -819,6 +826,16 @@ class ShardedMatrix:
         """The manifest generation this matrix is a snapshot of."""
         return self.manifest.generation
 
+    @property
+    def compressed_nbytes(self) -> int:
+        """Total coded bytes across shards (0 for v1)."""
+        return self.manifest.compressed_bytes or 0
+
+    @property
+    def block_cache(self) -> _BlockCache:
+        """The shared decoded-block cache (random reads and streamed edge blocks)."""
+        return self._cache
+
     def __array__(self, dtype=None) -> np.ndarray:
         result = self._gather_range(0, self.manifest.rows)
         result = np.asarray(result)
@@ -830,54 +847,87 @@ class ShardedMatrix:
         if self._closed:
             raise RuntimeError("ShardedMatrix is closed")
 
-    def _shards_overlapping(self, start: int, stop: int):
-        for shard, data in zip(self.manifest.shards, self._maps):
-            if shard.stop_row <= start:
-                continue
-            if shard.start_row >= stop:
-                break
-            yield shard, data
-
-    def _gather_range(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``[start, stop)`` — a view when one shard covers the range."""
-        self._check_open()
-        start = max(0, start)
-        stop = min(self.manifest.rows, stop)
-        if stop <= start:
-            return np.empty((0, self.manifest.cols), dtype=self.dtype)
-        pieces = [
-            data[max(start, shard.start_row) - shard.start_row :
-                 min(stop, shard.stop_row) - shard.start_row]
-            for shard, data in self._shards_overlapping(start, stop)
-        ]
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces, axis=0)
-
-    def gather_into(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Copy rows ``[start, stop)`` into preallocated ``out`` (no allocation).
-
-        The allocation-free mirror of ``matrix[start:stop]`` for ranges that
-        straddle shards: each overlapped shard's rows are copied directly into
-        ``out``, never through an intermediate ``np.concatenate``.  Used by
-        the parallel chunk pipeline's reusable buffer pool.  Returns the
-        filled ``out[:stop - start]`` view.
-        """
-        self._check_open()
-        start = max(0, start)
-        stop = min(self.manifest.rows, stop)
-        rows = max(0, stop - start)
+    def _check_out(self, out: np.ndarray, rows: int) -> None:
         if out.ndim != 2 or out.shape[0] < rows or out.shape[1] != self.manifest.cols:
             raise ValueError(
                 f"output buffer of shape {out.shape} cannot hold {rows} rows "
                 f"of {self.manifest.cols} columns"
             )
-        for shard, data in self._shards_overlapping(start, stop):
+
+    def _overlapping(self, start: int, stop: int):
+        """``(index, shard)`` of every shard overlapping rows ``[start, stop)``."""
+        for index, shard in enumerate(self.manifest.shards):
+            if shard.stop_row <= start:
+                continue
+            if shard.start_row >= stop:
+                break
+            yield index, shard
+
+    def _decoded_block(self, shard_index: int, block_index: int) -> np.ndarray:
+        key = (shard_index, block_index)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        decoded = self._readers[shard_index].read_block(block_index)
+        self._cache.put(key, decoded)
+        return decoded
+
+    def _gather_range(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``[start, stop)``: a view when one mapped shard covers the
+        range, else a fresh array (decoded blocks via the block cache)."""
+        self._check_open()
+        start = max(0, start)
+        stop = min(self.manifest.rows, stop)
+        if stop <= start:
+            return np.empty((0, self.manifest.cols), dtype=self.dtype)
+        if self.mapped:
+            pieces = [
+                self._maps[index][max(start, shard.start_row) - shard.start_row :
+                                  min(stop, shard.stop_row) - shard.start_row]
+                for index, shard in self._overlapping(start, stop)
+            ]
+            if len(pieces) == 1:
+                return pieces[0]
+            return np.concatenate(pieces, axis=0)
+        out = np.empty((stop - start, self.manifest.cols), dtype=self.dtype)
+        for index, shard in self._overlapping(start, stop):
+            reader = self._readers[index]
+            local_lo = max(start, shard.start_row) - shard.start_row
+            local_hi = min(stop, shard.stop_row) - shard.start_row
+            for block_index in reader.blocks_for(local_lo, local_hi):
+                block = reader.header.blocks[block_index]
+                decoded = self._decoded_block(index, block_index)
+                global_lo = max(start, shard.start_row + block.start_row)
+                global_hi = min(stop, shard.start_row + block.stop_row)
+                out[global_lo - start : global_hi - start] = decoded[
+                    global_lo - shard.start_row - block.start_row :
+                    global_hi - shard.start_row - block.start_row
+                ]
+        return out
+
+    def gather_into(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Copy rows ``[start, stop)`` into preallocated ``out`` (no allocation).
+
+        The allocation-free mirror of ``matrix[start:stop]``, used by the
+        parallel chunk pipeline's reusable buffer pool: each overlapped
+        mapped shard's rows are copied directly into ``out``, never through
+        an intermediate ``np.concatenate``; decoded shards decode into it
+        (edge blocks via the cache).  Returns the filled
+        ``out[:stop - start]`` view.
+        """
+        self._check_open()
+        if not self.mapped:
+            return self.decode_into(self.fetch_compressed(start, stop), out)
+        start = max(0, start)
+        stop = min(self.manifest.rows, stop)
+        rows = max(0, stop - start)
+        self._check_out(out, rows)
+        for index, shard in self._overlapping(start, stop):
             lo = max(start, shard.start_row)
             hi = min(stop, shard.stop_row)
             np.copyto(
                 out[lo - start : hi - start],
-                data[lo - shard.start_row : hi - shard.start_row],
+                self._maps[index][lo - shard.start_row : hi - shard.start_row],
                 casting="unsafe",
             )
         return out[:rows]
@@ -886,10 +936,21 @@ class ShardedMatrix:
         """Rows at arbitrary global ``indices`` (1-D), in order, as a copy."""
         self._check_open()
         out = np.empty((indices.shape[0], self.manifest.cols), dtype=self.dtype)
-        for shard, data in zip(self.manifest.shards, self._maps):
-            mask = (indices >= shard.start_row) & (indices < shard.stop_row)
-            if np.any(mask):
-                out[mask] = data[indices[mask] - shard.start_row]
+        if self.mapped:
+            for shard, data in zip(self.manifest.shards, self._maps):
+                mask = (indices >= shard.start_row) & (indices < shard.stop_row)
+                if np.any(mask):
+                    out[mask] = data[indices[mask] - shard.start_row]
+            return out
+        block_rows = self.manifest.block_rows or 1
+        for position, raw_index in enumerate(indices):
+            index = int(raw_index)
+            shard_index = int(
+                np.searchsorted(self._starts, index, side="right") - 1
+            )
+            local = index - self._starts[shard_index]
+            decoded = self._decoded_block(shard_index, local // block_rows)
+            out[position] = decoded[local % block_rows]
         return out
 
     def _normalize_row_key(self, row_key: Any):
@@ -957,19 +1018,112 @@ class ShardedMatrix:
                 return block[np.arange(block.shape[0]), col_arr]
         return block[:, col_key]
 
+    # -- two-phase reads of decoded shards (the parallel pipeline's seam) ----
+
+    def fetch_compressed(self, start: int, stop: int) -> CompressedRange:
+        """Fetch (I/O only) every coded payload covering rows ``[start, stop)``.
+
+        Safe to call concurrently from many reader threads: the underlying
+        readers serve payloads with positioned ``pread`` and take no locks.
+        Decoded matrices only: mapped shards have no block readers.
+        """
+        self._check_open()
+        start = max(0, start)
+        stop = min(self.manifest.rows, stop)
+        parts: List[Tuple[int, int, BlockPayload]] = []
+        fetched = 0
+        if stop > start:
+            for index, shard in self._overlapping(start, stop):
+                reader = self._readers[index]
+                local_lo = max(start, shard.start_row) - shard.start_row
+                local_hi = min(stop, shard.stop_row) - shard.start_row
+                for block_index in reader.blocks_for(local_lo, local_hi):
+                    payload = reader.fetch_block(block_index)
+                    parts.append((index, shard.start_row, payload))
+                    fetched += payload.compressed_bytes
+        return CompressedRange(
+            start=start, stop=stop, parts=tuple(parts), compressed_bytes=fetched
+        )
+
+    def decode_into(self, fetched: CompressedRange, out: np.ndarray) -> np.ndarray:
+        """Decode (CPU only) a fetched range into preallocated ``out``.
+
+        Decoded values are cast to the logical dtype on the copy into ``out``.
+        A block the range covers whole decodes straight into ``out``; an
+        *edge* block, which the neighbouring range also needs, is decoded
+        once into the block cache and sliced from there, so consecutive
+        chunks of a scan never decode their shared block twice.  Returns the
+        filled ``out[:fetched.rows]`` view.
+        """
+        rows = fetched.rows
+        self._check_out(out, rows)
+        for reader_index, shard_start, payload in fetched.parts:
+            reader = self._readers[reader_index]
+            block = reader.header.blocks[payload.index]
+            block_lo = shard_start + block.start_row
+            global_lo = max(fetched.start, block_lo)
+            global_hi = min(fetched.stop, block_lo + block.rows)
+            if global_hi - global_lo == block.rows:
+                reader.decode_block_into(
+                    payload,
+                    block.start_row,
+                    block.stop_row,
+                    out,
+                    out_offset=global_lo - fetched.start,
+                )
+                continue
+            key = (reader_index, payload.index)
+            decoded = self._cache.get(key)
+            if decoded is None:
+                decoded = np.empty((block.rows, self.manifest.cols), dtype=self.dtype)
+                reader.decode_block_into(
+                    payload, block.start_row, block.stop_row, decoded
+                )
+                self._cache.put(key, decoded)
+            out[global_lo - fetched.start : global_hi - fetched.start] = decoded[
+                global_lo - block_lo : global_hi - block_lo
+            ]
+        return out[:rows]
+
+    def compressed_bytes_for(self, start: int, stop: int) -> int:
+        """Coded bytes a full-width decoded read of rows ``[start, stop)`` fetches."""
+        self._check_open()
+        start = max(0, start)
+        stop = min(self.manifest.rows, stop)
+        return sum(
+            self._readers[index].compressed_bytes_for(
+                max(start, shard.start_row) - shard.start_row,
+                min(stop, shard.stop_row) - shard.start_row,
+            )
+            for index, shard in self._overlapping(start, stop)
+        )
+
     # -- labels and lifecycle ----------------------------------------------
 
     @property
-    def lazy_labels(self) -> Optional["ShardedLabels"]:
+    def lazy_labels(self) -> Optional[ShardedLabels]:
         """Lazy per-shard label view (``None`` for unlabelled datasets).
 
         The view is created once and cached, so all consumers share one
-        stitched-vector cache.
+        stitched-vector cache.  Decoded shards' label segments decode on
+        first touch, through the same transient-error envelope as blocks,
+        each sliced to the manifest's committed rows: an unsealed tail file
+        rewritten by a later append may carry more labels than this
+        generation committed.
         """
         self._check_open()
         if not self.manifest.has_labels:
             return None
-        if getattr(self, "_lazy_labels", None) is None:
+        if self._lazy_labels is None:
+            if not self.mapped:
+                read = policy_for("read.pread").call
+                self._label_maps = [
+                    None if raw is None else raw[: shard.rows]
+                    for shard, raw in zip(
+                        self.manifest.shards,
+                        (read(r.read_labels, site="read.pread") for r in self._readers),
+                    )
+                ]
             self._lazy_labels = ShardedLabels(
                 self.manifest.shards, self._label_maps, self.manifest.rows
             )
@@ -981,12 +1135,16 @@ class ShardedMatrix:
         return None if labels is None else labels.materialize()
 
     def close(self) -> None:
-        """Release the per-shard memory maps."""
+        """Release the shard memory maps or file descriptors, and the cache."""
         if self._closed:
             return
+        for reader in self._readers:
+            reader.close()
         self._maps = []
+        self._readers = []
         self._label_maps = []
         self._lazy_labels = None
+        self._cache.clear()
         self._closed = True
 
     def __enter__(self) -> "ShardedMatrix":
@@ -998,7 +1156,8 @@ class ShardedMatrix:
     def __repr__(self) -> str:
         return (
             f"ShardedMatrix(shape={self.shape}, dtype={self.dtype}, "
-            f"shards={self.num_shards}, directory={str(self.directory)!r})"
+            f"codec={self.manifest.codec!r}, shards={self.num_shards}, "
+            f"directory={str(self.directory)!r})"
         )
 
 
@@ -1015,8 +1174,8 @@ class _BlockCache:
     happens outside it.
     """
 
-    def __init__(self, capacity_bytes: int = DEFAULT_BLOCK_CACHE_BYTES) -> None:
-        self.capacity_bytes = max(0, int(capacity_bytes))
+    def __init__(self) -> None:
+        self.capacity_bytes = DEFAULT_BLOCK_CACHE_BYTES
         self._lock = make_lock("repro.api.sharded._BlockCache._lock")
         self._entries: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
         self._nbytes = 0
@@ -1064,7 +1223,7 @@ class CompressedRange:
 
     The I/O half of a compressed read: ``parts`` pairs each fetched
     :class:`~repro.data.formats_v2.BlockPayload` with the index and global
-    start row of the shard it came from, so :meth:`CompressedShardedMatrix.decode_into`
+    start row of the shard it came from, so :meth:`ShardedMatrix.decode_into`
     can land every block at the right output offset on a different thread.
     """
 
@@ -1077,323 +1236,6 @@ class CompressedRange:
     def rows(self) -> int:
         """Row count of the range."""
         return self.stop - self.start
-
-
-class CompressedShardedMatrix(ShardedMatrix):
-    """Read-only logical matrix over blocked v2 (``.m3b``) shards.
-
-    Implements the same row-slicing protocol as :class:`ShardedMatrix` —
-    estimators and the chunk planner cannot tell the difference — but every
-    read decodes coded blocks instead of touching a memmap, so:
-
-    * there are no zero-copy views; ``matrix[start:stop]`` always allocates
-      (random reads go through a shared decoded-:class:`_BlockCache`);
-    * ``gather_into`` decodes whole blocks straight into the caller's buffer,
-      which keeps the pooled streaming hot path allocation-free (only a
-      range's two edge blocks go through the cache);
-    * :meth:`fetch_compressed` / :meth:`decode_into` split a read into its
-      I/O and CPU halves for the parallel pipeline.
-
-    Any v2 manifest opens here, a ``none`` one too (decoded, CRC-checked);
-    :func:`open_sharded_matrix` sends mappable ones to :class:`ShardedMatrix`.
-    """
-
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        mode: str = "r",
-        cache_bytes: int = DEFAULT_BLOCK_CACHE_BYTES,
-        generation: Optional[int] = None,
-    ) -> None:
-        if mode != "r":
-            raise ValueError(
-                f"compressed sharded datasets are read-only (mode {mode!r}); "
-                f"re-encode with convert_dataset / m3 convert to modify"
-            )
-        self.directory = Path(directory)
-        self.manifest = read_manifest(self.directory, generation=generation)
-        if self.manifest.codec is None:
-            raise ValueError(
-                f"{self.directory} is a raw v1 sharded dataset; open it with "
-                f"ShardedMatrix or open_sharded_matrix()"
-            )
-        # The memmap list stays empty: nothing here is mapped, and an empty
-        # list makes the inherited memmap-walking readahead hint resolution
-        # degrade to a no-op instead of misbehaving.
-        self._maps: List[np.memmap] = []
-        self._label_maps: List[Optional[np.ndarray]] = []
-        self._starts: List[int] = []
-        self._lazy_labels: Optional["ShardedLabels"] = None
-        self._closed = False
-        self._cache = _BlockCache(cache_bytes)
-        self._readers: List[BlockedMatrixReader] = []
-        try:
-            for shard in self.manifest.shards:
-                reader = BlockedMatrixReader(self.directory / shard.filename)
-                header = reader.header
-                # The appender replaces the v2 tail file on every commit
-                # (kept coded blocks + the blocks the batch changed), so a
-                # file read through an older generation's manifest may hold
-                # more rows than that manifest committed; blocks sit at
-                # fixed offsets so prefix rows are preserved, and every
-                # read below is bounded by the manifest geometry.  Sealed
-                # shards must match exactly.
-                mismatch = _shard_mismatch(shard, header, self.manifest)
-                if mismatch is not None:
-                    raise ValueError(mismatch)
-                if header.codec != self.manifest.codec:
-                    raise ValueError(
-                        f"shard {shard.filename} uses codec {header.codec!r}, "
-                        f"manifest declares {self.manifest.codec!r}"
-                    )
-                self._readers.append(reader)
-                self._starts.append(shard.start_row)
-        except Exception:
-            for reader in self._readers:
-                reader.close()
-            raise
-
-    # -- v2 metadata ---------------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        """The manifest generation this matrix is a snapshot of."""
-        return self.manifest.generation
-
-    @property
-    def codec(self) -> str:
-        """Name of the codec every shard is coded with."""
-        return self.manifest.codec or "none"
-
-    @property
-    def block_rows(self) -> Optional[int]:
-        """Rows per coded block."""
-        return self.manifest.block_rows
-
-    @property
-    def layout(self) -> str:
-        """Block layout: ``"row"`` or ``"column"``."""
-        return self.manifest.layout
-
-    @property
-    def storage_dtype(self) -> np.dtype:
-        """The on-disk dtype (may be narrower than the logical dtype)."""
-        return self.manifest.storage_dtype or self.manifest.dtype
-
-    @property
-    def compressed_nbytes(self) -> int:
-        """Total coded bytes across shards."""
-        return self.manifest.compressed_bytes or 0
-
-    @property
-    def payload_bytes_read(self) -> int:
-        """Coded bytes fetched so far across every shard reader."""
-        return sum(reader.payload_bytes_read for reader in self._readers)
-
-    @property
-    def block_cache(self) -> _BlockCache:
-        """The shared decoded-block cache (random reads and streamed edge blocks)."""
-        return self._cache
-
-    def _shard_readers_overlapping(self, start: int, stop: int):
-        for index, shard in enumerate(self.manifest.shards):
-            if shard.stop_row <= start:
-                continue
-            if shard.start_row >= stop:
-                break
-            yield index, shard, self._readers[index]
-
-    # -- two-phase reads (the parallel pipeline's seam) ----------------------
-
-    def fetch_compressed(self, start: int, stop: int) -> CompressedRange:
-        """Fetch (I/O only) every coded payload covering rows ``[start, stop)``.
-
-        Safe to call concurrently from many reader threads: the underlying
-        readers serve payloads with positioned ``pread`` and take no locks.
-        """
-        self._check_open()
-        start = max(0, start)
-        stop = min(self.manifest.rows, stop)
-        parts: List[Tuple[int, int, BlockPayload]] = []
-        fetched = 0
-        if stop > start:
-            for index, shard, reader in self._shard_readers_overlapping(start, stop):
-                local_lo = max(start, shard.start_row) - shard.start_row
-                local_hi = min(stop, shard.stop_row) - shard.start_row
-                for block_index in reader.blocks_for(local_lo, local_hi):
-                    payload = reader.fetch_block(block_index)
-                    parts.append((index, shard.start_row, payload))
-                    fetched += payload.compressed_bytes
-        return CompressedRange(
-            start=start, stop=stop, parts=tuple(parts), compressed_bytes=fetched
-        )
-
-    def decode_into(self, fetched: CompressedRange, out: np.ndarray) -> np.ndarray:
-        """Decode (CPU only) a fetched range into preallocated ``out``.
-
-        Decoded values are cast to the logical dtype on the copy into ``out``.
-        A block the range covers whole decodes straight into ``out``; an
-        *edge* block, which the neighbouring range also needs, is decoded
-        once into the block cache and sliced from there, so consecutive
-        chunks of a scan never decode their shared block twice.  Returns the
-        filled ``out[:fetched.rows]`` view.
-        """
-        rows = fetched.rows
-        if out.ndim != 2 or out.shape[0] < rows or out.shape[1] != self.manifest.cols:
-            raise ValueError(
-                f"output buffer of shape {out.shape} cannot hold {rows} rows "
-                f"of {self.manifest.cols} columns"
-            )
-        for reader_index, shard_start, payload in fetched.parts:
-            reader = self._readers[reader_index]
-            block = reader.header.blocks[payload.index]
-            block_lo = shard_start + block.start_row
-            global_lo = max(fetched.start, block_lo)
-            global_hi = min(fetched.stop, block_lo + block.rows)
-            if global_hi - global_lo == block.rows:
-                reader.decode_block_into(
-                    payload,
-                    block.start_row,
-                    block.stop_row,
-                    out,
-                    out_offset=global_lo - fetched.start,
-                )
-                continue
-            key = (reader_index, payload.index)
-            decoded = self._cache.get(key)
-            if decoded is None:
-                decoded = np.empty((block.rows, self.manifest.cols), dtype=self.dtype)
-                reader.decode_block_into(
-                    payload, block.start_row, block.stop_row, decoded
-                )
-                self._cache.put(key, decoded)
-            out[global_lo - fetched.start : global_hi - fetched.start] = decoded[
-                global_lo - block_lo : global_hi - block_lo
-            ]
-        return out[:rows]
-
-    # -- gathering -----------------------------------------------------------
-
-    def _decoded_block(self, shard_index: int, block_index: int) -> np.ndarray:
-        key = (shard_index, block_index)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        decoded = self._readers[shard_index].read_block(block_index)
-        self._cache.put(key, decoded)
-        return decoded
-
-    def _gather_range(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``[start, stop)`` as a fresh array, via the block cache."""
-        self._check_open()
-        start = max(0, start)
-        stop = min(self.manifest.rows, stop)
-        if stop <= start:
-            return np.empty((0, self.manifest.cols), dtype=self.dtype)
-        out = np.empty((stop - start, self.manifest.cols), dtype=self.dtype)
-        for index, shard, reader in self._shard_readers_overlapping(start, stop):
-            local_lo = max(start, shard.start_row) - shard.start_row
-            local_hi = min(stop, shard.stop_row) - shard.start_row
-            for block_index in reader.blocks_for(local_lo, local_hi):
-                block = reader.header.blocks[block_index]
-                decoded = self._decoded_block(index, block_index)
-                global_lo = max(start, shard.start_row + block.start_row)
-                global_hi = min(stop, shard.start_row + block.stop_row)
-                out[global_lo - start : global_hi - start] = decoded[
-                    global_lo - shard.start_row - block.start_row :
-                    global_hi - shard.start_row - block.start_row
-                ]
-        return out
-
-    def gather_into(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Decode rows ``[start, stop)`` into ``out`` (edge blocks via the cache)."""
-        self._check_open()
-        return self.decode_into(self.fetch_compressed(start, stop), out)
-
-    def _gather_indices(self, indices: np.ndarray) -> np.ndarray:
-        """Arbitrary global rows, decoded block-by-block through the cache."""
-        self._check_open()
-        out = np.empty((indices.shape[0], self.manifest.cols), dtype=self.dtype)
-        block_rows = self.manifest.block_rows or 1
-        for position, raw_index in enumerate(indices):
-            index = int(raw_index)
-            shard_index = int(
-                np.searchsorted(self._starts, index, side="right") - 1
-            )
-            shard = self.manifest.shards[shard_index]
-            local = index - shard.start_row
-            decoded = self._decoded_block(shard_index, local // block_rows)
-            out[position] = decoded[local % block_rows]
-        return out
-
-    def compressed_bytes_for(self, start: int, stop: int) -> int:
-        """Coded bytes a full-width read of rows ``[start, stop)`` fetches."""
-        self._check_open()
-        start = max(0, start)
-        stop = min(self.manifest.rows, stop)
-        total = 0
-        for _, shard, reader in self._shard_readers_overlapping(start, stop):
-            total += reader.compressed_bytes_for(
-                max(start, shard.start_row) - shard.start_row,
-                min(stop, shard.stop_row) - shard.start_row,
-            )
-        return total
-
-    # -- protocol odds and ends ----------------------------------------------
-
-    @property
-    def lazy_labels(self) -> Optional["ShardedLabels"]:
-        """Lazy label view; per-shard vectors decode once, on first touch."""
-        self._check_open()
-        if not self.manifest.has_labels:
-            return None
-        if self._lazy_labels is None:
-            # Slice to the manifest's committed row count: an unsealed tail
-            # file rewritten by a later append may carry more labels than
-            # this generation committed.
-            # Label segments ride the same positioned-read path as blocks,
-            # so they get the same transient-error envelope.
-            self._label_maps = [
-                None if raw is None else raw[: shard.rows]
-                for shard, raw in zip(
-                    self.manifest.shards,
-                    (
-                        policy_for("read.pread").call(
-                            reader.read_labels, site="read.pread"
-                        )
-                        for reader in self._readers
-                    ),
-                )
-            ]
-            self._lazy_labels = ShardedLabels(
-                self.manifest.shards, self._label_maps, self.manifest.rows
-            )
-        return self._lazy_labels
-
-    def close(self) -> None:
-        """Release the shard file descriptors and the block cache."""
-        if self._closed:
-            return
-        for reader in self._readers:
-            reader.close()
-        self._readers = []
-        self._label_maps = []
-        self._lazy_labels = None
-        self._cache.clear()
-        self._closed = True
-
-    def __enter__(self) -> "CompressedShardedMatrix":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"CompressedShardedMatrix(shape={self.shape}, dtype={self.dtype}, "
-            f"codec={self.codec!r}, layout={self.layout!r}, "
-            f"shards={self.num_shards}, directory={str(self.directory)!r})"
-        )
 
 
 @dataclass(frozen=True)
@@ -1794,21 +1636,16 @@ class ShardAppender:
 
 
 def open_sharded_matrix(
-    directory: Union[str, Path],
-    mode: str = "r",
-    generation: Optional[int] = None,
+    directory: Union[str, Path], generation: Optional[int] = None
 ) -> ShardedMatrix:
-    """Open a sharded dataset, deciding once from its manifest how to read it.
+    """Open the sharded dataset at ``directory`` as a :class:`ShardedMatrix`.
 
-    Manifests whose shards are :attr:`ShardManifest.mapped` (v2 ``none`` in
-    row layout and the logical dtype, and legacy v1) open as the
-    memmap-backed :class:`ShardedMatrix`; every other v2 manifest opens as
-    :class:`CompressedShardedMatrix`.  Both are read-only.  ``generation``
-    pins the open to one committed manifest generation (``None`` = latest).
+    The opener the CLI, ``convert`` and the storage backend call; the
+    manifest decides whether the shards are mapped or decoded.
+    ``generation`` pins the open to one committed manifest generation
+    (``None`` = latest).
     """
-    manifest = read_manifest(directory, generation=generation)
-    kind = ShardedMatrix if manifest.mapped else CompressedShardedMatrix
-    return kind(directory, mode=mode, generation=manifest.generation)
+    return ShardedMatrix(directory, generation=generation)
 
 
 def _shard_mismatch(
@@ -1816,9 +1653,24 @@ def _shard_mismatch(
 ) -> Optional[str]:
     """Why a shard file with ``header`` cannot serve ``shard`` (``None``: it can).
 
-    A sealed shard holds exactly its committed rows; an unsealed tail may
-    hold more, written by a later generation or a crashed append.
+    The one per-shard header check, run by every open and by
+    :func:`verify_dataset`.  A v2 file must store the manifest's codec,
+    layout and storage dtype.  A sealed shard holds exactly its committed
+    rows; an unsealed tail may hold more, written by a later generation or
+    a crashed append.
     """
+    if manifest.codec is not None:
+        declared = (
+            manifest.codec, manifest.layout,
+            np.dtype(manifest.storage_dtype or manifest.dtype),
+        )
+        if (header.codec, header.layout, np.dtype(header.storage_dtype)) != declared:
+            return (
+                f"shard {shard.filename} stores {header.codec!r} "
+                f"{header.layout}-layout {header.storage_dtype} blocks, the "
+                f"manifest declares {manifest.codec!r} {manifest.layout}-layout "
+                f"{declared[2]} blocks"
+            )
     if (
         header.cols != manifest.cols
         or np.dtype(header.dtype) != manifest.dtype
@@ -1838,15 +1690,16 @@ def verify_dataset(
 ) -> List[str]:
     """Scrub every shard of the dataset at ``directory``; list the problems.
 
-    v2 (blocked) shards, mapped ones included, get the full treatment —
-    every segment fetched, CRC-checked and decoded via
-    :func:`~repro.data.formats_v2.verify_blocked_file`; legacy v1 shards are
-    checked structurally: the header must parse and match the file size
-    (:func:`~repro.data.formats.read_binary_matrix_header`) and the
-    manifest's rows, columns and dtype, and a label sidecar must cover the
-    committed rows.  An empty list means the dataset is clean; each entry
-    names the exact file (and block) that needs attention.  ``m3 info
-    --verify`` prints these.
+    Every shard's header gets the check an open runs: it must parse, and
+    match the manifest's rows, columns, dtype and, for v2, codec, layout
+    and storage dtype.  v2 (blocked) shards, mapped ones included, then get
+    the full treatment — every segment fetched, CRC-checked and decoded via
+    :func:`~repro.data.formats_v2.verify_blocked_file`; a legacy v1 shard's
+    header must match its file size
+    (:func:`~repro.data.formats.read_binary_matrix_header`), and its label
+    sidecar must cover the committed rows.  An empty list means the dataset
+    is clean; each entry names the exact file (and block) that needs
+    attention.  ``m3 info --verify`` prints these.
     """
     directory = Path(directory)
     try:
@@ -1854,16 +1707,20 @@ def verify_dataset(
     except (ValueError, OSError) as error:
         return [f"{directory}: unreadable manifest: {error}"]
     problems: List[str] = []
+    blocked = manifest.codec is not None
     for shard in manifest.shards:
         path = directory / shard.filename
-        if manifest.codec is not None:
+        if blocked:
+            # Names an unreadable header too, so the except below stays quiet.
             problems.extend(verify_blocked_file(path))
-            continue
         try:
-            mismatch = _shard_mismatch(shard, read_binary_matrix_header(path), manifest)
+            read_header = read_blocked_header if blocked else read_binary_matrix_header
+            header = read_header(path)
         except (ValueError, OSError) as error:
-            problems.append(f"{path}: unreadable shard: {error}")
+            if not blocked:
+                problems.append(f"{path}: unreadable shard: {error}")
             continue
+        mismatch = _shard_mismatch(shard, header, manifest)
         if mismatch is not None:
             problems.append(f"{path}: {mismatch}")
         if manifest.has_labels and shard.label_sidecar:

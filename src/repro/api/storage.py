@@ -15,12 +15,13 @@ datasets at such a location.  Three backends ship with the library:
     A directory of blocked ``.m3b`` files tiling the matrix row-wise (see
     :mod:`repro.api.sharded`); row chunks are served across shard boundaries.
     The manifest records the codec, ``block_rows`` and on-disk
-    ``storage_dtype``.  Opening is transparent: raw (codec ``none``) shards
-    are memory-mapped and served as zero-copy views, coded ones
-    (``session.create(spec, X, y, codec="zlib")`` or ``m3 convert``) are
-    decoded on the streaming pipeline's compute pool.  v1 ``.m3`` shard
-    directories and column-layout blocks, written by older versions, are
-    read-only legacy forms.
+    ``storage_dtype``.  Opening is transparent: one
+    :class:`~repro.api.sharded.ShardedMatrix` serves every manifest, mapping
+    raw (codec ``none``) shards as zero-copy views and decoding coded ones
+    (``session.create(spec, X, y, codec="zlib")`` or ``m3 convert``) on the
+    streaming pipeline's compute pool.  v1 ``.m3`` shard directories and
+    column-layout blocks, written by older versions, are read-only legacy
+    forms.  Every handle is read-only: rows are added by appending.
 ``shard`` (appendable)
     Sharded directories in the current form are also *appendable*:
     ``Dataset.append`` streams rows into an open tail shard and commits a new
@@ -51,6 +52,7 @@ from repro.api.sharded import (
     CURRENT_NAME,
     MANIFEST_NAME,
     ShardAppender,
+    ShardManifest,
     generation_manifest_name,
     manifest_generation,
     open_sharded_matrix,
@@ -306,16 +308,34 @@ class MmapBackend(StorageBackend):
         return _stat_token(Path(location))
 
 
+def _codec_metadata(manifest: ShardManifest) -> Dict[str, Any]:
+    """The v2 storage facts ``open`` and ``info`` both report (none for v1)."""
+    if manifest.codec is None:
+        return {}
+    return {
+        "codec": manifest.codec,
+        "block_rows": manifest.block_rows,
+        "layout": manifest.layout,
+        "storage_dtype": str(manifest.storage_dtype or manifest.dtype),
+        "compressed_bytes": manifest.compressed_bytes,
+        "compression_ratio": manifest.ratio,
+    }
+
+
 class ShardedBackend(StorageBackend):
     """A directory of M3 shard files tiling the matrix row-wise."""
 
     scheme = "shard"
 
     def open(self, location: str, mode: str = "r") -> StorageHandle:
-        # Dispatches on the manifest: raw shards open memmap-backed, coded
-        # ones as a CompressedShardedMatrix.  The matrix is a snapshot of the
-        # latest committed generation.
-        matrix = open_sharded_matrix(Path(location), mode=mode)
+        if mode != "r":
+            raise ValueError(
+                f"sharded datasets are read-only (mode {mode!r}); add rows "
+                f"with Dataset.append or re-encode with m3 convert"
+            )
+        # The manifest decides whether the shards are mapped or decoded; the
+        # matrix is a snapshot of the latest committed generation.
+        matrix = open_sharded_matrix(Path(location))
         manifest = matrix.manifest
         metadata = {
             "backend": self.scheme,
@@ -335,17 +355,7 @@ class ShardedBackend(StorageBackend):
                 for shard in manifest.shards
             ],
         }
-        if manifest.codec is not None:
-            metadata.update(
-                {
-                    "codec": manifest.codec,
-                    "block_rows": manifest.block_rows,
-                    "layout": manifest.layout,
-                    "storage_dtype": str(manifest.storage_dtype or manifest.dtype),
-                    "compressed_bytes": manifest.compressed_bytes,
-                    "compression_ratio": manifest.ratio,
-                }
-            )
+        metadata.update(_codec_metadata(manifest))
         return StorageHandle(
             matrix=matrix,
             # Labels stay a lazy per-shard view: in-core consumers materialise
@@ -400,21 +410,11 @@ class ShardedBackend(StorageBackend):
                 }
             )
         if manifest.codec is not None:
-            info.update(
-                {
-                    "format_version": manifest.version,
-                    "codec": manifest.codec,
-                    "block_rows": manifest.block_rows,
-                    "layout": manifest.layout,
-                    "storage_dtype": str(manifest.storage_dtype or manifest.dtype),
-                    "compressed_bytes": manifest.compressed_bytes,
-                    "compression_ratio": manifest.ratio,
-                    "shard_ratios": [
-                        {"filename": s.filename, "ratio": s.ratio}
-                        for s in manifest.shards
-                    ],
-                }
-            )
+            info["format_version"] = manifest.version
+            info.update(_codec_metadata(manifest))
+            info["shard_ratios"] = [
+                {"filename": s.filename, "ratio": s.ratio} for s in manifest.shards
+            ]
         return info
 
     def exists(self, location: str) -> bool:

@@ -6,7 +6,8 @@ independently coded through a pluggable :mod:`~repro.data.codecs` codec and
 optionally stored in a narrower dtype (float32/float16 downcasting).  Writers
 store every block row-major.  Under the identity codec ``none`` with no
 downcast the data region is therefore still one row-major matrix, which
-:class:`~repro.api.sharded.ShardedMatrix` maps; any other codec trades the
+:class:`~repro.api.sharded.ShardedMatrix` maps; under any other codec it
+reads the file through :class:`BlockedMatrixReader` instead, trading the
 mmap property for bandwidth.  Files
 written by older versions may hold **column-major** blocks, a read-only
 legacy form that nothing writes any more; reads fetch and decode whole
@@ -587,9 +588,6 @@ class BlockedMatrixReader:
         self.header = read_blocked_header(self.path)
         self.codec = get_codec(self.header.codec)
         self._fd: Optional[int] = os.open(str(self.path), os.O_RDONLY)
-        #: Coded bytes fetched through this reader (accounting; single-threaded
-        #: consumers read it, concurrent fetches also return their own counts).
-        self.payload_bytes_read = 0
 
     # -- geometry ------------------------------------------------------------
 
@@ -638,9 +636,9 @@ class BlockedMatrixReader:
         payloads = tuple(
             self._pread(segment[0], segment[1]) for segment in block.segments
         )
-        fetched = block.coded_bytes
-        self.payload_bytes_read += fetched
-        return BlockPayload(index=index, payloads=payloads, compressed_bytes=fetched)
+        return BlockPayload(
+            index=index, payloads=payloads, compressed_bytes=block.coded_bytes
+        )
 
     def fetch_coded_block(self, index: int) -> CodedBlock:
         """Row-layout block ``index`` as stored, CRC-checked but never decoded.
@@ -784,7 +782,6 @@ class BlockedMatrixReader:
                     f"{crc:#010x}, computed {computed:#010x})"
                 )
         raw = self.codec.decode(payload, raw_bytes)
-        self.payload_bytes_read += coded
         return np.frombuffer(raw, dtype=np.int64).copy()
 
     # -- lifecycle -----------------------------------------------------------

@@ -19,12 +19,7 @@ import numpy as np
 import pytest
 
 from repro.api.chunks import ChunkStreamError, _ReaderPoolState, open_chunk_stream
-from repro.api.sharded import (
-    CompressedShardedMatrix,
-    ShardedMatrix,
-    open_sharded_matrix,
-    write_sharded_dataset,
-)
+from repro.api.sharded import ShardedMatrix, open_sharded_matrix, write_sharded_dataset
 from repro.faults import RetriesExhausted
 
 ROWS, COLS = 60, 4
@@ -120,12 +115,8 @@ def _fuse_reads(monkeypatch, backing, fuse_row):
 
     # The three entry points a stream reads rows through: slicing (views,
     # and everything inline), the stitching gather, the compressed fetch.
-    for owner, name in (
-        (ShardedMatrix, "__getitem__"),
-        (ShardedMatrix, "gather_into"),
-        (CompressedShardedMatrix, "fetch_compressed"),
-    ):
-        monkeypatch.setattr(owner, name, fused(getattr(owner, name)))
+    for name in ("__getitem__", "gather_into", "fetch_compressed"):
+        monkeypatch.setattr(ShardedMatrix, name, fused(getattr(ShardedMatrix, name)))
     return backing.matrix
 
 

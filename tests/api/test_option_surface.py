@@ -50,9 +50,9 @@ from repro.api.dataset import Dataset
 from repro.api.engines import ENGINE_REGISTRY, ExecutionEngine, FitResult, PredictResult
 from repro.api.convert import convert_dataset
 from repro.api.sharded import (
-    CompressedShardedMatrix,
     ShardAppender,
     ShardedMatrix,
+    open_sharded_matrix,
     write_sharded_dataset,
 )
 from repro.bench.figure1a import run_figure1a
@@ -89,8 +89,12 @@ def parameters(function) -> tuple:
         # benchmarks/e2e/probes.py sets; there is no config object.
         (Session.__init__, ("engine", "handle_pool_size", "faults")),
         (Session.open, ("spec", "mode", "advice", "record_trace")),
-        # Dataset.append passes trace= only; Session.open passes mode= only.
+        # Dataset.append passes trace= only; Session.open passes mode= only,
+        # and ShardedBackend.open refuses every mode but "r".
         (ShardedBackend.open, ("location", "mode")),
+        # One sharded reader, read-only, its block cache sized by a constant.
+        (ShardedMatrix.__init__, ("directory", "generation")),
+        (open_sharded_matrix, ("directory", "generation")),
         (ShardedBackend.append, ("location", "data", "labels", "trace")),
         (Session.fit, ("model", "dataset", "y", "engine")),
         (Session.predict, ("dataset", "model", "method", "engine")),
@@ -186,9 +190,15 @@ def test_parameter_set(function, expected):
         (StreamingPredictor, "predict_streaming_parallel"),
         (ChunkStream, "blocks"),
         (ShardedMatrix, "iter_shard_chunks"),
-        (CompressedShardedMatrix, "iter_shard_chunks"),
-        (CompressedShardedMatrix, "read_columns"),
+        (ShardedMatrix, "read_columns"),
         (BlockedMatrixReader, "read_columns"),
+        # One sharded reader: its manifest decides mapped or decoded, and
+        # holds its codec, geometry and storage dtype.
+        (ShardedMatrix, "codec"),
+        (ShardedMatrix, "block_rows"),
+        (ShardedMatrix, "layout"),
+        (ShardedMatrix, "storage_dtype"),
+        (ShardedMatrix, "payload_bytes_read"),
         (repro.core, "M3"),
         (repro, "M3"),
         (ExecutionEngine, "serve_batch"),

@@ -11,6 +11,7 @@ from repro.api.sharded import (
     read_manifest,
     write_sharded_dataset,
 )
+from repro.api.storage import ShardedBackend
 
 
 @pytest.fixture()
@@ -20,6 +21,25 @@ def sharded_dir(tmp_path):
     y = np.arange(25) % 3
     write_sharded_dataset(tmp_path / "ds", X, y, shard_rows=7)
     return tmp_path / "ds", X, y
+
+
+#: The stores one ShardedMatrix reads: mapped raw rows, and two decoded ones
+#: (float32 storage is exact on the integer-valued fixture).
+STORES = {
+    "mapped-none": {},
+    "zlib": {"codec": "zlib", "block_rows": 3},
+    "float32-none": {"codec": "none", "block_rows": 3, "storage_dtype": np.float32},
+}
+
+
+@pytest.fixture(params=sorted(STORES))
+def stored_dir(request, tmp_path):
+    """The ``sharded_dir`` rows written as one of :data:`STORES`."""
+    X = np.arange(100.0).reshape(25, 4)
+    write_sharded_dataset(tmp_path / "ds", X, shard_rows=7, **STORES[request.param])
+    with ShardedMatrix(tmp_path / "ds") as matrix:
+        assert matrix.mapped == (request.param == "mapped-none")
+        yield matrix, X
 
 
 class TestWriteShardedDataset:
@@ -97,9 +117,8 @@ class TestShardedMatrixReads:
             (-3, 0),
         ],
     )
-    def test_matches_numpy(self, sharded_dir, key):
-        directory, X, _ = sharded_dir
-        matrix = ShardedMatrix(directory)
+    def test_matches_numpy(self, stored_dir, key):
+        matrix, X = stored_dir
         np.testing.assert_array_equal(np.asarray(matrix[key]), X[key])
 
     def test_boolean_mask(self, sharded_dir):
@@ -170,7 +189,7 @@ class TestShardedMatrixWrites:
         # mode, no item assignment.
         directory, _, _ = sharded_dir
         with pytest.raises(ValueError, match="read-only"):
-            ShardedMatrix(directory, mode="r+")
+            ShardedBackend().open(str(directory), mode="r+")
         with pytest.raises(TypeError):
             ShardedMatrix(directory)[0] = 0.0
 

@@ -1,18 +1,20 @@
 """Tests for compressed (v2) sharded datasets and manifest versioning."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.api.sharded import (
-    CompressedShardedMatrix,
     ShardManifest,
     ShardedMatrix,
     open_sharded_matrix,
     read_manifest,
+    verify_dataset,
     write_sharded_dataset,
 )
+from repro.api.storage import ShardedBackend
 
 
 @pytest.fixture()
@@ -36,7 +38,7 @@ def v2_dir(tmp_path, data, labels):
 class TestWriteAndOpen:
     def test_no_codec_writes_mapped_none_shards(self, tmp_path, data, labels):
         # codec=None writes exactly what codec="none" writes, and the
-        # manifest alone sends it to the mapping ShardedMatrix.
+        # manifest alone decides that ShardedMatrix maps it.
         for codec in (None, "none"):
             write_sharded_dataset(tmp_path / str(codec), data, labels,
                                   shard_rows=400, codec=codec)
@@ -49,7 +51,7 @@ class TestWriteAndOpen:
         payload = json.loads((tmp_path / "None" / "manifest.json").read_text())
         assert (payload["version"], payload["codec"]) == (2, "none")
         with open_sharded_matrix(tmp_path / "None") as matrix:
-            assert type(matrix) is ShardedMatrix
+            assert type(matrix) is ShardedMatrix and matrix.mapped
             assert isinstance(matrix[10:20], np.memmap)
             np.testing.assert_array_equal(matrix[:], data)
             np.testing.assert_array_equal(matrix.lazy_labels[:], labels)
@@ -60,14 +62,12 @@ class TestWriteAndOpen:
         write_sharded_dataset(tmp_path / "f32", data, shard_rows=400,
                               codec="none", storage_dtype=np.float32)
         with open_sharded_matrix(tmp_path / "f32") as matrix:
-            assert isinstance(matrix, CompressedShardedMatrix)
+            assert type(matrix) is ShardedMatrix and not matrix.mapped
             np.testing.assert_array_equal(matrix[:], data)
-        with pytest.raises(ValueError, match="decoded"):
-            ShardedMatrix(tmp_path / "f32")
 
     def test_v2_round_trip_bit_identical(self, v2_dir, data, labels):
         matrix = open_sharded_matrix(v2_dir)
-        assert isinstance(matrix, CompressedShardedMatrix)
+        assert type(matrix) is ShardedMatrix and not matrix.mapped
         np.testing.assert_array_equal(matrix[:], data)
         np.testing.assert_array_equal(matrix.lazy_labels[:], labels)
         matrix.close()
@@ -91,7 +91,7 @@ class TestWriteAndOpen:
                               codec="zlib", storage_dtype=np.float32)
         matrix = open_sharded_matrix(directory)
         assert matrix.dtype == np.float64
-        assert matrix.storage_dtype == np.float32
+        assert matrix.manifest.storage_dtype == np.float32
         np.testing.assert_allclose(matrix[:], data, atol=1e-6)
         matrix.close()
 
@@ -109,8 +109,8 @@ class TestWriteAndOpen:
         matrix = open_sharded_matrix(v2_dir)
         with pytest.raises((TypeError, ValueError)):
             matrix[0] = 1.0
-        with pytest.raises(ValueError):
-            open_sharded_matrix(v2_dir, mode="r+")
+        with pytest.raises(ValueError, match="read-only"):
+            ShardedBackend().open(str(v2_dir), mode="r+")
         matrix.close()
 
     def test_block_cache_serves_repeat_random_access(self, v2_dir, data):
@@ -170,21 +170,36 @@ class TestManifestVersioning:
         with pytest.raises(ValueError, match="codec"):
             ShardManifest.from_json(payload)
 
-    def test_v1_class_refuses_v2_manifest(self, v2_dir):
-        # The mapping class serves raw shards only; zlib ones are decoded.
-        with pytest.raises(ValueError, match="open_sharded_matrix"):
-            ShardedMatrix(v2_dir)
-
-    def test_mismatched_shard_header_rejected(self, tmp_path, data, labels):
+    @pytest.mark.parametrize(
+        "into, donor", [("zlib", "none"), ("none", "zlib")],
+        ids=["none-into-zlib", "zlib-into-none"],
+    )
+    def test_mismatched_shard_header_rejected(self, tmp_path, data, labels, into, donor):
         a = tmp_path / "a"
         b = tmp_path / "b"
         write_sharded_dataset(a, data, labels, shard_rows=400,
-                              codec="zlib", block_rows=128)
+                              codec=into, block_rows=128)
         write_sharded_dataset(b, data, labels, shard_rows=400,
-                              codec="none", block_rows=128)
-        # Swap one shard file between codecs: the manifest promises zlib but
-        # the shard header says none.
+                              codec=donor, block_rows=128)
+        # Swap one shard file between codecs: the manifest promises one codec
+        # but the shard header says the other.  Open and verify both refuse.
         shard = "shard-00001.m3b"
         (a / shard).write_bytes((b / shard).read_bytes())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=shard):
             open_sharded_matrix(a)
+        problems = verify_dataset(a)
+        assert len(problems) == 1 and "manifest declares" in problems[0]
+
+    @pytest.mark.parametrize("codec", [None, "zlib"], ids=["raw", "zlib"])
+    def test_short_shard_over_a_sealed_one_rejected(self, tmp_path, data, labels, codec):
+        # Shards of 400, 400 and 300 rows: the last one copied over the first
+        # is a well-formed file holding too few rows.  Open and verify both
+        # refuse it.
+        write_sharded_dataset(tmp_path, data, labels, shard_rows=400,
+                              codec=codec, block_rows=128)
+        shutil.copyfile(tmp_path / "shard-00002.m3b", tmp_path / "shard-00000.m3b")
+        with pytest.raises(ValueError, match="holds a 300 x 10"):
+            open_sharded_matrix(tmp_path)
+        problems = verify_dataset(tmp_path)
+        assert len(problems) == 1 and "shard-00000.m3b" in problems[0]
+        assert "holds a 300 x 10" in problems[0] and "expects 400 x 10" in problems[0]

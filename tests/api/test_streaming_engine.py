@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.runtime import LEASES
 from repro.api import Session, StreamingEngine, open_chunk_stream, plan_chunks, resolve_engine
-from repro.api.sharded import CompressedShardedMatrix, ShardedLabels
+from repro.api.sharded import ShardedLabels, ShardedMatrix
 from repro.ml import (
     GaussianNaiveBayes,
     KMeans,
@@ -212,7 +212,7 @@ class TestFinalizePass:
         calls = []
 
         def spy(name):
-            real = getattr(CompressedShardedMatrix, name)
+            real = getattr(ShardedMatrix, name)
 
             def call(self, *args):
                 calls.append((name, threading.get_ident()))
@@ -221,7 +221,7 @@ class TestFinalizePass:
             return call
 
         for name in ("__getitem__", "gather_into"):
-            monkeypatch.setattr(CompressedShardedMatrix, name, spy(name))
+            monkeypatch.setattr(ShardedMatrix, name, spy(name))
         result, _ = self.fit(
             tmp_path, X, y, "zlib", CHUNK,
             io_workers=io_workers, compute_workers=compute_workers,
