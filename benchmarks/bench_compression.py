@@ -3,8 +3,8 @@
 The acceptance bar of the compressed shard format: on an out-of-core sharded
 dataset behind a modelled ~150 MB/s device, streaming *fit* over zlib v2
 shards must beat the same fit over raw mapped shards by >= 1.3x throughput —
-because the readers pull ~10x fewer bytes off the device while decompression
-rides the compute pool — and predictions must stay bit-identical (zlib is
+because the readers pull ~10x fewer bytes off the device, then decompress
+what they fetched on the same threads — and predictions must stay bit-identical (zlib is
 lossless and float64 storage is exact).
 
 As in ``bench_parallel_pipeline``, CI page caches make real reads free, so
@@ -15,7 +15,7 @@ for the logical bytes, compressed shards pay only for the *coded* bytes they
 actually fetch.
 ``time.sleep`` releases the GIL like a blocking ``read(2)`` so reader threads
 overlap the stalls realistically; decode cost is not modelled — it is the
-real zlib CPU burn on the decode pool.
+real zlib CPU burn on the reader threads.
 
 Writes ``BENCH_compression.json``: wall times and rows/s for raw vs zlib
 across block sizes x fit/predict, the compression ratio, the speedups, and

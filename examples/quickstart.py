@@ -138,10 +138,11 @@ Tuning the streaming pipeline
     BLAS threads, see *Compute threads* above): one worker with BLAS
     unpinned, every core with ``OPENBLAS_NUM_THREADS=1``.  An explicit
     ``n`` overrides it; ``details["compute_workers"]`` reports the count
-    that ran.  It also sizes the block decode pool of compressed shards.
-    Training ignores it otherwise (``partial_fit`` is an ordered
-    reduction), and a model's final read pass (MiniBatchKMeans'
-    ``inertia_``) follows ``compute_threads()`` whatever it is.
+    that ran.  Over compressed shards each reader decodes what it fetches,
+    and the stream runs at least this many readers.  Training ignores it
+    otherwise (``partial_fit`` is an ordered reduction), and a model's
+    final read pass (MiniBatchKMeans' ``inertia_``) follows
+    ``compute_threads()`` whatever it is.
 *(buffer ring)*
     Not an engine option: the ring of preallocated chunk buffers that
     absorbs stitched and decoded chunks is sized from the window, so

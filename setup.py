@@ -1,14 +1,37 @@
-"""Setuptools shim.
+"""Package metadata for the M3 reproduction (``repro``, command ``m3``).
 
-The offline environment used for the reproduction ships setuptools without the
-``wheel`` package, so PEP 660 editable installs (``pip install -e .`` with
-build isolation) cannot build the editable wheel.  Providing a ``setup.py``
-lets ``pip install -e . --no-build-isolation --no-use-pep517`` (and plain
-``python setup.py develop``) fall back to the legacy editable install, which
-needs nothing beyond setuptools.  All project metadata lives in
-``pyproject.toml``; this file is intentionally empty glue.
+This file is the project's only packaging metadata; there is no
+``pyproject.toml``.  It needs nothing beyond setuptools, so it also serves
+environments without the ``wheel`` package, where PEP 660 editable installs
+cannot build: ``pip install -e . --no-build-isolation --no-use-pep517`` (or
+``python setup.py develop``) falls back to the legacy editable install.
+Check it with ``python setup.py --name --version``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+HERE = Path(__file__).resolve().parent
+
+
+def read_version() -> str:
+    """``__version__`` of ``src/repro/__init__.py``, read without importing it."""
+    source = (HERE / "src" / "repro" / "__init__.py").read_text(encoding="utf-8")
+    match = re.search(r'^__version__\s*=\s*["\']([^"\']+)["\']', source, re.MULTILINE)
+    if match is None:
+        raise RuntimeError("src/repro/__init__.py defines no __version__")
+    return match.group(1)
+
+
+setup(
+    name="repro",
+    version=read_version(),
+    description="M3: scaling up machine learning via memory mapping (reproduction)",
+    package_dir={"": "src"},
+    packages=find_packages(where="src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["m3 = repro.cli:main"]},
+)

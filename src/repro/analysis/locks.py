@@ -30,7 +30,6 @@ network-serving locks landed, per the ROADMAP's standing instruction)::
     rank  70   Session._lock                      dataset list + handle pool
     rank  80   ModelRegistry._lock                hot-model publish/resolve
     rank  90   ShardAppender._lock                tail-shard write + generation commit
-    rank 100   _DecodePool.cond                   block-decode task queue
     rank 110   _ReaderPoolState.cond              reorder buffer + reader accounting
     rank 120   ReadaheadHinter._lock              madvise byte accounting
     rank 130   BufferLease._lock                  per-lease refcount
@@ -86,11 +85,8 @@ LOCK_ORDER: Dict[str, int] = {
     # Callers already holding session/registry locks may append (70/80 -> 90
     # is increasing); the appender itself never re-enters the session layer.
     "repro.api.sharded.ShardAppender._lock": 90,
-    # Streaming pipeline.  The decode pool's condition ranks below the reader
-    # pool's: a decode worker may post a finished chunk into the reorder
-    # buffer (100 -> 110 is increasing), while a reader holding the reorder
-    # cond may never submit decode work (110 -> 100 would invert the order).
-    "repro.api.chunks._DecodePool.cond": 100,
+    # Streaming pipeline.  Readers fetch, decode and post each chunk
+    # themselves; decoding runs outside the reorder cond.
     "repro.api.chunks._ReaderPoolState.cond": 110,
     "repro.api.chunks.ReadaheadHinter._lock": 120,
     # The per-lease refcount, taken while posting/releasing chunks.

@@ -15,8 +15,9 @@ on the kernel alone:
   upcoming chunks off the plan in claim order, a bounded reorder buffer
   re-emits them in plan order as :class:`Chunk` blocks carrying ``(X, y)``,
   and a :class:`ChunkBufferPool` of preallocated arrays absorbs the chunks
-  that need stitching so steady-state streaming performs zero per-chunk
-  allocations.  One reader with a window of 2 (the default) is classic
+  that need stitching or decoding (a reader of decoded shards inflates what
+  it fetches straight into one) so steady-state streaming performs zero
+  per-chunk allocations.  One reader with a window of 2 (the default) is classic
   double buffering — chunk *k+1* is read while the consumer trains on chunk
   *k*; with no reader at all (``prefetch=False``) the consumer runs the same
   read step inline.  Shard-aligned chunks that resolve to contiguous memmap
@@ -44,15 +45,15 @@ import threading
 import time
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.runtime import LEASES, make_condition, make_lock
 from repro.faults import InjectedFault, maybe_fire, policy_for
-from repro.api.sharded import CompressedRange, ShardedLabels, ShardedMatrix
+from repro.api.sharded import ShardedLabels, ShardedMatrix
 
 DEFAULT_CHUNK_BYTES = 8 * 1024 * 1024
 """Target bytes per chunk when no explicit ``chunk_rows`` is given."""
@@ -111,9 +112,9 @@ def matrix_generation(matrix: Any) -> Optional[int]:
 def compressed_backing(matrix: Any) -> Optional[ShardedMatrix]:
     """The decoded (not mapped) :class:`ShardedMatrix` behind ``matrix``.
 
-    ``None`` for anything else.  Non-``None`` switches a threaded stream
-    into its fetch/decode split: readers pull coded payloads, a decode pool
-    decompresses them into pooled buffers.
+    ``None`` for anything else.  Non-``None`` makes each reader of a
+    threaded stream fetch a chunk's coded payloads, then decompress them
+    into a pooled buffer itself.
     """
     backing = _unwrap(matrix)
     if isinstance(backing, ShardedMatrix) and not backing.mapped:
@@ -377,8 +378,8 @@ class ChunkStreamStats:
     read_s: float = 0.0
     io_wait_s: float = 0.0
     compute_s: float = 0.0
-    #: Time spent decompressing blocks (0 for raw streams); runs on the
-    #: decode pool, so it can overlap both reads and consumer compute.
+    #: Time spent decompressing blocks (0 for raw streams); readers decode
+    #: after their fetch, so it overlaps consumer compute and other reads.
     decode_s: float = 0.0
     #: Coded bytes actually fetched from storage (0 for raw streams);
     #: ``bytes_read`` stays the *logical* byte count either way.
@@ -770,11 +771,13 @@ class ReadaheadHinter:
 
     def _advise(self, segment: _HintSegment, kind: str, offset: int, length: Optional[int]) -> int:
         madv_name, fadv_name = _MADVISE_OPTIONS[kind]
-        if self._madvise(segment, madv_name, offset, length):
+        madvised = self._madvise(segment, madv_name, offset, length)
+        if madvised and kind != "dontneed":
             return 1
-        if self._fadvise(segment, fadv_name, offset, length):
-            return 1
-        return 0
+        # MADV_DONTNEED on a shared file mapping only unmaps this process's
+        # pages; the page cache lets them go only on a file-level fadvise.
+        fadvised = self._fadvise(segment, fadv_name, offset, length)
+        return int(madvised or fadvised)
 
     @staticmethod
     def _madvise(segment: _HintSegment, option_name: str, offset: int, length: Optional[int]) -> bool:
@@ -828,132 +831,6 @@ class ReadaheadHinter:
         self.close()
 
 
-class _DecodeTask:
-    """One fetched-but-coded chunk queued for decompression.
-
-    Created by a reader thread after the I/O half of a compressed chunk
-    (payloads fetched, labels gathered, buffer leased); run by a
-    :class:`_DecodePool` worker, which decodes into the lease and posts the
-    finished :class:`Chunk` into the reorder buffer under the same drop rule
-    readers follow.  The task owns the lease until it either posts
-    (ownership moves to the chunk) or drops (released here).
-    """
-
-    __slots__ = ("state", "index", "start", "stop", "fetched", "y", "lease",
-                 "read_s", "hinted")
-
-    def __init__(self, state, index, start, stop, fetched, y, lease, read_s, hinted):
-        self.state = state
-        self.index = index
-        self.start = start
-        self.stop = stop
-        self.fetched: CompressedRange = fetched
-        self.y = y
-        self.lease: BufferLease = lease
-        self.read_s = read_s
-        self.hinted = hinted
-
-    def run(self) -> None:
-        state = self.state
-        try:
-            with state.cond:
-                dropped = state.dropped(self.index)
-            if dropped:
-                self.lease.release()
-                return
-            try:
-                began = time.perf_counter()
-                X = state.compressed.decode_into(self.fetched, self.lease.X)
-                decode_s = time.perf_counter() - began
-            except BaseException as error:  # noqa: BLE001 — relayed to the consumer
-                self.lease.release()
-                state.fail(self.index, error)
-                return
-            state.post(
-                Chunk(
-                    index=self.index,
-                    start=self.start,
-                    stop=self.stop,
-                    X=X,
-                    y=self.y,
-                    read_s=self.read_s,
-                    decode_s=decode_s,
-                    compressed_bytes=self.fetched.compressed_bytes,
-                    lease=self.lease,
-                ),
-                self.hinted,
-            )
-        finally:
-            try:
-                with state.cond:
-                    state.decoding -= 1
-                    state.cond.notify_all()
-            except Exception:  # noqa: BLE001 — interpreter-shutdown teardown
-                pass
-
-
-class _DecodePool:
-    """Worker threads decompressing fetched chunk payloads into pool leases.
-
-    The CPU half of a compressed stream: readers enqueue :class:`_DecodeTask`
-    items, workers run them concurrently (``zlib`` releases the GIL while
-    inflating, so decode genuinely parallelises across threads).  Workers
-    wind down when the pool is closed, or — so an abandoned stream never pins
-    threads — when the reader pool has stopped *and* every reader has exited
-    *and* the queue is drained; tasks enqueued before that point always run,
-    which is what delivers every pre-error chunk and returns every lease.
-    """
-
-    def __init__(self, workers: int, idle_exit: Callable[[], bool]) -> None:
-        self.workers = max(1, int(workers))
-        self._idle_exit = idle_exit
-        self.cond = make_condition("repro.api.chunks._DecodePool.cond")
-        self._tasks: "deque[_DecodeTask]" = deque()
-        self._stop = False
-        self._threads: List[threading.Thread] = []
-        for worker in range(self.workers):
-            thread = threading.Thread(
-                target=self._work, name=f"m3-chunk-decode-{worker}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def submit(self, task: _DecodeTask) -> None:
-        # Only reader threads submit, and close() runs after the readers are
-        # joined, so a submit can never race a closed pool.
-        with self.cond:
-            self._tasks.append(task)
-            self.cond.notify()
-
-    def _work(self) -> None:
-        while True:
-            with self.cond:
-                while not self._tasks and not self._stop and not self._idle_exit():
-                    self.cond.wait(timeout=0.05)
-                if not self._tasks:
-                    # Closed, or idle-exit: the reader pool is stopped and
-                    # drained, so no further tasks can arrive.
-                    return
-                task = self._tasks.popleft()
-            task.run()
-
-    def close(self) -> None:
-        """Stop the workers after the queued tasks have all run."""
-        with self.cond:
-            self._stop = True
-            self.cond.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        # Workers drain the queue before honouring _stop, so anything still
-        # here means a worker died abnormally; release the leases rather
-        # than leak them.
-        with self.cond:
-            leftovers = list(self._tasks)
-            self._tasks.clear()
-        for task in leftovers:
-            task.lease.release()
-
-
 class _ReaderPoolState:
     """Shared state of a :class:`ChunkStream`: the plan, the reorder buffer
     and the read step every reader (or, inline, the consumer) runs.
@@ -983,9 +860,6 @@ class _ReaderPoolState:
         self.pool = pool
         self.hinter = hinter
         self.compressed = compressed
-        #: Set by the stream once readers are started, when the stream is
-        #: compressed.  Readers submit fetched chunks here instead of posting.
-        self.decode_pool: Optional[_DecodePool] = None
         # Re-entrant: the consumer re-acquires while finishing inside the
         # wait loop's critical section.
         self.cond = make_condition("repro.api.chunks._ReaderPoolState.cond")
@@ -996,10 +870,6 @@ class _ReaderPoolState:
         self.next_claim = 0
         self.pending_hints = 0
         self.live_workers = 0
-        #: Decode tasks submitted but not yet posted, dropped or failed: the
-        #: consumer may not conclude "nothing more will arrive" while one is
-        #: still running, even after every reader has exited.
-        self.decoding = 0
         #: Retry accounting (folded into the stream's stats at the end).
         self.retries = 0
         self.faults_injected = 0
@@ -1018,6 +888,7 @@ class _ReaderPoolState:
     def work(self, reader: int) -> None:
         plan = self.plan
         acct = self.reader_stats[reader]
+        decoded = self.compressed is not None
         index = 0
         try:
             while not self.stop.is_set():
@@ -1034,29 +905,22 @@ class _ReaderPoolState:
                     # while readers run, so it shares the cond's protection.
                     self.reader_log[reader].append((start, stop_row))
                 hinted = self.hinter.will_need(start, stop_row) if self.hinter is not None else 0
-                if self.decode_pool is not None:
-                    # Retried as a unit: a failed lease or fetch releases
-                    # everything it held, so each attempt starts clean.
-                    task = policy_for("read.pread").call(
-                        lambda: self.fetch_chunk(index, start, stop_row, hinted),
-                        site="read.pread",
-                        on_retry=self._on_retry,
-                    )
-                    acct["chunks"] += 1
-                    acct["rows"] += stop_row - start
-                    # Compressed readers account the bytes they actually
-                    # pulled off storage, not the logical chunk size.
-                    acct["bytes_read"] += task.fetched.compressed_bytes
-                    acct["read_s"] += task.read_s
-                    with self.cond:
-                        self.decoding += 1
-                    self.decode_pool.submit(task)
-                    continue
-                chunk = self.read(index, start, stop_row)
+                if decoded:
+                    chunk = self.fetch(index, start, stop_row)
+                else:
+                    chunk = self.read(index, start, stop_row)
                 acct["chunks"] += 1
                 acct["rows"] += chunk.rows
-                acct["bytes_read"] += chunk.rows * plan.row_bytes
+                # Decoding readers account the bytes they actually pulled
+                # off storage, not the logical chunk size.
+                acct["bytes_read"] += (
+                    chunk.compressed_bytes if decoded else chunk.rows * plan.row_bytes
+                )
                 acct["read_s"] += chunk.read_s
+                if decoded:
+                    chunk = self.decode(chunk)
+                    if chunk is None:
+                        continue
                 self.post(chunk, hinted)
         except BaseException as error:  # noqa: BLE001 — relayed to the consumer
             self.fail(index, error)
@@ -1176,12 +1040,24 @@ class _ReaderPoolState:
         read_s = time.perf_counter() - began
         return Chunk(index=index, start=start, stop=stop, X=X, y=y, read_s=read_s, lease=lease)
 
-    def fetch_chunk(self, index: int, start: int, stop: int, hinted: int) -> _DecodeTask:
-        """The I/O half of a compressed chunk: lease + fetch payloads + labels.
+    def fetch(self, index: int, start: int, stop: int) -> Chunk:
+        """:meth:`fetch_chunk` under the ``read.pread`` retry envelope.
 
-        Decompression is *not* done here — the returned task carries the
-        coded payloads to the decode pool, so reader threads stay busy
-        fetching while decode workers burn CPU.
+        Retried as a unit: a failed lease or fetch releases everything it
+        held, so each attempt starts clean.
+        """
+        return policy_for("read.pread").call(
+            lambda: self.fetch_chunk(index, start, stop),
+            site="read.pread",
+            on_retry=self._on_retry,
+        )
+
+    def fetch_chunk(self, index: int, start: int, stop: int) -> Chunk:
+        """The I/O half of a decoded chunk: lease + fetch payloads + labels.
+
+        The returned chunk holds the lease it will be decoded into, but its
+        ``X`` is still the fetched :class:`~repro.api.sharded.CompressedRange`;
+        :meth:`decode` turns it into rows.
         """
         labels = self.labels
         began = time.perf_counter()
@@ -1200,7 +1076,31 @@ class _ReaderPoolState:
         record = getattr(self.matrix, "record_read", None)
         if callable(record):
             record(start, stop)
-        return _DecodeTask(self, index, start, stop, fetched, y, lease, read_s, hinted)
+        return Chunk(
+            index=index, start=start, stop=stop, X=fetched, y=y, read_s=read_s,
+            compressed_bytes=fetched.compressed_bytes, lease=lease,
+        )
+
+    def decode(self, fetched: Chunk) -> Optional[Chunk]:
+        """Inflate a fetched chunk into its lease; ``None`` if it was dropped.
+
+        Runs outside the retry envelope: a ``decode.block`` fault or a
+        :class:`~repro.data.formats_v2.ChecksumError` fails the stream at
+        this chunk, unretried.  A chunk that can no longer be consumed is
+        not decoded at all.
+        """
+        with self.cond:
+            dropped = self.dropped(fetched.index)
+        if dropped:
+            fetched.release()
+            return None
+        began = time.perf_counter()
+        try:
+            X = self.compressed.decode_into(fetched.X, fetched.lease.X)
+        except BaseException:
+            fetched.release()
+            raise
+        return replace(fetched, X=X, decode_s=time.perf_counter() - began)
 
     def _lease(self) -> BufferLease:
         lease = self.pool.lease(stop=self.stop)
@@ -1239,10 +1139,10 @@ class ChunkStream:
     an OS readahead hint for each claim, materialise the chunk — zero-copy
     when the range resolves to one contiguous memmap view, copied into a
     :class:`ChunkBufferPool` buffer when it must be stitched across shards,
-    fetched and handed to a decode pool when the shards are decoded — and
-    post it into a bounded reorder buffer.  The consumer re-emits chunks in
-    exact plan order, so downstream training and inference see the identical
-    chunk sequence under every reader count.  With *zero* readers (an inline
+    fetched and then decoded into such a buffer when the shards are decoded
+    — and post it into a bounded reorder buffer.  The consumer re-emits
+    chunks in exact plan order, so downstream training and inference see the
+    identical chunk sequence under every reader count.  With *zero* readers (an inline
     stream) the consumer runs the same read step itself, one chunk per
     ``next()``: no thread, no pool, no hinter, and ``io_wait == read``.
 
@@ -1284,8 +1184,8 @@ class ChunkStream:
             )
         if io_workers is not None and io_workers < 0:
             raise ValueError(f"io_workers must be >= 0, got {io_workers}")
-        if decode_workers is not None and decode_workers < 0:
-            raise ValueError(f"decode_workers must be >= 0, got {decode_workers}")
+        if decode_workers is not None and decode_workers < 1:
+            raise ValueError(f"decode_workers must be >= 1, got {decode_workers}")
         if stall_timeout_s is not None and stall_timeout_s <= 0:
             raise ValueError(
                 f"stall_timeout_s must be positive or None, got {stall_timeout_s}"
@@ -1302,13 +1202,16 @@ class ChunkStream:
             io_workers = 1
         elif io_workers == 0:  # size the pool from storage topology
             io_workers = self._default_io_workers(matrix, starts)
+        compressed = compressed_backing(matrix) if threaded else None
+        if compressed is not None and decode_workers is not None:
+            # Readers of a decoded stream decode what they fetch, so the
+            # larger of the two counts sizes them.
+            io_workers = max(int(io_workers), decode_workers)
         #: Reader threads; 0 = inline (the consumer reads).
         self.io_workers = min(int(io_workers), max(plan.num_chunks, 1))
         #: Reorder window: maximum chunks claimed but not yet consumed, so
         #: every reader can stay busy while the consumer computes.
         self.depth = max(2, 2 * self.io_workers) if threaded else 0
-        compressed = compressed_backing(matrix) if threaded else None
-        self.decode_workers = 0 if compressed is None else int(decode_workers or self.io_workers)
 
         cuts = np.asarray(starts, dtype=np.int64)
         self.pool = (
@@ -1365,16 +1268,6 @@ class ChunkStream:
             self.stats.record_hints(self.hinter.advise_sequential())
         self._threads: List[threading.Thread] = []
         state = self._state
-        self._decode_pool: Optional[_DecodePool] = None
-        if compressed is not None and plan.num_chunks > 0:
-            # idle_exit reads two plain attributes without taking state.cond,
-            # so a decode worker holding its own cond (rank 100) never touches
-            # the reorder cond (rank 110) just to decide whether to exit.
-            self._decode_pool = _DecodePool(
-                self.decode_workers,
-                idle_exit=lambda: state.stop.is_set() and state.live_workers == 0,
-            )
-            state.decode_pool = self._decode_pool
         for reader in range(self.io_workers):
             thread = threading.Thread(
                 target=state.work,
@@ -1540,7 +1433,7 @@ class ChunkStream:
                 # Readers wind down on error, but their in-flight chunks still
                 # land; everything before the failed chunk is delivered in
                 # order before the error surfaces at the gap.
-                if state.live_workers == 0 and state.decoding == 0:
+                if state.live_workers == 0:
                     if state.error is not None:
                         _, error = state.error
                         self._finish(compute_s)
@@ -1642,11 +1535,6 @@ class ChunkStream:
             self._state.abandon()
             for thread in self._threads:
                 thread.join(timeout=5.0)
-            # Readers are joined, so no further decode submissions: closing
-            # the decode pool drains its queue (tasks see `draining` and
-            # release their leases) before the workers exit.
-            if self._decode_pool is not None:
-                self._decode_pool.close()
             self._fold_hints()
             if self.hinter is not None:
                 self.hinter.close()
@@ -1725,12 +1613,13 @@ def open_chunk_stream(
         bytes exceed physical RAM; ``True``/``False`` force it.  Applied
         release hints are counted in ``stats.hints_released``.
     decode_workers:
-        Decompression threads for matrices whose shards are decoded;
-        ignored for mapped ones.  ``None`` defaults to the reader count — one
-        decoder per fetcher keeps a balanced pipeline when decode and fetch
-        costs are comparable.  Readers fetch coded payloads only; these
-        workers inflate them into pool leases, so every compressed chunk
-        flows through the buffer ring and the hot path stays allocation-free.
+        Readers of a matrix whose shards are decoded; ignored for mapped
+        ones.  Each reader fetches a chunk's coded payloads and inflates them
+        into a pool lease itself, so a decoded stream runs
+        ``max(io_workers, decode_workers)`` readers (capped by the plan's
+        chunks).  ``None`` means the reader count; it must be ``>= 1``.
+        Every compressed chunk flows through the buffer ring and the hot
+        path stays allocation-free.
     stall_timeout_s:
         How long the consumer waits on a missing chunk before raising a
         diagnostic :class:`ChunkStreamError`; ``None`` waits forever.

@@ -276,9 +276,11 @@ class StreamingEngine(ExecutionEngine):
         model's ``chunk_size`` fans out by the local engine's rule.
         Training is unaffected (``partial_fit`` is an ordered reduction),
         and a model's ``finalize_streaming`` pass follows
-        :func:`~repro.ml.base.compute_threads` whatever the value.  Also
-        sizes the block decode pool of compressed (v2) datasets.  The
-        resolved count is the attribute and ``details["compute_workers"]``.
+        :func:`~repro.ml.base.compute_threads` whatever the value.  Over a
+        compressed (v2) dataset every reader decodes what it fetches, and
+        the stream runs ``max(io_workers, compute_workers)`` readers, so
+        decode also runs on this many threads.  The resolved count is the
+        attribute and ``details["compute_workers"]``.
     hints:
         Issue OS readahead hints (madvise/posix_fadvise) per upcoming chunk.
     release_behind:
@@ -404,8 +406,8 @@ class StreamingEngine(ExecutionEngine):
             buffer_pool=pool,
             hints=self.hints,
             release_behind=self.release_behind,
-            # Compressed (v2) datasets decompress on the compute pool: the
-            # same knob that sizes data-parallel predict sizes block decode.
+            # Readers of compressed (v2) shards decode what they fetch: the
+            # knob that sizes data-parallel predict also sizes that decode.
             decode_workers=self.compute_workers,
         )
 

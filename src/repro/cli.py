@@ -795,7 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(streaming engine only; omit = one reader, "
                             "0 = one reader per device)")
     train.add_argument("--compute-workers", type=_positive_int, default=None,
-                       help="inference and decode worker threads (streaming "
+                       help="inference threads, and at least as many "
+                            "readers of compressed shards (streaming "
                             "engine only; omit = CPUs / BLAS threads, as "
                             "'m3 info' prints; training itself stays an "
                             "ordered reduction)")

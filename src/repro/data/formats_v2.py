@@ -47,9 +47,10 @@ Labels, when present, are one coded int64 segment.
 Reads go through :class:`BlockedMatrixReader`, which serves rows with
 ``os.pread`` — positioned reads on one shared file descriptor, so a pool of
 reader threads can fetch blocks concurrently with no lock at all.  The fetch
-(I/O) and decode (CPU) halves are separate methods, which is what lets the
-parallel chunk pipeline fetch compressed payloads on its reader pool and
-decompress them on the decode worker pool straight into reusable buffers.
+(I/O) and decode (CPU) halves are separate methods, which is what lets a
+reader of the parallel chunk pipeline fetch compressed payloads under its
+retry envelope and then decompress them, unretried, straight into a
+reusable buffer.
 """
 
 from __future__ import annotations

@@ -108,8 +108,8 @@ def map_row_chunks(
       matrix's block decode stay exactly as sequential as the serial loop's;
       only ``fn`` runs on workers, where the page faults of a cold mapping
       overlap with compute;
-    * a source is opened once and drawn in its own order: its readers (and
-      decode pool) own the reads and the chunk bounds, ``chunk_size`` is not
+    * a source is opened once and drawn in its own order: its readers own
+      the reads, the decodes and the chunk bounds, ``chunk_size`` is not
       used, and each chunk is released once ``fn`` has run on it — or, if a
       failure cancels it first, without running;
     * results are **consumed in chunk order**, so a caller that accumulates

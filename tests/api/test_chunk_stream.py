@@ -7,7 +7,7 @@ default: double buffering) and a *reader pool*.  Every behaviour the stream
 promises is checked here for each setting over each kind of storage: a plain
 ndarray, raw shards with shard-aligned chunks (zero-copy views), raw shards
 with ``align_shards=False`` (stitched into the buffer ring) and zlib shards
-(fetched, then decoded into the ring by the decode pool).
+(fetched, then decoded into the ring by the same reader).
 """
 
 import gc

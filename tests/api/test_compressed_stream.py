@@ -1,10 +1,11 @@
-"""Tests for the compressed chunk stream: parallel fetch + pool decode.
+"""Tests for the compressed chunk stream: readers fetch, then decode.
 
 The acceptance bar of the v2 format integration: streaming a compressed
 dataset through the parallel pipeline is bit-identical to streaming the raw
 (mapped) dataset at every ``io_workers`` x ``decode_workers`` setting, the hot
 path stays allocation-free (every decode lands in a pooled buffer lease),
-and the stream's accounting separates decode CPU time and coded bytes from
+a decoded stream runs ``max(io_workers, decode_workers)`` readers and no
+other thread, and the stream's accounting separates decode CPU time and coded bytes from
 the logical read volume.
 
 Compressed chunks are *always* pooled (there is no zero-copy view of coded
@@ -12,17 +13,20 @@ bytes), so consumers here follow the same lease contract the engines do:
 release each chunk after use.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.api import Session, StreamingEngine
 from repro.api.chunks import (
     ChunkBufferPool,
     compressed_backing,
     open_chunk_stream,
 )
 from repro.api.sharded import open_sharded_matrix, write_sharded_dataset
+from repro.ml import LogisticRegression, base
 
 
 @pytest.fixture()
@@ -88,6 +92,52 @@ class TestBitIdentity:
             np.testing.assert_array_equal(a[3], b[3])
         raw.close()
         zipped.close()
+
+
+class TestReaderRule:
+    """Readers decode what they fetch: one thread kind per decoded stream."""
+
+    @pytest.mark.parametrize("io_workers", [None, 2])
+    @pytest.mark.parametrize("decode_workers", [None, 1, 3])
+    def test_readers_are_the_only_threads(self, datasets, io_workers, decode_workers):
+        tmp_path, X, y = datasets
+        raw = open_sharded_matrix(tmp_path / "raw")
+        zipped = open_sharded_matrix(tmp_path / "zip")
+        options = dict(chunk_rows=70, align_shards=False)
+        with open_chunk_stream(raw, labels=raw.lazy_labels, io_workers=2,
+                               **options) as stream:
+            raw_chunks = _drain(stream)
+        before = set(threading.enumerate())
+        with open_chunk_stream(zipped, labels=zipped.lazy_labels, io_workers=io_workers,
+                               decode_workers=decode_workers, **options) as stream:
+            started = [t.name for t in set(threading.enumerate()) - before]
+            pool = stream.pool
+            zip_chunks = _drain(stream)
+        readers = min(max(io_workers or 1, decode_workers or 1), len(raw_chunks))
+        assert sorted(started) == [f"m3-chunk-reader-{r}" for r in range(readers)]
+        assert len(zip_chunks) == len(raw_chunks)
+        for a, b in zip(raw_chunks, zip_chunks):
+            assert a[:3] == b[:3]
+            assert np.array_equal(a[3], b[3]) and np.array_equal(a[4], b[4])
+        assert pool.available == pool.buffers
+        raw.close()
+        zipped.close()
+
+    @pytest.mark.parametrize("forced", [None, 3], ids=["host", "three"])
+    def test_default_engine_reads_zlib_on_every_compute_thread(
+        self, datasets, monkeypatch, forced
+    ):
+        # "host" is the runner's own compute_threads(); "three" forces it.
+        if forced is not None:
+            monkeypatch.setattr(base, "_compute_threads", lambda: forced)
+        tmp_path, X, y = datasets
+        model = LogisticRegression(max_iterations=2, chunk_size=100).fit(X, y > 0)
+        with Session() as session:
+            result = session.predict(
+                session.open(f"shard://{tmp_path}/zip"), model, engine=StreamingEngine()
+            )
+        assert result.details["io_workers"] == base.compute_threads()
+        assert np.array_equal(result.predictions, model.predict(X))
 
 
 class TestAccounting:
@@ -207,10 +257,11 @@ class TestErrorPaths:
         stream.close()
         matrix.close()
 
-    def test_negative_decode_workers_rejected(self, datasets):
+    @pytest.mark.parametrize("decode_workers", [-1, 0])
+    def test_negative_decode_workers_rejected(self, datasets, decode_workers):
         tmp_path, X, y = datasets
         matrix = open_sharded_matrix(tmp_path / "zip")
         with pytest.raises(ValueError, match="decode_workers"):
             open_chunk_stream(matrix, chunk_rows=50, io_workers=2,
-                              decode_workers=-1)
+                              decode_workers=decode_workers)
         matrix.close()

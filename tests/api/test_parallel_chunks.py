@@ -7,6 +7,10 @@ Chunk order, error relay, stall deadlines and teardown are checked for every
 reader count in ``test_chunk_stream.py``.
 """
 
+import ctypes
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,6 +33,32 @@ def sharded_matrix(tmp_path):
     y = np.arange(60) % 3
     write_sharded_dataset(tmp_path / "ds", X, y, shard_rows=13)
     return ShardedMatrix(tmp_path / "ds"), X, y
+
+
+def _write_synced(path, data):
+    """Write ``data`` to ``path`` (``None`` keeps its bytes) and fsync it."""
+    fd = os.open(path, os.O_RDWR | os.O_CREAT)
+    try:
+        if data is not None:
+            os.write(fd, data)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _resident_fraction(path) -> float:
+    """Share of ``path``'s pages in the page cache, read with ``mincore(2)``."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mincore.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
+    view = np.memmap(path, dtype=np.uint8, mode="r")
+    try:
+        pages = -(-view.size // os.sysconf("SC_PAGE_SIZE"))
+        vec = np.zeros(pages, dtype=np.uint8)
+        if libc.mincore(view.ctypes.data, view.size, vec.ctypes.data) != 0:
+            raise OSError(ctypes.get_errno(), "mincore failed")
+    finally:
+        view._mmap.close()
+    return float(np.count_nonzero(vec & 1)) / pages
 
 
 class TestReaderPoolSizing:
@@ -273,6 +303,41 @@ class TestReadaheadHints:
         matrix, _, _ = sharded_matrix
         with ReadaheadHinter(matrix) as hinter:
             assert hinter.dont_need(0, 13) > 0
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or not hasattr(os, "posix_fadvise"),
+        reason="mincore residency and posix_fadvise eviction are Linux-only",
+    )
+    def test_dont_need_evicts_mapped_shards_from_page_cache(self, tmp_path):
+        # MADV_DONTNEED on a shared file mapping only unmaps this process's
+        # pages; the page cache must actually drop them, which takes a
+        # posix_fadvise on the shard file.
+        control = tmp_path / "control.bin"
+        _write_synced(control, np.ones(512 * 1024, dtype=np.float64).tobytes())
+        control.read_bytes()
+        fd = os.open(control, os.O_RDONLY)
+        try:
+            os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
+        finally:
+            os.close(fd)
+        if _resident_fraction(control) > 0.5:
+            pytest.skip("posix_fadvise(DONTNEED) does not evict on this filesystem")
+
+        X = np.arange(512 * 1024, dtype=np.float64).reshape(512, 1024)
+        write_sharded_dataset(tmp_path / "ds", X, shard_rows=256)
+        matrix = ShardedMatrix(tmp_path / "ds")
+        try:
+            paths = [matrix.directory / shard.filename for shard in matrix.manifest.shards]
+            for path in paths:
+                _write_synced(path, None)
+            scanned = sum(np.asarray(matrix[start:start + 256]).sum() for start in (0, 256))
+            assert scanned == X.sum()
+            assert min(_resident_fraction(path) for path in paths) > 0.9
+            with ReadaheadHinter(matrix) as hinter:
+                assert hinter.dont_need(0, 512) == len(paths)
+            assert max(_resident_fraction(path) for path in paths) < 0.5
+        finally:
+            matrix.close()
 
     def test_stats_merge_folds_hints(self):
         a = ChunkStreamStats()

@@ -122,7 +122,7 @@ class TestEquivalenceWithLocal:
         self, problem, tmp_path, scheme, options, io_workers, compute_workers
     ):
         # What benchmarks/e2e checks at full size: whatever the format, the
-        # reader count or the decode pool, the streamed fit makes exactly the
+        # reader count or the compute count, the streamed fit makes exactly the
         # updates partial_fit makes when driven by hand over the same chunks.
         X, y = problem
         args = dict(n_clusters=4, max_epochs=2, batch_size=CHUNK, seed=0)
