@@ -1048,12 +1048,15 @@ class ShardedMatrix:
     def decode_into(self, fetched: CompressedRange, out: np.ndarray) -> np.ndarray:
         """Decode (CPU only) a fetched range into preallocated ``out``.
 
-        Decoded values are cast to the logical dtype on the copy into ``out``.
         A block the range covers whole decodes straight into ``out``; an
         *edge* block, which the neighbouring range also needs, is decoded
         once into the block cache and sliced from there, so consecutive
-        chunks of a scan never decode their shared block twice.  Returns the
-        filled ``out[:fetched.rows]`` view.
+        chunks of a scan rarely decode their shared block twice (two readers
+        that miss the cache together both decode it).  Stored in the logical
+        dtype, either destination is inflated directly by the codec
+        (:meth:`~repro.data.formats_v2.BlockedMatrixReader.decode_block_into`);
+        a narrower storage dtype decodes to a transient array and is cast on
+        the copy.  Returns the filled ``out[:fetched.rows]`` view.
         """
         rows = fetched.rows
         self._check_out(out, rows)

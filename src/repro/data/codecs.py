@@ -10,11 +10,15 @@ payload and back.  Two codecs ship with the library:
     dtype opens memory-mapped, with zero-copy views and no decode; with a
     narrower storage dtype it is decoded like any other codec.
 ``zlib``
-    DEFLATE via the stdlib :mod:`zlib`.  Dense numeric blocks — especially
+    DEFLATE.  Encoding always runs the stdlib :mod:`zlib`, so a file's bytes
+    never depend on the host.  Decoding into a caller buffer runs the system
+    ``libdeflate`` (``libdeflate.so.0``) through :mod:`ctypes` when it can be
+    loaded, and the stdlib otherwise; both inflate the same stream to the
+    same bytes and check its Adler-32.  Dense numeric blocks — especially
     downcast float32 or small-integer data — routinely compress several-fold,
     which converts an I/O-bound scan into decode compute the streaming
-    pipeline's worker pool can parallelize (``zlib`` releases the GIL while
-    (de)compressing).
+    pipeline's readers parallelize (both libraries release the GIL while
+    they run).
 
 Codecs are looked up by name through :data:`CODEC_REGISTRY`; downstream code
 registers new ones (lz4, zstd bindings when available) with
@@ -23,18 +27,22 @@ deliberately split in two shapes:
 
 * :meth:`Codec.decode` returns the raw bytes (one transient allocation, owned
   by the caller);
-* :meth:`Codec.decode_into` writes straight into a caller buffer when the
-  codec can (the ``none`` codec always can; ``zlib`` decodes once and copies),
-  returning the byte count — this is what lets the chunk pipeline land
-  decoded blocks in preallocated :class:`~repro.api.chunks.ChunkBufferPool`
-  leases instead of fresh arrays.
+* :meth:`Codec.decode_into` writes straight into a caller buffer of exactly
+  the declared size when the codec can (``none`` copies the payload;
+  ``zlib`` inflates into it through libdeflate, or decodes once and copies
+  without it), returning the byte count — this is what lets the chunk
+  pipeline land decoded blocks in preallocated
+  :class:`~repro.api.chunks.ChunkBufferPool` leases instead of fresh arrays.
 """
 
 from __future__ import annotations
 
 import abc
+import ctypes
 import zlib
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.faults import maybe_fire
 
@@ -72,8 +80,11 @@ class Codec(abc.ABC):
     def decode_into(self, payload: BytesLike, out: memoryview) -> int:
         """Decompress ``payload`` into ``out``; returns the bytes written.
 
-        The default decodes to a transient bytes object and copies; codecs
-        that can stream into a caller buffer override this.
+        ``out`` is a writable, contiguous buffer whose byte length is the
+        block's declared raw size; a payload that decodes to any other size
+        raises :class:`CodecError`.  The default decodes to a transient bytes
+        object and copies; codecs that can write into a caller buffer
+        override this.
         """
         raw = self.decode(payload, len(out))
         out[: len(raw)] = raw
@@ -114,8 +125,36 @@ class NoneCodec(Codec):
         return len(view)
 
 
+def _load_libdeflate() -> Optional[ctypes.CDLL]:
+    """The system libdeflate with its zlib inflate declared, or ``None``."""
+    try:
+        lib = ctypes.CDLL("libdeflate.so.0")
+    except OSError:
+        return None
+    lib.libdeflate_alloc_decompressor.argtypes = []
+    lib.libdeflate_alloc_decompressor.restype = ctypes.c_void_p
+    lib.libdeflate_free_decompressor.argtypes = [ctypes.c_void_p]
+    lib.libdeflate_free_decompressor.restype = None
+    lib.libdeflate_zlib_decompress.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
+        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p,
+    ]
+    lib.libdeflate_zlib_decompress.restype = ctypes.c_int
+    return lib
+
+
+#: libdeflate, loaded once at import; ``None`` where the library is absent,
+#: and :meth:`ZlibCodec.decode_into` then decodes through the stdlib.
+_LIBDEFLATE = _load_libdeflate()
+
+#: ``enum libdeflate_result``: SHORT_OUTPUT (2) and INSUFFICIENT_SPACE (3)
+#: are the other two, a stream shorter or longer than the output buffer.
+_LIBDEFLATE_SUCCESS = 0
+_LIBDEFLATE_BAD_DATA = 1
+
+
 class ZlibCodec(Codec):
-    """DEFLATE via the stdlib; ``level`` trades ratio for encode speed."""
+    """DEFLATE in zlib framing; ``level`` trades ratio for encode speed."""
 
     name = "zlib"
 
@@ -131,10 +170,43 @@ class ZlibCodec(Codec):
     def decode(self, payload: BytesLike, raw_bytes: int) -> bytes:
         maybe_fire("decode.block", self.name)
         try:
-            raw = zlib.decompress(bytes(payload))
+            raw = zlib.decompress(payload, bufsize=raw_bytes)
         except zlib.error as error:
             raise CodecError(f"zlib payload failed to decode: {error}") from error
         return self._check_size(raw, raw_bytes)
+
+    def decode_into(self, payload: BytesLike, out: memoryview) -> int:
+        """Inflate ``payload`` straight into ``out`` through libdeflate.
+
+        libdeflate checks the stream's Adler-32 and that it fills ``out``
+        exactly; the stdlib fallback serves hosts without the library.
+        """
+        lib = _LIBDEFLATE
+        if lib is None:
+            return super().decode_into(payload, out)
+        maybe_fire("decode.block", self.name)
+        source = np.frombuffer(payload, dtype=np.uint8)
+        dest = np.frombuffer(out, dtype=np.uint8)
+        if not dest.flags.writeable:
+            raise TypeError("zlib decode_into needs a writable output buffer")
+        decompressor = lib.libdeflate_alloc_decompressor()
+        if not decompressor:
+            raise MemoryError("libdeflate could not allocate a decompressor")
+        try:
+            result = lib.libdeflate_zlib_decompress(
+                decompressor, source.ctypes.data, source.size,
+                dest.ctypes.data, dest.size, None,
+            )
+        finally:
+            lib.libdeflate_free_decompressor(decompressor)
+        if result == _LIBDEFLATE_BAD_DATA:
+            raise CodecError("zlib payload failed to decode: corrupt data")
+        if result != _LIBDEFLATE_SUCCESS:
+            raise CodecError(
+                f"zlib payload does not decode to the {dest.size} bytes the "
+                f"block header declares (corrupt payload?)"
+            )
+        return dest.size
 
 
 #: Codec name -> prototype instance.  Looked up per shard open, not per block.

@@ -49,8 +49,12 @@ Reads go through :class:`BlockedMatrixReader`, which serves rows with
 reader threads can fetch blocks concurrently with no lock at all.  The fetch
 (I/O) and decode (CPU) halves are separate methods, which is what lets a
 reader of the parallel chunk pipeline fetch compressed payloads under its
-retry envelope and then decompress them, unretried, straight into a
-reusable buffer.
+retry envelope and then decompress them, unretried, into a reusable buffer.
+A whole row-layout block whose storage dtype is the destination's decodes
+straight into the destination through
+:meth:`~repro.data.codecs.Codec.decode_into`, with no intermediate bytes;
+partial blocks, narrower storage dtypes and the legacy column layout decode
+to a transient array and are cast on the copy.
 """
 
 from __future__ import annotations
@@ -676,6 +680,18 @@ class BlockedMatrixReader:
         raw = self.codec.decode(payload, segment[2])
         return np.frombuffer(raw, dtype=self.header.storage_dtype)
 
+    def _decode_segment_into(
+        self,
+        payload: bytes,
+        segment: Segment,
+        block_index: int,
+        segment_index: int,
+        out: memoryview,
+    ) -> None:
+        """CRC-check one payload, then decode it into ``out`` (its raw size)."""
+        self._verify_segment(payload, segment, block_index, segment_index)
+        self.codec.decode_into(payload, out)
+
     def _verify_segment(
         self,
         payload: bytes,
@@ -710,7 +726,9 @@ class BlockedMatrixReader:
 
         ``out`` is a 2-D array in the *logical* dtype: decoded storage values
         are cast on the copy, so a float32-on-disk dataset streams float64 to
-        consumers without an intermediate full-block logical array.
+        consumers without an intermediate full-block logical array.  A whole
+        row-layout block stored in ``out``'s dtype, landing in a C-contiguous
+        band of ``out``, is decoded straight into it by the codec instead.
         """
         block = self.header.blocks[fetched.index]
         lo = max(lo, block.start_row)
@@ -720,8 +738,19 @@ class BlockedMatrixReader:
         local = slice(lo - block.start_row, hi - block.start_row)
         dest = out[out_offset : out_offset + (hi - lo)]
         if self.header.layout == "row":
+            payload, segment = fetched.payloads[0], block.segments[0]
+            if (
+                hi - lo == block.rows
+                and dest.dtype == self.header.storage_dtype
+                and dest.flags.c_contiguous
+                and dest.nbytes == segment[2]
+            ):
+                self._decode_segment_into(
+                    payload, segment, fetched.index, 0, memoryview(dest).cast("B")
+                )
+                return
             values = self._decode_segment(
-                fetched.payloads[0], block.segments[0], fetched.index, 0
+                payload, segment, fetched.index, 0
             ).reshape(block.rows, self.header.cols)
             np.copyto(dest, values[local], casting="unsafe")
         else:
@@ -816,7 +845,8 @@ def verify_blocked_file(path: Union[str, Path]) -> List[str]:
     Returns a list of human-readable problem strings (empty means clean).
     The scrub keeps going after the first bad block so one pass reports
     every corrupt region; errors that make the file unreadable at all
-    (bad magic, torn trailer) yield a single entry.
+    (bad magic, torn trailer) yield a single entry.  Every segment decodes
+    into one scratch buffer reused across blocks.
     """
     path = Path(path)
     problems: List[str] = []
@@ -826,6 +856,10 @@ def verify_blocked_file(path: Union[str, Path]) -> List[str]:
         return [f"{path}: unreadable: {error}"]
     with reader:
         header = reader.header
+        scratch = memoryview(bytearray(max(
+            (segment[2] for block in header.blocks for segment in block.segments),
+            default=0,
+        )))
         for index, block in enumerate(header.blocks):
             try:
                 fetched = reader.fetch_block(index)
@@ -834,8 +868,9 @@ def verify_blocked_file(path: Union[str, Path]) -> List[str]:
                 continue
             for position, segment in enumerate(block.segments):
                 try:
-                    reader._decode_segment(
-                        fetched.payloads[position], segment, index, position
+                    reader._decode_segment_into(
+                        fetched.payloads[position], segment, index, position,
+                        scratch[: segment[2]],
                     )
                 except (ChecksumError, ValueError, OSError) as error:
                     message = str(error)

@@ -26,6 +26,7 @@ from repro.api.chunks import (
     open_chunk_stream,
 )
 from repro.api.sharded import open_sharded_matrix, write_sharded_dataset
+from repro.data import codecs
 from repro.ml import LogisticRegression, base
 
 
@@ -92,6 +93,52 @@ class TestBitIdentity:
             np.testing.assert_array_equal(a[3], b[3])
         raw.close()
         zipped.close()
+
+
+class TestInflateIntoDestination:
+    """Whole blocks inflate straight into their destination; edges still slice."""
+
+    @pytest.mark.parametrize("io_workers", [1, 2])
+    @pytest.mark.parametrize("storage_dtype", [np.float64, np.float32])
+    def test_whole_and_edge_blocks_stream_exactly(
+        self, tmp_path, rng, zlib_inflate, io_workers, storage_dtype
+    ):
+        # 48-row blocks under 100-row chunks: most chunks hold whole blocks
+        # and cut one or two, and each 300-row shard ends in a short block.
+        X = rng.integers(-50, 50, size=(900, 6)).astype(np.float64)
+        y = rng.integers(0, 3, size=900).astype(np.int64)
+        write_sharded_dataset(tmp_path / "zip", X, y, shard_rows=300, codec="zlib",
+                              block_rows=48, storage_dtype=storage_dtype)
+        matrix = open_sharded_matrix(tmp_path / "zip")
+        with open_chunk_stream(matrix, labels=matrix.lazy_labels, chunk_rows=100,
+                               io_workers=io_workers, align_shards=False) as stream:
+            chunks = _drain(stream)
+        matrix.close()
+        assert [c[1] for c in chunks] == list(range(0, 900, 100))
+        assert np.array_equal(np.concatenate([c[3] for c in chunks]), X)
+        assert np.array_equal(np.concatenate([c[4] for c in chunks]), y)
+
+    def test_whole_blocks_never_reach_decode(self, tmp_path, rng, monkeypatch):
+        if codecs._LIBDEFLATE is None:
+            pytest.skip("libdeflate.so.0 is not installed")
+        X = rng.integers(0, 5, size=(900, 6)).astype(np.float64)
+        write_sharded_dataset(tmp_path / "zip", X, shard_rows=300, codec="zlib",
+                              block_rows=48)
+        decoded = []
+        decode = codecs.ZlibCodec.decode
+
+        def spy(self, payload, raw_bytes):
+            decoded.append(raw_bytes)
+            return decode(self, payload, raw_bytes)
+
+        monkeypatch.setattr(codecs.ZlibCodec, "decode", spy)
+        matrix = open_sharded_matrix(tmp_path / "zip")
+        with open_chunk_stream(matrix, chunk_rows=100, io_workers=2,
+                               align_shards=False) as stream:
+            chunks = _drain(stream)
+        matrix.close()
+        assert np.array_equal(np.concatenate([c[3] for c in chunks]), X)
+        assert decoded == []
 
 
 class TestReaderRule:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.runtime import LEASES, ThreadLeakDetector
+from repro.data import codecs
 from repro.data.formats import write_binary_matrix
 from repro.data.synthetic import make_blobs, make_classification
 
@@ -34,6 +35,22 @@ def leak_guards():
     assert not outstanding, f"buffer leases leaked by this test: {outstanding}"
     leaked = detector.leaked(grace=2.0)
     assert not leaked, f"threads leaked by this test: {leaked}"
+
+
+@pytest.fixture(params=["libdeflate", "stdlib"])
+def zlib_inflate(request, monkeypatch) -> str:
+    """Run the test on each inflate path of ``ZlibCodec.decode_into``.
+
+    ``libdeflate`` skips where the library did not load (CI fails a runner
+    without it in a step of its own); ``stdlib`` forces the fallback by
+    clearing the module's library handle.
+    """
+    if request.param == "libdeflate":
+        if codecs._LIBDEFLATE is None:
+            pytest.skip("libdeflate.so.0 is not installed")
+    else:
+        monkeypatch.setattr(codecs, "_LIBDEFLATE", None)
+    return request.param
 
 
 @pytest.fixture()

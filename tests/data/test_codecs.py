@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import codecs
 from repro.data.codecs import (
     CODEC_REGISTRY,
     Codec,
@@ -13,6 +14,7 @@ from repro.data.codecs import (
     get_codec,
     register_codec,
 )
+from repro.faults import InjectedFault, set_fault_plan
 
 
 class TestRegistry:
@@ -81,13 +83,66 @@ class TestRoundTrip:
         raw = b"\x00" * 65536
         assert len(codec.encode(raw)) < len(raw) // 10
 
-    def test_size_mismatch_rejected(self):
-        codec = get_codec("zlib")
-        coded = codec.encode(b"x" * 100)
-        with pytest.raises(CodecError, match="100"):
-            codec.decode(coded, 101)
 
-    def test_corrupt_payload_rejected(self):
+class TestZlibInflate:
+    """Both inflate paths of ``ZlibCodec`` (libdeflate and the stdlib) agree."""
+
+    RAW = np.random.default_rng(5).integers(0, 9, size=(300, 7)).astype(np.float64).tobytes()
+
+    def test_round_trip_and_decode_into_are_exact(self, zlib_inflate):
+        assert (codecs._LIBDEFLATE is not None) == (zlib_inflate == "libdeflate")
         codec = get_codec("zlib")
-        with pytest.raises(Exception):
-            codec.decode(b"definitely not zlib", 10)
+        for raw in (self.RAW, b"", bytes(range(256)) * 33):
+            coded = codec.encode(raw)
+            assert codec.decode(coded, len(raw)) == raw
+            out = bytearray(len(raw))
+            assert codec.decode_into(memoryview(coded), memoryview(out)) == len(raw)
+            assert bytes(out) == raw
+
+    def test_decodes_straight_into_an_array(self, zlib_inflate):
+        codec = get_codec("zlib")
+        values = np.frombuffer(self.RAW, dtype=np.float64).reshape(300, 7)
+        out = np.full((400, 7), -1.0)
+        codec.decode_into(codec.encode(self.RAW), memoryview(out[50:350]).cast("B"))
+        assert np.array_equal(out[50:350], values)
+        assert (out[:50] == -1).all() and (out[350:] == -1).all()
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_size_mismatch_rejected(self, zlib_inflate, delta):
+        codec = get_codec("zlib")
+        coded = codec.encode(self.RAW)
+        declared = len(self.RAW) + delta
+        with pytest.raises(CodecError, match=str(declared)):
+            codec.decode(coded, declared)
+        with pytest.raises(CodecError, match=str(declared)):
+            codec.decode_into(coded, memoryview(bytearray(declared)))
+
+    def test_corrupt_payload_rejected(self, zlib_inflate):
+        codec = get_codec("zlib")
+        coded = codec.encode(self.RAW)
+        flipped = bytearray(coded)
+        flipped[len(coded) // 2] ^= 0xFF
+        for payload in (b"definitely not zlib", coded[:-4], bytes(flipped)):
+            with pytest.raises(CodecError):
+                codec.decode(payload, len(self.RAW))
+            with pytest.raises(CodecError):
+                codec.decode_into(payload, memoryview(bytearray(len(self.RAW))))
+
+    def test_read_only_output_refused(self, zlib_inflate):
+        codec = get_codec("zlib")
+        target = bytes(len(self.RAW))
+        with pytest.raises(TypeError):
+            codec.decode_into(codec.encode(self.RAW), memoryview(target))
+        assert target == bytes(len(self.RAW))
+
+    def test_decode_block_fault_fires(self, zlib_inflate):
+        codec = get_codec("zlib")
+        coded = codec.encode(self.RAW)
+        set_fault_plan("decode.block:n=0")
+        try:
+            with pytest.raises(InjectedFault, match="decode.block"):
+                codec.decode_into(coded, memoryview(bytearray(len(self.RAW))))
+            with pytest.raises(InjectedFault, match="decode.block"):
+                codec.decode(coded, len(self.RAW))
+        finally:
+            set_fault_plan(None)
