@@ -14,7 +14,7 @@ bytes/bandwidth of a ~200 MB/s NVMe-ish :class:`~repro.vmem.disk.DiskProfile`,
 as a real ``time.sleep`` — which releases the GIL exactly like a blocking
 ``read(2)``, so reader threads genuinely overlap the stalls the way they
 overlap real device waits.  Everything else (chunk planning, buffer pool,
-reorder buffer, partial_fit, predict) runs for real.
+the plan-order hand-back, partial_fit, predict) runs for real.
 
 Writes ``BENCH_parallel.json`` (uploaded by CI as an artifact): wall times and
 rows/s for 1/2/4 readers x fit/predict, the speedups over the single-reader

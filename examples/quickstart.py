@@ -56,7 +56,7 @@ engine         fit                         predict
 =============  ==========================  ===============================
 
 A scan is configured in one place, the ``StreamingEngine`` constructor:
-``chunk_rows``, ``io_workers`` (the parallel reader pool), ``compute_workers``
+``chunk_rows``, ``io_workers`` (reader threads), ``compute_workers``
 (data-parallel inference), ``hints`` (OS readahead hints) and
 ``release_behind`` — see *Tuning the streaming pipeline* below.
 ``session.fit`` / ``session.predict`` take the engine
@@ -285,7 +285,7 @@ answering from the snapshot they opened.  Each committed append writes a new
 manifest generation (``manifest.<gen>.json`` plus an atomically-renamed
 ``CURRENT`` pointer); open handles pin the generation they were opened at,
 so a scan that started before an append finishes on exactly the rows it
-planned over — bit-identical, even with a parallel reader pool.
+planned over — bit-identical, even with several readers.
 ``session.refresh(dataset)`` opts a handle into the latest generation, and
 ``m3 info`` reports the generation, committed rows and tail-shard state::
 
@@ -342,7 +342,8 @@ to absorb them with its production machinery:
   ``FitResult.details`` reports ``retries`` / ``faults_injected``;
 * **bounded waits** — every pipeline wait carries a deadline
   (``stall_timeout_s``), so a wedged producer raises a diagnostic
-  ``ChunkStreamError`` describing the reader state instead of hanging
+  ``ChunkStreamError`` naming the due chunk, each reader's last claim and
+  the unreleased buffers instead of hanging
   (lint rule R005 keeps new code honest);
 * **graceful degradation** — a failing serve dispatch fails only its own
   requests (``ServeError``); the server keeps serving and its stats count

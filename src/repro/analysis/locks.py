@@ -30,26 +30,26 @@ network-serving locks landed, per the ROADMAP's standing instruction)::
     rank  70   Session._lock                      dataset list + handle pool
     rank  80   ModelRegistry._lock                hot-model publish/resolve
     rank  90   ShardAppender._lock                tail-shard write + generation commit
-    rank 110   _ReaderPoolState.cond              reorder buffer + reader accounting
     rank 120   ReadaheadHinter._lock              madvise byte accounting
     rank 130   BufferLease._lock                  per-lease refcount
     rank 140   _BlockCache._lock                  decoded-block LRU (innermost)
 
-The recorded nesting that motivates the order: a reader thread holding
-``_ReaderPoolState.cond`` (110) releases a superseded chunk's
-``BufferLease._lock`` (130); a dispatcher thread resolves models
-(``ModelRegistry._lock``, 80) and opens datasets (``Session._lock``, 70)
-while *not* holding ``ModelServer._cond`` (40).  The trainer daemon holds
-``Trainer._lock`` (60) while opening snapshot datasets (``Session._lock``,
-70) and publishing refreshed versions (``ModelRegistry._lock``, 80), so it
-must rank above the server condition but below both; the shard appender
-(90) is a near-leaf write lock that callers already holding session or
-registry locks may enter, but which never re-enters the session layer.
+The recorded nesting that motivates the order: a dispatcher thread
+resolves models (``ModelRegistry._lock``, 80) and opens datasets
+(``Session._lock``, 70) while *not* holding ``ModelServer._cond`` (40).
+The trainer daemon holds ``Trainer._lock`` (60) while opening snapshot
+datasets (``Session._lock``, 70) and publishing refreshed versions
+(``ModelRegistry._lock``, 80), so it must rank above the server condition
+but below both; the shard appender (90) is a near-leaf write lock that
+callers already holding session or registry locks may enter, but which
+never re-enters the session layer.
 The network front end sits *outside* the serving core: ``NetServer._lock``
 (20) guards transport accounting only and is never held across a
 ``submit``; ``ModelServer.submit`` holding ``_cond`` (40) records arrivals
 on the delay controller (50), so the controller ranks just inside the
-server condition.
+server condition.  The chunk pipeline's three locks (120-140) are leaves:
+its readers are :func:`~repro.fanout.map_ordered` workers that never take
+one of them while holding another.
 """
 
 from __future__ import annotations
@@ -85,11 +85,10 @@ LOCK_ORDER: Dict[str, int] = {
     # Callers already holding session/registry locks may append (70/80 -> 90
     # is increasing); the appender itself never re-enters the session layer.
     "repro.api.sharded.ShardAppender._lock": 90,
-    # Streaming pipeline.  Readers fetch, decode and post each chunk
-    # themselves; decoding runs outside the reorder cond.
-    "repro.api.chunks._ReaderPoolState.cond": 110,
+    # Streaming pipeline.  Readers are map_ordered workers: they hint, read
+    # and decode each chunk holding no lock of the stream's own.
     "repro.api.chunks.ReadaheadHinter._lock": 120,
-    # The per-lease refcount, taken while posting/releasing chunks.
+    # The per-lease refcount, taken while retaining/releasing chunks.
     "repro.api.chunks.BufferLease._lock": 130,
     # Innermost library lock: the decoded-block LRU is a pure leaf — decoding
     # happens outside it and nothing is acquired while it is held.

@@ -343,9 +343,10 @@ class ThreadLeakDetector:
     """Detects threads a block of code started but never joined.
 
     Usage: ``start()`` before the code under test, ``leaked()`` after.
-    Only *non-daemon* threads count as leaks — the streaming pipeline's
-    daemon readers are reaped by their owners' ``close()`` and by process
-    exit, and each gets a short grace join before being reported.
+    Only *non-daemon* threads count as leaks, and each gets a short grace
+    join before being reported: a chunk stream's readers (pool threads of
+    :func:`~repro.fanout.map_ordered`) finish a read they were given before
+    they exit.
     """
 
     def __init__(self) -> None:

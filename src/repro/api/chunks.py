@@ -11,12 +11,13 @@ on the kernel alone:
   view of one shard's memmap) and optionally *ramped* — starting with a small
   window that doubles chunk over chunk, the same warm-up discipline as
   :class:`~repro.vmem.readahead.AdaptiveReadAhead`.
-* :class:`ChunkStream` — the one executor: a pool of reader threads pulls
-  upcoming chunks off the plan in claim order, a bounded reorder buffer
-  re-emits them in plan order as :class:`Chunk` blocks carrying ``(X, y)``,
-  and a :class:`ChunkBufferPool` of preallocated arrays absorbs the chunks
-  that need stitching or decoding (a reader of decoded shards inflates what
-  it fetches straight into one) so steady-state streaming performs zero
+* :class:`ChunkStream` — the one executor: an ordered map
+  (:func:`repro.fanout.map_ordered`) of one read step over the plan, whose
+  reader threads read upcoming chunks while the consumer gets them back in
+  plan order as :class:`Chunk` blocks carrying ``(X, y)``; a
+  :class:`ChunkBufferPool` of preallocated arrays absorbs the chunks that
+  need stitching or decoding (a reader of decoded shards inflates what it
+  fetches straight into one) so steady-state streaming performs zero
   per-chunk allocations.  One reader with a window of 2 (the default) is classic
   double buffering — chunk *k+1* is read while the consumer trains on chunk
   *k*; with no reader at all (``prefetch=False``) the consumer runs the same
@@ -38,22 +39,25 @@ and their per-chunk ``predict``/``predict_proba`` (via
 
 from __future__ import annotations
 
+import itertools
 import mmap as _mmap
 import os
 import queue
 import threading
 import time
+import weakref
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.runtime import LEASES, make_condition, make_lock
+from repro.analysis.runtime import LEASES, make_lock
 from repro.faults import InjectedFault, maybe_fire, policy_for
 from repro.api.sharded import ShardedLabels, ShardedMatrix
+from repro.fanout import COMPUTE_THREAD_PREFIX, DeadlineExceeded, map_ordered
 
 DEFAULT_CHUNK_BYTES = 8 * 1024 * 1024
 """Target bytes per chunk when no explicit ``chunk_rows`` is given."""
@@ -69,6 +73,8 @@ DEFAULT_STALL_TIMEOUT_S = 30.0
 stalled.  Generous — orders of magnitude above any healthy read — because its
 job is to convert a *dead* producer (hung device, wedged reader thread) into a
 diagnosable :class:`ChunkStreamError` instead of an eternal hang."""
+
+_stream_numbers = itertools.count()  # names each stream's readers apart
 
 
 class ChunkStreamError(RuntimeError):
@@ -561,11 +567,12 @@ class BufferLease:
 class ChunkBufferPool:
     """A ring of preallocated chunk buffers, leased to in-flight chunks.
 
-    The parallel reader pool copies *stitched* chunks (the ones that straddle
-    a shard boundary, which a zero-copy view cannot serve) into buffers from
-    this ring instead of allocating a fresh array per chunk, so steady-state
-    streaming performs zero per-chunk allocations: peak memory is bounded by
-    ``buffers × chunk bytes`` regardless of how many chunks flow through.
+    A threaded stream's readers copy *stitched* chunks (the ones that straddle
+    a shard boundary, which a zero-copy view cannot serve) and decode coded
+    ones into buffers from this ring instead of allocating a fresh array per
+    chunk, so steady-state streaming performs zero per-chunk allocations:
+    peak memory is bounded by ``buffers × chunk bytes`` regardless of how
+    many chunks flow through.
 
     Parameters
     ----------
@@ -621,7 +628,7 @@ class ChunkBufferPool:
         """Take a buffer from the ring, blocking until one is free.
 
         Returns ``None`` instead of blocking forever when ``stop`` is set —
-        a reader pool being closed must not deadlock on an exhausted ring.
+        a stream being closed must not deadlock on an exhausted ring.
         """
         maybe_fire("pool.lease")
         while True:
@@ -831,172 +838,100 @@ class ReadaheadHinter:
         self.close()
 
 
-class _ReaderPoolState:
-    """Shared state of a :class:`ChunkStream`: the plan, the reorder buffer
-    and the read step every reader (or, inline, the consumer) runs.
+class _Read(NamedTuple):
+    """One read step's result: the chunk, and what that read adds to the stats."""
 
-    Reader threads reference *this* object, never the stream itself, so an
-    abandoned stream stays garbage-collectable; its finalizer then calls
-    :meth:`abandon`, which every reader observes, instead of the pool pinning
-    the stream alive for the process lifetime.
+    chunk: Chunk
+    hints: int
+    retries: int
+    faults_injected: int
+
+
+@dataclass(eq=False)
+class _ChunkReader:
+    """The read step of a :class:`ChunkStream`: what every reader (or, inline,
+    the consumer) runs on one ``(index, (start, stop))`` chunk of the plan.
+
+    Readers reference *this* object, never the stream, so an abandoned stream
+    stays collectable while its reads are in flight; collecting it closes its
+    :func:`~repro.fanout.map_ordered` generator and stops this read step.
     """
 
-    def __init__(
-        self,
-        matrix: Any,
-        labels: Optional[Any],
-        plan: ChunkPlan,
-        cuts: np.ndarray,
-        pool: Optional[ChunkBufferPool],
-        hinter: Optional[ReadaheadHinter],
-        depth: int,
-        readers: int,
-        compressed: Optional[ShardedMatrix],
-    ) -> None:
-        self.matrix = matrix
-        self.labels = labels
-        self.plan = plan
-        self.cuts = cuts
-        self.pool = pool
-        self.hinter = hinter
-        self.compressed = compressed
-        # Re-entrant: the consumer re-acquires while finishing inside the
-        # wait loop's critical section.
-        self.cond = make_condition("repro.api.chunks._ReaderPoolState.cond")
+    matrix: Any
+    labels: Optional[Any]
+    plan: ChunkPlan
+    cuts: np.ndarray
+    pool: Optional[ChunkBufferPool]
+    hinter: Optional[ReadaheadHinter]
+    readers: InitVar[int]
+    compressed: Optional[ShardedMatrix]
+
+    def __post_init__(self, readers: int) -> None:
+        #: Set when the stream ends: a read waiting for a buffer gives up, and
+        #: a fetched chunk is no longer decoded.
         self.stop = threading.Event()
-        self.window = threading.Semaphore(depth)
-        self.results: Dict[int, Chunk] = {}
-        self.error: Optional[Tuple[int, BaseException]] = None
-        self.next_claim = 0
-        self.pending_hints = 0
-        self.live_workers = 0
-        #: Retry accounting (folded into the stream's stats at the end).
-        self.retries = 0
-        self.faults_injected = 0
-        #: The consumer is gone (finished, closing or collected): late posts
-        #: must drop their chunk and hand the lease back instead of parking
-        #: it forever.
-        self.draining = False
+        #: Per reader: its ordered claims, its accounting, and whether it is
+        #: idle (not inside a read).  Each reader writes only its own entries.
         self.reader_log: List[List[Tuple[int, int]]] = [[] for _ in range(readers)]
         self.reader_stats: List[Dict[str, Any]] = [
             {"reader": r, "chunks": 0, "rows": 0, "bytes_read": 0, "read_s": 0.0}
             for r in range(readers)
         ]
+        self.idle = [threading.Event() for _ in range(readers)]
+        for idle in self.idle:
+            idle.set()
+        self._numbers = itertools.count()
+        self._local = threading.local()
 
-    # -- reader loop ---------------------------------------------------------
+    def _reader(self) -> int:
+        """This thread's reader number, taken at its first read."""
+        number = getattr(self._local, "number", None)
+        if number is None:
+            number = self._local.number = next(self._numbers) % len(self.idle)
+        return number
 
-    def work(self, reader: int) -> None:
-        plan = self.plan
-        acct = self.reader_stats[reader]
+    def __call__(self, claim: Tuple[int, Tuple[int, int]]) -> _Read:
+        index, (start, stop) = claim
+        counts = [0, 0]  # this read's retries, and the injected faults among them
+
+        def on_retry(attempt: int, error: BaseException) -> None:
+            counts[0] += 1
+            counts[1] += isinstance(error, InjectedFault)
+
+        # The read runs under its site's retry envelope.  A decoded chunk's
+        # lease and fetch are retried as a unit: a failed attempt releases
+        # everything it held, so each one starts clean.
         decoded = self.compressed is not None
-        index = 0
+        site = "read.pread" if decoded else "read.gather"
+        step = self.fetch_chunk if decoded else self.read_chunk
+
+        def read() -> Chunk:
+            return policy_for(site).call(
+                lambda: step(index, start, stop), site=site, on_retry=on_retry
+            )
+
+        if not self.idle:  # inline: the consumer reads; no reader to account
+            return _Read(read(), 0, *counts)
+        reader = self._reader()
+        acct = self.reader_stats[reader]
+        self.reader_log[reader].append((start, stop))
+        self.idle[reader].clear()
         try:
-            while not self.stop.is_set():
-                if not self.window.acquire(timeout=0.05):
-                    continue
-                with self.cond:
-                    if self.next_claim >= plan.num_chunks:
-                        self.window.release()
-                        return
-                    index = self.next_claim
-                    self.next_claim += 1
-                    start, stop_row = plan.bounds[index]
-                    # reader_log is read live by the accounting properties
-                    # while readers run, so it shares the cond's protection.
-                    self.reader_log[reader].append((start, stop_row))
-                hinted = self.hinter.will_need(start, stop_row) if self.hinter is not None else 0
-                if decoded:
-                    chunk = self.fetch(index, start, stop_row)
-                else:
-                    chunk = self.read(index, start, stop_row)
-                acct["chunks"] += 1
-                acct["rows"] += chunk.rows
-                # Decoding readers account the bytes they actually pulled
-                # off storage, not the logical chunk size.
-                acct["bytes_read"] += (
-                    chunk.compressed_bytes if decoded else chunk.rows * plan.row_bytes
-                )
-                acct["read_s"] += chunk.read_s
-                if decoded:
-                    chunk = self.decode(chunk)
-                    if chunk is None:
-                        continue
-                self.post(chunk, hinted)
-        except BaseException as error:  # noqa: BLE001 — relayed to the consumer
-            self.fail(index, error)
+            hinted = self.hinter.will_need(start, stop) if self.hinter is not None else 0
+            chunk = read()
+            acct["chunks"] += 1
+            acct["rows"] += chunk.rows
+            # Decoding readers account the bytes they actually pulled off
+            # storage, not the logical chunk size.
+            acct["bytes_read"] += (
+                chunk.compressed_bytes if decoded else chunk.rows * self.plan.row_bytes
+            )
+            acct["read_s"] += chunk.read_s
+            if decoded:
+                chunk = self.decode(chunk)
         finally:
-            try:
-                with self.cond:
-                    self.live_workers -= 1
-                    self.cond.notify_all()
-            except Exception:  # noqa: BLE001 — interpreter-shutdown teardown
-                pass
-
-    def dropped(self, index: int) -> bool:
-        """Whether chunk ``index`` can never be consumed (``cond`` held).
-
-        After a read failed, chunks *behind* the failed index still post —
-        the consumer's contract is that everything before the error is
-        delivered in order — while chunks past it, and every chunk once the
-        consumer is gone, are dropped.
-        """
-        return self.draining or (self.error is not None and index > self.error[0])
-
-    def post(self, chunk: Chunk, hinted: int) -> None:
-        """Park a finished chunk in the reorder buffer, or drop it."""
-        with self.cond:
-            if self.dropped(chunk.index):
-                chunk.release()
-                return
-            self.results[chunk.index] = chunk
-            self.pending_hints += hinted
-            self.cond.notify_all()
-
-    def fail(self, index: int, error: BaseException) -> None:
-        """Record the lowest-index failure and wind the readers down."""
-        try:
-            with self.cond:
-                if self.error is None or index < self.error[0]:
-                    self.error = (index, error)
-                self.stop.set()
-                self.cond.notify_all()
-        except Exception:  # noqa: BLE001 — interpreter-shutdown teardown
-            pass
-
-    def abandon(self) -> None:
-        """The consumer is gone: stop the readers, hand parked buffers back.
-
-        ``draining`` is raised first, so a chunk posted after the sweep below
-        drops its own lease — between them every buffer returns to the ring
-        whether the stream was exhausted, closed or merely collected.  Later
-        calls (``close()`` after exhaustion, the finalizer after ``close()``)
-        find nothing left to do.
-        """
-        if self.draining:
-            return
-        self.draining = True
-        self.stop.set()
-        with self.cond:
-            leftovers = list(self.results.values())
-            self.results.clear()
-            for chunk in leftovers:
-                chunk.release()
-            self.cond.notify_all()
-
-    def _on_retry(self, attempt: int, error: BaseException) -> None:
-        """Count one retried read attempt (runs on the failing thread)."""
-        with self.cond:
-            self.retries += 1
-            if isinstance(error, InjectedFault):
-                self.faults_injected += 1
-
-    def read(self, index: int, start: int, stop: int) -> Chunk:
-        """:meth:`read_chunk` under the ``read.gather`` retry envelope."""
-        return policy_for("read.gather").call(
-            lambda: self.read_chunk(index, start, stop),
-            site="read.gather",
-            on_retry=self._on_retry,
-        )
+            self.idle[reader].set()
+        return _Read(chunk, hinted, *counts)
 
     def read_chunk(self, index: int, start: int, stop: int) -> Chunk:
         """Materialise one chunk: zero-copy view when possible, pooled copy otherwise.
@@ -1040,18 +975,6 @@ class _ReaderPoolState:
         read_s = time.perf_counter() - began
         return Chunk(index=index, start=start, stop=stop, X=X, y=y, read_s=read_s, lease=lease)
 
-    def fetch(self, index: int, start: int, stop: int) -> Chunk:
-        """:meth:`fetch_chunk` under the ``read.pread`` retry envelope.
-
-        Retried as a unit: a failed lease or fetch releases everything it
-        held, so each attempt starts clean.
-        """
-        return policy_for("read.pread").call(
-            lambda: self.fetch_chunk(index, start, stop),
-            site="read.pread",
-            on_retry=self._on_retry,
-        )
-
     def fetch_chunk(self, index: int, start: int, stop: int) -> Chunk:
         """The I/O half of a decoded chunk: lease + fetch payloads + labels.
 
@@ -1081,21 +1004,18 @@ class _ReaderPoolState:
             compressed_bytes=fetched.compressed_bytes, lease=lease,
         )
 
-    def decode(self, fetched: Chunk) -> Optional[Chunk]:
-        """Inflate a fetched chunk into its lease; ``None`` if it was dropped.
+    def decode(self, fetched: Chunk) -> Chunk:
+        """Inflate a fetched chunk into its lease.
 
         Runs outside the retry envelope: a ``decode.block`` fault or a
         :class:`~repro.data.formats_v2.ChecksumError` fails the stream at
-        this chunk, unretried.  A chunk that can no longer be consumed is
+        this chunk, unretried.  A chunk fetched after the stream ended is
         not decoded at all.
         """
-        with self.cond:
-            dropped = self.dropped(fetched.index)
-        if dropped:
-            fetched.release()
-            return None
-        began = time.perf_counter()
         try:
+            if self.stop.is_set():
+                raise ChunkStreamError("chunk stream ended before the chunk was decoded")
+            began = time.perf_counter()
             X = self.compressed.decode_into(fetched.X, fetched.lease.X)
         except BaseException:
             fetched.release()
@@ -1104,7 +1024,7 @@ class _ReaderPoolState:
 
     def _lease(self) -> BufferLease:
         lease = self.pool.lease(stop=self.stop)
-        if lease is None:  # closed while waiting for a buffer
+        if lease is None:  # the stream ended while waiting for a buffer
             raise ChunkStreamError("chunk stream closed while leasing a buffer")
         return lease
 
@@ -1133,22 +1053,24 @@ class _ReaderPoolState:
 
 
 class ChunkStream:
-    """The chunk executor: a reader pool feeding a plan-order stream.
+    """The chunk executor: an ordered map of one read step over the plan.
 
-    ``io_workers`` reader threads claim upcoming chunks off the plan, issue
-    an OS readahead hint for each claim, materialise the chunk — zero-copy
+    The stream iterates :func:`repro.fanout.map_ordered` over the plan's
+    chunks on ``io_workers`` reader threads.  Each reader takes the next
+    chunk, issues an OS readahead hint for it and materialises it — zero-copy
     when the range resolves to one contiguous memmap view, copied into a
     :class:`ChunkBufferPool` buffer when it must be stitched across shards,
-    fetched and then decoded into such a buffer when the shards are decoded
-    — and post it into a bounded reorder buffer.  The consumer re-emits
-    chunks in exact plan order, so downstream training and inference see the
-    identical chunk sequence under every reader count.  With *zero* readers (an inline
-    stream) the consumer runs the same read step itself, one chunk per
-    ``next()``: no thread, no pool, no hinter, and ``io_wait == read``.
+    fetched and then decoded into such a buffer when the shards are decoded.
+    The map hands chunks back in exact plan order, so downstream training and
+    inference see the identical chunk sequence under every reader count.
+    With *zero* readers (an inline stream) the consumer runs the same read
+    step itself, one chunk per ``next()``: no thread, no pool, no hinter, and
+    ``io_wait == read``.  Readers are the map's ``m3-compute`` threads, so a
+    stream iterated on one of those threads reads inline too.
 
     Build one with :func:`open_chunk_stream`, which documents the options.
     Always close (or exhaust) the stream; it is a context manager, and
-    ``close()`` is what stops the reader threads early.
+    ``close()`` is what stops the readers early.
     """
 
     def __init__(
@@ -1209,8 +1131,8 @@ class ChunkStream:
             io_workers = max(int(io_workers), decode_workers)
         #: Reader threads; 0 = inline (the consumer reads).
         self.io_workers = min(int(io_workers), max(plan.num_chunks, 1))
-        #: Reorder window: maximum chunks claimed but not yet consumed, so
-        #: every reader can stay busy while the consumer computes.
+        #: Read-ahead: chunks read while the consumer computes on one, so
+        #: every reader can stay busy.
         self.depth = max(2, 2 * self.io_workers) if threaded else 0
 
         cuts = np.asarray(starts, dtype=np.int64)
@@ -1220,12 +1142,6 @@ class ChunkStream:
             else None
         )
         if self.pool is not None:
-            # The in-flight window must never exceed the buffer ring: with a
-            # wider window, readers of *later* chunks can lease every buffer
-            # while they sit unconsumable in the reorder buffer, starving the
-            # reader of the next-expected chunk — a permanent deadlock.  With
-            # window <= buffers the expected chunk's reader always finds a
-            # free buffer (at most window-1 other chunks hold leases).
             self.depth = max(1, min(self.depth, self.pool.buffers))
         self.hinter: Optional[ReadaheadHinter] = None
         if hints and threaded:
@@ -1237,24 +1153,37 @@ class ChunkStream:
         self.release_behind = self.hinter is not None and bool(release_behind)
 
         self.stats = ChunkStreamStats(prefetched=threaded)
-        self._state = _ReaderPoolState(
-            matrix,
-            labels,
-            plan,
-            cuts,
-            self.pool,
-            self.hinter,
-            self.depth,
-            self.io_workers,
-            compressed,
+        self._reader = _ChunkReader(
+            matrix, labels, plan, cuts, self.pool, self.hinter, self.io_workers, compressed
         )
         #: Per-reader ordered ``(start, stop)`` claims — the multi-reader
         #: schedule, which ``repro.vmem.trace.reader_log_trace`` turns into a
         #: replayable trace — and per-reader accounting (chunks, rows, bytes,
         #: read seconds); the readers' own lists, updated live.
-        self.reader_log = self._state.reader_log
-        self.reader_stats = self._state.reader_stats
-        self._expected = 0
+        self.reader_log = self._reader.reader_log
+        self.reader_stats = self._reader.reader_stats
+        # Collecting an abandoned stream also tells its running reads to give
+        # up, so one waiting for a buffer the consumer still holds ends.
+        weakref.finalize(self, self._reader.stop.set)
+        # map_ordered's in_flight counts the chunk the consumer holds, so
+        # depth + 1 keeps depth chunks reading while it computes.  While the
+        # consumer (its chunk released) waits for the next one, in_flight
+        # reads are submitted; were they more than the buffers, later chunks
+        # could lease them all and the next chunk's read wait forever.
+        in_flight = self.depth + 1 if self.pool is None else min(self.depth + 1, self.pool.buffers)
+        # Tells this stream's reader threads apart, for close() to join.
+        self._reader_name = f"[chunk stream {next(_stream_numbers)}]"
+        self._reads = map_ordered(
+            self._reader,
+            enumerate(plan.bounds),
+            self.io_workers,
+            in_flight,
+            threaded=True,
+            timeout_s=stall_timeout_s,
+            # A chunk read but never consumed hands its buffer back.
+            discard=lambda read: read.chunk.release(),
+            name=self._reader_name,
+        )
         self._last_yield: Optional[float] = None
         self._finished = False
         self._closed = False
@@ -1266,18 +1195,6 @@ class ChunkStream:
 
         if self.hinter is not None:
             self.stats.record_hints(self.hinter.advise_sequential())
-        self._threads: List[threading.Thread] = []
-        state = self._state
-        for reader in range(self.io_workers):
-            thread = threading.Thread(
-                target=state.work,
-                args=(reader,),
-                name=f"m3-chunk-reader-{reader}",
-                daemon=True,
-            )
-            state.live_workers += 1
-            thread.start()
-            self._threads.append(thread)
 
     # -- construction helpers ----------------------------------------------
 
@@ -1375,20 +1292,22 @@ class ChunkStream:
             raise StopIteration
         now = time.perf_counter()
         compute_s = now - self._last_yield if self._last_yield is not None else 0.0
-        plan = self.plan
-        if self._expected >= plan.num_chunks:
+        try:
+            read = next(self._reads)
+        except StopIteration:
             self._finish(compute_s)
-            raise StopIteration
-        if self._threads:
-            chunk, pending_hints = self._await_chunk(now, compute_s)
-            wait_s = time.perf_counter() - now
-            self._state.window.release()
-            self.stats.record_hints(pending_hints)
-        else:
-            chunk = self._read_inline(compute_s)
-            # The consumer waited for the whole read.
-            wait_s = chunk.read_s
-        self._expected += 1
+            raise
+        except DeadlineExceeded:
+            raise self._stalled(compute_s) from None
+        except Exception as error:
+            self._finish(compute_s)
+            raise self._read_failed(error) from error
+        chunk = read.chunk
+        # Inline, the consumer waited for the whole read.
+        wait_s = time.perf_counter() - now if self.io_workers else chunk.read_s
+        self.stats.record_hints(read.hints)
+        self.stats.retries += read.retries
+        self.stats.faults_injected += read.faults_injected
         if self.release_behind:
             # The plan tiles rows strictly forward, so everything before the
             # *previous* chunk is permanently behind the cursor: hand those
@@ -1406,48 +1325,12 @@ class ChunkStream:
             wait_s,
             compute_s,
             chunk.rows,
-            chunk.rows * plan.row_bytes,
+            chunk.rows * self.plan.row_bytes,
             decode_s=chunk.decode_s,
             compressed_bytes=chunk.compressed_bytes,
         )
         self._last_yield = time.perf_counter()
         return chunk
-
-    def _read_inline(self, compute_s: float) -> Chunk:
-        """The reader's read step, run by the consumer (no readers started)."""
-        start, stop = self.plan.bounds[self._expected]
-        try:
-            return self._state.read(self._expected, start, stop)
-        except Exception as error:
-            self._finish(compute_s)
-            raise self._read_failed(error) from error
-
-    def _await_chunk(self, now: float, compute_s: float) -> Tuple[Chunk, int]:
-        """Block until the next plan-order chunk is posted, or nothing can post it."""
-        state = self._state
-        deadline = (
-            None if self.stall_timeout_s is None else now + self.stall_timeout_s
-        )
-        with state.cond:
-            while self._expected not in state.results:
-                # Readers wind down on error, but their in-flight chunks still
-                # land; everything before the failed chunk is delivered in
-                # order before the error surfaces at the gap.
-                if state.live_workers == 0:
-                    if state.error is not None:
-                        _, error = state.error
-                        self._finish(compute_s)
-                        raise self._read_failed(error) from error
-                    if state.stop.is_set():
-                        self._finish(compute_s)
-                        raise StopIteration
-                if deadline is not None and time.perf_counter() >= deadline:
-                    raise self._stalled(compute_s)
-                state.cond.wait(timeout=0.05)
-            chunk = state.results.pop(self._expected)
-            pending_hints = state.pending_hints
-            state.pending_hints = 0
-        return chunk, pending_hints
 
     def _read_failed(self, error: BaseException) -> ChunkStreamError:
         return ChunkStreamError(
@@ -1456,21 +1339,19 @@ class ChunkStream:
         )
 
     def _stalled(self, compute_s: float) -> ChunkStreamError:
-        """Build the stall diagnostic (called with ``state.cond`` held).
+        """Build the stall diagnostic, then end the stream.
 
-        Snapshots each reader's last-known claim, the reorder buffer's
-        contents and the buffer ring's outstanding leases *before* tearing
-        the stream down, so the error names the stalled site — a wedged
-        reader, or a consumer hoarding leased chunks — instead of just saying
-        "timed out".
+        Snapshots each reader's last claim and the buffer ring's outstanding
+        leases while the overdue read is still running, so the error names
+        the stalled site — a wedged reader, or a consumer hoarding leased
+        chunks — instead of just saying "timed out".
         """
-        state = self._state
-        workers = state.live_workers
-        buffered = sorted(state.results)
+        reader = self._reader
+        busy = sum(not idle.is_set() for idle in reader.idle)
         per_reader = "; ".join(
             f"reader {acct['reader']}: {acct['chunks']} chunk(s) read, "
             f"last claim {log[-1] if log else None}"
-            for acct, log in zip(state.reader_stats, state.reader_log)
+            for acct, log in zip(reader.reader_stats, reader.reader_log)
         )
         leases = ""
         if self.pool is not None:
@@ -1481,10 +1362,9 @@ class ChunkStream:
             )
         self._finish(compute_s)
         return ChunkStreamError(
-            f"chunk stream stalled: chunk {self._expected} of "
+            f"chunk stream stalled: chunk {self.stats.chunks} of "
             f"{self.plan.num_chunks} planned chunk(s) did not arrive within "
-            f"stall_timeout_s={self.stall_timeout_s} (live readers: "
-            f"{workers}, buffered out-of-order chunks: {buffered}; "
+            f"stall_timeout_s={self.stall_timeout_s} (live readers: {busy}; "
             f"{per_reader}{leases})"
         )
 
@@ -1493,67 +1373,35 @@ class ChunkStream:
 
         Marks the stream finished *before* the caller raises, so a consumer
         that catches the error and keeps iterating gets a clean
-        ``StopIteration`` on every later call.  Chunks that arrived out of
-        order past an error are still parked holding pool leases, and the
-        consumer typically abandons the stream after the error, so the
-        buffers go back now rather than waiting for a ``close()``.
+        ``StopIteration`` on every later call, and tells reads still waiting
+        for a buffer to give up.
         """
         self.stats.record_trailing_compute(trailing_compute_s)
         self._finished = True
         self._last_yield = None
-        self._state.abandon()
-        self._fold_hints()
-
-    def _fold_hints(self) -> None:
-        """Move trailing hint and retry counts from the readers into the stats."""
-        state = self._state
-        with state.cond:
-            pending, retries, faults = state.pending_hints, state.retries, state.faults_injected
-            state.pending_hints = state.retries = state.faults_injected = 0
-        self.stats.record_hints(pending)
-        self.stats.retries += retries
-        self.stats.faults_injected += faults
+        self._reader.stop.set()
 
     def close(self) -> None:
-        """Stop and join the reader pool, returning buffered chunks to the pool.
+        """Stop the readers and wait for them, for at most 5 s in all.
 
-        Idempotent: a second ``close()`` returns immediately.  Readers poll
-        the stop event even while blocked on the window or the ring, so the
-        joins complete promptly; the timeout is a last-resort bound so
-        ``close()`` can never hang a serving loop.  Every step is shielded so
-        a close racing interpreter shutdown (when the ``queue``/``threading``
-        module globals may already be torn down) stays silent instead of
-        raising a spurious exception out of a finalizer or an exiting
-        ``with`` block.
+        Idempotent.  Closing the read map cancels the reads not yet started
+        and hands back the buffers of chunks read but never consumed; a read
+        waiting for a buffer gives up at once.  The map itself never waits
+        for a running read, so the bound here is the only wait: ``close()``
+        can never hang a serving loop.
         """
-        if getattr(self, "_closed", False):
-            self._finished = True
+        if self._closed:
             return
-        self._closed = True
-        self._finished = True
-        try:
-            self._state.abandon()
-            for thread in self._threads:
-                thread.join(timeout=5.0)
-            self._fold_hints()
-            if self.hinter is not None:
-                self.hinter.close()
-        except Exception:  # noqa: BLE001 — shutdown teardown must stay silent
-            pass
-
-    def __del__(self) -> None:
-        # The reader threads reference only _state, so an abandoned stream is
-        # collectable; this finalizer then tells the pool to wind down and
-        # hand its buffers back, without joining — never block in a
-        # finalizer.  ``_state`` may not exist if __init__ raised during
-        # validation, and during interpreter shutdown the primitives may fail
-        # once their module globals are gone, so the whole signal is shielded.
-        try:
-            state = getattr(self, "_state", None)
-            if state is not None:
-                state.abandon()
-        except Exception:  # noqa: BLE001
-            pass
+        self._closed = self._finished = True
+        self._reader.stop.set()
+        self._reads.close()
+        readers = COMPUTE_THREAD_PREFIX + self._reader_name
+        deadline = time.perf_counter() + 5.0
+        for thread in threading.enumerate():
+            if thread.name.startswith(readers):
+                thread.join(max(0.0, deadline - time.perf_counter()))
+        if self.hinter is not None:
+            self.hinter.close()
 
     def __enter__(self) -> "ChunkStream":
         return self
@@ -1597,15 +1445,15 @@ def open_chunk_stream(
         behind the shards (via :func:`shard_devices`), falling back to one
         per shard when device identity is unknowable, and to two readers for
         single-file and in-memory matrices.  ``io_workers=n`` is exactly
-        ``n`` readers.  The reorder window is ``max(2, 2 × readers)`` chunks,
-        capped by the buffer ring.
+        ``n`` readers.  They read ``max(2, 2 × readers)`` chunks ahead of
+        the consumer, capped by the buffer ring (``stream.depth``).
     buffer_pool:
         ``None`` = preallocate a ring automatically when (and only when) the
         plan contains stitched or compressed chunks; an ``int`` = ring size
         to preallocate; a :class:`ChunkBufferPool` = share an existing ring
         (e.g. across the passes of one training run).
     hints:
-        Issue ``madvise``/``posix_fadvise`` readahead hints per claimed chunk.
+        Issue ``madvise``/``posix_fadvise`` readahead hints per chunk read.
     release_behind:
         ``dont_need`` the pages strictly behind the consumer's scan cursor so
         a strictly-forward scan larger than RAM never evicts pages *ahead* of
@@ -1621,8 +1469,10 @@ def open_chunk_stream(
         Every compressed chunk flows through the buffer ring and the hot
         path stays allocation-free.
     stall_timeout_s:
-        How long the consumer waits on a missing chunk before raising a
-        diagnostic :class:`ChunkStreamError`; ``None`` waits forever.
+        How long the consumer waits on the next chunk's read before raising
+        a diagnostic :class:`ChunkStreamError` (it names the due chunk, each
+        reader's last claim and the unreleased buffers); ``None`` waits
+        forever.  Inline reads have no deadline: the consumer is the reader.
 
     Ownership of the yielded chunks: an inline stream builds no pool, hints
     nothing and yields chunks that *own* their arrays (a decoded matrix

@@ -461,7 +461,7 @@ class StreamingEngine(ExecutionEngine):
         """Serve predictions chunk by chunk through the prefetch pipeline.
 
         The model's :class:`~repro.ml.base.StreamingPredictor` hooks consume
-        shard-aligned row blocks (read ahead by the reader pool) and
+        shard-aligned row blocks (read ahead by the stream's readers) and
         scatter each block's predictions into one preallocated output buffer,
         so serving never materialises more than a chunk of input rows — while
         the result is bit-identical to the in-core ``model.predict`` (the

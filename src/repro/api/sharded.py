@@ -23,8 +23,8 @@ is read:
 * **decoded** — every other manifest: each shard gets a
   :class:`~repro.data.formats_v2.BlockedMatrixReader` that decodes blocks
   (CRC-checked), and the two-phase ``fetch_compressed`` / ``decode_into``
-  API lets the parallel chunk pipeline fetch payloads on its reader pool and
-  decompress on its compute pool.
+  API lets each reader of a chunk stream fetch a chunk's payloads and
+  decompress them into a pooled buffer itself.
 
 Either way the matrix implements the estimator row-slicing protocol
 (``shape``, ``dtype``, ``__getitem__``), so a sharded dataset is as

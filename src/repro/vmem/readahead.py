@@ -104,7 +104,7 @@ class AdaptiveReadAhead(ReadAheadPolicy):
 class PipelinedReadAhead(ReadAheadPolicy):
     """Engine-level pipelined read-ahead: a pool of parallel reader streams.
 
-    Models the reader pool of :class:`~repro.api.chunks.ChunkStream` at
+    Models the readers of :class:`~repro.api.chunks.ChunkStream` at
     the page level so it can be replayed through the virtual-memory simulator
     and compared against the kernel policies above: a pool of ``readers``
     sequential streams each keeps ``window`` pages in flight, so any demand

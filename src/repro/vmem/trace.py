@@ -187,8 +187,8 @@ def reader_log_trace(
     :class:`~repro.api.chunks.ChunkStream` recorded (its ``reader_log``, or
     ``details["reader_log"]`` of a streaming fit or predict), or any
     hand-built schedule of the same shape.  The per-reader streams are taken
-    round-robin — the storage-level arrival order of a reader pool draining
-    its claims concurrently — as reads of ``row_bytes`` per row.  Replay the
+    round-robin — the storage-level arrival order of a stream's readers
+    working through their claims concurrently — as reads of ``row_bytes`` per row.  Replay the
     result like any trace, e.g. under one of the kernel read-ahead policies
     of :mod:`repro.vmem.readahead`::
 

@@ -18,9 +18,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.api.chunks import ChunkStreamError, _ReaderPoolState, open_chunk_stream
+from repro.api.chunks import ChunkStreamError, open_chunk_stream
 from repro.api.sharded import ShardedMatrix, open_sharded_matrix, write_sharded_dataset
 from repro.faults import RetriesExhausted
+from repro.fanout import COMPUTE_THREAD_PREFIX
 
 ROWS, COLS = 60, 4
 
@@ -72,68 +73,78 @@ def _open(backing, mode, matrix=None, **extra):
     )
 
 
-def _assert_wound_down(pool=None):
-    """No chunk thread survives, and every buffer is back in the ring."""
-    deadline = time.perf_counter() + 2.0
-    while True:
-        alive = [t.name for t in threading.enumerate() if t.name.startswith("m3-chunk-")]
-        if not alive or time.perf_counter() >= deadline:
-            break
-        time.sleep(0.01)
-    assert not alive
-    if pool is not None:
-        assert pool.available == pool.buffers
+@pytest.fixture
+def wound_down():
+    """Check that no thread the test started survives, and the ring is whole.
+
+    The baseline is the set of live threads when the test starts, so the
+    check holds whatever the stream's readers are named.
+    """
+    before = set(threading.enumerate())
+
+    def check(pool=None):
+        deadline = time.perf_counter() + 2.0
+        while True:
+            alive = set(threading.enumerate()) - before
+            if not alive or time.perf_counter() >= deadline:
+                break
+            time.sleep(0.01)
+        assert not alive
+        if pool is not None:
+            assert pool.available == pool.buffers
+
+    return check
 
 
-class _FusedRows:
-    """An ndarray whose row reads fail from ``fuse_row`` on."""
+class _RowsWith:
+    """An ndarray whose row reads go through ``hook(start)`` first."""
 
-    def __init__(self, X, fuse_row):
+    def __init__(self, X, hook):
         self._X = X
         self.shape = X.shape
         self.dtype = X.dtype
-        self.fuse_row = fuse_row
+        self.hook = hook
 
     def __getitem__(self, key):
-        if key.start >= self.fuse_row:
-            raise OSError("disk on fire")
+        self.hook(key.start)
         return self._X[key]
 
 
-def _fuse_reads(monkeypatch, backing, fuse_row):
-    """Make every read of rows at/after ``fuse_row`` fail; returns the matrix."""
+def _hook_reads(monkeypatch, backing, hook):
+    """Run ``hook(start)`` before every read of rows; returns the matrix to open."""
     if backing.kind == "ndarray":
-        return _FusedRows(backing.X, fuse_row)
+        return _RowsWith(backing.X, hook)
 
-    def fused(real):
+    def hooked(real):
         def read(self, first, *rest):
-            start = first.start if isinstance(first, slice) else first
-            if start >= fuse_row:
-                raise OSError("disk on fire")
+            hook(first.start if isinstance(first, slice) else first)
             return real(self, first, *rest)
         return read
 
     # The three entry points a stream reads rows through: slicing (views,
     # and everything inline), the stitching gather, the compressed fetch.
     for name in ("__getitem__", "gather_into", "fetch_compressed"):
-        monkeypatch.setattr(ShardedMatrix, name, fused(getattr(ShardedMatrix, name)))
+        monkeypatch.setattr(ShardedMatrix, name, hooked(getattr(ShardedMatrix, name)))
     return backing.matrix
 
 
-def _wedge_reads(monkeypatch, sleep_s):
-    """Make every reader's read step take ``sleep_s`` longer."""
-    for name in ("read_chunk", "fetch_chunk"):
-        real = getattr(_ReaderPoolState, name)
+def _fuse_reads(monkeypatch, backing, fuse_row):
+    """Make every read of rows at/after ``fuse_row`` fail; returns the matrix."""
 
-        def slow(self, *args, _real=real):
-            time.sleep(sleep_s)
-            return _real(self, *args)
+    def fuse(start):
+        if start >= fuse_row:
+            raise OSError("disk on fire")
 
-        monkeypatch.setattr(_ReaderPoolState, name, slow)
+    return _hook_reads(monkeypatch, backing, fuse)
+
+
+def _wedge_reads(monkeypatch, backing, sleep_s):
+    """Make every read take ``sleep_s`` longer; returns the matrix to open."""
+    return _hook_reads(monkeypatch, backing, lambda start: time.sleep(sleep_s))
 
 
 class TestChunkSequence:
-    def test_chunks_are_bit_identical_to_slices_in_plan_order(self, backing, mode):
+    def test_chunks_are_bit_identical_to_slices_in_plan_order(self, backing, mode, wound_down):
         with _open(backing, mode) as stream:
             seen = []
             for chunk in stream:
@@ -149,7 +160,7 @@ class TestChunkSequence:
         assert (stats.chunks, stats.rows) == (len(bounds), ROWS)
         assert stats.bytes_read == ROWS * COLS * 8
         assert stats.prefetched == (mode != "inline")
-        _assert_wound_down(stream.pool)
+        wound_down(stream.pool)
 
     def test_who_owns_the_arrays(self, backing, mode):
         # Inline chunks always own their arrays, so hoarding them is legal;
@@ -176,19 +187,25 @@ class TestChunkSequence:
         stream.close()
 
     def test_inline_stream_builds_no_thread_pool_or_hinter(self, backing):
+        before = set(threading.enumerate())
         with _open(backing, "inline") as stream:
             assert (stream.io_workers, stream.depth) == (0, 0)
             assert stream.pool is None and stream.hinter is None
-            assert stream._threads == [] and stream.reader_stats == []
+            assert stream.reader_stats == []
+            next(stream)
+            assert set(threading.enumerate()) == before
             list(stream)
         # The consumer waited for every read in full.
         assert stream.stats.io_wait_s == stream.stats.read_s
         assert stream.stats.hints_applied == 0
 
     def test_default_stream_is_one_reader_with_a_window_of_two(self, backing):
+        before = set(threading.enumerate())
         with _open(backing, "1-reader") as stream:
             assert (stream.io_workers, stream.depth) == (1, 2)
-            assert [t.name for t in stream._threads] == ["m3-chunk-reader-0"]
+            next(stream).release()
+            started = set(threading.enumerate()) - before
+            assert [t.name.startswith(COMPUTE_THREAD_PREFIX) for t in started] == [True]
             for chunk in stream:
                 chunk.release()
         assert stream.reader_stats[0]["chunks"] == stream.plan.num_chunks
@@ -198,7 +215,7 @@ class TestReadErrors:
     FUSE_ROW = 27
 
     def test_error_follows_every_earlier_chunk_then_clean_exhaustion(
-        self, backing, mode, monkeypatch
+        self, backing, mode, monkeypatch, wound_down
     ):
         matrix = _fuse_reads(monkeypatch, backing, self.FUSE_ROW)
         stream = _open(backing, mode, matrix=matrix)
@@ -225,15 +242,15 @@ class TestReadErrors:
             with pytest.raises(StopIteration):
                 next(stream)
         stream.close()
-        _assert_wound_down(pool)
+        wound_down(pool)
 
-    def test_error_on_the_first_chunk(self, backing, mode, monkeypatch):
+    def test_error_on_the_first_chunk(self, backing, mode, monkeypatch, wound_down):
         matrix = _fuse_reads(monkeypatch, backing, 0)
         with pytest.raises(ChunkStreamError):
             with _open(backing, mode, matrix=matrix) as stream:
                 list(stream)
         assert stream.stats.chunks == 0
-        _assert_wound_down(stream.pool)
+        wound_down(stream.pool)
 
 
 class TestStallDeadline:
@@ -241,10 +258,10 @@ class TestStallDeadline:
 
     @pytest.mark.parametrize("mode", THREADED)
     def test_wedged_readers_surface_as_a_diagnostic_within_the_deadline(
-        self, backing, mode, monkeypatch
+        self, backing, mode, monkeypatch, wound_down
     ):
-        _wedge_reads(monkeypatch, 0.4)
-        stream = _open(backing, mode, hints=False, stall_timeout_s=0.1)
+        matrix = _wedge_reads(monkeypatch, backing, 0.4)
+        stream = _open(backing, mode, matrix=matrix, hints=False, stall_timeout_s=0.1)
         began = time.perf_counter()
         with pytest.raises(ChunkStreamError, match="stalled") as excinfo:
             next(stream)
@@ -259,22 +276,43 @@ class TestStallDeadline:
             next(stream)
         pool = stream.pool
         stream.close()
-        _assert_wound_down(pool)
+        wound_down(pool)
+
+    @pytest.mark.parametrize("mode", THREADED)
+    def test_a_failed_read_does_not_wait_for_a_wedged_one(
+        self, backing, mode, monkeypatch, wound_down
+    ):
+        # The first chunk's read fails while later reads are wedged: the
+        # failure surfaces within the deadline, not after the wedge.
+        def hook(start):
+            if start == 0:
+                raise OSError("disk on fire")
+            time.sleep(0.4)
+
+        matrix = _hook_reads(monkeypatch, backing, hook)
+        stream = _open(backing, mode, matrix=matrix, hints=False, stall_timeout_s=0.2)
+        began = time.perf_counter()
+        with pytest.raises(ChunkStreamError, match="reader failed"):
+            next(stream)
+        assert time.perf_counter() - began < 0.2
+        pool = stream.pool
+        stream.close()
+        wound_down(pool)
 
     @pytest.mark.parametrize("mode", THREADED)
     def test_no_timeout_opts_out_of_the_deadline(self, backing, mode, monkeypatch):
-        _wedge_reads(monkeypatch, 0.15)
-        with _open(backing, mode, stall_timeout_s=None) as stream:
+        matrix = _wedge_reads(monkeypatch, backing, 0.15)
+        with _open(backing, mode, matrix=matrix, stall_timeout_s=None) as stream:
             chunk = next(stream)
             assert chunk.rows == stream.plan.bounds[0][1]
             chunk.release()
 
     def test_inline_reads_have_no_deadline(self, backing, monkeypatch):
-        _wedge_reads(monkeypatch, 0.15)
-        with _open(backing, "inline", stall_timeout_s=0.05) as stream:
+        matrix = _wedge_reads(monkeypatch, backing, 0.15)
+        with _open(backing, "inline", matrix=matrix, stall_timeout_s=0.05) as stream:
             assert next(stream).rows == stream.plan.bounds[0][1]
 
-    def test_hoarding_consumer_is_told_how_many_buffers_it_holds(self, tmp_path):
+    def test_hoarding_consumer_is_told_how_many_buffers_it_holds(self, tmp_path, wound_down):
         # The default stream over unaligned shards leases stitched chunks out
         # of a two-buffer ring; a consumer that never releases them starves
         # the reader, and the stall error must say so rather than just
@@ -293,21 +331,36 @@ class TestStallDeadline:
         for chunk in hoard:
             chunk.release()
         stream.close()
-        _assert_wound_down(stream.pool)
+        wound_down(stream.pool)
 
 
 class TestTeardown:
-    def test_close_mid_stream_is_idempotent_and_joins(self, backing, mode):
+    def test_close_mid_stream_is_idempotent_and_joins(self, backing, mode, wound_down):
+        before = set(threading.enumerate())
         stream = _open(backing, mode)
         next(stream).release()
         stream.close()
         stream.close()
-        assert all(not thread.is_alive() for thread in stream._threads)
+        assert set(threading.enumerate()) == before
         with pytest.raises(StopIteration):
             next(stream)
-        _assert_wound_down(stream.pool)
+        wound_down(stream.pool)
 
-    def test_abandoned_stream_is_collectable_and_winds_down(self, backing, mode):
+    @pytest.mark.parametrize("mode", THREADED)
+    def test_close_joins_a_wedged_read_within_its_bound(
+        self, backing, mode, monkeypatch, wound_down
+    ):
+        before = set(threading.enumerate())
+        matrix = _wedge_reads(monkeypatch, backing, 0.4)
+        stream = _open(backing, mode, matrix=matrix, hints=False)
+        next(stream).release()
+        began = time.perf_counter()
+        stream.close()  # the next chunk's read is still wedged
+        assert time.perf_counter() - began < 5.0
+        assert set(threading.enumerate()) == before
+        wound_down(stream.pool)
+
+    def test_abandoned_stream_is_collectable_and_winds_down(self, backing, mode, wound_down):
         # Readers must not strongly reference the stream: dropping an
         # unexhausted one lets it be finalized, which stops the readers and
         # sends every buffer home instead of pinning both for the process
@@ -321,11 +374,11 @@ class TestTeardown:
         del stream
         gc.collect()
         assert ref() is None
-        _assert_wound_down(pool)
+        wound_down(pool)
 
-    def test_empty_plan_exhausts_immediately(self, mode):
+    def test_empty_plan_exhausts_immediately(self, mode, wound_down):
         with open_chunk_stream(np.zeros((0, 3)), chunk_rows=4, **MODES[mode]) as stream:
             assert list(stream) == []
         assert stream.stats.chunks == 0
         assert stream.stats.io_overlap is None
-        _assert_wound_down()
+        wound_down()

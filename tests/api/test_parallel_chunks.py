@@ -8,8 +8,11 @@ reader count in ``test_chunk_stream.py``.
 """
 
 import ctypes
+import gc
 import os
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -216,6 +219,34 @@ class TestBufferPool:
                     chunk.release()
             np.testing.assert_array_equal(np.concatenate(pieces), X)
 
+    @pytest.mark.parametrize("ring", [1, 2])
+    def test_a_slow_head_read_still_finds_a_buffer(self, tmp_path, monkeypatch, ring):
+        # The second chunk's reader dawdles before it leases, so the readers
+        # of later chunks lease first (a decoded chunk always takes a
+        # buffer).  The reads in flight must never outnumber the ring, or the
+        # slow read waits for a buffer held only by later chunks, which
+        # cannot be consumed before it.
+        real = chunks_module.ReadaheadHinter.will_need
+
+        def slow(self, start, stop):
+            if start == 7:
+                time.sleep(0.1)
+            return real(self, start, stop)
+
+        monkeypatch.setattr(chunks_module.ReadaheadHinter, "will_need", slow)
+        X = np.arange(240.0).reshape(60, 4)
+        write_sharded_dataset(tmp_path / "ds", X, shard_rows=13, codec="zlib", block_rows=5)
+        matrix = ShardedMatrix(tmp_path / "ds")
+        with open_chunk_stream(
+            matrix, chunk_rows=7, io_workers=2, buffer_pool=ring, stall_timeout_s=2.0,
+        ) as stream:
+            pieces = []
+            for chunk in stream:
+                pieces.append(np.asarray(chunk.X).copy())
+                chunk.release()
+        np.testing.assert_array_equal(np.concatenate(pieces), X)
+        matrix.close()
+
     def test_float_labels_without_dtype_survive_pool_path(self, sharded_matrix):
         # Dtype regression: labels passed as a plain list used to default the
         # ring's label buffers to int64, so stitched chunks crashed casting
@@ -349,21 +380,26 @@ class TestReadaheadHints:
 
 
 class TestShutdownHardening:
-    def test_close_survives_torn_down_internals(self, sharded_matrix):
-        # Interpreter-shutdown regression: close() must stay silent even when
-        # the stream's internals are already gone.
+    def test_close_after_exhaustion_is_silent_and_leaves_no_thread(self, sharded_matrix):
+        # The readers wound down when the stream ran out; closing it then,
+        # and again, has nothing left to stop and must not raise.
         matrix, _, _ = sharded_matrix
+        before = set(threading.enumerate())
         stream = open_chunk_stream(matrix, chunk_rows=7, io_workers=2)
         list(stream)
         stream.close()
-        stream._state = None  # simulate module teardown
-        stream._closed = False  # force the close body to run again
-        stream.close()  # must not raise
+        stream.close()
+        assert set(threading.enumerate()) == before
 
-    def test_del_safe_on_partially_constructed_instance(self):
-        # __init__ may raise before _state exists; the finalizer still runs.
-        stream = object.__new__(ChunkStream)
-        stream.__del__()  # must not raise
+    def test_failed_construction_starts_nothing_to_wind_down(self, sharded_matrix):
+        # A constructor that raises leaves a partial instance to the
+        # collector: it must hold no thread and need no finalizer.
+        matrix, _, _ = sharded_matrix
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="labels"):
+            ChunkStream(matrix, np.zeros(3), plan_chunks(matrix, chunk_rows=7))
+        gc.collect()
+        assert set(threading.enumerate()) == before
 
 
 class TestGatherInto:
