@@ -148,7 +148,9 @@ Tuning the streaming pipeline
     absorbs stitched and decoded chunks is sized from the window, so
     steady-state streaming does zero per-chunk allocations and peak memory
     is bounded by ``buffers × chunk bytes`` (``details["buffer_pool_*"]``
-    report it).  ``open_chunk_stream(buffer_pool=)`` pins or shares one.
+    report it).  ``open_chunk_stream(buffer_pool=ChunkBufferPool(...))``
+    takes a ring built by the caller instead — one shared across passes, or
+    one of a chosen size.
 ``hints``
     OS readahead hints issued per upcoming chunk: ``MADV_SEQUENTIAL`` per
     shard mapping at open, ``MADV_WILLNEED`` (asynchronous — the kernel

@@ -1080,7 +1080,7 @@ class ChunkStream:
         plan: ChunkPlan,
         prefetch: bool = True,
         io_workers: Optional[int] = None,
-        buffer_pool: Optional["int | ChunkBufferPool"] = None,
+        buffer_pool: Optional[ChunkBufferPool] = None,
         hints: bool = True,
         release_behind: Optional[bool] = None,
         decode_workers: Optional[int] = None,
@@ -1218,22 +1218,19 @@ class ChunkStream:
         return len(starts)
 
     def _resolve_pool(
-        self, buffer_pool, cuts: np.ndarray, compressed: bool
+        self, buffer_pool: Optional[ChunkBufferPool], cuts: np.ndarray, compressed: bool
     ) -> Optional[ChunkBufferPool]:
         plan = self.plan
-        if isinstance(buffer_pool, ChunkBufferPool):
+        if buffer_pool is not None:
             self._validate_pool(buffer_pool)
             return buffer_pool
-        if plan.num_chunks == 0:
-            return None
         # Compressed streams decode *every* chunk into a pooled buffer (there
         # is no zero-copy view of coded bytes), so they always need the ring.
-        needs_pool = compressed or any(
+        needs_pool = plan.num_chunks > 0 and (compressed or any(
             _range_straddles(cuts, start, stop) for start, stop in plan.bounds
-        )
-        if buffer_pool is None and not needs_pool:
+        ))
+        if not needs_pool:
             return None
-        size = buffer_pool if isinstance(buffer_pool, int) else self.depth
         labels = self.labels
         label_dtype = None
         if labels is not None:
@@ -1244,7 +1241,7 @@ class ChunkStream:
                 probe = np.asarray(labels[:1])
                 label_dtype = probe.dtype if probe.size else np.dtype(np.int64)
         return ChunkBufferPool(
-            buffers=max(1, size),
+            buffers=self.depth,
             chunk_rows=max(1, max(stop - start for start, stop in plan.bounds)),
             n_cols=plan.n_cols,
             dtype=np.dtype(self.matrix.dtype),
@@ -1418,7 +1415,7 @@ def open_chunk_stream(
     prefetch: bool = True,
     plan: Optional[ChunkPlan] = None,
     io_workers: Optional[int] = None,
-    buffer_pool: Optional["int | ChunkBufferPool"] = None,
+    buffer_pool: Optional[ChunkBufferPool] = None,
     hints: bool = True,
     release_behind: Optional[bool] = None,
     decode_workers: Optional[int] = None,
@@ -1448,10 +1445,10 @@ def open_chunk_stream(
         ``n`` readers.  They read ``max(2, 2 × readers)`` chunks ahead of
         the consumer, capped by the buffer ring (``stream.depth``).
     buffer_pool:
-        ``None`` = preallocate a ring automatically when (and only when) the
-        plan contains stitched or compressed chunks; an ``int`` = ring size
-        to preallocate; a :class:`ChunkBufferPool` = share an existing ring
-        (e.g. across the passes of one training run).
+        ``None`` = preallocate a ring of ``stream.depth`` buffers when (and
+        only when) the plan contains stitched or compressed chunks; a
+        :class:`ChunkBufferPool` = use that ring (shared across the passes of
+        a run, or sized by the caller: a smaller ring shrinks the window).
     hints:
         Issue ``madvise``/``posix_fadvise`` readahead hints per chunk read.
     release_behind:

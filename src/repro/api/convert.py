@@ -1,32 +1,46 @@
 """Streaming conversion of a dataset into blocked (v2) shards.
 
-``convert_dataset`` re-encodes an existing dataset — a single ``.m3`` matrix
-file or a sharded directory of any form — into a new sharded directory,
-without ever materialising more than one chunk of rows at a time.  It backs
-the ``m3 convert`` CLI command: pick a codec (``zlib`` compresses; ``None``
-or ``"none"`` stores raw rows that open memory-mapped) and optionally
-downcast the storage dtype.  Output blocks are always row-major; a legacy
-source (v1 ``.m3`` shards, column-layout blocks — both read-only) converts
-like any other, which is how such a dataset becomes appendable again.
+``convert_dataset`` re-encodes a single ``.m3`` matrix file or a sharded
+directory into a new sharded directory, never holding more than one band of
+rows at a time.  It backs ``m3 convert``: pick a codec (``zlib``
+compresses; ``None`` or ``"none"`` stores raw rows that open memory-mapped)
+and optionally downcast the storage dtype.  Output blocks are row-major.
+
+It is also the one reader of the legacy stored forms every other opener
+refuses with :class:`~repro.api.sharded.LegacyFormatError`: v1 ``.m3`` shard
+directories (labels trailing each shard, or in a ``.labels`` sidecar once
+appended to) and column-layout ``.m3b`` shards.  It parses such a manifest
+itself and reads each shard with the single-file reader that exists anyway —
+:func:`~repro.data.formats.open_binary_matrix` (the reader behind
+``mmap://``) or :class:`~repro.data.formats_v2.BlockedMatrixReader`.
 """
 
 from __future__ import annotations
 
+import json
+from itertools import groupby
 from pathlib import Path
-from typing import Any, List, Optional, Union
+from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.api.sharded import (
     DEFAULT_SHARD_ROWS,
+    LegacyFormatError,
     ShardInfo,
     ShardManifest,
+    generation_manifest_name,
+    manifest_generation,
     open_sharded_matrix,
     write_manifest,
 )
 from repro.data.codecs import Codec, get_codec
 from repro.data.formats import open_binary_matrix
-from repro.data.formats_v2 import BlockedMatrixWriter, default_block_rows
+from repro.data.formats_v2 import (
+    BlockedMatrixReader,
+    BlockedMatrixWriter,
+    default_block_rows,
+)
 
 #: Rows moved per copy step; bounds converter memory to roughly
 #: ``CONVERT_CHUNK_ROWS * cols * itemsize`` regardless of dataset size, and
@@ -35,37 +49,84 @@ CONVERT_CHUNK_ROWS = 8192
 
 
 class _Source:
-    """A uniform sliceable view over either source format."""
+    """A conversion source as ``(rows, data, labels)`` pieces of consecutive
+    rows; ``data`` and ``labels`` (``None`` if unlabelled) slice by
+    piece-local rows."""
 
     def __init__(self, path: Path) -> None:
-        self.path = path
-        self._sharded = None
-        self._mmap_data = None
-        if path.is_dir():
-            matrix = open_sharded_matrix(path)
-            self._sharded = matrix
-            self.data: Any = matrix
-            self.labels: Optional[Any] = matrix.lazy_labels
-            self.rows, self.cols = matrix.shape
-            self.dtype = matrix.dtype
-        elif path.is_file():
+        self.pieces: List[Tuple[int, Any, Optional[Any]]] = []
+        self.shard_heights: List[int] = []
+        self._closers: List[Callable[[], None]] = []
+        if path.is_file():
             data, labels, header = open_binary_matrix(path, mode="r")
-            self._mmap_data = data
-            self.data = data
-            self.labels = labels
-            self.rows, self.cols = int(header.rows), int(header.cols)
-            self.dtype = header.dtype
-        else:
+            self.cols, self.dtype, self.has_labels = header.cols, header.dtype, header.has_labels
+            self.pieces.append((header.rows, data, labels))
+        elif not path.is_dir():
             raise FileNotFoundError(
                 f"dataset source {path} is neither a .m3 file nor a shard directory"
             )
+        else:
+            try:
+                matrix = open_sharded_matrix(path)
+            except LegacyFormatError:
+                self._open_legacy(path)
+            else:
+                self._closers.append(matrix.close)
+                m = matrix.manifest
+                self.cols, self.dtype, self.has_labels = m.cols, m.dtype, m.has_labels
+                self.shard_heights = [shard.rows for shard in m.shards]
+                self.pieces.append((m.rows, matrix, matrix.lazy_labels))
+        self.rows = sum(rows for rows, _data, _labels in self.pieces)
+
+    def _open_legacy(self, directory: Path) -> None:
+        """One piece per shard of a v1 or column-layout dataset's latest
+        generation, read by the single-file reader of its form."""
+        name = generation_manifest_name(manifest_generation(directory) or 0)
+        payload = json.loads((directory / name).read_text(encoding="utf-8"))
+        self.cols, self.dtype = int(payload["cols"]), np.dtype(payload["dtype"])
+        self.has_labels = bool(payload["has_labels"])
+        for entry in payload["shards"]:
+            path, rows = directory / entry["filename"], int(entry["rows"])
+            if payload["version"] == 1:
+                data, labels, header = open_binary_matrix(path, mode="r")
+                if entry.get("label_sidecar"):  # raw int64 labels beside the shard
+                    labels = np.memmap(f"{path}.labels", dtype=np.int64, mode="r",
+                                       shape=(rows,))
+            else:
+                data = BlockedMatrixReader(path)
+                self._closers.append(data.close)
+                header, labels = data.header, data.read_labels()
+            if (header.cols, header.dtype) != (self.cols, self.dtype) or header.rows < rows:
+                raise ValueError(
+                    f"{path} holds a {header.rows} x {header.cols} {header.dtype} "
+                    f"matrix, the manifest expects {rows} x {self.cols} {self.dtype}"
+                )
+            if self.has_labels and labels is None and rows:
+                raise ValueError(f"{path} carries no labels")
+            self.pieces.append((rows, data, labels if self.has_labels else None))
+            self.shard_heights.append(rows)
+
+    def bands(self, cut: int) -> Iterator[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
+        """``(start_row, rows, labels)`` covering the source in order: at
+        most ``CONVERT_CHUNK_ROWS`` rows a band, none crossing a multiple of
+        ``cut``; an empty source is one empty band."""
+        if not self.rows:
+            yield 0, np.empty((0, self.cols), dtype=self.dtype), None
+        start = 0
+        for rows, data, labels in self.pieces:
+            lo = 0
+            while lo < rows:
+                hi = min(rows, lo + CONVERT_CHUNK_ROWS, lo + cut - (start + lo) % cut)
+                yield start + lo, np.asarray(data[lo:hi]), (
+                    None if labels is None else np.asarray(labels[lo:hi], dtype=np.int64)
+                )
+                lo = hi
+            start += rows
 
     def close(self) -> None:
-        if self._sharded is not None:
-            self._sharded.close()
-        self._mmap_data = None
-        self.data = None
-        self.labels = None
+        for close in self._closers:
+            close()
+        self.pieces = []
 
 
 def convert_dataset(
@@ -81,7 +142,8 @@ def convert_dataset(
     Parameters
     ----------
     source:
-        A ``.m3`` matrix file or a sharded dataset directory (any form).
+        A ``.m3`` matrix file or a sharded dataset directory, legacy forms
+        included.
     destination:
         Directory to create; must not already contain a ``manifest.json``
         and must not be the source itself.
@@ -109,8 +171,7 @@ def convert_dataset(
     src = _Source(source)
     try:
         if shard_rows is None:
-            shards = src._sharded.manifest.shards if src._sharded is not None else ()
-            shard_rows = max((s.rows for s in shards), default=0) or DEFAULT_SHARD_ROWS
+            shard_rows = max(src.shard_heights, default=0) or DEFAULT_SHARD_ROWS
         if shard_rows <= 0:
             raise ValueError(f"shard_rows must be positive, got {shard_rows}")
 
@@ -125,42 +186,33 @@ def convert_dataset(
 
         destination.mkdir(parents=True, exist_ok=True)
         shards: List[ShardInfo] = []
-        for index, start in enumerate(range(0, max(src.rows, 1), shard_rows)):
-            stop = min(start + shard_rows, src.rows)
-            if stop <= start and src.rows > 0:
-                break
-            filename = f"shard-{index:05d}.m3b"
+        for index, bands in groupby(src.bands(shard_rows), lambda band: band[0] // shard_rows):
             with BlockedMatrixWriter(
-                destination / filename,
+                destination / f"shard-{index:05d}.m3b",
                 cols=src.cols,
                 block_rows=block_rows,
                 codec=resolved_codec,
                 dtype=src.dtype,
                 storage_dtype=resolved_storage,
             ) as writer:
-                for lo in range(start, stop, CONVERT_CHUNK_ROWS):
-                    hi = min(lo + CONVERT_CHUNK_ROWS, stop)
-                    writer.append(np.asarray(src.data[lo:hi]))
-                    if src.labels is not None:
-                        writer.append_labels(
-                            np.asarray(src.labels[lo:hi], dtype=np.int64)
-                        )
+                for _start, rows, labels in bands:
+                    writer.append(rows)
+                    if labels is not None:
+                        writer.append_labels(labels)
                 header = writer.finalize()
-            shards.append(
-                ShardInfo(
-                    filename=filename,
-                    start_row=start,
-                    rows=stop - start,
-                    compressed_bytes=header.compressed_bytes,
-                    raw_bytes=header.raw_bytes,
-                )
-            )
+            shards.append(ShardInfo(
+                filename=writer.path.name,
+                start_row=index * shard_rows,
+                rows=header.rows,
+                compressed_bytes=header.compressed_bytes,
+                raw_bytes=header.raw_bytes,
+            ))
 
         manifest = ShardManifest(
             rows=src.rows,
             cols=src.cols,
             dtype=np.dtype(src.dtype),
-            has_labels=src.labels is not None,
+            has_labels=src.has_labels,
             shards=shards,
             codec=resolved_codec.name,
             block_rows=block_rows,

@@ -29,11 +29,10 @@ is read:
 Either way the matrix implements the estimator row-slicing protocol
 (``shape``, ``dtype``, ``__getitem__``), so a sharded dataset is as
 transparent to unmodified ML code as a single memory-mapped file, and it is
-read-only.  Directories of version 1
-(``.m3`` shards, written by older builds, labels trailing each shard or in a
-``.labels`` sidecar once appended to) and column-layout v2 directories stay
-readable and convertible (``m3 convert``), but are never written or appended
-to.
+read-only.  That is the only stored form opened here: :func:`read_manifest`
+refuses the legacy ones — version 1 ``.m3`` shard directories and
+column-layout v2 directories — with :class:`LegacyFormatError`, naming
+``m3 convert``, their one reader (:mod:`repro.api.convert`).
 
 Appendable datasets
 -------------------
@@ -69,9 +68,9 @@ import numpy as np
 
 from repro.analysis.runtime import make_lock
 from repro.data.codecs import Codec, get_codec
-from repro.data.formats import HEADER_SIZE, read_binary_matrix_header
 from repro.data.formats_v2 import (
     BLOCKED_PREFIX_SIZE,
+    BlockedMatrixHeader,
     BlockedMatrixReader,
     BlockedMatrixWriter,
     BlockPayload,
@@ -87,29 +86,30 @@ from repro.faults import maybe_fire, policy_for
 
 MANIFEST_NAME = "manifest.json"
 CURRENT_NAME = "CURRENT"
-MANIFEST_VERSION = 1
-MANIFEST_VERSION_V2 = 2
-SUPPORTED_MANIFEST_VERSIONS = (MANIFEST_VERSION, MANIFEST_VERSION_V2)
+MANIFEST_VERSION = 2
 DEFAULT_SHARD_ROWS = 100_000
 DEFAULT_BLOCK_CACHE_BYTES = 32 * 1024 * 1024
-LABEL_SIDECAR_SUFFIX = ".labels"
+
+
+class LegacyFormatError(ValueError):
+    """A dataset in a stored form this build only converts: v1 ``.m3``
+    shards or column-layout blocks.  ``m3 convert SRC DST --codec raw|zlib``
+    rewrites it as row-major v2 shards, which open, append and scrub.
+    """
 
 
 @dataclass(frozen=True)
 class ShardInfo:
     """One shard of a sharded dataset: a file plus its global row range.
 
-    v2 shards additionally record their coded and raw byte counts so
-    ``m3 info`` can report per-shard compression ratios without opening
-    every shard file.
+    Each shard also records its coded and raw byte counts so ``m3 info``
+    can report per-shard compression ratios without opening every shard
+    file.
 
     ``sealed`` is ``False`` only for the open tail shard of an appendable
     dataset — the one shard the :class:`ShardAppender` may still extend,
     whose on-disk file may therefore hold *more* rows than the manifest
-    commits.  ``label_sidecar`` marks legacy v1 shards whose labels live in
-    a raw int64 ``<filename>.labels`` sidecar instead of trailing the data
-    section (older builds appended to v1 datasets that way); nothing
-    writes it any more.
+    commits.
     """
 
     filename: str
@@ -118,7 +118,6 @@ class ShardInfo:
     compressed_bytes: Optional[int] = None
     raw_bytes: Optional[int] = None
     sealed: bool = True
-    label_sidecar: bool = False
 
     @property
     def stop_row(self) -> int:
@@ -127,7 +126,7 @@ class ShardInfo:
 
     @property
     def ratio(self) -> Optional[float]:
-        """Raw-to-coded ratio for v2 shards, ``None`` for v1."""
+        """Raw-to-coded ratio, ``None`` for a shard holding no bytes."""
         if not self.compressed_bytes or self.raw_bytes is None:
             return None
         return self.raw_bytes / self.compressed_bytes
@@ -137,23 +136,19 @@ class ShardInfo:
 class ShardManifest:
     """Parsed ``manifest.json`` of a sharded dataset directory.
 
-    ``codec`` is ``None`` for a legacy v1 manifest (``.m3`` shards, read but
-    never written); a v2 manifest names the codec plus the blocked geometry
-    (``block_rows``, ``layout`` — ``"row"`` for everything written today,
-    ``"column"`` in read-only legacy datasets) and the on-disk
-    ``storage_dtype`` (``dtype`` stays the *logical* dtype consumers see).
+    The manifest names the codec plus the blocked geometry (``block_rows``;
+    every block is row-major) and the on-disk ``storage_dtype`` (``dtype``
+    stays the *logical* dtype consumers see).
     """
 
     rows: int
     cols: int
     dtype: np.dtype
     has_labels: bool
+    codec: str
+    block_rows: int
+    storage_dtype: np.dtype
     shards: List[ShardInfo] = field(default_factory=list)
-    version: int = MANIFEST_VERSION_V2
-    codec: Optional[str] = None
-    block_rows: Optional[int] = None
-    storage_dtype: Optional[np.dtype] = None
-    layout: str = "row"
     #: Manifest generation: 0 for a static dataset (bare ``manifest.json``),
     #: monotonically increasing with every committed append.
     generation: int = 0
@@ -176,22 +171,19 @@ class ShardManifest:
     def to_json(self) -> dict:
         """The JSON-serialisable (version 2) manifest payload.
 
-        Every writer emits version 2; version 1 manifests are parsed, never
-        written.  ``generation`` and ``sealed`` appear only once an append
-        has actually happened.
+        ``generation`` and ``sealed`` appear only once an append has
+        actually happened.
         """
         payload: Dict[str, Any] = {
-            "version": MANIFEST_VERSION_V2,
+            "version": MANIFEST_VERSION,
             "rows": self.rows,
             "cols": self.cols,
             "dtype": np.dtype(self.dtype).str,
             "has_labels": self.has_labels,
             "codec": self.codec,
             "block_rows": self.block_rows,
-            "storage_dtype": np.dtype(
-                self.dtype if self.storage_dtype is None else self.storage_dtype
-            ).str,
-            "layout": self.layout,
+            "storage_dtype": np.dtype(self.storage_dtype).str,
+            "layout": "row",
             "shards": [self._shard_entry(s) for s in self.shards],
         }
         if self.generation > 0:
@@ -202,50 +194,36 @@ class ShardManifest:
     def mapped(self) -> bool:
         """Whether the shards hold plain row-major rows a memmap can serve.
 
-        True for legacy v1 shards and for v2 ``none`` row-layout shards
-        stored in the logical dtype: such a file's blocks sit tightly packed
-        from its first segment on, so its data region is the matrix itself.
+        True for ``none`` shards stored in the logical dtype: such a file's
+        blocks sit tightly packed from its first segment on, so its data
+        region is the matrix itself.
         """
-        return self.codec is None or (
-            self.codec == "none"
-            and self.layout == "row"
-            and np.dtype(self.storage_dtype or self.dtype) == self.dtype
-        )
+        return self.codec == "none" and self.storage_dtype == self.dtype
 
     @property
-    def compressed_bytes(self) -> Optional[int]:
-        """Total coded bytes across shards (``None`` when unknown/v1)."""
-        if self.codec is None:
-            return None
+    def compressed_bytes(self) -> int:
+        """Total coded bytes across shards."""
         return sum(s.compressed_bytes or 0 for s in self.shards)
 
     @property
-    def raw_bytes(self) -> Optional[int]:
-        """Total raw storage bytes across shards (``None`` when unknown/v1)."""
-        if self.codec is None:
-            return None
-        return sum(s.raw_bytes or 0 for s in self.shards)
-
-    @property
     def ratio(self) -> Optional[float]:
-        """Raw-to-coded compression ratio for v2 manifests."""
+        """Raw-to-coded compression ratio (``None`` when no bytes are coded)."""
         compressed = self.compressed_bytes
-        raw = self.raw_bytes
-        if not compressed or raw is None:
-            return None
-        return raw / compressed
+        return sum(s.raw_bytes or 0 for s in self.shards) / compressed if compressed else None
 
     @classmethod
     def from_json(cls, payload: dict) -> "ShardManifest":
         """Parse a manifest payload, validating version and shard coverage."""
         version = payload.get("version")
-        if version not in SUPPORTED_MANIFEST_VERSIONS:
-            supported = ", ".join(str(v) for v in SUPPORTED_MANIFEST_VERSIONS)
+        if version != MANIFEST_VERSION:
             raise ValueError(
                 f"unsupported shard manifest version {version!r}: this build "
-                f"reads versions {supported}; the dataset may have been "
-                f"written by a newer repro"
+                f"converts version 1 (`m3 convert`) and reads version "
+                f"{MANIFEST_VERSION}; the dataset may have been written by a "
+                f"newer repro"
             )
+        if not payload.get("codec"):
+            raise ValueError("version 2 shard manifest is missing its codec field")
         shards = [
             ShardInfo(
                 filename=entry["filename"],
@@ -254,29 +232,18 @@ class ShardManifest:
                 compressed_bytes=entry.get("compressed_bytes"),
                 raw_bytes=entry.get("raw_bytes"),
                 sealed=bool(entry.get("sealed", True)),
-                label_sidecar=bool(entry.get("label_sidecar", False)),
             )
             for entry in payload["shards"]
         ]
-        codec = payload.get("codec") if version == MANIFEST_VERSION_V2 else None
-        if version == MANIFEST_VERSION_V2 and codec is None:
-            raise ValueError(
-                "version 2 shard manifest is missing its codec field"
-            )
-        storage_dtype = payload.get("storage_dtype")
         manifest = cls(
             rows=int(payload["rows"]),
             cols=int(payload["cols"]),
             dtype=np.dtype(payload["dtype"]),
             has_labels=bool(payload["has_labels"]),
+            codec=str(payload["codec"]),
+            block_rows=int(payload["block_rows"]),
+            storage_dtype=np.dtype(payload["storage_dtype"]),
             shards=shards,
-            version=int(version),
-            codec=codec,
-            block_rows=(
-                int(payload["block_rows"]) if payload.get("block_rows") else None
-            ),
-            storage_dtype=np.dtype(storage_dtype) if storage_dtype else None,
-            layout=str(payload.get("layout", "row")),
             generation=int(payload.get("generation", 0)),
         )
         covered = 0
@@ -349,7 +316,8 @@ def read_manifest(
     of a static dataset.  Passing a generation pins the read to that
     generation's immutable manifest file, which is how snapshot readers
     re-open the exact row set they first saw regardless of concurrent
-    appends.
+    appends.  It is the one gate of every sharded opener: a legacy manifest
+    raises :class:`LegacyFormatError`.
     """
     directory = Path(directory)
     if generation is None:
@@ -371,6 +339,12 @@ def read_manifest(
         )
     with manifest_path.open("r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if payload.get("version") == 1 or payload.get("layout") == "column":
+        form = "v1 .m3 shards" if payload.get("version") == 1 else "column-layout blocks"
+        raise LegacyFormatError(
+            f"{directory} stores {form}, a legacy form this build only converts: "
+            f"run `m3 convert SRC DST --codec raw|zlib` and use the copy at DST"
+        )
     manifest = ShardManifest.from_json(payload)
     if manifest.generation != generation:
         raise ValueError(
@@ -706,8 +680,8 @@ class ShardedMatrix:
     The one reader of every sharded dataset.  The constructor decides once,
     from :attr:`ShardManifest.mapped`, how the shards are read:
 
-    * **mapped** shards (v2 ``none`` row-layout files in the logical dtype,
-      legacy v1 ``.m3``) are served by ``np.memmap``: contiguous step-1
+    * **mapped** shards (``none`` files in the logical dtype) are served
+      by ``np.memmap``: contiguous step-1
       slices inside one shard are zero-copy views of that shard's map,
       everything else is gathered with one copy;
     * every other manifest is served by one
@@ -760,34 +734,26 @@ class ShardedMatrix:
     def _map_shard(self, shard: ShardInfo) -> None:
         """Map exactly the committed rows (and labels) of one shard.
 
-        A v2 ``none`` file holds its rows packed from its first segment on
-        and its labels as one raw int64 segment; a v1 ``.m3`` file holds its
-        rows after the header and its labels after the rows, or in a
-        ``.labels`` sidecar.  An unsealed tail may hold more rows than this
-        generation committed; its prefix rows are byte-stable, which is the
-        snapshot-isolation guarantee.
+        A ``none`` file holds its rows packed from its first segment on and
+        its labels as one raw int64 segment.  An unsealed tail may hold more
+        rows than this generation committed; its prefix rows are
+        byte-stable, which is the snapshot-isolation guarantee.
         """
         manifest = self.manifest
-        path = label_path = self.directory / shard.filename
-        if manifest.codec is None:
-            header: Any = read_binary_matrix_header(path)
-            data_offset, label_offset = HEADER_SIZE, header.label_offset
-            if shard.label_sidecar:
-                label_path, label_offset = Path(f"{path}{LABEL_SIDECAR_SUFFIX}"), 0
-        else:
-            header = read_blocked_header(path)
-            blocks = header.blocks
-            data_offset = blocks[0].segments[0][0] if blocks else BLOCKED_PREFIX_SIZE
-            label_offset = header.label_segment[0] if header.label_segment else 0
+        path = self.directory / shard.filename
+        header = read_blocked_header(path)
         mismatch = _shard_mismatch(shard, header, manifest)
         if mismatch is not None:
             raise ValueError(mismatch)
+        blocks = header.blocks
         self._maps.append(np.memmap(
-            path, dtype=manifest.dtype, mode="r", offset=data_offset,
+            path, dtype=manifest.dtype, mode="r",
+            offset=blocks[0].segments[0][0] if blocks else BLOCKED_PREFIX_SIZE,
             shape=(shard.rows, manifest.cols), order="C",
         ))
         self._label_maps.append(None if not manifest.has_labels else np.memmap(
-            label_path, dtype=np.int64, mode="r", offset=label_offset,
+            path, dtype=np.int64, mode="r",
+            offset=header.label_segment[0] if header.label_segment else 0,
             shape=(shard.rows,),
         ))
 
@@ -828,8 +794,8 @@ class ShardedMatrix:
 
     @property
     def compressed_nbytes(self) -> int:
-        """Total coded bytes across shards (0 for v1)."""
-        return self.manifest.compressed_bytes or 0
+        """Total coded bytes across shards."""
+        return self.manifest.compressed_bytes
 
     @property
     def block_cache(self) -> _BlockCache:
@@ -942,7 +908,7 @@ class ShardedMatrix:
                 if np.any(mask):
                     out[mask] = data[indices[mask] - shard.start_row]
             return out
-        block_rows = self.manifest.block_rows or 1
+        block_rows = self.manifest.block_rows
         for position, raw_index in enumerate(indices):
             index = int(raw_index)
             shard_index = int(
@@ -1257,14 +1223,6 @@ class _CodedTail:
     labels: np.ndarray
 
 
-class ReadOnlyLayoutError(ValueError):
-    """An append to a dataset in a legacy stored form: v1 shards or column layout.
-
-    Both are still read, but no writer produces them any more; ``m3 convert``
-    rewrites such a dataset as row-major v2 shards, and the copy appends.
-    """
-
-
 class ShardAppender:
     """Streams rows into a sharded dataset, one committed generation per batch.
 
@@ -1285,7 +1243,7 @@ class ShardAppender:
     keep their memmap or file descriptor on the old inode; every file is
     byte-for-byte what :func:`~repro.data.formats_v2.write_blocked_matrix`
     writes for the same rows.  A dataset in a legacy stored form (v1
-    shards, column layout) raises :class:`ReadOnlyLayoutError`.
+    shards, column layout) raises :class:`LegacyFormatError` at open.
 
     Crash safety: shard bytes are fsynced before the manifest that
     references them is written, so an interrupted append leaves at worst
@@ -1294,7 +1252,8 @@ class ShardAppender:
     file as stored (CRC-checked, not re-coded), the rows of its short last
     block are decoded as well, and orphan rows are dropped; a tail that
     cannot be read refuses the open with the shard and the committed row
-    count named.  An exception out of
+    count named, and so does a tail file whose geometry (codec, block
+    height, storage dtype, columns) is not the manifest's.  An exception out of
     :meth:`append` leaves this object's view of the dataset untrusted, so
     the next call first re-reads the committed manifest and recovers again
     — exactly what a fresh ``ShardAppender(directory)`` would do.
@@ -1353,22 +1312,10 @@ class ShardAppender:
         # to its commit) memory and disk may disagree: append() reloads.
         self._stale = True
         manifest = self._manifest = read_manifest(self.directory)
-        if manifest.codec is None or manifest.layout != "row":
-            form, codec = (
-                ("v1 shards", "raw") if manifest.codec is None
-                else (f"{manifest.layout}-layout blocks", "zlib")
-            )
-            raise ReadOnlyLayoutError(
-                f"{self.directory} stores {form}, which are read-only: append "
-                f"to a copy made with `m3 convert SRC DST --codec {codec}` "
-                f"(SRC = {self.directory})"
-            )
         self._row_bytes = manifest.cols * manifest.dtype.itemsize
         self._codec = get_codec(manifest.codec)
-        self._storage_dtype = np.dtype(manifest.storage_dtype or manifest.dtype)
-        self._block_rows = manifest.block_rows or default_block_rows(
-            manifest.cols, self._storage_dtype.itemsize
-        )
+        self._storage_dtype = manifest.storage_dtype
+        self._block_rows = manifest.block_rows
         self._tail = self._recover_tail()
         self._stale = False
 
@@ -1388,15 +1335,18 @@ class ShardAppender:
         if tail is None:
             return self._empty_tail()
         path = self.directory / tail.filename
+        # Recovery that cannot read the tail, or finds it under a geometry
+        # that is not the manifest's, must not leave an appender working
+        # from a tail it does not know: refuse the open and point the
+        # operator at the exact shard and row count that *is* durable.
+        refusal = f"dataset needs manual repair: {path}, committed={tail.rows}"
         try:
             maybe_fire("append.recover", str(path))
             with BlockedMatrixReader(path) as reader:
                 header = reader.header
-                if header.rows < tail.rows:
-                    raise ValueError(
-                        f"tail shard {tail.filename} holds {header.rows} rows, "
-                        f"the manifest commits {tail.rows}"
-                    )
+                mismatch = _shard_mismatch(tail, header, manifest)
+                if mismatch is not None:
+                    raise RuntimeError(f"{refusal} ({mismatch})")
                 # Blocks the committed rows fill are identical in every file
                 # this tail was ever written to, so they are kept as stored, and
                 # so is the committed short block unless a crashed append's
@@ -1406,22 +1356,6 @@ class ShardAppender:
                     len(header.blocks) > kept
                     and header.blocks[kept].rows == tail.rows - kept * self._block_rows
                 )
-                same_geometry = (
-                    header.codec, header.block_rows, header.layout,
-                    header.storage_dtype, header.cols,
-                ) == (
-                    manifest.codec, self._block_rows, manifest.layout,
-                    self._storage_dtype, manifest.cols,
-                )
-                checksummed = all(
-                    segment[3] is not None
-                    for block in header.blocks[:stored]
-                    for segment in block.segments
-                )
-                if not (same_geometry and checksummed):
-                    # Written under another geometry, or before block checksums
-                    # existed: nothing can be copied, every row is coded afresh.
-                    kept = stored = 0
                 blocks = tuple(reader.fetch_coded_block(i) for i in range(stored))
                 rest = reader.read_rows(kept * self._block_rows, tail.rows)
                 labels = None
@@ -1433,13 +1367,7 @@ class ShardAppender:
                         )
                     labels = labels[: tail.rows]
         except OSError as error:
-            # Recovery that cannot read the tail must not leave an appender
-            # working from a tail it does not know: refuse the open and point
-            # the operator at the exact shard and row count that *is* durable.
-            raise RuntimeError(
-                f"dataset needs manual repair: {path}, committed={tail.rows} "
-                f"(tail recovery failed: {error})"
-            ) from error
+            raise RuntimeError(f"{refusal} (tail recovery failed: {error})") from error
         kept_tail = replace(self._empty_tail(), blocks=blocks[:kept])
         if stored > kept:
             # The short block came back as stored: recovery codes nothing.
@@ -1652,28 +1580,23 @@ def open_sharded_matrix(
 
 
 def _shard_mismatch(
-    shard: ShardInfo, header: Any, manifest: ShardManifest
+    shard: ShardInfo, header: BlockedMatrixHeader, manifest: ShardManifest
 ) -> Optional[str]:
     """Why a shard file with ``header`` cannot serve ``shard`` (``None``: it can).
 
-    The one per-shard header check, run by every open and by
-    :func:`verify_dataset`.  A v2 file must store the manifest's codec,
-    layout and storage dtype.  A sealed shard holds exactly its committed
-    rows; an unsealed tail may hold more, written by a later generation or
-    a crashed append.
+    The one per-shard header check, run by every open, by tail recovery and
+    by :func:`verify_dataset`.  The file must store row-major blocks of the
+    manifest's codec, block height and storage dtype.  A sealed shard holds
+    exactly its committed rows; an unsealed tail may hold more, written by a
+    later generation or a crashed append.
     """
-    if manifest.codec is not None:
-        declared = (
-            manifest.codec, manifest.layout,
-            np.dtype(manifest.storage_dtype or manifest.dtype),
+    declared = (manifest.codec, "row", manifest.block_rows, manifest.storage_dtype)
+    stored = (header.codec, header.layout, header.block_rows, header.storage_dtype)
+    if stored != declared:
+        return (
+            f"shard {shard.filename} stores {'/'.join(map(str, stored))} blocks (codec/"
+            f"layout/rows/storage dtype), the manifest declares {'/'.join(map(str, declared))}"
         )
-        if (header.codec, header.layout, np.dtype(header.storage_dtype)) != declared:
-            return (
-                f"shard {shard.filename} stores {header.codec!r} "
-                f"{header.layout}-layout {header.storage_dtype} blocks, the "
-                f"manifest declares {manifest.codec!r} {manifest.layout}-layout "
-                f"{declared[2]} blocks"
-            )
     if (
         header.cols != manifest.cols
         or np.dtype(header.dtype) != manifest.dtype
@@ -1694,48 +1617,31 @@ def verify_dataset(
     """Scrub every shard of the dataset at ``directory``; list the problems.
 
     Every shard's header gets the check an open runs: it must parse, and
-    match the manifest's rows, columns, dtype and, for v2, codec, layout
-    and storage dtype.  v2 (blocked) shards, mapped ones included, then get
-    the full treatment — every segment fetched, CRC-checked and decoded via
-    :func:`~repro.data.formats_v2.verify_blocked_file`; a legacy v1 shard's
-    header must match its file size
-    (:func:`~repro.data.formats.read_binary_matrix_header`), and its label
-    sidecar must cover the committed rows.  An empty list means the dataset
-    is clean; each entry names the exact file (and block) that needs
-    attention.  ``m3 info --verify`` prints these.
+    match the manifest's rows, columns, dtype, codec, block height and
+    storage dtype.  Every shard, mapped ones included, then gets the full
+    treatment — every segment fetched, CRC-checked and decoded via
+    :func:`~repro.data.formats_v2.verify_blocked_file`.  An empty list means
+    the dataset is clean; each entry names the exact file (and block) that
+    needs attention.  ``m3 info --verify`` prints these.  A legacy dataset
+    raises :class:`LegacyFormatError`, as every opener does.
     """
     directory = Path(directory)
     try:
         manifest = read_manifest(directory, generation=generation)
+    except LegacyFormatError:
+        raise
     except (ValueError, OSError) as error:
         return [f"{directory}: unreadable manifest: {error}"]
     problems: List[str] = []
-    blocked = manifest.codec is not None
     for shard in manifest.shards:
         path = directory / shard.filename
-        if blocked:
-            # Names an unreadable header too, so the except below stays quiet.
-            problems.extend(verify_blocked_file(path))
+        # Names an unreadable header too, so the except below stays quiet.
+        problems.extend(verify_blocked_file(path))
         try:
-            read_header = read_blocked_header if blocked else read_binary_matrix_header
-            header = read_header(path)
-        except (ValueError, OSError) as error:
-            if not blocked:
-                problems.append(f"{path}: unreadable shard: {error}")
+            header = read_blocked_header(path)
+        except (ValueError, OSError):
             continue
         mismatch = _shard_mismatch(shard, header, manifest)
         if mismatch is not None:
             problems.append(f"{path}: {mismatch}")
-        if manifest.has_labels and shard.label_sidecar:
-            sidecar = Path(str(path) + LABEL_SIDECAR_SUFFIX)
-            try:
-                side_size = sidecar.stat().st_size
-            except OSError as error:
-                problems.append(f"{sidecar}: missing label sidecar: {error}")
-                continue
-            if side_size < shard.rows * 8:
-                problems.append(
-                    f"{sidecar}: truncated label sidecar: {side_size} bytes "
-                    f"but {shard.rows} committed row(s) need {shard.rows * 8}"
-                )
     return problems

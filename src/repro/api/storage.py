@@ -19,9 +19,11 @@ datasets at such a location.  Three backends ship with the library:
     :class:`~repro.api.sharded.ShardedMatrix` serves every manifest, mapping
     raw (codec ``none``) shards as zero-copy views and decoding coded ones
     (``session.create(spec, X, y, codec="zlib")`` or ``m3 convert``) on the
-    streaming pipeline's compute pool.  v1 ``.m3`` shard directories and
-    column-layout blocks, written by older versions, are read-only legacy
-    forms.  Every handle is read-only: rows are added by appending.
+    streaming pipeline's readers.  v1 ``.m3`` shard directories and
+    column-layout blocks, written by older versions, do not open: they
+    raise :class:`~repro.api.sharded.LegacyFormatError`, which names
+    ``m3 convert SRC DST --codec raw|zlib``, the one door they come in
+    through.  Every handle is read-only: rows are added by appending.
 ``shard`` (appendable)
     Sharded directories in the current form are also *appendable*:
     ``Dataset.append`` streams rows into an open tail shard and commits a new
@@ -51,6 +53,7 @@ import numpy as np
 from repro.api.sharded import (
     CURRENT_NAME,
     MANIFEST_NAME,
+    MANIFEST_VERSION,
     ShardAppender,
     ShardManifest,
     generation_manifest_name,
@@ -308,24 +311,28 @@ class MmapBackend(StorageBackend):
         return _stat_token(Path(location))
 
 
-def _codec_metadata(manifest: ShardManifest) -> Dict[str, Any]:
-    """The v2 storage facts ``open`` and ``info`` both report (none for v1)."""
-    if manifest.codec is None:
-        return {}
-    return {
-        "codec": manifest.codec,
-        "block_rows": manifest.block_rows,
-        "layout": manifest.layout,
-        "storage_dtype": str(manifest.storage_dtype or manifest.dtype),
-        "compressed_bytes": manifest.compressed_bytes,
-        "compression_ratio": manifest.ratio,
-    }
-
-
 class ShardedBackend(StorageBackend):
     """A directory of M3 shard files tiling the matrix row-wise."""
 
     scheme = "shard"
+
+    def _metadata(self, location: str, manifest: ShardManifest) -> Dict[str, Any]:
+        """The facts ``open`` and ``info`` both report."""
+        return {
+            "backend": self.scheme,
+            "path": str(Path(location)),
+            "rows": manifest.rows,
+            "cols": manifest.cols,
+            "dtype": str(manifest.dtype),
+            "has_labels": manifest.has_labels,
+            "nbytes": manifest.rows * manifest.cols * manifest.dtype.itemsize,
+            "num_shards": len(manifest.shards),
+            "codec": manifest.codec,
+            "block_rows": manifest.block_rows,
+            "storage_dtype": str(manifest.storage_dtype),
+            "compressed_bytes": manifest.compressed_bytes,
+            "compression_ratio": manifest.ratio,
+        }
 
     def open(self, location: str, mode: str = "r") -> StorageHandle:
         if mode != "r":
@@ -336,26 +343,14 @@ class ShardedBackend(StorageBackend):
         # The manifest decides whether the shards are mapped or decoded; the
         # matrix is a snapshot of the latest committed generation.
         matrix = open_sharded_matrix(Path(location))
-        manifest = matrix.manifest
-        metadata = {
-            "backend": self.scheme,
-            "path": str(Path(location)),
-            "rows": matrix.shape[0],
-            "cols": matrix.shape[1],
-            "dtype": str(matrix.dtype),
-            "has_labels": manifest.has_labels,
-            "nbytes": matrix.nbytes,
-            "num_shards": matrix.num_shards,
-            "generation": matrix.generation,
-            # One file per shard: the parallel chunk pipeline sizes its
-            # reader pool from this layout, and the readahead hinter's
-            # posix_fadvise fallback targets these files directly.
-            "shard_paths": [
-                str(Path(location) / shard.filename)
-                for shard in manifest.shards
-            ],
-        }
-        metadata.update(_codec_metadata(manifest))
+        metadata = self._metadata(location, matrix.manifest)
+        metadata["generation"] = matrix.generation
+        # One file per shard: the parallel chunk pipeline sizes its reader
+        # pool from this layout, and the readahead hinter's posix_fadvise
+        # fallback targets these files directly.
+        metadata["shard_paths"] = [
+            str(Path(location) / shard.filename) for shard in matrix.manifest.shards
+        ]
         return StorageHandle(
             matrix=matrix,
             # Labels stay a lazy per-shard view: in-core consumers materialise
@@ -387,16 +382,11 @@ class ShardedBackend(StorageBackend):
 
     def info(self, location: str) -> Dict[str, Any]:
         manifest = read_manifest(Path(location))
-        info: Dict[str, Any] = {
-            "backend": self.scheme,
-            "path": str(Path(location)),
-            "rows": manifest.rows,
-            "cols": manifest.cols,
-            "dtype": str(manifest.dtype),
-            "has_labels": manifest.has_labels,
-            "nbytes": manifest.rows * manifest.cols * manifest.dtype.itemsize,
-            "num_shards": len(manifest.shards),
-        }
+        info = self._metadata(location, manifest)
+        info["format_version"] = MANIFEST_VERSION
+        info["shard_ratios"] = [
+            {"filename": s.filename, "ratio": s.ratio} for s in manifest.shards
+        ]
         if manifest.generation > 0 or manifest.tail_shard is not None:
             # Appendable dataset: surface the generation protocol state.
             tail = manifest.tail_shard
@@ -409,12 +399,6 @@ class ShardedBackend(StorageBackend):
                     "tail_sealed": tail is None,
                 }
             )
-        if manifest.codec is not None:
-            info["format_version"] = manifest.version
-            info.update(_codec_metadata(manifest))
-            info["shard_ratios"] = [
-                {"filename": s.filename, "ratio": s.ratio} for s in manifest.shards
-            ]
         return info
 
     def exists(self, location: str) -> bool:

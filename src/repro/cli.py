@@ -5,13 +5,14 @@ reproduction entry points:
 
 * ``m3 generate`` — materialise an Infimnist-style dataset file.
 * ``m3 info`` — describe a dataset (rows, columns, dtype, backend, shards;
-  v2 datasets additionally report codec, block geometry and per-shard
+  sharded datasets additionally report codec, block geometry and per-shard
   compression ratios).
 * ``m3 convert`` — re-encode a dataset as raw (memory-mapped) or
   compressed blocked v2 shards (``--codec``, ``--dtype``); the block and
-  shard geometry are the library's defaults, new shards are row-major, and
-  v1 shard directories and column-layout datasets written by older versions
-  convert like any other source.
+  shard geometry are the library's defaults and new shards are row-major.
+  It is the one command that reads v1 shard directories and column-layout
+  datasets written by older versions; every other command refuses them,
+  naming ``m3 convert SRC DST --codec raw|zlib``.
 * ``m3 train`` — train logistic regression or k-means on a dataset through
   the unified :class:`~repro.api.Session` API (``--engine local``, the
   default); ``--engine streaming [--chunk-rows N]`` trains
@@ -205,7 +206,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     preferred = ("backend", "path", "rows", "cols", "dtype", "has_labels",
                  "nbytes", "file_bytes", "num_shards", "generation",
                  "committed_rows", "tail_shard", "tail_rows", "tail_sealed",
-                 "format_version", "codec", "block_rows", "layout",
+                 "format_version", "codec", "block_rows",
                  "storage_dtype", "compressed_bytes", "compression_ratio")
     ordered = [k for k in preferred if k in info]
     ordered += [k for k in info if k not in preferred]
@@ -243,19 +244,15 @@ def _verify_dataset_files(path_str: str) -> List[str]:
 
     Dispatches on what sits at ``path_str``: sharded dataset directories go
     through :func:`repro.api.sharded.verify_dataset` (every shard, every
-    block), a single ``.m3b`` blocked file through
-    :func:`repro.data.formats_v2.verify_blocked_file`, and a v1 matrix file
-    through the header's own size validation.
+    block), a single ``.m3`` matrix file through the header's own size
+    validation.  (A lone ``.m3b`` file never gets here: ``m3 info`` reads
+    every non-directory as an ``.m3`` file and refuses it first.)
     """
     path = Path(path_str)
     if path.is_dir():
         from repro.api.sharded import verify_dataset
 
         return verify_dataset(path)
-    if path.suffix == ".m3b":
-        from repro.data.formats_v2 import verify_blocked_file
-
-        return verify_blocked_file(path)
     from repro.data.formats import read_binary_matrix_header
 
     try:

@@ -8,17 +8,15 @@ store every block row-major.  Under the identity codec ``none`` with no
 downcast the data region is therefore still one row-major matrix, which
 :class:`~repro.api.sharded.ShardedMatrix` maps; under any other codec it
 reads the file through :class:`BlockedMatrixReader` instead, trading the
-mmap property for bandwidth.  Files
-written by older versions may hold **column-major** blocks, a read-only
-legacy form that nothing writes any more; reads fetch and decode whole
-blocks under either layout.
+mmap property for bandwidth.  Files written by older versions may hold
+**column-major** blocks, a legacy form nothing writes any more; only
+:func:`repro.api.convert.convert_dataset` reads it, through this reader.
 
 Layout::
 
     bytes 0..7     magic  b"M3BLOCKS"
     bytes 8..11    format version (uint32, little endian; currently 2)
-    bytes 12..15   CRC32 of the JSON header trailer (uint32; 0 in files
-                   written before checksums existed — those skip the check)
+    bytes 12..15   CRC32 of the JSON header trailer (uint32)
     bytes 16..23   header offset (uint64) — where the JSON header starts
     bytes 24..31   header length (uint64)
     bytes 32..     coded segments, tightly packed, in block order
@@ -32,9 +30,10 @@ placeholder prefix (no header to find) or a prefix whose CRC does not
 match the bytes on disk — both refuse to open instead of serving garbage.
 Every coded segment additionally records a CRC32 of its payload in the
 header's segment table, verified before decode; corruption raises
-:class:`ChecksumError` naming the file, block and segment.  Files written
-before checksums existed carry three-element segment entries and are
-read without verification.
+:class:`ChecksumError` naming the file, block and segment.  Checksums came
+in just after the format itself, before any file this repository pins, so a
+zeroed trailer CRC and a segment entry without one are refused at open, never
+read unverified.
 
 The JSON header carries the geometry (``rows``/``cols``/``block_rows``), the
 codec and layout names, the *logical* dtype (what consumers see) and the
@@ -94,15 +93,15 @@ class ChecksumError(ValueError):
 
 
 #: One segment of the block table: ``(file_offset, coded_bytes, raw_bytes,
-#: payload_crc32_or_None)``.  ``None`` marks files written before checksums.
-Segment = Tuple[int, int, int, Optional[int]]
+#: payload_crc32)``.
+Segment = Tuple[int, int, int, int]
 
 
-def _parse_segment(raw: Sequence[Any]) -> Segment:
-    """Normalise a JSON segment entry (3 legacy / 4 current elements)."""
-    offset, coded, raw_bytes = (int(raw[0]), int(raw[1]), int(raw[2]))
-    crc = int(raw[3]) if len(raw) > 3 and raw[3] is not None else None
-    return (offset, coded, raw_bytes, crc)
+def _parse_segment(raw: Sequence[Any], where: str) -> Segment:
+    """Parse a JSON segment entry; one without a CRC cannot be verified."""
+    if len(raw) != 4 or raw[3] is None:
+        raise ChecksumError(f"{where} carries no CRC, so its bytes cannot be verified")
+    return (int(raw[0]), int(raw[1]), int(raw[2]), int(raw[3]))
 
 
 def default_block_rows(cols: int, itemsize: int, target_bytes: int = DEFAULT_BLOCK_BYTES) -> int:
@@ -118,7 +117,7 @@ class BlockInfo:
     rows: int
     #: ``(file_offset, coded_bytes, raw_bytes, payload_crc32)`` per segment —
     #: one segment for the ``row`` layout, one per column for the legacy
-    #: ``column`` layout.  The CRC is ``None`` in files written before checksums.
+    #: ``column`` layout.
     segments: Tuple[Segment, ...]
 
     @property
@@ -519,14 +518,13 @@ def read_blocked_header(path: Union[str, Path]) -> BlockedMatrixHeader:
             )
         handle.seek(header_offset)
         payload = handle.read(header_len)
-    if trailer_crc != 0:
-        computed = zlib.crc32(payload)
-        if computed != trailer_crc:
-            raise ChecksumError(
-                f"{path}: header trailer CRC mismatch (stored "
-                f"{trailer_crc:#010x}, computed {computed:#010x}) — the file "
-                f"was torn mid-convert or corrupted on disk"
-            )
+    computed = zlib.crc32(payload)
+    if computed != trailer_crc:
+        raise ChecksumError(
+            f"{path}: header trailer CRC mismatch (stored "
+            f"{trailer_crc:#010x}, computed {computed:#010x}) — the file "
+            f"was torn mid-convert or corrupted on disk"
+        )
     try:
         parsed: Dict[str, Any] = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -535,9 +533,12 @@ def read_blocked_header(path: Union[str, Path]) -> BlockedMatrixHeader:
         BlockInfo(
             start_row=int(entry["start_row"]),
             rows=int(entry["rows"]),
-            segments=tuple(_parse_segment(seg) for seg in entry["segments"]),
+            segments=tuple(
+                _parse_segment(seg, f"{path}: block {index} segment {position}")
+                for position, seg in enumerate(entry["segments"])
+            ),
         )
-        for entry in parsed["blocks"]
+        for index, entry in enumerate(parsed["blocks"])
     )
     label_segment = parsed.get("labels")
     layout = str(parsed["layout"])
@@ -554,7 +555,9 @@ def read_blocked_header(path: Union[str, Path]) -> BlockedMatrixHeader:
         layout=layout,
         has_labels=bool(parsed["has_labels"]),
         blocks=blocks,
-        label_segment=_parse_segment(label_segment) if label_segment else None,
+        label_segment=(
+            _parse_segment(label_segment, f"{path}: label segment") if label_segment else None
+        ),
         raw_bytes=int(parsed["raw_bytes"]),
         compressed_bytes=int(parsed["compressed_bytes"]),
     )
@@ -652,13 +655,12 @@ class BlockedMatrixReader:
         (:meth:`BlockedMatrixWriter.write_coded_block`).  The payload is
         verified the way a decode would verify it, so corrupt bytes raise
         :class:`ChecksumError` here instead of travelling on under a fresh
-        trailer; a block written before checksums existed cannot be vouched
-        for and is refused, and so is a legacy column-layout block, which no
-        writer places.
+        trailer; a legacy column-layout block, which no writer places, is
+        refused.
         """
         block = self.header.blocks[index]
         segment = block.segments[0]
-        if self.header.layout != "row" or segment[3] is None:
+        if self.header.layout == "column":
             raise ValueError(
                 f"{self.path}: block {index} is not a checksummed row-layout "
                 f"block and cannot be copied verbatim; decode and re-encode it"
@@ -701,12 +703,10 @@ class BlockedMatrixReader:
     ) -> None:
         """CRC-check one coded payload before it reaches the codec.
 
-        Legacy entries (no stored CRC) skip verification; verifying the
-        *coded* bytes catches on-disk corruption before decode ever runs.
+        Verifying the *coded* bytes catches on-disk corruption before decode
+        ever runs.
         """
         crc = segment[3]
-        if crc is None:
-            return
         computed = zlib.crc32(payload)
         if computed != crc:
             raise ChecksumError(
@@ -753,7 +753,7 @@ class BlockedMatrixReader:
                 payload, segment, fetched.index, 0
             ).reshape(block.rows, self.header.cols)
             np.copyto(dest, values[local], casting="unsafe")
-        else:
+        else:  # the legacy column layout, read only by m3 convert
             for col in range(self.header.cols):
                 values = self._decode_segment(
                     fetched.payloads[col], block.segments[col], fetched.index, col
@@ -785,6 +785,10 @@ class BlockedMatrixReader:
         out = np.empty((rows, self.header.cols), dtype=self.header.dtype)
         return self.read_rows_into(start, stop, out)
 
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """``reader[lo:hi]`` is :meth:`read_rows`: a reader slices like an array."""
+        return self.read_rows(rows.start, rows.stop)
+
     def read_block(self, index: int) -> np.ndarray:
         """Decode one whole block into a fresh logical array."""
         block = self.header.blocks[index]
@@ -804,13 +808,12 @@ class BlockedMatrixReader:
             return None
         offset, coded, raw_bytes, crc = segment
         payload = self._pread(offset, coded)
-        if crc is not None:
-            computed = zlib.crc32(payload)
-            if computed != crc:
-                raise ChecksumError(
-                    f"{self.path}: label segment CRC mismatch (stored "
-                    f"{crc:#010x}, computed {computed:#010x})"
-                )
+        computed = zlib.crc32(payload)
+        if computed != crc:
+            raise ChecksumError(
+                f"{self.path}: label segment CRC mismatch (stored "
+                f"{crc:#010x}, computed {computed:#010x})"
+            )
         raw = self.codec.decode(payload, raw_bytes)
         return np.frombuffer(raw, dtype=np.int64).copy()
 

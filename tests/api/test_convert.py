@@ -1,29 +1,17 @@
 """Tests for streaming dataset conversion into blocked shards."""
 
-import shutil
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from repro.api import Session, convert
 from repro.api.convert import convert_dataset
 from repro.api.sharded import (
-    ReadOnlyLayoutError,
-    ShardAppender,
     ShardedMatrix,
-    manifest_generation,
     open_sharded_matrix,
     read_manifest,
     write_sharded_dataset,
 )
 from repro.data.formats import write_binary_matrix
-
-#: Written when writers still took layout="column" (see
-#: tests/data/test_formats_v2.py): a 40 x 5 zlib dataset, 16-row blocks.
-COLUMN_FIXTURE = Path(__file__).parents[1] / "data" / "fixtures" / "column_layout_shards"
-FIXTURE_X = (np.arange(40 * 5, dtype=np.float64).reshape(40, 5) % 7) / 4.0
-FIXTURE_Y = (np.arange(40) % 3).astype(np.int64)
 
 
 @pytest.fixture()
@@ -63,7 +51,7 @@ class TestConvert:
         convert_dataset(tmp_path / "v1", tmp_path / "v2", codec="zlib")
         convert_dataset(tmp_path / "v2", tmp_path / "back", codec=None)
         back = read_manifest(tmp_path / "back")
-        assert (back.codec, back.version, back.mapped) == ("none", 2, True)
+        assert (back.codec, back.to_json()["version"], back.mapped) == ("none", 2, True)
         matrix = open_sharded_matrix(tmp_path / "back")
         assert type(matrix) is ShardedMatrix
         np.testing.assert_array_equal(matrix[:], X)
@@ -99,7 +87,7 @@ class TestConvert:
         tmp_path, X, _y = source
         manifest = convert_dataset(tmp_path / "v1", tmp_path / "v2",
                                    codec="zlib", storage_dtype=np.float32)
-        assert manifest.layout == "row"
+        assert manifest.to_json()["layout"] == "row"
         assert manifest.storage_dtype == np.dtype(np.float32)
         matrix = open_sharded_matrix(tmp_path / "v2")
         np.testing.assert_allclose(matrix[:], X, atol=1e-6)
@@ -136,37 +124,3 @@ class TestConvert:
         convert_dataset(tmp_path / "empty", tmp_path / "out", codec=target)
         with Session() as session:
             assert session.open(f"shard://{tmp_path / 'out'}").shape == (0, 3)
-
-
-class TestColumnLayoutFixture:
-    """The legacy column layout: read and converted, never appended to."""
-
-    @pytest.fixture()
-    def column_copy(self, tmp_path):
-        return Path(shutil.copytree(COLUMN_FIXTURE, tmp_path / "column"))
-
-    def test_append_is_refused_and_commits_nothing(self, column_copy):
-        before = {path.name: path.read_bytes() for path in column_copy.iterdir()}
-        generation = manifest_generation(column_copy)
-        with pytest.raises(ReadOnlyLayoutError, match="m3 convert SRC DST --codec zlib"):
-            ShardAppender(column_copy)
-        with Session() as session:
-            dataset = session.open(f"shard://{column_copy}")
-            with pytest.raises(ReadOnlyLayoutError):
-                dataset.append(FIXTURE_X[:3], FIXTURE_Y[:3])
-        assert manifest_generation(column_copy) == generation
-        assert {path.name: path.read_bytes() for path in column_copy.iterdir()} == before
-
-    def test_converts_to_row_and_then_appends(self, tmp_path):
-        manifest = convert_dataset(COLUMN_FIXTURE, tmp_path / "out", codec="zlib")
-        assert manifest.layout == "row"
-        with open_sharded_matrix(tmp_path / "out") as matrix:
-            np.testing.assert_array_equal(matrix[:], FIXTURE_X)
-            np.testing.assert_array_equal(matrix.lazy_labels[:], FIXTURE_Y)
-        appended = ShardAppender(tmp_path / "out").append(FIXTURE_X[:7], FIXTURE_Y[:7])
-        assert appended.rows == 47
-        with open_sharded_matrix(tmp_path / "out") as matrix:
-            np.testing.assert_array_equal(matrix[:], np.vstack([FIXTURE_X, FIXTURE_X[:7]]))
-            np.testing.assert_array_equal(
-                matrix.lazy_labels[:], np.concatenate([FIXTURE_Y, FIXTURE_Y[:7]])
-            )

@@ -134,9 +134,10 @@ class TestBufferPool:
     def test_in_flight_chunks_never_alias(self, sharded_matrix):
         matrix, X, _ = sharded_matrix
         held = []
+        # A ring large enough to hold every chunk at once.
+        ring = ChunkBufferPool(buffers=16, chunk_rows=9, n_cols=4, dtype=matrix.dtype)
         with open_chunk_stream(
-            matrix, chunk_rows=9, align_shards=False, io_workers=2,
-            buffer_pool=16,  # large enough to hold every chunk at once
+            matrix, chunk_rows=9, align_shards=False, io_workers=2, buffer_pool=ring,
         ) as stream:
             for chunk in stream:
                 held.append(chunk)
@@ -208,9 +209,10 @@ class TestBufferPool:
         # ring size.
         matrix, X, _ = sharded_matrix
         for _ in range(5):  # the hang was racy: give it a few chances
+            ring = ChunkBufferPool(buffers=1, chunk_rows=9, n_cols=4, dtype=matrix.dtype)
             with open_chunk_stream(
                 matrix, chunk_rows=9, align_shards=False,
-                io_workers=2, buffer_pool=1,
+                io_workers=2, buffer_pool=ring,
             ) as stream:
                 assert stream.depth <= 1
                 pieces = []
@@ -237,9 +239,11 @@ class TestBufferPool:
         X = np.arange(240.0).reshape(60, 4)
         write_sharded_dataset(tmp_path / "ds", X, shard_rows=13, codec="zlib", block_rows=5)
         matrix = ShardedMatrix(tmp_path / "ds")
+        pool = ChunkBufferPool(buffers=ring, chunk_rows=7, n_cols=4, dtype=matrix.dtype)
         with open_chunk_stream(
-            matrix, chunk_rows=7, io_workers=2, buffer_pool=ring, stall_timeout_s=2.0,
+            matrix, chunk_rows=7, io_workers=2, buffer_pool=pool, stall_timeout_s=2.0,
         ) as stream:
+            assert stream.depth == ring
             pieces = []
             for chunk in stream:
                 pieces.append(np.asarray(chunk.X).copy())

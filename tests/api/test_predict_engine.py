@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    ChunkBufferPool,
     PredictResult,
     Session,
     StreamingEngine,
@@ -448,8 +449,10 @@ class TestPredictStreaming:
                 return model.predict_chunk(chunk, method=method)
 
         matrix = session.open(session.specs[FORMATS[fmt]]).matrix
+        ring = ChunkBufferPool(buffers=8, chunk_rows=100, n_cols=X.shape[1],
+                               dtype=matrix.dtype)
         with open_chunk_stream(matrix, chunk_rows=100, io_workers=2,
-                               buffer_pool=8, align_shards=False) as stream:
+                               buffer_pool=ring, align_shards=False) as stream:
             with pytest.raises(KeyError, match="chunk 1"):
                 FailsOnChunkOne().predict_streaming(stream, X.shape[0], workers=2)
             assert stream.pool.leases_served >= 2
@@ -461,8 +464,10 @@ class TestPredictStreaming:
         X, _ = problem
         model = models["logistic"]
         matrix = session.open(session.specs["shard"]).matrix
+        ring = ChunkBufferPool(buffers=2, chunk_rows=100, n_cols=X.shape[1],
+                               dtype=matrix.dtype)
         with open_chunk_stream(matrix, chunk_rows=100, align_shards=False,
-                               io_workers=2, buffer_pool=2) as stream:
+                               io_workers=2, buffer_pool=ring) as stream:
             out = model.predict_streaming(stream, X.shape[0], workers=3)
             assert stream.pool.buffers == 2
             assert stream.pool.leases_served > 2  # the ring recycled

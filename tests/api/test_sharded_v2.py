@@ -97,7 +97,7 @@ class TestWriteAndOpen:
 
     def test_compression_ratio_reported(self, v2_dir):
         manifest = read_manifest(v2_dir)
-        assert manifest.version == 2
+        assert manifest.to_json()["version"] == 2
         assert manifest.ratio > 1.0
         for shard in manifest.shards:
             assert shard.ratio > 1.0

@@ -88,10 +88,10 @@ class TestReader:
     def test_column_layout_written_before_the_projection_was_removed(self, tmp_path):
         # fixtures/column_layout_shards was written at fe24373, when readers
         # could still fetch single column segments.  Column-major stays a
-        # stored form that nothing writes any more: whole blocks read back
-        # bit-identically — by row range and through the zlib chunk stream.
-        from repro.api.chunks import open_chunk_stream
-        from repro.api.sharded import open_sharded_matrix
+        # stored form that nothing writes any more: the block reader still
+        # decodes whole blocks bit-identically (for m3 convert), while the
+        # sharded opener refuses the dataset and names the convert.
+        from repro.api.sharded import LegacyFormatError, open_sharded_matrix
 
         fixture = Path(__file__).parent / "fixtures" / "column_layout_shards"
         X = (np.arange(40 * 5, dtype=np.float64).reshape(40, 5) % 7) / 4.0
@@ -102,15 +102,8 @@ class TestReader:
             np.testing.assert_array_equal(reader.read_rows(0, 24), X[:24])
             np.testing.assert_array_equal(reader.read_rows(13, 19), X[13:19])
             np.testing.assert_array_equal(reader.read_labels(), y[:24])
-        with open_sharded_matrix(fixture) as stored:
-            np.testing.assert_array_equal(stored[:], X)
-            with open_chunk_stream(stored, labels=stored.lazy_labels, chunk_rows=7,
-                                   align_shards=False, io_workers=2) as stream:
-                for chunk in stream:
-                    np.testing.assert_array_equal(chunk.X, X[chunk.start:chunk.stop])
-                    np.testing.assert_array_equal(chunk.y, y[chunk.start:chunk.stop])
-                    chunk.release()
-                assert stream.stats.rows == 40 and stream.stats.compressed_bytes > 0
+        with pytest.raises(LegacyFormatError, match="column-layout.*m3 convert"):
+            open_sharded_matrix(fixture)
 
     def test_column_blocks_are_not_copied_verbatim(self):
         # Only row-layout blocks are ever re-placed by a writer (the appender

@@ -1,10 +1,13 @@
 """Block CRCs catch corruption in every codec and in the legacy column
-layout; trailer CRC catches torn converts.  The scrub (`verify_blocked_file`
+layout; trailer CRC catches torn converts; a file whose checksums are missing
+or zeroed is refused, never read unverified.  The scrub (`verify_blocked_file`
 / `m3 info --verify`) names the exact block, and a clean file scrubs clean."""
 
 from __future__ import annotations
 
+import json
 import shutil
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,8 @@ import pytest
 
 from repro.cli import main
 from repro.data.formats_v2 import (
+    BLOCKED_PREFIX,
+    BLOCKED_PREFIX_SIZE,
     BlockedMatrixReader,
     ChecksumError,
     read_blocked_header,
@@ -123,16 +128,57 @@ class TestTrailerCRC:
         problems = verify_blocked_file(path)
         assert len(problems) == 1 and "unreadable" in problems[0]
 
-    def test_legacy_zero_crc_prefix_still_opens(self, tmp_path):
-        """Files whose prefix carries trailer_crc=0 (pre-checksum writers)
-        skip trailer verification rather than failing it."""
-        path = tmp_path / "legacy.m3b"
+    def test_zeroed_trailer_crc_is_refused(self, tmp_path):
+        """A prefix whose trailer CRC is 0 is checked like any other: every
+        writer stores the real CRC, so a zero one no longer switches
+        trailer verification off."""
+        path = tmp_path / "zeroed.m3b"
         _write(path, "none")
         data = bytearray(path.read_bytes())
         data[12:16] = b"\x00\x00\x00\x00"  # zero the stored trailer CRC
         path.write_bytes(bytes(data))
-        header = read_blocked_header(path)
-        assert header.rows == 96
+        with pytest.raises(ChecksumError, match="trailer CRC mismatch"):
+            read_blocked_header(path)
+        problems = verify_blocked_file(path)
+        assert len(problems) == 1 and "unreadable" in problems[0]
+
+
+def _rewrite_trailer(path, edit):
+    """Apply ``edit`` to the JSON header trailer of ``path`` and store it with
+    a matching trailer CRC, so only the edited entries can be at fault."""
+    raw = path.read_bytes()
+    magic, version, _crc, offset, length = BLOCKED_PREFIX.unpack(raw[:BLOCKED_PREFIX_SIZE])
+    header = json.loads(raw[offset : offset + length])
+    edit(header)
+    trailer = json.dumps(header).encode("utf-8")
+    prefix = BLOCKED_PREFIX.pack(magic, version, zlib.crc32(trailer), offset, len(trailer))
+    path.write_bytes(prefix + raw[BLOCKED_PREFIX_SIZE:offset] + trailer)
+
+
+@pytest.mark.parametrize("entry", ["block", "labels"])
+@pytest.mark.parametrize("crc", ["removed", "null"])
+def test_segment_entry_without_crc_is_refused(tmp_path, entry, crc):
+    """A segment entry that carries no CRC cannot be verified, so the file
+    is refused at open and the scrub reports it instead of passing it."""
+    path = tmp_path / "crcless.m3b"
+    _write(path, "zlib")
+
+    def strip(header):
+        segment = header["blocks"][1]["segments"][0] if entry == "block" else header["labels"]
+        if crc == "removed":
+            segment.pop()
+        else:
+            segment[3] = None
+
+    _rewrite_trailer(path, strip)
+    where = "block 1 segment 0" if entry == "block" else "label segment"
+    with pytest.raises(ChecksumError, match=f"{where} carries no CRC"):
+        read_blocked_header(path)
+    with pytest.raises(ChecksumError, match="carries no CRC"):
+        BlockedMatrixReader(path)
+    problems = verify_blocked_file(path)
+    assert len(problems) == 1 and "carries no CRC" in problems[0]
+    assert str(path) in problems[0]
 
 
 class TestCliVerify:

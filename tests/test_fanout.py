@@ -18,7 +18,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.api.chunks import open_chunk_stream, plan_chunks
+from repro.api.chunks import ChunkBufferPool, open_chunk_stream, plan_chunks
 from repro.api.sharded import open_sharded_matrix, write_sharded_dataset
 from repro.fanout import COMPUTE_THREAD_PREFIX, DeadlineExceeded, map_ordered
 
@@ -251,7 +251,8 @@ class TestStreamTeardown:
         X = np.arange(240.0).reshape(60, 4)
         write_sharded_dataset(tmp_path / "ds", X, shard_rows=13, codec="zlib", block_rows=5)
         matrix = open_sharded_matrix(tmp_path / "ds")
-        stream = open_chunk_stream(matrix, chunk_rows=7, io_workers=2, buffer_pool=2)
+        ring = ChunkBufferPool(buffers=2, chunk_rows=7, n_cols=4, dtype=matrix.dtype)
+        stream = open_chunk_stream(matrix, chunk_rows=7, io_workers=2, buffer_pool=ring)
         hoard = [next(stream), next(stream)]
         pool = stream.pool
         assert pool.available == 0
