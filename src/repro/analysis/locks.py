@@ -22,7 +22,6 @@ slot in between existing ones without renumbering.
 Current order (outermost first; renumbered in one commit when the
 network-serving locks landed, per the ROADMAP's standing instruction)::
 
-    rank  20   NetServer._lock                    socket front-end accounting
     rank  30   NetClient._lock                    client write path + pending queue
     rank  40   ModelServer._cond                  serving queue + dispatcher wakeup
     rank  50   AdaptiveDelayController._lock      arrival-rate EWMA state
@@ -43,13 +42,13 @@ datasets (``Session._lock``, 70) and publishing refreshed versions
 but below both; the shard appender (90) is a near-leaf write lock that
 callers already holding session or registry locks may enter, but which
 never re-enters the session layer.
-The network front end sits *outside* the serving core: ``NetServer._lock``
-(20) guards transport accounting only and is never held across a
-``submit``; ``ModelServer.submit`` holding ``_cond`` (40) records arrivals
-on the delay controller (50), so the controller ranks just inside the
-server condition.  The chunk pipeline's three locks (120-140) are leaves:
-its readers are :func:`~repro.fanout.map_ordered` workers that never take
-one of them while holding another.
+The network front end holds no lock: ``NetServer``'s connections and
+counters are confined to its event-loop thread.  ``ModelServer.submit``
+holding ``_cond`` (40) records arrivals on the delay controller (50), so the
+controller ranks just inside the server condition.  The chunk pipeline's
+three locks (120-140) are leaves: its readers are
+:func:`~repro.fanout.map_ordered` workers that never take one of them while
+holding another.
 """
 
 from __future__ import annotations
@@ -60,13 +59,8 @@ __all__ = ["LOCK_ORDER"]
 
 #: Dotted lock name -> rank.  Acquisitions must strictly increase in rank.
 LOCK_ORDER: Dict[str, int] = {
-    # Outermost: the network front end.  The transport accounting lock is held only for
-    # counter updates on the event-loop thread and by stats() readers; it
-    # is never held across a ModelServer.submit, but ranking it outside the
-    # serving core keeps that the checked invariant rather than a comment.
-    "repro.net.server.NetServer._lock": 20,
-    # The client's write path: serialises request framing + the pending
-    # deque against the reader thread.  Touches no server-side lock.
+    # Outermost: the client's write path, which serialises request framing +
+    # the pending deque against the reader thread.  Touches no server-side lock.
     "repro.net.client.NetClient._lock": 30,
     # Serving layer.
     "repro.serve.server.ModelServer._cond": 40,

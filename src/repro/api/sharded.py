@@ -1588,7 +1588,8 @@ def _shard_mismatch(
     by :func:`verify_dataset`.  The file must store row-major blocks of the
     manifest's codec, block height and storage dtype.  A sealed shard holds
     exactly its committed rows; an unsealed tail may hold more, written by a
-    later generation or a crashed append.
+    later generation or a crashed append.  A file holding rows carries a
+    label segment exactly when the manifest declares labels.
     """
     declared = (manifest.codec, "row", manifest.block_rows, manifest.storage_dtype)
     stored = (header.codec, header.layout, header.block_rows, header.storage_dtype)
@@ -1607,6 +1608,12 @@ def _shard_mismatch(
             f"shard {shard.filename} holds a {header.rows} x {header.cols} "
             f"{header.dtype} matrix, manifest expects {shard.rows} x "
             f"{manifest.cols} {manifest.dtype}"
+        )
+    if header.has_labels != (manifest.has_labels and header.rows > 0):
+        return (
+            f"shard {shard.filename} {'has' if header.has_labels else 'lacks'} a "
+            f"label segment, the manifest declares "
+            f"{'labels' if manifest.has_labels else 'none'}"
         )
     return None
 

@@ -21,19 +21,22 @@ raw-row frame (:func:`repro.net.protocol.hello_record`).  This is the only
 request loop there is: ``m3 served`` exposes the listener, ``m3 serve``
 pumps stdin/stdout through one loopback connection of it.
 
-Flow control is layered: per connection, at most ``max_inflight``
-requests are in flight before the reader stops pulling frames (TCP
-backpressure pushes back to the client); across the server, the
-``ModelServer``'s own ``max_pending`` bound turns into a typed
-``saturated`` wire record (HTTP 429) via ``submit(block=False)`` — the
-connection stays healthy, only the overflowing request is refused.
+Each connection is one :class:`asyncio.Protocol`, with no task or queue:
+the callback that receives bytes parses, submits and queues (in request
+order) every complete frame buffered; a request future's done callback
+makes one thread hop to the loop, which writes every answered entry at the
+head of that queue.  Flow control: at ``max_inflight`` unanswered requests,
+or while the write buffer is over its high-water mark, the connection stops
+reading and TCP backpressure reaches the client; a full ``ModelServer``
+queue (``max_pending``) refuses just the overflowing request with a typed
+``saturated`` record (HTTP 429), via ``submit(block=False)``.  A frame
+whose first line arrived must finish within :data:`FRAME_READ_TIMEOUT_S`.
 
 Graceful drain (:meth:`close`, or SIGTERM via :meth:`request_shutdown` +
-:meth:`serve_forever`): stop accepting connections, wake idle readers,
-flush every in-flight request's response, then drain the ``ModelServer``
-(which serves its queue and joins its dispatchers).  A client that keeps
-pipelining through a drain gets every accepted request answered before
-its connection closes.
+:meth:`serve_forever`): stop accepting; answer every frame the clients
+already sent; close each connection once it is flushed and quiet for a
+grace window, abort the rest at ``drain_timeout_s``; then drain the
+``ModelServer`` (serve its queue, join its dispatchers).
 
 Fault sites ``net.accept`` / ``net.read`` / ``net.write`` drop a
 connection at each transport stage exactly as a reset, torn frame, or
@@ -44,26 +47,35 @@ connections and the dispatchers keep serving.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import socket
 import threading
+from collections import deque
 from concurrent.futures import Future
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.analysis.runtime import make_lock
 from repro.faults import InjectedFault, maybe_fire
 from repro.net import protocol
 from repro.serve.server import ModelServer, ServeResult, ServerSaturated
 
 __all__ = ["NetServer", "NetStats"]
 
-#: How long close() waits for in-flight connections to flush before
-#: cancelling their tasks.
+#: How long close() waits for connections to flush before aborting them.
 DEFAULT_DRAIN_TIMEOUT_S = 10.0
 
-#: Per-read timeout for HTTP header/body continuation bytes: a frame the
-#: client started must finish arriving within this bound.
+#: The rest of a frame whose first line arrived (HTTP headers and body, a
+#: raw-row payload) must arrive within this bound, or the connection drops.
 FRAME_READ_TIMEOUT_S = 30.0
+
+#: A draining connection quiet for this long has nothing more pipelined.
+_DRAIN_GRACE_S = 0.05
+
+# What a connection's parser waits for (the values it yields).
+_IDLE = "idle"  # the next frame's first line
+_BODY = "body"  # the rest of a frame whose first line has arrived
+_HELD = "held"  # flow control: answers to flush before the next frame
+_DONE = "done"  # nothing: the connection reads no more
 
 
 @dataclass
@@ -91,8 +103,10 @@ class NetStats:
         return asdict(self)
 
     def snapshot(self) -> "NetStats":
-        """An independent copy (the live object keeps accumulating)."""
-        return replace(self)
+        """An independent copy (the live object keeps accumulating).  Copying
+        ``__dict__`` is one C call the GIL never releases inside, so a reader
+        on any thread sees the loop thread's counters at one instant."""
+        return NetStats(**self.__dict__)
 
 
 @dataclass(slots=True)
@@ -112,6 +126,338 @@ class _Entry:
     hello: bool = False
 
 
+#: A parser step: yields what it waits for, returns its result.
+_Parse = Generator[str, None, Any]
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted socket: frames parsed as their bytes arrive, answered in
+    request order.  Every method runs on the event-loop thread except
+    :meth:`_on_done`, a request future's done callback."""
+
+    def __init__(self, net: "NetServer", sock: socket.socket) -> None:
+        self.net = net
+        self.sock = sock
+        self.loop = asyncio.get_running_loop()
+        self.transport: Any = None  # an asyncio.Transport once wired up
+        self.buf = bytearray()
+        self.pos = self.scan = 0  # first unparsed byte; where to look for "\n"
+        self.eof = False
+        #: Accepted frames, oldest first; the head is the next to answer.
+        self.entries: Deque[_Entry] = deque()
+        self.frames = self._frames()
+        self.state = _IDLE
+        self.parsed = 0  # frames completed, so a frame timer sees progress
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.write_paused = False
+        self.hop_pending = False
+        self.broken = False  # a write failed: consume entries, write nothing
+        self.lost = False
+        self.heard = False  # bytes arrived since the last drain tick
+        self.dropped = self.injected = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        try:
+            maybe_fire("net.accept")
+        except InjectedFault:
+            self._stop_reading(dropped=True, injected=True)
+            transport.close()
+
+    def data_received(self, data: bytes) -> None:
+        self.heard = True
+        self.buf += data
+        self._parse()
+        self._answer()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self.data_received(b"")  # the end completes or tears the last frame
+        return True  # half-closed: the answers still go out
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._answer()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.lost = True
+        # A reset, or an end inside a frame, drops the connection; our own
+        # abort after a failed write between frames does not.
+        self._stop_reading(dropped=exc is not None or self.state is _BODY)
+        self._forget()
+
+    # -- reading -------------------------------------------------------------
+
+    def _held(self) -> bool:
+        return self.write_paused or len(self.entries) >= self.net.max_inflight
+
+    def _parse(self) -> None:
+        """Run the parser over what is buffered, then settle the frame timer
+        and the read side to what it waits for."""
+        if self.state is _DONE:
+            return
+        try:
+            self.state = next(self.frames)
+        except (StopIteration, EOFError, OSError) as end:  # OSError: net.read's fault
+            dropped = not isinstance(end, StopIteration)
+            self._stop_reading(dropped, injected=isinstance(end, InjectedFault))
+            return
+        del self.buf[: self.pos]
+        self.scan -= self.pos
+        self.pos = 0
+        if self.state is _BODY and self.timer is None:
+            self._frame_timeout()
+        elif self.state is not _BODY and self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        reading = self.state is not _HELD
+        if reading != self.transport.is_reading() and not self.eof:
+            (self.transport.resume_reading if reading else self.transport.pause_reading)()
+
+    def _frame_timeout(self, parsed: int = -1) -> None:
+        """Arm the frame timer (no argument), or fire it: a frame still
+        arriving with no frame completed since arming drops the connection."""
+        if parsed != self.parsed:  # arming, or frames completed meanwhile
+            self.timer = self.loop.call_later(
+                FRAME_READ_TIMEOUT_S, self._frame_timeout, self.parsed
+            )
+            return
+        self.timer = None
+        self._stop_reading(dropped=True)
+        self._answer()
+
+    def _stop_reading(self, dropped: bool = False, injected: bool = False) -> None:
+        """Parse no more: close once the accepted frames are answered."""
+        if self.state is _DONE:
+            return
+        self.state = _DONE
+        self.frames.close()
+        self.dropped, self.injected = dropped, injected
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        if self.transport is not None and not self.lost:
+            self.transport.pause_reading()
+
+    def _frames(self) -> _Parse:
+        """The parser: one frame after another until the connection is done."""
+        while True:
+            while self._held():
+                yield _HELD
+            try:
+                first = yield from self._line(_IDLE)
+            except protocol.ProtocolError as error:
+                self._push(self.net._refused(error))
+                return
+            if not first:
+                return  # end of stream between frames
+            maybe_fire("net.read")
+            entry = yield from self._request(first)
+            self.parsed += 1
+            if entry is None:
+                continue  # blank JSONL line
+            self._push(entry)
+            if not entry.keep_alive:
+                return  # answer, then hang up
+
+    def _line(self, waiting: str = _BODY) -> _Parse:
+        """The next line, newline included (at end of stream: the
+        unterminated rest, ``b""`` if none).  A line over
+        ``max_request_bytes`` is a typed ``ProtocolError``: what follows
+        cannot be told from its tail, so callers answer, then hang up."""
+        limit = self.net.max_request_bytes
+        while True:
+            end = self.buf.find(b"\n", self.scan)
+            if (end if end >= 0 else len(self.buf)) - self.pos > limit:
+                raise protocol.ProtocolError(
+                    f"a frame line exceeds the {limit}-byte limit"
+                )
+            if end >= 0 or self.eof:
+                start = self.pos
+                self.pos = self.scan = end + 1 if end >= 0 else len(self.buf)
+                return self.buf[start : self.pos]
+            self.scan = len(self.buf)
+            yield waiting
+
+    def _exactly(self, n: int) -> _Parse:
+        """The next ``n`` bytes."""
+        while len(self.buf) - self.pos < n:
+            if self.eof:
+                raise EOFError  # the client hung up inside a frame
+            yield _BODY
+        start = self.pos
+        self.pos = self.scan = start + n
+        return self.buf[start : self.pos]
+
+    def _request(self, first: bytearray) -> _Parse:
+        net = self.net
+        if protocol.looks_like_http(first):
+            return (yield from self._http_request(first))
+        if protocol.looks_like_raw_rows(first):
+            try:
+                head = protocol.parse_raw_rows_head(first)
+                if head.nbytes > net.max_request_bytes:
+                    raise protocol.ProtocolError(
+                        f"raw-row payload of {head.nbytes} bytes exceeds the "
+                        f"{net.max_request_bytes}-byte limit"
+                    )
+            except protocol.ProtocolError as error:
+                # Without a trusted payload length the next head cannot be found.
+                return net._refused(error)
+            payload = yield from self._exactly(head.nbytes)
+            return net._submitted(head.request, payload)
+        if protocol.looks_like_hello(first):
+            return _Entry(hello=True)
+        text = first.decode("utf-8", errors="replace").strip()
+        if not text:
+            return None
+        return net._submitted(protocol.parse_request_line, text)
+
+    def _http_request(self, first: bytearray) -> _Parse:
+        net = self.net
+        try:
+            method, path = protocol.parse_http_request_head(first)
+            header_lines: List[bytearray] = []
+            while True:
+                line = yield from self._line()
+                if line in (b"\r\n", b"\n"):
+                    break
+                if not line:
+                    raise EOFError  # the client hung up inside a frame
+                if len(header_lines) >= 100:
+                    raise protocol.ProtocolError("too many HTTP headers")
+                header_lines.append(line)
+            try:
+                headers = protocol.parse_http_headers(header_lines)
+                length = int(headers.get("content-length", "0"))
+            except (protocol.ProtocolError, ValueError) as error:
+                raise protocol.ProtocolError(f"malformed HTTP headers: {error}") from None
+            if length < 0 or length > net.max_request_bytes:
+                raise protocol.ProtocolError(
+                    f"request body of {length} bytes exceeds the "
+                    f"{net.max_request_bytes}-byte limit"
+                )
+        except protocol.ProtocolError as error:
+            return net._refused(error, http=True)
+        keep_alive = headers.get("connection", "keep-alive").strip().lower() != "close"
+        body = (yield from self._exactly(length)) if length else b""
+        if method != "POST":
+            status, message = 405, f"method {method} not allowed (POST a request document)"
+        elif path not in ("/predict", "/"):
+            status, message = 404, f"no such path {path!r} (use /predict)"
+        else:
+            text = body.decode("utf-8", errors="replace")
+            return net._submitted(protocol.parse_request_line, text, True, keep_alive)
+        error = protocol.ProtocolError(message)
+        return net._counted(_Entry(error=error, http=True, keep_alive=keep_alive, status=status))
+
+    # -- answering -----------------------------------------------------------
+
+    def _push(self, entry: _Entry) -> None:
+        self.entries.append(entry)
+        if entry.future is not None:
+            entry.future.add_done_callback(self._on_done)
+
+    def _on_done(self, _future: "Future[ServeResult]") -> None:
+        """A dispatcher finished a request: one hop to the loop to answer it.
+        A pending hop answers it too (it clears the flag, then checks the
+        futures), so completions that land together share one wake-up; two
+        dispatchers racing past the check cost a spare hop, never a lost one."""
+        if not self.hop_pending:
+            self.hop_pending = True
+            with contextlib.suppress(RuntimeError):  # a closed loop: nobody to answer
+                self.loop.call_soon_threadsafe(self._answer)
+
+    def _answer(self) -> None:
+        """Write every answered entry at the head of the queue, in request
+        order; resume the parser when that releases flow control, and close
+        the connection once it reads no more and owes nothing."""
+        self.hop_pending = False
+        while True:
+            self._write_answered()
+            if self.state is not _HELD or self._held() or self.lost:
+                break
+            self._parse()
+        if self.state is _DONE and not self.entries and not self.lost:
+            self.transport.close()
+
+    def _write_answered(self) -> None:
+        stats, entries = self.net._stats, self.entries
+        out: List[bytes] = []
+        while entries:
+            entry = entries[0]
+            future = entry.future
+            if future is not None and not future.done():
+                break
+            entries.popleft()
+            if self.broken or self.lost:
+                continue  # the future completed server-side; nowhere to write
+            error = entry.error
+            result: Optional[ServeResult] = None
+            if error is None and future is not None:
+                try:
+                    result = future.result()
+                except Exception as request_error:  # noqa: BLE001 — relayed as a typed wire error
+                    error = request_error
+            if entry.hello:
+                status, record = 200, protocol.hello_record()
+            elif error is not None:
+                record = protocol.error_record(error, entry.request_id)
+                status = entry.status or protocol.status_for_kind(record["error"]["kind"])
+            else:
+                assert result is not None
+                status, record = 200, protocol.response_record(result, entry.request_id)
+            try:
+                maybe_fire("net.write")
+            except InjectedFault:
+                self.broken = True
+                stats.faults_injected += 1
+                continue
+            if entry.http:
+                out.append(protocol.http_response_bytes(status, record, entry.keep_alive))
+            else:
+                out.append((protocol.encode_record(record) + "\n").encode("utf-8"))
+            if not entry.hello:
+                stats.responses += 1
+            if error is not None:
+                stats.errors += 1
+                if isinstance(error, ServerSaturated):
+                    stats.saturated += 1
+        if out:
+            self.transport.write(out[0] if len(out) == 1 else b"".join(out))
+        if self.broken and not self.lost:
+            self.transport.abort()
+
+    def drain_tick(self) -> None:
+        """One grace window of a drain has passed: read no more once the
+        client sent nothing in it and no frame is still arriving."""
+        wired = self.transport is not None and not self.lost
+        if wired and not self.heard and self.state is _IDLE:
+            self._stop_reading()
+            self._answer()
+        self.heard = False
+
+    def abandon(self) -> None:
+        """The drain ran out of time: close the socket whatever it owes."""
+        if self.transport is not None:
+            self.transport.abort()
+        with contextlib.suppress(OSError):
+            self.sock.close()
+        self._forget()
+
+    def _forget(self) -> None:
+        """The connection is over: settle its accounting (once)."""
+        net = self.net
+        if self in net._conns:
+            net._conns.discard(self)
+            net._stats.active -= 1
+            net._stats.dropped_connections += self.dropped
+            net._stats.faults_injected += self.injected
+
+
 class NetServer:
     """A TCP front end (JSONL, raw-row frames, HTTP/1.1 POST) over one
     :class:`ModelServer`.
@@ -127,16 +473,15 @@ class NetServer:
         the bound address is in :attr:`host`/:attr:`port` once the
         constructor returns.
     max_inflight:
-        Per-connection cap on submitted-but-unanswered requests; beyond
-        it the reader stops pulling frames and TCP backpressure reaches
-        the client.
+        Per-connection cap on submitted-but-unanswered requests; at it the
+        connection stops reading and TCP backpressure reaches the client.
     max_request_bytes:
         Upper bound on one JSON line, HTTP body or raw-row payload
         (oversized requests get a typed ``bad_request`` error, then the
         connection closes).
     drain_timeout_s:
         How long a graceful drain waits for in-flight connections to
-        flush before cancelling them.
+        flush before aborting them.
     """
 
     def __init__(
@@ -156,20 +501,17 @@ class NetServer:
         self.max_inflight = max_inflight
         self.max_request_bytes = max_request_bytes
         self.drain_timeout_s = drain_timeout_s
-        self._lock = make_lock("repro.net.server.NetServer._lock")
+        # Loop-confined: only the event-loop thread touches the connection
+        # set and writes the counters (stats() reads them; see snapshot).
         self._stats = NetStats()
-        self._conn_tasks: Set["asyncio.Task[None]"] = set()
-        self._conn_socks: Set[socket.socket] = set()
+        self._conns: Set[_Connection] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
-        self._drain_event: Optional[asyncio.Event] = None
         self._ready = threading.Event()
         self._shutdown_requested = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._closed = False
-        self._thread = threading.Thread(
-            target=self._run, name="m3-net-loop", daemon=True
-        )
+        self._thread = threading.Thread(target=self._run, name="m3-net-loop", daemon=True)
         self._thread.start()
         started = self._ready.wait(timeout=10.0)
         if self._startup_error is not None:
@@ -177,9 +519,7 @@ class NetServer:
             self._thread.join(timeout=5.0)
             raise error
         if not started:
-            raise RuntimeError(
-                f"network server on {host}:{port} failed to start within 10s"
-            )
+            raise RuntimeError(f"network server on {host}:{port} failed to start within 10s")
 
     # -- event-loop thread ---------------------------------------------------
 
@@ -193,19 +533,14 @@ class NetServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._drain_event = asyncio.Event()
-        # The accept loop is ours, not asyncio.start_server's: owning the
-        # raw connection socket from the instant accept() returns is what
-        # makes the drain airtight.  asyncio's internal accept task wires
-        # a connection up across several loop iterations, and a teardown
-        # racing those iterations discards the queued callbacks — leaking
-        # an open FD whose client then blocks forever on a connection no
-        # one remembers.  With the socket registered first, shutdown can
-        # always force-close whatever the wiring never finished.
+        # The accept loop is ours, not asyncio.start_server's: a teardown
+        # racing asyncio's own several-iteration wiring of a connection
+        # leaks its FD, and its client blocks forever.  With each socket
+        # registered the instant accept() returns, shutdown can always
+        # force-close whatever the wiring never finished.
         lsock = socket.create_server((self.host, self.port), backlog=128)
         lsock.setblocking(False)
-        sockname = lsock.getsockname()
-        self.host, self.port = sockname[0], int(sockname[1])
+        self.host, self.port = lsock.getsockname()[:2]
         accept_task = asyncio.ensure_future(self._accept_loop(lsock))
         self._ready.set()
         try:
@@ -213,41 +548,25 @@ class NetServer:
             # loop thread with a joined deadline instead.
             await self._stop_event.wait()  # lint: disable=R005 — bounded by close()'s thread join
         finally:
-            # Graceful drain: 1) stop accepting, 2) wake idle readers so
-            # keep-alive connections flush their in-flight responses and
-            # exit, 3) give stragglers a bounded grace, then cancel.
+            # Graceful drain: 1) stop accepting, 2) let every connection
+            # answer what its client sent and close once quiet, 3) abort
+            # whatever is still open at the deadline.
             accept_task.cancel()
             try:
                 await accept_task
             except asyncio.CancelledError:
                 pass
             lsock.close()
-            self._drain_event.set()
+            for conn in self._conns:
+                conn.heard = False
             deadline = self._loop.time() + self.drain_timeout_s
-            while True:
-                with self._lock:
-                    tasks = [task for task in self._conn_tasks if not task.done()]
-                if not tasks:
-                    break
-                remaining = deadline - self._loop.time()
-                if remaining <= 0:
-                    for task in tasks:
-                        task.cancel()
-                    await asyncio.gather(*tasks, return_exceptions=True)
-                    break
-                await asyncio.wait(tasks, timeout=remaining)
-            # Force-close any connection socket still registered: even a
-            # connection whose handler was cancelled before it ever ran
-            # gets its FD closed here, so no client is ever stranded on a
-            # silent, never-closed socket.
-            with self._lock:
-                leftovers = list(self._conn_socks)
-                self._conn_socks.clear()
-            for conn in leftovers:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+            while self._conns and self._loop.time() < deadline:
+                await asyncio.sleep(_DRAIN_GRACE_S)
+                for conn in list(self._conns):
+                    conn.drain_tick()
+            # Even a connection whose wiring never finished is closed here.
+            for conn in list(self._conns):
+                conn.abandon()
             # Transport close() finishes via call_soon callbacks; give
             # them the loop iterations they need before asyncio.run tears
             # the loop down (a closed loop never runs them).
@@ -258,266 +577,21 @@ class NetServer:
         assert self._loop is not None
         while True:
             try:
-                conn, _addr = await self._loop.sock_accept(lsock)
+                sock, _addr = await self._loop.sock_accept(lsock)
             except OSError:
                 return  # listener torn down under us by a racing close()
-            conn.setblocking(False)
-            task = asyncio.ensure_future(self._handle_connection(conn))
-            with self._lock:
-                self._conn_socks.add(conn)
-                self._conn_tasks.add(task)
-                self._stats.connections += 1
-                self._stats.active += 1
-
-    async def _handle_connection(self, conn: socket.socket) -> None:
-        task = asyncio.current_task()
-        assert self._loop is not None
-        dropped = False
-        injected = False
-        writer: Optional[asyncio.StreamWriter] = None
-        try:
-            reader = asyncio.StreamReader(
-                limit=self.max_request_bytes, loop=self._loop
-            )
-            protocol_ = asyncio.StreamReaderProtocol(reader, loop=self._loop)
-            transport, _ = await self._loop.connect_accepted_socket(
-                lambda: protocol_, conn
-            )
-            writer = asyncio.StreamWriter(transport, protocol_, reader, self._loop)
-            maybe_fire("net.accept")
-            await self._serve_connection(reader, writer)
-        except InjectedFault:
-            dropped = True
-            injected = True
-        except (OSError, ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
-            dropped = True
-        finally:
+            conn = _Connection(self, sock)
+            self._conns.add(conn)
+            self._stats.connections += 1
+            self._stats.active += 1
             try:
-                if writer is not None:
-                    writer.close()
-                    try:
-                        await writer.wait_closed()
-                    except (OSError, ConnectionError):
-                        pass
-            finally:
-                # Belt over the transport machinery: close the raw socket
-                # directly (a no-op when the transport already did), even
-                # if wait_closed was cancelled out from under us.
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                with self._lock:
-                    if task is not None:
-                        self._conn_tasks.discard(task)
-                    self._conn_socks.discard(conn)
-                    self._stats.active -= 1
-                    if dropped:
-                        self._stats.dropped_connections += 1
-                    if injected:
-                        self._stats.faults_injected += 1
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        assert self._drain_event is not None
-        pending: "asyncio.Queue[Optional[_Entry]]" = asyncio.Queue()
-        inflight = asyncio.Semaphore(self.max_inflight)
-        writer_task = asyncio.ensure_future(
-            self._write_responses(writer, pending, inflight)
-        )
-        try:
-            while True:
-                try:
-                    if self._drain_event.is_set():
-                        # Draining: keep consuming frames the client already
-                        # pipelined into the socket, stop once it goes quiet.
-                        first = await self._grace_readline(reader)
-                    else:
-                        first = await self._read_frame_head(reader)
-                except protocol.ProtocolError as error:
-                    entry: Optional[_Entry] = self._refused(error)
-                else:
-                    if first is None:
-                        break  # EOF, drain quiescence, or the drain began while idle
-                    maybe_fire("net.read")
-                    entry = await self._read_request(first, reader)
-                if entry is None:
-                    continue  # blank JSONL line
-                await inflight.acquire()
-                pending.put_nowait(entry)
-                if not entry.keep_alive:
-                    break  # answer, then hang up
-        finally:
-            # Always flush: every accepted entry gets its response written
-            # (drain included) before the connection handler returns.
-            pending.put_nowait(None)
-            await writer_task
-
-    async def _read_frame_head(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[bytes]:
-        """The next frame's first line; ``None`` at EOF or when a drain begins.
-
-        An idle keep-alive connection legitimately waits here for minutes,
-        so the read is raced against the drain event instead of carrying
-        its own deadline — close() always wins the race.
-        """
-        assert self._drain_event is not None
-        read_task = asyncio.ensure_future(self._readline(reader))
-        drain_task = asyncio.ensure_future(
-            self._drain_event.wait()  # lint: disable=R005 — raced against the read; set by close()
-        )
-        done, _pending = await asyncio.wait(  # lint: disable=R005 — drain_task bounds the race
-            {read_task, drain_task}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if read_task in done:
-            drain_task.cancel()
-            try:
-                await drain_task
-            except asyncio.CancelledError:
-                pass
-            return read_task.result() or None
-        # Drain won.  Cancelling a readline that has not completed loses
-        # nothing (StreamReader only consumes the buffer once a full line
-        # is there), but the readline may have completed in the window
-        # since the race settled — recover that frame instead of dropping
-        # it; the grace loop above picks up anything still buffered.
-        read_task.cancel()
-        try:
-            line = await read_task
-        except (asyncio.CancelledError, OSError, ConnectionError):
-            return None
-        return line or None
-
-    async def _readline(self, reader: asyncio.StreamReader) -> bytes:
-        """``reader.readline()`` with its over-limit ``ValueError`` made typed.
-
-        StreamReader drops what it buffered of a line longer than
-        ``max_request_bytes``, so the frame is lost and whatever follows
-        cannot be told from its tail: callers answer, then hang up.
-        """
-        try:
-            return await reader.readline()
-        except ValueError:
-            raise protocol.ProtocolError(
-                f"a frame line exceeds the {self.max_request_bytes}-byte limit"
-            ) from None
-
-    async def _grace_readline(self, reader: asyncio.StreamReader) -> Optional[bytes]:
-        """One more frame line during a drain, or ``None`` once quiescent.
-
-        Requests the client pipelined before the drain began are sitting
-        in socket buffers; answering them is what makes the drain
-        graceful.  A short bounded wait per line distinguishes "more
-        buffered frames" from "the client is done".
-        """
-        try:
-            line = await asyncio.wait_for(self._readline(reader), timeout=0.05)
-        except asyncio.TimeoutError:
-            return None
-        return line or None
-
-    async def _read_request(
-        self, first: bytes, reader: asyncio.StreamReader
-    ) -> Optional[_Entry]:
-        if protocol.looks_like_http(first):
-            return await self._read_http_request(first, reader)
-        if protocol.looks_like_raw_rows(first):
-            return await self._read_raw_rows_request(first, reader)
-        if protocol.looks_like_hello(first):
-            return _Entry(hello=True)
-        text = first.decode("utf-8", errors="replace").strip()
-        if not text:
-            return None
-        return self._submitted(protocol.parse_request_line, text)
-
-    async def _read_raw_rows_request(
-        self, first: bytes, reader: asyncio.StreamReader
-    ) -> _Entry:
-        try:
-            head = protocol.parse_raw_rows_head(first)
-            if head.nbytes > self.max_request_bytes:
-                raise protocol.ProtocolError(
-                    f"raw-row payload of {head.nbytes} bytes exceeds the "
-                    f"{self.max_request_bytes}-byte limit"
-                )
-        except protocol.ProtocolError as error:
-            # Without a trusted payload length the next head cannot be found.
-            return self._refused(error)
-        payload = await asyncio.wait_for(
-            reader.readexactly(head.nbytes), timeout=FRAME_READ_TIMEOUT_S
-        )
-        return self._submitted(head.request, payload)
-
-    async def _read_http_request(
-        self, first: bytes, reader: asyncio.StreamReader
-    ) -> _Entry:
-        try:
-            method, path = protocol.parse_http_request_head(first)
-        except protocol.ProtocolError as error:
-            return self._refused(error, http=True)
-        header_lines: List[bytes] = []
-        while True:
-            try:
-                line = await asyncio.wait_for(
-                    self._readline(reader), timeout=FRAME_READ_TIMEOUT_S
-                )
-            except protocol.ProtocolError as error:
-                return self._refused(error, http=True)
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise asyncio.IncompleteReadError(partial=b"", expected=None)
-            if len(header_lines) >= 100:
-                return self._refused(
-                    protocol.ProtocolError("too many HTTP headers"), http=True
-                )
-            header_lines.append(line)
-        try:
-            headers = protocol.parse_http_headers(header_lines)
-            length = int(headers.get("content-length", "0"))
-        except (protocol.ProtocolError, ValueError) as error:
-            return self._refused(
-                protocol.ProtocolError(f"malformed HTTP headers: {error}"), http=True
-            )
-        keep_alive = headers.get("connection", "keep-alive").strip().lower() != "close"
-        if length < 0 or length > self.max_request_bytes:
-            return self._refused(
-                protocol.ProtocolError(
-                    f"request body of {length} bytes exceeds the "
-                    f"{self.max_request_bytes}-byte limit"
-                ),
-                http=True,
-            )
-        body = b""
-        if length:
-            body = await asyncio.wait_for(
-                reader.readexactly(length), timeout=FRAME_READ_TIMEOUT_S
-            )
-        if method != "POST":
-            error = protocol.ProtocolError(
-                f"method {method} not allowed (POST a request document)"
-            )
-            return self._counted(
-                _Entry(error=error, http=True, keep_alive=keep_alive, status=405)
-            )
-        if path not in ("/predict", "/"):
-            error = protocol.ProtocolError(f"no such path {path!r} (use /predict)")
-            return self._counted(
-                _Entry(error=error, http=True, keep_alive=keep_alive, status=404)
-            )
-        return self._submitted(
-            protocol.parse_request_line,
-            body.decode("utf-8", errors="replace"),
-            http=True,
-            keep_alive=keep_alive,
-        )
+                await self._loop.connect_accepted_socket(lambda: conn, sock)
+            except OSError:
+                conn.abandon()
 
     def _counted(self, entry: _Entry) -> _Entry:
         """Count one accepted frame (runs on the event-loop thread)."""
-        with self._lock:
-            self._stats.requests += 1
+        self._stats.requests += 1
         return entry
 
     def _refused(self, error: protocol.ProtocolError, http: bool = False) -> _Entry:
@@ -547,86 +621,14 @@ class NetServer:
             entry.error = error
         return self._counted(entry)
 
-    async def _write_responses(
-        self,
-        writer: asyncio.StreamWriter,
-        pending: "asyncio.Queue[Optional[_Entry]]",
-        inflight: asyncio.Semaphore,
-    ) -> None:
-        """Flush responses in request order (head-of-line await per entry).
-
-        A write failure (real or injected) marks the connection broken:
-        remaining entries are still consumed — their futures complete
-        server-side — but nothing more is written, and the transport is
-        aborted so the reader side unblocks.
-        """
-        broken = False
-        while True:
-            entry = await pending.get()
-            if entry is None:
-                return
-            error = entry.error
-            result: Optional[ServeResult] = None
-            if error is None and entry.future is not None:
-                try:
-                    result = await asyncio.wrap_future(entry.future)
-                except Exception as request_error:  # noqa: BLE001 — relayed as a typed wire error
-                    error = request_error
-            if entry.hello:
-                record = protocol.hello_record()
-                status = 200
-            elif error is not None:
-                record = protocol.error_record(error, entry.request_id)
-                status = entry.status or protocol.status_for_kind(
-                    record["error"]["kind"]
-                )
-            else:
-                assert result is not None
-                record = protocol.response_record(result, entry.request_id)
-                status = 200
-            if not broken:
-                try:
-                    maybe_fire("net.write")
-                    if entry.http:
-                        writer.write(
-                            protocol.http_response_bytes(
-                                status, record, keep_alive=entry.keep_alive
-                            )
-                        )
-                    else:
-                        writer.write(
-                            (protocol.encode_record(record) + "\n").encode("utf-8")
-                        )
-                    await writer.drain()
-                    with self._lock:
-                        if not entry.hello:
-                            self._stats.responses += 1
-                        if error is not None:
-                            self._stats.errors += 1
-                            if isinstance(error, ServerSaturated):
-                                self._stats.saturated += 1
-                except (OSError, ConnectionError) as write_error:
-                    broken = True
-                    with self._lock:
-                        if isinstance(write_error, InjectedFault):
-                            self._stats.faults_injected += 1
-                    transport = writer.transport
-                    if transport is not None:
-                        transport.abort()
-            inflight.release()
-
     # -- lifecycle (caller threads) ------------------------------------------
 
     def close(self) -> None:
         """Graceful drain, idempotent: stop accepting, flush in-flight
         requests, then close the ``ModelServer`` (serve its queue, join its
-        dispatchers)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        loop = self._loop
-        stop = self._stop_event
+        dispatchers).  Concurrent calls each wait for the same drain."""
+        self._closed = True
+        loop, stop = self._loop, self._stop_event
         if loop is not None and stop is not None and self._thread.is_alive():
             try:
                 loop.call_soon_threadsafe(stop.set)
@@ -657,8 +659,7 @@ class NetServer:
 
     def stats(self) -> NetStats:
         """A snapshot of the transport-level accounting."""
-        with self._lock:
-            return self._stats.snapshot()
+        return self._stats.snapshot()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -668,8 +669,7 @@ class NetServer:
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has begun."""
-        with self._lock:
-            return self._closed
+        return self._closed
 
     def __enter__(self) -> "NetServer":
         return self
@@ -679,6 +679,4 @@ class NetServer:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "listening"
-        return (
-            f"NetServer({self.host}:{self.port}, {state}, on {self.server!r})"
-        )
+        return f"NetServer({self.host}:{self.port}, {state}, on {self.server!r})"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.api.sharded import (
+    ShardAppender,
     ShardManifest,
     ShardedMatrix,
     open_sharded_matrix,
@@ -15,6 +16,7 @@ from repro.api.sharded import (
     write_sharded_dataset,
 )
 from repro.api.storage import ShardedBackend
+from repro.data.formats_v2 import write_blocked_matrix
 
 
 @pytest.fixture()
@@ -203,3 +205,37 @@ class TestManifestVersioning:
         problems = verify_dataset(tmp_path)
         assert len(problems) == 1 and "shard-00000.m3b" in problems[0]
         assert "holds a 300 x 10" in problems[0] and "expects 400 x 10" in problems[0]
+
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    @pytest.mark.parametrize("shard", ["shard-00001.m3b", "shard-00002.m3b"],
+                             ids=["sealed", "tail"])
+    def test_shard_without_the_manifests_labels_rejected(self, tmp_path, data, labels,
+                                                         codec, shard):
+        # A labelled dataset (two sealed shards and an appended tail) whose
+        # shard is rewritten with its own rows and no label segment: every
+        # opener refuses it, where reading it would hand out the file's first
+        # bytes as labels.
+        write_sharded_dataset(tmp_path, data[:800], labels[:800], shard_rows=400,
+                              codec=codec, block_rows=128)
+        ShardAppender(tmp_path).append(data[800:], labels[800:])
+        index = int(shard[6:11])
+        write_blocked_matrix(tmp_path / shard, data[400 * index : 400 * (index + 1)],
+                             None, block_rows=128, codec=codec)
+        with pytest.raises(ValueError, match=f"{shard} lacks a label segment"):
+            open_sharded_matrix(tmp_path)
+        problems = verify_dataset(tmp_path)
+        assert len(problems) == 1 and f"{shard} lacks a label segment" in problems[0]
+        if shard == "shard-00002.m3b":
+            with pytest.raises(RuntimeError, match="lacks a label segment"):
+                ShardAppender(tmp_path)
+
+    @pytest.mark.parametrize("codec", ["none", "zlib"])
+    def test_labelled_shard_in_an_unlabelled_dataset_rejected(self, tmp_path, data,
+                                                              labels, codec):
+        write_sharded_dataset(tmp_path, data, None, shard_rows=400,
+                              codec=codec, block_rows=128)
+        write_blocked_matrix(tmp_path / "shard-00000.m3b", data[:400], labels[:400],
+                             block_rows=128, codec=codec)
+        with pytest.raises(ValueError, match="has a label segment"):
+            open_sharded_matrix(tmp_path)
+        assert "has a label segment" in verify_dataset(tmp_path)[0]
