@@ -22,7 +22,7 @@ slot in between existing ones without renumbering.
 Current order (outermost first; renumbered in one commit when the
 network-serving locks landed, per the ROADMAP's standing instruction)::
 
-    rank  30   NetClient._lock                    client write path + pending queue
+    rank  30   NetClient._lock                    client sends + pending queue + sync round trip
     rank  40   ModelServer._cond                  serving queue + dispatcher wakeup
     rank  50   AdaptiveDelayController._lock      arrival-rate EWMA state
     rank  60   Trainer._lock                      train->publish daemon state
@@ -59,8 +59,10 @@ __all__ = ["LOCK_ORDER"]
 
 #: Dotted lock name -> rank.  Acquisitions must strictly increase in rank.
 LOCK_ORDER: Dict[str, int] = {
-    # Outermost: the client's write path, which serialises request framing +
-    # the pending deque against the reader thread.  Touches no server-side lock.
+    # Outermost: the client's connection.  Serialises each send + the pending
+    # deque against the reader thread, and spans a synchronous round trip
+    # (send, then read its own answer on the calling thread).  Touches no
+    # server-side lock.
     "repro.net.client.NetClient._lock": 30,
     # Serving layer.
     "repro.serve.server.ModelServer._cond": 40,

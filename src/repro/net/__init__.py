@@ -7,10 +7,12 @@ Puts a wire on :class:`~repro.serve.server.ModelServer`:
   HTTP/1.1 POST (sniffed per frame, on one port), with keep-alive
   connections, per-connection backpressure, typed wire errors (HTTP 429
   for saturation), and graceful drain on ``close()``/SIGTERM.
-* :class:`NetClient` — the pipelining keep-alive client (futures over
-  raw-row frames where the server offers them, JSON lines otherwise; or
-  synchronous HTTP round trips) used by tests, benchmarks and
-  ``m3 predict --connect``.
+* :class:`NetClient` — the keep-alive client (raw-row frames where the
+  server offers them, JSON lines otherwise; or HTTP round trips) used by
+  tests, benchmarks and ``m3 predict --connect``: a synchronous call with
+  nothing in flight reads its own answer on the calling thread, and
+  pipelined ``submit`` futures are resolved by a reader thread that runs
+  only while they are pending.
 * :class:`AdaptiveDelayController` — learns ``max_delay_ms`` from the
   observed arrival rate (EWMA inter-arrival estimate, clamped to a
   ceiling, exactly zero at low load) so open-loop bursts coalesce into

@@ -30,7 +30,7 @@ or while the write buffer is over its high-water mark, the connection stops
 reading and TCP backpressure reaches the client; a full ``ModelServer``
 queue (``max_pending``) refuses just the overflowing request with a typed
 ``saturated`` record (HTTP 429), via ``submit(block=False)``.  A frame
-whose first line arrived must finish within :data:`FRAME_READ_TIMEOUT_S`.
+whose first byte arrived must finish within :data:`FRAME_READ_TIMEOUT_S`.
 
 Graceful drain (:meth:`close`, or SIGTERM via :meth:`request_shutdown` +
 :meth:`serve_forever`): stop accepting; answer every frame the clients
@@ -64,16 +64,17 @@ __all__ = ["NetServer", "NetStats"]
 #: How long close() waits for connections to flush before aborting them.
 DEFAULT_DRAIN_TIMEOUT_S = 10.0
 
-#: The rest of a frame whose first line arrived (HTTP headers and body, a
-#: raw-row payload) must arrive within this bound, or the connection drops.
+#: A frame whose first byte arrived (the rest of its first line, HTTP headers
+#: and body, a raw-row payload) must arrive within this bound, or the
+#: connection drops.  A connection with nothing buffered waits untimed.
 FRAME_READ_TIMEOUT_S = 30.0
 
 #: A draining connection quiet for this long has nothing more pipelined.
 _DRAIN_GRACE_S = 0.05
 
 # What a connection's parser waits for (the values it yields).
-_IDLE = "idle"  # the next frame's first line
-_BODY = "body"  # the rest of a frame whose first line has arrived
+_IDLE = "idle"  # the next frame's first byte
+_BODY = "body"  # the rest of a frame whose first byte has arrived
 _HELD = "held"  # flow control: answers to flush before the next frame
 _DONE = "done"  # nothing: the connection reads no more
 
@@ -280,7 +281,8 @@ class _Connection(asyncio.Protocol):
                 self.pos = self.scan = end + 1 if end >= 0 else len(self.buf)
                 return self.buf[start : self.pos]
             self.scan = len(self.buf)
-            yield waiting
+            # A partial line is a frame under way, whatever it waits for.
+            yield _BODY if self.scan > self.pos else waiting
 
     def _exactly(self, n: int) -> _Parse:
         """The next ``n`` bytes."""

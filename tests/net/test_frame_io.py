@@ -6,6 +6,7 @@ import json
 import socket
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -48,7 +49,58 @@ class TestStalledFrames:
         assert (stats.requests, stats.responses, stats.dropped_connections) == (6, 6, 1)
 
 
+    def test_an_unterminated_first_line_is_timed_like_the_rest_of_a_frame(
+        self, live, monkeypatch, wait_stats
+    ):
+        monkeypatch.setattr(net_server, "FRAME_READ_TIMEOUT_S", 0.2)
+        net = live()
+        with socket.create_connection((net.host, net.port), timeout=10) as sock:
+            sock.sendall(b"[" + b"1.0, " * 200_000)  # 1 MB of a JSON line, no newline
+            sent = time.perf_counter()
+            try:
+                tail = sock.makefile("rb").read()
+            except ConnectionResetError:
+                tail = b""  # hung up with bytes of ours unread
+            assert tail == b""
+            assert time.perf_counter() - sent < 1.0
+        stats = wait_stats(net, lambda s: s.active == 0)
+        assert (stats.requests, stats.dropped_connections) == (0, 1)
+
+    def test_an_idle_connection_with_nothing_buffered_is_never_timed(
+        self, live, problem, fitted, monkeypatch
+    ):
+        X, _ = problem
+        monkeypatch.setattr(net_server, "FRAME_READ_TIMEOUT_S", 0.2)
+        net = live()
+        with NetClient(net.host, net.port) as client:
+            assert client.predict_one(X[0]).prediction == fitted.predict(X[:1])[0]
+            time.sleep(0.8)  # four frame timeouts, between frames
+            assert client.predict_one(X[1]).prediction == fitted.predict(X[1:2])[0]
+        assert net.stats().dropped_connections == 0
+
+
 class TestDrainGrace:
+    def test_a_partial_first_line_is_a_frame_under_way(self, live, problem, fitted):
+        X, _ = problem
+        net = live()
+        line = (protocol.encode_request(X[:1].tolist()) + "\n").encode("utf-8")
+        with socket.create_connection((net.host, net.port), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(protocol.HELLO_LINE)  # the connection is up before the drain
+            assert json.loads(reader.readline()) == protocol.hello_record()
+            sock.sendall(line[:10])
+            time.sleep(0.05)
+            closer = threading.Thread(target=net.close)
+            closer.start()
+            time.sleep(0.3)  # six grace windows with nothing sent
+            sock.sendall(line[10:])
+            sock.settimeout(20)
+            records = [json.loads(answer) for answer in reader]  # read to the hang-up
+            closer.join(timeout=30)
+            assert not closer.is_alive()
+        assert len(records) == 1
+        np.testing.assert_array_equal(records[0]["predictions"], fitted.predict(X[:1]))
+
     def test_frames_sent_just_before_close_are_all_answered(self, live, problem, fitted):
         X, _ = problem
         net = live()
