@@ -39,20 +39,19 @@ Appendable datasets
 
 A sharded dataset becomes *appendable* through :class:`ShardAppender`:
 every committed batch of rows produces a new immutable **generation**
-manifest (``manifest.<gen>.json``) plus an atomically renamed ``CURRENT``
-pointer naming the latest generation; ``manifest.json`` mirrors the latest
-generation so legacy readers keep working.  Rows stream into an open,
-*unsealed* tail shard, which seals once it reaches ``shard_rows``.  The tail
-is re-assembled per commit from coded blocks: a block is coded once, when it
-fills, and kept; each commit codes only what its batch changed and writes the
-kept payloads around it.  The whole-file tmp + fsync + ``os.replace`` is kept
-for snapshot readers, whose open memmaps and file descriptors stay on the
-inode they first saw.  Readers open a single generation and never observe a
-manifest flip mid-scan: a full block is byte-stable across every file its
-tail is written to, and every read is bounded by the generation's row count.
-Shard bytes are durable before the manifest that references them commits, so
-a crash leaves orphan tail rows that no generation references — the appender
-drops them (re-reading only committed rows) on reopen.
+manifest (``manifest.<gen>.json``) plus a ``CURRENT`` pointer naming the
+latest generation; ``manifest.json`` stays generation 0.  Rows stream into
+an open, *unsealed* tail shard, which seals once it reaches ``shard_rows``.
+The tail is re-assembled per commit from coded blocks: a block is coded
+once, when it fills, and kept; each commit codes only what its batch
+changed and writes the kept payloads around it.  Every file lands whole
+through :func:`_durable_replace`, so snapshot readers' open memmaps and file
+descriptors stay on the inode they first saw.  Readers open a single
+generation and never observe a manifest flip mid-scan: a full block is
+byte-stable across every file its tail is written to, and every read is
+bounded by the generation's row count.  A crash before the ``CURRENT``
+rename leaves orphan tail rows and files no generation references; the
+appender drops the rows (re-reading only committed ones) on reopen.
 """
 
 from __future__ import annotations
@@ -276,8 +275,8 @@ class ShardManifest:
 def generation_manifest_name(generation: int) -> str:
     """Filename of the immutable manifest for ``generation``.
 
-    Generation 0 is the legacy bare ``manifest.json`` — a static dataset has
-    no numbered manifests at all until its first append commits.
+    Generation 0 is the bare ``manifest.json`` — a static dataset has no
+    numbered manifests at all until its first append commits.
     """
     if generation < 0:
         raise ValueError(f"generation must be non-negative, got {generation}")
@@ -328,9 +327,8 @@ def read_manifest(
             )
     manifest_path = directory / generation_manifest_name(generation)
     if generation == 0 and (directory / "manifest.0.json").is_file():
-        # Once appends have committed, manifest.json mirrors the *latest*
-        # generation; the appender snapshots the original static manifest
-        # as manifest.0.json so generation-0 readers stay resolvable.
+        # Directories appended by older builds, whose manifest.json mirrors
+        # the latest generation, keep generation 0 here; nothing writes it now.
         manifest_path = directory / "manifest.0.json"
     if not manifest_path.is_file():
         raise ValueError(
@@ -354,24 +352,35 @@ def read_manifest(
     return manifest
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a same-directory tmp file + rename.
+def _durable_replace(tmp: Path, path: Path) -> None:
+    """Move the finished file ``tmp`` onto ``path``: fsync, rename, fsync
+    the directory — the one durability step of every file written here.
 
-    The three injection sites bracket the crash-safety argument: a fault
-    before the fsync or rename leaves the previous file fully intact (the
-    tmp file is garbage a later write overwrites), and a fault *after* the
-    rename models a crash mid-commit-sequence — the renamed step is durable,
-    the steps after it never ran, and recovery must cope with both.
+    A rename is durable only once its directory is fsynced, so no later
+    step's rename can survive a crash without this one.  A fault at
+    ``append.pre_fsync`` or ``append.pre_rename`` leaves the previous
+    ``path`` intact (``tmp`` is garbage a later write overwrites); one at
+    ``append.post_rename`` models a crash after this step, before the next.
     """
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
+    with tmp.open("r+b") as handle:
         maybe_fire("append.pre_fsync", str(path))
         os.fsync(handle.fileno())
     maybe_fire("append.pre_rename", str(path))
     os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
     maybe_fire("append.post_rename", str(path))
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` via a same-directory tmp file and
+    :func:`_durable_replace`."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    _durable_replace(tmp, path)
 
 
 def _manifest_text(manifest: ShardManifest) -> str:
@@ -386,24 +395,21 @@ def write_manifest(directory: Union[str, Path], manifest: ShardManifest) -> None
 def commit_manifest(directory: Union[str, Path], manifest: ShardManifest) -> None:
     """Commit ``manifest`` as a new generation of an appendable dataset.
 
-    Write order is the crash-safety argument: (1) the immutable
-    ``manifest.<gen>.json`` lands first, (2) the ``CURRENT`` pointer flips
-    to it atomically — this rename *is* the commit point — and (3) the
-    legacy ``manifest.json`` mirror refreshes last so generation-unaware
-    readers see the new rows too.  A crash between any two steps leaves the
-    previous generation fully intact.
+    Two :func:`_durable_replace` steps: ``manifest.<gen>.json``, then the
+    ``CURRENT`` pointer — that rename *is* the commit point.  A crash before
+    it leaves the previous generation intact; once this returns, the new one
+    survives a crash.  ``manifest.json`` stays generation 0.
     """
     directory = Path(directory)
     if manifest.generation <= 0:
         raise ValueError(
             f"committed generations start at 1, got {manifest.generation}"
         )
-    text = _manifest_text(manifest)
     _atomic_write_text(
-        directory / generation_manifest_name(manifest.generation), text
+        directory / generation_manifest_name(manifest.generation),
+        _manifest_text(manifest),
     )
     _atomic_write_text(directory / CURRENT_NAME, f"{manifest.generation}\n")
-    _atomic_write_text(directory / MANIFEST_NAME, text)
 
 
 def _clear_generation_state(directory: Path) -> None:
@@ -1238,22 +1244,24 @@ class ShardAppender:
     touched, however full the tail is, the blocks spread over every core by
     :func:`~repro.data.formats_v2.encode_blocks` — and assembles the tail
     ``.m3b`` file from those payloads.  The file is replaced whole
-    (same-directory tmp file, fsync, ``os.replace``) because a blocked file
+    (same-directory tmp file, :func:`_durable_replace`) because a blocked file
     is unreadable until finalized and readers pinned to an older generation
     keep their memmap or file descriptor on the old inode; every file is
     byte-for-byte what :func:`~repro.data.formats_v2.write_blocked_matrix`
     writes for the same rows.  A dataset in a legacy stored form (v1
     shards, column layout) raises :class:`LegacyFormatError` at open.
 
-    Crash safety: shard bytes are fsynced before the manifest that
-    references them is written, so an interrupted append leaves at worst
-    orphan tail rows no generation points at.  Opening an appender recovers
-    the committed state: the tail's committed blocks are taken from the
-    file as stored (CRC-checked, not re-coded), the rows of its short last
-    block are decoded as well, and orphan rows are dropped; a tail that
-    cannot be read refuses the open with the shard and the committed row
-    count named, and so does a tail file whose geometry (codec, block
-    height, storage dtype, columns) is not the manifest's.  An exception out of
+    Crash safety, where a rename is durable only once its directory has
+    been fsynced: each shard, then ``manifest.<g+1>.json``, then ``CURRENT``
+    lands through :func:`_durable_replace`, so a crash leaves generation
+    ``g`` or, once ``CURRENT``'s rename survived, ``g+1``, and an append
+    that returned survives.  Opening an appender recovers the committed
+    state: the tail's committed blocks are taken from the file as stored
+    (CRC-checked, not re-coded), the rows of its short last block are
+    decoded as well, and orphan rows are dropped; a tail that cannot be
+    read refuses the open with the shard and the committed row count named,
+    and so does a tail file whose geometry (codec, block height, storage
+    dtype, columns) is not the manifest's.  An exception out of
     :meth:`append` leaves this object's view of the dataset untrusted, so
     the next call first re-reads the committed manifest and recovers again
     — exactly what a fresh ``ShardAppender(directory)`` would do.
@@ -1380,6 +1388,9 @@ class ShardAppender:
     # -- the write path ------------------------------------------------------
 
     def _next_shard_filename(self, shards: List[ShardInfo]) -> str:
+        # Probe, never derive the name from len(shards): crashed sealing
+        # appends leave orphan shard files, so earlier appends may have
+        # skipped names, and a derived name could be a committed shard's.
         index = len(shards)
         while True:
             filename = f"shard-{index:05d}.m3b"
@@ -1446,12 +1457,7 @@ class ShardAppender:
                 writer.write_coded_block(tail.coded_short)
             if manifest.has_labels:
                 writer.append_labels(tail.labels)
-        with tmp.open("r+b") as handle:
-            maybe_fire("append.pre_fsync", str(path))
-            os.fsync(handle.fileno())
-        maybe_fire("append.pre_rename", str(path))
-        os.replace(tmp, path)
-        maybe_fire("append.post_rename", str(path))
+        _durable_replace(tmp, path)
         return replace(
             shard,
             compressed_bytes=writer.compressed_bytes,
@@ -1551,14 +1557,6 @@ class ShardAppender:
                 shards=shards,
                 generation=manifest.generation + 1,
             )
-            if manifest.generation == 0:
-                # First append of a static dataset: snapshot its bare
-                # manifest as generation 0 so readers pinned there can
-                # still re-resolve it after manifest.json starts mirroring
-                # newer generations.
-                gen0 = self.directory / "manifest.0.json"
-                if not gen0.exists():
-                    _atomic_write_text(gen0, _manifest_text(manifest))
             commit_manifest(self.directory, committed)
             self._manifest = committed
             self._tail = coded_tail

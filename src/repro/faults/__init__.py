@@ -96,8 +96,8 @@ SITES: Dict[str, str] = {
         "ShardAppender commit — before the atomic tmp→final rename"
     ),
     "append.post_rename": (
-        "ShardAppender commit — after the rename, before the commit "
-        "sequence completes"
+        "ShardAppender commit — after the rename and its directory fsync, "
+        "before the commit sequence completes"
     ),
     "append.recover": (
         "ShardAppender tail recovery — reading the committed tail on reopen"

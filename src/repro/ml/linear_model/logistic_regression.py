@@ -163,12 +163,11 @@ class LogisticRegression(
 
     def decision_function(self, X: Any) -> np.ndarray:
         """Raw logits ``X @ coef_ + intercept_`` for every row."""
-        X = as_matrix(X)
-        params = self._params()
-        weights = params[: X.shape[1]]
-        bias = params[X.shape[1]] if self.fit_intercept else 0.0
+        self._check_fitted("coef_")
         return stack_row_chunks(
-            X, self.chunk_size, lambda chunk: rows_matmul(chunk, weights) + bias
+            as_matrix(X),
+            self.chunk_size,
+            lambda chunk: rows_matmul(chunk, self.coef_) + self.intercept_,
         )
 
     def predict_proba(self, X: Any) -> np.ndarray:

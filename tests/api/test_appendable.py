@@ -3,7 +3,7 @@
 Covers the storage-layer contract the live train→publish loop rests on:
 
 * the generation protocol — ``manifest.<gen>.json`` + ``CURRENT`` committed
-  atomically, the bare ``manifest.json`` kept as a legacy mirror;
+  atomically, the bare ``manifest.json`` left as generation 0;
 * :class:`~repro.api.sharded.ShardAppender` — tail-shard growth, sealing at
   ``shard_rows``, tails re-assembled from coded blocks, each coded once, for
   raw (``none``) and zlib datasets alike;
@@ -80,19 +80,22 @@ class TestGenerationProtocol:
         d = tmp_path / "ds"
         X, y = _make(12)
         _write(d, X, y, codec)
+        static = (d / MANIFEST_NAME).read_bytes()
         X2, y2 = _make(7, seed=1)
         appender = ShardAppender(d)
         manifest = appender.append(X2, y2)
         assert manifest.generation == 1
         assert manifest.rows == 19
         assert manifest_generation(d) == 1
-        # the committed generation file, the CURRENT pointer, and the mirror
+        # the committed generation file and the CURRENT pointer
         assert (d / generation_manifest_name(1)).is_file()
         assert (d / CURRENT_NAME).read_text().strip() == "1"
         assert read_manifest(d, generation=None).generation == 1
-        # the legacy mirror tracks the latest generation
-        mirror = (d / MANIFEST_NAME).read_text()
-        assert '"generation": 1' in mirror
+        # manifest.json stays generation 0, byte for byte, and no
+        # manifest.0.json is written
+        appender.append(*_make(3, seed=2))
+        assert (d / MANIFEST_NAME).read_bytes() == static
+        assert not (d / "manifest.0.json").exists()
 
     @pytest.mark.parametrize("codec", CODECS)
     def test_generation_zero_stays_pinnable_after_appends(self, tmp_path, codec):
@@ -103,6 +106,39 @@ class TestGenerationProtocol:
         with open_sharded_matrix(d, generation=0) as matrix:
             assert matrix.generation == 0
             np.testing.assert_array_equal(_read_all(matrix), X)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_directory_with_a_mirror_and_manifest_0_still_works(self, tmp_path, codec):
+        # Older builds mirrored the latest generation in manifest.json and
+        # kept generation 0 as manifest.0.json; write those two files as
+        # they left them.
+        d = tmp_path / "ds"
+        X, y = _make(12)
+        _write(d, X, y, codec)
+        (d / "manifest.0.json").write_bytes((d / MANIFEST_NAME).read_bytes())
+        X2, y2 = _make(7, seed=1)
+        ShardAppender(d).append(X2, y2)
+        X3, y3 = _make(4, seed=2)
+        ShardAppender(d).append(X3, y3)
+        (d / MANIFEST_NAME).write_bytes((d / generation_manifest_name(2)).read_bytes())
+
+        with open_sharded_matrix(d) as matrix:
+            assert matrix.generation == 2
+            np.testing.assert_array_equal(_read_all(matrix), np.concatenate([X, X2, X3]))
+        with open_sharded_matrix(d, generation=0) as matrix:
+            assert matrix.generation == 0
+            np.testing.assert_array_equal(_read_all(matrix), X)
+        X4, y4 = _make(5, seed=4)
+        assert ShardAppender(d).append(X4, y4).generation == 3
+        with open_sharded_matrix(d) as matrix:
+            np.testing.assert_array_equal(
+                _read_all(matrix), np.concatenate([X, X2, X3, X4])
+            )
+            np.testing.assert_array_equal(
+                np.asarray(matrix.lazy_labels), np.concatenate([y, y2, y3, y4])
+            )
+        for generation in range(4):
+            assert verify_dataset(d, generation=generation) == []
 
     def test_create_clears_stale_generation_state(self, tmp_path):
         d = tmp_path / "ds"

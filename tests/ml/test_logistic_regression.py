@@ -85,6 +85,19 @@ class TestInference:
         with pytest.raises(RuntimeError):
             LogisticRegression().predict(X)
 
+    @pytest.mark.parametrize("solver", ["lbfgs", "sgd"])
+    @pytest.mark.parametrize("width", [3, 7, 9, 12])
+    def test_rows_of_another_width_are_refused(self, solver, width):
+        # Fitted on 8 features: narrower rows are not scored against the
+        # leading weights (with a coefficient as the bias), wider ones do
+        # not fail on an index — both are a shape ValueError.
+        X = np.random.default_rng(3).normal(size=(64, 8))
+        y = (X[:, 0] > 0).astype(np.int64)
+        model = LogisticRegression(max_iterations=3, solver=solver).fit(X, y)
+        for method in (model.decision_function, model.predict_proba, model.predict):
+            with pytest.raises(ValueError):
+                method(np.ones((2, width)))
+
 
 class TestTransparency:
     """The M3 property: identical models from in-memory and memory-mapped data."""

@@ -427,12 +427,13 @@ class TestReviewHardening:
                 session.serve(object())
         assert threading.active_count() == before
 
-    def test_wrong_width_request_fails_alone(self, problem, softmax_fitted):
+    @pytest.mark.parametrize("fixture", ["fitted", "softmax_fitted"])
+    def test_wrong_width_request_fails_alone(self, request, problem, fixture):
         # Row width is part of the coalescing key: a request with the wrong
         # feature count forms (and fails in) its own batch, so the
         # concurrent valid request (same model+method) is still served.
         X, _ = problem
-        model = softmax_fitted
+        model = request.getfixturevalue(fixture)
         with ModelServer(max_batch=64, max_delay_ms=25.0) as server:
             server.publish("default", model)
             good = server.submit(X[0])
