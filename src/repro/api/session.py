@@ -89,6 +89,11 @@ class HandlePool:
     * at most ``capacity`` entries are tracked; opening beyond that drops the
       least-recently-used entry from the reuse map (its handle stays alive
       with its datasets and closes with them).
+
+    A handle in the reuse map is always open.  When its fingerprint has
+    moved (an append committed), the new handle is opened *from* it — the
+    backend shares the sealed state both snapshots hold — and only then is
+    the stale entry dropped, so it stays open for as long as that takes.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -103,22 +108,43 @@ class HandlePool:
     def __contains__(self, key: PoolKey) -> bool:
         return key in self._entries
 
-    def acquire(self, key: PoolKey, opener: Any, fingerprint: Any) -> _PoolEntry:
-        """A pooled entry for ``key``: reused when fresh, opened otherwise."""
+    def acquire(
+        self,
+        key: PoolKey,
+        opener: Any,
+        fingerprint: Any,
+        previous: Optional[StorageHandle] = None,
+    ) -> _PoolEntry:
+        """A pooled entry for ``key``: reused when fresh, opened otherwise.
+
+        ``opener(earlier)`` builds a new handle from ``earlier``, a handle
+        on an older snapshot of the key: ``previous`` (the caller's) if
+        given, else the stale entry being replaced, else ``None``.
+        """
         entry = self._entries.get(key)
+        # Taken before any open: a change committed while the handle is
+        # being opened then makes the entry look stale, never fresh.
+        token = fingerprint() if self.capacity else None
+        stale = None
         if entry is not None:
-            token = fingerprint()
             if token == entry.fingerprint:
                 entry.refs += 1
                 self._entries.move_to_end(key)
                 return entry
-            self._remove(entry)  # stale: the dataset changed on disk
+            stale = entry  # the dataset changed on disk
+        if previous is None and stale is not None:
+            previous = stale.handle
+        try:
+            handle = opener(previous)
+        finally:
+            if stale is not None:
+                self._remove(stale)
         if self.capacity == 0:
-            entry = _PoolEntry(key, opener(), None)
+            entry = _PoolEntry(key, handle, None)
             entry.refs += 1
             entry.invalidated = True  # untracked: close with its last user
             return entry
-        entry = _PoolEntry(key, opener(), fingerprint())
+        entry = _PoolEntry(key, handle, token)
         entry.refs += 1
         self._entries[key] = entry
         while len(self._entries) > self.capacity:
@@ -270,6 +296,18 @@ class Session:
         on reuse), so a dataset file rewritten between opens is always
         re-opened, never served stale.
         """
+        return self._open(spec, mode, advice, record_trace)
+
+    def _open(
+        self,
+        spec: SpecLike,
+        mode: str,
+        advice: AccessAdvice,
+        record_trace: bool,
+        previous: Optional[StorageHandle] = None,
+    ) -> Dataset:
+        """:meth:`open`, from ``previous`` (a handle on an earlier snapshot
+        of ``spec``) when a new handle has to be opened."""
         self._check_open()
         parsed, backend = self._resolve(spec)
         # Advice is part of the key: madvise applies to the whole mapping, so
@@ -277,8 +315,11 @@ class Session:
         with self._lock:
             entry = self._pool.acquire(
                 (parsed.scheme, parsed.location, mode, advice),
-                opener=lambda: backend.open(parsed.location, mode=mode),
+                opener=lambda earlier: backend.open_from(
+                    parsed.location, earlier, mode=mode
+                ),
                 fingerprint=lambda: backend.fingerprint(parsed.location),
+                previous=previous,
             )
             dataset = Dataset(
                 entry.handle,
@@ -343,11 +384,23 @@ class Session:
         explicit opt-in to the new rows — it returns a *new*
         :class:`Dataset` snapshot of the latest generation.  The previous
         handle keeps serving its own snapshot unless ``close_previous``.
+
+        Given a :class:`Dataset`, open or closed, the new snapshot is built
+        from it: every sealed shard both generations list alike, whose file
+        still shows the header the old snapshot checked, keeps its path,
+        header and decoded labels, and only the tail and new shards are
+        opened, checked and decoded.  A refresh after an append therefore
+        costs the append's shards, not the dataset's — the trainer's poll.
+        A dataset re-created behind the handle fails the file check and is
+        read afresh.
         """
         self._check_open()
-        spec = dataset.spec if isinstance(dataset, Dataset) else dataset
-        refreshed = self.open(spec)
-        if close_previous and isinstance(dataset, Dataset):
+        if not isinstance(dataset, Dataset):
+            return self.open(dataset)
+        refreshed = self._open(
+            dataset.spec, "r", AccessAdvice.SEQUENTIAL, False, previous=dataset._handle
+        )
+        if close_previous:
             dataset.close()
         return refreshed
 

@@ -77,6 +77,7 @@ from repro.data.formats_v2 import (
     default_block_rows,
     encode_blocks,
     read_blocked_header,
+    shows_header,
     verify_blocked_file,
     write_blocked_matrix,
 )
@@ -367,12 +368,17 @@ def _durable_replace(tmp: Path, path: Path) -> None:
         os.fsync(handle.fileno())
     maybe_fire("append.pre_rename", str(path))
     os.replace(tmp, path)
-    directory = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
+    _fsync_directory(path.parent)
     maybe_fire("append.post_rename", str(path))
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make the renames and unlinks done in ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -413,16 +419,22 @@ def commit_manifest(directory: Union[str, Path], manifest: ShardManifest) -> Non
 
 
 def _clear_generation_state(directory: Path) -> None:
-    """Drop ``CURRENT`` and every numbered manifest (dataset re-creation)."""
-    try:
-        (directory / CURRENT_NAME).unlink()
-    except OSError:
-        pass
-    for stale in directory.glob("manifest.*.json"):
+    """Drop ``CURRENT`` and every numbered manifest (dataset re-creation).
+
+    The directory is fsynced once after the unlinks, before the caller
+    overwrites any shard: otherwise a crash could bring back a ``CURRENT``
+    naming a generation whose shards are gone.  A directory with nothing to
+    drop (a fresh create) costs no fsync.
+    """
+    unlinked = False
+    for stale in [directory / CURRENT_NAME, *directory.glob("manifest.*.json")]:
         try:
-            stale.unlink()
+            os.unlink(stale)
         except OSError:
-            pass
+            continue
+        unlinked = True
+    if unlinked:
+        _fsync_directory(directory)
 
 
 def write_sharded_dataset(
@@ -656,6 +668,8 @@ class ShardedLabels:
                 self._materialized = pieces[0]
             else:
                 self._materialized = np.concatenate(pieces)
+                # Cached and handed to every consumer, like the shard pieces.
+                self._materialized.flags.writeable = False
         return self._materialized
 
     @property
@@ -708,10 +722,39 @@ class ShardedMatrix:
     def __init__(
         self, directory: Union[str, Path], generation: Optional[int] = None
     ) -> None:
-        self.directory = Path(directory)
+        self._open(Path(directory), generation, None)
+
+    def refresh(self) -> "ShardedMatrix":
+        """The dataset's latest generation, opened from this snapshot, open
+        or closed.
+
+        Every sealed shard both generations list with the same manifest
+        entry, whose file still shows the header this snapshot checked
+        (:func:`~repro.data.formats_v2.shows_header`: same prefix, same
+        size, intact trailer), keeps this snapshot's path, header and
+        decoded labels; it gets a descriptor or maps of its own, built from
+        the kept header.  Only the tail and new shards are opened, checked
+        and decoded, so a refresh after an append costs the append's shards,
+        not the dataset's.  Any other shard — a dataset re-created behind
+        this snapshot included — is opened and checked as a fresh open
+        would, and refused the same way.  This snapshot is left as it was.
+        """
+        matrix = ShardedMatrix.__new__(ShardedMatrix)
+        matrix._open(self.directory, None, self)
+        return matrix
+
+    def _open(
+        self,
+        directory: Path,
+        generation: Optional[int],
+        previous: Optional["ShardedMatrix"],
+    ) -> None:
+        self.directory = directory
         self.manifest = read_manifest(self.directory, generation=generation)
         #: Whether the shards are memory-mapped (``False``: decoded).
         self.mapped = self.manifest.mapped
+        self._paths: List[Path] = []
+        self._headers: List[BlockedMatrixHeader] = []
         self._maps: List[np.memmap] = []
         self._label_maps: List[Optional[np.ndarray]] = []
         self._readers: List[BlockedMatrixReader] = []
@@ -719,26 +762,76 @@ class ShardedMatrix:
         self._cache = _BlockCache()
         self._lazy_labels: Optional[ShardedLabels] = None
         self._closed = False
+        kept = self._sealed_state(previous)
         try:
-            for shard in self.manifest.shards:
+            for shard, state in zip(self.manifest.shards, kept):
+                path, header, labels = state or (self.directory / shard.filename, None, None)
+                self._paths.append(path)
                 if self.mapped:
-                    self._map_shard(shard)
-                    continue
-                # A tail file read through an older generation's manifest may
-                # hold more rows than that manifest committed; blocks sit at
-                # fixed offsets, so its prefix rows are the committed ones, and
-                # every read below is bounded by the manifest geometry.
-                reader = BlockedMatrixReader(self.directory / shard.filename)
-                self._readers.append(reader)
-                mismatch = _shard_mismatch(shard, reader.header, self.manifest)
-                if mismatch is not None:
-                    raise ValueError(mismatch)
+                    # The header is checked or read, and the shard mapped,
+                    # through one open file: a writer replacing the path
+                    # meanwhile cannot pair one file's offsets with another.
+                    with open(path, "rb") as handle:
+                        if header is None or not shows_header(handle.fileno(), header):
+                            header = self._checked_header(
+                                shard, read_blocked_header(path, handle.fileno())
+                            )
+                        self._map_shard(shard, handle, header)
+                else:
+                    # A tail file read through an older generation's manifest
+                    # may hold more rows than that manifest committed; blocks
+                    # sit at fixed offsets, so its prefix rows are the committed
+                    # ones, and every read below is bounded by the manifest.
+                    reader = BlockedMatrixReader(path, header)
+                    self._readers.append(reader)
+                    if reader.header is not header:
+                        header, labels = self._checked_header(shard, reader.header), None
+                    # Decoded labels come with the first lazy_labels; those a
+                    # sealed shard kept from ``previous`` are already here.
+                    self._label_maps.append(labels)
+                self._headers.append(header)
         except Exception:
             self.close()
             raise
 
-    def _map_shard(self, shard: ShardInfo) -> None:
-        """Map exactly the committed rows (and labels) of one shard.
+    def _sealed_state(self, previous: Optional["ShardedMatrix"]) -> list:
+        """What ``previous`` holds for each sealed shard this generation
+        lists with the very same manifest entry: ``(path, header, decoded
+        labels or None)`` at the shard's index, ``None`` elsewhere (and
+        everywhere unless ``previous`` is of the same geometry).
+
+        A kept header is only a candidate: the shard's file must still show
+        it (:func:`shows_header`) or the shard is opened and checked afresh,
+        so a dataset re-created behind ``previous`` is read from disk, never
+        from the old snapshot.
+        """
+        shards = self.manifest.shards
+        if previous is None or _geometry(previous.manifest) != _geometry(self.manifest):
+            return [None] * len(shards)
+        old = previous.manifest.shards
+        # Each list is read once: a concurrent lazy_labels on ``previous``
+        # rebinds its label list.
+        paths, headers, labels = previous._paths, previous._headers, previous._label_maps
+        if self.mapped:
+            labels = [None] * len(old)  # mapped labels are maps, made anew
+        return [
+            (paths[index], headers[index], labels[index])
+            if index < len(old) and shard.sealed and old[index] == shard
+            else None
+            for index, shard in enumerate(shards)
+        ]
+
+    def _checked_header(
+        self, shard: ShardInfo, header: BlockedMatrixHeader
+    ) -> BlockedMatrixHeader:
+        """``header``, once it passed the open's check against ``shard``."""
+        mismatch = _shard_mismatch(shard, header, self.manifest)
+        if mismatch is not None:
+            raise ValueError(mismatch)
+        return header
+
+    def _map_shard(self, shard: ShardInfo, handle: Any, header: BlockedMatrixHeader) -> None:
+        """Map exactly the committed rows (and labels) of one shard's open file.
 
         A ``none`` file holds its rows packed from its first segment on and
         its labels as one raw int64 segment.  An unsealed tail may hold more
@@ -746,19 +839,14 @@ class ShardedMatrix:
         byte-stable, which is the snapshot-isolation guarantee.
         """
         manifest = self.manifest
-        path = self.directory / shard.filename
-        header = read_blocked_header(path)
-        mismatch = _shard_mismatch(shard, header, manifest)
-        if mismatch is not None:
-            raise ValueError(mismatch)
         blocks = header.blocks
         self._maps.append(np.memmap(
-            path, dtype=manifest.dtype, mode="r",
+            handle, dtype=manifest.dtype, mode="r",
             offset=blocks[0].segments[0][0] if blocks else BLOCKED_PREFIX_SIZE,
             shape=(shard.rows, manifest.cols), order="C",
         ))
         self._label_maps.append(None if not manifest.has_labels else np.memmap(
-            path, dtype=np.int64, mode="r",
+            handle, dtype=np.int64, mode="r",
             offset=header.label_segment[0] if header.label_segment else 0,
             shape=(shard.rows,),
         ))
@@ -802,6 +890,12 @@ class ShardedMatrix:
     def compressed_nbytes(self) -> int:
         """Total coded bytes across shards."""
         return self.manifest.compressed_bytes
+
+    @property
+    def shard_paths(self) -> List[Path]:
+        """The shard files, in row order (kept from an earlier snapshot
+        for the shards it shares)."""
+        return list(self._paths)
 
     @property
     def block_cache(self) -> _BlockCache:
@@ -1084,7 +1178,9 @@ class ShardedMatrix:
         first touch, through the same transient-error envelope as blocks,
         each sliced to the manifest's committed rows: an unsealed tail file
         rewritten by a later append may carry more labels than this
-        generation committed.
+        generation committed.  A sealed shard kept from an earlier snapshot
+        brings its decoded labels along.  Every label array is read-only,
+        as mapped ones are: snapshots share them.
         """
         self._check_open()
         if not self.manifest.has_labels:
@@ -1093,10 +1189,10 @@ class ShardedMatrix:
             if not self.mapped:
                 read = policy_for("read.pread").call
                 self._label_maps = [
-                    None if raw is None else raw[: shard.rows]
-                    for shard, raw in zip(
-                        self.manifest.shards,
-                        (read(r.read_labels, site="read.pread") for r in self._readers),
+                    _committed_labels(read(reader.read_labels, site="read.pread"), shard.rows)
+                    if labels is None else labels
+                    for shard, reader, labels in zip(
+                        self.manifest.shards, self._readers, self._label_maps
                     )
                 ]
             self._lazy_labels = ShardedLabels(
@@ -1110,14 +1206,23 @@ class ShardedMatrix:
         return None if labels is None else labels.materialize()
 
     def close(self) -> None:
-        """Release the shard memory maps or file descriptors, and the cache."""
+        """Release the shard memory maps or file descriptors, and the cache.
+
+        Mapped labels are released from the :attr:`lazy_labels` view too,
+        which a closed handle may still hold.  What :meth:`refresh` takes
+        from a snapshot stays: the shard paths, their checked headers and
+        the decoded labels, plain memory that holds no file open.
+        """
         if self._closed:
             return
         for reader in self._readers:
             reader.close()
         self._maps = []
         self._readers = []
-        self._label_maps = []
+        if self.mapped:
+            self._label_maps.clear()  # the list the lazy view reads
+            if self._lazy_labels is not None:
+                self._lazy_labels._materialized = None
         self._lazy_labels = None
         self._cache.clear()
         self._closed = True
@@ -1572,9 +1677,27 @@ def open_sharded_matrix(
     The opener the CLI, ``convert`` and the storage backend call; the
     manifest decides whether the shards are mapped or decoded.
     ``generation`` pins the open to one committed manifest generation
-    (``None`` = latest).
+    (``None`` = latest).  :meth:`ShardedMatrix.refresh` opens the latest
+    generation from an earlier snapshot instead, re-reading only what changed.
     """
     return ShardedMatrix(directory, generation=generation)
+
+
+def _geometry(manifest: ShardManifest) -> tuple:
+    """What two manifests must share for a shard's checked state to carry over."""
+    return (
+        manifest.cols, manifest.dtype, manifest.has_labels,
+        manifest.codec, manifest.block_rows, manifest.storage_dtype,
+    )
+
+
+def _committed_labels(raw: Optional[np.ndarray], rows: int) -> Optional[np.ndarray]:
+    """A decoded label segment cut to the committed ``rows``, read-only."""
+    if raw is None:
+        return None
+    labels = raw[:rows]
+    labels.flags.writeable = False
+    return labels
 
 
 def _shard_mismatch(

@@ -33,7 +33,12 @@ datasets at such a location.  Three backends ship with the library:
     generation, so readers mid-scan never see the manifest flip.
     ``Session.refresh`` opts a handle into the latest generation; ``m3
     traind`` tails committed generations and republishes freshly trained
-    models.
+    models.  A snapshot opened from an earlier one (``refresh``, or a stale
+    pooled handle) shares its state for every sealed shard both list with
+    the same manifest entry and whose file still shows the header it was
+    checked under: path, header and decoded labels.  Only the tail and new
+    shards are opened, checked and decoded, so a refresh after an append
+    costs the append's shards, not the dataset's.
 
 Locations are written as URI-style *specs* — ``"mmap:///data/train.m3"``,
 ``"shard:///data/train/"``, ``"memory://train"`` — or as bare filesystem
@@ -55,6 +60,7 @@ from repro.api.sharded import (
     MANIFEST_NAME,
     MANIFEST_VERSION,
     ShardAppender,
+    ShardedMatrix,
     ShardManifest,
     generation_manifest_name,
     manifest_generation,
@@ -170,6 +176,17 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def open(self, location: str, mode: str = "r") -> StorageHandle:
         """Open the dataset at ``location`` and return its raw pieces."""
+
+    def open_from(
+        self, location: str, previous: Optional[StorageHandle], mode: str = "r"
+    ) -> StorageHandle:
+        """:meth:`open`, from ``previous`` — a handle, open or closed, on an
+        earlier snapshot of ``location``, or ``None``.
+
+        A backend with snapshots may build the new handle on state the old
+        one kept, which both then share.  The default opens afresh.
+        """
+        return self.open(location, mode=mode)
 
     @abc.abstractmethod
     def create(
@@ -335,22 +352,37 @@ class ShardedBackend(StorageBackend):
         }
 
     def open(self, location: str, mode: str = "r") -> StorageHandle:
+        self._check_mode(mode)
+        # The manifest decides whether the shards are mapped or decoded; the
+        # matrix is a snapshot of the latest committed generation.
+        return self._handle(location, open_sharded_matrix(Path(location)))
+
+    def open_from(
+        self, location: str, previous: Optional[StorageHandle], mode: str = "r"
+    ) -> StorageHandle:
+        """The latest generation, sharing ``previous``'s state for every
+        sealed shard it lists unchanged (:meth:`ShardedMatrix.refresh`)."""
+        earlier = None if previous is None else previous.matrix
+        if not isinstance(earlier, ShardedMatrix) or earlier.directory != Path(location):
+            return self.open(location, mode=mode)
+        self._check_mode(mode)
+        return self._handle(location, earlier.refresh())
+
+    @staticmethod
+    def _check_mode(mode: str) -> None:
         if mode != "r":
             raise ValueError(
                 f"sharded datasets are read-only (mode {mode!r}); add rows "
                 f"with Dataset.append or re-encode with m3 convert"
             )
-        # The manifest decides whether the shards are mapped or decoded; the
-        # matrix is a snapshot of the latest committed generation.
-        matrix = open_sharded_matrix(Path(location))
+
+    def _handle(self, location: str, matrix: ShardedMatrix) -> StorageHandle:
         metadata = self._metadata(location, matrix.manifest)
         metadata["generation"] = matrix.generation
         # One file per shard: the parallel chunk pipeline sizes its reader
         # pool from this layout, and the readahead hinter's posix_fadvise
         # fallback targets these files directly.
-        metadata["shard_paths"] = [
-            str(Path(location) / shard.filename) for shard in matrix.manifest.shards
-        ]
+        metadata["shard_paths"] = [str(path) for path in matrix.shard_paths]
         return StorageHandle(
             matrix=matrix,
             # Labels stay a lazy per-shard view: in-core consumers materialise
@@ -417,11 +449,12 @@ class ShardedBackend(StorageBackend):
         """Append rows to the dataset, committing one new generation.
 
         Returns the committed generation number.  Open handles keep serving
-        the generation they were opened at; re-open (``Session.refresh``)
-        to see the new rows.  Each call opens a fresh appender: one
-        manifest read, plus a read of the tail file
-        that copies its full blocks still coded and decodes only the short
-        last block.  For sustained streams, hold a
+        the generation they were opened at; ``Session.refresh`` from such a
+        handle sees the new rows and re-reads only the shards this call
+        wrote (the tail and any new shard).  Each call opens a fresh
+        appender: one manifest read, plus a read of the tail file that
+        copies its full blocks still coded and decodes only the short last
+        block.  For sustained streams, hold a
         :class:`~repro.api.sharded.ShardAppender` directly and skip both.
         """
         appender = ShardAppender(Path(location), trace=trace)

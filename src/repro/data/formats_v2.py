@@ -148,6 +148,11 @@ class BlockedMatrixHeader:
     label_segment: Optional[Segment]
     raw_bytes: int
     compressed_bytes: int
+    #: The 32-byte file prefix the header was read under (magic, version,
+    #: trailer CRC, trailer offset and length) and the file size it was
+    #: checked against: what :func:`shows_header` compares a file with.
+    prefix: bytes
+    file_bytes: int
 
     @property
     def ratio(self) -> float:
@@ -481,43 +486,56 @@ def write_blocked_matrix(
     return writer.finalize()
 
 
-def read_blocked_header(path: Union[str, Path]) -> BlockedMatrixHeader:
+def read_blocked_header(
+    path: Union[str, Path], fd: Optional[int] = None
+) -> BlockedMatrixHeader:
     """Read and validate the header of a v2 blocked matrix file.
 
     Errors name the offending path and the expected-vs-actual magic/version,
     and the declared segment extents are checked against the real file size so
-    a truncated shard fails here instead of mid-decode.
+    a truncated shard fails here instead of mid-decode.  ``fd``, a descriptor
+    open on ``path``, is read in place of the path: the header is then the
+    one of the file the caller goes on to read through ``fd``, even if a
+    writer has replaced ``path`` meanwhile.
     """
     path = Path(path)
-    actual_bytes = path.stat().st_size
-    with path.open("rb") as handle:
-        raw = handle.read(BLOCKED_PREFIX_SIZE)
-        if len(raw) < BLOCKED_PREFIX_SIZE:
-            raise ValueError(
-                f"{path} is too small to be an M3 blocked matrix file: "
-                f"expected at least a {BLOCKED_PREFIX_SIZE}-byte prefix, "
-                f"found {len(raw)} bytes"
-            )
-        magic, version, trailer_crc, header_offset, header_len = BLOCKED_PREFIX.unpack(raw)
-        if magic != BLOCKED_MAGIC:
-            raise ValueError(
-                f"{path} is not an M3 blocked matrix file: expected magic "
-                f"{BLOCKED_MAGIC!r}, found {magic!r}"
-            )
-        if version != BLOCKED_VERSION:
-            raise ValueError(
-                f"{path}: unsupported M3 blocked format version {version} "
-                f"(this build reads version {BLOCKED_VERSION}; the file may "
-                f"have been written by a newer repro)"
-            )
-        if header_offset + header_len > actual_bytes:
-            raise ValueError(
-                f"{path} is truncated: the header trailer is declared at "
-                f"bytes [{header_offset}, {header_offset + header_len}) but "
-                f"the file is only {actual_bytes} bytes"
-            )
-        handle.seek(header_offset)
-        payload = handle.read(header_len)
+    if fd is None:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            return _read_header(path, fd)
+        finally:
+            os.close(fd)
+    return _read_header(path, fd)
+
+
+def _read_header(path: Path, fd: int) -> BlockedMatrixHeader:
+    actual_bytes = os.fstat(fd).st_size
+    raw = os.pread(fd, BLOCKED_PREFIX_SIZE, 0)
+    if len(raw) < BLOCKED_PREFIX_SIZE:
+        raise ValueError(
+            f"{path} is too small to be an M3 blocked matrix file: "
+            f"expected at least a {BLOCKED_PREFIX_SIZE}-byte prefix, "
+            f"found {len(raw)} bytes"
+        )
+    magic, version, trailer_crc, header_offset, header_len = BLOCKED_PREFIX.unpack(raw)
+    if magic != BLOCKED_MAGIC:
+        raise ValueError(
+            f"{path} is not an M3 blocked matrix file: expected magic "
+            f"{BLOCKED_MAGIC!r}, found {magic!r}"
+        )
+    if version != BLOCKED_VERSION:
+        raise ValueError(
+            f"{path}: unsupported M3 blocked format version {version} "
+            f"(this build reads version {BLOCKED_VERSION}; the file may "
+            f"have been written by a newer repro)"
+        )
+    if header_offset + header_len > actual_bytes:
+        raise ValueError(
+            f"{path} is truncated: the header trailer is declared at "
+            f"bytes [{header_offset}, {header_offset + header_len}) but "
+            f"the file is only {actual_bytes} bytes"
+        )
+    payload = os.pread(fd, header_len, header_offset)
     computed = zlib.crc32(payload)
     if computed != trailer_crc:
         raise ChecksumError(
@@ -560,6 +578,8 @@ def read_blocked_header(path: Union[str, Path]) -> BlockedMatrixHeader:
         ),
         raw_bytes=int(parsed["raw_bytes"]),
         compressed_bytes=int(parsed["compressed_bytes"]),
+        prefix=raw,
+        file_bytes=actual_bytes,
     )
     for block in header.blocks:
         for offset, coded, _raw, _crc in block.segments:
@@ -570,6 +590,25 @@ def read_blocked_header(path: Union[str, Path]) -> BlockedMatrixHeader:
                     f"but the file is only {actual_bytes} bytes"
                 )
     return header
+
+
+def shows_header(fd: int, header: BlockedMatrixHeader) -> bool:
+    """Whether the file open at ``fd`` still holds ``header``.
+
+    True when the file has the size and the prefix ``header`` was read
+    under, and its trailer still matches the prefix's CRC.  The trailer
+    lists every segment's CRC, so such a file holds the same header over
+    the same checksummed segments: whoever checked ``header`` against a
+    manifest need not parse or check it again.  Anything else (a file
+    truncated, torn, corrupted in its prefix or trailer, or rewritten with
+    other rows) is ``False``, and the caller reads the header afresh.
+    """
+    if os.fstat(fd).st_size != header.file_bytes:
+        return False
+    if os.pread(fd, BLOCKED_PREFIX_SIZE, 0) != header.prefix:
+        return False
+    _magic, _version, trailer_crc, offset, length = BLOCKED_PREFIX.unpack(header.prefix)
+    return zlib.crc32(os.pread(fd, length, offset)) == trailer_crc
 
 
 @dataclass(frozen=True)
@@ -589,13 +628,29 @@ class BlockedMatrixReader:
     Fetch (:meth:`fetch_block`) and decode (:meth:`decode_block_into`) are
     separate so callers can schedule the two halves on different thread
     pools; :meth:`read_rows_into` composes them for synchronous use.
+
+    ``header``, a header read from this path before, is kept when the file
+    still holds it (:func:`shows_header`); otherwise, and when omitted, the
+    header is read and checked afresh.  Either way it is checked or read
+    through the reader's own descriptor, so it describes the file the reader
+    reads, even if a writer replaces the path meanwhile.  ``reader.header is
+    header`` tells which happened.
     """
 
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self.header = read_blocked_header(self.path)
-        self.codec = get_codec(self.header.codec)
-        self._fd: Optional[int] = os.open(str(self.path), os.O_RDONLY)
+    def __init__(
+        self, path: Union[str, Path], header: Optional[BlockedMatrixHeader] = None
+    ) -> None:
+        self.path = path if isinstance(path, Path) else Path(path)
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            if header is None or not shows_header(fd, header):
+                header = read_blocked_header(self.path, fd)
+        except BaseException:
+            os.close(fd)
+            raise
+        self.header = header
+        self.codec = get_codec(header.codec)
+        self._fd: Optional[int] = fd
 
     # -- geometry ------------------------------------------------------------
 

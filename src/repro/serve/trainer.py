@@ -18,6 +18,17 @@ estimator, so serving traffic never observes a model mid-``partial_fit`` —
 the trainer keeps mutating its private copy while the registry serves frozen
 snapshots.
 
+The trainer keeps one snapshot between polls and opens the next one from it
+(``Session.refresh(prev)``): the sealed shards' paths, checked headers and
+decoded labels carry over, so a poll opens, checks and decodes only the
+shards the append wrote, and costs the delta, not the dataset.  The kept
+snapshot is closed at the end of its poll: what the trainer holds between
+polls is memory only — the sealed shards' headers and, over coded shards,
+their int64 labels (8 B per row; raw shards map their labels afresh) — and
+no descriptor.  An open one would pin the tail file the next append
+replaces, and the poll that closed it would pay for releasing that file's
+pages, which the append pays otherwise.
+
 .. code-block:: python
 
     with session.serve(model, name="live") as serving:
@@ -178,6 +189,9 @@ class Trainer:
         # have been consumed by partial_fit.
         self._trained_rows = 0
         self._trained_generation: Optional[int] = None
+        # The last snapshot opened, closed, kept so the next poll refreshes
+        # from it.
+        self._snapshot: Optional[Any] = None
 
     # -- cursor --------------------------------------------------------------
 
@@ -279,8 +293,13 @@ class Trainer:
         # Open the *latest* snapshot (the handle pool's fingerprint is the
         # generation, so this is exactly one committed generation — possibly
         # newer than `committed` if another append just landed; we train to
-        # whatever snapshot we got and record its generation).
-        dataset = session.open(self.spec)
+        # whatever snapshot we got and record its generation), from the one
+        # the last poll opened.
+        if self._snapshot is None:
+            dataset = session.open(self.spec)
+        else:
+            dataset = session.refresh(self._snapshot)
+        self._snapshot = dataset
         try:
             generation = dataset.generation
             if generation is None:
@@ -406,12 +425,14 @@ class Trainer:
             raise RuntimeError("trainer is closed")
 
     def close(self) -> None:
-        """Stop the loop and release the private session (idempotent)."""
+        """Stop the loop, drop the kept snapshot and release the private
+        session (idempotent)."""
         self.stop()
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            self._snapshot = None
             session = self._session if self._owns_session else None
             self._session = None
         if session is not None:

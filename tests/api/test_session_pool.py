@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro.api import Session
+from repro.api.sharded import ShardAppender
+from repro.api.storage import ShardedBackend
 from repro.data.formats import write_binary_matrix
 
 
@@ -162,6 +164,33 @@ class TestInvalidation:
             first.close()
             third = session.open(spec)
             assert third.matrix.backing is second.matrix.backing
+
+    def test_append_during_an_open_never_pools_the_old_generation_as_fresh(
+        self, tmp_path, xy, monkeypatch
+    ):
+        # An append commits while the pool is opening a handle: the entry
+        # must look stale afterwards, so the next open sees the new rows.
+        X, y = xy
+        with Session() as session:
+            spec = f"shard://{tmp_path}/race"
+            session.create(spec, X, y, shard_rows=8)
+            appender = ShardAppender(tmp_path / "race", shard_rows=8)
+            open_from = ShardedBackend.open_from
+            pending = [lambda: appender.append(X[:4], y[:4])]
+
+            def open_then_append(backend, *args, **kwargs):
+                handle = open_from(backend, *args, **kwargs)
+                while pending:
+                    pending.pop()()
+                return handle
+
+            monkeypatch.setattr(ShardedBackend, "open_from", open_then_append)
+            first = session.open(spec)
+            second = session.open(spec)
+            assert (first.generation, second.generation) == (0, 1)
+            assert second.shape[0] == X.shape[0] + 4
+            first.close()
+            second.close()
 
     def test_closed_datasets_pruned_from_session(self, tmp_path, xy):
         X, y = xy

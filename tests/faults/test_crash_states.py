@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import sharded
+from repro.api import Session, sharded
 from repro.api.sharded import (
     ShardAppender,
     manifest_generation,
@@ -296,3 +296,115 @@ def test_appends_probe_past_skipped_shard_names(tmp_path):
             np.array(matrix[:], copy=True), np.concatenate([X] + [r for r, _ in more])
         )
     assert verify_dataset(directory) == []
+
+
+def _outcome(dataset_of):
+    """What opening and reading a dataset gives: its generation, rows and
+    labels as bytes, or the type of the error that refused it."""
+    try:
+        with dataset_of() as dataset:
+            return (
+                dataset.generation,
+                np.array(dataset.matrix[:], copy=True).tobytes(),
+                np.asarray(dataset.labels).tobytes(),
+            )
+    except Exception as error:  # the refusal's type is the outcome
+        return type(error)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("codec", [None, "zlib"])
+def test_every_crash_state_refreshes_as_a_fresh_open(tmp_path, monkeypatch, codec, kind):
+    # A reader that held generation g across the crash refreshes from that
+    # snapshot, keeping the state of every sealed shard whose file still
+    # shows the header it checked.  Whatever the crash left, the refresh must
+    # read what a fresh open reads, or be refused the same way.
+    before, events, generation, committed = _recorded_append(
+        tmp_path, codec, kind, monkeypatch
+    )
+    failures, states = [], 0
+    for label, files, _current_survived, _returned in _crash_states(before, events):
+        directory = tmp_path / f"state-{states}"
+        directory.mkdir()
+        for name, data in before.items():
+            (directory / name).write_bytes(data)
+        spec = f"shard://{directory}"
+        with Session() as session, Session() as other:
+            held = session.open(spec)
+            # The state lands as the append left it: a file it changed is a
+            # new file, the held snapshot's stay as they were.
+            for name, data in files.items():
+                if before.get(name) != data:
+                    (directory / f"{name}.state").write_bytes(data)
+                    os.replace(directory / f"{name}.state", directory / name)
+            try:
+                fresh = _outcome(lambda: other.open(spec))
+                refreshed = _outcome(lambda: session.refresh(held))
+                assert refreshed == fresh, "refresh and fresh open differ"
+                assert isinstance(fresh, tuple), f"refused: {fresh.__name__}"
+                rows, labels = committed[generation]
+                assert (held.generation, np.array(held.matrix[:]).tobytes(),
+                        np.asarray(held.labels).tobytes()) == (
+                    generation, rows.tobytes(), labels.tobytes()
+                ), f"the held generation {generation} moved"
+            except Exception as error:  # every failing state is reported
+                failures.append(f"{label}: {error!r}")
+            held.close()
+        shutil.rmtree(directory)
+        states += 1
+    assert not failures, (
+        f"{len(failures)} of {states} crash states fail:\n" + "\n".join(failures)
+    )
+
+
+class _UnlinkLog(_DurabilityLog):
+    """The durability log, with every unlink and shard write logged too."""
+
+    def unlink(self, path):
+        os.unlink(path)
+        self.events.append(("unlink", Path(path).name))
+
+    def shard_writer(self, write):
+        def logged(path, *args, **kwargs):
+            self.events.append(("write", Path(path).name))
+            return write(path, *args, **kwargs)
+
+        return logged
+
+
+def _logged_create(directory, monkeypatch):
+    log = _UnlinkLog(directory)
+    with monkeypatch.context() as patch:
+        patch.setattr(sharded, "os", log)
+        patch.setattr(
+            sharded, "write_blocked_matrix", log.shard_writer(sharded.write_blocked_matrix)
+        )
+        write_sharded_dataset(directory, *_rows(25, seed=5), shard_rows=SHARD_ROWS)
+    first_write = next(i for i, event in enumerate(log.events) if event[0] == "write")
+    return log.events[:first_write]
+
+
+def test_a_recreate_drops_generation_state_durably_before_any_shard_write(
+    tmp_path, monkeypatch
+):
+    # Re-creating an appended dataset unlinks CURRENT and the numbered
+    # manifests, then overwrites the shards in place.  Without a directory
+    # fsync between, a crash could bring back a CURRENT naming a generation
+    # whose shards are gone.
+    directory = tmp_path / "ds"
+    write_sharded_dataset(directory, *_rows(12, seed=0), shard_rows=SHARD_ROWS)
+    for seed in (1, 2):
+        ShardAppender(directory, shard_rows=SHARD_ROWS).append(*_rows(5, seed))
+    before_writes = _logged_create(directory, monkeypatch)
+    assert before_writes[-1] == ("dirsync",)
+    assert sorted(before_writes[:-1]) == [
+        ("unlink", sharded.CURRENT_NAME),
+        ("unlink", "manifest.1.json"),
+        ("unlink", "manifest.2.json"),
+    ]
+    assert manifest_generation(directory) == 0
+
+
+def test_a_fresh_create_syncs_nothing_before_its_shards(tmp_path, monkeypatch):
+    # Nothing to unlink, nothing to sync: a first create's set-up is as before.
+    assert _logged_create(tmp_path / "ds", monkeypatch) == []
