@@ -67,8 +67,8 @@ class ThrottledMatrix(ShardedMatrix):
     """Shards behind ``device``: a read pays for the bytes it takes off storage.
 
     Mapped shards charge a gather its logical bytes; decoded shards charge
-    only the coded bytes fetched, once, in :meth:`fetch_compressed`, which a
-    decoded ``gather_into`` runs through.
+    only the coded bytes fetched, once, in :meth:`fetch_compressed`, which
+    every decoded range read (slice or ``gather_into``) runs through.
     """
 
     def __init__(self, directory, device: DiskProfile) -> None:
@@ -76,13 +76,12 @@ class ThrottledMatrix(ShardedMatrix):
         self.device = device
 
     def _stored_bytes(self, start: int, stop: int) -> int:
-        if not self.mapped:
-            return self.compressed_bytes_for(start, stop)
         rows = max(0, min(stop, self.manifest.rows) - max(0, start))
         return rows * self.manifest.cols * self.dtype.itemsize
 
     def _gather_range(self, start, stop):
-        stall(self.device, self._stored_bytes(start, stop))
+        if self.mapped:
+            stall(self.device, self._stored_bytes(start, stop))
         return super()._gather_range(start, stop)
 
     def gather_into(self, start, stop, out):

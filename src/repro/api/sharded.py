@@ -706,12 +706,13 @@ class ShardedMatrix:
       everything else is gathered with one copy;
     * every other manifest is served by one
       :class:`~repro.data.formats_v2.BlockedMatrixReader` per shard, and
-      every read decodes blocks.  ``matrix[start:stop]`` allocates (random
-      reads go through a shared decoded-:class:`_BlockCache`),
-      :meth:`gather_into` decodes whole blocks straight into the caller's
-      buffer (only a range's two edge blocks go through the cache), and
-      :meth:`fetch_compressed` / :meth:`decode_into` split a read into its
-      I/O and CPU halves for the parallel pipeline.
+      every read decodes blocks.  A range read — ``matrix[start:stop]``
+      into a fresh array, :meth:`gather_into` into the caller's buffer —
+      is :meth:`fetch_compressed` then :meth:`decode_into`: whole blocks
+      decode straight into the destination and only the range's two edge
+      blocks go through a shared decoded-:class:`_BlockCache`, as random
+      reads (index arrays, masks) do.  The parallel pipeline runs the two
+      halves on different threads.
 
     Estimators and the chunk planner cannot tell the two apart: both support
     the estimator row-slicing protocol.  Row keys may be integers, slices,
@@ -929,47 +930,43 @@ class ShardedMatrix:
                 break
             yield index, shard
 
-    def _decoded_block(self, shard_index: int, block_index: int) -> np.ndarray:
+    def _decoded_block(
+        self, shard_index: int, block_index: int, payload: Optional[BlockPayload] = None
+    ) -> np.ndarray:
+        """Block ``block_index`` of shard ``shard_index``, decoded whole, through
+        the cache; ``payload`` is its fetched bytes, when the caller has them."""
         key = (shard_index, block_index)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        decoded = self._readers[shard_index].read_block(block_index)
-        self._cache.put(key, decoded)
+        decoded = self._cache.get(key)
+        if decoded is None:
+            reader = self._readers[shard_index]
+            block = reader.header.blocks[block_index]
+            if payload is None:
+                payload = reader.fetch_block(block_index)
+            decoded = np.empty((block.rows, self.manifest.cols), dtype=self.dtype)
+            reader.decode_block_into(payload, block.start_row, block.stop_row, decoded)
+            self._cache.put(key, decoded)
         return decoded
 
     def _gather_range(self, start: int, stop: int) -> np.ndarray:
         """Rows ``[start, stop)``: a view when one mapped shard covers the
-        range, else a fresh array (decoded blocks via the block cache)."""
+        range, else a fresh array (decoded shards fill it as
+        :meth:`gather_into` fills a buffer)."""
         self._check_open()
         start = max(0, start)
         stop = min(self.manifest.rows, stop)
         if stop <= start:
             return np.empty((0, self.manifest.cols), dtype=self.dtype)
-        if self.mapped:
-            pieces = [
-                self._maps[index][max(start, shard.start_row) - shard.start_row :
-                                  min(stop, shard.stop_row) - shard.start_row]
-                for index, shard in self._overlapping(start, stop)
-            ]
-            if len(pieces) == 1:
-                return pieces[0]
-            return np.concatenate(pieces, axis=0)
-        out = np.empty((stop - start, self.manifest.cols), dtype=self.dtype)
-        for index, shard in self._overlapping(start, stop):
-            reader = self._readers[index]
-            local_lo = max(start, shard.start_row) - shard.start_row
-            local_hi = min(stop, shard.stop_row) - shard.start_row
-            for block_index in reader.blocks_for(local_lo, local_hi):
-                block = reader.header.blocks[block_index]
-                decoded = self._decoded_block(index, block_index)
-                global_lo = max(start, shard.start_row + block.start_row)
-                global_hi = min(stop, shard.start_row + block.stop_row)
-                out[global_lo - start : global_hi - start] = decoded[
-                    global_lo - shard.start_row - block.start_row :
-                    global_hi - shard.start_row - block.start_row
-                ]
-        return out
+        if not self.mapped:
+            out = np.empty((stop - start, self.manifest.cols), dtype=self.dtype)
+            return self.decode_into(self.fetch_compressed(start, stop), out)
+        pieces = [
+            self._maps[index][max(start, shard.start_row) - shard.start_row :
+                              min(stop, shard.stop_row) - shard.start_row]
+            for index, shard in self._overlapping(start, stop)
+        ]
+        if len(pieces) == 1:
+            return pieces[0]
+        return np.concatenate(pieces, axis=0)
 
     def gather_into(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Copy rows ``[start, stop)`` into preallocated ``out`` (no allocation).
@@ -1141,31 +1138,11 @@ class ShardedMatrix:
                     out_offset=global_lo - fetched.start,
                 )
                 continue
-            key = (reader_index, payload.index)
-            decoded = self._cache.get(key)
-            if decoded is None:
-                decoded = np.empty((block.rows, self.manifest.cols), dtype=self.dtype)
-                reader.decode_block_into(
-                    payload, block.start_row, block.stop_row, decoded
-                )
-                self._cache.put(key, decoded)
+            decoded = self._decoded_block(reader_index, payload.index, payload)
             out[global_lo - fetched.start : global_hi - fetched.start] = decoded[
                 global_lo - block_lo : global_hi - block_lo
             ]
         return out[:rows]
-
-    def compressed_bytes_for(self, start: int, stop: int) -> int:
-        """Coded bytes a full-width decoded read of rows ``[start, stop)`` fetches."""
-        self._check_open()
-        start = max(0, start)
-        stop = min(self.manifest.rows, stop)
-        return sum(
-            self._readers[index].compressed_bytes_for(
-                max(start, shard.start_row) - shard.start_row,
-                min(stop, shard.stop_row) - shard.start_row,
-            )
-            for index, shard in self._overlapping(start, stop)
-        )
 
     # -- labels and lifecycle ----------------------------------------------
 
@@ -1246,12 +1223,12 @@ class _BlockCache:
 
     The cache exists so a block is not re-decoded by every read that wants
     only part of it: *random* access (fancy indexing, repeated small slices,
-    interactive inspection), and the *edge* blocks of a streamed range — a
-    block two consecutive chunks share is decoded by the first and sliced
-    from here by the second.  Blocks a streamed range covers whole bypass the
-    cache and decode straight into the pooled chunk buffer.  The lock is a
-    leaf: nothing else is ever acquired while it is held, and decoding
-    happens outside it.
+    interactive inspection), and the *edge* blocks of a range — a block two
+    consecutive ranges share (two chunks of a scan, two pieces of a trainer's
+    delta) is decoded by the first and sliced from here by the second.
+    Blocks a range covers whole bypass the cache and decode straight into
+    its destination.  The lock is a leaf: nothing else is ever acquired
+    while it is held, and decoding happens outside it.
     """
 
     def __init__(self) -> None:

@@ -616,8 +616,9 @@ def _cmd_traind(args: argparse.Namespace) -> int:
     """The trainer daemon: tail committed generations, train deltas, publish.
 
     Polls the appendable dataset's manifest; each newly committed generation
-    is caught up by streaming only its delta rows through ``partial_fit``,
-    after which the refreshed model is published as the next version (and
+    is caught up by reading only its delta rows, on the polling thread, and
+    training them through ``partial_fit`` one plan chunk at a time, after
+    which the refreshed model is published as the next version (and
     optionally saved as a servable JSON artifact).  ``--once`` runs a single
     poll — the batch form, useful in pipelines and tests; without it the
     daemon polls until interrupted.
@@ -890,8 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     traind = sub.add_parser(
         "traind",
-        help="run the trainer daemon: tail an appendable dataset, train "
-             "deltas, publish model versions",
+        help="run the trainer daemon: tail an appendable dataset, read and "
+             "train each delta on the polling thread, publish model versions",
     )
     traind.add_argument("dataset", type=str,
                         help="an appendable sharded dataset: path or shard:// spec")

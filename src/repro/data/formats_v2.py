@@ -844,18 +844,6 @@ class BlockedMatrixReader:
         """``reader[lo:hi]`` is :meth:`read_rows`: a reader slices like an array."""
         return self.read_rows(rows.start, rows.stop)
 
-    def read_block(self, index: int) -> np.ndarray:
-        """Decode one whole block into a fresh logical array."""
-        block = self.header.blocks[index]
-        return self.read_rows(block.start_row, block.stop_row)
-
-    def compressed_bytes_for(self, start: int, stop: int) -> int:
-        """Coded bytes a full-width read of rows ``[start, stop)`` fetches."""
-        return sum(
-            self.header.blocks[index].coded_bytes
-            for index in self.blocks_for(start, stop)
-        )
-
     def read_labels(self) -> Optional[np.ndarray]:
         """Decode the label vector (``None`` for unlabelled files)."""
         segment = self.header.label_segment

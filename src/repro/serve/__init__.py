@@ -14,9 +14,11 @@ regime.  The pieces:
 * :class:`Serving` — a server bound to one published model, returned by
   :meth:`repro.api.Session.serve`;
 * :class:`Trainer` — the train side of the live loop: tails an appendable
-  ``shard://`` dataset's committed generations, runs ``partial_fit`` on the
-  delta rows, and publishes refreshed versions into the *same* registry the
-  server resolves from (the ``m3 traind`` daemon);
+  ``shard://`` dataset's committed generations, reads the delta rows on its
+  polling thread (no reader thread; each coded block decoded once), runs
+  ``partial_fit`` on them chunk by chunk, and publishes refreshed versions
+  into the *same* registry the server resolves from (the ``m3 traind``
+  daemon);
 * :class:`ServeResult` / :class:`ServeStats` — the request-level siblings of
   :class:`~repro.api.engines.PredictResult` and its pipeline accounting.
 

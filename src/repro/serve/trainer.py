@@ -2,11 +2,13 @@
 
 This closes the live train→publish loop over an appendable dataset: a
 :class:`Trainer` polls a ``shard://`` dataset's manifest generation, and when
-an append commits it opens the new generation's snapshot, streams **only the
-delta rows** — ``[trained_rows, committed_rows)``, via a
-:func:`~repro.api.chunks.plan_chunks` ``row_range`` plan bound to that
-generation — through ``partial_fit``, then publishes a deep-copied snapshot of
-the refreshed model as the next :class:`~repro.serve.registry.ModelVersion`.
+an append commits it opens the new generation's snapshot, reads **only the
+delta rows** — ``[trained_rows, committed_rows)`` — on the polling thread
+(no reader thread; each coded block decoded once), trains them through
+``partial_fit`` on the chunks of a :func:`~repro.api.chunks.plan_chunks`
+``row_range`` plan bound to that generation, then publishes a deep-copied
+snapshot of the refreshed model as the next
+:class:`~repro.serve.registry.ModelVersion`.
 Point the trainer at the *same* :class:`~repro.serve.registry.ModelRegistry` a
 :class:`~repro.serve.server.ModelServer` resolves from and every in-flight
 request keeps its exactly-one-version guarantee across publishes: a
@@ -51,12 +53,12 @@ import copy
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.runtime import make_lock
-from repro.api.chunks import open_chunk_stream, plan_chunks
+from repro.api.chunks import DEFAULT_CHUNK_BYTES, ChunkPlan, plan_chunks
 from repro.api.sharded import ShardedLabels, manifest_generation, read_manifest
 from repro.faults import InjectedFault, maybe_fire, policy_for
 from repro.api.storage import parse_spec
@@ -65,6 +67,18 @@ from repro.serve.server import DEFAULT_MODEL_NAME
 
 #: Seconds between manifest polls in :meth:`Trainer.run` / :meth:`Trainer.start`.
 POLL_S = 0.5
+
+
+def _read_pieces(plan: ChunkPlan) -> List[List[Tuple[int, int]]]:
+    """The plan's chunks in runs of at most :data:`DEFAULT_CHUNK_BYTES`
+    (a chunk larger than that is a run of its own)."""
+    pieces: List[List[Tuple[int, int]]] = []
+    for start, stop in plan.bounds:
+        if pieces and (stop - pieces[-1][0][0]) * plan.row_bytes <= DEFAULT_CHUNK_BYTES:
+            pieces[-1].append((start, stop))
+        else:
+            pieces.append([(start, stop)])
+    return pieces
 
 
 class CursorPastDataError(ValueError):
@@ -86,7 +100,7 @@ class TrainUpdate:
     rows:
         Delta rows consumed by ``partial_fit`` this poll.
     chunks:
-        Chunks the delta was streamed in.
+        Plan chunks the delta was trained in (one ``partial_fit`` each).
     train_s:
         Wall time of the delta training pass.
     """
@@ -109,10 +123,10 @@ class TrainerStats:
     train_s: float = 0.0
     last_generation: Optional[int] = None
     last_version: Optional[str] = None
-    #: Generation polls that failed transiently and were retried under the
-    #: ``trainer.poll`` retry budget.
+    #: Generation polls and delta reads that failed transiently and were
+    #: retried, under the ``trainer.poll`` and ``read.pread`` retry budgets.
     retries: int = 0
-    #: Retried poll errors injected by an active fault plan.
+    #: Retried errors of either kind that an active fault plan injected.
     faults_injected: int = 0
     history: List[TrainUpdate] = field(default_factory=list)
 
@@ -185,8 +199,8 @@ class Trainer:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._closed = False
-        # Catch-up cursor: rows [0, _trained_rows) of _trained_generation
-        # have been consumed by partial_fit.
+        # Catch-up cursor: rows [0, _trained_rows) have been consumed by
+        # partial_fit; _trained_generation is the last one published.
         self._trained_rows = 0
         self._trained_generation: Optional[int] = None
         # The last snapshot opened, closed, kept so the next poll refreshes
@@ -327,37 +341,45 @@ class Trainer:
             dataset.close()
 
     def _train_delta(self, dataset: Any, generation: int, total_rows: int) -> TrainUpdate:  # lint: caller-holds-lock
-        """Stream ``[trained_rows, total_rows)`` through partial_fit, publish."""
-        labels = dataset.labels
+        """Train ``[trained_rows, total_rows)`` through partial_fit, publish.
+
+        The delta is read on this thread, each run of plan chunks
+        (:func:`_read_pieces`) as one ``matrix[lo:hi]`` under the
+        ``read.pread`` retry budget, and trained one ``partial_fit`` per plan
+        chunk, as a chunk stream over the plan would train it.  The cursor
+        passes each run once it is trained; a read that fails for good
+        publishes nothing.
+        """
+        matrix, labels = dataset.matrix, dataset.labels
         classes = self._derive_classes(labels)
-        # Auto-sized chunks, one reader one chunk ahead: a delta is a few chunks.
-        plan = plan_chunks(dataset.matrix, row_range=(self._trained_rows, total_rows))
+        first = self._trained_rows
+        plan = plan_chunks(matrix, row_range=(first, total_rows))
         began = time.perf_counter()
-        chunks = 0
-        stream = open_chunk_stream(dataset.matrix, labels=labels, plan=plan)
-        with stream:
-            for chunk in stream:
-                try:
-                    if chunk.y is not None:
-                        self.model.partial_fit(chunk.X, chunk.y, classes=classes)
-                    else:
-                        self.model.partial_fit(chunk.X)
-                    chunks += 1
-                finally:
-                    chunk.release()
+        for piece in _read_pieces(plan):
+            lo, hi = piece[0][0], piece[-1][1]
+            X, y = policy_for("read.pread").call(
+                lambda: (matrix[lo:hi], None if labels is None else np.asarray(labels[lo:hi])),
+                site="read.pread",
+                on_retry=self._on_retry,
+            )
+            for start, stop in piece:
+                rows = slice(start - lo, stop - lo)
+                if y is None:
+                    self.model.partial_fit(X[rows])
+                else:
+                    self.model.partial_fit(X[rows], y[rows], classes=classes)
+            self._trained_rows = hi
         train_s = time.perf_counter() - began
         # Publish a frozen snapshot: the registry's validation and swap are
         # atomic, and the trainer's working copy stays private to keep
         # serving reads isolated from the next delta's partial_fit calls.
         version = self.registry.publish(self.name, copy.deepcopy(self.model))
-        rows = total_rows - self._trained_rows
-        self._trained_rows = total_rows
         self._trained_generation = generation
         return TrainUpdate(
             generation=generation,
             version=version,
-            rows=rows,
-            chunks=chunks,
+            rows=total_rows - first,
+            chunks=plan.num_chunks,
             train_s=train_s,
         )
 

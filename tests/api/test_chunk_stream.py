@@ -282,19 +282,26 @@ class TestStallDeadline:
     def test_a_failed_read_does_not_wait_for_a_wedged_one(
         self, backing, mode, monkeypatch, wound_down
     ):
-        # The first chunk's read fails while later reads are wedged: the
-        # failure surfaces within the deadline, not after the wedge.
+        # The first chunk's read fails while later reads are wedged until the
+        # test lets them go: the failure surfaces as "reader failed", so it
+        # beat the 0.2 s stall deadline, which would have reported a stall.
+        # The wedge outlasts any host noise; only a hang trips the 5 s bound.
+        released = threading.Event()
+
         def hook(start):
             if start == 0:
                 raise OSError("disk on fire")
-            time.sleep(0.4)
+            released.wait(10.0)
 
         matrix = _hook_reads(monkeypatch, backing, hook)
         stream = _open(backing, mode, matrix=matrix, hints=False, stall_timeout_s=0.2)
         began = time.perf_counter()
-        with pytest.raises(ChunkStreamError, match="reader failed"):
-            next(stream)
-        assert time.perf_counter() - began < 0.2
+        try:
+            with pytest.raises(ChunkStreamError, match="reader failed"):
+                next(stream)
+            assert time.perf_counter() - began < 5.0
+        finally:
+            released.set()
         pool = stream.pool
         stream.close()
         wound_down(pool)

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repro.api.sharded import (
     write_sharded_dataset,
 )
 from repro.api.storage import ShardedBackend
-from repro.data.formats_v2 import write_blocked_matrix
+from repro.data.formats_v2 import BlockedMatrixReader, write_blocked_matrix
 
 
 @pytest.fixture()
@@ -151,6 +152,55 @@ class TestWriteAndOpen:
         matrix.decode_into(fetched, out)
         np.testing.assert_array_equal(out, data[100:300])
         matrix.close()
+
+
+
+class TestRangeReads:
+    """``matrix[lo:hi]`` on decoded shards: one decode per overlapped block,
+    whole blocks straight into the result, only partial edge blocks cached."""
+
+    @pytest.mark.parametrize("storage_dtype", [None, np.float32])
+    def test_each_block_decodes_once_and_only_edges_are_cached(
+        self, tmp_path, data, labels, monkeypatch, storage_dtype
+    ):
+        # 400-row shards of 128-row blocks: [0,128) [128,256) [256,384) [384,400).
+        write_sharded_dataset(tmp_path / "ds", data, labels, shard_rows=400,
+                              codec="zlib", block_rows=128,
+                              storage_dtype=storage_dtype)
+        decodes = Counter()
+        real = BlockedMatrixReader.decode_block_into
+
+        def counting(reader, fetched, *args, **kwargs):
+            decodes[(reader.path.name[6:11], fetched.index)] += 1
+            return real(reader, fetched, *args, **kwargs)
+
+        monkeypatch.setattr(BlockedMatrixReader, "decode_block_into", counting)
+        edge_bytes = 128 * 10 * 8  # a cached block is in the logical dtype
+        with open_sharded_matrix(tmp_path / "ds") as matrix:
+            assert not matrix.mapped
+            cache = matrix.block_cache
+            # Blocks the range covers whole never touch the cache.
+            np.testing.assert_array_equal(matrix[128:400], data[128:400])
+            assert decodes == {("00000", 1): 1, ("00000", 2): 1, ("00000", 3): 1}
+            assert (cache.nbytes, cache.misses, cache.hits) == (0, 0, 0)
+            # Across the shard edge: a partial block at each end is cached.
+            decodes.clear()
+            np.testing.assert_array_equal(matrix[300:600], data[300:600])
+            assert decodes == {("00000", 2): 1, ("00000", 3): 1,
+                               ("00001", 0): 1, ("00001", 1): 1}
+            assert (cache.nbytes, cache.misses, cache.hits) == (2 * edge_bytes, 2, 0)
+            # The next range starts in the block the last one ended in: it is
+            # sliced from the cache, not decoded again.
+            decodes.clear()
+            np.testing.assert_array_equal(matrix[600:700], data[600:700])
+            assert decodes == {("00001", 2): 1}
+            assert (cache.nbytes, cache.misses, cache.hits) == (3 * edge_bytes, 3, 1)
+            # A range inside one block is an edge block at both ends.
+            decodes.clear()
+            np.testing.assert_array_equal(matrix[1000:1010], data[1000:1010])
+            assert decodes == {("00002", 1): 1}
+            assert (cache.misses, cache.hits) == (4, 1)
+            assert matrix[1100:1200].shape == (0, 10)
 
 
 class TestManifestVersioning:

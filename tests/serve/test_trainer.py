@@ -1,12 +1,21 @@
 """Tests for the trainer daemon: poll, delta-train, publish."""
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.ml import GaussianNaiveBayes, LinearRegression, MiniBatchKMeans
+from repro.api.chunks import DEFAULT_CHUNK_BYTES, plan_chunks
+from repro.api.sharded import ShardAppender, ShardedMatrix, write_sharded_dataset
+from repro.data.formats_v2 import BlockedMatrixReader
+from repro.ml import (
+    GaussianNaiveBayes,
+    LinearRegression,
+    MiniBatchKMeans,
+    SoftmaxRegression,
+)
 from repro.serve import ModelRegistry, Trainer, TrainUpdate
 from repro.serve import trainer as trainer_module
 from repro.serve.trainer import CursorPastDataError
@@ -231,3 +240,120 @@ class TestRunLoop:
             assert second.wait(timeout=10.0)
             trainer.stop()
             assert trainer.stats.updates == 2
+
+
+def _state(value):
+    """Everything an estimator's predictions and next ``partial_fit`` read,
+    as plain values: arrays, scalars, and the fields of nested state."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, np.random.Generator):
+        return ("rng", repr(value.bit_generator.state))
+    if hasattr(value, "__dict__"):
+        return (type(value).__name__, {k: _state(v) for k, v in vars(value).items()})
+    return value
+
+
+ESTIMATORS = {
+    "softmax-sgd": lambda: SoftmaxRegression(solver="sgd", chunk_size=64, seed=0),
+    "minibatch-kmeans": lambda: MiniBatchKMeans(n_clusters=3, seed=0),
+    "naive-bayes": lambda: GaussianNaiveBayes(),
+}
+
+#: Wide enough that the catch-up below spans more than one read piece.
+COLS = 64
+BLOCK_ROWS = 256
+SHARD_ROWS = 4096
+
+
+class TestBitIdentity:
+    """A published model is exactly ``partial_fit`` over the plan's bounds.
+
+    The trainer must train each delta on the chunks
+    ``plan_chunks(row_range=(cursor, committed))`` cuts, in order, whatever
+    it reads them through.  The expected model is driven by hand over those
+    bounds on the in-core rows, so any change to how the trainer reads a
+    delta (its pieces, its decode, its retries) that moves a bit fails here.
+    """
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("codec", [None, "zlib"])
+    def test_published_model_equals_partial_fit_over_the_plan(
+        self, tmp_path, session, codec, estimator
+    ):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(24_310, COLS))
+        y = rng.integers(0, 3, size=X.shape[0]).astype(np.int64)
+        classes = np.arange(3)
+        spec = f"shard://{tmp_path / 'ds'}"
+        write_sharded_dataset(
+            tmp_path / "ds", X[:1000], y[:1000], shard_rows=SHARD_ROWS,
+            codec=codec, block_rows=BLOCK_ROWS,
+        )
+        appender = ShardAppender(tmp_path / "ds", shard_rows=SHARD_ROWS)
+        # Each poll's delta: the base, rows inside one block, rows across
+        # two block edges, rows across a shard edge, and a catch-up of two
+        # appends larger than one read piece.
+        polls = [
+            [(0, 1000)],
+            [(1000, 1010)],
+            [(1010, 1310)],
+            [(1310, 4310)],
+            [(4310, 14310), (14310, 24310)],
+        ]
+        assert (24_310 - 4310) * COLS * 8 > DEFAULT_CHUNK_BYTES
+        expected = ESTIMATORS[estimator]()
+        with Trainer(spec, ESTIMATORS[estimator](), session=session, classes=classes) as trainer:
+            for appends in polls:
+                for lo, hi in appends:
+                    if lo:
+                        appender.append(X[lo:hi], y[lo:hi])
+                cursor, committed = appends[0][0], appends[-1][1]
+                with session.open(spec) as snapshot:
+                    plan = plan_chunks(snapshot.matrix, row_range=(cursor, committed))
+                for start, stop in plan.bounds:
+                    expected.partial_fit(X[start:stop], y[start:stop], classes=classes)
+                update = trainer.poll_once()
+                assert (update.rows, update.chunks) == (committed - cursor, plan.num_chunks)
+                published = trainer.registry.resolve("default").model
+                assert _state(published) == _state(expected)
+                np.testing.assert_array_equal(published.predict(X[:50]), expected.predict(X[:50]))
+
+
+class TestDeltaReads:
+    def test_a_delta_is_read_in_pieces_on_the_polling_thread(self, tmp_path, monkeypatch):
+        # A catch-up of 20,000 64-column rows (10 MB) across five 4,096-row
+        # shards: read in pieces of at most DEFAULT_CHUNK_BYTES cut at plan
+        # bounds, every coded block decoded once, no thread started.
+        X = np.random.default_rng(2).normal(size=(20_000, COLS))
+        write_sharded_dataset(tmp_path / "ds", X, None, shard_rows=SHARD_ROWS,
+                              codec="zlib", block_rows=BLOCK_ROWS)
+        reads, decodes, starts = [], Counter(), []
+        gather, decode = ShardedMatrix._gather_range, BlockedMatrixReader.decode_block_into
+
+        def spy_gather(matrix, start, stop):
+            reads.append((start, stop))
+            return gather(matrix, start, stop)
+
+        def spy_decode(reader, fetched, *args, **kwargs):
+            decodes[(reader.path.name, fetched.index)] += 1
+            return decode(reader, fetched, *args, **kwargs)
+
+        with Trainer(f"shard://{tmp_path / 'ds'}", MiniBatchKMeans(n_clusters=3, seed=0)) as trainer:
+            monkeypatch.setattr(ShardedMatrix, "_gather_range", spy_gather)
+            monkeypatch.setattr(BlockedMatrixReader, "decode_block_into", spy_decode)
+            monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread))
+            update = trainer.poll_once()
+            monkeypatch.undo()
+            with Session() as session, session.open(trainer.spec) as snapshot:
+                plan = plan_chunks(snapshot.matrix, row_range=(0, X.shape[0]))
+        assert update.rows == X.shape[0] and update.chunks == plan.num_chunks
+        assert starts == []
+        edges = {start for start, _ in plan.bounds} | {X.shape[0]}
+        assert [lo for lo, _ in reads[1:]] == [hi for _, hi in reads[:-1]]
+        assert reads[0][0] == 0 and reads[-1][1] == X.shape[0] and len(reads) > 1
+        for lo, hi in reads:
+            assert lo in edges and hi in edges
+            assert (hi - lo) * COLS * 8 <= DEFAULT_CHUNK_BYTES
+        blocks = -(-SHARD_ROWS // BLOCK_ROWS) * 4 + -(-(20_000 - 4 * SHARD_ROWS) // BLOCK_ROWS)
+        assert len(decodes) == blocks and set(decodes.values()) == {1}
