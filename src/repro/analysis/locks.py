@@ -26,7 +26,7 @@ network-serving locks landed, per the ROADMAP's standing instruction)::
     rank  40   ModelServer._cond                  serving queue + dispatcher wakeup
     rank  50   AdaptiveDelayController._lock      arrival-rate EWMA state
     rank  60   Trainer._lock                      train->publish daemon state
-    rank  70   Session._lock                      dataset list + handle pool
+    rank  70   Session._lock                      dataset list + backend cache
     rank  80   ModelRegistry._lock                hot-model publish/resolve
     rank  90   ShardAppender._lock                tail-shard write + generation commit
     rank 120   ReadaheadHinter._lock              madvise byte accounting
@@ -34,9 +34,8 @@ network-serving locks landed, per the ROADMAP's standing instruction)::
     rank 140   _BlockCache._lock                  decoded-block LRU (innermost)
 
 The recorded nesting that motivates the order: a dispatcher thread
-resolves models (``ModelRegistry._lock``, 80) and opens datasets
-(``Session._lock``, 70) while *not* holding ``ModelServer._cond`` (40).
-The trainer daemon holds ``Trainer._lock`` (60) while opening snapshot
+resolves models (``ModelRegistry._lock``, 80) while *not* holding
+``ModelServer._cond`` (40).  The trainer daemon holds ``Trainer._lock`` (60) while opening snapshot
 datasets (``Session._lock``, 70) and publishing refreshed versions
 (``ModelRegistry._lock``, 80), so it must rank above the server condition
 but below both; the shard appender (90) is a near-leaf write lock that

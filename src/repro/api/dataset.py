@@ -48,13 +48,8 @@ class Dataset:
         When true, a fresh :class:`~repro.vmem.trace.AccessTrace` is attached
         and every access through the handle is recorded into it.
     on_close:
-        Optional hook called (once, with this dataset) instead of the
-        handle's ``closer`` — the session handle pool uses it to refcount
-        shared backend handles.
-    on_flush:
-        Optional hook called (with this dataset) after every flush — the
-        session handle pool uses it to invalidate possibly-stale cache
-        entries.
+        Optional hook called once, with this dataset, after the handle's
+        ``closer`` — the session uses it to stop tracking the dataset.
     """
 
     def __init__(
@@ -65,13 +60,11 @@ class Dataset:
         advice: AccessAdvice = AccessAdvice.SEQUENTIAL,
         record_trace: bool = False,
         on_close: Optional[Any] = None,
-        on_flush: Optional[Any] = None,
     ) -> None:
         self.spec = str(spec)
         self.backend = backend
         self._handle = handle
         self._on_close = on_close
-        self._on_flush = on_flush
         self._closed = False
         trace = AccessTrace(description=f"dataset({self.spec})") if record_trace else None
         self._matrix = MmapMatrix(
@@ -213,24 +206,17 @@ class Dataset:
         """Flush dirty pages of writable backings to disk."""
         if not self._closed:
             self._matrix.flush()
-            if self._on_flush is not None:
-                self._on_flush(self)
 
     def close(self) -> None:
-        """Flush and release backend resources.  Idempotent.
-
-        When the dataset was handed out by a session handle pool, the pool's
-        ``on_close`` hook decides when the underlying backend handle really
-        closes (it may be shared with other open datasets).
-        """
+        """Flush and release backend resources.  Idempotent."""
         if self._closed:
             return
         self.flush()
         self._closed = True
+        if self._handle.closer is not None:
+            self._handle.closer()
         if self._on_close is not None:
             self._on_close(self)
-        elif self._handle.closer is not None:
-            self._handle.closer()
 
     def __enter__(self) -> "Dataset":
         self._check_open()

@@ -27,8 +27,7 @@ dataset opened with ``record_trace=True`` hands its access trace to
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.faults import FaultPlan
@@ -54,155 +53,6 @@ from repro.api.storage import (
 )
 from repro.core.advice import AccessAdvice
 
-PoolKey = Tuple[str, str, str, Any]  # (scheme, location, mode, advice)
-
-
-class _PoolEntry:
-    """One pooled backend handle: the handle, its users, its freshness token."""
-
-    __slots__ = ("key", "handle", "refs", "fingerprint", "invalidated")
-
-    def __init__(self, key: PoolKey, handle: StorageHandle, fingerprint: Any) -> None:
-        self.key = key
-        self.handle = handle
-        self.refs = 0
-        self.fingerprint = fingerprint
-        self.invalidated = False
-
-
-class HandlePool:
-    """LRU pool of open :class:`StorageHandle`\\ s, keyed by
-    ``(scheme, location, mode, advice)``.
-
-    Repeated :meth:`Session.open` calls on a hot dataset reuse the pooled
-    handle (one set of memory maps, refcounted across the `Dataset` handles
-    sharing it) instead of re-opening files.  Correctness rules:
-
-    * an entry is **invalidated** — removed from the reuse map — whenever a
-      dataset sharing it is closed or flushed, or the location is rewritten
-      through :meth:`Session.create`; the underlying handle is only really
-      closed once its last user closes;
-    * before reuse, the backend's ``fingerprint`` (file mtime/size) is
-      compared against the one captured at open, so a dataset rewritten on
-      disk *behind the session's back* is re-opened, never served from a
-      stale memory map;
-    * at most ``capacity`` entries are tracked; opening beyond that drops the
-      least-recently-used entry from the reuse map (its handle stays alive
-      with its datasets and closes with them).
-
-    A handle in the reuse map is always open.  When its fingerprint has
-    moved (an append committed), the new handle is opened *from* it — the
-    backend shares the sealed state both snapshots hold — and only then is
-    the stale entry dropped, so it stays open for as long as that takes.
-    """
-
-    def __init__(self, capacity: int = 8) -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be non-negative, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[PoolKey, _PoolEntry]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: PoolKey) -> bool:
-        return key in self._entries
-
-    def acquire(
-        self,
-        key: PoolKey,
-        opener: Any,
-        fingerprint: Any,
-        previous: Optional[StorageHandle] = None,
-    ) -> _PoolEntry:
-        """A pooled entry for ``key``: reused when fresh, opened otherwise.
-
-        ``opener(earlier)`` builds a new handle from ``earlier``, a handle
-        on an older snapshot of the key: ``previous`` (the caller's) if
-        given, else the stale entry being replaced, else ``None``.
-        """
-        entry = self._entries.get(key)
-        # Taken before any open: a change committed while the handle is
-        # being opened then makes the entry look stale, never fresh.
-        token = fingerprint() if self.capacity else None
-        stale = None
-        if entry is not None:
-            if token == entry.fingerprint:
-                entry.refs += 1
-                self._entries.move_to_end(key)
-                return entry
-            stale = entry  # the dataset changed on disk
-        if previous is None and stale is not None:
-            previous = stale.handle
-        try:
-            handle = opener(previous)
-        finally:
-            if stale is not None:
-                self._remove(stale)
-        if self.capacity == 0:
-            entry = _PoolEntry(key, handle, None)
-            entry.refs += 1
-            entry.invalidated = True  # untracked: close with its last user
-            return entry
-        entry = _PoolEntry(key, handle, token)
-        entry.refs += 1
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            _, evicted = self._entries.popitem(last=False)
-            evicted.invalidated = True
-            self._close_if_unused(evicted)
-        return entry
-
-    def release(self, entry: _PoolEntry) -> None:
-        """A dataset sharing ``entry`` closed: invalidate, refcount, close."""
-        entry.refs = max(0, entry.refs - 1)
-        self._remove(entry)
-
-    def invalidate(self, entry: _PoolEntry) -> None:
-        """Drop ``entry`` from the reuse map (live users keep their handle)."""
-        self._pop_if_current(entry)
-        entry.invalidated = True
-
-    def invalidate_location(self, scheme: str, location: str) -> None:
-        """Drop every entry for ``location`` (any mode) — it was rewritten."""
-        for key in [k for k in self._entries if k[0] == scheme and k[1] == location]:
-            entry = self._entries.pop(key)
-            entry.invalidated = True
-            self._close_if_unused(entry)
-
-    def close_idle(self) -> None:
-        """Close every tracked handle that no dataset is using any more."""
-        for key in list(self._entries):
-            entry = self._entries[key]
-            if entry.refs == 0:
-                del self._entries[key]
-                entry.invalidated = True
-                self._close_handle(entry)
-
-    def _pop_if_current(self, entry: _PoolEntry) -> None:
-        """Drop ``entry`` from the map only if it is still the mapped entry.
-
-        A key may have been re-opened with a fresh entry after this one was
-        invalidated; releasing the old entry must not evict the new one.
-        """
-        if self._entries.get(entry.key) is entry:
-            del self._entries[entry.key]
-
-    def _remove(self, entry: _PoolEntry) -> None:
-        self._pop_if_current(entry)
-        entry.invalidated = True
-        self._close_if_unused(entry)
-
-    def _close_if_unused(self, entry: _PoolEntry) -> None:
-        if entry.refs == 0 and entry.invalidated:
-            self._close_handle(entry)
-
-    @staticmethod
-    def _close_handle(entry: _PoolEntry) -> None:
-        if entry.handle.closer is not None:
-            entry.handle.closer()
-
-
 class Session:
     """Owns storage backends, open datasets and the default execution engine.
 
@@ -214,10 +64,8 @@ class Session:
         :class:`~repro.api.engines.ExecutionEngine` instance, or ``None`` for
         local execution.
     handle_pool_size:
-        Capacity of the LRU :class:`HandlePool` behind :meth:`open`.  While a
-        dataset spec is hot (opened handles not yet all closed), further
-        ``open`` calls share its backend handle instead of re-mapping files —
-        the high-QPS serving path.  ``0`` disables pooling.
+        Must be ``0``: every open owns its own maps and descriptors, and the
+        page cache keeps a hot dataset's pages resident.
     faults:
         A fault-injection plan for this session — a
         :class:`~repro.faults.FaultPlan`, a spec string such as
@@ -233,25 +81,30 @@ class Session:
     no module-level shared state).  Datasets opened by the session are closed
     when the session itself is closed or exits its ``with`` block.
 
-    Sessions are thread-safe: the dataset list, backend cache and handle
-    pool are guarded by one re-entrant session lock, so a
-    :class:`~repro.serve.ModelServer`'s dispatcher threads can resolve
-    dataset specs through the same session that clients use.
+    Sessions are thread-safe: the dataset list and backend cache are
+    guarded by one re-entrant session lock, so threads may open, refresh
+    and close datasets through one session.
     """
 
     def __init__(
         self,
         engine: Union[str, ExecutionEngine, None] = None,
-        handle_pool_size: int = 8,
+        handle_pool_size: int = 0,
         faults: Union[str, "FaultPlan", None] = None,
     ) -> None:
+        # Kept only because benchmarks/e2e/probes.py builds
+        # Session(handle_pool_size=0); there is no pool to size.
+        if handle_pool_size != 0:
+            raise ValueError(
+                f"handle_pool_size must be 0 (sessions pool no handles), "
+                f"got {handle_pool_size}"
+            )
         self.default_engine = resolve_engine(engine)
-        # Re-entrant: open() resolves backends (which re-locks) and close()
-        # re-enters through each dataset's _forget hook.
+        # Re-entrant: open() resolves backends (which re-locks) and a
+        # dataset closed inside it re-enters through its _forget hook.
         self._lock = make_rlock("repro.api.session.Session._lock")
         self._backends: Dict[str, StorageBackend] = {}
         self._datasets: list[Dataset] = []
-        self._pool = HandlePool(handle_pool_size)
         self._closed = False
         self._faults_installed = faults is not None
         self._previous_faults: Union[str, "FaultPlan", None] = None
@@ -289,67 +142,49 @@ class Session:
         order every algorithm in the paper scans its rows), and
         ``record_trace=True`` attaches a fresh access trace to the handle.
 
-        Handles are served through the session's :class:`HandlePool`: while a
-        spec is hot, repeated opens share one set of backend resources.  The
-        pool entry is invalidated whenever a sharing dataset is closed or
-        flushed (and revalidated against the backend's freshness fingerprint
-        on reuse), so a dataset file rewritten between opens is always
-        re-opened, never served stale.
+        Every open maps and opens the dataset's files afresh and owns them
+        until the handle is closed (or the session is), so an open after a
+        rewrite, a flush or an append reads the dataset as it is now.
         """
-        return self._open(spec, mode, advice, record_trace)
+        return self._open(
+            spec, advice, record_trace,
+            lambda backend, location: backend.open(location, mode=mode),
+        )
 
     def _open(
         self,
         spec: SpecLike,
-        mode: str,
         advice: AccessAdvice,
         record_trace: bool,
-        previous: Optional[StorageHandle] = None,
+        opener: Callable[[StorageBackend, str], StorageHandle],
     ) -> Dataset:
-        """:meth:`open`, from ``previous`` (a handle on an earlier snapshot
-        of ``spec``) when a new handle has to be opened."""
+        """Wrap ``opener(backend, location)``'s handle in a tracked
+        :class:`Dataset`."""
         self._check_open()
         parsed, backend = self._resolve(spec)
-        # Advice is part of the key: madvise applies to the whole mapping, so
-        # handles are only shared between opens that want the same advice.
         with self._lock:
-            entry = self._pool.acquire(
-                (parsed.scheme, parsed.location, mode, advice),
-                opener=lambda earlier: backend.open_from(
-                    parsed.location, earlier, mode=mode
-                ),
-                fingerprint=lambda: backend.fingerprint(parsed.location),
-                previous=previous,
-            )
             dataset = Dataset(
-                entry.handle,
+                opener(backend, parsed.location),
                 spec=str(parsed),
                 backend=backend,
                 advice=advice,
                 record_trace=record_trace,
-                on_close=lambda closed: self._forget(closed, entry),
-                on_flush=lambda _dataset: self._invalidate(entry),
+                on_close=self._forget,
             )
             self._datasets.append(dataset)
             return dataset
 
-    def _forget(self, dataset: Dataset, entry: _PoolEntry) -> None:
-        """Release ``dataset``'s pool entry and stop tracking it.
+    def _forget(self, dataset: Dataset) -> None:
+        """Stop tracking a closed dataset.
 
         Pruning closed datasets keeps a long-lived session's bookkeeping flat
         under the open/close churn of a serving loop.
         """
         with self._lock:
-            self._pool.release(entry)
             try:
                 self._datasets.remove(dataset)
             except ValueError:
                 pass
-
-    def _invalidate(self, entry: _PoolEntry) -> None:
-        """Drop ``entry`` from the handle pool's reuse map (flush hook)."""
-        with self._lock:
-            self._pool.invalidate(entry)
 
     def create(
         self,
@@ -361,14 +196,11 @@ class Session:
         """Materialise ``data`` (and ``labels``) at ``spec``; return the spec.
 
         Backend-specific ``options`` are forwarded (e.g. ``shard_rows=`` for
-        the sharded backend).  Any pooled handles for the location are
-        invalidated — the dataset was just rewritten.
+        the sharded backend).
         """
         self._check_open()
         parsed, backend = self._resolve(spec)
         backend.create(parsed.location, data, labels, **options)
-        with self._lock:
-            self._pool.invalidate_location(parsed.scheme, parsed.location)
         return str(parsed)
 
     def refresh(
@@ -378,10 +210,8 @@ class Session:
     ) -> Dataset:
         """Re-open a dataset at its latest committed generation.
 
-        Open handles pin the generation they were opened at (the handle
-        pool's fingerprint is the generation number, so a committed append
-        makes every pooled entry for the spec stale); ``refresh`` is the
-        explicit opt-in to the new rows — it returns a *new*
+        Open handles pin the generation they were opened at; ``refresh`` is
+        the explicit opt-in to the new rows — it returns a *new*
         :class:`Dataset` snapshot of the latest generation.  The previous
         handle keeps serving its own snapshot unless ``close_previous``.
 
@@ -398,7 +228,8 @@ class Session:
         if not isinstance(dataset, Dataset):
             return self.open(dataset)
         refreshed = self._open(
-            dataset.spec, "r", AccessAdvice.SEQUENTIAL, False, previous=dataset._handle
+            dataset.spec, AccessAdvice.SEQUENTIAL, False,
+            lambda backend, location: backend.open_from(location, dataset._handle),
         )
         if close_previous:
             dataset.close()
@@ -599,10 +430,7 @@ class Session:
             raise RuntimeError("session is closed")
 
     def close(self) -> None:
-        """Close every dataset the session opened.  Idempotent.
-
-        Idle pooled handles are closed with the session.
-        """
+        """Close every dataset the session opened.  Idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -614,7 +442,6 @@ class Session:
             dataset.close()  # prunes itself from _datasets via its hook
         with self._lock:
             self._datasets = []
-            self._pool.close_idle()
         if self._faults_installed:
             from repro.faults import set_fault_plan
 

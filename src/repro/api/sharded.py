@@ -290,8 +290,7 @@ def manifest_generation(directory: Union[str, Path]) -> Optional[int]:
     ``0`` for a static dataset (bare ``manifest.json``, no ``CURRENT``),
     the ``CURRENT`` pointer's value once appends have committed, and
     ``None`` when the directory holds no sharded dataset at all.  This is a
-    single small-file read — cheap enough for fingerprint checks and
-    trainer polls.
+    single small-file read — cheap enough for trainer polls.
     """
     directory = Path(directory)
     try:
@@ -711,8 +710,10 @@ class ShardedMatrix:
       is :meth:`fetch_compressed` then :meth:`decode_into`: whole blocks
       decode straight into the destination and only the range's two edge
       blocks go through a shared decoded-:class:`_BlockCache`, as random
-      reads (index arrays, masks) do.  The parallel pipeline runs the two
-      halves on different threads.
+      reads (index arrays, masks) do.  Every caller runs the two halves
+      back to back on one thread; a chunk stream's reader retries the
+      fetch alone, since a payload that fails its CRC decodes no better
+      the second time.
 
     Estimators and the chunk planner cannot tell the two apart: both support
     the estimator row-slicing protocol.  Row keys may be integers, slices,
@@ -1081,7 +1082,7 @@ class ShardedMatrix:
                 return block[np.arange(block.shape[0]), col_arr]
         return block[:, col_key]
 
-    # -- two-phase reads of decoded shards (the parallel pipeline's seam) ----
+    # -- two-phase reads of decoded shards: fetch (I/O), then decode (CPU) --
 
     def fetch_compressed(self, start: int, stop: int) -> CompressedRange:
         """Fetch (I/O only) every coded payload covering rows ``[start, stop)``.
@@ -1281,7 +1282,7 @@ class CompressedRange:
     The I/O half of a compressed read: ``parts`` pairs each fetched
     :class:`~repro.data.formats_v2.BlockPayload` with the index and global
     start row of the shard it came from, so :meth:`ShardedMatrix.decode_into`
-    can land every block at the right output offset on a different thread.
+    can land every block at the right output offset.
     """
 
     start: int

@@ -29,12 +29,11 @@ datasets at such a location.  Three backends ship with the library:
     ``Dataset.append`` streams rows into an open tail shard and commits a new
     manifest generation (``manifest.<gen>.json`` + ``CURRENT``, atomic
     renames), while open handles keep serving the generation they were
-    opened at — the handle pool's freshness fingerprint is the manifest
-    generation, so readers mid-scan never see the manifest flip.
+    opened at, so readers mid-scan never see the manifest flip.
     ``Session.refresh`` opts a handle into the latest generation; ``m3
     traind`` tails committed generations and republishes freshly trained
-    models.  A snapshot opened from an earlier one (``refresh``, or a stale
-    pooled handle) shares its state for every sealed shard both list with
+    models.  A snapshot opened from an earlier one (``refresh``) shares
+    its state for every sealed shard both list with
     the same manifest entry and whose file still shows the header it was
     checked under: path, header and decoded labels.  Only the tail and new
     shards are opened, checked and decoded, so a refresh after an append
@@ -62,8 +61,6 @@ from repro.api.sharded import (
     ShardAppender,
     ShardedMatrix,
     ShardManifest,
-    generation_manifest_name,
-    manifest_generation,
     open_sharded_matrix,
     read_manifest,
     write_sharded_dataset,
@@ -150,15 +147,6 @@ class StorageHandle:
     closer: Optional[Any] = None
 
 
-def _stat_token(path: Path) -> Optional[Tuple[int, int]]:
-    """``(mtime_ns, size)`` of ``path``, or ``None`` when it does not exist."""
-    try:
-        stat = path.stat()
-    except OSError:
-        return None
-    return (stat.st_mtime_ns, stat.st_size)
-
-
 def _reject_options(scheme: str, options: Dict[str, Any]) -> None:
     """Fail loudly on options a backend does not understand."""
     if options:
@@ -205,16 +193,6 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def exists(self, location: str) -> bool:
         """Whether a dataset exists at ``location``."""
-
-    def fingerprint(self, location: str) -> Any:
-        """A cheap freshness token for the dataset at ``location``.
-
-        The session handle pool compares fingerprints before reusing a cached
-        handle, so a dataset rewritten on disk between opens is re-opened
-        instead of served from a stale memory map.  ``None`` (the default)
-        means the backend has no rewrite signal to offer.
-        """
-        return None
 
 
 class MemoryBackend(StorageBackend):
@@ -323,9 +301,6 @@ class MmapBackend(StorageBackend):
 
     def exists(self, location: str) -> bool:
         return Path(location).is_file()
-
-    def fingerprint(self, location: str) -> Any:
-        return _stat_token(Path(location))
 
 
 class ShardedBackend(StorageBackend):
@@ -459,28 +434,6 @@ class ShardedBackend(StorageBackend):
         """
         appender = ShardAppender(Path(location), trace=trace)
         return appender.append(data, labels).generation
-
-    def fingerprint(self, location: str) -> Any:
-        directory = Path(location)
-        generation = manifest_generation(directory)
-        if generation is not None and generation > 0:
-            # Appendable dataset: the generation number *is* the freshness
-            # signal — committed generations are immutable, so the handle
-            # pool re-opens exactly when CURRENT advances.  The stat token
-            # of the (immutable) generation manifest guards against the
-            # directory being wholesale re-created at the same generation.
-            return (
-                "gen",
-                generation,
-                _stat_token(directory / generation_manifest_name(generation)),
-            )
-        tokens = [_stat_token(directory / MANIFEST_NAME)]
-        try:
-            manifest = read_manifest(directory)
-        except (ValueError, OSError, KeyError):
-            return tuple(tokens)
-        tokens.extend(_stat_token(directory / shard.filename) for shard in manifest.shards)
-        return tuple(tokens)
 
 
 #: The backend classes, keyed by URI scheme.

@@ -626,8 +626,9 @@ class BlockedMatrixReader:
     The reader keeps one file descriptor and serves every fetch with
     ``os.pread``, so concurrent fetches from a reader pool need no locking.
     Fetch (:meth:`fetch_block`) and decode (:meth:`decode_block_into`) are
-    separate so callers can schedule the two halves on different thread
-    pools; :meth:`read_rows_into` composes them for synchronous use.
+    separate halves, which every caller runs back to back on one thread:
+    a retry envelope can then cover the I/O alone.  :meth:`read_rows_into`
+    composes them.
 
     ``header``, a header read from this path before, is kept when the file
     still holds it (:func:`shows_header`); otherwise, and when omitted, the

@@ -56,7 +56,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.analysis.runtime import make_lock
-from repro.faults.retry import RetriesExhausted, RetryPolicy, policy_for
+from repro.faults.retry import (
+    RetriesExhausted,
+    RetryPolicy,
+    observing_retries,
+    policy_for,
+)
 
 __all__ = [
     "InjectedFault",
@@ -69,6 +74,7 @@ __all__ = [
     "RetryPolicy",
     "RetriesExhausted",
     "policy_for",
+    "observing_retries",
 ]
 
 

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Type
 
 __all__ = [
     "RetriesExhausted",
@@ -35,7 +37,10 @@ __all__ = [
     "DEFAULT_POLICY",
     "SITE_BUDGETS",
     "policy_for",
+    "observing_retries",
 ]
+
+RetryHook = Callable[[int, BaseException], None]
 
 
 class RetriesExhausted(RuntimeError):
@@ -53,6 +58,26 @@ class RetriesExhausted(RuntimeError):
         )
         self.site = site
         self.attempts = attempts
+
+
+#: The hooks :func:`observing_retries` added in this context (a thread
+#: starts with none).
+_observers: ContextVar[Tuple[RetryHook, ...]] = ContextVar("retry_observers", default=())
+
+
+@contextmanager
+def observing_retries(on_retry: RetryHook) -> Iterator[None]:
+    """Within the block, ``on_retry`` sees every retry this thread makes.
+
+    Every envelope counts, nested ones included and whatever ``on_retry``
+    each was given: an operation that opens a dataset, whose label reads
+    retry under their own budget, reports those retries to its caller.
+    """
+    token = _observers.set(_observers.get() + (on_retry,))
+    try:
+        yield
+    finally:
+        _observers.reset(token)
 
 
 #: Jitter draws only perturb sleep durations, never control flow, so a
@@ -96,12 +121,13 @@ class RetryPolicy:
         self,
         fn: Callable[[], Any],
         site: str = "",
-        on_retry: Optional[Callable[[int, BaseException], None]] = None,
+        on_retry: Optional[RetryHook] = None,
     ) -> Any:
         """Run ``fn`` under this policy; return its result.
 
         ``on_retry(retry_index, error)`` fires before each backoff sleep
-        — the pipeline uses it to count retries into its stats.  Raises
+        — the pipeline uses it to count retries into its stats — and so
+        does every hook of :func:`observing_retries`.  Raises
         :class:`RetriesExhausted` (chained from the last error) once the
         budget is spent; non-retryable errors propagate untouched.
         """
@@ -115,6 +141,8 @@ class RetryPolicy:
                     break
                 if on_retry is not None:
                     on_retry(attempt, error)
+                for observe in _observers.get():
+                    observe(attempt, error)
                 delay = self.sleep_for(attempt)
                 if delay > 0:
                     # Backoff, not polling: nothing signals "the device

@@ -60,7 +60,7 @@ import numpy as np
 from repro.analysis.runtime import make_lock
 from repro.api.chunks import DEFAULT_CHUNK_BYTES, ChunkPlan, plan_chunks
 from repro.api.sharded import ShardedLabels, manifest_generation, read_manifest
-from repro.faults import InjectedFault, maybe_fire, policy_for
+from repro.faults import InjectedFault, maybe_fire, observing_retries, policy_for
 from repro.api.storage import parse_spec
 from repro.serve.registry import ModelRegistry, ModelVersion
 from repro.serve.server import DEFAULT_MODEL_NAME
@@ -123,8 +123,9 @@ class TrainerStats:
     train_s: float = 0.0
     last_generation: Optional[int] = None
     last_version: Optional[str] = None
-    #: Generation polls and delta reads that failed transiently and were
-    #: retried, under the ``trainer.poll`` and ``read.pread`` retry budgets.
+    #: Reads of a poll that failed transiently and were retried: the
+    #: generation poll (``trainer.poll`` budget), and the snapshot's label
+    #: segments and the delta rows (``read.pread``).
     retries: int = 0
     #: Retried errors of either kind that an active fault plan injected.
     faults_injected: int = 0
@@ -155,7 +156,7 @@ class Trainer:
     name:
         Registry name versions are published under.
     session:
-        Session whose handle pool opens generation snapshots; a private one
+        Session that opens and refreshes generation snapshots; a private one
         is created (and closed by :meth:`close`) when omitted.
     classes:
         Class labels forwarded to every ``partial_fit`` call.  ``None``
@@ -192,8 +193,8 @@ class Trainer:
         self.stats = TrainerStats()
         self._session = session
         self._owns_session = session is None
-        # Rank 30: held across poll→train→publish, which nests Session._lock
-        # (40) for snapshot opens and ModelRegistry._lock (50) for the
+        # Rank 60: held across poll→train→publish, which nests Session._lock
+        # (70) for snapshot opens and ModelRegistry._lock (80) for the
         # publish — strictly increasing, per the LOCK_ORDER registry.
         self._lock = make_lock("repro.serve.trainer.Trainer._lock")
         self._stop = threading.Event()
@@ -290,25 +291,22 @@ class Trainer:
         without net new rows only through recovery edge cases; nothing to
         train on means nothing to publish).
         """
-        with self._lock:
+        with self._lock, observing_retries(self._on_retry):
             return self._poll_locked()
 
     def _poll_locked(self) -> Optional[TrainUpdate]:  # lint: caller-holds-lock
         self._check_open()
         self.stats.polls += 1
-        committed = policy_for("trainer.poll").call(
-            self._read_generation, site="trainer.poll", on_retry=self._on_retry
-        )
+        committed = policy_for("trainer.poll").call(self._read_generation, site="trainer.poll")
         if committed is None:
             return None  # dataset not created yet: keep polling
         if self._trained_generation is not None and committed == self._trained_generation:
             return None
         session = self._session_handle()
-        # Open the *latest* snapshot (the handle pool's fingerprint is the
-        # generation, so this is exactly one committed generation — possibly
-        # newer than `committed` if another append just landed; we train to
-        # whatever snapshot we got and record its generation), from the one
-        # the last poll opened.
+        # Open the *latest* snapshot — exactly one committed generation,
+        # possibly newer than `committed` if another append just landed; we
+        # train to whatever snapshot we got and record its generation — from
+        # the one the last poll opened.
         if self._snapshot is None:
             dataset = session.open(self.spec)
         else:
@@ -360,7 +358,6 @@ class Trainer:
             X, y = policy_for("read.pread").call(
                 lambda: (matrix[lo:hi], None if labels is None else np.asarray(labels[lo:hi])),
                 site="read.pread",
-                on_retry=self._on_retry,
             )
             for start, stop in piece:
                 rows = slice(start - lo, stop - lo)

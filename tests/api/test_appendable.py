@@ -507,19 +507,6 @@ class TestSessionIntegration:
             final.close()
             snap.close()
 
-    def test_fingerprint_tracks_generation(self, tmp_path):
-        d = tmp_path / "ds"
-        X, y = _make(12)
-        backend = ShardedBackend()
-        _write(d, X, y, None)
-        static = backend.fingerprint(str(d))
-        ShardAppender(d).append(*_make(5, seed=1))
-        gen1 = backend.fingerprint(str(d))
-        assert gen1 != static
-        assert gen1[0] == "gen" and gen1[1] == 1
-        ShardAppender(d).append(*_make(5, seed=2))
-        assert backend.fingerprint(str(d))[1] == 2
-
     def test_memory_backend_rejects_append(self):
         with Session() as session:
             dataset = session.from_arrays(np.ones((4, 2)), name="static")

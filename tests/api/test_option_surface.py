@@ -85,8 +85,9 @@ def parameters(function) -> tuple:
 @pytest.mark.parametrize(
     "function, expected",
     [
-        # engine= is what the CLI sets, handle_pool_size= what
-        # benchmarks/e2e/probes.py sets; there is no config object.
+        # engine= is what the CLI sets; handle_pool_size= stays only for
+        # benchmarks/e2e/probes.py, which passes 0, the one value it takes
+        # (test_session_pools_no_handles).  There is no config object.
         (Session.__init__, ("engine", "handle_pool_size", "faults")),
         (Session.open, ("spec", "mode", "advice", "record_trace")),
         # Dataset.append passes trace= only; Session.open passes mode= only,
@@ -323,6 +324,14 @@ def test_session_open_defaults():
     assert defaults == {"mode": "r", "advice": AccessAdvice.SEQUENTIAL, "record_trace": False}
     with Session() as session:
         assert not hasattr(session, "config")
+
+
+def test_session_pools_no_handles():
+    assert inspect.signature(Session).parameters["handle_pool_size"].default == 0
+    Session(handle_pool_size=0).close()
+    for size in (1, 8, -1):
+        with pytest.raises(ValueError, match="handle_pool_size"):
+            Session(handle_pool_size=size)
 
 
 @pytest.mark.parametrize("option", ["block_rows", "storage_dtype", "layout"])

@@ -1,10 +1,17 @@
 """Tests for the Session entry point."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.api import Dataset, LocalEngine, Session, StreamingEngine
-from repro.ml import LogisticRegression
+from repro.api import Dataset, LocalEngine, Session, StreamingEngine, sharded, storage
+from repro.api.sharded import ShardAppender, write_sharded_dataset
+from repro.api.storage import ShardedBackend
+from repro.data.formats import write_binary_matrix
+from repro.ml import GaussianNaiveBayes, LogisticRegression
+from repro.serve import Trainer
 
 
 @pytest.fixture()
@@ -146,3 +153,144 @@ class TestLifecycle:
     def test_repr(self):
         session = Session()
         assert "local" in repr(session)
+
+
+class TestPlainOpens:
+    """Every open maps and opens the dataset afresh and owns what it opened."""
+
+    def test_an_open_after_a_close_reads_a_rewritten_file(self, tmp_path, xy):
+        X, y = xy
+        with Session() as session:
+            spec = session.create(f"mmap://{tmp_path}/rw.m3", X, y)
+            session.open(spec).close()
+            write_binary_matrix(tmp_path / "rw.m3", X * 10.0, y)
+            np.testing.assert_array_equal(np.asarray(session.open(spec)[:3]), X[:3] * 10.0)
+
+    def test_an_open_after_a_flush_reads_the_flushed_rows(self, tmp_path, xy):
+        X, y = xy
+        with Session() as session:
+            spec = session.create(f"mmap://{tmp_path}/fl.m3", X, y)
+            writer = session.open(spec, mode="r+")
+            writer[0:2] = X[0:2] + 5.0
+            writer.flush()
+            reader = session.open(spec)
+            assert reader.matrix.backing is not writer.matrix.backing
+            np.testing.assert_array_equal(np.asarray(reader[0:2]), X[0:2] + 5.0)
+
+    def test_an_open_after_create_reads_the_new_bytes(self, tmp_path, xy):
+        X, y = xy
+        with Session() as session:
+            spec = session.create(f"mmap://{tmp_path}/cr.m3", X, y)
+            first = session.open(spec)
+            session.create(spec, X + 1.0, y)
+            second = session.open(spec)
+            assert second.matrix.backing is not first.matrix.backing
+            np.testing.assert_array_equal(np.asarray(second[:3]), X[:3] + 1.0)
+
+    def test_an_open_after_an_external_rewrite_reads_the_new_bytes(self, tmp_path, xy):
+        X, y = xy
+        with Session() as session:
+            spec = session.create(f"mmap://{tmp_path}/ext.m3", X, y)
+            first = session.open(spec)  # still open
+            write_binary_matrix(tmp_path / "ext.m3", X * 3.0, y)
+            np.testing.assert_array_equal(np.asarray(session.open(spec)[:3]), X[:3] * 3.0)
+            first.close()
+
+    @pytest.mark.parametrize("scheme", ["mmap", "shard"])
+    def test_two_opens_of_one_spec_close_independently(self, tmp_path, xy, scheme):
+        X, y = xy
+        with Session() as session:
+            spec = session.create(f"{scheme}://{tmp_path}/two", X, y)
+            first, second = session.open(spec), session.open(spec)
+            assert first.matrix.backing is not second.matrix.backing
+            first.close()
+            np.testing.assert_array_equal(np.asarray(second[:2]), X[:2])
+            np.testing.assert_array_equal(np.asarray(second.labels), y)
+            backing = second.matrix.backing
+            second.close()
+            if scheme == "shard":
+                with pytest.raises(RuntimeError, match="closed"):
+                    backing[0:2]
+
+    def test_closed_datasets_are_pruned_from_the_session(self, tmp_path, xy):
+        X, y = xy
+        with Session() as session:
+            spec = session.create(f"mmap://{tmp_path}/churn.m3", X, y)
+            kept = session.open(spec)
+            for _ in range(50):
+                session.open(spec).close()
+            assert session._datasets == [kept]
+            kept.close()
+            assert session._datasets == []
+
+    def test_an_append_during_an_open_is_seen_by_the_next_open(
+        self, tmp_path, xy, monkeypatch
+    ):
+        X, y = xy
+        with Session() as session:
+            spec = session.create(f"shard://{tmp_path}/race", X, y, shard_rows=8)
+            appender = ShardAppender(tmp_path / "race", shard_rows=8)
+            open_ = ShardedBackend.open
+            pending = [lambda: appender.append(X[:4], y[:4])]
+
+            def open_then_append(backend, *args, **kwargs):
+                handle = open_(backend, *args, **kwargs)
+                while pending:
+                    pending.pop()()
+                return handle
+
+            monkeypatch.setattr(ShardedBackend, "open", open_then_append)
+            first = session.open(spec)
+            second = session.open(spec)
+            assert (first.generation, second.generation) == (0, 1)
+            assert second.shape[0] == X.shape[0] + 4
+            first.close()
+            second.close()
+
+
+class _Counts:
+    """Counts manifest reads, ``CURRENT`` reads and stats of shard files."""
+
+    def __init__(self, monkeypatch):
+        self.manifests = self.currents = self.shard_stats = 0
+        read_manifest, read_text, stat = sharded.read_manifest, Path.read_text, os.stat
+
+        def counted_read_manifest(*args, **kwargs):
+            self.manifests += 1
+            return read_manifest(*args, **kwargs)
+
+        def counted_read_text(path, *args, **kwargs):
+            self.currents += path.name == sharded.CURRENT_NAME
+            return read_text(path, *args, **kwargs)
+
+        def counted_stat(path, *args, **kwargs):
+            self.shard_stats += str(path).endswith(".m3b")
+            return stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(sharded, "read_manifest", counted_read_manifest)
+        monkeypatch.setattr(storage, "read_manifest", counted_read_manifest)
+        monkeypatch.setattr(Path, "read_text", counted_read_text)
+        monkeypatch.setattr(os, "stat", counted_stat)
+
+
+@pytest.mark.parametrize("codec", [None, "zlib"])
+def test_an_open_reads_the_manifest_once_and_a_poll_reads_current_twice(
+    tmp_path, monkeypatch, codec
+):
+    directory = tmp_path / "ds"
+    X = np.random.default_rng(3).normal(size=(64 * 8, 3))
+    y = (X[:, 0] > 0).astype(np.int64)
+    write_sharded_dataset(directory, X, y, shard_rows=8, codec=codec)
+    counts = _Counts(monkeypatch)
+    with Session() as session:
+        session.open(f"shard://{directory}").close()
+    # One manifest parse, and no shard stat beside the open of its files.
+    assert (counts.manifests, counts.shard_stats) == (1, 0)
+    with Trainer(f"shard://{directory}", GaussianNaiveBayes()) as trainer:
+        trainer.poll_once()
+        ShardAppender(directory, shard_rows=8).append(X[:4], y[:4])
+        counts.manifests = counts.currents = counts.shard_stats = 0
+        assert trainer.poll_once().rows == 4
+    # CURRENT is read by the trainer's generation poll and by the refresh's
+    # manifest read, and by nothing else.
+    assert (counts.currents, counts.manifests, counts.shard_stats) == (2, 1, 0)

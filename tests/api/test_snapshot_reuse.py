@@ -206,15 +206,14 @@ def test_a_sealed_shard_that_changed_size_is_read_afresh(tmp_path, monkeypatch, 
         new.close()
 
 
-@pytest.mark.parametrize("how", ["refresh-open", "refresh-closed", "open-stale"])
+@pytest.mark.parametrize("how", ["refresh-open", "refresh-closed"])
 @pytest.mark.parametrize("codec", CODECS)
 def test_a_refresh_reads_only_the_shards_an_append_changed(
     tmp_path, monkeypatch, codec, how
 ):
     # 64 sealed 256-row shards and a 128-row tail; one more 128-row append
     # rewrites the tail and nothing else.  A refresh from the old snapshot,
-    # open or closed, or a plain open while the old one is still pooled
-    # (the pool opens from the stale entry), re-reads that tail alone.
+    # open or closed, re-reads that tail alone.
     directory = tmp_path / "ds"
     write_sharded_dataset(directory, *_make(64 * 256), shard_rows=256, codec=codec)
     appender = ShardAppender(directory, shard_rows=256)
@@ -225,11 +224,7 @@ def test_a_refresh_reads_only_the_shards_an_append_changed(
             old.close()
         appender.append(*_make(128, seed=2))
         reads = _Reads(monkeypatch)
-        if how == "open-stale":
-            new = session.open(f"shard://{directory}")
-            old.close()
-        else:
-            new = session.refresh(old, close_previous=True)
+        new = session.refresh(old, close_previous=True)
         assert 1 <= reads.headers <= 2
         assert reads.labels <= 2
         assert new.shape[0] == 64 * 256 + 256

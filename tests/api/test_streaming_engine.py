@@ -358,7 +358,7 @@ class TestStreamingProtocol:
 
 
 class TestLazyLabels:
-    """Fresh sessions per test: the handle pool shares label caches."""
+    """Fresh sessions per test, each dataset opened afresh."""
 
     @pytest.fixture()
     def shard_spec(self, tmp_path, problem):

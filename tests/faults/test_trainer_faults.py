@@ -2,9 +2,10 @@
 a read that fails for good publishes nothing and keeps the cursor, and the
 model that comes out is the fault-free one, bit for bit.
 
-The datasets are zlib-coded and unlabelled (label segments decode when a
-snapshot opens, under their own retry budget), so every positioned read
-of a poll is one of the trainer's delta reads.
+The datasets are zlib-coded, unlabelled and labelled.  A labelled poll's
+first positioned reads decode the new tail's label segment, inside the
+refresh and under that read's own retry budget; the trainer counts those
+retries as it counts its delta reads'.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.api.sharded import (
 )
 from repro.data.formats_v2 import BlockedMatrixReader, ChecksumError
 from repro.faults import RetriesExhausted, set_fault_plan
-from repro.ml import MiniBatchKMeans
+from repro.ml import GaussianNaiveBayes, MiniBatchKMeans
 from repro.serve import Trainer
 
 BASE, DELTA, COLS = 300, 100, 8
@@ -44,28 +45,30 @@ def _assert_same_model(left, right):
 class _Live:
     """One zlib dataset, appended to by hand, and a trainer caught up to it."""
 
-    def __init__(self, directory, X, session):
-        write_sharded_dataset(directory, X[:BASE], None, shard_rows=1024,
-                              codec="zlib", block_rows=64)
+    def __init__(self, directory, X, y, session):
+        write_sharded_dataset(directory, X[:BASE], None if y is None else y[:BASE],
+                              shard_rows=1024, codec="zlib", block_rows=64)
         self.directory = directory
-        self.X = X
+        self.X, self.y = X, y
         self.appender = ShardAppender(directory, shard_rows=1024)
-        self.trainer = Trainer(f"shard://{directory}", MiniBatchKMeans(n_clusters=3, seed=0),
-                               session=session)
+        model = MiniBatchKMeans(n_clusters=3, seed=0) if y is None else GaussianNaiveBayes()
+        self.trainer = Trainer(f"shard://{directory}", model, session=session)
         assert self.trainer.poll_once().rows == BASE
 
     def append(self, lo, hi):
-        self.appender.append(self.X[lo:hi])
+        self.appender.append(self.X[lo:hi], None if self.y is None else self.y[lo:hi])
 
     def published(self):
         return self.trainer.registry.resolve("default")
 
 
-@pytest.fixture()
-def live(tmp_path):
-    X = np.random.default_rng(3).normal(size=(BASE + DELTA, COLS))
+@pytest.fixture(params=["unlabelled", "labelled"])
+def live(tmp_path, request):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(BASE + DELTA, COLS))
+    y = rng.integers(0, 3, BASE + DELTA) if request.param == "labelled" else None
     with Session() as session:
-        runs = {name: _Live(tmp_path / name, X, session) for name in ("clean", "faulty")}
+        runs = {name: _Live(tmp_path / name, X, y, session) for name in ("clean", "faulty")}
         for run in runs.values():
             run.append(BASE, BASE + DELTA)
         yield runs
