@@ -507,6 +507,18 @@ class TestSessionIntegration:
             final.close()
             snap.close()
 
+    def test_each_open_reports_the_generation_it_read(self, tmp_path):
+        d = tmp_path / "ds"
+        _write(d, *_make(12), None)
+        with Session() as session:
+            static = session.open(f"shard://{d}")
+            ShardAppender(d).append(*_make(5, seed=1))
+            first = session.open(f"shard://{d}")
+            ShardAppender(d).append(*_make(5, seed=2))
+            second = session.open(f"shard://{d}")
+            assert (static.generation, first.generation, second.generation) == (0, 1, 2)
+            assert (static.shape[0], first.shape[0], second.shape[0]) == (12, 17, 22)
+
     def test_memory_backend_rejects_append(self):
         with Session() as session:
             dataset = session.from_arrays(np.ones((4, 2)), name="static")

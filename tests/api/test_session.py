@@ -9,6 +9,7 @@ import pytest
 from repro.api import Dataset, LocalEngine, Session, StreamingEngine, sharded, storage
 from repro.api.sharded import ShardAppender, write_sharded_dataset
 from repro.api.storage import ShardedBackend
+from repro.core.advice import AccessAdvice
 from repro.data.formats import write_binary_matrix
 from repro.ml import GaussianNaiveBayes, LogisticRegression
 from repro.serve import Trainer
@@ -211,6 +212,32 @@ class TestPlainOpens:
             if scheme == "shard":
                 with pytest.raises(RuntimeError, match="closed"):
                     backing[0:2]
+
+    def test_opens_with_different_advice_keep_their_own_advice(self, tmp_path, xy):
+        # madvise applies to a whole mapping; each open maps its own.
+        X, y = xy
+        with Session() as session:
+            spec = session.create(f"mmap://{tmp_path}/adv.m3", X, y)
+            sequential = session.open(spec, advice=AccessAdvice.SEQUENTIAL)
+            random = session.open(spec, advice=AccessAdvice.RANDOM)
+            assert sequential.matrix.backing is not random.matrix.backing
+            assert sequential.matrix.advice is AccessAdvice.SEQUENTIAL
+            assert random.matrix.advice is AccessAdvice.RANDOM
+            np.testing.assert_array_equal(np.asarray(random[:3]), X[:3])
+
+    def test_a_read_open_beside_a_write_open_stays_read_only(self, tmp_path, xy):
+        X, y = xy
+        with Session() as session:
+            spec = session.create(f"mmap://{tmp_path}/modes.m3", X, y)
+            reader = session.open(spec, mode="r")
+            writer = session.open(spec, mode="r+")
+            assert reader.matrix.backing is not writer.matrix.backing
+            writer[0:1] = X[0:1] + 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                reader[0:1] = X[0:1]
+            writer.flush()
+            # Both map the same file, so the reader sees the flushed row.
+            np.testing.assert_array_equal(np.asarray(reader[0:1]), X[0:1] + 2.0)
 
     def test_closed_datasets_are_pruned_from_the_session(self, tmp_path, xy):
         X, y = xy

@@ -233,6 +233,32 @@ def test_a_refresh_reads_only_the_shards_an_append_changed(
         new.close()
 
 
+@pytest.mark.parametrize("codec", CODECS)
+def test_a_plain_open_beside_a_held_snapshot_shares_nothing_with_it(
+    tmp_path, monkeypatch, codec
+):
+    # Only a refresh reuses a snapshot's sealed state: a plain open of the
+    # same spec, with the old snapshot still open, checks every shard itself
+    # and reads the latest generation, and the old snapshot keeps its own.
+    directory = tmp_path / "ds"
+    write_sharded_dataset(directory, *_make(8 * 16), shard_rows=16, codec=codec)
+    appender = ShardAppender(directory, shard_rows=16)
+    appender.append(*_make(8, seed=1))
+    with Session() as session:
+        old = session.open(f"shard://{directory}")
+        committed = _contents(old)
+        appender.append(*_make(8, seed=2))
+        reads = _Reads(monkeypatch)
+        new = session.open(f"shard://{directory}")
+        assert reads.headers == 9, reads.headers
+        assert new.generation == old.generation + 1
+        monkeypatch.undo()
+        assert _contents(new) == _fresh(directory)
+        assert _contents(old) == committed
+        old.close()
+        new.close()
+
+
 def _open_descriptors():
     return len(os.listdir("/proc/self/fd"))
 
