@@ -4,7 +4,8 @@
 Demonstrates:
 
 * Lloyd's k-means with the paper's settings (k = 5, 10 iterations) running
-  directly on a memory-mapped dataset file;
+  directly on a memory-mapped dataset (``mmap://``: one raw, checksummed
+  shard the OS maps);
 * k-means++ vs random initialisation;
 * mini-batch k-means (the online-learning extension the paper's ongoing work
   points to), which converges with far fewer passes over the data;
@@ -32,7 +33,7 @@ from repro.ml.metrics import clustering_purity, silhouette_score
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp, Session() as session:
-        dataset_path = Path(tmp) / "infimnist_kmeans.m3"
+        dataset_path = Path(tmp) / "infimnist_kmeans.m3"   # a one-shard dataset directory
         write_infimnist_dataset(dataset_path, num_examples=3000, seed=3)
         X, y = session.open(f"mmap://{dataset_path}").arrays()
         labels = np.asarray(y)

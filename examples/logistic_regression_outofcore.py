@@ -6,8 +6,9 @@ L-BFGS) on Infimnist datasets of 10–190 GB on a machine with 32 GB of RAM.
 This example reproduces the pipeline at laptop scale and then projects it to
 paper scale:
 
-1. write a dataset to disk and train *through the memory map*, recording the
-   exact byte ranges the algorithm touches;
+1. write a dataset to disk (``mmap://``: one raw, checksummed shard) and
+   train *through the memory map*, recording the exact byte ranges the
+   algorithm touches;
 2. inspect the recorded access pattern (it is a sequence of sequential scans —
    the pattern the OS read-ahead rewards);
 3. replay the same pattern in the virtual-memory simulator configured like the
@@ -35,7 +36,7 @@ from repro.ml import LogisticRegression
 
 
 def train_with_trace(dataset_path: Path) -> tuple:
-    """Train binary LR on the memory-mapped file, recording the access trace."""
+    """Train binary LR on the memory-mapped shard, recording the access trace."""
     with Session() as session:
         dataset = session.open(f"mmap://{dataset_path}", record_trace=True)
         labels = (np.asarray(dataset.labels) >= 5).astype(np.int64)  # 0-4 vs 5-9

@@ -9,8 +9,8 @@ This example mirrors the paper's Table 1 story through the new
 3. hand it to completely ordinary estimators — multiclass logistic regression
    trained with 10 iterations of L-BFGS, and k-means with 5 clusters —
 4. verify the models behave exactly as they would on an in-memory copy,
-5. show that swapping the storage backend (single memory-mapped file →
-   sharded directory) changes *nothing* downstream,
+5. show that swapping the storage backend (one memory-mapped shard →
+   many shards) changes *nothing* downstream,
 6. train through the **streaming engine**: chunk-pipelined ``partial_fit``
    with background prefetch, reporting how much of the I/O was hidden
    behind compute, and
@@ -360,7 +360,7 @@ Table 1's one changed line, and what the session adds around it::
 
     X, y = session.open("mmap://d.m3").arrays()   # the changed line
     model.fit(X, y)                               # unchanged
-    session.create("mmap://d.m3", X, y)           # write a dataset file
+    session.create("mmap://d.m3", X, y)           # write one mapped shard
     session.open(spec, record_trace=True).trace   # access pattern, per handle
     session.fit(model, ds, engine="streaming")    # or local
 
@@ -387,12 +387,14 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp, Session() as session:
         dataset_path = Path(tmp) / "infimnist_quickstart.m3"
 
-        # 1. Generate 4,000 deformed digit images (784 features each) on disk.
+        # 1. Generate 4,000 deformed digit images (784 features each) on disk:
+        #    one raw, checksummed shard, which the OS maps at open.
         started = time.perf_counter()
-        header = write_infimnist_dataset(dataset_path, num_examples=4000, seed=7)
+        manifest = write_infimnist_dataset(dataset_path, num_examples=4000, seed=7)
         print(
-            f"generated {header.rows} x {header.cols} dataset "
-            f"({header.file_bytes / 1e6:.1f} MB) in {time.perf_counter() - started:.1f}s"
+            f"generated {manifest.rows} x {manifest.cols} dataset "
+            f"({manifest.compressed_bytes / 1e6:.1f} MB) in "
+            f"{time.perf_counter() - started:.1f}s"
         )
 
         # 2. Open it through the session.  This is the only M3-specific line.

@@ -6,12 +6,12 @@ competitive with small Spark clusters.  This package reproduces the system and
 its evaluation:
 
 * :mod:`repro.api` — the unified API: a :class:`~repro.api.Session` resolving
-  URI-style dataset specs (``mmap://file.m3``, ``shard://dir/``,
+  URI-style dataset specs (``mmap://data.m3``, ``shard://dir/``,
   ``memory://name``) to pluggable storage backends, handing out
   :class:`~repro.api.Dataset` handles, and dispatching ``session.fit`` to
   execution engines (``local``, ``streaming``).
 * :mod:`repro.core` — the original M3 primitives (memory-mapped matrices,
-  ``mmap_alloc``, access advice).
+  ``mmap_alloc``).
 * :mod:`repro.ml` — the machine learning library being scaled (L-BFGS logistic
   regression, k-means, and friends), written against the plain row-slicing
   protocol so in-memory, memory-mapped and sharded data are interchangeable.
@@ -39,8 +39,9 @@ Table 1's one-line change
         X, y = session.open("mmap://d.m3").arrays()              # the changed line
         model = LogisticRegression(max_iterations=10).fit(X, y)  # unchanged
 
-``session.create("mmap://d.m3", X, y)`` writes such a file
-(``"shard://dir/"`` shards the matrix across files);
+``session.create("mmap://d.m3", X, y)`` writes such a dataset — a
+directory holding the matrix as one raw, checksummed shard, mapped zero-copy
+at open (``"shard://dir/"`` splits it across shards, optionally compressed);
 ``session.open(spec, record_trace=True).trace`` records one handle's access
 pattern, which ``repro.vmem.VirtualMemorySimulator(config).run_trace(trace)``
 replays at paper scale; ``session.fit(model, ds, engine="local" |

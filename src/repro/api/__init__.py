@@ -55,7 +55,9 @@ Paper-scale replay is not an engine: open the dataset with
 sizes this machine cannot hold.
 
 Table 1's one-line change is ``X, y = session.open("mmap://d.m3").arrays()``:
-the estimator code after it is untouched.
+the estimator code after it is untouched.  ``mmap://`` and ``shard://`` are
+one stored form — a directory of checksummed v2 shards — and ``mmap://`` is
+its one-shard, raw case, opened as a single zero-copy memory map.
 """
 
 from repro.api.chunks import (

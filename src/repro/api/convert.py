@@ -1,24 +1,25 @@
 """Streaming conversion of a dataset into blocked (v2) shards.
 
-``convert_dataset`` re-encodes a single ``.m3`` matrix file or a sharded
-directory into a new sharded directory, never holding more than one band of
-rows at a time.  It backs ``m3 convert``: pick a codec (``zlib``
-compresses; ``None`` or ``"none"`` stores raw rows that open memory-mapped)
-and optionally downcast the storage dtype.  Output blocks are row-major.
+``convert_dataset`` re-encodes a sharded directory (``mmap://`` included) or
+a legacy single ``.m3`` matrix file into a new sharded directory, never
+holding more than one band of rows at a time.  It backs ``m3 convert``: pick
+a codec (``zlib`` compresses; ``None`` or ``"none"`` stores raw rows that
+open memory-mapped) and optionally downcast the storage dtype.  Output
+blocks are row-major.
 
 It is also the one reader of the legacy stored forms every other opener
-refuses with :class:`~repro.api.sharded.LegacyFormatError`: v1 ``.m3`` shard
-directories (labels trailing each shard, or in a ``.labels`` sidecar once
-appended to) and column-layout ``.m3b`` shards.  It parses such a manifest
-itself and reads each shard with the single-file reader that exists anyway —
-:func:`~repro.data.formats.open_binary_matrix` (the reader behind
-``mmap://``) or :class:`~repro.data.formats_v2.BlockedMatrixReader`.
+refuses with :class:`~repro.api.sharded.LegacyFormatError`: a single v1
+``.m3`` file, v1 ``.m3`` shard directories (labels trailing each shard, or
+in a ``.labels`` sidecar once appended to) and column-layout ``.m3b``
+shards.  It parses such a manifest itself and reads each file with the
+single-file reader of its form —
+:func:`~repro.data.formats.open_binary_matrix` (read-only, the v1 reader)
+or :class:`~repro.data.formats_v2.BlockedMatrixReader`.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import groupby
 from pathlib import Path
 from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
 
@@ -27,20 +28,15 @@ import numpy as np
 from repro.api.sharded import (
     DEFAULT_SHARD_ROWS,
     LegacyFormatError,
-    ShardInfo,
     ShardManifest,
     generation_manifest_name,
     manifest_generation,
     open_sharded_matrix,
-    write_manifest,
+    write_streamed_dataset,
 )
-from repro.data.codecs import Codec, get_codec
+from repro.data.codecs import Codec
 from repro.data.formats import open_binary_matrix
-from repro.data.formats_v2 import (
-    BlockedMatrixReader,
-    BlockedMatrixWriter,
-    default_block_rows,
-)
+from repro.data.formats_v2 import BlockedMatrixReader
 
 #: Rows moved per copy step; bounds converter memory to roughly
 #: ``CONVERT_CHUNK_ROWS * cols * itemsize`` regardless of dataset size, and
@@ -58,7 +54,7 @@ class _Source:
         self.shard_heights: List[int] = []
         self._closers: List[Callable[[], None]] = []
         if path.is_file():
-            data, labels, header = open_binary_matrix(path, mode="r")
+            data, labels, header = open_binary_matrix(path)
             self.cols, self.dtype, self.has_labels = header.cols, header.dtype, header.has_labels
             self.pieces.append((header.rows, data, labels))
         elif not path.is_dir():
@@ -88,7 +84,7 @@ class _Source:
         for entry in payload["shards"]:
             path, rows = directory / entry["filename"], int(entry["rows"])
             if payload["version"] == 1:
-                data, labels, header = open_binary_matrix(path, mode="r")
+                data, labels, header = open_binary_matrix(path)
                 if entry.get("label_sidecar"):  # raw int64 labels beside the shard
                     labels = np.memmap(f"{path}.labels", dtype=np.int64, mode="r",
                                        shape=(rows,))
@@ -174,51 +170,16 @@ def convert_dataset(
             shard_rows = max(src.shard_heights, default=0) or DEFAULT_SHARD_ROWS
         if shard_rows <= 0:
             raise ValueError(f"shard_rows must be positive, got {shard_rows}")
-
-        resolved_codec = (
-            codec if isinstance(codec, Codec) else get_codec(codec or "none")
-        )
-        resolved_storage = np.dtype(
-            src.dtype if storage_dtype is None else storage_dtype
-        )
-        if block_rows is None:
-            block_rows = default_block_rows(src.cols, resolved_storage.itemsize)
-
-        destination.mkdir(parents=True, exist_ok=True)
-        shards: List[ShardInfo] = []
-        for index, bands in groupby(src.bands(shard_rows), lambda band: band[0] // shard_rows):
-            with BlockedMatrixWriter(
-                destination / f"shard-{index:05d}.m3b",
-                cols=src.cols,
-                block_rows=block_rows,
-                codec=resolved_codec,
-                dtype=src.dtype,
-                storage_dtype=resolved_storage,
-            ) as writer:
-                for _start, rows, labels in bands:
-                    writer.append(rows)
-                    if labels is not None:
-                        writer.append_labels(labels)
-                header = writer.finalize()
-            shards.append(ShardInfo(
-                filename=writer.path.name,
-                start_row=index * shard_rows,
-                rows=header.rows,
-                compressed_bytes=header.compressed_bytes,
-                raw_bytes=header.raw_bytes,
-            ))
-
-        manifest = ShardManifest(
-            rows=src.rows,
-            cols=src.cols,
-            dtype=np.dtype(src.dtype),
-            has_labels=src.has_labels,
-            shards=shards,
-            codec=resolved_codec.name,
+        return write_streamed_dataset(
+            destination,
+            src.bands(shard_rows),
+            src.cols,
+            src.dtype,
+            src.has_labels,
+            shard_rows,
+            codec=codec,
             block_rows=block_rows,
-            storage_dtype=resolved_storage,
+            storage_dtype=storage_dtype,
         )
-        write_manifest(destination, manifest)
-        return manifest
     finally:
         src.close()

@@ -5,15 +5,17 @@ A ``Dataset`` bundles the ``(matrix, labels)`` pair an estimator trains on
 
 * the access trace is **per handle** (``dataset.trace``), never shared
   mutable state, so concurrent opens cannot clobber each other's traces;
-* the handle has a lifecycle — ``close()``/``flush()`` and context-manager
-  support — so backends holding file descriptors (mmap, sharded) release them
+* the handle has a lifecycle — ``close()`` and context-manager support — so
+  backends holding maps and file descriptors (mmap, shard) release them
   deterministically;
 * shape, dtype, labels and backend metadata travel together, which is what a
   scheduler needs when it ships work to other processes or nodes.
 
 The matrix itself is always an :class:`~repro.core.mmap_matrix.MmapMatrix`
-wrapping the backend's raw storage, so estimators see the exact same
-row-slicing protocol regardless of the backend.
+wrapping the backend's raw storage — an ``ndarray`` in memory, a
+:class:`~repro.api.sharded.ShardedMatrix` on disk (one zero-copy map for
+``mmap://``) — so estimators see the exact same row-slicing protocol
+regardless of the backend.  Every handle is read-only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.api.storage import StorageBackend, StorageHandle, parse_spec
-from repro.core.advice import AccessAdvice
 from repro.core.mmap_matrix import MmapMatrix
 from repro.vmem.trace import AccessTrace
 
@@ -42,8 +43,6 @@ class Dataset:
         The spec string the dataset was opened from (informational).
     backend:
         The backend that produced ``handle``.
-    advice:
-        Access advice to apply to the mapping.
     record_trace:
         When true, a fresh :class:`~repro.vmem.trace.AccessTrace` is attached
         and every access through the handle is recorded into it.
@@ -57,7 +56,6 @@ class Dataset:
         handle: StorageHandle,
         spec: str = "",
         backend: Optional[StorageBackend] = None,
-        advice: AccessAdvice = AccessAdvice.SEQUENTIAL,
         record_trace: bool = False,
         on_close: Optional[Any] = None,
     ) -> None:
@@ -68,11 +66,7 @@ class Dataset:
         self._closed = False
         trace = AccessTrace(description=f"dataset({self.spec})") if record_trace else None
         self._matrix = MmapMatrix(
-            handle.matrix,
-            source_path=handle.metadata.get("path"),
-            advice=advice,
-            trace=trace,
-            data_offset=handle.data_offset,
+            handle.matrix, source_path=handle.metadata.get("path"), trace=trace
         )
 
     # -- identity ----------------------------------------------------------
@@ -139,9 +133,6 @@ class Dataset:
     def __getitem__(self, key: Any) -> np.ndarray:
         return self.matrix[key]
 
-    def __setitem__(self, key: Any, value: Any) -> None:
-        self.matrix[key] = value
-
     def __array__(self, dtype=None) -> np.ndarray:
         return self.matrix.__array__(dtype)
 
@@ -151,7 +142,7 @@ class Dataset:
     def generation(self) -> Optional[int]:
         """The manifest generation this handle is a snapshot of.
 
-        ``None`` for backends without generations (memory, mmap).  This
+        ``None`` for the memory backend, which has no generations.  This
         handle keeps serving exactly this generation's rows no matter how
         many appends commit after it was opened; re-open (or
         :meth:`Session.refresh`) to see newer rows.
@@ -167,14 +158,14 @@ class Dataset:
         deliberately unaffected — readers mid-scan never see rows move
         underneath them; open a fresh handle (``Session.refresh``) to
         observe the appended rows.  Only generation-versioned backends
-        (``shard://``) support appending.
+        (``shard://``, ``mmap://``) support appending.
         """
         self._check_open()
         append_fn = getattr(self.backend, "append", None)
         if append_fn is None:
             raise TypeError(
                 f"the {self.backend_name!r} backend does not support append; "
-                f"appendable datasets live on the shard:// backend"
+                f"appendable datasets live on disk (shard://, mmap://)"
             )
         location = self._handle.metadata.get("path")
         if not location:
@@ -202,16 +193,10 @@ class Dataset:
         if self._closed:
             raise RuntimeError(f"dataset {self.spec or '<anonymous>'} is closed")
 
-    def flush(self) -> None:
-        """Flush dirty pages of writable backings to disk."""
-        if not self._closed:
-            self._matrix.flush()
-
     def close(self) -> None:
-        """Flush and release backend resources.  Idempotent."""
+        """Release backend resources.  Idempotent."""
         if self._closed:
             return
-        self.flush()
         self._closed = True
         if self._handle.closer is not None:
             self._handle.closer()

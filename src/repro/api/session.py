@@ -17,7 +17,8 @@ A ``Session`` resolves URI-style dataset specs to
         print(result.model.coef_, result.wall_time_s)
 
 Swapping storage is one spec change (``"shard://dir/"`` instead of
-``"mmap://file.m3"``); swapping execution is one keyword
+``"mmap://data.m3"`` — a dataset of many shards, or of coded ones, for the
+one memory-mapped raw shard); swapping execution is one keyword
 (``engine="streaming"``) — the estimator code is untouched, which is the
 paper's transparency claim carried through every backend and engine.  A
 dataset opened with ``record_trace=True`` hands its access trace to
@@ -51,7 +52,7 @@ from repro.api.storage import (
     make_backend,
     parse_spec,
 )
-from repro.core.advice import AccessAdvice
+
 
 class Session:
     """Owns storage backends, open datasets and the default execution engine.
@@ -128,33 +129,22 @@ class Session:
 
     # -- dataset lifecycle -------------------------------------------------
 
-    def open(
-        self,
-        spec: SpecLike,
-        mode: str = "r",
-        advice: AccessAdvice = AccessAdvice.SEQUENTIAL,
-        record_trace: bool = False,
-    ) -> Dataset:
-        """Open the dataset at ``spec`` and return a :class:`Dataset` handle.
-
-        ``mode`` is the ``numpy.memmap`` mode (read-only by default),
-        ``advice`` the access advice applied to the mapping (sequential, the
-        order every algorithm in the paper scans its rows), and
-        ``record_trace=True`` attaches a fresh access trace to the handle.
+    def open(self, spec: SpecLike, record_trace: bool = False) -> Dataset:
+        """Open the dataset at ``spec`` (read-only) and return a
+        :class:`Dataset` handle; ``record_trace=True`` attaches a fresh
+        access trace to it.
 
         Every open maps and opens the dataset's files afresh and owns them
         until the handle is closed (or the session is), so an open after a
-        rewrite, a flush or an append reads the dataset as it is now.
+        rewrite or an append reads the dataset as it is now.  Mapped shards
+        are advised sequential, the order every algorithm in the paper
+        scans its rows in.
         """
-        return self._open(
-            spec, advice, record_trace,
-            lambda backend, location: backend.open(location, mode=mode),
-        )
+        return self._open(spec, record_trace, lambda backend, location: backend.open(location))
 
     def _open(
         self,
         spec: SpecLike,
-        advice: AccessAdvice,
         record_trace: bool,
         opener: Callable[[StorageBackend, str], StorageHandle],
     ) -> Dataset:
@@ -167,7 +157,6 @@ class Session:
                 opener(backend, parsed.location),
                 spec=str(parsed),
                 backend=backend,
-                advice=advice,
                 record_trace=record_trace,
                 on_close=self._forget,
             )
@@ -228,7 +217,7 @@ class Session:
         if not isinstance(dataset, Dataset):
             return self.open(dataset)
         refreshed = self._open(
-            dataset.spec, AccessAdvice.SEQUENTIAL, False,
+            dataset.spec, False,
             lambda backend, location: backend.open_from(location, dataset._handle),
         )
         if close_previous:

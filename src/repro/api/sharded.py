@@ -18,8 +18,9 @@ is read:
   region *is* a row-major matrix, so it is mapped (and so is the raw int64
   label segment) with ``np.memmap``.  Contiguous row chunks inside one shard
   are zero-copy views; chunks that straddle a shard boundary are assembled
-  with one copy.  Mapped reads skip segment CRCs (as raw reads of a single
-  ``.m3`` file do); :func:`verify_dataset` still checks them.
+  with one copy.  Mapped reads skip segment CRCs (a read is a page
+  fault); :func:`verify_dataset` still checks them.  A one-shard mapped
+  dataset is ``mmap://``, the paper's memory-mapped matrix.
 * **decoded** — every other manifest: each shard gets a
   :class:`~repro.data.formats_v2.BlockedMatrixReader` that decodes blocks
   (CRC-checked), and the two-phase ``fetch_compressed`` / ``decode_into``
@@ -28,11 +29,12 @@ is read:
 
 Either way the matrix implements the estimator row-slicing protocol
 (``shape``, ``dtype``, ``__getitem__``), so a sharded dataset is as
-transparent to unmodified ML code as a single memory-mapped file, and it is
+transparent to unmodified ML code as an in-memory array, and it is
 read-only.  That is the only stored form opened here: :func:`read_manifest`
-refuses the legacy ones — version 1 ``.m3`` shard directories and
-column-layout v2 directories — with :class:`LegacyFormatError`, naming
-``m3 convert``, their one reader (:mod:`repro.api.convert`).
+refuses the legacy ones — a single v1 ``.m3`` file, version 1 ``.m3`` shard
+directories and column-layout v2 directories — with
+:class:`LegacyFormatError`, naming ``m3 convert``, their one reader
+(:mod:`repro.api.convert`).
 
 Appendable datasets
 -------------------
@@ -60,8 +62,9 @@ import json
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -81,6 +84,7 @@ from repro.data.formats_v2 import (
     verify_blocked_file,
     write_blocked_matrix,
 )
+from repro.durable import durable_replace, fsync_directory
 from repro.fanout import available_cpus, map_ordered
 from repro.faults import maybe_fire, policy_for
 
@@ -92,10 +96,19 @@ DEFAULT_BLOCK_CACHE_BYTES = 32 * 1024 * 1024
 
 
 class LegacyFormatError(ValueError):
-    """A dataset in a stored form this build only converts: v1 ``.m3``
-    shards or column-layout blocks.  ``m3 convert SRC DST --codec raw|zlib``
-    rewrites it as row-major v2 shards, which open, append and scrub.
+    """A dataset in a stored form this build only converts: a v1 ``.m3``
+    file, v1 ``.m3`` shards or column-layout blocks.
+    ``m3 convert SRC DST --codec raw|zlib`` rewrites it as row-major v2
+    shards, which open, append and scrub.
     """
+
+
+def _legacy(location: Path, what: str) -> LegacyFormatError:
+    """The refusal of ``location``, which ``what`` (a verb phrase) describes."""
+    return LegacyFormatError(
+        f"{location} {what}, a legacy form this build only converts: "
+        f"run `m3 convert SRC DST --codec raw|zlib` and use the copy at DST"
+    )
 
 
 @dataclass(frozen=True)
@@ -315,10 +328,12 @@ def read_manifest(
     of a static dataset.  Passing a generation pins the read to that
     generation's immutable manifest file, which is how snapshot readers
     re-open the exact row set they first saw regardless of concurrent
-    appends.  It is the one gate of every sharded opener: a legacy manifest
-    raises :class:`LegacyFormatError`.
+    appends.  It is the one gate of every sharded opener: a legacy manifest,
+    or a regular file (a v1 ``.m3`` matrix), raises :class:`LegacyFormatError`.
     """
     directory = Path(directory)
+    if directory.is_file():
+        raise _legacy(directory, "is a single v1 .m3 file")
     if generation is None:
         generation = manifest_generation(directory)
         if generation is None:
@@ -339,10 +354,7 @@ def read_manifest(
         payload = json.load(handle)
     if payload.get("version") == 1 or payload.get("layout") == "column":
         form = "v1 .m3 shards" if payload.get("version") == 1 else "column-layout blocks"
-        raise LegacyFormatError(
-            f"{directory} stores {form}, a legacy form this build only converts: "
-            f"run `m3 convert SRC DST --codec raw|zlib` and use the copy at DST"
-        )
+        raise _legacy(directory, f"stores {form}")
     manifest = ShardManifest.from_json(payload)
     if manifest.generation != generation:
         raise ValueError(
@@ -353,31 +365,8 @@ def read_manifest(
 
 
 def _durable_replace(tmp: Path, path: Path) -> None:
-    """Move the finished file ``tmp`` onto ``path``: fsync, rename, fsync
-    the directory — the one durability step of every file written here.
-
-    A rename is durable only once its directory is fsynced, so no later
-    step's rename can survive a crash without this one.  A fault at
-    ``append.pre_fsync`` or ``append.pre_rename`` leaves the previous
-    ``path`` intact (``tmp`` is garbage a later write overwrites); one at
-    ``append.post_rename`` models a crash after this step, before the next.
-    """
-    with tmp.open("r+b") as handle:
-        maybe_fire("append.pre_fsync", str(path))
-        os.fsync(handle.fileno())
-    maybe_fire("append.pre_rename", str(path))
-    os.replace(tmp, path)
-    _fsync_directory(path.parent)
-    maybe_fire("append.post_rename", str(path))
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Make the renames and unlinks done in ``directory`` durable."""
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    """:func:`~repro.durable.durable_replace` at the ``append.*`` fault sites."""
+    durable_replace(tmp, path, fault_sites="append")
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -433,7 +422,7 @@ def _clear_generation_state(directory: Path) -> None:
             continue
         unlinked = True
     if unlinked:
-        _fsync_directory(directory)
+        fsync_directory(directory)
 
 
 def write_sharded_dataset(
@@ -526,6 +515,71 @@ def write_sharded_dataset(
         cols=int(data.shape[1]),
         dtype=np.dtype(data.dtype),
         has_labels=labels is not None,
+        shards=shards,
+        codec=resolved_codec.name,
+        block_rows=block_rows,
+        storage_dtype=resolved_storage,
+    )
+    write_manifest(directory, manifest)
+    return manifest
+
+
+def write_streamed_dataset(
+    directory: Union[str, Path],
+    bands: Iterable[Tuple[int, np.ndarray, Optional[np.ndarray]]],
+    cols: int,
+    dtype: Any,
+    has_labels: bool,
+    shard_rows: int,
+    codec: Optional[Union[str, Codec]] = None,
+    block_rows: Optional[int] = None,
+    storage_dtype: Optional[Any] = None,
+) -> ShardManifest:
+    """Write a sharded dataset from ``(start_row, rows, labels)`` bands.
+
+    The streaming twin of :func:`write_sharded_dataset`, behind
+    ``m3 convert`` and ``m3 generate``: bands come in row order, none
+    crossing a multiple of ``shard_rows``, and each goes straight into its
+    shard's :class:`~repro.data.formats_v2.BlockedMatrixWriter`, so memory
+    holds one band and the blocks in flight, never the dataset.  ``labels``
+    is ``None`` in every band of an unlabelled dataset; an empty dataset is
+    one empty band.  ``codec``, ``block_rows`` and ``storage_dtype`` are
+    :func:`write_sharded_dataset`'s.
+    """
+    directory = Path(directory)
+    resolved_codec = codec if isinstance(codec, Codec) else get_codec(codec or "none")
+    resolved_storage = np.dtype(dtype if storage_dtype is None else storage_dtype)
+    if block_rows is None:
+        block_rows = default_block_rows(cols, resolved_storage.itemsize)
+    directory.mkdir(parents=True, exist_ok=True)
+    _clear_generation_state(directory)
+    shards: List[ShardInfo] = []
+    for index, group in groupby(bands, lambda band: band[0] // shard_rows):
+        with BlockedMatrixWriter(
+            directory / f"shard-{index:05d}.m3b",
+            cols=cols,
+            block_rows=block_rows,
+            codec=resolved_codec,
+            dtype=dtype,
+            storage_dtype=resolved_storage,
+        ) as writer:
+            for _start, rows, labels in group:
+                writer.append(rows)
+                if labels is not None:
+                    writer.append_labels(labels)
+            header = writer.finalize()
+        shards.append(ShardInfo(
+            filename=writer.path.name,
+            start_row=index * shard_rows,
+            rows=header.rows,
+            compressed_bytes=header.compressed_bytes,
+            raw_bytes=header.raw_bytes,
+        ))
+    manifest = ShardManifest(
+        rows=sum(shard.rows for shard in shards),
+        cols=cols,
+        dtype=np.dtype(dtype),
+        has_labels=has_labels,
         shards=shards,
         codec=resolved_codec.name,
         block_rows=block_rows,

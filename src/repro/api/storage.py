@@ -1,16 +1,20 @@
 """Pluggable storage backends behind the :class:`~repro.api.Dataset` handle.
 
-A :class:`StorageBackend` turns a *location* (a path, directory or in-memory
+A :class:`StorageBackend` turns a *location* (a directory or an in-memory
 name) into a raw 2-D matrix plus optional labels, and knows how to create new
-datasets at such a location.  Three backends ship with the library:
+datasets at such a location.  Three backends ship with the library, two of
+them over one stored form:
 
 ``memory``
     Named in-memory arrays.  The degenerate backend that makes the
     transparency property testable — the same :class:`~repro.api.Dataset`
     code path works on plain ``ndarray`` data.
 ``mmap``
-    A single M3 binary matrix file served through ``numpy.memmap`` — the
-    paper's storage model.
+    The paper's storage model: one dense, row-major matrix the OS maps.  It
+    is a ``shard`` dataset of one raw (codec ``none``) shard — ``create``
+    writes every row into that shard and takes no options — so it opens as
+    one zero-copy memory map, and every block carries a CRC that
+    :func:`~repro.api.sharded.verify_dataset` (``m3 info --verify``) checks.
 ``shard``
     A directory of blocked ``.m3b`` files tiling the matrix row-wise (see
     :mod:`repro.api.sharded`); row chunks are served across shard boundaries.
@@ -23,7 +27,8 @@ datasets at such a location.  Three backends ship with the library:
     column-layout blocks, written by older versions, do not open: they
     raise :class:`~repro.api.sharded.LegacyFormatError`, which names
     ``m3 convert SRC DST --codec raw|zlib``, the one door they come in
-    through.  Every handle is read-only: rows are added by appending.
+    through; so does a single v1 ``.m3`` file.  Every handle is read-only:
+    rows are added by appending.
 ``shard`` (appendable)
     Sharded directories in the current form are also *appendable*:
     ``Dataset.append`` streams rows into an open tail shard and commits a new
@@ -42,7 +47,8 @@ datasets at such a location.  Three backends ship with the library:
 Locations are written as URI-style *specs* — ``"mmap:///data/train.m3"``,
 ``"shard:///data/train/"``, ``"memory://train"`` — or as bare filesystem
 paths, in which case the scheme is inferred (directory → ``shard``,
-otherwise ``mmap``).
+otherwise ``mmap``, so a bare path creates a one-shard dataset and a bare
+path to a regular file is refused as the legacy ``.m3`` file it is).
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from typing import Any, Dict, Optional, Tuple, Type, Union
 
 import numpy as np
 
+from repro.api.chunks import ReadaheadHinter
 from repro.api.sharded import (
     CURRENT_NAME,
     MANIFEST_NAME,
@@ -64,12 +71,6 @@ from repro.api.sharded import (
     open_sharded_matrix,
     read_manifest,
     write_sharded_dataset,
-)
-from repro.data.formats import (
-    HEADER_SIZE,
-    open_binary_matrix,
-    read_binary_matrix_header,
-    write_binary_matrix,
 )
 
 SpecLike = Union[str, Path]
@@ -124,15 +125,12 @@ class StorageHandle:
     Attributes
     ----------
     matrix:
-        The raw 2-D matrix (``ndarray``, ``memmap`` or
+        The raw 2-D matrix (``ndarray`` or
         :class:`~repro.api.sharded.ShardedMatrix`).  The :class:`Dataset`
         wraps it in an :class:`~repro.core.mmap_matrix.MmapMatrix` for trace
-        recording and advice.
+        recording.
     labels:
         Optional label vector aligned with the matrix rows.
-    data_offset:
-        Byte offset of row 0 within the backing file, so recorded trace
-        offsets are file offsets (0 when there is no single backing file).
     metadata:
         Backend-specific facts (shard count, file size, …) surfaced through
         ``Dataset.info()``.
@@ -142,7 +140,6 @@ class StorageHandle:
 
     matrix: Any
     labels: Optional[np.ndarray] = None
-    data_offset: int = 0
     metadata: Dict[str, Any] = field(default_factory=dict)
     closer: Optional[Any] = None
 
@@ -162,11 +159,11 @@ class StorageBackend(abc.ABC):
     scheme: str = ""
 
     @abc.abstractmethod
-    def open(self, location: str, mode: str = "r") -> StorageHandle:
-        """Open the dataset at ``location`` and return its raw pieces."""
+    def open(self, location: str) -> StorageHandle:
+        """Open the dataset at ``location`` (read-only) and return its raw pieces."""
 
     def open_from(
-        self, location: str, previous: Optional[StorageHandle], mode: str = "r"
+        self, location: str, previous: Optional[StorageHandle]
     ) -> StorageHandle:
         """:meth:`open`, from ``previous`` — a handle, open or closed, on an
         earlier snapshot of ``location``, or ``None``.
@@ -174,7 +171,7 @@ class StorageBackend(abc.ABC):
         A backend with snapshots may build the new handle on state the old
         one kept, which both then share.  The default opens afresh.
         """
-        return self.open(location, mode=mode)
+        return self.open(location)
 
     @abc.abstractmethod
     def create(
@@ -203,7 +200,7 @@ class MemoryBackend(StorageBackend):
     def __init__(self) -> None:
         self._store: Dict[str, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
 
-    def open(self, location: str, mode: str = "r") -> StorageHandle:
+    def open(self, location: str) -> StorageHandle:
         if location not in self._store:
             raise KeyError(
                 f"no in-memory dataset named {location!r}; create it with "
@@ -213,7 +210,6 @@ class MemoryBackend(StorageBackend):
         return StorageHandle(
             matrix=data,
             labels=labels,
-            data_offset=0,
             metadata={
                 "backend": self.scheme,
                 "rows": int(data.shape[0]),
@@ -251,58 +247,6 @@ class MemoryBackend(StorageBackend):
         return location in self._store
 
 
-class MmapBackend(StorageBackend):
-    """A single M3 binary matrix file served through ``numpy.memmap``."""
-
-    scheme = "mmap"
-
-    def open(self, location: str, mode: str = "r") -> StorageHandle:
-        path = Path(location)
-        data, labels, header = open_binary_matrix(path, mode=mode)
-        return StorageHandle(
-            matrix=data,
-            labels=labels,
-            data_offset=HEADER_SIZE,
-            metadata={
-                "backend": self.scheme,
-                "path": str(path),
-                "rows": header.rows,
-                "cols": header.cols,
-                "dtype": str(header.dtype),
-                "has_labels": header.has_labels,
-                "nbytes": header.data_bytes,
-                "file_bytes": header.file_bytes,
-            },
-        )
-
-    def create(
-        self,
-        location: str,
-        data: np.ndarray,
-        labels: Optional[np.ndarray] = None,
-        **options: Any,
-    ) -> str:
-        _reject_options(self.scheme, options)
-        write_binary_matrix(Path(location), data, labels)
-        return location
-
-    def info(self, location: str) -> Dict[str, Any]:
-        header = read_binary_matrix_header(Path(location))
-        return {
-            "backend": self.scheme,
-            "path": location,
-            "rows": header.rows,
-            "cols": header.cols,
-            "dtype": str(header.dtype),
-            "has_labels": header.has_labels,
-            "nbytes": header.data_bytes,
-            "file_bytes": header.file_bytes,
-        }
-
-    def exists(self, location: str) -> bool:
-        return Path(location).is_file()
-
-
 class ShardedBackend(StorageBackend):
     """A directory of M3 shard files tiling the matrix row-wise."""
 
@@ -326,32 +270,28 @@ class ShardedBackend(StorageBackend):
             "compression_ratio": manifest.ratio,
         }
 
-    def open(self, location: str, mode: str = "r") -> StorageHandle:
-        self._check_mode(mode)
+    def open(self, location: str) -> StorageHandle:
         # The manifest decides whether the shards are mapped or decoded; the
         # matrix is a snapshot of the latest committed generation.
         return self._handle(location, open_sharded_matrix(Path(location)))
 
     def open_from(
-        self, location: str, previous: Optional[StorageHandle], mode: str = "r"
+        self, location: str, previous: Optional[StorageHandle]
     ) -> StorageHandle:
         """The latest generation, sharing ``previous``'s state for every
         sealed shard it lists unchanged (:meth:`ShardedMatrix.refresh`)."""
         earlier = None if previous is None else previous.matrix
         if not isinstance(earlier, ShardedMatrix) or earlier.directory != Path(location):
-            return self.open(location, mode=mode)
-        self._check_mode(mode)
+            return self.open(location)
         return self._handle(location, earlier.refresh())
 
-    @staticmethod
-    def _check_mode(mode: str) -> None:
-        if mode != "r":
-            raise ValueError(
-                f"sharded datasets are read-only (mode {mode!r}); add rows "
-                f"with Dataset.append or re-encode with m3 convert"
-            )
-
     def _handle(self, location: str, matrix: ShardedMatrix) -> StorageHandle:
+        # Every open maps its shards afresh; each new map is marked
+        # MADV_SEQUENTIAL once, the order every algorithm of the paper scans
+        # its rows in (decoded shards have no map and take no hint).
+        hinter = ReadaheadHinter(matrix)
+        hinter.advise_sequential()
+        hinter.close()
         metadata = self._metadata(location, matrix.manifest)
         metadata["generation"] = matrix.generation
         # One file per shard: the parallel chunk pipeline sizes its reader
@@ -363,7 +303,6 @@ class ShardedBackend(StorageBackend):
             # Labels stay a lazy per-shard view: in-core consumers materialise
             # them once via np.asarray, the streaming engine slices per chunk.
             labels=matrix.lazy_labels,
-            data_offset=0,
             metadata=metadata,
             closer=matrix.close,
         )
@@ -434,6 +373,31 @@ class ShardedBackend(StorageBackend):
         """
         appender = ShardAppender(Path(location), trace=trace)
         return appender.append(data, labels).generation
+
+
+class MmapBackend(ShardedBackend):
+    """The paper's memory-mapped matrix: a sharded dataset of one raw shard.
+
+    Everything but :meth:`create` is the shard backend's — open, refresh,
+    info, verify and append — and the matrix is a one-shard
+    :class:`~repro.api.sharded.ShardedMatrix` mapped zero-copy.
+    """
+
+    scheme = "mmap"
+
+    def create(
+        self,
+        location: str,
+        data: np.ndarray,
+        labels: Optional[np.ndarray] = None,
+        **options: Any,
+    ) -> str:
+        _reject_options(self.scheme, options)
+        data = np.asarray(data)
+        write_sharded_dataset(
+            Path(location), data, labels, shard_rows=max(1, int(data.shape[0]))
+        )
+        return location
 
 
 #: The backend classes, keyed by URI scheme.

@@ -10,7 +10,7 @@ claims behind it are
    trained on the in-memory copy, because the algorithm is untouched.
 
 ``run_table1`` verifies both on a real dataset written to disk: it trains the
-same estimator on an in-memory array and on the memory-mapped file, compares
+same estimator on an in-memory array and on the memory-mapped dataset, compares
 the fitted parameters, and reports the "lines changed" between the two user
 programs (which are embedded below exactly as a user would write them).
 """
@@ -81,8 +81,8 @@ def run_table1(
     """Run the transparency experiment inside ``workdir``.
 
     A synthetic classification dataset is materialised both in memory and as
-    an M3 binary file; the same estimator is trained on each and the results
-    are compared.
+    an ``mmap://`` dataset (one raw shard the OS maps); the same estimator
+    is trained on each and the results are compared.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -97,7 +97,7 @@ def run_table1(
     # Original program: in-memory array.
     in_memory_model = LogisticRegression(**kwargs).fit(X, y)
 
-    # M3 program: memory-mapped file, identical estimator code.
+    # M3 program: memory-mapped dataset, identical estimator code.
     with Session() as session:
         session.create(f"mmap://{dataset_path}", X, y)
         X_mapped, y_mapped = session.open(f"mmap://{dataset_path}").arrays()

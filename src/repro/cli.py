@@ -3,16 +3,17 @@
 ``python -m repro`` (or the installed ``m3`` script) exposes the main
 reproduction entry points:
 
-* ``m3 generate`` — materialise an Infimnist-style dataset file.
+* ``m3 generate`` — materialise an Infimnist-style dataset as ``mmap://``
+  stores it: a directory holding one raw, checksummed v2 shard.
 * ``m3 info`` — describe a dataset (rows, columns, dtype, backend, shards;
   sharded datasets additionally report codec, block geometry and per-shard
   compression ratios).
 * ``m3 convert`` — re-encode a dataset as raw (memory-mapped) or
   compressed blocked v2 shards (``--codec``, ``--dtype``); the block and
   shard geometry are the library's defaults and new shards are row-major.
-  It is the one command that reads v1 shard directories and column-layout
-  datasets written by older versions; every other command refuses them,
-  naming ``m3 convert SRC DST --codec raw|zlib``.
+  It is the one command that reads a v1 ``.m3`` file, v1 shard directories
+  and column-layout datasets written by older versions; every other command
+  refuses them, naming ``m3 convert SRC DST --codec raw|zlib``.
 * ``m3 train`` — train logistic regression or k-means on a dataset through
   the unified :class:`~repro.api.Session` API (``--engine local``, the
   default); ``--engine streaming [--chunk-rows N]`` trains
@@ -55,7 +56,7 @@ reproduction entry points:
   ``repro`` package; exit code 0 = clean, 1 = findings, 2 = usage error.
 
 Dataset arguments accept plain paths as well as URI-style specs
-(``mmap://file.m3``, ``shard://directory/``).
+(``mmap://data.m3``, ``shard://directory/``); every dataset is a directory.
 """
 
 from __future__ import annotations
@@ -189,10 +190,10 @@ def _print_pipeline_details(details: dict) -> None:
 def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.data.writers import write_infimnist_dataset
 
-    header = write_infimnist_dataset(args.output, num_examples=args.examples, seed=args.seed)
+    manifest = write_infimnist_dataset(args.output, num_examples=args.examples, seed=args.seed)
     print(
-        f"wrote {header.rows} x {header.cols} ({header.file_bytes / 1e6:.1f} MB) "
-        f"to {args.output}"
+        f"wrote {manifest.rows} x {manifest.cols} "
+        f"({manifest.compressed_bytes / 1e6:.1f} MB, one raw shard) to {args.output}"
     )
     return 0
 
@@ -226,7 +227,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     # What a full-matrix pass over this dataset would fan out over, here and now.
     print(f"compute threads: {compute_threads()} (BLAS threads: {blas_threads()})")
     if args.verify:
-        problems = _verify_dataset_files(info.get("path", args.dataset))
+        from repro.api.sharded import verify_dataset
+
+        # Every block of every shard, mapped ones included: read, CRC-checked
+        # and decoded (the info above already refused a legacy form).
+        problems = verify_dataset(info["path"])
         if problems:
             for problem in problems:
                 print(f"verify: {problem}", file=sys.stderr)
@@ -237,29 +242,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
             return 1
         print("verify: OK — every block read, CRC-checked and decoded")
     return 0
-
-
-def _verify_dataset_files(path_str: str) -> List[str]:
-    """Full scrub behind ``m3 info --verify``; returns problem strings.
-
-    Dispatches on what sits at ``path_str``: sharded dataset directories go
-    through :func:`repro.api.sharded.verify_dataset` (every shard, every
-    block), a single ``.m3`` matrix file through the header's own size
-    validation.  (A lone ``.m3b`` file never gets here: ``m3 info`` reads
-    every non-directory as an ``.m3`` file and refuses it first.)
-    """
-    path = Path(path_str)
-    if path.is_dir():
-        from repro.api.sharded import verify_dataset
-
-        return verify_dataset(path)
-    from repro.data.formats import read_binary_matrix_header
-
-    try:
-        read_binary_matrix_header(path)
-    except (OSError, ValueError) as error:
-        return [f"{path}: {error}"]
-    return []
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
@@ -740,14 +722,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    generate = sub.add_parser("generate", help="generate an Infimnist-style dataset file")
-    generate.add_argument("output", type=Path, help="output .m3 file")
+    generate = sub.add_parser(
+        "generate", help="generate an Infimnist-style dataset (one raw, mapped v2 shard)"
+    )
+    generate.add_argument("output", type=Path,
+                          help="output dataset directory (open it as mmap://OUTPUT)")
     generate.add_argument("--examples", type=_positive_int, default=10000,
                           help="number of images")
     generate.add_argument("--seed", type=int, default=0)
     generate.set_defaults(func=_cmd_generate)
 
-    info = sub.add_parser("info", help="describe a dataset (header / shard manifest)")
+    info = sub.add_parser("info", help="describe a dataset (its shard manifest)")
     info.add_argument("dataset", type=str, help="a dataset path or URI spec")
     info.add_argument("--verify", action="store_true",
                       help="scrub the dataset: read every block, check CRCs, "
@@ -759,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-encode a dataset as raw or compressed blocked v2 shards",
     )
     convert.add_argument("source", type=str,
-                         help="a .m3 matrix file or a sharded dataset directory")
+                         help="a dataset directory, or a legacy v1 .m3 file")
     convert.add_argument("destination", type=Path,
                          help="output shard directory (created; must not "
                               "already hold a dataset)")

@@ -17,21 +17,21 @@ Key pieces:
   back an array view of it (``MmapMatrix(mmap_alloc(path, shape, mode="r"))``
   maps any headerless file of the right size).
 * :class:`~repro.core.mmap_matrix.MmapMatrix` — a matrix wrapper around
-  ``numpy.memmap`` that supports the row-slicing protocol estimators use,
-  optionally records its access pattern into an
-  :class:`~repro.vmem.trace.AccessTrace`, and accepts access *advice*.
+  ``numpy.memmap`` (or any 2-D array) that supports the row-slicing protocol
+  estimators use and optionally records its access pattern into an
+  :class:`~repro.vmem.trace.AccessTrace`.
 
 Datasets are opened through :class:`repro.api.Session`, which adds pluggable
 storage backends (``mmap``, ``shard``, ``memory``), execution engines and
-per-handle traces.
+per-handle traces.  An ``mmap://`` dataset is one raw, checksummed shard
+mapped zero-copy and advised sequential at open: the paper's dense,
+row-major file.
 """
 
-from repro.core.advice import AccessAdvice
 from repro.core.allocator import mmap_alloc
 from repro.core.mmap_matrix import MmapMatrix
 
 __all__ = [
-    "AccessAdvice",
     "mmap_alloc",
     "MmapMatrix",
 ]

@@ -58,8 +58,7 @@ def mmap_alloc(
         The default ``"r+"`` creates the file if missing and maps it
         read-write.
     offset:
-        Byte offset of the array within the file (used by the binary format's
-        header).
+        Byte offset of the array within the file (to skip a header).
 
     Returns
     -------

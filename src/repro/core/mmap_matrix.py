@@ -7,9 +7,7 @@ This is the object an M3 user hands to an unmodified estimator.  It wraps a
   ``__setitem__``) that every estimator in :mod:`repro.ml` relies on,
 * optionally records each access into an :class:`~repro.vmem.trace.AccessTrace`
   so that the exact access pattern can be replayed in the virtual-memory
-  simulator at paper scale,
-* applies :class:`~repro.core.advice.AccessAdvice` to the underlying mapping
-  when the platform supports ``madvise``.
+  simulator at paper scale.
 
 Because slicing returns plain ndarray views/copies provided by NumPy, an
 ``MmapMatrix`` is interchangeable with an in-memory array — which is the whole
@@ -23,7 +21,6 @@ from typing import Any, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.advice import AccessAdvice, apply_advice
 from repro.vmem.trace import AccessKind, AccessTrace
 
 
@@ -33,14 +30,12 @@ class MmapMatrix:
     Parameters
     ----------
     backing:
-        The underlying 2-D array — usually a ``numpy.memmap`` created by
-        :func:`repro.core.allocator.mmap_alloc` or
-        :func:`repro.data.formats.open_binary_matrix`, but any ndarray works
-        (useful in tests and for the transparency property).
+        The underlying 2-D array — a ``numpy.memmap`` created by
+        :func:`repro.core.allocator.mmap_alloc`, the
+        :class:`~repro.api.sharded.ShardedMatrix` a dataset opens, or any
+        ndarray (useful in tests and for the transparency property).
     source_path:
-        Path of the backing file, if any (informational).
-    advice:
-        Access advice to apply to the mapping.
+        Path of the backing file or dataset, if any (informational).
     trace:
         Optional trace to record accesses into.
     data_offset:
@@ -52,7 +47,6 @@ class MmapMatrix:
         self,
         backing: Any,
         source_path: Optional[Union[str, Path]] = None,
-        advice: AccessAdvice = AccessAdvice.SEQUENTIAL,
         trace: Optional[AccessTrace] = None,
         data_offset: int = 0,
     ) -> None:
@@ -60,11 +54,9 @@ class MmapMatrix:
             raise ValueError("backing must be a 2-D array-like")
         self._backing = backing
         self.source_path = Path(source_path) if source_path is not None else None
-        self.advice = advice
         self.trace = trace
         self.data_offset = int(data_offset)
         self._row_bytes = int(backing.shape[1]) * np.dtype(backing.dtype).itemsize
-        self._apply_advice()
 
     # -- array protocol ----------------------------------------------------
 
@@ -168,20 +160,6 @@ class MmapMatrix:
 
     # -- management ---------------------------------------------------------
 
-    def _apply_advice(self) -> bool:
-        if not self.is_memory_mapped:
-            return False
-        try:
-            view = memoryview(self._backing._mmap)  # noqa: SLF001
-        except (AttributeError, TypeError):
-            return False
-        return apply_advice(view, self.advice)
-
-    def set_advice(self, advice: AccessAdvice) -> bool:
-        """Change the access advice; returns whether it could be applied."""
-        self.advice = advice
-        return self._apply_advice()
-
     def flush(self) -> None:
         """Flush dirty pages to disk (no-op for plain ndarrays)."""
         flush = getattr(self._backing, "flush", None)
@@ -190,8 +168,7 @@ class MmapMatrix:
 
     def __repr__(self) -> str:
         location = str(self.source_path) if self.source_path else "anonymous"
-        kind = "memmap" if self.is_memory_mapped else "in-memory"
         return (
             f"MmapMatrix(shape={self.shape}, dtype={self.dtype}, "
-            f"backing={kind}, source={location!r})"
+            f"backing={type(self._backing).__name__}, source={location!r})"
         )

@@ -9,9 +9,12 @@ glyphs and applies deterministic pseudo-random translations, elastic-style
 deformations and noise — preserving what the experiments need: an arbitrarily
 large, dense, learnable matrix of 28×28 grayscale digit images.
 
-The package also provides the on-disk formats (a raw dense binary matrix
-format suitable for memory mapping), synthetic Gaussian-blob generators used
-by unit tests, and chunked out-of-core writers.
+The package also provides the on-disk formats — the blocked, checksummed v2
+file every dataset is stored in (:mod:`repro.data.formats_v2`; its raw form
+is the dense row-major matrix memory mapping needs) and the legacy v1 ``.m3``
+file only ``m3 convert`` reads (:mod:`repro.data.formats`) — synthetic
+Gaussian-blob generators used by unit tests, and the out-of-core Infimnist
+writer.
 """
 
 from repro.data.digits import DIGIT_TEMPLATES, render_digit
@@ -19,13 +22,11 @@ from repro.data.deformations import DeformationParams, deform_image
 from repro.data.infimnist import InfimnistGenerator, NUM_FEATURES
 from repro.data.formats import (
     BinaryMatrixHeader,
-    create_binary_matrix,
     open_binary_matrix,
     read_binary_matrix_header,
-    write_binary_matrix,
 )
 from repro.data.synthetic import make_blobs, make_classification, make_low_rank_matrix
-from repro.data.writers import OutOfCoreWriter, write_infimnist_dataset
+from repro.data.writers import write_infimnist_dataset
 
 __all__ = [
     "DIGIT_TEMPLATES",
@@ -35,13 +36,10 @@ __all__ = [
     "InfimnistGenerator",
     "NUM_FEATURES",
     "BinaryMatrixHeader",
-    "create_binary_matrix",
     "open_binary_matrix",
     "read_binary_matrix_header",
-    "write_binary_matrix",
     "make_blobs",
     "make_classification",
     "make_low_rank_matrix",
-    "OutOfCoreWriter",
     "write_infimnist_dataset",
 ]

@@ -1,8 +1,14 @@
-"""The M3 binary matrix format.
+"""The legacy v1 M3 binary matrix file, read only by ``m3 convert``.
 
-The central requirement of memory mapping is that the on-disk representation
-*is* the in-memory representation: a dense, row-major array of fixed-width
-elements with a small fixed-size header.  This module defines that format.
+Older builds stored a memory-mapped dataset as one file: a dense, row-major
+array of fixed-width elements behind a small fixed-size header, with no
+checksum anywhere.  Nothing writes it any more.  Every dataset is now a
+directory of blocked, checksummed v2 shards (:mod:`repro.data.formats_v2`);
+``mmap://`` is one raw shard, whose data region is the same dense row-major
+matrix.  Every opener refuses a v1 file with
+:class:`~repro.api.sharded.LegacyFormatError`, and
+:func:`repro.api.convert.convert_dataset` reads it through
+:func:`open_binary_matrix`, read-only.
 
 Layout::
 
@@ -18,8 +24,7 @@ Layout::
     bytes 64..     row-major data matrix, then (optionally) an int64 label
                    vector of length ``rows``
 
-The 64-byte header keeps the data section 64-byte aligned, which is friendly
-to both the page cache and SIMD loads.
+The 64-byte header keeps the data section 64-byte aligned.
 """
 
 from __future__ import annotations
@@ -66,22 +71,6 @@ class BinaryMatrixHeader:
     def label_offset(self) -> int:
         """Byte offset of the label vector within the file."""
         return HEADER_SIZE + self.data_bytes
-
-
-def _pack_header(dtype: np.dtype, rows: int, cols: int, has_labels: bool) -> bytes:
-    dtype_str = np.dtype(dtype).str.encode("ascii")
-    if len(dtype_str) > 16:
-        raise ValueError(f"dtype string too long: {dtype_str!r}")
-    return _HEADER_STRUCT.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        len(dtype_str),
-        dtype_str.ljust(16, b"\0"),
-        rows,
-        cols,
-        1 if has_labels else 0,
-        0,
-    )
 
 
 def read_binary_matrix_header(path: Union[str, Path]) -> BinaryMatrixHeader:
@@ -138,82 +127,10 @@ def read_binary_matrix_header(path: Union[str, Path]) -> BinaryMatrixHeader:
     return header
 
 
-def write_binary_matrix(
-    path: Union[str, Path],
-    data: np.ndarray,
-    labels: Optional[np.ndarray] = None,
-) -> BinaryMatrixHeader:
-    """Write a dense matrix (and optional labels) to ``path`` in M3 format.
-
-    Parameters
-    ----------
-    path:
-        Destination file path.
-    data:
-        2-D array of shape ``(rows, cols)``.
-    labels:
-        Optional 1-D integer array of length ``rows``.
-    """
-    path = Path(path)
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise ValueError(f"data must be 2-D, got shape {data.shape}")
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (data.shape[0],):
-            raise ValueError(
-                f"labels must have shape ({data.shape[0]},), got {labels.shape}"
-            )
-    rows, cols = data.shape
-    header = _pack_header(data.dtype, rows, cols, labels is not None)
-    with path.open("wb") as handle:
-        handle.write(header.ljust(HEADER_SIZE, b"\0"))
-        handle.write(np.ascontiguousarray(data).tobytes())
-        if labels is not None:
-            handle.write(labels.tobytes())
-    return read_binary_matrix_header(path)
-
-
-def create_binary_matrix(
-    path: Union[str, Path],
-    rows: int,
-    cols: int,
-    dtype: Union[str, np.dtype] = np.float64,
-    with_labels: bool = False,
-) -> BinaryMatrixHeader:
-    """Create an (uninitialised) M3 matrix file of the given shape.
-
-    The file is created sparse where the filesystem supports it (only the
-    header is physically written, the rest is a hole), so "creating" a huge
-    dataset file is cheap; rows are filled in later by an
-    :class:`~repro.data.writers.OutOfCoreWriter` or by writing through a
-    memory map.
-    """
-    path = Path(path)
-    dtype = np.dtype(dtype)
-    if rows < 0 or cols <= 0:
-        raise ValueError(f"invalid shape ({rows}, {cols})")
-    header_bytes = _pack_header(dtype, rows, cols, with_labels)
-    total = HEADER_SIZE + rows * cols * dtype.itemsize + (rows * 8 if with_labels else 0)
-    with path.open("wb") as handle:
-        handle.write(header_bytes.ljust(HEADER_SIZE, b"\0"))
-        handle.truncate(total)
-    return read_binary_matrix_header(path)
-
-
 def open_binary_matrix(
     path: Union[str, Path],
-    mode: str = "r",
 ) -> Tuple[np.memmap, Optional[np.memmap], BinaryMatrixHeader]:
-    """Open an M3 matrix file as memory-mapped arrays.
-
-    Parameters
-    ----------
-    path:
-        The matrix file.
-    mode:
-        ``"r"`` (read-only), ``"r+"`` (read-write) or ``"c"`` (copy-on-write),
-        as accepted by :class:`numpy.memmap`.
+    """Open a v1 matrix file as read-only memory-mapped arrays.
 
     Returns
     -------
@@ -226,7 +143,7 @@ def open_binary_matrix(
     data = np.memmap(
         path,
         dtype=header.dtype,
-        mode=mode,
+        mode="r",
         offset=HEADER_SIZE,
         shape=(header.rows, header.cols),
         order="C",
@@ -236,7 +153,7 @@ def open_binary_matrix(
         labels = np.memmap(
             path,
             dtype=np.int64,
-            mode=mode,
+            mode="r",
             offset=header.label_offset,
             shape=(header.rows,),
         )

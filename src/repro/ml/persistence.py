@@ -28,6 +28,8 @@ from typing import Any, Dict, Type, Union
 
 import numpy as np
 
+from repro.durable import durable_replace
+
 FORMAT_NAME = "m3-model"
 FORMAT_VERSION = 1
 
@@ -111,6 +113,10 @@ def save_model(path: Union[str, Path], model: Any) -> Path:
 
     Non-data attributes (optimisation results, cached objectives) are
     recorded by name under ``"skipped"`` but their values are dropped.
+    The JSON goes to a same-directory tmp file first and replaces ``path``
+    through :func:`~repro.durable.durable_replace`, so a save cut short
+    leaves the previous model loadable (``m3 traind --save-model`` rewrites
+    one path on every publish).
     """
     params: Dict[str, Any] = {}
     skipped = []
@@ -141,9 +147,11 @@ def save_model(path: Union[str, Path], model: Any) -> Path:
         "skipped": sorted(skipped),
     }
     path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
+    durable_replace(tmp, path)
     return path
 
 

@@ -11,7 +11,6 @@ from repro.api.sharded import (
     read_manifest,
     write_sharded_dataset,
 )
-from repro.data.formats import write_binary_matrix
 
 
 @pytest.fixture()
@@ -58,9 +57,9 @@ class TestConvert:
         np.testing.assert_array_equal(matrix.lazy_labels[:], y)
         matrix.close()
 
-    def test_single_file_source(self, source, tmp_path):
+    def test_single_file_source(self, source, tmp_path, write_v1):
         _tmp, X, y = source
-        write_binary_matrix(tmp_path / "one.m3", X, y)
+        write_v1(tmp_path / "one.m3", X, y)
         manifest = convert_dataset(tmp_path / "one.m3", tmp_path / "from_file",
                                    codec="zlib", shard_rows=300)
         assert len(manifest.shards) == 4  # 1000 rows / 300

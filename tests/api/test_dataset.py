@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import Session
+from repro.api.sharded import ShardedMatrix
 from repro.core.mmap_matrix import MmapMatrix
 
 
@@ -29,10 +30,16 @@ class TestHandle:
         assert dataset.nbytes == X.nbytes
         assert dataset.has_labels
 
-    def test_matrix_is_mmap_matrix(self, session_and_dataset):
+    def test_matrix_is_one_mapped_shard(self, session_and_dataset):
         _, dataset, _, _ = session_and_dataset
         assert isinstance(dataset.matrix, MmapMatrix)
-        assert dataset.matrix.is_memory_mapped
+        backing = dataset.matrix.backing
+        assert isinstance(backing, ShardedMatrix)
+        assert backing.mapped and backing.num_shards == 1
+        # Zero-copy: a row range is a view of the shard's map, whose rows
+        # start on a cache line.
+        assert isinstance(dataset[2:9], np.memmap)
+        assert dataset[0:1].ctypes.data % 64 == 0
 
     def test_arrays_matches_legacy_shape(self, session_and_dataset):
         _, dataset, X, y = session_and_dataset
@@ -83,15 +90,17 @@ class TestLifecycle:
             _ = dataset[0]
         dataset.close()  # idempotent
 
-    def test_writable_flush_roundtrip(self, tmp_path):
-        session = Session()
-        session.create(f"mmap://{tmp_path}/w.m3", np.zeros((4, 2)))
-        dataset = session.open(f"mmap://{tmp_path}/w.m3", mode="r+")
-        dataset[1] = [5.0, 6.0]
-        dataset.close()
-        reread = session.open(f"mmap://{tmp_path}/w.m3")
-        np.testing.assert_array_equal(reread[1], [5.0, 6.0])
-        session.close()
+    def test_handle_is_read_only_and_rows_come_by_append(self, session_and_dataset):
+        session, dataset, X, y = session_and_dataset
+        with pytest.raises(TypeError):
+            dataset[1] = [5.0, 6.0, 7.0, 8.0]
+        with pytest.raises(TypeError):
+            dataset.matrix[1] = 0.0
+        assert dataset.append(X[:3] + 1.0, y[:3]) == 1
+        assert dataset.shape == X.shape  # the snapshot is unaffected
+        refreshed = session.refresh(dataset)
+        np.testing.assert_array_equal(refreshed[20:], X[:3] + 1.0)
+        np.testing.assert_array_equal(np.asarray(refreshed.labels)[20:], y[:3])
 
     def test_repr(self, session_and_dataset):
         _, dataset, _, _ = session_and_dataset

@@ -14,7 +14,10 @@ Three fixtures pin bytes that older builds wrote and nothing writes any more:
 
 Every opener refuses each of them with :class:`LegacyFormatError` naming
 ``m3 convert`` and changes no byte; ``convert_dataset`` turns each into an
-ordinary dataset that reads back exactly, appends and scrubs clean.
+ordinary dataset that reads back exactly, appends and scrubs clean.  So it
+goes for a single v1 ``.m3`` file (the first ``v1_shards/static`` shard),
+the form ``mmap://`` and bare file paths opened before ``mmap://`` became a
+one-shard v2 dataset.
 """
 
 import json
@@ -170,3 +173,55 @@ def test_truncated_v1_shard_fails_the_convert_naming_it(tmp_path):
     with pytest.raises(ValueError, match="truncated") as err:
         convert_dataset(directory, tmp_path / "out")
     assert str(path) in str(err.value)
+
+
+#: A single v1 ``.m3`` file: the first shard of ``v1_shards/static``, a
+#: labelled 7 x 3 matrix — what ``mmap://`` and every bare file path opened
+#: before the one stored form.
+V1_FILE = FIXTURES / "v1_shards" / "static" / "shard-00000.m3"
+
+
+@pytest.fixture()
+def v1_file(tmp_path):
+    return Path(shutil.copy(V1_FILE, tmp_path / "old.m3"))
+
+
+def _session_call(method, spec):
+    with Session() as session:
+        getattr(session, method)(spec)
+
+
+FILE_OPENERS = {
+    "Session.open-path": lambda path: _session_call("open", path),
+    "Session.open-mmap": lambda path: _session_call("open", f"mmap://{path}"),
+    "Session.open-shard": lambda path: _session_call("open", f"shard://{path}"),
+    "Session.info": lambda path: _session_call("info", str(path)),
+    "ShardAppender": ShardAppender,
+    "verify_dataset": verify_dataset,
+    "m3-info": lambda path: main(["info", str(path)]),
+    "m3-info-verify": lambda path: main(["info", str(path), "--verify"]),
+    "m3-train": lambda path: main(["train", str(path), "--iterations", "1"]),
+}
+
+
+@pytest.mark.parametrize("opener", sorted(FILE_OPENERS))
+def test_every_opener_refuses_a_v1_file_and_changes_no_byte(v1_file, opener):
+    before = v1_file.read_bytes()
+    with pytest.raises(LegacyFormatError, match=r"m3 convert SRC DST --codec raw\|zlib") as err:
+        FILE_OPENERS[opener](v1_file)
+    assert str(v1_file) in str(err.value)
+    assert v1_file.read_bytes() == before
+
+
+@pytest.mark.parametrize("codec", ["raw", "zlib"])
+def test_m3_convert_is_the_v1_files_one_door(v1_file, tmp_path, codec, capsys):
+    _fixture, X, y = FORMS["v1-static"]
+    destination = tmp_path / "copy"
+    assert main(["convert", str(v1_file), str(destination), "--codec", codec]) == 0
+    with Session() as session:
+        copy = session.open(destination)
+        assert copy.matrix.backing.mapped == (codec == "raw")
+        np.testing.assert_array_equal(copy[:], X[:7])
+        np.testing.assert_array_equal(np.asarray(copy.labels), y[:7])
+    assert main(["info", str(destination), "--verify"]) == 0
+    assert "verify: OK" in capsys.readouterr().out

@@ -32,6 +32,8 @@ import repro.cli
 import repro.core
 import repro.core.allocator
 import repro.data
+import repro.data.formats
+import repro.data.writers
 import repro.distributed
 import repro.ml
 import repro.ml.metrics
@@ -39,13 +41,14 @@ import repro.ml.optim
 import repro.ml.optim.line_search
 from repro.api import (
     ChunkStream,
+    MmapBackend,
     Session,
     ShardedBackend,
     StreamingEngine,
     open_chunk_stream,
     plan_chunks,
 )
-from repro.core import AccessAdvice, MmapMatrix
+from repro.core import MmapMatrix
 from repro.api.dataset import Dataset
 from repro.api.engines import ENGINE_REGISTRY, ExecutionEngine, FitResult, PredictResult
 from repro.api.convert import convert_dataset
@@ -54,12 +57,14 @@ from repro.api.sharded import (
     ShardedMatrix,
     open_sharded_matrix,
     write_sharded_dataset,
+    write_streamed_dataset,
 )
 from repro.bench.figure1a import run_figure1a
 from repro.bench.figure1b import run_figure1b
 from repro.bench.m3_model import M3RuntimeModel
 from repro.bench.reproduce import reproduce
 from repro.data.codecs import Codec
+from repro.data.formats import open_binary_matrix
 from repro.data.writers import write_infimnist_dataset
 from repro.data.formats_v2 import (
     BlockedMatrixReader,
@@ -89,10 +94,16 @@ def parameters(function) -> tuple:
         # benchmarks/e2e/probes.py, which passes 0, the one value it takes
         # (test_session_pools_no_handles).  There is no config object.
         (Session.__init__, ("engine", "handle_pool_size", "faults")),
-        (Session.open, ("spec", "mode", "advice", "record_trace")),
-        # Dataset.append passes trace= only; Session.open passes mode= only,
-        # and ShardedBackend.open refuses every mode but "r".
-        (ShardedBackend.open, ("location", "mode")),
+        # Every stored dataset is read-only and checksummed: no open takes
+        # a mode, and mapped shards are advised sequential at open, always.
+        (Session.open, ("spec", "record_trace")),
+        (ShardedBackend.open, ("location",)),
+        (ShardedBackend.open_from, ("location", "previous")),
+        (Dataset.__init__, ("handle", "spec", "backend", "record_trace", "on_close")),
+        (MmapMatrix.__init__, ("backing", "source_path", "trace", "data_offset")),
+        # mmap:// is one raw shard: its create takes no option.
+        (MmapBackend.create, ("location", "data", "labels", "options")),
+        # Dataset.append passes trace= only.
         # One sharded reader, read-only, its block cache sized by a constant.
         (ShardedMatrix.__init__, ("directory", "generation")),
         (open_sharded_matrix, ("directory", "generation")),
@@ -133,6 +144,12 @@ def parameters(function) -> tuple:
              "shard_rows"),
         ),
         (write_infimnist_dataset, ("path", "num_examples", "target_bytes", "seed")),
+        (
+            write_streamed_dataset,
+            ("directory", "bands", "cols", "dtype", "has_labels", "shard_rows", "codec",
+             "block_rows", "storage_dtype"),
+        ),
+        (open_binary_matrix, ("path",)),
         (ShardAppender.__init__, ("directory", "shard_rows", "trace")),
         (encode_block, ("rows", "codec", "storage_dtype")),
         (encode_blocks, ("blocks", "codec", "storage_dtype")),
@@ -277,6 +294,20 @@ def test_parameter_set(function, expected):
         (Dataset, "start_trace"),
         (Dataset, "stop_trace"),
         (MmapMatrix, "attach_trace"),
+        # One stored form: the v1 file is read only by m3 convert, storage
+        # is read-only, and the one hint path is ReadaheadHinter's.
+        (repro.core, "AccessAdvice"),
+        (MmapMatrix, "set_advice"),
+        (MmapMatrix, "advice"),
+        (Dataset, "flush"),
+        (Dataset, "__setitem__"),
+        (repro.data, "OutOfCoreWriter"),
+        (repro.data, "write_binary_matrix"),
+        (repro.data, "create_binary_matrix"),
+        (repro.data.formats, "write_binary_matrix"),
+        (repro.data.formats, "create_binary_matrix"),
+        (repro.data.writers, "OutOfCoreWriter"),
+        (repro.cli, "_verify_dataset_files"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
@@ -306,6 +337,7 @@ def test_mini_spark_module_is_gone(module):
         "repro.ml.optim.sgd",
         "repro.vmem.advisor",
         "repro.vmem.locality",
+        "repro.core.advice",
     ],
 )
 def test_tests_only_module_is_gone(module):
@@ -314,14 +346,13 @@ def test_tests_only_module_is_gone(module):
 
 
 def test_session_open_defaults():
-    # Read-only, sequential advice, no trace: Session.open's own defaults,
-    # with no config object behind them.
+    # No trace: Session.open's one default, with no config object behind it.
     defaults = {
         name: parameter.default
         for name, parameter in inspect.signature(Session.open).parameters.items()
         if name not in ("self", "spec")
     }
-    assert defaults == {"mode": "r", "advice": AccessAdvice.SEQUENTIAL, "record_trace": False}
+    assert defaults == {"record_trace": False}
     with Session() as session:
         assert not hasattr(session, "config")
 

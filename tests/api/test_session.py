@@ -6,11 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import Dataset, LocalEngine, Session, StreamingEngine, sharded, storage
+from repro.api import Dataset, LocalEngine, Session, StreamingEngine, chunks, sharded, storage
 from repro.api.sharded import ShardAppender, write_sharded_dataset
 from repro.api.storage import ShardedBackend
-from repro.core.advice import AccessAdvice
-from repro.data.formats import write_binary_matrix
 from repro.ml import GaussianNaiveBayes, LogisticRegression
 from repro.serve import Trainer
 
@@ -61,9 +59,12 @@ class TestOpenCreate:
     def test_plain_path_accepted(self, tmp_path, xy):
         X, y = xy
         with Session() as session:
-            session.create(tmp_path / "p.m3", X, y)
+            # A bare path that names nothing yet creates one mapped shard
+            # (mmap); once created it names a directory, which opens as shard.
+            assert session.create(tmp_path / "p.m3", X, y) == f"mmap://{tmp_path / 'p.m3'}"
             dataset = session.open(tmp_path / "p.m3")
-            assert dataset.backend_name == "mmap"
+            assert dataset.backend_name == "shard"
+            assert dataset.info()["num_shards"] == 1 and dataset.matrix.backing.mapped
 
     def test_info(self, tmp_path, xy):
         X, y = xy
@@ -159,24 +160,13 @@ class TestLifecycle:
 class TestPlainOpens:
     """Every open maps and opens the dataset afresh and owns what it opened."""
 
-    def test_an_open_after_a_close_reads_a_rewritten_file(self, tmp_path, xy):
+    def test_an_open_after_a_close_reads_a_rewritten_dataset(self, tmp_path, xy):
         X, y = xy
         with Session() as session:
             spec = session.create(f"mmap://{tmp_path}/rw.m3", X, y)
             session.open(spec).close()
-            write_binary_matrix(tmp_path / "rw.m3", X * 10.0, y)
+            write_sharded_dataset(tmp_path / "rw.m3", X * 10.0, y, shard_rows=len(X))
             np.testing.assert_array_equal(np.asarray(session.open(spec)[:3]), X[:3] * 10.0)
-
-    def test_an_open_after_a_flush_reads_the_flushed_rows(self, tmp_path, xy):
-        X, y = xy
-        with Session() as session:
-            spec = session.create(f"mmap://{tmp_path}/fl.m3", X, y)
-            writer = session.open(spec, mode="r+")
-            writer[0:2] = X[0:2] + 5.0
-            writer.flush()
-            reader = session.open(spec)
-            assert reader.matrix.backing is not writer.matrix.backing
-            np.testing.assert_array_equal(np.asarray(reader[0:2]), X[0:2] + 5.0)
 
     def test_an_open_after_create_reads_the_new_bytes(self, tmp_path, xy):
         X, y = xy
@@ -193,7 +183,7 @@ class TestPlainOpens:
         with Session() as session:
             spec = session.create(f"mmap://{tmp_path}/ext.m3", X, y)
             first = session.open(spec)  # still open
-            write_binary_matrix(tmp_path / "ext.m3", X * 3.0, y)
+            write_sharded_dataset(tmp_path / "ext.m3", X * 3.0, y, shard_rows=len(X))
             np.testing.assert_array_equal(np.asarray(session.open(spec)[:3]), X[:3] * 3.0)
             first.close()
 
@@ -209,35 +199,34 @@ class TestPlainOpens:
             np.testing.assert_array_equal(np.asarray(second.labels), y)
             backing = second.matrix.backing
             second.close()
-            if scheme == "shard":
-                with pytest.raises(RuntimeError, match="closed"):
-                    backing[0:2]
+            with pytest.raises(RuntimeError, match="closed"):
+                backing[0:2]
 
-    def test_opens_with_different_advice_keep_their_own_advice(self, tmp_path, xy):
-        # madvise applies to a whole mapping; each open maps its own.
+    def test_every_open_and_refresh_advises_its_own_maps_sequential(
+        self, tmp_path, xy, monkeypatch
+    ):
+        # madvise applies to a whole mapping; each open maps its own shards
+        # and marks each map MADV_SEQUENTIAL once, through the hinter.
         X, y = xy
+        advised = []
+        madvise = chunks.ReadaheadHinter._madvise
+
+        def spy(segment, option_name, offset, length):
+            advised.append((option_name, offset, length))
+            return madvise(segment, option_name, offset, length)
+
+        monkeypatch.setattr(chunks.ReadaheadHinter, "_madvise", staticmethod(spy))
         with Session() as session:
             spec = session.create(f"mmap://{tmp_path}/adv.m3", X, y)
-            sequential = session.open(spec, advice=AccessAdvice.SEQUENTIAL)
-            random = session.open(spec, advice=AccessAdvice.RANDOM)
-            assert sequential.matrix.backing is not random.matrix.backing
-            assert sequential.matrix.advice is AccessAdvice.SEQUENTIAL
-            assert random.matrix.advice is AccessAdvice.RANDOM
-            np.testing.assert_array_equal(np.asarray(random[:3]), X[:3])
-
-    def test_a_read_open_beside_a_write_open_stays_read_only(self, tmp_path, xy):
-        X, y = xy
-        with Session() as session:
-            spec = session.create(f"mmap://{tmp_path}/modes.m3", X, y)
-            reader = session.open(spec, mode="r")
-            writer = session.open(spec, mode="r+")
-            assert reader.matrix.backing is not writer.matrix.backing
-            writer[0:1] = X[0:1] + 2.0
-            with pytest.raises(ValueError, match="read-only"):
-                reader[0:1] = X[0:1]
-            writer.flush()
-            # Both map the same file, so the reader sees the flushed row.
-            np.testing.assert_array_equal(np.asarray(reader[0:1]), X[0:1] + 2.0)
+            first = session.open(spec)
+            second = session.open(spec)
+            second.append(X[:3], y[:3])
+            third = session.refresh(second)
+            # One map for each of the first two opens, two for the refresh's
+            # shards: the append started a second one.
+            assert advised == [("MADV_SEQUENTIAL", 0, None)] * 4
+            np.testing.assert_array_equal(np.asarray(first[:3]), X[:3])
+            assert third.shape == (len(X) + 3, X.shape[1])
 
     def test_closed_datasets_are_pruned_from_the_session(self, tmp_path, xy):
         X, y = xy

@@ -188,7 +188,7 @@ class TestShardedMatrixWrites:
         # Sharded datasets change only through ShardAppender: no writable
         # mode, no item assignment.
         directory, _, _ = sharded_dir
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError, match="mode"):
             ShardedBackend().open(str(directory), mode="r+")
         with pytest.raises(TypeError):
             ShardedMatrix(directory)[0] = 0.0

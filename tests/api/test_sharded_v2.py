@@ -112,7 +112,7 @@ class TestWriteAndOpen:
         matrix = open_sharded_matrix(v2_dir)
         with pytest.raises((TypeError, ValueError)):
             matrix[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError, match="mode"):
             ShardedBackend().open(str(v2_dir), mode="r+")
         matrix.close()
 

@@ -11,6 +11,7 @@ from repro.api import (
     make_backend,
     parse_spec,
 )
+from repro.api.sharded import LegacyFormatError, ShardedMatrix
 
 
 class TestParseSpec:
@@ -83,7 +84,6 @@ class TestMemoryBackend:
         handle = backend.open("train")
         np.testing.assert_array_equal(handle.matrix, X)
         np.testing.assert_array_equal(handle.labels, [0, 1, 0])
-        assert handle.data_offset == 0
         assert handle.metadata["backend"] == "memory"
 
     def test_missing_name_raises(self):
@@ -120,10 +120,37 @@ class TestMmapBackend:
         location = str(tmp_path / "data.m3")
         backend.create(location, X, np.arange(5))
         handle = backend.open(location)
-        assert isinstance(handle.matrix, np.memmap)
+        # One raw shard, mapped zero-copy: the shard backend's open.
+        assert isinstance(handle.matrix, ShardedMatrix)
+        assert handle.matrix.mapped and handle.matrix.num_shards == 1
+        assert isinstance(handle.matrix[0:5], np.memmap)
         np.testing.assert_array_equal(np.asarray(handle.matrix), X)
-        assert handle.data_offset == 64
-        assert handle.metadata["rows"] == 5
+        assert handle.metadata["rows"] == 5 and handle.metadata["backend"] == "mmap"
+        assert handle.metadata["codec"] == "none"
+        handle.closer()
+
+    def test_is_the_shard_backend_but_for_create(self):
+        assert issubclass(MmapBackend, ShardedBackend)
+        own = {name for name in vars(MmapBackend) if not name.startswith("_")}
+        assert own == {"scheme", "create"}
+
+    def test_create_takes_no_option(self, tmp_path):
+        for option in ("shard_rows", "codec"):
+            with pytest.raises(TypeError, match=option):
+                MmapBackend().create(str(tmp_path / "x.m3"), np.zeros((4, 2)), **{option: 2})
+
+    def test_an_empty_matrix_is_one_empty_shard(self, tmp_path):
+        backend = MmapBackend()
+        location = str(tmp_path / "empty.m3")
+        backend.create(location, np.zeros((0, 3)))
+        info = backend.info(location)
+        assert (info["rows"], info["cols"], info["num_shards"]) == (0, 3, 1)
+
+    def test_a_regular_file_is_refused_naming_m3_convert(self, tmp_path, write_v1):
+        path = write_v1(tmp_path / "old.m3", np.ones((3, 2)))
+        for call in (MmapBackend().open, MmapBackend().info, ShardedBackend().open):
+            with pytest.raises(LegacyFormatError, match=r"m3 convert SRC DST --codec raw\|zlib"):
+                call(str(path))
 
     def test_info_and_exists(self, tmp_path):
         backend = MmapBackend()

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis.runtime import LEASES, ThreadLeakDetector
+from repro.api import Session
 from repro.data import codecs
-from repro.data.formats import write_binary_matrix
 from repro.data.synthetic import make_blobs, make_classification
 
 
@@ -81,9 +82,35 @@ def small_blobs():
 
 
 @pytest.fixture()
-def dataset_file(tmp_path: Path, small_classification) -> Path:
-    """A small labelled dataset written in M3 binary format."""
+def mmap_dataset(tmp_path: Path, small_classification) -> Path:
+    """A small labelled ``mmap://`` dataset: one raw, mapped v2 shard."""
     X, y = small_classification
     path = tmp_path / "dataset.m3"
-    write_binary_matrix(path, X, y)
+    with Session() as session:
+        session.create(f"mmap://{path}", X, y)
     return path
+
+
+def _write_v1(path: Path, data: np.ndarray, labels=None) -> Path:
+    """Write ``data`` (and int64 ``labels``) as a legacy v1 ``.m3`` file:
+    the 64-byte header, the row-major matrix, the labels."""
+    data = np.ascontiguousarray(data)
+    dtype = data.dtype.str.encode("ascii")
+    header = struct.pack(
+        "<8sI I16s QQQQ", b"M3MATRIX", 1, len(dtype), dtype.ljust(16, b"\0"),
+        data.shape[0], data.shape[1], int(labels is not None), 0,
+    )
+    with open(path, "wb") as handle:
+        handle.write(header)
+        handle.write(data.tobytes())
+        if labels is not None:
+            handle.write(np.asarray(labels, dtype=np.int64).tobytes())
+    return Path(path)
+
+
+@pytest.fixture()
+def write_v1():
+    """The legacy v1 ``.m3`` writer, for tests of the one reader left
+    (``m3 convert``) and of the refusals: nothing in the package writes the
+    form any more."""
+    return _write_v1

@@ -3,16 +3,33 @@
 import numpy as np
 import pytest
 
-from repro.core.advice import AccessAdvice
+from repro.core.allocator import mmap_alloc
 from repro.core.mmap_matrix import MmapMatrix
-from repro.data.formats import HEADER_SIZE, open_binary_matrix
 from repro.vmem.trace import AccessKind, AccessTrace
+
+#: Bytes ahead of the matrix in ``dataset_file``: a header a trace's file
+#: offsets step over.
+HEADER_SIZE = 64
 
 
 @pytest.fixture()
-def mapped(dataset_file):
-    data, labels, _ = open_binary_matrix(dataset_file)
-    return MmapMatrix(data, source_path=dataset_file, data_offset=HEADER_SIZE), labels
+def dataset_file(tmp_path, small_classification):
+    """``small_classification``'s rows behind a ``HEADER_SIZE``-byte header."""
+    X, _ = small_classification
+    path = tmp_path / "dataset.bin"
+    path.write_bytes(bytes(HEADER_SIZE) + X.tobytes())
+    return path
+
+
+def _map(path, shape):
+    return mmap_alloc(path, shape, mode="r", offset=HEADER_SIZE)
+
+
+@pytest.fixture()
+def mapped(dataset_file, small_classification):
+    X, y = small_classification
+    data = _map(dataset_file, X.shape)
+    return MmapMatrix(data, source_path=dataset_file, data_offset=HEADER_SIZE), y
 
 
 class TestArrayProtocol:
@@ -62,8 +79,8 @@ class TestArrayProtocol:
 
 
 class TestTraceRecording:
-    def test_row_slices_recorded_with_file_offsets(self, dataset_file):
-        data, _, _ = open_binary_matrix(dataset_file)
+    def test_row_slices_recorded_with_file_offsets(self, dataset_file, small_classification):
+        data = _map(dataset_file, small_classification[0].shape)
         trace = AccessTrace()
         matrix = MmapMatrix(data, trace=trace, data_offset=HEADER_SIZE)
         _ = matrix[0:10]
@@ -74,8 +91,8 @@ class TestTraceRecording:
         assert trace.records[0].length == 10 * row_bytes
         assert trace.records[1].offset == HEADER_SIZE + 10 * row_bytes
 
-    def test_sequential_scan_has_sequential_trace(self, dataset_file):
-        data, _, _ = open_binary_matrix(dataset_file)
+    def test_sequential_scan_has_sequential_trace(self, dataset_file, small_classification):
+        data = _map(dataset_file, small_classification[0].shape)
         trace = AccessTrace()
         matrix = MmapMatrix(data, trace=trace, data_offset=HEADER_SIZE)
         for start in range(0, matrix.shape[0], 50):
@@ -114,25 +131,11 @@ class TestTraceRecording:
         assert matrix.trace is None
 
 
-class TestAdviceAndFlush:
-    def test_set_advice_on_plain_array_returns_false(self):
-        matrix = MmapMatrix(np.zeros((4, 4)))
-        assert matrix.set_advice(AccessAdvice.RANDOM) is False
-
-    def test_set_advice_on_memmap_does_not_error(self, mapped):
-        matrix, _ = mapped
-        # madvise may or may not be available; the call must never raise.
-        result = matrix.set_advice(AccessAdvice.SEQUENTIAL)
-        assert result in (True, False)
-
+class TestFlush:
     def test_flush_writes_changes(self, tmp_path):
-        from repro.data.formats import create_binary_matrix
-
-        path = tmp_path / "rw.m3"
-        create_binary_matrix(path, rows=4, cols=2)
-        data, _, _ = open_binary_matrix(path, mode="r+")
-        matrix = MmapMatrix(data, data_offset=HEADER_SIZE)
+        path = tmp_path / "rw.bin"
+        matrix = MmapMatrix(mmap_alloc(path, (4, 2), mode="w+"))
         matrix[0:2] = 5.0
         matrix.flush()
-        reread, _, _ = open_binary_matrix(path)
+        reread = mmap_alloc(path, (4, 2), mode="r")
         assert np.all(np.asarray(reread[0:2]) == 5.0)

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.core import AccessAdvice, MmapMatrix, mmap_alloc
-from repro.data.formats import create_binary_matrix
+from repro.core import MmapMatrix, mmap_alloc
 from repro.vmem.trace import AccessTrace
 
 
 class TestOpenDefaults:
-    def test_read_only_sequential_untraced(self, tmp_path, small_classification):
+    def test_read_only_untraced(self, tmp_path, small_classification):
         X, y = small_classification
         with Session() as session:
             spec = session.create(tmp_path / "defaults.m3", X, y)
             dataset = session.open(spec)
-            assert dataset.matrix.advice is AccessAdvice.SEQUENTIAL
             assert dataset.trace is None
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 dataset.matrix[0:1] = 0.0
 
 
@@ -40,10 +38,10 @@ class TestCreateAndOpen:
         assert labels is None
         assert matrix.shape == (12, 3)
 
-    def test_info_of_an_empty_dataset(self, tmp_path):
-        create_binary_matrix(tmp_path / "empty.m3", 8, 4)
+    def test_info_of_an_unlabelled_dataset(self, tmp_path):
         with Session() as session:
-            info = session.info(tmp_path / "empty.m3")
+            session.create(tmp_path / "unlabelled.m3", np.zeros((8, 4)))
+            info = session.info(tmp_path / "unlabelled.m3")
         assert info["rows"] == 8 and info["cols"] == 4
         assert info["has_labels"] is False
 
@@ -55,8 +53,12 @@ class TestCreateAndOpen:
         assert info["rows"] == X.shape[0]
         assert info["has_labels"] is True
         assert info["dtype"] == "float64"
-        assert info["backend"] == "mmap"
-        assert info["file_bytes"] == (tmp_path / "info.m3").stat().st_size
+        # A bare path to the created directory resolves to the shard backend,
+        # which mmap:// is but for create: one raw shard holds every row.
+        assert info["backend"] == "shard"
+        assert (info["num_shards"], info["codec"]) == (1, "none")
+        shard = tmp_path / "info.m3" / "shard-00000.m3b"
+        assert info["compressed_bytes"] < shard.stat().st_size
 
     def test_trace_recorded_on_request(self, tmp_path, small_classification):
         X, y = small_classification
@@ -64,8 +66,15 @@ class TestCreateAndOpen:
             session.create(tmp_path / "traced.m3", X, y)
             dataset = session.open(tmp_path / "traced.m3", record_trace=True)
             _ = dataset.matrix[0:10]
+            _ = dataset.matrix[10:20]
             assert dataset.trace is not None
-            assert len(dataset.trace) == 1
+            # Offsets are logical matrix offsets, as for every shard:// open.
+            # The v1 file recorded file offsets behind its 64-byte header:
+            # 64 and 64 + 10 rows then, 0 and 10 rows now.
+            row_bytes = X.shape[1] * 8
+            assert [(r.offset, r.length) for r in dataset.trace] == [
+                (0, 10 * row_bytes), (10 * row_bytes, 10 * row_bytes)
+            ]
 
     def test_record_trace_lands_on_the_returned_matrix(self, tmp_path, small_classification):
         X, y = small_classification

@@ -146,3 +146,19 @@ class TestZlibInflate:
                 codec.decode(coded, len(self.RAW))
         finally:
             set_fault_plan(None)
+
+
+class TestCrc32:
+    """Every v2 checksum is ``codecs.crc32``: libdeflate's when it loaded,
+    the stdlib's otherwise, the same value either way."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"a", bytes(range(256)) * 41, memoryview(np.arange(1000.0)).cast("B")],
+        ids=["empty", "byte", "bytes", "memoryview"],
+    )
+    def test_equals_the_stdlib_crc(self, zlib_inflate, data):
+        import zlib
+
+        assert (codecs._LIBDEFLATE is not None) == (zlib_inflate == "libdeflate")
+        assert codecs.crc32(data) == zlib.crc32(data)

@@ -1,52 +1,60 @@
-"""Tests for the M3 binary matrix format."""
+"""The legacy v1 M3 matrix file: read only, by ``m3 convert``.
+
+Nothing in the package writes the form any more; the ``write_v1`` fixture
+writes its bytes, pinned here against a file an older build wrote.
+"""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.data.formats import (
     HEADER_SIZE,
-    create_binary_matrix,
     open_binary_matrix,
     read_binary_matrix_header,
-    write_binary_matrix,
 )
 
+#: A labelled 7 x 3 v1 file an older build wrote (the first shard of a v1
+#: shard directory: rows ``(arange(21) % 11) / 4``, labels ``arange(7) % 3``).
+FIXTURE = Path(__file__).parent / "fixtures" / "v1_shards" / "static" / "shard-00000.m3"
 
-class TestWriteAndRead:
-    def test_roundtrip_without_labels(self, tmp_path):
+
+class TestRead:
+    def test_the_writer_fixture_writes_what_older_builds_wrote(self, tmp_path, write_v1):
+        X = (np.arange(21, dtype=np.float64).reshape(7, 3) % 11) / 4.0
+        path = write_v1(tmp_path / "again.m3", X, np.arange(7) % 3)
+        assert path.read_bytes() == FIXTURE.read_bytes()
+
+    def test_roundtrip_without_labels(self, tmp_path, write_v1):
         data = np.arange(12, dtype=np.float64).reshape(3, 4)
-        path = tmp_path / "matrix.m3"
-        header = write_binary_matrix(path, data)
+        path = write_v1(tmp_path / "matrix.m3", data)
+        mapped, labels, header = open_binary_matrix(path)
         assert header.rows == 3 and header.cols == 4
         assert header.has_labels is False
-        mapped, labels, _ = open_binary_matrix(path)
         np.testing.assert_array_equal(np.asarray(mapped), data)
         assert labels is None
 
-    def test_roundtrip_with_labels(self, tmp_path):
+    def test_roundtrip_with_labels(self, tmp_path, write_v1):
         data = np.random.default_rng(0).normal(size=(10, 5))
         labels = np.arange(10) % 3
-        path = tmp_path / "labelled.m3"
-        write_binary_matrix(path, data, labels)
+        path = write_v1(tmp_path / "labelled.m3", data, labels)
         mapped, mapped_labels, header = open_binary_matrix(path)
         np.testing.assert_allclose(np.asarray(mapped), data)
         np.testing.assert_array_equal(np.asarray(mapped_labels), labels)
         assert header.has_labels is True
 
-    def test_file_size_matches_header(self, tmp_path):
-        data = np.zeros((7, 3), dtype=np.float32)
-        path = tmp_path / "f32.m3"
-        header = write_binary_matrix(path, data)
+    def test_file_size_matches_header(self, tmp_path, write_v1):
+        path = write_v1(tmp_path / "f32.m3", np.zeros((7, 3), dtype=np.float32))
+        header = read_binary_matrix_header(path)
         assert path.stat().st_size == header.file_bytes
         assert header.dtype == np.dtype(np.float32)
 
-    def test_non_2d_data_rejected(self, tmp_path):
+    def test_open_maps_read_only(self):
+        mapped, labels, _ = open_binary_matrix(FIXTURE)
+        assert isinstance(mapped, np.memmap) and isinstance(labels, np.memmap)
         with pytest.raises(ValueError):
-            write_binary_matrix(tmp_path / "bad.m3", np.zeros(5))
-
-    def test_mismatched_labels_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_binary_matrix(tmp_path / "bad.m3", np.zeros((4, 2)), np.zeros(3))
+            mapped[0, 0] = 99.0
 
 
 class TestHeaderValidation:
@@ -62,16 +70,13 @@ class TestHeaderValidation:
         with pytest.raises(ValueError):
             read_binary_matrix_header(path)
 
-    def test_label_offset(self, tmp_path):
-        data = np.zeros((5, 2))
-        path = tmp_path / "labelled.m3"
-        write_binary_matrix(path, data, np.zeros(5, dtype=np.int64))
+    def test_label_offset(self, tmp_path, write_v1):
+        path = write_v1(tmp_path / "labelled.m3", np.zeros((5, 2)), np.zeros(5))
         header = read_binary_matrix_header(path)
         assert header.label_offset == HEADER_SIZE + 5 * 2 * 8
 
-    def test_truncated_data_section_rejected(self, tmp_path):
-        path = tmp_path / "truncated.m3"
-        write_binary_matrix(path, np.ones((20, 6)))
+    def test_truncated_data_section_rejected(self, tmp_path, write_v1):
+        path = write_v1(tmp_path / "truncated.m3", np.ones((20, 6)))
         full = path.read_bytes()
         path.write_bytes(full[: len(full) - 17])
         with pytest.raises(ValueError, match="truncated"):
@@ -79,66 +84,25 @@ class TestHeaderValidation:
         with pytest.raises(ValueError, match="truncated"):
             open_binary_matrix(path)
 
-    def test_truncated_label_section_rejected(self, tmp_path):
-        path = tmp_path / "truncated_labels.m3"
-        write_binary_matrix(path, np.ones((8, 4)), np.arange(8))
+    def test_truncated_label_section_rejected(self, tmp_path, write_v1):
+        path = write_v1(tmp_path / "truncated_labels.m3", np.ones((8, 4)), np.arange(8))
         full = path.read_bytes()
         # Keep the full data section but cut the trailing label vector short.
         path.write_bytes(full[: len(full) - 8])
         with pytest.raises(ValueError, match="truncated"):
             read_binary_matrix_header(path)
 
-    def test_header_only_file_rejected(self, tmp_path):
-        path = tmp_path / "header_only.m3"
-        write_binary_matrix(path, np.ones((4, 4)))
+    def test_header_only_file_rejected(self, tmp_path, write_v1):
+        path = write_v1(tmp_path / "header_only.m3", np.ones((4, 4)))
         path.write_bytes(path.read_bytes()[:HEADER_SIZE])
         with pytest.raises(ValueError, match="truncated"):
             read_binary_matrix_header(path)
 
-    def test_oversized_file_accepted(self, tmp_path):
+    def test_oversized_file_accepted(self, tmp_path, write_v1):
         # Trailing junk beyond the declared size is tolerated (e.g. files on
         # filesystems that round up allocations).
-        path = tmp_path / "padded.m3"
-        write_binary_matrix(path, np.ones((3, 3)))
+        path = write_v1(tmp_path / "padded.m3", np.ones((3, 3)))
         with path.open("ab") as handle:
             handle.write(b"\0" * 32)
         header = read_binary_matrix_header(path)
         assert header.rows == 3
-
-
-class TestCreateBinaryMatrix:
-    def test_creates_file_of_declared_size(self, tmp_path):
-        path = tmp_path / "empty.m3"
-        header = create_binary_matrix(path, rows=100, cols=10, with_labels=True)
-        assert path.stat().st_size == header.file_bytes
-        assert header.rows == 100
-
-    def test_created_file_is_mappable_and_writable(self, tmp_path):
-        path = tmp_path / "fill.m3"
-        create_binary_matrix(path, rows=4, cols=3)
-        data, _, _ = open_binary_matrix(path, mode="r+")
-        data[2] = [1.0, 2.0, 3.0]
-        data.flush()
-        reread, _, _ = open_binary_matrix(path)
-        np.testing.assert_array_equal(np.asarray(reread[2]), [1.0, 2.0, 3.0])
-
-    def test_invalid_shape_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            create_binary_matrix(tmp_path / "bad.m3", rows=-1, cols=3)
-        with pytest.raises(ValueError):
-            create_binary_matrix(tmp_path / "bad.m3", rows=3, cols=0)
-
-
-class TestMemoryMapping:
-    def test_open_returns_memmap_not_copy(self, tmp_path, dataset_file):
-        mapped, _, _ = open_binary_matrix(dataset_file)
-        assert isinstance(mapped, np.memmap)
-
-    def test_copy_on_write_mode(self, tmp_path):
-        data = np.ones((3, 3))
-        path = tmp_path / "cow.m3"
-        write_binary_matrix(path, data)
-        mapped, _, _ = open_binary_matrix(path, mode="c")
-        mapped[0, 0] = 99.0
-        reread, _, _ = open_binary_matrix(path)
-        assert reread[0, 0] == 1.0

@@ -8,6 +8,7 @@ import pytest
 from repro.data.formats_v2 import (
     BLOCKED_MAGIC,
     BLOCKED_PREFIX_SIZE,
+    RAW_DATA_OFFSET,
     BlockedMatrixReader,
     BlockedMatrixWriter,
     default_block_rows,
@@ -75,6 +76,21 @@ class TestWriter:
         assert header.compressed_bytes == sum(
             b.coded_bytes for b in header.blocks
         )
+
+    @pytest.mark.parametrize("codec, first", [("none", 64), ("zlib", BLOCKED_PREFIX_SIZE)])
+    def test_raw_rows_start_on_a_cache_line(self, tmp_path, matrix, codec, first):
+        # A none file's rows are what a memory map serves: they start at
+        # RAW_DATA_OFFSET, 64-byte aligned, as the v1 file's did behind its
+        # 64-byte header.  Coded segments follow the prefix directly.
+        path = tmp_path / f"{codec}.m3b"
+        header = write_blocked_matrix(path, matrix, None, block_rows=64, codec=codec)
+        assert header.blocks[0].segments[0][0] == first
+        assert RAW_DATA_OFFSET == 64
+        if codec == "none":
+            assert path.read_bytes()[BLOCKED_PREFIX_SIZE:first] == bytes(first - BLOCKED_PREFIX_SIZE)
+            mapped = np.memmap(path, dtype=np.float64, mode="r", offset=first, shape=matrix.shape)
+            assert mapped.ctypes.data % 64 == 0
+            np.testing.assert_array_equal(mapped, matrix)
 
 
 class TestReader:

@@ -1,7 +1,8 @@
 """The chaos matrix: every site × format × reader counts × three fixed seeds.
 
-The formats are a single v1 ``.m3`` file, raw v2 shards (mapped) and zlib v2
-shards (decoded): both read paths of the one sharded reader ride the matrix.
+The formats are ``mmap://`` (one raw v2 shard, mapped), raw v2 shards (mapped)
+and zlib v2 shards (decoded): both read paths of the one sharded reader ride
+the matrix.
 
 The robustness contract under any single-site fault plan: a streaming fit
 either completes **bit-identical** to the fault-free baseline (the retries
@@ -17,13 +18,12 @@ import pytest
 from repro.api import Session, StreamingEngine
 from repro.api.chunks import ChunkStreamError
 from repro.data.codecs import CodecError
-from repro.data.formats import write_binary_matrix
 from repro.data.formats_v2 import ChecksumError
 from repro.faults import RetriesExhausted, fault_sites, set_fault_plan
 from repro.ml import LogisticRegression
 
 SEEDS = (7, 11, 13)
-FORMATS = ("v1", "raw", "v2")
+FORMATS = ("mmap", "raw", "v2")
 IO_WORKERS = (1, 4)
 
 #: The documented failure surface of ``Session.fit`` under faults: stream
@@ -44,15 +44,16 @@ def datasets(tmp_path_factory):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(128, 4)).astype(np.float32)
     y = (X[:, 0] + 0.25 * rng.normal(size=128) > 0).astype(np.float64)
-    v1 = root / "data.m3"
-    write_binary_matrix(v1, X, y)
+    mapped = root / "data.m3"
+    with Session() as session:
+        session.create(f"mmap://{mapped}", X, y)
     from repro.api.convert import convert_dataset
 
     raw = root / "raw"
-    convert_dataset(str(v1), raw, codec=None, block_rows=16, shard_rows=64)
+    convert_dataset(str(mapped), raw, codec=None, block_rows=16, shard_rows=64)
     v2 = root / "v2"
-    convert_dataset(str(v1), v2, codec="zlib", block_rows=16, shard_rows=64)
-    return {"v1": str(v1), "raw": f"shard://{raw}", "v2": str(v2)}
+    convert_dataset(str(mapped), v2, codec="zlib", block_rows=16, shard_rows=64)
+    return {"mmap": f"mmap://{mapped}", "raw": f"shard://{raw}", "v2": str(v2)}
 
 
 def _fit(spec, io_workers, faults=None):

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import Session
+from repro.api.sharded import verify_dataset
 from repro.cli import main
 from repro.data.formats_v2 import (
     BLOCKED_PREFIX,
@@ -185,12 +187,11 @@ class TestCliVerify:
     def test_verify_ok_then_detects_corruption(self, tmp_path, capsys):
         dataset = tmp_path / "ds"
         base = tmp_path / "base.m3"
-        from repro.data.formats import write_binary_matrix
-
         rng = np.random.default_rng(11)
         X = rng.normal(size=(64, 8)).astype(np.float32)
         y = rng.integers(0, 2, size=64).astype(np.float64)
-        write_binary_matrix(base, X, y)
+        with Session() as session:
+            session.create(f"mmap://{base}", X, y)
         from repro.api.convert import convert_dataset
 
         convert_dataset(str(base), dataset, codec="zlib", block_rows=16, shard_rows=32)
@@ -206,3 +207,32 @@ class TestCliVerify:
         assert main(["info", str(dataset), "--verify"]) == 1
         err = capsys.readouterr().err
         assert "CRC mismatch" in err and "FAILED" in err
+
+
+class TestMmapDatasetScrub:
+    """``mmap://`` is one raw v2 shard: its mapped reads skip the CRCs, the
+    scrub checks every one of them."""
+
+    def test_a_flipped_data_byte_is_reported(self, tmp_path, capsys):
+        X = np.arange(40, dtype=np.float64).reshape(10, 4)
+        X[1, 1] = 5.0
+        path = tmp_path / "d.m3"
+        with Session() as session:
+            session.create(f"mmap://{path}", X, np.arange(10) % 2)
+        assert verify_dataset(path) == []
+        assert main(["info", str(path), "--verify"]) == 0
+        assert "verify: OK" in capsys.readouterr().out
+
+        shard = path / "shard-00000.m3b"
+        data_offset = read_blocked_header(shard).blocks[0].segments[0][0]
+        # The top byte of X[1, 1]: sign and exponent, so 5.0 reads as junk.
+        _flip_byte(shard, data_offset + (1 * 4 + 1) * 8 + 7)
+        with Session() as session, session.open(f"mmap://{path}") as dataset:
+            assert dataset[1, 1] != 5.0  # a mapped read is a page fault, unchecked
+
+        problems = verify_dataset(path)
+        assert len(problems) == 1
+        assert str(shard) in problems[0] and "block 0 segment 0 CRC mismatch" in problems[0]
+        assert main(["info", str(path), "--verify"]) == 1
+        err = capsys.readouterr().err
+        assert "block 0 segment 0 CRC mismatch" in err and "FAILED" in err

@@ -5,10 +5,11 @@ Systems Are Not Created Equal" (OSDI 2014): an fsynced file's bytes survive
 a crash, and a rename survives for certain only once its directory has been
 fsynced — until then each such rename may or may not survive, independently
 of the others.  A shim standing in for ``os`` inside
-:mod:`repro.api.sharded` records every fsync, rename and directory fsync of
-one ``ShardAppender.append``.  Every prefix of that log, with every subset
-of the renames no directory fsync covers yet, is materialised as a
-directory of its own and must:
+:mod:`repro.api.sharded` and :mod:`repro.durable` (the fsync, rename and
+directory fsync step every file lands through) records every fsync, rename
+and directory fsync of one ``ShardAppender.append``.  Every prefix of that
+log, with every subset of the renames no directory fsync covers yet, is
+materialised as a directory of its own and must:
 
 * open at generation ``g`` or ``g+1`` — ``g+1`` exactly when the
   ``CURRENT`` rename survived, and always once ``append`` had returned;
@@ -33,6 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import durable
 from repro.api import Session, sharded
 from repro.api.sharded import (
     ShardAppender,
@@ -63,8 +65,9 @@ def _rows(n, seed):
 
 
 class _DurabilityLog:
-    """Stands in for ``os`` in :mod:`repro.api.sharded`; logs every fsync,
-    rename and directory fsync with the bytes the file held at that point."""
+    """Stands in for ``os`` in :mod:`repro.api.sharded` and
+    :mod:`repro.durable`; logs every fsync, rename and directory fsync with
+    the bytes the file held at that point."""
 
     def __init__(self, directory: Path):
         self.directory = directory
@@ -126,6 +129,7 @@ def _recorded_append(tmp_path, codec, kind, monkeypatch):
     log = _DurabilityLog(directory)
     with monkeypatch.context() as patch:
         patch.setattr(sharded, "os", log)
+        patch.setattr(durable, "os", log)
         appender.append(*_rows(rows, seed=99))
     return before, log.events, generation, _generations(directory, generation + 1)
 
@@ -376,6 +380,7 @@ def _logged_create(directory, monkeypatch):
     log = _UnlinkLog(directory)
     with monkeypatch.context() as patch:
         patch.setattr(sharded, "os", log)
+        patch.setattr(durable, "os", log)
         patch.setattr(
             sharded, "write_blocked_matrix", log.shard_writer(sharded.write_blocked_matrix)
         )

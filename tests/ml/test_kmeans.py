@@ -6,8 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.mmap_matrix import MmapMatrix
-from repro.data.formats import write_binary_matrix, open_binary_matrix
+from repro.api import Session
 from repro.ml.cluster import init
 from repro.ml.cluster._kernel import (
     BLOCK_ROWS,
@@ -283,11 +282,12 @@ class TestKMeans:
 
     def test_memmap_training_identical_to_in_memory(self, tmp_path, small_blobs):
         X, _, _ = small_blobs
-        path = tmp_path / "blobs.m3"
-        write_binary_matrix(path, X)
-        data, _, _ = open_binary_matrix(path)
-        mapped = MmapMatrix(data, source_path=path)
+        with Session() as session:
+            spec = session.create(f"mmap://{tmp_path / 'blobs.m3'}", X)
+            mapped, _ = session.open(spec).arrays()
 
-        in_memory = KMeans(n_clusters=4, max_iterations=10, seed=0).fit(X)
-        memory_mapped = KMeans(n_clusters=4, max_iterations=10, seed=0).fit(mapped)
-        np.testing.assert_array_equal(in_memory.cluster_centers_, memory_mapped.cluster_centers_)
+            in_memory = KMeans(n_clusters=4, max_iterations=10, seed=0).fit(X)
+            memory_mapped = KMeans(n_clusters=4, max_iterations=10, seed=0).fit(mapped)
+            np.testing.assert_array_equal(
+                in_memory.cluster_centers_, memory_mapped.cluster_centers_
+            )

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.mmap_matrix import MmapMatrix
-from repro.data.formats import open_binary_matrix
+from repro.api import Session
 from repro.ml.linear_model.logistic_regression import LogisticRegression
 
 
@@ -102,17 +101,17 @@ class TestInference:
 class TestTransparency:
     """The M3 property: identical models from in-memory and memory-mapped data."""
 
-    def test_memmap_training_identical_to_in_memory(self, dataset_file, small_classification):
+    def test_memmap_training_identical_to_in_memory(self, mmap_dataset, small_classification):
         X, y = small_classification
-        data, labels, _ = open_binary_matrix(dataset_file)
-        mapped = MmapMatrix(data, source_path=dataset_file)
+        with Session() as session:
+            mapped, labels = session.open(f"mmap://{mmap_dataset}").arrays()
 
-        in_memory = LogisticRegression(max_iterations=10).fit(X, y)
-        memory_mapped = LogisticRegression(max_iterations=10).fit(mapped, np.asarray(labels))
+            in_memory = LogisticRegression(max_iterations=10).fit(X, y)
+            memory_mapped = LogisticRegression(max_iterations=10).fit(mapped, np.asarray(labels))
 
-        np.testing.assert_array_equal(in_memory.coef_, memory_mapped.coef_)
-        assert in_memory.intercept_ == memory_mapped.intercept_
-        np.testing.assert_array_equal(in_memory.predict(X), memory_mapped.predict(mapped))
+            np.testing.assert_array_equal(in_memory.coef_, memory_mapped.coef_)
+            assert in_memory.intercept_ == memory_mapped.intercept_
+            np.testing.assert_array_equal(in_memory.predict(X), memory_mapped.predict(mapped))
 
     def test_chunk_size_does_not_change_model(self, small_classification):
         X, y = small_classification

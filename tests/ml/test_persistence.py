@@ -18,6 +18,7 @@ from repro.ml import (
     save_model,
 )
 from repro.ml.preprocessing import MinMaxScaler, StandardScaler
+from repro.ml import persistence
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,34 @@ class TestErrors:
         }))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+
+class TestDurableSave:
+    def test_a_save_cut_short_leaves_the_previous_model_loadable(
+        self, tmp_path, problem, monkeypatch
+    ):
+        # m3 traind --save-model rewrites one path on every publish: a save
+        # interrupted after a partial write must not tear the saved model.
+        X, y = problem
+        path = tmp_path / "model.json"
+        first = LogisticRegression(max_iterations=3).fit(X, y)
+        save_model(path, first)
+        second = LogisticRegression(max_iterations=3).fit(X, 1 - y)
+        dump = json.dump
+
+        def torn(payload, handle, **kwargs):
+            text = json.dumps(payload, **kwargs)
+            handle.write(text[: len(text) // 2])
+            handle.flush()
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(persistence.json, "dump", torn)
+        with pytest.raises(OSError, match="No space"):
+            save_model(path, second)
+        monkeypatch.setattr(persistence.json, "dump", dump)
+        np.testing.assert_array_equal(load_model(path).coef_, first.coef_)
+        save_model(path, second)
+        np.testing.assert_array_equal(load_model(path).coef_, second.coef_)
 
 
 STREAMING = {

@@ -13,12 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api.sharded import open_sharded_matrix
 from repro.cli import build_parser, main
-from repro.data.formats import open_binary_matrix
 from repro.data.writers import write_infimnist_dataset
 from repro.ml import load_model
 from repro.net import NetClient, NetServer, protocol
 from repro.serve import ModelRegistry, ModelServer
+
+
+def _rows(dataset):
+    """Every row of a dataset directory, as an in-memory array."""
+    with open_sharded_matrix(dataset) as matrix:
+        return np.array(matrix[:])
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +135,7 @@ class TestServeIsTheSocketOnStdio:
         self, trained, tmp_path, capsys
     ):
         dataset, model_path = trained
-        matrix, _, _ = open_binary_matrix(dataset)
+        matrix = _rows(dataset)
         rows = np.asarray(matrix[:4], dtype=np.float64)
         expected = load_model(model_path).predict(rows)
         body = protocol.encode_request(rows[2], request_id="http")
@@ -152,7 +158,7 @@ class TestServeIsTheSocketOnStdio:
 
     def test_over_limit_line_answered_bad_request(self, trained, tmp_path):
         dataset, model_path = trained
-        matrix, _, _ = open_binary_matrix(dataset)
+        matrix = _rows(dataset)
         good = (json.dumps(list(map(float, np.asarray(matrix[0])))) + "\n").encode()
         limit = inspect.signature(NetServer).parameters["max_request_bytes"].default
         out = self._serve(model_path, tmp_path, good + b"[" + b"1" * limit + b"]\n" + good)
@@ -167,7 +173,7 @@ class TestServeIsTheSocketOnStdio:
 class TestServedEndToEnd:
     def test_served_banner_sigterm_drain(self, trained):
         dataset, model_path = trained
-        matrix, _, _ = open_binary_matrix(dataset)
+        matrix = _rows(dataset)
         expected = load_model(model_path).predict(np.asarray(matrix[:6]))
         src_root = Path(__file__).resolve().parents[2] / "src"
         env = dict(os.environ)

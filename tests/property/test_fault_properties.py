@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.api import Session, StreamingEngine
 from repro.api.chunks import ChunkStreamError
 from repro.data.codecs import CodecError
-from repro.data.formats import write_binary_matrix
 from repro.data.formats_v2 import ChecksumError
 from repro.faults import RetriesExhausted, fault_sites, set_fault_plan
 from repro.ml import LogisticRegression
@@ -41,13 +40,14 @@ def _datasets(tmp_path_factory):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(96, 4)).astype(np.float32)
         y = (X[:, 0] > 0).astype(np.float64)
-        v1 = root / "data.m3"
-        write_binary_matrix(v1, X, y)
+        mapped = root / "data.m3"
+        with Session() as session:
+            session.create(f"mmap://{mapped}", X, y)
         from repro.api.convert import convert_dataset
 
         v2 = root / "v2"
-        convert_dataset(str(v1), v2, codec="zlib", block_rows=16, shard_rows=48)
-        _CACHE["paths"] = {"v1": str(v1), "v2": str(v2)}
+        convert_dataset(str(mapped), v2, codec="zlib", block_rows=16, shard_rows=48)
+        _CACHE["paths"] = {"mmap": f"mmap://{mapped}", "v2": str(v2)}
     return _CACHE["paths"]
 
 
@@ -80,7 +80,7 @@ def paths(tmp_path_factory):
 @settings(max_examples=25, deadline=None)
 @given(
     site=st.sampled_from(fault_sites()),
-    fmt=st.sampled_from(["v1", "v2"]),
+    fmt=st.sampled_from(["mmap", "v2"]),
     io_workers=st.sampled_from([1, 4]),
     probability=st.sampled_from([0.25, 0.5, 1.0]),
     count=st.sampled_from([1, 3, 0]),  # 0 = unlimited

@@ -5,8 +5,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis.extra.numpy import arrays
 
+from repro.api import Session
 from repro.core.mmap_matrix import MmapMatrix
-from repro.data.formats import open_binary_matrix, write_binary_matrix
 from repro.data.infimnist import InfimnistGenerator
 from repro.vmem.trace import AccessTrace
 
@@ -27,14 +27,15 @@ class TestBinaryFormatProperties:
         tmp_path = tmp_path_factory.mktemp("fmt")
         path = tmp_path / "roundtrip.m3"
         labels = np.arange(data.shape[0]) % 7 if with_labels else None
-        write_binary_matrix(path, data, labels)
-        mapped, mapped_labels, header = open_binary_matrix(path)
-        np.testing.assert_array_equal(np.asarray(mapped), data)
-        assert header.rows == data.shape[0]
-        if with_labels:
-            np.testing.assert_array_equal(np.asarray(mapped_labels), labels)
-        else:
-            assert mapped_labels is None
+        with Session() as session:
+            spec = session.create(f"mmap://{path}", data, labels)
+            mapped, mapped_labels = session.open(spec).arrays()
+            np.testing.assert_array_equal(np.asarray(mapped), data)
+            assert mapped.shape == data.shape
+            if with_labels:
+                np.testing.assert_array_equal(np.asarray(mapped_labels), labels)
+            else:
+                assert mapped_labels is None
 
 
 class TestMmapMatrixProperties:

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.api.sharded import open_sharded_matrix, verify_dataset
 from repro.cli import build_parser, main
 from repro.data.writers import write_infimnist_dataset
 from repro.ml import base
+
+
+def _rows(dataset):
+    """Every row of a dataset directory, as an in-memory array."""
+    with open_sharded_matrix(dataset) as matrix:
+        return np.array(matrix[:])
 
 
 class TestParser:
@@ -27,6 +34,23 @@ class TestGenerateAndTrain:
         assert exit_code == 0
         assert output.exists()
         assert "64 x 784" in capsys.readouterr().out
+
+    def test_generate_writes_the_rows_and_labels_it_always_wrote(self, tmp_path):
+        # SHA-256 of the rows and of the labels that `m3 generate --examples
+        # 1100 --seed 3` wrote as a single v1 .m3 file: 1100 rows cross a
+        # 1024-row write chunk and many 167-row blocks.  The one raw shard
+        # it writes now holds the very same bytes, and scrubs clean.
+        import hashlib
+
+        output = tmp_path / "d.m3"
+        assert main(["generate", str(output), "--examples", "1100", "--seed", "3"]) == 0
+        with open_sharded_matrix(output) as matrix:
+            assert matrix.mapped and matrix.num_shards == 1
+            rows = hashlib.sha256(np.ascontiguousarray(matrix[:]).tobytes()).hexdigest()
+            labels = hashlib.sha256(matrix.lazy_labels[:].tobytes()).hexdigest()
+        assert rows == "31129008c11cf5b1de93e117ca26dc808713d559c84750f6a0cf7cacb79a7d60"
+        assert labels == "d88e5303aeba1c70462c490bf65e1cd195f421308ce6f44be83b065bce4cc543"
+        assert verify_dataset(output) == []
 
     def test_train_logistic(self, tmp_path, capsys):
         dataset = tmp_path / "train.m3"
@@ -348,11 +372,10 @@ class TestServe:
     def test_serve_jsonl_loop(self, trained, tmp_path, capsys):
         import json
 
-        from repro.data.formats import open_binary_matrix
         from repro.ml import load_model
 
         dataset, model_path = trained
-        matrix, labels, _ = open_binary_matrix(dataset)
+        matrix = _rows(dataset)
         model = load_model(model_path)
         expected = model.predict(np.asarray(matrix[:4]))
         requests = tmp_path / "requests.jsonl"
@@ -384,10 +407,8 @@ class TestServe:
     def test_serve_reports_bad_lines_and_continues(self, trained, tmp_path, capsys):
         import json
 
-        from repro.data.formats import open_binary_matrix
-
         dataset, model_path = trained
-        matrix, _, _ = open_binary_matrix(dataset)
+        matrix = _rows(dataset)
         requests = tmp_path / "requests.jsonl"
         requests.write_text(
             "this is not json\n"
@@ -406,10 +427,8 @@ class TestServe:
     def test_serve_request_method_override(self, trained, tmp_path):
         import json
 
-        from repro.data.formats import open_binary_matrix
-
         dataset, model_path = trained
-        matrix, _, _ = open_binary_matrix(dataset)
+        matrix = _rows(dataset)
         requests = tmp_path / "requests.jsonl"
         requests.write_text(json.dumps({
             "id": "p", "x": list(map(float, np.asarray(matrix[0]))),
