@@ -102,15 +102,13 @@ def _build_server(config: str):
     """One (ModelServer, controller) pair per configuration under test."""
     controller = None
     if config == "per_request":
-        server = ModelServer(max_batch=1, max_delay_ms=0.0, workers=1,
-                             max_pending=8192)
+        server = ModelServer(max_batch=1, max_delay_ms=0.0, max_pending=8192)
     elif config == "fixed_zero":
-        server = ModelServer(max_batch=MAX_BATCH, max_delay_ms=0.0, workers=1,
-                             max_pending=8192)
+        server = ModelServer(max_batch=MAX_BATCH, max_delay_ms=0.0, max_pending=8192)
     elif config == "adaptive":
         controller = AdaptiveDelayController(max_batch=MAX_BATCH,
                                              ceiling_ms=CEILING_MS)
-        server = ModelServer(max_batch=MAX_BATCH, workers=1, max_pending=8192,
+        server = ModelServer(max_batch=MAX_BATCH, max_pending=8192,
                              delay_controller=controller)
     else:
         raise ValueError(config)
@@ -215,7 +213,7 @@ def _run_wire() -> dict:
     model = SoftmaxRegression(solver="sgd", max_iterations=1, chunk_size=256, seed=0)
     model.fit(X, (np.arange(len(X)) % 10).astype(np.int64))
     expected = model.predict(X)
-    server = ModelServer(max_batch=MAX_BATCH, max_delay_ms=0.0, workers=1)
+    server = ModelServer(max_batch=MAX_BATCH, max_delay_ms=0.0)
     server.publish("default", model)
     with NetServer(server) as net:
         with NetClient(net.host, net.port, timeout_s=120.0) as client:

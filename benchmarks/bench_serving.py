@@ -68,7 +68,7 @@ def _run_server(X, model, expected, clients: int):
     """Closed-loop clients hammering predict_one; returns (wall_s, stats)."""
     per_client = REQUESTS // clients
     mismatches = []
-    with ModelServer(max_batch=MAX_BATCH, max_delay_ms=0.0, workers=1) as server:
+    with ModelServer(max_batch=MAX_BATCH, max_delay_ms=0.0) as server:
         server.publish("default", model)
 
         def client(index: int) -> None:

@@ -60,7 +60,7 @@ A scan is configured in one place, the ``StreamingEngine`` constructor:
 (data-parallel inference), ``hints`` (OS readahead hints) and
 ``release_behind`` — see *Tuning the streaming pipeline* below.
 ``session.fit`` / ``session.predict`` take the engine
-(``engine=StreamingEngine(io_workers=0, compute_workers=2)``), not the
+(``engine=StreamingEngine(io_workers=2, compute_workers=2)``), not the
 options; ``m3 train`` / ``m3 predict`` build theirs from ``--chunk-rows``,
 ``--io-workers`` and ``--compute-workers``.
 
@@ -117,9 +117,7 @@ Tuning the streaming pipeline
 ``io_workers``
     Reader threads running ahead of the consumer; one executor serves every
     setting.  ``None`` (default) = one reader with a window of two chunks —
-    classic double buffering; ``0`` = one reader per distinct storage device
-    (shards grouped by ``st_dev``, so a single-disk dataset does not spawn
-    threads that contend for one spindle); ``n`` = exactly ``n`` readers.
+    classic double buffering; ``n >= 1`` = exactly ``n`` readers.
     The window of chunks read ahead is ``max(2, 2 × readers)``, capped by the
     buffer ring, and is reported as ``details["prefetch_depth"]``.  Chunks
     are re-emitted in plan order regardless, so results never depend on the
@@ -197,7 +195,7 @@ Everything above is *scan-level*: one call walks one whole dataset.  Online
 traffic — single rows arriving concurrently from many clients — goes through
 the serving daemon instead::
 
-    with session.serve(model, max_batch=256, workers=2) as serving:
+    with session.serve(model, max_batch=256) as serving:
         result = serving.predict_one(x)            # one row, synchronously
         future = serving.submit(x)                 # future-style async
         batch  = serving.predict_many(X[:32])      # a small batch, synchronously
@@ -206,7 +204,8 @@ the serving daemon instead::
 
 ``session.serve`` publishes the model into a hot-model registry and stands up
 a :class:`~repro.serve.ModelServer`: concurrent requests are coalesced into
-micro-batches and computed on the per-chunk ``StreamingPredictor`` path
+micro-batches and computed, one batch at a time on the server's one
+dispatcher thread, on the per-chunk ``StreamingPredictor`` path
 (``repro.serve.server.serve_batch``), so every served prediction is
 bit-identical to in-core ``predict`` — and the per-call overhead that
 dominates single-row inference is amortised across the batch, which is where
@@ -219,8 +218,6 @@ the >= 3x throughput of ``BENCH_serving.json`` comes from.  The knobs:
     dispatches immediately — batches still form under load, because requests
     arriving while a batch computes coalesce into the next dispatch.  Raise
     it only for open-loop traffic worth trading latency for batch size.
-``workers``
-    Dispatcher threads, each serving one micro-batch at a time.
 ``max_pending``
     Bounded queue depth; beyond it ``submit`` blocks (backpressure) or
     raises ``ServerSaturated``.
@@ -489,14 +486,14 @@ def main() -> None:
             f"{accuracy(labels, served.predictions):.3f}"
         )
 
-        # 8. Parallelise the pipeline: topology-sized readers (io_workers=0)
-        #    plus data-parallel chunk inference (compute_workers=2).  Chunks
+        # 8. Parallelise the pipeline: two readers (io_workers=2) plus
+        #    data-parallel chunk inference (compute_workers=2).  Chunks
         #    re-emit in plan order and workers write disjoint output slices,
         #    so the result is still bit-identical — only the wall clock and
         #    the reader accounting change.
         parallel = session.predict(
             sharded, streaming_clf,
-            engine=StreamingEngine(io_workers=0, compute_workers=2),
+            engine=StreamingEngine(io_workers=2, compute_workers=2),
         )
         assert np.array_equal(parallel.predictions, served.predictions), (
             "parallel serving must stay bit-identical to sequential serving"
@@ -516,7 +513,7 @@ def main() -> None:
         #    coalesce into batched dispatches, every response names exactly
         #    one model version, and a hot-swap lands atomically under load.
         X = np.asarray(sharded)
-        with session.serve(streaming_clf, max_batch=64, workers=2) as serving:
+        with session.serve(streaming_clf, max_batch=64) as serving:
             one = serving.predict_one(X[0])
             futures = [serving.submit(X[i]) for i in range(1, 65)]
             answers = [f.result() for f in futures]

@@ -24,16 +24,13 @@ network-serving locks landed, per the ROADMAP's standing instruction)::
 
     rank  30   NetClient._lock                    client sends + pending queue + sync round trip
     rank  40   ModelServer._cond                  serving queue + dispatcher wakeup
-    rank  50   AdaptiveDelayController._lock      arrival-rate EWMA state
     rank  60   Trainer._lock                      train->publish daemon state
     rank  70   Session._lock                      dataset list + backend cache
     rank  80   ModelRegistry._lock                hot-model publish/resolve
     rank  90   ShardAppender._lock                tail-shard write + generation commit
-    rank 120   ReadaheadHinter._lock              madvise byte accounting
-    rank 130   BufferLease._lock                  per-lease refcount
     rank 140   _BlockCache._lock                  decoded-block LRU (innermost)
 
-The recorded nesting that motivates the order: a dispatcher thread
+The recorded nesting that motivates the order: the dispatcher thread
 resolves models (``ModelRegistry._lock``, 80) while *not* holding
 ``ModelServer._cond`` (40).  The trainer daemon holds ``Trainer._lock`` (60) while opening snapshot
 datasets (``Session._lock``, 70) and publishing refreshed versions
@@ -42,12 +39,12 @@ but below both; the shard appender (90) is a near-leaf write lock that
 callers already holding session or registry locks may enter, but which
 never re-enters the session layer.
 The network front end holds no lock: ``NetServer``'s connections and
-counters are confined to its event-loop thread.  ``ModelServer.submit``
-holding ``_cond`` (40) records arrivals on the delay controller (50), so the
-controller ranks just inside the server condition.  The chunk pipeline's
-three locks (120-140) are leaves: its readers are
-:func:`~repro.fanout.map_ordered` workers that never take one of them while
-holding another.
+counters are confined to its event-loop thread.  The adaptive delay
+controller holds none either: ``ModelServer`` records arrivals and reads the
+learned window only under its own ``_cond`` (40).  The chunk pipeline's one
+lock is the decoded-block cache (140), a leaf: its readers are
+:func:`~repro.fanout.map_ordered` workers, a buffer lease has one releaser
+at a time, and readahead hints keep no shared total.
 """
 
 from __future__ import annotations
@@ -65,10 +62,6 @@ LOCK_ORDER: Dict[str, int] = {
     "repro.net.client.NetClient._lock": 30,
     # Serving layer.
     "repro.serve.server.ModelServer._cond": 40,
-    # The adaptive-delay controller: submit records arrivals while holding
-    # ModelServer._cond (40 -> 50 is increasing); the controller itself is
-    # a leaf of the serving layer and never acquires anything.
-    "repro.net.controller.AdaptiveDelayController._lock": 50,
     # The train->publish daemon: holds its own state lock while opening
     # snapshot datasets (Session._lock, 70) and publishing refreshed model
     # versions (ModelRegistry._lock, 80), so it ranks above the server
@@ -82,9 +75,6 @@ LOCK_ORDER: Dict[str, int] = {
     "repro.api.sharded.ShardAppender._lock": 90,
     # Streaming pipeline.  Readers are map_ordered workers: they hint, read
     # and decode each chunk holding no lock of the stream's own.
-    "repro.api.chunks.ReadaheadHinter._lock": 120,
-    # The per-lease refcount, taken while retaining/releasing chunks.
-    "repro.api.chunks.BufferLease._lock": 130,
     # Innermost library lock: the decoded-block LRU is a pure leaf — decoding
     # happens outside it and nothing is acquired while it is held.
     "repro.api.sharded._BlockCache._lock": 140,

@@ -26,9 +26,9 @@ What runs when enabled
   :class:`LockOrderViolation` *before* blocking on the lock — the bug
   surfaces as a traceback in the offending thread instead of a deadlock.
 * :class:`LeaseTracker` records every activated
-  :class:`~repro.api.chunks.BufferLease` until its refcount returns to
-  zero; the suite-wide pytest fixture in ``tests/conftest.py`` fails any
-  test that leaks one.
+  :class:`~repro.api.chunks.BufferLease` until it is released; the
+  suite-wide pytest fixture in ``tests/conftest.py`` fails any test that
+  leaks one.
 * :class:`ThreadLeakDetector` snapshots live threads so the same fixture
   can fail tests that leave non-daemon threads running.
 """
@@ -299,7 +299,7 @@ def make_condition(name: str) -> threading.Condition:
 class LeaseTracker:
     """Registry of outstanding (activated, unreleased) buffer leases.
 
-    :class:`~repro.api.chunks.BufferLease` reports activation and final
+    :class:`~repro.api.chunks.BufferLease` reports activation and
     release here when :attr:`enabled` is true; the check at the call sites
     is a single attribute read, so the tracker costs nothing when idle.
     The suite-wide fixture enables it around every test and fails the test
@@ -313,13 +313,13 @@ class LeaseTracker:
         self.activated_total = 0
 
     def activated(self, lease: Any) -> None:
-        """Record that ``lease`` went live (refcount 0 -> 1)."""
+        """Record that ``lease`` was handed out by its pool."""
         with self._lock:
             self.activated_total += 1
             self._outstanding[id(lease)] = repr(lease)
 
     def released(self, lease: Any) -> None:
-        """Record that ``lease`` fully released (refcount back to 0)."""
+        """Record that ``lease`` went back to its pool."""
         with self._lock:
             self._outstanding.pop(id(lease), None)
 

@@ -71,7 +71,6 @@ from repro.api.chunks import (
     ReadaheadHinter,
     open_chunk_stream,
     plan_chunks,
-    shard_devices,
 )
 from repro.api.dataset import Dataset
 from repro.api.engines import (
@@ -135,7 +134,6 @@ __all__ = [
     "ChunkStreamStats",
     "plan_chunks",
     "open_chunk_stream",
-    "shard_devices",
     # engines
     "ExecutionEngine",
     "LocalEngine",

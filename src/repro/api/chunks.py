@@ -54,7 +54,7 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.runtime import LEASES, make_lock
+from repro.analysis.runtime import LEASES
 from repro.faults import InjectedFault, maybe_fire, policy_for
 from repro.api.sharded import ShardedLabels, ShardedMatrix
 from repro.fanout import COMPUTE_THREAD_PREFIX, DeadlineExceeded, map_ordered
@@ -126,27 +126,6 @@ def compressed_backing(matrix: Any) -> Optional[ShardedMatrix]:
     if isinstance(backing, ShardedMatrix) and not backing.mapped:
         return backing
     return None
-
-
-def shard_devices(matrix: Any) -> Tuple[int, ...]:
-    """``st_dev`` of each shard's backing file, in shard order.
-
-    The storage topology behind ``io_workers=0``: shards sharing a device id
-    share one spindle/namespace and gain nothing from extra readers, while
-    shards on distinct devices can genuinely stream concurrently.  Empty when
-    the matrix is not sharded or any shard cannot be ``stat``-ed (the caller
-    then falls back to per-shard sizing).
-    """
-    backing = _unwrap(matrix)
-    if not isinstance(backing, ShardedMatrix):
-        return ()
-    devices = []
-    for shard in backing.manifest.shards:
-        try:
-            devices.append(os.stat(backing.directory / shard.filename).st_dev)
-        except OSError:
-            return ()
-    return tuple(devices)
 
 
 def _physical_ram_bytes() -> int:
@@ -356,14 +335,8 @@ class Chunk:
         """Number of rows in the chunk."""
         return self.stop - self.start
 
-    def retain(self) -> "Chunk":
-        """Take an extra reference on the backing buffer (no-op for views)."""
-        if self.lease is not None:
-            self.lease.retain()
-        return self
-
     def release(self) -> None:
-        """Drop one reference on the backing buffer (no-op for views)."""
+        """Return the backing buffer to its pool (no-op for views)."""
         if self.lease is not None:
             self.lease.release()
 
@@ -515,53 +488,39 @@ class ChunkStreamStats:
 class BufferLease:
     """One leased ``(X, y)`` buffer pair of a :class:`ChunkBufferPool`.
 
-    Reference counted: the pool hands the lease out with one reference;
-    :meth:`retain`/:meth:`release` adjust it, and the buffer returns to the
-    pool's free ring when the count reaches zero.  Releasing an already-free
-    lease raises — double releases alias buffers between in-flight chunks,
-    which is exactly the bug the refcount exists to prevent.
+    A lease has exactly one releaser at a time: the consumer of the chunk it
+    backs, or the stream that discards or abandons that chunk.  The pool
+    hands it out held; :meth:`release` returns the buffer to the pool's free
+    ring.  Releasing a lease that is not held raises — a double release
+    would alias one buffer between two in-flight chunks.
     """
 
-    __slots__ = ("X", "y", "_pool", "_refs", "_lock")
+    __slots__ = ("X", "y", "_pool", "_held", "_served")
 
     def __init__(self, pool: "ChunkBufferPool", X: np.ndarray, y: Optional[np.ndarray]) -> None:
         self._pool = pool
         self.X = X
         self.y = y
-        self._refs = 0
-        self._lock = make_lock("repro.api.chunks.BufferLease._lock")
-
-    @property
-    def refs(self) -> int:
-        """Current reference count (0 = sitting in the pool's free ring)."""
-        return self._refs
+        self._held = False
+        #: Times this buffer was leased.  Only the thread that just took the
+        #: lease off the free ring writes it, so no two threads ever do.
+        self._served = 0
 
     def _activate(self) -> "BufferLease":
-        with self._lock:
-            self._refs = 1
+        self._held = True
+        self._served += 1
         if LEASES.enabled:
             LEASES.activated(self)
         return self
 
-    def retain(self) -> "BufferLease":
-        """Add a reference (a second consumer now holds the buffer)."""
-        with self._lock:
-            if self._refs <= 0:
-                raise RuntimeError("cannot retain a released buffer lease")
-            self._refs += 1
-        return self
-
     def release(self) -> None:
-        """Drop a reference; the last release returns the buffer to the pool."""
-        with self._lock:
-            if self._refs <= 0:
-                raise RuntimeError("buffer lease released more times than retained")
-            self._refs -= 1
-            last = self._refs == 0
-        if last:
-            if LEASES.enabled:
-                LEASES.released(self)
-            self._pool._return(self)
+        """Return the buffer to the pool."""
+        if not self._held:
+            raise RuntimeError("buffer lease released more than once")
+        self._held = False
+        if LEASES.enabled:
+            LEASES.released(self)
+        self._pool._return(self)
 
 
 class ChunkBufferPool:
@@ -572,7 +531,9 @@ class ChunkBufferPool:
     ones into buffers from this ring instead of allocating a fresh array per
     chunk, so steady-state streaming performs zero per-chunk allocations:
     peak memory is bounded by ``buffers × chunk bytes`` regardless of how
-    many chunks flow through.
+    many chunks flow through.  Several readers lease at once; the free ring
+    is a thread-safe queue, and all other state is per lease, written only
+    by the thread that holds it (:attr:`leases_served` sums it).
 
     Parameters
     ----------
@@ -605,12 +566,17 @@ class ChunkBufferPool:
         self.n_cols = n_cols
         self.dtype = np.dtype(dtype)
         self.label_dtype = None if label_dtype is None else np.dtype(label_dtype)
-        self.leases_served = 0
+        self._leases = [
+            BufferLease(
+                self,
+                np.empty((chunk_rows, n_cols), dtype=self.dtype),
+                None if self.label_dtype is None else np.empty(chunk_rows, dtype=self.label_dtype),
+            )
+            for _ in range(buffers)
+        ]
         self._free: "queue.Queue[BufferLease]" = queue.Queue()
-        for _ in range(buffers):
-            X = np.empty((chunk_rows, n_cols), dtype=self.dtype)
-            y = None if self.label_dtype is None else np.empty(chunk_rows, dtype=self.label_dtype)
-            self._free.put(BufferLease(self, X, y))
+        for lease in self._leases:
+            self._free.put(lease)
 
     @property
     def nbytes(self) -> int:
@@ -623,6 +589,11 @@ class ChunkBufferPool:
     def available(self) -> int:
         """Buffers currently sitting in the free ring."""
         return self._free.qsize()
+
+    @property
+    def leases_served(self) -> int:
+        """Leases handed out so far, summed over the ring's buffers."""
+        return sum(lease._served for lease in self._leases)
 
     def lease(self, stop: Optional[threading.Event] = None) -> Optional[BufferLease]:
         """Take a buffer from the ring, blocking until one is free.
@@ -638,7 +609,6 @@ class ChunkBufferPool:
                 if stop is not None and stop.is_set():
                     return None
                 continue
-            self.leases_served += 1
             return lease._activate()
 
     def _return(self, lease: BufferLease) -> None:
@@ -663,7 +633,6 @@ class _HintSegment:
     array_offset: int  # byte offset of row start_row in mm
     file_offset: int  # byte offset of row start_row on disk
     path: Optional[Path]  # backing file for the fadvise fallback
-    fd: Optional[int] = None
 
 
 class ReadaheadHinter:
@@ -686,13 +655,16 @@ class ReadaheadHinter:
     Every call degrades gracefully: ``mmap.madvise`` first, then
     ``os.posix_fadvise`` against the backing file, then a counted no-op on
     platforms (or backings, e.g. plain in-memory arrays) that support
-    neither.  The return value is the number of hints actually applied, so
-    callers can surface honest counts in :class:`ChunkStreamStats`.
+    neither.  Each call returns the number of hints it applied, which the
+    stream folds into its :class:`ChunkStreamStats`; the hinter keeps no
+    running total.  Reader threads hint concurrently: the only state they
+    share is the fadvise fallback's descriptors, each opened once per file.
     """
 
     def __init__(self, matrix: Any, rows: Optional[Tuple[int, int]] = None) -> None:
-        self._lock = make_lock("repro.api.chunks.ReadaheadHinter._lock")
-        self.applied = 0
+        #: Segment start row -> descriptor of its file, for the fadvise
+        #: fallback, opened at its first use.
+        self._fds: Dict[int, int] = {}
         try:
             self._segments = self._resolve_segments(_unwrap(matrix), rows)
         except Exception:  # noqa: BLE001 — an unhintable matrix is a no-op, not an error
@@ -746,8 +718,6 @@ class ReadaheadHinter:
         applied = 0
         for segment in self._segments:
             applied += self._advise(segment, "sequential", 0, None)
-        with self._lock:
-            self.applied += applied
         return applied
 
     def will_need(self, start: int, stop: int) -> int:
@@ -772,8 +742,6 @@ class ReadaheadHinter:
             offset = (lo - segment.start_row) * segment.row_bytes
             length = (hi - lo) * segment.row_bytes
             applied += self._advise(segment, kind, offset, length)
-        with self._lock:
-            self.applied += applied
         return applied
 
     def _advise(self, segment: _HintSegment, kind: str, offset: int, length: Optional[int]) -> int:
@@ -807,29 +775,39 @@ class ReadaheadHinter:
         except (AttributeError, OSError, OverflowError, ValueError):
             return False
 
-    @staticmethod
-    def _fadvise(segment: _HintSegment, option_name: str, offset: int, length: Optional[int]) -> bool:
+    def _fadvise(self, segment: _HintSegment, option_name: str, offset: int, length: Optional[int]) -> bool:
         option = getattr(os, option_name, None)
         fadvise = getattr(os, "posix_fadvise", None)
         if option is None or fadvise is None or segment.path is None:
             return False
         try:
-            if segment.fd is None:
-                segment.fd = os.open(str(segment.path), os.O_RDONLY)
-            fadvise(segment.fd, segment.file_offset + offset, length or 0, option)
+            fadvise(self._fd(segment), segment.file_offset + offset, length or 0, option)
             return True
         except OSError:
             return False
 
+    def _fd(self, segment: _HintSegment) -> int:
+        """The descriptor of ``segment``'s file, opened at the first call.
+
+        Two readers may both miss and open the file; ``setdefault`` on an
+        int key is one atomic step, so one descriptor is kept and the other
+        closed at once, never leaked.
+        """
+        fd = self._fds.get(segment.start_row)
+        if fd is None:
+            opened = os.open(str(segment.path), os.O_RDONLY)
+            fd = self._fds.setdefault(segment.start_row, opened)
+            if fd != opened:
+                os.close(opened)
+        return fd
+
     def close(self) -> None:
         """Close any file descriptors opened for the fadvise fallback."""
-        for segment in self._segments:
-            if segment.fd is not None:
-                try:
-                    os.close(segment.fd)
-                except OSError:
-                    pass
-                segment.fd = None
+        while self._fds:
+            try:
+                os.close(self._fds.popitem()[1])
+            except OSError:
+                pass
 
     def __enter__(self) -> "ReadaheadHinter":
         return self
@@ -1056,7 +1034,7 @@ class ChunkStream:
     """The chunk executor: an ordered map of one read step over the plan.
 
     The stream iterates :func:`repro.fanout.map_ordered` over the plan's
-    chunks on ``io_workers`` reader threads.  Each reader takes the next
+    chunks on ``io_workers`` (at least one) reader threads.  Each reader takes the next
     chunk, issues an OS readahead hint for it and materialises it — zero-copy
     when the range resolves to one contiguous memmap view, copied into a
     :class:`ChunkBufferPool` buffer when it must be stitched across shards,
@@ -1104,8 +1082,8 @@ class ChunkStream:
                 f"labels have {len(labels)} entries but the plan covers "
                 f"{plan.n_rows} rows"
             )
-        if io_workers is not None and io_workers < 0:
-            raise ValueError(f"io_workers must be >= 0, got {io_workers}")
+        if io_workers is not None and io_workers < 1:
+            raise ValueError(f"io_workers must be >= 1, got {io_workers}")
         if decode_workers is not None and decode_workers < 1:
             raise ValueError(f"decode_workers must be >= 1, got {decode_workers}")
         if stall_timeout_s is not None and stall_timeout_s <= 0:
@@ -1122,8 +1100,6 @@ class ChunkStream:
             io_workers = 0
         elif io_workers is None:
             io_workers = 1
-        elif io_workers == 0:  # size the pool from storage topology
-            io_workers = self._default_io_workers(matrix, starts)
         compressed = compressed_backing(matrix) if threaded else None
         if compressed is not None and decode_workers is not None:
             # Readers of a decoded stream decode what they fetch, so the
@@ -1197,25 +1173,6 @@ class ChunkStream:
             self.stats.record_hints(self.hinter.advise_sequential())
 
     # -- construction helpers ----------------------------------------------
-
-    @staticmethod
-    def _default_io_workers(matrix: Any, starts: Tuple[int, ...]) -> int:
-        """Reader count for ``io_workers=0``: one reader per distinct device.
-
-        Readers exist to keep independent devices streaming concurrently;
-        shards that share a device share its queue, so sizing the pool from
-        ``st_dev`` topology (rather than one reader per shard) stops a
-        single-disk dataset from spawning a pile of threads contending for
-        one spindle.  Falls back to one reader per shard when device identity
-        cannot be established, and to two readers for single-file and
-        in-memory matrices (where there is no topology to read).
-        """
-        if len(starts) <= 1:
-            return 2
-        devices = shard_devices(matrix)
-        if devices:
-            return len(set(devices))
-        return len(starts)
 
     def _resolve_pool(
         self, buffer_pool: Optional[ChunkBufferPool], cuts: np.ndarray, compressed: bool
@@ -1437,13 +1394,10 @@ def open_chunk_stream(
         How many reader threads run ahead of the consumer.  ``io_workers=None``
         (default) is one reader with a window of 2 — double buffering — or,
         with ``prefetch=False``, an *inline* stream: no thread at all, the
-        consumer reads each chunk as it asks for it.  ``io_workers=0`` sizes
-        the pool from the storage topology: one reader per distinct *device*
-        behind the shards (via :func:`shard_devices`), falling back to one
-        per shard when device identity is unknowable, and to two readers for
-        single-file and in-memory matrices.  ``io_workers=n`` is exactly
-        ``n`` readers.  They read ``max(2, 2 × readers)`` chunks ahead of
-        the consumer, capped by the buffer ring (``stream.depth``).
+        consumer reads each chunk as it asks for it.  ``io_workers=n``
+        (``n >= 1``) is exactly ``n`` readers, never more than the plan has
+        chunks.  They read ``max(2, 2 × readers)`` chunks ahead of the
+        consumer, capped by the buffer ring (``stream.depth``).
     buffer_pool:
         ``None`` = preallocate a ring of ``stream.depth`` buffers when (and
         only when) the plan contains stitched or compressed chunks; a

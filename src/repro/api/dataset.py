@@ -73,10 +73,13 @@ class Dataset:
 
     @property
     def backend_name(self) -> str:
-        """Scheme of the backend serving the dataset (``memory``/``mmap``/…)."""
-        if self.backend is not None:
-            return self.backend.scheme
-        return str(self._handle.metadata.get("backend", "unknown"))
+        """The dataset's backend (``memory``/``mmap``/``shard``), as
+        ``info()["backend"]`` reports it: a stored dataset names its stored
+        form, whichever scheme it was opened with."""
+        name = self._handle.metadata.get("backend")
+        if name is None and self.backend is not None:
+            name = self.backend.scheme
+        return str(name or "unknown")
 
     @property
     def matrix(self) -> MmapMatrix:

@@ -264,10 +264,9 @@ class StreamingEngine(ExecutionEngine):
         auto-sizes chunks from a byte target with an adaptive ramp.
     io_workers:
         Reader threads.  ``None`` (default) = one reader with a window of two
-        chunks (double buffering); ``0`` = one reader per storage device
-        behind the shards; ``n >= 1`` = exactly ``n`` readers.  The window is
-        ``max(2, 2 × readers)``, reported as ``prefetch_depth`` in the result
-        details.
+        chunks (double buffering); ``n >= 1`` = exactly ``n`` readers.  The
+        window is ``max(2, 2 × readers)``, reported as ``prefetch_depth`` in
+        the result details.
     compute_workers:
         Worker threads for data-parallel streaming ``predict``: chunk
         inference fans across :func:`repro.ml.base.map_ordered` — the same
@@ -311,8 +310,8 @@ class StreamingEngine(ExecutionEngine):
     ) -> None:
         if chunk_rows is not None and chunk_rows <= 0:
             raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-        if io_workers is not None and io_workers < 0:
-            raise ValueError(f"io_workers must be >= 0, got {io_workers}")
+        if io_workers is not None and io_workers < 1:
+            raise ValueError(f"io_workers must be >= 1, got {io_workers}")
         if compute_workers is None:
             compute_workers = compute_threads()
         elif compute_workers < 1:

@@ -317,7 +317,7 @@ class Session:
             ``"predict_proba"``, ``"decision_function"``, …
         engine:
             Engine override — a name, or a configured instance such as
-            ``StreamingEngine(io_workers=0, compute_workers=2)``; defaults to
+            ``StreamingEngine(io_workers=2, compute_workers=2)``; defaults to
             the session's ``engine``.  A streaming engine built without
             ``compute_workers`` serves chunks on
             :func:`repro.ml.base.compute_threads` workers (CPUs ÷ BLAS
@@ -352,7 +352,6 @@ class Session:
         name: str = "default",
         max_batch: int = 256,
         max_delay_ms: float = 0.0,
-        workers: int = 1,
         max_pending: int = 1024,
         registry: Optional[Any] = None,
     ) -> Any:
@@ -363,7 +362,8 @@ class Session:
         **requests**: single rows or small batches submitted concurrently by
         many clients.  Concurrent requests are coalesced into micro-batches
         of up to ``max_batch`` rows (waiting at most ``max_delay_ms`` for
-        company) and computed through the
+        company) and computed, one batch at a time on the server's one
+        dispatcher thread, through the
         :class:`~repro.ml.base.StreamingPredictor` per-chunk path, so every
         served prediction is bit-identical to in-core ``predict``.
 
@@ -375,7 +375,7 @@ class Session:
         name:
             Registry name the model is published under; ``Serving.swap``
             republishes it (atomic hot-swap under load).
-        max_batch, max_delay_ms, workers, max_pending:
+        max_batch, max_delay_ms, max_pending:
             Micro-batching and backpressure knobs — see
             :class:`~repro.serve.ModelServer`.
         registry:
@@ -394,7 +394,7 @@ class Session:
 
         self._check_open()
         # Publish (load + validate) before the server exists: a bad model
-        # file must raise here, not after dispatcher threads were spawned.
+        # file must raise here, not after the dispatcher thread was spawned.
         if registry is None:
             registry = ModelRegistry()
         registry.publish(name, model_or_path)
@@ -402,7 +402,6 @@ class Session:
             registry=registry,
             max_batch=max_batch,
             max_delay_ms=max_delay_ms,
-            workers=workers,
             max_pending=max_pending,
         )
         return Serving(server, name=name)

@@ -72,6 +72,7 @@ from repro.analysis.runtime import make_lock
 from repro.data.codecs import Codec, get_codec
 from repro.data.formats_v2 import (
     BLOCKED_PREFIX_SIZE,
+    RAW_DATA_OFFSET,
     BlockedMatrixHeader,
     BlockedMatrixReader,
     BlockedMatrixWriter,
@@ -82,10 +83,8 @@ from repro.data.formats_v2 import (
     read_blocked_header,
     shows_header,
     verify_blocked_file,
-    write_blocked_matrix,
 )
 from repro.durable import durable_replace, fsync_directory
-from repro.fanout import available_cpus, map_ordered
 from repro.faults import maybe_fire, policy_for
 
 MANIFEST_NAME = "manifest.json"
@@ -436,6 +435,9 @@ def write_sharded_dataset(
 ) -> ShardManifest:
     """Write ``data`` (and optional ``labels``) as a sharded dataset.
 
+    :func:`write_streamed_dataset` over the array's shard bands, so the
+    files are the ones that writer produces from the same rows.
+
     Parameters
     ----------
     directory:
@@ -458,7 +460,6 @@ def write_sharded_dataset(
         ``float32``/``float16`` downcast for extra compression at bounded
         precision cost (such a dataset is decoded, not mapped).
     """
-    directory = Path(directory)
     data = np.asarray(data)
     if data.ndim != 2:
         raise ValueError(f"data must be 2-D, got shape {data.shape}")
@@ -470,58 +471,26 @@ def write_sharded_dataset(
             raise ValueError(
                 f"labels must have shape ({data.shape[0]},), got {labels.shape}"
             )
-    directory.mkdir(parents=True, exist_ok=True)
-    # Re-creating a dataset resets its append history: the fresh manifest is
-    # generation 0 again and stale numbered manifests must not resurrect it.
-    _clear_generation_state(directory)
-
-    resolved_codec = codec if isinstance(codec, Codec) else get_codec(codec or "none")
-    resolved_storage = np.dtype(data.dtype if storage_dtype is None else storage_dtype)
-    if block_rows is None:
-        block_rows = default_block_rows(int(data.shape[1]), resolved_storage.itemsize)
-
-    rows = int(data.shape[0])
-
-    def write_shard(index: int) -> ShardInfo:
-        start = index * shard_rows
-        stop = min(start + shard_rows, rows)
-        filename = f"shard-{index:05d}.m3b"
-        header = write_blocked_matrix(
-            directory / filename,
-            data[start:stop],
-            labels[start:stop] if labels is not None else None,
-            block_rows=block_rows,
-            codec=resolved_codec,
-            storage_dtype=resolved_storage,
+    # One band per shard; an empty dataset is one empty band (one shard).
+    bands = (
+        (
+            start,
+            data[start : start + shard_rows],
+            None if labels is None else labels[start : start + shard_rows],
         )
-        return ShardInfo(
-            filename=filename,
-            start_row=start,
-            rows=stop - start,
-            compressed_bytes=header.compressed_bytes,
-            raw_bytes=header.raw_bytes,
-        )
-
-    # Shards are independent files, written one per worker; each codes its
-    # own blocks inline (a nested fan-out is serial), so the CRC and codec
-    # work and the page-cache copies of different shards share the cores.
-    # A lone shard (an empty dataset has one) fans its blocks out instead.
-    count = max(1, -(-rows // shard_rows))
-    workers = available_cpus() if count > 1 else 1
-    shards = list(map_ordered(write_shard, range(count), workers, workers + 1))
-
-    manifest = ShardManifest(
-        rows=rows,
-        cols=int(data.shape[1]),
-        dtype=np.dtype(data.dtype),
-        has_labels=labels is not None,
-        shards=shards,
-        codec=resolved_codec.name,
-        block_rows=block_rows,
-        storage_dtype=resolved_storage,
+        for start in range(0, max(int(data.shape[0]), 1), shard_rows)
     )
-    write_manifest(directory, manifest)
-    return manifest
+    return write_streamed_dataset(
+        directory,
+        bands,
+        cols=int(data.shape[1]),
+        dtype=data.dtype,
+        has_labels=labels is not None,
+        shard_rows=shard_rows,
+        codec=codec,
+        block_rows=block_rows,
+        storage_dtype=storage_dtype,
+    )
 
 
 def write_streamed_dataset(
@@ -537,14 +506,17 @@ def write_streamed_dataset(
 ) -> ShardManifest:
     """Write a sharded dataset from ``(start_row, rows, labels)`` bands.
 
-    The streaming twin of :func:`write_sharded_dataset`, behind
-    ``m3 convert`` and ``m3 generate``: bands come in row order, none
-    crossing a multiple of ``shard_rows``, and each goes straight into its
-    shard's :class:`~repro.data.formats_v2.BlockedMatrixWriter`, so memory
-    holds one band and the blocks in flight, never the dataset.  ``labels``
-    is ``None`` in every band of an unlabelled dataset; an empty dataset is
-    one empty band.  ``codec``, ``block_rows`` and ``storage_dtype`` are
-    :func:`write_sharded_dataset`'s.
+    The one sharded writer, behind :func:`write_sharded_dataset` (one band
+    per shard of an in-memory array), ``m3 convert`` and ``m3 generate``:
+    bands come in row order, none crossing a multiple of ``shard_rows``, and
+    each goes straight into its shard's
+    :class:`~repro.data.formats_v2.BlockedMatrixWriter`, so memory holds one
+    band and the blocks in flight, never the dataset.  Shards are written
+    one after another; each band's blocks are coded through
+    :func:`~repro.data.formats_v2.encode_blocks`, the one write fan-out.
+    ``labels`` is ``None`` in every band of an unlabelled dataset; an empty
+    dataset is one empty band.  ``codec``, ``block_rows`` and
+    ``storage_dtype`` are :func:`write_sharded_dataset`'s.
     """
     directory = Path(directory)
     resolved_codec = codec if isinstance(codec, Codec) else get_codec(codec or "none")
@@ -1769,6 +1741,27 @@ def _shard_mismatch(
             f"{'labels' if manifest.has_labels else 'none'}"
         )
     return None
+
+
+def misaligned_shards(
+    manifest: ShardManifest, headers: Iterable[BlockedMatrixHeader]
+) -> List[str]:
+    """The mapped shards whose rows do not start on a 64-byte boundary.
+
+    ``headers`` are the shards' headers, in manifest order; they are only
+    read when the manifest is mapped.  Every raw shard written today starts
+    its rows at :data:`~repro.data.formats_v2.RAW_DATA_OFFSET`; one whose
+    rows start at byte 32 still opens and reads correctly, but its maps
+    serve rows that straddle cache lines, and scans over it run slower
+    (``m3 convert SRC DST --codec raw`` rewrites it aligned).
+    """
+    if not manifest.mapped:
+        return []
+    return [
+        shard.filename
+        for shard, header in zip(manifest.shards, headers)
+        if header.blocks and header.blocks[0].segments[0][0] % RAW_DATA_OFFSET
+    ]
 
 
 def verify_dataset(

@@ -56,7 +56,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Type, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -68,10 +68,12 @@ from repro.api.sharded import (
     ShardAppender,
     ShardedMatrix,
     ShardManifest,
+    misaligned_shards,
     open_sharded_matrix,
     read_manifest,
     write_sharded_dataset,
 )
+from repro.data.formats_v2 import read_blocked_header
 
 SpecLike = Union[str, Path]
 
@@ -252,10 +254,21 @@ class ShardedBackend(StorageBackend):
 
     scheme = "shard"
 
-    def _metadata(self, location: str, manifest: ShardManifest) -> Dict[str, Any]:
-        """The facts ``open`` and ``info`` both report."""
-        return {
-            "backend": self.scheme,
+    def _metadata(
+        self, location: str, manifest: ShardManifest, headers: Iterable[Any]
+    ) -> Dict[str, Any]:
+        """The facts ``open`` and ``info`` both report.
+
+        They describe the stored dataset, whatever scheme its spec was
+        spelled with: ``backend`` is ``mmap`` for one mapped shard — what
+        ``mmap://`` creates — and ``shard`` otherwise.  ``headers`` are the
+        shards' headers, consumed only for a mapped dataset, whose metadata
+        then names any shard with rows not 64-byte aligned, and the command
+        that rewrites it.
+        """
+        one_map = manifest.mapped and len(manifest.shards) == 1
+        metadata = {
+            "backend": MmapBackend.scheme if one_map else ShardedBackend.scheme,
             "path": str(Path(location)),
             "rows": manifest.rows,
             "cols": manifest.cols,
@@ -269,6 +282,14 @@ class ShardedBackend(StorageBackend):
             "compressed_bytes": manifest.compressed_bytes,
             "compression_ratio": manifest.ratio,
         }
+        misaligned = misaligned_shards(manifest, headers)
+        if misaligned:
+            metadata["misaligned_shards"] = misaligned
+            metadata["remedy"] = (
+                f"rows not 64-byte aligned scan slower; rewrite with: "
+                f"m3 convert {location} DST --codec raw"
+            )
+        return metadata
 
     def open(self, location: str) -> StorageHandle:
         # The manifest decides whether the shards are mapped or decoded; the
@@ -292,11 +313,10 @@ class ShardedBackend(StorageBackend):
         hinter = ReadaheadHinter(matrix)
         hinter.advise_sequential()
         hinter.close()
-        metadata = self._metadata(location, matrix.manifest)
+        metadata = self._metadata(location, matrix.manifest, matrix._headers)
         metadata["generation"] = matrix.generation
-        # One file per shard: the parallel chunk pipeline sizes its reader
-        # pool from this layout, and the readahead hinter's posix_fadvise
-        # fallback targets these files directly.
+        # One file per shard: the readahead hinter's posix_fadvise fallback
+        # targets these files directly.
         metadata["shard_paths"] = [str(path) for path in matrix.shard_paths]
         return StorageHandle(
             matrix=matrix,
@@ -327,8 +347,12 @@ class ShardedBackend(StorageBackend):
         return location
 
     def info(self, location: str) -> Dict[str, Any]:
-        manifest = read_manifest(Path(location))
-        info = self._metadata(location, manifest)
+        directory = Path(location)
+        manifest = read_manifest(directory)
+        headers = (
+            read_blocked_header(directory / shard.filename) for shard in manifest.shards
+        )
+        info = self._metadata(location, manifest, headers)
         info["format_version"] = MANIFEST_VERSION
         info["shard_ratios"] = [
             {"filename": s.filename, "ratio": s.ratio} for s in manifest.shards

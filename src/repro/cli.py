@@ -19,8 +19,7 @@ reproduction entry points:
   default); ``--engine streaming [--chunk-rows N]`` trains
   through the chunk pipeline (``partial_fit`` over prefetched shard-aligned
   row blocks) and reports per-chunk I/O-wait vs compute time;
-  ``--io-workers N`` sets the pipeline's reader threads (omit = one
-  reader, ``0`` = one reader per storage device);
+  ``--io-workers N`` sets the pipeline's reader threads (omit = one reader);
   ``--save-model PATH`` persists the fitted model as JSON for serving.
 * ``m3 predict`` — serve a saved model's predictions over a dataset;
   ``--engine streaming`` predicts chunk by chunk through the prefetching
@@ -34,12 +33,13 @@ reproduction entry points:
   a run's access trace at paper scale is library code, not a flag: see
   :mod:`repro.vmem`.
 * ``m3 served`` — the network serving daemon: a saved model in the
-  hot-model registry, the micro-batcher (``--max-batch``, ``--workers``,
-  ``--max-delay-ms`` or ``--adaptive-delay``) and, in front, the one
-  request loop there is (``repro.net.NetServer``): a TCP listener taking
-  JSONL, raw-row frames (rows as the array's own bytes — what ``NetClient``
-  sends float arrays as) and HTTP/1.1 ``POST /predict``, sniffed per frame
-  on one port (``--port 0`` = ephemeral, printed to stderr); SIGTERM drains.
+  hot-model registry, the micro-batcher (one dispatcher thread;
+  ``--max-batch``, ``--max-delay-ms`` or ``--adaptive-delay``) and, in
+  front, the one request loop there is (``repro.net.NetServer``): a TCP
+  listener taking JSONL, raw-row frames (rows as the array's own bytes —
+  what ``NetClient`` sends float arrays as) and HTTP/1.1 ``POST /predict``,
+  sniffed per frame on one port (``--port 0`` = ephemeral, printed to
+  stderr); SIGTERM drains.
 * ``m3 serve`` — the stdio transport of ``served``: the same stack on a
   loopback port, stdin (``--input``) pumped into one connection of it and
   the responses, in request order, to stdout (``--output``); every frame,
@@ -91,7 +91,7 @@ def _positive_int(text: str) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type for flags where 0 is meaningful (``--io-workers 0`` = auto)."""
+    """argparse type for flags where 0 is meaningful (``--port 0`` = ephemeral)."""
     return _checked_number(text, int, lambda value: value >= 0, "a non-negative integer")
 
 
@@ -221,6 +221,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
                 else f"{entry['filename']}=?"
                 for entry in value
             )
+        elif key == "misaligned_shards":
+            value = ", ".join(value)
         elif key == "compression_ratio" and value is not None:
             value = f"{value:.2f}"
         print(f"{key:<{width}}  {value}")
@@ -462,7 +464,6 @@ def _serving_stack(args: argparse.Namespace) -> "Tuple[Any, Any]":
         registry=registry,
         max_batch=args.max_batch,
         max_delay_ms=args.max_delay_ms,
-        workers=args.workers,
         max_pending=args.max_pending,
         delay_controller=controller,
     )
@@ -513,8 +514,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ) as sink, socket.create_connection(net.address) as conn:
         print(
             f"serving {type(version.model).__name__} as {version.key} "
-            f"(max_batch={args.max_batch}, max_delay={args.max_delay_ms}ms, "
-            f"workers={args.workers}); JSONL, raw-row frames or HTTP POST /predict",
+            f"(max_batch={args.max_batch}, max_delay={args.max_delay_ms}ms); "
+            f"JSONL, raw-row frames or HTTP POST /predict",
             file=sys.stderr,
         )
         responses = threading.Thread(
@@ -544,7 +545,7 @@ def _cmd_served(args: argparse.Namespace) -> int:
     Binds ``--host``/``--port`` (``0`` picks an ephemeral port; the bound
     address is printed to stderr) and drains gracefully on SIGTERM/SIGINT:
     stop accepting, answer every in-flight request, then shut the
-    dispatchers down.
+    dispatcher down.
     """
     import signal
     import threading
@@ -562,7 +563,7 @@ def _cmd_served(args: argparse.Namespace) -> int:
     print(
         f"serving {type(version.model).__name__} as {version.key} on "
         f"{net.host}:{net.port} (max_batch={args.max_batch}, "
-        f"max_delay={delay_text}, workers={args.workers}); "
+        f"max_delay={delay_text}); "
         f"JSONL, raw-row frames or HTTP POST /predict; SIGTERM drains",
         file=sys.stderr,
         flush=True,
@@ -773,10 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rows per streaming chunk (streaming engine only; "
                             "defaults to the model's batch size, or an "
                             "auto-sized adaptive window)")
-    train.add_argument("--io-workers", type=_non_negative_int, default=None,
+    train.add_argument("--io-workers", type=_positive_int, default=None,
                        help="reader threads of the chunk pipeline "
-                            "(streaming engine only; omit = one reader, "
-                            "0 = one reader per device)")
+                            "(streaming engine only; omit = one reader)")
     train.add_argument("--compute-workers", type=_positive_int, default=None,
                        help="inference threads, and at least as many "
                             "readers of compressed shards (streaming "
@@ -806,10 +806,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "memory on sharded datasets)")
     predict.add_argument("--chunk-rows", type=_positive_int, default=None,
                          help="rows per streaming chunk (streaming engine only)")
-    predict.add_argument("--io-workers", type=_non_negative_int, default=None,
+    predict.add_argument("--io-workers", type=_positive_int, default=None,
                          help="reader threads of the chunk pipeline "
-                              "(streaming engine only; omit = one reader, "
-                              "0 = one reader per device)")
+                              "(streaming engine only; omit = one reader)")
     predict.add_argument("--compute-workers", type=_positive_int, default=None,
                          help="worker threads for data-parallel chunk inference "
                               "(streaming engine only; omit = CPUs / BLAS "
@@ -841,9 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
         daemon.add_argument("--max-delay-ms", type=_non_negative_float, default=0.0,
                             help="how long an underfull micro-batch waits for "
                                  "more requests; 0 = dispatch immediately "
-                                 "(batches still form under load)")
-        daemon.add_argument("--workers", type=_positive_int, default=1,
-                            help="dispatcher threads")
+                                 "(batches still form under load: one "
+                                 "dispatcher computes them in turn)")
         daemon.add_argument("--max-pending", type=_positive_int, default=1024,
                             help="bounded request-queue depth: beyond it, a "
                                  "typed 'saturated' error / HTTP 429 ('serve' "

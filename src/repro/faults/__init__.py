@@ -183,8 +183,8 @@ class FaultRule:
 class FaultPlan:
     """A set of armed sites plus their live fire/trigger accounting.
 
-    Thread-safe: sites fire from reader threads, dispatcher threads and
-    the appender concurrently.  The internal lock is a registered leaf
+    Thread-safe: sites fire from reader threads, the serving dispatcher
+    and the appender concurrently.  The internal lock is a registered leaf
     (rank 920) — it nests inside every pipeline lock and never acquires
     anything itself.
     """

@@ -17,8 +17,8 @@ pays nothing; a burst coalesces into near-full batches within one
 ceiling's worth of observation.
 
 The controller is transport-agnostic: ``ModelServer`` calls
-:meth:`record_arrival` on every accepted ``submit`` and reads
-:meth:`delay_s` when a dispatcher opens a batch window, whether requests
+:meth:`record_arrival` on every offered ``submit`` and reads
+:meth:`delay_s` when its dispatcher opens a batch window, whether requests
 arrive over a socket, stdin, or in-process calls.
 """
 
@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import time
 from typing import Dict, Optional
-
-from repro.analysis.runtime import make_lock
 
 __all__ = ["AdaptiveDelayController"]
 
@@ -38,6 +36,10 @@ MAX_OBSERVED_GAP_S = 1.0
 
 class AdaptiveDelayController:
     """EWMA arrival-rate estimator feeding ``ModelServer``'s coalesce window.
+
+    Not thread-safe: ``ModelServer`` calls :meth:`record_arrival` and
+    :meth:`delay_s` under its condition, which serialises them.
+    :meth:`snapshot` only reads, for a stats line.
 
     Parameters
     ----------
@@ -75,7 +77,6 @@ class AdaptiveDelayController:
         self.ceiling_s = ceiling_ms / 1000.0
         self.alpha = alpha
         self.min_gain = min_gain
-        self._lock = make_lock("repro.net.controller.AdaptiveDelayController._lock")
         self._gap_ewma_s: Optional[float] = None
         self._last_arrival: Optional[float] = None
         self._arrivals = 0
@@ -88,25 +89,24 @@ class AdaptiveDelayController:
         """
         if now is None:
             now = time.perf_counter()
-        with self._lock:
-            self._arrivals += 1
-            last = self._last_arrival
-            self._last_arrival = now
-            if last is None:
-                return
-            gap = now - last
-            if gap < 0.0:
-                return
-            if gap > MAX_OBSERVED_GAP_S:
-                # An idle pause, not a rate sample: forget the old rate so
-                # the next burst is measured fresh instead of being
-                # averaged against the silence.
-                self._gap_ewma_s = None
-                return
-            if self._gap_ewma_s is None:
-                self._gap_ewma_s = gap
-            else:
-                self._gap_ewma_s += self.alpha * (gap - self._gap_ewma_s)
+        self._arrivals += 1
+        last = self._last_arrival
+        self._last_arrival = now
+        if last is None:
+            return
+        gap = now - last
+        if gap < 0.0:
+            return
+        if gap > MAX_OBSERVED_GAP_S:
+            # An idle pause, not a rate sample: forget the old rate so the
+            # next burst is measured fresh instead of being averaged against
+            # the silence.
+            self._gap_ewma_s = None
+            return
+        if self._gap_ewma_s is None:
+            self._gap_ewma_s = gap
+        else:
+            self._gap_ewma_s += self.alpha * (gap - self._gap_ewma_s)
 
     def delay_s(self) -> float:
         """The learned coalesce window, in seconds (0.0 at low load).
@@ -116,8 +116,7 @@ class AdaptiveDelayController:
         ``0.0`` when fewer than ``min_gain`` extra requests are expected
         within a full ceiling window.
         """
-        with self._lock:
-            gap = self._gap_ewma_s
+        gap = self._gap_ewma_s
         if gap is None or self.ceiling_s == 0.0 or self.max_batch == 1:
             return 0.0
         if gap <= 0.0:
@@ -135,9 +134,8 @@ class AdaptiveDelayController:
 
     def snapshot(self) -> Dict[str, float]:
         """Current estimator state, JSON-friendly (for stats lines and tests)."""
-        with self._lock:
-            gap = self._gap_ewma_s
-            arrivals = self._arrivals
+        gap = self._gap_ewma_s
+        arrivals = self._arrivals
         return {
             "arrivals": float(arrivals),
             "gap_ewma_ms": float("nan") if gap is None else gap * 1e3,

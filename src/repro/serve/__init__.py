@@ -8,8 +8,8 @@ regime.  The pieces:
 * :class:`ModelRegistry` — named, versioned hot models (live estimators or
   ``m3 train --save-model`` JSON files), swapped atomically under load;
 * :class:`ModelServer` — the long-lived daemon: a bounded request queue with
-  backpressure, dispatcher threads that coalesce concurrent requests into
-  chunk-sized micro-batches, and per-request latency accounting
+  backpressure, one dispatcher thread that coalesces concurrent requests
+  into chunk-sized micro-batches, and per-request latency accounting
   (queue-wait / batch / compute);
 * :class:`Serving` — a server bound to one published model, returned by
   :meth:`repro.api.Session.serve`;

@@ -14,7 +14,7 @@ The moving parts:
 * a bounded request queue with **backpressure** — ``submit`` blocks (or
   raises :class:`ServerSaturated`) once ``max_pending`` requests are queued,
   so a burst can never grow memory without bound;
-* a **micro-batcher**: each dispatcher thread pops the oldest request, then
+* a **micro-batcher**: one dispatcher thread pops the oldest request, then
   coalesces further same-``(model, method)`` requests for up to
   ``max_delay_ms`` or until ``max_batch`` rows are gathered — amortising the
   per-call overhead that dominates single-row inference;
@@ -264,16 +264,14 @@ class ModelServer:
     max_batch:
         Maximum rows coalesced into one dispatch.
     max_delay_ms:
-        How long a dispatcher holds an underfull batch open waiting for more
-        requests.  ``0`` (the default) dispatches whatever is queued
+        How long the dispatcher holds an underfull batch open waiting for
+        more requests.  ``0`` (the default) dispatches whatever is queued
         immediately — micro-batches still form under load, because requests
         arriving while a batch computes coalesce into the next dispatch
         (self-clocking batching).  Raise it only for open-loop traffic where
         trading per-request latency for larger batches is worth it; clients
         that wait for their response before sending the next request
         (closed-loop) only ever pay the delay, never gain from it.
-    workers:
-        Dispatcher threads (each serves one batch at a time).
     max_pending:
         Bounded queue depth in *requests*; beyond it ``submit`` blocks
         (backpressure) or raises :class:`ServerSaturated`.
@@ -281,10 +279,15 @@ class ModelServer:
         Optional adaptive replacement for ``max_delay_ms`` — an object
         with ``record_arrival()`` and ``delay_s()`` (duck-typed so this
         module needs no import of :mod:`repro.net`; in practice a
-        :class:`repro.net.AdaptiveDelayController`).  Every accepted
-        ``submit`` records an arrival, and each dispatcher reads the
-        learned window when it opens a batch, so the coalesce delay
-        tracks the observed arrival rate instead of a constant.
+        :class:`repro.net.AdaptiveDelayController`).  Every offered
+        ``submit`` records an arrival and the dispatcher reads the learned
+        window when it opens a batch, both under the server's condition,
+        so the coalesce delay tracks the observed arrival rate instead of a
+        constant.
+
+    One dispatcher thread computes every batch: a batch's compute is one
+    native call over coalesced rows, and requests that arrive meanwhile
+    coalesce into the next batch.
     """
 
     def __init__(
@@ -292,7 +295,6 @@ class ModelServer:
         registry: Optional[ModelRegistry] = None,
         max_batch: int = 256,
         max_delay_ms: float = 0.0,
-        workers: int = 1,
         max_pending: int = 1024,
         delay_controller: Optional[Any] = None,
     ) -> None:
@@ -300,8 +302,6 @@ class ModelServer:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_delay_ms < 0:
             raise ValueError(f"max_delay_ms must be >= 0, got {max_delay_ms}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.registry = registry if registry is not None else ModelRegistry()
@@ -313,14 +313,10 @@ class ModelServer:
         self._queue: List[_Request] = []
         self._stats = ServeStats()
         self._closed = False
-        self._workers = [
-            threading.Thread(
-                target=self._work, name=f"m3-serve-{i}", daemon=True
-            )
-            for i in range(workers)
-        ]
-        for thread in self._workers:
-            thread.start()
+        self._dispatcher = threading.Thread(
+            target=self._work, name="m3-serve-dispatcher", daemon=True
+        )
+        self._dispatcher.start()
 
     # -- model management ----------------------------------------------------
 
@@ -365,12 +361,12 @@ class ModelServer:
         if not method or method.startswith("_"):
             raise ValueError(f"invalid prediction method {method!r}")
         request = _Request(self._as_rows(rows), model, method)
-        if self.delay_controller is not None:
-            # Offered arrivals, counted before backpressure: a saturated
-            # burst is exactly when the learned window should be widest.
-            self.delay_controller.record_arrival()
         deadline = None if timeout is None else time.perf_counter() + timeout
         with self._cond:
+            if self.delay_controller is not None:
+                # Offered arrivals, counted before backpressure: a saturated
+                # burst is exactly when the learned window should be widest.
+                self.delay_controller.record_arrival()
             if self._closed:
                 raise ServerClosed("server is closed")
             while len(self._queue) >= self.max_pending:
@@ -438,8 +434,8 @@ class ModelServer:
                 if self._closed:
                     return None, 0.0
                 # Bounded: every queue mutation and close() notifies under
-                # this lock, so the timeout is pure insurance — a dispatcher
-                # that somehow missed its wakeup re-checks the exit
+                # this lock, so the timeout is pure insurance — had the
+                # dispatcher somehow missed its wakeup, it re-checks the exit
                 # conditions within a second instead of sleeping forever
                 # (an idle queue is a normal state, never an error).
                 self._cond.wait(timeout=1.0)
@@ -448,9 +444,8 @@ class ModelServer:
             batch = [head]
             rows = head.n_rows
             opened = time.perf_counter()
-            # Adaptive mode reads the learned window as the batch opens
-            # (controller lock ranks inside this condition); fixed mode
-            # keeps the constructor constant.
+            # Adaptive mode reads the learned window as the batch opens;
+            # fixed mode keeps the constructor constant.
             delay_s = (
                 self.max_delay_s
                 if self.delay_controller is None
@@ -468,7 +463,7 @@ class ModelServer:
             return batch, time.perf_counter() - opened
 
     def _count_retry(self, attempt: int, error: BaseException) -> None:
-        """Count one retried dispatch attempt (runs on a dispatcher thread)."""
+        """Count one retried dispatch attempt (runs on the dispatcher thread)."""
         with self._cond:
             self._stats.retries += 1
             if isinstance(error, InjectedFault):
@@ -480,7 +475,7 @@ class ModelServer:
         """Move queued requests matching ``key`` into ``batch`` (FIFO order).
 
         Takes at most ``budget`` more rows; requests for other models or
-        methods stay queued for another dispatcher.  Caller holds the lock.
+        methods stay queued for a later batch.  Caller holds the lock.
         """
         taken_rows = 0
         index = 0
@@ -587,7 +582,7 @@ class ModelServer:
 
     @property
     def pending(self) -> int:
-        """Requests currently queued (not yet claimed by a dispatcher)."""
+        """Requests currently queued (not yet claimed by the dispatcher)."""
         with self._cond:
             return len(self._queue)
 
@@ -599,10 +594,10 @@ class ModelServer:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop intake, serve every queued request, join the dispatchers.
+        """Stop intake, serve every queued request, join the dispatcher.
 
         Idempotent.  After it returns, every request accepted before it
-        began has a completed future, no dispatcher thread is running, and
+        began has a completed future, the dispatcher thread has ended, and
         new ``submit`` calls raise :class:`ServerClosed`.  The network front
         end calls this after it stops accepting connections and before it
         drops its transports, so in-flight clients get their answers.
@@ -612,9 +607,8 @@ class ModelServer:
                 return
             self._closed = True
             self._cond.notify_all()
-        for thread in self._workers:
-            thread.join(timeout=10.0)
-        # Paranoia: if a dispatcher died without draining, fail the leftovers
+        self._dispatcher.join(timeout=10.0)
+        # Paranoia: if the dispatcher died without draining, fail the leftovers
         # instead of leaving their futures hanging forever.
         with self._cond:
             leftovers = self._queue
@@ -633,8 +627,7 @@ class ModelServer:
         status = "closed" if self._closed else f"{self.pending} pending"
         return (
             f"ModelServer(models={self.registry.names() or '[]'}, "
-            f"max_batch={self.max_batch}, "
-            f"workers={len(self._workers)}, {status})"
+            f"max_batch={self.max_batch}, {status})"
         )
 
 

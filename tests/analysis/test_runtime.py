@@ -188,11 +188,11 @@ class TestFactories:
         previous = set_analysis_enabled(None)
         try:
             server_cond = make_condition("repro.serve.server.ModelServer._cond")
-            lease_lock = make_lock("repro.api.chunks.BufferLease._lock")
+            cache_lock = make_lock("repro.api.sharded._BlockCache._lock")
             assert server_cond._lock.rank == 40
-            assert lease_lock.rank == 130
-            with server_cond:  # rank 40 then 130: the declared nesting order
-                with lease_lock:
+            assert cache_lock.rank == 140
+            with server_cond:  # rank 40 then 140: the declared nesting order
+                with cache_lock:
                     pass
         finally:
             set_analysis_enabled(previous)

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.api.chunks
 import repro.api.engines
 import repro.api.storage
 import repro.cli
@@ -49,6 +50,7 @@ from repro.api import (
     plan_chunks,
 )
 from repro.core import MmapMatrix
+from repro.api.chunks import BufferLease, Chunk
 from repro.api.dataset import Dataset
 from repro.api.engines import ENGINE_REGISTRY, ExecutionEngine, FitResult, PredictResult
 from repro.api.convert import convert_dataset
@@ -159,9 +161,9 @@ def parameters(function) -> tuple:
             ("chunks", "n_rows", "method", "workers", "out"),
         ),
         (
+            # One dispatcher thread: no workers=.
             ModelServer.__init__,
-            ("registry", "max_batch", "max_delay_ms", "workers", "max_pending",
-             "delay_controller"),
+            ("registry", "max_batch", "max_delay_ms", "max_pending", "delay_controller"),
         ),
         (
             NetServer.__init__,
@@ -174,8 +176,8 @@ def parameters(function) -> tuple:
         (NetClient.__init__, ("host", "port", "http", "timeout_s")),
         (
             Session.serve,
-            ("model_or_path", "name", "max_batch", "max_delay_ms", "workers",
-             "max_pending", "registry"),
+            ("model_or_path", "name", "max_batch", "max_delay_ms", "max_pending",
+             "registry"),
         ),
         (
             Trainer.__init__,
@@ -308,6 +310,15 @@ def test_parameter_set(function, expected):
         (repro.data.formats, "create_binary_matrix"),
         (repro.data.writers, "OutOfCoreWriter"),
         (repro.cli, "_verify_dataset_files"),
+        # Concurrency only where threads share work: a lease has one
+        # releaser, and a reader count is at least one, never sized from
+        # st_dev topology.
+        (BufferLease, "retain"),
+        (BufferLease, "refs"),
+        (Chunk, "retain"),
+        (repro.api, "shard_devices"),
+        (repro.api.chunks, "shard_devices"),
+        (ChunkStream, "_default_io_workers"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
@@ -401,9 +412,9 @@ def _subparsers():
     )
 
 
-_DAEMON_FLAGS = {"--model", "--max-batch", "--max-delay-ms", "--workers", "--max-pending"}
+_DAEMON_FLAGS = {"--model", "--max-batch", "--max-delay-ms", "--max-pending"}
 
-#: Every subcommand's flags, 47 in all.  Each one has a passer outside tests/:
+#: Every subcommand's flags, 45 in all.  Each one has a passer outside tests/:
 #: the "CLI surface" step of .github/workflows/ci.yml sets it
 #: (test_ci_passes_every_flag).
 FLAGS = {
@@ -437,7 +448,7 @@ def test_flag_set(command, expected):
 
 def test_every_subcommand_is_censused():
     assert set(FLAGS) == set(_subparsers().choices)
-    assert sum(len(flags) for flags in FLAGS.values()) == 47
+    assert sum(len(flags) for flags in FLAGS.values()) == 45
 
 
 def _ci_passed_flags():

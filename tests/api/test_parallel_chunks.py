@@ -1,8 +1,10 @@
 """Tests for the reader pool's parts: pool sizing, buffer ring, readahead hints.
 
 Stitched chunks reuse a bounded buffer ring with no aliasing between
-in-flight chunks, ``io_workers=0`` sizes the pool from the storage topology,
-and OS readahead hints degrade to honest no-ops on platforms without them.
+in-flight chunks, a stream runs at least one reader when it has any, and OS
+readahead hints degrade to honest no-ops on platforms without them.  The
+ring's lease count and the hinter's fadvise descriptors are written by
+several readers at once; each is raced here.
 Chunk order, error relay, stall deadlines and teardown are checked for every
 reader count in ``test_chunk_stream.py``.
 """
@@ -65,21 +67,17 @@ def _resident_fraction(path) -> float:
 
 
 class TestReaderPoolSizing:
-    def test_default_reader_count_is_one_per_device(self, sharded_matrix):
-        # All test shards live in one tmp directory, hence on one device:
-        # io_workers=0 must size the pool from st_dev topology, not from the
-        # shard count.
-        matrix, X, _ = sharded_matrix
-        with open_chunk_stream(matrix, chunk_rows=7, io_workers=0) as stream:
-            pieces = [np.asarray(c.X).copy() for c in stream]
-        assert stream.io_workers == 1
-        np.testing.assert_array_equal(np.concatenate(pieces), X)
+    @pytest.mark.parametrize("io_workers", [0, -1])
+    def test_reader_count_is_at_least_one(self, io_workers):
+        with pytest.raises(ValueError, match="io_workers must be >= 1"):
+            open_chunk_stream(np.zeros((40, 3)), chunk_rows=5, io_workers=io_workers)
 
-    def test_single_file_matrix_falls_back_to_two_readers(self):
-        # No shards, no topology to read: enough readers to double-buffer.
-        with open_chunk_stream(np.zeros((40, 3)), chunk_rows=5, io_workers=0) as stream:
-            list(stream)
-        assert (stream.io_workers, stream.depth) == (2, 4)
+    def test_explicit_reader_count_is_exact(self, sharded_matrix):
+        matrix, X, _ = sharded_matrix
+        with open_chunk_stream(matrix, chunk_rows=7, io_workers=3) as stream:
+            pieces = [np.asarray(c.X).copy() for c in stream]
+        assert (stream.io_workers, stream.depth) == (3, 6)
+        np.testing.assert_array_equal(np.concatenate(pieces), X)
 
     def test_readers_never_outnumber_chunks(self):
         with open_chunk_stream(np.zeros((10, 3)), chunk_rows=5, io_workers=8) as stream:
@@ -171,24 +169,48 @@ class TestBufferPool:
         # Every buffer came home after the stream closed.
         assert pool.available == pool.buffers
 
-    def test_refcounted_lease_release(self):
-        pool = ChunkBufferPool(buffers=1, chunk_rows=4, n_cols=2, dtype=np.float64)
-        lease = pool.lease()
-        assert pool.available == 0
-        lease.retain()
-        lease.release()
-        assert pool.available == 0  # still one reference out
-        lease.release()
-        assert pool.available == 1
-
     def test_double_release_raises(self):
         pool = ChunkBufferPool(buffers=1, chunk_rows=4, n_cols=2, dtype=np.float64)
         lease = pool.lease()
+        assert pool.available == 0
         lease.release()
-        with pytest.raises(RuntimeError, match="released more times"):
+        assert pool.available == 1
+        with pytest.raises(RuntimeError, match="released more than once"):
             lease.release()
-        with pytest.raises(RuntimeError, match="cannot retain"):
-            lease.retain()
+        assert pool.available == 1  # the buffer went home once
+
+    def test_leases_served_counts_every_lease_of_racing_readers(self):
+        # Two readers lease and release one 2-buffer ring, yielding the
+        # interpreter lock at every opcode of a lease, so a read-modify-write
+        # of a count both threads share would lose increments.  The count is
+        # each buffer's own, written only by the thread that just took it.
+        pool = ChunkBufferPool(buffers=2, chunk_rows=4, n_cols=2, dtype=np.float64)
+        rounds, threads = 300, 2
+
+        def switching(frame, event, arg):
+            if frame.f_code.co_name not in ("lease", "_activate"):
+                return None
+            frame.f_trace_opcodes = True
+            if event == "opcode":
+                time.sleep(0)  # releases the GIL: the other reader may run
+            return switching
+
+        def churn():
+            sys.settrace(switching)
+            try:
+                for _ in range(rounds):
+                    pool.lease().release()
+            finally:
+                sys.settrace(None)
+
+        workers = [threading.Thread(target=churn) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+        assert not any(worker.is_alive() for worker in workers)
+        assert pool.leases_served == rounds * threads
+        assert pool.available == pool.buffers
 
     def test_invalid_pool_geometry_rejected(self):
         with pytest.raises(ValueError, match="at least 1 buffer"):
@@ -300,7 +322,6 @@ class TestReadaheadHints:
         assert hinter.advise_sequential() == 0
         assert hinter.will_need(0, 10) == 0
         assert hinter.dont_need(0, 10) == 0
-        assert hinter.applied == 0
 
     def test_madvise_unavailable_falls_back_to_fadvise(self, sharded_matrix, monkeypatch):
         # Model a platform without mmap.madvise (e.g. older macOS builds):
@@ -312,6 +333,51 @@ class TestReadaheadHints:
         with ReadaheadHinter(matrix) as hinter:
             assert hinter.supported
             assert hinter.will_need(0, 30) > 0
+
+    @pytest.mark.skipif(not hasattr(os, "posix_fadvise"), reason="no posix_fadvise")
+    def test_racing_fadvise_fallbacks_leak_no_descriptor(self, sharded_matrix, monkeypatch):
+        # Two readers hint the same shards at once through the fadvise
+        # fallback, whose descriptors open at first use.  A slow open makes
+        # both miss each file; one descriptor per file is kept, the other
+        # closed at once, and close() closes the kept ones.
+        matrix, _, _ = sharded_matrix
+        monkeypatch.setattr(
+            ReadaheadHinter, "_madvise", staticmethod(lambda *args: False)
+        )
+        opened, closed = [], []
+        real_open, real_close = os.open, os.close
+
+        def slow_open(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            if str(path).endswith(".m3b"):
+                opened.append(fd)
+                time.sleep(0.02)
+            return fd
+
+        def counted_close(fd):
+            if fd in opened:
+                closed.append(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(os, "open", slow_open)
+        monkeypatch.setattr(os, "close", counted_close)
+        hinter = ReadaheadHinter(matrix)
+        start = threading.Barrier(2)
+
+        def hint():
+            start.wait(timeout=10.0)
+            hinter.will_need(0, 60)
+
+        readers = [threading.Thread(target=hint) for _ in range(2)]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=30.0)
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(opened) > matrix.num_shards  # the readers did race
+        assert len(opened) - len(closed) == matrix.num_shards  # one kept per file
+        hinter.close()
+        assert sorted(closed) == sorted(opened)
 
     def test_no_os_support_degrades_to_counted_noop(self, sharded_matrix, monkeypatch):
         # Neither madvise nor fadvise: hints count zero, the stream still runs.
@@ -427,49 +493,6 @@ class TestGatherInto:
             matrix.gather_into(0, 30, np.empty((5, 4)))
         with pytest.raises(ValueError, match="needs"):
             matrix.lazy_labels.gather_into(0, 30, np.empty(5, dtype=np.int64))
-
-
-class TestDeviceTopology:
-    """``io_workers=0`` sizes the reader pool from storage-device topology."""
-
-    def test_shard_devices_resolves_every_shard(self, sharded_matrix):
-        matrix, _, _ = sharded_matrix
-        devices = chunks_module.shard_devices(matrix)
-        assert len(devices) == matrix.num_shards
-        # tmp_path shards all live on one filesystem -> one distinct device.
-        assert len(set(devices)) == 1
-
-    def test_shard_devices_empty_for_unsharded_matrices(self):
-        assert chunks_module.shard_devices(np.zeros((10, 2))) == ()
-
-    def test_two_faked_devices_get_two_readers(self, sharded_matrix, monkeypatch):
-        matrix, X, _ = sharded_matrix
-        # Fake a topology where the 5 shards are spread across two devices.
-        monkeypatch.setattr(
-            chunks_module, "shard_devices", lambda m: (10, 10, 20, 20, 20)
-        )
-        with open_chunk_stream(matrix, chunk_rows=7, io_workers=0) as stream:
-            pieces = [np.asarray(c.X).copy() for c in stream]
-        assert stream.io_workers == 2
-        np.testing.assert_array_equal(np.concatenate(pieces), X)
-
-    def test_unknowable_topology_falls_back_to_one_reader_per_shard(
-        self, sharded_matrix, monkeypatch
-    ):
-        matrix, _, _ = sharded_matrix
-        monkeypatch.setattr(chunks_module, "shard_devices", lambda m: ())
-        with open_chunk_stream(matrix, chunk_rows=7, io_workers=0) as stream:
-            list(stream)
-        assert stream.io_workers == matrix.num_shards
-
-    def test_explicit_io_workers_ignores_topology(self, sharded_matrix, monkeypatch):
-        matrix, _, _ = sharded_matrix
-        monkeypatch.setattr(
-            chunks_module, "shard_devices", lambda m: (1, 1, 1, 1, 1)
-        )
-        with open_chunk_stream(matrix, chunk_rows=7, io_workers=3) as stream:
-            list(stream)
-        assert stream.io_workers == 3
 
 
 class TestReleaseBehind:

@@ -345,8 +345,8 @@ class TestDataParallelPredict:
             session.open(session.specs["shard"]),
             model,
             method="predict_proba",
-            # One reader per shard, data-parallel inference.
-            engine=StreamingEngine(io_workers=0, compute_workers=3),
+            # Two readers, data-parallel inference.
+            engine=StreamingEngine(io_workers=2, compute_workers=3),
         )
         assert np.array_equal(result.predictions, expected)
 

@@ -60,11 +60,23 @@ class TestOpenCreate:
         X, y = xy
         with Session() as session:
             # A bare path that names nothing yet creates one mapped shard
-            # (mmap); once created it names a directory, which opens as shard.
+            # (mmap); once created it names a directory, which the shard
+            # backend opens and which still reports the mmap backend.
             assert session.create(tmp_path / "p.m3", X, y) == f"mmap://{tmp_path / 'p.m3'}"
             dataset = session.open(tmp_path / "p.m3")
-            assert dataset.backend_name == "shard"
+            assert dataset.backend_name == "mmap"
             assert dataset.info()["num_shards"] == 1 and dataset.matrix.backing.mapped
+
+    def test_one_dataset_reports_one_backend_however_it_is_spelled(self, tmp_path, xy):
+        X, y = xy
+        with Session() as session:
+            session.create(tmp_path / "one.m3", X, y)  # one mapped shard
+            session.create(f"shard://{tmp_path}/four", X, y, shard_rows=16)
+            for location, name in ((tmp_path / "one.m3", "mmap"), (tmp_path / "four", "shard")):
+                for spec in (location, f"mmap://{location}", f"shard://{location}"):
+                    with session.open(spec) as dataset:
+                        assert (dataset.backend_name, dataset.info()["backend"]) == (name, name)
+                    assert session.info(spec)["backend"] == name
 
     def test_info(self, tmp_path, xy):
         X, y = xy

@@ -391,7 +391,7 @@ class TestLazyLabels:
 class TestParallelPipeline:
     """The multi-reader pipeline is a drop-in upgrade: same models, new knobs."""
 
-    @pytest.mark.parametrize("io_workers", [1, 2, 0])  # 0 = one reader per shard
+    @pytest.mark.parametrize("io_workers", [1, 2, 4])
     def test_parallel_fit_matches_single_reader(self, session, io_workers):
         args = dict(max_iterations=5, solver="sgd", chunk_size=CHUNK)
         single = session.fit(

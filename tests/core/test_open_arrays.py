@@ -54,8 +54,9 @@ class TestCreateAndOpen:
         assert info["has_labels"] is True
         assert info["dtype"] == "float64"
         # A bare path to the created directory resolves to the shard backend,
-        # which mmap:// is but for create: one raw shard holds every row.
-        assert info["backend"] == "shard"
+        # which mmap:// is but for create; the dataset, one raw shard holding
+        # every row, reports the mmap backend however it is spelled.
+        assert info["backend"] == "mmap"
         assert (info["num_shards"], info["codec"]) == (1, "none")
         shard = tmp_path / "info.m3" / "shard-00000.m3b"
         assert info["compressed_bytes"] < shard.stat().st_size

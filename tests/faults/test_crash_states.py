@@ -382,7 +382,7 @@ def _logged_create(directory, monkeypatch):
         patch.setattr(sharded, "os", log)
         patch.setattr(durable, "os", log)
         patch.setattr(
-            sharded, "write_blocked_matrix", log.shard_writer(sharded.write_blocked_matrix)
+            sharded, "BlockedMatrixWriter", log.shard_writer(sharded.BlockedMatrixWriter)
         )
         write_sharded_dataset(directory, *_rows(25, seed=5), shard_rows=SHARD_ROWS)
     first_write = next(i for i, event in enumerate(log.events) if event[0] == "write")

@@ -47,7 +47,7 @@ class TestParserWiring:
         assert args.max_delay_ms == 0.0
         assert args.adaptive_delay is False
         assert args.adaptive_ceiling_ms == 5.0
-        assert args.workers == 1
+        assert not hasattr(args, "workers")
         assert args.max_pending == 1024
         assert args.max_inflight == 256
 

@@ -115,7 +115,7 @@ class TestSynchronousCalls:
 
     def test_typed_remote_errors_keep_their_types(self, serving, framed):
         gate = threading.Event()
-        net, model = serving(gate=gate, max_batch=1, workers=1, max_pending=1,
+        net, model = serving(gate=gate, max_batch=1, max_pending=1,
                              max_delay_ms=0.0)
         try:
             with NetClient(net.host, net.port) as holder, \

@@ -150,14 +150,14 @@ class TestNoTaskPerFrame:
 
 
 class TestAnswerHop:
-    def test_no_answer_is_lost_between_dispatchers_and_the_loop(self, live, problem, fitted):
-        """Four dispatchers complete the requests of short pipelined bursts
+    def test_no_answer_is_lost_between_dispatcher_and_the_loop(self, live, problem, fitted):
+        """The dispatcher completes the requests of short pipelined bursts
         while the loop clears the hop flag, switching threads every
         microsecond: the last answer of every burst, which no later
         completion would flush, arrives — in order, with its own rows."""
         X, _ = problem
         expected = fitted.predict(X)
-        net = live(server_kwargs={"workers": 4, "max_batch": 1, "max_delay_ms": 0.0})
+        net = live(server_kwargs={"max_batch": 1, "max_delay_ms": 0.0})
         failures = []
 
         def run(offset):

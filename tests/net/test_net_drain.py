@@ -27,7 +27,7 @@ class TestGracefulDrain:
         X, _ = problem
         model = _BlockingModel()
         net = live(model=model, server_kwargs={
-            "max_batch": 1, "workers": 1, "max_delay_ms": 0.0,
+            "max_batch": 1, "max_delay_ms": 0.0,
         })
         try:
             with NetClient(net.host, net.port) as client:

@@ -226,7 +226,7 @@ class TestSaturation:
         X, _ = problem
         model = _BlockingModel()
         net = live(model=model, server_kwargs={
-            "max_batch": 1, "workers": 1, "max_pending": 1, "max_delay_ms": 0.0,
+            "max_batch": 1, "max_pending": 1, "max_delay_ms": 0.0,
         })
         try:
             with NetClient(net.host, net.port) as client:
@@ -268,7 +268,7 @@ class TestSaturation:
         X, _ = problem
         model = _BlockingModel()
         net = live(model=model, server_kwargs={
-            "max_batch": 1, "workers": 1, "max_pending": 1, "max_delay_ms": 0.0,
+            "max_batch": 1, "max_pending": 1, "max_delay_ms": 0.0,
         })
         try:
             with NetClient(net.host, net.port) as jsonl_client:

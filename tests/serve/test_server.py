@@ -280,7 +280,7 @@ class TestBackpressure:
     def test_saturated_queue_rejects_nonblocking_submits(self, problem):
         X, _ = problem
         blocker = _BlockingModel()
-        with ModelServer(max_delay_ms=0.0, max_pending=2, workers=1) as server:
+        with ModelServer(max_delay_ms=0.0, max_pending=2) as server:
             server.publish("default", blocker)
             first = server.submit(X[0])  # claimed by the dispatcher
             assert blocker.started.wait(timeout=5.0)
@@ -297,7 +297,7 @@ class TestBackpressure:
     def test_blocking_submit_waits_for_space(self, problem):
         X, _ = problem
         blocker = _BlockingModel()
-        with ModelServer(max_delay_ms=0.0, max_pending=1, workers=1) as server:
+        with ModelServer(max_delay_ms=0.0, max_pending=1) as server:
             server.publish("default", blocker)
             first = server.submit(X[0])
             assert blocker.started.wait(timeout=5.0)
@@ -351,8 +351,8 @@ class TestLifecycle:
             ModelServer(max_batch=0)
         with pytest.raises(ValueError, match="max_delay_ms"):
             ModelServer(max_delay_ms=-1)
-        with pytest.raises(ValueError, match="workers"):
-            ModelServer(workers=0)
+        with pytest.raises(TypeError, match="workers"):  # one dispatcher, no knob
+            ModelServer(workers=2)
         with pytest.raises(ValueError, match="max_pending"):
             ModelServer(max_pending=0)
 

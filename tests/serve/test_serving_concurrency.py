@@ -46,9 +46,7 @@ def test_hot_swap_under_hammer_is_exactly_one_version(versions, method):
     errors = []
 
     with Session() as session:
-        with session.serve(
-            v1, max_batch=32, max_delay_ms=2.0, workers=2
-        ) as serving:
+        with session.serve(v1, max_batch=32, max_delay_ms=2.0) as serving:
 
             def hammer(thread_index: int) -> None:
                 try:

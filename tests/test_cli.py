@@ -256,6 +256,60 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "num_shards" in out and "3" in out
 
+    def test_info_names_a_raw_shard_whose_rows_are_not_64_byte_aligned(
+        self, tmp_path, capsys
+    ):
+        from repro import Session
+        from repro.api.sharded import write_sharded_dataset
+
+        X = np.arange(60.0).reshape(20, 3)
+        write_sharded_dataset(tmp_path / "old", X, np.arange(20) % 2, shard_rows=20)
+        _rows_at_byte_32(tmp_path / "old" / "shard-00000.m3b")
+        with Session() as session, session.open(tmp_path / "old") as dataset:
+            np.testing.assert_array_equal(np.asarray(dataset), X)  # still reads
+            info = dataset.info()
+        assert info["misaligned_shards"] == ["shard-00000.m3b"]
+        assert f"m3 convert {tmp_path / 'old'} DST --codec raw" in info["remedy"]
+        assert main(["info", str(tmp_path / "old")]) == 0
+        out = capsys.readouterr().out
+        assert "misaligned_shards  shard-00000.m3b" in out
+        assert "--codec raw" in out
+        # The remedy works: the converted copy's rows start at byte 64.
+        assert main(["convert", str(tmp_path / "old"), str(tmp_path / "new"),
+                     "--codec", "raw"]) == 0
+        assert main(["info", str(tmp_path / "new")]) == 0
+        assert "misaligned" not in capsys.readouterr().out
+        with Session() as session, session.open(tmp_path / "new") as dataset:
+            assert "misaligned_shards" not in dataset.info()
+
+
+def _rows_at_byte_32(path):
+    """Rewrite a raw v2 shard with its rows at byte 32, as raw shards were
+    once laid out: the 32 padding bytes go and every offset moves down."""
+    import json
+
+    from repro.data.codecs import crc32
+    from repro.data.formats_v2 import BLOCKED_PREFIX, BLOCKED_PREFIX_SIZE, RAW_DATA_OFFSET
+
+    raw = path.read_bytes()
+    magic, version, _, header_offset, header_len = BLOCKED_PREFIX.unpack(
+        raw[:BLOCKED_PREFIX_SIZE]
+    )
+    header = json.loads(raw[header_offset:header_offset + header_len])
+    shift = RAW_DATA_OFFSET - BLOCKED_PREFIX_SIZE
+    for block in header["blocks"]:
+        for segment in block["segments"]:
+            segment[0] -= shift
+    if header["labels"]:
+        header["labels"][0] -= shift
+    body = raw[RAW_DATA_OFFSET:header_offset]
+    payload = json.dumps(header).encode("utf-8")
+    path.write_bytes(
+        BLOCKED_PREFIX.pack(magic, version, crc32(payload),
+                            BLOCKED_PREFIX_SIZE + len(body), len(payload))
+        + body + payload
+    )
+
 
 class TestReproductionCommands:
     """``m3 reproduce`` itself is driven in tests/bench/test_reproduce.py."""
@@ -291,12 +345,10 @@ class TestParallelPipelineFlags:
     def test_train_with_parallel_readers(self, sharded, capsys):
         exit_code = main(["train", sharded, "--algorithm", "logistic",
                           "--iterations", "2", "--engine", "streaming",
-                          "--chunk-rows", "100", "--io-workers", "0"])
+                          "--chunk-rows", "100", "--io-workers", "2"])
         assert exit_code == 0
         out = capsys.readouterr().out
-        # io_workers=0 sizes the pool from device topology; the tmp shards
-        # all share one filesystem, so one reader serves them.
-        assert "parallel readers: 1" in out
+        assert "parallel readers: 2" in out
         assert "readahead hints" in out
 
     def test_predict_with_parallel_pipeline(self, sharded, tmp_path, capsys):
@@ -352,11 +404,13 @@ class TestParallelPipelineFlags:
         assert "--io-workers requires --engine streaming" in capsys.readouterr().err
 
     def test_negative_io_workers_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["train", "whatever.m3", "--engine", "streaming",
-                  "--io-workers", "-1"])
-        assert excinfo.value.code == 2
-        assert "non-negative" in capsys.readouterr().err
+        # A reader count is at least one: 0 is refused like -1.
+        for count in ("-1", "0"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["train", "whatever.m3", "--engine", "streaming",
+                      "--io-workers", count])
+            assert excinfo.value.code == 2
+            assert "must be a positive integer" in capsys.readouterr().err
 
 
 class TestServe:
